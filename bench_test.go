@@ -252,7 +252,7 @@ func BenchmarkCounterBatchingAblation(b *testing.B) {
 		}
 		unbatched, err := simsched.Run(ds.Constraints, simsched.Options{
 			Workers: 16, InitialTree: -1, Limits: benchLimits, FlushCost: 1,
-			TreeBatch: 1, StateBatch: 1, DeadEndBatch: 1,
+			Policy: search.Policy{TreeBatch: 1, StateBatch: 1, DeadEndBatch: 1},
 		})
 		if err != nil {
 			b.Fatal(err)

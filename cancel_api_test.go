@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"os"
 	"sort"
 	"testing"
 	"time"
@@ -88,7 +89,7 @@ func TestCheckpointRoundTripAPI(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	opt := unlimitedOptions(1)
-	opt.CheckpointOnStop = true
+	opt.Checkpoint = &CheckpointPolicy{OnStop: true}
 	var firstPart []string
 	opt.OnTree = func(nw string) {
 		firstPart = append(firstPart, nw)
@@ -114,7 +115,7 @@ func TestCheckpointRoundTripAPI(t *testing.T) {
 	}
 
 	opt2 := unlimitedOptions(1)
-	opt2.Resume = cp
+	opt2.Checkpoint = &CheckpointPolicy{Resume: cp}
 	opt2.CollectTrees = true
 	part2, err := EnumerateStand(cons, opt2)
 	if err != nil {
@@ -145,17 +146,17 @@ func TestCheckpointRoundTripAPI(t *testing.T) {
 }
 
 // TestCheckpointParallelAllowed: parallel checkpointing — once rejected with
-// a "requires Threads == 1" error — is supported: CheckpointOnStop at
+// a "requires Threads == 1" error — is supported: checkpoint-on-stop at
 // Threads > 1 runs fine (and a run that exhausts has no checkpoint), while
 // resuming a garbage checkpoint fails with a validation error, not a
 // thread-count error.
 func TestCheckpointParallelAllowed(t *testing.T) {
 	cons := apiChainConstraints(t, 3, 3)
 	opt := unlimitedOptions(2)
-	opt.CheckpointOnStop = true
+	opt.Checkpoint = &CheckpointPolicy{OnStop: true}
 	res, err := EnumerateStandContext(context.Background(), cons, opt)
 	if err != nil {
-		t.Fatalf("CheckpointOnStop with Threads > 1: %v", err)
+		t.Fatalf("checkpoint-on-stop with Threads > 1: %v", err)
 	}
 	if !res.Complete() {
 		t.Fatalf("stop = %v, want exhausted", res.Stop)
@@ -164,49 +165,55 @@ func TestCheckpointParallelAllowed(t *testing.T) {
 		t.Fatal("exhausted run should not produce a checkpoint")
 	}
 	opt = unlimitedOptions(2)
-	opt.Resume = &Checkpoint{}
+	opt.Checkpoint = &CheckpointPolicy{Resume: &Checkpoint{}}
 	if _, err := EnumerateStandContext(context.Background(), cons, opt); err == nil {
 		t.Fatal("resuming an empty checkpoint should fail validation")
 	}
 }
 
-// TestCheckpointPolicyEquivalence: the deprecated per-field knobs translate
-// into the same behavior as an explicit CheckpointPolicy.
-func TestCheckpointPolicyEquivalence(t *testing.T) {
-	cons := apiChainConstraints(t, 5, 5)
-	run := func(opt Options) *Result {
-		t.Helper()
-		ctx, cancel := context.WithCancel(context.Background())
-		defer cancel()
-		n := 0
-		opt.OnTree = func(string) {
-			if n++; n == 50 {
-				cancel()
+// TestParentCommitCheckpointsResume: checkpoint files written by commit
+// a3eaaa2 (before the scheduling set-up moved into internal/search) — a
+// version-1 serial stack and a version-2 four-thread frontier, both cut by a
+// tree limit — still load and resume to the uninterrupted totals, at any
+// thread count. Threads: 0 is the regression case for Result.Threads: a
+// frontier checkpoint resumed with Threads <= 0 ran one worker but reported
+// zero.
+func TestParentCommitCheckpointsResume(t *testing.T) {
+	in, err := os.Open("testdata/ckpt_a3eaaa2/input.trees")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cons, _, err := ReadTrees(in, nil)
+	in.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := EnumerateStand(cons, unlimitedOptions(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"serial_v1.ckpt", "frontier_v2.ckpt"} {
+		for _, threads := range []int{0, 1, 3} {
+			cp, err := ReadCheckpointFile("testdata/ckpt_a3eaaa2/" + name)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			opt := unlimitedOptions(threads)
+			opt.Checkpoint = &CheckpointPolicy{Resume: cp}
+			res, err := EnumerateStand(cons, opt)
+			if err != nil {
+				t.Fatalf("%s at %d threads: %v", name, threads, err)
+			}
+			if !res.Complete() || res.StandTrees != ref.StandTrees ||
+				res.IntermediateStates != ref.IntermediateStates || res.DeadEnds != ref.DeadEnds {
+				t.Fatalf("%s at %d threads: %d/%d/%d (%v), uninterrupted %d/%d/%d", name, threads,
+					res.StandTrees, res.IntermediateStates, res.DeadEnds, res.Stop,
+					ref.StandTrees, ref.IntermediateStates, ref.DeadEnds)
+			}
+			if want := max(threads, 1); res.Threads != want {
+				t.Fatalf("%s at Threads=%d: Result.Threads = %d, want %d", name, threads, res.Threads, want)
 			}
 		}
-		res, err := EnumerateStandContext(ctx, cons, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	oldStyle := unlimitedOptions(1)
-	oldStyle.CheckpointOnStop = true
-	oldRes := run(oldStyle)
-
-	newStyle := unlimitedOptions(1)
-	newStyle.Checkpoint = &CheckpointPolicy{OnStop: true}
-	newRes := run(newStyle)
-
-	if oldRes.Checkpoint == nil || newRes.Checkpoint == nil {
-		t.Fatalf("missing checkpoint: old=%v new=%v", oldRes.Checkpoint, newRes.Checkpoint)
-	}
-	// An explicit policy overrides the deprecated fields.
-	both := unlimitedOptions(1)
-	both.CheckpointOnStop = true
-	both.Checkpoint = &CheckpointPolicy{} // explicitly no checkpointing
-	if res := run(both); res.Checkpoint != nil {
-		t.Fatal("explicit empty policy should win over deprecated fields")
 	}
 }
 

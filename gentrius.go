@@ -189,38 +189,8 @@ type Options struct {
 
 	// Checkpoint bundles all checkpoint/resume configuration — periodic and
 	// on-stop snapshots, on-demand triggers, and resuming — for any thread
-	// count. Nil disables checkpointing (unless one of the deprecated
-	// per-field knobs below is set; an explicit policy always wins).
+	// count. Nil disables checkpointing.
 	Checkpoint *CheckpointPolicy
-
-	// Resume restores an enumeration from a checkpoint taken on the same
-	// input.
-	//
-	// Deprecated: set CheckpointPolicy.Resume via Options.Checkpoint
-	// instead. Ignored when Options.Checkpoint is non-nil.
-	Resume *Checkpoint
-
-	// CheckpointOnStop captures the engine state into Result.Checkpoint
-	// when the run ends for any reason other than exhaustion.
-	//
-	// Deprecated: set CheckpointPolicy.OnStop via Options.Checkpoint
-	// instead. Ignored when Options.Checkpoint is non-nil.
-	CheckpointOnStop bool
-
-	// CheckpointEvery hands OnCheckpoint a resumable snapshot every this
-	// many stopping-rule checks of a serial run.
-	//
-	// Deprecated: set CheckpointPolicy.Every (or the wall-clock
-	// CheckpointPolicy.Interval, which parallel runs need) via
-	// Options.Checkpoint instead. Ignored when Options.Checkpoint is
-	// non-nil.
-	CheckpointEvery int
-
-	// OnCheckpoint receives each periodic snapshot.
-	//
-	// Deprecated: set CheckpointPolicy.Sink via Options.Checkpoint
-	// instead. Ignored when Options.Checkpoint is non-nil.
-	OnCheckpoint func(cp *Checkpoint)
 
 	// Obs attaches the observability layer (scheduler metrics and/or a
 	// JSONL event trace; see internal/obs). Nil disables it entirely; the
@@ -235,66 +205,11 @@ type Options struct {
 }
 
 // CheckpointPolicy is the unified checkpoint/resume configuration for an
-// enumeration at any thread count. Zero-valued fields disable their
-// mechanism; any combination may be active at once.
-//
-// Serial runs snapshot inline at stopping-rule checks. Parallel runs
-// quiesce: every worker parks at a task/step boundary, the queue and the
-// in-flight engine stacks drain into a task-frontier snapshot, and the pool
-// resumes — the enumeration is never restarted. A frontier snapshot resumes
-// at ANY thread count (Options.Threads on the resuming run), with final
-// counters exactly equal to an uninterrupted run's.
-type CheckpointPolicy struct {
-	// Every snapshots to Sink every this many stopping-rule checks of a
-	// serial run. Parallel runs have no per-check cadence; a policy with
-	// Every > 0 and Interval == 0 maps to a one-second Interval there.
-	Every int
-
-	// Interval snapshots to Sink on a wall-clock cadence — the knob that
-	// works at every thread count. Serial runs evaluate it at stopping-rule
-	// checks; parallel runs run a dedicated checkpoint loop.
-	Interval time.Duration
-
-	// OnStop captures the final state into Result.Checkpoint when the run
-	// ends for any reason other than exhaustion or failure — cancellation
-	// or a stopping rule.
-	OnStop bool
-
-	// Resume restores the enumeration from a checkpoint taken on the same
-	// input (guarded by a fingerprint). InitialTree and Heuristic are taken
-	// from the checkpoint; the resumed run's counters continue from it. Any
-	// Threads count may consume any snapshot: serial (version-1) snapshots
-	// resume parallel and frontier (version-2) snapshots resume serial —
-	// the latter routes through the parallel engine with one worker.
-	Resume *Checkpoint
-
-	// Sink receives each periodic snapshot (typically persisted with
-	// Checkpoint.WriteFile). The callback owns persistence and any retry
-	// policy; the engines do no checkpoint file I/O themselves.
-	Sink func(cp *Checkpoint)
-
-	// Trigger, if non-nil, lets another goroutine request on-demand
-	// snapshots from the running enumeration; see CheckpointTrigger.
-	Trigger *CheckpointTrigger
-}
-
-// policy returns the effective checkpoint policy: the explicit
-// Options.Checkpoint when set, otherwise one translated from the deprecated
-// per-field knobs, or nil when nothing requests checkpointing.
-func (o *Options) policy() *CheckpointPolicy {
-	if o.Checkpoint != nil {
-		return o.Checkpoint
-	}
-	if o.Resume == nil && !o.CheckpointOnStop && o.CheckpointEvery == 0 && o.OnCheckpoint == nil {
-		return nil
-	}
-	return &CheckpointPolicy{
-		Every:  o.CheckpointEvery,
-		OnStop: o.CheckpointOnStop,
-		Resume: o.Resume,
-		Sink:   o.OnCheckpoint,
-	}
-}
+// enumeration at any thread count: periodic snapshots (Every, Interval) to
+// a Sink, a final snapshot OnStop, on-demand snapshots through a Trigger,
+// and Resume. Zero-valued fields disable their mechanism; any combination
+// may be active at once. Both engines consume it as is.
+type CheckpointPolicy = search.CheckpointPolicy
 
 // ObsSink bundles an optional metric set and trace recorder for a run —
 // the front-end-facing alias of internal/obs.Sink.
@@ -376,24 +291,9 @@ func engineOptions(ctx context.Context, opt Options) (search.Options, parallel.O
 		Obs:          opt.Obs,
 		Fault:        opt.Fault,
 	}
-	if p := opt.policy(); p != nil {
-		sopt.Resume = p.Resume
-		sopt.CheckpointOnStop = p.OnStop
-		sopt.CheckpointEvery = p.Every
-		sopt.CheckpointInterval = p.Interval
-		sopt.OnCheckpoint = p.Sink
-		sopt.Trigger = p.Trigger
-
-		popt.Resume = p.Resume
-		popt.CheckpointOnStop = p.OnStop
-		popt.CheckpointInterval = p.Interval
-		if p.Interval == 0 && p.Every > 0 {
-			// The parallel pool has no per-check cadence to count; the
-			// legacy count-based knob maps to a one-second wall cadence.
-			popt.CheckpointInterval = time.Second
-		}
-		popt.OnCheckpoint = p.Sink
-		popt.Trigger = p.Trigger
+	if opt.Checkpoint != nil {
+		sopt.Checkpoint = *opt.Checkpoint
+		popt.Checkpoint = *opt.Checkpoint
 	}
 	return sopt, popt
 }
@@ -422,14 +322,19 @@ func EnumerateStandContext(ctx context.Context, constraints []*Tree, opt Options
 	// Frontier (version-2) checkpoints describe a task set, not a serial
 	// stack: resuming one at Threads <= 1 routes through the parallel
 	// engine with a single worker, which replays the frontier exactly.
-	frontierResume := popt.Resume != nil && popt.Resume.Frontier != nil
-	if opt.Threads > 1 || frontierResume {
+	resume := popt.Checkpoint.Resume
+	if opt.Threads > 1 || (resume != nil && resume.Frontier != nil) {
 		return enumerateParallel(constraints, popt)
 	}
 	return enumerateSerial(constraints, sopt, opt.Obs)
 }
 
 func enumerateParallel(constraints []*Tree, popt parallel.Options) (*Result, error) {
+	if popt.Threads < 1 {
+		// A frontier checkpoint resumed at Threads <= 0: one worker runs,
+		// and Result.Threads must say so.
+		popt.Threads = 1
+	}
 	pres, err := parallel.Run(constraints, popt)
 	if err != nil {
 		return nil, err

@@ -2,7 +2,6 @@ package dist
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -15,7 +14,6 @@ import (
 	"gentrius/internal/obs"
 	"gentrius/internal/retry"
 	"gentrius/internal/search"
-	"gentrius/internal/terrace"
 	"gentrius/internal/tree"
 )
 
@@ -181,7 +179,6 @@ type fleetJob struct {
 	initialIdx  int
 	heuristic   search.OrderHeuristic
 	opt         RunOptions
-	prefix      search.Counters
 	// traceID is the fleet-run trace id; rec and log are the job-scoped
 	// recorder (fixed {trace, job} tags) and slog handle (trace attr) every
 	// coordinator-side emission for this job goes through.
@@ -231,12 +228,26 @@ func (c *Coordinator) Run(ctx context.Context, jobID string, constraints []*tree
 		return nil, fmt.Errorf("dist: canonicalizing constraints: %w", err)
 	}
 
-	idx := opt.InitialTree
-	if idx < 0 {
-		idx = search.ChooseInitialTree(cons)
+	// Shared set-up: the deterministic prefix is walked once, counted once,
+	// by the coordinator; the root frontier is one seed task per
+	// initial-split branch (weight 1/B), partitioned into shards below.
+	su, err := search.Start(cons, opt.InitialTree, opt.Heuristic, nil, 0)
+	if err != nil {
+		return nil, err
 	}
-	if idx >= len(cons) {
-		return nil, fmt.Errorf("dist: initial tree index %d out of range", idx)
+	idx := su.InitialIndex
+	if len(su.Frontier.Tasks) == 0 {
+		// An empty stand, or a prefix that closed the whole space.
+		res := &Result{Counters: su.Counters, InitialIndex: idx}
+		if su.Tree != "" {
+			if opt.CollectTrees {
+				res.Trees = []string{su.Tree}
+			}
+			if opt.OnTree != nil {
+				opt.OnTree(su.Tree)
+			}
+		}
+		return res, nil
 	}
 
 	job := &fleetJob{
@@ -247,6 +258,7 @@ func (c *Coordinator) Run(ctx context.Context, jobID string, constraints []*tree
 		initialIdx:  idx,
 		heuristic:   opt.Heuristic,
 		opt:         opt,
+		totals:      su.Counters,
 		wake:        make(chan struct{}, 1),
 		stop:        search.StopExhausted,
 	}
@@ -256,37 +268,8 @@ func (c *Coordinator) Run(ctx context.Context, jobID string, constraints []*tree
 	job.stats.InitialIndex = idx
 	job.stats.TraceID = job.traceID
 
-	// Deterministic prefix: walked once, counted once, by the coordinator.
-	t0, err := terrace.New(cons, idx)
-	if err != nil {
-		if errors.Is(err, terrace.ErrIncompatible) {
-			return &Result{InitialIndex: idx}, nil // empty stand
-		}
-		return nil, err
-	}
-	pre := search.PrefixWalkH(t0, opt.Heuristic)
-	job.prefix = pre.Counters
-	job.totals = pre.Counters
-	if pre.Terminal {
-		res := &Result{Counters: pre.Counters, InitialIndex: idx}
-		if pre.Counters.StandTrees == 1 && opt.CollectTrees {
-			res.Trees = []string{t0.Agile().Newick()}
-		}
-		if pre.Counters.StandTrees == 1 && opt.OnTree != nil {
-			opt.OnTree(t0.Agile().Newick())
-		}
-		return res, nil
-	}
-
-	// Root frontier: one seed task per initial-split branch, weight 1/B,
-	// then the balanced shard partition.
-	root := &search.Frontier{Prefix: pre.Path}
-	w := 1.0 / float64(len(pre.SplitBranches))
-	for _, b := range pre.SplitBranches {
-		root.Tasks = append(root.Tasks, search.NewSeedTask(nil, pre.SplitTaxon, []int32{b}, w))
-	}
 	var totalMass float64
-	for i, fr := range search.SplitFrontier(root, c.cfg.Shards) {
+	for i, fr := range search.SplitFrontier(su.Frontier, c.cfg.Shards) {
 		s := &shardState{
 			idx:          i,
 			status:       shardPending,

@@ -66,7 +66,7 @@ func DesignAblations(spec CorpusSpec, scan, nDatasets int, minSerialTicks int64)
 	for _, p := range picks {
 		row := []string{p.ds.Name}
 		for _, c := range caps {
-			sp, err := speedupWith(p, simsched.Options{QueueCap: c})
+			sp, err := speedupWith(p, simsched.Options{Policy: search.Policy{QueueCap: c}})
 			if err != nil {
 				return "", err
 			}
@@ -92,7 +92,7 @@ func DesignAblations(spec CorpusSpec, scan, nDatasets int, minSerialTicks int64)
 	for _, p := range picks {
 		row := []string{p.ds.Name}
 		for _, m := range mins {
-			sp, err := speedupWith(p, simsched.Options{MinRemaining: m})
+			sp, err := speedupWith(p, simsched.Options{Policy: search.Policy{MinRemaining: m}})
 			if err != nil {
 				return "", err
 			}

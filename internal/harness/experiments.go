@@ -279,7 +279,7 @@ func BatchingAblation(spec CorpusSpec, scan int, flushCost int64) (string, error
 		}
 		unbatched, err := simsched.Run(ds.Constraints, simsched.Options{
 			Workers: 16, InitialTree: -1, Limits: lim, FlushCost: flushCost,
-			TreeBatch: 1, StateBatch: 1, DeadEndBatch: 1,
+			Policy: search.Policy{TreeBatch: 1, StateBatch: 1, DeadEndBatch: 1},
 		})
 		if err != nil {
 			return "", err

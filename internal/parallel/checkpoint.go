@@ -137,19 +137,6 @@ func (c *ckptCtl) release() {
 	c.cond.Broadcast()
 }
 
-// frontierTaskOf serializes a queued (or requeue-refused) task. Tasks
-// seeded from a resumed frontier keep their stored frame stacks; freshly
-// submitted tasks are a single uninserted frame.
-func frontierTaskOf(tk *task) search.FrontierTask {
-	if len(tk.frames) > 0 {
-		return search.FrontierTask{
-			Path:   append([]search.PathStep(nil), tk.path...),
-			Frames: tk.frames,
-		}
-	}
-	return search.NewSeedTask(tk.path, tk.taxon, tk.branches, tk.weight)
-}
-
 // collectStopTask records an interrupted task's snapshot for the
 // checkpoint-on-stop frontier. Called by workers as they drain on the stop
 // flag, and by the panic-recovery path when a requeue is refused because

@@ -12,7 +12,6 @@ import (
 	"gentrius/internal/faultinject"
 	"gentrius/internal/obs"
 	"gentrius/internal/search"
-	"gentrius/internal/terrace"
 	"gentrius/internal/tree"
 )
 
@@ -96,9 +95,9 @@ func TestCheckpointStopResumeMatrix(t *testing.T) {
 					Limits:      search.Limits{MaxStates: stopAt, MaxTrees: -1, MaxTime: -1},
 					// Small flush batches so the state limit is noticed well
 					// before the stand is exhausted.
-					TreeBatch: 16, StateBatch: 64, DeadEndBatch: 16,
-					CheckpointOnStop: true,
-					OnTree:           func(nw string) { pre = append(pre, nw) },
+					Policy:     search.Policy{TreeBatch: 16, StateBatch: 64, DeadEndBatch: 16},
+					Checkpoint: search.CheckpointPolicy{OnStop: true},
+					OnTree:     func(nw string) { pre = append(pre, nw) },
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -123,7 +122,7 @@ func TestCheckpointStopResumeMatrix(t *testing.T) {
 				res2, err := Run(cons, Options{
 					Threads:      resT,
 					Limits:       unlimited(),
-					Resume:       cp,
+					Checkpoint:   search.CheckpointPolicy{Resume: cp},
 					CollectTrees: true,
 				})
 				if err != nil {
@@ -166,7 +165,7 @@ func TestCheckpointCancelResume(t *testing.T) {
 	n := 0
 	res1, err := Run(cons, Options{
 		Threads: 4, InitialTree: -1, Limits: unlimited(), Ctx: ctx,
-		CheckpointOnStop: true,
+		Checkpoint: search.CheckpointPolicy{OnStop: true},
 		OnTree: func(string) {
 			if n++; n == 20 {
 				cancel()
@@ -179,7 +178,7 @@ func TestCheckpointCancelResume(t *testing.T) {
 	if res1.Stop != search.StopCancelled || res1.Checkpoint == nil {
 		t.Fatalf("stop = %v, checkpoint = %v", res1.Stop, res1.Checkpoint != nil)
 	}
-	res2, err := Run(cons, Options{Threads: 2, Limits: unlimited(), Resume: roundTrip(t, res1.Checkpoint)})
+	res2, err := Run(cons, Options{Threads: 2, Limits: unlimited(), Checkpoint: search.CheckpointPolicy{Resume: roundTrip(t, res1.Checkpoint)}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,11 +198,11 @@ func TestCheckpointV1SerialResumesParallel(t *testing.T) {
 	}
 	var pre []string
 	res1, err := search.Run(cons, search.Options{
-		InitialTree:      -1,
-		Limits:           search.Limits{MaxStates: ref.IntermediateStates / 2, MaxTrees: -1, MaxTime: -1},
-		CheckEvery:       64,
-		CheckpointOnStop: true,
-		OnTree:           func(nw string) { pre = append(pre, nw) },
+		InitialTree: -1,
+		Limits:      search.Limits{MaxStates: ref.IntermediateStates / 2, MaxTrees: -1, MaxTime: -1},
+		CheckEvery:  64,
+		Checkpoint:  search.CheckpointPolicy{OnStop: true},
+		OnTree:      func(nw string) { pre = append(pre, nw) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -216,7 +215,7 @@ func TestCheckpointV1SerialResumesParallel(t *testing.T) {
 		t.Fatalf("expected a version-1 serial checkpoint, got v%d", cp.Version)
 	}
 	for _, threads := range []int{1, 4} {
-		res2, err := Run(cons, Options{Threads: threads, Limits: unlimited(), Resume: cp, CollectTrees: true})
+		res2, err := Run(cons, Options{Threads: threads, Limits: unlimited(), Checkpoint: search.CheckpointPolicy{Resume: cp}, CollectTrees: true})
 		if err != nil {
 			t.Fatalf("threads %d: %v", threads, err)
 		}
@@ -245,11 +244,13 @@ func TestCheckpointPeriodicQuiesce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var cps []*search.Checkpoint // OnCheckpoint runs on one goroutine
+	var cps []*search.Checkpoint // Sink runs on one goroutine
 	live, err := Run(cons, Options{
 		Threads: 4, InitialTree: -1, Limits: unlimited(),
-		CheckpointInterval: time.Millisecond,
-		OnCheckpoint:       func(cp *search.Checkpoint) { cps = append(cps, cp) },
+		Checkpoint: search.CheckpointPolicy{
+			Interval: time.Millisecond,
+			Sink:     func(cp *search.Checkpoint) { cps = append(cps, cp) },
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -264,7 +265,7 @@ func TestCheckpointPeriodicQuiesce(t *testing.T) {
 	// Resume from the first and the last snapshot: both must complete the
 	// enumeration to the exact reference totals.
 	for _, cp := range []*search.Checkpoint{cps[0], cps[len(cps)-1]} {
-		res, err := Run(cons, Options{Threads: 2, Limits: unlimited(), Resume: roundTrip(t, cp)})
+		res, err := Run(cons, Options{Threads: 2, Limits: unlimited(), Checkpoint: search.CheckpointPolicy{Resume: roundTrip(t, cp)}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -289,7 +290,7 @@ func TestCheckpointTriggerMidRun(t *testing.T) {
 	}
 	done := make(chan outcome, 1)
 	go func() {
-		res, err := Run(cons, Options{Threads: 4, InitialTree: -1, Limits: unlimited(), Trigger: trig})
+		res, err := Run(cons, Options{Threads: 4, InitialTree: -1, Limits: unlimited(), Checkpoint: search.CheckpointPolicy{Trigger: trig}})
 		done <- outcome{res, err}
 	}()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -313,7 +314,7 @@ func TestCheckpointTriggerMidRun(t *testing.T) {
 	if cp.Counters.IntermediateStates > ref.IntermediateStates {
 		t.Fatalf("snapshot counters overshoot the whole run: %+v", cp.Counters)
 	}
-	res2, err := Run(cons, Options{Threads: 8, Limits: unlimited(), Resume: roundTrip(t, cp)})
+	res2, err := Run(cons, Options{Threads: 8, Limits: unlimited(), Checkpoint: search.CheckpointPolicy{Resume: roundTrip(t, cp)}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,13 +334,11 @@ func TestCheckpointResumeWithFaults(t *testing.T) {
 	}
 	res1, err := Run(cons, Options{
 		Threads: 4, InitialTree: -1,
-		Limits:           search.Limits{MaxStates: ref.IntermediateStates / 2, MaxTrees: -1, MaxTime: -1},
-		TreeBatch:        16,
-		StateBatch:       64,
-		DeadEndBatch:     16,
-		CheckpointOnStop: true,
-		Fault:            faultinject.New(7).Set(faultinject.TaskExec, faultinject.Rule{Every: 20}),
-		MaxTaskRetries:   1000,
+		Limits:         search.Limits{MaxStates: ref.IntermediateStates / 2, MaxTrees: -1, MaxTime: -1},
+		Policy:         search.Policy{TreeBatch: 16, StateBatch: 64, DeadEndBatch: 16},
+		Checkpoint:     search.CheckpointPolicy{OnStop: true},
+		Fault:          faultinject.New(7).Set(faultinject.TaskExec, faultinject.Rule{Every: 20}),
+		MaxTaskRetries: 1000,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -349,7 +348,7 @@ func TestCheckpointResumeWithFaults(t *testing.T) {
 	}
 	res2, err := Run(cons, Options{
 		Threads: 4, Limits: unlimited(),
-		Resume:         roundTrip(t, res1.Checkpoint),
+		Checkpoint:     search.CheckpointPolicy{Resume: roundTrip(t, res1.Checkpoint)},
 		Fault:          faultinject.New(8).Set(faultinject.TaskExec, faultinject.Rule{Every: 20}),
 		MaxTaskRetries: 1000,
 	})
@@ -372,11 +371,9 @@ func TestCheckpointEstimatorSeeding(t *testing.T) {
 	}
 	res1, err := Run(cons, Options{
 		Threads: 4, InitialTree: -1,
-		Limits:           search.Limits{MaxStates: ref.IntermediateStates / 2, MaxTrees: -1, MaxTime: -1},
-		TreeBatch:        16,
-		StateBatch:       64,
-		DeadEndBatch:     16,
-		CheckpointOnStop: true,
+		Limits:     search.Limits{MaxStates: ref.IntermediateStates / 2, MaxTrees: -1, MaxTime: -1},
+		Policy:     search.Policy{TreeBatch: 16, StateBatch: 64, DeadEndBatch: 16},
+		Checkpoint: search.CheckpointPolicy{OnStop: true},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -395,7 +392,7 @@ func TestCheckpointEstimatorSeeding(t *testing.T) {
 	}
 	est := &obs.Estimator{}
 	res2, err := Run(cons, Options{
-		Threads: 2, Limits: unlimited(), Resume: cp,
+		Threads: 2, Limits: unlimited(), Checkpoint: search.CheckpointPolicy{Resume: cp},
 		Obs: &obs.Sink{Estimate: est},
 	})
 	if err != nil {
@@ -423,7 +420,7 @@ func TestCheckpointResumeEmptyFrontier(t *testing.T) {
 	cp := search.NewFrontierCheckpoint(cons, 0, 0,
 		search.Counters{StandTrees: 42, IntermediateStates: 99, DeadEnds: 7},
 		&search.Frontier{Threads: 4})
-	res, err := Run(cons, Options{Threads: 4, Limits: unlimited(), Resume: roundTrip(t, cp)})
+	res, err := Run(cons, Options{Threads: 4, Limits: unlimited(), Checkpoint: search.CheckpointPolicy{Resume: roundTrip(t, cp)}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -446,7 +443,7 @@ func TestCheckpointRejectsWrongInputParallel(t *testing.T) {
 	n := 0
 	res, err := Run(cons, Options{
 		Threads: 4, InitialTree: -1, Limits: unlimited(), Ctx: ctx,
-		CheckpointOnStop: true,
+		Checkpoint: search.CheckpointPolicy{OnStop: true},
 		OnTree: func(string) {
 			if n++; n == 5 {
 				cancel()
@@ -459,41 +456,13 @@ func TestCheckpointRejectsWrongInputParallel(t *testing.T) {
 	if res.Checkpoint == nil {
 		t.Skip("run finished before cancellation")
 	}
-	if _, err := Run(other, Options{Threads: 2, Limits: unlimited(), Resume: res.Checkpoint}); err == nil {
+	if _, err := Run(other, Options{Threads: 2, Limits: unlimited(), Checkpoint: search.CheckpointPolicy{Resume: res.Checkpoint}}); err == nil {
 		t.Fatal("expected fingerprint mismatch on foreign input")
 	}
 	bad := *res.Checkpoint
 	bad.Version = 99
-	if _, err := Run(cons, Options{Threads: 2, Limits: unlimited(), Resume: &bad}); err == nil {
+	if _, err := Run(cons, Options{Threads: 2, Limits: unlimited(), Checkpoint: search.CheckpointPolicy{Resume: &bad}}); err == nil {
 		t.Fatal("expected version error")
-	}
-}
-
-// TestFrontierRemainingMassFresh: at the very start of an interrupted run
-// the frontier's remaining mass accounts for (almost) the entire space.
-func TestFrontierRemainingMassFresh(t *testing.T) {
-	cons := chainConstraints(3)
-	idx := search.ChooseInitialTree(cons)
-	tr, err := terrace.New(cons, idx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prefix := search.PrefixWalkH(tr, 0)
-	if prefix.Terminal {
-		t.Skip("prefix closed the space")
-	}
-	// One seed task per branch share: the shares' masses must sum to 1.
-	parts := search.PartitionBranches(prefix.SplitBranches, 4)
-	fr := &search.Frontier{Prefix: prefix.Path, Threads: 4}
-	w := 1 / float64(len(prefix.SplitBranches))
-	for _, p := range parts {
-		if len(p) == 0 {
-			continue
-		}
-		fr.Tasks = append(fr.Tasks, search.NewSeedTask(nil, prefix.SplitTaxon, p, w))
-	}
-	if rem := fr.RemainingMass(); math.Abs(rem-1) > 1e-9 {
-		t.Fatalf("fresh frontier remaining mass %v, want 1", rem)
 	}
 }
 
@@ -518,7 +487,7 @@ func TestCheckpointBackToBackQuiesce(t *testing.T) {
 			// spend real time in drainTrees and requests arrive back-to-back.
 			OnTree:     func(string) { time.Sleep(50 * time.Microsecond) },
 			TreeBuffer: 4,
-			Trigger:    trigger,
+			Checkpoint: search.CheckpointPolicy{Trigger: trigger},
 		})
 		if err != nil {
 			t.Error(err)
@@ -546,7 +515,7 @@ func TestCheckpointBackToBackQuiesce(t *testing.T) {
 		t.Skip("run ended before any snapshot landed")
 	}
 	for i, cp := range cps {
-		got, err := Run(cons, Options{Threads: 4, Limits: unlimited(), Resume: roundTrip(t, cp)})
+		got, err := Run(cons, Options{Threads: 4, Limits: unlimited(), Checkpoint: search.CheckpointPolicy{Resume: roundTrip(t, cp)}})
 		if err != nil {
 			t.Fatalf("resuming snapshot %d: %v", i, err)
 		}

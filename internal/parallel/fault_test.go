@@ -128,7 +128,7 @@ func TestMidEnginePanicFailsRun(t *testing.T) {
 		InitialTree: -1,
 		Limits:      unlimited(),
 		// Flush every step, so by occurrence 60 the attempt is dirty.
-		TreeBatch: 1, StateBatch: 1, DeadEndBatch: 1,
+		Policy:         search.Policy{TreeBatch: 1, StateBatch: 1, DeadEndBatch: 1},
 		Fault:          inj,
 		MaxTaskRetries: 1 << 20,
 	})

@@ -129,13 +129,13 @@ func TestObsDoesNotChangeResults(t *testing.T) {
 // to the pool once the stealing worker finishes).
 func TestQueueStealZeroesHeadSlot(t *testing.T) {
 	q := newQueue(4, 2, obs.NopSchedMetrics())
-	tk := &task{path: []search.PathStep{{Taxon: 1, Edge: 2}}, taxon: 3, branches: []int32{4, 5}}
+	tk := &task{FrontierTask: search.NewSeedTask([]search.PathStep{{Taxon: 1, Edge: 2}}, 3, []int32{4, 5}, 0.5)}
 	if !q.trySubmit(tk) {
 		t.Fatal("submit rejected")
 	}
 	backing := q.tasks[:1] // aliases the head slot
 	got, ok := q.steal()
-	if !ok || got.taxon != 3 {
+	if !ok || got.root().Taxon != 3 {
 		t.Fatalf("steal = %+v, %v", got, ok)
 	}
 	if backing[0] != nil {
@@ -163,9 +163,9 @@ func TestOvershootMetric(t *testing.T) {
 		limit := int64(100)
 		res, err := Run(cons, Options{
 			Threads: 4, InitialTree: -1,
-			Limits:    search.Limits{MaxTrees: limit},
-			TreeBatch: 8, StateBatch: 64, DeadEndBatch: 8,
-			Obs: &obs.Sink{Metrics: m},
+			Limits: search.Limits{MaxTrees: limit},
+			Policy: search.Policy{TreeBatch: 8, StateBatch: 64, DeadEndBatch: 8},
+			Obs:    &obs.Sink{Metrics: m},
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -4,7 +4,12 @@
 // queue guarded by a mutex and condition variable (the Go equivalents of the
 // paper's OpenMP locks and std::condition_variable).
 //
-// Execution proceeds exactly as in Sec. III of the paper:
+// The scheme itself — run set-up, task form, constants and the submit/flush
+// decisions — is stated once in package search (Start, FrontierTask,
+// Policy), shared with the virtual-time simulator and the fleet
+// coordinator; this package adds the goroutines, the queue, the quiesce
+// barrier and panic recovery. Execution proceeds exactly as in Sec. III of
+// the paper:
 //
 //  1. every worker independently builds its own Terrace from the input and
 //     replays the deterministic prefix to the initial-split state I_0;
@@ -26,7 +31,6 @@ package parallel
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime/debug"
 	"sync"
@@ -43,26 +47,6 @@ import (
 // DefaultMaxTaskRetries bounds how often one task may panic and be retried
 // before the run fails with a WorkerPanicError.
 const DefaultMaxTaskRetries = 3
-
-// Default flush batch sizes (paper Sec. III-B).
-const (
-	DefaultTreeBatch    = 1 << 10
-	DefaultStateBatch   = 1 << 13
-	DefaultDeadEndBatch = 1 << 10
-)
-
-// DefaultQueueCap is the paper's task-queue capacity rule: N_t+1 below 8
-// threads, N_t/2 from 8 up.
-func DefaultQueueCap(threads int) int {
-	if threads < 8 {
-		return threads + 1
-	}
-	return threads / 2
-}
-
-// MinRemainingToSubmit is the paper's depth restriction: workers with fewer
-// than this many remaining taxa do not submit tasks.
-const MinRemainingToSubmit = 3
 
 // DefaultTreeBuffer is the capacity of the bounded channel stand trees
 // stream through on their way from the workers to the collector goroutine.
@@ -99,16 +83,10 @@ type Options struct {
 	// not propagated.
 	Ctx context.Context
 
-	// Batch sizes for global counter flushes; zero selects the defaults.
-	// Setting a batch to 1 reproduces the unbatched ablation.
-	TreeBatch, StateBatch, DeadEndBatch int64
-
-	// QueueCap overrides the task queue capacity (zero: paper rule).
-	QueueCap int
-
-	// MinRemaining overrides the task-submission depth restriction
-	// (zero: paper value of 3).
-	MinRemaining int
+	// Policy overrides the scheme's constants — counter batch sizes, queue
+	// capacity, submission depth restriction; zero fields select the
+	// paper's values (see search.Policy).
+	Policy search.Policy
 
 	// Heuristic refines the dynamic taxon selection used by every worker
 	// (zero value: the paper's min-branches rule).
@@ -134,39 +112,16 @@ type Options struct {
 	// fatal).
 	MaxTaskRetries int
 
-	// Resume restores the run from a checkpoint taken on the same input
-	// (same constraint trees, same order) instead of starting fresh: the
-	// checkpoint's frontier is seeded into the task queue and the workers
-	// all start in the stealing pool. Any thread count resumes any
-	// checkpoint — including version-1 serial snapshots, whose frame stack
-	// is viewed as a one-task frontier. The initial tree and insertion
-	// heuristic come from the checkpoint; InitialTree and Heuristic are
-	// ignored. Counters continue from the checkpoint, so a resumed run's
-	// final counters equal an uninterrupted run's exactly.
-	Resume *search.Checkpoint
-
-	// CheckpointOnStop captures the outstanding frontier into
-	// Result.Checkpoint when the run ends for any reason other than
-	// exhaustion or failure: workers snapshot their interrupted engines as
-	// they drain on the stop flag, and the queue's remaining tasks join
-	// them.
-	CheckpointOnStop bool
-
-	// CheckpointInterval takes a periodic frontier snapshot (quiescing the
-	// pool each time) and hands it to OnCheckpoint — crash survival for
-	// parallel runs. Zero disables periodic checkpointing.
-	CheckpointInterval time.Duration
-
-	// OnCheckpoint receives each periodic snapshot. The callback owns
-	// persistence; it runs on the checkpoint goroutine while the workers
-	// have already resumed.
-	OnCheckpoint func(cp *search.Checkpoint)
-
-	// Trigger, if set, lets another goroutine request an on-demand
-	// snapshot from the running pool (see search.CheckpointTrigger). Each
-	// request quiesces the pool, builds the frontier checkpoint, resumes
-	// the workers and delivers the snapshot to the requester.
-	Trigger *search.CheckpointTrigger
+	// Checkpoint configures snapshots and resuming (see
+	// search.CheckpointPolicy). Resume seeds the checkpoint's frontier into
+	// the task queue with every worker starting in the stealing pool — any
+	// thread count resumes any checkpoint. OnStop collects the engines
+	// interrupted by the stop flag plus the queue's remnant into
+	// Result.Checkpoint. Interval and Trigger each quiesce the running pool
+	// for a consistent cut; Sink runs on the checkpoint goroutine while the
+	// workers have already resumed. The pool has no per-check cadence to
+	// count: Every > 0 with no Interval means a one-second Interval.
+	Checkpoint search.CheckpointPolicy
 }
 
 // WorkerPanicError is the fatal outcome when a task's panic cannot be
@@ -210,38 +165,37 @@ type Result struct {
 	Prefix search.Counters
 	// Flushes counts non-empty batched counter flushes across all workers.
 	Flushes int64
-	// Checkpoint holds the frontier snapshot when Options.CheckpointOnStop
+	// Checkpoint holds the frontier snapshot when Options.Checkpoint.OnStop
 	// was set and a stopping rule or cancellation ended the run (nil when
 	// the stand was exhausted: there is nothing left to resume).
 	Checkpoint *search.Checkpoint
 }
 
-// task is a unit of stealable work (paper Sec. III-A). The replay triple
-// (path from I_0, taxon, branches) is self-contained and never mutated by
+// task is a unit of stealable work (paper Sec. III-A) with its lineage.
+// The work itself is a search.FrontierTask — the path from I_0 plus a frame
+// stack: one uninserted frame for a submitted or initial task, a deeper
+// stack for a resumed in-flight one — self-contained and never mutated by
 // execution, so a task that panicked on one worker can be re-executed on
 // any other; retries counts those recovery attempts.
 //
 // id and parent carry the task lineage for span tracing: id is run-unique
 // (initial shares get 1..Threads, submissions continue the sequence) and
 // parent is the id of the task whose execution submitted this one, so
-// steal chains are reconstructible from the trace alone. weight is the
-// per-branch leaf mass the branches carried in the originating frame,
-// preserving the weighted backtrack estimator's telescoping invariant
-// across steals (see obs.Estimator).
+// steal chains are reconstructible from the trace alone.
 type task struct {
-	path     []search.PathStep
-	taxon    int
+	search.FrontierTask
+	retries int
+	id      int64
+	parent  int64
+	// branches is the recycled storage behind a submitted task's single
+	// frame. (A resumed task's frames alias the checkpoint's branch arrays
+	// instead, which are never written.)
 	branches []int32
-	retries  int
-	id       int64
-	parent   int64
-	weight   float64
-	// frames, when non-nil, is a restored frontier frame stack (resume
-	// path): the task engine is rebuilt with NewEngineFromFrames instead of
-	// the single-frame seed. The slice aliases the immutable checkpoint and
-	// is never mutated.
-	frames []search.FrameSnapshot
 }
+
+// root is the task's bottom frame: the split taxon and branch share every
+// task event reports.
+func (tk *task) root() *search.FrameSnapshot { return &tk.Frames[0] }
 
 // taskPool recycles task objects together with their path and branch
 // buffers: a task submission in steady state reuses the storage of a
@@ -252,12 +206,10 @@ var taskPool = sync.Pool{New: func() any { return new(task) }}
 
 // recycleTask resets tk (keeping slice capacity) and returns it to the pool.
 func recycleTask(tk *task) {
-	tk.path = tk.path[:0]
-	tk.branches = tk.branches[:0]
-	tk.taxon = 0
+	tk.Path = tk.Path[:0]
+	tk.Frames = tk.Frames[:0]
 	tk.retries = 0
-	tk.id, tk.parent, tk.weight = 0, 0, 0
-	tk.frames = nil
+	tk.id, tk.parent = 0, 0
 	taskPool.Put(tk)
 }
 
@@ -453,31 +405,22 @@ func Run(constraints []*tree.Tree, opt Options) (*Result, error) {
 	// unblock any snapshot request that raced the checkpoint loop's exit
 	// (Finish is nil-safe and idempotent). Without this, a Request landing
 	// between the loop's last poll and poolDone would block forever.
-	defer opt.Trigger.Finish()
+	defer opt.Checkpoint.Trigger.Finish()
 	if opt.Threads <= 0 {
 		opt.Threads = 1
 	}
 	opt.Limits = opt.Limits.Normalize()
-	if opt.TreeBatch <= 0 {
-		opt.TreeBatch = DefaultTreeBatch
-	}
-	if opt.StateBatch <= 0 {
-		opt.StateBatch = DefaultStateBatch
-	}
-	if opt.DeadEndBatch <= 0 {
-		opt.DeadEndBatch = DefaultDeadEndBatch
-	}
-	if opt.QueueCap <= 0 {
-		opt.QueueCap = DefaultQueueCap(opt.Threads)
-	}
-	if opt.MinRemaining <= 0 {
-		opt.MinRemaining = MinRemainingToSubmit
-	}
+	opt.Policy = opt.Policy.Normalize(opt.Threads)
 	if opt.MaxTaskRetries == 0 {
 		opt.MaxTaskRetries = DefaultMaxTaskRetries
 	} else if opt.MaxTaskRetries < 0 {
 		opt.MaxTaskRetries = -1 // first panic is fatal
 	}
+	ck := opt.Checkpoint
+	if ck.Interval == 0 && ck.Every > 0 {
+		ck.Interval = time.Second
+	}
+	periodic := ck.Interval > 0 && ck.Sink != nil
 
 	res := &Result{Stop: search.StopExhausted}
 	m := opt.Obs.SchedMetrics()
@@ -485,157 +428,88 @@ func Run(constraints []*tree.Tree, opt Options) (*Result, error) {
 	m.Workers.Set(int64(opt.Threads))
 	g := &globals{limits: opt.Limits, started: time.Now(),
 		rec: opt.Obs.Recorder(), est: opt.Obs.Estimator()}
-	g.ckptOnStop = opt.CheckpointOnStop
+	g.ckptOnStop = ck.OnStop
 
-	// Resume: validate the checkpoint against the input and view it as a
-	// frontier (a v1 serial checkpoint synthesizes a one-task frontier, so
-	// any snapshot resumes onto any thread count). The initial tree and
-	// heuristic come from the checkpoint.
-	var resumeFr *search.Frontier
-	if opt.Resume != nil {
-		if err := opt.Resume.Validate(constraints); err != nil {
-			return nil, err
-		}
-		fr, err := opt.Resume.FrontierView()
-		if err != nil {
-			return nil, err
-		}
-		resumeFr = fr
-		opt.InitialTree = opt.Resume.InitialIndex
-		opt.Heuristic = opt.Resume.Heuristic
+	// Shared set-up: initial tree, prefix walk (or the checkpoint's frontier
+	// view), and the outstanding work. What it already counted seeds the
+	// globals and stands in as Result.Prefix, preserving the conservation
+	// invariant Counters == Prefix + sum(PerWorker).
+	su, err := search.Start(constraints, opt.InitialTree, opt.Heuristic, ck.Resume, opt.Threads)
+	if err != nil {
+		return nil, err
 	}
-
-	idx := opt.InitialTree
-	if idx < 0 {
-		idx = search.ChooseInitialTree(constraints)
-	}
-	if idx >= len(constraints) {
-		return nil, fmt.Errorf("parallel: initial tree index %d out of range", idx)
-	}
-	res.InitialIndex = idx
-
-	var prefix search.PrefixResult
-	var parts [][]int32
-	if resumeFr != nil {
-		// No fresh prefix walk on resume: the checkpoint's counters already
-		// include the prefix contribution, and its stored prefix path is
-		// replayed by each worker without recounting. The checkpoint totals
-		// seed the globals (and stand in as Result.Prefix), preserving the
-		// conservation invariant Counters == Prefix + sum(PerWorker).
-		prefix.Path = resumeFr.Prefix
-		parts = make([][]int32, opt.Threads)
-		cpc := opt.Resume.Counters
-		res.PrefixLen = len(resumeFr.Prefix)
-		res.Counters.Add(cpc)
-		res.Prefix = cpc
-		m.Trees.Add(cpc.StandTrees)
-		m.States.Add(cpc.IntermediateStates)
-		m.DeadEnds.Add(cpc.DeadEnds)
-		g.trees.Store(cpc.StandTrees)
-		g.states.Store(cpc.IntermediateStates)
-		g.dead.Store(cpc.DeadEnds)
-		g.est.AddCounters(cpc.StandTrees, cpc.IntermediateStates, cpc.DeadEnds)
-		// Consumed estimator mass is 1 minus what the frontier still holds,
-		// so a resumed run's fraction-complete matches an uninterrupted one.
-		g.est.AddLeafMass(1-resumeFr.RemainingMass(), cpc.StandTrees+cpc.DeadEnds)
-		if len(resumeFr.Tasks) == 0 {
-			// The snapshot captured a finished (or fully drained) run.
-			res.Elapsed = time.Since(g.started)
-			return res, nil
-		}
-	} else {
-		// Coordinator: build one terrace, walk the deterministic prefix.
-		t0, err := terrace.New(constraints, idx)
-		if err != nil {
-			if errors.Is(err, terrace.ErrIncompatible) {
-				res.Elapsed = time.Since(g.started)
-				return res, nil
+	res.InitialIndex = su.InitialIndex
+	res.PrefixLen = len(su.Frontier.Prefix)
+	res.Counters = su.Counters
+	res.Prefix = su.Counters
+	m.Trees.Add(su.Counters.StandTrees)
+	m.States.Add(su.Counters.IntermediateStates)
+	m.DeadEnds.Add(su.Counters.DeadEnds)
+	addHeuristicStats(m, su.PrefixStats)
+	g.trees.Store(su.Counters.StandTrees)
+	g.states.Store(su.Counters.IntermediateStates)
+	g.dead.Store(su.Counters.DeadEnds)
+	g.est.AddCounters(su.Counters.StandTrees, su.Counters.IntermediateStates, su.Counters.DeadEnds)
+	g.est.AddLeafMass(su.LeafMass, su.Leaves)
+	if len(su.Frontier.Tasks) == 0 {
+		// Nothing to run: an empty stand, a prefix that closed the whole
+		// space (at most one tree), or a snapshot of a finished run.
+		if su.Tree != "" {
+			if opt.OnTree != nil {
+				opt.OnTree(su.Tree)
 			}
-			return nil, err
-		}
-		prefix = search.PrefixWalkH(t0, opt.Heuristic)
-		res.PrefixLen = len(prefix.Path)
-		res.Counters.Add(prefix.Counters)
-		res.Prefix = prefix.Counters
-		m.Trees.Add(prefix.Counters.StandTrees)
-		m.States.Add(prefix.Counters.IntermediateStates)
-		m.DeadEnds.Add(prefix.Counters.DeadEnds)
-		hs0 := t0.HeuristicStats()
-		m.HeuristicScanTaxa.Add(hs0.CountQueries)
-		m.HeuristicO1Counts.Add(hs0.O1Counts)
-		m.HeuristicRecounts.Add(hs0.Recounts)
-		m.HeuristicIncUpdates.Add(hs0.IncUpdates)
-		g.est.AddCounters(prefix.Counters.StandTrees,
-			prefix.Counters.IntermediateStates, prefix.Counters.DeadEnds)
-		if prefix.Terminal {
-			// The deterministic prefix closed the whole space: one leaf (a
-			// single stand tree or a dead end) carrying the entire mass.
-			g.est.AddLeafMass(1, 1)
-			if prefix.Counters.StandTrees == 1 {
-				nw := t0.Agile().Newick()
-				if opt.OnTree != nil {
-					opt.OnTree(nw)
-				}
-				if opt.CollectTrees {
-					res.Trees = append(res.Trees, nw)
-				}
+			if opt.CollectTrees {
+				res.Trees = append(res.Trees, su.Tree)
 			}
-			res.Elapsed = time.Since(g.started)
-			return res, nil
 		}
-		g.states.Store(prefix.Counters.IntermediateStates)
-		g.dead.Store(prefix.Counters.DeadEnds)
-		parts = search.PartitionBranches(prefix.SplitBranches, opt.Threads)
+		res.Elapsed = time.Since(g.started)
+		return res, nil
 	}
 
-	q := newQueue(opt.QueueCap, opt.Threads, m)
+	q := newQueue(opt.Policy.QueueCap, opt.Threads, m)
 	// Task ids 1..Threads are reserved for the initial-split shares (worker
 	// w's share is task w+1, parent 0); submissions continue the sequence.
 	g.nextTask.Store(int64(opt.Threads))
 
-	if resumeFr != nil {
-		// Seed the frontier straight into the queue (capacity does not
-		// apply: these are not new submissions but work the snapshotting
-		// run already owned). Every worker starts in the stealing pool.
-		for _, ft := range resumeFr.Tasks {
-			if len(ft.Frames) == 0 {
-				continue // a drained engine snapshot: nothing left in it
-			}
-			tk := taskPool.Get().(*task)
-			tk.path = append(tk.path[:0], ft.Path...)
-			tk.frames = ft.Frames
-			tk.taxon = ft.Frames[0].Taxon
-			tk.weight = ft.Frames[0].Weight
+	// A fresh run hands share w to worker w directly. A resumed frontier
+	// goes straight into the queue (capacity does not apply: these are not
+	// new submissions but work the snapshotting run already owned) and
+	// every worker starts in the stealing pool.
+	shares := make([]*task, opt.Threads)
+	for i, ft := range su.Frontier.Tasks {
+		tk := taskPool.Get().(*task)
+		tk.Path = append(tk.Path[:0], ft.Path...)
+		tk.Frames = append(tk.Frames[:0], ft.Frames...)
+		if su.Resumed {
 			tk.id = g.nextTask.Add(1)
 			q.tasks = append(q.tasks, tk)
+		} else {
+			tk.id = int64(i) + 1
+			shares[i] = tk
 		}
-		m.QueueDepth.Set(int64(len(q.tasks)))
 	}
+	m.QueueDepth.Set(int64(len(q.tasks)))
 
 	// Quiesce controller: only needed when a snapshot can be requested
 	// while the pool is running (periodic or on-demand checkpoints).
 	var ckctl *ckptCtl
-	if opt.Trigger != nil || (opt.CheckpointInterval > 0 && opt.OnCheckpoint != nil) {
+	if ck.Trigger != nil || periodic {
 		ckctl = newCkptCtl(opt.Threads)
 		q.ckpt = ckctl
 	}
 
-	// buildFrontier assembles the outstanding work: the queue's tasks plus
-	// the supplied in-flight engine snapshots. Callers guarantee the pool
-	// is either quiesced or drained, so the cut is consistent.
-	prefixPath := prefix.Path
-	buildFrontier := func(inFlight []search.FrontierTask) *search.Frontier {
-		fr := &search.Frontier{
-			Prefix:  append([]search.PathStep(nil), prefixPath...),
-			Threads: opt.Threads,
-		}
+	// checkpoint assembles the outstanding work — the queue's tasks plus the
+	// supplied in-flight engine snapshots — around the given counters.
+	// Callers guarantee the pool is either quiesced or drained, so the cut
+	// is consistent.
+	checkpoint := func(c search.Counters, inFlight []search.FrontierTask) *search.Checkpoint {
+		var tasks []search.FrontierTask
 		q.mu.Lock()
 		for _, tk := range q.tasks {
-			fr.Tasks = append(fr.Tasks, frontierTaskOf(tk))
+			tasks = append(tasks, tk.Clone())
 		}
 		q.mu.Unlock()
-		fr.Tasks = append(fr.Tasks, inFlight...)
-		return fr
+		return su.Checkpoint(c, opt.Threads, append(tasks, inFlight...))
 	}
 
 	// Cancellation: a watcher raises the stop flag and wakes blocked
@@ -697,14 +571,13 @@ func Run(constraints []*tree.Tree, opt Options) (*Result, error) {
 				return nil
 			}
 			g.drainTrees()
-			fr := buildFrontier(inFlight)
-			return search.NewFrontierCheckpoint(constraints, idx, opt.Heuristic, g.snapshot(), fr)
+			return checkpoint(g.snapshot(), inFlight)
 		}
 		go func() {
 			defer close(ckptLoopDone)
 			var tick <-chan time.Time
-			if opt.CheckpointInterval > 0 && opt.OnCheckpoint != nil {
-				tkr := time.NewTicker(opt.CheckpointInterval)
+			if periodic {
+				tkr := time.NewTicker(ck.Interval)
 				defer tkr.Stop()
 				tick = tkr.C
 			}
@@ -712,11 +585,11 @@ func Run(constraints []*tree.Tree, opt Options) (*Result, error) {
 				select {
 				case <-poolDone:
 					return
-				case reply := <-opt.Trigger.Requests():
+				case reply := <-ck.Trigger.Requests():
 					reply <- takeCheckpoint()
 				case <-tick:
 					if cp := takeCheckpoint(); cp != nil {
-						opt.OnCheckpoint(cp)
+						ck.Sink(cp)
 					}
 				}
 			}
@@ -729,8 +602,7 @@ func Run(constraints []*tree.Tree, opt Options) (*Result, error) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			runWorker(w, constraints, idx, prefix, parts[w], q, g, opt,
-				&perWorker[w], treeCh)
+			runWorker(w, su, shares[w], q, g, opt, &perWorker[w], treeCh)
 		}(w)
 	}
 	wg.Wait()
@@ -775,21 +647,29 @@ func Run(constraints []*tree.Tree, opt Options) (*Result, error) {
 			m.OvershootStates.Set(res.Counters.IntermediateStates - opt.Limits.MaxStates)
 		}
 	}
-	if opt.CheckpointOnStop && res.Stop != search.StopExhausted && res.Stop != search.StopFailed {
+	if ck.OnStop && res.Stop != search.StopExhausted && res.Stop != search.StopFailed {
 		// The pool has fully drained: the queue remnants plus the engine
 		// snapshots workers took as they hit the stop flag are exactly the
 		// outstanding work.
-		fr := buildFrontier(g.takeStopTasks())
-		res.Checkpoint = search.NewFrontierCheckpoint(constraints, idx, opt.Heuristic, res.Counters, fr)
+		res.Checkpoint = checkpoint(res.Counters, g.takeStopTasks())
 	}
 	m.QueueDepth.Set(0)
 	res.Elapsed = time.Since(g.started)
 	return res, nil
 }
 
+// addHeuristicStats folds a terrace's heuristic-layer stats into the
+// metrics: the prefix walk's, each worker's at exit, and a panic-wrecked
+// terrace's before it is discarded.
+func addHeuristicStats(m *obs.SchedMetrics, hs terrace.HeuristicStats) {
+	m.HeuristicScanTaxa.Add(hs.CountQueries)
+	m.HeuristicO1Counts.Add(hs.O1Counts)
+	m.HeuristicRecounts.Add(hs.Recounts)
+	m.HeuristicIncUpdates.Add(hs.IncUpdates)
+}
+
 // runWorker is the body of one pool worker.
-func runWorker(w int, constraints []*tree.Tree, idx int, prefix search.PrefixResult,
-	myBranches []int32, q *queue, g *globals, opt Options,
+func runWorker(w int, su *search.Setup, share *task, q *queue, g *globals, opt Options,
 	total *search.Counters, treeCh chan<- string) {
 
 	m := opt.Obs.SchedMetrics()
@@ -804,14 +684,11 @@ func runWorker(w int, constraints []*tree.Tree, idx int, prefix search.PrefixRes
 	// immutable inputs is the only state repair that needs no trust in the
 	// wreckage.
 	buildTerrace := func() *terrace.Terrace {
-		t, err := terrace.New(constraints, idx)
+		t, err := su.NewTerrace()
 		if err != nil {
 			// The coordinator already built the same input successfully; a
 			// failure here is a programming error.
 			panic(fmt.Sprintf("parallel: worker %d terrace build failed: %v", w, err))
-		}
-		for _, s := range prefix.Path {
-			t.ExtendTaxon(s.Taxon, s.Edge)
 		}
 		return t
 	}
@@ -871,40 +748,27 @@ func runWorker(w int, constraints []*tree.Tree, idx int, prefix search.PrefixRes
 		}
 	}
 
-	// drainStats folds a terrace's heuristic-layer stats into the metrics —
-	// at worker exit, and before a panic-wrecked terrace is discarded.
-	drainStats := func(tt *terrace.Terrace) {
-		hs := tt.HeuristicStats()
-		m.HeuristicScanTaxa.Add(hs.CountQueries)
-		m.HeuristicO1Counts.Add(hs.O1Counts)
-		m.HeuristicRecounts.Add(hs.Recounts)
-		m.HeuristicIncUpdates.Add(hs.IncUpdates)
-	}
-
 	var basePath []search.PathStep // path of the current task from I_0
 
 	runEngine := func(eng *search.Engine) {
-		eng.Heuristic = opt.Heuristic
+		eng.Heuristic = su.Heuristic
 		var prev search.Counters
 		if g.est != nil {
 			eng.OnLeaf = func(wt float64) { estMass += wt; estLeaves++ }
 		}
 		eng.OnFramePushed = func(f *search.Frame) int {
-			if eng.RemainingTaxa() < opt.MinRemaining {
-				return 0
-			}
-			n := len(f.Branches) / 2
+			n := opt.Policy.Submit(eng.RemainingTaxa(), len(f.Branches))
 			if n == 0 {
 				return 0
 			}
 			tk := taskPool.Get().(*task)
-			tk.taxon = f.Taxon
-			tk.path = eng.Path(append(tk.path[:0], basePath...))
+			tk.Path = eng.Path(append(tk.Path[:0], basePath...))
 			tk.branches = append(tk.branches[:0], f.Branches[len(f.Branches)-n:]...)
+			tk.Frames = append(tk.Frames[:0], search.FrameSnapshot{
+				Taxon: f.Taxon, Branches: tk.branches, Weight: f.BranchWeight()})
 			tk.id = g.nextTask.Add(1)
 			tk.parent = curTask
-			tk.weight = f.BranchWeight()
-			pathLen := int64(len(tk.path))
+			pathLen := int64(len(tk.Path))
 			id, parent := tk.id, tk.parent
 			// A successful submit transfers tk's ownership to the queue: a
 			// stealer may finish and recycle it at any moment, so nothing
@@ -953,9 +817,7 @@ func runWorker(w int, constraints []*tree.Tree, idx int, prefix search.PrefixRes
 			local.IntermediateStates += c.IntermediateStates - prev.IntermediateStates
 			local.DeadEnds += c.DeadEnds - prev.DeadEnds
 			prev = c
-			if local.StandTrees >= opt.TreeBatch ||
-				local.IntermediateStates >= opt.StateBatch ||
-				local.DeadEnds >= opt.DeadEndBatch {
+			if opt.Policy.FlushDue(local) {
 				flush()
 			}
 			steps++
@@ -984,8 +846,8 @@ func runWorker(w int, constraints []*tree.Tree, idx int, prefix search.PrefixRes
 	}
 
 	// executeTask runs one task — replay its path from I_0, enumerate its
-	// branch share, rewind — under a recover() barrier. The task's replay
-	// triple is never mutated by execution, so a panic before the attempt
+	// frame stack, rewind — under a recover() barrier. The task's path and
+	// frames are never mutated by execution, so a panic before the attempt
 	// publishes any progress (no counter flush, no streamed tree, no
 	// submitted sub-task) requeues the task verbatim for any worker: the
 	// attempt's unflushed local counters are dropped (they reached neither
@@ -1001,8 +863,8 @@ func runWorker(w int, constraints []*tree.Tree, idx int, prefix search.PrefixRes
 		attemptDirty = false
 		curTask = tk.id
 		rec.Emit(obs.EvTaskStart, w, obs.F("task", tk.id), obs.F("parent", tk.parent),
-			obs.F("taxon", int64(tk.taxon)), obs.F("branches", int64(len(tk.branches))),
-			obs.F("path", int64(len(tk.path))))
+			obs.F("taxon", int64(tk.root().Taxon)), obs.F("branches", int64(len(tk.root().Branches))),
+			obs.F("path", int64(len(tk.Path))))
 		defer func() { curTask = 0 }()
 		defer func() {
 			r := recover()
@@ -1011,19 +873,19 @@ func runWorker(w int, constraints []*tree.Tree, idx int, prefix search.PrefixRes
 			}
 			stack := debug.Stack()
 			m.WorkerPanics.Inc()
-			rec.Emit(obs.EvPanic, w, obs.F("task", tk.id), obs.F("taxon", int64(tk.taxon)),
+			rec.Emit(obs.EvPanic, w, obs.F("task", tk.id), obs.F("taxon", int64(tk.root().Taxon)),
 				obs.F("attempt", int64(tk.retries+1)))
 			rec.Emit(obs.EvTaskEnd, w, obs.F("task", tk.id), obs.F("panic", 1))
 			dirty := attemptDirty
 			local = search.Counters{}
 			estMass, estLeaves = 0, 0
 			basePath = nil
-			drainStats(t)
+			addHeuristicStats(m, t.HeuristicStats())
 			t = buildTerrace()
 			tk.retries++
 			if !dirty && opt.MaxTaskRetries >= 0 && tk.retries <= opt.MaxTaskRetries {
 				if q.requeue(tk) {
-					rec.Emit(obs.EvRequeue, w, obs.F("taxon", int64(tk.taxon)),
+					rec.Emit(obs.EvRequeue, w, obs.F("taxon", int64(tk.root().Taxon)),
 						obs.F("attempt", int64(tk.retries)))
 					return
 				}
@@ -1032,7 +894,7 @@ func runWorker(w int, constraints []*tree.Tree, idx int, prefix search.PrefixRes
 				// retry is moot — but the task is still outstanding work,
 				// so a checkpoint-on-stop frontier must include it.
 				if g.ckptOnStop {
-					g.collectStopTask(frontierTaskOf(tk))
+					g.collectStopTask(tk.Clone())
 				}
 				recycleTask(tk)
 				return
@@ -1041,31 +903,23 @@ func runWorker(w int, constraints []*tree.Tree, idx int, prefix search.PrefixRes
 			q.shutdown()
 		}()
 		opt.Fault.MaybePanic(faultinject.TaskExec)
-		basePath = tk.path
-		for _, s := range tk.path {
+		basePath = tk.Path
+		for _, s := range tk.Path {
 			t.ExtendTaxon(s.Taxon, s.Edge)
 		}
-		var eng *search.Engine
-		if len(tk.frames) > 0 {
-			// A resumed frontier task: rebuild the full frame stack (stored
-			// weights and all) instead of seeding a single frame.
-			e2, err := search.NewEngineFromFrames(t, tk.frames)
-			if err != nil {
-				for t.Depth() > baseDepth {
-					t.RemoveTaxon()
-				}
-				basePath = nil
-				g.fail(fmt.Errorf("parallel: worker %d restoring frontier task: %w", w, err))
-				q.shutdown()
-				return true
+		eng, err := search.NewTaskEngine(t, tk.Frames)
+		if err != nil {
+			// A corrupt stack is rejected before it touches the terrace.
+			for range tk.Path {
+				t.RemoveTaxon()
 			}
-			eng = e2
-		} else {
-			eng = search.NewEngineWithFrame(t, tk.taxon, tk.branches)
-			eng.SetSeedBranchWeight(tk.weight)
+			basePath = nil
+			g.fail(fmt.Errorf("parallel: worker %d restoring frontier task: %w", w, err))
+			q.shutdown()
+			return true
 		}
 		runEngine(eng)
-		for range tk.path {
+		for range tk.Path {
 			t.RemoveTaxon()
 		}
 		basePath = nil
@@ -1073,28 +927,23 @@ func runWorker(w int, constraints []*tree.Tree, idx int, prefix search.PrefixRes
 		return true
 	}
 
-	// Phase 1: the initial-split share, packaged as a task (empty path,
+	// Phase 1: the initial-split share, a task like any other (empty path,
 	// frame = the initial split) so a panic here flows through the same
 	// requeue machinery — any worker can pick up the retry.
-	rec.Emit(obs.EvWorkerStart, w, obs.F("branches", int64(len(myBranches))))
-	if len(myBranches) > 0 {
+	nShare := 0
+	if share != nil {
+		nShare = len(share.root().Branches)
+	}
+	rec.Emit(obs.EvWorkerStart, w, obs.F("branches", int64(nShare)))
+	if share != nil {
 		if g.stop.Load() {
 			// Stopped before this share ever started: it is still
 			// outstanding work, so the checkpoint frontier must carry it.
 			if g.ckptOnStop {
-				g.collectStopTask(search.NewSeedTask(nil, prefix.SplitTaxon,
-					myBranches, 1/float64(len(prefix.SplitBranches))))
+				g.collectStopTask(share.Clone())
 			}
-		} else {
-			tk := taskPool.Get().(*task)
-			tk.taxon = prefix.SplitTaxon
-			tk.path = tk.path[:0]
-			tk.branches = append(tk.branches[:0], myBranches...)
-			tk.id = int64(w) + 1 // reserved lineage roots, parent 0
-			tk.weight = 1 / float64(len(prefix.SplitBranches))
-			if executeTask(tk) {
-				recycleTask(tk)
-			}
+		} else if executeTask(share) {
+			recycleTask(share)
 		}
 	}
 
@@ -1107,9 +956,9 @@ func runWorker(w int, constraints []*tree.Tree, idx int, prefix search.PrefixRes
 		}
 		wm.Stolen.Inc()
 		rec.Emit(obs.EvSteal, w, obs.F("task", tk.id),
-			obs.F("taxon", int64(tk.taxon)),
-			obs.F("branches", int64(len(tk.branches))),
-			obs.F("path", int64(len(tk.path))))
+			obs.F("taxon", int64(tk.root().Taxon)),
+			obs.F("branches", int64(len(tk.root().Branches))),
+			obs.F("path", int64(len(tk.Path))))
 		if executeTask(tk) {
 			recycleTask(tk)
 		}
@@ -1118,6 +967,6 @@ func runWorker(w int, constraints []*tree.Tree, idx int, prefix search.PrefixRes
 		q.shutdown()
 	}
 	flush()
-	drainStats(t)
+	addHeuristicStats(m, t.HeuristicStats())
 	rec.Emit(obs.EvWorkerExit, w)
 }

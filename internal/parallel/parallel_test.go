@@ -164,8 +164,8 @@ func TestStoppingRuleParallel(t *testing.T) {
 		limit := int64(100)
 		par, err := Run(cons, Options{
 			Threads: 4, InitialTree: -1,
-			Limits:    search.Limits{MaxTrees: limit},
-			TreeBatch: 8, StateBatch: 64, DeadEndBatch: 8,
+			Limits: search.Limits{MaxTrees: limit},
+			Policy: search.Policy{TreeBatch: 8, StateBatch: 64, DeadEndBatch: 8},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -209,15 +209,6 @@ func TestPrefixTerminalCases(t *testing.T) {
 	}
 }
 
-func TestDefaultQueueCap(t *testing.T) {
-	cases := map[int]int{1: 2, 4: 5, 7: 8, 8: 4, 16: 8, 48: 24}
-	for nt, want := range cases {
-		if got := DefaultQueueCap(nt); got != want {
-			t.Fatalf("DefaultQueueCap(%d) = %d, want %d", nt, got, want)
-		}
-	}
-}
-
 func TestPartitionBranches(t *testing.T) {
 	br := []int32{0, 1, 2, 3, 4}
 	parts := search.PartitionBranches(br, 4)
@@ -235,21 +226,21 @@ func TestPartitionBranches(t *testing.T) {
 
 func TestQueueSubmitAndCap(t *testing.T) {
 	q := newQueue(2, 3, obs.NopSchedMetrics())
-	if !q.trySubmit(&task{taxon: 1}) || !q.trySubmit(&task{taxon: 2}) {
+	if !q.trySubmit(&task{id: 1}) || !q.trySubmit(&task{id: 2}) {
 		t.Fatal("submissions under capacity rejected")
 	}
-	if q.trySubmit(&task{taxon: 3}) {
+	if q.trySubmit(&task{id: 3}) {
 		t.Fatal("submission above capacity accepted")
 	}
 	tk, ok := q.steal()
-	if !ok || tk.taxon != 1 {
-		t.Fatalf("steal = %+v, %v (want FIFO taxon 1)", tk, ok)
+	if !ok || tk.id != 1 {
+		t.Fatalf("steal = %+v, %v (want FIFO task 1)", tk, ok)
 	}
-	if !q.trySubmit(&task{taxon: 3}) {
+	if !q.trySubmit(&task{id: 3}) {
 		t.Fatal("submission after drain rejected")
 	}
 	q.shutdown()
-	if q.trySubmit(&task{taxon: 4}) {
+	if q.trySubmit(&task{id: 4}) {
 		t.Fatal("submission after shutdown accepted")
 	}
 }

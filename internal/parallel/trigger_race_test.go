@@ -34,7 +34,7 @@ func TestTriggerFinishNeverHangs(t *testing.T) {
 				Threads:     2,
 				InitialTree: -1,
 				Ctx:         runCtx,
-				Trigger:     trig,
+				Checkpoint:  search.CheckpointPolicy{Trigger: trig},
 			})
 			if err != nil {
 				t.Error(err)
@@ -91,7 +91,7 @@ func TestTriggerFinishSerial(t *testing.T) {
 		go func() {
 			defer close(runDone)
 			if _, err := search.Run(cons, search.Options{
-				InitialTree: -1, CheckEvery: 8, Trigger: trig,
+				InitialTree: -1, CheckEvery: 8, Checkpoint: search.CheckpointPolicy{Trigger: trig},
 			}); err != nil {
 				t.Error(err)
 			}

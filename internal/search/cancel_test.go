@@ -125,12 +125,12 @@ func TestCancelCheckpointResumeEqualsUninterrupted(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	part1, err := Run(cons, Options{
-		InitialTree:      -1,
-		Limits:           Limits{MaxTrees: -1, MaxStates: -1, MaxTime: -1},
-		CollectTrees:     true,
-		Ctx:              ctx,
-		CheckpointOnStop: true,
-		OnCheck:          func(Counters, time.Duration) { cancel() },
+		InitialTree:  -1,
+		Limits:       Limits{MaxTrees: -1, MaxStates: -1, MaxTime: -1},
+		CollectTrees: true,
+		Ctx:          ctx,
+		Checkpoint:   CheckpointPolicy{OnStop: true},
+		OnCheck:      func(Counters, time.Duration) { cancel() },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -148,7 +148,7 @@ func TestCancelCheckpointResumeEqualsUninterrupted(t *testing.T) {
 	part2, err := Run(cons, Options{
 		Limits:       Limits{MaxTrees: -1, MaxStates: -1, MaxTime: -1},
 		CollectTrees: true,
-		Resume:       part1.Checkpoint,
+		Checkpoint:   CheckpointPolicy{Resume: part1.Checkpoint},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -192,10 +192,10 @@ func TestResumeLimitStopChain(t *testing.T) {
 		t.Fatal("stand too small")
 	}
 	res, err := Run(cons, Options{
-		InitialTree:      -1,
-		Limits:           Limits{MaxTrees: limit, MaxStates: -1, MaxTime: -1},
-		CheckpointOnStop: true,
-		CheckEvery:       64,
+		InitialTree: -1,
+		Limits:      Limits{MaxTrees: limit, MaxStates: -1, MaxTime: -1},
+		Checkpoint:  CheckpointPolicy{OnStop: true},
+		CheckEvery:  64,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -210,10 +210,9 @@ func TestResumeLimitStopChain(t *testing.T) {
 			t.Fatal("resume chain does not terminate")
 		}
 		res, err = Run(cons, Options{
-			Limits:           Limits{MaxTrees: res.StandTrees + limit, MaxStates: -1, MaxTime: -1},
-			CheckpointOnStop: true,
-			CheckEvery:       64,
-			Resume:           res.Checkpoint,
+			Limits:     Limits{MaxTrees: res.StandTrees + limit, MaxStates: -1, MaxTime: -1},
+			Checkpoint: CheckpointPolicy{OnStop: true, Resume: res.Checkpoint},
+			CheckEvery: 64,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -232,10 +231,10 @@ func TestResumeLimitStopChain(t *testing.T) {
 
 func TestCheckpointRejectsStaticOrder(t *testing.T) {
 	cons := chainConstraints(t, 4, 4)
-	if _, err := Run(cons, Options{InitialTree: -1, CheckpointOnStop: true, DisableDynamicOrder: true}); err == nil {
-		t.Fatal("CheckpointOnStop with DisableDynamicOrder should error")
+	if _, err := Run(cons, Options{InitialTree: -1, Checkpoint: CheckpointPolicy{OnStop: true}, DisableDynamicOrder: true}); err == nil {
+		t.Fatal("OnStop with DisableDynamicOrder should error")
 	}
-	if _, err := Run(cons, Options{Resume: &Checkpoint{Version: checkpointVersion}, DisableDynamicOrder: true}); err == nil {
+	if _, err := Run(cons, Options{Checkpoint: CheckpointPolicy{Resume: &Checkpoint{Version: checkpointVersion}}, DisableDynamicOrder: true}); err == nil {
 		t.Fatal("Resume with DisableDynamicOrder should error")
 	}
 }

@@ -40,7 +40,7 @@ type Checkpoint struct {
 // frame's Knuth-estimator branch weight, fixed when the frame was pushed;
 // it must be stored rather than re-derived because work stealing shrinks a
 // live frame's branch list after the weight was fixed (v1 serial frames
-// never lose branches, so their weights stay derivable — see InitWeights).
+// never lose branches, so their weights stay derivable — see FrontierView).
 type FrameSnapshot struct {
 	Taxon    int     `json:"taxon"`
 	Branches []int32 `json:"branches"`
@@ -97,9 +97,8 @@ func fingerprint(constraints []*tree.Tree) string {
 func Fingerprint(constraints []*tree.Tree) string { return fingerprint(constraints) }
 
 // Snapshot captures a serial engine's current state as a version-1
-// checkpoint. It must not be called on an engine created with
-// NewEngineWithFrame or NewEngineFromFrames: worker task engines are
-// snapshotted through the frontier path (SnapshotFrames) instead.
+// checkpoint. It must not be called on a NewTaskEngine engine: worker task
+// engines are snapshotted through the frontier path (SnapshotFrames).
 func (e *Engine) Snapshot(constraints []*tree.Tree, initialIndex int) *Checkpoint {
 	return &Checkpoint{
 		Version:      checkpointVersion,
@@ -166,33 +165,23 @@ func Restore(cp *Checkpoint, constraints []*tree.Tree) (*Engine, error) {
 	if err := cp.Validate(constraints); err != nil {
 		return nil, err
 	}
+	// The one-task frontier view carries the stack with its estimator
+	// weights re-derived, exactly as a parallel resume of this snapshot.
+	fr, err := cp.FrontierView()
+	if err != nil {
+		return nil, err
+	}
 	t, err := terrace.New(constraints, cp.InitialIndex)
 	if err != nil {
 		return nil, err
 	}
 	e := NewEngine(t)
 	e.Heuristic = cp.Heuristic
-	e.started = true
 	e.counters = cp.Counters
-	for _, fs := range cp.Frames {
-		f := Frame{
-			Taxon:    fs.Taxon,
-			Branches: append([]int32(nil), fs.Branches...),
-			idx:      fs.Idx,
-			inserted: fs.Inserted,
-			weight:   fs.Weight,
+	for _, ft := range fr.Tasks {
+		if err := e.restore(ft.Frames); err != nil {
+			return nil, err
 		}
-		if fs.Idx < 0 || fs.Idx > len(fs.Branches) {
-			return nil, fmt.Errorf("search: corrupt checkpoint frame (idx %d of %d branches)",
-				fs.Idx, len(fs.Branches))
-		}
-		if f.inserted {
-			if f.idx == 0 {
-				return nil, fmt.Errorf("search: corrupt checkpoint frame (inserted with idx 0)")
-			}
-			t.ExtendTaxon(f.Taxon, f.Branches[f.idx-1])
-		}
-		e.frames = append(e.frames, f)
 	}
 	e.done = cp.Done
 	e.started = cp.Started
@@ -268,6 +257,19 @@ func NewSeedTask(path []PathStep, taxon int, branches []int32, weight float64) F
 			Weight:   weight,
 		}},
 	}
+}
+
+// Clone returns a deep copy sharing no storage with t — what a driver puts
+// into a snapshot when the live task's buffers are about to be recycled.
+func (t *FrontierTask) Clone() FrontierTask {
+	c := FrontierTask{
+		Path:   append([]PathStep(nil), t.Path...),
+		Frames: append([]FrameSnapshot(nil), t.Frames...),
+	}
+	for i := range c.Frames {
+		c.Frames[i].Branches = append([]int32(nil), c.Frames[i].Branches...)
+	}
+	return c
 }
 
 // RemainingMass sums the Knuth-estimator mass of all outstanding work in

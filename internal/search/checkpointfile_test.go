@@ -186,16 +186,15 @@ func TestPeriodicCheckpointResumeEquality(t *testing.T) {
 	var last *Checkpoint
 	snaps := 0
 	interrupted, err := Run(cons, Options{
-		Limits:          Limits{MaxTrees: -1, MaxStates: -1, MaxTime: -1},
-		CheckEvery:      64,
-		Ctx:             ctx,
-		CheckpointEvery: 1,
-		OnCheckpoint: func(cp *Checkpoint) {
+		Limits:     Limits{MaxTrees: -1, MaxStates: -1, MaxTime: -1},
+		CheckEvery: 64,
+		Ctx:        ctx,
+		Checkpoint: CheckpointPolicy{Every: 1, Sink: func(cp *Checkpoint) {
 			last = cp
 			if snaps++; snaps == 3 {
 				cancel()
 			}
-		},
+		}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -208,8 +207,8 @@ func TestPeriodicCheckpointResumeEquality(t *testing.T) {
 	}
 
 	resumed, err := Run(cons, Options{
-		Limits: Limits{MaxTrees: -1, MaxStates: -1, MaxTime: -1},
-		Resume: last,
+		Limits:     Limits{MaxTrees: -1, MaxStates: -1, MaxTime: -1},
+		Checkpoint: CheckpointPolicy{Resume: last},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -224,8 +223,7 @@ func TestPeriodicCheckpointRejectsStaticOrder(t *testing.T) {
 	cons := randomScenario(rng, 10, 2, 4, 0.55)
 	_, err := Run(cons, Options{
 		DisableDynamicOrder: true,
-		CheckpointEvery:     1,
-		OnCheckpoint:        func(*Checkpoint) {},
+		Checkpoint:          CheckpointPolicy{Every: 1, Sink: func(*Checkpoint) {}},
 	})
 	if err == nil {
 		t.Fatal("static order with periodic checkpoints should be rejected")

@@ -69,9 +69,8 @@ type Frame struct {
 
 	// buf is the engine-owned backing storage for Branches, recycled when
 	// the stack slot is reused so the steady-state step loop allocates
-	// nothing. It stays nil for frames whose Branches the engine does not
-	// own: task-seeded frames (PartitionBranches hands sub-slices of one
-	// shared array to different workers) and checkpoint-restored frames.
+	// nothing. It stays nil for restored frames (NewTaskEngine, Restore),
+	// whose Branches alias the task or checkpoint and are only ever read.
 	buf []int32
 }
 
@@ -156,8 +155,8 @@ type Engine struct {
 	// the engine closes — a found stand tree or a dead end — feeding the
 	// weighted backtrack estimator (see obs.Estimator). The weights summed
 	// over an exhaustive run of this engine's space total the engine's share
-	// of the global search space (1.0 for a NewEngine, the seed branch
-	// weights for a task engine).
+	// of the global search space (1.0 for a NewEngine, the task's Mass for a
+	// task engine).
 	OnLeaf func(weight float64)
 
 	baseDepth int // terrace depth at engine start (task replay offset)
@@ -169,70 +168,41 @@ func NewEngine(t *terrace.Terrace) *Engine {
 	return &Engine{T: t, DynamicOrder: true, baseDepth: t.Depth()}
 }
 
-// NewEngineWithFrame returns an engine that explores exactly the given
-// pre-computed frame (taxon plus a subset of its admissible branches) below
-// the terrace's current state — how a worker resumes a stolen task, skipping
-// the getAllowedBranches call (paper: "skips line 2 in Algorithm 1").
-func NewEngineWithFrame(t *terrace.Terrace, taxon int, branches []int32) *Engine {
-	e := &Engine{T: t, DynamicOrder: true, baseDepth: t.Depth(), started: true}
-	f := Frame{Taxon: taxon, Branches: branches}
-	if len(branches) > 0 {
-		// Default seed weight: the frame is the whole space. Task engines
-		// exploring a stolen slice of a larger space override this with
-		// SetSeedBranchWeight so their leaf masses stay globally calibrated.
-		f.weight = 1 / float64(len(branches))
-	}
-	e.frames = append(e.frames, f)
-	if len(branches) == 0 {
-		e.done = true
-	}
-	return e
-}
-
-// SetSeedBranchWeight overrides the per-branch leaf mass of the seeded root
-// frame of a NewEngineWithFrame engine. A stolen task passes the weight its
-// branches carried in the originating frame (Frame.BranchWeight at steal
-// time), so leaf masses reported via OnLeaf remain fractions of the single
-// global search space regardless of which worker explores them.
-func (e *Engine) SetSeedBranchWeight(w float64) {
-	if len(e.frames) > 0 {
-		e.frames[0].weight = w
-	}
-}
-
-// NewEngineFromFrames rebuilds a task engine from a serialized frame stack
-// (a FrontierTask's Frames) on a terrace positioned at the task's base
-// state — the frontier-resume analogue of NewEngineWithFrame. Inserted
+// NewTaskEngine returns an engine that explores exactly the given frame
+// stack (a FrontierTask's Frames) below the terrace's current state, which
+// must be the task's base state — how a worker starts any task, stolen,
+// initial or resumed. A freshly submitted task is one uninserted frame, so
+// the engine skips the getAllowedBranches call (paper: "skips line 2 in
+// Algorithm 1"); a resumed in-flight task is a deeper stack whose inserted
 // frames are replayed onto the terrace without recounting (the insertions
-// were already tallied before the snapshot), and each frame keeps its
-// stored estimator weight, which cannot be re-derived because stealing may
-// have shrunk the branch lists after the weights were fixed.
-func NewEngineFromFrames(t *terrace.Terrace, frames []FrameSnapshot) (*Engine, error) {
+// were tallied before the snapshot). Every frame keeps its stored estimator
+// weight, which cannot be re-derived because stealing may have shrunk the
+// branch lists after the weights were fixed. The frames' branch arrays are
+// aliased read-only, so the task stays re-executable verbatim.
+func NewTaskEngine(t *terrace.Terrace, frames []FrameSnapshot) (*Engine, error) {
 	e := &Engine{T: t, DynamicOrder: true, baseDepth: t.Depth(), started: true}
-	for i, fs := range frames {
-		if fs.Idx < 0 || fs.Idx > len(fs.Branches) {
-			return nil, fmt.Errorf("search: corrupt frontier frame %d (idx %d of %d branches)",
-				i, fs.Idx, len(fs.Branches))
-		}
-		f := Frame{
-			Taxon:    fs.Taxon,
-			Branches: append([]int32(nil), fs.Branches...),
-			idx:      fs.Idx,
-			inserted: fs.Inserted,
-			weight:   fs.Weight,
-		}
-		if f.inserted {
-			if f.idx == 0 {
-				return nil, fmt.Errorf("search: corrupt frontier frame %d (inserted with idx 0)", i)
-			}
-			t.ExtendTaxon(f.Taxon, f.Branches[f.idx-1])
-		}
-		e.frames = append(e.frames, f)
+	if err := e.restore(frames); err != nil {
+		return nil, err
 	}
-	if len(e.frames) == 0 {
-		e.done = true
-	}
+	e.done = len(e.frames) == 0
 	return e, nil
+}
+
+// restore loads a serialized frame stack into the engine, replaying the
+// inserted frames onto the terrace. The stack is validated first, so a
+// corrupt one is rejected before any terrace mutation.
+func (e *Engine) restore(frames []FrameSnapshot) error {
+	if err := validateTaskFrames(frames, false); err != nil {
+		return fmt.Errorf("search: %w", err)
+	}
+	for _, fs := range frames {
+		if fs.Inserted {
+			e.T.ExtendTaxon(fs.Taxon, fs.Branches[fs.Idx-1])
+		}
+		e.frames = append(e.frames, Frame{Taxon: fs.Taxon, Branches: fs.Branches,
+			idx: fs.Idx, inserted: fs.Inserted, weight: fs.Weight})
+	}
+	return nil
 }
 
 // SnapshotFrames appends the engine's current frame stack (with estimator
@@ -250,43 +220,6 @@ func (e *Engine) SnapshotFrames(buf []FrameSnapshot) []FrameSnapshot {
 		})
 	}
 	return buf
-}
-
-// InitWeights recomputes the per-branch weights of a restored checkpoint
-// stack and returns the leaf mass already consumed by the interrupted run:
-// each frame contributes its per-branch weight times the number of branches
-// whose subtrees were fully explored before the snapshot. Seeding the
-// estimator with this mass makes a resumed run's fraction-complete exact,
-// as if the run had never been interrupted. Only meaningful for engines
-// whose frames carry complete branch lists (serial checkpoints; task-seeded
-// engines never restore).
-func (e *Engine) InitWeights() float64 {
-	consumed := 0.0
-	parentW := 1.0
-	for i := range e.frames {
-		f := &e.frames[i]
-		if len(f.Branches) == 0 {
-			// A branchless dead-end frame not yet popped: its leaf (the
-			// parent's in-flight branch) was counted before the snapshot,
-			// and the resumed run pops it without re-emitting.
-			consumed += parentW
-			return consumed
-		}
-		f.weight = parentW / float64(len(f.Branches))
-		done := f.idx
-		if f.inserted {
-			done-- // branch idx-1 is in flight, accounted for deeper down
-		}
-		consumed += f.weight * float64(done)
-		parentW = f.weight
-	}
-	// A deepest frame left inserted with no child means the snapshot was
-	// taken exactly at a found stand tree — that leaf was already counted
-	// (the resumed run backtracks over it without re-emitting).
-	if n := len(e.frames); n > 0 && e.frames[n-1].inserted {
-		consumed += e.frames[n-1].weight
-	}
-	return consumed
 }
 
 // Counters returns the transitions tallied so far by this engine.

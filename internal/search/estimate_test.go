@@ -102,17 +102,17 @@ func TestEstimatorConvergence(t *testing.T) {
 
 // TestEstimatorResumeSeedsConsumedMass: a run interrupted by a state limit
 // and resumed from its checkpoint with a fresh estimator must still end at
-// fraction 1 — InitWeights reconstructs the mass consumed before the
-// snapshot.
+// fraction 1 — one minus the frontier view's remaining mass is the mass
+// consumed before the snapshot.
 func TestEstimatorResumeSeedsConsumedMass(t *testing.T) {
 	rng := rand.New(rand.NewSource(909))
 	tested := 0
 	for scen := 0; scen < 25 && tested < 5; scen++ {
 		cons := randomScenario(rng, 13+rng.Intn(5), 2+rng.Intn(2), 4, 0.45)
 		first, err := Run(cons, Options{
-			Limits:           Limits{MaxTrees: -1, MaxStates: int64(30 + rng.Intn(120)), MaxTime: -1},
-			CheckEvery:       16,
-			CheckpointOnStop: true,
+			Limits:     Limits{MaxTrees: -1, MaxStates: int64(30 + rng.Intn(120)), MaxTime: -1},
+			CheckEvery: 16,
+			Checkpoint: CheckpointPolicy{OnStop: true},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -122,9 +122,9 @@ func TestEstimatorResumeSeedsConsumedMass(t *testing.T) {
 		}
 		est := &obs.Estimator{}
 		res, err := Run(cons, Options{
-			Limits:    Limits{MaxTrees: -1, MaxStates: -1, MaxTime: -1},
-			Estimator: est,
-			Resume:    first.Checkpoint,
+			Limits:     Limits{MaxTrees: -1, MaxStates: -1, MaxTime: -1},
+			Estimator:  est,
+			Checkpoint: CheckpointPolicy{Resume: first.Checkpoint},
 		})
 		if err != nil {
 			t.Fatal(err)

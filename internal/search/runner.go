@@ -25,10 +25,6 @@ const (
 	StopFailed                       // the run died (e.g. a worker panic exhausted its retry budget)
 )
 
-// StopExternal is the former name of StopCancelled, kept for callers that
-// predate the context-first API.
-const StopExternal = StopCancelled
-
 func (s StopReason) String() string {
 	switch s {
 	case StopExhausted:
@@ -99,11 +95,6 @@ type Options struct {
 	// negative value to apply the paper's selection heuristic.
 	InitialTree int
 
-	// DisableInitialTreeHeuristic starts from constraint 0 regardless of
-	// overlap (used with InitialTree < 0 it reproduces the paper's first
-	// ablation when combined with a pre-shuffled constraint order).
-	DisableInitialTreeHeuristic bool
-
 	// Heuristic refines the dynamic taxon selection (zero value: the
 	// paper's min-branches rule); see OrderHeuristic.
 	Heuristic OrderHeuristic
@@ -143,43 +134,57 @@ type Options struct {
 	// with Stop == StopCancelled; the context's error is not propagated.
 	Ctx context.Context
 
-	// Resume restores the engine from a checkpoint taken on the same input
-	// (same constraint trees, same order) instead of starting fresh. The
-	// initial tree and insertion heuristic come from the checkpoint;
-	// InitialTree, Heuristic and the static-order ablation fields are
-	// ignored. The resumed run's counters continue from the checkpoint, so
-	// its final counters equal an uninterrupted run's exactly.
+	// Checkpoint configures snapshots and resuming (see CheckpointPolicy).
+	// A serial run snapshots inline at its stopping-rule checks and resumes
+	// version-1 checkpoints only. Checkpointing requires the dynamic
+	// insertion order (the default): checkpoints record no static Order.
+	Checkpoint CheckpointPolicy
+}
+
+// CheckpointPolicy is the unified checkpoint/resume configuration for an
+// enumeration at any thread count. Zero-valued fields disable their
+// mechanism; any combination may be active at once.
+//
+// Serial runs snapshot inline at stopping-rule checks. Parallel runs
+// quiesce: every worker parks at a task/step boundary, the queue and the
+// in-flight engine stacks drain into a task-frontier snapshot, and the pool
+// resumes — the enumeration is never restarted. A frontier snapshot resumes
+// at ANY thread count, with final counters exactly equal to an
+// uninterrupted run's.
+type CheckpointPolicy struct {
+	// Every snapshots to Sink every this many stopping-rule checks of a
+	// serial run — the survival mechanism for hard crashes, where OnStop
+	// never gets to run. Parallel runs have no per-check cadence; Every > 0
+	// with Interval == 0 means a one-second Interval there.
+	Every int
+
+	// Interval snapshots to Sink on a wall-clock cadence — the knob that
+	// works at every thread count. Serial runs evaluate it at stopping-rule
+	// checks; parallel runs run a dedicated checkpoint loop.
+	Interval time.Duration
+
+	// OnStop captures the final state into Result.Checkpoint when the run
+	// ends for any reason other than exhaustion or failure — cancellation
+	// or a stopping rule.
+	OnStop bool
+
+	// Resume restores the enumeration from a checkpoint taken on the same
+	// input (same constraint trees, same order — guarded by a fingerprint).
+	// The initial tree and insertion heuristic come from the checkpoint;
+	// the resumed run's counters continue from it, so its final counters
+	// equal an uninterrupted run's exactly. Any thread count may consume
+	// any snapshot: serial (version-1) snapshots resume parallel, and
+	// frontier (version-2) snapshots resume at one thread through the
+	// parallel engine with one worker.
 	Resume *Checkpoint
 
-	// CheckpointOnStop captures the engine state into Result.Checkpoint
-	// when the run ends for any reason other than exhaustion (cancellation
-	// or a stopping rule). It requires the dynamic insertion order (the
-	// default): checkpoints do not record a static Order.
-	CheckpointOnStop bool
+	// Sink receives each periodic snapshot (typically persisted with
+	// Checkpoint.WriteFile). The callback owns persistence and any retry
+	// policy; the engines do no checkpoint file I/O themselves.
+	Sink func(cp *Checkpoint)
 
-	// CheckpointEvery snapshots the engine every this many stopping-rule
-	// checks (i.e. every CheckpointEvery*CheckEvery steps) and hands the
-	// snapshot to OnCheckpoint — the survival mechanism for hard crashes,
-	// where CheckpointOnStop never gets to run. Zero disables periodic
-	// checkpointing. Requires the dynamic insertion order, like
-	// CheckpointOnStop.
-	CheckpointEvery int
-
-	// OnCheckpoint receives each periodic snapshot. The callback owns
-	// persistence (and any retry policy); the search loop itself does no
-	// file I/O. Ignored when both CheckpointEvery and CheckpointInterval
-	// are zero.
-	OnCheckpoint func(cp *Checkpoint)
-
-	// CheckpointInterval snapshots the engine to OnCheckpoint on a wall-
-	// clock cadence instead of (or in addition to) the check-count cadence
-	// of CheckpointEvery. The interval is evaluated at stopping-rule
-	// checks, so the effective period is at least one CheckEvery batch.
-	CheckpointInterval time.Duration
-
-	// Trigger, if set, lets another goroutine request an on-demand
-	// snapshot from the running enumeration (see CheckpointTrigger). The
-	// request is serviced at the next stopping-rule check.
+	// Trigger, if non-nil, lets another goroutine request on-demand
+	// snapshots from the running enumeration; see CheckpointTrigger.
 	Trigger *CheckpointTrigger
 }
 
@@ -191,7 +196,7 @@ type Result struct {
 	Trees        []string
 	InitialIndex int
 	Steps        int64 // total engine transitions (insertions + removals)
-	// Checkpoint holds the engine snapshot when Options.CheckpointOnStop
+	// Checkpoint holds the engine snapshot when Options.Checkpoint.OnStop
 	// was set and a stopping rule or cancellation ended the run (nil when
 	// the stand was exhausted: there is nothing left to resume).
 	Checkpoint *Checkpoint
@@ -205,37 +210,31 @@ func Run(constraints []*tree.Tree, opt Options) (*Result, error) {
 	if opt.CheckEvery <= 0 {
 		opt.CheckEvery = 1024
 	}
-	periodic := opt.CheckpointEvery > 0 && opt.OnCheckpoint != nil
-	interval := opt.CheckpointInterval > 0 && opt.OnCheckpoint != nil
-	checkpointing := opt.Resume != nil || opt.CheckpointOnStop || periodic || interval || opt.Trigger != nil
+	ck := opt.Checkpoint
+	periodic := ck.Every > 0 && ck.Sink != nil
+	interval := ck.Interval > 0 && ck.Sink != nil
+	checkpointing := ck.Resume != nil || ck.OnStop || periodic || interval || ck.Trigger != nil
 	if checkpointing && opt.DisableDynamicOrder {
 		return nil, fmt.Errorf("search: checkpointing requires the dynamic insertion order")
 	}
 	// However the run ends, unblock any trigger request that raced the
 	// final poll (Finish is nil-safe and idempotent).
-	defer opt.Trigger.Finish()
+	defer ck.Trigger.Finish()
 	res := &Result{Stop: StopExhausted}
 	start := time.Now()
 
 	var eng *Engine
-	if opt.Resume != nil {
-		e, err := Restore(opt.Resume, constraints)
+	if ck.Resume != nil {
+		e, err := Restore(ck.Resume, constraints)
 		if err != nil {
 			return nil, err
 		}
 		eng = e
-		res.InitialIndex = opt.Resume.InitialIndex
+		res.InitialIndex = ck.Resume.InitialIndex
 	} else {
-		idx := opt.InitialTree
-		if idx < 0 {
-			if opt.DisableInitialTreeHeuristic {
-				idx = 0
-			} else {
-				idx = ChooseInitialTree(constraints)
-			}
-		}
-		if idx >= len(constraints) {
-			return nil, fmt.Errorf("search: initial tree index %d out of range", idx)
+		idx, err := resolveInitial(constraints, opt.InitialTree)
+		if err != nil {
+			return nil, err
 		}
 		res.InitialIndex = idx
 
@@ -264,12 +263,13 @@ func Run(constraints []*tree.Tree, opt Options) (*Result, error) {
 	var estPrev Counters // counters already merged into the estimator
 	if est != nil {
 		eng.OnLeaf = est.AddLeaf
-		if opt.Resume != nil {
-			// Seed with the interrupted run's consumed mass and counters so
-			// the resumed fraction-complete picks up where it left off.
-			consumed := eng.InitWeights()
-			cpc := opt.Resume.Counters
-			est.AddLeafMass(consumed, cpc.StandTrees+cpc.DeadEnds)
+		if ck.Resume != nil && ck.Resume.Started {
+			// Seed with the interrupted run's consumed mass and counters
+			// (Restore validated the view, so it cannot fail here); a
+			// snapshot from before the first step has consumed nothing.
+			fr, _ := ck.Resume.FrontierView()
+			cpc := ck.Resume.Counters
+			est.AddLeafMass(1-fr.RemainingMass(), cpc.StandTrees+cpc.DeadEnds)
 			est.AddCounters(cpc.StandTrees, cpc.IntermediateStates, cpc.DeadEnds)
 			estPrev = cpc
 		}
@@ -317,16 +317,16 @@ func Run(constraints []*tree.Tree, opt Options) (*Result, error) {
 			opt.OnCheck(res.Counters, time.Since(start))
 		}
 		if periodic {
-			if checks++; checks%opt.CheckpointEvery == 0 {
-				opt.OnCheckpoint(eng.Snapshot(constraints, res.InitialIndex))
+			if checks++; checks%ck.Every == 0 {
+				ck.Sink(eng.Snapshot(constraints, res.InitialIndex))
 			}
 		}
-		if interval && time.Since(lastCkpt) >= opt.CheckpointInterval {
-			opt.OnCheckpoint(eng.Snapshot(constraints, res.InitialIndex))
+		if interval && time.Since(lastCkpt) >= ck.Interval {
+			ck.Sink(eng.Snapshot(constraints, res.InitialIndex))
 			lastCkpt = time.Now()
 		}
 		select {
-		case reply := <-opt.Trigger.Requests():
+		case reply := <-ck.Trigger.Requests():
 			reply <- eng.Snapshot(constraints, res.InitialIndex)
 		default:
 		}
@@ -336,7 +336,7 @@ func Run(constraints []*tree.Tree, opt Options) (*Result, error) {
 			res.Stop = StopCancelled
 		}
 		if res.Stop != StopExhausted {
-			if opt.CheckpointOnStop {
+			if ck.OnStop {
 				res.Checkpoint = eng.Snapshot(constraints, res.InitialIndex)
 			}
 			res.Elapsed = time.Since(start)

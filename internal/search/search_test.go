@@ -178,7 +178,7 @@ func TestHeuristicsDoNotChangeTheStand(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, opt := range []Options{
-			{InitialTree: -1, DisableInitialTreeHeuristic: true, CollectTrees: true},
+			{InitialTree: 0, CollectTrees: true},
 			{InitialTree: -1, DisableDynamicOrder: true, CollectTrees: true},
 			{InitialTree: -1, DisableDynamicOrder: true, ShuffleSeed: 5, CollectTrees: true},
 			{InitialTree: len(cons) - 1, CollectTrees: true},

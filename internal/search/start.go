@@ -1,0 +1,163 @@
+package search
+
+import (
+	"errors"
+	"fmt"
+
+	"gentrius/internal/terrace"
+	"gentrius/internal/tree"
+)
+
+// Setup is the state every parallel driver of the scheme starts from — the
+// goroutine pool, the virtual-time simulator and the fleet coordinator: the
+// initial tree, the deterministic prefix to the initial split I_0, what has
+// been counted so far, and the outstanding work as a task frontier.
+type Setup struct {
+	// InitialIndex and Heuristic are the effective initial agile tree and
+	// insertion-order heuristic (a resumed run takes both from the
+	// checkpoint).
+	InitialIndex int
+	Heuristic    OrderHeuristic
+
+	// Counters is the work already tallied: the prefix walk's on a fresh
+	// run, the checkpoint's totals on a resumed one. A driver seeds its
+	// global counters with it, so totals == Counters + the workers' share.
+	Counters Counters
+
+	// LeafMass and Leaves seed the weighted backtrack estimator with the
+	// part of the search space already closed: nothing on a fresh run (all
+	// of it when the prefix was terminal), one minus the frontier's
+	// remaining mass on a resumed one.
+	LeafMass float64
+	Leaves   int64
+
+	// Tree is the single stand tree of a run whose prefix completed the
+	// tree ("" otherwise); it is counted in Counters.
+	Tree string
+
+	// Frontier carries the prefix path and the outstanding tasks. No tasks
+	// means there is nothing to run: an empty stand (incompatible
+	// constraints), a terminal prefix, or a drained checkpoint. A fresh
+	// run's tasks are the initial split cut into contiguous shares, in
+	// order; a resumed run's are the checkpoint's non-empty tasks.
+	Frontier *Frontier
+
+	// Resumed tells a driver the tasks are restored work to queue, not
+	// initial shares to hand one per worker.
+	Resumed bool
+
+	// PrefixStats is the heuristic-layer accounting of the prefix walk.
+	PrefixStats terrace.HeuristicStats
+
+	constraints []*tree.Tree
+}
+
+// Start performs the run set-up shared by every driver. A fresh run
+// (resume == nil) resolves initialTree (a constraint index, or negative for
+// the paper's heuristic), builds the Terrace, walks the forced insertions
+// and cuts the initial split into at most n tasks (n <= 0: one task per
+// branch). A resumed run validates the checkpoint against the constraints
+// and views it as a frontier — a version-1 serial snapshot becomes one
+// task — so any snapshot resumes onto any driver and width; initialTree, h
+// and n are then ignored.
+func Start(constraints []*tree.Tree, initialTree int, h OrderHeuristic, resume *Checkpoint, n int) (*Setup, error) {
+	if resume != nil {
+		if err := resume.Validate(constraints); err != nil {
+			return nil, err
+		}
+		fr, err := resume.FrontierView()
+		if err != nil {
+			return nil, err
+		}
+		// The checkpoint's counters already include the prefix contribution,
+		// and its stored prefix path is replayed without recounting.
+		s := &Setup{
+			InitialIndex: resume.InitialIndex,
+			Heuristic:    resume.Heuristic,
+			Counters:     resume.Counters,
+			LeafMass:     1 - fr.RemainingMass(),
+			Leaves:       resume.Counters.StandTrees + resume.Counters.DeadEnds,
+			Frontier:     &Frontier{Prefix: fr.Prefix, Threads: fr.Threads},
+			Resumed:      true,
+			constraints:  constraints,
+		}
+		for _, ft := range fr.Tasks {
+			if len(ft.Frames) > 0 { // else a drained engine: nothing left in it
+				s.Frontier.Tasks = append(s.Frontier.Tasks, ft)
+			}
+		}
+		return s, nil
+	}
+
+	idx, err := resolveInitial(constraints, initialTree)
+	if err != nil {
+		return nil, err
+	}
+	s := &Setup{InitialIndex: idx, Heuristic: h, Frontier: &Frontier{}, constraints: constraints}
+	t, err := terrace.New(constraints, idx)
+	if err != nil {
+		if errors.Is(err, terrace.ErrIncompatible) {
+			return s, nil // empty stand
+		}
+		return nil, err
+	}
+	pre := PrefixWalkH(t, h)
+	s.Counters = pre.Counters
+	s.Frontier.Prefix = pre.Path
+	s.PrefixStats = t.HeuristicStats()
+	if pre.Terminal {
+		// The prefix closed the whole space: one leaf (a single stand tree
+		// or a dead end) carrying the entire mass.
+		s.LeafMass, s.Leaves = 1, 1
+		if pre.Counters.StandTrees == 1 {
+			s.Tree = t.Agile().Newick()
+		}
+		return s, nil
+	}
+	k := len(pre.SplitBranches)
+	if n <= 0 || n > k {
+		n = k
+	}
+	for _, share := range PartitionBranches(pre.SplitBranches, n) {
+		s.Frontier.Tasks = append(s.Frontier.Tasks,
+			NewSeedTask(nil, pre.SplitTaxon, share, 1/float64(k)))
+	}
+	return s, nil
+}
+
+// resolveInitial turns the initial-tree option into a constraint index:
+// negative applies the paper's selection heuristic.
+func resolveInitial(constraints []*tree.Tree, idx int) (int, error) {
+	if idx < 0 {
+		idx = ChooseInitialTree(constraints)
+	}
+	if idx >= len(constraints) {
+		return 0, fmt.Errorf("search: initial tree index %d out of range", idx)
+	}
+	return idx, nil
+}
+
+// NewTerrace builds a private Terrace positioned at I_0 — each worker's own
+// copy of the search state (paper Sec. III-A), and what a worker rebuilds
+// after a recovered panic left its old one mid-mutation.
+func (s *Setup) NewTerrace() (*terrace.Terrace, error) {
+	t, err := terrace.New(s.constraints, s.InitialIndex)
+	if err != nil {
+		return nil, err
+	}
+	for _, st := range s.Frontier.Prefix {
+		t.ExtendTaxon(st.Taxon, st.Edge)
+	}
+	return t, nil
+}
+
+// Checkpoint assembles a version-2 checkpoint of this run from a consistent
+// cut: the flushed global counters and every outstanding task (queued and
+// in flight) of a pool of the given width.
+func (s *Setup) Checkpoint(c Counters, threads int, tasks []FrontierTask) *Checkpoint {
+	return NewFrontierCheckpoint(s.constraints, s.InitialIndex, s.Heuristic, c, &Frontier{
+		Prefix:  append([]PathStep(nil), s.Frontier.Prefix...),
+		Threads: threads,
+		Tasks:   tasks,
+	})
+}

@@ -1,0 +1,156 @@
+package search
+
+import (
+	"errors"
+	"math"
+	"math/rand"
+	"testing"
+
+	"gentrius/internal/tree"
+)
+
+// TestStart pins the run set-up every driver shares (pool, simulator, fleet
+// coordinator): what each kind of input turns into before any worker runs.
+func TestStart(t *testing.T) {
+	taxa := tree.MustTaxa([]string{"A", "B", "C", "D", "E"})
+	parse := func(nw ...string) []*tree.Tree {
+		out := make([]*tree.Tree, len(nw))
+		for i, s := range nw {
+			out[i] = tree.MustParse(s, taxa)
+		}
+		return out
+	}
+	full := parse("((A,B),(C,(D,E)));")
+	// Both place E next to a different leaf of the initial quartet: each is
+	// compatible with it, but E's admissible branches do not intersect.
+	deadEnd := parse("((A,B),(C,D));", "((A,E),(B,(C,D)));", "((B,E),(A,(C,D)));")
+
+	terminal := []struct {
+		name     string
+		cons     []*tree.Tree
+		initial  int
+		counters Counters
+		leaves   int64
+		tree     bool
+	}{
+		{"incompatible constraints: empty stand",
+			parse("((A,B),(C,D));", "((A,C),(B,(D,E)));"), -1, Counters{}, 0, false},
+		{"prefix completes the single tree", full, 0, Counters{StandTrees: 1}, 1, true},
+		{"prefix ends in a dead end", deadEnd, 0, Counters{DeadEnds: 1}, 1, false},
+	}
+	for _, tc := range terminal {
+		su, err := Start(tc.cons, tc.initial, OrderMinBranches, nil, 4)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if len(su.Frontier.Tasks) != 0 || su.Resumed {
+			t.Fatalf("%s: %d tasks (resumed %v), want nothing to run", tc.name, len(su.Frontier.Tasks), su.Resumed)
+		}
+		if su.Counters != tc.counters || su.Leaves != tc.leaves || su.LeafMass != float64(tc.leaves) {
+			t.Fatalf("%s: counters %+v, leaf mass %v over %d leaves", tc.name, su.Counters, su.LeafMass, su.Leaves)
+		}
+		if (su.Tree != "") != tc.tree {
+			t.Fatalf("%s: tree %q", tc.name, su.Tree)
+		}
+	}
+
+	if _, err := Start(full, 1, OrderMinBranches, nil, 1); err == nil {
+		t.Fatal("initial index 1 of 1 constraint accepted")
+	}
+
+	// A fresh root frontier is the whole space, however many ways it is cut:
+	// n contiguous shares (at most one per branch) of total mass 1, which a
+	// private terrace at I_0 can start on.
+	cons := chainConstraints(t, 4, 4)
+	var branches int
+	for _, n := range []int{0, 1, 3, 1000} {
+		su, err := Start(cons, -1, OrderMinBranches, nil, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n == 0 {
+			branches = len(su.Frontier.Tasks) // one task per branch
+		}
+		want := n
+		if n == 0 || n > branches {
+			want = branches
+		}
+		if len(su.Frontier.Tasks) != want || branches < 2 {
+			t.Fatalf("n=%d: %d tasks of %d branches, want %d", n, len(su.Frontier.Tasks), branches, want)
+		}
+		if rem := su.Frontier.RemainingMass(); math.Abs(rem-1) > 1e-12 || su.LeafMass != 0 {
+			t.Fatalf("n=%d: remaining mass %v, consumed %v", n, rem, su.LeafMass)
+		}
+		tr, err := su.NewTerrace()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tr.Depth() != len(su.Frontier.Prefix) {
+			t.Fatalf("n=%d: terrace at depth %d, prefix has %d steps", n, tr.Depth(), len(su.Frontier.Prefix))
+		}
+		if _, err := NewTaskEngine(tr, su.Frontier.Tasks[0].Frames); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// Resume: a v1 serial snapshot becomes one task, a v2 frontier keeps its
+	// tasks; both carry the checkpoint's counters and consumed mass, and a
+	// checkpoint of other input is refused.
+	v2, cons2 := frontierSample(t, rand.New(rand.NewSource(4242)))
+	v1 := *v2
+	v1.Version, v1.Frontier, v1.Frames = checkpointVersion, nil, v2.Frontier.Tasks[0].Frames
+	for _, cp := range []*Checkpoint{&v1, v2} {
+		su, err := Start(cons2, 99, OrderMaxBranches, cp, 4) // index, heuristic, n: ignored
+		if err != nil {
+			t.Fatalf("v%d: %v", cp.Version, err)
+		}
+		if !su.Resumed || su.InitialIndex != cp.InitialIndex || su.Heuristic != cp.Heuristic || su.Counters != cp.Counters {
+			t.Fatalf("v%d: setup %+v does not continue the checkpoint", cp.Version, su)
+		}
+		if len(su.Frontier.Tasks) != 1 || math.Abs(su.LeafMass+su.Frontier.RemainingMass()-1) > 1e-12 {
+			t.Fatalf("v%d: %d tasks, consumed %v + remaining %v", cp.Version,
+				len(su.Frontier.Tasks), su.LeafMass, su.Frontier.RemainingMass())
+		}
+		if _, err := Start(cons, -1, OrderMinBranches, cp, 4); !errors.Is(err, ErrFingerprint) {
+			t.Fatalf("v%d on other input: %v, want ErrFingerprint", cp.Version, err)
+		}
+	}
+}
+
+// TestPolicy pins the paper's scheme constants and decisions in the one
+// place the pool and the simulator both read them from.
+func TestPolicy(t *testing.T) {
+	def := Policy{}.Normalize(4)
+	if def != (Policy{TreeBatch: 1 << 10, StateBatch: 1 << 13, DeadEndBatch: 1 << 10, QueueCap: 5, MinRemaining: 3}) {
+		t.Fatalf("defaults at 4 threads: %+v", def)
+	}
+	if set := (Policy{TreeBatch: 1, StateBatch: 2, DeadEndBatch: 3, QueueCap: 4, MinRemaining: 5}); set.Normalize(16) != set {
+		t.Fatalf("explicit values overridden: %+v", set.Normalize(16))
+	}
+	for threads, want := range map[int]int{1: 2, 7: 8, 8: 4, 16: 8} {
+		if got := (Policy{}).Normalize(threads).QueueCap; got != want {
+			t.Fatalf("queue cap at %d threads = %d, want %d", threads, got, want)
+		}
+	}
+	for _, tc := range []struct{ remaining, n, want int }{
+		{2, 5, 0}, // too deep to be worth a task
+		{3, 1, 0}, {3, 2, 1}, {3, 5, 2},
+	} {
+		if got := def.Submit(tc.remaining, tc.n); got != tc.want {
+			t.Fatalf("Submit(remaining %d, %d branches) = %d, want %d", tc.remaining, tc.n, got, tc.want)
+		}
+	}
+	for _, tc := range []struct {
+		local Counters
+		due   bool
+	}{
+		{Counters{StandTrees: 1<<10 - 1, IntermediateStates: 1<<13 - 1, DeadEnds: 1<<10 - 1}, false},
+		{Counters{StandTrees: 1 << 10}, true},
+		{Counters{IntermediateStates: 1 << 13}, true},
+		{Counters{DeadEnds: 1 << 10}, true},
+	} {
+		if got := def.FlushDue(tc.local); got != tc.due {
+			t.Fatalf("FlushDue(%+v) = %v", tc.local, got)
+		}
+	}
+}

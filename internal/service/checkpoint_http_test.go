@@ -134,7 +134,7 @@ func TestRestartResumesParallelJobFromCheckpoint(t *testing.T) {
 	half, err := gentrius.EnumerateStand(cons, gentrius.Options{
 		Threads: 4, InitialTree: gentrius.UseInitialTreeHeuristic,
 		MaxTrees: ref.StandTrees / 3, MaxStates: -1, MaxTime: -1,
-		CheckpointOnStop: true, CollectTrees: true,
+		Checkpoint: &gentrius.CheckpointPolicy{OnStop: true}, CollectTrees: true,
 	})
 	if err != nil {
 		t.Fatal(err)

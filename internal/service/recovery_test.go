@@ -298,7 +298,7 @@ func TestRestartResumesSerialJobFromCheckpoint(t *testing.T) {
 	half, err := gentrius.EnumerateStand(cons, gentrius.Options{
 		Threads: 1, InitialTree: gentrius.UseInitialTreeHeuristic,
 		MaxTrees: ref.StandTrees / 3, MaxStates: -1, MaxTime: -1,
-		CheckpointOnStop: true, CollectTrees: true,
+		Checkpoint: &gentrius.CheckpointPolicy{OnStop: true}, CollectTrees: true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -525,7 +525,8 @@ func TestResumeFromDaemonCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := gentrius.EnumerateStand(cons, gentrius.Options{
-		Threads: 1, MaxTrees: -1, MaxStates: -1, MaxTime: -1, Resume: cp,
+		Threads: 1, MaxTrees: -1, MaxStates: -1, MaxTime: -1,
+		Checkpoint: &gentrius.CheckpointPolicy{Resume: cp},
 	})
 	if err != nil {
 		t.Fatal(err)

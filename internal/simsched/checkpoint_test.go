@@ -27,7 +27,7 @@ func TestSimCheckpointResumeExact(t *testing.T) {
 					Workers: snapW, InitialTree: -1,
 					Limits: Limits{MaxTrees: ref.StandTrees / 2, MaxStates: -1},
 					// Flush every transition so the limit hits mid-run.
-					TreeBatch: 1, StateBatch: 1, DeadEndBatch: 1,
+					Policy:           search.Policy{TreeBatch: 1, StateBatch: 1, DeadEndBatch: 1},
 					CheckpointOnStop: true,
 					CollectTrees:     true,
 				})
@@ -77,9 +77,7 @@ func TestSimCheckpointDeterministic(t *testing.T) {
 		res, err := Run(cons, Options{
 			Workers: 4, InitialTree: -1,
 			Limits:           Limits{MaxTrees: 40, MaxStates: -1},
-			TreeBatch:        1,
-			StateBatch:       1,
-			DeadEndBatch:     1,
+			Policy:           search.Policy{TreeBatch: 1, StateBatch: 1, DeadEndBatch: 1},
 			CheckpointOnStop: true,
 		})
 		if err != nil {
@@ -126,9 +124,7 @@ func TestSimCheckpointEnvelopeRoundTrip(t *testing.T) {
 	res1, err := Run(cons, Options{
 		Workers: 2, InitialTree: -1,
 		Limits:           Limits{MaxTrees: ref.StandTrees / 2, MaxStates: -1},
-		TreeBatch:        1,
-		StateBatch:       1,
-		DeadEndBatch:     1,
+		Policy:           search.Policy{TreeBatch: 1, StateBatch: 1, DeadEndBatch: 1},
 		CheckpointOnStop: true,
 	})
 	if err != nil {

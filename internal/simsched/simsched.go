@@ -21,7 +21,6 @@ package simsched
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"gentrius/internal/obs"
@@ -39,14 +38,10 @@ type Limits struct {
 	MaxTicks  int64
 }
 
-func (l Limits) normalize() Limits {
-	if l.MaxTrees == 0 {
-		l.MaxTrees = search.DefaultMaxTrees
-	}
-	if l.MaxStates == 0 {
-		l.MaxStates = search.DefaultMaxStates
-	}
-	return l
+// counting returns the tree/state rules as the search.Limits the real
+// engines test (the tick bound stays with the simulator's clock).
+func (l Limits) counting() search.Limits {
+	return search.Limits{MaxTrees: l.MaxTrees, MaxStates: l.MaxStates, MaxTime: -1}.Normalize()
 }
 
 // Options configures a simulated run.
@@ -57,22 +52,19 @@ type Options struct {
 	// InitialTree: constraint index, or negative for the paper's heuristic.
 	InitialTree int
 
-	// Batch sizes for global counter flushes (zero: paper defaults of
-	// 2^10 / 2^13 / 2^10). Batch size 1 models unbatched updates.
-	TreeBatch, StateBatch, DeadEndBatch int64
+	// Policy overrides the scheme's constants — counter batch sizes (a
+	// batch of 1 models unbatched updates), queue capacity, submission
+	// depth restriction; zero fields select the paper's values. It is the
+	// same search.Policy the real pool runs.
+	Policy search.Policy
 
 	// FlushCost is the virtual-time price of one global-counter flush
 	// (atomic contention). Zero means free.
 	FlushCost int64
 
-	// QueueCap overrides the task-queue capacity (zero: the paper rule,
-	// N_t+1 below 8 workers, N_t/2 from 8).
-	QueueCap int
-	// MinRemaining overrides the submission depth restriction (zero: 3).
-	MinRemaining int
-
 	// SplitPolicy selects how many of a frame's admissible branches a task
-	// submission hands off (the paper divides in half).
+	// submission hands off once Policy.Submit decides to submit (the paper
+	// divides in half).
 	SplitPolicy SplitPolicy
 
 	// Heuristic refines the dynamic taxon selection used by every worker
@@ -200,16 +192,12 @@ func (r *Result) Efficiency() float64 {
 	return float64(busy) / float64(r.Ticks*int64(len(r.PerWorker)))
 }
 
+// task is a unit of stealable work — the same search.FrontierTask form the
+// real pool queues and checkpoints — plus its lineage for span tracing.
 type task struct {
-	path     []search.PathStep
-	taxon    int
-	branches []int32
-	id       int64   // run-unique lineage id (initial shares take 1..Workers)
-	parent   int64   // id of the task whose execution submitted this one
-	weight   float64 // per-branch leaf mass carried by branches (estimator)
-	// frames is set on tasks seeded from a resumed checkpoint frontier: the
-	// full serialized frame stack replaces the single seed frame.
-	frames []search.FrameSnapshot
+	search.FrontierTask
+	id     int64 // run-unique lineage id (initial shares take 1..Workers)
+	parent int64 // id of the task whose execution submitted this one
 }
 
 // worker modes.
@@ -227,18 +215,13 @@ type vworker struct {
 	t    *terrace.Terrace
 	eng  *search.Engine
 
-	replay     []search.PathStep
+	// cur is the task being executed: its Path is the replay/rewind route
+	// from I_0 and its id the lineage parent of submissions (id 0: none).
+	// pending marks it as stolen but not yet started (still replaying).
+	cur        task
+	pending    bool
 	replayPos  int
 	rewindLeft int
-	basePath   []search.PathStep
-	seedTaxon  int
-	seedBr     []int32
-	seedWeight float64
-	seedFrames []search.FrameSnapshot // resumed-frontier frame stack, if any
-	hasSeed    bool
-
-	curTask    int64 // id of the task being executed (lineage parent)
-	parentTask int64 // parent id of the current task (span annotation)
 
 	local     search.Counters // unflushed
 	estMass   float64         // unflushed closed-leaf mass (estimator)
@@ -252,7 +235,8 @@ type vworker struct {
 
 type sim struct {
 	opt      Options
-	limits   Limits
+	su       *search.Setup
+	limits   search.Limits
 	g        search.Counters // flushed global counters
 	stop     bool
 	reason   search.StopReason
@@ -260,10 +244,10 @@ type sim struct {
 	stolen   int64
 	flushes  int64
 	tick     int64
-	nextTask int64 // task-id sequence, continued past the initial shares
+	nextTask int64             // task-id sequence, continued past the initial shares
+	path     []search.PathStep // scratch: a submission's path before it is copied into the task
 	trees    []string
 	workers  []*vworker
-	prefix   []search.PathStep // common root path (for frontier snapshots)
 }
 
 // Run simulates a parallel Gentrius execution and returns virtual-time
@@ -273,149 +257,63 @@ func Run(constraints []*tree.Tree, opt Options) (*Result, error) {
 	if opt.Workers <= 0 {
 		opt.Workers = 1
 	}
-	lim := opt.Limits.normalize()
-	if opt.TreeBatch <= 0 {
-		opt.TreeBatch = 1 << 10
+	opt.Policy = opt.Policy.Normalize(opt.Workers)
+
+	su, err := search.Start(constraints, opt.InitialTree, opt.Heuristic, opt.Resume, opt.Workers)
+	if err != nil {
+		return nil, err
 	}
-	if opt.StateBatch <= 0 {
-		opt.StateBatch = 1 << 13
+	prefixLen := int64(len(su.Frontier.Prefix))
+	res := &Result{
+		Stop:         search.StopExhausted,
+		InitialIndex: su.InitialIndex,
+		PrefixLen:    int(prefixLen),
+		Counters:     su.Counters,
+		Ticks:        prefixLen, // every worker replays the prefix concurrently
 	}
-	if opt.DeadEndBatch <= 0 {
-		opt.DeadEndBatch = 1 << 10
-	}
-	if opt.QueueCap <= 0 {
-		if opt.Workers < 8 {
-			opt.QueueCap = opt.Workers + 1
-		} else {
-			opt.QueueCap = opt.Workers / 2
+	res.Heuristic.Add(su.PrefixStats)
+	opt.Estimator.AddCounters(su.Counters.StandTrees,
+		su.Counters.IntermediateStates, su.Counters.DeadEnds)
+	opt.Estimator.AddLeafMass(su.LeafMass, su.Leaves)
+	tasks := su.Frontier.Tasks
+	if len(tasks) == 0 {
+		// Nothing to run: an empty stand, a prefix that closed the whole
+		// space (at most one tree), or a snapshot of a finished run.
+		if su.Tree != "" && opt.CollectTrees {
+			res.Trees = append(res.Trees, su.Tree)
 		}
-	}
-	if opt.MinRemaining <= 0 {
-		opt.MinRemaining = 3
+		return res, nil
 	}
 
-	res := &Result{Stop: search.StopExhausted}
-	var (
-		s  *sim
-		t0 *terrace.Terrace
-	)
-	if opt.Resume != nil {
-		cp := opt.Resume
-		if err := cp.Validate(constraints); err != nil {
-			return nil, err
-		}
-		fr, err := cp.FrontierView()
+	s := &sim{opt: opt, su: su, limits: opt.Limits.counting(), g: su.Counters,
+		tick: prefixLen, nextTask: int64(opt.Workers)}
+	for w := 0; w < opt.Workers; w++ {
+		tw, err := su.NewTerrace()
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("simsched: worker %d terrace: %w", w, err)
 		}
-		idx := cp.InitialIndex
-		opt.Heuristic = cp.Heuristic
-		res.InitialIndex = idx
-		res.PrefixLen = len(fr.Prefix)
-		res.Counters = cp.Counters
-		res.Ticks = int64(len(fr.Prefix))
-		opt.Estimator.AddCounters(cp.Counters.StandTrees,
-			cp.Counters.IntermediateStates, cp.Counters.DeadEnds)
-		opt.Estimator.AddLeafMass(1-fr.RemainingMass(),
-			cp.Counters.StandTrees+cp.Counters.DeadEnds)
-		if len(fr.Tasks) == 0 {
-			return res, nil
+		vw := &vworker{id: w, t: tw, mode: wIdle}
+		vw.stats.Busy = prefixLen
+		vw.stats.Replay = prefixLen
+		// A fresh run hands share w to worker w directly as task w+1 (a
+		// reserved lineage root, parent 0): no steal, no dequeue tick.
+		nShare := 0
+		if !su.Resumed && w < len(tasks) {
+			vw.cur = task{FrontierTask: tasks[w], id: int64(w) + 1}
+			nShare = len(tasks[w].Frames[0].Branches)
 		}
-		s = &sim{opt: opt, limits: lim, nextTask: int64(opt.Workers)}
-		s.g = cp.Counters
-		s.tick = int64(len(fr.Prefix))
-		s.prefix = append([]search.PathStep(nil), fr.Prefix...)
-		for w := 0; w < opt.Workers; w++ {
-			tw, err := terrace.New(constraints, idx)
-			if err != nil {
-				return nil, fmt.Errorf("simsched: worker %d terrace: %w", w, err)
-			}
-			for _, st := range fr.Prefix {
-				tw.ExtendTaxon(st.Taxon, st.Edge)
-			}
-			vw := &vworker{id: w, t: tw, mode: wIdle}
-			vw.stats.Busy = int64(len(fr.Prefix))
-			vw.stats.Replay = int64(len(fr.Prefix))
-			opt.Trace.EmitAt(s.tick, obs.EvWorkerStart, w, obs.F("branches", 0))
-			s.workers = append(s.workers, vw)
+		opt.Trace.EmitAt(s.tick, obs.EvWorkerStart, w, obs.F("branches", int64(nShare)))
+		if vw.cur.id != 0 {
+			vw.startEngine(s)
 		}
+		s.workers = append(s.workers, vw)
+	}
+	if su.Resumed {
 		// All workers start idle; the frontier tasks go straight into the
 		// queue and are stolen in deterministic order.
-		for _, ft := range fr.Tasks {
-			if len(ft.Frames) == 0 {
-				continue
-			}
+		for _, ft := range tasks {
 			s.nextTask++
-			s.queue = append(s.queue, task{
-				path:   append([]search.PathStep(nil), ft.Path...),
-				taxon:  ft.Frames[0].Taxon,
-				id:     s.nextTask,
-				weight: ft.Frames[0].Weight,
-				frames: ft.Frames,
-			})
-		}
-	} else {
-		idx := opt.InitialTree
-		if idx < 0 {
-			idx = search.ChooseInitialTree(constraints)
-		}
-		if idx >= len(constraints) {
-			return nil, fmt.Errorf("simsched: initial tree index %d out of range", idx)
-		}
-		res.InitialIndex = idx
-
-		var err error
-		t0, err = terrace.New(constraints, idx)
-		if err != nil {
-			if errors.Is(err, terrace.ErrIncompatible) {
-				return res, nil
-			}
-			return nil, err
-		}
-		prefix := search.PrefixWalkH(t0, opt.Heuristic)
-		res.PrefixLen = len(prefix.Path)
-		res.Counters.Add(prefix.Counters)
-		res.Ticks = int64(len(prefix.Path)) // every worker replays it concurrently
-		opt.Estimator.AddCounters(prefix.Counters.StandTrees,
-			prefix.Counters.IntermediateStates, prefix.Counters.DeadEnds)
-		if prefix.Terminal {
-			// The prefix closed the whole space: one leaf, the entire mass.
-			opt.Estimator.AddLeafMass(1, 1)
-			if opt.CollectTrees && prefix.Counters.StandTrees == 1 {
-				res.Trees = append(res.Trees, t0.Agile().Newick())
-			}
-			res.Heuristic.Add(t0.HeuristicStats())
-			return res, nil
-		}
-
-		s = &sim{opt: opt, limits: lim, nextTask: int64(opt.Workers)}
-		s.g = prefix.Counters
-		s.tick = int64(len(prefix.Path))
-		s.prefix = append([]search.PathStep(nil), prefix.Path...)
-		parts := search.PartitionBranches(prefix.SplitBranches, opt.Workers)
-		for w := 0; w < opt.Workers; w++ {
-			tw, err := terrace.New(constraints, idx)
-			if err != nil {
-				return nil, fmt.Errorf("simsched: worker %d terrace: %w", w, err)
-			}
-			for _, st := range prefix.Path {
-				tw.ExtendTaxon(st.Taxon, st.Edge)
-			}
-			vw := &vworker{id: w, t: tw, mode: wIdle}
-			vw.stats.Busy = int64(len(prefix.Path))
-			vw.stats.Replay = int64(len(prefix.Path))
-			opt.Trace.EmitAt(s.tick, obs.EvWorkerStart, w,
-				obs.F("branches", int64(len(parts[w]))))
-			if len(parts[w]) > 0 {
-				vw.hasSeed = true
-				vw.seedTaxon = prefix.SplitTaxon
-				vw.seedBr = parts[w]
-				vw.seedWeight = 1 / float64(len(prefix.SplitBranches))
-				vw.curTask = int64(w) + 1 // reserved lineage roots, parent 0
-				vw.parentTask = 0
-				vw.startEngine(s)
-			}
-			s.workers = append(s.workers, vw)
+			s.queue = append(s.queue, task{FrontierTask: ft, id: s.nextTask})
 		}
 	}
 
@@ -436,7 +334,7 @@ func Run(constraints []*tree.Tree, opt Options) (*Result, error) {
 		if allIdle && len(s.queue) == 0 {
 			break
 		}
-		if lim.MaxTicks > 0 && s.tick >= lim.MaxTicks && !s.stop {
+		if opt.Limits.MaxTicks > 0 && s.tick >= opt.Limits.MaxTicks && !s.stop {
 			s.stop = true
 			s.reason = search.StopTimeLimit
 			opt.Trace.EmitAt(s.tick, obs.EvStop, -1,
@@ -466,9 +364,6 @@ func Run(constraints []*tree.Tree, opt Options) (*Result, error) {
 	if s.stop {
 		res.Stop = s.reason
 	}
-	if t0 != nil {
-		res.Heuristic.Add(t0.HeuristicStats())
-	}
 	for _, w := range s.workers {
 		res.PerWorker = append(res.PerWorker, w.stats)
 		if opt.TraceEvery > 0 {
@@ -477,8 +372,7 @@ func Run(constraints []*tree.Tree, opt Options) (*Result, error) {
 		res.Heuristic.Add(w.t.HeuristicStats())
 	}
 	if opt.CheckpointOnStop && res.Stop != search.StopExhausted && res.Stop != search.StopFailed {
-		res.Checkpoint = search.NewFrontierCheckpoint(constraints, res.InitialIndex,
-			opt.Heuristic, res.Counters, s.frontier())
+		res.Checkpoint = su.Checkpoint(res.Counters, opt.Workers, s.frontier())
 	}
 	return res, nil
 }
@@ -488,44 +382,22 @@ func Run(constraints []*tree.Tree, opt Options) (*Result, error) {
 // their paths, and the queue remnant. The simulator is single-threaded, so
 // unlike the real pool no quiesce protocol is needed — the cut is
 // consistent by construction.
-func (s *sim) frontier() *search.Frontier {
-	fr := &search.Frontier{
-		Prefix:  append([]search.PathStep(nil), s.prefix...),
-		Threads: s.opt.Workers,
-	}
+func (s *sim) frontier() []search.FrontierTask {
+	var tasks []search.FrontierTask
 	for _, w := range s.workers {
 		switch {
 		case w.mode == wWork && w.eng != nil:
-			frames := w.eng.SnapshotFrames(nil)
-			if len(frames) > 0 {
-				fr.Tasks = append(fr.Tasks, search.FrontierTask{
-					Path:   append([]search.PathStep(nil), w.basePath...),
-					Frames: frames,
-				})
+			if frames := w.eng.SnapshotFrames(nil); len(frames) > 0 {
+				tasks = append(tasks, search.FrontierTask{Path: w.cur.Path, Frames: frames})
 			}
-		case w.hasSeed && len(w.seedFrames) > 0:
-			fr.Tasks = append(fr.Tasks, search.FrontierTask{
-				Path:   append([]search.PathStep(nil), w.basePath...),
-				Frames: w.seedFrames,
-			})
-		case w.hasSeed:
-			fr.Tasks = append(fr.Tasks,
-				search.NewSeedTask(w.basePath, w.seedTaxon, w.seedBr, w.seedWeight))
+		case w.pending:
+			tasks = append(tasks, w.cur.FrontierTask)
 		}
 	}
 	for i := range s.queue {
-		tk := &s.queue[i]
-		if len(tk.frames) > 0 {
-			fr.Tasks = append(fr.Tasks, search.FrontierTask{
-				Path:   append([]search.PathStep(nil), tk.path...),
-				Frames: tk.frames,
-			})
-		} else {
-			fr.Tasks = append(fr.Tasks,
-				search.NewSeedTask(tk.path, tk.taxon, tk.branches, tk.weight))
-		}
+		tasks = append(tasks, s.queue[i].FrontierTask)
 	}
-	return fr
+	return tasks
 }
 
 // modeChar maps the worker's instantaneous state to its timeline symbol.
@@ -542,74 +414,55 @@ func (w *vworker) modeChar() byte {
 	}
 }
 
-// startEngine builds the engine for the worker's pending seed frame and
-// wires the stealing hook and tree collection.
+// startEngine builds the engine for the worker's current task and wires
+// the stealing hook and tree collection.
 func (w *vworker) startEngine(s *sim) {
-	if len(w.seedFrames) > 0 {
-		eng, err := search.NewEngineFromFrames(w.t, w.seedFrames)
-		if err != nil {
-			// Frames passed FrontierView validation, so this is unreachable
-			// short of memory corruption; fail the run rather than panic.
-			s.stop = true
-			s.reason = search.StopFailed
-			w.hasSeed = false
-			w.seedFrames = nil
-			w.mode = wHalt
-			return
-		}
-		w.eng = eng
-	} else {
-		w.eng = search.NewEngineWithFrame(w.t, w.seedTaxon, w.seedBr)
-		w.eng.SetSeedBranchWeight(w.seedWeight)
+	w.pending = false
+	eng, err := search.NewTaskEngine(w.t, w.cur.Frames)
+	if err != nil {
+		// Frames passed FrontierView validation, so this is unreachable
+		// short of memory corruption; fail the run rather than panic.
+		s.stop = true
+		s.reason = search.StopFailed
+		w.mode = wHalt
+		return
 	}
-	w.eng.Heuristic = s.opt.Heuristic
+	w.eng = eng
+	w.eng.Heuristic = s.su.Heuristic
 	w.prev = search.Counters{}
-	w.hasSeed = false
-	w.seedFrames = nil
 	w.mode = wWork
 	w.stats.Tasks++
+	root := &w.cur.Frames[0]
 	s.opt.Trace.EmitAt(s.tick, obs.EvTaskStart, w.id,
-		obs.F("task", w.curTask), obs.F("parent", w.parentTask),
-		obs.F("taxon", int64(w.seedTaxon)),
-		obs.F("branches", int64(len(w.seedBr))))
+		obs.F("task", w.cur.id), obs.F("parent", w.cur.parent),
+		obs.F("taxon", int64(root.Taxon)),
+		obs.F("branches", int64(len(root.Branches))))
 	if s.opt.Estimator != nil {
 		w.eng.OnLeaf = func(wt float64) { w.estMass += wt; w.estLeaves++ }
 	}
 	w.eng.OnFramePushed = func(f *search.Frame) int {
-		if w.eng.RemainingTaxa() < s.opt.MinRemaining {
+		n := s.opt.Policy.Submit(w.eng.RemainingTaxa(), len(f.Branches))
+		if n == 0 || len(s.queue) >= s.opt.Policy.QueueCap {
 			return 0
 		}
-		if len(s.queue) >= s.opt.QueueCap {
-			return 0
-		}
-		var n int
 		switch s.opt.SplitPolicy {
 		case SplitOne:
 			n = 1
 		case SplitAllButOne:
 			n = len(f.Branches) - 1
-		default:
-			n = len(f.Branches) / 2
 		}
-		if n <= 0 {
-			return 0
-		}
-		path := append([]search.PathStep(nil), w.basePath...)
-		path = w.eng.Path(path)
 		s.nextTask++
+		s.path = w.eng.Path(append(s.path[:0], w.cur.Path...))
 		s.queue = append(s.queue, task{
-			path:  path,
-			taxon: f.Taxon,
-			branches: append([]int32(nil),
-				f.Branches[len(f.Branches)-n:]...),
+			FrontierTask: search.NewSeedTask(s.path, f.Taxon,
+				f.Branches[len(f.Branches)-n:], f.BranchWeight()),
 			id:     s.nextTask,
-			parent: w.curTask,
-			weight: f.BranchWeight(),
+			parent: w.cur.id,
 		})
 		s.opt.Trace.EmitAt(s.tick, obs.EvTaskSubmit, w.id,
-			obs.F("task", s.nextTask), obs.F("parent", w.curTask),
+			obs.F("task", s.nextTask), obs.F("parent", w.cur.id),
 			obs.F("taxon", int64(f.Taxon)), obs.F("branches", int64(n)),
-			obs.F("path", int64(len(path))))
+			obs.F("path", int64(len(s.path))))
 		return n
 	}
 	if s.opt.CollectTrees {
@@ -635,27 +488,20 @@ func (s *sim) advance(w *vworker) {
 			s.stolen++
 			s.opt.Trace.EmitAt(s.tick, obs.EvSteal, w.id,
 				obs.F("task", tk.id),
-				obs.F("taxon", int64(tk.taxon)),
-				obs.F("branches", int64(len(tk.branches))),
-				obs.F("path", int64(len(tk.path))))
-			w.basePath = tk.path
-			w.replay = tk.path
+				obs.F("taxon", int64(tk.Frames[0].Taxon)),
+				obs.F("branches", int64(len(tk.Frames[0].Branches))),
+				obs.F("path", int64(len(tk.Path))))
+			w.cur = tk
+			w.pending = true
 			w.replayPos = 0
-			w.seedTaxon = tk.taxon
-			w.seedBr = tk.branches
-			w.seedWeight = tk.weight
-			w.seedFrames = tk.frames
-			w.curTask = tk.id
-			w.parentTask = tk.parent
-			w.hasSeed = true
 			w.mode = wReplay
 			w.stats.Busy++ // the dequeue tick
 			return
 		}
 		w.stats.Idle++
 	case wReplay:
-		if w.replayPos < len(w.replay) {
-			st := w.replay[w.replayPos]
+		if w.replayPos < len(w.cur.Path) {
+			st := w.cur.Path[w.replayPos]
 			w.t.ExtendTaxon(st.Taxon, st.Edge)
 			w.replayPos++
 			w.stats.Busy++
@@ -672,18 +518,14 @@ func (s *sim) advance(w *vworker) {
 			w.stats.Replay++
 			return
 		}
-		w.basePath = nil
-		if w.curTask != 0 {
-			s.opt.Trace.EmitAt(s.tick, obs.EvTaskEnd, w.id,
-				obs.F("task", w.curTask))
-			w.curTask, w.parentTask = 0, 0
-		}
+		s.opt.Trace.EmitAt(s.tick, obs.EvTaskEnd, w.id, obs.F("task", w.cur.id))
+		w.cur = task{}
 		w.mode = wIdle
 		s.advance(w)
 	case wWork:
 		ev := w.eng.Step()
 		if ev == search.EvDone {
-			w.rewindLeft = len(w.basePath)
+			w.rewindLeft = len(w.cur.Path)
 			w.mode = wRewind
 			s.advance(w)
 			return
@@ -694,9 +536,7 @@ func (s *sim) advance(w *vworker) {
 		w.local.IntermediateStates += c.IntermediateStates - w.prev.IntermediateStates
 		w.local.DeadEnds += c.DeadEnds - w.prev.DeadEnds
 		w.prev = c
-		if w.local.StandTrees >= s.opt.TreeBatch ||
-			w.local.IntermediateStates >= s.opt.StateBatch ||
-			w.local.DeadEnds >= s.opt.DeadEndBatch {
+		if s.opt.Policy.FlushDue(w.local) {
 			s.flushWorker(w, true)
 		}
 	}
@@ -724,14 +564,7 @@ func (s *sim) flushWorker(w *vworker, charge bool) {
 		w.stall += s.opt.FlushCost
 	}
 	if !s.stop {
-		if s.limits.MaxTrees > 0 && s.g.StandTrees >= s.limits.MaxTrees {
-			s.stop = true
-			s.reason = search.StopTreeLimit
-		} else if s.limits.MaxStates > 0 && s.g.IntermediateStates >= s.limits.MaxStates {
-			s.stop = true
-			s.reason = search.StopStateLimit
-		}
-		if s.stop {
+		if s.reason, s.stop = s.limits.Exceeded(s.g, 0); s.stop {
 			s.opt.Trace.EmitAt(s.tick, obs.EvStop, w.id,
 				obs.F("reason", int64(s.reason)),
 				obs.F("trees", s.g.StandTrees),

@@ -193,8 +193,8 @@ func TestSimTreeLimit(t *testing.T) {
 	cons := bigScenario(t, rng, 14, 500)
 	sim, err := Run(cons, Options{
 		Workers: 2, InitialTree: -1,
-		Limits:    Limits{MaxTrees: 100},
-		TreeBatch: 16, StateBatch: 64, DeadEndBatch: 16,
+		Limits: Limits{MaxTrees: 100},
+		Policy: search.Policy{TreeBatch: 16, StateBatch: 64, DeadEndBatch: 16},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -216,7 +216,7 @@ func TestSimFlushCostAblation(t *testing.T) {
 	}
 	unbatched, err := Run(cons, Options{
 		Workers: 4, InitialTree: -1, FlushCost: 50,
-		TreeBatch: 1, StateBatch: 1, DeadEndBatch: 1,
+		Policy: search.Policy{TreeBatch: 1, StateBatch: 1, DeadEndBatch: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
