@@ -6,7 +6,9 @@ import (
 
 	"gentrius/internal/gen"
 	"gentrius/internal/obs"
+	"gentrius/internal/search"
 	"gentrius/internal/terrace"
+	"gentrius/internal/tree"
 )
 
 // extraBenches registers benchmarks that only exist on newer revisions of
@@ -75,5 +77,38 @@ func extraBenches(add func(name string, f func(b *testing.B)),
 		if err := r.Flush(); err != nil {
 			b.Fatal(err)
 		}
+	})
+
+	// Tree emission (PR 14). SerialEngineEmit is SerialEngine with a no-op
+	// OnTree, so the two rows of one report give the cost of rendering every
+	// stand tree as a ratio; TreeNewick is one rendering of one 129-taxon
+	// stand tree (the first of empirical dataset 23, the benchmark's
+	// stream-file stand) through the one-shot Tree.Newick. Its allocs/op is
+	// the host-independent number -compare -max-regress gates: the string
+	// and nothing else.
+	add("SerialEngineEmit", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := search.Run(ds.Constraints, search.Options{
+				InitialTree: -1, OnTree: func(string) {}}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+
+	add("TreeNewick", func(b *testing.B) {
+		emp := gen.Generate(gen.Default(gen.RegimeEmpirical), 23)
+		res, err := search.Run(emp.Constraints, search.Options{
+			InitialTree: -1, CollectTrees: true, Limits: search.Limits{MaxTrees: 1}})
+		if err != nil || len(res.Trees) == 0 {
+			b.Fatalf("no stand tree to render: %v", err)
+		}
+		t := tree.MustParse(res.Trees[0], emp.Constraints[0].Taxa())
+		written := 0
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			written += len(t.Newick())
+		}
+		b.ReportMetric(float64(t.NumLeaves()), "taxa")
+		b.ReportMetric(float64(written)/float64(b.N), "bytes")
 	})
 }

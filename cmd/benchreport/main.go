@@ -17,6 +17,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 	"testing"
 	"time"
 
@@ -121,7 +122,7 @@ func main() {
 	outPath := flag.String("out", "", "write the JSON report to this file (default stdout)")
 	note := flag.String("note", "", "free-form note embedded in the report")
 	compare := flag.String("compare", "", "baseline JSON report to diff against (prints a table to stderr)")
-	maxRegress := flag.Float64("max-regress", 0, "with -compare: exit non-zero if any shared benchmark's ns/op regresses by more than this percentage")
+	maxRegress := flag.Float64("max-regress", 0, "with -compare: exit non-zero if any shared benchmark's ns/op regresses by more than this percentage, or if one the baseline has at 0 or 1 allocs/op now allocates more (a host-independent gate)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the benchmark runs (dataset selection excluded) — the input for PGO via scripts/pgo_profile.sh")
 	benchtime := flag.String("benchtime", "", "per-benchmark time budget, e.g. 1s or 1x (default: testing's 1s)")
 	testing.Init()
@@ -286,7 +287,7 @@ func main() {
 	}
 
 	if *compare != "" {
-		worst, err := printComparison(*compare, &rep)
+		worst, allocs, err := printComparison(*compare, &rep)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "benchreport: compare: %v\n", err)
 			os.Exit(1)
@@ -296,21 +297,29 @@ func main() {
 				worst, *maxRegress)
 			os.Exit(1)
 		}
+		if *maxRegress > 0 && len(allocs) > 0 {
+			fmt.Fprintf(os.Stderr, "benchreport: FAIL: allocs/op above a baseline of 0 or 1: %s\n",
+				strings.Join(allocs, ", "))
+			os.Exit(1)
+		}
 	}
 }
 
 // printComparison diffs the current report against a baseline file and
 // returns the worst ns/op regression across shared benchmarks, as a
 // percentage (negative when everything got faster) — the input to the
-// -max-regress CI gate.
-func printComparison(path string, cur *Report) (worstRegress float64, err error) {
+// -max-regress CI gate. allocsUp names the benchmarks the baseline has at 0
+// or 1 allocs/op that now allocate more: there the count is a property of
+// the code (TreeNewick's 1 is the returned string), not of the host, so the
+// gate can be exact where the ns/op gate has to be generous.
+func printComparison(path string, cur *Report) (worstRegress float64, allocsUp []string, err error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
-		return 0, err
+		return 0, nil, err
 	}
 	var base Report
 	if err := json.Unmarshal(raw, &base); err != nil {
-		return 0, err
+		return 0, nil, err
 	}
 	byName := map[string]BenchResult{}
 	for _, b := range base.Benchmarks {
@@ -332,8 +341,11 @@ func printComparison(path string, cur *Report) (worstRegress float64, err error)
 				worstRegress = reg
 			}
 		}
+		if o.AllocsPerOp <= 1 && b.AllocsPerOp > o.AllocsPerOp {
+			allocsUp = append(allocsUp, fmt.Sprintf("%s %d->%d", b.Name, o.AllocsPerOp, b.AllocsPerOp))
+		}
 		fmt.Fprintf(os.Stderr, "%-28s %14.1f %14.1f %8.2fx %6d->%d\n",
 			b.Name, o.NsPerOp, b.NsPerOp, speed, o.AllocsPerOp, b.AllocsPerOp)
 	}
-	return worstRegress, nil
+	return worstRegress, allocsUp, nil
 }

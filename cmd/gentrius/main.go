@@ -32,6 +32,7 @@
 package main
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -172,17 +173,35 @@ func main() {
 	}
 
 	var outFile *os.File
+	var out *bufio.Writer
 	if *outPath != "" {
 		outFile, err = os.Create(*outPath)
 		if err != nil {
 			fatal(err)
 		}
-		defer outFile.Close()
-		opt.OnTree = func(nw string) { fmt.Fprintln(outFile, nw) }
+		// A bufio.Writer keeps its first write error and returns it from
+		// every later call, Flush included, so the callback need not look.
+		out = bufio.NewWriterSize(outFile, 64<<10)
+		opt.OnTree = func(nw string) {
+			out.WriteString(nw)
+			out.WriteByte('\n')
+		}
 	}
 	res, err := gentrius.EnumerateStandContext(ctx, cons, opt)
+	// Flush here, not in a defer: every fatal below exits past the defers,
+	// and an interrupted run's partial stand must reach the disk as well.
+	var outErr error
+	if out != nil {
+		outErr = out.Flush()
+		if cerr := outFile.Close(); outErr == nil {
+			outErr = cerr
+		}
+	}
 	if err != nil {
 		fatal(checkpointHint(err))
+	}
+	if outErr != nil {
+		fatal(fmt.Errorf("-out: the stand file is incomplete: %w", outErr))
 	}
 	if res.Checkpoint != nil && *ckptPath != "" {
 		if err := res.Checkpoint.WriteFile(*ckptPath); err != nil {

@@ -1,12 +1,34 @@
 package main
 
 import (
+	"bytes"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"strconv"
 	"testing"
 
 	"gentrius"
 )
+
+// runMainEnv makes the test binary run the command's main() with its own
+// arguments instead of the tests, so a test can look at exit codes.
+const runMainEnv = "GENTRIUS_TEST_RUN_MAIN"
+
+func TestMain(m *testing.M) {
+	if os.Getenv(runMainEnv) != "" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// gentriusCmd returns the command line "gentrius args...".
+func gentriusCmd(args ...string) *exec.Cmd {
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), runMainEnv+"=1")
+	return cmd
+}
 
 func write(t *testing.T, dir, name, content string) string {
 	t.Helper()
@@ -66,5 +88,45 @@ func TestLoadConstraintsErrors(t *testing.T) {
 		if _, err := loadConstraints(c[0], c[1], c[2]); err == nil {
 			t.Fatalf("expected error for %v", c)
 		}
+	}
+}
+
+// TestOutWritesWholeStand: -out holds one line per stand tree once the
+// process has exited, the buffered tail included.
+func TestOutWritesWholeStand(t *testing.T) {
+	dir := t.TempDir()
+	trees := write(t, dir, "c.nwk", "((A,B),(C,D));\n((A,B),(E,F));\n")
+	out := filepath.Join(dir, "stand.nwk")
+	stdout, err := gentriusCmd("-trees", trees, "-out", out, "-q").Output()
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := bytes.Count(data, []byte{'\n'})
+	if want := string(bytes.TrimSpace(stdout)); n == 0 || want != strconv.Itoa(n) {
+		t.Fatalf("-q reports %s stand trees, %s holds %d lines", want, out, n)
+	}
+}
+
+// TestOutWriteErrorFailsTheRun: a stand file that cannot be written in full
+// (here: a device that is always full) is a non-zero exit, not a silently
+// truncated file.
+func TestOutWriteErrorFailsTheRun(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this system")
+	}
+	trees := write(t, t.TempDir(), "c.nwk", "((A,B),(C,D));\n((A,B),(E,F));\n")
+	var stderr bytes.Buffer
+	cmd := gentriusCmd("-trees", trees, "-out", "/dev/full", "-q")
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	if _, ok := err.(*exec.ExitError); !ok {
+		t.Fatalf("writing the stand to /dev/full: err = %v, want a non-zero exit (stderr %q)", err, stderr.String())
+	}
+	if !bytes.Contains(stderr.Bytes(), []byte("-out")) {
+		t.Fatalf("stderr does not name -out: %q", stderr.String())
 	}
 }

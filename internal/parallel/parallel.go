@@ -884,9 +884,11 @@ func runWorker(w int, su *search.Setup, share *task, q *queue, g *globals, opt O
 			t = buildTerrace()
 			tk.retries++
 			if !dirty && opt.MaxTaskRetries >= 0 && tk.retries <= opt.MaxTaskRetries {
+				// A successful requeue hands tk to the queue: a stealer may
+				// finish and recycle it at once, so read it first.
+				taxon, attempt := int64(tk.root().Taxon), int64(tk.retries)
 				if q.requeue(tk) {
-					rec.Emit(obs.EvRequeue, w, obs.F("taxon", int64(tk.root().Taxon)),
-						obs.F("attempt", int64(tk.retries)))
+					rec.Emit(obs.EvRequeue, w, obs.F("taxon", taxon), obs.F("attempt", attempt))
 					return
 				}
 				// The pool already terminated (a stopping rule,

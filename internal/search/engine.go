@@ -143,7 +143,8 @@ type Engine struct {
 	OnFramePushed func(f *Frame) int
 
 	// OnTree, if set, is called with the canonical Newick string of every
-	// stand tree found.
+	// stand tree found. Rendering costs one linear pass over the tree and one
+	// allocation, the string itself; with OnTree nil nothing is rendered.
 	OnTree func(newick string)
 
 	// OnEvent, if set, is called once per Step with the event it produced
@@ -160,6 +161,11 @@ type Engine struct {
 	OnLeaf func(weight float64)
 
 	baseDepth int // terrace depth at engine start (task replay offset)
+
+	// nw renders the trees emit hands to OnTree. Like T it is private to the
+	// engine, so nothing is shared or locked; its scratch is allocated by
+	// the first tree rendered, so a counting run (OnTree nil) never pays.
+	nw tree.NewickWriter
 }
 
 // NewEngine returns an engine exploring the full search space below the
@@ -424,7 +430,7 @@ func (e *Engine) constraintDegree(x int) int16 {
 
 func (e *Engine) emit() {
 	if e.OnTree != nil {
-		e.OnTree(e.T.Agile().Newick())
+		e.OnTree(e.nw.String(e.T.Agile()))
 	}
 }
 

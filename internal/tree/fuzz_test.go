@@ -6,9 +6,9 @@ import (
 )
 
 // FuzzNewickParse checks that Parse never panics or hangs, and that any
-// accepted input round-trips: the canonical Newick() rendering must reparse
-// to a tree with the same leaf count and must be a fixed point of
-// parse-then-render.
+// accepted input round-trips: the canonical Newick() rendering must equal
+// the reference renderer's, must reparse to a tree with the same leaf count
+// and must be a fixed point of parse-then-render.
 func FuzzNewickParse(f *testing.F) {
 	for _, s := range []string{
 		"A;",
@@ -37,6 +37,9 @@ func FuzzNewickParse(f *testing.F) {
 			return // rejected input; only a panic or hang is a bug
 		}
 		out := t1.Newick()
+		if ref := referenceNewick(t1); out != ref {
+			t.Fatalf("writer renders %q as %q, reference renderer as %q", in, out, ref)
+		}
 		t2, err := Parse(out, taxa, false)
 		if err != nil {
 			t.Fatalf("canonical rendering %q of %q does not reparse: %v", out, in, err)

@@ -2,7 +2,6 @@ package tree
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -46,9 +45,9 @@ type pnode struct {
 }
 
 // maxNesting bounds parenthesis nesting depth. The parser (and the tree
-// builder and renderer after it) recurse once per nesting level, so without
-// a cap a long run of '(' characters overflows the goroutine stack; real
-// trees nest at most once per taxon, far below this.
+// builder after it) recurse once per nesting level, so without a cap a long
+// run of '(' characters overflows the goroutine stack; real trees nest at
+// most once per taxon, far below this. The renderer does not recurse.
 const maxNesting = 100000
 
 type parser struct {
@@ -289,62 +288,16 @@ func buildFromParse(t *Tree, root *pnode) error {
 // The output is canonical: subtrees are ordered by their minimum taxon id,
 // so two trees have equal Newick strings iff they have identical topologies
 // and leaf sets.
+//
+// This is the one-shot form of NewickWriter.String, on a pooled writer; code
+// that renders many trees holds a NewickWriter of its own.
 func (t *Tree) Newick() string {
-	n := t.NumLeaves()
-	switch n {
-	case 0:
-		return ";"
-	case 1:
-		return quoteIfNeeded(t.taxa.Name(t.leaves.Min())) + ";"
-	case 2:
-		els := t.leaves.Elements()
-		return "(" + quoteIfNeeded(t.taxa.Name(els[0])) + "," + quoteIfNeeded(t.taxa.Name(els[1])) + ");"
+	w := writerPool.Get().(*NewickWriter)
+	s := w.String(t)
+	if len(w.sc) <= maxPooledNodes {
+		writerPool.Put(w)
 	}
-	// Root at the lowest-id leaf's neighbor; render its three subtrees.
-	l := t.leafOf[t.leaves.Min()]
-	pe := t.nodes[l].adj[0]
-	root := t.Other(pe, l)
-	type rendered struct {
-		minTaxon int
-		s        string
-	}
-	var render func(v, inEdge int32) rendered
-	render = func(v, inEdge int32) rendered {
-		if tx := t.nodes[v].taxon; tx >= 0 {
-			return rendered{int(tx), quoteIfNeeded(t.taxa.Name(int(tx)))}
-		}
-		var parts []rendered
-		nd := &t.nodes[v]
-		for i := int8(0); i < nd.deg; i++ {
-			e := nd.adj[i]
-			if e == inEdge {
-				continue
-			}
-			parts = append(parts, render(t.Other(e, v), e))
-		}
-		sort.Slice(parts, func(i, j int) bool { return parts[i].minTaxon < parts[j].minTaxon })
-		ss := make([]string, len(parts))
-		for i, p := range parts {
-			ss[i] = p.s
-		}
-		return rendered{parts[0].minTaxon, "(" + strings.Join(ss, ",") + ")"}
-	}
-	var parts []rendered
-	parts = append(parts, rendered{int(t.nodes[l].taxon), quoteIfNeeded(t.taxa.Name(int(t.nodes[l].taxon)))})
-	nd := &t.nodes[root]
-	for i := int8(0); i < nd.deg; i++ {
-		e := nd.adj[i]
-		if e == pe {
-			continue
-		}
-		parts = append(parts, render(t.Other(e, root), e))
-	}
-	sort.Slice(parts, func(i, j int) bool { return parts[i].minTaxon < parts[j].minTaxon })
-	ss := make([]string, len(parts))
-	for i, p := range parts {
-		ss[i] = p.s
-	}
-	return "(" + strings.Join(ss, ",") + ");"
+	return s
 }
 
 // quoteIfNeeded wraps a label in single quotes when it contains characters

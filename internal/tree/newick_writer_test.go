@@ -1,0 +1,225 @@
+package tree
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+	"time"
+)
+
+// awkwardNames returns n distinct labels, every other one needing quotes,
+// for four different reasons.
+func awkwardNames(n int, tag string) []string {
+	out := make([]string, n)
+	for i := range out {
+		switch i % 8 {
+		case 1:
+			out[i] = fmt.Sprintf("it's %s%d", tag, i)
+		case 3:
+			out[i] = fmt.Sprintf("sp (%s%d)", tag, i)
+		case 5:
+			out[i] = fmt.Sprintf("two\nlines%s%d", tag, i)
+		case 7:
+			out[i] = fmt.Sprintf("a b,c:%s;%d", tag, i)
+		default:
+			out[i] = fmt.Sprintf("%s%d", tag, i)
+		}
+	}
+	return out
+}
+
+// randomSubsetTree attaches k random taxa of the universe at random edges.
+func randomSubsetTree(taxa *Taxa, k int, rng *rand.Rand) *Tree {
+	t := New(taxa)
+	for i, x := range rng.Perm(taxa.Len())[:k] {
+		switch i {
+		case 0:
+			t.AddFirstLeaf(x)
+		case 1:
+			t.AddSecondLeaf(x)
+		default:
+			t.AttachLeaf(x, int32(rng.Intn(t.NumEdges())))
+		}
+	}
+	return t
+}
+
+// TestNewickWriterMatchesReference is the differential test: one writer,
+// reused across trees of every size from 0 to 200 leaves over three
+// universes, must reproduce the retained recursive renderer byte for byte.
+func TestNewickWriterMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	universes := []*Taxa{
+		MustTaxa(awkwardNames(200, "x")),
+		MustTaxa(awkwardNames(200, "y")),
+		MustTaxa(names(60)),
+	}
+	var w NewickWriter
+	var buf []byte
+	for it := 0; it < 2400; it++ {
+		taxa := universes[rng.Intn(len(universes))]
+		k := rng.Intn(taxa.Len() + 1)
+		if it < 12 {
+			k = it % 4 // the tiny shapes first, three times each
+		}
+		tr := randomSubsetTree(taxa, k, rng)
+		want := referenceNewick(tr)
+		if got := w.String(tr); got != want {
+			t.Fatalf("iteration %d (%d leaves): String\n got %q\nwant %q", it, k, got, want)
+		}
+		buf = w.Append(append(buf[:0], "x="...), tr)
+		if got := string(buf); got != "x="+want {
+			t.Fatalf("iteration %d (%d leaves): Append\n got %q\nwant %q", it, k, got, "x="+want)
+		}
+		if got := tr.Newick(); got != want {
+			t.Fatalf("iteration %d (%d leaves): Newick\n got %q\nwant %q", it, k, got, want)
+		}
+	}
+}
+
+// TestNewickWriterGrowingUniverse: labels registered after the writer first
+// saw the universe are rendered, and quoted, like the others.
+func TestNewickWriterGrowingUniverse(t *testing.T) {
+	taxa := MustTaxa([]string{"A", "B", "C"})
+	var w NewickWriter
+	if got := w.String(MustParse("(A,B,C);", taxa)); got != "(A,B,C);" {
+		t.Fatal(got)
+	}
+	tr, err := Parse("((A,'late one'),B,C);", taxa, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := w.String(tr), referenceNewick(tr); got != want {
+		t.Fatalf("got %q, want %q", got, want)
+	}
+}
+
+// TestNewickWriterAllocs pins the allocation contract: rendering into a
+// buffer that is large enough allocates nothing, String allocates the string
+// it returns, and the one-shot Newick stays within four.
+func TestNewickWriterAllocs(t *testing.T) {
+	taxa := MustTaxa(awkwardNames(129, "t"))
+	tr := randomTree(taxa, rand.New(rand.NewSource(3)))
+	var w NewickWriter
+	buf := w.Append(nil, tr)
+	if n := testing.AllocsPerRun(200, func() { buf = w.Append(buf[:0], tr) }); n != 0 {
+		t.Errorf("Append into a warm buffer: %v allocs, want 0", n)
+	}
+	var s string
+	if n := testing.AllocsPerRun(200, func() { s = w.String(tr) }); n != 1 {
+		t.Errorf("String: %v allocs, want 1", n)
+	}
+	if n := testing.AllocsPerRun(200, func() { s = tr.Newick() }); n > 4 && !raceEnabled {
+		t.Errorf("Newick: %v allocs, want <= 4", n)
+	}
+	if s != string(buf) {
+		t.Fatal("String/Newick and Append disagree")
+	}
+}
+
+// caterpillar builds the n-leaf tree whose every AttachLeaf subdivides the
+// previous leaf's pendant edge: n-2 nesting levels in canonical form.
+func caterpillar(n int) *Tree {
+	nm := make([]string, n)
+	for i := range nm {
+		nm[i] = fmt.Sprintf("t%d", i)
+	}
+	t := New(MustTaxa(nm))
+	t.AddFirstLeaf(0)
+	t.AddSecondLeaf(1)
+	pendant := int32(0)
+	for x := 2; x < n; x++ {
+		_, _, pendant = t.AttachLeaf(x, pendant)
+	}
+	return t
+}
+
+// TestNewickWriterDeepTree: a 50 000-level caterpillar renders without
+// recursion, in time linear in its size, and its output reparses to the same
+// canonical string.
+func TestNewickWriterDeepTree(t *testing.T) {
+	small, big := caterpillar(5000), caterpillar(50000)
+	var w NewickWriter
+	floor := func(tr *Tree) time.Duration {
+		best := time.Duration(1 << 62)
+		for i := 0; i < 7; i++ {
+			start := time.Now()
+			w.String(tr)
+			if d := time.Since(start); d < best {
+				best = d
+			}
+		}
+		return best
+	}
+	ds, db := floor(small), floor(big)
+	t.Logf("5 000 leaves %v, 50 000 leaves %v, ratio %.1f", ds, db, float64(db)/float64(ds))
+	if float64(db) >= 25*float64(ds) {
+		t.Errorf("10x the leaves took %.1fx the time (%v -> %v): not linear", float64(db)/float64(ds), ds, db)
+	}
+	nw := w.String(big)
+	if len(nw) < 50000*3 || nw[:8] != "(t0,t1,(" {
+		t.Fatalf("unexpected rendering: %d bytes, starts %q", len(nw), nw[:8])
+	}
+	back, err := Parse(nw, big.Taxa(), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := w.String(back); got != nw {
+		t.Fatal("the rendering of a 50 000-leaf caterpillar is not a fixed point of parse-then-render")
+	}
+}
+
+// TestNewickWriterFollowsAttachDetach drives a writer the way the engine
+// does — the same tree mutated by AttachLeaf/DetachLeaf between String
+// calls — and checks each rendering against a fresh writer.
+func TestNewickWriterFollowsAttachDetach(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	taxa := MustTaxa(awkwardNames(40, "q"))
+	tr := randomSubsetTree(taxa, 3, rng)
+	var held NewickWriter
+	var attached []int
+	for step := 0; step < 600; step++ {
+		if len(attached) == 0 || (tr.NumLeaves() < taxa.Len() && rng.Intn(5) < 3) {
+			x := rng.Intn(taxa.Len())
+			for tr.HasTaxon(x) {
+				x = (x + 1) % taxa.Len()
+			}
+			tr.AttachLeaf(x, int32(rng.Intn(tr.NumEdges())))
+			attached = append(attached, x)
+		} else {
+			tr.DetachLeaf(attached[len(attached)-1])
+			attached = attached[:len(attached)-1]
+		}
+		var fresh NewickWriter
+		if got, want := held.String(tr), fresh.String(tr); got != want {
+			t.Fatalf("step %d (%d leaves): held writer %q, fresh writer %q", step, tr.NumLeaves(), got, want)
+		}
+	}
+}
+
+// benchSink keeps the benchmarked calls from being optimised away.
+var benchSink int
+
+func BenchmarkNewickWriter(b *testing.B) {
+	taxa := MustTaxa(names(129))
+	tr := randomTree(taxa, rand.New(rand.NewSource(1)))
+	b.Run("String", func(b *testing.B) {
+		var w NewickWriter
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			benchSink += len(w.String(tr))
+		}
+	})
+	b.Run("Newick", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			benchSink += len(tr.Newick())
+		}
+	})
+	b.Run("reference", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			benchSink += len(referenceNewick(tr))
+		}
+	})
+}

@@ -79,8 +79,11 @@ func ReadTrees(r io.Reader, taxa *Taxa) ([]*Tree, *Taxa, error) {
 // WriteTrees writes trees one canonical Newick per line.
 func WriteTrees(w io.Writer, trees []*Tree) error {
 	bw := bufio.NewWriter(w)
+	var nw tree.NewickWriter
+	var line []byte
 	for _, t := range trees {
-		if _, err := fmt.Fprintln(bw, t.Newick()); err != nil {
+		line = append(nw.Append(line[:0], t), '\n')
+		if _, err := bw.Write(line); err != nil {
 			return err
 		}
 	}
