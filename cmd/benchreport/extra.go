@@ -11,6 +11,9 @@ import (
 	"gentrius/internal/tree"
 )
 
+// cloneSink keeps the compiler from dropping TerraceClone's result.
+var cloneSink *terrace.Terrace
+
 // extraBenches registers benchmarks that only exist on newer revisions of
 // the engine; a baseline produced before a benchmark existed simply lacks
 // its row, and -compare marks it "(new)".
@@ -92,6 +95,30 @@ func extraBenches(add func(name string, f func(b *testing.B)),
 				InitialTree: -1, OnTree: func(string) {}}); err != nil {
 				b.Fatal(err)
 			}
+		}
+	})
+
+	// Run set-up (PR 15): building the search state from the constraints,
+	// once per run, and copying it, once per worker — on simulated dataset 8,
+	// the largest of the benchmark's count-many stands (265 taxa, 15 loci).
+	// Both are single-goroutine and allocate the same on every host.
+	big := gen.Generate(gen.Default(gen.RegimeSimulated), 8).Constraints
+	bigIdx := search.ChooseInitialTree(big)
+	add("TerraceNew", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := terrace.New(big, bigIdx); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	add("TerraceClone", func(b *testing.B) {
+		proto, err := terrace.New(big, bigIdx)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			cloneSink = proto.Clone()
 		}
 	})
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -522,6 +523,43 @@ func TestCheckpointBackToBackQuiesce(t *testing.T) {
 		if got.Counters != ref.Counters {
 			t.Fatalf("snapshot %d (of %d) dropped work: resumed totals %+v, want %+v",
 				i, len(cps), got.Counters, ref.Counters)
+		}
+	}
+}
+
+// TestCheckpointHostilePrefix: a checkpoint that passes the fingerprint check
+// but carries a prefix path no run could have written — the supplied-file
+// trust boundary of gentriusd and the fleet workers — is an error from Run.
+// Before the prefix was validated at set-up every worker replayed it blindly
+// outside the task recover barrier, and the first bad step killed the
+// process (index out of range in Tree.AttachLeaf).
+func TestCheckpointHostilePrefix(t *testing.T) {
+	cons := chainConstraints(3)
+	good, err := search.Start(cons, -1, 0, nil, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp := good.Checkpoint(good.Counters, 4, good.Frontier.Tasks)
+	if res, err := Run(cons, Options{Threads: 3, Limits: unlimited(),
+		Checkpoint: search.CheckpointPolicy{Resume: roundTrip(t, cp)}}); err != nil || res.Stop != search.StopExhausted {
+		t.Fatalf("the untampered checkpoint: %+v, %v", res, err)
+	}
+	tr := good.NewTerrace()
+	pending := tr.MissingTaxa()[0]
+	legal := search.PathStep{Taxon: pending, Edge: tr.AllowedBranches(pending)[0]}
+	for name, prefix := range map[string][]search.PathStep{
+		"bad edge":       {{Taxon: pending, Edge: 99999}},
+		"bad taxon":      {{Taxon: 99999, Edge: 0}},
+		"repeated taxon": {legal, legal},
+	} {
+		bad := *cp
+		bad.Frontier = &search.Frontier{Prefix: prefix, Threads: 4, Tasks: cp.Frontier.Tasks}
+		for _, threads := range []int{1, 3} {
+			_, err := Run(cons, Options{Threads: threads, Limits: unlimited(),
+				Checkpoint: search.CheckpointPolicy{Resume: roundTrip(t, &bad)}})
+			if err == nil || !strings.Contains(err.Error(), "search: checkpoint prefix step") {
+				t.Errorf("%s at %d threads: Run returned %v, want a prefix error", name, threads, err)
+			}
 		}
 	}
 }

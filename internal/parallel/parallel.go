@@ -11,8 +11,9 @@
 // barrier and panic recovery. Execution proceeds exactly as in Sec. III of
 // the paper:
 //
-//  1. every worker independently builds its own Terrace from the input and
-//     replays the deterministic prefix to the initial-split state I_0;
+//  1. every worker gets its own Terrace — a clone of the one the run built
+//     from the input — and replays the deterministic prefix to the
+//     initial-split state I_0;
 //  2. the initial split's admissible branches are partitioned evenly across
 //     workers; extra workers start in the stealing pool;
 //  3. while exploring, a worker that pushes a branch-and-bound frame with
@@ -678,21 +679,11 @@ func runWorker(w int, su *search.Setup, share *task, q *queue, g *globals, opt O
 	// A quiesce must never wait on a worker that already left the pool.
 	defer q.ckpt.exit()
 
-	// buildTerrace constructs this worker's private terrace at I_0. It also
-	// runs after a recovered panic, whose unwound stack can leave the old
-	// terrace in an arbitrary mid-mutation state — rebuilding from the
-	// immutable inputs is the only state repair that needs no trust in the
-	// wreckage.
-	buildTerrace := func() *terrace.Terrace {
-		t, err := su.NewTerrace()
-		if err != nil {
-			// The coordinator already built the same input successfully; a
-			// failure here is a programming error.
-			panic(fmt.Sprintf("parallel: worker %d terrace build failed: %v", w, err))
-		}
-		return t
-	}
-	t := buildTerrace()
+	// This worker's private terrace at I_0. After a recovered panic, whose
+	// unwound stack can leave it in an arbitrary mid-mutation state, it is
+	// replaced by another clone of the run's never-mutated prototype — the
+	// one state repair that needs no trust in the wreckage.
+	t := su.NewTerrace()
 	baseDepth := t.Depth() // I_0
 
 	var local search.Counters // since last flush
@@ -852,13 +843,13 @@ func runWorker(w int, su *search.Setup, share *task, q *queue, g *globals, opt O
 	// submitted sub-task) requeues the task verbatim for any worker: the
 	// attempt's unflushed local counters are dropped (they reached neither
 	// the globals nor the per-worker total, so conservation stays exact)
-	// and this worker's terrace is rebuilt from scratch, since the unwound
-	// stack may have left it mid-mutation. A panic after visible progress —
-	// or once a task's retries exceed the budget — fails the run with a
-	// *WorkerPanicError: re-executing a dirty attempt would re-count the
-	// flushed portion and duplicate streamed trees. Returns true when the
-	// caller still owns the task (normal completion); false when recovery
-	// took it over.
+	// and this worker's terrace is replaced by a fresh clone, since the
+	// unwound stack may have left it mid-mutation. A panic after visible
+	// progress — or once a task's retries exceed the budget — fails the run
+	// with a *WorkerPanicError: re-executing a dirty attempt would re-count
+	// the flushed portion and duplicate streamed trees. Returns true when
+	// the caller still owns the task (normal completion); false when
+	// recovery took it over.
 	executeTask := func(tk *task) (ok bool) {
 		attemptDirty = false
 		curTask = tk.id
@@ -881,7 +872,7 @@ func runWorker(w int, su *search.Setup, share *task, q *queue, g *globals, opt O
 			estMass, estLeaves = 0, 0
 			basePath = nil
 			addHeuristicStats(m, t.HeuristicStats())
-			t = buildTerrace()
+			t = su.NewTerrace()
 			tk.retries++
 			if !dirty && opt.MaxTaskRetries >= 0 && tk.retries <= opt.MaxTaskRetries {
 				// A successful requeue hands tk to the queue: a stealer may

@@ -3,6 +3,7 @@ package search
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"gentrius/internal/terrace"
 	"gentrius/internal/tree"
@@ -50,16 +51,24 @@ type Setup struct {
 	PrefixStats terrace.HeuristicStats
 
 	constraints []*tree.Tree
+
+	// proto is the run's one Terrace built from the constraints, kept in its
+	// initial state and never mutated: every other Terrace of the run — the
+	// one the prefix walk advances, each worker's private state, a worker's
+	// replacement after a panic — is a clone of it. Nil when the constraints
+	// are incompatible.
+	proto *terrace.Terrace
 }
 
 // Start performs the run set-up shared by every driver. A fresh run
 // (resume == nil) resolves initialTree (a constraint index, or negative for
 // the paper's heuristic), builds the Terrace, walks the forced insertions
 // and cuts the initial split into at most n tasks (n <= 0: one task per
-// branch). A resumed run validates the checkpoint against the constraints
-// and views it as a frontier — a version-1 serial snapshot becomes one
-// task — so any snapshot resumes onto any driver and width; initialTree, h
-// and n are then ignored.
+// branch). A resumed run validates the checkpoint against the constraints —
+// its prefix path step by step, since every worker will replay it — and
+// views it as a frontier — a version-1 serial snapshot becomes one task — so
+// any snapshot resumes onto any driver and width; initialTree, h and n are
+// then ignored. Either way terrace.New runs once, here.
 func Start(constraints []*tree.Tree, initialTree int, h OrderHeuristic, resume *Checkpoint, n int) (*Setup, error) {
 	if resume != nil {
 		if err := resume.Validate(constraints); err != nil {
@@ -86,6 +95,12 @@ func Start(constraints []*tree.Tree, initialTree int, h OrderHeuristic, resume *
 				s.Frontier.Tasks = append(s.Frontier.Tasks, ft)
 			}
 		}
+		if s.proto, err = terrace.New(constraints, s.InitialIndex); err != nil {
+			return nil, fmt.Errorf("search: resuming: %w", err)
+		}
+		if err := checkPrefix(s.proto.Clone(), fr.Prefix); err != nil {
+			return nil, err
+		}
 		return s, nil
 	}
 
@@ -94,13 +109,14 @@ func Start(constraints []*tree.Tree, initialTree int, h OrderHeuristic, resume *
 		return nil, err
 	}
 	s := &Setup{InitialIndex: idx, Heuristic: h, Frontier: &Frontier{}, constraints: constraints}
-	t, err := terrace.New(constraints, idx)
+	s.proto, err = terrace.New(constraints, idx)
 	if err != nil {
 		if errors.Is(err, terrace.ErrIncompatible) {
 			return s, nil // empty stand
 		}
 		return nil, err
 	}
+	t := s.proto.Clone()
 	pre := PrefixWalkH(t, h)
 	s.Counters = pre.Counters
 	s.Frontier.Prefix = pre.Path
@@ -137,18 +153,38 @@ func resolveInitial(constraints []*tree.Tree, idx int) (int, error) {
 	return idx, nil
 }
 
-// NewTerrace builds a private Terrace positioned at I_0 — each worker's own
-// copy of the search state (paper Sec. III-A), and what a worker rebuilds
-// after a recovered panic left its old one mid-mutation.
-func (s *Setup) NewTerrace() (*terrace.Terrace, error) {
-	t, err := terrace.New(s.constraints, s.InitialIndex)
-	if err != nil {
-		return nil, err
+// checkPrefix replays a checkpoint's prefix path on t, refusing the first
+// step that does not insert a still-pending taxon at one of its admissible
+// branches: ExtendTaxon trusts its caller and would index out of range or
+// corrupt the mappings instead.
+func checkPrefix(t *terrace.Terrace, prefix []PathStep) error {
+	var allowed []int32
+	for i, st := range prefix {
+		if st.Taxon < 0 || st.Taxon >= t.Taxa().Len() || t.Agile().HasTaxon(st.Taxon) {
+			return fmt.Errorf("search: checkpoint prefix step %d: taxon %d is not pending", i, st.Taxon)
+		}
+		allowed = t.AppendAllowedBranches(allowed[:0], st.Taxon)
+		if !slices.Contains(allowed, st.Edge) {
+			return fmt.Errorf("search: checkpoint prefix step %d: edge %d is not admissible for taxon %d", i, st.Edge, st.Taxon)
+		}
+		t.ExtendTaxon(st.Taxon, st.Edge)
 	}
+	return nil
+}
+
+// NewTerrace returns a private Terrace positioned at I_0 — each worker's own
+// copy of the search state (paper Sec. III-A), and what a worker replaces
+// its old one with after a recovered panic left that mid-mutation: a clone
+// of the run's pristine prototype with the prefix path replayed, which is
+// state for state what terrace.New followed by the same replay gives. Safe
+// to call from any number of goroutines. Only a Setup with tasks has a
+// prototype to clone.
+func (s *Setup) NewTerrace() *terrace.Terrace {
+	t := s.proto.Clone()
 	for _, st := range s.Frontier.Prefix {
 		t.ExtendTaxon(st.Taxon, st.Edge)
 	}
-	return t, nil
+	return t
 }
 
 // Checkpoint assembles a version-2 checkpoint of this run from a consistent

@@ -4,8 +4,11 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
+	"gentrius/internal/terrace"
 	"gentrius/internal/tree"
 )
 
@@ -81,12 +84,25 @@ func TestStart(t *testing.T) {
 		if rem := su.Frontier.RemainingMass(); math.Abs(rem-1) > 1e-12 || su.LeafMass != 0 {
 			t.Fatalf("n=%d: remaining mass %v, consumed %v", n, rem, su.LeafMass)
 		}
-		tr, err := su.NewTerrace()
+		tr := su.NewTerrace()
+		if tr.Depth() != len(su.Frontier.Prefix) {
+			t.Fatalf("n=%d: terrace at depth %d, prefix has %d steps", n, tr.Depth(), len(su.Frontier.Prefix))
+		}
+		// A clone of the prototype with the prefix replayed is the state
+		// terrace.New and the same replay give, and handing one out leaves
+		// the prototype as New left it.
+		built, err := terrace.New(cons, su.InitialIndex)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if tr.Depth() != len(su.Frontier.Prefix) {
-			t.Fatalf("n=%d: terrace at depth %d, prefix has %d steps", n, tr.Depth(), len(su.Frontier.Prefix))
+		if su.proto.Signature() != built.Signature() || su.proto.Depth() != 0 {
+			t.Fatalf("n=%d: the prototype is no longer pristine", n)
+		}
+		for _, st := range su.Frontier.Prefix {
+			built.ExtendTaxon(st.Taxon, st.Edge)
+		}
+		if tr.Signature() != built.Signature() || tr.HeuristicStats() != built.HeuristicStats() {
+			t.Fatalf("n=%d: NewTerrace differs from terrace.New + prefix replay", n)
 		}
 		if _, err := NewTaskEngine(tr, su.Frontier.Tasks[0].Frames); err != nil {
 			t.Fatal(err)
@@ -115,6 +131,57 @@ func TestStart(t *testing.T) {
 			t.Fatalf("v%d on other input: %v, want ErrFingerprint", cp.Version, err)
 		}
 	}
+}
+
+// TestStartRefusesBadPrefix: a checkpoint whose fingerprint matches but
+// whose prefix path could not have come from a run is an error from Start,
+// before any worker replays it.
+func TestStartRefusesBadPrefix(t *testing.T) {
+	cons := chainConstraints(t, 4, 4)
+	su, err := Start(cons, -1, OrderMinBranches, nil, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := su.Checkpoint(su.Counters, 2, su.Frontier.Tasks)
+	if _, err := Start(cons, -1, OrderMinBranches, good, 2); err != nil {
+		t.Fatalf("the untampered checkpoint: %v", err)
+	}
+	x := su.proto.MissingTaxa()[0]
+	first := PathStep{Taxon: x, Edge: su.proto.Clone().AllowedBranches(x)[0]} // a step a run could have taken
+	for name, prefix := range map[string][]PathStep{
+		"edge out of range":   {{Taxon: first.Taxon, Edge: 99999}},
+		"negative edge":       {{Taxon: first.Taxon, Edge: -1}},
+		"taxon out of range":  {{Taxon: 99999, Edge: 0}},
+		"negative taxon":      {{Taxon: -1, Edge: 0}},
+		"taxon already there": {{Taxon: su.proto.Agile().LeafSet().Min(), Edge: 0}},
+		"taxon twice":         {first, first},
+		"inadmissible edge":   {{Taxon: first.Taxon, Edge: inadmissibleEdge(t, su.proto, first.Taxon)}},
+	} {
+		bad := *good
+		bad.Frontier = &Frontier{Prefix: prefix, Threads: 2, Tasks: good.Frontier.Tasks}
+		_, err := Start(cons, -1, OrderMinBranches, &bad, 2)
+		if err == nil || !strings.HasPrefix(err.Error(), "search: checkpoint prefix step") {
+			t.Errorf("%s: Start returned %v, want a prefix error", name, err)
+		}
+		// The serial path refuses a frontier checkpoint outright.
+		if _, err := Run(cons, Options{Checkpoint: CheckpointPolicy{Resume: &bad}}); !errors.Is(err, ErrVersion) {
+			t.Errorf("%s: serial Run returned %v, want ErrVersion", name, err)
+		}
+	}
+}
+
+// inadmissibleEdge returns an agile edge of the pristine state that taxon x
+// may not be inserted at.
+func inadmissibleEdge(t *testing.T, tr *terrace.Terrace, x int) int32 {
+	t.Helper()
+	allowed := tr.Clone().AllowedBranches(x)
+	for e := int32(0); e < int32(tr.Agile().NumEdges()); e++ {
+		if !slices.Contains(allowed, e) {
+			return e
+		}
+	}
+	t.Fatal("every edge is admissible")
+	return 0
 }
 
 // TestPolicy pins the paper's scheme constants and decisions in the one

@@ -2,10 +2,13 @@ package simsched
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
+	"gentrius/internal/gen"
 	"gentrius/internal/parallel"
 	"gentrius/internal/search"
+	"gentrius/internal/terrace"
 )
 
 // TestDriversAgree: the goroutine pool and the simulator drive one scheme
@@ -78,5 +81,42 @@ func TestDriversAgree(t *testing.T) {
 	}
 	if compared < 6 || resumed < 6 || stolen == 0 {
 		t.Fatalf("compared %d stands (%d resumed, %d steals): not enough to mean anything", compared, resumed, stolen)
+	}
+}
+
+// TestTerraceBuiltOncePerRun: the simulator's workers, like the pool's, are
+// clones of the one Terrace search.Start built, so a further virtual worker
+// costs a fraction of the allocations terrace.New makes — it cost a whole
+// terrace.New when every worker rebuilt its state from the constraints. The
+// simulator is single-threaded, so the counts repeat exactly.
+func TestTerraceBuiltOncePerRun(t *testing.T) {
+	cons := gen.Generate(gen.Default(gen.RegimeSimulated), 24).Constraints
+	mallocs := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	build := mallocs(func() {
+		if _, err := terrace.New(cons, search.ChooseInitialTree(cons)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// A tick limit of one keeps the enumeration out of the picture.
+	run := func(workers int) uint64 {
+		return mallocs(func() {
+			if _, err := Run(cons, Options{Workers: workers, InitialTree: -1,
+				Limits: Limits{MaxTrees: -1, MaxStates: -1, MaxTicks: 1}}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	one, nine := run(1), run(9)
+	perWorker := (nine - one) / 8
+	t.Logf("terrace.New %d mallocs; run with 1 worker %d, with 9 workers %d: %d per further worker", build, one, nine, perWorker)
+	if perWorker > build/2 {
+		t.Fatalf("a further worker costs %d allocations, terrace.New %d: workers are not cloning", perWorker, build)
 	}
 }

@@ -288,11 +288,7 @@ func Run(constraints []*tree.Tree, opt Options) (*Result, error) {
 	s := &sim{opt: opt, su: su, limits: opt.Limits.counting(), g: su.Counters,
 		tick: prefixLen, nextTask: int64(opt.Workers)}
 	for w := 0; w < opt.Workers; w++ {
-		tw, err := su.NewTerrace()
-		if err != nil {
-			return nil, fmt.Errorf("simsched: worker %d terrace: %w", w, err)
-		}
-		vw := &vworker{id: w, t: tw, mode: wIdle}
+		vw := &vworker{id: w, t: su.NewTerrace(), mode: wIdle}
 		vw.stats.Busy = prefixLen
 		vw.stats.Replay = prefixLen
 		// A fresh run hands share w to worker w directly as task w+1 (a

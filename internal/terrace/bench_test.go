@@ -115,8 +115,8 @@ func BenchmarkAppendAllowedBranches(b *testing.B) {
 	}
 }
 
-// BenchmarkTerraceInit measures per-worker startup (every pool worker
-// builds its own Terrace, so this bounds the parallel engine's spin-up).
+// BenchmarkTerraceInit measures building the state from the constraints,
+// which a run does once.
 func BenchmarkTerraceInit(b *testing.B) {
 	rng := rand.New(rand.NewSource(17))
 	_, cons := randomScenario(rng, 80, 10, 5, 0.6)
@@ -125,6 +125,24 @@ func BenchmarkTerraceInit(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := New(cons, 0); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkTerraceClone measures per-worker start-up: every pool worker's
+// private state is a clone of the run's one Terrace.
+func BenchmarkTerraceClone(b *testing.B) {
+	rng := rand.New(rand.NewSource(17))
+	_, cons := randomScenario(rng, 80, 10, 5, 0.6)
+	proto, err := New(cons, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if proto.Clone().Depth() != 0 {
+			b.Fatal("clone of a fresh state is not at depth 0")
 		}
 	}
 }

@@ -70,43 +70,42 @@ func (s *HeuristicStats) Add(o HeuristicStats) {
 // this Terrace since construction.
 func (tr *Terrace) HeuristicStats() HeuristicStats { return tr.hstats }
 
-// initIncremental builds the taxon→constraint index, the per-constraint
-// pending-taxon lists, and the pending-count cache. Called once by New,
-// after tr.missing is computed.
+// initIncremental builds the taxon→constraint index and its complement,
+// fills the per-constraint pending-taxon lists newShell carved, and sets up
+// the pending-count cache. Called once, by newShell, after tr.missing is
+// computed.
 func (tr *Terrace) initIncremental() {
-	n := tr.taxa.Len()
-	tr.byTaxon = make([][]int32, n)
-	for ci, cs := range tr.constraints {
-		cs.y.ForEach(func(y int) {
-			tr.byTaxon[y] = append(tr.byTaxon[y], int32(ci))
-		})
-		cs.pendIdx = make([]int32, n)
-		for i := range cs.pendIdx {
-			cs.pendIdx[i] = -1
-		}
+	n, nc := tr.taxa.Len(), len(tr.constraints)
+	// Both indices are filled constraint by constraint into per-taxon pieces
+	// of one slab each, sized by a counting pass.
+	in := make([]int, n) // constraints containing each taxon
+	total := 0
+	for _, cs := range tr.constraints {
+		cs.y.ForEach(func(y int) { in[y]++ })
+		total += cs.y.Count()
 	}
-	// Complement lists let the inherit paths of ExtendTaxon/RemoveTaxon walk
-	// exactly the constraints that need the +2/-2 patch, with no per-constraint
-	// membership test.
-	tr.notByTaxon = make([][]int32, n)
+	lists := make([][]int32, 2*n)
+	tr.byTaxon, tr.notByTaxon = lists[:n:n], lists[n:]
+	slab := make([]int32, n*nc)
+	inSlab, outSlab := slab[:total:total], slab[total:]
 	for x := 0; x < n; x++ {
-		in := tr.byTaxon[x]
-		k := 0
-		for ci := range tr.constraints {
-			if k < len(in) && in[k] == int32(ci) {
-				k++
-				continue
+		tr.byTaxon[x] = carve(&inSlab, 0, in[x])
+		tr.notByTaxon[x] = carve(&outSlab, 0, nc-in[x])
+	}
+	// The complement lists let the inherit paths of ExtendTaxon/RemoveTaxon
+	// walk exactly the constraints that need the +2/-2 patch, with no
+	// per-constraint membership test.
+	for ci, cs := range tr.constraints {
+		for x := 0; x < n; x++ {
+			if cs.y.Has(x) {
+				tr.byTaxon[x] = append(tr.byTaxon[x], int32(ci))
+			} else {
+				tr.notByTaxon[x] = append(tr.notByTaxon[x], int32(ci))
 			}
-			tr.notByTaxon[x] = append(tr.notByTaxon[x], int32(ci))
 		}
 	}
-	tr.pendCnt = make([]int32, n)
-	tr.pendOK = make([]bool, n)
-	tr.pendListed = make([]bool, n)
-	tr.cacheIdx = make([]int32, n)
-	for i := range tr.cacheIdx {
-		tr.cacheIdx[i] = -1
-	}
+	flags := make([]bool, 2*n)
+	tr.pendOK, tr.pendListed = flags[:n:n], flags[n:]
 	multi := 0
 	for _, x := range tr.missing {
 		if len(tr.byTaxon[x]) > 1 {

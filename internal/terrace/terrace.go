@@ -31,7 +31,7 @@ package terrace
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"strings"
 
 	"gentrius/internal/bitset"
 	"gentrius/internal/tree"
@@ -193,62 +193,26 @@ type undoFrame struct {
 }
 
 // New builds a Terrace from a set of constraint trees over a shared taxon
-// universe, using constraints[initialIdx] as the initial agile tree. Every
-// taxon in the universe must occur in at least one constraint tree, every
-// constraint tree must have at least 4 leaves, and the initial tree must
-// overlap every... (no such requirement: constraints sharing no taxa with
-// the current agile tree simply impose no restriction until they do).
+// universe, starting the agile tree as a copy of constraints[initialIdx].
+// Every taxon of the universe must occur in at least one constraint tree and
+// every constraint tree must have at least 4 leaves. A constraint sharing
+// fewer than two taxa with the agile tree imposes no restriction until
+// insertions make it share two. The constraint trees are kept by reference
+// and must not change afterwards. When the agile tree and a constraint tree
+// induce different subtrees on their common taxa the error wraps
+// ErrIncompatible.
+//
+// The cost is O(sum of the constraint tree sizes + constraints x agile tree
+// size), apart from the LCA index of each constraint tree and the zeroing of
+// the preimage lanes; see initConstraint.
 func New(constraints []*tree.Tree, initialIdx int) (*Terrace, error) {
-	if len(constraints) == 0 {
-		return nil, fmt.Errorf("terrace: no constraint trees")
+	tr, err := newShell(constraints, initialIdx)
+	if err != nil {
+		return nil, err
 	}
-	if initialIdx < 0 || initialIdx >= len(constraints) {
-		return nil, fmt.Errorf("terrace: initial index %d out of range", initialIdx)
-	}
-	taxa := constraints[0].Taxa()
-	covered := bitset.New(taxa.Len())
-	for k, c := range constraints {
-		if c.Taxa() != taxa {
-			return nil, fmt.Errorf("terrace: constraint %d uses a different taxon universe", k)
-		}
-		if c.LeafSet().Len() != taxa.Len() {
-			return nil, fmt.Errorf("terrace: constraint %d was built before the taxon universe was complete (%d of %d taxa known); re-parse it against the final universe",
-				k, c.LeafSet().Len(), taxa.Len())
-		}
-		if c.NumLeaves() < 4 {
-			return nil, fmt.Errorf("terrace: constraint %d has %d leaves (need >= 4)", k, c.NumLeaves())
-		}
-		covered.UnionWith(c.LeafSet())
-	}
-	if covered.Count() != taxa.Len() {
-		return nil, fmt.Errorf("terrace: %d taxa occur in no constraint tree", taxa.Len()-covered.Count())
-	}
-	tr := &Terrace{
-		taxa:       taxa,
-		agile:      constraints[initialIdx].Clone(),
-		initialIdx: initialIdx,
-	}
-	for _, c := range constraints {
-		cs := &constraintState{
-			t:      c,
-			ix:     tree.NewStaticIndex(c),
-			y:      c.LeafSet().Clone(),
-			s:      bitset.New(taxa.Len()),
-			target: make([]int32, taxa.Len()),
-			proj:   make([]int32, taxa.Len()),
-		}
-		for i := range cs.target {
-			cs.target[i] = NoCE
-			cs.proj[i] = tree.NoNode
-		}
-		tr.constraints = append(tr.constraints, cs)
-	}
-	miss := tr.agile.LeafSet().Clone()
-	miss.ComplementWithin()
-	tr.missing = miss.Elements()
-	tr.initIncremental()
+	sc := newInitScratch(tr.taxa.Len())
 	for _, cs := range tr.constraints {
-		if err := tr.initConstraint(cs); err != nil {
+		if err := tr.initConstraint(cs, sc); err != nil {
 			return nil, err
 		}
 	}
@@ -256,9 +220,130 @@ func New(constraints []*tree.Tree, initialIdx int) (*Terrace, error) {
 	return tr, nil
 }
 
+// newShell validates the input and allocates the whole state in a few
+// slabs, leaving the common edges, mappings and targets of every constraint
+// to be filled in. Every slice that grows with the agile tree gets its final
+// capacity here, so neither the initialiser nor the search reallocates one
+// (the undo logs alone still grow by doubling).
+func newShell(constraints []*tree.Tree, initialIdx int) (*Terrace, error) {
+	if len(constraints) == 0 {
+		return nil, fmt.Errorf("terrace: no constraint trees")
+	}
+	if initialIdx < 0 || initialIdx >= len(constraints) {
+		return nil, fmt.Errorf("terrace: initial index %d out of range", initialIdx)
+	}
+	taxa := constraints[0].Taxa()
+	n := taxa.Len()
+	covered := bitset.New(n)
+	for k, c := range constraints {
+		if c.Taxa() != taxa {
+			return nil, fmt.Errorf("terrace: constraint %d uses a different taxon universe", k)
+		}
+		if c.LeafSet().Len() != n {
+			return nil, fmt.Errorf("terrace: constraint %d was built before the taxon universe was complete (%d of %d taxa known); re-parse it against the final universe",
+				k, c.LeafSet().Len(), n)
+		}
+		if c.NumLeaves() < 4 {
+			return nil, fmt.Errorf("terrace: constraint %d has %d leaves (need >= 4)", k, c.NumLeaves())
+		}
+		covered.UnionWith(c.LeafSet())
+	}
+	if covered.Count() != n {
+		return nil, fmt.Errorf("terrace: %d taxa occur in no constraint tree", n-covered.Count())
+	}
+	tr := &Terrace{
+		taxa:       taxa,
+		agile:      constraints[initialIdx].Clone(),
+		initialIdx: initialIdx,
+	}
+	miss := tr.agile.LeafSet().Clone()
+	miss.ComplementWithin()
+	tr.missing = miss.Elements()
+
+	// Sizes: an agile tree on all n taxa has 2n-2 nodes and 2n-3 edges; the
+	// traversal scratch wants two spare node slots.
+	maxNodes, maxEdges := 2*n, 2*n
+	edges := tr.agile.NumEdges()
+	preW := (maxEdges + 63) >> 6
+	// shape returns how many common edges constraint c can ever hold (one
+	// lane and one count each) and how many of its taxa are pending.
+	shape := func(c *tree.Tree) (rows, pend int) {
+		return 2*c.NumLeaves() - 3, c.NumLeaves() - c.LeafSet().IntersectionCount(tr.agile.LeafSet())
+	}
+	n32, nRows := 6*maxNodes+2*n, 0 // scratch and rooted orientation; pendCnt, cacheIdx
+	for _, c := range constraints {
+		rows, pend := shape(c)
+		n32 += 3*n + 2*maxEdges + pend + rows // target, proj, pendIdx; m, dir; pending; cnt
+		nRows += rows
+	}
+	i32 := make([]int32, n32)
+	for i := range i32 {
+		i32[i] = -1 // NoCE, tree.NoNode and tree.NoEdge alike; the zero-based pieces are cleared below
+	}
+	ces := make([]cedge, nRows)
+	pre := make([]uint64, nRows*preW)
+	states := make([]constraintState, len(constraints))
+	tr.constraints = make([]*constraintState, len(constraints))
+	for i, c := range constraints {
+		rows, pend := shape(c)
+		cs := &states[i]
+		*cs = constraintState{
+			t:       c,
+			ix:      tree.NewStaticIndex(c),
+			y:       c.LeafSet(),
+			s:       bitset.New(n),
+			cedges:  carve(&ces, 0, rows),
+			cnt:     carve(&i32, 0, rows),
+			m:       carve(&i32, edges, maxEdges),
+			dir:     carve(&i32, edges, maxEdges),
+			target:  carve(&i32, n, n),
+			proj:    carve(&i32, n, n),
+			pending: carve(&i32, 0, pend),
+			pendIdx: carve(&i32, n, n),
+			pre:     carve(&pre, rows*preW, rows*preW),
+			preW:    int32(preW),
+		}
+		clear(cs.m)
+		tr.constraints[i] = cs
+	}
+	tr.mark = carve(&i32, maxNodes, maxNodes)
+	tr.mark2 = carve(&i32, maxNodes, maxNodes)
+	clear(tr.mark)
+	clear(tr.mark2)
+	tr.parentV = carve(&i32, maxNodes, maxNodes)
+	tr.parentE = carve(&i32, maxNodes, maxNodes)
+	tr.rootedV = carve(&i32, maxNodes, maxNodes)
+	tr.rootedE = carve(&i32, maxNodes, maxNodes)
+	tr.pendCnt = carve(&i32, n, n)
+	clear(tr.pendCnt)
+	tr.cacheIdx = carve(&i32, n, n)
+	tr.initIncremental()
+
+	// One undo frame per insertion the agile tree can still take, each with
+	// room for an entry per constraint of the best-covered missing taxon.
+	deg := 0
+	for _, x := range tr.missing {
+		deg = max(deg, len(tr.byTaxon[x]))
+	}
+	us := make([]cUndo, len(tr.missing)*deg)
+	tr.undo = make([]undoFrame, len(tr.missing))
+	for i := range tr.undo {
+		tr.undo[i].cs = carve(&us, 0, deg)
+	}
+	tr.undo = tr.undo[:0]
+	return tr, nil
+}
+
+// carve cuts the next piece of length n and capacity c off a slab. The
+// capacity bound keeps an append to one piece from running into the next.
+func carve[T any](slab *[]T, n, c int) []T {
+	p := (*slab)[:n:c]
+	*slab = (*slab)[c:]
+	return p
+}
+
 // initRooted orients the initial agile tree away from node 0 (the root).
 func (tr *Terrace) initRooted() {
-	tr.growScratch()
 	tr.rootedV[0], tr.rootedE[0] = tree.NoNode, tree.NoEdge
 	stack := append(tr.dfsBuf[:0], 0)
 	for len(stack) > 0 {
@@ -312,117 +397,243 @@ func (tr *Terrace) LastInserted() int {
 	return tr.undo[len(tr.undo)-1].taxon
 }
 
-// initConstraint builds S_i, the common edges with both anchor pairs, the
-// agile-side mapping and the pending-taxon targets, from scratch.
-func (tr *Terrace) initConstraint(cs *constraintState) error {
+// rnode is one vertex of a tree rooted at a leaf of S, as initConstraint
+// sees it. The vertices with sub > 0 form the Steiner tree of S; its
+// significant vertices — the root, the S-leaves and the vertices with two
+// kept children — cut it into chains, and every chain is one common edge.
+type rnode struct {
+	par, pe int32 // parent vertex and the edge to it (tree.NoNode, tree.NoEdge at the root)
+	sub     int32 // S-leaves at or below the vertex; 0 means pruned
+	kids    int32 // children with sub > 0
+
+	// anchor is, for a kept vertex, the significant vertex at the lower end
+	// of the chain holding pe, and for a pruned one the kept vertex its
+	// hanging subtree is attached to. Constraint side only.
+	anchor int32
+
+	// x is, for a kept vertex other than the root, the common edge id of the
+	// chain holding pe (constraint side) or the constraint-tree vertex
+	// matching that chain's lower end (agile side).
+	x int32
+}
+
+// significant reports whether a chain ends at the vertex.
+func (nd *rnode) significant() bool {
+	return nd.sub > 0 && (nd.kids != 1 || nd.par == tree.NoNode)
+}
+
+// initScratch is initConstraint's working storage, shared by all
+// constraints of one New.
+type initScratch struct {
+	t, a  []rnode // the constraint tree and the agile tree, rooted at the lowest S-taxon
+	order []int32 // breadth-first order of the tree rooted last
+}
+
+func newInitScratch(taxa int) *initScratch {
+	return &initScratch{t: make([]rnode, 2*taxa), a: make([]rnode, 2*taxa), order: make([]int32, 0, 2*taxa)}
+}
+
+// rootAt orients t away from the leaf root, counts the S-leaves below every
+// vertex and the kept children of every vertex, and leaves the vertices in
+// sc.order, parents before children.
+func (sc *initScratch) rootAt(t *tree.Tree, root int32, s *bitset.Set, nodes []rnode) {
+	nodes[root] = rnode{par: tree.NoNode, pe: tree.NoEdge, sub: 1, x: -1}
+	order := append(sc.order[:0], root)
+	for i := 0; i < len(order); i++ {
+		v := order[i]
+		adj, deg := t.Adjacency(v)
+		for k := 0; k < deg; k++ {
+			if e := adj[k]; e != nodes[v].pe {
+				u := t.Other(e, v)
+				nodes[u] = rnode{par: v, pe: e, x: -1}
+				order = append(order, u)
+			}
+		}
+	}
+	for i := len(order) - 1; i > 0; i-- {
+		v := order[i]
+		nd := &nodes[v]
+		if tx := t.NodeTaxon(v); tx >= 0 && s.Has(int(tx)) {
+			nd.sub = 1
+		}
+		if nd.sub > 0 {
+			nodes[nd.par].sub += nd.sub
+			nodes[nd.par].kids++
+		}
+	}
+	sc.order = order
+}
+
+// initConstraint fills in one constraint's half of the initial state: S_i,
+// the common edges with both anchor pairs, the agile-side mapping with its
+// anchor-path directions, counts and lanes, and the target and projection
+// of every pending taxon — in time linear in the two trees.
+//
+// Both trees are rooted at the leaf of the lowest S-taxon. A common edge is
+// a chain of the Steiner tree of S, named by its lower end. Constraint-side
+// chains are numbered in the order a walk over the significant vertices by
+// ascending id, each one's edges in adjacency order, first meets them, and
+// ta is the end they are met from: ExtendTaxon allocates later ids on top of
+// these, so the numbering is part of what Signature pins.
+//
+// An agile chain below significant vertex b matches the constraint chain
+// below the vertex whose cluster (S-leaves below it) equals b's. That vertex
+// can only be the lowest common ancestor of b's cluster, found bottom-up as
+// the median of the root and the two children's images, and it has the same
+// cluster exactly when it has the same number of S-leaves below it. If every
+// branching vertex of the agile side passes, every cluster of A|S is a
+// cluster of T_i|S, and two binary trees on the same leaves with the same
+// clusters are equal; if one fails, the trees differ.
+func (tr *Terrace) initConstraint(cs *constraintState, sc *initScratch) error {
 	cs.s.CopyFrom(tr.agile.LeafSet())
 	cs.s.IntersectWith(cs.y)
 	cs.sCount = cs.s.Count()
-	cs.cedges = cs.cedges[:0]
-	cs.cnt = cs.cnt[:0]
-	cs.preAlloc(tr.taxa.Len())
-	if cap(cs.m) < tr.agile.NumEdges() {
-		cs.m = make([]int32, tr.agile.NumEdges(), 2*tr.taxa.Len())
-		cs.dir = make([]int32, tr.agile.NumEdges(), 2*tr.taxa.Len())
-	} else {
-		cs.m = cs.m[:tr.agile.NumEdges()]
-		cs.dir = cs.dir[:tr.agile.NumEdges()]
-	}
-	for i := range cs.dir {
-		cs.dir[i] = tree.NoNode
-	}
 	if cs.sCount < 2 {
 		return nil
 	}
-	// Chain decomposition of the constraint tree w.r.t. S gives the common
-	// edges with t-anchors; the same decomposition of the agile tree gives
-	// a-anchors plus the full agile-side mapping. The two are matched by the
-	// S-split each chain induces.
-	tSplits, err := chainDecompose(cs.t, cs.s, func(id int, u, v int32) {
-		cs.cedges = append(cs.cedges, cedge{ta: u, tb: v, aa: tree.NoNode, ab: tree.NoNode})
-		cs.cnt = append(cs.cnt, 0)
-	})
-	if err != nil {
-		return err
-	}
-	aSplits, err := chainDecompose(tr.agile, cs.s, nil)
-	if err != nil {
-		return err
-	}
-	if len(aSplits.chains) != len(tSplits.chains) {
-		return fmt.Errorf("terrace: common subtree mismatch (%d vs %d chains): %w",
-			len(aSplits.chains), len(tSplits.chains), ErrIncompatible)
-	}
-	// Map each agile chain to the t-side common edge with the same split,
-	// orienting the agile anchors so that cedge.aa corresponds to the same
-	// common-subtree vertex as cedge.ta (splits incrementally maintained by
-	// ExtendTaxon rely on this correspondence).
-	bySplit := make(map[string]int32, len(tSplits.chains))
-	for id, ch := range tSplits.chains {
-		bySplit[ch.splitKey] = int32(id)
-	}
-	for _, ch := range aSplits.chains {
-		ce, ok := bySplit[ch.splitKey]
-		if !ok {
-			return fmt.Errorf("terrace: no matching split for a common-subtree edge: %w", ErrIncompatible)
+	s0 := cs.s.Min()
+
+	// Constraint side.
+	t, tn := cs.t, sc.t[:cs.t.NumNodes()]
+	tRoot := t.LeafNode(s0)
+	sc.rootAt(t, tRoot, cs.s, tn)
+	order := sc.order
+	for i := len(order) - 1; i > 0; i-- {
+		nd := &tn[order[i]]
+		if nd.sub == 0 {
+			continue
 		}
-		if ch.uSideKey == tSplits.chains[ce].uSideKey {
-			cs.cedges[ce].aa, cs.cedges[ce].ab = ch.u, ch.v
-		} else {
-			cs.cedges[ce].aa, cs.cedges[ce].ab = ch.v, ch.u
+		if nd.kids != 1 {
+			nd.anchor = order[i]
 		}
-		// The chain's path edges are exactly the anchor path of this common
-		// edge; orient dir toward the ab anchor.
-		cur := ch.u
-		for _, pe := range ch.path {
-			nxt := tr.agile.Other(pe, cur)
-			if cs.cedges[ce].aa == ch.u {
-				cs.dir[pe] = nxt
-			} else {
-				cs.dir[pe] = cur
+		if p := &tn[nd.par]; p.kids == 1 {
+			p.anchor = nd.anchor
+		}
+	}
+	for vi := range tn {
+		nd := &tn[vi]
+		if !nd.significant() {
+			continue
+		}
+		v := int32(vi)
+		adj, deg := t.Adjacency(v)
+		for k := 0; k < deg; k++ {
+			low := v // lower end of the chain through this edge
+			if e := adj[k]; e != nd.pe {
+				w := t.Other(e, v)
+				if tn[w].sub == 0 {
+					continue
+				}
+				low = tn[w].anchor
 			}
-			cur = nxt
+			if tn[low].x != NoCE {
+				continue // already met from its other end
+			}
+			id := int32(len(cs.cedges))
+			u := low
+			for {
+				tn[u].x = id
+				if u = tn[u].par; tn[u].significant() {
+					break
+				}
+			}
+			far := u
+			if low != v {
+				far = low
+			}
+			cs.cedges = append(cs.cedges, cedge{ta: v, tb: far, aa: tree.NoNode, ab: tree.NoNode})
+			cs.cnt = append(cs.cnt, 0)
 		}
 	}
-	// Agile-side mapping: every agile edge belongs to exactly one chain
-	// (path edges) or hangs off one (assigned during decomposition).
-	for e, chainID := range aSplits.edgeChain {
-		if chainID < 0 {
-			return fmt.Errorf("terrace: agile edge %d unassigned in chain decomposition", e)
+	// A pending taxon hangs off an interior vertex of exactly one chain: that
+	// chain is its target and that vertex its projection.
+	for _, v := range order[1:] {
+		if nd := &tn[v]; nd.sub == 0 {
+			if p := &tn[nd.par]; p.sub > 0 {
+				nd.anchor = nd.par
+			} else {
+				nd.anchor = p.anchor
+			}
 		}
-		ce, ok := bySplit[aSplits.chains[chainID].splitKey]
-		if !ok {
-			return fmt.Errorf("terrace: unmatched chain split")
-		}
-		cs.m[e] = ce
-		cs.cnt[ce]++
-		cs.preSet(ce, int32(e))
 	}
-	// Pending-taxon targets via strict-interior medians; the median itself is
-	// the taxon's cached projection (the split point its insertion would use).
-	pend := cs.y.Clone()
-	pend.SubtractWith(cs.s)
-	var terr error
-	pend.ForEach(func(yTaxon int) {
-		if terr != nil {
-			return
+	for _, y := range cs.pending {
+		at := tn[t.LeafNode(int(y))].anchor
+		cs.target[y] = tn[at].x
+		cs.proj[y] = at
+	}
+
+	// Agile side.
+	a, an := tr.agile, sc.a[:tr.agile.NumNodes()]
+	sc.rootAt(a, a.LeafNode(s0), cs.s, an)
+	order = sc.order
+	for i := len(order) - 1; i > 0; i-- {
+		v := order[i]
+		nd := &an[v]
+		if nd.sub == 0 {
+			continue
 		}
-		ce, med := tr.resolveTarget(cs, int32(yTaxon))
-		if ce == NoCE {
-			terr = fmt.Errorf("terrace: no target common edge for taxon %d", yTaxon)
-			return
+		switch nd.kids {
+		case 0:
+			nd.x = t.LeafNode(int(a.NodeTaxon(v)))
+		case 2:
+			if tn[nd.x].sub != nd.sub {
+				return fmt.Errorf("terrace: agile tree and constraint tree differ on their common taxa: %w", ErrIncompatible)
+			}
 		}
-		cs.target[yTaxon] = ce
-		cs.proj[yTaxon] = med
-	})
-	return terr
+		if p := &an[nd.par]; p.kids == 2 && p.x != tree.NoNode {
+			p.x = cs.ix.Median(tRoot, p.x, nd.x)
+		} else {
+			p.x = nd.x
+		}
+	}
+	for _, b := range order[1:] {
+		nd := &an[b]
+		if nd.sub == 0 || nd.kids == 1 {
+			continue
+		}
+		id := tn[nd.x].x
+		ce := &cs.cedges[id]
+		// aa must be the end matching ta (splitCommonEdge relies on it), and
+		// dir points to the ab-ward end of every path edge.
+		up := ce.ta == nd.x
+		v := b
+		for {
+			e := an[v].pe
+			cs.m[e] = id
+			if up {
+				cs.dir[e] = an[v].par
+			} else {
+				cs.dir[e] = v
+			}
+			if v = an[v].par; an[v].significant() {
+				break
+			}
+		}
+		if up {
+			ce.aa, ce.ab = b, v
+		} else {
+			ce.aa, ce.ab = v, b
+		}
+	}
+	// A pruned vertex's edge maps where the edge above it does.
+	for _, v := range order[1:] {
+		if nd := &an[v]; nd.sub == 0 {
+			cs.m[nd.pe] = cs.m[an[nd.par].pe]
+		}
+	}
+	for e, id := range cs.m {
+		cs.cnt[id]++
+		cs.preSet(id, int32(e))
+	}
+	return nil
 }
 
 // resolveTarget finds the common edge whose T_i-path strictly contains the
 // attachment point of pending taxon y — by scanning all common edges for the
 // unique strict-interior median — and returns both the edge and that median.
-// Used only at initialization and by CheckInvariants (O(|C| log n) per
-// pending taxon); incremental updates use local re-resolution instead.
+// O(|C|) per taxon: CheckInvariants re-derives targets with it; the
+// initialiser reads them off the chain decomposition and incremental updates
+// re-resolve locally.
 func (tr *Terrace) resolveTarget(cs *constraintState, yTaxon int32) (int32, int32) {
 	ly := cs.t.LeafNode(int(yTaxon))
 	for id := range cs.cedges {
@@ -435,213 +646,34 @@ func (tr *Terrace) resolveTarget(cs *constraintState, yTaxon int32) (int32, int3
 	return NoCE, tree.NoNode
 }
 
-// chainResult describes the chain decomposition of a tree w.r.t. a leaf
-// subset S: the significant vertices (Steiner-tree vertices of degree != 2)
-// and the chains (paths between consecutive significant vertices), each with
-// the normalized key of the S-split it induces.
-type chainResult struct {
-	chains    []chainInfo
-	edgeChain []int32 // edge id -> chain id (only filled when fillEdges)
-}
-
-type chainInfo struct {
-	u, v     int32
-	splitKey string  // normalized (orientation-free) key of the S-split
-	uSideKey string  // key of the S-taxa on u's side (orientation marker)
-	path     []int32 // the chain's path edges in walk order from u to v
-}
-
-// chainDecompose computes the chain decomposition. If onChain is non-nil it
-// is called once per chain in id order. The returned edgeChain assigns every
-// edge of t (path edges and hanging-subtree edges) to its chain.
-func chainDecompose(t *tree.Tree, s *bitset.Set, onChain func(id int, u, v int32)) (*chainResult, error) {
-	n := t.NumNodes()
-	res := &chainResult{edgeChain: make([]int32, t.NumEdges())}
-	for i := range res.edgeChain {
-		res.edgeChain[i] = -1
-	}
-	// Steiner degrees: prune leaves not in S iteratively.
-	deg := make([]int8, n)
-	removed := make([]bool, n)
-	var queue []int32
-	for vi := 0; vi < n; vi++ {
-		deg[vi] = int8(t.Degree(int32(vi)))
-		tx := t.NodeTaxon(int32(vi))
-		if deg[vi] <= 1 && (tx < 0 || !s.Has(int(tx))) {
-			queue = append(queue, int32(vi))
-		}
-	}
-	for len(queue) > 0 {
-		v := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		removed[v] = true
-		adj := t.IncidentEdges(v)
-		for i := 0; i < t.Degree(v); i++ {
-			u := t.Other(adj[i], v)
-			if removed[u] {
-				continue
-			}
-			deg[u]--
-			if deg[u] == 1 {
-				tx := t.NodeTaxon(u)
-				if tx < 0 || !s.Has(int(tx)) {
-					queue = append(queue, u)
-				}
-			}
-		}
-	}
-	// Walk chains from each significant vertex; create each chain once
-	// (from the endpoint with the smaller node id... both endpoints are
-	// significant; create from the one encountered first and dedupe with a
-	// per-edge check).
-	for vi := 0; vi < n; vi++ {
-		if removed[vi] || deg[vi] == 2 || deg[vi] == 0 {
-			continue
-		}
-		v := int32(vi)
-		adj := t.IncidentEdges(v)
-		for i := 0; i < t.Degree(v); i++ {
-			e := adj[i]
-			if res.edgeChain[e] >= 0 {
-				continue
-			}
-			u0 := t.Other(e, v)
-			if removed[u0] {
-				continue
-			}
-			// Walk to the far significant vertex, collecting path edges.
-			id := int32(len(res.chains))
-			cur, ce := v, e
-			pathEdges := []int32{e}
-			for {
-				nxt := t.Other(ce, cur)
-				if deg[nxt] != 2 {
-					cur = nxt
-					break
-				}
-				nadj := t.IncidentEdges(nxt)
-				for k := 0; k < t.Degree(nxt); k++ {
-					e2 := nadj[k]
-					if e2 != ce && !removed[t.Other(e2, nxt)] {
-						cur, ce = nxt, e2
-						pathEdges = append(pathEdges, e2)
-						break
-					}
-				}
-			}
-			far := cur
-			// Split key: S-taxa on v's side of the chain, normalized within S.
-			side := t.Split(pathEdges[0])
-			// Split returns taxa on pathEdges[0].a's side; orient to v's side.
-			a, _ := t.EdgeEndpoints(pathEdges[0])
-			if a != v {
-				side.ComplementWithin()
-			}
-			side.IntersectWith(s)
-			other := s.Clone()
-			other.SubtractWith(side)
-			uKey := side.Key()
-			key := uKey
-			if ok := other.Key(); ok < key {
-				key = ok
-			}
-			res.chains = append(res.chains, chainInfo{u: v, v: far, splitKey: key, uSideKey: uKey, path: pathEdges})
-			for _, pe := range pathEdges {
-				res.edgeChain[pe] = id
-			}
-			if onChain != nil {
-				onChain(int(id), v, far)
-			}
-		}
-	}
-	if len(res.chains) == 0 {
-		return nil, fmt.Errorf("terrace: chain decomposition found no chains")
-	}
-	// Assign hanging-subtree edges: DFS from every path vertex into removed
-	// or off-Steiner parts... Hanging edges connect a Steiner chain-interior
-	// vertex to pruned subtrees. Sweep all unassigned edges: each hanging
-	// subtree is reachable from exactly one assigned region; propagate by
-	// DFS from chain path vertices through unassigned edges.
-	for vi := 0; vi < n; vi++ {
-		if removed[vi] {
-			continue
-		}
-		v := int32(vi)
-		adj := t.IncidentEdges(v)
-		for i := 0; i < t.Degree(v); i++ {
-			e := adj[i]
-			if res.edgeChain[e] >= 0 {
-				continue
-			}
-			u := t.Other(e, v)
-			if !removed[u] {
-				continue
-			}
-			// v is on a chain (deg[v]==2 interior); find its chain id from
-			// one of its assigned incident edges.
-			var cid int32 = -1
-			for k := 0; k < t.Degree(v); k++ {
-				if res.edgeChain[adj[k]] >= 0 {
-					cid = res.edgeChain[adj[k]]
-					break
-				}
-			}
-			if cid < 0 {
-				return nil, fmt.Errorf("terrace: hanging subtree attached to vertex with no assigned edge")
-			}
-			// Assign the whole hanging subtree.
-			res.edgeChain[e] = cid
-			stack := []int32{u}
-			for len(stack) > 0 {
-				w := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				wadj := t.IncidentEdges(w)
-				for k := 0; k < t.Degree(w); k++ {
-					e2 := wadj[k]
-					if res.edgeChain[e2] >= 0 {
-						continue
-					}
-					res.edgeChain[e2] = cid
-					stack = append(stack, t.Other(e2, w))
-				}
-			}
-		}
-	}
-	return res, nil
-}
-
 // Signature returns a cheap structural digest of the full state, used by
 // tests to verify that remove(insert(state)) == state and that replaying a
 // path on a fresh Terrace reproduces the state exactly.
 func (tr *Terrace) Signature() string {
-	sig := tr.agile.Newick()
+	var sig strings.Builder
+	sig.WriteString(tr.agile.Newick())
+	edges := int32(tr.agile.NumEdges())
 	for ci, cs := range tr.constraints {
-		sig += fmt.Sprintf("|c%d:s%d:", ci, cs.sCount)
+		fmt.Fprintf(&sig, "|c%d:s%d:", ci, cs.sCount)
 		if cs.sCount >= 2 {
-			for e := int32(0); e < int32(tr.agile.NumEdges()); e++ {
-				sig += fmt.Sprintf("%d,", cs.m[e])
+			for e := int32(0); e < edges; e++ {
+				fmt.Fprintf(&sig, "%d,", cs.m[e])
 			}
-			sig += ":"
-			for e := int32(0); e < int32(tr.agile.NumEdges()); e++ {
+			sig.WriteByte(':')
+			for e := int32(0); e < edges; e++ {
 				if cs.dir[e] != tree.NoNode {
-					sig += fmt.Sprintf("p%d>%d,", e, cs.dir[e])
+					fmt.Fprintf(&sig, "p%d>%d,", e, cs.dir[e])
 				}
 			}
-			sig += ":"
+			sig.WriteByte(':')
 			for _, c := range cs.cnt {
-				sig += fmt.Sprintf("%d,", c)
+				fmt.Fprintf(&sig, "%d,", c)
 			}
-			sig += ":"
+			sig.WriteByte(':')
 			pend := cs.y.Clone()
 			pend.SubtractWith(cs.s)
-			pend.ForEach(func(y int) { sig += fmt.Sprintf("%d>%d,", y, cs.target[y]) })
+			pend.ForEach(func(y int) { fmt.Fprintf(&sig, "%d>%d,", y, cs.target[y]) })
 		}
 	}
-	return sig
-}
-
-// sortedEdges returns edge ids ascending (helper for deterministic output).
-func sortedEdges(es []int32) []int32 {
-	sort.Slice(es, func(i, j int) bool { return es[i] < es[j] })
-	return es
+	return sig.String()
 }

@@ -4,10 +4,11 @@ package terrace
 //
 // Per active constraint, pre is a packed, edge-indexed bitmap with one row
 // per common edge: bit ed of row ce is set iff agile edge ed is live and
-// cs.m[ed] == ce. Rows are lanes of preW words (sized for the maximum agile
-// tree), so the admissible set of a pending taxon x — the intersection over
-// its active constraints of the preimage of target_i(x) — is the AND of one
-// row per constraint, evaluated 64 edges per word operation. Bits come out
+// cs.m[ed] == ce. Rows are lanes of preW words (wide enough for every agile
+// edge id; a constraint on |Y_i| taxa has 2|Y_i|-3 of them, one per common
+// edge it can ever hold), so the admissible set of a pending taxon x — the
+// intersection over its active constraints of the preimage of target_i(x) —
+// is the AND of one row per constraint, evaluated 64 edges per word operation. Bits come out
 // in ascending edge-id order, which is exactly the deterministic order the
 // parallel engine's positional branch split relies on, with no sort.
 //
@@ -29,17 +30,6 @@ package terrace
 // is what makes the AND exact with no end-of-universe masking.
 
 import "fmt"
-
-// preAlloc sizes the lane storage: one row per possible common edge id
-// (at most 2n-3 live at once), each preW words wide (covering every possible
-// agile edge id). Allocated once; never grows.
-func (cs *constraintState) preAlloc(n int) {
-	if cs.pre != nil {
-		return
-	}
-	cs.preW = int32((2*n + 63) >> 6)
-	cs.pre = make([]uint64, int(cs.preW)*2*n)
-}
 
 // preRow returns common edge ce's lane.
 func (cs *constraintState) preRow(ce int32) []uint64 {
@@ -196,10 +186,11 @@ func (tr *Terrace) appendAllowedScalar(buf []int32, x int) []int32 {
 // updates that any query would apply). Used by CheckInvariants.
 func (tr *Terrace) checkPreimageLanes() error {
 	for ci, cs := range tr.constraints {
-		if cs.pre == nil {
-			continue
-		}
 		tr.syncRows(cs, int32(len(tr.undo)))
+		if rows, bound := len(cs.pre)/int(cs.preW), 2*cs.y.Count()-3; rows != bound || len(cs.cedges) > rows {
+			return fmt.Errorf("constraint %d: %d lanes for %d common edges, a constraint on %d taxa holds at most %d",
+				ci, rows, len(cs.cedges), cs.y.Count(), bound)
+		}
 		liveRows := int32(len(cs.cedges))
 		if cs.sCount < 2 {
 			liveRows = 1 // row 0 may be stale; everything beyond must be clear
