@@ -8,15 +8,22 @@ import (
 	"testing"
 )
 
-// TestDefaultPGOFresh guards the committed PGO profile: it must be a
-// readable gzipped pprof profile whose string table still names the current
-// hot path. If the kernel or engine entry points are renamed, the profile
-// stops matching and must be regenerated with scripts/pgo_profile.sh —
-// otherwise `go build` silently optimises for stale call sites.
+// TestDefaultPGOFresh guards the committed PGO profiles: the three main
+// packages that ship with one carry the same file (scripts/pgo_profile.sh
+// writes one profile to all of them), and it is a readable gzipped pprof
+// profile whose string table still names the current hot path. If the
+// kernel, the engine or the pool's loop are renamed, the profile stops
+// matching and must be regenerated with scripts/pgo_profile.sh — otherwise
+// `go build` silently optimises for stale call sites.
 func TestDefaultPGOFresh(t *testing.T) {
 	raw, err := os.ReadFile("default.pgo")
 	if err != nil {
 		t.Fatalf("default.pgo unreadable (regenerate with scripts/pgo_profile.sh): %v", err)
+	}
+	for _, other := range []string{"../gentriusd/default.pgo", "../benchreport/default.pgo"} {
+		if b, err := os.ReadFile(other); err != nil || !bytes.Equal(b, raw) {
+			t.Fatalf("%s differs from cmd/gentrius/default.pgo (%v): regenerate all three with scripts/pgo_profile.sh", other, err)
+		}
 	}
 	zr, err := gzip.NewReader(bytes.NewReader(raw))
 	if err != nil {
@@ -33,6 +40,9 @@ func TestDefaultPGOFresh(t *testing.T) {
 		"splitCommonEdge",
 		"AppendAllowedBranches",
 		"gentrius/internal/search.(*Engine).Step",
+		// The pool's loop reaches the engine through the shared worker.
+		"gentrius/internal/search.(*Worker).Tick",
+		"gentrius/internal/parallel.(*worker).execute",
 	} {
 		if !bytes.Contains(data, []byte(sym)) {
 			t.Fatalf("default.pgo lacks hot symbol %q — stale profile, regenerate with scripts/pgo_profile.sh", sym)

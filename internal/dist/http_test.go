@@ -2,9 +2,11 @@ package dist
 
 import (
 	"context"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -113,4 +115,33 @@ func TestHTTPWorkerKilled(t *testing.T) {
 		t.Fatal("no re-dispatch after the kill")
 	}
 	survivor.Shutdown()
+}
+
+// TestRPCBodyBounded: a fleet RPC body is read up to maxRPCBody and no
+// further — an endless one is refused as a bad request without the handler
+// running. (Every fleet RPC is served by the one serveJSON.)
+func TestRPCBodyBounded(t *testing.T) {
+	h := WorkerHandler(NewWorker(WorkerConfig{Name: "w", Threads: 1}))
+	// A JSON string that never ends: the decoder wants all of it.
+	body := io.MultiReader(strings.NewReader(`{"job_id":"`), &endless{limit: maxRPCBody + 1<<20})
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/shards", body))
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "too large") {
+		t.Fatalf("oversized body answered %d %q", rec.Code, rec.Body.String())
+	}
+}
+
+// endless yields up to limit bytes of 'a' and then fails the test's premise
+// by ending; the bounded reader must stop before that.
+type endless struct{ limit, read int }
+
+func (e *endless) Read(p []byte) (int, error) {
+	if e.read >= e.limit {
+		return 0, io.EOF
+	}
+	for i := range p {
+		p[i] = 'a'
+	}
+	e.read += len(p)
+	return len(p), nil
 }

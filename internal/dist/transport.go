@@ -139,15 +139,22 @@ func CoordinatorHandler(c *Coordinator) http.Handler {
 	return mux
 }
 
-// serveJSON decodes one JSON request, runs the handler, and encodes its
-// response. Fleet RPCs are POST-only.
+// maxRPCBody bounds the body of a fleet RPC, so that a peer cannot make this
+// process buffer an arbitrary amount: several times a dispatch carrying the
+// constraints and a frontier checkpoint of a few hundred taxa (a few MB).
+// Heartbeats and results also carry the shard's trees when the job collects
+// them; one with more than this is refused like any other malformed request.
+const maxRPCBody = 64 << 20
+
+// serveJSON decodes one JSON request of bounded size, runs the handler, and
+// encodes its response. Fleet RPCs are POST-only.
 func serveJSON[Req any](rw http.ResponseWriter, r *http.Request, handle func(*Req) any) {
 	if r.Method != http.MethodPost {
 		http.Error(rw, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
 	req := new(Req)
-	if err := json.NewDecoder(r.Body).Decode(req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(rw, r.Body, maxRPCBody)).Decode(req); err != nil {
 		http.Error(rw, fmt.Sprintf("bad request: %v", err), http.StatusBadRequest)
 		return
 	}

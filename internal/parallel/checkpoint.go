@@ -18,8 +18,8 @@ import (
 // loop goroutine) raises pause; workers observe it at their next engine
 // step (the same cadence as the stop flag) or in the steal wait (woken by
 // the same cond broadcast cancellation uses) and park. Workers executing a
-// task contribute their engine's frame stack to the round's frontier;
-// idle workers park empty-handed. When every live worker is parked the
+// task contribute what is left of it to the round's frontier; idle workers
+// park empty-handed. When every live worker is parked the
 // initiator owns a globally consistent cut: queue contents, flushed
 // counters and in-flight stacks together are exactly the outstanding work.
 type ckptCtl struct {
@@ -39,25 +39,15 @@ func newCkptCtl(workers int) *ckptCtl {
 	return c
 }
 
-// parkEngine is called by a worker from the engine step loop (after
-// flushing its local counters): it snapshots the in-flight engine and
-// blocks until the initiator releases the round.
-func (c *ckptCtl) parkEngine(eng *search.Engine, basePath []search.PathStep) {
-	c.park(&search.FrontierTask{
-		Path:   append([]search.PathStep(nil), basePath...),
-		Frames: eng.SnapshotFrames(nil),
-	})
-}
-
-// parkIdle is called by a worker from the steal wait: it has no in-flight
-// work, so it only joins the barrier.
-func (c *ckptCtl) parkIdle() { c.park(nil) }
-
-func (c *ckptCtl) park(t *search.FrontierTask) {
+// park joins the round's barrier and blocks until the initiator releases
+// it. A worker executing a task has flushed its counters and passes what is
+// left of the task (search.Worker.Snapshot); one parking from the steal wait,
+// or whose task has nothing left, passes no frames and only joins.
+func (c *ckptCtl) park(t search.FrontierTask) {
 	c.mu.Lock()
 	gen := c.gen
-	if t != nil {
-		c.tasks = append(c.tasks, *t)
+	if len(t.Frames) > 0 {
+		c.tasks = append(c.tasks, t)
 	}
 	c.parked++
 	c.cond.Broadcast()
@@ -137,24 +127,18 @@ func (c *ckptCtl) release() {
 	c.cond.Broadcast()
 }
 
-// collectStopTask records an interrupted task's snapshot for the
-// checkpoint-on-stop frontier. Called by workers as they drain on the stop
-// flag, and by the panic-recovery path when a requeue is refused because
-// the pool already stopped.
+// collectStopTask records what is left of an interrupted task for the
+// checkpoint-on-stop frontier, if the run takes one and anything is left.
+// Called by workers as they drain on the stop flag, and by the
+// panic-recovery path when a requeue is refused because the pool already
+// stopped.
 func (g *globals) collectStopTask(t search.FrontierTask) {
+	if !g.ckptOnStop || len(t.Frames) == 0 {
+		return
+	}
 	g.stopMu.Lock()
 	g.stopTasks = append(g.stopTasks, t)
 	g.stopMu.Unlock()
-}
-
-// takeStopTasks hands the collected interrupted-task snapshots to the
-// checkpoint assembly (after wg.Wait, so no further appends can race).
-func (g *globals) takeStopTasks() []search.FrontierTask {
-	g.stopMu.Lock()
-	defer g.stopMu.Unlock()
-	t := g.stopTasks
-	g.stopTasks = nil
-	return t
 }
 
 // drainTrees blocks until every stand tree counted by a flushed worker has

@@ -125,7 +125,7 @@ func TestObsDoesNotChangeResults(t *testing.T) {
 }
 
 // TestQueueStealZeroesHeadSlot pins the memory-leak fix: after a steal the
-// backing array's popped slot must not retain the task (its buffers return
+// backing array's vacated slot must not retain the task (its buffers return
 // to the pool once the stealing worker finishes).
 func TestQueueStealZeroesHeadSlot(t *testing.T) {
 	q := newQueue(4, 2, obs.NopSchedMetrics())

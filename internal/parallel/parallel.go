@@ -4,30 +4,18 @@
 // queue guarded by a mutex and condition variable (the Go equivalents of the
 // paper's OpenMP locks and std::condition_variable).
 //
-// The scheme itself — run set-up, task form, constants and the submit/flush
-// decisions — is stated once in package search (Start, FrontierTask,
-// Policy), shared with the virtual-time simulator and the fleet
-// coordinator; this package adds the goroutines, the queue, the quiesce
-// barrier and panic recovery. Execution proceeds exactly as in Sec. III of
-// the paper:
-//
-//  1. every worker gets its own Terrace — a clone of the one the run built
-//     from the input — and replays the deterministic prefix to the
-//     initial-split state I_0;
-//  2. the initial split's admissible branches are partitioned evenly across
-//     workers; extra workers start in the stealing pool;
-//  3. while exploring, a worker that pushes a branch-and-bound frame with
-//     two or more admissible branches — and has three or more remaining taxa
-//     and sees space in the queue — submits half of the branches as a task,
-//     together with the path from I_0 to its current state;
-//  4. an idle worker dequeues the task, replays the path onto its own agile
-//     tree, and resumes the search from the precomputed frame, skipping the
-//     getAllowedBranches call (Algorithm 1, line 2);
-//  5. global stand-tree / intermediate-state / dead-end counters are shared
-//     atomics, updated in batches (2^10 / 2^13 / 2^10 by default) to avoid
-//     contention; each flush re-evaluates the stopping rules and, when one
-//     fires, raises a stop flag that all workers poll — so, like the paper's
-//     implementation, the limits can be overshot slightly.
+// The scheme itself is stated once in package search, shared with the
+// virtual-time simulator and the fleet coordinator: the run set-up (Start),
+// the task form (FrontierTask), the constants and decisions (Policy) and the
+// per-thread protocol (Worker: private Terrace at I_0, replay a task's path,
+// explore, offer half of a fresh frame, batch the counters, rewind). This
+// package adds a goroutine per Worker, the queue the offers go through and
+// idle workers steal from, the quiesce barrier, panic recovery and the tree
+// stream. The global stand-tree / intermediate-state / dead-end counters are
+// shared atomics, updated once per published batch; each batch re-evaluates
+// the stopping rules and, when one fires, raises a stop flag that all
+// workers poll — so, like the paper's implementation, the limits can be
+// overshot slightly.
 package parallel
 
 import (
@@ -271,10 +259,13 @@ func (q *queue) steal() (*task, bool) {
 		}
 		if len(q.tasks) > 0 {
 			t := q.tasks[0]
-			// Zero the head slot: the popped task must not be retained by
-			// the backing array (it returns to the pool after execution).
-			q.tasks[0] = nil
-			q.tasks = q.tasks[1:]
+			// Close the gap in place — the queue is a few tasks long — so
+			// that the backing array is allocated once per run, not once
+			// per few steals, and zero the vacated slot: the popped task
+			// must not be retained (it returns to the pool after execution).
+			n := copy(q.tasks, q.tasks[1:])
+			q.tasks[n] = nil
+			q.tasks = q.tasks[:n]
 			q.m.QueueDepth.Set(int64(len(q.tasks)))
 			q.idle--
 			q.stolen++
@@ -296,7 +287,7 @@ func (q *queue) steal() (*task, bool) {
 			// (q.idle tracks workers that could consume a wake-up).
 			q.idle--
 			q.mu.Unlock()
-			q.ckpt.parkIdle()
+			q.ckpt.park(search.FrontierTask{})
 			q.mu.Lock()
 			q.idle++
 			continue
@@ -332,8 +323,15 @@ func (q *queue) shutdown() {
 	q.cond.Broadcast()
 }
 
-// globals holds the shared atomic counters and the stop flag.
+// globals is the state the workers of one run share: the set-up, the queue,
+// the atomic counters and the stop flag.
 type globals struct {
+	su     *search.Setup
+	q      *queue
+	opt    *Options
+	m      *obs.SchedMetrics // never nil (see queue.m)
+	treeCh chan string       // nil when nobody takes the trees
+
 	trees    atomic.Int64
 	states   atomic.Int64
 	dead     atomic.Int64
@@ -372,6 +370,16 @@ func (g *globals) fail(err error) {
 	}
 	g.failMu.Unlock()
 	g.raise(search.StopFailed)
+}
+
+// add accounts a batch of counters in the global totals and their metrics.
+func (g *globals) add(c search.Counters) {
+	g.trees.Add(c.StandTrees)
+	g.states.Add(c.IntermediateStates)
+	g.dead.Add(c.DeadEnds)
+	g.m.Trees.Add(c.StandTrees)
+	g.m.States.Add(c.IntermediateStates)
+	g.m.DeadEnds.Add(c.DeadEnds)
 }
 
 func (g *globals) snapshot() search.Counters {
@@ -427,9 +435,8 @@ func Run(constraints []*tree.Tree, opt Options) (*Result, error) {
 	m := opt.Obs.SchedMetrics()
 	m.EnsureWorkers(opt.Threads)
 	m.Workers.Set(int64(opt.Threads))
-	g := &globals{limits: opt.Limits, started: time.Now(),
-		rec: opt.Obs.Recorder(), est: opt.Obs.Estimator()}
-	g.ckptOnStop = ck.OnStop
+	g := &globals{opt: &opt, m: m, limits: opt.Limits, started: time.Now(),
+		rec: opt.Obs.Recorder(), est: opt.Obs.Estimator(), ckptOnStop: ck.OnStop}
 
 	// Shared set-up: initial tree, prefix walk (or the checkpoint's frontier
 	// view), and the outstanding work. What it already counted seeds the
@@ -443,13 +450,8 @@ func Run(constraints []*tree.Tree, opt Options) (*Result, error) {
 	res.PrefixLen = len(su.Frontier.Prefix)
 	res.Counters = su.Counters
 	res.Prefix = su.Counters
-	m.Trees.Add(su.Counters.StandTrees)
-	m.States.Add(su.Counters.IntermediateStates)
-	m.DeadEnds.Add(su.Counters.DeadEnds)
+	g.add(su.Counters)
 	addHeuristicStats(m, su.PrefixStats)
-	g.trees.Store(su.Counters.StandTrees)
-	g.states.Store(su.Counters.IntermediateStates)
-	g.dead.Store(su.Counters.DeadEnds)
 	g.est.AddCounters(su.Counters.StandTrees, su.Counters.IntermediateStates, su.Counters.DeadEnds)
 	g.est.AddLeafMass(su.LeafMass, su.Leaves)
 	if len(su.Frontier.Tasks) == 0 {
@@ -468,6 +470,7 @@ func Run(constraints []*tree.Tree, opt Options) (*Result, error) {
 	}
 
 	q := newQueue(opt.Policy.QueueCap, opt.Threads, m)
+	g.su, g.q = su, q
 	// Task ids 1..Threads are reserved for the initial-split shares (worker
 	// w's share is task w+1, parent 0); submissions continue the sequence.
 	g.nextTask.Store(int64(opt.Threads))
@@ -532,17 +535,16 @@ func Run(constraints []*tree.Tree, opt Options) (*Result, error) {
 	// Streaming: workers send each stand tree into a bounded channel; one
 	// collector goroutine drains it, invoking OnTree and/or appending to
 	// the merged result. No per-worker tree buffers exist.
-	var treeCh chan string
 	var collectDone chan struct{}
 	if opt.CollectTrees || opt.OnTree != nil {
 		if opt.TreeBuffer <= 0 {
 			opt.TreeBuffer = DefaultTreeBuffer
 		}
-		treeCh = make(chan string, opt.TreeBuffer)
+		g.treeCh = make(chan string, opt.TreeBuffer)
 		collectDone = make(chan struct{})
 		go func() {
 			defer close(collectDone)
-			for nw := range treeCh {
+			for nw := range g.treeCh {
 				opt.Fault.Stall(faultinject.TreeStream)
 				if opt.OnTree != nil {
 					opt.OnTree(nw)
@@ -603,7 +605,7 @@ func Run(constraints []*tree.Tree, opt Options) (*Result, error) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			runWorker(w, su, shares[w], q, g, opt, &perWorker[w], treeCh)
+			(&worker{globals: g, id: w, total: &perWorker[w]}).run(shares[w])
 		}(w)
 	}
 	wg.Wait()
@@ -616,8 +618,8 @@ func Run(constraints []*tree.Tree, opt Options) (*Result, error) {
 	if watcherDone != nil {
 		close(watcherDone)
 	}
-	if treeCh != nil {
-		close(treeCh)
+	if g.treeCh != nil {
+		close(g.treeCh)
 		<-collectDone
 	}
 
@@ -649,10 +651,10 @@ func Run(constraints []*tree.Tree, opt Options) (*Result, error) {
 		}
 	}
 	if ck.OnStop && res.Stop != search.StopExhausted && res.Stop != search.StopFailed {
-		// The pool has fully drained: the queue remnants plus the engine
-		// snapshots workers took as they hit the stop flag are exactly the
-		// outstanding work.
-		res.Checkpoint = checkpoint(res.Counters, g.takeStopTasks())
+		// The pool has fully drained (no worker is left to append): the queue
+		// remnants plus the snapshots workers took as they hit the stop flag
+		// are exactly the outstanding work.
+		res.Checkpoint = checkpoint(res.Counters, g.stopTasks)
 	}
 	m.QueueDepth.Set(0)
 	res.Elapsed = time.Since(g.started)
@@ -669,256 +671,184 @@ func addHeuristicStats(m *obs.SchedMetrics, hs terrace.HeuristicStats) {
 	m.HeuristicIncUpdates.Add(hs.IncUpdates)
 }
 
-// runWorker is the body of one pool worker.
-func runWorker(w int, su *search.Setup, share *task, q *queue, g *globals, opt Options,
-	total *search.Counters, treeCh chan<- string) {
+// worker is one pool worker: a search.Worker — the per-thread protocol,
+// Terrace and engine included — plus what the pool adds around it. It is the
+// search.Host that Worker reports to.
+type worker struct {
+	*globals
+	id    int
+	total *search.Counters // what this worker published (Result.PerWorker)
+	wk    *search.Worker
+	steps int
 
-	m := opt.Obs.SchedMetrics()
-	rec := opt.Obs.Recorder()
-	wm := m.Worker(w)
-	// A quiesce must never wait on a worker that already left the pool.
-	defer q.ckpt.exit()
+	// cur is the id of the task being executed — the parent stamped onto its
+	// submissions (lineage tracing).
+	cur int64
+	// dirty marks the current task attempt as having published externally
+	// visible progress — a counter flush, a streamed tree, or a submitted
+	// sub-task. A panic after that point must not requeue the task: the retry
+	// would re-count the flushed portion, re-emit the streamed trees, and
+	// re-explore halves another worker already owns.
+	dirty bool
+}
 
-	// This worker's private terrace at I_0. After a recovered panic, whose
-	// unwound stack can leave it in an arbitrary mid-mutation state, it is
-	// replaced by another clone of the run's never-mutated prototype — the
-	// one state repair that needs no trust in the wreckage.
-	t := su.NewTerrace()
-	baseDepth := t.Depth() // I_0
+// newWorker returns the search.Worker this pool worker drives: at start, and
+// again after a recovered panic, whose unwound stack can leave Terrace and
+// engine mid-mutation — the replacement is cloned from the run's pristine
+// prototype, the one repair that needs no trust in the wreckage.
+func (w *worker) newWorker() *search.Worker {
+	return w.su.NewWorker(w.opt.Policy, w, w.est, w.treeCh != nil)
+}
 
-	var local search.Counters // since last flush
-	// Estimator accumulation since the last flush: closed-leaf mass and
-	// count batch locally with the counters (same contention-avoidance as
-	// the paper's counter batching) and merge on every flush.
-	var estMass float64
-	var estLeaves int64
-	// curTask is the id of the task this worker is executing — the parent
-	// stamped onto its submissions (lineage tracing).
-	var curTask int64
-	// attemptDirty marks the current task attempt as having published
-	// externally visible progress — a counter flush, a streamed tree, or a
-	// submitted sub-task. A panic after that point must not requeue the
-	// task: the retry would re-count the flushed portion, re-emit the
-	// streamed trees, and re-explore halves another worker already owns.
-	var attemptDirty bool
-	flush := func() {
-		if local != (search.Counters{}) {
-			attemptDirty = true
-			if local.StandTrees != 0 {
-				g.trees.Add(local.StandTrees)
-			}
-			if local.IntermediateStates != 0 {
-				g.states.Add(local.IntermediateStates)
-			}
-			if local.DeadEnds != 0 {
-				g.dead.Add(local.DeadEnds)
-			}
-			g.est.AddLeafMass(estMass, estLeaves)
-			g.est.AddCounters(local.StandTrees, local.IntermediateStates, local.DeadEnds)
-			estMass, estLeaves = 0, 0
-			g.flushes.Add(1)
-			m.Trees.Add(local.StandTrees)
-			m.States.Add(local.IntermediateStates)
-			m.DeadEnds.Add(local.DeadEnds)
-			m.FlushTrees.Observe(float64(local.StandTrees))
-			m.FlushStates.Observe(float64(local.IntermediateStates))
-			m.FlushDeadEnds.Observe(float64(local.DeadEnds))
-			wm.Trees.Add(local.StandTrees)
-			wm.States.Add(local.IntermediateStates)
-			wm.DeadEnds.Add(local.DeadEnds)
-			rec.Emit(obs.EvFlush, w,
-				obs.F("trees", local.StandTrees),
-				obs.F("states", local.IntermediateStates),
-				obs.F("dead", local.DeadEnds))
-			total.Add(local)
-			local = search.Counters{}
-		}
-		g.checkLimits()
-		if g.stop.Load() {
-			q.shutdown()
-		}
+// Offer builds a task from the last n branches of f in recycled storage and
+// submits it if the queue has room.
+func (w *worker) Offer(path []search.PathStep, f *search.Frame, n int) int {
+	tk := taskPool.Get().(*task)
+	tk.Path = append(tk.Path[:0], path...)
+	tk.branches = append(tk.branches[:0], f.Branches[len(f.Branches)-n:]...)
+	tk.Frames = append(tk.Frames[:0], search.FrameSnapshot{
+		Taxon: f.Taxon, Branches: tk.branches, Weight: f.BranchWeight()})
+	id := w.nextTask.Add(1)
+	tk.id, tk.parent = id, w.cur
+	// A successful submit transfers tk's ownership to the queue: a stealer
+	// may finish and recycle it at any moment, so nothing below may touch tk.
+	if !w.q.trySubmit(tk) {
+		recycleTask(tk)
+		return 0
 	}
+	w.dirty = true
+	w.rec.Emit(obs.EvTaskSubmit, w.id, obs.F("task", id), obs.F("parent", w.cur),
+		obs.F("taxon", int64(f.Taxon)),
+		obs.F("branches", int64(n)), obs.F("path", int64(len(path))))
+	return n
+}
 
-	var basePath []search.PathStep // path of the current task from I_0
-
-	runEngine := func(eng *search.Engine) {
-		eng.Heuristic = su.Heuristic
-		var prev search.Counters
-		if g.est != nil {
-			eng.OnLeaf = func(wt float64) { estMass += wt; estLeaves++ }
-		}
-		eng.OnFramePushed = func(f *search.Frame) int {
-			n := opt.Policy.Submit(eng.RemainingTaxa(), len(f.Branches))
-			if n == 0 {
-				return 0
-			}
-			tk := taskPool.Get().(*task)
-			tk.Path = eng.Path(append(tk.Path[:0], basePath...))
-			tk.branches = append(tk.branches[:0], f.Branches[len(f.Branches)-n:]...)
-			tk.Frames = append(tk.Frames[:0], search.FrameSnapshot{
-				Taxon: f.Taxon, Branches: tk.branches, Weight: f.BranchWeight()})
-			tk.id = g.nextTask.Add(1)
-			tk.parent = curTask
-			pathLen := int64(len(tk.Path))
-			id, parent := tk.id, tk.parent
-			// A successful submit transfers tk's ownership to the queue: a
-			// stealer may finish and recycle it at any moment, so nothing
-			// below may touch tk.
-			if !q.trySubmit(tk) {
-				recycleTask(tk)
-				return 0
-			}
-			attemptDirty = true
-			rec.Emit(obs.EvTaskSubmit, w, obs.F("task", id), obs.F("parent", parent),
-				obs.F("taxon", int64(f.Taxon)),
-				obs.F("branches", int64(n)), obs.F("path", pathLen))
-			return n
-		}
-		if treeCh != nil {
-			eng.OnTree = func(nw string) {
-				// The tree is externally visible the moment it is sent, so
-				// mark the attempt before the send: a panic anywhere after
-				// must not requeue-and-duplicate it. The sent counter lets a
-				// checkpoint wait for the collector to catch up (drainTrees).
-				attemptDirty = true
-				g.treesSent.Add(1)
-				treeCh <- nw
-			}
-		}
-		steps := 0
-		stopped := false
-		for {
-			if ck := q.ckpt; ck != nil && ck.pause.Load() {
-				// Quiesce: publish the local counters, snapshot this
-				// engine's frame stack into the round's frontier, and park
-				// until the initiator releases the pool.
-				flush()
-				ck.parkEngine(eng, basePath)
-				if g.stop.Load() {
-					stopped = true
-					break
-				}
-			}
-			opt.Fault.MaybePanic(faultinject.EngineStep)
-			if eng.Step() == search.EvDone {
-				break
-			}
-			c := eng.Counters()
-			local.StandTrees += c.StandTrees - prev.StandTrees
-			local.IntermediateStates += c.IntermediateStates - prev.IntermediateStates
-			local.DeadEnds += c.DeadEnds - prev.DeadEnds
-			prev = c
-			if opt.Policy.FlushDue(local) {
-				flush()
-			}
-			steps++
-			if steps&1023 == 0 {
-				g.checkLimits()
-			}
-			if g.stop.Load() {
-				stopped = true
-				break
-			}
-		}
-		flush()
-		if stopped && g.ckptOnStop {
-			// Interrupted mid-task by the stop flag: this engine's stack is
-			// outstanding work for the checkpoint-on-stop frontier.
-			g.collectStopTask(search.FrontierTask{
-				Path:   append([]search.PathStep(nil), basePath...),
-				Frames: eng.SnapshotFrames(nil),
-			})
-		}
-		// Rewind to the engine's base state (mid-flight stop leaves
-		// insertions applied).
-		for t.Depth() > baseDepth+len(basePath) {
-			t.RemoveTaxon()
-		}
+// Publish adds a counter batch to the global totals, re-evaluates the
+// stopping rules and, when one fired, wakes the pool.
+func (w *worker) Publish(c search.Counters) {
+	m, wm := w.m, w.m.Worker(w.id)
+	w.dirty = true
+	w.add(c)
+	w.flushes.Add(1)
+	m.FlushTrees.Observe(float64(c.StandTrees))
+	m.FlushStates.Observe(float64(c.IntermediateStates))
+	m.FlushDeadEnds.Observe(float64(c.DeadEnds))
+	wm.Trees.Add(c.StandTrees)
+	wm.States.Add(c.IntermediateStates)
+	wm.DeadEnds.Add(c.DeadEnds)
+	w.rec.Emit(obs.EvFlush, w.id,
+		obs.F("trees", c.StandTrees),
+		obs.F("states", c.IntermediateStates),
+		obs.F("dead", c.DeadEnds))
+	w.total.Add(c)
+	w.checkLimits()
+	if w.stop.Load() {
+		w.q.shutdown()
 	}
+}
 
-	// executeTask runs one task — replay its path from I_0, enumerate its
-	// frame stack, rewind — under a recover() barrier. The task's path and
-	// frames are never mutated by execution, so a panic before the attempt
-	// publishes any progress (no counter flush, no streamed tree, no
-	// submitted sub-task) requeues the task verbatim for any worker: the
-	// attempt's unflushed local counters are dropped (they reached neither
-	// the globals nor the per-worker total, so conservation stays exact)
-	// and this worker's terrace is replaced by a fresh clone, since the
-	// unwound stack may have left it mid-mutation. A panic after visible
-	// progress — or once a task's retries exceed the budget — fails the run
-	// with a *WorkerPanicError: re-executing a dirty attempt would re-count
-	// the flushed portion and duplicate streamed trees. Returns true when
-	// the caller still owns the task (normal completion); false when
-	// recovery took it over.
-	executeTask := func(tk *task) (ok bool) {
-		attemptDirty = false
-		curTask = tk.id
-		rec.Emit(obs.EvTaskStart, w, obs.F("task", tk.id), obs.F("parent", tk.parent),
-			obs.F("taxon", int64(tk.root().Taxon)), obs.F("branches", int64(len(tk.root().Branches))),
-			obs.F("path", int64(len(tk.Path))))
-		defer func() { curTask = 0 }()
-		defer func() {
-			r := recover()
-			if r == nil {
+// Tree streams a stand tree to the collector. The tree is externally visible
+// the moment it is sent, so the attempt is marked before the send: a panic
+// anywhere after must not requeue-and-duplicate it. The sent counter lets a
+// checkpoint wait for the collector to catch up (drainTrees).
+func (w *worker) Tree(nw string) {
+	w.dirty = true
+	w.treesSent.Add(1)
+	w.treeCh <- nw
+}
+
+// execute runs one task to its end, or to the stop flag, under a recover()
+// barrier. Execution never mutates the task, so a panic before the attempt
+// publishes any progress (see dirty) requeues it verbatim for any worker: the
+// unflushed batch goes with the discarded search.Worker (it reached neither
+// the globals nor the per-worker total, so conservation stays exact). A
+// panic after visible progress — or once the task's retries exceed the
+// budget — fails the run with a *WorkerPanicError. Returns true when the
+// caller still owns the task; false when recovery took it over.
+func (w *worker) execute(tk *task) (ok bool) {
+	q, rec := w.q, w.rec
+	w.dirty = false
+	w.cur = tk.id
+	rec.Emit(obs.EvTaskStart, w.id, obs.F("task", tk.id), obs.F("parent", tk.parent),
+		obs.F("taxon", int64(tk.root().Taxon)), obs.F("branches", int64(len(tk.root().Branches))),
+		obs.F("path", int64(len(tk.Path))))
+	defer func() {
+		r := recover()
+		if r == nil {
+			return
+		}
+		stack := debug.Stack()
+		w.m.WorkerPanics.Inc()
+		rec.Emit(obs.EvPanic, w.id, obs.F("task", tk.id), obs.F("taxon", int64(tk.root().Taxon)),
+			obs.F("attempt", int64(tk.retries+1)))
+		rec.Emit(obs.EvTaskEnd, w.id, obs.F("task", tk.id), obs.F("panic", 1))
+		addHeuristicStats(w.m, w.wk.HeuristicStats())
+		w.wk = w.newWorker()
+		tk.retries++
+		if !w.dirty && w.opt.MaxTaskRetries >= 0 && tk.retries <= w.opt.MaxTaskRetries {
+			// A successful requeue hands tk to the queue: a stealer may
+			// finish and recycle it at once, so read it first.
+			taxon, attempt := int64(tk.root().Taxon), int64(tk.retries)
+			if q.requeue(tk) {
+				rec.Emit(obs.EvRequeue, w.id, obs.F("taxon", taxon), obs.F("attempt", attempt))
 				return
 			}
-			stack := debug.Stack()
-			m.WorkerPanics.Inc()
-			rec.Emit(obs.EvPanic, w, obs.F("task", tk.id), obs.F("taxon", int64(tk.root().Taxon)),
-				obs.F("attempt", int64(tk.retries+1)))
-			rec.Emit(obs.EvTaskEnd, w, obs.F("task", tk.id), obs.F("panic", 1))
-			dirty := attemptDirty
-			local = search.Counters{}
-			estMass, estLeaves = 0, 0
-			basePath = nil
-			addHeuristicStats(m, t.HeuristicStats())
-			t = su.NewTerrace()
-			tk.retries++
-			if !dirty && opt.MaxTaskRetries >= 0 && tk.retries <= opt.MaxTaskRetries {
-				// A successful requeue hands tk to the queue: a stealer may
-				// finish and recycle it at once, so read it first.
-				taxon, attempt := int64(tk.root().Taxon), int64(tk.retries)
-				if q.requeue(tk) {
-					rec.Emit(obs.EvRequeue, w, obs.F("taxon", taxon), obs.F("attempt", attempt))
-					return
-				}
-				// The pool already terminated (a stopping rule,
-				// cancellation, or another worker's fatal error): the
-				// retry is moot — but the task is still outstanding work,
-				// so a checkpoint-on-stop frontier must include it.
-				if g.ckptOnStop {
-					g.collectStopTask(tk.Clone())
-				}
-				recycleTask(tk)
-				return
-			}
-			g.fail(&WorkerPanicError{Worker: w, Value: r, Stack: stack, Attempts: tk.retries, Dirty: dirty})
-			q.shutdown()
-		}()
-		opt.Fault.MaybePanic(faultinject.TaskExec)
-		basePath = tk.Path
-		for _, s := range tk.Path {
-			t.ExtendTaxon(s.Taxon, s.Edge)
+			// The pool already terminated (a stopping rule, cancellation, or
+			// another worker's fatal error): the retry is moot — but the task
+			// is still outstanding work, so a checkpoint-on-stop frontier
+			// must include it.
+			w.collectStopTask(tk.Clone())
+			recycleTask(tk)
+			return
 		}
-		eng, err := search.NewTaskEngine(t, tk.Frames)
-		if err != nil {
-			// A corrupt stack is rejected before it touches the terrace.
-			for range tk.Path {
-				t.RemoveTaxon()
-			}
-			basePath = nil
-			g.fail(fmt.Errorf("parallel: worker %d restoring frontier task: %w", w, err))
-			q.shutdown()
-			return true
-		}
-		runEngine(eng)
-		for range tk.Path {
-			t.RemoveTaxon()
-		}
-		basePath = nil
-		rec.Emit(obs.EvTaskEnd, w, obs.F("task", tk.id))
+		w.fail(&WorkerPanicError{Worker: w.id, Value: r, Stack: stack, Attempts: tk.retries, Dirty: w.dirty})
+		q.shutdown()
+	}()
+	w.opt.Fault.MaybePanic(faultinject.TaskExec)
+	if err := w.wk.Begin(tk.FrontierTask); err != nil {
+		w.fail(err)
+		q.shutdown()
 		return true
 	}
+	for ph := search.Replay; ; {
+		if ck := q.ckpt; ck != nil && ck.pause.Load() {
+			// Quiesce: publish the batch, hand what is left of this task to
+			// the round's frontier, and park until the initiator releases
+			// the pool.
+			w.wk.Flush()
+			ck.park(w.wk.Snapshot())
+			if w.stop.Load() {
+				break
+			}
+		}
+		if ph == search.Explore {
+			w.opt.Fault.MaybePanic(faultinject.EngineStep)
+		}
+		if ph, _ = w.wk.Tick(); ph == search.Idle {
+			break
+		}
+		if w.steps++; w.steps&1023 == 0 {
+			w.checkLimits()
+		}
+		if w.stop.Load() {
+			break
+		}
+	}
+	// Interrupted by the stop flag, the worker is not ticked again: what is
+	// left of the task is outstanding work for the checkpoint-on-stop
+	// frontier.
+	w.wk.Flush()
+	w.collectStopTask(w.wk.Snapshot())
+	rec.Emit(obs.EvTaskEnd, w.id, obs.F("task", tk.id))
+	return true
+}
+
+// run is the body of one pool worker.
+func (w *worker) run(share *task) {
+	q, rec := w.q, w.rec
+	// A quiesce must never wait on a worker that already left the pool.
+	defer q.ckpt.exit()
+	w.wk = w.newWorker()
 
 	// Phase 1: the initial-split share, a task like any other (empty path,
 	// frame = the initial split) so a panic here flows through the same
@@ -927,39 +857,36 @@ func runWorker(w int, su *search.Setup, share *task, q *queue, g *globals, opt O
 	if share != nil {
 		nShare = len(share.root().Branches)
 	}
-	rec.Emit(obs.EvWorkerStart, w, obs.F("branches", int64(nShare)))
+	rec.Emit(obs.EvWorkerStart, w.id, obs.F("branches", int64(nShare)))
 	if share != nil {
-		if g.stop.Load() {
+		if w.stop.Load() {
 			// Stopped before this share ever started: it is still
 			// outstanding work, so the checkpoint frontier must carry it.
-			if g.ckptOnStop {
-				g.collectStopTask(share.Clone())
-			}
-		} else if executeTask(share) {
+			w.collectStopTask(share.Clone())
+		} else if w.execute(share) {
 			recycleTask(share)
 		}
 	}
 
 	// Phase 2: stealing pool.
-	for !g.stop.Load() {
-		rec.Emit(obs.EvWorkerIdle, w)
+	for !w.stop.Load() {
+		rec.Emit(obs.EvWorkerIdle, w.id)
 		tk, ok := q.steal()
 		if !ok {
 			break
 		}
-		wm.Stolen.Inc()
-		rec.Emit(obs.EvSteal, w, obs.F("task", tk.id),
+		w.m.Worker(w.id).Stolen.Inc()
+		rec.Emit(obs.EvSteal, w.id, obs.F("task", tk.id),
 			obs.F("taxon", int64(tk.root().Taxon)),
 			obs.F("branches", int64(len(tk.root().Branches))),
 			obs.F("path", int64(len(tk.Path))))
-		if executeTask(tk) {
+		if w.execute(tk) {
 			recycleTask(tk)
 		}
 	}
-	if g.stop.Load() {
+	if w.stop.Load() {
 		q.shutdown()
 	}
-	flush()
-	addHeuristicStats(m, t.HeuristicStats())
-	rec.Emit(obs.EvWorkerExit, w)
+	addHeuristicStats(w.m, w.wk.HeuristicStats())
+	rec.Emit(obs.EvWorkerExit, w.id)
 }

@@ -97,8 +97,8 @@ func fingerprint(constraints []*tree.Tree) string {
 func Fingerprint(constraints []*tree.Tree) string { return fingerprint(constraints) }
 
 // Snapshot captures a serial engine's current state as a version-1
-// checkpoint. It must not be called on a NewTaskEngine engine: worker task
-// engines are snapshotted through the frontier path (SnapshotFrames).
+// checkpoint. A Worker's engine is snapshotted through the frontier path
+// instead (Worker.Snapshot).
 func (e *Engine) Snapshot(constraints []*tree.Tree, initialIndex int) *Checkpoint {
 	return &Checkpoint{
 		Version:      checkpointVersion,
@@ -155,6 +155,12 @@ func (cp *Checkpoint) Validate(constraints []*tree.Tree) error {
 	return nil
 }
 
+// unstarted reports a serial snapshot taken before the engine's first step:
+// nothing is counted and no frame exists yet, so all of the run is ahead.
+func (cp *Checkpoint) unstarted() bool {
+	return cp.Frontier == nil && !cp.Started && !cp.Done && len(cp.Frames) == 0
+}
+
 // Restore rebuilds a serial engine from a version-1 checkpoint and the
 // original input. Version-2 (frontier) checkpoints resume through the
 // parallel engine instead — at any thread count, including one.
@@ -178,10 +184,11 @@ func Restore(cp *Checkpoint, constraints []*tree.Tree) (*Engine, error) {
 	e := NewEngine(t)
 	e.Heuristic = cp.Heuristic
 	e.counters = cp.Counters
-	for _, ft := range fr.Tasks {
-		if err := e.restore(ft.Frames); err != nil {
+	for _, ft := range fr.Tasks { // none, or the one stack
+		if err := e.Reset(ft.Frames); err != nil {
 			return nil, err
 		}
+		e.replayInserted()
 	}
 	e.done = cp.Done
 	e.started = cp.Started
@@ -249,14 +256,8 @@ func validateTaskFrames(frames []FrameSnapshot, needWeight bool) error {
 // branch share, estimator weight — into its frontier form: a single
 // uninserted frame at index 0.
 func NewSeedTask(path []PathStep, taxon int, branches []int32, weight float64) FrontierTask {
-	return FrontierTask{
-		Path: append([]PathStep(nil), path...),
-		Frames: []FrameSnapshot{{
-			Taxon:    taxon,
-			Branches: append([]int32(nil), branches...),
-			Weight:   weight,
-		}},
-	}
+	seed := FrontierTask{Path: path, Frames: []FrameSnapshot{{Taxon: taxon, Branches: branches, Weight: weight}}}
+	return seed.Clone()
 }
 
 // Clone returns a deep copy sharing no storage with t — what a driver puts

@@ -69,8 +69,8 @@ type Frame struct {
 
 	// buf is the engine-owned backing storage for Branches, recycled when
 	// the stack slot is reused so the steady-state step loop allocates
-	// nothing. It stays nil for restored frames (NewTaskEngine, Restore),
-	// whose Branches alias the task or checkpoint and are only ever read.
+	// nothing. A restored frame (Reset) does not use it: its Branches alias
+	// the task or checkpoint and are only ever read.
 	buf []int32
 }
 
@@ -78,10 +78,6 @@ type Frame struct {
 // branch's whole subtree contributes to the estimator's fraction-complete
 // sum. Steal callbacks stamp stolen tasks with it.
 func (f *Frame) BranchWeight() float64 { return f.weight }
-
-// Remaining returns the branches not yet tried (including the current one if
-// the taxon is inserted).
-func (f *Frame) Remaining() int { return len(f.Branches) - f.idx }
 
 // OrderHeuristic selects how the next taxon to insert is chosen. The paper
 // uses OrderMinBranches ("dynamic taxon insertion"); the alternatives
@@ -147,17 +143,12 @@ type Engine struct {
 	// allocation, the string itself; with OnTree nil nothing is rendered.
 	OnTree func(newick string)
 
-	// OnEvent, if set, is called once per Step with the event it produced
-	// (observability hook; the disabled path costs one branch per step).
-	// EvDone is reported exactly once, on the Step that exhausts the space.
-	OnEvent func(Event)
-
 	// OnLeaf, if set, receives the random-descent probability of every leaf
 	// the engine closes — a found stand tree or a dead end — feeding the
 	// weighted backtrack estimator (see obs.Estimator). The weights summed
 	// over an exhaustive run of this engine's space total the engine's share
-	// of the global search space (1.0 for a NewEngine, the task's Mass for a
-	// task engine).
+	// of the global search space (1.0 for a NewEngine, the task's Mass after
+	// a Reset).
 	OnLeaf func(weight float64)
 
 	baseDepth int // terrace depth at engine start (task replay offset)
@@ -174,41 +165,57 @@ func NewEngine(t *terrace.Terrace) *Engine {
 	return &Engine{T: t, DynamicOrder: true, baseDepth: t.Depth()}
 }
 
-// NewTaskEngine returns an engine that explores exactly the given frame
-// stack (a FrontierTask's Frames) below the terrace's current state, which
-// must be the task's base state — how a worker starts any task, stolen,
-// initial or resumed. A freshly submitted task is one uninserted frame, so
-// the engine skips the getAllowedBranches call (paper: "skips line 2 in
-// Algorithm 1"); a resumed in-flight task is a deeper stack whose inserted
-// frames are replayed onto the terrace without recounting (the insertions
-// were tallied before the snapshot). Every frame keeps its stored estimator
-// weight, which cannot be re-derived because stealing may have shrunk the
-// branch lists after the weights were fixed. The frames' branch arrays are
-// aliased read-only, so the task stays re-executable verbatim.
-func NewTaskEngine(t *terrace.Terrace, frames []FrameSnapshot) (*Engine, error) {
-	e := &Engine{T: t, DynamicOrder: true, baseDepth: t.Depth(), started: true}
-	if err := e.restore(frames); err != nil {
-		return nil, err
-	}
-	e.done = len(e.frames) == 0
-	return e, nil
-}
-
-// restore loads a serialized frame stack into the engine, replaying the
-// inserted frames onto the terrace. The stack is validated first, so a
-// corrupt one is rejected before any terrace mutation.
-func (e *Engine) restore(frames []FrameSnapshot) error {
+// Reset re-aims the engine at a frame stack (a FrontierTask's Frames) — how a
+// Worker starts every task on its one engine. A freshly submitted task is
+// one uninserted frame, so the engine skips the getAllowedBranches call
+// (paper: "skips line 2 in Algorithm 1"); a resumed in-flight task is a
+// deeper stack. Frames keep their stored estimator weights, which cannot be
+// re-derived once stealing has shrunk the branch lists. The branch arrays
+// are aliased read-only, so the task stays re-executable verbatim, and
+// nothing of the previous stack stays referenced; the slots' branch buffers,
+// the degree table and the Newick scratch are kept, so a reused engine
+// allocates nothing per task. A corrupt stack is refused and changes
+// nothing. The Terrace is not touched: the caller brings it to the stack's
+// base state and calls replayInserted before the next Step.
+func (e *Engine) Reset(frames []FrameSnapshot) error {
 	if err := validateTaskFrames(frames, false); err != nil {
 		return fmt.Errorf("search: %w", err)
 	}
-	for _, fs := range frames {
-		if fs.Inserted {
-			e.T.ExtendTaxon(fs.Taxon, fs.Branches[fs.Idx-1])
-		}
-		e.frames = append(e.frames, Frame{Taxon: fs.Taxon, Branches: fs.Branches,
-			idx: fs.Idx, inserted: fs.Inserted, weight: fs.Weight})
+	e.frames = e.frames[:cap(e.frames)]
+	for i := range e.frames {
+		e.frames[i].Branches = nil
 	}
+	e.frames = e.frames[:0]
+	for _, fs := range frames {
+		f := e.pushSlot()
+		f.Taxon, f.Branches, f.idx, f.inserted, f.weight = fs.Taxon, fs.Branches, fs.Idx, fs.Inserted, fs.Weight
+	}
+	e.started, e.done = true, len(frames) == 0
 	return nil
+}
+
+// replayInserted applies the stack's inserted frames to the terrace, which
+// must be at the stack's base state, without recounting them (the insertions
+// were tallied before the snapshot).
+func (e *Engine) replayInserted() {
+	e.baseDepth = e.T.Depth()
+	for i := range e.frames {
+		if f := &e.frames[i]; f.inserted {
+			e.T.ExtendTaxon(f.Taxon, f.Branches[f.idx-1])
+		}
+	}
+}
+
+// pushSlot extends the stack by one frame, reusing the slot (and with it the
+// branch buffer) a popped frame left behind when there is one.
+func (e *Engine) pushSlot() *Frame {
+	n := len(e.frames)
+	if cap(e.frames) > n {
+		e.frames = e.frames[:n+1]
+	} else {
+		e.frames = append(e.frames, Frame{})
+	}
+	return &e.frames[n]
 }
 
 // SnapshotFrames appends the engine's current frame stack (with estimator
@@ -260,11 +267,7 @@ func (e *Engine) Step() Event {
 	if e.done {
 		return EvDone
 	}
-	ev := e.step()
-	if e.OnEvent != nil {
-		e.OnEvent(ev)
-	}
-	return ev
+	return e.step()
 }
 
 func (e *Engine) step() Event {
@@ -330,12 +333,7 @@ func (e *Engine) step() Event {
 func (e *Engine) pushFrame() bool {
 	taxon := e.nextTaxon()
 	n := len(e.frames)
-	if cap(e.frames) > n {
-		e.frames = e.frames[:n+1]
-	} else {
-		e.frames = append(e.frames, Frame{})
-	}
-	f := &e.frames[n]
+	f := e.pushSlot()
 	f.buf = e.T.AppendAllowedBranches(f.buf[:0], taxon)
 	f.Taxon, f.Branches, f.idx, f.inserted = taxon, f.buf, 0, false
 	// Per-branch weight from the parent's (1 at the root): fixed before the

@@ -68,12 +68,20 @@ type Setup struct {
 // its prefix path step by step, since every worker will replay it — and
 // views it as a frontier — a version-1 serial snapshot becomes one task — so
 // any snapshot resumes onto any driver and width; initialTree, h and n are
-// then ignored. Either way terrace.New runs once, here.
+// then ignored. Its tasks are validated the same way, since workers replay
+// those as blindly. A serial snapshot taken before the first step has no
+// frontier form: it resumes as a fresh run on the checkpoint's initial tree
+// and heuristic. Either way terrace.New runs once, here.
 func Start(constraints []*tree.Tree, initialTree int, h OrderHeuristic, resume *Checkpoint, n int) (*Setup, error) {
 	if resume != nil {
 		if err := resume.Validate(constraints); err != nil {
 			return nil, err
 		}
+		if resume.unstarted() {
+			initialTree, h, resume = resume.InitialIndex, resume.Heuristic, nil
+		}
+	}
+	if resume != nil {
 		fr, err := resume.FrontierView()
 		if err != nil {
 			return nil, err
@@ -98,8 +106,17 @@ func Start(constraints []*tree.Tree, initialTree int, h OrderHeuristic, resume *
 		if s.proto, err = terrace.New(constraints, s.InitialIndex); err != nil {
 			return nil, fmt.Errorf("search: resuming: %w", err)
 		}
-		if err := checkPrefix(s.proto.Clone(), fr.Prefix); err != nil {
-			return nil, err
+		t := s.proto.Clone()
+		if err := walk(t, fr.Prefix, nil); err != nil {
+			return nil, fmt.Errorf("search: checkpoint prefix %w", err)
+		}
+		for i, ft := range s.Frontier.Tasks {
+			if err := walk(t, ft.Path, ft.Frames); err != nil {
+				return nil, fmt.Errorf("search: checkpoint task %d %w", i, err)
+			}
+			for t.Depth() > len(fr.Prefix) {
+				t.RemoveTaxon()
+			}
 		}
 		return s, nil
 	}
@@ -153,21 +170,39 @@ func resolveInitial(constraints []*tree.Tree, idx int) (int, error) {
 	return idx, nil
 }
 
-// checkPrefix replays a checkpoint's prefix path on t, refusing the first
-// step that does not insert a still-pending taxon at one of its admissible
-// branches: ExtendTaxon trusts its caller and would index out of range or
-// corrupt the mappings instead.
-func checkPrefix(t *terrace.Terrace, prefix []PathStep) error {
-	var allowed []int32
-	for i, st := range prefix {
-		if st.Taxon < 0 || st.Taxon >= t.Taxa().Len() || t.Agile().HasTaxon(st.Taxon) {
-			return fmt.Errorf("search: checkpoint prefix step %d: taxon %d is not pending", i, st.Taxon)
+// walk extends t the way a worker will extend its Terrace for a checkpoint's
+// path and frame stack — along the path, then through the frames from the
+// bottom, each inserted frame by the branch it was at — refusing the first
+// insertion a run could not have made: a taxon that is not still pending or
+// an edge that is not among its admissible branches there. (ExtendTaxon
+// trusts its caller and would index out of range or corrupt the mappings
+// instead.) The frames' index ranges were validated with the frontier view.
+func walk(t *terrace.Terrace, path []PathStep, frames []FrameSnapshot) error {
+	check := func(taxon int, edges ...int32) error {
+		if taxon < 0 || taxon >= t.Taxa().Len() || t.Agile().HasTaxon(taxon) {
+			return fmt.Errorf("taxon %d is not pending", taxon)
 		}
-		allowed = t.AppendAllowedBranches(allowed[:0], st.Taxon)
-		if !slices.Contains(allowed, st.Edge) {
-			return fmt.Errorf("search: checkpoint prefix step %d: edge %d is not admissible for taxon %d", i, st.Edge, st.Taxon)
+		allowed := t.AllowedBranches(taxon)
+		for _, e := range edges {
+			if !slices.Contains(allowed, e) {
+				return fmt.Errorf("edge %d is not admissible for taxon %d", e, taxon)
+			}
+		}
+		return nil
+	}
+	for i, st := range path {
+		if err := check(st.Taxon, st.Edge); err != nil {
+			return fmt.Errorf("step %d: %w", i, err)
 		}
 		t.ExtendTaxon(st.Taxon, st.Edge)
+	}
+	for i, f := range frames {
+		if err := check(f.Taxon, f.Branches...); err != nil {
+			return fmt.Errorf("frame %d: %w", i, err)
+		}
+		if f.Inserted {
+			t.ExtendTaxon(f.Taxon, f.Branches[f.Idx-1])
+		}
 	}
 	return nil
 }

@@ -104,7 +104,7 @@ func TestStart(t *testing.T) {
 		if tr.Signature() != built.Signature() || tr.HeuristicStats() != built.HeuristicStats() {
 			t.Fatalf("n=%d: NewTerrace differs from terrace.New + prefix replay", n)
 		}
-		if _, err := NewTaskEngine(tr, su.Frontier.Tasks[0].Frames); err != nil {
+		if err := NewEngine(tr).Reset(su.Frontier.Tasks[0].Frames); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -219,5 +219,108 @@ func TestPolicy(t *testing.T) {
 		if got := def.FlushDue(tc.local); got != tc.due {
 			t.Fatalf("FlushDue(%+v) = %v", tc.local, got)
 		}
+	}
+}
+
+// TestStartRefusesBadTasks: a fingerprint-valid checkpoint whose tasks name
+// an insertion a run could not have made — in a path, in the branches still
+// to try, under an inserted frame — is an error from Start, before any
+// worker replays it.
+func TestStartRefusesBadTasks(t *testing.T) {
+	cons := midStand(t, 1818)
+	su, _ := wholeStand(t, cons)
+	// A frontier as a stopped one-worker pool leaves it: the interrupted
+	// stack, and queued hand-offs with paths of their own.
+	h := &fakeHost{take: 1}
+	w := su.NewWorker(Policy{}.Normalize(1), h, nil, false)
+	if err := w.Begin(su.Frontier.Tasks[0]); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 30 || len(h.queue) == 0; i++ {
+		w.Tick()
+	}
+	w.Flush()
+	tasks := append([]FrontierTask{w.Snapshot()}, h.queue...)
+	counters := su.Counters
+	counters.Add(h.total)
+	good := su.Checkpoint(counters, 1, tasks)
+	if _, err := Start(cons, -1, OrderMinBranches, good, 2); err != nil {
+		t.Fatalf("the untampered checkpoint: %v", err)
+	}
+	stack, queued := 0, len(tasks)-1
+	top := len(tasks[stack].Frames) - 1
+	if top < 1 || !tasks[stack].Frames[top-1].Inserted || len(tasks[queued].Path) == 0 {
+		t.Fatalf("sample frontier too shallow: %+v", tasks)
+	}
+	// An edge of the tree that is not admissible for taxon x once path and
+	// the inserted frames of stack are in place.
+	foreign := func(path []PathStep, frames []FrameSnapshot, x int) int32 {
+		tr := su.NewTerrace()
+		for _, st := range path {
+			tr.ExtendTaxon(st.Taxon, st.Edge)
+		}
+		for _, f := range frames {
+			tr.ExtendTaxon(f.Taxon, f.Branches[f.Idx-1])
+		}
+		return inadmissibleEdge(t, tr, x)
+	}
+	qt := tasks[queued]
+	for name, tamper := range map[string]func(ts []FrontierTask){
+		"path edge not admissible": func(ts []FrontierTask) {
+			ts[queued].Path[0].Edge = foreign(nil, nil, qt.Path[0].Taxon)
+		},
+		"path edge out of range":  func(ts []FrontierTask) { ts[queued].Path[0].Edge = 99999 },
+		"path taxon not pending":  func(ts []FrontierTask) { ts[queued].Path[0].Taxon = su.proto.Agile().LeafSet().Min() },
+		"path taxon out of range": func(ts []FrontierTask) { ts[queued].Path[0].Taxon = 99999 },
+		"path taxon twice": func(ts []FrontierTask) {
+			ts[queued].Path = append(ts[queued].Path, ts[queued].Path[0])
+		},
+		"frame taxon already in the path": func(ts []FrontierTask) { ts[queued].Frames[0].Taxon = qt.Path[0].Taxon },
+		"foreign branch in an uninserted frame": func(ts []FrontierTask) {
+			f := &ts[queued].Frames[0]
+			f.Branches[len(f.Branches)-1] = foreign(qt.Path, nil, f.Taxon)
+		},
+		"foreign branch under an inserted frame": func(ts []FrontierTask) {
+			f := &ts[stack].Frames[top-1]
+			f.Branches[f.Idx-1] = foreign(nil, ts[stack].Frames[:top-1], f.Taxon)
+		},
+	} {
+		bad := *good
+		bad.Frontier = &Frontier{Prefix: good.Frontier.Prefix, Threads: 1}
+		for i := range tasks {
+			bad.Frontier.Tasks = append(bad.Frontier.Tasks, tasks[i].Clone())
+		}
+		tamper(bad.Frontier.Tasks)
+		_, err := Start(cons, -1, OrderMinBranches, &bad, 2)
+		if err == nil || !strings.HasPrefix(err.Error(), "search: checkpoint task ") {
+			t.Errorf("%s: Start returned %v, want a task error", name, err)
+		}
+	}
+}
+
+// TestStartUnstartedSerialCheckpoint: a version-1 snapshot taken before the
+// engine's first step has no frames and nothing counted. It is not a
+// finished run: Start sets up the whole run, on the checkpoint's initial
+// tree and heuristic.
+func TestStartUnstartedSerialCheckpoint(t *testing.T) {
+	cons := chainConstraints(t, 4, 4)
+	tr, err := terrace.New(cons, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := NewEngine(tr)
+	e.Heuristic = OrderMinBranchesTieDegree
+	cp := e.Snapshot(cons, 1)
+	su, err := Start(cons, -1, OrderMinBranches, cp, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := Start(cons, 1, OrderMinBranchesTieDegree, nil, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if su.Resumed || su.InitialIndex != 1 || su.Heuristic != OrderMinBranchesTieDegree ||
+		len(su.Frontier.Tasks) != len(fresh.Frontier.Tasks) || len(su.Frontier.Tasks) == 0 || su.Counters != fresh.Counters {
+		t.Fatalf("set-up from an unstarted snapshot %+v, fresh %+v", su, fresh)
 	}
 }

@@ -1,0 +1,167 @@
+package search
+
+import (
+	"gentrius/internal/obs"
+	"gentrius/internal/terrace"
+)
+
+// Phase is what a Worker is doing with its current task.
+type Phase int8
+
+// Worker phases, in the order a task passes through them.
+const (
+	Idle    Phase = iota // no task; the Terrace is at I_0
+	Replay               // re-inserting the task's path from I_0
+	Explore              // stepping the engine through the task's frames
+	Rewind               // removing the path again
+)
+
+// Host is the driver's side of the per-thread protocol: the three places a
+// Worker touches state it shares with other workers, none of them on the
+// per-step path. The goroutine pool and the simulator each implement it.
+type Host interface {
+	// Offer is called when the worker pushed frame f at the end of path (from
+	// I_0) and the policy lets it hand off the last n of f's branches as a
+	// task. It returns how many, counted from the end of f.Branches, the
+	// host queued (0: no room), copying what it keeps of path and f.
+	Offer(path []PathStep, f *Frame, n int) int
+	// Publish receives a batch of the worker's counters, never empty.
+	Publish(c Counters)
+	// Tree receives a stand tree's canonical Newick.
+	Tree(newick string)
+}
+
+// Worker is the paper's per-thread protocol (Sec. III-A/B), written once for
+// every driver: a private Terrace at I_0 and one engine reused for every
+// task. A task is begun, then ticked through replaying its path, exploring
+// its frames — offering half of each fresh frame, batching the counters —
+// and rewinding to I_0. The driver owns the queue, the clock and the stop
+// flag. A Worker whose Tick panicked is discarded whole, Terrace included.
+type Worker struct {
+	t      *terrace.Terrace
+	eng    *Engine // its counters are the unflushed batch, zeroed by Flush
+	policy Policy
+	host   Host
+	est    *obs.Estimator
+
+	task  FrontierTask // the driver's storage, only read
+	phase Phase
+	pos   int // Replay: path steps applied so far
+	base  int // the Terrace's depth at I_0
+
+	mass   float64 // estimator mass and leaves closed since the last flush
+	leaves int64
+	path   []PathStep // scratch: the path of the frame on offer
+}
+
+// NewWorker returns an idle worker on a private Terrace at I_0 (NewTerrace)
+// running policy p against host h. Closed-leaf mass is batched into est with
+// the counters (nil: none); trees are rendered for h.Tree only if trees.
+func (s *Setup) NewWorker(p Policy, h Host, est *obs.Estimator, trees bool) *Worker {
+	t := s.NewTerrace()
+	w := &Worker{t: t, eng: NewEngine(t), policy: p, host: h, est: est, base: t.Depth()}
+	w.eng.Heuristic = s.Heuristic
+	w.eng.OnFramePushed = w.offer
+	if trees {
+		w.eng.OnTree = h.Tree
+	}
+	if est != nil {
+		w.eng.OnLeaf = func(wt float64) { w.mass += wt; w.leaves++ }
+	}
+	return w
+}
+
+// offer is the hand-off rule: what the policy shares of a fresh frame is
+// offered to the host with the path it hangs off.
+func (w *Worker) offer(f *Frame) int {
+	n := w.policy.Submit(w.eng.RemainingTaxa(), len(f.Branches))
+	if n == 0 {
+		return 0
+	}
+	w.path = w.eng.Path(append(w.path[:0], w.task.Path...))
+	return w.host.Offer(w.path, f, n)
+}
+
+// Begin makes t the idle worker's task, aliasing its storage read-only
+// until a Tick reports Idle. A corrupt frame stack is refused with the
+// worker still idle and the Terrace untouched.
+func (w *Worker) Begin(t FrontierTask) error {
+	if w.phase != Idle {
+		panic("search: Begin on a worker that has a task")
+	}
+	if err := w.eng.Reset(t.Frames); err != nil {
+		return err
+	}
+	w.task, w.phase, w.pos = t, Replay, 0
+	return nil
+}
+
+// Tick advances the task by at most one costed unit — one replayed path
+// step, one engine step, one rewound step: the simulator's clock tick and
+// the body of the pool's loop — and reports the unit's phase and true. When
+// the phase has nothing left it enters the next instead, at no cost, and
+// reports that one and false; Idle means the task is finished. The counter
+// batch is flushed when the policy says it is full and when the frames are
+// exhausted: a worker about to wait must not sit on unpublished counts.
+func (w *Worker) Tick() (Phase, bool) {
+	switch w.phase {
+	case Replay:
+		if w.pos < len(w.task.Path) {
+			st := w.task.Path[w.pos]
+			w.pos++
+			w.t.ExtendTaxon(st.Taxon, st.Edge)
+			return Replay, true
+		}
+		w.eng.replayInserted()
+		w.phase = Explore
+	case Explore:
+		if w.eng.Step() != EvDone {
+			if w.policy.FlushDue(w.eng.counters) {
+				w.Flush()
+			}
+			return Explore, true
+		}
+		w.Flush()
+		w.phase = Rewind
+	case Rewind:
+		if w.t.Depth() > w.base {
+			w.t.RemoveTaxon()
+			return Rewind, true
+		}
+		w.task, w.phase = FrontierTask{}, Idle
+	}
+	return w.phase, false
+}
+
+// Flush publishes the unflushed batch, if any. Drivers call it before a
+// Snapshot and when they stop ticking a task half-way.
+func (w *Worker) Flush() {
+	c := w.eng.counters
+	if c == (Counters{}) {
+		return
+	}
+	w.est.AddLeafMass(w.mass, w.leaves)
+	w.est.AddCounters(c.StandTrees, c.IntermediateStates, c.DeadEnds)
+	w.eng.counters, w.mass, w.leaves = Counters{}, 0, 0
+	w.host.Publish(c)
+}
+
+// Snapshot returns what is left of the current task, sharing no storage with
+// it: the whole task while its path is being replayed, the engine's stack
+// under the same path while exploring, no frames otherwise. Call it between
+// Ticks, after a Flush, so that counters and snapshot describe one cut.
+func (w *Worker) Snapshot() FrontierTask {
+	switch w.phase {
+	case Replay:
+		return w.task.Clone()
+	case Explore:
+		return FrontierTask{
+			Path:   append([]PathStep(nil), w.task.Path...),
+			Frames: w.eng.SnapshotFrames(nil),
+		}
+	}
+	return FrontierTask{}
+}
+
+// HeuristicStats is the heuristic-layer accounting of the worker's Terrace.
+func (w *Worker) HeuristicStats() terrace.HeuristicStats { return w.t.HeuristicStats() }

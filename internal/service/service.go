@@ -1067,6 +1067,12 @@ func (m *Manager) runJob(job *Job) {
 		return
 	}
 	job.mu.Lock()
+	if terminal(job.state) {
+		// Cancel finished it between the check above and here: marking it
+		// running again would finish it, and close its done channel, twice.
+		job.mu.Unlock()
+		return
+	}
 	job.state = StateRunning
 	job.started = time.Now()
 	job.queueWait = job.started.Sub(job.created)

@@ -1,30 +1,46 @@
 package simsched
 
 import (
+	"bytes"
+	"errors"
+	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 
 	"gentrius/internal/gen"
+	"gentrius/internal/obs"
 	"gentrius/internal/parallel"
 	"gentrius/internal/search"
 	"gentrius/internal/terrace"
+	"gentrius/internal/tree"
 )
 
-// TestDriversAgree: the goroutine pool and the simulator drive one scheme
-// (search.Start, search.Policy, search.FrontierTask), so at one worker —
-// where the pool is deterministic too — they must do exactly the same work
-// and hand off exactly the same tasks, fresh and when both resume the same
-// mid-run frontier checkpoint. The speedup figures are simulator outputs;
-// this is what makes them claims about the real engine.
-//
-// One divergence is known and kept: the pool flushes its counter batch at
-// the end of every task (a worker about to block in the steal wait must not
-// sit on unpublished counts), the simulator only when a batch fills and at
-// the very end. So the pool flushes at least as often, and under a stopping
-// rule the two notice the limit at different moments. Reconciling them
-// changes the simulator's golden traces; whoever does it should do it
-// knowingly — this assertion is the tripwire.
+// submitted returns the tasks a traced run handed off, in order: taxon,
+// branch share and path length of each.
+func submitted(t *testing.T, trace *bytes.Buffer) []string {
+	t.Helper()
+	events, err := obs.ReadTrace(trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	for _, e := range events {
+		if e.Ev == obs.EvTaskSubmit {
+			out = append(out, fmt.Sprint(e.Get("taxon"), e.Get("branches"), e.Get("path")))
+		}
+	}
+	return out
+}
+
+// TestDriversAgree: the goroutine pool and the simulator drive one
+// search.Worker each, so at one worker — where the pool is deterministic too
+// — they do exactly the same work, publish it in the same number of batches
+// and hand off exactly the same tasks in the same order, fresh and when both
+// resume the same mid-run frontier checkpoint. The speedup figures are
+// simulator outputs; this is what makes them claims about the real engine.
 func TestDriversAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(1313))
 	noLimits := Limits{MaxTrees: -1, MaxStates: -1}
@@ -54,13 +70,15 @@ func TestDriversAgree(t *testing.T) {
 			} else if half.Checkpoint == nil {
 				t.Fatalf("scenario %d: state limit %d did not interrupt the run", scen, ref.IntermediateStates/2)
 			}
-			sim, err := Run(cons, Options{Workers: 1, InitialTree: -1, Limits: noLimits, Resume: cp})
+			var simTrace, poolTrace bytes.Buffer
+			simRec, poolRec := obs.NewRecorder(&simTrace, nil), obs.NewRecorder(&poolTrace, nil)
+			sim, err := Run(cons, Options{Workers: 1, InitialTree: -1, Limits: noLimits, Resume: cp, Trace: simRec})
 			if err != nil {
 				t.Fatal(err)
 			}
 			pool, err := parallel.Run(cons, parallel.Options{Threads: 1, InitialTree: -1,
 				Limits:     search.Limits{MaxTrees: -1, MaxStates: -1, MaxTime: -1},
-				Checkpoint: search.CheckpointPolicy{Resume: cp}})
+				Checkpoint: search.CheckpointPolicy{Resume: cp}, Obs: &obs.Sink{Trace: poolRec}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -72,15 +90,108 @@ func TestDriversAgree(t *testing.T) {
 				t.Fatalf("scenario %d %s: simulator stole %d tasks, pool %d",
 					scen, what, sim.TasksStolen, pool.TasksStolen)
 			}
-			if pool.Flushes < sim.Flushes {
-				t.Fatalf("scenario %d %s: pool flushed %d times, simulator %d — the task-end flush is gone?",
-					scen, what, pool.Flushes, sim.Flushes)
+			if sim.Flushes != pool.Flushes {
+				t.Fatalf("scenario %d %s: simulator flushed %d times, pool %d",
+					scen, what, sim.Flushes, pool.Flushes)
+			}
+			if err := errors.Join(simRec.Flush(), poolRec.Flush()); err != nil {
+				t.Fatal(err)
+			}
+			// Every task is stolen: the hand-offs and, resumed, the checkpoint's.
+			handed := sim.TasksStolen
+			if cp != nil {
+				handed -= int64(len(cp.Frontier.Tasks))
+			}
+			if s, p := submitted(t, &simTrace), submitted(t, &poolTrace); !slices.Equal(s, p) || int64(len(s)) != handed {
+				t.Fatalf("scenario %d %s: %d steals; simulator submitted %v, pool %v", scen, what, sim.TasksStolen, s, p)
 			}
 			stolen += sim.TasksStolen
 		}
 	}
 	if compared < 6 || resumed < 6 || stolen == 0 {
 		t.Fatalf("compared %d stands (%d resumed, %d steals): not enough to mean anything", compared, resumed, stolen)
+	}
+}
+
+// interrupted returns a stand and a frontier checkpoint of its simulated
+// run cut half-way, with queued tasks that carry a path.
+func interrupted(t *testing.T, seed int64) ([]*tree.Tree, *search.Checkpoint) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	for scen := 0; scen < 300; scen++ {
+		cons := randomScenario(rng, 14, 3, 4, 0.5)
+		ref, err := Run(cons, Options{Workers: 2, InitialTree: -1, Limits: Limits{MaxTrees: -1, MaxStates: -1}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ref.IntermediateStates < 100 {
+			continue
+		}
+		half, err := Run(cons, Options{Workers: 2, InitialTree: -1, CheckpointOnStop: true,
+			Limits: Limits{MaxTrees: -1, MaxStates: ref.IntermediateStates / 2},
+			Policy: search.Policy{TreeBatch: 1, StateBatch: 1, DeadEndBatch: 1}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cp := half.Checkpoint; cp != nil && slices.ContainsFunc(cp.Frontier.Tasks,
+			func(ft search.FrontierTask) bool { return len(ft.Path) > 0 }) {
+			return cons, cp
+		}
+	}
+	t.Fatal("no scenario left a task with a path in its frontier")
+	return nil, nil
+}
+
+// TestDriversRefuseHostileTask: a checkpoint whose fingerprint matches but
+// whose task replays an insertion no run made is the same error from both
+// drivers, before any worker touches it. (The pool used to burn its retry
+// budget on the panics and the simulator took the process down.)
+func TestDriversRefuseHostileTask(t *testing.T) {
+	cons, cp := interrupted(t, 1414)
+	for i := range cp.Frontier.Tasks {
+		if ft := &cp.Frontier.Tasks[i]; len(ft.Path) > 0 {
+			ft.Path[0].Edge = 99999
+			break
+		}
+	}
+	_, simErr := Run(cons, Options{Workers: 2, InitialTree: -1, Resume: cp})
+	_, poolErr := parallel.Run(cons, parallel.Options{Threads: 2, InitialTree: -1,
+		Checkpoint: search.CheckpointPolicy{Resume: cp}})
+	if simErr == nil || poolErr == nil || simErr.Error() != poolErr.Error() ||
+		!strings.HasPrefix(simErr.Error(), "search: checkpoint task ") {
+		t.Fatalf("simulator: %v\npool: %v", simErr, poolErr)
+	}
+}
+
+// TestDriversResumeUnstartedSerialCheckpoint: a serial snapshot from before
+// the first step resumes as the whole run on every driver and width (it was
+// read as a finished run with an empty stand).
+func TestDriversResumeUnstartedSerialCheckpoint(t *testing.T) {
+	cons, _ := interrupted(t, 1515)
+	idx := search.ChooseInitialTree(cons)
+	tr, err := terrace.New(cons, idx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp := search.NewEngine(tr).Snapshot(cons, idx)
+	ref, err := search.Run(cons, search.Options{InitialTree: -1, Limits: search.Limits{MaxTrees: -1, MaxStates: -1, MaxTime: -1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{1, 3} {
+		sim, err := Run(cons, Options{Workers: n, Limits: Limits{MaxTrees: -1, MaxStates: -1}, Resume: cp})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pool, err := parallel.Run(cons, parallel.Options{Threads: n,
+			Limits:     search.Limits{MaxTrees: -1, MaxStates: -1, MaxTime: -1},
+			Checkpoint: search.CheckpointPolicy{Resume: cp}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sim.Counters != ref.Counters || pool.Counters != ref.Counters || ref.StandTrees == 0 {
+			t.Fatalf("%d workers: simulator %+v, pool %+v, serial run %+v", n, sim.Counters, pool.Counters, ref.Counters)
+		}
 	}
 }
 

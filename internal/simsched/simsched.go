@@ -1,7 +1,7 @@
 // Package simsched is a deterministic virtual-time simulator of the paper's
-// thread-pool parallelization. It executes the *same* search engine and
-// work-stealing policy as package parallel, but with N virtual workers
-// advanced in lockstep by a discrete scheduler: each state transition
+// thread-pool parallelization. It ticks the *same* search.Worker — engine,
+// hand-off and counter batching — as package parallel, but with N virtual
+// workers advanced in lockstep by a discrete scheduler: each state transition
 // (taxon insertion or removal), each path-replay step and each dequeue
 // costs one tick of virtual time; busy-waiting costs wall ticks but no work.
 //
@@ -86,10 +86,9 @@ type Options struct {
 	Trace *obs.Recorder
 
 	// Estimator, if non-nil, accumulates the weighted backtrack
-	// fraction-complete measure exactly as the parallel pool does: workers
-	// batch closed-leaf mass locally and merge it on counter flushes. The
-	// simulator's deterministic scheduling makes the fraction-over-ticks
-	// curve reproducible, which is what the convergence tests assert.
+	// fraction-complete measure, merged on counter flushes. Deterministic
+	// scheduling makes the fraction-over-ticks curve reproducible, which is
+	// what the convergence tests assert.
 	Estimator *obs.Estimator
 
 	// Ctx cancels the simulation. It is polled every 1024 virtual ticks
@@ -200,52 +199,33 @@ type task struct {
 	parent int64 // id of the task whose execution submitted this one
 }
 
-// worker modes.
-const (
-	wReplay = iota
-	wWork
-	wRewind
-	wIdle
-	wHalt
-)
-
+// vworker is one virtual worker: a search.Worker — the protocol the pool's
+// goroutines run — and the search.Host it reports to, plus the clock-side
+// bookkeeping.
 type vworker struct {
-	id   int
-	mode int
-	t    *terrace.Terrace
-	eng  *search.Engine
+	id    int
+	s     *sim
+	wk    *search.Worker
+	phase search.Phase // wk's, after this worker's last tick
+	cur   task         // lineage of the task being executed (id 0: none)
 
-	// cur is the task being executed: its Path is the replay/rewind route
-	// from I_0 and its id the lineage parent of submissions (id 0: none).
-	// pending marks it as stolen but not yet started (still replaying).
-	cur        task
-	pending    bool
-	replayPos  int
-	rewindLeft int
-
-	local     search.Counters // unflushed
-	estMass   float64         // unflushed closed-leaf mass (estimator)
-	estLeaves int64           // unflushed closed-leaf count
-	prev      search.Counters // engine counters at last sample
-	stats     WorkerStats
-
+	stats WorkerStats
 	stall int64 // remaining flush-stall ticks
 	trace []byte
 }
 
 type sim struct {
 	opt      Options
-	su       *search.Setup
 	limits   search.Limits
 	g        search.Counters // flushed global counters
 	stop     bool
 	reason   search.StopReason
+	err      error // a task a worker refused to begin: the run's failure
 	queue    []task
 	stolen   int64
 	flushes  int64
 	tick     int64
-	nextTask int64             // task-id sequence, continued past the initial shares
-	path     []search.PathStep // scratch: a submission's path before it is copied into the task
+	nextTask int64 // task-id sequence, continued past the initial shares
 	trees    []string
 	workers  []*vworker
 }
@@ -285,24 +265,28 @@ func Run(constraints []*tree.Tree, opt Options) (*Result, error) {
 		return res, nil
 	}
 
-	s := &sim{opt: opt, su: su, limits: opt.Limits.counting(), g: su.Counters,
+	s := &sim{opt: opt, limits: opt.Limits.counting(), g: su.Counters,
 		tick: prefixLen, nextTask: int64(opt.Workers)}
 	for w := 0; w < opt.Workers; w++ {
-		vw := &vworker{id: w, t: su.NewTerrace(), mode: wIdle}
+		vw := &vworker{id: w, s: s}
+		vw.wk = su.NewWorker(opt.Policy, vw, opt.Estimator, opt.CollectTrees)
 		vw.stats.Busy = prefixLen
 		vw.stats.Replay = prefixLen
+		s.workers = append(s.workers, vw)
 		// A fresh run hands share w to worker w directly as task w+1 (a
-		// reserved lineage root, parent 0): no steal, no dequeue tick.
+		// reserved lineage root, parent 0): no steal, no dequeue tick. A
+		// share hangs off I_0 itself, so the step replays nothing: it is the
+		// free turn from replaying to exploring.
+		share := !su.Resumed && w < len(tasks)
 		nShare := 0
-		if !su.Resumed && w < len(tasks) {
-			vw.cur = task{FrontierTask: tasks[w], id: int64(w) + 1}
+		if share {
 			nShare = len(tasks[w].Frames[0].Branches)
 		}
 		opt.Trace.EmitAt(s.tick, obs.EvWorkerStart, w, obs.F("branches", int64(nShare)))
-		if vw.cur.id != 0 {
-			vw.startEngine(s)
+		if share {
+			s.begin(vw, task{FrontierTask: tasks[w], id: int64(w) + 1})
+			s.step(vw)
 		}
-		s.workers = append(s.workers, vw)
 	}
 	if su.Resumed {
 		// All workers start idle; the frontier tasks go straight into the
@@ -319,7 +303,7 @@ func Run(constraints []*tree.Tree, opt Options) (*Result, error) {
 		trace := opt.TraceEvery > 0 && s.tick%opt.TraceEvery == 0
 		for _, w := range s.workers {
 			s.advance(w)
-			if w.mode != wIdle {
+			if w.phase != search.Idle {
 				allIdle = false
 			}
 			if trace {
@@ -330,27 +314,20 @@ func Run(constraints []*tree.Tree, opt Options) (*Result, error) {
 		if allIdle && len(s.queue) == 0 {
 			break
 		}
-		if opt.Limits.MaxTicks > 0 && s.tick >= opt.Limits.MaxTicks && !s.stop {
-			s.stop = true
-			s.reason = search.StopTimeLimit
-			opt.Trace.EmitAt(s.tick, obs.EvStop, -1,
-				obs.F("reason", int64(s.reason)),
-				obs.F("trees", s.g.StandTrees),
-				obs.F("states", s.g.IntermediateStates))
+		if opt.Limits.MaxTicks > 0 && s.tick >= opt.Limits.MaxTicks {
+			s.halt(search.StopTimeLimit, -1)
 		}
-		if opt.Ctx != nil && s.tick&1023 == 0 && !s.stop && opt.Ctx.Err() != nil {
-			s.stop = true
-			s.reason = search.StopCancelled
-			opt.Trace.EmitAt(s.tick, obs.EvStop, -1,
-				obs.F("reason", int64(s.reason)),
-				obs.F("trees", s.g.StandTrees),
-				obs.F("states", s.g.IntermediateStates))
+		if opt.Ctx != nil && s.tick&1023 == 0 && opt.Ctx.Err() != nil {
+			s.halt(search.StopCancelled, -1)
 		}
 	}
 
+	if s.err != nil {
+		return nil, s.err
+	}
 	// Final flushes.
 	for _, w := range s.workers {
-		s.flushWorker(w, false)
+		w.wk.Flush()
 	}
 	res.Counters = s.g
 	res.Ticks = s.tick
@@ -365,7 +342,7 @@ func Run(constraints []*tree.Tree, opt Options) (*Result, error) {
 		if opt.TraceEvery > 0 {
 			res.Timeline = append(res.Timeline, string(w.trace))
 		}
-		res.Heuristic.Add(w.t.HeuristicStats())
+		res.Heuristic.Add(w.wk.HeuristicStats())
 	}
 	if opt.CheckpointOnStop && res.Stop != search.StopExhausted && res.Stop != search.StopFailed {
 		res.Checkpoint = su.Checkpoint(res.Counters, opt.Workers, s.frontier())
@@ -374,20 +351,14 @@ func Run(constraints []*tree.Tree, opt Options) (*Result, error) {
 }
 
 // frontier collects every outstanding unit of work after the simulation
-// halted: in-flight engines, stolen-but-not-started seeds still replaying
-// their paths, and the queue remnant. The simulator is single-threaded, so
-// unlike the real pool no quiesce protocol is needed — the cut is
-// consistent by construction.
+// halted: what is left of each worker's task, then the queue remnant. The
+// simulator is single-threaded, so unlike the real pool no quiesce protocol
+// is needed — the cut is consistent by construction.
 func (s *sim) frontier() []search.FrontierTask {
 	var tasks []search.FrontierTask
 	for _, w := range s.workers {
-		switch {
-		case w.mode == wWork && w.eng != nil:
-			if frames := w.eng.SnapshotFrames(nil); len(frames) > 0 {
-				tasks = append(tasks, search.FrontierTask{Path: w.cur.Path, Frames: frames})
-			}
-		case w.pending:
-			tasks = append(tasks, w.cur.FrontierTask)
+		if ft := w.wk.Snapshot(); len(ft.Frames) > 0 {
+			tasks = append(tasks, ft)
 		}
 	}
 	for i := range s.queue {
@@ -398,173 +369,138 @@ func (s *sim) frontier() []search.FrontierTask {
 
 // modeChar maps the worker's instantaneous state to its timeline symbol.
 func (w *vworker) modeChar() byte {
-	switch {
-	case w.stall > 0:
-		return 'F'
-	case w.mode == wWork:
-		return 'W'
-	case w.mode == wReplay || w.mode == wRewind:
-		return 'R'
-	default:
-		return '.'
-	}
-}
-
-// startEngine builds the engine for the worker's current task and wires
-// the stealing hook and tree collection.
-func (w *vworker) startEngine(s *sim) {
-	w.pending = false
-	eng, err := search.NewTaskEngine(w.t, w.cur.Frames)
-	if err != nil {
-		// Frames passed FrontierView validation, so this is unreachable
-		// short of memory corruption; fail the run rather than panic.
-		s.stop = true
-		s.reason = search.StopFailed
-		w.mode = wHalt
-		return
-	}
-	w.eng = eng
-	w.eng.Heuristic = s.su.Heuristic
-	w.prev = search.Counters{}
-	w.mode = wWork
-	w.stats.Tasks++
-	root := &w.cur.Frames[0]
-	s.opt.Trace.EmitAt(s.tick, obs.EvTaskStart, w.id,
-		obs.F("task", w.cur.id), obs.F("parent", w.cur.parent),
-		obs.F("taxon", int64(root.Taxon)),
-		obs.F("branches", int64(len(root.Branches))))
-	if s.opt.Estimator != nil {
-		w.eng.OnLeaf = func(wt float64) { w.estMass += wt; w.estLeaves++ }
-	}
-	w.eng.OnFramePushed = func(f *search.Frame) int {
-		n := s.opt.Policy.Submit(w.eng.RemainingTaxa(), len(f.Branches))
-		if n == 0 || len(s.queue) >= s.opt.Policy.QueueCap {
-			return 0
-		}
-		switch s.opt.SplitPolicy {
-		case SplitOne:
-			n = 1
-		case SplitAllButOne:
-			n = len(f.Branches) - 1
-		}
-		s.nextTask++
-		s.path = w.eng.Path(append(s.path[:0], w.cur.Path...))
-		s.queue = append(s.queue, task{
-			FrontierTask: search.NewSeedTask(s.path, f.Taxon,
-				f.Branches[len(f.Branches)-n:], f.BranchWeight()),
-			id:     s.nextTask,
-			parent: w.cur.id,
-		})
-		s.opt.Trace.EmitAt(s.tick, obs.EvTaskSubmit, w.id,
-			obs.F("task", s.nextTask), obs.F("parent", w.cur.id),
-			obs.F("taxon", int64(f.Taxon)), obs.F("branches", int64(n)),
-			obs.F("path", int64(len(s.path))))
-		return n
-	}
-	if s.opt.CollectTrees {
-		w.eng.OnTree = func(nw string) { s.trees = append(s.trees, nw) }
-	}
-}
-
-// advance executes one virtual tick for worker w.
-func (s *sim) advance(w *vworker) {
 	if w.stall > 0 {
-		w.stall--
-		w.stats.Busy++
+		return 'F'
+	}
+	return ".RWR"[w.phase] // search.Idle, Replay, Explore, Rewind
+}
+
+// begin makes tk the worker's task. A task the worker refuses fails the run.
+func (s *sim) begin(w *vworker, tk task) {
+	if err := w.wk.Begin(tk.FrontierTask); err != nil {
+		s.err, s.stop, s.reason = err, true, search.StopFailed
 		return
 	}
-	switch w.mode {
-	case wHalt:
-		return
-	case wIdle:
-		if len(s.queue) > 0 {
-			tk := s.queue[0]
-			s.queue[0] = task{} // do not retain the popped task's slices
-			s.queue = s.queue[1:]
-			s.stolen++
-			s.opt.Trace.EmitAt(s.tick, obs.EvSteal, w.id,
-				obs.F("task", tk.id),
-				obs.F("taxon", int64(tk.Frames[0].Taxon)),
-				obs.F("branches", int64(len(tk.Frames[0].Branches))),
-				obs.F("path", int64(len(tk.Path))))
-			w.cur = tk
-			w.pending = true
-			w.replayPos = 0
-			w.mode = wReplay
-			w.stats.Busy++ // the dequeue tick
-			return
-		}
-		w.stats.Idle++
-	case wReplay:
-		if w.replayPos < len(w.cur.Path) {
-			st := w.cur.Path[w.replayPos]
-			w.t.ExtendTaxon(st.Taxon, st.Edge)
-			w.replayPos++
-			w.stats.Busy++
-			w.stats.Replay++
-			return
-		}
-		w.startEngine(s)
-		s.advance(w) // engine's first transition happens this tick
-	case wRewind:
-		if w.rewindLeft > 0 {
-			w.t.RemoveTaxon()
-			w.rewindLeft--
-			w.stats.Busy++
-			w.stats.Replay++
-			return
-		}
+	w.cur, w.phase = tk, search.Replay
+}
+
+// step ticks the worker once, stamps the lineage event of a phase it turned
+// into, and reports whether the tick did a unit of work.
+func (s *sim) step(w *vworker) bool {
+	var worked bool
+	if w.phase, worked = w.wk.Tick(); worked {
+		return true
+	}
+	switch {
+	case w.phase == search.Explore:
+		w.stats.Tasks++
+		root := &w.cur.Frames[0]
+		s.opt.Trace.EmitAt(s.tick, obs.EvTaskStart, w.id,
+			obs.F("task", w.cur.id), obs.F("parent", w.cur.parent),
+			obs.F("taxon", int64(root.Taxon)),
+			obs.F("branches", int64(len(root.Branches))))
+	case w.phase == search.Idle && w.cur.id != 0:
 		s.opt.Trace.EmitAt(s.tick, obs.EvTaskEnd, w.id, obs.F("task", w.cur.id))
 		w.cur = task{}
-		w.mode = wIdle
-		s.advance(w)
-	case wWork:
-		ev := w.eng.Step()
-		if ev == search.EvDone {
-			w.rewindLeft = len(w.cur.Path)
-			w.mode = wRewind
-			s.advance(w)
+	}
+	return false
+}
+
+// advance executes one virtual tick for worker w: a flush stall, one unit of
+// its task — turning from one phase into the next is free — or, idle, the
+// dequeue of the next task.
+func (s *sim) advance(w *vworker) {
+	for {
+		if w.stall > 0 {
+			w.stall--
+			w.stats.Busy++
 			return
 		}
-		w.stats.Busy++
-		c := w.eng.Counters()
-		w.local.StandTrees += c.StandTrees - w.prev.StandTrees
-		w.local.IntermediateStates += c.IntermediateStates - w.prev.IntermediateStates
-		w.local.DeadEnds += c.DeadEnds - w.prev.DeadEnds
-		w.prev = c
-		if s.opt.Policy.FlushDue(w.local) {
-			s.flushWorker(w, true)
+		if s.step(w) {
+			w.stats.Busy++
+			if w.phase != search.Explore {
+				w.stats.Replay++
+			}
+			return
 		}
+		if w.phase != search.Idle {
+			continue
+		}
+		if len(s.queue) == 0 {
+			w.stats.Idle++
+			return
+		}
+		tk := s.queue[0]
+		s.queue[0] = task{} // do not retain the popped task's slices
+		s.queue = s.queue[1:]
+		s.stolen++
+		s.opt.Trace.EmitAt(s.tick, obs.EvSteal, w.id,
+			obs.F("task", tk.id),
+			obs.F("taxon", int64(tk.Frames[0].Taxon)),
+			obs.F("branches", int64(len(tk.Frames[0].Branches))),
+			obs.F("path", int64(len(tk.Path))))
+		s.begin(w, tk)
+		w.stats.Busy++ // the dequeue tick
+		return
 	}
 }
 
-// flushWorker moves a worker's local counters into the global totals,
-// re-evaluates the stopping rules and charges the contention cost.
-func (s *sim) flushWorker(w *vworker, charge bool) {
-	if w.local == (search.Counters{}) {
-		return
+// Offer queues the tail of f as a task when the queue has room, the policy's
+// half adjusted by the split-policy ablation.
+func (w *vworker) Offer(path []search.PathStep, f *search.Frame, n int) int {
+	s := w.s
+	if len(s.queue) >= s.opt.Policy.QueueCap {
+		return 0
 	}
+	switch s.opt.SplitPolicy {
+	case SplitOne:
+		n = 1
+	case SplitAllButOne:
+		n = len(f.Branches) - 1
+	}
+	s.nextTask++
+	s.queue = append(s.queue, task{
+		FrontierTask: search.NewSeedTask(path, f.Taxon,
+			f.Branches[len(f.Branches)-n:], f.BranchWeight()),
+		id:     s.nextTask,
+		parent: w.cur.id,
+	})
+	s.opt.Trace.EmitAt(s.tick, obs.EvTaskSubmit, w.id,
+		obs.F("task", s.nextTask), obs.F("parent", w.cur.id),
+		obs.F("taxon", int64(f.Taxon)), obs.F("branches", int64(n)),
+		obs.F("path", int64(len(path))))
+	return n
+}
+
+// Publish moves a counter batch into the global totals, charges the
+// contention cost and re-evaluates the stopping rules.
+func (w *vworker) Publish(c search.Counters) {
+	s := w.s
 	s.opt.Trace.EmitAt(s.tick, obs.EvFlush, w.id,
-		obs.F("trees", w.local.StandTrees),
-		obs.F("states", w.local.IntermediateStates),
-		obs.F("dead", w.local.DeadEnds))
-	s.g.Add(w.local)
-	w.stats.Counters.Add(w.local)
-	s.opt.Estimator.AddLeafMass(w.estMass, w.estLeaves)
-	s.opt.Estimator.AddCounters(w.local.StandTrees,
-		w.local.IntermediateStates, w.local.DeadEnds)
-	w.estMass, w.estLeaves = 0, 0
-	w.local = search.Counters{}
+		obs.F("trees", c.StandTrees),
+		obs.F("states", c.IntermediateStates),
+		obs.F("dead", c.DeadEnds))
+	s.g.Add(c)
+	w.stats.Counters.Add(c)
 	s.flushes++
-	if charge {
-		w.stall += s.opt.FlushCost
-	}
-	if !s.stop {
-		if s.reason, s.stop = s.limits.Exceeded(s.g, 0); s.stop {
-			s.opt.Trace.EmitAt(s.tick, obs.EvStop, w.id,
-				obs.F("reason", int64(s.reason)),
-				obs.F("trees", s.g.StandTrees),
-				obs.F("states", s.g.IntermediateStates))
-		}
+	w.stall += s.opt.FlushCost
+	if r, hit := s.limits.Exceeded(s.g, 0); hit {
+		s.halt(r, w.id)
 	}
 }
+
+// halt raises the stop flag, once, for reason r and stamps the stop event
+// with the worker whose batch hit the limit (-1: the clock or the context).
+func (s *sim) halt(r search.StopReason, w int) {
+	if s.stop {
+		return
+	}
+	s.stop, s.reason = true, r
+	s.opt.Trace.EmitAt(s.tick, obs.EvStop, w,
+		obs.F("reason", int64(r)),
+		obs.F("trees", s.g.StandTrees),
+		obs.F("states", s.g.IntermediateStates))
+}
+
+// Tree collects a stand tree.
+func (w *vworker) Tree(nw string) { w.s.trees = append(w.s.trees, nw) }
