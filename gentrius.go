@@ -68,7 +68,8 @@ const (
 	StopCancelled = search.StopCancelled
 	// StopFailed reports that the run died before draining — e.g. a worker
 	// panic exhausted its retry budget (the error is a
-	// *parallel.WorkerPanicError in that case).
+	// *parallel.WorkerPanicError in that case) or a parallel run's OnTree
+	// panicked (*parallel.OnTreePanicError).
 	StopFailed = search.StopFailed
 )
 
@@ -108,8 +109,9 @@ type Checkpoint = search.Checkpoint
 // CheckpointTrigger requests an on-demand snapshot from a running
 // enumeration without stopping it: place one in CheckpointPolicy.Trigger,
 // then call Request from another goroutine. Serial runs service the request
-// at the next stopping-rule check; parallel runs quiesce the pool at a task
-// boundary, snapshot the frontier, and resume. A trigger is single-run.
+// at the next stopping-rule check; parallel runs interrupt the pool at an
+// engine step, snapshot the frontier, and resume from it in place. A trigger
+// is single-run.
 type CheckpointTrigger = search.CheckpointTrigger
 
 // NewCheckpointTrigger returns a trigger ready to be placed in

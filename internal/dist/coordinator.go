@@ -424,18 +424,20 @@ func (c *Coordinator) controlLoop(ctx context.Context, job *fleetJob) (*Result, 
 			return &res, nil
 		}
 
-		wait := time.Minute
-		if !next.IsZero() {
-			if d := next.Sub(now) + time.Millisecond; d < wait {
-				wait = d
-			}
-			if wait < time.Millisecond {
-				wait = time.Millisecond
-			}
+		// Wake at the deadline itself, not a duration from this iteration's
+		// reading of the clock: the clock may have moved on since, and a
+		// relative timer armed now would then fire that much too late. A
+		// deadline already passed waits out the 1 ms floor.
+		wake := now.Add(time.Minute)
+		if t := next.Add(time.Millisecond); !next.IsZero() && t.Before(wake) {
+			wake = t
+		}
+		if floor := now.Add(time.Millisecond); wake.Before(floor) {
+			wake = floor
 		}
 		select {
 		case <-job.wake:
-		case <-clk.After(wait):
+		case <-clk.Until(wake):
 		case <-ctx.Done():
 			job.mu.Lock()
 			job.stopping = true

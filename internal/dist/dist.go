@@ -50,6 +50,10 @@ import "time"
 type Clock interface {
 	Now() time.Time
 	After(d time.Duration) <-chan time.Time
+	// Until is After for an absolute deadline: the channel receives once the
+	// clock reaches t, at once when it already has. A caller that derived t
+	// from an earlier Now is not late by however far the clock moved since.
+	Until(t time.Time) <-chan time.Time
 	Sleep(d time.Duration)
 }
 
@@ -58,6 +62,7 @@ type RealClock struct{}
 
 func (RealClock) Now() time.Time                         { return time.Now() }
 func (RealClock) After(d time.Duration) <-chan time.Time { return time.After(d) }
+func (RealClock) Until(t time.Time) <-chan time.Time     { return time.After(time.Until(t)) }
 func (RealClock) Sleep(d time.Duration)                  { time.Sleep(d) }
 
 // Protocol defaults.

@@ -236,8 +236,8 @@ func TestCheckpointV1SerialResumesParallel(t *testing.T) {
 	}
 }
 
-// TestCheckpointPeriodicQuiesce: periodic snapshots quiesce and resume the
-// pool without disturbing the live run (it still finishes with exact
+// TestCheckpointPeriodicQuiesce: periodic snapshots stop the pool and resume
+// it in place without disturbing the live run (it still finishes with exact
 // totals), and each captured snapshot is itself a valid resume point.
 func TestCheckpointPeriodicQuiesce(t *testing.T) {
 	cons := chainConstraints(4)
@@ -257,7 +257,7 @@ func TestCheckpointPeriodicQuiesce(t *testing.T) {
 		t.Fatal(err)
 	}
 	if live.Stop != search.StopExhausted || live.Counters != ref.Counters {
-		t.Fatalf("live run disturbed by quiescing: %v %+v (ref %+v)",
+		t.Fatalf("live run disturbed by the rounds: %v %+v (ref %+v)",
 			live.Stop, live.Counters, ref.Counters)
 	}
 	if len(cps) == 0 {
@@ -276,8 +276,8 @@ func TestCheckpointPeriodicQuiesce(t *testing.T) {
 	}
 }
 
-// TestCheckpointTriggerMidRun: an on-demand trigger request quiesces the
-// pool, returns a consistent snapshot and lets the run continue unharmed.
+// TestCheckpointTriggerMidRun: an on-demand trigger request takes a round of
+// the pool, returns a consistent snapshot and lets the run continue unharmed.
 func TestCheckpointTriggerMidRun(t *testing.T) {
 	cons := chainConstraints(5)
 	ref, err := Run(cons, Options{Threads: 4, InitialTree: -1, Limits: unlimited()})
@@ -467,11 +467,12 @@ func TestCheckpointRejectsWrongInputParallel(t *testing.T) {
 	}
 }
 
-// TestCheckpointBackToBackQuiesce reproduces the stale-barrier race: when a
-// snapshot round takes longer than the interval (here simulated with a slow
-// OnTree sink and immediate consecutive trigger requests), the next acquire
-// used to observe the previous round's still-elevated parked count, satisfy
-// its barrier with no engine contributions, and emit a cut that silently
+// TestCheckpointBackToBackQuiesce: rounds in immediate succession (a slow
+// OnTree sink keeps each one draining while the next request is already
+// waiting). A round can start while workers released by the previous one
+// have not woken yet; they still count as idle, and its cut is complete
+// anyway because what they handed in is back in the queue — the barrier
+// this replaced once satisfied itself from stale parked counts and silently
 // dropped all in-flight work. Every snapshot must resume to exact totals.
 func TestCheckpointBackToBackQuiesce(t *testing.T) {
 	cons := chainConstraints(5)
@@ -484,8 +485,8 @@ func TestCheckpointBackToBackQuiesce(t *testing.T) {
 	go func() {
 		res, err := Run(cons, Options{
 			Threads: 4, InitialTree: -1, Limits: unlimited(),
-			// A throttled sink keeps the tree channel full, so quiesce rounds
-			// spend real time in drainTrees and requests arrive back-to-back.
+			// A throttled sink keeps the tree channel full, so rounds spend
+			// real time in drainTrees and requests arrive back-to-back.
 			OnTree:     func(string) { time.Sleep(50 * time.Microsecond) },
 			TreeBuffer: 4,
 			Checkpoint: search.CheckpointPolicy{Trigger: trigger},

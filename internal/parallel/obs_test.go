@@ -130,7 +130,7 @@ func TestObsDoesNotChangeResults(t *testing.T) {
 func TestQueueStealZeroesHeadSlot(t *testing.T) {
 	q := newQueue(4, 2, obs.NopSchedMetrics())
 	tk := &task{FrontierTask: search.NewSeedTask([]search.PathStep{{Taxon: 1, Edge: 2}}, 3, []int32{4, 5}, 0.5)}
-	if !q.trySubmit(tk) {
+	if !q.trySubmit(tk, 0) {
 		t.Fatal("submit rejected")
 	}
 	backing := q.tasks[:1] // aliases the head slot

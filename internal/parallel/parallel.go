@@ -10,10 +10,10 @@
 // per-thread protocol (Worker: private Terrace at I_0, replay a task's path,
 // explore, offer half of a fresh frame, batch the counters, rewind). This
 // package adds a goroutine per Worker, the queue the offers go through and
-// idle workers steal from, the quiesce barrier, panic recovery and the tree
+// idle workers steal from, checkpoint rounds, panic recovery and the tree
 // stream. The global stand-tree / intermediate-state / dead-end counters are
 // shared atomics, updated once per published batch; each batch re-evaluates
-// the stopping rules and, when one fires, raises a stop flag that all
+// the stopping rules and, when one fires, raises the halt flag that all
 // workers poll — so, like the paper's implementation, the limits can be
 // overshot slightly.
 package parallel
@@ -21,6 +21,7 @@ package parallel
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
@@ -65,7 +66,7 @@ type Options struct {
 	// default of 256).
 	TreeBuffer int
 
-	// Ctx cancels the run: when it is done, the stop flag all workers poll
+	// Ctx cancels the run: when it is done, the halt flag all workers poll
 	// is raised with reason StopCancelled and blocked stealers are woken,
 	// so the pool drains within about one step per worker. The run returns
 	// normally (counter conservation still holds); the context's error is
@@ -104,12 +105,13 @@ type Options struct {
 	// Checkpoint configures snapshots and resuming (see
 	// search.CheckpointPolicy). Resume seeds the checkpoint's frontier into
 	// the task queue with every worker starting in the stealing pool — any
-	// thread count resumes any checkpoint. OnStop collects the engines
-	// interrupted by the stop flag plus the queue's remnant into
-	// Result.Checkpoint. Interval and Trigger each quiesce the running pool
-	// for a consistent cut; Sink runs on the checkpoint goroutine while the
-	// workers have already resumed. The pool has no per-check cadence to
-	// count: Every > 0 with no Interval means a one-second Interval.
+	// thread count resumes any checkpoint. OnStop collects what the workers
+	// interrupted by the stop handed in plus the queue's remnant into
+	// Result.Checkpoint. Interval and Trigger each take a round (see round):
+	// the pool is stopped the same way, cut, and resumed in place from its
+	// own hand-ins; Sink runs on Run's goroutine, the workers already
+	// stealing again. The pool has no per-check cadence to count: Every > 0
+	// with no Interval means a one-second Interval.
 	Checkpoint search.CheckpointPolicy
 }
 
@@ -127,6 +129,18 @@ type WorkerPanicError struct {
 	// Dirty marks a panic escalated because the attempt had already
 	// published progress, making a verbatim retry unsound.
 	Dirty bool
+}
+
+// OnTreePanicError is the fatal outcome of a panic in the caller's OnTree: the
+// tree it was handed is lost, so the run stops (reason StopFailed, no
+// checkpoint) and Run returns this error with the panic value and its stack.
+type OnTreePanicError struct {
+	Value any
+	Stack []byte
+}
+
+func (e *OnTreePanicError) Error() string {
+	return fmt.Sprintf("parallel: OnTree panicked: %v", e.Value)
 }
 
 func (e *WorkerPanicError) Error() string {
@@ -193,6 +207,15 @@ func (tk *task) root() *search.FrameSnapshot { return &tk.Frames[0] }
 // replay and rewind, so no live slice is ever handed out twice.
 var taskPool = sync.Pool{New: func() any { return new(task) }}
 
+// newTask copies ft into recycled storage; the branch arrays stay ft's.
+func newTask(ft search.FrontierTask, id int64) *task {
+	tk := taskPool.Get().(*task)
+	tk.Path = append(tk.Path[:0], ft.Path...)
+	tk.Frames = append(tk.Frames[:0], ft.Frames...)
+	tk.id = id
+	return tk
+}
+
 // recycleTask resets tk (keeping slice capacity) and returns it to the pool.
 func recycleTask(tk *task) {
 	tk.Path = tk.Path[:0]
@@ -202,40 +225,57 @@ func recycleTask(tk *task) {
 	taskPool.Put(tk)
 }
 
-// queue is the bounded task queue plus the pool's termination accounting.
-// m is never nil (a no-op metric set stands in when observability is off).
+// queue is the bounded task queue plus the pool's termination accounting,
+// which is all the state a checkpoint needs too: a worker not executing a
+// task waits in steal, and what an interrupted one left of its task is in
+// handed. m is never nil (a no-op metric set when observability is off).
 type queue struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	tasks   []*task
+	mu    sync.Mutex
+	cond  sync.Cond // workers wait: a task, the end of a round, or done
+	ctl   sync.Cond // a round waits: every worker idle, or one no longer
+	tasks []*task
+	// handed is what interrupted workers left of their tasks: part of every
+	// cut (see frontier), and queued again by a round after its own.
+	handed  []search.FrontierTask
 	cap     int
 	idle    int
 	workers int
 	done    bool
+	pausing bool // a round is on: steal holds every worker
 	stolen  int64
 	m       *obs.SchedMetrics
-	// ckpt, when checkpointing is on, is the quiesce controller idle
-	// workers park on when a snapshot round pauses the pool.
-	ckpt *ckptCtl
+	rec     *obs.Recorder // nil when tracing is off
 }
 
 func newQueue(cap, workers int, m *obs.SchedMetrics) *queue {
 	q := &queue{cap: cap, workers: workers, m: m}
-	q.cond = sync.NewCond(&q.mu)
+	q.cond.L, q.ctl.L = &q.mu, &q.mu
 	return q
 }
 
-// trySubmit enqueues t if there is capacity, waking one idle worker. On
-// rejection the caller keeps ownership of t (and should recycle it).
-func (q *queue) trySubmit(t *task) bool {
+// push queues t, submitted by worker by (-1: the pool itself), and says so in
+// the trace — under q.mu, so that no steal of t is traced before it.
+func (q *queue) push(t *task, by int) {
+	q.tasks = append(q.tasks, t)
+	q.m.QueueDepth.Set(int64(len(q.tasks)))
+	if q.rec != nil {
+		q.rec.Emit(obs.EvTaskSubmit, by, obs.F("task", t.id), obs.F("parent", t.parent),
+			obs.F("taxon", int64(t.root().Taxon)), obs.F("branches", int64(len(t.root().Branches))),
+			obs.F("path", int64(len(t.Path))))
+	}
+}
+
+// trySubmit queues worker by's task t if there is capacity, waking one idle
+// worker. On rejection the caller keeps ownership of t (and should recycle
+// it).
+func (q *queue) trySubmit(t *task, by int) bool {
 	q.mu.Lock()
 	if q.done || len(q.tasks) >= q.cap {
 		q.mu.Unlock()
 		q.m.TasksRejected.Inc()
 		return false
 	}
-	q.tasks = append(q.tasks, t)
-	q.m.QueueDepth.Set(int64(len(q.tasks)))
+	q.push(t, by)
 	q.mu.Unlock()
 	q.m.TasksSubmitted.Inc()
 	q.cond.Signal()
@@ -252,21 +292,27 @@ func (q *queue) steal() (*task, bool) {
 	}
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	q.idle++
+	if q.idle++; q.idle == q.workers {
+		q.ctl.Signal()
+	}
 	for {
-		if q.done {
+		switch {
+		case q.done:
 			return nil, false
-		}
-		if len(q.tasks) > 0 {
+		case q.pausing:
+			// Held: neither stealing nor termination detection during a round.
+		case len(q.tasks) > 0:
 			t := q.tasks[0]
-			// Close the gap in place — the queue is a few tasks long — so
-			// that the backing array is allocated once per run, not once
-			// per few steals, and zero the vacated slot: the popped task
-			// must not be retained (it returns to the pool after execution).
+			// Close the gap in place — the queue is a few tasks long — so that
+			// the backing array is allocated once per run, and zero the vacated
+			// slot: the popped task returns to the pool after execution.
 			n := copy(q.tasks, q.tasks[1:])
 			q.tasks[n] = nil
 			q.tasks = q.tasks[:n]
 			q.m.QueueDepth.Set(int64(len(q.tasks)))
+			if q.idle == q.workers {
+				q.ctl.Signal() // the pool has resumed (see round)
+			}
 			q.idle--
 			q.stolen++
 			q.m.TasksStolen.Inc()
@@ -274,23 +320,11 @@ func (q *queue) steal() (*task, bool) {
 				q.m.StealWait.Observe(time.Since(waitStart).Seconds())
 			}
 			return t, true
-		}
-		if q.idle == q.workers {
+		case q.idle == q.workers:
 			// Everyone is waiting and the queue is empty: no work remains.
 			q.done = true
 			q.cond.Broadcast()
 			return nil, false
-		}
-		if q.ckpt != nil && q.ckpt.pause.Load() {
-			// A quiesce round is on: join its barrier empty-handed instead
-			// of sleeping through it. Leave the steal wait-set while parked
-			// (q.idle tracks workers that could consume a wake-up).
-			q.idle--
-			q.mu.Unlock()
-			q.ckpt.park(search.FrontierTask{})
-			q.mu.Lock()
-			q.idle++
-			continue
 		}
 		q.cond.Wait()
 	}
@@ -299,32 +333,47 @@ func (q *queue) steal() (*task, bool) {
 // requeue puts a panicked task back, bypassing the capacity bound (the
 // task is in-flight work that must not be dropped; the queue only ever
 // exceeds cap transiently, by at most one task per recovering worker) and
-// waking one stealer so recovery never deadlocks a fully-idle pool. It
-// refuses (false) after termination; the caller then owns the task again.
-func (q *queue) requeue(t *task) bool {
+// waking one stealer so recovery never deadlocks a fully-idle pool. After
+// termination nobody retries it, but a checkpoint-on-stop finds it here.
+func (q *queue) requeue(t *task) {
 	q.mu.Lock()
-	if q.done {
-		q.mu.Unlock()
-		return false
-	}
 	q.tasks = append(q.tasks, t)
 	q.m.QueueDepth.Set(int64(len(q.tasks)))
 	q.mu.Unlock()
 	q.m.TasksRequeued.Inc()
 	q.cond.Signal()
-	return true
 }
 
-// shutdown wakes all waiters and marks the pool finished (stop-rule path).
+// handIn takes what an interrupted worker left of its task, if anything.
+func (q *queue) handIn(ft search.FrontierTask) {
+	if len(ft.Frames) > 0 {
+		q.mu.Lock()
+		q.handed = append(q.handed, ft)
+		q.mu.Unlock()
+	}
+}
+
+// frontier is the outstanding work of a pool in which no worker is executing
+// (held under q.mu, or drained): the queue's tasks plus the hand-ins.
+func (q *queue) frontier() []search.FrontierTask {
+	tasks := make([]search.FrontierTask, 0, len(q.tasks)+len(q.handed))
+	for _, tk := range q.tasks {
+		tasks = append(tasks, tk.Clone())
+	}
+	return append(tasks, q.handed...)
+}
+
+// shutdown wakes all waiters and marks the pool finished (stop path).
 func (q *queue) shutdown() {
 	q.mu.Lock()
 	q.done = true
 	q.mu.Unlock()
 	q.cond.Broadcast()
+	q.ctl.Signal()
 }
 
 // globals is the state the workers of one run share: the set-up, the queue,
-// the atomic counters and the stop flag.
+// the atomic counters and the halt flag.
 type globals struct {
 	su     *search.Setup
 	q      *queue
@@ -337,12 +386,17 @@ type globals struct {
 	dead     atomic.Int64
 	flushes  atomic.Int64
 	nextTask atomic.Int64 // task-id sequence (initial shares take 1..Threads)
-	stop     atomic.Bool
-	reason   atomic.Int32
-	limits   search.Limits
-	started  time.Time
-	rec      *obs.Recorder  // nil when tracing is off
-	est      *obs.Estimator // nil when estimation is off
+	live     atomic.Int32 // workers still running; the last one out closes drained
+	// halt is the one word a worker polls per engine step: set for good by
+	// raise, for the length of a checkpoint round by round. Whichever it
+	// was, the worker hands in what is left of its task and goes to steal.
+	halt atomic.Bool
+	// reason is why raise stopped the run; zero (StopExhausted), it has not.
+	reason  atomic.Int32
+	limits  search.Limits
+	started time.Time
+	rec     *obs.Recorder  // nil when tracing is off
+	est     *obs.Estimator // nil when estimation is off
 
 	// treesSent/treesDone bracket the tree stream: workers count a send
 	// before it happens, the collector counts it after the OnTree/collect
@@ -350,12 +404,6 @@ type globals struct {
 	// counters never claim trees the spool has not yet seen.
 	treesSent atomic.Int64
 	treesDone atomic.Int64
-
-	// ckptOnStop routes interrupted-task snapshots into stopTasks while
-	// workers drain on the stop flag (checkpoint-on-stop frontier).
-	ckptOnStop bool
-	stopMu     sync.Mutex
-	stopTasks  []search.FrontierTask
 
 	failMu  sync.Mutex
 	failErr error // first fatal error (StopFailed path)
@@ -390,14 +438,23 @@ func (g *globals) snapshot() search.Counters {
 	}
 }
 
-// raise sets the stop flag once with the given reason.
+// raise stops the run, once: the halt flag interrupts the executing workers
+// and the queue's shutdown releases the waiting ones.
 func (g *globals) raise(r search.StopReason) {
-	if g.stop.CompareAndSwap(false, true) {
-		g.reason.Store(int32(r))
+	if g.reason.CompareAndSwap(0, int32(r)) {
+		g.halt.Store(true)
 		c := g.snapshot()
 		g.rec.Emit(obs.EvStop, -1, obs.F("reason", int64(r)),
 			obs.F("trees", c.StandTrees), obs.F("states", c.IntermediateStates))
+		g.q.shutdown()
 	}
+}
+
+// enqueue queues restored work — a resumed run's frontier at start, a
+// round's hand-ins — under a fresh lineage id and whatever the capacity: it
+// is work the run already owned. Under q.mu, or before the workers start.
+func (g *globals) enqueue(ft search.FrontierTask) {
+	g.q.push(newTask(ft, g.nextTask.Add(1)), -1)
 }
 
 // checkLimits evaluates the stopping rules against the global counters.
@@ -410,10 +467,9 @@ func (g *globals) checkLimits() {
 // Run enumerates the stand with opt.Threads workers. With Threads <= 1 it
 // still exercises the full pool machinery with a single worker.
 func Run(constraints []*tree.Tree, opt Options) (*Result, error) {
-	// However the run ends — exhaustion, stopping rule, worker failure —
-	// unblock any snapshot request that raced the checkpoint loop's exit
-	// (Finish is nil-safe and idempotent). Without this, a Request landing
-	// between the loop's last poll and poolDone would block forever.
+	// However the run ends, unblock any snapshot request that raced the control
+	// loop's exit: a Request landing after the loop's last poll would block for
+	// ever (Finish is nil-safe and idempotent).
 	defer opt.Checkpoint.Trigger.Finish()
 	if opt.Threads <= 0 {
 		opt.Threads = 1
@@ -429,14 +485,13 @@ func Run(constraints []*tree.Tree, opt Options) (*Result, error) {
 	if ck.Interval == 0 && ck.Every > 0 {
 		ck.Interval = time.Second
 	}
-	periodic := ck.Interval > 0 && ck.Sink != nil
 
 	res := &Result{Stop: search.StopExhausted}
 	m := opt.Obs.SchedMetrics()
 	m.EnsureWorkers(opt.Threads)
 	m.Workers.Set(int64(opt.Threads))
 	g := &globals{opt: &opt, m: m, limits: opt.Limits, started: time.Now(),
-		rec: opt.Obs.Recorder(), est: opt.Obs.Estimator(), ckptOnStop: ck.OnStop}
+		rec: opt.Obs.Recorder(), est: opt.Obs.Estimator()}
 
 	// Shared set-up: initial tree, prefix walk (or the checkpoint's frontier
 	// view), and the outstanding work. What it already counted seeds the
@@ -470,71 +525,31 @@ func Run(constraints []*tree.Tree, opt Options) (*Result, error) {
 	}
 
 	q := newQueue(opt.Policy.QueueCap, opt.Threads, m)
+	q.rec = g.rec
 	g.su, g.q = su, q
 	// Task ids 1..Threads are reserved for the initial-split shares (worker
 	// w's share is task w+1, parent 0); submissions continue the sequence.
 	g.nextTask.Store(int64(opt.Threads))
 
-	// A fresh run hands share w to worker w directly. A resumed frontier
-	// goes straight into the queue (capacity does not apply: these are not
-	// new submissions but work the snapshotting run already owned) and
-	// every worker starts in the stealing pool.
+	// A fresh run hands share w to worker w directly; a resumed frontier is
+	// queued and every worker starts in the stealing pool.
 	shares := make([]*task, opt.Threads)
 	for i, ft := range su.Frontier.Tasks {
-		tk := taskPool.Get().(*task)
-		tk.Path = append(tk.Path[:0], ft.Path...)
-		tk.Frames = append(tk.Frames[:0], ft.Frames...)
 		if su.Resumed {
-			tk.id = g.nextTask.Add(1)
-			q.tasks = append(q.tasks, tk)
+			g.enqueue(ft)
 		} else {
-			tk.id = int64(i) + 1
-			shares[i] = tk
+			shares[i] = newTask(ft, int64(i)+1)
 		}
 	}
-	m.QueueDepth.Set(int64(len(q.tasks)))
 
-	// Quiesce controller: only needed when a snapshot can be requested
-	// while the pool is running (periodic or on-demand checkpoints).
-	var ckctl *ckptCtl
-	if ck.Trigger != nil || periodic {
-		ckctl = newCkptCtl(opt.Threads)
-		q.ckpt = ckctl
-	}
-
-	// checkpoint assembles the outstanding work — the queue's tasks plus the
-	// supplied in-flight engine snapshots — around the given counters.
-	// Callers guarantee the pool is either quiesced or drained, so the cut
-	// is consistent.
-	checkpoint := func(c search.Counters, inFlight []search.FrontierTask) *search.Checkpoint {
-		var tasks []search.FrontierTask
-		q.mu.Lock()
-		for _, tk := range q.tasks {
-			tasks = append(tasks, tk.Clone())
-		}
-		q.mu.Unlock()
-		return su.Checkpoint(c, opt.Threads, append(tasks, inFlight...))
-	}
-
-	// Cancellation: a watcher raises the stop flag and wakes blocked
-	// stealers the moment the context is done; workers notice at their
-	// next step (they poll the flag every transition).
-	var watcherDone chan struct{}
+	// Cancellation raises the stop the moment the context is done; workers
+	// notice at their next tick, waiting ones are woken.
 	if opt.Ctx != nil {
-		watcherDone = make(chan struct{})
-		go func() {
-			select {
-			case <-opt.Ctx.Done():
-				g.raise(search.StopCancelled)
-				q.shutdown()
-			case <-watcherDone:
-			}
-		}()
+		defer context.AfterFunc(opt.Ctx, func() { g.raise(search.StopCancelled) })()
 	}
 
 	// Streaming: workers send each stand tree into a bounded channel; one
-	// collector goroutine drains it, invoking OnTree and/or appending to
-	// the merged result. No per-worker tree buffers exist.
+	// collector goroutine drains it into OnTree and/or the merged result.
 	var collectDone chan struct{}
 	if opt.CollectTrees || opt.OnTree != nil {
 		if opt.TreeBuffer <= 0 {
@@ -544,7 +559,7 @@ func Run(constraints []*tree.Tree, opt Options) (*Result, error) {
 		collectDone = make(chan struct{})
 		go func() {
 			defer close(collectDone)
-			for nw := range g.treeCh {
+			sink := func(nw string) {
 				opt.Fault.Stall(faultinject.TreeStream)
 				if opt.OnTree != nil {
 					opt.OnTree(nw)
@@ -552,71 +567,46 @@ func Run(constraints []*tree.Tree, opt Options) (*Result, error) {
 				if opt.CollectTrees {
 					res.Trees = append(res.Trees, nw)
 				}
-				g.treesDone.Add(1)
 			}
-		}()
-	}
-
-	// Checkpoint loop: services on-demand trigger requests and the periodic
-	// interval, each through a full quiesce (acquire → frontier → release).
-	var poolDone, ckptLoopDone chan struct{}
-	if ckctl != nil {
-		poolDone = make(chan struct{})
-		ckptLoopDone = make(chan struct{})
-		takeCheckpoint := func() *search.Checkpoint {
-			inFlight, ok := ckctl.acquire(q, g)
-			defer ckctl.release()
-			if !ok {
-				// The pool emptied out or is stopping: this round's cut
-				// would be incomplete. The final state reaches the caller
-				// through the checkpoint-on-stop path (or the run simply
-				// finished and there is nothing left to snapshot).
-				return nil
-			}
-			g.drainTrees()
-			return checkpoint(g.snapshot(), inFlight)
-		}
-		go func() {
-			defer close(ckptLoopDone)
-			var tick <-chan time.Time
-			if periodic {
-				tkr := time.NewTicker(ck.Interval)
-				defer tkr.Stop()
-				tick = tkr.C
-			}
-			for {
-				select {
-				case <-poolDone:
-					return
-				case reply := <-ck.Trigger.Requests():
-					reply <- takeCheckpoint()
-				case <-tick:
-					if cp := takeCheckpoint(); cp != nil {
-						ck.Sink(cp)
-					}
-				}
+			// After a panic in the sink the run is failing: discard the rest
+			// of the stream so that no worker stays blocked on a send.
+			for g.collect(sink) {
+				sink = func(string) {}
 			}
 		}()
 	}
 
 	perWorker := make([]search.Counters, opt.Threads)
-	var wg sync.WaitGroup
+	g.live.Store(int32(opt.Threads))
+	drained := make(chan struct{})
 	for w := 0; w < opt.Threads; w++ {
-		wg.Add(1)
 		go func(w int) {
-			defer wg.Done()
 			(&worker{globals: g, id: w, total: &perWorker[w]}).run(shares[w])
+			if g.live.Add(-1) == 0 {
+				close(drained)
+			}
 		}(w)
 	}
-	wg.Wait()
-	if poolDone != nil {
-		// Join the checkpoint loop before tearing down the collector: a
-		// final quiesce may be draining the tree stream right now.
-		close(poolDone)
-		<-ckptLoopDone
+
+	// Run's own goroutine is the control loop until the pool has drained:
+	// each trigger request and each interval tick takes one round.
+	var tick <-chan time.Time
+	if ck.Interval > 0 && ck.Sink != nil {
+		tkr := time.NewTicker(ck.Interval)
+		defer tkr.Stop()
+		tick = tkr.C
 	}
-	if watcherDone != nil {
-		close(watcherDone)
+	for running := true; running; {
+		select {
+		case <-drained:
+			running = false
+		case reply := <-ck.Trigger.Requests():
+			reply <- g.round()
+		case <-tick:
+			if cp := g.round(); cp != nil {
+				ck.Sink(cp)
+			}
+		}
 	}
 	if g.treeCh != nil {
 		close(g.treeCh)
@@ -624,10 +614,9 @@ func Run(constraints []*tree.Tree, opt Options) (*Result, error) {
 	}
 
 	if g.failErr != nil {
-		// A task exhausted its panic-retry budget: the pool has fully
-		// drained (every worker exited through the stop flag), but the
-		// enumeration is incomplete in an unquantifiable way — surface the
-		// structured error instead of misleading partial counters.
+		// A task ran out of panic retries, or the tree sink panicked: the pool
+		// has drained, but the enumeration is incomplete in an unquantifiable
+		// way — return the structured error, not misleading partial counters.
 		return nil, g.failErr
 	}
 
@@ -637,9 +626,7 @@ func Run(constraints []*tree.Tree, opt Options) (*Result, error) {
 	res.PerWorker = perWorker
 	res.TasksStolen = q.stolen
 	res.Flushes = g.flushes.Load()
-	if g.stop.Load() {
-		res.Stop = search.StopReason(g.reason.Load())
-	}
+	res.Stop = search.StopReason(g.reason.Load())
 	switch res.Stop {
 	case search.StopTreeLimit:
 		if opt.Limits.MaxTrees > 0 {
@@ -651,10 +638,9 @@ func Run(constraints []*tree.Tree, opt Options) (*Result, error) {
 		}
 	}
 	if ck.OnStop && res.Stop != search.StopExhausted && res.Stop != search.StopFailed {
-		// The pool has fully drained (no worker is left to append): the queue
-		// remnants plus the snapshots workers took as they hit the stop flag
-		// are exactly the outstanding work.
-		res.Checkpoint = checkpoint(res.Counters, g.stopTasks)
+		// The pool has drained: the queue's remnant plus what the workers handed
+		// in as they hit the stop are exactly the outstanding work.
+		res.Checkpoint = su.Checkpoint(res.Counters, opt.Threads, q.frontier())
 	}
 	m.QueueDepth.Set(0)
 	res.Elapsed = time.Since(g.started)
@@ -708,23 +694,19 @@ func (w *worker) Offer(path []search.PathStep, f *search.Frame, n int) int {
 	tk.branches = append(tk.branches[:0], f.Branches[len(f.Branches)-n:]...)
 	tk.Frames = append(tk.Frames[:0], search.FrameSnapshot{
 		Taxon: f.Taxon, Branches: tk.branches, Weight: f.BranchWeight()})
-	id := w.nextTask.Add(1)
-	tk.id, tk.parent = id, w.cur
+	tk.id, tk.parent = w.nextTask.Add(1), w.cur
 	// A successful submit transfers tk's ownership to the queue: a stealer
 	// may finish and recycle it at any moment, so nothing below may touch tk.
-	if !w.q.trySubmit(tk) {
+	if !w.q.trySubmit(tk, w.id) {
 		recycleTask(tk)
 		return 0
 	}
 	w.dirty = true
-	w.rec.Emit(obs.EvTaskSubmit, w.id, obs.F("task", id), obs.F("parent", w.cur),
-		obs.F("taxon", int64(f.Taxon)),
-		obs.F("branches", int64(n)), obs.F("path", int64(len(path))))
 	return n
 }
 
-// Publish adds a counter batch to the global totals, re-evaluates the
-// stopping rules and, when one fired, wakes the pool.
+// Publish adds a counter batch to the global totals and re-evaluates the
+// stopping rules.
 func (w *worker) Publish(c search.Counters) {
 	m, wm := w.m, w.m.Worker(w.id)
 	w.dirty = true
@@ -742,22 +724,24 @@ func (w *worker) Publish(c search.Counters) {
 		obs.F("dead", c.DeadEnds))
 	w.total.Add(c)
 	w.checkLimits()
-	if w.stop.Load() {
-		w.q.shutdown()
-	}
 }
 
 // Tree streams a stand tree to the collector. The tree is externally visible
 // the moment it is sent, so the attempt is marked before the send: a panic
 // anywhere after must not requeue-and-duplicate it. The sent counter lets a
-// checkpoint wait for the collector to catch up (drainTrees).
+// checkpoint wait for the collector to catch up (drainTrees). The run's first
+// tree also yields the processor: the collector the send woke is queued behind
+// this worker and, every processor busy, would not run until the buffer filled.
 func (w *worker) Tree(nw string) {
 	w.dirty = true
-	w.treesSent.Add(1)
+	first := w.treesSent.Add(1) == 1
 	w.treeCh <- nw
+	if first {
+		runtime.Gosched()
+	}
 }
 
-// execute runs one task to its end, or to the stop flag, under a recover()
+// execute runs one task to its end, or to the halt flag, under a recover()
 // barrier. Execution never mutates the task, so a panic before the attempt
 // publishes any progress (see dirty) requeues it verbatim for any worker: the
 // unflushed batch goes with the discarded search.Worker (it reached neither
@@ -786,59 +770,42 @@ func (w *worker) execute(tk *task) (ok bool) {
 		w.wk = w.newWorker()
 		tk.retries++
 		if !w.dirty && w.opt.MaxTaskRetries >= 0 && tk.retries <= w.opt.MaxTaskRetries {
-			// A successful requeue hands tk to the queue: a stealer may
-			// finish and recycle it at once, so read it first.
+			// The requeue hands tk to the queue: a stealer may finish and
+			// recycle it at once, so read it first.
 			taxon, attempt := int64(tk.root().Taxon), int64(tk.retries)
-			if q.requeue(tk) {
-				rec.Emit(obs.EvRequeue, w.id, obs.F("taxon", taxon), obs.F("attempt", attempt))
-				return
-			}
-			// The pool already terminated (a stopping rule, cancellation, or
-			// another worker's fatal error): the retry is moot — but the task
-			// is still outstanding work, so a checkpoint-on-stop frontier
-			// must include it.
-			w.collectStopTask(tk.Clone())
-			recycleTask(tk)
+			q.requeue(tk)
+			rec.Emit(obs.EvRequeue, w.id, obs.F("taxon", taxon), obs.F("attempt", attempt))
 			return
 		}
 		w.fail(&WorkerPanicError{Worker: w.id, Value: r, Stack: stack, Attempts: tk.retries, Dirty: w.dirty})
-		q.shutdown()
 	}()
 	w.opt.Fault.MaybePanic(faultinject.TaskExec)
 	if err := w.wk.Begin(tk.FrontierTask); err != nil {
 		w.fail(err)
-		q.shutdown()
 		return true
 	}
-	for ph := search.Replay; ; {
-		if ck := q.ckpt; ck != nil && ck.pause.Load() {
-			// Quiesce: publish the batch, hand what is left of this task to
-			// the round's frontier, and park until the initiator releases
-			// the pool.
-			w.wk.Flush()
-			ck.park(w.wk.Snapshot())
-			if w.stop.Load() {
-				break
-			}
-		}
+	for ph, stepped := search.Replay, false; ; {
 		if ph == search.Explore {
 			w.opt.Fault.MaybePanic(faultinject.EngineStep)
 		}
-		if ph, _ = w.wk.Tick(); ph == search.Idle {
+		if ph, stepped = w.wk.Tick(); ph == search.Idle {
 			break
 		}
 		if w.steps++; w.steps&1023 == 0 {
 			w.checkLimits()
 		}
-		if w.stop.Load() {
+		// Polled after engine steps only: a stolen task gets past its path replay
+		// and a step further, so back-to-back rounds cannot replay it for ever.
+		if stepped && ph == search.Explore && w.halt.Load() {
 			break
 		}
 	}
-	// Interrupted by the stop flag, the worker is not ticked again: what is
-	// left of the task is outstanding work for the checkpoint-on-stop
-	// frontier.
+	// Interrupted — by a stop or by a checkpoint round, the worker does not
+	// care which — it publishes its batch, hands in what is left of the task
+	// (nothing, when the task ran to its end) and is idle at I_0 again.
 	w.wk.Flush()
-	w.collectStopTask(w.wk.Snapshot())
+	q.handIn(w.wk.Snapshot())
+	w.wk.Drop()
 	rec.Emit(obs.EvTaskEnd, w.id, obs.F("task", tk.id))
 	return true
 }
@@ -846,8 +813,6 @@ func (w *worker) execute(tk *task) (ok bool) {
 // run is the body of one pool worker.
 func (w *worker) run(share *task) {
 	q, rec := w.q, w.rec
-	// A quiesce must never wait on a worker that already left the pool.
-	defer q.ckpt.exit()
 	w.wk = w.newWorker()
 
 	// Phase 1: the initial-split share, a task like any other (empty path,
@@ -858,18 +823,12 @@ func (w *worker) run(share *task) {
 		nShare = len(share.root().Branches)
 	}
 	rec.Emit(obs.EvWorkerStart, w.id, obs.F("branches", int64(nShare)))
-	if share != nil {
-		if w.stop.Load() {
-			// Stopped before this share ever started: it is still
-			// outstanding work, so the checkpoint frontier must carry it.
-			w.collectStopTask(share.Clone())
-		} else if w.execute(share) {
-			recycleTask(share)
-		}
+	if share != nil && w.execute(share) {
+		recycleTask(share)
 	}
 
-	// Phase 2: stealing pool.
-	for !w.stop.Load() {
+	// Phase 2: stealing pool, until the queue reports termination.
+	for {
 		rec.Emit(obs.EvWorkerIdle, w.id)
 		tk, ok := q.steal()
 		if !ok {
@@ -883,9 +842,6 @@ func (w *worker) run(share *task) {
 		if w.execute(tk) {
 			recycleTask(tk)
 		}
-	}
-	if w.stop.Load() {
-		q.shutdown()
 	}
 	addHeuristicStats(w.m, w.wk.HeuristicStats())
 	rec.Emit(obs.EvWorkerExit, w.id)

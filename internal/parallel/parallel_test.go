@@ -226,21 +226,21 @@ func TestPartitionBranches(t *testing.T) {
 
 func TestQueueSubmitAndCap(t *testing.T) {
 	q := newQueue(2, 3, obs.NopSchedMetrics())
-	if !q.trySubmit(&task{id: 1}) || !q.trySubmit(&task{id: 2}) {
+	if !q.trySubmit(&task{id: 1}, 0) || !q.trySubmit(&task{id: 2}, 0) {
 		t.Fatal("submissions under capacity rejected")
 	}
-	if q.trySubmit(&task{id: 3}) {
+	if q.trySubmit(&task{id: 3}, 0) {
 		t.Fatal("submission above capacity accepted")
 	}
 	tk, ok := q.steal()
 	if !ok || tk.id != 1 {
 		t.Fatalf("steal = %+v, %v (want FIFO task 1)", tk, ok)
 	}
-	if !q.trySubmit(&task{id: 3}) {
+	if !q.trySubmit(&task{id: 3}, 0) {
 		t.Fatal("submission after drain rejected")
 	}
 	q.shutdown()
-	if q.trySubmit(&task{id: 4}) {
+	if q.trySubmit(&task{id: 4}, 0) {
 		t.Fatal("submission after shutdown accepted")
 	}
 }

@@ -13,7 +13,7 @@ import (
 
 // TestTriggerFinishNeverHangs is the regression test for the
 // RequestCheckpoint vs job-completion race: a trigger request can land in
-// the instant between the checkpoint loop's last poll and the pool's exit.
+// the instant between the control loop's last poll and Run's return.
 // Before CheckpointTrigger.Finish existed, such a request blocked forever
 // on the unbuffered request channel (and the HTTP handler with it). Hammer
 // the window from several requesters while runs finish naturally and via

@@ -145,12 +145,13 @@ type Options struct {
 // enumeration at any thread count. Zero-valued fields disable their
 // mechanism; any combination may be active at once.
 //
-// Serial runs snapshot inline at stopping-rule checks. Parallel runs
-// quiesce: every worker parks at a task/step boundary, the queue and the
-// in-flight engine stacks drain into a task-frontier snapshot, and the pool
-// resumes — the enumeration is never restarted. A frontier snapshot resumes
-// at ANY thread count, with final counters exactly equal to an
-// uninterrupted run's.
+// Serial runs snapshot inline at stopping-rule checks. Parallel runs take a
+// round: every worker is interrupted at an engine step as a stop would, hands
+// in what is left of its task and waits; the queue and the hand-ins are cut
+// into a task-frontier snapshot; the hand-ins are queued and stolen again —
+// the enumeration is never restarted. A frontier snapshot resumes at ANY
+// thread count, with final counters exactly equal to an uninterrupted
+// run's.
 type CheckpointPolicy struct {
 	// Every snapshots to Sink every this many stopping-rule checks of a
 	// serial run — the survival mechanism for hard crashes, where OnStop
@@ -160,7 +161,7 @@ type CheckpointPolicy struct {
 
 	// Interval snapshots to Sink on a wall-clock cadence — the knob that
 	// works at every thread count. Serial runs evaluate it at stopping-rule
-	// checks; parallel runs run a dedicated checkpoint loop.
+	// checks; parallel runs on a ticker in the run's control loop.
 	Interval time.Duration
 
 	// OnStop captures the final state into Result.Checkpoint when the run

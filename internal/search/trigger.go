@@ -13,8 +13,8 @@ var ErrRunEnded = errors.New("search: run ended before the checkpoint request wa
 // CheckpointTrigger requests an on-demand snapshot from a running
 // enumeration — serial or parallel — without stopping it. The requesting
 // side calls Request; the engine side polls Requests at its stopping-rule
-// boundaries (serial) or services it from the checkpoint loop after a
-// quiesce (parallel). A trigger is single-run: hand each enumeration its
+// boundaries (serial) or services each request with a checkpoint round from
+// the run's control loop (parallel). A trigger is single-run: hand each enumeration its
 // own. All methods are nil-safe.
 type CheckpointTrigger struct {
 	req  chan chan *Checkpoint

@@ -163,5 +163,15 @@ func (w *Worker) Snapshot() FrontierTask {
 	return FrontierTask{}
 }
 
+// Drop abandons what is left of the current task: the Terrace is rewound to
+// I_0 and the worker is idle, ready to Begin any task — the one a Snapshot
+// taken just before describes included.
+func (w *Worker) Drop() {
+	for w.t.Depth() > w.base {
+		w.t.RemoveTaxon()
+	}
+	w.task, w.phase = FrontierTask{}, Idle
+}
+
 // HeuristicStats is the heuristic-layer accounting of the worker's Terrace.
 func (w *Worker) HeuristicStats() terrace.HeuristicStats { return w.t.HeuristicStats() }

@@ -222,6 +222,100 @@ func TestWorkerSnapshotResumes(t *testing.T) {
 	}
 }
 
+// TestWorkerDropResumesInPlace: Drop, mid-replay and mid-exploration, leaves
+// the Terrace at I_0 and the worker fit to finish, itself, the task a
+// Snapshot taken just before describes — how the pool resumes from a
+// checkpoint round — at no allocation beyond the snapshot's own.
+func TestWorkerDropResumesInPlace(t *testing.T) {
+	su, ref := wholeStand(t, midStand(t, 1616))
+	pol := Policy{}.Normalize(1)
+	fresh := su.NewTerrace().Signature()
+
+	// A task with a path, to be dropped while replaying.
+	h := &fakeHost{take: 1 << 30}
+	w := su.NewWorker(pol, h, nil, true)
+	if err := w.Begin(su.Frontier.Tasks[0]); err != nil {
+		t.Fatal(err)
+	}
+	for len(h.queue) == 0 || len(h.queue[len(h.queue)-1].Path) < 2 {
+		if ph, _ := w.Tick(); ph == Idle {
+			t.Fatal("no hand-off with a path of two steps")
+		}
+	}
+	w.Flush()
+	left := w.Snapshot()
+	w.Drop()
+	if w.phase != Idle || w.t.Signature() != fresh {
+		t.Fatal("Drop while exploring did not bring the worker back to I_0")
+	}
+	deep := h.queue[len(h.queue)-1]
+	h.queue = h.queue[:len(h.queue)-1]
+	if err := w.Begin(deep); err != nil {
+		t.Fatal(err)
+	}
+	if ph, worked := w.Tick(); ph != Replay || !worked {
+		t.Fatalf("first tick of a task with a path: %v, %v", ph, worked)
+	}
+	whole := w.Snapshot()
+	w.Drop()
+	if w.phase != Idle || w.t.Signature() != fresh {
+		t.Fatal("Drop while replaying did not bring the worker back to I_0")
+	}
+
+	// The same worker finishes everything that is left, snapshots first.
+	pending := append([]FrontierTask{left, whole}, h.queue...)
+	h.queue = nil
+	for _, tk := range pending {
+		drain(t, w, h, tk)
+	}
+	got := su.Counters
+	got.Add(h.total)
+	if got != ref.Counters {
+		t.Fatalf("%+v across two drops on one worker, uninterrupted %+v", got, ref.Counters)
+	}
+	if !slices.Equal(sortedCopy(h.trees), sortedCopy(ref.Trees)) {
+		t.Fatal("stands differ")
+	}
+
+	// Dropped every 50 ticks and begun again from its own snapshot, a
+	// counting worker still arrives at the exact totals; the interruption
+	// itself — flush, drop, begin — allocates nothing (the snapshot does).
+	hc := &fakeHost{}
+	wc := su.NewWorker(pol, hc, nil, false)
+	for tk, drops := su.Frontier.Tasks[0], 0; len(tk.Frames) > 0; drops++ {
+		if err := wc.Begin(tk); err != nil {
+			t.Fatal(err)
+		}
+		ph := Replay
+		for i := 0; i < 50 && ph != Idle; i++ {
+			ph, _ = wc.Tick()
+		}
+		wc.Flush()
+		tk = wc.Snapshot()
+		wc.Drop()
+		if ph == Idle && drops < 3 {
+			t.Fatalf("the stand was finished after %d drops", drops)
+		}
+	}
+	if got := hc.total; got.StandTrees+su.Counters.StandTrees != ref.StandTrees ||
+		got.IntermediateStates+su.Counters.IntermediateStates != ref.IntermediateStates ||
+		got.DeadEnds+su.Counters.DeadEnds != ref.DeadEnds {
+		t.Fatalf("%+v on top of %+v when dropped every 50 ticks, uninterrupted %+v", got, su.Counters, ref.Counters)
+	}
+	if n := testing.AllocsPerRun(5, func() {
+		if err := wc.Begin(su.Frontier.Tasks[0]); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 50; i++ {
+			wc.Tick()
+		}
+		wc.Flush()
+		wc.Drop()
+	}); n != 0 {
+		t.Fatalf("begin, tick, flush and drop on a warm worker make %v allocations", n)
+	}
+}
+
 // TestWorkerReusesItsEngine: one engine serves every task. After a deep
 // stack nothing of it stays referenced — scribbling over the old task's
 // arrays changes nothing — and a task costs no allocation.

@@ -19,14 +19,12 @@ import (
 type VirtualClock struct {
 	mu     sync.Mutex
 	now    time.Time
-	seq    int64
-	timers []*vtimer
+	timers []*vtimer // in registration order between Advances
 }
 
 type vtimer struct {
-	at  time.Time
-	seq int64
-	ch  chan time.Time
+	at time.Time
+	ch chan time.Time
 }
 
 // NewVirtualClock returns a clock stopped at start.
@@ -46,13 +44,25 @@ func (c *VirtualClock) Now() time.Time {
 func (c *VirtualClock) After(d time.Duration) <-chan time.Time {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.until(c.now.Add(d))
+}
+
+// Until is After for an absolute deadline; one not after now fires at once.
+func (c *VirtualClock) Until(t time.Time) <-chan time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.until(t)
+}
+
+// until registers a timer for t, or fires it at once when the clock has
+// reached t already. The caller holds c.mu.
+func (c *VirtualClock) until(t time.Time) <-chan time.Time {
 	ch := make(chan time.Time, 1)
-	if d <= 0 {
+	if !t.After(c.now) {
 		ch <- c.now
 		return ch
 	}
-	c.seq++
-	c.timers = append(c.timers, &vtimer{at: c.now.Add(d), seq: c.seq, ch: ch})
+	c.timers = append(c.timers, &vtimer{at: t, ch: ch})
 	return ch
 }
 
@@ -69,26 +79,17 @@ func (c *VirtualClock) Waiters() int {
 }
 
 // Advance moves the clock forward by d, firing every timer whose deadline
-// is reached, in deadline order. Goroutines woken by a fired timer may
-// register new timers concurrently with the remainder of the advance; those
-// are honoured if they fall within the window, so nested waits (a retry
-// loop sleeping thrice) unwind within one sufficiently large Advance only
-// if the wakes keep up — tests advance in small steps instead (see
-// AdvanceStep idiom in internal/dist tests).
+// is reached, in deadline order. Goroutines a fired timer wakes register
+// their next timers only after the advance, so nested waits (a retry loop
+// sleeping thrice) do not unwind within one large Advance: tests advance in
+// small steps instead (see AdvanceStep idiom in internal/dist tests).
 func (c *VirtualClock) Advance(d time.Duration) {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	target := c.now.Add(d)
-	for {
-		// Earliest pending timer within the window.
-		sort.SliceStable(c.timers, func(i, j int) bool {
-			if !c.timers[i].at.Equal(c.timers[j].at) {
-				return c.timers[i].at.Before(c.timers[j].at)
-			}
-			return c.timers[i].seq < c.timers[j].seq
-		})
-		if len(c.timers) == 0 || c.timers[0].at.After(target) {
-			break
-		}
+	// Stable: timers sharing a deadline stay in registration order.
+	sort.SliceStable(c.timers, func(i, j int) bool { return c.timers[i].at.Before(c.timers[j].at) })
+	for len(c.timers) > 0 && !c.timers[0].at.After(target) {
 		t := c.timers[0]
 		c.timers = c.timers[1:]
 		if t.at.After(c.now) {
@@ -97,5 +98,4 @@ func (c *VirtualClock) Advance(d time.Duration) {
 		t.ch <- c.now
 	}
 	c.now = target
-	c.mu.Unlock()
 }

@@ -18,8 +18,9 @@ import (
 	"gentrius/internal/tree"
 )
 
-// submitted returns the tasks a traced run handed off, in order: taxon,
-// branch share and path length of each.
+// submitted returns the tasks a traced run's workers handed off, in order:
+// taxon, branch share and path length of each. (The pool also traces, as
+// worker -1, the restored tasks it queues itself; the simulator does not.)
 func submitted(t *testing.T, trace *bytes.Buffer) []string {
 	t.Helper()
 	events, err := obs.ReadTrace(trace)
@@ -28,7 +29,7 @@ func submitted(t *testing.T, trace *bytes.Buffer) []string {
 	}
 	var out []string
 	for _, e := range events {
-		if e.Ev == obs.EvTaskSubmit {
+		if e.Ev == obs.EvTaskSubmit && e.Worker >= 0 {
 			out = append(out, fmt.Sprint(e.Get("taxon"), e.Get("branches"), e.Get("path")))
 		}
 	}
