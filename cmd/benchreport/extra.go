@@ -1,9 +1,12 @@
 package main
 
 import (
+	"bytes"
 	"io"
+	"slices"
 	"testing"
 
+	"gentrius"
 	"gentrius/internal/gen"
 	"gentrius/internal/obs"
 	"gentrius/internal/search"
@@ -11,8 +14,12 @@ import (
 	"gentrius/internal/tree"
 )
 
-// cloneSink keeps the compiler from dropping TerraceClone's result.
-var cloneSink *terrace.Terrace
+// The sinks keep the compiler from dropping TerraceClone's and
+// StaticIndexNew's results.
+var (
+	cloneSink *terrace.Terrace
+	indexSink *tree.StaticIndex
+)
 
 // extraBenches registers benchmarks that only exist on newer revisions of
 // the engine; a baseline produced before a benchmark existed simply lacks
@@ -120,6 +127,32 @@ func extraBenches(add func(name string, f func(b *testing.B)),
 		for i := 0; i < b.N; i++ {
 			cloneSink = proto.Clone()
 		}
+	})
+
+	// Constraint input (PR 19): the same 15 constraint trees as the text of
+	// their .trees file through gentrius.ReadTrees — scanner, reader, the
+	// fit to the finished universe — and the LCA index terrace.New builds
+	// per constraint, on the largest of them. Both allocate a fixed number
+	// of times per tree, whatever its size.
+	var text bytes.Buffer
+	if err := gentrius.WriteTrees(&text, big); err != nil {
+		panic(err)
+	}
+	add("ReadTrees", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, _, err := gentrius.ReadTrees(bytes.NewReader(text.Bytes()), nil); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(len(big)), "trees")
+		b.ReportMetric(float64(text.Len()), "bytes")
+	})
+	add("StaticIndexNew", func(b *testing.B) {
+		widest := slices.MaxFunc(big, func(x, y *tree.Tree) int { return x.NumLeaves() - y.NumLeaves() })
+		for i := 0; i < b.N; i++ {
+			indexSink = tree.NewStaticIndex(widest)
+		}
+		b.ReportMetric(float64(widest.NumLeaves()), "taxa")
 	})
 
 	add("TreeNewick", func(b *testing.B) {

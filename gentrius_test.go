@@ -2,6 +2,7 @@ package gentrius
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -192,7 +193,8 @@ func TestReadPAMFacade(t *testing.T) {
 
 func TestReadTreesThenEnumerate(t *testing.T) {
 	// Regression: taxa that first appear in later trees must not leave
-	// earlier trees with undersized internal arrays (two-pass parse).
+	// earlier trees with undersized internal arrays (the reader fits every
+	// tree to the universe after the last line).
 	in := "((A,B),(C,D));\n((A,B),(C,E));\n((D,E),(A,F));\n"
 	cons, _, err := ReadTrees(strings.NewReader(in), nil)
 	if err != nil {
@@ -204,6 +206,78 @@ func TestReadTreesThenEnumerate(t *testing.T) {
 	}
 	if res.StandTrees < 1 {
 		t.Fatalf("stand = %d", res.StandTrees)
+	}
+}
+
+// A UTF-8 byte-order mark before the first line is not part of the first
+// label (nor does it hide a #NEXUS header), and CRLF line ends are line ends.
+func TestReadTreesBOMAndCRLF(t *testing.T) {
+	const bom = "\xef\xbb\xbf"
+	text := bom + "((A,B),(C,D));\r\n\r\n# comment\r\n((A,C),(B,E));\r\n"
+	readers := map[string]func(string) ([]*Tree, *Taxa, error){
+		"ReadTrees":     func(s string) ([]*Tree, *Taxa, error) { return ReadTrees(strings.NewReader(s), nil) },
+		"ReadTreesAuto": func(s string) ([]*Tree, *Taxa, error) { return ReadTreesAuto(strings.NewReader(s)) },
+	}
+	for name, read := range readers {
+		trees, taxa, err := read(text)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := strings.Join(taxa.Names(), " "); len(trees) != 2 || got != "A B C D E" {
+			t.Fatalf("%s: %d trees over %q, want 2 over A B C D E", name, len(trees), got)
+		}
+	}
+	nex := bom + "#NEXUS\r\nBEGIN TREES;\r\n TREE a = ((A,B),(C,D));\r\nEND;\r\n"
+	trees, taxa, err := ReadTreesAuto(strings.NewReader(nex))
+	if err != nil || len(trees) != 1 || taxa.Len() != 4 {
+		t.Fatalf("NEXUS behind a byte-order mark: %d trees, %v", len(trees), err)
+	}
+}
+
+func TestReadTreesFixedUniverse(t *testing.T) {
+	taxa := MustTaxa([]string{"A", "B", "C", "D"})
+	if _, _, err := ReadTrees(strings.NewReader("((A,B),(C,D));\n\n((A,B),(C,Z));\n"), taxa); err == nil ||
+		!strings.Contains(err.Error(), "line 3:") {
+		t.Fatalf("unknown label under a caller's universe: got %v, want a line 3 error", err)
+	}
+	if taxa.Len() != 4 {
+		t.Fatalf("caller's universe grew to %d taxa", taxa.Len())
+	}
+}
+
+// One tree on one line longer than the scanner's starting buffer and longer
+// than 1 MiB reads; a line of nothing but '(' is refused by the nesting cap
+// rather than by the stack.
+func TestReadTreesLongLines(t *testing.T) {
+	const leaves = 1 << 17
+	var b strings.Builder
+	var balanced func(lo, hi int)
+	balanced = func(lo, hi int) {
+		if hi-lo == 1 {
+			fmt.Fprintf(&b, "t%06d", lo)
+			return
+		}
+		b.WriteByte('(')
+		balanced(lo, (lo+hi)/2)
+		b.WriteByte(',')
+		balanced((lo+hi)/2, hi)
+		b.WriteByte(')')
+	}
+	balanced(0, leaves)
+	b.WriteString(";\n")
+	if b.Len() <= 1<<20 {
+		t.Fatalf("test line is only %d bytes", b.Len())
+	}
+	trees, taxa, err := ReadTrees(strings.NewReader(b.String()), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(trees) != 1 || trees[0].NumLeaves() != leaves || taxa.Len() != leaves || trees[0].NumEdges() != 2*leaves-3 {
+		t.Fatalf("read %d trees, %d leaves, %d taxa", len(trees), trees[0].NumLeaves(), taxa.Len())
+	}
+	_, _, err = ReadTrees(strings.NewReader("(A,B);\n"+strings.Repeat("(", 120000)), nil)
+	if err == nil || !strings.Contains(err.Error(), "line 2:") || !strings.Contains(err.Error(), "nested deeper") {
+		t.Fatalf("120000 open groups: got %v, want the nesting cap on line 2", err)
 	}
 }
 

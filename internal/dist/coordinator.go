@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"strings"
 	"sync"
 	"time"
 
@@ -216,14 +215,14 @@ func (c *Coordinator) Run(ctx context.Context, jobID string, constraints []*tree
 
 	// Canonicalize: serialize the input and re-parse the canonical text,
 	// so the coordinator's taxon/edge ids match what workers — who parse
-	// the same strings — will assign. (ReadTrees numbers taxa by first
+	// the same strings — will assign. (The reader numbers taxa by first
 	// appearance; parsing different text would silently shift every
 	// PathStep in the dispatched checkpoints.)
 	newicks := make([]string, len(constraints))
 	for i, t := range constraints {
 		newicks[i] = t.Newick()
 	}
-	cons, _, err := gentrius.ReadTrees(strings.NewReader(strings.Join(newicks, "\n")), nil)
+	cons, err := tree.ReadLines(newicks)
 	if err != nil {
 		return nil, fmt.Errorf("dist: canonicalizing constraints: %w", err)
 	}

@@ -14,7 +14,7 @@ import (
 //
 // All payloads are JSON. Constraint trees travel as canonical Newick
 // strings and are re-parsed on both sides from the SAME text, so taxon and
-// edge ids — which ReadTrees assigns by first appearance — agree across
+// edge ids — which tree.ReadLines assigns by first appearance — agree across
 // processes; the checkpoint fingerprint guards against drift.
 
 // DispatchRequest leases one shard to a worker.

@@ -9,7 +9,6 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -19,6 +18,7 @@ import (
 	"gentrius/internal/obs"
 	"gentrius/internal/retry"
 	"gentrius/internal/search"
+	"gentrius/internal/tree"
 )
 
 // WorkerConfig sizes one fleet worker (the shard-executing side of a
@@ -164,7 +164,7 @@ func (w *Worker) runShard(ctx context.Context, run *shardRun, key shardKey, req 
 		w.mu.Unlock()
 	}()
 
-	cons, _, err := gentrius.ReadTrees(strings.NewReader(strings.Join(req.Trees, "\n")), nil)
+	cons, err := tree.ReadLines(req.Trees)
 	if err != nil {
 		w.cfg.Logger.Error("shard constraints unparseable", "job", req.JobID,
 			"shard", req.Shard, "error", err.Error())

@@ -177,26 +177,27 @@ func Read(r io.Reader) (*File, error) {
 	for i, rt := range raws {
 		translated[i] = rawTree{name: rt.name, newick: translateNewick(rt.newick, translate)}
 	}
-	// Build the universe: TAXA block labels first (if given), then anything
-	// new discovered in the trees.
+	// The universe: TAXA block labels first (if given), then anything new
+	// the reader meets in the trees.
 	taxa := tree.MustTaxa(nil)
 	for _, l := range taxaLabels {
 		if _, err := taxa.Add(l); err != nil {
 			return nil, fmt.Errorf("nexus: %w", err)
 		}
 	}
+	rd := tree.NewReader(taxa, true)
 	for _, rt := range translated {
-		if _, err := tree.Parse(rt.newick, taxa, true); err != nil {
+		if err := rd.Add([]byte(rt.newick)); err != nil {
 			return nil, fmt.Errorf("nexus: tree %q: %w", rt.name, err)
 		}
 	}
-	f := &File{Taxa: taxa}
-	for _, rt := range translated {
-		t, err := tree.Parse(rt.newick, taxa, false)
-		if err != nil {
-			return nil, fmt.Errorf("nexus: tree %q: %w", rt.name, err)
-		}
-		f.Trees = append(f.Trees, NamedTree{Name: rt.name, Tree: t})
+	trees, _, err := rd.Finish()
+	if err != nil {
+		return nil, fmt.Errorf("nexus: %w", err)
+	}
+	f := &File{Taxa: taxa, Trees: make([]NamedTree, len(trees))}
+	for i, t := range trees {
+		f.Trees[i] = NamedTree{Name: translated[i].name, Tree: t}
 	}
 	return f, nil
 }

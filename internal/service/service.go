@@ -35,6 +35,7 @@ import (
 	"gentrius/internal/obs"
 	"gentrius/internal/retry"
 	"gentrius/internal/search"
+	"gentrius/internal/tree"
 )
 
 // Config sizes the manager.
@@ -856,8 +857,7 @@ func parseStop(s string) gentrius.StopReason {
 func parseRequest(req JobRequest) ([]*gentrius.Tree, error) {
 	switch {
 	case len(req.Trees) > 0 && req.Species == "" && req.PAM == "":
-		cons, _, err := gentrius.ReadTrees(strings.NewReader(strings.Join(req.Trees, "\n")), nil)
-		return cons, err
+		return tree.ReadLines(req.Trees)
 	case req.Species != "" && req.PAM != "" && len(req.Trees) == 0:
 		trees, taxa, err := gentrius.ReadTrees(strings.NewReader(req.Species), nil)
 		if err != nil {

@@ -198,27 +198,30 @@ func TestDriversResumeUnstartedSerialCheckpoint(t *testing.T) {
 
 // TestTerraceBuiltOncePerRun: the simulator's workers, like the pool's, are
 // clones of the one Terrace search.Start built, so a further virtual worker
-// costs a fraction of the allocations terrace.New makes — it cost a whole
-// terrace.New when every worker rebuilt its state from the constraints. The
-// simulator is single-threaded, so the counts repeat exactly.
+// allocates under three quarters of the bytes terrace.New does (the clone is
+// under half of them) — it cost a whole terrace.New and more when every worker
+// rebuilt its state from the constraints. Bytes, not allocations: terrace.New
+// carves its storage and its LCA indexes from slabs and allocates fewer times
+// than a worker does. The simulator is single-threaded, so the counts repeat
+// exactly.
 func TestTerraceBuiltOncePerRun(t *testing.T) {
 	cons := gen.Generate(gen.Default(gen.RegimeSimulated), 24).Constraints
-	mallocs := func(f func()) uint64 {
+	allocated := func(f func()) uint64 {
 		var before, after runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&before)
 		f()
 		runtime.ReadMemStats(&after)
-		return after.Mallocs - before.Mallocs
+		return after.TotalAlloc - before.TotalAlloc
 	}
-	build := mallocs(func() {
+	build := allocated(func() {
 		if _, err := terrace.New(cons, search.ChooseInitialTree(cons)); err != nil {
 			t.Fatal(err)
 		}
 	})
 	// A tick limit of one keeps the enumeration out of the picture.
 	run := func(workers int) uint64 {
-		return mallocs(func() {
+		return allocated(func() {
 			if _, err := Run(cons, Options{Workers: workers, InitialTree: -1,
 				Limits: Limits{MaxTrees: -1, MaxStates: -1, MaxTicks: 1}}); err != nil {
 				t.Fatal(err)
@@ -227,8 +230,8 @@ func TestTerraceBuiltOncePerRun(t *testing.T) {
 	}
 	one, nine := run(1), run(9)
 	perWorker := (nine - one) / 8
-	t.Logf("terrace.New %d mallocs; run with 1 worker %d, with 9 workers %d: %d per further worker", build, one, nine, perWorker)
-	if perWorker > build/2 {
-		t.Fatalf("a further worker costs %d allocations, terrace.New %d: workers are not cloning", perWorker, build)
+	t.Logf("terrace.New %d bytes; run with 1 worker %d, with 9 workers %d: %d per further worker", build, one, nine, perWorker)
+	if perWorker > build*3/4 {
+		t.Fatalf("a further worker allocates %d bytes, terrace.New %d: workers are not cloning", perWorker, build)
 	}
 }

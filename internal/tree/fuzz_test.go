@@ -1,14 +1,17 @@
 package tree
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
 
-// FuzzNewickParse checks that Parse never panics or hangs, and that any
-// accepted input round-trips: the canonical Newick() rendering must equal
-// the reference renderer's, must reparse to a tree with the same leaf count
-// and must be a fixed point of parse-then-render.
+// FuzzNewickParse checks that Parse never panics or hangs, that it accepts
+// and rejects exactly what the reference parser does and builds the same
+// tree (node ids, edge ids, adjacency order, leafOf, leaf set, taxon ids),
+// and that any accepted input round-trips: the canonical Newick() rendering
+// must equal the reference renderer's, must reparse to a tree with the same
+// leaf count and must be a fixed point of parse-then-render.
 func FuzzNewickParse(f *testing.F) {
 	for _, s := range []string{
 		"A;",
@@ -25,16 +28,33 @@ func FuzzNewickParse(f *testing.F) {
 		"( \t a ,\nb\r, c );",
 		"('',A,B);",
 		"((A,B),(A,C),D);",
+		"(a'b,c,d);",
+		"(a,b)'x,y',c;",
+		"((a,b)'l(',(c,d));",
+		"(a,b)(c,d,e);",
+		"(a,(b,c,d));",
+		"((a),b);",
+		"(a,b,c,d);",
 		strings.Repeat("(a,", 30) + "b" + strings.Repeat(")", 30) + ";",
 		strings.Repeat("(", 120000) + "a;", // rejected by the nesting cap
 	} {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, in string) {
-		taxa := MustTaxa(nil)
+		taxa, refTaxa := MustTaxa(nil), MustTaxa(nil)
 		t1, err := Parse(in, taxa, true)
+		want, refErr := referenceParse(in, refTaxa, true)
+		if (err == nil) != (refErr == nil) {
+			t.Fatalf("%q: Parse says %v, the reference parser %v", in, err, refErr)
+		}
 		if err != nil {
-			return // rejected input; only a panic or hang is a bug
+			return
+		}
+		if !slices.Equal(taxa.names, refTaxa.names) {
+			t.Fatalf("%q registers %q, the reference parser %q", in, taxa.names, refTaxa.names)
+		}
+		if err := sameStructure(t1, want); err != nil {
+			t.Fatalf("%q: %v", in, err)
 		}
 		out := t1.Newick()
 		if ref := referenceNewick(t1); out != ref {

@@ -2,6 +2,7 @@ package tree
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -134,5 +135,103 @@ func TestQuotedNamesRoundTrip(t *testing.T) {
 	}
 	if !strings.Contains(tr.Newick(), "Homo sapiens") {
 		t.Fatalf("quoted name lost: %s", tr.Newick())
+	}
+}
+
+// randomNewick renders a random binary shape over labels (in that order,
+// shuffled by the caller): rooted or, from three leaves up, with a
+// trifurcation outermost, sprinkled with what the grammar lets through and
+// the builder discards — spaces, branch lengths, internal labels.
+func randomNewick(rng *rand.Rand, labels []string) string {
+	deco := func(s string) string {
+		if rng.Intn(4) == 0 {
+			s += []string{":1", ":0.25", ":1e-3", " :2.5"}[rng.Intn(4)]
+		}
+		if rng.Intn(6) == 0 {
+			s = " " + s + "\t"
+		}
+		return s
+	}
+	var render func(ls []string) string
+	render = func(ls []string) string {
+		if len(ls) == 1 {
+			return deco(quoteIfNeeded(ls[0]))
+		}
+		cut := 1 + rng.Intn(len(ls)-1)
+		s := "(" + render(ls[:cut]) + "," + render(ls[cut:]) + ")"
+		if rng.Intn(5) == 0 {
+			s += []string{"n1", "'in, (ner'", "0.98"}[rng.Intn(3)]
+		}
+		return deco(s)
+	}
+	if len(labels) >= 3 && rng.Intn(2) == 0 {
+		a := 1 + rng.Intn(len(labels)-2)
+		b := a + 1 + rng.Intn(len(labels)-a-1)
+		return "(" + render(labels[:a]) + "," + render(labels[a:b]) + "," + render(labels[b:]) + ");"
+	}
+	return render(labels) + ";"
+}
+
+// The reader against the two-pass routine it replaced, on collections whose
+// later trees bring taxa the earlier ones were parsed without.
+func TestReaderMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	pool := append(names(30), "sp. one", "it's", "a,b", "(x)", "semi;colon", "new\nline", "co:lon")
+	for it := 0; it < 300; it++ {
+		lines := make([]string, 1+rng.Intn(6))
+		for i := range lines {
+			rng.Shuffle(len(pool), func(a, b int) { pool[a], pool[b] = pool[b], pool[a] })
+			lines[i] = randomNewick(rng, pool[:1+rng.Intn(len(pool))])
+		}
+		want, wantTaxa, err := referenceReadLines(lines)
+		if err != nil {
+			t.Fatalf("reference rejects %q: %v", lines, err)
+		}
+		rd := NewReader(nil, true)
+		for _, l := range lines {
+			if err := rd.Add([]byte(l)); err != nil {
+				t.Fatalf("%q: %v", l, err)
+			}
+		}
+		got, taxa, err := rd.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(taxa.names, wantTaxa.names) {
+			t.Fatalf("%q: taxa %q, want %q", lines, taxa.names, wantTaxa.names)
+		}
+		for i := range want {
+			if err := sameStructure(got[i], want[i]); err != nil {
+				t.Fatalf("tree %d of %q: %v", i, lines, err)
+			}
+		}
+	}
+}
+
+func TestReaderLines(t *testing.T) {
+	rd := NewReader(nil, true)
+	for _, l := range []string{"\xef\xbb\xbf(A,B);", "", "  # (A,A);", "\t((A,C),(B,D)); \r"} {
+		if err := rd.Line([]byte(l)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := rd.Line([]byte("(A,B),C;")); err == nil || !strings.HasPrefix(err.Error(), "line 5: newick:") {
+		t.Fatalf("bad fifth line: got %v, want a line 5 error", err)
+	}
+	trees, taxa, err := rd.Finish()
+	if err != nil || len(trees) != 2 || strings.Join(taxa.names, "") != "ABCD" {
+		t.Fatalf("%d trees over %q, %v", len(trees), taxa.names, err)
+	}
+	for _, tr := range trees {
+		if len(tr.leafOf) != 4 || tr.leaves.Len() != 4 {
+			t.Fatalf("tree not fitted to the universe: leafOf %v", tr.leafOf)
+		}
+	}
+	if _, _, err := NewReader(nil, true).Finish(); err == nil {
+		t.Fatal("a collection of no trees was accepted")
+	}
+	// An element of ReadLines is a tree, whatever bytes its labels hold.
+	if _, err := ReadLines([]string{"('new\nline',B);", "(B,C);"}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -16,90 +16,88 @@ type StaticIndex struct {
 	parent []int32
 	pedge  []int32 // edge to parent
 	depth  []int32
-	order  []int32 // preorder for iteration if needed
 	first  []int32 // first occurrence of each node in the Euler tour
 	sp     [][]int64
 	logs   []int8 // logs[i] = floor(log2 i), for query-width lookup
 }
 
-// NewStaticIndex builds the index, rooting the tree at node 0.
+// maxLevels bounds the sparse table's height: a tour of 2n-1 < 2^32 visits
+// has at most 32 levels.
+const maxLevels = 32
+
+// NewStaticIndex builds the index, rooting the tree at node 0. It allocates
+// four times whatever the size of the tree: the index with its row headers,
+// one slab for the per-node arrays, one for the sparse table, and logs.
 func NewStaticIndex(t *Tree) *StaticIndex {
 	n := len(t.nodes)
-	ix := &StaticIndex{
-		t:      t,
-		root:   0,
-		parent: make([]int32, n),
-		pedge:  make([]int32, n),
-		depth:  make([]int32, n),
-	}
-	for i := range ix.parent {
-		ix.parent[i] = NoNode
-		ix.pedge[i] = NoEdge
-	}
+	mem := &struct {
+		ix   StaticIndex
+		rows [maxLevels][]int64
+	}{}
+	ix := &mem.ix
+	ix.t = t
 	if n == 0 {
 		return ix
 	}
-	// Iterative DFS from the root.
-	stack := []int32{ix.root}
-	visited := make([]bool, n)
-	visited[ix.root] = true
-	ix.order = append(ix.order, ix.root)
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		nd := &t.nodes[v]
-		for i := int8(0); i < nd.deg; i++ {
-			e := nd.adj[i]
-			u := t.Other(e, v)
-			if visited[u] {
-				continue
-			}
-			visited[u] = true
-			ix.parent[u] = v
-			ix.pedge[u] = e
-			ix.depth[u] = ix.depth[v] + 1
-			ix.order = append(ix.order, u)
-			stack = append(stack, u)
-		}
-	}
-	ix.buildEuler(n)
-	return ix
-}
-
-// buildEuler records the Euler tour (2n-1 visits), first occurrences, and the
-// sparse table of packed (depth, node) range minima.
-func (ix *StaticIndex) buildEuler(n int) {
-	t := ix.t
+	per := make([]int32, 4*n)
+	ix.parent, ix.pedge, ix.depth, ix.first = per[:n], per[n:2*n], per[2*n:3*n], per[3*n:]
 	m := 2*n - 1
-	tour := make([]int64, 0, m) // packed (depth<<32 | node), tour order
-	ix.first = make([]int32, n)
-	var walk func(v int32)
-	walk = func(v int32) {
-		pv := int64(ix.depth[v])<<32 | int64(v)
-		ix.first[v] = int32(len(tour))
-		tour = append(tour, pv)
-		nd := &t.nodes[v]
-		for i := int8(0); i < nd.deg; i++ {
-			u := t.Other(nd.adj[i], v)
-			if u == ix.parent[v] {
-				continue
-			}
-			walk(u)
-			tour = append(tour, pv)
-		}
-	}
-	walk(ix.root)
 	ix.logs = make([]int8, m+1)
 	for i := 2; i <= m; i++ {
 		ix.logs[i] = ix.logs[i/2] + 1
 	}
 	levels := int(ix.logs[m]) + 1
-	ix.sp = make([][]int64, levels)
-	ix.sp[0] = tour
+	size := 0
+	for k := 0; k < levels; k++ {
+		size += m - 1<<k + 1
+	}
+	table := make([]int64, size)
+	ix.sp = mem.rows[:levels]
+	for k := range ix.sp {
+		w := m - 1<<k + 1
+		ix.sp[k], table = table[:w], table[w:]
+	}
+
+	// Euler tour (2n-1 visits) from the root, children in adjacency slot
+	// order; each visit is packed (depth<<32 | node). The walk keeps no
+	// stack: on the way down it records parent and parent edge, and on the
+	// way back up it resumes after the slot that holds the edge it returns
+	// by. A tree has no other way back into a vertex, so the parent edge is
+	// the only one to skip.
+	tour := ix.sp[0]
+	v, slot, at := ix.root, 0, 0
+	ix.parent[v], ix.pedge[v] = NoNode, NoEdge
+	tour[at] = int64(v)
+	for {
+		if nd := &t.nodes[v]; slot < int(nd.deg) {
+			e := nd.adj[slot]
+			if e == ix.pedge[v] {
+				slot++
+				continue
+			}
+			u := t.Other(e, v)
+			ix.parent[u], ix.pedge[u], ix.depth[u] = v, e, ix.depth[v]+1
+			at++
+			ix.first[u] = int32(at)
+			tour[at] = int64(ix.depth[u])<<32 | int64(u)
+			v, slot = u, 0
+			continue
+		}
+		if v == ix.root {
+			break
+		}
+		e, p := ix.pedge[v], ix.parent[v]
+		at++
+		tour[at] = int64(ix.depth[p])<<32 | int64(p)
+		for slot = 0; t.nodes[p].adj[slot] != e; slot++ {
+		}
+		v, slot = p, slot+1
+	}
+
+	// Sparse table of packed (depth, node) range minima over the tour.
 	for k := 1; k < levels; k++ {
 		half := 1 << (k - 1)
-		prev := ix.sp[k-1]
-		row := make([]int64, m-2*half+1)
+		prev, row := ix.sp[k-1], ix.sp[k]
 		for i := range row {
 			a, b := prev[i], prev[i+half]
 			if b < a {
@@ -107,8 +105,8 @@ func (ix *StaticIndex) buildEuler(n int) {
 			}
 			row[i] = a
 		}
-		ix.sp[k] = row
 	}
+	return ix
 }
 
 // Depth returns the depth of v below the index root.

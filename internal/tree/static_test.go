@@ -106,3 +106,78 @@ func TestMedianQuartets(t *testing.T) {
 		t.Fatalf("median not adjacent to A and B: dists %d %d", ix.Dist(a, m), ix.Dist(b, m))
 	}
 }
+
+// TestLCAAgainstParentWalk checks every pair's LCA, and the parent, parent
+// edge and depth arrays, against a naive rooting at node 0 — on random trees
+// and on the shapes the tour's corner cases live in: one, two and three
+// leaves, and caterpillars (the deepest trees there are).
+func TestLCAAgainstParentWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	var trees []*Tree
+	for _, nw := range []string{"A;", "(A,B);", "(A,B,C);", "((A,B),C);"} {
+		taxa := MustTaxa(nil)
+		tr, err := Parse(nw, taxa, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		trees = append(trees, tr)
+	}
+	for _, n := range []int{4, 9, 64} {
+		taxa := MustTaxa(names(n))
+		cat := New(taxa)
+		cat.AddFirstLeaf(0)
+		cat.AddSecondLeaf(1)
+		for x := 2; x < n; x++ {
+			cat.AttachLeaf(x, int32(cat.NumEdges()-1)) // always on the newest pendant edge
+		}
+		trees = append(trees, cat)
+	}
+	for it := 0; it < 40; it++ {
+		trees = append(trees, randomTree(MustTaxa(names(3+rng.Intn(60))), rng))
+	}
+	for _, tr := range trees {
+		n := int32(tr.NumNodes())
+		parent, pedge, depth := make([]int32, n), make([]int32, n), make([]int32, n)
+		for i := range parent {
+			parent[i], pedge[i] = NoNode, NoEdge
+		}
+		queue := []int32{0}
+		for len(queue) > 0 {
+			v := queue[0]
+			queue = queue[1:]
+			adj, deg := tr.Adjacency(v)
+			for _, e := range adj[:deg] {
+				if u := tr.Other(e, v); u != parent[v] {
+					parent[u], pedge[u], depth[u] = v, e, depth[v]+1
+					queue = append(queue, u)
+				}
+			}
+		}
+		ix := NewStaticIndex(tr)
+		for u := int32(0); u < n; u++ {
+			if ix.Parent(u) != parent[u] || ix.ParentEdge(u) != pedge[u] || ix.Depth(u) != depth[u] {
+				t.Fatalf("%s: node %d has parent %d by edge %d at depth %d, want %d, %d, %d", tr.Newick(),
+					u, ix.Parent(u), ix.ParentEdge(u), ix.Depth(u), parent[u], pedge[u], depth[u])
+			}
+			for v := int32(0); v < n; v++ {
+				a, b := u, v
+				for a != b {
+					if depth[a] < depth[b] {
+						a, b = b, a
+					}
+					a = parent[a]
+				}
+				if got := ix.LCA(u, v); got != a {
+					t.Fatalf("%s: LCA(%d,%d) = %d, want %d", tr.Newick(), u, v, got, a)
+				}
+			}
+		}
+	}
+}
+
+func TestStaticIndexAllocs(t *testing.T) {
+	tr := randomTree(MustTaxa(names(200)), rand.New(rand.NewSource(31)))
+	if n := testing.AllocsPerRun(20, func() { NewStaticIndex(tr) }); n > 4 {
+		t.Fatalf("NewStaticIndex allocates %v times, want at most 4", n)
+	}
+}

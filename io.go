@@ -2,7 +2,6 @@ package gentrius
 
 import (
 	"bufio"
-	"fmt"
 	"io"
 	"strings"
 
@@ -26,54 +25,28 @@ func ParseTree(newick string, taxa *Taxa, autoAdd bool) (*Tree, error) {
 // MustParseTree is ParseTree (without autoAdd) for inputs known to be valid.
 func MustParseTree(newick string, taxa *Taxa) *Tree { return tree.MustParse(newick, taxa) }
 
-// ReadTrees reads one Newick tree per non-empty line. When taxa is nil a
-// fresh universe is built from the labels encountered (the usual way to load
-// a constraint-tree file); the universe is returned alongside the trees.
+// ReadTrees reads one Newick tree per non-empty line; lines starting with
+// '#' are comments. When taxa is nil a fresh universe is built from the
+// labels in order of first appearance (the usual way to load a
+// constraint-tree file); otherwise a label taxa does not hold is an error.
+// The universe is returned alongside the trees.
 //
-// A tree's internal structures are sized to the universe at parse time, so
-// with a fresh universe the input is parsed twice: a first pass registers
-// every label, a second builds all trees against the completed universe.
+// The input is read once, through tree.Reader: each line is parsed straight
+// into its Tree and dropped, and the trees are sized to the universe after
+// the last line. A line may be up to 64 MiB long.
 func ReadTrees(r io.Reader, taxa *Taxa) ([]*Tree, *Taxa, error) {
+	rd := tree.NewReader(taxa, taxa == nil)
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<26)
-	type rec struct {
-		line int
-		text string
-	}
-	var lines []rec
-	ln := 0
+	sc.Buffer(make([]byte, 64<<10), 1<<26)
 	for sc.Scan() {
-		ln++
-		s := strings.TrimSpace(sc.Text())
-		if s == "" || strings.HasPrefix(s, "#") {
-			continue
+		if err := rd.Line(sc.Bytes()); err != nil {
+			return nil, nil, err
 		}
-		lines = append(lines, rec{ln, s})
 	}
 	if err := sc.Err(); err != nil {
 		return nil, nil, err
 	}
-	if len(lines) == 0 {
-		return nil, nil, fmt.Errorf("gentrius: no trees in input")
-	}
-	if taxa == nil {
-		// Discovery pass: register all labels first.
-		taxa = tree.MustTaxa(nil)
-		for _, l := range lines {
-			if _, err := tree.Parse(l.text, taxa, true); err != nil {
-				return nil, nil, fmt.Errorf("line %d: %w", l.line, err)
-			}
-		}
-	}
-	out := make([]*Tree, 0, len(lines))
-	for _, l := range lines {
-		t, err := tree.Parse(l.text, taxa, false)
-		if err != nil {
-			return nil, nil, fmt.Errorf("line %d: %w", l.line, err)
-		}
-		out = append(out, t)
-	}
-	return out, taxa, nil
+	return rd.Finish()
 }
 
 // WriteTrees writes trees one canonical Newick per line.
@@ -100,9 +73,13 @@ func ReadPAM(r io.Reader, taxa *Taxa) (*PAM, error) { return pam.Read(r, taxa) }
 
 // ReadTreesAuto reads trees from either a NEXUS document (detected by its
 // #NEXUS header) or a plain one-Newick-per-line file, building a fresh taxon
-// universe. This is what the gentrius CLI uses for -trees inputs.
+// universe; a leading UTF-8 byte-order mark is skipped. This is what the
+// gentrius CLI uses for -trees inputs.
 func ReadTreesAuto(r io.Reader) ([]*Tree, *Taxa, error) {
 	br := bufio.NewReader(r)
+	if head, _ := br.Peek(3); string(head) == "\xef\xbb\xbf" {
+		_, _ = br.Discard(3) // a UTF-8 byte-order mark; buffered, so this cannot fail
+	}
 	head, _ := br.Peek(6)
 	if strings.EqualFold(string(head), "#NEXUS") {
 		f, err := nexus.Read(br)
