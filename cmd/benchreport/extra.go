@@ -2,7 +2,9 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"io"
+	"os"
 	"slices"
 	"testing"
 
@@ -10,6 +12,7 @@ import (
 	"gentrius/internal/gen"
 	"gentrius/internal/obs"
 	"gentrius/internal/search"
+	"gentrius/internal/service"
 	"gentrius/internal/terrace"
 	"gentrius/internal/tree"
 )
@@ -89,20 +92,68 @@ func extraBenches(add func(name string, f func(b *testing.B)),
 		}
 	})
 
-	// Tree emission (PR 14). SerialEngineEmit is SerialEngine with a no-op
-	// OnTree, so the two rows of one report give the cost of rendering every
-	// stand tree as a ratio; TreeNewick is one rendering of one 129-taxon
-	// stand tree (the first of empirical dataset 23, the benchmark's
-	// stream-file stand) through the one-shot Tree.Newick. Its allocs/op is
-	// the host-independent number -compare -max-regress gates: the string
-	// and nothing else.
+	// Tree emission (PR 14, in blocks since PR 20). SerialEngineEmit is
+	// SerialEngine with a no-op OnTrees, so the two rows of one report give
+	// the cost of rendering every stand tree as a ratio, and its allocs/op is
+	// SerialEngine's plus a constant; SerialEngineEmitStrings is the same run
+	// through the per-tree adapter, a no-op OnTree: one string a tree on top.
+	// TreeNewick is one rendering of one 129-taxon stand tree (the first of
+	// empirical dataset 23, the benchmark's stream-file stand) through the
+	// one-shot Tree.Newick. Its allocs/op is the host-independent number
+	// -compare -max-regress gates: the string and nothing else.
 	add("SerialEngineEmit", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := search.Run(ds.Constraints, search.Options{
+				InitialTree: -1, OnTrees: func([]byte, int) {}}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	add("SerialEngineEmitStrings", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := search.Run(ds.Constraints, search.Options{
 				InitialTree: -1, OnTree: func(string) {}}); err != nil {
 				b.Fatal(err)
 			}
 		}
+	})
+
+	// The spool (PR 20): the same stand as one serial job of a service.Manager
+	// on a fresh data directory — what SerialEngineEmit does plus one
+	// AppendBlock per block and the job's three journal records — with nobody
+	// following. us/tree against SerialEngineEmit's ns/op over the same
+	// stand-trees is what spooling a tree costs.
+	add("SpoolAppend", func(b *testing.B) {
+		dir, err := os.MkdirTemp("", "benchreport-spool")
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer os.RemoveAll(dir)
+		mgr, err := service.New(service.Config{Workers: 1, DataDir: dir})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer mgr.Shutdown(context.Background()) //nolint:errcheck // nothing runs by then
+		req := service.JobRequest{MaxTrees: -1, MaxStates: -1, MaxTimeSeconds: -1}
+		for _, c := range ds.Constraints {
+			req.Trees = append(req.Trees, c.Newick())
+		}
+		var trees int64
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			job, err := mgr.Submit(req)
+			if err != nil {
+				b.Fatal(err)
+			}
+			<-job.Done()
+			st := job.Status()
+			if st.State != service.StateDone || st.TreesSpooled != st.StandTrees {
+				b.Fatalf("job %+v", st)
+			}
+			trees = st.TreesSpooled
+		}
+		b.ReportMetric(b.Elapsed().Seconds()*1e6/float64(b.N)/float64(trees), "us/tree")
+		b.ReportMetric(float64(trees), "stand-trees")
 	})
 
 	// Run set-up (PR 15): building the search state from the constraints,

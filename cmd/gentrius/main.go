@@ -181,11 +181,9 @@ func main() {
 		}
 		// A bufio.Writer keeps its first write error and returns it from
 		// every later call, Flush included, so the callback need not look.
+		// A block is the file's next lines as they are: one Write each.
 		out = bufio.NewWriterSize(outFile, 64<<10)
-		opt.OnTree = func(nw string) {
-			out.WriteString(nw)
-			out.WriteByte('\n')
-		}
+		opt.OnTrees = func(block []byte, _ int) { out.Write(block) }
 	}
 	res, err := gentrius.EnumerateStandContext(ctx, cons, opt)
 	// Flush here, not in a defer: every fatal below exits past the defers,

@@ -40,6 +40,9 @@ func TestDefaultPGOFresh(t *testing.T) {
 		"splitCommonEdge",
 		"AppendAllowedBranches",
 		"gentrius/internal/search.(*Engine).Step",
+		// Stand trees are rendered into a block and leave through FlushTrees.
+		"gentrius/internal/search.(*Engine).emit",
+		"gentrius/internal/search.(*Engine).FlushTrees",
 		// The pool's loop reaches the engine through the shared worker.
 		"gentrius/internal/search.(*Worker).Tick",
 		"gentrius/internal/parallel.(*worker).execute",

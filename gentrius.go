@@ -68,8 +68,8 @@ const (
 	StopCancelled = search.StopCancelled
 	// StopFailed reports that the run died before draining — e.g. a worker
 	// panic exhausted its retry budget (the error is a
-	// *parallel.WorkerPanicError in that case) or a parallel run's OnTree
-	// panicked (*parallel.OnTreePanicError).
+	// *parallel.WorkerPanicError in that case) or a parallel run's OnTree or
+	// OnTrees panicked (*parallel.OnTreePanicError).
 	StopFailed = search.StopFailed
 )
 
@@ -179,15 +179,29 @@ type Options struct {
 	// Result.Trees. Stands can be enormous; prefer OnTree for streaming.
 	CollectTrees bool
 
-	// OnTree, if non-nil, receives every stand tree as it is found, with
-	// any number of threads. With Threads == 1 the callback runs inline in
-	// the search loop; with Threads > 1 trees stream from the workers
-	// through a bounded channel to a single collector goroutine, so calls
-	// are serialized but arrive in no particular order, concurrently with
-	// the enumeration. A slow callback applies backpressure to the workers
-	// instead of growing a buffer: with CollectTrees false no per-worker
-	// (or whole-stand) tree storage is allocated.
+	// OnTree, if non-nil, receives every stand tree as a string of its own,
+	// one call per tree, with any number of threads. With Threads == 1 the
+	// callback runs inline in the search loop, as each tree is found; with
+	// Threads > 1 trees stream from the workers, a block at a time (see
+	// OnTrees), through a bounded channel to a single collector goroutine,
+	// so calls are serialized but arrive in no particular order,
+	// concurrently with the enumeration. A slow callback applies
+	// backpressure to the workers instead of growing a buffer: with
+	// CollectTrees false no whole-stand tree storage is allocated.
 	OnTree func(newick string)
+
+	// OnTrees, if non-nil, receives the stand as bytes, in blocks: n
+	// canonical Newick strings, each newline-terminated, in a slice that is
+	// valid only during the call — ready to be written to a file or a socket
+	// as they are, with no string allocated per tree. Where OnTree's strings
+	// arrive one by one, blocks arrive in bursts of up to 32 KiB: a block is
+	// handed on when it is full, whenever the counters that count its trees
+	// are published or cut (so a checkpoint never counts a tree that has
+	// not been delivered), at the end of the run, and alone for the first
+	// tree. Calls are serialized; with Threads == 1 the trees are in
+	// enumeration order, with Threads > 1 in no particular order. Both
+	// callbacks may be set; each then sees every tree.
+	OnTrees func(newicks []byte, n int)
 
 	// Checkpoint bundles all checkpoint/resume configuration — periodic and
 	// on-stop snapshots, on-demand triggers, and resuming — for any thread
@@ -280,6 +294,7 @@ func engineOptions(ctx context.Context, opt Options) (search.Options, parallel.O
 		Heuristic:    opt.Heuristic,
 		CollectTrees: opt.CollectTrees,
 		OnTree:       opt.OnTree,
+		OnTrees:      opt.OnTrees,
 		Estimator:    opt.Obs.Estimator(),
 	}
 	popt := parallel.Options{
@@ -290,6 +305,7 @@ func engineOptions(ctx context.Context, opt Options) (search.Options, parallel.O
 		Heuristic:    opt.Heuristic,
 		CollectTrees: opt.CollectTrees,
 		OnTree:       opt.OnTree,
+		OnTrees:      opt.OnTrees,
 		Obs:          opt.Obs,
 		Fault:        opt.Fault,
 	}

@@ -285,6 +285,14 @@ func (in *Injector) Stall(site Site) {
 	}
 }
 
+// StallEach is Stall at n occurrences in a row: a block of n items passing
+// a site that fires per item. Nil-safe, and free on a nil injector.
+func (in *Injector) StallEach(site Site, n int) {
+	for i := 0; i < n && in != nil; i++ {
+		in.Stall(site)
+	}
+}
+
 // Parse builds an injector from a compact spec, the form the GENTRIUS_FAULTS
 // environment variable uses:
 //

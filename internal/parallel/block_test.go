@@ -1,0 +1,131 @@
+package parallel
+
+import (
+	"bytes"
+	"errors"
+	"slices"
+	"strings"
+	"testing"
+
+	"gentrius/internal/faultinject"
+	"gentrius/internal/gen"
+	"gentrius/internal/search"
+)
+
+// blockLines appends the lines of a block to lines, failing unless the block
+// is n whole lines, n at least one.
+func blockLines(t *testing.T, lines []string, block []byte, n int) []string {
+	t.Helper()
+	if n < 1 || len(block) == 0 || block[len(block)-1] != '\n' || bytes.Count(block, []byte("\n")) != n {
+		t.Fatalf("block of %d bytes said to hold %d trees", len(block), n)
+	}
+	return append(lines, strings.Split(string(block[:len(block)-1]), "\n")...)
+}
+
+// TestBlockPathMatchesStringPath runs the generated corpus (both regimes,
+// datasets 0-119, capped where a stand is large) through OnTree and through
+// OnTrees. Serially the blocks are the strings' bytes in the strings' order,
+// whichever stopping rule ended the run; at three threads, on the stands the
+// cap leaves whole, the same lines in some order.
+func TestBlockPathMatchesStringPath(t *testing.T) {
+	limits := search.Limits{MaxTrees: 2000, MaxStates: 4000, MaxTime: -1}
+	stride := 1
+	if raceEnabled || testing.Short() {
+		stride = 8 // CI repeats this test under the race detector
+	}
+	stands, trees := 0, 0
+	for _, regime := range []gen.Regime{gen.RegimeSimulated, gen.RegimeEmpirical} {
+		for idx := 0; idx < 120; idx += stride {
+			ds := gen.Generate(gen.Default(regime), idx)
+			var want []string
+			ref, err := search.Run(ds.Constraints, search.Options{InitialTree: -1, Limits: limits,
+				OnTree: func(nw string) { want = append(want, nw) }})
+			if err != nil {
+				t.Fatalf("%s: %v", ds.Name, err)
+			}
+			var got []string
+			res, err := search.Run(ds.Constraints, search.Options{InitialTree: -1, Limits: limits,
+				OnTrees: func(block []byte, n int) { got = blockLines(t, got, block, n) }})
+			if err != nil {
+				t.Fatalf("%s: %v", ds.Name, err)
+			}
+			if res.Counters != ref.Counters || res.Stop != ref.Stop || !slices.Equal(got, want) {
+				t.Fatalf("%s: blocks carry %d trees of a run %+v, strings %d of %+v",
+					ds.Name, len(got), res.Counters, len(want), ref.Counters)
+			}
+			if ref.Stop != search.StopExhausted {
+				continue
+			}
+			got = got[:0]
+			par, err := Run(ds.Constraints, Options{Threads: 3, InitialTree: -1, Limits: unlimited(),
+				OnTrees: func(block []byte, n int) { got = blockLines(t, got, block, n) }})
+			if err != nil {
+				t.Fatalf("%s: %v", ds.Name, err)
+			}
+			if par.Counters != ref.Counters {
+				t.Fatalf("%s: pool counted %+v, serial run %+v", ds.Name, par.Counters, ref.Counters)
+			}
+			sameStand(t, ds.Name+" at three threads", got, want)
+			stands, trees = stands+1, trees+len(want)
+		}
+	}
+	t.Logf("%d whole stands, %d trees", stands, trees)
+	if stands < 100/stride {
+		t.Fatalf("only %d of %d stands were enumerated whole", stands, 240/stride)
+	}
+}
+
+// TestBlockPanicBeforeHandOffRequeues: the trees a worker has rendered but
+// not handed on are private to it, so a panic among them is no more than a
+// panic before them: the task is requeued, the block goes with the discarded
+// search.Worker, and the stand comes out whole and once. A panic after the
+// attempt's first hand-off is what it always was: fatal, and Dirty. One
+// worker with stealing off runs the four tasks of a four-way split one after
+// another, so the injected step is the same on every run.
+func TestBlockPanicBeforeHandOffRequeues(t *testing.T) {
+	cons := chainConstraints(5)
+	ref, err := search.Run(cons, search.Options{InitialTree: -1, Limits: unlimited(), CollectTrees: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	su, err := search.Start(cons, -1, 0, nil, 4)
+	if err != nil || len(su.Frontier.Tasks) != 4 {
+		t.Fatalf("set-up: %v, %d tasks", err, len(su.Frontier.Tasks))
+	}
+	run := func(tasks []search.FrontierTask, nth int64) (*Result, []string, *faultinject.Injector, error) {
+		var got []string
+		inj := faultinject.New(1).Set(faultinject.EngineStep, faultinject.Rule{Nth: []int64{nth}})
+		res, err := Run(cons, Options{Threads: 1, Limits: unlimited(), Fault: inj,
+			Policy:     search.Policy{MinRemaining: 1 << 30},
+			OnTrees:    func(block []byte, n int) { got = blockLines(t, got, block, n) },
+			Checkpoint: search.CheckpointPolicy{Resume: roundTrip(t, su.Checkpoint(su.Counters, 4, tasks))}})
+		return res, got, inj, err
+	}
+	// Dry runs: the steps of the first task alone, and of all four.
+	_, _, first, err := run(su.Frontier.Tasks[:1], -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, all, err := run(su.Frontier.Tasks, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stepsFirst, stepsAll := first.Count(faultinject.EngineStep), all.Count(faultinject.EngineStep)
+
+	// Near the end of the last task: its trees are all in the worker's block.
+	res, got, inj, err := run(su.Frontier.Tasks, stepsAll-3)
+	if err != nil {
+		t.Fatalf("a panic before the attempt handed anything on: %v", err)
+	}
+	if inj.Fired(faultinject.EngineStep) != 1 || res.Counters != ref.Counters {
+		t.Fatalf("%d panics, counters %+v, want %+v", inj.Fired(faultinject.EngineStep), res.Counters, ref.Counters)
+	}
+	sameStand(t, "after the requeue", got, ref.Trees)
+
+	// Near the end of the first task: the run's first tree left long ago.
+	_, _, _, err = run(su.Frontier.Tasks, stepsFirst-3)
+	var wpe *WorkerPanicError
+	if !errors.As(err, &wpe) || !wpe.Dirty || wpe.Attempts != 1 {
+		t.Fatalf("a panic after the attempt's first hand-off: %v", err)
+	}
+}

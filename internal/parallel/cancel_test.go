@@ -142,8 +142,14 @@ func TestStreamingBothModes(t *testing.T) {
 	res, err := Run(cons, Options{
 		Threads:      3,
 		CollectTrees: true,
-		TreeBuffer:   1, // force backpressure through the smallest channel
-		OnTree:       func(string) { count++ },
+		// Blocks of one tree and a sink that blocks on its first ones let the
+		// channel fill behind it: the workers meet backpressure.
+		Policy: search.Policy{TreeBatch: 1},
+		OnTree: func(string) {
+			if count++; count <= 8 {
+				time.Sleep(time.Millisecond)
+			}
+		},
 	})
 	if err != nil {
 		t.Fatal(err)

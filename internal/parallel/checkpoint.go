@@ -61,9 +61,9 @@ func (g *globals) round() *search.Checkpoint {
 }
 
 // drainTrees blocks until every stand tree counted by a flushed worker has
-// been handed to the collector's OnTree callback, so a checkpoint's
-// counters never run ahead of its tree spool. Only called while the workers
-// are held (sent is frozen).
+// been through the collector's callbacks, so a checkpoint's counters never
+// run ahead of its tree spool. Only called while the workers are held (every
+// block handed on, sent frozen).
 func (g *globals) drainTrees() {
 	for g.treesDone.Load() < g.treesSent.Load() {
 		time.Sleep(100 * time.Microsecond)
@@ -72,19 +72,26 @@ func (g *globals) drainTrees() {
 
 // collect feeds the tree stream to sink until the stream is closed (false)
 // or sink panics (true): the run then fails with an OnTreePanicError and the
-// caller goes on draining. Every tree taken off the stream is counted done,
-// so a round waiting in drainTrees is released either way.
-func (g *globals) collect(sink func(string)) (panicked bool) {
+// caller goes on draining. Every block taken off the stream is counted done,
+// so a round waiting in drainTrees is released either way, and its buffer
+// goes back to the free list, which has room: a block travels against a
+// buffer taken from it.
+func (g *globals) collect(sink func(block []byte, n int)) (panicked bool) {
+	var tb treeBlock
+	done := func() {
+		g.treesDone.Add(int64(tb.n))
+		g.free <- tb.b
+	}
 	defer func() {
 		if r := recover(); r != nil {
 			panicked = true
-			g.treesDone.Add(1)
+			done()
 			g.fail(&OnTreePanicError{Value: r, Stack: debug.Stack()})
 		}
 	}()
-	for nw := range g.treeCh {
-		sink(nw)
-		g.treesDone.Add(1)
+	for tb = range g.treeCh {
+		sink(tb.b, tb.n)
+		done()
 	}
 	return false
 }

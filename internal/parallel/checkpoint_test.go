@@ -488,7 +488,6 @@ func TestCheckpointBackToBackQuiesce(t *testing.T) {
 			// A throttled sink keeps the tree channel full, so rounds spend
 			// real time in drainTrees and requests arrive back-to-back.
 			OnTree:     func(string) { time.Sleep(50 * time.Microsecond) },
-			TreeBuffer: 4,
 			Checkpoint: search.CheckpointPolicy{Trigger: trigger},
 		})
 		if err != nil {

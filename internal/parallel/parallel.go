@@ -38,9 +38,17 @@ import (
 // before the run fails with a WorkerPanicError.
 const DefaultMaxTaskRetries = 3
 
-// DefaultTreeBuffer is the capacity of the bounded channel stand trees
-// stream through on their way from the workers to the collector goroutine.
-const DefaultTreeBuffer = 256
+// treeBlocks is how many blocks of stand trees may be on their way from the
+// workers to the collector goroutine: the capacity of the channel they
+// stream through and the length of the free list the collector returns
+// their buffers to. With one block the workers wait on the collector at
+// every hand-off (two-thread passes of the benchmark's streaming workloads
+// take a quarter to a half longer), with two they still do now and then, and
+// from four on nothing more is gained; four blocks of up to search.BlockSize
+// are 128 KiB ahead of the sink — about 150 trees of a hundred taxa, where
+// the per-tree channel this replaces held 256 — which is also what a
+// checkpoint round or a stopped run waits for the sink to take.
+const treeBlocks = 4
 
 // Options configures a parallel run.
 type Options struct {
@@ -54,17 +62,19 @@ type Options struct {
 	// across workers, unordered).
 	CollectTrees bool
 
-	// OnTree, if non-nil, receives every stand tree as it is found. Trees
-	// stream from the workers through a bounded channel to one collector
-	// goroutine, so calls are serialized but arrive in no particular order,
-	// concurrently with the enumeration; a slow callback applies
-	// backpressure to the workers rather than growing a buffer. No
-	// per-worker tree storage is allocated when CollectTrees is false.
-	OnTree func(newick string)
+	// OnTrees, if non-nil, receives the stand in blocks: n canonical Newick
+	// strings, each newline-terminated, in bytes valid only during the call.
+	// A worker renders into a block of its own and hands it on at
+	// search.BlockSize and whenever it publishes its counters; blocks stream
+	// through a bounded channel to one collector goroutine, so calls are
+	// serialized but arrive in no particular order, concurrently with the
+	// enumeration; a slow callback applies backpressure to the workers
+	// rather than growing a buffer.
+	OnTrees func(newicks []byte, n int)
 
-	// TreeBuffer overrides the streaming channel capacity (zero: the
-	// default of 256).
-	TreeBuffer int
+	// OnTree, if non-nil, receives every stand tree of every block as a
+	// string, one call per tree, from the same collector goroutine.
+	OnTree func(newick string)
 
 	// Ctx cancels the run: when it is done, the halt flag all workers poll
 	// is raised with reason StopCancelled and blocked stealers are woken,
@@ -93,7 +103,7 @@ type Options struct {
 	// execution — exercised by the recovery path), the EngineStep site
 	// (panic at the Nth engine step — mid-task, so recovery escalates once
 	// the attempt has published progress) and the TreeStream site (stall
-	// in the collector, simulating a slow consumer).
+	// in the collector, once per tree, simulating a slow consumer).
 	Fault *faultinject.Injector
 
 	// MaxTaskRetries bounds how many times a single task may panic and be
@@ -118,7 +128,7 @@ type Options struct {
 // WorkerPanicError is the fatal outcome when a task's panic cannot be
 // recovered: its retry budget is exhausted, or the panicking attempt had
 // already published externally visible progress (a counter flush, a
-// streamed tree, a submitted sub-task), so re-executing it would
+// block of trees handed on, a submitted sub-task), so re-executing it would
 // double-count. The run stops (reason StopFailed) and Run returns this
 // error carrying the last panic value and its stack.
 type WorkerPanicError struct {
@@ -131,9 +141,10 @@ type WorkerPanicError struct {
 	Dirty bool
 }
 
-// OnTreePanicError is the fatal outcome of a panic in the caller's OnTree: the
-// tree it was handed is lost, so the run stops (reason StopFailed, no
-// checkpoint) and Run returns this error with the panic value and its stack.
+// OnTreePanicError is the fatal outcome of a panic in the caller's OnTree or
+// OnTrees: what is left of the block it was handed is lost, so the run stops
+// (reason StopFailed, no checkpoint) and Run returns this error with the
+// panic value and its stack.
 type OnTreePanicError struct {
 	Value any
 	Stack []byte
@@ -379,7 +390,8 @@ type globals struct {
 	q      *queue
 	opt    *Options
 	m      *obs.SchedMetrics // never nil (see queue.m)
-	treeCh chan string       // nil when nobody takes the trees
+	treeCh chan treeBlock    // nil when nobody takes the trees
+	free   chan []byte       // buffers the collector is done with (nil: not allocated yet)
 
 	trees    atomic.Int64
 	states   atomic.Int64
@@ -398,9 +410,9 @@ type globals struct {
 	rec     *obs.Recorder  // nil when tracing is off
 	est     *obs.Estimator // nil when estimation is off
 
-	// treesSent/treesDone bracket the tree stream: workers count a send
-	// before it happens, the collector counts it after the OnTree/collect
-	// callback returns. A checkpoint drains the gap (drainTrees) so its
+	// treesSent/treesDone bracket the tree stream: workers count a block's
+	// trees before they send it, the collector counts them after the
+	// callbacks return. A checkpoint drains the gap (drainTrees) so its
 	// counters never claim trees the spool has not yet seen.
 	treesSent atomic.Int64
 	treesDone atomic.Int64
@@ -513,12 +525,7 @@ func Run(constraints []*tree.Tree, opt Options) (*Result, error) {
 		// Nothing to run: an empty stand, a prefix that closed the whole
 		// space (at most one tree), or a snapshot of a finished run.
 		if su.Tree != "" {
-			if opt.OnTree != nil {
-				opt.OnTree(su.Tree)
-			}
-			if opt.CollectTrees {
-				res.Trees = append(res.Trees, su.Tree)
-			}
+			opt.sink(res)(append([]byte(su.Tree), '\n'), 1)
 		}
 		res.Elapsed = time.Since(g.started)
 		return res, nil
@@ -548,30 +555,23 @@ func Run(constraints []*tree.Tree, opt Options) (*Result, error) {
 		defer context.AfterFunc(opt.Ctx, func() { g.raise(search.StopCancelled) })()
 	}
 
-	// Streaming: workers send each stand tree into a bounded channel; one
-	// collector goroutine drains it into OnTree and/or the merged result.
+	// Streaming: workers send their blocks of stand trees into a bounded
+	// channel; one collector goroutine drains it into the callbacks and/or
+	// the merged result and returns the buffers through the free list.
 	var collectDone chan struct{}
-	if opt.CollectTrees || opt.OnTree != nil {
-		if opt.TreeBuffer <= 0 {
-			opt.TreeBuffer = DefaultTreeBuffer
+	if opt.CollectTrees || opt.OnTree != nil || opt.OnTrees != nil {
+		g.treeCh = make(chan treeBlock, treeBlocks)
+		g.free = make(chan []byte, treeBlocks)
+		for i := 0; i < treeBlocks; i++ {
+			g.free <- nil
 		}
-		g.treeCh = make(chan string, opt.TreeBuffer)
 		collectDone = make(chan struct{})
 		go func() {
 			defer close(collectDone)
-			sink := func(nw string) {
-				opt.Fault.Stall(faultinject.TreeStream)
-				if opt.OnTree != nil {
-					opt.OnTree(nw)
-				}
-				if opt.CollectTrees {
-					res.Trees = append(res.Trees, nw)
-				}
-			}
 			// After a panic in the sink the run is failing: discard the rest
-			// of the stream so that no worker stays blocked on a send.
-			for g.collect(sink) {
-				sink = func(string) {}
+			// of the stream so that no worker stays blocked at the free list.
+			for sink := opt.sink(res); g.collect(sink); {
+				sink = func([]byte, int) {}
 			}
 		}()
 	}
@@ -647,6 +647,29 @@ func Run(constraints []*tree.Tree, opt Options) (*Result, error) {
 	return res, nil
 }
 
+// sink is where the collector puts a block: the injected stall of a slow
+// consumer, the caller's callbacks, the merged result.
+func (opt *Options) sink(res *Result) func(block []byte, n int) {
+	each := opt.OnTree
+	if opt.CollectTrees {
+		each = func(nw string) {
+			if opt.OnTree != nil {
+				opt.OnTree(nw)
+			}
+			res.Trees = append(res.Trees, nw)
+		}
+	}
+	return func(block []byte, n int) {
+		opt.Fault.StallEach(faultinject.TreeStream, n)
+		if opt.OnTrees != nil {
+			opt.OnTrees(block, n)
+		}
+		if each != nil {
+			search.EachTree(block, each)
+		}
+	}
+}
+
 // addHeuristicStats folds a terrace's heuristic-layer stats into the
 // metrics: the prefix walk's, each worker's at exit, and a panic-wrecked
 // terrace's before it is discarded.
@@ -671,10 +694,11 @@ type worker struct {
 	// submissions (lineage tracing).
 	cur int64
 	// dirty marks the current task attempt as having published externally
-	// visible progress — a counter flush, a streamed tree, or a submitted
-	// sub-task. A panic after that point must not requeue the task: the retry
-	// would re-count the flushed portion, re-emit the streamed trees, and
-	// re-explore halves another worker already owns.
+	// visible progress — a counter flush, a block of trees handed on, or a
+	// submitted sub-task. A panic after that point must not requeue the task:
+	// the retry would re-count the flushed portion, re-emit the trees, and
+	// re-explore halves another worker already owns. Trees still in the
+	// worker's own block are not progress: they go with the search.Worker.
 	dirty bool
 }
 
@@ -726,19 +750,33 @@ func (w *worker) Publish(c search.Counters) {
 	w.checkLimits()
 }
 
-// Tree streams a stand tree to the collector. The tree is externally visible
-// the moment it is sent, so the attempt is marked before the send: a panic
-// anywhere after must not requeue-and-duplicate it. The sent counter lets a
-// checkpoint wait for the collector to catch up (drainTrees). The run's first
-// tree also yields the processor: the collector the send woke is queued behind
-// this worker and, every processor busy, would not run until the buffer filled.
-func (w *worker) Tree(nw string) {
+// treeBlock is n stand trees on their way to the collector.
+type treeBlock struct {
+	b []byte
+	n int
+}
+
+// Trees streams a block of stand trees to the collector, in exchange for a
+// buffer from the free list: the list starts as treeBlocks buffers not
+// allocated yet (nil: the engine allocates), and a block is sent only against
+// one of them, so at most treeBlocks blocks are on their way, the send never
+// blocks, a run owns at most that many buffers and one per worker however
+// many trees it finds, and a slow sink holds the workers here. The block is
+// externally visible the moment it is sent, so the attempt is marked before
+// the send: a panic anywhere after must not requeue-and-duplicate it. The
+// sent counter lets a checkpoint wait for the collector to catch up
+// (drainTrees). The run's first block — one tree — also yields the
+// processor: the collector the send woke is queued behind this worker and,
+// every processor busy, would not run until the free list ran out.
+func (w *worker) Trees(block []byte, n int) []byte {
+	next := <-w.free
 	w.dirty = true
-	first := w.treesSent.Add(1) == 1
-	w.treeCh <- nw
+	first := w.treesSent.Add(int64(n)) == int64(n)
+	w.treeCh <- treeBlock{block, n}
 	if first {
 		runtime.Gosched()
 	}
+	return next
 }
 
 // execute runs one task to its end, or to the halt flag, under a recover()

@@ -31,7 +31,10 @@ func sameStand(t *testing.T, what string, got, want []string) {
 // round returned goes through the envelope codec and resumes at another
 // width to the exact totals; and since every worker is idle at a cut, what
 // the cut left to do was stolen afterwards: steals are the one counter that
-// rounds move.
+// rounds move. The stand leaves in blocks, and no block spans a cut: the
+// trees a checkpoint counts are the ones delivered before some block
+// boundary, and those followed by what the resumed run delivers are the
+// serial stand, every tree once.
 func TestRoundsAreResumes(t *testing.T) {
 	n := 6
 	if raceEnabled {
@@ -69,8 +72,14 @@ func TestRoundsAreResumes(t *testing.T) {
 				}
 			}()
 		}
+		var delivered []string
+		ends := map[int64]bool{0: true} // trees delivered at each block's end
 		live, err := Run(cons, Options{
-			Threads: threads, InitialTree: -1, Limits: unlimited(), CollectTrees: true,
+			Threads: threads, InitialTree: -1, Limits: unlimited(),
+			OnTrees: func(block []byte, n int) {
+				delivered = blockLines(t, delivered, block, n)
+				ends[int64(len(delivered))] = true
+			},
 			Checkpoint: search.CheckpointPolicy{Trigger: trig, Interval: time.Millisecond, Sink: keep},
 		})
 		wg.Wait()
@@ -81,7 +90,7 @@ func TestRoundsAreResumes(t *testing.T) {
 			t.Fatalf("T=%d: live run %v %+v, serial %+v", threads, live.Stop, live.Counters, ref.Counters)
 		}
 		assertConservation(t, live)
-		sameStand(t, fmt.Sprintf("T=%d live", threads), live.Trees, ref.Trees)
+		sameStand(t, fmt.Sprintf("T=%d live", threads), delivered, ref.Trees)
 		if len(cps) == 0 {
 			t.Fatalf("T=%d: no round landed", threads)
 		}
@@ -90,8 +99,12 @@ func TestRoundsAreResumes(t *testing.T) {
 			if len(cp.Frontier.Tasks) > 0 {
 				rounds++
 			}
+			before := cp.Counters.StandTrees - live.Prefix.StandTrees
+			if !ends[before] {
+				t.Fatalf("T=%d: checkpoint %d of %d counts %d trees: a block spans the cut", threads, i, len(cps), before)
+			}
 			resT := threads%4 + 1
-			res, err := Run(cons, Options{Threads: resT, Limits: unlimited(),
+			res, err := Run(cons, Options{Threads: resT, Limits: unlimited(), CollectTrees: true,
 				Checkpoint: search.CheckpointPolicy{Resume: roundTrip(t, cp)}})
 			if err != nil {
 				t.Fatalf("T=%d: resuming checkpoint %d of %d: %v", threads, i, len(cps), err)
@@ -100,6 +113,8 @@ func TestRoundsAreResumes(t *testing.T) {
 				t.Fatalf("T=%d: checkpoint %d of %d resumed at T=%d to %+v, want %+v",
 					threads, i, len(cps), resT, res.Counters, ref.Counters)
 			}
+			sameStand(t, fmt.Sprintf("T=%d: checkpoint %d of %d and its resume at T=%d", threads, i, len(cps), resT),
+				append(delivered[:before:before], res.Trees...), ref.Trees)
 		}
 		if live.TasksStolen < rounds {
 			t.Fatalf("T=%d: %d rounds left work to do but only %d steals", threads, rounds, live.TasksStolen)
@@ -113,7 +128,7 @@ func TestRoundsAreResumes(t *testing.T) {
 // what the workers handed in stays for the checkpoint-on-stop, and that
 // checkpoint plus the trees streamed so far is the whole stand.
 func TestCancelDuringRound(t *testing.T) {
-	cons := chainConstraints(4)
+	cons := chainConstraints(5)
 	ref, err := Run(cons, Options{Threads: 4, InitialTree: -1, Limits: unlimited(), CollectTrees: true})
 	if err != nil {
 		t.Fatal(err)
@@ -124,7 +139,11 @@ func TestCancelDuringRound(t *testing.T) {
 		requested := make(chan error, 1)
 		var pre []string
 		res, err := Run(cons, Options{
-			Threads: 3, InitialTree: -1, Limits: unlimited(), Ctx: ctx, TreeBuffer: 1,
+			Threads: 3, InitialTree: -1, Limits: unlimited(), Ctx: ctx,
+			// Blocks of at most four trees: while the sink blocks, the channel
+			// and the workers hold under 50 of the stand's 1683 trees, so the
+			// workers are blocked sending whatever k.
+			Policy:     search.Policy{TreeBatch: 4},
 			Checkpoint: search.CheckpointPolicy{Trigger: trig, OnStop: true},
 			OnTree: func(nw string) {
 				pre = append(pre, nw)
@@ -209,9 +228,10 @@ func TestGoroutineCensus(t *testing.T) {
 	}
 }
 
-// TestOnTreePanicFailsRun: a panic in the caller's OnTree fails that run with
-// an OnTreePanicError — from the collector goroutine, where an unrecovered
-// panic would kill the process and every other run in it.
+// TestOnTreePanicFailsRun: a panic in the caller's OnTree, or in its OnTrees,
+// fails that run with an OnTreePanicError — from the collector goroutine,
+// where an unrecovered panic would kill the process and every other run in
+// it.
 func TestOnTreePanicFailsRun(t *testing.T) {
 	cons := chainConstraints(4)
 	ref, err := Run(cons, Options{Threads: 2, InitialTree: -1, Limits: unlimited()})
@@ -227,25 +247,35 @@ func TestOnTreePanicFailsRun(t *testing.T) {
 			}
 			other <- res
 		}()
-		n := 0
-		res, err := Run(cons, Options{
-			Threads: threads, InitialTree: -1, Limits: unlimited(), TreeBuffer: 2,
-			Checkpoint: search.CheckpointPolicy{OnStop: true},
-			OnTree: func(string) {
+		for _, blocks := range []bool{false, true} {
+			n := 0
+			boom := func() {
 				if n++; n == 7 {
 					panic("sink boom")
 				}
-			},
-		})
-		var spe *OnTreePanicError
-		if res != nil || !errors.As(err, &spe) {
-			t.Fatalf("T=%d: Run returned %v, %v", threads, res, err)
-		}
-		if spe.Value != "sink boom" || !bytes.Contains(spe.Stack, []byte("TestOnTreePanicFailsRun")) {
-			t.Fatalf("T=%d: panic value %v, stack:\n%s", threads, spe.Value, spe.Stack)
-		}
-		if n != 7 {
-			t.Fatalf("T=%d: OnTree was called %d times, the 7th panicked", threads, n)
+			}
+			opt := Options{
+				Threads: threads, InitialTree: -1, Limits: unlimited(),
+				// Blocks of one tree: the channel is full when the sink panics.
+				Policy:     search.Policy{TreeBatch: 1},
+				Checkpoint: search.CheckpointPolicy{OnStop: true},
+			}
+			if blocks {
+				opt.OnTrees = func([]byte, int) { boom() }
+			} else {
+				opt.OnTree = func(string) { boom() }
+			}
+			res, err := Run(cons, opt)
+			var spe *OnTreePanicError
+			if res != nil || !errors.As(err, &spe) {
+				t.Fatalf("T=%d: Run returned %v, %v", threads, res, err)
+			}
+			if spe.Value != "sink boom" || !bytes.Contains(spe.Stack, []byte("TestOnTreePanicFailsRun")) {
+				t.Fatalf("T=%d: panic value %v, stack:\n%s", threads, spe.Value, spe.Stack)
+			}
+			if n != 7 {
+				t.Fatalf("T=%d: the sink was called %d times, the 7th panicked", threads, n)
+			}
 		}
 		if o := <-other; o == nil || o.Counters != ref.Counters {
 			t.Fatalf("T=%d: the concurrent run did not survive: %+v", threads, o)

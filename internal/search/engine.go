@@ -10,6 +10,7 @@
 package search
 
 import (
+	"bytes"
 	"fmt"
 
 	"gentrius/internal/terrace"
@@ -138,9 +139,18 @@ type Engine struct {
 	// are handed off and removed from the frame. Used for work stealing.
 	OnFramePushed func(f *Frame) int
 
+	// OnTrees, if set, receives the stand trees found, in blocks: n canonical
+	// Newick strings, each newline-terminated, valid during the call. A block
+	// is handed on when the next tree would take it past BlockSize, at every
+	// FlushTrees, and alone for the engine's first tree. The callee returns
+	// the buffer the next block is rendered into: the one it was handed, when
+	// it is done with it, or another (nil: the engine allocates one). With
+	// OnTrees and OnTree both nil nothing is rendered or allocated.
+	OnTrees func(block []byte, n int) []byte
+
 	// OnTree, if set, is called with the canonical Newick string of every
-	// stand tree found. Rendering costs one linear pass over the tree and one
-	// allocation, the string itself; with OnTree nil nothing is rendered.
+	// stand tree found, as it is found: the block handed on tree by tree and
+	// read through EachTree, one string allocated per tree.
 	OnTree func(newick string)
 
 	// OnLeaf, if set, receives the random-descent probability of every leaf
@@ -153,10 +163,28 @@ type Engine struct {
 
 	baseDepth int // terrace depth at engine start (task replay offset)
 
-	// nw renders the trees emit hands to OnTree. Like T it is private to the
-	// engine, so nothing is shared or locked; its scratch is allocated by
-	// the first tree rendered, so a counting run (OnTree nil) never pays.
-	nw tree.NewickWriter
+	// nw renders the trees emit appends to block. Like T both are private to
+	// the engine, so nothing is shared or locked, and both are allocated by
+	// the first tree rendered, so a counting run never pays.
+	nw      tree.NewickWriter
+	block   []byte
+	pending int  // trees in block
+	handed  bool // a block has been handed on: the first tree has left
+}
+
+// BlockSize bounds a block of trees handed to OnTrees, unless one tree alone
+// is longer: large enough that a write or a channel send per block is noise
+// beside rendering it, small enough to sit in a core's cache until then.
+const BlockSize = 32 << 10
+
+// EachTree calls fn with every tree of a block as a string: the per-tree form
+// of the stream, paid for only by consumers that ask for strings.
+func EachTree(block []byte, fn func(newick string)) {
+	for len(block) > 0 {
+		i := bytes.IndexByte(block, '\n')
+		fn(string(block[:i]))
+		block = block[i+1:]
+	}
 }
 
 // NewEngine returns an engine exploring the full search space below the
@@ -426,10 +454,41 @@ func (e *Engine) constraintDegree(x int) int16 {
 	return e.degree[x]
 }
 
+// emit renders the agile tree, a stand tree, into the block. The trees of
+// one stand are equally long, so the block is full when another of this
+// one's length would not fit.
 func (e *Engine) emit() {
-	if e.OnTree != nil {
-		e.OnTree(e.nw.String(e.T.Agile()))
+	if e.OnTrees == nil && e.OnTree == nil {
+		return
 	}
+	if e.block == nil && e.OnTrees != nil {
+		e.block = make([]byte, 0, BlockSize)
+	}
+	at := len(e.block)
+	e.block = append(e.nw.Append(e.block, e.T.Agile()), '\n')
+	e.pending++
+	full := len(e.block)+(len(e.block)-at) > BlockSize
+	if full || !e.handed || e.OnTree != nil {
+		e.FlushTrees()
+	}
+}
+
+// FlushTrees hands on the block, if it holds a tree. Whoever publishes or
+// cuts the engine's counters calls it first, between Step calls, so that no
+// count is ever ahead of its trees.
+func (e *Engine) FlushTrees() {
+	if e.pending == 0 {
+		return
+	}
+	e.handed = true
+	if e.OnTree != nil {
+		EachTree(e.block, e.OnTree)
+	}
+	next := e.block
+	if e.OnTrees != nil {
+		next = e.OnTrees(e.block, e.pending)
+	}
+	e.block, e.pending = next[:0], 0
 }
 
 // ChooseInitialTree implements the paper's initial tree selection heuristic:

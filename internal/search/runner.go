@@ -109,8 +109,15 @@ type Options struct {
 	// CollectTrees stores every stand tree's canonical Newick string in
 	// Result.Trees. Off by default: stands can be enormous.
 	CollectTrees bool
-	// OnTree, if set, receives every stand tree found.
+	// OnTree, if set, receives every stand tree found, as it is found.
 	OnTree func(newick string)
+	// OnTrees, if set, receives the stand in blocks: n canonical Newick
+	// strings in enumeration order, each newline-terminated, in bytes that
+	// are valid only during the call. A block is handed on at BlockSize, at
+	// every stopping-rule check (so before any snapshot) and at the end of
+	// the run, and the run's first tree alone. With CollectTrees or OnTree
+	// set as well, every block is one tree.
+	OnTrees func(newicks []byte, n int)
 
 	// CheckEvery is the step interval between stopping-rule evaluations
 	// (default 1024; time is only sampled at these checks).
@@ -298,12 +305,19 @@ func Run(constraints []*tree.Tree, opt Options) (*Result, error) {
 			user(nw)
 		}
 	}
+	if opt.OnTrees != nil {
+		eng.OnTrees = func(block []byte, n int) []byte {
+			opt.OnTrees(block, n)
+			return block
+		}
+	}
 
 	checks := 0
 	lastCkpt := start
 	for {
 		for i := 0; i < opt.CheckEvery; i++ {
 			if eng.Step() == EvDone {
+				eng.FlushTrees()
 				res.Counters = eng.Counters()
 				res.Steps += int64(i + 1)
 				res.Elapsed = time.Since(start)
@@ -312,6 +326,9 @@ func Run(constraints []*tree.Tree, opt Options) (*Result, error) {
 			}
 		}
 		res.Steps += int64(opt.CheckEvery)
+		// The counters are about to be read, by the caller's OnCheck, by a
+		// snapshot or by a stopping rule: their trees go first.
+		eng.FlushTrees()
 		res.Counters = eng.Counters()
 		flushEst(res.Counters)
 		if opt.OnCheck != nil {

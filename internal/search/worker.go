@@ -27,8 +27,9 @@ type Host interface {
 	Offer(path []PathStep, f *Frame, n int) int
 	// Publish receives a batch of the worker's counters, never empty.
 	Publish(c Counters)
-	// Tree receives a stand tree's canonical Newick.
-	Tree(newick string)
+	// Trees receives a block of n stand trees (see Engine.OnTrees) and returns
+	// the buffer for the next block.
+	Trees(block []byte, n int) []byte
 }
 
 // Worker is the paper's per-thread protocol (Sec. III-A/B), written once for
@@ -36,10 +37,11 @@ type Host interface {
 // task. A task is begun, then ticked through replaying its path, exploring
 // its frames — offering half of each fresh frame, batching the counters —
 // and rewinding to I_0. The driver owns the queue, the clock and the stop
-// flag. A Worker whose Tick panicked is discarded whole, Terrace included.
+// flag. A Worker whose Tick panicked is discarded whole, Terrace and the
+// trees it had not handed on included.
 type Worker struct {
 	t      *terrace.Terrace
-	eng    *Engine // its counters are the unflushed batch, zeroed by Flush
+	eng    *Engine // its counters and tree block are the unflushed batch, emptied by Flush
 	policy Policy
 	host   Host
 	est    *obs.Estimator
@@ -56,14 +58,14 @@ type Worker struct {
 
 // NewWorker returns an idle worker on a private Terrace at I_0 (NewTerrace)
 // running policy p against host h. Closed-leaf mass is batched into est with
-// the counters (nil: none); trees are rendered for h.Tree only if trees.
+// the counters (nil: none); trees are rendered for h.Trees only if trees.
 func (s *Setup) NewWorker(p Policy, h Host, est *obs.Estimator, trees bool) *Worker {
 	t := s.NewTerrace()
 	w := &Worker{t: t, eng: NewEngine(t), policy: p, host: h, est: est, base: t.Depth()}
 	w.eng.Heuristic = s.Heuristic
 	w.eng.OnFramePushed = w.offer
 	if trees {
-		w.eng.OnTree = h.Tree
+		w.eng.OnTrees = h.Trees
 	}
 	if est != nil {
 		w.eng.OnLeaf = func(wt float64) { w.mass += wt; w.leaves++ }
@@ -133,9 +135,11 @@ func (w *Worker) Tick() (Phase, bool) {
 	return w.phase, false
 }
 
-// Flush publishes the unflushed batch, if any. Drivers call it before a
-// Snapshot and when they stop ticking a task half-way.
+// Flush publishes the unflushed batch, if any: the trees, then the counters
+// that count them. Drivers call it before a Snapshot and when they stop
+// ticking a task half-way.
 func (w *Worker) Flush() {
+	w.eng.FlushTrees()
 	c := w.eng.counters
 	if c == (Counters{}) {
 		return

@@ -34,7 +34,10 @@ func (h *fakeHost) Publish(c Counters) {
 	h.log = append(h.log, "publish")
 }
 
-func (h *fakeHost) Tree(nw string) { h.trees = append(h.trees, nw) }
+func (h *fakeHost) Trees(block []byte, _ int) []byte {
+	EachTree(block, func(nw string) { h.trees = append(h.trees, nw) })
+	return block
+}
 
 // drain runs first, and every task the host queues meanwhile, to the end on
 // w, checking the order of phases each task passes through.

@@ -4,6 +4,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -16,7 +17,7 @@ import (
 
 // streamWriteTimeout is the per-write deadline of the NDJSON tree stream.
 // The server's global WriteTimeout would kill a long-lived follower, so
-// handleTrees pushes its own deadline forward on every tree instead: a
+// handleTrees pushes its own deadline forward on every write instead: a
 // healthy slow enumeration streams indefinitely, while a stuck client is
 // disconnected within one interval.
 const streamWriteTimeout = 30 * time.Second
@@ -211,11 +212,41 @@ type treeLine struct {
 	Tree string `json:"tree"`
 }
 
+// appendTreeRecords appends one NDJSON record per line of lines (whole
+// lines, each newline-terminated) to dst: the bytes json.Encoder would write
+// for treeLine{line}. A line of printable ASCII without the five characters
+// the encoder escapes is copied between the record's fixed ends; any other —
+// a quoted label can hold anything — goes through encoding/json.
+func appendTreeRecords(dst, lines []byte) []byte {
+	for len(lines) > 0 {
+		i := bytes.IndexByte(lines, '\n')
+		line := lines[:i]
+		lines = lines[i+1:]
+		plain := true
+		for _, c := range line {
+			if c < 0x20 || c >= 0x80 || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+				plain = false
+				break
+			}
+		}
+		if plain {
+			dst = append(append(append(dst, `{"tree":"`...), line...), "\"}\n"...)
+			continue
+		}
+		rec, _ := json.Marshal(treeLine{Tree: string(line)}) // a struct of one string cannot fail
+		dst = append(append(dst, rec...), '\n')
+	}
+	return dst
+}
+
 // handleTrees streams the job's stand trees as NDJSON ({"tree":"..."} per
 // line), from the first tree found, following the enumeration live and
 // terminating when the job reaches a terminal state (or the client
 // disconnects). Trees are spooled to disk, so a late subscriber still
-// receives the full stand without the daemon buffering it in memory.
+// receives the full stand without the daemon buffering it in memory. Each
+// chunk the spool delivers is one write and one flush: a follower that has
+// caught up receives every block as it is appended, one that is behind
+// receives the backlog 64 KiB of lines at a time.
 func (m *Manager) handleTrees(w http.ResponseWriter, r *http.Request) {
 	job, ok := m.Get(r.PathValue("id"))
 	if !ok {
@@ -226,11 +257,12 @@ func (m *Manager) handleTrees(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
 	rc := http.NewResponseController(w)
-	enc := json.NewEncoder(w)
-	err := job.spool.Stream(r.Context(), func(line []byte) error {
+	var recs []byte
+	err := job.spool.Stream(r.Context(), func(lines []byte) error {
 		// Best-effort: unsupported on recording/test writers.
 		rc.SetWriteDeadline(time.Now().Add(streamWriteTimeout)) //nolint:errcheck
-		if err := enc.Encode(treeLine{Tree: string(line)}); err != nil {
+		recs = appendTreeRecords(recs[:0], lines)
+		if _, err := w.Write(recs); err != nil {
 			return err
 		}
 		if flusher != nil {

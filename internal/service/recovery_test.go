@@ -229,8 +229,8 @@ func TestRestartAdoptsFinishedJobs(t *testing.T) {
 	}
 	// The adopted spool still replays the full stand to a late subscriber.
 	var lines int64
-	if err := jobs[0].spool.Stream(context.Background(), func([]byte) error {
-		lines++
+	if err := jobs[0].spool.Stream(context.Background(), func(chunk []byte) error {
+		lines += int64(bytes.Count(chunk, []byte("\n")))
 		return nil
 	}); err != nil {
 		t.Fatal(err)
@@ -626,18 +626,20 @@ func TestJournalRetriesInjectedWriteErrors(t *testing.T) {
 	}
 }
 
-// TestSpoolRetriesAndDropsUnderInjection: a line that fails transiently is
-// retried into place; a line that fails every attempt is dropped and
-// counted while the job's own counters stay authoritative.
+// TestSpoolRetriesAndDropsUnderInjection: a block that fails transiently is
+// retried into place; a block that fails every attempt is dropped and every
+// one of its lines counted, while the job's own counters stay authoritative.
+// The first tree is a block of its own; the second write is the rest of the
+// small stand.
 func TestSpoolRetriesAndDropsUnderInjection(t *testing.T) {
 	for _, tc := range []struct {
-		name             string
-		nth              []int64
-		dropped, retries float64
-		missing          int64
+		name    string
+		nth     []int64
+		retries float64
+		dropped bool
 	}{
-		{"transient", []int64{2, 3, 4}, 0, 3, 0},     // 2nd line lands on its 4th attempt
-		{"persistent", []int64{2, 3, 4, 5}, 1, 4, 1}, // 2nd line exhausts its budget
+		{"transient", []int64{2, 3, 4}, 3, false},    // 2nd block lands on its 4th attempt
+		{"persistent", []int64{2, 3, 4, 5}, 4, true}, // 2nd block exhausts its budget
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			reg := obs.NewRegistry()
@@ -653,15 +655,22 @@ func TestSpoolRetriesAndDropsUnderInjection(t *testing.T) {
 			if st.State != StateDone || st.StandTrees < 2 {
 				t.Fatalf("job %+v, want done with >= 2 trees", st)
 			}
-			if st.TreesSpooled != st.StandTrees-tc.missing {
+			missing := int64(0)
+			if tc.dropped {
+				missing = st.StandTrees - 1 // every line of the second block
+			}
+			if st.TreesSpooled != st.StandTrees-missing {
 				t.Fatalf("spooled %d of %d trees, want %d missing",
-					st.TreesSpooled, st.StandTrees, tc.missing)
+					st.TreesSpooled, st.StandTrees, missing)
 			}
 			snap := reg.Snapshot()
 			if snap["gentriusd_spool_write_retries_total"] != tc.retries ||
-				snap["gentriusd_spool_lines_dropped_total"] != tc.dropped {
+				snap["gentriusd_spool_lines_dropped_total"] != float64(missing) {
 				t.Fatalf("retries %v dropped %v, want %v/%v", snap["gentriusd_spool_write_retries_total"],
-					snap["gentriusd_spool_lines_dropped_total"], tc.retries, tc.dropped)
+					snap["gentriusd_spool_lines_dropped_total"], tc.retries, missing)
+			}
+			if h := m.Health(); h.SpoolDropped != missing {
+				t.Fatalf("/healthz says %d spool lines dropped, want %d", h.SpoolDropped, missing)
 			}
 		})
 	}

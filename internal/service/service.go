@@ -1139,12 +1139,13 @@ func (m *Manager) runJob(job *Job) {
 		Obs:         sink,
 		Fault:       m.cfg.Fault,
 		Checkpoint:  policy,
-		OnTree: func(nw string) {
-			// The treestream stall site throttles delivery for recovery
-			// drills (a fast child would finish before the drill kills it).
-			m.cfg.Fault.Stall(faultinject.TreeStream)
-			job.spool.Append(nw)
-			m.m.TreesStreamed.Inc()
+		OnTrees: func(block []byte, n int) {
+			// The treestream stall site throttles delivery, tree by tree, for
+			// recovery drills (a fast child would finish before the drill
+			// kills it).
+			m.cfg.Fault.StallEach(faultinject.TreeStream, n)
+			job.spool.AppendBlock(block, n)
+			m.m.TreesStreamed.Add(int64(n))
 		},
 	}
 	res, err := gentrius.EnumerateStandContext(job.ctx, job.cons, opt)
@@ -1169,11 +1170,13 @@ func (m *Manager) runFleetJob(job *Job, req JobRequest) {
 		ctx, cancel = context.WithTimeout(ctx, lim.MaxTime)
 		defer cancel()
 	}
+	var line []byte // the coordinator delivers merged trees one by one, as strings
 	dres, err := m.cfg.Fleet.Run(ctx, job.id, job.cons, dist.RunOptions{
 		CollectTrees: true,
 		OnTree: func(nw string) {
 			m.cfg.Fault.Stall(faultinject.TreeStream)
-			job.spool.Append(nw)
+			line = append(append(line[:0], nw...), '\n')
+			job.spool.AppendBlock(line, 1)
 			m.m.TreesStreamed.Inc()
 		},
 		InitialTree: gentrius.UseInitialTreeHeuristic,

@@ -96,8 +96,8 @@ func TestJobLifecycle(t *testing.T) {
 	}
 	// The spool replays the full stand to a late subscriber.
 	var got []string
-	err = job.spool.Stream(context.Background(), func(line []byte) error {
-		got = append(got, string(line))
+	err = job.spool.Stream(context.Background(), func(chunk []byte) error {
+		got = append(got, strings.Split(strings.TrimSuffix(string(chunk), "\n"), "\n")...)
 		return nil
 	})
 	if err != nil {

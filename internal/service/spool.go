@@ -12,15 +12,16 @@ import (
 )
 
 // spool is an append-only, file-backed log of stand trees (one canonical
-// Newick per line). The job's OnTree callback appends as trees are found;
-// any number of readers stream from the beginning and then follow the tail
-// until the spool is closed. Streaming a 10^6-tree stand therefore never
-// holds more than one read chunk in memory, and a subscriber that connects
-// late still sees every tree.
+// Newick per line). The job's OnTrees callback appends the blocks the engine
+// hands on; any number of readers stream from the beginning and then follow
+// the tail until the spool is closed. Streaming a 10^6-tree stand therefore
+// never holds more than one read chunk in memory, and a subscriber that
+// connects late still sees every tree.
 //
 // Durability note: a resumed job re-finds the trees discovered between its
-// last checkpoint and the crash, so an adopted spool delivers those lines
+// last checkpoint and the crash, so an adopted spool delivers those blocks
 // twice — the spool is at-least-once, while the job's counters stay exact.
+// At a checkpoint's cut it is exact: every block counted has been appended.
 type spool struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -29,7 +30,6 @@ type spool struct {
 	size   int64 // bytes of complete lines written (file size is always == size)
 	lines  int64
 	closed bool
-	buf    []byte // append scratch, reused per line
 
 	fault *faultinject.Injector // nil: no injected write errors
 	m     *Metrics              // never nil (zero value discards)
@@ -47,9 +47,10 @@ func newSpool(path string, fault *faultinject.Injector, m *Metrics) (*spool, err
 
 // adoptSpool reopens an existing spool after a daemon restart. It counts
 // the complete lines already on disk and truncates a torn partial final
-// line (a crash mid-append). With closed true the spool is adopted
-// read-only — the historical record of a finished job; otherwise a write
-// handle is reopened so a resumed job can continue appending.
+// line (a crash mid-append: the complete lines of the torn block stay).
+// With closed true the spool is adopted read-only — the historical record
+// of a finished job; otherwise a write handle is reopened so a resumed job
+// can continue appending.
 func adoptSpool(path string, closed bool, fault *faultinject.Injector, m *Metrics) (*spool, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
@@ -92,37 +93,40 @@ func adoptSpool(path string, closed bool, fault *faultinject.Injector, m *Metric
 	return s, nil
 }
 
-// Append writes one line and wakes every follower. Lines are written whole
-// under the lock (via WriteAt at the logical end, so a failed partial write
-// is simply overwritten on retry) and readers never observe a partial line.
+// AppendBlock writes a block of n newline-terminated lines with one write
+// and wakes every follower once. The block is written whole under the lock
+// (via WriteAt at the logical end, so a failed partial write is simply
+// overwritten on retry) and readers never observe a partial line.
 // Transient write errors — including injected ones — are retried with
-// capped exponential backoff; a line that still cannot be written is
-// dropped and counted, never fatal: the job's final counters remain
-// authoritative even on a full disk.
-func (s *spool) Append(line string) {
+// capped exponential backoff; a block that still cannot be written is
+// dropped and its n lines counted, never fatal: the job's final counters
+// remain authoritative even on a full disk.
+func (s *spool) AppendBlock(block []byte, n int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return
 	}
-	s.buf = append(append(s.buf[:0], line...), '\n')
 	err := s.m.retryIO("spool", func() error {
 		if err := s.fault.Err(faultinject.SpoolWrite, "write"); err != nil {
 			s.m.SpoolRetries.Inc()
 			return err
 		}
-		if _, err := s.f.WriteAt(s.buf, s.size); err != nil {
+		if _, err := s.f.WriteAt(block, s.size); err != nil {
 			s.m.SpoolRetries.Inc()
 			return err
 		}
 		return nil
 	})
 	if err != nil {
-		s.m.SpoolDropped.Inc()
+		// A write that failed part-way may have left whole lines of the block
+		// past the logical end, where a restart's adoptSpool would count them.
+		s.f.Truncate(s.size) //nolint:errcheck // best effort on a failing disk
+		s.m.SpoolDropped.Add(int64(n))
 		return
 	}
-	s.size += int64(len(s.buf))
-	s.lines++
+	s.size += int64(len(block))
+	s.lines += int64(n)
 	s.cond.Broadcast()
 }
 
@@ -155,11 +159,14 @@ func (s *spool) Remove() {
 	os.Remove(s.path)
 }
 
-// Stream delivers every complete line from the start of the spool, then
-// follows the tail, blocking until more lines arrive or the spool closes.
-// It returns nil after delivering all lines of a closed spool, ctx.Err()
-// on cancellation, or fn's error. The line slice is only valid during fn.
-func (s *spool) Stream(ctx context.Context, fn func(line []byte) error) error {
+// Stream delivers every line from the start of the spool, then follows the
+// tail, blocking until more lines arrive or the spool closes. fn receives the
+// lines a chunk at a time — whole lines, each newline-terminated, everything
+// appended so far or as much of it as the read buffer holds — so a follower
+// that has caught up is called once per appended block. It returns nil after
+// delivering all lines of a closed spool, ctx.Err() on cancellation, or fn's
+// error. The chunk is only valid during fn.
+func (s *spool) Stream(ctx context.Context, fn func(lines []byte) error) error {
 	f, err := os.Open(s.path)
 	if err != nil {
 		return err
@@ -176,7 +183,6 @@ func (s *spool) Stream(ctx context.Context, fn func(line []byte) error) error {
 
 	var off int64
 	buf := make([]byte, 64<<10)
-	var carry []byte // prefix of a line split across read chunks
 	for {
 		s.mu.Lock()
 		for s.size <= off && !s.closed && ctx.Err() == nil {
@@ -199,24 +205,17 @@ func (s *spool) Stream(ctx context.Context, fn func(line []byte) error) error {
 			if m == 0 {
 				return fmt.Errorf("service: spool truncated at %d", off)
 			}
-			off += int64(m)
-			data := buf[:m]
-			for {
-				i := bytes.IndexByte(data, '\n')
-				if i < 0 {
-					carry = append(carry, data...)
-					break
-				}
-				line := data[:i]
-				if len(carry) > 0 {
-					carry = append(carry, line...)
-					line = carry
-				}
-				if err := fn(line); err != nil {
-					return err
-				}
-				carry = carry[:0]
-				data = data[i+1:]
+			// The spool ends on a line, so only a full buffer can cut one: the
+			// cut line is read again with the next chunk, and a line longer than
+			// the buffer with a larger one.
+			end := bytes.LastIndexByte(buf[:m], '\n') + 1
+			if end == 0 {
+				buf = make([]byte, 2*len(buf))
+				continue
+			}
+			off += int64(end)
+			if err := fn(buf[:end]); err != nil {
+				return err
 			}
 		}
 		if closed && off >= size {

@@ -502,5 +502,8 @@ func (s *sim) halt(r search.StopReason, w int) {
 		obs.F("states", s.g.IntermediateStates))
 }
 
-// Tree collects a stand tree.
-func (w *vworker) Tree(nw string) { w.s.trees = append(w.s.trees, nw) }
+// Trees collects a block of stand trees.
+func (w *vworker) Trees(block []byte, _ int) []byte {
+	search.EachTree(block, func(nw string) { w.s.trees = append(w.s.trees, nw) })
+	return block
+}
