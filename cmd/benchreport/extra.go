@@ -24,6 +24,24 @@ var (
 	indexSink *tree.StaticIndex
 )
 
+// firstFinalFrame steps a fresh engine over ds to the first state with one
+// taxon missing and returns an engine on that state and the frame of the
+// taxon, as the one-frame stack Reset takes.
+func firstFinalFrame(b *testing.B, ds *gen.Dataset) (*search.Engine, []search.FrameSnapshot) {
+	tr, err := terrace.New(ds.Constraints, search.ChooseInitialTree(ds.Constraints))
+	if err != nil {
+		b.Fatal(err)
+	}
+	walk := search.NewEngine(tr)
+	for walk.RemainingTaxa() != 1 {
+		if walk.Step() == search.EvDone {
+			b.Fatal("no final frame in the stand")
+		}
+	}
+	stack := walk.SnapshotFrames(nil)
+	return search.NewEngine(tr), stack[len(stack)-1:]
+}
+
 // extraBenches registers benchmarks that only exist on newer revisions of
 // the engine; a baseline produced before a benchmark existed simply lacks
 // its row, and -compare marks it "(new)".
@@ -101,12 +119,22 @@ func extraBenches(add func(name string, f func(b *testing.B)),
 	// empirical dataset 23, the benchmark's stream-file stand) through the
 	// one-shot Tree.Newick. Its allocs/op is the host-independent number
 	// -compare -max-regress gates: the string and nothing else.
+	// Since PR 21 a tree is cut from the rendering of the state it shares
+	// with its final frame's others: the row reports the bytes the two-pass
+	// walk wrote and the bytes copied per tree, and the share of trees the
+	// writer spliced, re-cut or left to the full walk.
 	add("SerialEngineEmit", func(b *testing.B) {
+		var last *search.Result
 		for i := 0; i < b.N; i++ {
-			if _, err := search.Run(ds.Constraints, search.Options{
-				InitialTree: -1, OnTrees: func([]byte, int) {}}); err != nil {
+			res, err := search.Run(ds.Constraints, search.Options{
+				InitialTree: -1, OnTrees: func([]byte, int) {}})
+			if err != nil {
 				b.Fatal(err)
 			}
+			last = res
+		}
+		if last != nil {
+			reportWork(b, last)
 		}
 	})
 	add("SerialEngineEmitStrings", func(b *testing.B) {
@@ -117,6 +145,39 @@ func extraBenches(add func(name string, f func(b *testing.B)),
 			}
 		}
 	})
+
+	// Final frames (PR 21): one op is one final frame of the reference stand —
+	// its first, re-aimed at and consumed over and over on the state it hangs
+	// off — counted only, and rendered into a block nobody reads. Neither
+	// allocates, and neither inserts the taxon.
+	for _, emit := range []bool{false, true} {
+		name := "FinalFrameCount"
+		if emit {
+			name = "FinalFrameEmit"
+		}
+		add(name, func(b *testing.B) {
+			eng, frame := firstFinalFrame(b, ds)
+			if emit {
+				eng.OnTrees = func(block []byte, _ int) []byte { return block }
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := eng.Reset(frame); err != nil {
+					b.Fatal(err)
+				}
+				if eng.Step() != search.EvTreeFound {
+					b.Fatal("the frame is not final")
+				}
+			}
+			w := eng.Work()
+			trees := float64(len(frame[0].Branches))
+			b.ReportMetric(trees, "trees/frame")
+			b.ReportMetric(float64(w.Extends), "extend-calls")
+			if emit {
+				b.ReportMetric(float64(w.Emit.Walked+w.Emit.Copied)/float64(b.N)/trees, "B/tree")
+			}
+		})
+	}
 
 	// The spool (PR 20): the same stand as one serial job of a service.Manager
 	// on a fresh data directory — what SerialEngineEmit does plus one

@@ -96,6 +96,27 @@ func buildTerracePath(ds *gen.Dataset) (*terrace.Terrace, []int, [][]int32, erro
 	return tr, taxa, branches, nil
 }
 
+// reportWork reports a serial run's exact work counters — the four -compare
+// gates at 0 % (exactMetrics) — and what the engine did for them.
+func reportWork(b *testing.B, res *search.Result) {
+	b.ReportMetric(float64(res.StandTrees), "stand-trees")
+	b.ReportMetric(float64(res.IntermediateStates), "states")
+	b.ReportMetric(float64(res.DeadEnds), "dead-ends")
+	b.ReportMetric(float64(res.Steps), "steps")
+	b.ReportMetric(float64(res.Work.Extends), "extend-calls")
+	if e, trees := res.Work.Emit, float64(res.StandTrees); e.Walked > 0 {
+		b.ReportMetric(float64(e.Walked)/trees, "walked-B/tree")
+		b.ReportMetric(float64(e.Copied)/trees, "copied-B/tree")
+		b.ReportMetric(100*float64(e.Spliced)/trees, "spliced-%")
+		b.ReportMetric(100*float64(e.Recut)/trees, "recut-%")
+		b.ReportMetric(100*(trees-float64(e.Spliced+e.Recut))/trees, "fallback-%")
+	}
+}
+
+// exactMetrics are the work counters that depend on the input alone, not on
+// the host or the clock: -compare fails on any change of one.
+var exactMetrics = []string{"stand-trees", "states", "dead-ends", "steps"}
+
 // run wraps testing.Benchmark, forcing allocation reporting.
 func run(name string, f func(b *testing.B)) BenchResult {
 	r := testing.Benchmark(func(b *testing.B) {
@@ -121,7 +142,7 @@ func run(name string, f func(b *testing.B)) BenchResult {
 func main() {
 	outPath := flag.String("out", "", "write the JSON report to this file (default stdout)")
 	note := flag.String("note", "", "free-form note embedded in the report")
-	compare := flag.String("compare", "", "baseline JSON report to diff against (prints a table to stderr)")
+	compare := flag.String("compare", "", "baseline JSON report to diff against (prints a table to stderr; exits non-zero if an exact work counter — stand-trees, states, dead-ends, steps — differs from the baseline's)")
 	maxRegress := flag.Float64("max-regress", 0, "with -compare: exit non-zero if any shared benchmark's ns/op regresses by more than this percentage, or if its allocs/op exceed the baseline's by more than a quarter (a host-independent gate; exact for a baseline of 0 to 3)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the benchmark runs (dataset selection excluded) — the input for PGO via scripts/pgo_profile.sh")
 	benchtime := flag.String("benchtime", "", "per-benchmark time budget, e.g. 1s or 1x (default: testing's 1s)")
@@ -182,7 +203,10 @@ func main() {
 	}
 
 	// BenchmarkSerialEngine: full serial enumeration under the dynamic
-	// heuristic — the tier-1 state-transition throughput figure.
+	// heuristic — the tier-1 state-transition throughput figure, in the
+	// paper machine's transitions (a final frame of m counts 2m, though the
+	// engine takes it in one step), next to the exact work counters -compare
+	// gates and the ExtendTaxon calls the engine made for them.
 	add("SerialEngine", func(b *testing.B) {
 		var last *search.Result
 		for i := 0; i < b.N; i++ {
@@ -194,7 +218,7 @@ func main() {
 		}
 		if last != nil {
 			b.ReportMetric(float64(last.Steps)*float64(b.N)/b.Elapsed().Seconds(), "steps/s")
-			b.ReportMetric(float64(last.StandTrees), "stand-trees")
+			reportWork(b, last)
 		}
 	})
 
@@ -208,18 +232,22 @@ func main() {
 	})
 
 	// EngineSteps: the steady-state step loop in isolation — one op is one
-	// state transition; allocs/op here is the number the tentpole drives
-	// to zero.
+	// transition of the paper's machine, as it was when a Step call was one
+	// (calls/op says how many of them the engine still makes); allocs/op
+	// here is the number PR 2 drove to zero.
 	add("EngineSteps", func(b *testing.B) {
 		tr, err := terrace.New(midSim.Constraints, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
 		eng := search.NewEngine(tr)
+		calls, done := 0, int64(0) // done: units of the engines before this one
 		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
+		for done+eng.Work().Units < int64(b.N) {
+			calls++
 			if eng.Step() == search.EvDone {
 				b.StopTimer()
+				done += eng.Work().Units
 				tr, err = terrace.New(midSim.Constraints, 0)
 				if err != nil {
 					b.Fatal(err)
@@ -228,6 +256,7 @@ func main() {
 				b.StartTimer()
 			}
 		}
+		b.ReportMetric(float64(calls)/float64(b.N), "calls/op")
 	})
 
 	tr, taxa, branches, err := buildTerracePath(midSim)
@@ -287,9 +316,14 @@ func main() {
 	}
 
 	if *compare != "" {
-		worst, allocs, err := printComparison(*compare, &rep)
+		worst, allocs, exact, err := printComparison(*compare, &rep)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "benchreport: compare: %v\n", err)
+			os.Exit(1)
+		}
+		if len(exact) > 0 {
+			fmt.Fprintf(os.Stderr, "benchreport: FAIL: exact work counters differ from the baseline's: %s\n",
+				strings.Join(exact, ", "))
 			os.Exit(1)
 		}
 		if *maxRegress > 0 && worst > *maxRegress {
@@ -314,15 +348,17 @@ func main() {
 // ns/op half has to be generous. A baseline of 0 to 3 leaves no slack at all
 // (TreeNewick's 1 is the returned string); the quarter is for
 // ParallelGoroutines, whose count moves by a tenth with the number of tasks
-// stolen.
-func printComparison(path string, cur *Report) (worstRegress float64, allocsUp []string, err error) {
+// stolen. exactOff names every exact work counter (exactMetrics) both reports
+// carry with different values: those gate at 0 %, with or without
+// -max-regress.
+func printComparison(path string, cur *Report) (worstRegress float64, allocsUp, exactOff []string, err error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
-		return 0, nil, err
+		return 0, nil, nil, err
 	}
 	var base Report
 	if err := json.Unmarshal(raw, &base); err != nil {
-		return 0, nil, err
+		return 0, nil, nil, err
 	}
 	byName := map[string]BenchResult{}
 	for _, b := range base.Benchmarks {
@@ -347,8 +383,14 @@ func printComparison(path string, cur *Report) (worstRegress float64, allocsUp [
 		if b.AllocsPerOp > o.AllocsPerOp+o.AllocsPerOp/4 {
 			allocsUp = append(allocsUp, fmt.Sprintf("%s %d->%d", b.Name, o.AllocsPerOp, b.AllocsPerOp))
 		}
+		for _, m := range exactMetrics {
+			was, had := o.Metrics[m]
+			if now, has := b.Metrics[m]; had && has && was != now {
+				exactOff = append(exactOff, fmt.Sprintf("%s %s %.0f->%.0f", b.Name, m, was, now))
+			}
+		}
 		fmt.Fprintf(os.Stderr, "%-28s %14.1f %14.1f %8.2fx %6d->%d\n",
 			b.Name, o.NsPerOp, b.NsPerOp, speed, o.AllocsPerOp, b.AllocsPerOp)
 	}
-	return worstRegress, allocsUp, nil
+	return worstRegress, allocsUp, exactOff, nil
 }

@@ -40,8 +40,10 @@ func TestDefaultPGOFresh(t *testing.T) {
 		"splitCommonEdge",
 		"AppendAllowedBranches",
 		"gentrius/internal/search.(*Engine).Step",
-		// Stand trees are rendered into a block and leave through FlushTrees.
-		"gentrius/internal/search.(*Engine).emit",
+		// Stand trees are cut from the rendering of their final frame's shared
+		// state into a block, and leave through FlushTrees.
+		"gentrius/internal/search.(*Engine).renderFinal",
+		"gentrius/internal/tree.(*NewickWriter).AppendWith",
 		"gentrius/internal/search.(*Engine).FlushTrees",
 		// The pool's loop reaches the engine through the shared worker.
 		"gentrius/internal/search.(*Worker).Tick",

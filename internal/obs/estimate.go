@@ -44,17 +44,9 @@ type Estimator struct {
 	dead   atomic.Int64
 }
 
-// AddLeaf records one visited leaf carrying the given descent probability.
-func (e *Estimator) AddLeaf(w float64) {
-	if e == nil {
-		return
-	}
-	e.mass.add(w)
-	e.leaves.Add(1)
-}
-
-// AddLeafMass merges a batch of visited-leaf mass (a worker's local
-// accumulation) into the estimator. leaves may be 0 when only mass is
+// AddLeafMass merges visited-leaf mass — a final frame's or a dead end's
+// descent probability, or a worker's local accumulation of them — into the
+// estimator. leaves may be 0 when only mass is
 // merged (e.g. the pre-explored portion of a resumed checkpoint).
 func (e *Estimator) AddLeafMass(mass float64, leaves int64) {
 	if e == nil || (mass == 0 && leaves == 0) {

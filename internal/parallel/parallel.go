@@ -688,7 +688,7 @@ type worker struct {
 	id    int
 	total *search.Counters // what this worker published (Result.PerWorker)
 	wk    *search.Worker
-	steps int
+	units int64 // ticked so far, in the paper machine's transitions
 
 	// cur is the id of the task being executed — the parent stamped onto its
 	// submissions (lineage tracing).
@@ -822,19 +822,21 @@ func (w *worker) execute(tk *task) (ok bool) {
 		w.fail(err)
 		return true
 	}
-	for ph, stepped := search.Replay, false; ; {
+	for ph, cost := search.Replay, int64(0); ; {
 		if ph == search.Explore {
 			w.opt.Fault.MaybePanic(faultinject.EngineStep)
 		}
-		if ph, stepped = w.wk.Tick(); ph == search.Idle {
+		if ph, cost = w.wk.Tick(); ph == search.Idle {
 			break
 		}
-		if w.steps++; w.steps&1023 == 0 {
+		// Every 1024 transitions of the paper's machine, as the serial runner.
+		if was := w.units; (was+cost)>>10 != was>>10 {
 			w.checkLimits()
 		}
+		w.units += cost
 		// Polled after engine steps only: a stolen task gets past its path replay
 		// and a step further, so back-to-back rounds cannot replay it for ever.
-		if stepped && ph == search.Explore && w.halt.Load() {
+		if cost > 0 && ph == search.Explore && w.halt.Load() {
 			break
 		}
 	}

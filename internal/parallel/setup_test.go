@@ -21,16 +21,21 @@ func mallocs(f func()) uint64 {
 // allocated is mallocs with the bytes allocated beside the count.
 func allocated(f func()) (count, bytes uint64) {
 	count, bytes = ^uint64(0), ^uint64(0)
-	var before, after runtime.MemStats
 	for i := 0; i < 5; i++ {
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		f()
-		runtime.ReadMemStats(&after)
-		count = min(count, after.Mallocs-before.Mallocs)
-		bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
+		c, b := allocatedOnce(f)
+		count, bytes = min(count, c), min(bytes, b)
 	}
 	return count, bytes
+}
+
+// allocatedOnce is one run of allocated.
+func allocatedOnce(f func()) (count, bytes uint64) {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
 }
 
 // referenceDataset is the dataset cmd/benchreport measures SerialEngine and
@@ -53,7 +58,9 @@ func referenceDataset() []*tree.Tree {
 // task used to build an engine of its own: 1.6-1.9 k allocations at four
 // threads on the first stand against 956 steal-free, and more on the second
 // in proportion to its steals.) The first and the last stand differ in
-// steals more than five-fold. Handing the stand to a block sink costs each
+// steals more than five-fold — in the runs that had the most, which are the
+// ones the bound is held to: the least a stand's runs steal varies several-fold
+// since a final frame is one step and the runs are that much shorter. Handing the stand to a block sink costs each
 // worker at most blocksPerWorker on top — its block, its Newick writer's
 // scratch, its share of the channel's buffers and of the collector — on a
 // stand of 2 835 trees as on one of 54 675.
@@ -62,7 +69,7 @@ func TestPoolAllocationsNearSerial(t *testing.T) {
 		t.Skip("the race detector makes sync.Pool drop recycled tasks at random")
 	}
 	const perWorker, growthPerWorker, blocksPerWorker = 128, 64, 24
-	var most, fewest int64 // steals at 4 threads: most on the first stand, fewest on the last
+	var most, fewest int64 // steals at 4 threads in the run that had most: on the first stand, on the last
 	stands := [][]*tree.Tree{
 		gen.Generate(gen.Default(gen.RegimeSimulated), 12).Constraints, // 557 states, 2 835 stand trees
 		referenceDataset(),
@@ -86,14 +93,19 @@ func TestPoolAllocationsNearSerial(t *testing.T) {
 					t.Fatal(err)
 				}
 			})
-			lo, hi := int64(1<<62), int64(0)
-			pool := mallocs(func() {
-				res, err := Run(cons, Options{Threads: threads, InitialTree: -1})
-				if err != nil {
-					t.Fatal(err)
-				}
-				lo, hi = min(lo, res.TasksStolen), max(hi, res.TasksStolen)
-			})
+			// The most of five runs, not the least: the bound has to hold on the
+			// run with the most steals, whichever that is.
+			lo, hi, pool := int64(1<<62), int64(0), uint64(0)
+			for run := 0; run < 5; run++ {
+				n, _ := allocatedOnce(func() {
+					res, err := Run(cons, Options{Threads: threads, InitialTree: -1})
+					if err != nil {
+						t.Fatal(err)
+					}
+					lo, hi = min(lo, res.TasksStolen), max(hi, res.TasksStolen)
+				})
+				pool = max(pool, n)
+			}
 			t.Logf("stand %d: terrace.New %d mallocs, serial run %d, pool at %d threads %d steal-free, %d with %d to %d steals",
 				i, build, serial, threads, stealFree, pool, lo, hi)
 			if threads == 4 && i < 2 {
@@ -121,7 +133,7 @@ func TestPoolAllocationsNearSerial(t *testing.T) {
 				most = hi
 			}
 			if threads == 4 && i == len(stands)-1 {
-				fewest = lo
+				fewest = hi
 			}
 		}
 	}

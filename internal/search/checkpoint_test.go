@@ -101,7 +101,7 @@ func TestCheckpointCorruptFrames(t *testing.T) {
 	idx := ChooseInitialTree(cons)
 	tr, _ := terrace.New(cons, idx)
 	e := NewEngine(tr)
-	for i := 0; i < 10; i++ {
+	for e.Work().Units < 10 { // ten transitions of the paper's machine in
 		e.Step()
 	}
 	cp := e.Snapshot(cons, idx)

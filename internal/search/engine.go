@@ -2,11 +2,12 @@
 // paper's Algorithm 1) as an iterative, steppable engine plus a serial
 // runner with the paper's two heuristics and three stopping rules.
 //
-// The engine performs exactly one state transition per Step call — a taxon
-// insertion (possibly completing a stand tree), or a taxon removal — so the
-// same engine drives the serial runner, the goroutine-based parallel engine,
-// and the deterministic virtual-time multicore simulator (where one Step is
-// one unit of virtual work).
+// A Step call performs one taxon insertion or one taxon removal — or, when a
+// single taxon remains, every insertion and removal of that taxon's frame at
+// once, without performing them: each of the frame's branches is a stand tree
+// (see finalFrame). The same engine drives the serial runner, the goroutine
+// pool and the deterministic virtual-time multicore simulator, which are
+// costed in the paper machine's transitions (Units), not in Step calls.
 package search
 
 import (
@@ -23,7 +24,7 @@ type Event int8
 // Step outcomes.
 const (
 	EvInserted  Event = iota // a taxon was inserted; the state is intermediate
-	EvTreeFound              // a taxon was inserted and completed a stand tree
+	EvTreeFound              // the last taxon's frame was consumed: one stand tree per branch
 	EvDeadEnd                // a taxon was inserted, and the resulting state is a dead end
 	EvRemoved                // a taxon was removed (backtrack)
 	EvDone                   // the search space is exhausted
@@ -153,24 +154,56 @@ type Engine struct {
 	// read through EachTree, one string allocated per tree.
 	OnTree func(newick string)
 
-	// OnLeaf, if set, receives the random-descent probability of every leaf
-	// the engine closes — a found stand tree or a dead end — feeding the
-	// weighted backtrack estimator (see obs.Estimator). The weights summed
-	// over an exhaustive run of this engine's space total the engine's share
-	// of the global search space (1.0 for a NewEngine, the task's Mass after
-	// a Reset).
-	OnLeaf func(weight float64)
+	// OnLeaf, if set, receives the random-descent probability of the leaves
+	// the engine closes — the stand trees of a final frame, or a dead end —
+	// and their number, feeding the weighted backtrack estimator (see
+	// obs.Estimator). The mass summed over an exhaustive run of this engine's
+	// space totals the engine's share of the global search space (1.0 for a
+	// NewEngine, the task's Mass after a Reset).
+	OnLeaf func(mass float64, leaves int64)
 
 	baseDepth int // terrace depth at engine start (task replay offset)
 
-	// nw renders the trees emit appends to block. Like T both are private to
-	// the engine, so nothing is shared or locked, and both are allocated by
-	// the first tree rendered, so a counting run never pays.
+	work Work
+	// The final frame the last Step consumed (see FinalFrame).
+	finalTaxon int
+	final      []int32
+
+	// nw renders the trees renderFinal appends to block. Like T both are
+	// private to the engine, so nothing is shared or locked, and both are
+	// allocated by the first tree rendered, so a counting run never pays.
 	nw      tree.NewickWriter
 	block   []byte
 	pending int  // trees in block
 	handed  bool // a block has been handed on: the first tree has left
 }
+
+// Work is what an engine did since it was made, beside what it found.
+type Work struct {
+	// Units counts transitions of the paper's machine, which inserts and
+	// removes every taxon: one per insertion or removal performed, and 2m for
+	// a final frame of m branches. It is the unit of Result.Steps, of the
+	// stopping-rule cadence and of the simulator's clock.
+	Units int64
+	// Extends counts the ExtendTaxon calls made.
+	Extends int64
+	// Emit is the Newick writer's work.
+	Emit tree.WriterStats
+}
+
+// Work returns the engine's work so far.
+func (e *Engine) Work() Work {
+	w := e.work
+	w.Emit = e.nw.Stats
+	return w
+}
+
+// FinalFrame returns the taxon and the branches of the final frame the last
+// Step consumed, when it returned EvTreeFound: one stand tree per branch, in
+// the order OnTree received them. The initial tree being the stand's one tree
+// has no branches. The slice is valid until the next Step and must not be
+// changed.
+func (e *Engine) FinalFrame() (taxon int, branches []int32) { return e.finalTaxon, e.final }
 
 // BlockSize bounds a block of trees handed to OnTrees, unless one tree alone
 // is longer: large enough that a write or a channel send per block is noise
@@ -230,6 +263,7 @@ func (e *Engine) replayInserted() {
 	for i := range e.frames {
 		if f := &e.frames[i]; f.inserted {
 			e.T.ExtendTaxon(f.Taxon, f.Branches[f.idx-1])
+			e.work.Extends++
 		}
 	}
 }
@@ -289,8 +323,9 @@ func (e *Engine) Path(buf []PathStep) []PathStep {
 	return buf
 }
 
-// Step performs exactly one state transition and returns its kind. After
-// EvDone the terrace is back at the engine's base state.
+// Step performs one state transition, or consumes one final frame, and
+// returns its kind. After EvDone the terrace is back at the engine's base
+// state.
 func (e *Engine) Step() Event {
 	if e.done {
 		return EvDone
@@ -304,9 +339,15 @@ func (e *Engine) step() Event {
 		if e.RemainingTaxa() == 0 {
 			// The input trees admit exactly the (already complete) tree.
 			e.counters.StandTrees++
-			e.emit()
+			e.work.Units++
+			e.final = nil
+			if e.rendering() {
+				at := e.openTree()
+				e.block = e.nw.Append(e.block, e.T.Agile())
+				e.closeTree(at)
+			}
 			if e.OnLeaf != nil {
-				e.OnLeaf(1) // a one-leaf decision tree: the whole space
+				e.OnLeaf(1, 1) // a one-leaf decision tree: the whole space
 			}
 			e.done = true
 			return EvTreeFound
@@ -319,38 +360,57 @@ func (e *Engine) step() Event {
 			return EvDone
 		}
 		f := &e.frames[len(e.frames)-1]
-		if f.idx < len(f.Branches) {
-			if f.inserted {
-				e.T.RemoveTaxon()
-				f.inserted = false
-				return EvRemoved
-			}
-			edge := f.Branches[f.idx]
-			f.idx++
-			e.T.ExtendTaxon(f.Taxon, edge)
-			f.inserted = true
-			if e.RemainingTaxa() == 0 {
-				e.counters.StandTrees++
-				e.emit()
-				if e.OnLeaf != nil {
-					e.OnLeaf(f.weight)
-				}
-				return EvTreeFound
-			}
-			e.counters.IntermediateStates++
-			if e.pushFrame() {
-				return EvInserted
-			}
-			return EvDeadEnd
-		}
-		// Frame exhausted.
-		if f.inserted {
+		switch {
+		case f.inserted:
+			// Back out of the branch tried last, whether another follows or not.
 			e.T.RemoveTaxon()
 			f.inserted = false
+			e.work.Units++
 			return EvRemoved
+		case f.idx == len(f.Branches):
+			e.frames = e.frames[:len(e.frames)-1]
+			continue
+		case e.RemainingTaxa() == 1:
+			return e.finalFrame(f)
 		}
-		e.frames = e.frames[:len(e.frames)-1]
+		edge := f.Branches[f.idx]
+		f.idx++
+		e.T.ExtendTaxon(f.Taxon, edge)
+		f.inserted = true
+		e.work.Units++
+		e.work.Extends++
+		e.counters.IntermediateStates++
+		if e.pushFrame() {
+			return EvInserted
+		}
+		return EvDeadEnd
 	}
+}
+
+// finalFrame consumes what is left of the uninserted top frame f when its
+// taxon is the last one missing. Nothing is checked after an insertion, so
+// each of the frame's branches is a stand tree: they are counted, and
+// rendered from the state they share, without inserting the taxon. The
+// paper's machine would have inserted and removed it once per branch, and is
+// charged so. Tested at the step, not where the frame is pushed, so that a
+// fresh frame, a Reset stack, a frame resumed half-way (a checkpoint of an
+// engine that still inserted the last taxon takes one EvRemoved first) and a
+// final frame that was stolen all come through here; the stack is left as
+// it was after the frame's last removal.
+func (e *Engine) finalFrame(f *Frame) Event {
+	rest := f.Branches[f.idx:]
+	m := int64(len(rest))
+	f.idx = len(f.Branches)
+	e.counters.StandTrees += m
+	e.work.Units += 2 * m
+	e.finalTaxon, e.final = f.Taxon, rest
+	if e.rendering() {
+		e.renderFinal(f.Taxon, rest)
+	}
+	if e.OnLeaf != nil {
+		e.OnLeaf(float64(m)*f.weight, m)
+	}
+	return EvTreeFound
 }
 
 // pushFrame selects the next taxon (dynamic heuristic or static order),
@@ -381,7 +441,7 @@ func (e *Engine) pushFrame() bool {
 	if len(f.Branches) == 0 {
 		e.counters.DeadEnds++
 		if e.OnLeaf != nil {
-			e.OnLeaf(parentW) // the inserted parent state is the leaf
+			e.OnLeaf(parentW, 1) // the inserted parent state is the leaf
 		}
 		return false
 	}
@@ -454,18 +514,43 @@ func (e *Engine) constraintDegree(x int) int16 {
 	return e.degree[x]
 }
 
-// emit renders the agile tree, a stand tree, into the block. The trees of
-// one stand are equally long, so the block is full when another of this
-// one's length would not fit.
-func (e *Engine) emit() {
-	if e.OnTrees == nil && e.OnTree == nil {
-		return
+// rendering reports whether anyone wants the trees.
+func (e *Engine) rendering() bool { return e.OnTrees != nil || e.OnTree != nil }
+
+// renderFinal renders the stand trees of a final frame — the agile tree with
+// taxon x on each of edges — into the block: cut from one rendering of the
+// agile tree where the writer can (tree.NewickWriter.SetBase), and by
+// inserting x, rendering and removing it where it cannot.
+func (e *Engine) renderFinal(x int, edges []int32) {
+	spliced := e.nw.SetBase(e.T.Agile(), x)
+	for _, ed := range edges {
+		at := e.openTree()
+		if spliced {
+			e.block = e.nw.AppendWith(e.block, ed)
+		} else {
+			e.T.ExtendTaxon(x, ed)
+			e.work.Extends++
+			e.block = e.nw.Append(e.block, e.T.Agile())
+			e.T.RemoveTaxon()
+		}
+		e.closeTree(at)
 	}
+}
+
+// openTree readies the block for one more stand tree and returns where in
+// the block it will start.
+func (e *Engine) openTree() int {
 	if e.block == nil && e.OnTrees != nil {
 		e.block = make([]byte, 0, BlockSize)
 	}
-	at := len(e.block)
-	e.block = append(e.nw.Append(e.block, e.T.Agile()), '\n')
+	return len(e.block)
+}
+
+// closeTree ends the stand tree rendered into the block from at. The trees
+// of one stand are equally long, so the block is full when another of this
+// one's length would not fit.
+func (e *Engine) closeTree(at int) {
+	e.block = append(e.block, '\n')
 	e.pending++
 	full := len(e.block)+(len(e.block)-at) > BlockSize
 	if full || !e.handed || e.OnTree != nil {

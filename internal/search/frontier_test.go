@@ -26,7 +26,7 @@ func frontierSample(t *testing.T, rng *rand.Rand) (*Checkpoint, []*tree.Tree) {
 		t.Fatal(err)
 	}
 	e := NewEngine(tr)
-	for i := 0; i < 30; i++ {
+	for e.Work().Units < 30 { // thirty transitions of the paper's machine in
 		if e.Step() == EvDone {
 			t.Skip("scenario exhausted before the snapshot point")
 		}

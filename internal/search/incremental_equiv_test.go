@@ -49,26 +49,62 @@ func refNextTaxon(tr *terrace.Terrace, h OrderHeuristic, deg []int) int {
 	return best
 }
 
-// refEnumerate is a direct recursive transcription of Algorithm 1 using the
-// reference selection rule and fresh admissibility scans everywhere.
-func refEnumerate(tr *terrace.Terrace, h OrderHeuristic, deg []int, c *Counters, trees *[]string) {
-	x := refNextTaxon(tr, h, deg)
-	br := tr.AllowedBranches(x)
-	if len(br) == 0 {
-		c.DeadEnds++
+// leafByLeaf is the paper's machine, kept as the oracle of the engine's step
+// loop: a direct recursive transcription of Algorithm 1 that inserts and
+// removes every taxon, the last one included, scans admissibility afresh
+// everywhere, and renders each stand tree from the agile tree that holds it.
+type leafByLeaf struct {
+	tr   *terrace.Terrace
+	next func() int // taxon selection at the current state
+	Counters
+	trees  []string // in enumeration order
+	mass   float64  // random-descent probability of the leaves closed
+	leaves int64
+	steps  int64 // insertions + removals
+}
+
+// run enumerates everything below the terrace's current state.
+func (o *leafByLeaf) run() {
+	if o.tr.Complete() {
+		o.StandTrees, o.trees = 1, []string{o.tr.Agile().Newick()}
+		o.mass, o.leaves, o.steps = 1, 1, 1
 		return
 	}
-	for _, e := range br {
-		tr.ExtendTaxon(x, e)
-		if tr.Taxa().Len() == tr.Agile().NumLeaves() {
-			c.StandTrees++
-			*trees = append(*trees, tr.Agile().Newick())
-		} else {
-			c.IntermediateStates++
-			refEnumerate(tr, h, deg, c, trees)
-		}
-		tr.RemoveTaxon()
+	o.explore(1)
+}
+
+func (o *leafByLeaf) explore(weight float64) {
+	x := o.next()
+	br := o.tr.AllowedBranches(x)
+	if len(br) == 0 {
+		o.DeadEnds++
+		o.mass += weight
+		o.leaves++
+		return
 	}
+	w := weight / float64(len(br))
+	for _, e := range br {
+		o.tr.ExtendTaxon(x, e)
+		if o.tr.Complete() {
+			o.StandTrees++
+			o.trees = append(o.trees, o.tr.Agile().Newick())
+			o.mass += w
+			o.leaves++
+		} else {
+			o.IntermediateStates++
+			o.explore(w)
+		}
+		o.tr.RemoveTaxon()
+		o.steps += 2
+	}
+}
+
+// refEnumerate runs the oracle with the reference selection rule.
+func refEnumerate(tr *terrace.Terrace, h OrderHeuristic) *leafByLeaf {
+	deg := refConstraintDegree(tr)
+	o := &leafByLeaf{tr: tr, next: func() int { return refNextTaxon(tr, h, deg) }}
+	o.run()
+	return o
 }
 
 // TestIncrementalSelectionEquivalence verifies that the engine built on the
@@ -84,14 +120,8 @@ func TestIncrementalSelectionEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var refC Counters
-			var refTrees []string
-			if refT.Taxa().Len() == refT.Agile().NumLeaves() {
-				refC.StandTrees++
-				refTrees = append(refTrees, refT.Agile().Newick())
-			} else {
-				refEnumerate(refT, h, refConstraintDegree(refT), &refC, &refTrees)
-			}
+			ref := refEnumerate(refT, h)
+			refC, refTrees := ref.Counters, ref.trees
 
 			engT, err := terrace.New(cons, 0)
 			if err != nil {

@@ -119,8 +119,10 @@ type Options struct {
 	// set as well, every block is one tree.
 	OnTrees func(newicks []byte, n int)
 
-	// CheckEvery is the step interval between stopping-rule evaluations
-	// (default 1024; time is only sampled at these checks).
+	// CheckEvery is the interval between stopping-rule evaluations, in
+	// transitions of the paper's machine (Work.Units; default 1024; time is
+	// only sampled at these checks). A final frame is not divided, so a
+	// check can come up to one frame late.
 	CheckEvery int
 
 	// OnCheck, if set, receives the live counters at every stopping-rule
@@ -137,8 +139,9 @@ type Options struct {
 
 	// Ctx cancels the run. It is polled only at the periodic stopping-rule
 	// check (the hot loop stays branch-cheap), so cancellation latency is
-	// bounded by one CheckEvery interval. A cancelled run returns normally
-	// with Stop == StopCancelled; the context's error is not propagated.
+	// bounded by one CheckEvery interval and one final frame. A cancelled run
+	// returns normally with Stop == StopCancelled; the context's error is not
+	// propagated.
 	Ctx context.Context
 
 	// Checkpoint configures snapshots and resuming (see CheckpointPolicy).
@@ -203,7 +206,14 @@ type Result struct {
 	Elapsed      time.Duration
 	Trees        []string
 	InitialIndex int
-	Steps        int64 // total engine transitions (insertions + removals)
+	// Steps is the run's length in transitions of the paper's machine
+	// (insertions + removals, Work.Units), which inserts and removes the last
+	// taxon too: a final frame of m branches counts 2m, though the engine
+	// takes it in one step.
+	Steps int64
+	// Work is what the engine did for them (ExtendTaxon calls, bytes
+	// rendered); Work.Units is Steps without the step that found nothing left.
+	Work Work
 	// Checkpoint holds the engine snapshot when Options.Checkpoint.OnStop
 	// was set and a stopping rule or cancellation ended the run (nil when
 	// the stand was exhausted: there is nothing left to resume).
@@ -270,7 +280,7 @@ func Run(constraints []*tree.Tree, opt Options) (*Result, error) {
 	est := opt.Estimator
 	var estPrev Counters // counters already merged into the estimator
 	if est != nil {
-		eng.OnLeaf = est.AddLeaf
+		eng.OnLeaf = est.AddLeafMass
 		if ck.Resume != nil && ck.Resume.Started {
 			// Seed with the interrupted run's consumed mass and counters
 			// (Restore validated the view, so it cannot fail here); a
@@ -315,17 +325,19 @@ func Run(constraints []*tree.Tree, opt Options) (*Result, error) {
 	checks := 0
 	lastCkpt := start
 	for {
-		for i := 0; i < opt.CheckEvery; i++ {
+		for next := eng.work.Units + int64(opt.CheckEvery); eng.work.Units < next; {
 			if eng.Step() == EvDone {
 				eng.FlushTrees()
 				res.Counters = eng.Counters()
-				res.Steps += int64(i + 1)
+				res.Work = eng.Work()
+				res.Steps = res.Work.Units + 1 // the step that found nothing left
 				res.Elapsed = time.Since(start)
 				flushEst(res.Counters)
 				return res, nil
 			}
 		}
-		res.Steps += int64(opt.CheckEvery)
+		res.Work = eng.Work()
+		res.Steps = res.Work.Units
 		// The counters are about to be read, by the caller's OnCheck, by a
 		// snapshot or by a stopping rule: their trees go first.
 		eng.FlushTrees()

@@ -278,8 +278,10 @@ func TestCountersAdditivity(t *testing.T) {
 }
 
 func TestEngineEventStream(t *testing.T) {
-	// Each stand tree costs one EvTreeFound; insert/remove transitions
-	// balance; the engine ends at its base depth.
+	// Every insertion performed is removed again; the stand trees are the
+	// branches of the final frames, one EvTreeFound each; the paper's machine
+	// is charged two transitions per tree and per state; the engine ends at
+	// its base depth.
 	rng := rand.New(rand.NewSource(55))
 	cons := randomScenario(rng, 8, 2, 4, 0.6)
 	res, err := Run(cons, Options{InitialTree: -1})
@@ -293,7 +295,7 @@ func TestEngineEventStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := NewEngine(tr)
-	var ins, rem, trees, dead int64
+	var ins, rem, frames, trees, dead int64
 	for {
 		ev := eng.Step()
 		if ev == EvDone {
@@ -303,8 +305,9 @@ func TestEngineEventStream(t *testing.T) {
 		case EvInserted, EvDeadEnd:
 			ins++
 		case EvTreeFound:
-			ins++
-			trees++
+			_, branches := eng.FinalFrame()
+			frames++
+			trees += int64(len(branches))
 		case EvRemoved:
 			rem++
 		}
@@ -312,12 +315,16 @@ func TestEngineEventStream(t *testing.T) {
 			dead++
 		}
 	}
-	if ins != rem {
-		t.Fatalf("insertions %d != removals %d", ins, rem)
+	if ins != rem || ins != res.IntermediateStates {
+		t.Fatalf("%d insertions, %d removals, %d states", ins, rem, res.IntermediateStates)
 	}
-	if trees != res.StandTrees || dead != res.DeadEnds {
-		t.Fatalf("event counts (%d trees, %d dead) disagree with runner (%d, %d)",
-			trees, dead, res.StandTrees, res.DeadEnds)
+	if trees != res.StandTrees || dead != res.DeadEnds || frames == 0 || frames >= trees {
+		t.Fatalf("event counts (%d trees in %d final frames, %d dead) disagree with runner (%d, %d)",
+			trees, frames, dead, res.StandTrees, res.DeadEnds)
+	}
+	w := eng.Work()
+	if w.Units != 2*trees+2*ins || w.Units+1 != res.Steps || w.Extends != ins {
+		t.Fatalf("work %+v for %d trees and %d states; the run took %d steps", w, trees, ins, res.Steps)
 	}
 	if tr.Depth() != 0 {
 		t.Fatal("engine did not return to base depth")

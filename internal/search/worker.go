@@ -68,7 +68,7 @@ func (s *Setup) NewWorker(p Policy, h Host, est *obs.Estimator, trees bool) *Wor
 		w.eng.OnTrees = h.Trees
 	}
 	if est != nil {
-		w.eng.OnLeaf = func(wt float64) { w.mass += wt; w.leaves++ }
+		w.eng.OnLeaf = func(mass float64, n int64) { w.mass += mass; w.leaves += n }
 	}
 	return w
 }
@@ -98,41 +98,44 @@ func (w *Worker) Begin(t FrontierTask) error {
 	return nil
 }
 
-// Tick advances the task by at most one costed unit — one replayed path
-// step, one engine step, one rewound step: the simulator's clock tick and
-// the body of the pool's loop — and reports the unit's phase and true. When
-// the phase has nothing left it enters the next instead, at no cost, and
-// reports that one and false; Idle means the task is finished. The counter
-// batch is flushed when the policy says it is full and when the frames are
-// exhausted: a worker about to wait must not sit on unpublished counts.
-func (w *Worker) Tick() (Phase, bool) {
+// Tick advances the task by one replayed path step, one engine step or one
+// rewound step — the body of the pool's loop — and reports the phase and
+// what the paper's machine would have paid for it in transitions (the
+// simulator's clock ticks): one, or 2m for an engine step that consumed a
+// final frame of m (Work.Units). When the phase has nothing left it enters
+// the next instead, at no cost, and reports that one and 0; Idle means the
+// task is finished. The counter batch is flushed when the policy says it is
+// full and when the frames are exhausted: a worker about to wait must not
+// sit on unpublished counts.
+func (w *Worker) Tick() (Phase, int64) {
 	switch w.phase {
 	case Replay:
 		if w.pos < len(w.task.Path) {
 			st := w.task.Path[w.pos]
 			w.pos++
 			w.t.ExtendTaxon(st.Taxon, st.Edge)
-			return Replay, true
+			return Replay, 1
 		}
 		w.eng.replayInserted()
 		w.phase = Explore
 	case Explore:
+		before := w.eng.work.Units
 		if w.eng.Step() != EvDone {
 			if w.policy.FlushDue(w.eng.counters) {
 				w.Flush()
 			}
-			return Explore, true
+			return Explore, w.eng.work.Units - before
 		}
 		w.Flush()
 		w.phase = Rewind
 	case Rewind:
 		if w.t.Depth() > w.base {
 			w.t.RemoveTaxon()
-			return Rewind, true
+			return Rewind, 1
 		}
 		w.task, w.phase = FrontierTask{}, Idle
 	}
-	return w.phase, false
+	return w.phase, 0
 }
 
 // Flush publishes the unflushed batch, if any: the trees, then the counters

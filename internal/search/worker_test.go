@@ -51,8 +51,8 @@ func drain(t *testing.T, w *Worker, h *fakeHost, first FrontierTask) {
 		}
 		var phases []string
 		for {
-			ph, worked := w.Tick()
-			if !worked {
+			ph, cost := w.Tick()
+			if cost == 0 {
 				phases = append(phases, fmt.Sprint(ph))
 			}
 			if ph == Idle {
@@ -110,7 +110,22 @@ func midStand(t *testing.T, seed int64) []*tree.Tree {
 // batch is published when it is full and at the end of every task; and the
 // published counters and trees are the serial run's.
 func TestWorkerProtocol(t *testing.T) {
-	su, ref := wholeStand(t, chainConstraints(t, 4, 4))
+	cons := chainConstraints(t, 4, 4)
+	su, ref := wholeStand(t, cons)
+	frames := int64(0) // final frames: each is one step, whatever it holds
+	tr, err := newTerrace(cons, su.InitialIndex)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for eng := NewEngine(tr); ; {
+		ev := eng.Step()
+		if ev == EvDone {
+			break
+		}
+		if ev == EvTreeFound {
+			frames++
+		}
+	}
 	for _, tc := range []struct {
 		name      string
 		policy    Policy
@@ -143,10 +158,11 @@ func TestWorkerProtocol(t *testing.T) {
 		if n := strings.Count(log, "offer"); n < 2 || n != len(tasks)-1 {
 			t.Fatalf("%s: %d offers taken, %d tasks run", tc.name, n, len(tasks))
 		}
-		// Unbatched, every insertion below I_0 fills a batch of one.
-		if want := ref.StandTrees + ref.IntermediateStates - su.Counters.IntermediateStates; tc.unbatched &&
+		// Unbatched, every insertion below I_0 and every final frame fills a
+		// batch of one.
+		if want := frames + ref.IntermediateStates - su.Counters.IntermediateStates; tc.unbatched &&
 			int64(strings.Count(log, "publish")) != want {
-			t.Fatalf("%s: %d publishes, %d insertions", tc.name, strings.Count(log, "publish"), want)
+			t.Fatalf("%s: %d publishes, %d insertions and final frames", tc.name, strings.Count(log, "publish"), want)
 		}
 	}
 
@@ -212,8 +228,8 @@ func TestWorkerSnapshotResumes(t *testing.T) {
 	if err := w3.Begin(deep); err != nil {
 		t.Fatal(err)
 	}
-	if ph, worked := w3.Tick(); ph != Replay || !worked {
-		t.Fatalf("first tick of a task with a path: %v, %v", ph, worked)
+	if ph, cost := w3.Tick(); ph != Replay || cost != 1 {
+		t.Fatalf("first tick of a task with a path: %v, %v", ph, cost)
 	}
 	snap := w3.Snapshot()
 	if !slices.Equal(snap.Path, deep.Path) || len(snap.Frames) != 1 ||
@@ -256,8 +272,8 @@ func TestWorkerDropResumesInPlace(t *testing.T) {
 	if err := w.Begin(deep); err != nil {
 		t.Fatal(err)
 	}
-	if ph, worked := w.Tick(); ph != Replay || !worked {
-		t.Fatalf("first tick of a task with a path: %v, %v", ph, worked)
+	if ph, cost := w.Tick(); ph != Replay || cost != 1 {
+		t.Fatalf("first tick of a task with a path: %v, %v", ph, cost)
 	}
 	whole := w.Snapshot()
 	w.Drop()
@@ -403,7 +419,7 @@ func TestWorkerBeginRefusesCorruptStack(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "corrupt frame") {
 			t.Fatalf("%s: Begin returned %v", name, err)
 		}
-		if ph, worked := w.Tick(); ph != Idle || worked || w.t.Depth() != w.base {
+		if ph, cost := w.Tick(); ph != Idle || cost != 0 || w.t.Depth() != w.base {
 			t.Fatalf("%s: worker at phase %v, depth %d after a refused task", name, ph, w.t.Depth())
 		}
 	}

@@ -4,6 +4,9 @@
 // workers advanced in lockstep by a discrete scheduler: each state transition
 // (taxon insertion or removal), each path-replay step and each dequeue
 // costs one tick of virtual time; busy-waiting costs wall ticks but no work.
+// The transitions are the paper machine's: the engine counts the last
+// taxon's frame without inserting it, and the simulator charges the
+// insertions and removals that saves (Worker.Tick reports them).
 //
 // On the single-core host this reproduction runs on, real goroutine speedups
 // beyond 1x are physically impossible, but the paper's observed phenomena —
@@ -210,6 +213,7 @@ type vworker struct {
 	cur   task         // lineage of the task being executed (id 0: none)
 
 	stats WorkerStats
+	owed  int64 // ticks the last engine step still costs (a final frame)
 	stall int64 // remaining flush-stall ticks
 	trace []byte
 }
@@ -369,7 +373,7 @@ func (s *sim) frontier() []search.FrontierTask {
 
 // modeChar maps the worker's instantaneous state to its timeline symbol.
 func (w *vworker) modeChar() byte {
-	if w.stall > 0 {
+	if w.owed == 0 && w.stall > 0 {
 		return 'F'
 	}
 	return ".RWR"[w.phase] // search.Idle, Replay, Explore, Rewind
@@ -385,10 +389,13 @@ func (s *sim) begin(w *vworker, tk task) {
 }
 
 // step ticks the worker once, stamps the lineage event of a phase it turned
-// into, and reports whether the tick did a unit of work.
+// into, and reports whether the tick did work. The engine takes a final frame
+// of m branches in one step where the paper's machine takes 2m transitions:
+// the other 2m-1 are owed to the clock.
 func (s *sim) step(w *vworker) bool {
-	var worked bool
-	if w.phase, worked = w.wk.Tick(); worked {
+	var cost int64
+	if w.phase, cost = w.wk.Tick(); cost > 0 {
+		w.owed += cost - 1
 		return true
 	}
 	switch {
@@ -411,6 +418,11 @@ func (s *sim) step(w *vworker) bool {
 // dequeue of the next task.
 func (s *sim) advance(w *vworker) {
 	for {
+		if w.owed > 0 {
+			w.owed--
+			w.stats.Busy++
+			return
+		}
 		if w.stall > 0 {
 			w.stall--
 			w.stats.Busy++
@@ -483,7 +495,9 @@ func (w *vworker) Publish(c search.Counters) {
 	s.g.Add(c)
 	w.stats.Counters.Add(c)
 	s.flushes++
-	w.stall += s.opt.FlushCost
+	// The paper's machine counts a final frame tree by tree and would have
+	// filled its tree batch, and paid for a flush, this many times on the way.
+	w.stall += s.opt.FlushCost * max(1, c.StandTrees/s.opt.Policy.TreeBatch)
 	if r, hit := s.limits.Exceeded(s.g, 0); hit {
 		s.halt(r, w.id)
 	}

@@ -12,8 +12,7 @@ import "gentrius/internal/bitset"
 // mapping. It is computed by the word-parallel kernel (words.go): one packed
 // preimage lane per constraint, ANDed 64 edges per operation and enumerated
 // in ascending bit order — already the deterministic order, with no sort.
-// The scalar scan-and-DFS path (collectAllowed) is retained as the reference
-// implementation behind crossCheckAllowed and the differential fuzz target.
+// (The scalar scan-and-DFS it replaced is the tests' oracle.)
 func (tr *Terrace) AllowedBranches(x int) []int32 {
 	return tr.AppendAllowedBranches(nil, x)
 }
@@ -26,7 +25,6 @@ func (tr *Terrace) AllowedBranches(x int) []int32 {
 // is materialized besides the appended result.
 func (tr *Terrace) AppendAllowedBranches(buf []int32, x int) []int32 {
 	rows := tr.allowedRows(x)
-	start := len(buf)
 	if len(rows) == 0 {
 		// Unconstrained so far: every agile edge is admissible.
 		n := int32(tr.agile.NumEdges())
@@ -35,9 +33,6 @@ func (tr *Terrace) AppendAllowedBranches(buf []int32, x int) []int32 {
 		}
 	} else {
 		buf = bitset.AppendAndBits32(buf, rows, tr.laneWords())
-	}
-	if crossCheckAllowed {
-		tr.verifyAllowed(buf[start:], x)
 	}
 	return buf
 }
@@ -62,141 +57,4 @@ func (tr *Terrace) HasAllowedBranch(x int) bool {
 		return tr.agile.NumEdges() > 0
 	}
 	return bitset.AnyAnd(rows, tr.laneWords())
-}
-
-// collectAllowed gathers admissible edges for x into the shared scratch
-// buffer (valid until the next Terrace operation), stopping early once max
-// edges are found (max < 0: no bound). It enumerates the smallest active
-// preimage by DFS and filters with O(1) mapping lookups against the rest —
-// the scalar reference the word kernel is differentially tested against.
-func (tr *Terrace) collectAllowed(x int, max int) []int32 {
-	if tr.agile.HasTaxon(x) {
-		panic("terrace: taxon already inserted")
-	}
-	out := tr.allowedBuf[:0]
-	// Gather active constraints containing x via the precomputed
-	// taxon→constraint index; track the smallest preimage.
-	active := tr.activeBuf[:0]
-	var best *constraintState
-	bestCnt := int32(0)
-	for _, ci := range tr.byTaxon[x] {
-		cs := tr.constraints[ci]
-		if cs.sCount < 2 {
-			continue
-		}
-		active = append(active, cs)
-		c := cs.cnt[cs.target[x]]
-		if best == nil || c < bestCnt {
-			best, bestCnt = cs, c
-		}
-	}
-	tr.activeBuf = active
-	if best == nil {
-		// Unconstrained so far: every agile edge is admissible.
-		n := int32(tr.agile.NumEdges())
-		for e := int32(0); e < n; e++ {
-			out = append(out, e)
-			if max >= 0 && len(out) >= max {
-				break
-			}
-		}
-		tr.allowedBuf = out
-		return out
-	}
-
-	// Enumerate best's preimage of x's target by DFS from its near anchor,
-	// filtering against the other active constraints.
-	a := tr.agile
-	ce := best.target[x]
-	tr.growScratch()
-	tr.stamp++
-	vis := tr.stamp
-	start := best.cedges[ce].aa
-	tr.mark[start] = vis
-	stack := append(tr.dfsBuf[:0], start)
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		adj, deg := a.Adjacency(v)
-		for i := 0; i < deg; i++ {
-			ed := adj[i]
-			if best.m[ed] != ce {
-				continue
-			}
-			w := a.Other(ed, v)
-			if tr.mark[w] == vis {
-				continue
-			}
-			tr.mark[w] = vis
-			stack = append(stack, w)
-			ok := true
-			for _, cs := range active {
-				if cs != best && cs.m[ed] != cs.target[x] {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				out = append(out, ed)
-				if max >= 0 && len(out) >= max {
-					tr.dfsBuf = stack[:0]
-					tr.allowedBuf = out
-					return out
-				}
-			}
-		}
-	}
-	tr.dfsBuf = stack[:0]
-	tr.allowedBuf = out
-	return out
-}
-
-// preimageForEach enumerates the agile edges mapping to common edge ce of
-// constraint cs by traversing the (connected) preimage subgraph from the
-// near anchor. f returns false to stop early. (Used by tests and tools; the
-// hot path uses collectAllowed.)
-func (tr *Terrace) preimageForEach(cs *constraintState, ce int32, f func(e int32) bool) {
-	a := tr.agile
-	tr.growScratch()
-	tr.stamp++
-	vis := tr.stamp
-	start := cs.cedges[ce].aa
-	tr.mark[start] = vis
-	stack := append(tr.dfsBuf[:0], start)
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		adj, deg := a.Adjacency(v)
-		for i := 0; i < deg; i++ {
-			ed := adj[i]
-			if cs.m[ed] != ce {
-				continue
-			}
-			w := a.Other(ed, v)
-			if tr.mark[w] == vis {
-				continue
-			}
-			tr.mark[w] = vis
-			if !f(ed) {
-				tr.dfsBuf = stack[:0]
-				return
-			}
-			stack = append(stack, w)
-		}
-	}
-	tr.dfsBuf = stack[:0]
-}
-
-// sortInt32 sorts ascending; admissible-branch lists are short, so a simple
-// insertion sort avoids the interface allocations of sort.Slice.
-func sortInt32(s []int32) {
-	for i := 1; i < len(s); i++ {
-		v := s[i]
-		j := i - 1
-		for j >= 0 && s[j] > v {
-			s[j+1] = s[j]
-			j--
-		}
-		s[j+1] = v
-	}
 }

@@ -21,7 +21,7 @@ func (tr *Terrace) Clone() *Terrace {
 	c := *tr
 	c.agile = tr.agile.Clone()
 	c.hstats = HeuristicStats{}
-	c.dfsBuf, c.allowedBuf, c.pendBuf, c.activeBuf, c.rowsBuf = nil, nil, nil, nil, nil
+	c.dfsBuf, c.pendBuf, c.rowsBuf = nil, nil, nil
 
 	states := make([]constraintState, len(tr.constraints))
 	c.constraints = make([]*constraintState, len(tr.constraints))
@@ -89,7 +89,6 @@ func (tr *Terrace) int32Slices(f func(*[]int32)) {
 		f(&cs.pendIdx)
 	}
 	f(&tr.mark)
-	f(&tr.mark2)
 	f(&tr.parentV)
 	f(&tr.parentE)
 	f(&tr.rootedV)

@@ -63,50 +63,48 @@ func TestIncrementalCountsRandomWalk(t *testing.T) {
 }
 
 // TestLocateStrategiesInterchangeable cross-checks the production
-// anchor-path-bit split location against the search-based reference
-// (locateSplitPoint), forcing each reference strategy in turn (preimage
-// flood vs rooted-chain walks) over the same random walks: every split
-// panics on any disagreement about (q, succEdge, xEdge), and the full state
-// signatures must be identical at every transition.
+// anchor-path-bit split location against the two search-based references
+// (preimage flood and rooted-chain walks) over random walks: after every
+// insertion, every split it made must lie where both references put it
+// (checkSplits), and the state must pass its invariants.
 func TestLocateStrategiesInterchangeable(t *testing.T) {
-	old := locateDFSMax
-	crossCheckSplit = true
-	defer func() { locateDFSMax = old; crossCheckSplit = false }()
+	splits := 0
 	for trial := 0; trial < 12; trial++ {
 		rng := rand.New(rand.NewSource(31000 + int64(trial)))
 		n := 12 + rng.Intn(10)
 		m := 2 + rng.Intn(4)
 		_, cons := randomScenario(rng, n, m, 4, 0.6)
-		var sigs [2][]string
-		for s, max := range []int32{-1, 1 << 30} { // always-walk vs always-flood
-			locateDFSMax = max
-			walkRng := rand.New(rand.NewSource(555 + int64(trial)))
-			tr, err := New(cons, 0)
-			if err != nil {
-				t.Fatalf("trial %d: %v", trial, err)
-			}
-			for step := 0; step < 70; step++ {
-				if tr.Depth() > 0 && walkRng.Intn(4) == 0 {
-					tr.RemoveTaxon()
-				} else if x, ok := randomInsertable(tr, walkRng); ok {
-					br := tr.AllowedBranches(x)
-					tr.ExtendTaxon(x, br[walkRng.Intn(len(br))])
-				} else if tr.Depth() > 0 {
-					tr.RemoveTaxon()
-				} else {
-					break
+		walkRng := rand.New(rand.NewSource(555 + int64(trial)))
+		tr, err := New(cons, 0)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		for step := 0; step < 70; step++ {
+			if tr.Depth() > 0 && walkRng.Intn(4) == 0 {
+				tr.RemoveTaxon()
+			} else if x, ok := randomInsertable(tr, walkRng); ok {
+				br := tr.AllowedBranches(x)
+				tr.ExtendTaxon(x, br[walkRng.Intn(len(br))])
+				if err := checkSplits(tr); err != nil {
+					t.Fatalf("trial %d step %d: %v", trial, step, err)
 				}
-				sigs[s] = append(sigs[s], tr.Signature())
+				for _, u := range tr.undo[len(tr.undo)-1].cs {
+					if u.kind == cSplit {
+						splits++
+					}
+				}
+			} else if tr.Depth() > 0 {
+				tr.RemoveTaxon()
+			} else {
+				break
 			}
 		}
-		if len(sigs[0]) != len(sigs[1]) {
-			t.Fatalf("trial %d: walk lengths diverge (%d vs %d)", trial, len(sigs[0]), len(sigs[1]))
+		if err := tr.CheckInvariants(); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
 		}
-		for i := range sigs[0] {
-			if sigs[0][i] != sigs[1][i] {
-				t.Fatalf("trial %d: state diverges at step %d under forced locate strategies", trial, i)
-			}
-		}
+	}
+	if splits < 200 {
+		t.Fatalf("%d splits checked: the walks do not exercise the locators", splits)
 	}
 }
 

@@ -29,7 +29,7 @@ func diffState(a, b *Terrace) error {
 	return nil
 }
 
-var queryBuffers = map[string]bool{"dfsBuf": true, "allowedBuf": true, "activeBuf": true, "pendBuf": true, "rowsBuf": true}
+var queryBuffers = map[string]bool{"dfsBuf": true, "pendBuf": true, "rowsBuf": true}
 
 // diffValue's errors read as a path below the compared value followed by
 // the difference; the path is only put together on the way out.

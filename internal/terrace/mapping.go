@@ -375,14 +375,9 @@ func (tr *Terrace) splitCommonEdge(u *cUndo, ci int32, cs *constraintState, x in
 	// x-side region is exactly {pendant}; otherwise one bounded sweep of the
 	// x-side region finds q while relabeling it.
 	xl := tr.agile.LeafNode(x)
-	var crossQ, crossS, crossX int32
-	if crossCheckSplit {
-		crossQ, crossS, crossX = tr.locateSplitPoint(cs, che, ce.aa, u.oldAB, xl)
-	}
-	var q, succEdge, xEdge, moved2 int32
+	var q, succEdge, moved2 int32
 	if cs.dir[e] != tree.NoNode {
 		q = v
-		xEdge = pendant
 		if cs.dir[e] == bNode {
 			// ab lies beyond b: the far region is entered through the half.
 			cs.dir[e] = v
@@ -403,7 +398,7 @@ func (tr *Terrace) splitCommonEdge(u *cUndo, ci int32, cs *constraintState, x in
 		// Clear the newborn edges' stale directions before the sweep reads them.
 		cs.dir[half] = tree.NoNode
 		cs.dir[pendant] = tree.NoNode
-		q, xEdge, moved2 = tr.relabelXRegion(cs, che, c2, xl)
+		q, moved2 = tr.relabelXRegion(cs, che, c2, xl)
 		succEdge = tree.NoEdge
 		adj, deg := tr.agile.Adjacency(q)
 		for i := 0; i < deg; i++ {
@@ -416,10 +411,6 @@ func (tr *Terrace) splitCommonEdge(u *cUndo, ci int32, cs *constraintState, x in
 		if succEdge == tree.NoEdge {
 			panic("terrace: no ab-ward anchor-path edge at split vertex")
 		}
-	}
-	if crossCheckSplit && (q != crossQ || succEdge != crossS || xEdge != crossX) {
-		panic(fmt.Sprintf("terrace: split location mismatch: bits (%d,%d,%d) vs reference (%d,%d,%d)",
-			q, succEdge, xEdge, crossQ, crossS, crossX))
 	}
 	moved1 := tr.assignRegion(cs, che, c1, q, succEdge)
 	cs.cnt[c1] = moved1
@@ -502,13 +493,13 @@ func (cs *constraintState) pendingOn(tr *Terrace, che int32, x int) []int32 {
 // without expanding past it. Afterwards the q..leaf chain becomes c2's anchor
 // path; pre-existing edges whose bits turn on are logged so the undo can
 // clear them (bits of the two newborn edges die with their ids).
-func (tr *Terrace) relabelXRegion(cs *constraintState, che, c2, xl int32) (q, xEdge, moved int32) {
+func (tr *Terrace) relabelXRegion(cs *constraintState, che, c2, xl int32) (q, moved int32) {
 	a := tr.agile
 	parentV, parentE := tr.parentV, tr.parentE
 	rowChe, rowC2 := cs.preRow(che), cs.preRow(c2)
 	parentE[xl] = tree.NoEdge
 	stack := append(tr.dfsBuf[:0], xl)
-	q, xEdge = tree.NoNode, tree.NoEdge
+	q = tree.NoNode
 	// No visited marks: relabeling an edge out of ĉ is the mark — the only
 	// way back to a visited vertex is the edge it was discovered through,
 	// which the pe comparison skips without a mapping load. Leaves are never
@@ -525,7 +516,7 @@ func (tr *Terrace) relabelXRegion(cs *constraintState, che, c2, xl int32) (q, xE
 				continue
 			}
 			if cs.dir[ed] != tree.NoNode {
-				q, xEdge = w, pe
+				q = w
 				break // region boundary: q's remaining ĉ-edges are the path
 			}
 			cs.m[ed] = c2
@@ -555,161 +546,7 @@ func (tr *Terrace) relabelXRegion(cs *constraintState, che, c2, xl int32) (q, xE
 			tr.pathLog = append(tr.pathLog, ed)
 		}
 	}
-	return q, xEdge, moved
-}
-
-// crossCheckSplit, when set by tests, re-derives every split location with
-// the search-based reference (locateSplitPoint) and panics on any mismatch
-// with the anchor-path-bit derivation.
-var crossCheckSplit bool
-
-// locateSplitPoint finds, within ĉ's preimage subgraph of the (already
-// extended) agile tree, the vertex q where the new leaf's branch meets the
-// aa..ab anchor path, the path edge leaving q toward ab, and the edge
-// leaving q toward the new leaf.
-//
-// The preimage of a common edge is a connected subtree of the agile tree, so
-// the tree path between any two of its vertices stays inside it. That lets q
-// be located from the rooted orientation alone, in three parent-chain walks
-// (aa→root, ab→first aa-marked vertex, xLeaf→first marked vertex) — O(tree
-// depth) instead of flooding the whole preimage. For small preimages the
-// flood is cheaper than three depth-length walks, so it is kept as the
-// small-side path.
-func (tr *Terrace) locateSplitPoint(cs *constraintState, che int32, aa, ab, xLeaf int32) (q, succEdge, xEdge int32) {
-	if cs.cnt[che] <= locateDFSMax {
-		return tr.locateSplitPointDFS(cs, che, aa, ab, xLeaf)
-	}
-	rv, re := tr.rootedV, tr.rootedE
-	orderA := tr.parentV // chain position, valid where mark==visA
-	arrB := tr.parentE   // edge toward ab, valid where mark2==visB (plus at L)
-	tr.stamp++
-	visA := tr.stamp
-	idx := int32(0)
-	for u := aa; u != tree.NoNode; u = rv[u] {
-		tr.mark[u] = visA
-		orderA[u] = idx
-		idx++
-	}
-	tr.stamp++
-	visB := tr.stamp
-	L := ab // becomes the junction of the two chains: LCA(aa, ab)
-	arrive := tree.NoEdge
-	for tr.mark[L] != visA {
-		tr.mark2[L] = visB
-		arrB[L] = arrive
-		arrive = re[L]
-		L = rv[L]
-	}
-	arrB[L] = arrive
-	// Walk from the new leaf up to the first vertex on either chain.
-	z := xLeaf
-	xArr := tree.NoEdge
-	for tr.mark[z] != visA && tr.mark2[z] != visB {
-		xArr = re[z]
-		z = rv[z]
-	}
-	switch {
-	case tr.mark2[z] == visB:
-		// On ab's chain strictly below L: that whole segment is on the
-		// anchor path, and arrB points from z toward ab.
-		return z, arrB[z], xArr
-	case z == L:
-		return L, arrB[L], xArr
-	case orderA[z] < orderA[L]:
-		// On aa's chain strictly below L: the parent edge points toward ab.
-		return z, re[z], xArr
-	default:
-		// Met aa's chain above L, i.e. off the anchor path: the three paths
-		// meet at L itself, and the leaf lies beyond L's parent edge.
-		return L, arrB[L], re[L]
-	}
-}
-
-// locateDFSMax is the preimage size up to which locateSplitPoint floods the
-// preimage subgraph instead of walking root chains. A variable so tests can
-// force either strategy and check they are interchangeable.
-var locateDFSMax = int32(16)
-
-// locateSplitPointDFS is the preimage-flood variant of locateSplitPoint,
-// cheaper when ĉ's preimage is small.
-func (tr *Terrace) locateSplitPointDFS(cs *constraintState, che int32, aa, ab, xLeaf int32) (q, succEdge, xEdge int32) {
-	a := tr.agile
-	tr.stamp++
-	onPath := tr.stamp
-	// DFS from ab through preimage edges toward aa, recording parents; stop
-	// as soon as aa is reached. The parent direction is then "toward ab",
-	// which is exactly the successor orientation the caller needs.
-	tr.stamp++
-	vis := tr.stamp
-	tr.mark[ab] = vis
-	stack := append(tr.dfsBuf[:0], ab)
-	parentV := tr.parentV
-	parentE := tr.parentE
-	parentV[ab] = tree.NoNode
-	found := false
-search:
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		adj, deg := a.Adjacency(v)
-		for i := 0; i < deg; i++ {
-			ed := adj[i]
-			if cs.m[ed] != che {
-				continue
-			}
-			w := a.Other(ed, v)
-			if tr.mark[w] == vis {
-				continue
-			}
-			tr.mark[w] = vis
-			parentV[w] = v
-			parentE[w] = ed
-			if w == aa {
-				found = true
-				break search
-			}
-			stack = append(stack, w)
-		}
-	}
-	if !found {
-		panic("terrace: anchor path not found in preimage subgraph")
-	}
-	// Mark the aa..ab path.
-	for v := aa; v != tree.NoNode; v = parentV[v] {
-		tr.mark2[v] = onPath
-	}
-	// Walk from the new leaf to the first path vertex.
-	tr.stamp++
-	vis2 := tr.stamp
-	tr.mark[xLeaf] = vis2
-	stack = append(stack[:0], xLeaf)
-	var hit, hitEdge int32 = tree.NoNode, tree.NoEdge
-	for len(stack) > 0 && hit == tree.NoNode {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		adj, deg := a.Adjacency(v)
-		for i := 0; i < deg; i++ {
-			ed := adj[i]
-			if cs.m[ed] != che {
-				continue
-			}
-			w := a.Other(ed, v)
-			if tr.mark[w] == vis2 {
-				continue
-			}
-			tr.mark[w] = vis2
-			if tr.mark2[w] == onPath {
-				hit, hitEdge = w, ed
-				break
-			}
-			stack = append(stack, w)
-		}
-	}
-	if hit == tree.NoNode {
-		panic("terrace: new leaf not connected to anchor path in preimage subgraph")
-	}
-	tr.dfsBuf = stack[:0]
-	return hit, parentE[hit], hitEdge
+	return q, moved
 }
 
 // assignRegion re-maps the contiguous region of ĉ's preimage reachable from
@@ -774,7 +611,6 @@ func (tr *Terrace) growScratch() {
 	n := tr.agile.NumNodes() + 2
 	for len(tr.mark) < n {
 		tr.mark = append(tr.mark, 0)
-		tr.mark2 = append(tr.mark2, 0)
 		tr.parentV = append(tr.parentV, tree.NoNode)
 		tr.parentE = append(tr.parentE, tree.NoEdge)
 		tr.rootedV = append(tr.rootedV, tree.NoNode)

@@ -124,16 +124,13 @@ type Terrace struct {
 	undo        []undoFrame
 
 	// scratch buffers reused across operations (per agile node/edge)
-	mark       []int32 // DFS visit stamps
-	mark2      []int32 // second family of visit stamps
-	parentV    []int32
-	parentE    []int32
-	stamp      int32
-	dfsBuf     []int32
-	allowedBuf []int32
-	activeBuf  []*constraintState
-	pendBuf    []int32
-	rowsBuf    [][]uint64 // preimage lanes gathered per admissibility query
+	mark    []int32 // DFS visit stamps
+	parentV []int32
+	parentE []int32
+	stamp   int32
+	dfsBuf  []int32
+	pendBuf []int32
+	rowsBuf [][]uint64 // preimage lanes gathered per admissibility query
 
 	// rooted orientation of the agile tree (root = node 0, which predates
 	// every insertion and is never detached): parent vertex and parent edge
@@ -270,7 +267,7 @@ func newShell(constraints []*tree.Tree, initialIdx int) (*Terrace, error) {
 	shape := func(c *tree.Tree) (rows, pend int) {
 		return 2*c.NumLeaves() - 3, c.NumLeaves() - c.LeafSet().IntersectionCount(tr.agile.LeafSet())
 	}
-	n32, nRows := 6*maxNodes+2*n, 0 // scratch and rooted orientation; pendCnt, cacheIdx
+	n32, nRows := 5*maxNodes+2*n, 0 // scratch and rooted orientation; pendCnt, cacheIdx
 	for _, c := range constraints {
 		rows, pend := shape(c)
 		n32 += 3*n + 2*maxEdges + pend + rows // target, proj, pendIdx; m, dir; pending; cnt
@@ -307,9 +304,7 @@ func newShell(constraints []*tree.Tree, initialIdx int) (*Terrace, error) {
 		tr.constraints[i] = cs
 	}
 	tr.mark = carve(&i32, maxNodes, maxNodes)
-	tr.mark2 = carve(&i32, maxNodes, maxNodes)
 	clear(tr.mark)
-	clear(tr.mark2)
 	tr.parentV = carve(&i32, maxNodes, maxNodes)
 	tr.parentE = carve(&i32, maxNodes, maxNodes)
 	tr.rootedV = carve(&i32, maxNodes, maxNodes)

@@ -147,39 +147,6 @@ func (tr *Terrace) laneWords() int {
 	return (tr.agile.NumEdges() + 63) >> 6
 }
 
-// crossCheckAllowed, when set by tests, re-derives every word-kernel result
-// with the retained scalar reference (collectAllowed: constraint scan plus
-// preimage DFS plus sort) and panics on any mismatch, including order.
-var crossCheckAllowed bool
-
-// verifyAllowed compares the word-kernel output got for taxon x against the
-// scalar reference, element by element.
-func (tr *Terrace) verifyAllowed(got []int32, x int) {
-	want := tr.appendAllowedScalar(nil, x)
-	ok := len(got) == len(want)
-	if ok {
-		for i := range got {
-			if got[i] != want[i] {
-				ok = false
-				break
-			}
-		}
-	}
-	if !ok {
-		panic("terrace: word-kernel admissible set diverges from scalar reference")
-	}
-}
-
-// appendAllowedScalar is the scalar reference implementation of
-// AppendAllowedBranches (smallest-preimage DFS filtered by per-constraint
-// mapping lookups, then sorted). Differential tests and the fuzz target
-// compare the word kernel against it byte for byte.
-func (tr *Terrace) appendAllowedScalar(buf []int32, x int) []int32 {
-	s := tr.collectAllowed(x, -1)
-	sortInt32(s)
-	return append(buf, s...)
-}
-
 // checkPreimageLanes verifies the pre bitmap invariants of every constraint
 // against a from-scratch rebuild, after forcing every lazy watermark current
 // (syncing is a canonicalization, not a state change: it only applies row

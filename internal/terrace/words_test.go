@@ -74,12 +74,10 @@ func TestWordKernelMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestWordKernelCrossCheckWalks runs longer walks with the production-path
-// cross-check enabled: every AppendAllowedBranches result the walk itself
-// consumes is re-derived with the scalar reference and panics on mismatch.
+// TestWordKernelCrossCheckWalks runs longer walks on larger scenarios: every
+// AppendAllowedBranches result the walk itself consumes is re-derived with
+// the scalar reference first.
 func TestWordKernelCrossCheckWalks(t *testing.T) {
-	crossCheckAllowed = true
-	defer func() { crossCheckAllowed = false }()
 	for trial := 0; trial < 8; trial++ {
 		rng := rand.New(rand.NewSource(91000 + int64(trial)))
 		n := 12 + rng.Intn(12)
@@ -90,7 +88,17 @@ func TestWordKernelCrossCheckWalks(t *testing.T) {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		for step := 0; step < 150; step++ {
-			if !walkStep(tr, rng) {
+			if tr.Depth() > 0 && rng.Intn(4) == 0 {
+				tr.RemoveTaxon()
+			} else if x, ok := randomInsertable(tr, rng); ok {
+				br := tr.AllowedBranches(x)
+				if want := tr.appendAllowedScalar(nil, x); !equalEdgeLists(br, want) {
+					t.Fatalf("trial %d step %d: taxon %d: kernel %v, scalar %v", trial, step, x, br, want)
+				}
+				tr.ExtendTaxon(x, br[rng.Intn(len(br))])
+			} else if tr.Depth() > 0 {
+				tr.RemoveTaxon()
+			} else {
 				break
 			}
 		}

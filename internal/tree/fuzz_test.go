@@ -11,7 +11,10 @@ import (
 // tree (node ids, edge ids, adjacency order, leafOf, leaf set, taxon ids),
 // and that any accepted input round-trips: the canonical Newick() rendering
 // must equal the reference renderer's, must reparse to a tree with the same
-// leaf count and must be a fixed point of parse-then-render.
+// leaf count and must be a fixed point of parse-then-render; and that the tree
+// without any one of its leaves, taken as a base, yields every tree with that
+// leaf back as the two-pass walk renders it (checkSplices) — the labels here
+// are whatever the fuzzer quotes: commas, parentheses, quotes, newlines.
 func FuzzNewickParse(f *testing.F) {
 	for _, s := range []string{
 		"A;",
@@ -23,6 +26,7 @@ func FuzzNewickParse(f *testing.F) {
 		"((((((((a,b),c),d),e),f),g),h),i,j);",
 		"('a b','c''d',(x,'y:z'));",
 		"('a\nb',c,d);",
+		"(('a,b','(c'),('d)','e''f'),g,('h;i',j));",
 		"(A:1.5,(B:2e-3,C):0.1,D);",
 		"(A,B)label:3;",
 		"( \t a ,\nb\r, c );",
@@ -69,6 +73,14 @@ func FuzzNewickParse(f *testing.F) {
 		}
 		if got := t2.Newick(); got != out {
 			t.Fatalf("canonical form is not a fixed point: %q renders as %q", out, got)
+		}
+		if n := t1.NumLeaves(); n >= 3 && n <= 24 {
+			var w, oracle NewickWriter
+			t1.LeafSet().ForEach(func(x int) {
+				rest := t1.LeafSet().Clone()
+				rest.Remove(x)
+				checkSplices(t, &w, &oracle, t1.Restrict(rest), x)
+			})
 		}
 	})
 }

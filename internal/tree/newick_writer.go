@@ -15,6 +15,10 @@ import "sync"
 // with it the order of each node's two children; the emit pass then writes
 // the children in that order straight into the output buffer, driven by an
 // explicit stack.
+//
+// A family of trees that differ in one leaf is rendered once: SetBase renders
+// the tree they share and AppendWith cuts each member out of that rendering
+// (see there).
 type NewickWriter struct {
 	sc     []nwNode // per tree node, indexed by node id
 	order  []int32  // nodes in breadth-first order from the root; cap >= len(sc), so it never regrows
@@ -22,6 +26,27 @@ type NewickWriter struct {
 	taxa   *Taxa    // universe the label cache belongs to
 	labels []string // taxon id -> label as written (quoted if needed), "" = not yet looked at
 	buf    []byte   // String's output buffer
+
+	// The base of AppendWith: the tree and its rendering, where in it each
+	// node's subtree lies, and the leaf each member of the family adds.
+	t      *Tree
+	base   []byte
+	root   int32 // the lowest-id leaf's neighbour
+	x      int32
+	xlabel string
+
+	// Stats counts the writer's work since it was made.
+	Stats WriterStats
+}
+
+// WriterStats is a NewickWriter's work, in trees and bytes: Walked bytes were
+// written by the two-pass walk (Append, String, SetBase), Copied bytes were
+// cut from a base by AppendWith — for Spliced trees in three ranges, the new
+// leaf second in its pair; for Recut trees, the new leaf first in its pair,
+// in one more per level the pair rose.
+type WriterStats struct {
+	Walked, Copied int64
+	Spliced, Recut int64
 }
 
 // nwNode is the writer's view of one node of the tree being rendered.
@@ -29,9 +54,11 @@ type nwNode struct {
 	up   int32 // neighbour towards the root
 	min  int32 // smallest taxon id in the subtree hanging below the node
 	a, b int32 // the two children, a holding the smaller minimum; a == NoNode on leaves
+	s, n int32 // where the subtree was written: out[s : s+n] of the rendering
 }
 
-// Stack entries of the emit pass that are not node ids.
+// Stack entries of the emit pass that are not node ids: a comma, and from
+// tokClose down the ')' of node tokClose - entry.
 const (
 	tokComma int32 = -1
 	tokClose int32 = -2
@@ -47,6 +74,16 @@ func (w *NewickWriter) String(t *Tree) string {
 // Append appends the canonical Newick string of t to dst and returns the
 // extended slice.
 func (w *NewickWriter) Append(dst []byte, t *Tree) []byte {
+	at := len(dst)
+	dst = w.walk(dst, t)
+	w.Stats.Walked += int64(len(dst) - at)
+	return dst
+}
+
+// walk is the two-pass rendering. It leaves the root and the per-node records
+// of a tree of three or more leaves, where each subtree was written included,
+// behind for AppendWith.
+func (w *NewickWriter) walk(dst []byte, t *Tree) []byte {
 	if w.taxa != t.taxa {
 		w.taxa = t.taxa
 		clear(w.labels)
@@ -79,7 +116,7 @@ func (w *NewickWriter) Append(dst []byte, t *Tree) []byte {
 	// included, with exactly two children.
 	l := t.leafOf[lo]
 	root := t.Other(t.nodes[l].adj[0], l)
-	sc[root].up = l
+	sc[l].up, sc[root].up = NoNode, l
 	order := append(w.order[:0], root)
 	for i := 0; i < len(order); i++ {
 		v := order[i]
@@ -115,31 +152,128 @@ func (w *NewickWriter) Append(dst []byte, t *Tree) []byte {
 		s.min = ma
 	}
 
-	// Pass 2: the lowest-id leaf sorts first among the root's three subtrees.
+	// Pass 2: the lowest-id leaf sorts first among the root's three subtrees,
+	// inside the root's own parentheses.
+	at := len(dst)
 	dst = append(dst, '(')
 	dst = append(dst, w.label(int32(lo))...)
 	dst = append(dst, ',')
-	st := append(w.stack[:0], tokClose, sc[root].b, tokComma, sc[root].a)
+	sc[root].s = 0
+	st := append(w.stack[:0], tokClose-root, sc[root].b, tokComma, sc[root].a)
 	for len(st) > 0 {
 		x := st[len(st)-1]
 		st = st[:len(st)-1]
-		switch x {
-		case tokComma:
+		switch {
+		case x == tokComma:
 			dst = append(dst, ',')
-		case tokClose:
+		case x < tokComma:
 			dst = append(dst, ')')
+			s := &sc[tokClose-x]
+			s.n = int32(len(dst)-at) - s.s
 		default:
 			s := &sc[x]
+			s.s = int32(len(dst) - at)
 			if s.a == NoNode {
-				dst = append(dst, w.label(s.min)...)
+				lab := w.label(s.min)
+				dst, s.n = append(dst, lab...), int32(len(lab))
 				continue
 			}
 			dst = append(dst, '(')
-			st = append(st, tokClose, s.b, tokComma, s.a)
+			st = append(st, tokClose-x, s.b, tokComma, s.a)
 		}
 	}
-	w.stack = st
+	w.stack, w.root = st, root
 	return append(dst, ';')
+}
+
+// SetBase renders t as the base of the trees AppendWith writes: t with taxon x
+// added as a leaf on one of its edges. It reports false, and AppendWith must
+// not be called, when such a tree is not a re-cut of t's rendering: x sorts
+// before every leaf of t, so the tree is written from another root, or t has
+// fewer than three leaves. The base is valid until the writer's next Append,
+// String or SetBase, and for as long as t is not changed.
+func (w *NewickWriter) SetBase(t *Tree, x int) bool {
+	if t.NumLeaves() < 3 || x < t.leaves.Min() {
+		return false
+	}
+	w.base = w.Append(w.base[:0], t)
+	w.t, w.x, w.xlabel = t, int32(x), w.label(int32(x))
+	return true
+}
+
+// AppendWith appends the canonical Newick string of the base tree with its
+// new leaf x on edge e. Below the edge hangs a subtree the base renders as
+// one range; with x it becomes the pair (below,x), in place, when x sorts
+// after the subtree's first leaf, and nothing else moves. Otherwise the pair
+// is (x,below) and now sorts by x: it rises past every sibling it precedes,
+// up to the first ancestor whose other child still sorts before x, and the
+// base is re-cut along that path. The edge of the lowest leaf is the same one
+// level up: the rest of the tree becomes one pair, beside x.
+func (w *NewickWriter) AppendWith(dst []byte, e int32) []byte {
+	sc, base, x := w.sc, w.base, w.x
+	at := len(dst)
+	v := w.t.edges[e].a
+	if b := w.t.edges[e].b; sc[b].up == v {
+		v = b
+	}
+	first := x < sc[v].min
+	below := base[sc[v].s : sc[v].s+sc[v].n]
+	if v == w.root {
+		// "(lo,A,B);" becomes "(lo,(A,B),x);" or "(lo,x,(A,B));".
+		ab := sc[sc[v].a].s
+		dst = append(dst, base[:ab]...)
+		if first {
+			dst = append(append(dst, w.xlabel...), ',')
+		}
+		dst = append(append(append(dst, '('), base[ab:len(below)-1]...), ')')
+		if !first {
+			dst = append(append(dst, ','), w.xlabel...)
+		}
+		dst = append(dst, ')', ';')
+	} else {
+		top := v
+		cut := w.stack[:0] // the siblings x rises past, lowest first
+		for first && top != w.root {
+			u := &sc[sc[top].up]
+			o := u.a
+			if o == top {
+				o = u.b
+			} else if sc[o].min < x {
+				break
+			}
+			cut, top = append(cut, o), sc[top].up
+		}
+		// What precedes top's subtree, then one '(' for each node from top
+		// down to the new pair: the root opens with the lowest leaf instead.
+		open := len(cut) + 1
+		if top == w.root {
+			dst = append(dst, base[:sc[sc[top].a].s]...)
+			open--
+		} else {
+			dst = append(dst, base[:sc[top].s]...)
+		}
+		for ; open > 0; open-- {
+			dst = append(dst, '(')
+		}
+		if first {
+			dst = append(append(append(dst, w.xlabel...), ','), below...)
+		} else {
+			dst = append(append(append(dst, below...), ','), w.xlabel...)
+		}
+		dst = append(dst, ')')
+		for _, o := range cut {
+			dst = append(append(append(dst, ','), base[sc[o].s:sc[o].s+sc[o].n]...), ')')
+		}
+		dst = append(dst, base[sc[top].s+sc[top].n:]...)
+		w.stack = cut
+	}
+	if first && v != w.root {
+		w.Stats.Recut++
+	} else {
+		w.Stats.Spliced++
+	}
+	w.Stats.Copied += int64(len(dst) - at)
+	return dst
 }
 
 // label returns taxon id's label as it is written, quoting it on first use.

@@ -223,3 +223,70 @@ func BenchmarkNewickWriter(b *testing.B) {
 		}
 	})
 }
+
+// checkSplices compares, for every edge of base, the tree AppendWith cuts from
+// base's rendering with the tree that has x attached there, rendered by the
+// two-pass walk. It reports whether the writer took the base at all, and how
+// many of the edges were the lowest leaf's.
+func checkSplices(t *testing.T, w, oracle *NewickWriter, base *Tree, x int) (ok bool, lowest int) {
+	t.Helper()
+	lo := base.LeafSet().Min()
+	ok = w.SetBase(base, x)
+	if ok != (base.NumLeaves() >= 3 && x > lo) {
+		t.Fatalf("SetBase(%d leaves, x=%d, lowest %d) = %v", base.NumLeaves(), x, lo, ok)
+	}
+	if !ok {
+		return false, 0
+	}
+	var got, want []byte
+	for e := int32(0); e < int32(base.NumEdges()); e++ {
+		got = w.AppendWith(append(got[:0], '>'), e)
+		if a, b := base.EdgeEndpoints(e); base.NodeTaxon(a) == int32(lo) || base.NodeTaxon(b) == int32(lo) {
+			lowest++
+		}
+		base.AttachLeaf(x, e)
+		want = oracle.Append(append(want[:0], '>'), base)
+		base.DetachLeaf(x)
+		if string(got) != string(want) {
+			t.Fatalf("%d leaves, x=%d on edge %d of %s\n got %s\nwant %s", base.NumLeaves(), x, e, base.Newick(), got, want)
+		}
+	}
+	return true, lowest
+}
+
+// TestAppendWithMatchesAppend is the splice oracle: for trees of 3 to 40
+// leaves over awkward labels, every absent taxon on every edge, the tree cut
+// from the base equals the tree attached and rendered — and all three shapes
+// (new leaf second in its pair, pair risen along the path, lowest leaf's
+// edge), the 3-leaf base and the refusals are met.
+func TestAppendWithMatchesAppend(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	universes := []*Taxa{MustTaxa(awkwardNames(48, "s")), MustTaxa(names(24))}
+	var w, oracle NewickWriter
+	var refused, lowest, three int
+	for it := 0; it < 300; it++ {
+		taxa := universes[it%2]
+		k := min(3+rng.Intn(38), taxa.Len()-1)
+		if it < 6 {
+			k = 3
+		}
+		tr := randomSubsetTree(taxa, k, rng)
+		for x := 0; x < taxa.Len(); x++ {
+			if tr.HasTaxon(x) {
+				continue
+			}
+			ok, low := checkSplices(t, &w, &oracle, tr, x)
+			if lowest += low; !ok {
+				refused++
+			} else if k == 3 {
+				three++
+			}
+		}
+	}
+	if s := w.Stats; s.Spliced == 0 || s.Recut == 0 || refused == 0 || lowest == 0 || three == 0 {
+		t.Fatalf("shapes not all met: %+v, %d refused, %d on the lowest leaf's edge, %d on a 3-leaf base", s, refused, lowest, three)
+	}
+	if ok, _ := checkSplices(t, &w, &oracle, MustParse("(A,B);", MustTaxa([]string{"A", "B", "C"})), 2); ok {
+		t.Fatal("SetBase accepted a 2-leaf base")
+	}
+}

@@ -50,40 +50,40 @@ func Record(constraints []*tree.Tree, initialIdx int, maxStates int) (*Node, err
 		return nil, err
 	}
 	eng := search.NewEngine(t)
+	var found []string // the stand trees of the last step, in order
+	eng.OnTree = func(nw string) { found = append(found, nw) }
 	root := &Node{Taxon: -1, Edge: -1}
 	stack := []*Node{root}
 	states := 0
 	for {
+		found = found[:0]
 		ev := eng.Step()
 		if ev == search.EvDone {
 			break
 		}
+		parent := stack[len(stack)-1]
 		switch ev {
-		case search.EvInserted, search.EvTreeFound, search.EvDeadEnd:
-			states++
-			if states > maxStates {
-				return nil, fmt.Errorf("workflow: more than %d states; raise maxStates or use a smaller instance", maxStates)
+		case search.EvTreeFound:
+			// One step consumed a final frame: a complete child per branch.
+			taxon, edges := eng.FinalFrame()
+			if states += len(found); states > maxStates {
+				return nil, tooMany(maxStates)
+			}
+			if len(edges) == 0 {
+				// The initial tree is already complete: the stand is just it.
+				root.Complete, root.Newick = true, found[0]
+			}
+			for i, e := range edges {
+				parent.Children = append(parent.Children,
+					&Node{Taxon: taxon, Edge: e, Complete: true, Newick: found[i]})
+			}
+		case search.EvInserted, search.EvDeadEnd:
+			if states++; states > maxStates {
+				return nil, tooMany(maxStates)
 			}
 			path := eng.Path(nil)
-			if len(path) == 0 {
-				// The initial tree is already complete: the stand is just it.
-				root.Complete = ev == search.EvTreeFound
-				root.DeadEnd = ev == search.EvDeadEnd
-				if root.Complete {
-					root.Newick = t.Agile().Newick()
-				}
-				continue
-			}
 			last := path[len(path)-1]
-			n := &Node{Taxon: last.Taxon, Edge: last.Edge}
-			switch ev {
-			case search.EvTreeFound:
-				n.Complete = true
-				n.Newick = t.Agile().Newick()
-			case search.EvDeadEnd:
-				n.DeadEnd = true
-			}
-			parent := stack[len(stack)-1]
+			n := &Node{Taxon: last.Taxon, Edge: last.Edge, DeadEnd: ev == search.EvDeadEnd}
 			parent.Children = append(parent.Children, n)
 			if ev == search.EvInserted {
 				stack = append(stack, n)
@@ -96,6 +96,10 @@ func Record(constraints []*tree.Tree, initialIdx int, maxStates int) (*Node, err
 	}
 	fill(root)
 	return root, nil
+}
+
+func tooMany(maxStates int) error {
+	return fmt.Errorf("workflow: more than %d states; raise maxStates or use a smaller instance", maxStates)
 }
 
 // fill computes subtree totals post-order.
