@@ -26,6 +26,7 @@ import (
 	"strings"
 
 	"gentrius/internal/obs"
+	"gentrius/internal/tracereport"
 )
 
 func main() {
@@ -92,7 +93,7 @@ func run(tracePath, outPath, perfetto, units string) error {
 		defer f.Close()
 		in = f
 	}
-	events, err := obs.ReadTrace(in)
+	events, err := tracereport.ReadTrace(in)
 	if err != nil {
 		return err
 	}
@@ -101,7 +102,7 @@ func run(tracePath, outPath, perfetto, units string) error {
 	if err != nil {
 		return err
 	}
-	if err := obs.Analyze(events, units).WriteMarkdown(out); err != nil {
+	if err := tracereport.Analyze(events, units).WriteMarkdown(out); err != nil {
 		closeOut()
 		return err
 	}
@@ -114,7 +115,7 @@ func run(tracePath, outPath, perfetto, units string) error {
 		if err != nil {
 			return err
 		}
-		if err := obs.WriteChromeTrace(f, events, unitsPerMicro); err != nil {
+		if err := tracereport.WriteChromeTrace(f, events, unitsPerMicro); err != nil {
 			f.Close()
 			return err
 		}
@@ -134,7 +135,7 @@ func runFleet(fleetArg, outPath, perfetto, units string) error {
 	if err != nil {
 		return err
 	}
-	var nodes []obs.NodeTrace
+	var nodes []tracereport.NodeTrace
 	for _, p := range strings.Split(fleetArg, ",") {
 		p = strings.TrimSpace(p)
 		if p == "" {
@@ -148,7 +149,7 @@ func runFleet(fleetArg, outPath, perfetto, units string) error {
 		if err != nil {
 			return err
 		}
-		events, err := obs.ReadTrace(f)
+		events, err := tracereport.ReadTrace(f)
 		f.Close()
 		if err != nil {
 			return fmt.Errorf("%s: %w", p, err)
@@ -174,13 +175,13 @@ func runFleet(fleetArg, outPath, perfetto, units string) error {
 				}
 			}
 		}
-		nodes = append(nodes, obs.NodeTrace{Name: name, Events: events})
+		nodes = append(nodes, tracereport.NodeTrace{Name: name, Events: events})
 	}
 	if len(nodes) == 0 {
 		return fmt.Errorf("-fleet lists no trace files")
 	}
 
-	rep, err := obs.MergeFleet(nodes, units)
+	rep, err := tracereport.MergeFleet(nodes, units)
 	if err != nil {
 		return err
 	}

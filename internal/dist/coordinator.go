@@ -516,20 +516,8 @@ func (c *Coordinator) leaseTo(ctx context.Context, job *fleetJob, s *shardState,
 // dispatch performs the dispatch RPC with retry/backoff+jitter and folds
 // the outcome back into the shard table.
 func (c *Coordinator) dispatch(ctx context.Context, job *fleetJob, s *shardState, p int, req *DispatchRequest) {
-	var resp *DispatchResponse
-	err := c.cfg.Retry.Do(ctx, func() error {
-		if err := c.cfg.Fault.Err(faultinject.RPCSend, "dispatch"); err != nil {
-			return err
-		}
-		r, err := c.cfg.Peers[p].Dispatch(ctx, req)
-		if err != nil {
-			return err
-		}
-		if err := c.cfg.Fault.Err(faultinject.RPCRecv, "dispatch"); err != nil {
-			return err
-		}
-		resp = r
-		return nil
+	resp, err := rpc(ctx, c.cfg.Retry, c.cfg.Fault, "dispatch", func() (*DispatchResponse, error) {
+		return c.cfg.Peers[p].Dispatch(ctx, req)
 	})
 
 	job.mu.Lock()

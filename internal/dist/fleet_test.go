@@ -12,6 +12,7 @@ import (
 	"gentrius/internal/obs"
 	"gentrius/internal/retry"
 	"gentrius/internal/simsched"
+	"gentrius/internal/tracereport"
 	"gentrius/internal/tree"
 )
 
@@ -216,7 +217,7 @@ func TestFleetWorkerEngineEventsCarryShardTags(t *testing.T) {
 	if err := rec.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	evs, err := obs.ReadTrace(&buf)
+	evs, err := tracereport.ReadTrace(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,7 @@
 // Golden fleet traces: a fully scripted 3-node fleet run (one coordinator,
 // two hand-played workers with deliberately skewed clocks) whose per-node
 // JSONL traces regenerate byte-identically. The committed traces under
-// internal/obs/testdata feed the obs-side merge goldens (report + Perfetto
+// internal/tracereport/testdata feed the merge goldens (report + Perfetto
 // export) and CI's trace-determinism job. Regenerate with
 // `go test ./internal/dist -run FleetGolden -update`.
 //
@@ -29,11 +29,12 @@ import (
 	"gentrius/internal/retry"
 	"gentrius/internal/search"
 	"gentrius/internal/simsched"
+	"gentrius/internal/tracereport"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite the golden fleet trace files")
 
-const goldenDir = "../obs/testdata"
+const goldenDir = "../tracereport/testdata"
 
 var goldenFleetFiles = map[string]string{
 	"coord": "fleet_coord.trace.jsonl",
@@ -249,7 +250,7 @@ func genFleetGoldenTraces(t *testing.T) map[string][]byte {
 
 // TestFleetGoldenTraces regenerates the committed per-node fleet traces and
 // requires them byte-identical — the determinism contract CI's
-// trace-determinism job (and the obs-side merge goldens) stand on.
+// trace-determinism job (and the merge goldens) stand on.
 func TestFleetGoldenTraces(t *testing.T) {
 	got := genFleetGoldenTraces(t)
 	for node, name := range goldenFleetFiles {
@@ -280,15 +281,15 @@ func TestFleetGoldenTraces(t *testing.T) {
 // zero orphans, blackholed worker ranked first.
 func TestFleetGoldenMerge(t *testing.T) {
 	got := genFleetGoldenTraces(t)
-	var nodes []obs.NodeTrace
+	var nodes []tracereport.NodeTrace
 	for _, node := range []string{"coord", "a", "b"} {
-		events, err := obs.ReadTrace(bytes.NewReader(got[node]))
+		events, err := tracereport.ReadTrace(bytes.NewReader(got[node]))
 		if err != nil {
 			t.Fatalf("%s: %v", node, err)
 		}
-		nodes = append(nodes, obs.NodeTrace{Name: node, Events: events})
+		nodes = append(nodes, tracereport.NodeTrace{Name: node, Events: events})
 	}
-	rep, err := obs.MergeFleet(nodes, "ms")
+	rep, err := tracereport.MergeFleet(nodes, "ms")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,11 +2,13 @@ package dist
 
 import (
 	"context"
+	"errors"
 	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -56,15 +58,21 @@ func TestHTTPWorkerKilled(t *testing.T) {
 	dial := func(url string) CoordinatorClient {
 		return NewHTTPCoordinatorClient(url, 5*time.Second)
 	}
-	victim := NewWorker(WorkerConfig{Name: "victim", Threads: 1, Dial: dial})
+	// The victim is dead from the moment its first dispatch is accepted,
+	// before the coordinator even reads the answer: nothing it sends after
+	// that arrives. (Cancelling its runs is not enough to keep a result from
+	// leaving: a count-only shard is done in a few milliseconds, and with
+	// fewer cores than busy engines a cancellation can take as long to land.)
+	var kill sync.Once
+	killed := make(chan struct{})
+	victim := NewWorker(WorkerConfig{Name: "victim", Threads: 1,
+		Dial: func(url string) CoordinatorClient { return severedClient{dial(url), killed} }})
 	survivor := NewWorker(WorkerConfig{Name: "survivor", Threads: 1, Dial: dial})
 
-	// The victim's server flags the first dispatch that lands on it.
-	dispatched := make(chan struct{}, 8)
 	victimMux := WorkerHandler(victim)
 	victimSrv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		victimMux.ServeHTTP(w, r)
-		dispatched <- struct{}{}
+		kill.Do(func() { close(killed) })
 	}))
 	defer victimSrv.Close()
 	survivorSrv := httptest.NewServer(WorkerHandler(survivor))
@@ -84,12 +92,10 @@ func TestHTTPWorkerKilled(t *testing.T) {
 	h := CoordinatorHandler(coord)
 	coordHandler.Store(&h)
 
-	// Kill the victim shortly after it accepts a shard: close its server
-	// (no more dispatches land) and cancel its runs (no result is ever
-	// sent) — the observable effect of a SIGKILL.
+	// The rest of the SIGKILL: its server closes (no more dispatches land)
+	// and its runs stop.
 	go func() {
-		<-dispatched
-		time.Sleep(15 * time.Millisecond)
+		<-killed
 		victimSrv.Close()
 		victim.Shutdown()
 	}()
@@ -115,6 +121,36 @@ func TestHTTPWorkerKilled(t *testing.T) {
 		t.Fatal("no re-dispatch after the kill")
 	}
 	survivor.Shutdown()
+}
+
+// severedClient is a killed worker's line to its coordinator: once cut is
+// closed every call fails without reaching the network.
+type severedClient struct {
+	CoordinatorClient
+	cut <-chan struct{}
+}
+
+func (c severedClient) dead() error {
+	select {
+	case <-c.cut:
+		return errors.New("worker killed")
+	default:
+		return nil
+	}
+}
+
+func (c severedClient) Heartbeat(ctx context.Context, req *HeartbeatRequest) (*HeartbeatResponse, error) {
+	if err := c.dead(); err != nil {
+		return nil, err
+	}
+	return c.CoordinatorClient.Heartbeat(ctx, req)
+}
+
+func (c severedClient) Result(ctx context.Context, req *ShardResult) (*ResultResponse, error) {
+	if err := c.dead(); err != nil {
+		return nil, err
+	}
+	return c.CoordinatorClient.Result(ctx, req)
 }
 
 // TestRPCBodyBounded: a fleet RPC body is read up to maxRPCBody and no

@@ -2,7 +2,6 @@ package dist
 
 import (
 	"fmt"
-	"sync"
 
 	"gentrius/internal/obs"
 )
@@ -30,12 +29,9 @@ type Metrics struct {
 	ShardsFencedAway  *obs.Counter // local runs cancelled by a newer epoch
 
 	// Per-shard labelled families (gentriusd_fleet_shard_*), registered
-	// lazily on first use so the series set mirrors the shards that
-	// actually exist. reg nil (the discard Metrics) skips them entirely.
-	reg      *obs.Registry
-	mu       sync.Mutex
-	gauges   map[string]*obs.Gauge
-	counters map[string]*obs.Counter
+	// on first use so the series set mirrors the shards that actually
+	// exist. reg nil (the discard Metrics) skips them entirely.
+	reg *obs.Registry
 }
 
 // NewMetrics registers the fleet instruments on reg.
@@ -60,42 +56,14 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 	}
 }
 
-// shardGauge returns (registering on first use) one labelled per-shard
-// gauge. Nil-safe: a discard Metrics (nil reg) returns a nil gauge, which
-// every obs instrument treats as a no-op.
+// shardGauge returns one labelled per-shard gauge; the registry registers
+// it on first use. Nil-safe: a discard Metrics (nil reg) returns a nil
+// gauge, which every obs instrument treats as a no-op.
 func (m *Metrics) shardGauge(name, help string) *obs.Gauge {
 	if m == nil || m.reg == nil {
 		return nil
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.gauges == nil {
-		m.gauges = map[string]*obs.Gauge{}
-	}
-	g, ok := m.gauges[name]
-	if !ok {
-		g = m.reg.Gauge(name, help)
-		m.gauges[name] = g
-	}
-	return g
-}
-
-// shardCounter is shardGauge's counter twin.
-func (m *Metrics) shardCounter(name, help string) *obs.Counter {
-	if m == nil || m.reg == nil {
-		return nil
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.counters == nil {
-		m.counters = map[string]*obs.Counter{}
-	}
-	ct, ok := m.counters[name]
-	if !ok {
-		ct = m.reg.Counter(name, help)
-		m.counters[name] = ct
-	}
-	return ct
+	return m.reg.Gauge(name, help)
 }
 
 // ShardEpoch is the shard's current fencing epoch.
@@ -123,7 +91,10 @@ func (m *Metrics) ShardMass(job string, shard int) *obs.Gauge {
 // makes re-dispatches after an epoch fence directly visible in /metrics
 // (scripts/dist_recovery.sh asserts on it).
 func (m *Metrics) ShardDispatches(job string, shard, epoch int) *obs.Counter {
-	return m.shardCounter(
+	if m == nil || m.reg == nil {
+		return nil
+	}
+	return m.reg.Counter(
 		fmt.Sprintf(`gentriusd_fleet_shard_dispatches_total{job=%q,shard="%d",epoch="%d"}`, job, shard, epoch),
 		"dispatches of one fleet shard, by fencing epoch")
 }

@@ -3,6 +3,9 @@ package dist
 import (
 	"context"
 
+	"gentrius/internal/faultinject"
+	"gentrius/internal/retry"
+
 	"gentrius/internal/search"
 )
 
@@ -140,4 +143,28 @@ type WorkerClient interface {
 type CoordinatorClient interface {
 	Heartbeat(ctx context.Context, req *HeartbeatRequest) (*HeartbeatResponse, error)
 	Result(ctx context.Context, req *ShardResult) (*ResultResponse, error)
+}
+
+// rpc makes one fleet RPC under the node's retry policy. Every attempt
+// passes the rpcsend fault site, makes the call and passes the rpcrecv
+// fault site, in that order on every path, so a seeded injector meets the
+// same occurrences whichever RPC it is; the response of the first attempt
+// to clear all three is returned. A nil ctx never aborts the backoff.
+func rpc[Resp any](ctx context.Context, pol retry.Policy, fault *faultinject.Injector,
+	site string, call func() (Resp, error)) (resp Resp, err error) {
+	err = pol.Do(ctx, func() error {
+		if err := fault.Err(faultinject.RPCSend, site); err != nil {
+			return err
+		}
+		r, err := call()
+		if err != nil {
+			return err
+		}
+		if err := fault.Err(faultinject.RPCRecv, site); err != nil {
+			return err
+		}
+		resp = r
+		return nil
+	})
+	return resp, err
 }

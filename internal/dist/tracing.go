@@ -13,7 +13,7 @@ import (
 // (obs.Recorder.With) so every event it emits — including the engine's
 // task-begin/task-end spans on the worker hot path — carries the
 // {trace, job, node} tags and {shard, epoch} fields that make N per-node
-// JSONL traces joinable into one fleet timeline (obs.MergeFleet,
+// JSONL traces joinable into one fleet timeline (tracereport.MergeFleet,
 // cmd/obsreport -fleet).
 
 // fleetTraceID derives the fleet-run trace id from the job id and the

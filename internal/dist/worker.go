@@ -290,20 +290,8 @@ beat:
 			// The worker keeps computing; the coordinator's lease expires.
 			continue
 		}
-		var resp *HeartbeatResponse
-		err := w.cfg.Retry.Do(ctx, func() error {
-			if err := w.cfg.Fault.Err(faultinject.RPCSend, "heartbeat"); err != nil {
-				return err
-			}
-			r, err := coord.Heartbeat(ctx, hb)
-			if err != nil {
-				return err
-			}
-			if err := w.cfg.Fault.Err(faultinject.RPCRecv, "heartbeat"); err != nil {
-				return err
-			}
-			resp = r
-			return nil
+		resp, err := rpc(ctx, w.cfg.Retry, w.cfg.Fault, "heartbeat", func() (*HeartbeatResponse, error) {
+			return coord.Heartbeat(ctx, hb)
 		})
 		if err != nil {
 			if ctx.Err() != nil {
@@ -377,20 +365,8 @@ beat:
 		return
 	}
 	st.End("done", result.Counters)
-	var resp *ResultResponse
-	err = w.cfg.Retry.Do(nil, func() error {
-		if err := w.cfg.Fault.Err(faultinject.RPCSend, "result"); err != nil {
-			return err
-		}
-		r, err := coord.Result(context.Background(), result)
-		if err != nil {
-			return err
-		}
-		if err := w.cfg.Fault.Err(faultinject.RPCRecv, "result"); err != nil {
-			return err
-		}
-		resp = r
-		return nil
+	resp, err := rpc(nil, w.cfg.Retry, w.cfg.Fault, "result", func() (*ResultResponse, error) {
+		return coord.Result(context.Background(), result)
 	})
 	if err != nil {
 		w.cfg.Logger.Warn("result delivery failed: parking", "job", req.JobID,

@@ -3,6 +3,12 @@
 // analyzer's markdown report must match its golden file, and the Chrome
 // trace-event export must be valid, deterministic JSON. Regenerate the
 // testdata with `go test ./internal/obs -run Golden -update`.
+//
+// These tests, and fleet_test.go and serve_test.go beside them, pin the
+// contract from the writer's side — what a Recorder writes today must
+// still read into the same report — and use internal/tracereport as an
+// oracle, as the tests of parallel, simsched, service and dist do. The
+// goldens are the report package's fixtures and live in its testdata.
 package obs_test
 
 import (
@@ -11,20 +17,21 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"gentrius/internal/gen"
 	"gentrius/internal/obs"
 	"gentrius/internal/search"
 	"gentrius/internal/simsched"
+	"gentrius/internal/tracereport"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden testdata files")
 
 const (
-	goldenTrace  = "testdata/sim_small.trace.jsonl"
-	goldenReport = "testdata/sim_small.report.md"
+	goldenDir    = "../tracereport/testdata/"
+	goldenTrace  = goldenDir + "sim_small.trace.jsonl"
+	goldenReport = goldenDir + "sim_small.report.md"
 )
 
 // genGoldenTrace reproduces the committed trace: the first small corpus
@@ -83,11 +90,11 @@ func TestGoldenReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	events, err := obs.ReadTrace(bytes.NewReader(raw))
+	events, err := tracereport.ReadTrace(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := obs.Analyze(events, "ticks")
+	rep := tracereport.Analyze(events, "ticks")
 	if len(rep.Audit) != 0 {
 		t.Fatalf("golden trace fails conservation audit: %v", rep.Audit)
 	}
@@ -118,15 +125,15 @@ func TestChromeTraceExport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	events, err := obs.ReadTrace(bytes.NewReader(raw))
+	events, err := tracereport.ReadTrace(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var a, b bytes.Buffer
-	if err := obs.WriteChromeTrace(&a, events, 1); err != nil {
+	if err := tracereport.WriteChromeTrace(&a, events, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := obs.WriteChromeTrace(&b, events, 1); err != nil {
+	if err := tracereport.WriteChromeTrace(&b, events, 1); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
@@ -161,23 +168,5 @@ func TestChromeTraceExport(t *testing.T) {
 	}
 	if flowStarts == 0 || flowEnds == 0 {
 		t.Fatalf("missing steal-chain flow events: %d s, %d f", flowStarts, flowEnds)
-	}
-}
-
-func TestReadTraceErrors(t *testing.T) {
-	if _, err := obs.ReadTrace(strings.NewReader("{bad json\n")); err == nil {
-		t.Fatal("malformed line must error")
-	}
-	if _, err := obs.ReadTrace(strings.NewReader(`{"ts":1,"w":0}` + "\n")); err == nil {
-		t.Fatal("missing ev must error")
-	}
-	evs, err := obs.ReadTrace(strings.NewReader(
-		"\n" + `{"ts":5,"ev":"steal","w":2,"task":9}` + "\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(evs) != 1 || evs[0].TS != 5 || evs[0].Ev != "steal" ||
-		evs[0].Worker != 2 || evs[0].Get("task") != 9 || !evs[0].Has("task") {
-		t.Fatalf("parsed %+v", evs)
 	}
 }

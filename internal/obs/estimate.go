@@ -102,17 +102,6 @@ func (e *Estimator) Leaves() int64 {
 	return e.leaves.Load()
 }
 
-// EstimatedLeaves extrapolates the total leaf count of the search space
-// from the visited sample: visited / fraction. Zero when nothing was
-// visited yet.
-func (e *Estimator) EstimatedLeaves() float64 {
-	f := e.Fraction()
-	if f <= 0 {
-		return 0
-	}
-	return float64(e.Leaves()) / f
-}
-
 // Trees, States, DeadEnds return the live counter view.
 func (e *Estimator) Trees() int64 {
 	if e == nil {

@@ -8,6 +8,11 @@
 // or a nil *Recorder turns the call into a single predictable branch, so
 // the instrumented hot paths in internal/parallel cost nothing measurable
 // when observability is off.
+//
+// This package holds only what a run writes. Reading a trace back —
+// parsing, analysis, fleet merging, Markdown and Perfetto rendering — is
+// internal/tracereport, which imports this package for the Ev* event
+// names; nothing here imports it.
 package obs
 
 import (
@@ -187,44 +192,52 @@ func NewRegistry() *Registry {
 	return &Registry{metric: map[string]any{}}
 }
 
-func (r *Registry) register(name string, m any) {
+// register returns the instrument filed under name, making and filing it
+// with mk on first use. Registering a name twice with the same type is how
+// a labelled family looks one of its series up (one per route, shard or
+// retry site, known only at run time), so the registry's map is the only
+// cache such a family needs; one name under two types is a bug and panics.
+func register[T any](r *Registry, name string, mk func() T) T {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, dup := r.metric[name]; dup {
-		panic(fmt.Sprintf("obs: duplicate metric %q", name))
+	if old, dup := r.metric[name]; dup {
+		m, same := old.(T)
+		if !same {
+			panic(fmt.Sprintf("obs: metric %q registered as %T and as %T", name, old, m))
+		}
+		return m
 	}
+	m := mk()
 	r.metric[name] = m
 	r.names = append(r.names, name)
+	return m
 }
 
-// Counter registers and returns a counter. The name must be unique within
-// the registry and may carry Prometheus labels ('name{k="v"}').
+// Counter returns the counter registered under name, registering it on
+// first use. The name may carry Prometheus labels ('name{k="v"}').
 func (r *Registry) Counter(name, help string) *Counter {
-	c := &Counter{name: name, help: help}
-	r.register(name, c)
-	return c
+	return register(r, name, func() *Counter { return &Counter{name: name, help: help} })
 }
 
-// Gauge registers and returns a gauge.
+// Gauge returns the gauge registered under name, registering it on first
+// use.
 func (r *Registry) Gauge(name, help string) *Gauge {
-	g := &Gauge{name: name, help: help}
-	r.register(name, g)
-	return g
+	return register(r, name, func() *Gauge { return &Gauge{name: name, help: help} })
 }
 
-// Histogram registers and returns a histogram with the given ascending
-// bucket upper bounds (+Inf is implicit).
+// Histogram returns the histogram registered under name, registering it on
+// first use with the given ascending bucket upper bounds (+Inf is implicit).
 func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
 	for i := 1; i < len(bounds); i++ {
 		if bounds[i] <= bounds[i-1] {
 			panic(fmt.Sprintf("obs: histogram %q bounds not ascending", name))
 		}
 	}
-	h := &Histogram{name: name, help: help,
-		bounds: append([]float64(nil), bounds...),
-		counts: make([]atomic.Int64, len(bounds))}
-	r.register(name, h)
-	return h
+	return register(r, name, func() *Histogram {
+		return &Histogram{name: name, help: help,
+			bounds: append([]float64(nil), bounds...),
+			counts: make([]atomic.Int64, len(bounds))}
+	})
 }
 
 // gaugeFunc is a gauge whose value is computed at render time — the
@@ -239,7 +252,7 @@ type gaugeFunc struct {
 // GaugeFunc registers a gauge whose value is fn(), evaluated at every
 // WritePrometheus/Snapshot call. fn must be safe for concurrent use.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
-	r.register(name, &gaugeFunc{name: name, help: help, fn: fn})
+	register(r, name, func() *gaugeFunc { return &gaugeFunc{name: name, help: help, fn: fn} })
 }
 
 // baseName strips a label suffix ('m{w="3"}' -> 'm') for HELP/TYPE lines.

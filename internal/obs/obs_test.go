@@ -166,6 +166,35 @@ func TestWritePrometheusFormat(t *testing.T) {
 	}
 }
 
+// TestRegisterTwice: a second registration of a name with the same type
+// returns the first instrument (how labelled families look a series up)
+// and renders it once; the same name under another type panics.
+func TestRegisterTwice(t *testing.T) {
+	reg := NewRegistry()
+	name := `app_retry_total{site="spool"}`
+	c := reg.Counter(name, "retries")
+	c.Inc()
+	if again := reg.Counter(name, "ignored"); again != c {
+		t.Fatal("second Counter registration returned a new instrument")
+	}
+	h := reg.WindowedHistogram("app_latency", "", []float64{1, 2}, time.Minute)
+	if reg.WindowedHistogram("app_latency", "", []float64{1, 2}, time.Minute) != h {
+		t.Fatal("second WindowedHistogram registration returned a new instrument")
+	}
+	var b bytes.Buffer
+	reg.WritePrometheus(&b)
+	if n := strings.Count(b.String(), name+" 1\n"); n != 1 {
+		t.Fatalf("series rendered %d times:\n%s", n, b.String())
+	}
+
+	defer func() {
+		if recover() == nil {
+			t.Fatal("one name under two types must panic")
+		}
+	}()
+	reg.Gauge(name, "retries")
+}
+
 func TestSchedMetricsRegistersAndSnapshots(t *testing.T) {
 	reg := NewRegistry()
 	m := NewSchedMetrics(reg)

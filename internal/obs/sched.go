@@ -150,10 +150,6 @@ type Sink struct {
 // nopSched has every instrument nil, so all updates are no-op branches.
 var nopSched = &SchedMetrics{}
 
-// NopSchedMetrics returns the shared no-op metric set (all instruments
-// nil; every update is a single branch).
-func NopSchedMetrics() *SchedMetrics { return nopSched }
-
 // SchedMetrics returns the sink's metric set, or a no-op set when the sink
 // or its metrics are nil — callers never need a nil check before touching
 // a field.

@@ -12,11 +12,12 @@ import (
 	"testing"
 
 	"gentrius/internal/obs"
+	"gentrius/internal/tracereport"
 )
 
 const (
-	serveTrace  = "testdata/serve_small.trace.jsonl"
-	serveReport = "testdata/serve_small.report.md"
+	serveTrace  = goldenDir + "serve_small.trace.jsonl"
+	serveReport = goldenDir + "serve_small.report.md"
 )
 
 // genServeTrace hand-stamps a small serving-path scenario: three submits
@@ -85,11 +86,11 @@ func TestServeGoldenTraceRegenerates(t *testing.T) {
 }
 
 func TestServeAnalyze(t *testing.T) {
-	events, err := obs.ReadTrace(bytes.NewReader(genServeTrace(t)))
+	events, err := tracereport.ReadTrace(bytes.NewReader(genServeTrace(t)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := obs.Analyze(events, "ns")
+	rep := tracereport.Analyze(events, "ns")
 	if len(rep.Audit) != 0 {
 		t.Fatalf("serve trace fails audit: %v", rep.Audit)
 	}
@@ -103,7 +104,7 @@ func TestServeAnalyze(t *testing.T) {
 		rep.ByRoute[1].Errors != 1 {
 		t.Fatalf("per-route stats: %+v", rep.ByRoute)
 	}
-	var demo *obs.RequestSpan
+	var demo *tracereport.RequestSpan
 	for i := range rep.Slowest {
 		if rep.Slowest[i].ReqID == "demo" {
 			demo = &rep.Slowest[i]
@@ -123,12 +124,12 @@ func TestServeAnalyze(t *testing.T) {
 }
 
 func TestServeGoldenReport(t *testing.T) {
-	events, err := obs.ReadTrace(bytes.NewReader(genServeTrace(t)))
+	events, err := tracereport.ReadTrace(bytes.NewReader(genServeTrace(t)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var got bytes.Buffer
-	if err := obs.Analyze(events, "ns").WriteMarkdown(&got); err != nil {
+	if err := tracereport.Analyze(events, "ns").WriteMarkdown(&got); err != nil {
 		t.Fatal(err)
 	}
 	if *update {
@@ -147,15 +148,15 @@ func TestServeGoldenReport(t *testing.T) {
 }
 
 func TestServeChromeTraceExport(t *testing.T) {
-	events, err := obs.ReadTrace(bytes.NewReader(genServeTrace(t)))
+	events, err := tracereport.ReadTrace(bytes.NewReader(genServeTrace(t)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var a, b bytes.Buffer
-	if err := obs.WriteChromeTrace(&a, events, 1); err != nil {
+	if err := tracereport.WriteChromeTrace(&a, events, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := obs.WriteChromeTrace(&b, events, 1); err != nil {
+	if err := tracereport.WriteChromeTrace(&b, events, 1); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {

@@ -22,14 +22,16 @@ func WallClock(start time.Time) Clock {
 	return func() int64 { return int64(time.Since(start)) }
 }
 
-// Scheduler trace event types. Kept as constants so trace consumers and
-// tests can match on them.
+// Scheduler trace event types. These names are the whole contract between
+// this package, which writes traces, and internal/tracereport, which reads
+// them. Every name here has an emitter: a refused queue offer, for one, is
+// per-frame work counted by gentrius_tasks_rejected_total and is not
+// traced.
 const (
 	EvWorkerStart = "worker-start" // worker begins its initial-split share
 	EvWorkerIdle  = "worker-idle"  // worker enters the stealing pool
 	EvWorkerExit  = "worker-exit"  // worker leaves the pool
 	EvTaskSubmit  = "task-submit"  // a task was enqueued
-	EvTaskReject  = "task-reject"  // a submission found the queue full
 	EvSteal       = "steal"        // an idle worker dequeued a task
 	EvFlush       = "flush"        // local counters flushed to the globals
 	EvStop        = "stop"         // a stopping rule fired
@@ -40,7 +42,7 @@ const (
 	// initial-split share) carries a run-unique id, submissions carry the
 	// submitting task's id as "parent", and begin/end bracket the task's
 	// execution on a worker — so steal chains and per-task spans are
-	// reconstructible offline (see cmd/obsreport).
+	// reconstructible offline (see internal/tracereport).
 	EvTaskStart = "task-begin" // a worker starts executing a task
 	EvTaskEnd   = "task-end"   // the task's execution (incl. rewind) ended
 
@@ -74,10 +76,10 @@ const (
 	// run ("fleet-run", tag "trace") and stamps it on every RPC; both sides
 	// emit the events below with {trace, job, node} tags and {shard, epoch}
 	// fields, so N per-node JSONL traces are joinable into one fleet
-	// timeline (see MergeFleet / cmd/obsreport -fleet). The heartbeat
-	// send/recv pairs double as the NTP-free clock-alignment signal: each
-	// dispatch→shard-begin pair lower-bounds a worker's clock offset, each
-	// hb-send→hb-recv pair upper-bounds it.
+	// timeline (see tracereport.MergeFleet / cmd/obsreport -fleet). The
+	// heartbeat send/recv pairs double as the NTP-free clock-alignment
+	// signal: each dispatch→shard-begin pair lower-bounds a worker's clock
+	// offset, each hb-send→hb-recv pair upper-bounds it.
 	EvFleetRun        = "fleet-run"        // coordinator minted a fleet-run trace id
 	EvShardBegin      = "shard-begin"      // worker accepted a lease and started the shard
 	EvShardEnd        = "shard-end"        // worker finished the shard (tag "outcome")

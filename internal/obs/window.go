@@ -75,8 +75,8 @@ func newWindowedHistogram(name, help string, bounds []float64, window time.Durat
 	return h
 }
 
-// WindowedHistogram registers a histogram with per-interval rate/quantile
-// reporting. The exposition renders the lifetime cumulative histogram under
+// WindowedHistogram returns the histogram registered under name, registering
+// it on first use, with per-interval rate/quantile reporting. The exposition renders the lifetime cumulative histogram under
 // name plus companion gauges <name>_window_rate, _window_p50, _window_p95
 // and _window_p99 computed over roughly the last window.
 func (r *Registry) WindowedHistogram(name, help string, bounds []float64, window time.Duration) *WindowedHistogram {
@@ -85,9 +85,9 @@ func (r *Registry) WindowedHistogram(name, help string, bounds []float64, window
 			panic("obs: windowed histogram " + name + " bounds not ascending")
 		}
 	}
-	h := newWindowedHistogram(name, help, bounds, window, nil)
-	r.register(name, h)
-	return h
+	return register(r, name, func() *WindowedHistogram {
+		return newWindowedHistogram(name, help, bounds, window, nil)
+	})
 }
 
 // rotate retires the current interval when it has run past the window:

@@ -128,7 +128,7 @@ func TestObsDoesNotChangeResults(t *testing.T) {
 // backing array's vacated slot must not retain the task (its buffers return
 // to the pool once the stealing worker finishes).
 func TestQueueStealZeroesHeadSlot(t *testing.T) {
-	q := newQueue(4, 2, obs.NopSchedMetrics())
+	q := newQueue(4, 2, (*obs.Sink)(nil).SchedMetrics())
 	tk := &task{FrontierTask: search.NewSeedTask([]search.PathStep{{Taxon: 1, Edge: 2}}, 3, []int32{4, 5}, 0.5)}
 	if !q.trySubmit(tk, 0) {
 		t.Fatal("submit rejected")

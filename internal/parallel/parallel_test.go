@@ -225,7 +225,7 @@ func TestPartitionBranches(t *testing.T) {
 }
 
 func TestQueueSubmitAndCap(t *testing.T) {
-	q := newQueue(2, 3, obs.NopSchedMetrics())
+	q := newQueue(2, 3, (*obs.Sink)(nil).SchedMetrics())
 	if !q.trySubmit(&task{id: 1}, 0) || !q.trySubmit(&task{id: 2}, 0) {
 		t.Fatal("submissions under capacity rejected")
 	}
@@ -246,7 +246,7 @@ func TestQueueSubmitAndCap(t *testing.T) {
 }
 
 func TestQueueTerminationWhenAllIdle(t *testing.T) {
-	q := newQueue(4, 2, obs.NopSchedMetrics())
+	q := newQueue(4, 2, (*obs.Sink)(nil).SchedMetrics())
 	done := make(chan bool, 2)
 	for i := 0; i < 2; i++ {
 		go func() {

@@ -15,6 +15,7 @@ import (
 	"gentrius/internal/faultinject"
 	"gentrius/internal/obs"
 	"gentrius/internal/search"
+	"gentrius/internal/tracereport"
 )
 
 // sameStand fails unless got is, as a multiset, the stand want.
@@ -309,11 +310,11 @@ func TestRoundTraceAudit(t *testing.T) {
 	if rounds == 0 {
 		t.Skip("run finished before the first interval")
 	}
-	events, err := obs.ReadTrace(&buf)
+	events, err := tracereport.ReadTrace(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := obs.Analyze(events, "ns")
+	rep := tracereport.Analyze(events, "ns")
 	if rep.Panics != 1 || rep.Steals != res.TasksStolen {
 		t.Fatalf("%d panics, %d steals traced, %d stolen", rep.Panics, rep.Steals, res.TasksStolen)
 	}

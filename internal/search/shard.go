@@ -62,22 +62,3 @@ func SplitFrontier(fr *Frontier, k int) []*Frontier {
 	}
 	return shards
 }
-
-// MergeFrontiers is SplitFrontier's inverse for outstanding work: it
-// concatenates the shards' tasks under the first non-nil shard's prefix.
-// The coordinator uses it when the fleet disappears and the remaining
-// shard frontiers must run locally as one resumable unit.
-func MergeFrontiers(shards []*Frontier) *Frontier {
-	out := &Frontier{}
-	for _, s := range shards {
-		if s == nil {
-			continue
-		}
-		if out.Prefix == nil {
-			out.Prefix = s.Prefix
-			out.Threads = s.Threads
-		}
-		out.Tasks = append(out.Tasks, s.Tasks...)
-	}
-	return out
-}

@@ -141,21 +141,25 @@ func TestSplitFrontierDeterministic(t *testing.T) {
 	}
 }
 
-// TestSplitFrontierMergeRoundTrip: MergeFrontiers(SplitFrontier(fr, k))
-// reproduces the task multiset, the mass, and the prefix.
+// TestSplitFrontierMergeRoundTrip: the shards of SplitFrontier(fr, k),
+// concatenated, reproduce the task multiset and the mass, and every shard
+// carries the prefix.
 func TestSplitFrontierMergeRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	fr := randomFrontier(rng, 11)
 	for _, k := range []int{1, 3, 11, 40} {
-		merged := MergeFrontiers(SplitFrontier(fr, k))
+		merged := &Frontier{Prefix: fr.Prefix}
+		for _, s := range SplitFrontier(fr, k) {
+			if len(s.Prefix) != len(fr.Prefix) {
+				t.Fatalf("k=%d: a shard lost the prefix", k)
+			}
+			merged.Tasks = append(merged.Tasks, s.Tasks...)
+		}
 		if !sameKeys(taskKeys(t, fr.Tasks), taskKeys(t, merged.Tasks)) {
 			t.Fatalf("k=%d: merge lost or duplicated tasks", k)
 		}
 		if math.Abs(merged.RemainingMass()-fr.RemainingMass()) > 1e-12 {
 			t.Fatalf("k=%d: merge mass %v, want %v", k, merged.RemainingMass(), fr.RemainingMass())
-		}
-		if len(merged.Prefix) != len(fr.Prefix) {
-			t.Fatalf("k=%d: merge lost the prefix", k)
 		}
 	}
 }

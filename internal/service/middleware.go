@@ -29,35 +29,22 @@ const maxRequestIDLen = 64
 // a cached stats read and a long enumeration submit.
 var latencyBuckets = obs.ExpBuckets(1e-3, 2, 17)
 
-// HTTPMetrics is the per-route serving instrument set. Routes register
-// their labelled series lazily on first use, so the exposition only carries
-// routes that actually served traffic. All methods tolerate a nil registry
-// (every instrument is nil and nil-safe).
+// HTTPMetrics is the per-route serving instrument set. A route's labelled
+// series are registered when it first serves a request, so the exposition
+// only carries routes that actually served traffic. All methods tolerate a
+// nil registry (every instrument is nil and nil-safe).
 type HTTPMetrics struct {
 	reg    *obs.Registry
 	window time.Duration
 
 	// InFlight counts requests currently inside a handler, across routes.
 	InFlight *obs.Gauge
-
-	mu        sync.Mutex
-	latency   map[string]*obs.WindowedHistogram // route → request latency
-	reqBytes  map[string]*obs.Counter           // route → request body bytes
-	respBytes map[string]*obs.Counter           // route → response body bytes
-	requests  map[string]*obs.Counter           // route|code → request count
 }
 
 // NewHTTPMetrics registers the serving families on reg. window sizes the
 // interval behind the _window_rate/_window_p* companions (0: one minute).
 func NewHTTPMetrics(reg *obs.Registry, window time.Duration) *HTTPMetrics {
-	h := &HTTPMetrics{
-		reg:       reg,
-		window:    window,
-		latency:   map[string]*obs.WindowedHistogram{},
-		reqBytes:  map[string]*obs.Counter{},
-		respBytes: map[string]*obs.Counter{},
-		requests:  map[string]*obs.Counter{},
-	}
+	h := &HTTPMetrics{reg: reg, window: window}
 	if reg != nil {
 		h.InFlight = reg.Gauge("gentriusd_http_in_flight",
 			"HTTP requests currently being served")
@@ -65,46 +52,40 @@ func NewHTTPMetrics(reg *obs.Registry, window time.Duration) *HTTPMetrics {
 	return h
 }
 
-// route returns the per-route latency histogram and byte counters,
-// registering them on first use.
-func (h *HTTPMetrics) route(route string) (*obs.WindowedHistogram, *obs.Counter, *obs.Counter) {
-	if h == nil || h.reg == nil {
-		return nil, nil, nil
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	lat, ok := h.latency[route]
-	if !ok {
-		lat = h.reg.WindowedHistogram(
-			fmt.Sprintf("gentriusd_http_request_seconds{route=%q}", route),
-			"HTTP request latency by route", latencyBuckets, h.window)
-		h.latency[route] = lat
-		h.reqBytes[route] = h.reg.Counter(
-			fmt.Sprintf("gentriusd_http_request_bytes_total{route=%q}", route),
-			"HTTP request body bytes read by route")
-		h.respBytes[route] = h.reg.Counter(
-			fmt.Sprintf("gentriusd_http_response_bytes_total{route=%q}", route),
-			"HTTP response body bytes written by route")
-	}
-	return lat, h.reqBytes[route], h.respBytes[route]
+// routeMetrics is what one route knows before a request arrives: its
+// latency histogram and byte counters. Only the status code of
+// gentriusd_http_requests_total is left to look up per request.
+type routeMetrics struct {
+	latency             *obs.WindowedHistogram
+	reqBytes, respBytes *obs.Counter
 }
 
-// counted returns the route+status counter, registering it on first use.
+// route returns route's series, registered on first use.
+func (h *HTTPMetrics) route(route string) routeMetrics {
+	if h == nil || h.reg == nil {
+		return routeMetrics{}
+	}
+	return routeMetrics{
+		latency: h.reg.WindowedHistogram(
+			fmt.Sprintf("gentriusd_http_request_seconds{route=%q}", route),
+			"HTTP request latency by route", latencyBuckets, h.window),
+		reqBytes: h.reg.Counter(
+			fmt.Sprintf("gentriusd_http_request_bytes_total{route=%q}", route),
+			"HTTP request body bytes read by route"),
+		respBytes: h.reg.Counter(
+			fmt.Sprintf("gentriusd_http_response_bytes_total{route=%q}", route),
+			"HTTP response body bytes written by route"),
+	}
+}
+
+// counted returns the route+status counter, registered on first use.
 func (h *HTTPMetrics) counted(route string, code int) *obs.Counter {
 	if h == nil || h.reg == nil {
 		return nil
 	}
-	key := fmt.Sprintf("%s|%d", route, code)
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	c, ok := h.requests[key]
-	if !ok {
-		c = h.reg.Counter(
-			fmt.Sprintf("gentriusd_http_requests_total{route=%q,code=\"%d\"}", route, code),
-			"HTTP requests by route and status code")
-		h.requests[key] = c
-	}
-	return c
+	return h.reg.Counter(
+		fmt.Sprintf("gentriusd_http_requests_total{route=%q,code=\"%d\"}", route, code),
+		"HTTP requests by route and status code")
 }
 
 // Middleware instruments handlers: request ids, metrics, access logs and
@@ -258,6 +239,12 @@ func (mw *Middleware) Wrap(route string, next http.HandlerFunc) http.Handler {
 	if mw == nil {
 		return next
 	}
+	// Looked up once, by the route's first request rather than here: a
+	// route that never serves must not add zero-valued series to /metrics.
+	var (
+		once sync.Once
+		rm   routeMetrics
+	)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		serial := mw.serial.Add(1)
@@ -292,10 +279,10 @@ func (mw *Middleware) Wrap(route string, next http.HandlerFunc) http.Handler {
 			status = http.StatusOK
 		}
 		mw.metrics.InFlight.Add(-1)
-		lat, reqB, respB := mw.metrics.route(route)
-		lat.Observe(elapsed.Seconds())
-		reqB.Add(body.n)
-		respB.Add(sw.bytes)
+		once.Do(func() { rm = mw.metrics.route(route) })
+		rm.latency.Observe(elapsed.Seconds())
+		rm.reqBytes.Add(body.n)
+		rm.respBytes.Add(sw.bytes)
 		mw.metrics.counted(route, status).Inc()
 		endTags := []obs.SField{obs.S("req", id)}
 		if fleetTrace != "" {

@@ -146,33 +146,18 @@ type Metrics struct {
 	CheckpointWrites  *obs.Counter
 	CheckpointRetries *obs.Counter
 	CheckpointDropped *obs.Counter
-
-	// Per-site retry family gentriusd_retry_total{site=...}, registered
-	// lazily so new sites (dist RPCs, heartbeats) appear without touching
-	// this package.
-	retryMu   sync.Mutex
-	retrySite map[string]*obs.Counter
 }
 
 // RetrySite returns the gentriusd_retry_total{site=...} counter for site,
-// registering it on first use. Nil-safe: with no registry it returns nil,
-// and obs counters discard updates through nil receivers.
+// registered on first use, so new sites (dist RPCs, heartbeats) appear
+// without touching this package. Nil-safe: with no registry it returns
+// nil, and obs counters discard updates through nil receivers.
 func (m *Metrics) RetrySite(site string) *obs.Counter {
 	if m == nil || m.reg == nil {
 		return nil
 	}
-	m.retryMu.Lock()
-	defer m.retryMu.Unlock()
-	if c, ok := m.retrySite[site]; ok {
-		return c
-	}
-	if m.retrySite == nil {
-		m.retrySite = make(map[string]*obs.Counter)
-	}
-	c := m.reg.Counter(fmt.Sprintf("gentriusd_retry_total{site=%q}", site),
+	return m.reg.Counter(fmt.Sprintf("gentriusd_retry_total{site=%q}", site),
 		"transient failures retried, by site")
-	m.retrySite[site] = c
-	return c
 }
 
 // RetryPolicy is the daemon's shared transient-failure discipline —

@@ -20,6 +20,7 @@ import (
 
 	"gentrius"
 	"gentrius/internal/obs"
+	"gentrius/internal/tracereport"
 )
 
 // syncBuffer is a bytes.Buffer safe to read while other goroutines (the
@@ -126,10 +127,10 @@ func TestRequestIDPropagation(t *testing.T) {
 	// Trace: the middleware emits http-end after the handler returns, which
 	// can trail the client's view of the response — poll briefly.
 	deadline := time.Now().Add(5 * time.Second)
-	var events []obs.TraceEvent
+	var events []tracereport.TraceEvent
 	for {
 		trace.Flush() //nolint:errcheck // the recorder buffers; drain before reading
-		events, err = obs.ReadTrace(bytes.NewReader(traceBuf.Bytes()))
+		events, err = tracereport.ReadTrace(bytes.NewReader(traceBuf.Bytes()))
 		if err == nil && hasServingChain(events) {
 			break
 		}
@@ -139,11 +140,11 @@ func TestRequestIDPropagation(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 
-	rep := obs.Analyze(events, "ns")
+	rep := tracereport.Analyze(events, "ns")
 	if len(rep.Audit) != 0 {
 		t.Fatalf("trace audit: %v", rep.Audit)
 	}
-	var span *obs.RequestSpan
+	var span *tracereport.RequestSpan
 	for i := range rep.Slowest {
 		if rep.Slowest[i].ReqID == "demo" {
 			span = &rep.Slowest[i]
@@ -168,7 +169,7 @@ func TestRequestIDPropagation(t *testing.T) {
 	// The Perfetto export renders the chain: an async "http submit" span,
 	// the job's queue-wait/exec spans, and a request flow arrow.
 	var chrome bytes.Buffer
-	if err := obs.WriteChromeTrace(&chrome, events, 1000); err != nil {
+	if err := tracereport.WriteChromeTrace(&chrome, events, 1000); err != nil {
 		t.Fatal(err)
 	}
 	for _, frag := range []string{`"http submit"`, `"queue-wait"`, `"exec"`, `"request-flow"`} {
@@ -180,7 +181,7 @@ func TestRequestIDPropagation(t *testing.T) {
 
 // hasServingChain reports whether the trace holds the full
 // http-begin→job-submit→job-begin→job-end→http-end chain for req demo.
-func hasServingChain(events []obs.TraceEvent) bool {
+func hasServingChain(events []tracereport.TraceEvent) bool {
 	seen := map[string]bool{}
 	for i := range events {
 		e := &events[i]

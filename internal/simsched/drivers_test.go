@@ -15,6 +15,7 @@ import (
 	"gentrius/internal/parallel"
 	"gentrius/internal/search"
 	"gentrius/internal/terrace"
+	"gentrius/internal/tracereport"
 	"gentrius/internal/tree"
 )
 
@@ -23,7 +24,7 @@ import (
 // worker -1, the restored tasks it queues itself; the simulator does not.)
 func submitted(t *testing.T, trace *bytes.Buffer) []string {
 	t.Helper()
-	events, err := obs.ReadTrace(trace)
+	events, err := tracereport.ReadTrace(trace)
 	if err != nil {
 		t.Fatal(err)
 	}

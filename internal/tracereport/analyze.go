@@ -3,7 +3,7 @@
 // distribution, load imbalance, and a counter-conservation audit that
 // cross-checks span pairing, submit/steal bookkeeping, and flushed counter
 // totals against the stop-rule snapshot.
-package obs
+package tracereport
 
 import (
 	"fmt"
@@ -11,6 +11,7 @@ import (
 	"sort"
 	"strings"
 
+	"gentrius/internal/obs"
 	"gentrius/internal/stats"
 )
 
@@ -32,7 +33,7 @@ type TraceReport struct {
 	ByWorker []WorkerStat
 
 	TaskBegins, TaskEnds, OpenSpans int64
-	Submits, Rejects, Steals        int64
+	Submits, Steals                 int64
 
 	StealLatency stats.Summary // submit→steal delay per stolen task id
 
@@ -166,12 +167,12 @@ func Analyze(events []TraceEvent, units string) *TraceReport {
 
 	for _, e := range events {
 		switch e.Ev {
-		case EvTaskStart:
+		case obs.EvTaskStart:
 			w := worker(e.Worker)
 			w.Tasks++
 			w.openSince = append(w.openSince, e.TS)
 			rep.TaskBegins++
-		case EvTaskEnd:
+		case obs.EvTaskEnd:
 			w := worker(e.Worker)
 			rep.TaskEnds++
 			if n := len(w.openSince); n > 0 {
@@ -182,14 +183,12 @@ func Analyze(events []TraceEvent, units string) *TraceReport {
 					"task-end on worker %d at %d %s with no open span",
 					e.Worker, e.TS, units))
 			}
-		case EvTaskSubmit:
+		case obs.EvTaskSubmit:
 			rep.Submits++
 			if id := e.Get("task"); id != 0 {
 				submitTS[id] = e.TS
 			}
-		case EvTaskReject:
-			rep.Rejects++
-		case EvSteal:
+		case obs.EvSteal:
 			rep.Steals++
 			worker(e.Worker).Steals++
 			if id := e.Get("task"); id != 0 {
@@ -206,25 +205,25 @@ func Analyze(events []TraceEvent, units string) *TraceReport {
 				}
 				stolen[id] = true
 			}
-		case EvFlush:
+		case obs.EvFlush:
 			rep.Flushes++
 			rep.FlushTrees += e.Get("trees")
 			rep.FlushStates += e.Get("states")
 			rep.FlushDead += e.Get("dead")
-		case EvStop:
+		case obs.EvStop:
 			rep.HasStop = true
 			rep.StopTrees = e.Get("trees")
 			rep.StopStates = e.Get("states")
-		case EvPanic:
+		case obs.EvPanic:
 			rep.Panics++
-		case EvHTTPStart:
+		case obs.EvHTTPStart:
 			reqn := e.Get("reqn")
 			if _, dup := httpBegins[reqn]; dup {
 				rep.Audit = append(rep.Audit, fmt.Sprintf(
 					"duplicate http-begin for request serial %d", reqn))
 			}
 			httpBegins[reqn] = httpOpen{ts: e.TS, route: e.GetStr("route"), req: e.GetStr("req")}
-		case EvHTTPEnd:
+		case obs.EvHTTPEnd:
 			reqn := e.Get("reqn")
 			open, ok := httpBegins[reqn]
 			if !ok {
@@ -241,18 +240,18 @@ func Analyze(events []TraceEvent, units string) *TraceReport {
 				Start:  open.ts,
 				End:    e.TS,
 			})
-		case EvJobSubmit:
+		case obs.EvJobSubmit:
 			j := jobAt(e.GetStr("job"))
 			j.submit, j.hasSubmit = e.TS, true
 			j.req, j.reqn = e.GetStr("req"), e.Get("reqn")
-		case EvJobStart:
+		case obs.EvJobStart:
 			j := jobAt(e.GetStr("job"))
 			if !j.hasSubmit {
 				rep.Audit = append(rep.Audit, fmt.Sprintf(
 					"job-begin for %s with no job-submit", j.id))
 			}
 			j.begin, j.hasBegin = e.TS, true
-		case EvJobEnd:
+		case obs.EvJobEnd:
 			// A job may legitimately end without ever beginning (cancelled
 			// while still queued), but never without a submission.
 			j := jobAt(e.GetStr("job"))
@@ -396,8 +395,7 @@ func (r *TraceReport) WriteMarkdown(w io.Writer) error {
 	fmt.Fprintf(&b, "- span: %d %s (ts %d..%d)\n", r.Span(), r.Units, r.FirstTS, r.LastTS)
 	fmt.Fprintf(&b, "- tasks: %d begun, %d ended, %d left open\n",
 		r.TaskBegins, r.TaskEnds, r.OpenSpans)
-	fmt.Fprintf(&b, "- queue: %d submitted, %d rejected, %d stolen\n",
-		r.Submits, r.Rejects, r.Steals)
+	fmt.Fprintf(&b, "- queue: %d submitted, %d stolen\n", r.Submits, r.Steals)
 	fmt.Fprintf(&b, "- flushes: %d (trees %d, states %d, dead-ends %d)\n",
 		r.Flushes, r.FlushTrees, r.FlushStates, r.FlushDead)
 	if r.HasStop {

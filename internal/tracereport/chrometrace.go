@@ -3,13 +3,15 @@
 // (https://ui.perfetto.dev) open directly. Task-begin/task-end pairs become
 // duration slices on per-worker tracks, submit→steal handoffs become flow
 // arrows (the steal chains), and everything else becomes instant markers.
-package obs
+package tracereport
 
 import (
 	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
+
+	"gentrius/internal/obs"
 )
 
 // chromeEvent is one entry of the Trace Event Format "traceEvents" array.
@@ -56,7 +58,7 @@ func WriteChromeTrace(w io.Writer, events []TraceEvent, unitsPerMicro float64) e
 
 	serveEvent := func(ev string) bool {
 		switch ev {
-		case EvHTTPStart, EvHTTPEnd, EvJobSubmit, EvJobStart, EvJobEnd:
+		case obs.EvHTTPStart, obs.EvHTTPEnd, obs.EvJobSubmit, obs.EvJobStart, obs.EvJobEnd:
 			return true
 		}
 		return false
@@ -71,9 +73,9 @@ func WriteChromeTrace(w io.Writer, events []TraceEvent, unitsPerMicro float64) e
 			maxTS = e.TS
 		}
 		switch {
-		case e.Ev == EvHTTPStart || e.Ev == EvHTTPEnd:
+		case e.Ev == obs.EvHTTPStart || e.Ev == obs.EvHTTPEnd:
 			hasHTTP = true
-		case e.Ev == EvJobSubmit || e.Ev == EvJobStart || e.Ev == EvJobEnd:
+		case e.Ev == obs.EvJobSubmit || e.Ev == obs.EvJobStart || e.Ev == obs.EvJobEnd:
 			hasJob = true
 		case e.Worker >= 0:
 			workers[e.Worker] = true
@@ -128,19 +130,19 @@ func WriteChromeTrace(w io.Writer, events []TraceEvent, unitsPerMicro float64) e
 		return m
 	}
 
-	open := map[int]int{} // tid -> open task-begin count
+	open := map[[2]int]int{} // (pid 0, tid) -> open task-begin count
 	for i := range events {
 		e := events[i]
 		if serveEvent(e.Ev) {
 			switch e.Ev {
-			case EvHTTPStart:
+			case obs.EvHTTPStart:
 				name := "http " + e.GetStr("route")
 				httpNames[e.Get("reqn")] = name
 				out = append(out, chromeEvent{
 					Name: name, Cat: "request", Ph: "b", TS: us(e.TS),
 					PID: 0, TID: httpTID, ID: e.Get("reqn"), Args: sargs(&events[i]),
 				})
-			case EvHTTPEnd:
+			case obs.EvHTTPEnd:
 				name := httpNames[e.Get("reqn")]
 				if name == "" {
 					name = "http"
@@ -149,7 +151,7 @@ func WriteChromeTrace(w io.Writer, events []TraceEvent, unitsPerMicro float64) e
 					Name: name, Cat: "request", Ph: "e", TS: us(e.TS),
 					PID: 0, TID: httpTID, ID: e.Get("reqn"), Args: sargs(&events[i]),
 				})
-			case EvJobSubmit:
+			case obs.EvJobSubmit:
 				out = append(out, chromeEvent{
 					Name: "queue-wait", Cat: "job-queue", Ph: "b", TS: us(e.TS),
 					PID: 0, TID: jobTID, ID: e.Get("jobn"), Args: sargs(&events[i]),
@@ -166,7 +168,7 @@ func WriteChromeTrace(w io.Writer, events []TraceEvent, unitsPerMicro float64) e
 						TS: us(e.TS), PID: 0, TID: jobTID, ID: reqn,
 					})
 				}
-			case EvJobStart:
+			case obs.EvJobStart:
 				jobBegun[e.Get("jobn")] = true
 				out = append(out, chromeEvent{
 					Name: "queue-wait", Cat: "job-queue", Ph: "e", TS: us(e.TS),
@@ -176,7 +178,7 @@ func WriteChromeTrace(w io.Writer, events []TraceEvent, unitsPerMicro float64) e
 					Name: "exec", Cat: "job-exec", Ph: "b", TS: us(e.TS),
 					PID: 0, TID: jobTID, ID: e.Get("jobn"), Args: sargs(&events[i]),
 				})
-			case EvJobEnd:
+			case obs.EvJobEnd:
 				// A job cancelled while queued ends without beginning: close
 				// its queue-wait span instead of a never-opened exec span.
 				if jobBegun[e.Get("jobn")] {
@@ -200,19 +202,19 @@ func WriteChromeTrace(w io.Writer, events []TraceEvent, unitsPerMicro float64) e
 			scope = "p"
 		}
 		switch e.Ev {
-		case EvTaskStart:
+		case obs.EvTaskStart:
 			out = append(out, chromeEvent{
 				Name: fmt.Sprintf("task %d", e.Get("task")),
 				Cat:  "task", Ph: "B", TS: us(e.TS), PID: 0, TID: tid,
 				Args: args(e.Fields),
 			})
-			open[tid]++
-		case EvTaskEnd:
-			if open[tid] > 0 {
+			open[[2]int{0, tid}]++
+		case obs.EvTaskEnd:
+			if k := [2]int{0, tid}; open[k] > 0 {
 				out = append(out, chromeEvent{Ph: "E", TS: us(e.TS), PID: 0, TID: tid})
-				open[tid]--
+				open[k]--
 			}
-		case EvTaskSubmit:
+		case obs.EvTaskSubmit:
 			out = append(out, chromeEvent{
 				Name: "submit", Cat: "handoff", Ph: "i", Scope: "t",
 				TS: us(e.TS), PID: 0, TID: tid, Args: args(e.Fields),
@@ -223,7 +225,7 @@ func WriteChromeTrace(w io.Writer, events []TraceEvent, unitsPerMicro float64) e
 					TS: us(e.TS), PID: 0, TID: tid, ID: id,
 				})
 			}
-		case EvSteal:
+		case obs.EvSteal:
 			out = append(out, chromeEvent{
 				Name: "steal", Cat: "handoff", Ph: "i", Scope: "t",
 				TS: us(e.TS), PID: 0, TID: tid, Args: args(e.Fields),
@@ -241,15 +243,28 @@ func WriteChromeTrace(w io.Writer, events []TraceEvent, unitsPerMicro float64) e
 			})
 		}
 	}
-	// Close spans a stopped run left open (tid order, for determinism).
-	tids := make([]int, 0, len(open))
-	for tid := range open {
-		tids = append(tids, tid)
+	return writeChromeJSON(w, out, open, us(maxTS))
+}
+
+// writeChromeJSON finishes a trace-event document: task slices a stopped
+// run left open (open: (pid, tid) -> unmatched "B" count) are closed at
+// endTS in track order, so every track stays balanced and the output is
+// deterministic, then the events are written as one Trace Event Format
+// JSON object.
+func writeChromeJSON(w io.Writer, out []chromeEvent, open map[[2]int]int, endTS float64) error {
+	keys := make([][2]int, 0, len(open))
+	for k := range open {
+		keys = append(keys, k)
 	}
-	sort.Ints(tids)
-	for _, tid := range tids {
-		for n := open[tid]; n > 0; n-- {
-			out = append(out, chromeEvent{Ph: "E", TS: us(maxTS), PID: 0, TID: tid})
+	sort.Slice(keys, func(a, b int) bool {
+		if keys[a][0] != keys[b][0] {
+			return keys[a][0] < keys[b][0]
+		}
+		return keys[a][1] < keys[b][1]
+	})
+	for _, k := range keys {
+		for n := open[k]; n > 0; n-- {
+			out = append(out, chromeEvent{Ph: "E", TS: endTS, PID: k[0], TID: k[1]})
 		}
 	}
 

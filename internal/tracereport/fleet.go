@@ -8,14 +8,15 @@
 // (dispatch → heartbeats → epoch fence → re-dispatch → merge), audits it
 // for orphan spans, and ranks straggler nodes by lease-held time per unit
 // of credited estimator mass.
-package obs
+package tracereport
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
 	"strings"
+
+	"gentrius/internal/obs"
 )
 
 // NodeTrace is one node's parsed trace, labelled for the merge. Name is a
@@ -135,9 +136,9 @@ func eventEpochKey(e *TraceEvent) epochKey {
 // engine/serving events riding in the same node trace).
 func fleetEvent(ev string) bool {
 	switch ev {
-	case EvFleetRun, EvShardDispatch, EvShardDone, EvLeaseExpire, EvShardFenced,
-		EvShardParked, EvShardAdopted, EvFleetLocal,
-		EvShardBegin, EvShardEnd, EvShardHeartbeat, EvHeartbeatRecv, EvShardCheckpoint:
+	case obs.EvFleetRun, obs.EvShardDispatch, obs.EvShardDone, obs.EvLeaseExpire, obs.EvShardFenced,
+		obs.EvShardParked, obs.EvShardAdopted, obs.EvFleetLocal,
+		obs.EvShardBegin, obs.EvShardEnd, obs.EvShardHeartbeat, obs.EvHeartbeatRecv, obs.EvShardCheckpoint:
 		return true
 	}
 	return false
@@ -152,9 +153,9 @@ func MergeFleet(nodes []NodeTrace, units string) (*FleetReport, error) {
 	coord := -1
 	for i, n := range nodes {
 		for _, e := range n.Events {
-			if e.Ev == EvShardDispatch || e.Ev == EvFleetRun {
+			if e.Ev == obs.EvShardDispatch || e.Ev == obs.EvFleetRun {
 				if coord >= 0 && coord != i {
-					return nil, fmt.Errorf("obs: fleet merge: both %q and %q contain coordinator events",
+					return nil, fmt.Errorf("tracereport: fleet merge: both %q and %q contain coordinator events",
 						nodes[coord].Name, n.Name)
 				}
 				coord = i
@@ -162,7 +163,7 @@ func MergeFleet(nodes []NodeTrace, units string) (*FleetReport, error) {
 		}
 	}
 	if coord < 0 {
-		return nil, fmt.Errorf("obs: fleet merge: no node contains coordinator events (shard-dispatch)")
+		return nil, fmt.Errorf("tracereport: fleet merge: no node contains coordinator events (shard-dispatch)")
 	}
 
 	rep := &FleetReport{Units: units, CoordinatorName: nodes[coord].Name}
@@ -181,20 +182,20 @@ func MergeFleet(nodes []NodeTrace, units string) (*FleetReport, error) {
 			traceIDs[id] = true
 		}
 		switch e.Ev {
-		case EvShardDispatch, EvFleetLocal:
+		case obs.EvShardDispatch, obs.EvFleetLocal:
 			k := eventEpochKey(e)
 			if dispatch[k] == nil {
 				dispatch[k] = e
 			}
-		case EvHeartbeatRecv:
+		case obs.EvHeartbeatRecv:
 			k := eventEpochKey(e)
 			if recvBySeq[k] == nil {
 				recvBySeq[k] = map[int64]int64{}
 			}
 			recvBySeq[k][e.Get("seq")] = e.TS
-		case EvLeaseExpire:
+		case obs.EvLeaseExpire:
 			expire[eventEpochKey(e)] = e.TS
-		case EvShardDone:
+		case obs.EvShardDone:
 			doneTS[eventEpochKey(e)] = e.TS
 		}
 	}
@@ -214,7 +215,7 @@ func MergeFleet(nodes []NodeTrace, units string) (*FleetReport, error) {
 				traceIDs[id] = true
 			}
 			switch e.Ev {
-			case EvShardBegin:
+			case obs.EvShardBegin:
 				// begin happened after the dispatch: offset >= disp - begin.
 				if d := dispatch[eventEpochKey(e)]; d != nil {
 					lo := d.TS - e.TS
@@ -224,7 +225,7 @@ func MergeFleet(nodes []NodeTrace, units string) (*FleetReport, error) {
 					fn.HasLo = true
 					fn.DispatchPairs++
 				}
-			case EvShardHeartbeat:
+			case obs.EvShardHeartbeat:
 				// recv happened after the send: offset <= recv - send.
 				if m := recvBySeq[eventEpochKey(e)]; m != nil {
 					if ts, ok := m[e.Get("seq")]; ok {
@@ -322,7 +323,7 @@ func MergeFleet(nodes []NodeTrace, units string) (*FleetReport, error) {
 		}
 		k := eventEpochKey(e)
 		switch e.Ev {
-		case EvShardDispatch, EvFleetLocal:
+		case obs.EvShardDispatch, obs.EvFleetLocal:
 			l := lifeAt(k)
 			l.DispatchTS = e.TS
 			l.Holder = e.GetStr("peer")
@@ -335,7 +336,7 @@ func MergeFleet(nodes []NodeTrace, units string) (*FleetReport, error) {
 			}
 			l.MassStartPPM = e.Get("mass_ppm")
 			l.MassLastPPM = l.MassStartPPM
-		case EvShardBegin:
+		case obs.EvShardBegin:
 			if dispatch[k] == nil {
 				rep.Orphans = append(rep.Orphans, fmt.Sprintf(
 					"shard-begin on %s for %s/shard %d epoch %d matches no dispatch",
@@ -345,9 +346,9 @@ func MergeFleet(nodes []NodeTrace, units string) (*FleetReport, error) {
 			l := lifeAt(k)
 			l.BeginTS, l.HasBegin = e.TS, true
 			l.Holder = e.GetStr("node")
-		case EvShardHeartbeat:
+		case obs.EvShardHeartbeat:
 			lifeAt(k).HBSends++
-		case EvHeartbeatRecv:
+		case obs.EvHeartbeatRecv:
 			if dispatch[k] == nil {
 				rep.Orphans = append(rep.Orphans, fmt.Sprintf(
 					"heartbeat-recv for %s/shard %d epoch %d matches no dispatch",
@@ -357,11 +358,11 @@ func MergeFleet(nodes []NodeTrace, units string) (*FleetReport, error) {
 			l := lifeAt(k)
 			l.HBRecvs++
 			l.MassLastPPM = e.Get("mass_ppm")
-		case EvShardCheckpoint:
+		case obs.EvShardCheckpoint:
 			lifeAt(k).Checkpoints++
-		case EvShardEnd:
+		case obs.EvShardEnd:
 			lifeAt(k).WorkerOutcome = e.GetStr("outcome")
-		case EvShardDone:
+		case obs.EvShardDone:
 			if dispatch[k] == nil {
 				rep.Orphans = append(rep.Orphans, fmt.Sprintf(
 					"shard-done for %s/shard %d epoch %d matches no dispatch",
@@ -617,7 +618,6 @@ func (r *FleetReport) WriteFleetChromeTrace(w io.Writer, unitsPerMicro float64) 
 	// The merged event stream: engine task slices per (node, worker)
 	// track, everything else as instant markers on its node.
 	open := map[[2]int]int{}
-	maxTS := r.LastTS
 	for i := range r.Merged {
 		e := &r.Merged[i]
 		pid, ok := pidOf[e.GetStr("node")]
@@ -631,11 +631,11 @@ func (r *FleetReport) WriteFleetChromeTrace(w io.Writer, unitsPerMicro float64) 
 			scope = "p"
 		}
 		switch e.Ev {
-		case EvTaskStart:
+		case obs.EvTaskStart:
 			out = append(out, chromeEvent{Name: fmt.Sprintf("task %d", e.Get("task")),
 				Cat: "task", Ph: "B", TS: us(e.TS), PID: pid, TID: tid})
 			open[[2]int{pid, tid}]++
-		case EvTaskEnd:
+		case obs.EvTaskEnd:
 			k := [2]int{pid, tid}
 			if open[k] > 0 {
 				out = append(out, chromeEvent{Ph: "E", TS: us(e.TS), PID: pid, TID: tid})
@@ -646,39 +646,5 @@ func (r *FleetReport) WriteFleetChromeTrace(w io.Writer, unitsPerMicro float64) 
 				Scope: scope, TS: us(e.TS), PID: pid, TID: tid})
 		}
 	}
-	keys := make([][2]int, 0, len(open))
-	for k := range open {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(a, b int) bool {
-		if keys[a][0] != keys[b][0] {
-			return keys[a][0] < keys[b][0]
-		}
-		return keys[a][1] < keys[b][1]
-	})
-	for _, k := range keys {
-		for n := open[k]; n > 0; n-- {
-			out = append(out, chromeEvent{Ph: "E", TS: us(maxTS), PID: k[0], TID: k[1]})
-		}
-	}
-
-	if _, err := io.WriteString(w, `{"displayTimeUnit":"ms","traceEvents":[`); err != nil {
-		return err
-	}
-	for i := range out {
-		if i > 0 {
-			if _, err := io.WriteString(w, ","); err != nil {
-				return err
-			}
-		}
-		b, err := json.Marshal(&out[i])
-		if err != nil {
-			return err
-		}
-		if _, err := w.Write(b); err != nil {
-			return err
-		}
-	}
-	_, err := io.WriteString(w, "]}\n")
-	return err
+	return writeChromeJSON(w, out, open, us(r.LastTS))
 }

@@ -1,7 +1,12 @@
-// Offline trace reading: the parser for the JSONL scheduler traces the
-// Recorder writes. The hot path hand-formats events; the offline path can
-// afford encoding/json.
-package obs
+// Package tracereport is the read side of the trace contract: it parses
+// the JSONL event traces an obs.Recorder wrote, analyses one run's trace
+// (Analyze) or merges a fleet's per-node traces (MergeFleet), and renders
+// Markdown reports and Chrome/Perfetto trace-event JSON. internal/obs
+// writes, this package reads, and the obs.Ev* names are the whole contract
+// between them: nothing a run executes imports this package (cmd/obsreport
+// and tests do), so it can afford encoding/json where the writer
+// hand-formats.
+package tracereport
 
 import (
 	"bufio"
@@ -35,7 +40,10 @@ func (e *TraceEvent) Has(k string) bool {
 func (e *TraceEvent) GetStr(k string) string { return e.Str[k] }
 
 // ReadTrace parses a JSONL scheduler trace. Blank lines are skipped; a
-// malformed line fails with its line number.
+// malformed line fails with its line number, and so does anything after
+// the line's one JSON object — two events glued onto one line (writers
+// sharing a file without the recorder's lock, a torn tail appended to)
+// would otherwise lose the second and skew every count downstream.
 func ReadTrace(r io.Reader) ([]TraceEvent, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
@@ -51,14 +59,17 @@ func ReadTrace(r io.Reader) ([]TraceEvent, error) {
 		dec.UseNumber()
 		var raw map[string]any
 		if err := dec.Decode(&raw); err != nil {
-			return nil, fmt.Errorf("obs: trace line %d: %w", ln, err)
+			return nil, fmt.Errorf("tracereport: trace line %d: %w", ln, err)
+		}
+		if _, err := dec.Token(); err != io.EOF {
+			return nil, fmt.Errorf("tracereport: trace line %d: trailing data after the event", ln)
 		}
 		ev := TraceEvent{Fields: map[string]int64{}}
 		for k, v := range raw {
 			if k == "ev" {
 				s, ok := v.(string)
 				if !ok {
-					return nil, fmt.Errorf("obs: trace line %d: non-string ev", ln)
+					return nil, fmt.Errorf("tracereport: trace line %d: non-string ev", ln)
 				}
 				ev.Ev = s
 				continue
@@ -72,11 +83,11 @@ func ReadTrace(r io.Reader) ([]TraceEvent, error) {
 			}
 			num, ok := v.(json.Number)
 			if !ok {
-				return nil, fmt.Errorf("obs: trace line %d: non-numeric field %q", ln, k)
+				return nil, fmt.Errorf("tracereport: trace line %d: non-numeric field %q", ln, k)
 			}
 			n, err := num.Int64()
 			if err != nil {
-				return nil, fmt.Errorf("obs: trace line %d: field %q: %w", ln, k, err)
+				return nil, fmt.Errorf("tracereport: trace line %d: field %q: %w", ln, k, err)
 			}
 			switch k {
 			case "ts":
@@ -88,12 +99,12 @@ func ReadTrace(r io.Reader) ([]TraceEvent, error) {
 			}
 		}
 		if ev.Ev == "" {
-			return nil, fmt.Errorf("obs: trace line %d: missing ev", ln)
+			return nil, fmt.Errorf("tracereport: trace line %d: missing ev", ln)
 		}
 		out = append(out, ev)
 	}
 	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("obs: reading trace: %w", err)
+		return nil, fmt.Errorf("tracereport: reading trace: %w", err)
 	}
 	return out, nil
 }
