@@ -5,12 +5,17 @@ import (
 	"context"
 	"io"
 	"os"
+	"runtime"
 	"slices"
+	"strconv"
+	"strings"
 	"testing"
+	"time"
 
 	"gentrius"
 	"gentrius/internal/gen"
 	"gentrius/internal/obs"
+	"gentrius/internal/parallel"
 	"gentrius/internal/search"
 	"gentrius/internal/service"
 	"gentrius/internal/terrace"
@@ -283,4 +288,81 @@ func extraBenches(add func(name string, f func(b *testing.B)),
 		b.ReportMetric(float64(t.NumLeaves()), "taxa")
 		b.ReportMetric(float64(written)/float64(b.N), "bytes")
 	})
+}
+
+// smallStands measures what asking for a second thread costs where there is
+// nothing for it to do (PR 24): the sixteen stands of the benchmark's
+// count-many workload (simulated datasets 0 and 2 to 16: eleven have under
+// ten trees, the largest 10 125), enumerated back to back by search.Run and by
+// the pool at two threads, the two passes taking turns to go first in one
+// process. Each row is the floor over the rounds — -benchtime's count, or as
+// many as fit its duration, twenty at least — and its allocations the least of
+// them. The pool's row carries t2/serial, which -compare gates (ratioMetrics)
+// and ROADMAP item 2 wants at 1.05: the median over the rounds of pool pass ÷
+// serial pass, two passes a few milliseconds apart, so that a neighbour's
+// burst moves one round's ratio and not the result (the ratio of the two
+// floors moves with whichever side caught the quietest moment: 0.96 to 1.19
+// over repeats on a shared two-core host where the median read 0.99 to 1.07).
+func smallStands(benchtime string) (serial, pool BenchResult, err error) {
+	var stands [][]*tree.Tree
+	for _, idx := range []int{0, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16} {
+		stands = append(stands, gen.Generate(gen.Default(gen.RegimeSimulated), idx).Constraints)
+	}
+	rounds, budget := 20, time.Second
+	if n, isCount := strings.CutSuffix(benchtime, "x"); isCount {
+		if rounds, err = strconv.Atoi(n); err != nil {
+			return serial, pool, err
+		}
+		budget = 0
+	} else if budget, err = time.ParseDuration(benchtime); err != nil {
+		return serial, pool, err
+	}
+	serial.Name, pool.Name = "SerialSmallStands", "PoolSmallStands"
+	// pass runs the sixteen stands through one of the two, folds the pass into
+	// its row and returns its time.
+	pass := func(row *BenchResult, run func(cons []*tree.Tree) error) float64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		start := time.Now()
+		for _, cons := range stands {
+			if e := run(cons); e != nil && err == nil {
+				err = e
+			}
+		}
+		ns := float64(time.Since(start).Nanoseconds())
+		runtime.ReadMemStats(&after)
+		allocs, bytes := int64(after.Mallocs-before.Mallocs), int64(after.TotalAlloc-before.TotalAlloc)
+		if row.Iterations == 0 || ns < row.NsPerOp {
+			row.NsPerOp = ns
+		}
+		if row.Iterations == 0 || allocs < row.AllocsPerOp {
+			row.AllocsPerOp, row.BytesPerOp = allocs, bytes
+		}
+		row.Iterations++
+		return ns
+	}
+	runSerial := func(cons []*tree.Tree) error {
+		_, err := search.Run(cons, search.Options{InitialTree: -1})
+		return err
+	}
+	runPool := func(cons []*tree.Tree) error {
+		_, err := parallel.Run(cons, parallel.Options{Threads: 2, InitialTree: -1})
+		return err
+	}
+	var ratios []float64
+	for start := time.Now(); err == nil && (len(ratios) < rounds || time.Since(start) < budget); {
+		var s, p float64
+		if len(ratios)%2 == 0 {
+			s, p = pass(&serial, runSerial), pass(&pool, runPool)
+		} else {
+			p, s = pass(&pool, runPool), pass(&serial, runSerial)
+		}
+		ratios = append(ratios, p/s)
+	}
+	if err != nil {
+		return serial, pool, err
+	}
+	slices.Sort(ratios)
+	pool.Metrics = map[string]float64{"t2/serial": ratios[len(ratios)/2]}
+	return serial, pool, nil
 }

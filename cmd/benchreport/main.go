@@ -117,6 +117,13 @@ func reportWork(b *testing.B, res *search.Result) {
 // the host or the clock: -compare fails on any change of one.
 var exactMetrics = []string{"stand-trees", "states", "dead-ends", "steps"}
 
+// ratioMetrics are the timings of two variants interleaved in one process,
+// divided: the host's speed cancels, so -compare fails when one is more than
+// maxRatioUp above the baseline's, on any host.
+var ratioMetrics = []string{"t2/serial"}
+
+const maxRatioUp = 0.20
+
 // run wraps testing.Benchmark, forcing allocation reporting.
 func run(name string, f func(b *testing.B)) BenchResult {
 	r := testing.Benchmark(func(b *testing.B) {
@@ -142,7 +149,7 @@ func run(name string, f func(b *testing.B)) BenchResult {
 func main() {
 	outPath := flag.String("out", "", "write the JSON report to this file (default stdout)")
 	note := flag.String("note", "", "free-form note embedded in the report")
-	compare := flag.String("compare", "", "baseline JSON report to diff against (prints a table to stderr; exits non-zero if an exact work counter — stand-trees, states, dead-ends, steps — differs from the baseline's)")
+	compare := flag.String("compare", "", "baseline JSON report to diff against (prints a table to stderr; exits non-zero if an exact work counter — stand-trees, states, dead-ends, steps — differs from the baseline's, or an in-run ratio — t2/serial — is more than 20 % above it)")
 	maxRegress := flag.Float64("max-regress", 0, "with -compare: exit non-zero if any shared benchmark's ns/op regresses by more than this percentage, or if its allocs/op exceed the baseline's by more than a quarter (a host-independent gate; exact for a baseline of 0 to 3)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the benchmark runs (dataset selection excluded) — the input for PGO via scripts/pgo_profile.sh")
 	benchtime := flag.String("benchtime", "", "per-benchmark time budget, e.g. 1s or 1x (default: testing's 1s)")
@@ -194,13 +201,14 @@ func main() {
 		}
 	}
 
-	add := func(name string, f func(b *testing.B)) {
-		start := time.Now()
-		res := run(name, f)
+	start := time.Now()
+	put := func(res BenchResult) {
 		fmt.Fprintf(os.Stderr, "benchreport: %-28s %12.1f ns/op %8d allocs/op  (%.1fs)\n",
-			name, res.NsPerOp, res.AllocsPerOp, time.Since(start).Seconds())
+			res.Name, res.NsPerOp, res.AllocsPerOp, time.Since(start).Seconds())
 		rep.Benchmarks = append(rep.Benchmarks, res)
+		start = time.Now()
 	}
+	add := func(name string, f func(b *testing.B)) { put(run(name, f)) }
 
 	// BenchmarkSerialEngine: full serial enumeration under the dynamic
 	// heuristic — the tier-1 state-transition throughput figure, in the
@@ -298,6 +306,13 @@ func main() {
 	})
 
 	extraBenches(add, midSim, tr, taxa, branches)
+	serial, pool, err := smallStands(flag.CommandLine.Lookup("test.benchtime").Value.String())
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "benchreport: small stands: %v\n", err)
+		os.Exit(1)
+	}
+	put(serial)
+	put(pool)
 	stopProfile()
 
 	data, err := json.MarshalIndent(&rep, "", "  ")
@@ -316,7 +331,7 @@ func main() {
 	}
 
 	if *compare != "" {
-		worst, allocs, exact, err := printComparison(*compare, &rep)
+		worst, allocs, exact, ratios, err := printComparison(*compare, &rep)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "benchreport: compare: %v\n", err)
 			os.Exit(1)
@@ -324,6 +339,11 @@ func main() {
 		if len(exact) > 0 {
 			fmt.Fprintf(os.Stderr, "benchreport: FAIL: exact work counters differ from the baseline's: %s\n",
 				strings.Join(exact, ", "))
+			os.Exit(1)
+		}
+		if len(ratios) > 0 {
+			fmt.Fprintf(os.Stderr, "benchreport: FAIL: in-run ratios more than %.0f%% above the baseline's: %s\n",
+				maxRatioUp*100, strings.Join(ratios, ", "))
 			os.Exit(1)
 		}
 		if *maxRegress > 0 && worst > *maxRegress {
@@ -349,16 +369,17 @@ func main() {
 // (TreeNewick's 1 is the returned string); the quarter is for
 // ParallelGoroutines, whose count moves by a tenth with the number of tasks
 // stolen. exactOff names every exact work counter (exactMetrics) both reports
-// carry with different values: those gate at 0 %, with or without
+// carry with different values, ratioUp every in-run ratio (ratioMetrics) more
+// than maxRatioUp above the baseline's: those gate with or without
 // -max-regress.
-func printComparison(path string, cur *Report) (worstRegress float64, allocsUp, exactOff []string, err error) {
+func printComparison(path string, cur *Report) (worstRegress float64, allocsUp, exactOff, ratioUp []string, err error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
-		return 0, nil, nil, err
+		return 0, nil, nil, nil, err
 	}
 	var base Report
 	if err := json.Unmarshal(raw, &base); err != nil {
-		return 0, nil, nil, err
+		return 0, nil, nil, nil, err
 	}
 	byName := map[string]BenchResult{}
 	for _, b := range base.Benchmarks {
@@ -389,8 +410,14 @@ func printComparison(path string, cur *Report) (worstRegress float64, allocsUp, 
 				exactOff = append(exactOff, fmt.Sprintf("%s %s %.0f->%.0f", b.Name, m, was, now))
 			}
 		}
+		for _, m := range ratioMetrics {
+			was, had := o.Metrics[m]
+			if now, has := b.Metrics[m]; had && has && now > was*(1+maxRatioUp) {
+				ratioUp = append(ratioUp, fmt.Sprintf("%s %s %.3f->%.3f", b.Name, m, was, now))
+			}
+		}
 		fmt.Fprintf(os.Stderr, "%-28s %14.1f %14.1f %8.2fx %6d->%d\n",
 			b.Name, o.NsPerOp, b.NsPerOp, speed, o.AllocsPerOp, b.AllocsPerOp)
 	}
-	return worstRegress, allocsUp, exactOff, nil
+	return worstRegress, allocsUp, exactOff, ratioUp, nil
 }

@@ -28,7 +28,7 @@ func WallClock(start time.Time) Clock {
 // per-frame work counted by gentrius_tasks_rejected_total and is not
 // traced.
 const (
-	EvWorkerStart = "worker-start" // worker begins its initial-split share
+	EvWorkerStart = "worker-start" // worker starts (the simulator's: on its share, "branches")
 	EvWorkerIdle  = "worker-idle"  // worker enters the stealing pool
 	EvWorkerExit  = "worker-exit"  // worker leaves the pool
 	EvTaskSubmit  = "task-submit"  // a task was enqueued

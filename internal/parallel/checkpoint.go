@@ -42,7 +42,7 @@ func (g *globals) round() *search.Checkpoint {
 	}
 	var cp *search.Checkpoint
 	if !q.done {
-		cp = g.su.Checkpoint(g.snapshot(), q.workers, q.frontier())
+		cp = g.su.Checkpoint(g.snapshot(), g.opt.Threads, q.frontier())
 		queued := q.tasks
 		q.tasks = nil
 		for _, ft := range q.handed {

@@ -113,15 +113,15 @@ type Options struct {
 	MaxTaskRetries int
 
 	// Checkpoint configures snapshots and resuming (see
-	// search.CheckpointPolicy). Resume seeds the checkpoint's frontier into
-	// the task queue with every worker starting in the stealing pool — any
-	// thread count resumes any checkpoint. OnStop collects what the workers
-	// interrupted by the stop handed in plus the queue's remnant into
-	// Result.Checkpoint. Interval and Trigger each take a round (see round):
-	// the pool is stopped the same way, cut, and resumed in place from its
-	// own hand-ins; Sink runs on Run's goroutine, the workers already
-	// stealing again. The pool has no per-check cadence to count: Every > 0
-	// with no Interval means a one-second Interval.
+	// search.CheckpointPolicy). Resume queues the checkpoint's frontier the
+	// way a fresh run's shares are queued — any thread count resumes any
+	// checkpoint. OnStop collects what the workers interrupted by the stop
+	// handed in plus the queue's remnant into Result.Checkpoint. Interval and
+	// Trigger each take a round (see round): the pool is stopped the same
+	// way, cut, and resumed in place from its own hand-ins; Sink runs on
+	// Run's goroutine, the workers already stealing again. The pool has no
+	// per-check cadence to count: Every > 0 with no Interval means a
+	// one-second Interval.
 	Checkpoint search.CheckpointPolicy
 }
 
@@ -193,9 +193,9 @@ type Result struct {
 // any other; retries counts those recovery attempts.
 //
 // id and parent carry the task lineage for span tracing: id is run-unique
-// (initial shares get 1..Threads, submissions continue the sequence) and
-// parent is the id of the task whose execution submitted this one, so
-// steal chains are reconstructible from the trace alone.
+// (what a run starts with counts from 1, submissions continue the sequence)
+// and parent is the id of the task whose execution submitted this one (0:
+// none), so steal chains are reconstructible from the trace alone.
 type task struct {
 	search.FrontierTask
 	retries int
@@ -217,15 +217,6 @@ func (tk *task) root() *search.FrameSnapshot { return &tk.Frames[0] }
 // returned to the pool only after the stealing worker has finished the
 // replay and rewind, so no live slice is ever handed out twice.
 var taskPool = sync.Pool{New: func() any { return new(task) }}
-
-// newTask copies ft into recycled storage; the branch arrays stay ft's.
-func newTask(ft search.FrontierTask, id int64) *task {
-	tk := taskPool.Get().(*task)
-	tk.Path = append(tk.Path[:0], ft.Path...)
-	tk.Frames = append(tk.Frames[:0], ft.Frames...)
-	tk.id = id
-	return tk
-}
 
 // recycleTask resets tk (keeping slice capacity) and returns it to the pool.
 func recycleTask(tk *task) {
@@ -250,7 +241,7 @@ type queue struct {
 	handed  []search.FrontierTask
 	cap     int
 	idle    int
-	workers int
+	workers int // started so far: one until worker 0 starts the rest (spawn)
 	done    bool
 	pausing bool // a round is on: steal holds every worker
 	stolen  int64
@@ -397,8 +388,11 @@ type globals struct {
 	states   atomic.Int64
 	dead     atomic.Int64
 	flushes  atomic.Int64
-	nextTask atomic.Int64 // task-id sequence (initial shares take 1..Threads)
-	live     atomic.Int32 // workers still running; the last one out closes drained
+	nextTask atomic.Int64 // task-id sequence
+	live     atomic.Int32 // started workers still running; the last one out closes drained
+	drained  chan struct{}
+	// perWorker is Result.PerWorker: one entry per configured worker, started or not.
+	perWorker []search.Counters
 	// halt is the one word a worker polls per engine step: set for good by
 	// raise, for the length of a checkpoint round by round. Whichever it
 	// was, the worker hands in what is left of its task and goes to steal.
@@ -462,11 +456,16 @@ func (g *globals) raise(r search.StopReason) {
 	}
 }
 
-// enqueue queues restored work — a resumed run's frontier at start, a
-// round's hand-ins — under a fresh lineage id and whatever the capacity: it
-// is work the run already owned. Under q.mu, or before the workers start.
+// enqueue queues work the run already owns — its shares or resumed frontier
+// at start, a round's hand-ins — copied into recycled storage (the branch
+// arrays stay ft's) under a fresh lineage id, whatever the capacity. Under
+// q.mu, or before the workers start.
 func (g *globals) enqueue(ft search.FrontierTask) {
-	g.q.push(newTask(ft, g.nextTask.Add(1)), -1)
+	tk := taskPool.Get().(*task)
+	tk.Path = append(tk.Path[:0], ft.Path...)
+	tk.Frames = append(tk.Frames[:0], ft.Frames...)
+	tk.id = g.nextTask.Add(1)
+	g.q.push(tk, -1)
 }
 
 // checkLimits evaluates the stopping rules against the global counters.
@@ -476,8 +475,10 @@ func (g *globals) checkLimits() {
 	}
 }
 
-// Run enumerates the stand with opt.Threads workers. With Threads <= 1 it
-// still exercises the full pool machinery with a single worker.
+// Run enumerates the stand with up to opt.Threads workers (<= 0: one). What
+// there is to do — the initial split in Threads shares, or a resumed frontier —
+// is queued and worker 0 alone started on it: it starts the others at its
+// first poll (spawn), so a stand over before that costs what one worker costs.
 func Run(constraints []*tree.Tree, opt Options) (*Result, error) {
 	// However the run ends, unblock any snapshot request that raced the control
 	// loop's exit: a Request landing after the loop's last poll would block for
@@ -518,12 +519,12 @@ func Run(constraints []*tree.Tree, opt Options) (*Result, error) {
 	res.Counters = su.Counters
 	res.Prefix = su.Counters
 	g.add(su.Counters)
-	addHeuristicStats(m, su.PrefixStats)
 	g.est.AddCounters(su.Counters.StandTrees, su.Counters.IntermediateStates, su.Counters.DeadEnds)
 	g.est.AddLeafMass(su.LeafMass, su.Leaves)
 	if len(su.Frontier.Tasks) == 0 {
 		// Nothing to run: an empty stand, a prefix that closed the whole
 		// space (at most one tree), or a snapshot of a finished run.
+		addHeuristicStats(m, su.PrefixStats)
 		if su.Tree != "" {
 			opt.sink(res)(append([]byte(su.Tree), '\n'), 1)
 		}
@@ -531,22 +532,12 @@ func Run(constraints []*tree.Tree, opt Options) (*Result, error) {
 		return res, nil
 	}
 
-	q := newQueue(opt.Policy.QueueCap, opt.Threads, m)
+	q := newQueue(opt.Policy.QueueCap, 1, m)
 	q.rec = g.rec
 	g.su, g.q = su, q
-	// Task ids 1..Threads are reserved for the initial-split shares (worker
-	// w's share is task w+1, parent 0); submissions continue the sequence.
-	g.nextTask.Store(int64(opt.Threads))
-
-	// A fresh run hands share w to worker w directly; a resumed frontier is
-	// queued and every worker starts in the stealing pool.
-	shares := make([]*task, opt.Threads)
-	for i, ft := range su.Frontier.Tasks {
-		if su.Resumed {
-			g.enqueue(ft)
-		} else {
-			shares[i] = newTask(ft, int64(i)+1)
-		}
+	// One way in: shares and resumed frontier alike are queued, and stolen.
+	for _, ft := range su.Frontier.Tasks {
+		g.enqueue(ft)
 	}
 
 	// Cancellation raises the stop the moment the context is done; workers
@@ -576,17 +567,9 @@ func Run(constraints []*tree.Tree, opt Options) (*Result, error) {
 		}()
 	}
 
-	perWorker := make([]search.Counters, opt.Threads)
-	g.live.Store(int32(opt.Threads))
-	drained := make(chan struct{})
-	for w := 0; w < opt.Threads; w++ {
-		go func(w int) {
-			(&worker{globals: g, id: w, total: &perWorker[w]}).run(shares[w])
-			if g.live.Add(-1) == 0 {
-				close(drained)
-			}
-		}(w)
-	}
+	g.perWorker = make([]search.Counters, opt.Threads)
+	g.drained = make(chan struct{})
+	g.start(&worker{globals: g, rest: opt.Threads - 1})
 
 	// Run's own goroutine is the control loop until the pool has drained:
 	// each trigger request and each interval tick takes one round.
@@ -598,7 +581,7 @@ func Run(constraints []*tree.Tree, opt Options) (*Result, error) {
 	}
 	for running := true; running; {
 		select {
-		case <-drained:
+		case <-g.drained:
 			running = false
 		case reply := <-ck.Trigger.Requests():
 			reply <- g.round()
@@ -620,10 +603,10 @@ func Run(constraints []*tree.Tree, opt Options) (*Result, error) {
 		return nil, g.failErr
 	}
 
-	for w := range perWorker {
-		res.Counters.Add(perWorker[w])
+	for _, c := range g.perWorker {
+		res.Counters.Add(c)
 	}
-	res.PerWorker = perWorker
+	res.PerWorker = g.perWorker
 	res.TasksStolen = q.stolen
 	res.Flushes = g.flushes.Load()
 	res.Stop = search.StopReason(g.reason.Load())
@@ -686,9 +669,9 @@ func addHeuristicStats(m *obs.SchedMetrics, hs terrace.HeuristicStats) {
 type worker struct {
 	*globals
 	id    int
-	total *search.Counters // what this worker published (Result.PerWorker)
 	wk    *search.Worker
 	units int64 // ticked so far, in the paper machine's transitions
+	rest  int   // worker 0: the workers it has not started yet
 
 	// cur is the id of the task being executed — the parent stamped onto its
 	// submissions (lineage tracing).
@@ -700,14 +683,6 @@ type worker struct {
 	// re-explore halves another worker already owns. Trees still in the
 	// worker's own block are not progress: they go with the search.Worker.
 	dirty bool
-}
-
-// newWorker returns the search.Worker this pool worker drives: at start, and
-// again after a recovered panic, whose unwound stack can leave Terrace and
-// engine mid-mutation — the replacement is cloned from the run's pristine
-// prototype, the one repair that needs no trust in the wreckage.
-func (w *worker) newWorker() *search.Worker {
-	return w.su.NewWorker(w.opt.Policy, w, w.est, w.treeCh != nil)
 }
 
 // Offer builds a task from the last n branches of f in recycled storage and
@@ -746,7 +721,7 @@ func (w *worker) Publish(c search.Counters) {
 		obs.F("trees", c.StandTrees),
 		obs.F("states", c.IntermediateStates),
 		obs.F("dead", c.DeadEnds))
-	w.total.Add(c)
+	w.perWorker[w.id].Add(c)
 	w.checkLimits()
 }
 
@@ -805,7 +780,9 @@ func (w *worker) execute(tk *task) (ok bool) {
 			obs.F("attempt", int64(tk.retries+1)))
 		rec.Emit(obs.EvTaskEnd, w.id, obs.F("task", tk.id), obs.F("panic", 1))
 		addHeuristicStats(w.m, w.wk.HeuristicStats())
-		w.wk = w.newWorker()
+		// The unwound stack can have left Terrace and engine mid-mutation: a new
+		// search.Worker is the one repair that needs no trust in the wreckage.
+		w.wk = w.su.NewWorker(w.opt.Policy, w, w.est, w.treeCh != nil)
 		tk.retries++
 		if !w.dirty && w.opt.MaxTaskRetries >= 0 && tk.retries <= w.opt.MaxTaskRetries {
 			// The requeue hands tk to the queue: a stealer may finish and
@@ -832,6 +809,9 @@ func (w *worker) execute(tk *task) (ok bool) {
 		// Every 1024 transitions of the paper's machine, as the serial runner.
 		if was := w.units; (was+cost)>>10 != was>>10 {
 			w.checkLimits()
+			if w.rest > 0 {
+				w.spawn()
+			}
 		}
 		w.units += cost
 		// Polled after engine steps only: a stolen task gets past its path replay
@@ -850,24 +830,44 @@ func (w *worker) execute(tk *task) (ok bool) {
 	return true
 }
 
-// run is the body of one pool worker.
-func (w *worker) run(share *task) {
+// start runs w on a goroutine of its own. Its search.Worker is made here, by
+// the starter: a run's second is cut from the Terrace of worker 0
+// (search.Setup.NewTerrace), which only worker 0 may read.
+func (g *globals) start(w *worker) {
+	w.wk = w.su.NewWorker(w.opt.Policy, w, w.est, w.treeCh != nil)
+	g.live.Add(1)
+	go func() {
+		w.run()
+		if g.live.Add(-1) == 0 {
+			close(g.drained)
+		}
+	}()
+}
+
+// spawn has worker 0 start the others, at the first poll execute makes anyway
+// and unless the pool is done by then: a worker beyond the first costs its
+// clone and its goroutine once the stand has outlived 1024 transitions, as
+// most of a corpus do not. q.workers changes under q.mu: between two
+// evaluations of the idle == workers barrier, never during one.
+func (w *worker) spawn() {
+	n := w.rest
+	w.rest = 0
+	w.q.mu.Lock()
+	if w.q.done {
+		n = 0
+	}
+	w.q.workers += n
+	w.q.mu.Unlock()
+	for id := 1; id <= n; id++ {
+		w.start(&worker{globals: w.globals, id: id})
+	}
+}
+
+// run is the body of one pool worker: the stealing pool, until the queue
+// reports termination.
+func (w *worker) run() {
 	q, rec := w.q, w.rec
-	w.wk = w.newWorker()
-
-	// Phase 1: the initial-split share, a task like any other (empty path,
-	// frame = the initial split) so a panic here flows through the same
-	// requeue machinery — any worker can pick up the retry.
-	nShare := 0
-	if share != nil {
-		nShare = len(share.root().Branches)
-	}
-	rec.Emit(obs.EvWorkerStart, w.id, obs.F("branches", int64(nShare)))
-	if share != nil && w.execute(share) {
-		recycleTask(share)
-	}
-
-	// Phase 2: stealing pool, until the queue reports termination.
+	rec.Emit(obs.EvWorkerStart, w.id)
 	for {
 		rec.Emit(obs.EvWorkerIdle, w.id)
 		tk, ok := q.steal()

@@ -189,10 +189,23 @@ func TestCancelDuringRound(t *testing.T) {
 
 // TestGoroutineCensus: a run is its T workers plus the tree collector, and
 // nothing else — cancellation, the trigger and the interval need no
-// goroutine of their own. Counted from inside a Sink call, mid-run.
+// goroutine of their own. Counted from inside a Sink call, mid-run. A stand
+// that ends before worker 0's first poll is worker 0 plus the collector,
+// counted from inside the sink at every tree.
 func TestGoroutineCensus(t *testing.T) {
-	cons := chainConstraints(7)
 	const threads = 4
+	for i, cons := range smallStands() {
+		before, most := runtime.NumGoroutine(), 0
+		_, err := Run(cons, Options{Threads: threads, InitialTree: -1, Limits: unlimited(),
+			OnTree: func(string) { most = max(most, runtime.NumGoroutine()-before) }})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if most < 1 || most > 2 {
+			t.Fatalf("small stand %d: the run added %d goroutines, want worker 0 and the collector", i, most)
+		}
+	}
+	cons := chainConstraints(7)
 	for _, tc := range []struct {
 		onTree func(string)
 		extra  int

@@ -46,29 +46,53 @@ func referenceDataset() []*tree.Tree {
 }
 
 // TestPoolAllocationsNearSerial pins ROADMAP item 2's "allocs <= serial +
-// O(T)" on full enumerations with work stealing on. Steal-free (submission
-// switched off), every worker of the pool adds, on top of the serial engine's
-// allocations, at most perWorker: its clone of the prototype, its engine, its
-// search.Worker and its goroutine, 75 to 113 on these stands. (The bound used
-// to be half a terrace.New; since that carves its LCA indexes from slabs too
-// it allocates fewer times than a worker and is no yardstick.) With
-// stealing a worker adds at most growthPerWorker more, whatever the number
-// of steals: its one engine and its path scratch grow to the deepest task it
-// meets, and the pool's free list holds a few tasks per worker. (A stolen
-// task used to build an engine of its own: 1.6-1.9 k allocations at four
-// threads on the first stand against 956 steal-free, and more on the second
-// in proportion to its steals.) The first and the last stand differ in
-// steals more than five-fold — in the runs that had the most, which are the
-// ones the bound is held to: the least a stand's runs steal varies several-fold
-// since a final frame is one step and the runs are that much shorter. Handing the stand to a block sink costs each
-// worker at most blocksPerWorker on top — its block, its Newick writer's
-// scratch, its share of the channel's buffers and of the collector — on a
-// stand of 2 835 trees as on one of 54 675.
+// O(T)" on full enumerations, in two regimes. A stand that ends before worker
+// 0's first poll never gets a second worker: the pool allocates what the
+// serial engine does plus fixed — its queue, its globals, its one goroutine,
+// the tasks the shares are queued as — whatever Threads says, counting and
+// with a block sink (which adds the channel, the free list and the collector).
+// A stand that outlives the poll pays per worker. With submission switched
+// off — the only steals are the shares', so the numbers repeat — every worker
+// adds, on top of the serial engine's allocations, at most perWorker: its
+// clone of the prototype, its engine, its search.Worker and its goroutine, 43
+// to 56 on these stands (75 to 113 while each worker also replayed the prefix
+// on its clone). With stealing a worker adds at most growthPerWorker more,
+// whatever the number of steals: its one engine and its path scratch grow to
+// the deepest task it meets, and the pool's free list holds a few tasks per
+// worker. The first and the last stand differ in steals more than five-fold —
+// in the runs that had the most, which are the ones the bound is held to: the
+// least a stand's runs steal varies several-fold since a final frame is one
+// step and the runs are that much shorter. Handing the stand to a block sink
+// costs each worker at most blocksPerWorker on top — its block, its Newick
+// writer's scratch, its share of the channel's buffers and of the collector,
+// and what its engine grows by when the sink's pace hands it other shares than
+// it got counting — on a stand of 2 835 trees as on one of 54 675.
 func TestPoolAllocationsNearSerial(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop recycled tasks at random")
 	}
-	const perWorker, growthPerWorker, blocksPerWorker = 128, 64, 24
+	const fixed, perWorker, growthPerWorker, blocksPerWorker = 48, 80, 64, 32
+	noSubmit := search.Policy{MinRemaining: 1 << 30}
+	for i, cons := range smallStands() {
+		for _, sink := range []func([]byte, int){nil, func([]byte, int) {}} {
+			serial := mallocs(func() {
+				if _, err := search.Run(cons, search.Options{InitialTree: -1, OnTrees: sink}); err != nil {
+					t.Fatal(err)
+				}
+			})
+			for _, threads := range []int{4, 8} {
+				pool := mallocs(func() {
+					if _, err := Run(cons, Options{Threads: threads, InitialTree: -1, OnTrees: sink}); err != nil {
+						t.Fatal(err)
+					}
+				})
+				if pool > serial+fixed {
+					t.Errorf("small stand %d (block sink %v): pool at %d threads makes %d allocations, serial run %d",
+						i, sink != nil, threads, pool, serial)
+				}
+			}
+		}
+	}
 	var most, fewest int64 // steals at 4 threads in the run that had most: on the first stand, on the last
 	stands := [][]*tree.Tree{
 		gen.Generate(gen.Default(gen.RegimeSimulated), 12).Constraints, // 557 states, 2 835 stand trees
@@ -76,20 +100,14 @@ func TestPoolAllocationsNearSerial(t *testing.T) {
 		gen.Generate(gen.Default(gen.RegimeSimulated), 59).Constraints, // 87 552 states, 334 125 stand trees
 	}
 	for i, cons := range stands {
-		build := mallocs(func() {
-			if _, err := terrace.New(cons, search.ChooseInitialTree(cons)); err != nil {
-				t.Fatal(err)
-			}
-		})
 		serial := mallocs(func() {
 			if _, err := search.Run(cons, search.Options{InitialTree: -1}); err != nil {
 				t.Fatal(err)
 			}
 		})
 		for _, threads := range []int{4, 8} {
-			stealFree := mallocs(func() {
-				if _, err := Run(cons, Options{Threads: threads, InitialTree: -1,
-					Policy: search.Policy{MinRemaining: 1 << 30}}); err != nil {
+			shares := mallocs(func() {
+				if _, err := Run(cons, Options{Threads: threads, InitialTree: -1, Policy: noSubmit}); err != nil {
 					t.Fatal(err)
 				}
 			})
@@ -106,28 +124,28 @@ func TestPoolAllocationsNearSerial(t *testing.T) {
 				})
 				pool = max(pool, n)
 			}
-			t.Logf("stand %d: terrace.New %d mallocs, serial run %d, pool at %d threads %d steal-free, %d with %d to %d steals",
-				i, build, serial, threads, stealFree, pool, lo, hi)
+			t.Logf("stand %d: serial run %d mallocs, pool at %d threads %d stealing its shares only, %d with %d to %d steals",
+				i, serial, threads, shares, pool, lo, hi)
 			if threads == 4 && i < 2 {
 				blocks := mallocs(func() {
 					if _, err := Run(cons, Options{Threads: threads, InitialTree: -1, OnTrees: func([]byte, int) {},
-						Policy: search.Policy{MinRemaining: 1 << 30}}); err != nil {
+						Policy: noSubmit}); err != nil {
 						t.Fatal(err)
 					}
 				})
-				if blocks > stealFree+uint64(threads)*blocksPerWorker {
-					t.Errorf("stand %d: steal-free pool at %d threads makes %d allocations with a block sink, %d counting",
-						i, threads, blocks, stealFree)
+				if blocks > shares+uint64(threads)*blocksPerWorker {
+					t.Errorf("stand %d: pool at %d threads, no submission, makes %d allocations with a block sink, %d counting",
+						i, threads, blocks, shares)
 				}
 				t.Logf("stand %d: %d with a block sink", i, blocks)
 			}
-			if stealFree > serial+uint64(threads)*perWorker {
-				t.Errorf("stand %d: steal-free pool at %d threads makes %d allocations, serial run %d, terrace.New %d",
-					i, threads, stealFree, serial, build)
+			if shares > serial+uint64(threads)*perWorker {
+				t.Errorf("stand %d: pool at %d threads, no submission, makes %d allocations, serial run %d",
+					i, threads, shares, serial)
 			}
-			if pool > stealFree+uint64(threads)*growthPerWorker {
-				t.Errorf("stand %d: pool at %d threads makes %d allocations with %d to %d steals, %d steal-free",
-					i, threads, pool, lo, hi, stealFree)
+			if pool > shares+uint64(threads)*growthPerWorker {
+				t.Errorf("stand %d: pool at %d threads makes %d allocations with %d to %d steals, %d stealing its shares only",
+					i, threads, pool, lo, hi, shares)
 			}
 			if threads == 4 && i == 0 {
 				most = hi
@@ -143,12 +161,14 @@ func TestPoolAllocationsNearSerial(t *testing.T) {
 }
 
 // TestTerraceBuiltOncePerRun: however many workers a fresh run has, the
-// constraints are turned into a Terrace once; a further worker costs a clone,
-// which allocates under half the bytes terrace.New does, and some 40 KB of
-// its own — where a worker that rebuilt its state would allocate more than
-// all of them. Bytes, not allocations: terrace.New carves its storage and its
-// LCA indexes from slabs, so it allocates about nine times per constraint,
-// fewer times than a worker does.
+// constraints are turned into a Terrace once. Worker 0 runs on that one; a
+// further worker costs a clone, which allocates under half the bytes
+// terrace.New does, and some 40 KB of its own — and all of them together one
+// clone more, the prototype worker 0 cuts from its own state when it starts
+// them — where a worker that rebuilt its state would allocate more than all
+// of them. Bytes, not allocations: terrace.New carves its storage and its LCA
+// indexes from slabs, so it allocates about nine times per constraint, fewer
+// times than a worker does.
 func TestTerraceBuiltOncePerRun(t *testing.T) {
 	cons := referenceDataset()
 	_, build := allocated(func() {
@@ -156,12 +176,14 @@ func TestTerraceBuiltOncePerRun(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// A state limit of one keeps the enumeration out of the picture.
+	// A state limit the first batch anybody publishes exceeds: past worker 0's
+	// first poll, where the others are started, and not much further.
 	run := func(threads int) uint64 {
 		_, bytes := allocated(func() {
-			if _, err := Run(cons, Options{Threads: threads, InitialTree: -1,
-				Limits: search.Limits{MaxStates: 1, MaxTrees: -1, MaxTime: -1}}); err != nil {
-				t.Fatal(err)
+			res, err := Run(cons, Options{Threads: threads, InitialTree: -1,
+				Limits: search.Limits{MaxStates: 1000, MaxTrees: -1, MaxTime: -1}})
+			if err != nil || res.Stop != search.StopStateLimit {
+				t.Fatalf("%+v, %v", res, err)
 			}
 		})
 		return bytes
@@ -169,7 +191,10 @@ func TestTerraceBuiltOncePerRun(t *testing.T) {
 	one, nine := run(1), run(9)
 	perWorker := (nine - one) / 8
 	t.Logf("terrace.New %d bytes; run at 1 thread %d, at 9 threads %d: %d per further worker", build, one, nine, perWorker)
-	if perWorker > build*3/4 {
+	if one > build+build/4 {
+		t.Fatalf("a run at 1 thread allocates %d bytes, terrace.New %d: worker 0 is not running on the Terrace the set-up built", one, build)
+	}
+	if perWorker < build/4 || perWorker > build*3/4 {
 		t.Fatalf("a further worker allocates %d bytes, terrace.New %d: workers are not cloning", perWorker, build)
 	}
 }

@@ -8,7 +8,7 @@ import "gentrius/internal/terrace"
 // split" I_0.
 type PrefixResult struct {
 	// Path is the sequence of forced insertions (still applied to the
-	// terrace when PrefixWalk returns).
+	// terrace when PrefixWalkH returns).
 	Path []PathStep
 	// SplitTaxon and SplitBranches describe the initial-split frame
 	// (SplitBranches has >= 2 entries) unless the prefix terminated early.
@@ -23,14 +23,9 @@ type PrefixResult struct {
 	Terminal bool
 }
 
-// PrefixWalk advances the terrace through all forced insertions (taxa with
-// exactly one admissible branch under the dynamic heuristic) and stops at
+// PrefixWalkH advances the terrace through all forced insertions (taxa with
+// exactly one admissible branch under the dynamic heuristic h) and stops at
 // the initial split. The insertions remain applied.
-func PrefixWalk(t *terrace.Terrace) PrefixResult {
-	return PrefixWalkH(t, OrderMinBranches)
-}
-
-// PrefixWalkH is PrefixWalk under an alternative insertion-order heuristic.
 func PrefixWalkH(t *terrace.Terrace, h OrderHeuristic) PrefixResult {
 	var res PrefixResult
 	e := &Engine{T: t, DynamicOrder: true, Heuristic: h}

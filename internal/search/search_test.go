@@ -429,7 +429,7 @@ func TestPrefixWalkForcedChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := PrefixWalk(tr)
+	res := PrefixWalkH(tr, OrderMinBranches)
 	if !res.Terminal || res.Counters.StandTrees != 1 {
 		t.Fatalf("prefix = %+v, want terminal with 1 tree", res)
 	}
@@ -440,7 +440,7 @@ func TestPrefixWalkForcedChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2 := PrefixWalk(tr2)
+	res2 := PrefixWalkH(tr2, OrderMinBranches)
 	if res2.Terminal {
 		t.Fatal("unexpected terminal prefix")
 	}

@@ -176,7 +176,7 @@ func TestSplitFrontierSeededStand(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pre := PrefixWalk(tr)
+		pre := PrefixWalkH(tr, OrderMinBranches)
 		if pre.Terminal {
 			continue
 		}

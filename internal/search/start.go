@@ -43,21 +43,22 @@ type Setup struct {
 	// order; a resumed run's are the checkpoint's non-empty tasks.
 	Frontier *Frontier
 
-	// Resumed tells a driver the tasks are restored work to queue, not
-	// initial shares to hand one per worker.
+	// Resumed tells the simulator, which starts a fresh run's workers on a
+	// share each as the paper does, that the tasks are restored work to queue.
 	Resumed bool
 
-	// PrefixStats is the heuristic-layer accounting of the prefix walk.
+	// PrefixStats is the heuristic-layer accounting of the prefix walk: also in
+	// the first worker's HeuristicStats, so a driver adds it only with no tasks.
 	PrefixStats terrace.HeuristicStats
 
 	constraints []*tree.Tree
 
-	// proto is the run's one Terrace built from the constraints, kept in its
-	// initial state and never mutated: every other Terrace of the run — the
-	// one the prefix walk advances, each worker's private state, a worker's
-	// replacement after a panic — is a clone of it. Nil when the constraints
-	// are incompatible.
+	// proto is the Terrace at I_0 that NewTerrace clones: the run's one
+	// Terrace built from the constraints, which Start walked there, until the
+	// first worker takes that for its own; then none, until a second Terrace
+	// is asked for. Nil, too, when the constraints are incompatible.
 	proto *terrace.Terrace
+	first *Worker
 }
 
 // Start performs the run set-up shared by every driver. A fresh run
@@ -65,13 +66,13 @@ type Setup struct {
 // the paper's heuristic), builds the Terrace, walks the forced insertions
 // and cuts the initial split into at most n tasks (n <= 0: one task per
 // branch). A resumed run validates the checkpoint against the constraints —
-// its prefix path step by step, since every worker will replay it — and
-// views it as a frontier — a version-1 serial snapshot becomes one task — so
-// any snapshot resumes onto any driver and width; initialTree, h and n are
-// then ignored. Its tasks are validated the same way, since workers replay
-// those as blindly. A serial snapshot taken before the first step has no
-// frontier form: it resumes as a fresh run on the checkpoint's initial tree
-// and heuristic. Either way terrace.New runs once, here.
+// its prefix path step by step as it is walked — and views it as a frontier —
+// a version-1 serial snapshot becomes one task — so any snapshot resumes onto
+// any driver and width; initialTree, h and n are then ignored. Its tasks are
+// validated the same way, since workers replay those blindly. A serial
+// snapshot taken before the first step has no frontier form: it resumes as a
+// fresh run on the checkpoint's initial tree and heuristic. Either way
+// terrace.New runs once and the prefix is walked once, here, on that Terrace.
 func Start(constraints []*tree.Tree, initialTree int, h OrderHeuristic, resume *Checkpoint, n int) (*Setup, error) {
 	if resume != nil {
 		if err := resume.Validate(constraints); err != nil {
@@ -106,7 +107,7 @@ func Start(constraints []*tree.Tree, initialTree int, h OrderHeuristic, resume *
 		if s.proto, err = terrace.New(constraints, s.InitialIndex); err != nil {
 			return nil, fmt.Errorf("search: resuming: %w", err)
 		}
-		t := s.proto.Clone()
+		t := s.proto
 		if err := walk(t, fr.Prefix, nil); err != nil {
 			return nil, fmt.Errorf("search: checkpoint prefix %w", err)
 		}
@@ -133,7 +134,7 @@ func Start(constraints []*tree.Tree, initialTree int, h OrderHeuristic, resume *
 		}
 		return nil, err
 	}
-	t := s.proto.Clone()
+	t := s.proto
 	pre := PrefixWalkH(t, h)
 	s.Counters = pre.Counters
 	s.Frontier.Prefix = pre.Path
@@ -210,16 +211,24 @@ func walk(t *terrace.Terrace, path []PathStep, frames []FrameSnapshot) error {
 // NewTerrace returns a private Terrace positioned at I_0 — each worker's own
 // copy of the search state (paper Sec. III-A), and what a worker replaces
 // its old one with after a recovered panic left that mid-mutation: a clone
-// of the run's pristine prototype with the prefix path replayed, which is
-// state for state what terrace.New followed by the same replay gives. Safe
-// to call from any number of goroutines. Only a Setup with tasks has a
-// prototype to clone.
+// of the prototype, state for state terrace.New and a replay of the prefix.
+// While the first worker has the prototype (NewWorker) the call makes the
+// next first — a copy of that worker's Terrace, rewound, so the call belongs
+// between its Ticks, on its goroutine; from the constraints, if a panic in a
+// Tick wrecked it — and after that any number of goroutines may call.
 func (s *Setup) NewTerrace() *terrace.Terrace {
-	t := s.proto.Clone()
-	for _, st := range s.Frontier.Prefix {
-		t.ExtendTaxon(st.Taxon, st.Edge)
+	if s.proto == nil && !s.first.busy {
+		s.proto = s.first.t.Clone()
+		for s.proto.Depth() > s.first.base {
+			s.proto.RemoveTaxon()
+		}
+	} else if s.proto == nil {
+		s.proto, _ = terrace.New(s.constraints, s.InitialIndex) // as Start did: no error
+		for _, st := range s.Frontier.Prefix {
+			s.proto.ExtendTaxon(st.Taxon, st.Edge)
+		}
 	}
-	return t
+	return s.proto.Clone()
 }
 
 // Checkpoint assembles a version-2 checkpoint of this run from a consistent

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"gentrius/internal/gen"
 	"gentrius/internal/terrace"
 	"gentrius/internal/tree"
 )
@@ -88,21 +89,9 @@ func TestStart(t *testing.T) {
 		if tr.Depth() != len(su.Frontier.Prefix) {
 			t.Fatalf("n=%d: terrace at depth %d, prefix has %d steps", n, tr.Depth(), len(su.Frontier.Prefix))
 		}
-		// A clone of the prototype with the prefix replayed is the state
-		// terrace.New and the same replay give, and handing one out leaves
-		// the prototype as New left it.
-		built, err := terrace.New(cons, su.InitialIndex)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if su.proto.Signature() != built.Signature() || su.proto.Depth() != 0 {
-			t.Fatalf("n=%d: the prototype is no longer pristine", n)
-		}
-		for _, st := range su.Frontier.Prefix {
-			built.ExtendTaxon(st.Taxon, st.Edge)
-		}
-		if tr.Signature() != built.Signature() || tr.HeuristicStats() != built.HeuristicStats() {
-			t.Fatalf("n=%d: NewTerrace differs from terrace.New + prefix replay", n)
+		// The walked Terrace was not consumed by handing out a clone of it.
+		if su.proto.Depth() != tr.Depth() || su.proto.Signature() != tr.Signature() {
+			t.Fatalf("n=%d: NewTerrace is not a copy of the prototype", n)
 		}
 		if err := NewEngine(tr).Reset(su.Frontier.Tasks[0].Frames); err != nil {
 			t.Fatal(err)
@@ -270,7 +259,7 @@ func TestStartRefusesBadTasks(t *testing.T) {
 			ts[queued].Path[0].Edge = foreign(nil, nil, qt.Path[0].Taxon)
 		},
 		"path edge out of range":  func(ts []FrontierTask) { ts[queued].Path[0].Edge = 99999 },
-		"path taxon not pending":  func(ts []FrontierTask) { ts[queued].Path[0].Taxon = su.proto.Agile().LeafSet().Min() },
+		"path taxon not pending":  func(ts []FrontierTask) { ts[queued].Path[0].Taxon = su.NewTerrace().Agile().LeafSet().Min() },
 		"path taxon out of range": func(ts []FrontierTask) { ts[queued].Path[0].Taxon = 99999 },
 		"path taxon twice": func(ts []FrontierTask) {
 			ts[queued].Path = append(ts[queued].Path, ts[queued].Path[0])
@@ -322,5 +311,129 @@ func TestStartUnstartedSerialCheckpoint(t *testing.T) {
 	if su.Resumed || su.InitialIndex != 1 || su.Heuristic != OrderMinBranchesTieDegree ||
 		len(su.Frontier.Tasks) != len(fresh.Frontier.Tasks) || len(su.Frontier.Tasks) == 0 || su.Counters != fresh.Counters {
 		t.Fatalf("set-up from an unstarted snapshot %+v, fresh %+v", su, fresh)
+	}
+}
+
+// panicHost dies in its first Offer, inside a Tick, and leaves the worker's
+// Terrace as a panic half-way through ExtendTaxon would: the leaf attached,
+// the mappings and the undo stack knowing nothing of it.
+type panicHost struct {
+	fakeHost
+	t *terrace.Terrace
+}
+
+func (h *panicHost) Offer([]PathStep, *Frame, int) int {
+	for _, x := range h.t.MissingTaxa() {
+		if !h.t.Agile().HasTaxon(x) {
+			h.t.Agile().AttachLeaf(x, 0)
+			break
+		}
+	}
+	panic("offer")
+}
+
+// TestSetupTerracesAreNewPlusReplay: the prefix is walked once, on the one
+// Terrace built from the constraints, and every Terrace at I_0 a run has
+// comes from that one — a clone of it; itself, for the first worker; a copy of
+// that worker's taken mid-task and rewound, for the second; the constraints'
+// again, when the first worker died in a Tick before there was a second; a
+// clone of it after a resumed run's tasks were validated on it. Each is state
+// for state what every worker used to build for itself: terrace.New and a
+// replay of the prefix.
+func TestSetupTerracesAreNewPlusReplay(t *testing.T) {
+	stands := [][]*tree.Tree{chainConstraints(t, 4, 4), midStand(t, 1616), midStand(t, 1818)}
+	for idx := 3; idx < 8; idx++ { // the generated corpus, both regimes
+		stands = append(stands, gen.Generate(gen.Default(gen.RegimeSimulated), idx).Constraints,
+			gen.Generate(gen.Default(gen.RegimeEmpirical), idx).Constraints)
+	}
+	pol := Policy{MinRemaining: 1}.Normalize(2)
+	ran, rebuilt := 0, 0
+	for i, cons := range stands {
+		start := func(resume *Checkpoint) *Setup {
+			su, err := Start(cons, -1, OrderMinBranches, resume, 3)
+			if err != nil {
+				t.Fatalf("stand %d: %v", i, err)
+			}
+			return su
+		}
+		su := start(nil)
+		if len(su.Frontier.Tasks) == 0 {
+			continue // the prefix closed the space: no Terrace is handed out
+		}
+		ran++
+		oracle, err := terrace.New(cons, su.InitialIndex)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, st := range su.Frontier.Prefix {
+			oracle.ExtendTaxon(st.Taxon, st.Edge)
+		}
+		want := oracle.Signature()
+		// made: the Terrace came out of a path of its own (the invariants are
+		// slow: the others are held to the signature).
+		check := func(what string, tr *terrace.Terrace, made bool) {
+			t.Helper()
+			if tr.Depth() != len(su.Frontier.Prefix) || tr.Signature() != want {
+				t.Fatalf("stand %d: %s differs from terrace.New + prefix replay", i, what)
+			}
+			if made {
+				if err := tr.CheckInvariants(); err != nil {
+					t.Fatalf("stand %d: %s: %v", i, what, err)
+				}
+			}
+		}
+		check("a clone of the walked Terrace", su.NewTerrace(), true)
+
+		// The first worker takes the walked Terrace; the next Terrace is cut
+		// from its, wherever in its task it stands.
+		h := &fakeHost{take: 1 << 30}
+		w := su.NewWorker(pol, h, nil, false)
+		check("the first worker's Terrace", w.t, false)
+		if su.proto != nil || w.HeuristicStats() != su.PrefixStats {
+			t.Fatalf("stand %d: the first worker did not take the walked Terrace", i)
+		}
+		if err := w.Begin(su.Frontier.Tasks[0]); err != nil {
+			t.Fatal(err)
+		}
+		for n := 0; n < 40; n++ {
+			if ph, _ := w.Tick(); ph == Idle {
+				break
+			}
+		}
+		w2 := su.NewWorker(pol, h, nil, false)
+		check("the second worker's Terrace", w2.t, true)
+		check("the prototype made for it", su.proto, false)
+		if w2.t == su.proto || w2.HeuristicStats() != (terrace.HeuristicStats{}) {
+			t.Fatalf("stand %d: the second worker has the prototype itself, or somebody's statistics", i)
+		}
+		w.Drop()
+		check("the first worker's Terrace after a Drop", w.t, false)
+
+		// A first worker that dies in a Tick leaves nothing to copy.
+		su = start(nil)
+		wrecker := &panicHost{}
+		dead := su.NewWorker(pol, wrecker, nil, false)
+		wrecker.t = dead.t
+		func() {
+			defer func() { recover() }()
+			for task := 0; ; task++ {
+				if err := dead.Begin(su.Frontier.Tasks[task]); err != nil {
+					t.Fatal(err)
+				}
+				for ph := Replay; ph != Idle; ph, _ = dead.Tick() {
+				}
+			}
+		}()
+		if dead.busy { // else no frame of the stand is offered at all
+			rebuilt++
+			check("the Terrace rebuilt from the constraints", su.NewWorker(pol, h, nil, false).t, true)
+		}
+
+		// Resumed: the tasks were validated on the prototype, and rewound.
+		cp := su.Checkpoint(su.Counters, 3, su.Frontier.Tasks)
+		check("a resumed run's Terrace", start(cp).NewTerrace(), true)
+	}
+	if ran < 10 || rebuilt < 6 {
+		t.Fatalf("%d stands had anything to run, %d a frame to die on", ran, rebuilt)
 	}
 }

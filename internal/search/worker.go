@@ -48,20 +48,29 @@ type Worker struct {
 
 	task  FrontierTask // the driver's storage, only read
 	phase Phase
-	pos   int // Replay: path steps applied so far
-	base  int // the Terrace's depth at I_0
+	pos   int  // Replay: path steps applied so far
+	base  int  // the Terrace's depth at I_0
+	busy  bool // in a Tick or Drop — for good after a panic there, the Terrace mid-mutation
 
 	mass   float64 // estimator mass and leaves closed since the last flush
 	leaves int64
 	path   []PathStep // scratch: the path of the frame on offer
 }
 
-// NewWorker returns an idle worker on a private Terrace at I_0 (NewTerrace)
-// running policy p against host h. Closed-leaf mass is batched into est with
+// NewWorker returns an idle worker on a private Terrace at I_0 running policy
+// p against host h: the run's first takes the one Start walked there — a run
+// that needs no second never copies it — every other a NewTerrace, which see
+// for when the second may be made. Closed-leaf mass is batched into est with
 // the counters (nil: none); trees are rendered for h.Trees only if trees.
 func (s *Setup) NewWorker(p Policy, h Host, est *obs.Estimator, trees bool) *Worker {
-	t := s.NewTerrace()
+	t := s.proto
+	if s.first != nil {
+		t = s.NewTerrace()
+	}
 	w := &Worker{t: t, eng: NewEngine(t), policy: p, host: h, est: est, base: t.Depth()}
+	if s.first == nil {
+		s.first, s.proto = w, nil
+	}
 	w.eng.Heuristic = s.Heuristic
 	w.eng.OnFramePushed = w.offer
 	if trees {
@@ -108,34 +117,40 @@ func (w *Worker) Begin(t FrontierTask) error {
 // full and when the frames are exhausted: a worker about to wait must not
 // sit on unpublished counts.
 func (w *Worker) Tick() (Phase, int64) {
+	var cost int64
+	w.busy = true
 	switch w.phase {
 	case Replay:
 		if w.pos < len(w.task.Path) {
 			st := w.task.Path[w.pos]
 			w.pos++
 			w.t.ExtendTaxon(st.Taxon, st.Edge)
-			return Replay, 1
+			cost = 1
+		} else {
+			w.eng.replayInserted()
+			w.phase = Explore
 		}
-		w.eng.replayInserted()
-		w.phase = Explore
 	case Explore:
 		before := w.eng.work.Units
 		if w.eng.Step() != EvDone {
 			if w.policy.FlushDue(w.eng.counters) {
 				w.Flush()
 			}
-			return Explore, w.eng.work.Units - before
+			cost = w.eng.work.Units - before
+		} else {
+			w.Flush()
+			w.phase = Rewind
 		}
-		w.Flush()
-		w.phase = Rewind
 	case Rewind:
 		if w.t.Depth() > w.base {
 			w.t.RemoveTaxon()
-			return Rewind, 1
+			cost = 1
+		} else {
+			w.task, w.phase = FrontierTask{}, Idle
 		}
-		w.task, w.phase = FrontierTask{}, Idle
 	}
-	return w.phase, 0
+	w.busy = false
+	return w.phase, cost
 }
 
 // Flush publishes the unflushed batch, if any: the trees, then the counters
@@ -174,10 +189,11 @@ func (w *Worker) Snapshot() FrontierTask {
 // I_0 and the worker is idle, ready to Begin any task — the one a Snapshot
 // taken just before describes included.
 func (w *Worker) Drop() {
+	w.busy = true
 	for w.t.Depth() > w.base {
 		w.t.RemoveTaxon()
 	}
-	w.task, w.phase = FrontierTask{}, Idle
+	w.task, w.phase, w.busy = FrontierTask{}, Idle, false
 }
 
 // HeuristicStats is the heuristic-layer accounting of the worker's Terrace.

@@ -255,7 +255,6 @@ func Run(constraints []*tree.Tree, opt Options) (*Result, error) {
 		Counters:     su.Counters,
 		Ticks:        prefixLen, // every worker replays the prefix concurrently
 	}
-	res.Heuristic.Add(su.PrefixStats)
 	opt.Estimator.AddCounters(su.Counters.StandTrees,
 		su.Counters.IntermediateStates, su.Counters.DeadEnds)
 	opt.Estimator.AddLeafMass(su.LeafMass, su.Leaves)
@@ -263,6 +262,7 @@ func Run(constraints []*tree.Tree, opt Options) (*Result, error) {
 	if len(tasks) == 0 {
 		// Nothing to run: an empty stand, a prefix that closed the whole
 		// space (at most one tree), or a snapshot of a finished run.
+		res.Heuristic.Add(su.PrefixStats)
 		if su.Tree != "" && opt.CollectTrees {
 			res.Trees = append(res.Trees, su.Tree)
 		}
