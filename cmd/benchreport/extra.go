@@ -29,18 +29,20 @@ var (
 	indexSink *tree.StaticIndex
 )
 
-// firstFinalFrame steps a fresh engine over ds to the first state with one
-// taxon missing and returns an engine on that state and the frame of the
-// taxon, as the one-frame stack Reset takes.
-func firstFinalFrame(b *testing.B, ds *gen.Dataset) (*search.Engine, []search.FrameSnapshot) {
+// firstFrame steps a fresh engine over ds to the first state with the given
+// number of taxa missing — 1: a final frame, 2: a penultimate one — and
+// returns an engine on that state and the frame of the taxon chosen there, as
+// the one-frame stack Reset takes.
+func firstFrame(b *testing.B, ds *gen.Dataset, missing int) (*search.Engine, []search.FrameSnapshot) {
 	tr, err := terrace.New(ds.Constraints, search.ChooseInitialTree(ds.Constraints))
 	if err != nil {
 		b.Fatal(err)
 	}
 	walk := search.NewEngine(tr)
-	for walk.RemainingTaxa() != 1 {
+	walk.OnTrees = func(block []byte, _ int) []byte { return block } // insert all the way down
+	for walk.RemainingTaxa() != missing {
 		if walk.Step() == search.EvDone {
-			b.Fatal("no final frame in the stand")
+			b.Fatalf("no state with %d taxa missing in the stand", missing)
 		}
 	}
 	stack := walk.SnapshotFrames(nil)
@@ -161,7 +163,7 @@ func extraBenches(add func(name string, f func(b *testing.B)),
 			name = "FinalFrameEmit"
 		}
 		add(name, func(b *testing.B) {
-			eng, frame := firstFinalFrame(b, ds)
+			eng, frame := firstFrame(b, ds, 1)
 			if emit {
 				eng.OnTrees = func(block []byte, _ int) []byte { return block }
 			}
@@ -183,6 +185,29 @@ func extraBenches(add func(name string, f func(b *testing.B)),
 			}
 		})
 	}
+
+	// Penultimate frames (PR 25): one op is one frame of the reference stand
+	// with two taxa missing — its first, re-aimed at and answered branch by
+	// branch, a Step call each, from the counts the Terrace keeps of the last
+	// taxon. Nothing is inserted, and nothing allocated.
+	add("PenultimateFrameCount", func(b *testing.B) {
+		eng, frame := firstFrame(b, ds, 2)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := eng.Reset(frame); err != nil {
+				b.Fatal(err)
+			}
+			for ev := eng.Step(); ev != search.EvDone; ev = eng.Step() {
+				if ev != search.EvLookAhead {
+					b.Fatalf("a branch of the frame was not looked ahead of: event %d", ev)
+				}
+			}
+		}
+		w := eng.Work()
+		b.ReportMetric(float64(len(frame[0].Branches)), "branches/frame")
+		b.ReportMetric(float64(eng.Counters().StandTrees)/float64(b.N), "trees/frame")
+		b.ReportMetric(float64(w.Extends), "extend-calls")
+	})
 
 	// The spool (PR 20): the same stand as one serial job of a service.Manager
 	// on a fresh data directory — what SerialEngineEmit does plus one
@@ -290,22 +315,37 @@ func extraBenches(add func(name string, f func(b *testing.B)),
 	})
 }
 
-// smallStands measures what asking for a second thread costs where there is
-// nothing for it to do (PR 24): the sixteen stands of the benchmark's
-// count-many workload (simulated datasets 0 and 2 to 16: eleven have under
-// ten trees, the largest 10 125), enumerated back to back by search.Run and by
+// standPair is a set of stands enumerated back to back by search.Run and by
 // the pool at two threads, the two passes taking turns to go first in one
-// process. Each row is the floor over the rounds — -benchtime's count, or as
-// many as fit its duration, twenty at least — and its allocations the least of
-// them. The pool's row carries t2/serial, which -compare gates (ratioMetrics)
-// and ROADMAP item 2 wants at 1.05: the median over the rounds of pool pass ÷
-// serial pass, two passes a few milliseconds apart, so that a neighbour's
-// burst moves one round's ratio and not the result (the ratio of the two
-// floors moves with whichever side caught the quietest moment: 0.96 to 1.19
-// over repeats on a shared two-core host where the median read 0.99 to 1.07).
-func smallStands(benchtime string) (serial, pool BenchResult, err error) {
+// process. Each of its two rows is the floor over the rounds — -benchtime's
+// count, or as many as fit its duration, twenty at least — and its allocations
+// the least of them. The pool's row carries t2/serial, which -compare gates
+// (ratioMetrics): the median over the rounds of pool pass ÷ serial pass, two
+// passes a few milliseconds apart, so that a neighbour's burst moves one
+// round's ratio and not the result (the ratio of the two floors moves with
+// whichever side caught the quietest moment: 0.96 to 1.19 over repeats on a
+// shared two-core host where the median read 0.99 to 1.07).
+type standPair struct {
+	name string // rows Serial<name>Stands and Pool<name>Stands
+	idx  []int  // datasets of the paper-shaped simulated corpus
+}
+
+var standPairs = []standPair{
+	// What asking for a second thread costs where there is nothing for it to
+	// do (PR 24): the sixteen stands of the benchmark's count-many workload
+	// (eleven have under ten trees, the largest 10 125). ROADMAP item 2 wants
+	// the ratio at 1.05.
+	{"Small", []int{0, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}},
+	// What it gains where there is (PR 25, ROADMAP item 2(d)): the one stand
+	// of count-deep, 418 126 states and 1 670 625 trees. The ratio is the
+	// inverse of the benchmark's parallel.speedup_t2, and only comparable
+	// between hosts that run two threads at once.
+	{"Deep", []int{104}},
+}
+
+func (sp standPair) run(benchtime string) (serial, pool BenchResult, err error) {
 	var stands [][]*tree.Tree
-	for _, idx := range []int{0, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16} {
+	for _, idx := range sp.idx {
 		stands = append(stands, gen.Generate(gen.Default(gen.RegimeSimulated), idx).Constraints)
 	}
 	rounds, budget := 20, time.Second
@@ -317,9 +357,9 @@ func smallStands(benchtime string) (serial, pool BenchResult, err error) {
 	} else if budget, err = time.ParseDuration(benchtime); err != nil {
 		return serial, pool, err
 	}
-	serial.Name, pool.Name = "SerialSmallStands", "PoolSmallStands"
-	// pass runs the sixteen stands through one of the two, folds the pass into
-	// its row and returns its time.
+	serial.Name, pool.Name = "Serial"+sp.name+"Stands", "Pool"+sp.name+"Stands"
+	// pass runs the stands through one of the two, folds the pass into its row
+	// and returns its time.
 	pass := func(row *BenchResult, run func(cons []*tree.Tree) error) float64 {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -341,12 +381,13 @@ func smallStands(benchtime string) (serial, pool BenchResult, err error) {
 		row.Iterations++
 		return ns
 	}
+	unlimited := search.Limits{MaxTrees: -1, MaxStates: -1, MaxTime: -1}
 	runSerial := func(cons []*tree.Tree) error {
-		_, err := search.Run(cons, search.Options{InitialTree: -1})
+		_, err := search.Run(cons, search.Options{InitialTree: -1, Limits: unlimited})
 		return err
 	}
 	runPool := func(cons []*tree.Tree) error {
-		_, err := parallel.Run(cons, parallel.Options{Threads: 2, InitialTree: -1})
+		_, err := parallel.Run(cons, parallel.Options{Threads: 2, InitialTree: -1, Limits: unlimited})
 		return err
 	}
 	var ratios []float64

@@ -104,6 +104,12 @@ func reportWork(b *testing.B, res *search.Result) {
 	b.ReportMetric(float64(res.DeadEnds), "dead-ends")
 	b.ReportMetric(float64(res.Steps), "steps")
 	b.ReportMetric(float64(res.Work.Extends), "extend-calls")
+	if w := res.Work; w.LookAheads+w.Fallbacks > 0 {
+		// Of the penultimate frames' branches (two taxa missing), the share the
+		// Terrace's counts answered and the share that had to be inserted.
+		b.ReportMetric(100*float64(w.LookAheads)/float64(w.LookAheads+w.Fallbacks), "lookahead-%")
+		b.ReportMetric(100*float64(w.Fallbacks)/float64(w.LookAheads+w.Fallbacks), "lookahead-fallback-%")
+	}
 	if e, trees := res.Work.Emit, float64(res.StandTrees); e.Walked > 0 {
 		b.ReportMetric(float64(e.Walked)/trees, "walked-B/tree")
 		b.ReportMetric(float64(e.Copied)/trees, "copied-B/tree")
@@ -306,13 +312,15 @@ func main() {
 	})
 
 	extraBenches(add, midSim, tr, taxa, branches)
-	serial, pool, err := smallStands(flag.CommandLine.Lookup("test.benchtime").Value.String())
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchreport: small stands: %v\n", err)
-		os.Exit(1)
+	for _, pair := range standPairs {
+		serial, pool, err := pair.run(flag.CommandLine.Lookup("test.benchtime").Value.String())
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "benchreport: %s stands: %v\n", pair.name, err)
+			os.Exit(1)
+		}
+		put(serial)
+		put(pool)
 	}
-	put(serial)
-	put(pool)
 	stopProfile()
 
 	data, err := json.MarshalIndent(&rep, "", "  ")

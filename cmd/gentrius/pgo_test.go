@@ -40,6 +40,10 @@ func TestDefaultPGOFresh(t *testing.T) {
 		"splitCommonEdge",
 		"AppendAllowedBranches",
 		"gentrius/internal/search.(*Engine).Step",
+		// A counting run answers most of its penultimate branches from the
+		// Terrace's counts instead of inserting them.
+		"gentrius/internal/search.(*Engine).lookAhead",
+		"gentrius/internal/terrace.(*Terrace).CountAfter",
 		// Stand trees are cut from the rendering of their final frame's shared
 		// state into a block, and leave through FlushTrees.
 		"gentrius/internal/search.(*Engine).renderFinal",

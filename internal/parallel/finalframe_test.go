@@ -67,22 +67,49 @@ func leafByLeaf(tr *terrace.Terrace, h search.OrderHeuristic) (c search.Counters
 
 // TestPoolMatchesLeafByLeaf: on stands of both corpus regimes and under all
 // three heuristics the pool at 2 and 4 threads — and at 2 with the depth
-// restriction lifted, so that final frames are split and stolen too — finds
-// the oracle's counters, the oracle's stand as a multiset of bytes, and closes
-// the oracle's leaves with mass 1.
+// restriction lifted, so that final frames, and the penultimate frames of a
+// run that only counts, are split and stolen too — finds the oracle's
+// counters, the oracle's stand as a multiset of bytes, and closes the
+// oracle's leaves with mass 1, collecting the trees and counting them alike.
+// The counting pool's engines insert once per state they did not look ahead
+// of. Stands 6 and 7 of the paper-shaped simulated corpus, where every
+// penultimate branch falls back to the insertion, and 12 and 16, where none
+// does, ride along.
 func TestPoolMatchesLeafByLeaf(t *testing.T) {
 	heuristics := []search.OrderHeuristic{search.OrderMinBranches, search.OrderMinBranchesTieDegree, search.OrderMaxBranches}
 	unlimited := search.Limits{MaxTrees: -1, MaxStates: -1, MaxTime: -1}
 	compared, stolen := 0, int64(0)
+	var counting search.Work
 	for _, regime := range []gen.Regime{gen.RegimeSimulated, gen.RegimeEmpirical} {
 		cfg := gen.Default(regime)
 		cfg.MinTaxa, cfg.MaxTaxa = 16, 48
-		for idx, found := 0, 0; found < 4; idx++ {
+		var stands []*gen.Dataset
+		for idx := 0; len(stands) < 4; idx++ {
 			if idx == 300 {
-				t.Fatalf("%v corpus: %d stands found", regime, found)
+				t.Fatalf("%v corpus: %d stands found", regime, len(stands))
 			}
 			ds := gen.Generate(cfg, idx)
+			probe, err := search.Run(ds.Constraints, search.Options{InitialTree: -1,
+				Limits: search.Limits{MaxTrees: 20_000, MaxStates: 20_000, MaxTime: -1}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if probe.Stop == search.StopExhausted && probe.StandTrees >= 20 {
+				stands = append(stands, ds)
+			}
+		}
+		fixtures := map[string]bool{} // name -> every penultimate branch looks ahead (or none does)
+		if regime == gen.RegimeSimulated {
+			for idx, all := range map[int]bool{6: false, 7: false, 12: true, 16: true} {
+				ds := gen.Generate(gen.Default(regime), idx)
+				stands, fixtures[ds.Name] = append(stands, ds), all
+			}
+		}
+		for _, ds := range stands {
 			for _, h := range heuristics {
+				if _, is := fixtures[ds.Name]; is && h != search.OrderMinBranches {
+					continue // a fixture is one for min-branches, and large for the oracle
+				}
 				probe, err := search.Run(ds.Constraints, search.Options{InitialTree: -1, Heuristic: h,
 					Limits: search.Limits{MaxTrees: 20_000, MaxStates: 20_000, MaxTime: -1}})
 				if err != nil {
@@ -90,9 +117,6 @@ func TestPoolMatchesLeafByLeaf(t *testing.T) {
 				}
 				if probe.Stop != search.StopExhausted || probe.StandTrees < 20 {
 					continue
-				}
-				if h == search.OrderMinBranches {
-					found++
 				}
 				tr, err := terrace.New(ds.Constraints, probe.InitialIndex)
 				if err != nil {
@@ -104,27 +128,83 @@ func TestPoolMatchesLeafByLeaf(t *testing.T) {
 					threads int
 					policy  search.Policy
 				}{{2, search.Policy{}}, {4, search.Policy{}}, {2, search.Policy{MinRemaining: 1}}} {
-					est := &obs.Estimator{}
-					got, err := Run(ds.Constraints, Options{Threads: tc.threads, InitialTree: -1, Heuristic: h,
-						Limits: unlimited, Policy: tc.policy, CollectTrees: true, Obs: &obs.Sink{Estimate: est}})
-					if err != nil {
-						t.Fatal(err)
+					for _, collect := range []bool{true, false} {
+						est := &obs.Estimator{}
+						got, err := Run(ds.Constraints, Options{Threads: tc.threads, InitialTree: -1, Heuristic: h,
+							Limits: unlimited, Policy: tc.policy, CollectTrees: collect, Obs: &obs.Sink{Estimate: est}})
+						if err != nil {
+							t.Fatal(err)
+						}
+						if got.Counters != want || collect && !slices.Equal(sortedCopy(got.Trees), stand) {
+							t.Fatalf("%s %v at %d threads (%+v, collecting %v): %+v and %d trees, leaf by leaf %+v and %d",
+								ds.Name, h, tc.threads, tc.policy, collect, got.Counters, len(got.Trees), want, len(stand))
+						}
+						if est.Leaves() != leaves || math.Abs(est.Fraction()-1) > 1e-9 {
+							t.Fatalf("%s %v at %d threads (collecting %v): %d leaves closed with mass %.12f, leaf by leaf %d",
+								ds.Name, h, tc.threads, collect, est.Leaves(), est.Fraction(), leaves)
+						}
+						compared++
+						stolen += got.TasksStolen
+						w, inPool := got.Work, got.IntermediateStates-got.Prefix.IntermediateStates
+						if collect {
+							if w.LookAheads+w.Fallbacks != 0 || w.Extends < inPool {
+								t.Fatalf("%s %v at %d threads: a collecting pool's work %+v for %d states", ds.Name, h, tc.threads, w, inPool)
+							}
+							continue
+						}
+						if w.Extends != inPool-w.LookAheads {
+							t.Fatalf("%s %v at %d threads (%+v): counting work %+v for %d states", ds.Name, h, tc.threads, tc.policy, w, inPool)
+						}
+						if all, is := fixtures[ds.Name]; is &&
+							(w.LookAheads+w.Fallbacks == 0 || all && w.Fallbacks != 0 || !all && w.LookAheads != 0) {
+							t.Fatalf("%s: fixture of all look-ahead %v did %+v", ds.Name, all, w)
+						}
+						counting.Add(w)
 					}
-					if got.Counters != want || !slices.Equal(sortedCopy(got.Trees), stand) {
-						t.Fatalf("%s %v at %d threads (%+v): %+v and %d trees, leaf by leaf %+v and %d",
-							ds.Name, h, tc.threads, tc.policy, got.Counters, len(got.Trees), want, len(stand))
-					}
-					if est.Leaves() != leaves || math.Abs(est.Fraction()-1) > 1e-9 {
-						t.Fatalf("%s %v at %d threads: %d leaves closed with mass %.12f, leaf by leaf %d",
-							ds.Name, h, tc.threads, est.Leaves(), est.Fraction(), leaves)
-					}
-					compared++
-					stolen += got.TasksStolen
 				}
 			}
 		}
 	}
-	if compared < 60 || stolen == 0 {
-		t.Fatalf("%d runs compared, %d tasks stolen: not enough to mean anything", compared, stolen)
+	if compared < 120 || stolen == 0 || counting.LookAheads < 1000 || counting.Fallbacks < 1000 {
+		t.Fatalf("%d runs compared, %d tasks stolen, counting pools did %+v: not enough to mean anything", compared, stolen, counting)
+	}
+}
+
+// TestTreeLimitOvershootPerWorker: no step is divided, so a pool that
+// publishes after every step passes a tree limit by less than one step's
+// trees per worker — the step that crossed it, and the one each other worker
+// was in — and a final frame or a look-ahead step finds at most the 2n-3
+// branches of a tree on n taxa. The stop's checkpoint resumes to the stand.
+func TestTreeLimitOvershootPerWorker(t *testing.T) {
+	ds := gen.Generate(gen.Default(gen.RegimeSimulated), 12)
+	n := int64(ds.Taxa.Len())
+	unlimited := search.Limits{MaxTrees: -1, MaxStates: -1, MaxTime: -1}
+	whole, err := search.Run(ds.Constraints, search.Options{InitialTree: -1, Limits: unlimited})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, threads := range []int{1, 2, 4} {
+		for limit := int64(10); limit < whole.StandTrees; limit += 400 {
+			res, err := Run(ds.Constraints, Options{Threads: threads, InitialTree: -1,
+				Limits:     search.Limits{MaxTrees: limit, MaxStates: -1, MaxTime: -1},
+				Policy:     search.Policy{TreeBatch: 1, StateBatch: 1, DeadEndBatch: 1},
+				Checkpoint: search.CheckpointPolicy{OnStop: true}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if over := res.StandTrees - limit; res.Stop != search.StopTreeLimit || over < 0 || over >= int64(threads)*(2*n-3) {
+				t.Fatalf("limit %d at %d threads: stopped for %v at %d trees, %d taxa", limit, threads, res.Stop, res.StandTrees, n)
+			}
+			if res.Work.LookAheads == 0 && limit > 1000 {
+				t.Fatalf("limit %d at %d threads: the pool never looked ahead: %+v", limit, threads, res.Work)
+			}
+			rest, err := Run(ds.Constraints, Options{Threads: threads, Limits: unlimited, Checkpoint: search.CheckpointPolicy{Resume: res.Checkpoint}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rest.Counters != whole.Counters {
+				t.Fatalf("limit %d at %d threads: resumed to %+v, the stand is %+v", limit, threads, rest.Counters, whole.Counters)
+			}
+		}
 	}
 }

@@ -179,6 +179,9 @@ type Result struct {
 	Prefix search.Counters
 	// Flushes counts non-empty batched counter flushes across all workers.
 	Flushes int64
+	// Work is what the workers' engines did, summed: the prefix walk and the
+	// path replays of stolen tasks are not in it.
+	Work search.Work
 	// Checkpoint holds the frontier snapshot when Options.Checkpoint.OnStop
 	// was set and a stopping rule or cancellation ended the run (nil when
 	// the stand was exhausted: there is nothing left to resume).
@@ -393,6 +396,8 @@ type globals struct {
 	drained  chan struct{}
 	// perWorker is Result.PerWorker: one entry per configured worker, started or not.
 	perWorker []search.Counters
+	// work is what each worker's engines did, written by retire.
+	work []search.Work
 	// halt is the one word a worker polls per engine step: set for good by
 	// raise, for the length of a checkpoint round by round. Whichever it
 	// was, the worker hands in what is left of its task and goes to steal.
@@ -568,6 +573,7 @@ func Run(constraints []*tree.Tree, opt Options) (*Result, error) {
 	}
 
 	g.perWorker = make([]search.Counters, opt.Threads)
+	g.work = make([]search.Work, opt.Threads)
 	g.drained = make(chan struct{})
 	g.start(&worker{globals: g, rest: opt.Threads - 1})
 
@@ -603,8 +609,9 @@ func Run(constraints []*tree.Tree, opt Options) (*Result, error) {
 		return nil, g.failErr
 	}
 
-	for _, c := range g.perWorker {
+	for i, c := range g.perWorker {
 		res.Counters.Add(c)
+		res.Work.Add(g.work[i])
 	}
 	res.PerWorker = g.perWorker
 	res.TasksStolen = q.stolen
@@ -654,8 +661,7 @@ func (opt *Options) sink(res *Result) func(block []byte, n int) {
 }
 
 // addHeuristicStats folds a terrace's heuristic-layer stats into the
-// metrics: the prefix walk's, each worker's at exit, and a panic-wrecked
-// terrace's before it is discarded.
+// metrics: the prefix walk's and each retiring worker's.
 func addHeuristicStats(m *obs.SchedMetrics, hs terrace.HeuristicStats) {
 	m.HeuristicScanTaxa.Add(hs.CountQueries)
 	m.HeuristicO1Counts.Add(hs.O1Counts)
@@ -683,6 +689,13 @@ type worker struct {
 	// re-explore halves another worker already owns. Trees still in the
 	// worker's own block are not progress: they go with the search.Worker.
 	dirty bool
+}
+
+// retire accounts what w's search.Worker did, at exit or before a panic's
+// wreckage is discarded.
+func (w *worker) retire() {
+	addHeuristicStats(w.m, w.wk.HeuristicStats())
+	w.work[w.id].Add(w.wk.Work())
 }
 
 // Offer builds a task from the last n branches of f in recycled storage and
@@ -779,7 +792,7 @@ func (w *worker) execute(tk *task) (ok bool) {
 		rec.Emit(obs.EvPanic, w.id, obs.F("task", tk.id), obs.F("taxon", int64(tk.root().Taxon)),
 			obs.F("attempt", int64(tk.retries+1)))
 		rec.Emit(obs.EvTaskEnd, w.id, obs.F("task", tk.id), obs.F("panic", 1))
-		addHeuristicStats(w.m, w.wk.HeuristicStats())
+		w.retire()
 		// The unwound stack can have left Terrace and engine mid-mutation: a new
 		// search.Worker is the one repair that needs no trust in the wreckage.
 		w.wk = w.su.NewWorker(w.opt.Policy, w, w.est, w.treeCh != nil)
@@ -883,6 +896,6 @@ func (w *worker) run() {
 			recycleTask(tk)
 		}
 	}
-	addHeuristicStats(w.m, w.wk.HeuristicStats())
+	w.retire()
 	rec.Emit(obs.EvWorkerExit, w.id)
 }

@@ -5,9 +5,12 @@
 // A Step call performs one taxon insertion or one taxon removal — or, when a
 // single taxon remains, every insertion and removal of that taxon's frame at
 // once, without performing them: each of the frame's branches is a stand tree
-// (see finalFrame). The same engine drives the serial runner, the goroutine
-// pool and the deterministic virtual-time multicore simulator, which are
-// costed in the paper machine's transitions (Units), not in Step calls.
+// (see finalFrame); or, when two remain and nobody wants the trees rendered,
+// one insertion of the second-to-last taxon, the last taxon's frame under it
+// and the removal at once, without performing them either (see lookAhead).
+// The same engine drives the serial runner, the goroutine pool and the
+// deterministic virtual-time multicore simulator, which are costed in the
+// paper machine's transitions (Units), not in Step calls.
 package search
 
 import (
@@ -27,6 +30,7 @@ const (
 	EvTreeFound              // the last taxon's frame was consumed: one stand tree per branch
 	EvDeadEnd                // a taxon was inserted, and the resulting state is a dead end
 	EvRemoved                // a taxon was removed (backtrack)
+	EvLookAhead              // a branch of the second-to-last taxon was counted, with the last taxon's frame or the dead end under it, without inserting either
 	EvDone                   // the search space is exhausted
 )
 
@@ -60,6 +64,9 @@ type Frame struct {
 	Branches []int32
 	idx      int
 	inserted bool
+	// other is, on a frame whose taxon is the second-to-last one missing, the
+	// last one: found by the frame's first look-ahead step (-1 until then).
+	other int
 
 	// weight is the per-branch leaf mass of this frame under the weighted
 	// backtrack estimator (obs.Estimator): the parent frame's per-branch
@@ -187,8 +194,24 @@ type Work struct {
 	Units int64
 	// Extends counts the ExtendTaxon calls made.
 	Extends int64
+	// LookAheads counts the branches of penultimate frames (two taxa missing)
+	// answered from the Terrace's counts without an insertion, Fallbacks those
+	// of a run that renders nothing which had to be inserted all the same.
+	LookAheads, Fallbacks int64
 	// Emit is the Newick writer's work.
 	Emit tree.WriterStats
+}
+
+// Add accumulates o into w (the engines of a pool's workers).
+func (w *Work) Add(o Work) {
+	w.Units += o.Units
+	w.Extends += o.Extends
+	w.LookAheads += o.LookAheads
+	w.Fallbacks += o.Fallbacks
+	w.Emit.Walked += o.Emit.Walked
+	w.Emit.Copied += o.Emit.Copied
+	w.Emit.Spliced += o.Emit.Spliced
+	w.Emit.Recut += o.Emit.Recut
 }
 
 // Work returns the engine's work so far.
@@ -201,8 +224,10 @@ func (e *Engine) Work() Work {
 // FinalFrame returns the taxon and the branches of the final frame the last
 // Step consumed, when it returned EvTreeFound: one stand tree per branch, in
 // the order OnTree received them. The initial tree being the stand's one tree
-// has no branches. The slice is valid until the next Step and must not be
-// changed.
+// has no branches. After EvLookAhead it returns the last taxon — the one whose
+// frame was counted unseen — and no branches: the step knows how many there
+// are (the counters moved by it), not which. The slice is valid until the
+// next Step and must not be changed.
 func (e *Engine) FinalFrame() (taxon int, branches []int32) { return e.finalTaxon, e.final }
 
 // BlockSize bounds a block of trees handed to OnTrees, unless one tree alone
@@ -249,7 +274,7 @@ func (e *Engine) Reset(frames []FrameSnapshot) error {
 	e.frames = e.frames[:0]
 	for _, fs := range frames {
 		f := e.pushSlot()
-		f.Taxon, f.Branches, f.idx, f.inserted, f.weight = fs.Taxon, fs.Branches, fs.Idx, fs.Inserted, fs.Weight
+		f.Taxon, f.Branches, f.idx, f.inserted, f.weight, f.other = fs.Taxon, fs.Branches, fs.Idx, fs.Inserted, fs.Weight, -1
 	}
 	e.started, e.done = true, len(frames) == 0
 	return nil
@@ -323,9 +348,9 @@ func (e *Engine) Path(buf []PathStep) []PathStep {
 	return buf
 }
 
-// Step performs one state transition, or consumes one final frame, and
-// returns its kind. After EvDone the terrace is back at the engine's base
-// state.
+// Step performs one state transition, consumes one final frame or looks
+// ahead of one penultimate branch, and returns its kind. After EvDone the
+// terrace is back at the engine's base state.
 func (e *Engine) Step() Event {
 	if e.done {
 		return EvDone
@@ -372,6 +397,8 @@ func (e *Engine) step() Event {
 			continue
 		case e.RemainingTaxa() == 1:
 			return e.finalFrame(f)
+		case e.RemainingTaxa() == 2 && !e.rendering() && e.lookAhead(f):
+			return EvLookAhead
 		}
 		edge := f.Branches[f.idx]
 		f.idx++
@@ -413,6 +440,59 @@ func (e *Engine) finalFrame(f *Frame) Event {
 	return EvTreeFound
 }
 
+// lookAhead answers the next branch of the uninserted top frame f, whose taxon
+// is the second-to-last one missing, without inserting it: the Terrace knows
+// how many branches the last taxon would have afterwards (CountAfter), nothing
+// but that number is wanted of the state when no tree is rendered, and four
+// insertions in five of a counting run are these. One step books what the
+// paper's machine books in three — the insertion, the final frame of c (or the
+// dead end) and the removal, 2 + 2c transitions — and leaves the stack where
+// that machine leaves it after the removal: the branch behind idx, nothing
+// inserted. One branch a step, so every cut between two steps is a stack an
+// inserting engine passes through too. It reports false, with nothing
+// changed, where the insertion would restructure the last taxon's target:
+// that branch is inserted like any other.
+func (e *Engine) lookAhead(f *Frame) bool {
+	if f.other < 0 {
+		f.other = e.otherPending(f.Taxon)
+	}
+	n, ok := e.T.CountAfter(f.Taxon, f.Branches[f.idx], f.other)
+	if !ok {
+		e.work.Fallbacks++
+		return false
+	}
+	c := int64(n)
+	f.idx++
+	e.counters.IntermediateStates++
+	e.work.Units += 2 + 2*c
+	e.work.LookAheads++
+	e.finalTaxon, e.final = f.other, nil
+	if c == 0 {
+		e.counters.DeadEnds++
+		if e.OnLeaf != nil {
+			e.OnLeaf(f.weight, 1)
+		}
+		return true
+	}
+	e.counters.StandTrees += c
+	if e.OnLeaf != nil {
+		// The mass pushFrame and finalFrame would have made of it, bit for bit.
+		e.OnLeaf(float64(c)*(f.weight/float64(c)), c)
+	}
+	return true
+}
+
+// otherPending returns the missing taxon that is not x, two being missing.
+func (e *Engine) otherPending(x int) int {
+	ag := e.T.Agile()
+	for _, y := range e.T.MissingTaxa() {
+		if y != x && !ag.HasTaxon(y) {
+			return y
+		}
+	}
+	panic("search: two taxa missing, one found")
+}
+
 // pushFrame selects the next taxon (dynamic heuristic or static order),
 // computes its admissible branches and pushes the frame, reusing the stack
 // slot's branch buffer when one is available. It reports whether the frame
@@ -423,7 +503,7 @@ func (e *Engine) pushFrame() bool {
 	n := len(e.frames)
 	f := e.pushSlot()
 	f.buf = e.T.AppendAllowedBranches(f.buf[:0], taxon)
-	f.Taxon, f.Branches, f.idx, f.inserted = taxon, f.buf, 0, false
+	f.Taxon, f.Branches, f.idx, f.inserted, f.other = taxon, f.buf, 0, false, -1
 	// Per-branch weight from the parent's (1 at the root): fixed before the
 	// steal callback can hand branches away, so stolen subtrees keep it.
 	parentW := 1.0

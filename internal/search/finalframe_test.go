@@ -38,12 +38,21 @@ func corpusStands(t *testing.T, regime gen.Regime, want int) []gen.Dataset {
 	return out
 }
 
+// lookAheadFixtures are stands of the paper-shaped simulated corpus
+// (gen.Default, as the benchmark draws them) on which, under min-branches, a
+// counting run answers every penultimate branch by looking ahead, or none:
+// on 6 and 7 the last two taxa share a target in some constraint wherever the
+// second-to-last goes, so every branch falls back to the insertion.
+var lookAheadFixtures = map[int]bool{6: false, 7: false, 12: true, 16: true}
+
 // TestFinalFramesMatchLeafByLeaf is the differential test of the step loop:
 // on stands of both corpus regimes, under all three dynamic heuristics and
-// two static orders, the runner — which never inserts a last taxon — reports
-// the counters, the trees byte for byte and in order, the estimator mass and
-// the paper-unit step count of the machine that inserts and removes every
-// one.
+// two static orders, the runner — which never inserts a last taxon, nor, when
+// it only counts, a second-to-last one whose count the Terrace can tell —
+// reports the counters, the trees byte for byte and in order, the estimator
+// mass and the paper-unit step count of the machine that inserts and removes
+// every one. The counting run's ExtendTaxon calls are its states less the
+// branches it looked ahead of.
 func TestFinalFramesMatchLeafByLeaf(t *testing.T) {
 	type order struct {
 		name    string
@@ -59,18 +68,37 @@ func TestFinalFramesMatchLeafByLeaf(t *testing.T) {
 		{name: "static shuffled", static: true, shuffle: 7},
 	}
 	compared, trees := 0, int64(0)
+	var counting Work
 	for _, regime := range []gen.Regime{gen.RegimeSimulated, gen.RegimeEmpirical} {
-		for _, ds := range corpusStands(t, regime, 5) {
+		stands := corpusStands(t, regime, 5)
+		fixtures := map[string]bool{}
+		if regime == gen.RegimeSimulated {
+			for idx, all := range lookAheadFixtures {
+				ds := gen.Generate(gen.Default(regime), idx)
+				stands, fixtures[ds.Name] = append(stands, *ds), all
+			}
+		}
+		for _, ds := range stands {
 			for _, ord := range orders {
-				est := &obs.Estimator{}
-				got, err := Run(ds.Constraints, Options{InitialTree: -1, Heuristic: ord.h,
+				if _, is := fixtures[ds.Name]; is && ord != orders[0] {
+					continue // a fixture is one for min-branches, and large for the oracle
+				}
+				opt := Options{InitialTree: -1, Heuristic: ord.h,
 					DisableDynamicOrder: ord.static, ShuffleSeed: ord.shuffle,
-					Limits: Limits{MaxTrees: -1, MaxStates: 100_000, MaxTime: -1}, CollectTrees: true, Estimator: est})
+					Limits: Limits{MaxTrees: -1, MaxStates: 100_000, MaxTime: -1}}
+				est, cest := &obs.Estimator{}, &obs.Estimator{}
+				opt.Estimator = cest
+				count, err := Run(ds.Constraints, opt)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if got.Stop != StopExhausted {
+				if count.Stop != StopExhausted {
 					continue // this order makes the stand too expensive for the oracle
+				}
+				opt.CollectTrees, opt.Estimator = true, est
+				got, err := Run(ds.Constraints, opt)
+				if err != nil {
+					t.Fatal(err)
 				}
 				tr, err := terrace.New(ds.Constraints, got.InitialIndex)
 				if err != nil {
@@ -96,13 +124,30 @@ func TestFinalFramesMatchLeafByLeaf(t *testing.T) {
 					t.Fatalf("%s %s: estimator %d leaves, mass %.15f; leaf by leaf %d, %.15f", ds.Name, ord.name,
 						est.Leaves(), est.Fraction(), want.leaves, want.mass)
 				}
+				// The run that renders nothing: the same numbers — the mass bit
+				// for bit what the rendering run made of it — for fewer insertions.
+				if count.Counters != got.Counters || count.Steps != got.Steps ||
+					cest.Leaves() != est.Leaves() || cest.Fraction() != est.Fraction() {
+					t.Fatalf("%s %s: counting %+v in %d steps, mass %.17f of %d leaves; rendering %+v in %d, %.17f of %d", ds.Name, ord.name,
+						count.Counters, count.Steps, cest.Fraction(), cest.Leaves(), got.Counters, got.Steps, est.Fraction(), est.Leaves())
+				}
+				w := count.Work
+				if w.Extends != count.IntermediateStates-w.LookAheads || got.Work.Extends < got.IntermediateStates ||
+					got.Work.LookAheads+got.Work.Fallbacks != 0 {
+					t.Fatalf("%s %s: counting work %+v, rendering work %+v for %d states", ds.Name, ord.name, w, got.Work, count.IntermediateStates)
+				}
+				if all, is := fixtures[ds.Name]; is &&
+					(w.LookAheads+w.Fallbacks == 0 || all && w.Fallbacks != 0 || !all && w.LookAheads != 0) {
+					t.Fatalf("%s: fixture of all look-ahead %v did %+v", ds.Name, all, w)
+				}
+				counting.Add(w)
 				compared++
 				trees += want.StandTrees
 			}
 		}
 	}
-	if compared < 40 || trees < 10_000 {
-		t.Fatalf("%d runs and %d trees compared: not enough to mean anything", compared, trees)
+	if compared < 40 || trees < 10_000 || counting.LookAheads < 1000 || counting.Fallbacks < 1000 {
+		t.Fatalf("%d runs and %d trees compared, counting runs did %+v: not enough to mean anything", compared, trees, counting)
 	}
 }
 
@@ -131,9 +176,13 @@ func smallStand(t *testing.T, seed int64) []*tree.Tree {
 // final frame the snapshot is also rewritten into every state the paper's
 // machine passes through inside the frame — the last taxon inserted on one
 // of the branches, which is what a checkpoint file of an older engine holds —
-// and must resume the same way: one removal, then the rest of the frame.
+// and must resume the same way: one removal, then the rest of the frame. An
+// engine that renders nothing is cut the same way: its extra boundaries lie
+// between two look-ahead steps of one penultimate frame, stacks the inserting
+// engine passes through after a removal, and each resumes to the serial totals
+// whether the resumed run looks ahead in its turn or collects the trees.
 func TestCheckpointAtEveryStepBoundary(t *testing.T) {
-	cons := smallStand(t, 2121)
+	cons := smallStand(t, 2131)
 	unlimited := Limits{MaxTrees: -1, MaxStates: -1, MaxTime: -1}
 	ref, err := Run(cons, Options{InitialTree: -1, Limits: unlimited, CollectTrees: true})
 	if err != nil {
@@ -145,7 +194,7 @@ func TestCheckpointAtEveryStepBoundary(t *testing.T) {
 		if err := cp.Write(&raw); err != nil {
 			t.Fatal(err)
 		}
-		back, err := ReadCheckpoint(&raw)
+		back, err := ReadCheckpoint(bytes.NewReader(raw.Bytes()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -157,17 +206,62 @@ func TestCheckpointAtEveryStepBoundary(t *testing.T) {
 			t.Fatalf("%s: resumed to %+v with %d trees after %d, the serial run %+v with %d",
 				what, res.Counters, len(res.Trees), delivered, ref.Counters, len(ref.Trees))
 		}
+		if back, err = ReadCheckpoint(bytes.NewReader(raw.Bytes())); err != nil {
+			t.Fatal(err)
+		}
+		est := &obs.Estimator{}
+		res, err = Run(cons, Options{Limits: unlimited, Estimator: est, Checkpoint: CheckpointPolicy{Resume: back}})
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if res.Counters != ref.Counters || math.Abs(est.Fraction()-1) > 1e-12 {
+			t.Fatalf("%s: resumed counting to %+v and mass %.15f, the serial run %+v", what, res.Counters, est.Fraction(), ref.Counters)
+		}
 	}
 
 	tr, err := terrace.New(cons, ref.InitialIndex)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The counting engine first: the cuts only it has, between two look-ahead
+	// steps of one frame (the step before took nothing off the stack but idx).
 	eng := NewEngine(tr)
-	delivered, mass := 0, 0.0
+	mass, boundaries, between := 0.0, 0, 0
+	eng.OnLeaf = func(m float64, _ int64) { mass += m }
+	for prev := EvDone; ; {
+		ev := eng.Step()
+		if ev == EvDone {
+			break
+		}
+		cp := eng.Snapshot(cons, ref.InitialIndex)
+		fr, err := cp.FrontierView()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(mass+fr.RemainingMass()-1) > 1e-12 {
+			t.Fatalf("counting boundary %d: closed mass %.15f and remaining mass %.15f do not make 1", boundaries, mass, fr.RemainingMass())
+		}
+		if top := cp.Frames[len(cp.Frames)-1]; ev == EvLookAhead && prev == EvLookAhead && top.Idx < len(top.Branches) {
+			if top.Inserted {
+				t.Fatalf("a look-ahead step left %+v inserted", top)
+			}
+			between++
+		}
+		resume("a counting step boundary", cp, int(eng.Counters().StandTrees))
+		boundaries++
+		prev = ev
+	}
+	if w := eng.Work(); eng.Counters() != ref.Counters || w.Units+1 != ref.Steps || between == 0 ||
+		w.LookAheads == 0 || w.Fallbacks == 0 || w.Extends != ref.IntermediateStates-w.LookAheads {
+		t.Fatalf("%d counting boundaries, %d between look-ahead steps of one frame, work %+v, %+v; the serial run %+v in %d steps",
+			boundaries, between, w, eng.Counters(), ref.Counters, ref.Steps)
+	}
+
+	eng = NewEngine(tr)
+	delivered, inside := 0, 0
+	mass, boundaries = 0, 0
 	eng.OnTree = func(string) { delivered++ }
 	eng.OnLeaf = func(m float64, _ int64) { mass += m }
-	boundaries, inside := 0, 0
 	for {
 		before := eng.Snapshot(cons, ref.InitialIndex)
 		at := delivered
@@ -315,5 +409,74 @@ func TestStolenFinalFrame(t *testing.T) {
 	if h.final == 0 || got != ref.Counters || !slices.Equal(sortedCopy(h.trees), sortedCopy(ref.Trees)) {
 		t.Fatalf("%d final frames handed off; %+v and %d trees, the serial run %+v and %d",
 			h.final, got, len(h.trees), ref.Counters, len(ref.Trees))
+	}
+}
+
+// TestStolenPenultimateFrame is TestStolenFinalFrame for a worker that only
+// counts. It never pushes a final frame, so the deepest frames it hands off
+// halves of are penultimate ones; such a task is one uninserted frame with
+// two taxa missing, and whoever begins it answers it branch by branch without
+// inserting anything below the replayed path.
+func TestStolenPenultimateFrame(t *testing.T) {
+	su, ref := wholeStand(t, smallStand(t, 2131))
+	h := &finalCounter{fakeHost: &fakeHost{take: 1 << 30}}
+	w := su.NewWorker(Policy{MinRemaining: 1}.Normalize(2), h, nil, false)
+	h.depth = len(w.t.MissingTaxa()) - w.base - 2
+	stolen := 0
+	h.begun = func(task FrontierTask) {
+		if len(task.Path) == h.depth {
+			stolen++
+			if f := task.Frames; len(f) != 1 || f[0].Inserted || f[0].Idx != 0 {
+				t.Fatalf("a stolen penultimate frame is %+v", f)
+			}
+		}
+	}
+	drain(t, w, h.fakeHost, su.Frontier.Tasks[0])
+	got := su.Counters
+	got.Add(h.total)
+	work := w.Work()
+	if h.final == 0 || stolen != h.final || got != ref.Counters || work.LookAheads == 0 || work.Fallbacks == 0 ||
+		work.Extends != h.total.IntermediateStates-work.LookAheads {
+		t.Fatalf("%d penultimate frames handed off, %d begun; %+v for work %+v, the serial run %+v",
+			h.final, stolen, got, work, ref.Counters)
+	}
+}
+
+// TestTreeLimitOvershoot pins what not dividing a step costs a tree limit: a
+// run that checks after every step passes it by less than one step's trees,
+// and neither a final frame nor a look-ahead step finds more than the 2n-3
+// branches of a tree on n taxa. The checkpoint of the stop resumes to the
+// stand.
+func TestTreeLimitOvershoot(t *testing.T) {
+	cons := smallStand(t, 2131)
+	n := int64(cons[0].Taxa().Len())
+	whole, err := Run(cons, Options{InitialTree: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	worst := int64(0)
+	for limit := int64(1); limit < whole.StandTrees; limit += 7 {
+		for _, collect := range []bool{false, true} {
+			res, err := Run(cons, Options{InitialTree: -1, CheckEvery: 1, CollectTrees: collect,
+				Limits: Limits{MaxTrees: limit, MaxStates: -1, MaxTime: -1}, Checkpoint: CheckpointPolicy{OnStop: true}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			over := res.StandTrees - limit
+			if res.Stop != StopTreeLimit || over < 0 || over >= 2*n-3 || res.Checkpoint == nil {
+				t.Fatalf("limit %d (collecting %v): stopped for %v at %d trees, %d taxa", limit, collect, res.Stop, res.StandTrees, n)
+			}
+			worst = max(worst, over)
+			rest, err := Run(cons, Options{Limits: Limits{MaxTrees: -1, MaxStates: -1, MaxTime: -1}, Checkpoint: CheckpointPolicy{Resume: res.Checkpoint}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rest.Counters != whole.Counters {
+				t.Fatalf("limit %d (collecting %v): resumed to %+v, the stand is %+v", limit, collect, rest.Counters, whole.Counters)
+			}
+		}
+	}
+	if worst == 0 {
+		t.Fatal("no limit was overshot")
 	}
 }

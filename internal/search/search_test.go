@@ -278,56 +278,85 @@ func TestCountersAdditivity(t *testing.T) {
 }
 
 func TestEngineEventStream(t *testing.T) {
-	// Every insertion performed is removed again; the stand trees are the
-	// branches of the final frames, one EvTreeFound each; the paper's machine
-	// is charged two transitions per tree and per state; the engine ends at
-	// its base depth.
+	// Every insertion performed is removed again, and every state is either
+	// inserted or looked ahead of; the stand trees are the branches of the
+	// final frames, one EvTreeFound each, and what the look-ahead steps
+	// counted; the paper's machine is charged two transitions per tree and
+	// per state; the engine ends at its base depth.
 	rng := rand.New(rand.NewSource(55))
-	cons := randomScenario(rng, 8, 2, 4, 0.6)
-	res, err := Run(cons, Options{InitialTree: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Replicate with a raw engine and count events.
-	idx := ChooseInitialTree(cons)
-	tr, err := newTerrace(cons, idx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := NewEngine(tr)
-	var ins, rem, frames, trees, dead int64
-	for {
-		ev := eng.Step()
-		if ev == EvDone {
-			break
+	var all Work
+	lookedDead, lookedTrees := int64(0), int64(0)
+	for scen := 0; scen < 30; scen++ {
+		cons := randomScenario(rng, 10, 3, 4, 0.5)
+		for _, static := range []bool{false, true} {
+			res, err := Run(cons, Options{InitialTree: -1, Heuristic: OrderMaxBranches, DisableDynamicOrder: static, CollectTrees: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Replicate with a raw engine that renders nothing and count events.
+			tr, err := newTerrace(cons, res.InitialIndex)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng := NewEngine(tr)
+			eng.Heuristic = OrderMaxBranches
+			if static {
+				eng.DynamicOrder, eng.Order = false, tr.MissingTaxa()
+			}
+			var ins, rem, looked, frames, trees, dead int64
+			for {
+				was := eng.Counters()
+				ev := eng.Step()
+				if ev == EvDone {
+					break
+				}
+				switch ev {
+				case EvInserted, EvDeadEnd:
+					ins++
+				case EvTreeFound:
+					_, branches := eng.FinalFrame()
+					frames++
+					trees += int64(len(branches))
+				case EvRemoved:
+					rem++
+				case EvLookAhead:
+					looked++
+					now := eng.Counters()
+					last, branches := eng.FinalFrame()
+					top := eng.frames[len(eng.frames)-1]
+					if branches != nil || last == top.Taxon || tr.Agile().HasTaxon(last) || top.inserted ||
+						now.IntermediateStates != was.IntermediateStates+1 ||
+						(now.StandTrees == was.StandTrees) == (now.DeadEnds == was.DeadEnds) {
+						t.Fatalf("scen %d: a look-ahead step took %+v to %+v, final frame %d %v under %+v", scen, was, now, last, branches, top)
+					}
+					trees += now.StandTrees - was.StandTrees
+					dead += now.DeadEnds - was.DeadEnds
+					lookedTrees += now.StandTrees - was.StandTrees
+					lookedDead += now.DeadEnds - was.DeadEnds
+				}
+				if ev == EvDeadEnd {
+					dead++
+				}
+			}
+			if ins != rem || ins != res.IntermediateStates-looked {
+				t.Fatalf("scen %d: %d insertions, %d removals, %d looked ahead of, %d states", scen, ins, rem, looked, res.IntermediateStates)
+			}
+			if trees != res.StandTrees || dead != res.DeadEnds || frames > trees {
+				t.Fatalf("scen %d: event counts (%d trees in %d final frames, %d dead) disagree with runner (%d, %d)",
+					scen, trees, frames, dead, res.StandTrees, res.DeadEnds)
+			}
+			w := eng.Work()
+			if w.Units != 2*trees+2*res.IntermediateStates || w.Units+1 != res.Steps || w.Extends != ins || w.LookAheads != looked {
+				t.Fatalf("scen %d: work %+v for %d trees and %d states; the run took %d steps", scen, w, trees, res.IntermediateStates, res.Steps)
+			}
+			if tr.Depth() != 0 {
+				t.Fatal("engine did not return to base depth")
+			}
+			all.Add(w)
 		}
-		switch ev {
-		case EvInserted, EvDeadEnd:
-			ins++
-		case EvTreeFound:
-			_, branches := eng.FinalFrame()
-			frames++
-			trees += int64(len(branches))
-		case EvRemoved:
-			rem++
-		}
-		if ev == EvDeadEnd {
-			dead++
-		}
 	}
-	if ins != rem || ins != res.IntermediateStates {
-		t.Fatalf("%d insertions, %d removals, %d states", ins, rem, res.IntermediateStates)
-	}
-	if trees != res.StandTrees || dead != res.DeadEnds || frames == 0 || frames >= trees {
-		t.Fatalf("event counts (%d trees in %d final frames, %d dead) disagree with runner (%d, %d)",
-			trees, frames, dead, res.StandTrees, res.DeadEnds)
-	}
-	w := eng.Work()
-	if w.Units != 2*trees+2*ins || w.Units+1 != res.Steps || w.Extends != ins {
-		t.Fatalf("work %+v for %d trees and %d states; the run took %d steps", w, trees, ins, res.Steps)
-	}
-	if tr.Depth() != 0 {
-		t.Fatal("engine did not return to base depth")
+	if all.LookAheads < 1000 || all.Fallbacks < 1000 || all.Extends < 1000 || lookedDead < 100 || lookedTrees < 1000 {
+		t.Fatalf("work %+v, look-ahead steps counted %d trees and %d dead ends: not enough to mean anything", all, lookedTrees, lookedDead)
 	}
 }
 

@@ -19,6 +19,7 @@ type fakeHost struct {
 	total Counters
 	trees []string
 	log   []string
+	begun func(FrontierTask) // if set, sees every task drain begins
 }
 
 func (h *fakeHost) Offer(path []PathStep, f *Frame, n int) int {
@@ -46,6 +47,9 @@ func drain(t *testing.T, w *Worker, h *fakeHost, first FrontierTask) {
 	pending := []FrontierTask{first}
 	for len(pending) > 0 {
 		h.log = append(h.log, "begin")
+		if h.begun != nil {
+			h.begun(pending[0])
+		}
 		if err := w.Begin(pending[0]); err != nil {
 			t.Fatal(err)
 		}

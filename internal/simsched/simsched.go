@@ -495,9 +495,11 @@ func (w *vworker) Publish(c search.Counters) {
 	s.g.Add(c)
 	w.stats.Counters.Add(c)
 	s.flushes++
-	// The paper's machine counts a final frame tree by tree and would have
-	// filled its tree batch, and paid for a flush, this many times on the way.
-	w.stall += s.opt.FlushCost * max(1, c.StandTrees/s.opt.Policy.TreeBatch)
+	// The paper's machine counts a final frame tree by tree, and the state
+	// above it before that, where a look-ahead step publishes both at once: it
+	// would have filled its tree batch and its state batch, and paid for a
+	// flush, this many times on the way.
+	w.stall += s.opt.FlushCost * max(1, c.StandTrees/s.opt.Policy.TreeBatch+c.IntermediateStates/s.opt.Policy.StateBatch)
 	if r, hit := s.limits.Exceeded(s.g, 0); hit {
 		s.halt(r, w.id)
 	}

@@ -101,6 +101,15 @@ func TestSimSerialMatchesRunner(t *testing.T) {
 		if sim.Counters != serial.Counters {
 			t.Fatalf("scen %d: sim counters %+v, serial %+v", scen, sim.Counters, serial.Counters)
 		}
+		// A worker that renders nothing looks ahead of the second-to-last taxon
+		// where this one inserted it, and is charged the same ticks for it.
+		count, err := Run(cons, Options{Workers: 1, InitialTree: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if count.Counters != sim.Counters || count.Ticks != sim.Ticks {
+			t.Fatalf("scen %d: counting sim %+v in %d ticks, collecting %+v in %d", scen, count.Counters, count.Ticks, sim.Counters, sim.Ticks)
+		}
 		a, b := append([]string(nil), sim.Trees...), append([]string(nil), serial.Trees...)
 		sort.Strings(a)
 		sort.Strings(b)

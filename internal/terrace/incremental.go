@@ -212,6 +212,47 @@ func (tr *Terrace) invalidate(y int) {
 	}
 }
 
+// restructures is the structural half of the accounting rule, stated once:
+// whether attaching a taxon of this constraint whose target common edge is
+// che changes pending taxon y's admissible set other than through the two
+// newborn edges — the constraint crosses the activation threshold, or the
+// common edge being split is y's target. RemoveTaxon asks the same question
+// of the restored state, where the answer is the same.
+func (cs *constraintState) restructures(che int32, y int32) bool {
+	return cs.sCount == 1 || cs.sCount >= 2 && cs.target[y] == che
+}
+
+// invalidateRestructured drops the cached counts of the constraint's pending
+// taxa that a transition on common edge che restructures.
+func (tr *Terrace) invalidateRestructured(cs *constraintState, che int32) {
+	for _, y := range cs.pending {
+		if cs.restructures(che, y) {
+			tr.invalidate(int(y))
+		}
+	}
+}
+
+// CountAfter returns how many admissible branches pending taxon z would have
+// after pending taxon x was inserted at e, one of x's admissible edges,
+// without inserting it: PendingCount(z), plus the two newborn edges iff e is
+// admissible for z too. ok is false exactly where ExtendTaxon(x, e) would
+// invalidate z's count instead of patching it — a constraint holding both
+// restructures z — and the caller has to insert x to learn the count. The
+// state is not changed; like PendingCount the query may fill z's cache entry.
+func (tr *Terrace) CountAfter(x int, e int32, z int) (count int, ok bool) {
+	for _, ci := range tr.byTaxon[x] {
+		cs := tr.constraints[ci]
+		if cs.pendIdx[z] >= 0 && cs.restructures(cs.target[x], int32(z)) {
+			return 0, false
+		}
+	}
+	count = tr.PendingCount(z)
+	if tr.edgeAdmissible(e, z) {
+		count += 2
+	}
+	return count, true
+}
+
 // edgeAdmissible reports whether agile edge e is admissible for pending
 // taxon y in the current state: every active constraint containing y must
 // map e to y's target common edge.

@@ -3,6 +3,8 @@ package terrace
 import (
 	"math/rand"
 	"testing"
+
+	"gentrius/internal/gen"
 )
 
 // checkPendingCounts asserts that the incrementally maintained count of
@@ -204,4 +206,102 @@ func TestHeuristicStats(t *testing.T) {
 	if agg.CountQueries != 2*st.CountQueries {
 		t.Fatal("HeuristicStats.Add broken")
 	}
+}
+
+// checkCountAfter holds CountAfter against the insertion it stands for, at
+// the current state: for every ordered pair of pending taxa (x, z) and every
+// admissible edge e of x, ok means the count is what ExtendTaxon(x, e) +
+// CountAllowedBranches(z) finds, and !ok means that insertion invalidates z's
+// cached count rather than patching it. The queries come first and must leave
+// Signature and the invariants alone. It returns how many answered either way.
+func checkCountAfter(t *testing.T, tr *Terrace, ctx string) (answered, refused int) {
+	t.Helper()
+	type query struct {
+		x, z  int
+		e     int32
+		count int
+		ok    bool
+	}
+	var pending []int
+	for _, x := range tr.MissingTaxa() {
+		if !tr.agile.HasTaxon(x) {
+			pending = append(pending, x)
+		}
+	}
+	sig := tr.Signature()
+	var qs []query
+	for _, x := range pending {
+		for _, e := range tr.AllowedBranches(x) {
+			for _, z := range pending {
+				if z != x {
+					c, ok := tr.CountAfter(x, e, z)
+					qs = append(qs, query{x, z, e, c, ok})
+				}
+			}
+		}
+	}
+	if tr.Signature() != sig {
+		t.Fatalf("%s: CountAfter changed the state", ctx)
+	}
+	if err := tr.CheckInvariants(); err != nil {
+		t.Fatalf("%s: after CountAfter: %v", ctx, err)
+	}
+	for _, q := range qs {
+		// Give z a cache entry for the insertion to patch or drop. A taxon of
+		// one constraint keeps none (its count is the constraint's own), so
+		// its validity flag, which nothing else reads, is borrowed.
+		single := len(tr.byTaxon[q.z]) == 1
+		if single {
+			tr.pendOK[q.z] = true
+		} else {
+			tr.PendingCount(q.z)
+		}
+		tr.ExtendTaxon(q.x, q.e)
+		invalidated := !tr.pendOK[q.z]
+		want := tr.CountAllowedBranches(q.z)
+		tr.RemoveTaxon()
+		if single {
+			tr.pendOK[q.z] = false
+		}
+		switch {
+		case q.ok == invalidated:
+			t.Fatalf("%s: CountAfter(%d, %d, %d) ok=%v, the insertion invalidates: %v", ctx, q.x, q.e, q.z, q.ok, invalidated)
+		case q.ok && q.count != want:
+			t.Fatalf("%s: CountAfter(%d, %d, %d) = %d, inserting finds %d", ctx, q.x, q.e, q.z, q.count, want)
+		case q.ok:
+			answered++
+		default:
+			refused++
+		}
+	}
+	return answered, refused
+}
+
+// TestCountAfterMatchesInsertion walks stands of both corpus regimes and, at
+// every state of the walk, checks every CountAfter query there is to ask.
+func TestCountAfterMatchesInsertion(t *testing.T) {
+	answered, refused := 0, 0
+	for _, regime := range []gen.Regime{gen.RegimeSimulated, gen.RegimeEmpirical} {
+		cfg := gen.Default(regime)
+		cfg.MinTaxa, cfg.MaxTaxa = 12, 28
+		for idx := 0; idx < 12; idx++ {
+			ds := gen.Generate(cfg, idx)
+			tr, err := New(ds.Constraints, idx%len(ds.Constraints))
+			if err != nil {
+				t.Fatalf("%s: %v", ds.Name, err)
+			}
+			rng := rand.New(rand.NewSource(int64(idx)))
+			for step := 0; step < 40; step++ {
+				a, r := checkCountAfter(t, tr, ds.Name)
+				answered, refused = answered+a, refused+r
+				if !walkStep(tr, rng) {
+					break
+				}
+			}
+		}
+	}
+	if answered < 1000 || refused < 100 {
+		t.Fatalf("%d queries answered and %d refused: both must occur, often", answered, refused)
+	}
+	t.Logf("%d answered, %d refused", answered, refused)
 }

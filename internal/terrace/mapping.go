@@ -174,9 +174,7 @@ func (tr *Terrace) RemoveTaxon() int {
 			// The constraint deactivates: it stops restricting its pending
 			// taxa, whose cached counts are therefore stale. (The taxon being
 			// removed is still attached, hence not in the pending list.)
-			for _, y := range cs.pending {
-				tr.invalidate(int(y))
-			}
+			tr.invalidateRestructured(cs, NoCE)
 		case cSplit:
 			// Every moved bit returns to ĉ's lane, and the c1/c2 lanes lose
 			// all of theirs — so set bits into one hoisted row and zero the
@@ -222,11 +220,7 @@ func (tr *Terrace) RemoveTaxon() int {
 			// Mirror of the insert-time invalidation: the taxa whose target
 			// common edge the insert split are exactly those targeting ĉ in
 			// the restored state.
-			for _, y := range cs.pending {
-				if cs.target[y] == u.che {
-					tr.invalidate(int(y))
-				}
-			}
+			tr.invalidateRestructured(cs, u.che)
 		}
 	}
 	// Mirror of the insert-time +2 sweep, evaluated against the restored
@@ -294,17 +288,17 @@ func (tr *Terrace) firstCommonEdge(ci int32, cs *constraintState, x int) cUndo {
 	for u := aa; u != j; u = tr.rootedV[u] {
 		cs.dir[tr.rootedE[u]] = tr.rootedV[u]
 	}
-	// Every pending taxon of this constraint now targets the newborn common
-	// edge (x and s0 are attached, hence absent from the pending list).
-	// Projections are left lazy rather than paying a median per taxon on an
-	// activation that may be undone immediately; the first split touching a
-	// taxon computes and caches its projection.
+	// The constraint is about to become active and restrict its pending taxa
+	// for the first time, so their cached counts are stale.
+	tr.invalidateRestructured(cs, NoCE)
+	// Every one of them now targets the newborn common edge (x and s0 are
+	// attached, hence absent from the pending list). Projections are left lazy
+	// rather than paying a median per taxon on an activation that may be undone
+	// immediately; the first split touching a taxon computes and caches its
+	// projection.
 	for _, y := range cs.pending {
 		cs.target[y] = 0
 		cs.proj[y] = tree.NoNode
-		// The constraint just became active and now restricts y for the
-		// first time: y's cached count is stale.
-		tr.invalidate(int(y))
 	}
 	cs.s.Add(x)
 	cs.sCount = 2
@@ -470,13 +464,14 @@ func (tr *Terrace) splitCommonEdge(u *cUndo, ci int32, cs *constraintState, x in
 
 // pendingOn collects (into a shared scratch buffer) the taxa of the
 // constraint that are still missing from the agile tree, differ from x, and
-// currently target common edge che. The pending list already excludes
-// attached taxa (x among them — ExtendTaxon swap-removes it before the
-// constraint handlers run), so only the target filter remains.
+// currently target common edge che — those the split restructures (the
+// constraint is active here). The pending list already excludes attached taxa
+// (x among them — ExtendTaxon swap-removes it before the constraint handlers
+// run), so only the target filter remains.
 func (cs *constraintState) pendingOn(tr *Terrace, che int32, x int) []int32 {
 	buf := tr.pendBuf[:0]
 	for _, y := range cs.pending {
-		if cs.target[y] == che {
+		if cs.restructures(che, y) {
 			buf = append(buf, y)
 		}
 	}
