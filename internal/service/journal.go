@@ -35,10 +35,11 @@ type journalRecord struct {
 	DeadEnds   int64  `json:"dead_ends,omitempty"`
 }
 
-// journal is the append-only NDJSON write-ahead log. Records are written
-// whole and fsynced before the corresponding in-memory transition becomes
-// externally visible, so a SIGKILL loses at most the record being written
-// — and a torn tail is tolerated on replay.
+// journal is the append-only NDJSON log of job moves. Records are written
+// whole and fsynced — a submit record before its job can be seen or run, a
+// terminal record before the job's Done() and spool close (the package
+// comment has the exact guarantee) — so a SIGKILL loses at most the record
+// being written, and a torn tail is tolerated on replay.
 type journal struct {
 	mu    sync.Mutex
 	f     *os.File

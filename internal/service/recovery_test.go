@@ -458,13 +458,16 @@ func TestJournalSubmitPrecedesState(t *testing.T) {
 	}
 }
 
-// TestQueueCapSurvivesRecovery: the queue channel is enlarged to hold
-// recovered jobs, but once they drain the extra capacity must not leak to
-// new submissions — cfg.QueueCap still bounds them.
+// TestQueueCapSurvivesRecovery: recovered jobs queue beyond QueueCap and
+// hold none of its budget — neither while they wait, nor when one of them is
+// cancelled in the queue, nor once they have drained: cfg.QueueCap bounds
+// new submissions throughout.
 func TestQueueCapSurvivesRecovery(t *testing.T) {
 	dir := t.TempDir()
-	var recs []journalRecord
-	for i := 1; i <= 3; i++ {
+	recs := []journalRecord{{Op: "submit", ID: "j000001", Req: &JobRequest{
+		Trees: hugeRequest().Trees, MaxTrees: -1, MaxStates: -1, MaxTimeSeconds: -1,
+	}}}
+	for i := 2; i <= 3; i++ {
 		recs = append(recs, journalRecord{Op: "submit", ID: fmt.Sprintf("j%06d", i),
 			Req: &JobRequest{Trees: smallRequest().Trees}})
 	}
@@ -473,6 +476,24 @@ func TestQueueCapSurvivesRecovery(t *testing.T) {
 	if rec := m.Recovery(); rec.Requeued != 3 {
 		t.Fatalf("recovery %+v, want 3 requeued", rec)
 	}
+	// The first recovered job holds the one worker; the other two wait.
+	// Cancelling one of them releases no budget, for it never held any: one
+	// new job fits beside the remaining recovered one, a second does not.
+	first, _ := m.Get("j000001")
+	waitSpooled(t, first)
+	second, _ := m.Get("j000002")
+	m.Cancel(second.ID())
+	waitDone(t, second)
+	if st := second.Status(); st.State != StateCancelled {
+		t.Fatalf("recovered job cancelled in the queue ended %s", st.State)
+	}
+	if _, err := m.Submit(smallRequest()); err != nil {
+		t.Fatalf("queueing within cap beside a recovered job: %v", err)
+	}
+	if _, err := m.Submit(smallRequest()); err != ErrQueueFull {
+		t.Fatalf("Submit past QueueCap after a recovered job was cancelled = %v, want ErrQueueFull", err)
+	}
+	m.Cancel(first.ID())
 	for _, j := range m.List() {
 		waitDone(t, j)
 	}

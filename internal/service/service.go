@@ -6,24 +6,32 @@
 // graceful shutdown that checkpoints in-flight jobs — serial or parallel —
 // for later resumption. cmd/gentriusd exposes it over HTTP.
 //
-// Fault tolerance: every job transition is appended to an fsynced NDJSON
-// journal before it becomes externally visible, jobs checkpoint
-// periodically when Config.CheckpointEvery or Config.CheckpointInterval is
-// set (parallel jobs snapshot their quiesced task frontier), and New
-// replays the journal on startup — finished jobs are re-adopted with their
-// spools, running jobs resume from their latest checkpoint at any thread
-// count, queued jobs requeue, and everything else is marked interrupted. A
-// SIGKILL therefore loses at most the work since the last checkpoint, and
-// never a finished result.
+// Fault tolerance: every move of a job through its lifecycle is appended to
+// an fsynced NDJSON journal, by transition. A job's submit record is durable
+// before the job is in the job table or the queue (so before Submit returns,
+// and before a worker can journal a state for it); a terminal record is
+// durable before Done() closes, before the spool closes and ends a /trees
+// stream, and before a complete job's obsolete checkpoint is deleted. Status,
+// stats and /healthz may report a state for the length of one fsync before
+// its record is durable: a crash in that window replays the record before
+// it. Jobs checkpoint periodically when Config.CheckpointEvery or
+// Config.CheckpointInterval is set (parallel jobs snapshot their quiesced
+// task frontier), and New replays the journal on startup — finished jobs are
+// re-adopted with their spools, running jobs resume from their latest
+// checkpoint at any thread count, queued jobs requeue, and everything else
+// is marked interrupted. A SIGKILL therefore loses at most the work since
+// the last checkpoint, and never a finished result.
 package service
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -257,12 +265,32 @@ const (
 	StateInterrupted State = "interrupted"
 )
 
+// stateNone is the state of a job the manager does not hold yet: built by
+// Submit or by New's replay, and in the job table after its first move.
+const stateNone State = ""
+
+// lifecycle is the job state machine: every state, and the states a job may
+// move to from it. transition refuses any move that is not listed here, so
+// a job reaches exactly one terminal state, once.
+var lifecycle = map[State][]State{
+	// Submit queues a new job; New re-enacts the journal's last word on an
+	// old one: requeue or resume it, adopt its terminal state, or interrupt
+	// what cannot be resumed.
+	stateNone: {StateQueued, StateDone, StateCancelled, StateFailed, StateInterrupted},
+	// A pool worker pops the job, or Cancel/Shutdown get there first.
+	StateQueued: {StateRunning, StateCancelled},
+	// The worker that ran the job reports how it ended.
+	StateRunning:     {StateDone, StateCancelled, StateFailed},
+	StateDone:        nil,
+	StateCancelled:   nil,
+	StateFailed:      nil,
+	StateInterrupted: nil,
+}
+
+// terminal reports whether s is a state no job leaves.
 func terminal(s State) bool {
-	switch s {
-	case StateDone, StateCancelled, StateFailed, StateInterrupted:
-		return true
-	}
-	return false
+	next, ok := lifecycle[s]
+	return ok && len(next) == 0
 }
 
 // JobRequest is a submitted enumeration: either Trees (Newick constraint
@@ -314,7 +342,6 @@ type Job struct {
 	id       string
 	num      int64  // numeric job serial (the "jobn" trace correlation key)
 	reqID    string // originating HTTP request id, "" for direct submissions
-	reqNum   int64  // originating request serial ("reqn"), 0 when unknown
 	state    State
 	req      JobRequest
 	cons     []*gentrius.Tree
@@ -379,7 +406,7 @@ func (j *Job) Status() Status {
 		RequestID:       j.reqID,
 		State:           j.state,
 		ConstraintTrees: len(j.cons),
-		Threads:         j.threadsLocked(),
+		Threads:         max(j.req.Threads, 1),
 		TreesSpooled:    j.spool.Lines(),
 		Resumed:         j.resumed,
 		Created:         j.created.Format(time.RFC3339Nano),
@@ -403,13 +430,6 @@ func (j *Job) Status() Status {
 		st.ElapsedSeconds = j.res.Elapsed.Seconds()
 	}
 	return st
-}
-
-func (j *Job) threadsLocked() int {
-	if j.req.Threads > 1 {
-		return j.req.Threads
-	}
-	return 1
 }
 
 // JobStats is the live observability snapshot behind GET /jobs/{id}/stats:
@@ -501,19 +521,20 @@ type Manager struct {
 	m       *Metrics
 	jnl     *journal
 	log     *slog.Logger
+	trace   *obs.Recorder // the shared trace recorder (nil, and discarding, when tracing is off)
 	mw      *Middleware
 	started time.Time
 
 	mu        sync.Mutex
 	jobs      map[string]*Job
-	order     []string // submission order, for stable listings
+	order     []*Job // submission order, for stable listings
 	nextID    int
-	closed    bool
-	draining  bool // Shutdown began: submissions get 503 + Retry-After
-	queued    int  // Submit-accepted jobs currently in the queue channel (the QueueCap budget)
+	closed    bool          // Shutdown began: submissions get 503 + Retry-After
+	pending   []*Job        // the jobs in state queued, in the order they got there
+	work      *sync.Cond    // on mu: pending grew, or closed was set
+	byState   map[State]int // how many jobs are in each state, for Health
 	recovered RecoveryStats
 
-	queue   chan *Job
 	wg      sync.WaitGroup
 	baseCtx context.Context
 	stop    context.CancelFunc
@@ -555,27 +576,19 @@ func New(cfg Config) (*Manager, error) {
 		log:     cfg.Logger,
 		started: time.Now(),
 		jobs:    map[string]*Job{},
+		byState: map[State]int{},
 	}
+	m.work = sync.NewCond(&m.mu)
 	// Minted request ids are "<runID>-<serial>": unique within a run by the
 	// serial, across restarts by the start-time nonce.
 	runID := fmt.Sprintf("r%08x", uint32(m.started.UnixNano()))
-	var trace *obs.Recorder
 	if cfg.Sink != nil {
-		trace = cfg.Sink.Trace
+		m.trace = cfg.Sink.Trace
 	}
 	m.mw = NewMiddleware(NewHTTPMetrics(cfg.Metrics.reg, cfg.HTTPWindow),
-		cfg.Logger, trace, runID)
+		cfg.Logger, m.trace, runID)
 	m.baseCtx, m.stop = context.WithCancel(context.Background())
-	pending := m.replay(records)
-	// Recovered jobs must never hit ErrQueueFull, so the channel is sized
-	// for both them and a full QueueCap of new submissions; the QueueCap
-	// budget itself is enforced by Submit via m.queued, so the enlarged
-	// capacity cannot leak to new jobs once the recovered ones drain.
-	m.queue = make(chan *Job, cfg.QueueCap+len(pending))
-	for _, job := range pending {
-		m.queue <- job
-		m.m.JobsQueued.Add(1)
-	}
+	m.replay(records)
 	for i := 0; i < cfg.Workers; i++ {
 		m.wg.Add(1)
 		go m.worker()
@@ -623,11 +636,14 @@ func (m *Manager) Health() Health {
 		SpoolDropped:      m.m.SpoolDropped.Value(),
 		CheckpointDropped: m.m.CheckpointDropped.Value(),
 	}
-	for _, j := range m.List() {
-		j.mu.Lock()
-		h.Jobs[j.state]++
-		j.mu.Unlock()
+	m.mu.Lock()
+	for state, n := range m.byState {
+		if n > 0 {
+			h.Jobs[state] = n
+		}
 	}
+	draining := m.closed
+	m.mu.Unlock()
 	if h.JournalDropped > 0 || h.SpoolDropped > 0 || h.CheckpointDropped > 0 {
 		h.Status = "degraded"
 	}
@@ -641,19 +657,12 @@ func (m *Manager) Health() Health {
 	case m.cfg.FleetWorker != nil:
 		h.Fleet = m.cfg.FleetWorker.Health()
 	}
-	if m.Draining() {
+	if draining {
+		// Submissions are rejected with 503 + Retry-After while the daemon
+		// drains; the status tells load balancers to stop routing work here.
 		h.Status = "draining"
 	}
 	return h
-}
-
-// Draining reports whether Shutdown has begun. Submissions are rejected
-// with 503 + Retry-After while the daemon drains, and /healthz reports
-// status "draining" so load balancers stop routing new work here.
-func (m *Manager) Draining() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.draining
 }
 
 // Recovery reports what New recovered from the previous run's journal.
@@ -663,10 +672,9 @@ func (m *Manager) Recovery() RecoveryStats {
 	return m.recovered
 }
 
-// replay rebuilds the job table from the journal records and returns the
-// jobs to requeue, in original submission order. Called from New before
-// the workers start; no locking needed.
-func (m *Manager) replay(records []journalRecord) []*Job {
+// replay rebuilds the job table from the journal records, in original
+// submission order. Called from New before the workers start.
+func (m *Manager) replay(records []journalRecord) {
 	type entry struct {
 		req   *JobRequest
 		reqID string        // originating HTTP request id, if journaled
@@ -690,28 +698,20 @@ func (m *Manager) replay(records []journalRecord) []*Job {
 		}
 	}
 
-	var pending []*Job
 	for _, id := range order {
 		e := byID[id]
 		var n int
 		if _, err := fmt.Sscanf(id, "j%d", &n); err == nil && n > m.nextID {
 			m.nextID = n
 		}
-		job := m.recoverJob(id, e.req, e.reqID, e.last)
-		job.num = int64(n)
-		m.jobs[id] = job
-		m.order = append(m.order, id)
-		if job.state == StateQueued {
-			pending = append(pending, job)
-		}
+		m.recoverJob(id, int64(n), e.req, e.reqID, e.last)
 	}
-	return pending
 }
 
-// recoverJob reconstructs one journaled job; it never returns nil — a job
-// whose spool cannot be reopened is registered as interrupted, carrying
-// the spool error, instead of silently vanishing from the job table.
-func (m *Manager) recoverJob(id string, req *JobRequest, reqID string, last journalRecord) *Job {
+// recoverJob reconstructs one journaled job and re-enacts the journal's last
+// word on it. No journaled job vanishes from the job table: one whose spool
+// cannot be reopened is registered as interrupted, carrying the spool error.
+func (m *Manager) recoverJob(id string, num int64, req *JobRequest, reqID string, last journalRecord) {
 	wasTerminal := terminal(last.State)
 	spoolPath := filepath.Join(m.cfg.DataDir, id+".trees")
 	sp, spErr := adoptSpool(spoolPath, wasTerminal, m.cfg.Fault, m.m)
@@ -721,106 +721,77 @@ func (m *Manager) recoverJob(id string, req *JobRequest, reqID string, last jour
 		sp = &spool{path: spoolPath, closed: true, m: m.m}
 		sp.cond = sync.NewCond(&sp.mu)
 	}
-	job := &Job{
-		id:      id,
-		reqID:   reqID,
-		req:     *req,
-		spool:   sp,
-		resumed: true,
-		created: time.Now(),
-		done:    make(chan struct{}),
-		est:     &obs.Estimator{},
-	}
-	m.m.registerJob(id, reqID, job.est)
+	job := m.newJob(&Job{id: id, num: num, reqID: reqID, req: *req, spool: sp, resumed: true})
 	if t, err := time.Parse(time.RFC3339Nano, last.Time); err == nil {
 		job.created = t
 	}
-	job.ctx, job.cancel = context.WithCancel(m.baseCtx)
 	ckptPath := filepath.Join(m.cfg.DataDir, id+".ckpt")
 
-	if spErr != nil {
-		job.state = StateInterrupted
-		job.finished = time.Now()
-		job.err = fmt.Errorf("service: restart recovery: spool unusable: %w", spErr)
-		close(job.done)
-		m.jnl.append(journalRecord{Op: "state", ID: id, State: StateInterrupted, Error: job.err.Error()})
-		m.recovered.Interrupted++
-		m.m.JobsInterrupted.Inc()
-		return job
-	}
-
-	if wasTerminal {
-		job.state = last.State
-		job.finished = job.created
+	var why error // why the job cannot go on
+	switch {
+	case spErr != nil:
+		why = fmt.Errorf("spool unusable: %w", spErr)
+	case wasTerminal:
+		out := outcome{journaled: true}
 		if last.Error != "" {
-			job.err = fmt.Errorf("%s", last.Error)
+			out.err = errors.New(last.Error)
 		}
 		if last.Stop != "" {
-			job.res = &gentrius.Result{
+			out.res = &gentrius.Result{
 				StandTrees:         last.StandTrees,
 				IntermediateStates: last.States,
 				DeadEnds:           last.DeadEnds,
 				Stop:               parseStop(last.Stop),
-				Threads:            job.threadsLocked(),
+				Threads:            max(req.Threads, 1),
 			}
 			// Seed the estimator so the adopted job's gentriusd_job_*
 			// gauges export its journaled totals (fraction 1 if complete).
-			job.est.AddCounters(job.res.StandTrees, job.res.IntermediateStates, job.res.DeadEnds)
-			if job.res.Complete() {
-				job.est.AddLeafMass(1, job.res.StandTrees+job.res.DeadEnds)
+			job.est.AddCounters(out.res.StandTrees, out.res.IntermediateStates, out.res.DeadEnds)
+			if out.res.Complete() {
+				job.est.AddLeafMass(1, out.res.StandTrees+out.res.DeadEnds)
 			}
 		}
 		if _, err := os.Stat(ckptPath); err == nil {
 			job.ckptPath = ckptPath
 		}
-		close(job.done)
+		m.transition(job, stateNone, last.State, out)
 		m.recovered.Adopted++
-		return job
-	}
-
-	// The request was journaled before it ever ran, so it parsed once;
-	// re-parse without the size limits (tightening limits must not strand
-	// previously accepted work).
-	cons, consErr := parseRequest(*req)
-	job.cons = cons
-
-	switch {
-	case last.State == StateQueued && consErr == nil:
-		job.state = StateQueued
-		m.recovered.Requeued++
-		return job
-	case last.State == StateRunning && consErr == nil:
-		// Any thread count resumes: serial jobs from their frame-stack
-		// snapshot, parallel jobs from their quiesced task frontier (and
-		// either kind of snapshot resumes at whatever thread count the
-		// recovered request asks for).
-		if cp, err := gentrius.ReadCheckpointFile(ckptPath); err == nil {
-			job.state = StateQueued
-			job.resume = cp
-			job.ckptPath = ckptPath
-			m.recovered.Resumed++
-			m.m.JobsResumed.Inc()
-			return job
+		return
+	default:
+		// The request was journaled before it ever ran, so it parsed once;
+		// re-parse without the size limits (tightening limits must not
+		// strand previously accepted work).
+		cons, err := parseRequest(*req)
+		job.cons = cons
+		switch {
+		case err != nil:
+			why = fmt.Errorf("request no longer parses: %w", err)
+		case last.State == StateQueued:
+			m.transition(job, stateNone, StateQueued, outcome{journaled: true})
+			m.recovered.Requeued++
+			return
+		case last.State == StateRunning:
+			// Any thread count resumes: serial jobs from their frame-stack
+			// snapshot, parallel jobs from their quiesced task frontier (and
+			// either kind of snapshot resumes at whatever thread count the
+			// recovered request asks for).
+			if cp, err := gentrius.ReadCheckpointFile(ckptPath); err == nil {
+				job.resume = cp
+				job.ckptPath = ckptPath
+				m.transition(job, stateNone, StateQueued, outcome{journaled: true})
+				m.recovered.Resumed++
+				m.m.JobsResumed.Inc()
+				return
+			}
+		}
+		if why == nil {
+			why = errors.New("no usable checkpoint; resubmit to rerun")
 		}
 	}
-
-	// No readable checkpoint, or a request that no longer parses:
-	// terminal, and journaled as such so the next restart adopts it
-	// directly.
-	job.state = StateInterrupted
-	job.finished = time.Now()
-	switch {
-	case consErr != nil:
-		job.err = fmt.Errorf("service: restart recovery: request no longer parses: %w", consErr)
-	default:
-		job.err = fmt.Errorf("service: restart recovery: no usable checkpoint; resubmit to rerun")
-	}
-	sp.Close()
-	close(job.done)
-	m.jnl.append(journalRecord{Op: "state", ID: id, State: StateInterrupted, Error: job.err.Error()})
+	// Terminal, and journaled as such so the next restart adopts it directly.
+	m.transition(job, stateNone, StateInterrupted,
+		outcome{err: fmt.Errorf("service: restart recovery: %w", why)})
 	m.recovered.Interrupted++
-	m.m.JobsInterrupted.Inc()
-	return job
 }
 
 // parseStop maps a journaled stop-reason string back to the typed value.
@@ -881,15 +852,6 @@ func (m *Manager) checkRequest(req JobRequest) ([]*gentrius.Tree, error) {
 	return cons, nil
 }
 
-// tracer returns the shared trace recorder (nil when tracing is off; the
-// Recorder is nil-safe).
-func (m *Manager) tracer() *obs.Recorder {
-	if m.cfg.Sink == nil {
-		return nil
-	}
-	return m.cfg.Sink.Trace
-}
-
 // jobTags builds the job's trace correlation tags: always the job id, plus
 // the originating request id when the job came in over HTTP.
 func (j *Job) jobTags() []obs.SField {
@@ -904,7 +866,7 @@ func (j *Job) jobTags() []obs.SField {
 // returned job is already visible to Get/List in state queued, and its
 // submission is journaled before Submit returns.
 func (m *Manager) Submit(req JobRequest) (*Job, error) {
-	return m.submit(req, "", 0)
+	return m.SubmitWithRequest(req, "", 0)
 }
 
 // SubmitWithRequest is Submit carrying the originating HTTP request's id
@@ -912,10 +874,6 @@ func (m *Manager) Submit(req JobRequest) (*Job, error) {
 // job lifecycle logs and the job-submit trace span — the request→job leg of
 // the correlation chain.
 func (m *Manager) SubmitWithRequest(req JobRequest, reqID string, reqSerial int64) (*Job, error) {
-	return m.submit(req, reqID, reqSerial)
-}
-
-func (m *Manager) submit(req JobRequest, reqID string, reqSerial int64) (*Job, error) {
 	cons, err := m.checkRequest(req)
 	if err != nil {
 		m.m.JobsRejected.Inc()
@@ -931,7 +889,15 @@ func (m *Manager) submit(req JobRequest, reqID string, reqSerial int64) (*Job, e
 		m.m.JobsRejected.Inc()
 		return nil, ErrShuttingDown
 	}
-	if m.queued >= m.cfg.QueueCap {
+	// QueueCap bounds the jobs Submit put in the queue; recovered ones,
+	// which sit ahead of them, never count against it.
+	waiting := 0
+	for _, j := range m.pending {
+		if !j.resumed {
+			waiting++
+		}
+	}
+	if waiting >= m.cfg.QueueCap {
 		m.mu.Unlock()
 		m.m.JobsRejected.Inc()
 		return nil, ErrQueueFull
@@ -944,36 +910,17 @@ func (m *Manager) submit(req JobRequest, reqID string, reqSerial int64) (*Job, e
 		m.m.JobsRejected.Inc()
 		return nil, err
 	}
-	job := &Job{
-		id:      id,
-		num:     int64(m.nextID),
-		reqID:   reqID,
-		reqNum:  reqSerial,
-		state:   StateQueued,
-		req:     req,
-		cons:    cons,
-		spool:   sp,
-		created: time.Now(),
-		done:    make(chan struct{}),
-		est:     &obs.Estimator{},
-	}
-	job.ctx, job.cancel = context.WithCancel(m.baseCtx)
-	m.m.registerJob(id, reqID, job.est)
-	// WAL invariant: the submit record is durable before the job can run
-	// or be observed, so a pool worker cannot journal a state transition
-	// ahead of the submission it belongs to. The capacity check above
-	// reserved a queue slot under m.mu (only workers remove from the
-	// channel, and recovered jobs were budgeted into its capacity), so
-	// the send below cannot block.
+	job := m.newJob(&Job{id: id, num: int64(m.nextID), reqID: reqID, req: req, cons: cons, spool: sp})
+	// The submit record is durable before the job can be seen or run, so no
+	// state record of the job precedes it in the journal; and the capacity
+	// check, the record and the queue are one critical section, so two
+	// submissions cannot share the last slot and none lands behind Shutdown.
 	m.jnl.append(journalRecord{Op: "submit", ID: id, Req: &req, ReqID: reqID})
-	m.jobs[id] = job
-	m.order = append(m.order, id)
-	m.queued++
-	m.queue <- job
+	publish := m.move(job, stateNone, StateQueued, outcome{journaled: true})
 	m.mu.Unlock()
+	publish()
 	m.m.JobsSubmitted.Inc()
-	m.m.JobsQueued.Add(1)
-	m.tracer().EmitTagged(obs.EvJobSubmit, -1, job.jobTags(),
+	m.trace.EmitTagged(obs.EvJobSubmit, -1, job.jobTags(),
 		obs.F("jobn", job.num), obs.F("reqn", reqSerial))
 	attrs := []any{"job", id, "constraints", len(cons), "threads", max(req.Threads, 1)}
 	if reqID != "" {
@@ -995,16 +942,12 @@ func (m *Manager) Get(id string) (*Job, bool) {
 func (m *Manager) List() []*Job {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make([]*Job, 0, len(m.order))
-	for _, id := range m.order {
-		out = append(out, m.jobs[id])
-	}
-	return out
+	return slices.Clone(m.order)
 }
 
-// Cancel cancels a job. A queued job terminates immediately; a running job
-// stops with StopCancelled within one stopping-rule check interval (and,
-// when checkpointing is on, leaves a resumable snapshot).
+// Cancel cancels a job. A queued job leaves the queue and terminates at once;
+// a running job stops with StopCancelled within one stopping-rule check
+// interval (and, when checkpointing is on, leaves a resumable snapshot).
 func (m *Manager) Cancel(id string) bool {
 	j, ok := m.Get(id)
 	if !ok {
@@ -1012,71 +955,39 @@ func (m *Manager) Cancel(id string) bool {
 	}
 	j.cancel()
 	m.log.Info("job cancel requested", "job", id)
-	j.mu.Lock()
-	queued := j.state == StateQueued
-	j.mu.Unlock()
-	if queued {
-		// Don't leave a dead job parked behind long-running ones; the
-		// worker that eventually pops it hits the terminal-state guard.
-		m.finish(j, nil, nil)
-	}
+	// Refused unless the job is still queued: a worker that popped it first
+	// runs it into the cancelled context and reports how that ended.
+	m.transition(j, StateQueued, StateCancelled, outcome{})
 	return true
 }
 
-// worker drains the queue until Shutdown closes it.
+// worker runs queued jobs, oldest first, until Shutdown.
 func (m *Manager) worker() {
 	defer m.wg.Done()
-	for job := range m.queue {
-		m.dequeued(job)
+	for {
+		m.mu.Lock()
+		for len(m.pending) == 0 && !m.closed {
+			m.work.Wait()
+		}
+		if m.closed {
+			m.mu.Unlock()
+			return
+		}
+		job := m.pending[0]
+		publish := m.move(job, StateQueued, StateRunning, outcome{})
+		m.mu.Unlock()
+		publish()
 		m.runJob(job)
 	}
 }
 
-// dequeued releases the accounting a queued job holds: the JobsQueued
-// gauge and — for jobs that arrived through Submit — the QueueCap budget.
-// Recovered jobs never counted against the budget.
-func (m *Manager) dequeued(job *Job) {
-	m.m.JobsQueued.Add(-1)
-	if !job.resumed {
-		m.mu.Lock()
-		m.queued--
-		m.mu.Unlock()
-	}
-}
-
-// runJob executes one job on the calling pool worker.
+// runJob executes a job in state running on the calling pool worker.
 func (m *Manager) runJob(job *Job) {
-	// A job cancelled while still queued never starts.
-	if job.ctx.Err() != nil {
-		m.finish(job, nil, nil)
-		return
-	}
 	job.mu.Lock()
-	if terminal(job.state) {
-		// Cancel finished it between the check above and here: marking it
-		// running again would finish it, and close its done channel, twice.
-		job.mu.Unlock()
-		return
-	}
-	job.state = StateRunning
-	job.started = time.Now()
-	job.queueWait = job.started.Sub(job.created)
-	wait := job.queueWait
 	req := job.req
 	resume := job.resume
 	job.resume = nil
 	job.mu.Unlock()
-	m.jnl.append(journalRecord{Op: "state", ID: job.id, State: StateRunning})
-	m.m.JobsRunning.Add(1)
-	defer m.m.JobsRunning.Add(-1)
-	m.m.QueueWait.Observe(wait.Seconds())
-	m.tracer().EmitTagged(obs.EvJobStart, -1, job.jobTags(), obs.F("jobn", job.num))
-	startAttrs := []any{"job", job.id,
-		"queue_wait_seconds", wait.Seconds(), "resume", resume != nil}
-	if job.reqID != "" {
-		startAttrs = append(startAttrs, "req", job.reqID)
-	}
-	m.log.Info("job started", startAttrs...)
 
 	// The job's sink shares the daemon-wide engine metrics and trace but
 	// owns its estimator, so /jobs/{id}/stats sees only this job's mass.
@@ -1251,97 +1162,188 @@ func (m *Manager) writeCheckpointRetry(id string, cp *gentrius.Checkpoint) (stri
 	return path, true
 }
 
-// finish records the terminal state, journals it, writes the checkpoint if
-// one was captured, and closes the spool so followers drain. It is
-// idempotent: the first caller wins (a job can race between Cancel and its
-// pool worker).
+// finish ends a job its worker ran: it decides which terminal state the
+// result amounts to, persists the checkpoint the run captured and names the
+// one the move makes obsolete.
 func (m *Manager) finish(job *Job, res *gentrius.Result, err error) {
-	job.mu.Lock()
-	if terminal(job.state) {
-		job.mu.Unlock()
-		return
-	}
-	job.res = res
-	job.err = err
-	job.finished = time.Now()
+	to := StateDone
 	switch {
 	case err != nil:
-		job.state = StateFailed
+		to = StateFailed
 	case res == nil || res.Stop == gentrius.StopCancelled:
-		job.state = StateCancelled
-	default:
-		job.state = StateDone
+		to = StateCancelled
 	}
+	job.mu.Lock()
 	if res != nil && res.Checkpoint != nil {
 		if path, ok := m.writeCheckpointRetry(job.id, res.Checkpoint); ok {
 			job.ckptPath = path
 		}
 	}
-	var staleCkpt string
+	out := outcome{res: res, err: err}
 	if res != nil && res.Complete() && job.ckptPath != "" {
 		// The stand is fully enumerated; the periodic checkpoint (and its
 		// .bak rotation) is obsolete and must not be offered for
-		// resumption. Deletion waits until the terminal journal record is
-		// durable: a crash in between must not leave a running-state
-		// journal whose replay resumes the finished job from a stale
-		// snapshot.
-		staleCkpt = job.ckptPath
+		// resumption.
+		out.staleCkpt = job.ckptPath
 		job.ckptPath = ""
 	}
-	state := job.state
-	var ran time.Duration
-	if !job.started.IsZero() {
-		ran = job.finished.Sub(job.started)
-	}
-	rec := journalRecord{Op: "state", ID: job.id, State: state}
-	if err != nil {
-		rec.Error = err.Error()
-	}
-	if res != nil {
-		rec.Stop = res.Stop.String()
-		rec.StandTrees = res.StandTrees
-		rec.States = res.IntermediateStates
-		rec.DeadEnds = res.DeadEnds
-	}
 	job.mu.Unlock()
-	// The terminal record is durable before Done() observers can act on it
-	// and before the obsolete checkpoint files disappear.
-	m.jnl.append(rec)
-	if staleCkpt != "" {
-		os.Remove(staleCkpt)
-		os.Remove(staleCkpt + ".bak")
+	m.transition(job, StateRunning, to, out)
+}
+
+// outcome is what a move records beside the new state.
+type outcome struct {
+	// How the run ended: a terminal move keeps it on the job and summarises
+	// it in the journal record.
+	res *gentrius.Result
+	err error
+	// staleCkpt is deleted, with its .bak rotation, once the move's record is
+	// durable and before done closes: a crash in between must not leave a
+	// running-state journal whose replay resumes the finished job from it.
+	staleCkpt string
+	// journaled: the journal holds this move's record already (New replays
+	// it, Submit appends it first), so none is appended, nothing is counted
+	// again, and a terminal state's finish time is that record's.
+	journaled bool
+}
+
+// newJob completes a job that has its identity, request and spool; the job
+// is in no state until its first transition.
+func (m *Manager) newJob(job *Job) *Job {
+	job.created = time.Now()
+	job.done = make(chan struct{})
+	job.est = &obs.Estimator{}
+	job.ctx, job.cancel = context.WithCancel(m.baseCtx)
+	m.m.registerJob(job.id, job.reqID, job.est)
+	return job
+}
+
+// transition moves job from one state to another if lifecycle allows the
+// move and the job is in state from; otherwise it changes nothing and
+// reports false: a Cancel that lost to a pool worker, a second terminal move.
+func (m *Manager) transition(job *Job, from, to State, out outcome) bool {
+	m.mu.Lock()
+	publish := m.move(job, from, to, out)
+	m.mu.Unlock()
+	if publish == nil {
+		return false
 	}
-	job.spool.Close()
-	close(job.done)
-	switch state {
-	case StateDone:
-		m.m.JobsDone.Inc()
-	case StateCancelled:
-		m.m.JobsCancelled.Inc()
-	case StateFailed:
-		m.m.JobsFailed.Inc()
+	publish()
+	return true
+}
+
+// move is transition with m.mu held, and the only writer of job.state, the
+// job table and the queue. It applies what a move changes in memory and
+// returns what remains to be done once m.mu is released (nil for a refused
+// move): append the state record, and only then close the spool and done of
+// a job that became terminal.
+func (m *Manager) move(job *Job, from, to State, out outcome) (publish func()) {
+	job.mu.Lock()
+	if job.state != from || !slices.Contains(lifecycle[from], to) {
+		job.mu.Unlock()
+		return nil
 	}
-	if ran > 0 {
-		m.m.ExecTime.Observe(ran.Seconds())
+	now := time.Now()
+	if out.journaled {
+		now = job.created // the time of the journal's last record of the job
 	}
-	endTags := append(job.jobTags(), obs.S("state", string(state)))
-	endFields := []obs.Field{obs.F("jobn", job.num)}
-	if res != nil {
-		endFields = append(endFields, obs.F("trees", res.StandTrees))
+	job.state = to
+	var wait, ran time.Duration
+	switch {
+	case to == StateRunning:
+		wait = now.Sub(job.created)
+		job.started, job.queueWait = now, wait
+	case terminal(to):
+		job.res, job.err, job.finished = out.res, out.err, now
+		if !job.started.IsZero() {
+			ran = now.Sub(job.started)
+		}
 	}
-	m.tracer().EmitTagged(obs.EvJobEnd, -1, endTags, endFields...)
-	attrs := []any{"job", job.id, "state", string(state), "exec_seconds", ran.Seconds()}
-	if job.reqID != "" {
-		attrs = append(attrs, "req", job.reqID)
+	resuming := job.resume != nil
+	job.mu.Unlock()
+
+	switch from {
+	case stateNone:
+		m.jobs[job.id] = job
+		m.order = append(m.order, job)
+	case StateQueued:
+		i := slices.Index(m.pending, job)
+		m.pending = slices.Delete(m.pending, i, i+1)
 	}
-	if res != nil {
-		attrs = append(attrs, "stand_trees", res.StandTrees, "stop", res.Stop.String())
+	if to == StateQueued {
+		m.pending = append(m.pending, job)
+		m.work.Signal()
 	}
-	if err != nil {
-		attrs = append(attrs, "error", err.Error())
-		m.log.Error("job finished", attrs...)
-	} else {
-		m.log.Info("job finished", attrs...)
+	if from != stateNone {
+		m.byState[from]--
+	}
+	m.byState[to]++
+	m.m.JobsQueued.Set(int64(m.byState[StateQueued]))
+	m.m.JobsRunning.Set(int64(m.byState[StateRunning]))
+
+	return func() {
+		if !out.journaled {
+			rec := journalRecord{Op: "state", ID: job.id, State: to}
+			if out.err != nil {
+				rec.Error = out.err.Error()
+			}
+			if out.res != nil {
+				rec.Stop = out.res.Stop.String()
+				rec.StandTrees = out.res.StandTrees
+				rec.States = out.res.IntermediateStates
+				rec.DeadEnds = out.res.DeadEnds
+			}
+			m.jnl.append(rec)
+			switch to {
+			case StateRunning:
+				m.m.QueueWait.Observe(wait.Seconds())
+			case StateDone:
+				m.m.JobsDone.Inc()
+			case StateCancelled:
+				m.m.JobsCancelled.Inc()
+			case StateFailed:
+				m.m.JobsFailed.Inc()
+			case StateInterrupted:
+				m.m.JobsInterrupted.Inc()
+			}
+			if ran > 0 {
+				m.m.ExecTime.Observe(ran.Seconds())
+			}
+		}
+		if out.staleCkpt != "" {
+			os.Remove(out.staleCkpt)
+			os.Remove(out.staleCkpt + ".bak")
+		}
+		if terminal(to) {
+			job.spool.Close()
+			close(job.done)
+		}
+		if from == stateNone {
+			return // Submit and New report what they took in themselves
+		}
+		attrs := []any{"job", job.id}
+		if job.reqID != "" {
+			attrs = append(attrs, "req", job.reqID)
+		}
+		if to == StateRunning {
+			m.trace.EmitTagged(obs.EvJobStart, -1, job.jobTags(), obs.F("jobn", job.num))
+			m.log.Info("job started", append(attrs,
+				"queue_wait_seconds", wait.Seconds(), "resume", resuming)...)
+			return
+		}
+		endFields := []obs.Field{obs.F("jobn", job.num)}
+		attrs = append(attrs, "state", string(to), "exec_seconds", ran.Seconds())
+		if out.res != nil {
+			endFields = append(endFields, obs.F("trees", out.res.StandTrees))
+			attrs = append(attrs, "stand_trees", out.res.StandTrees, "stop", out.res.Stop.String())
+		}
+		m.trace.EmitTagged(obs.EvJobEnd, -1,
+			append(job.jobTags(), obs.S("state", string(to))), endFields...)
+		if out.err != nil {
+			m.log.Error("job finished", append(attrs, "error", out.err.Error())...)
+		} else {
+			m.log.Info("job finished", attrs...)
+		}
 	}
 }
 
@@ -1351,26 +1353,23 @@ func (m *Manager) finish(job *Job, res *gentrius.Result, err error) {
 // daemon — or the gentrius CLI with -resume — can pick the work back up.
 func (m *Manager) Shutdown(ctx context.Context) error {
 	m.mu.Lock()
-	m.draining = true
 	if m.closed {
 		m.mu.Unlock()
 		return nil
 	}
 	m.closed = true
-	close(m.queue)
+	queued := slices.Clone(m.pending)
+	m.work.Broadcast()
 	m.mu.Unlock()
 	m.log.Info("shutting down", "uptime_seconds", time.Since(m.started).Seconds())
 	m.stop() // cancels every job context derived from baseCtx
+	for _, job := range queued {
+		m.transition(job, StateQueued, StateCancelled, outcome{})
+	}
 
 	done := make(chan struct{})
 	go func() {
 		m.wg.Wait()
-		// Queued jobs a worker never picked up (the queue was closed with
-		// entries still buffered) are finished here.
-		for job := range m.queue {
-			m.dequeued(job)
-			m.finish(job, nil, nil)
-		}
 		close(done)
 	}()
 	select {

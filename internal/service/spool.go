@@ -153,12 +153,6 @@ func (s *spool) Close() {
 	s.cond.Broadcast()
 }
 
-// Remove closes the spool and deletes its backing file.
-func (s *spool) Remove() {
-	s.Close()
-	os.Remove(s.path)
-}
-
 // Stream delivers every line from the start of the spool, then follows the
 // tail, blocking until more lines arrive or the spool closes. fn receives the
 // lines a chunk at a time — whole lines, each newline-terminated, everything

@@ -1,12 +1,10 @@
 #!/usr/bin/env bash
-# Regenerates the committed default.pgo profiles from the fixed-seed
+# Regenerates cmd/gentrius/default.pgo — the one committed profile, which
+# `go build ./cmd/gentrius` and bench/run.sh pick up — from the fixed-seed
 # benchreport workload (deterministic dataset selection, so the profiled
 # code paths are reproducible across hosts; sample counts of course vary).
-#
-# The same profile seeds every main package: the serving daemon and the CLI
-# run exactly the search/terrace hot paths benchreport exercises, and
-# benchreport itself is what produces the committed BENCH_*.json numbers,
-# so its own build should carry the same optimisations.
+# A profile measured 3-5 % at most on the count-deep stand (EXPERIMENTS.md,
+# PR 25): regenerate it when a gate says it pays, not with every perf PR.
 #
 # Usage: scripts/pgo_profile.sh [benchtime]
 #   benchtime: per-benchmark budget passed to benchreport (default 1s).
@@ -17,13 +15,10 @@ BENCHTIME="${1:-1s}"
 TMP="$(mktemp -d)"
 trap 'rm -rf "$TMP"' EXIT
 
-# Build WITHOUT the old profile so a stale default.pgo cannot steer the
-# profiling run itself.
+# The profiling run itself is built without a profile.
 go build -pgo=off -o "$TMP/benchreport" ./cmd/benchreport
 "$TMP/benchreport" -benchtime "$BENCHTIME" -cpuprofile "$TMP/cpu.pprof" \
     -note pgo-profile -out /dev/null
 
-for d in cmd/gentrius cmd/gentriusd cmd/benchreport; do
-    cp "$TMP/cpu.pprof" "$d/default.pgo"
-done
-echo "pgo_profile: wrote $(wc -c <"$TMP/cpu.pprof") bytes to cmd/{gentrius,gentriusd,benchreport}/default.pgo"
+cp "$TMP/cpu.pprof" cmd/gentrius/default.pgo
+echo "pgo_profile: wrote $(wc -c <"$TMP/cpu.pprof") bytes to cmd/gentrius/default.pgo"
