@@ -11,8 +11,8 @@
 // work-stealing engine, and -max-trees / -max-states / -max-time are the
 // three stopping rules.
 //
-// Observability flags: -metrics-addr serves Prometheus metrics, expvar and
-// pprof over HTTP for the duration of the run; -trace-out writes a JSONL
+// Observability flags: -metrics-addr serves Prometheus metrics and pprof
+// over HTTP for the duration of the run; -trace-out writes a JSONL
 // scheduler event trace; -progress prints live counters and throughput to
 // stderr on an interval; -json emits the full machine-readable result.
 //
@@ -62,7 +62,7 @@ func main() {
 		outPath     = flag.String("out", "", "write the stand trees (Newick, one per line) to this file")
 		quiet       = flag.Bool("q", false, "print only the stand size")
 		summary     = flag.Bool("summary", false, "after enumeration, print a stand diversity summary (RF distances, consensus trees); requires the stand to fit in memory")
-		metricsAddr = flag.String("metrics-addr", "", "serve /metrics (Prometheus), /debug/vars and /debug/pprof on this address for the duration of the run")
+		metricsAddr = flag.String("metrics-addr", "", "serve /metrics (Prometheus) and /debug/pprof on this address for the duration of the run")
 		traceOut    = flag.String("trace-out", "", "write a JSONL scheduler event trace to this file")
 		progress    = flag.Duration("progress", 0, "print live counters and throughput to stderr on this interval (e.g. 5s; 0 = off)")
 		jsonOut     = flag.Bool("json", false, "emit the full result (counters, stop reason, tasks stolen, per-worker breakdown) as JSON on stdout")
@@ -157,13 +157,12 @@ func main() {
 		}()
 	}
 	if *metricsAddr != "" {
-		registry.PublishExpvar("gentrius")
 		srv, bound, err := obs.StartServer(*metricsAddr, registry)
 		if err != nil {
 			fatal(err)
 		}
 		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "gentrius: serving /metrics, /debug/vars, /debug/pprof on %s\n", bound)
+		fmt.Fprintf(os.Stderr, "gentrius: serving /metrics, /debug/pprof on %s\n", bound)
 	}
 	if *progress > 0 {
 		lim := search.Limits{MaxTrees: *maxTrees, MaxStates: *maxStates}.Normalize()

@@ -16,7 +16,7 @@
 //	POST   /jobs/{id}/checkpoint  snapshot a running job on demand
 //	GET    /jobs/{id}/checkpoint  download the latest checkpoint envelope
 //	GET    /healthz          liveness ("ok", "degraded", or "draining" during shutdown)
-//	GET    /metrics          Prometheus metrics (plus /debug/vars, /debug/pprof)
+//	GET    /metrics          Prometheus metrics (plus /debug/pprof)
 //	POST   /v1/shards        fleet protocol: lease a shard to this worker
 //	POST   /v1/shards/heartbeat  fleet protocol: renew a lease (coordinator only)
 //	POST   /v1/shards/result     fleet protocol: merge a shard result (coordinator only)
@@ -68,6 +68,17 @@ import (
 	"gentrius/internal/service"
 )
 
+// registerMetrics registers what the daemon exports on /metrics, all of it
+// but the per-route HTTP families service.New adds: the set that
+// internal/obs/CATALOGUE.md lists and TestCatalogue compares with it.
+func registerMetrics(reg *obs.Registry, maxThreads int) (*service.Metrics, *obs.SchedMetrics, *dist.Metrics) {
+	sched := obs.NewSchedMetrics(reg)
+	// Per-worker engine counters are registered once, up front: concurrent
+	// jobs then only read the worker table (EnsureWorkers is a no-op).
+	sched.EnsureWorkers(maxThreads)
+	return service.NewMetrics(reg), sched, dist.NewMetrics(reg)
+}
+
 func main() {
 	var (
 		addr       = flag.String("addr", ":8080", "HTTP listen address")
@@ -93,7 +104,6 @@ func main() {
 		hbEvery    = flag.Duration("heartbeat-every", dist.DefaultHeartbeatEvery, "fleet worker heartbeat/checkpoint cadence (must be well under -lease-ttl)")
 		fleetShard = flag.Int("fleet-shards", 0, "shards per fleet job (0 = 2x the peer count)")
 		straggler  = flag.Duration("straggler-after", 0, "speculatively re-dispatch a fleet shard whose estimator mass is flat for this long (0 = off)")
-		httpWindow = flag.Duration("http-window", time.Minute, "interval behind the per-route _window_rate/_window_p* latency metrics")
 		version    = flag.Bool("version", false, "print version and exit")
 	)
 	flag.Parse()
@@ -126,12 +136,7 @@ func main() {
 	}
 
 	reg := obs.NewRegistry()
-	metrics := service.NewMetrics(reg)
-	sched := obs.NewSchedMetrics(reg)
-	// Per-worker engine counters are registered once, up front: concurrent
-	// jobs then only read the worker table (EnsureWorkers is a no-op).
-	sched.EnsureWorkers(*maxThreads)
-	reg.PublishExpvar("gentriusd")
+	metrics, sched, distMetrics := registerMetrics(reg, *maxThreads)
 
 	// One wall-clock recorder is shared by the HTTP middleware, the job
 	// lifecycle and the engine schedulers, so a single Perfetto view spans
@@ -154,7 +159,6 @@ func main() {
 
 	// Every gentriusd is a fleet worker: peers can lease shards to it via
 	// POST /v1/shards whether or not this instance also coordinates.
-	distMetrics := dist.NewMetrics(reg)
 	worker := dist.NewWorker(dist.WorkerConfig{
 		Name:    ln.Addr().String(),
 		Threads: *maxThreads,
@@ -216,7 +220,6 @@ func main() {
 		Metrics:            metrics,
 		Sink:               &gentrius.ObsSink{Metrics: sched, Trace: trace},
 		Logger:             logger,
-		HTTPWindow:         *httpWindow,
 	})
 	if err != nil {
 		fatal(err)
@@ -224,7 +227,7 @@ func main() {
 
 	// /metrics goes through the same middleware as the job API, so scrape
 	// latency shows up in the per-route families too; the debug endpoints
-	// stay unwrapped (pprof profiles would dominate the latency windows).
+	// stay unwrapped (a 30 s pprof profile is not a request latency).
 	mux := http.NewServeMux()
 	mux.Handle("GET /metrics", mgr.Middleware().Wrap("metrics", obs.MetricsHandler(reg)))
 	obs.RegisterDebug(mux)

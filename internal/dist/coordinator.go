@@ -472,8 +472,6 @@ func (c *Coordinator) advanceEpoch(job *fleetJob, s *shardState) {
 	s.latestTrees = nil
 	s.status = shardPending
 	s.peer = -1
-	c.cfg.Metrics.ShardEpoch(job.id, s.idx).Set(int64(s.epoch))
-	c.cfg.Metrics.ShardState(job.id, s.idx).Set(shardPending)
 }
 
 // leaseTo marks the shard leased to peer p and fires the dispatch RPC in
@@ -502,10 +500,6 @@ func (c *Coordinator) leaseTo(ctx context.Context, job *fleetJob, s *shardState,
 		HeartbeatMillis: c.cfg.HeartbeatEvery.Milliseconds(),
 	}
 	c.cfg.Metrics.ShardsDispatched.Inc()
-	c.cfg.Metrics.ShardDispatches(job.id, s.idx, s.epoch).Inc()
-	c.cfg.Metrics.ShardEpoch(job.id, s.idx).Set(int64(s.epoch))
-	c.cfg.Metrics.ShardState(job.id, s.idx).Set(shardLeased)
-	c.cfg.Metrics.ShardMass(job.id, s.idx).Set(massPPM(s.latestMass))
 	job.rec.EmitTagged(obs.EvShardDispatch, -1,
 		[]obs.SField{obs.S("peer", c.peerName(p)), obs.S("cause", cause)},
 		obs.F("shard", int64(s.idx)), obs.F("epoch", int64(s.epoch)),
@@ -573,8 +567,6 @@ func (c *Coordinator) runLocally(ctx context.Context, job *fleetJob, s *shardSta
 	epoch := s.epoch
 	ckpt := s.dispatchCkpt
 	c.cfg.Metrics.LocalFallbacks.Inc()
-	c.cfg.Metrics.ShardEpoch(job.id, s.idx).Set(int64(epoch))
-	c.cfg.Metrics.ShardState(job.id, s.idx).Set(shardLeased)
 	job.stats.LocalShards++
 	job.rec.EmitTagged(obs.EvFleetLocal, -1, nil,
 		obs.F("shard", int64(s.idx)), obs.F("epoch", int64(epoch)))
@@ -656,7 +648,6 @@ func (c *Coordinator) HandleHeartbeat(req *HeartbeatRequest) *HeartbeatResponse 
 		}
 	}
 	c.cfg.Metrics.HeartbeatsRecv.Inc()
-	c.cfg.Metrics.ShardMass(job.id, req.Shard).Set(massPPM(s.latestMass))
 	c.notePeerHeartbeat(s.peer)
 	// The recv side of the heartbeat pair: same seq as the worker's
 	// shard-hb-send event, which is what the offline merge aligns clocks on.
@@ -725,8 +716,6 @@ func (c *Coordinator) mergeResultLocked(job *fleetJob, req *ShardResult) bool {
 	s.latestMass = 0
 	job.done++
 	c.cfg.Metrics.ShardsCompleted.Inc()
-	c.cfg.Metrics.ShardState(job.id, req.Shard).Set(shardDone)
-	c.cfg.Metrics.ShardMass(job.id, req.Shard).Set(0)
 	job.rec.EmitTagged(obs.EvShardDone, -1,
 		[]obs.SField{obs.S("stop", req.Stop), obs.S("node", req.Node)},
 		obs.F("shard", int64(req.Shard)), obs.F("epoch", int64(req.Epoch)),

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -454,5 +455,80 @@ func TestFleetDispatchRetry(t *testing.T) {
 	}
 	if res.LeaseExpiries != 0 {
 		t.Fatalf("unexpected lease expiries: %d", res.LeaseExpiries)
+	}
+}
+
+// seriesOf lists every series reg holds, sorted.
+func seriesOf(reg *obs.Registry) []string {
+	var out []string
+	for name := range reg.Snapshot() {
+		out = append(out, name)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// TestMetricsBoundedInShards is the fleet twin of internal/service's
+// TestMetricsBoundedInJobs: a run whose one lease expires and whose shard is
+// re-dispatched at the next epoch leaves the registry with exactly the
+// series NewMetrics gave it. The shard's epoch is Status()'s to show while the
+// job runs, and the aggregates count the expiry.
+func TestMetricsBoundedInShards(t *testing.T) {
+	cons := canonicalize(t, randomScenario(rand.New(rand.NewSource(101)), 15, 3, 6, 0.6))
+	clock := simsched.NewVirtualClock(time.Unix(0, 0))
+	peerA, peerB := newScriptedPeer("a"), newScriptedPeer("b")
+	reg := obs.NewRegistry()
+	metrics := NewMetrics(reg)
+	coord := NewCoordinator(Config{
+		Peers:          []WorkerClient{peerA, peerB},
+		Shards:         2,
+		LeaseTTL:       100 * time.Millisecond,
+		HeartbeatEvery: 20 * time.Millisecond,
+		Clock:          clock,
+		Retry:          retry.Policy{Attempts: 1},
+		Metrics:        metrics,
+	})
+	before := seriesOf(reg)
+
+	var res *Result
+	done := make(chan error, 1)
+	go func() {
+		var err error
+		res, err = coord.Run(context.Background(), "bounded", cons, RunOptions{CollectTrees: true, InitialTree: -1})
+		done <- err
+	}()
+	silent := awaitDispatch(t, clock, time.Millisecond, peerA, peerB)
+	honest := awaitDispatch(t, clock, time.Millisecond, peerA, peerB)
+	if resp := coord.HandleResult(runShardToEnd(t, honest)); resp.Fenced {
+		t.Fatal("honest result fenced")
+	}
+	// The other worker never heartbeats: its lease runs out.
+	again := awaitDispatch(t, clock, 5*time.Millisecond, peerA, peerB)
+	if again.Shard != silent.Shard || again.Epoch != 2 {
+		t.Fatalf("re-dispatch of shard %d at epoch %d, want shard %d at epoch 2", again.Shard, again.Epoch, silent.Shard)
+	}
+	st := coord.Status()
+	if len(st.Jobs) != 1 || len(st.Jobs[0].Shards) != 2 {
+		t.Fatalf("fleet status: %+v", st)
+	}
+	if s := st.Jobs[0].Shards[silent.Shard]; s.State != "leased" || s.Epoch != 2 {
+		t.Fatalf("status of the re-dispatched shard %+v, want leased at epoch 2", s)
+	}
+	if s := st.Jobs[0].Shards[honest.Shard]; s.State != "done" || s.Epoch != 1 {
+		t.Fatalf("status of the merged shard %+v, want done at epoch 1", s)
+	}
+	if resp := coord.HandleResult(runShardToEnd(t, again)); resp.Fenced {
+		t.Fatal("epoch-2 result fenced")
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	assertMatchesSerial(t, res, serialRef(t, cons))
+
+	if after := seriesOf(reg); !slices.Equal(after, before) {
+		t.Fatalf("the series set moved with the shards.\nbefore the run: %q\nafter: %q", before, after)
+	}
+	if e, r := metrics.LeaseExpiries.Value(), metrics.Redispatches.Value(); e != 1 || r != 1 {
+		t.Fatalf("%d lease expiries / %d re-dispatches counted, want 1/1", e, r)
 	}
 }

@@ -1,14 +1,12 @@
 package dist
 
-import (
-	"fmt"
+import "gentrius/internal/obs"
 
-	"gentrius/internal/obs"
-)
-
-// Metrics is the fleet instrument set, registered under gentriusd_fleet_*.
-// The zero value (and a nil *Metrics) discards every update — obs
-// instruments are nil-safe — so tests and library callers can skip it.
+// Metrics is the fleet instrument set, registered under gentriusd_fleet_*:
+// aggregates over every job and shard (one shard's epoch, lease state and
+// remaining mass are Coordinator.Status while its job runs, the trace's
+// shard-dispatch/lease-expire events afterwards). The zero value discards
+// every update — obs instruments are nil-safe — so callers can skip it.
 type Metrics struct {
 	// Coordinator side.
 	WorkersLive      *obs.Gauge   // peers currently believed alive
@@ -27,17 +25,11 @@ type Metrics struct {
 	HeartbeatFailures *obs.Counter // heartbeats that exhausted retries
 	ResultsParked     *obs.Counter // results parked while orphaned
 	ShardsFencedAway  *obs.Counter // local runs cancelled by a newer epoch
-
-	// Per-shard labelled families (gentriusd_fleet_shard_*), registered
-	// on first use so the series set mirrors the shards that actually
-	// exist. reg nil (the discard Metrics) skips them entirely.
-	reg *obs.Registry
 }
 
 // NewMetrics registers the fleet instruments on reg.
 func NewMetrics(reg *obs.Registry) *Metrics {
 	return &Metrics{
-		reg:              reg,
 		WorkersLive:      reg.Gauge("gentriusd_fleet_workers_live", "peer workers currently believed alive"),
 		ShardsDispatched: reg.Counter("gentriusd_fleet_shards_dispatched_total", "shard dispatches accepted by peers (including re-dispatches)"),
 		ShardsCompleted:  reg.Counter("gentriusd_fleet_shards_completed_total", "shards merged into job totals"),
@@ -54,47 +46,4 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		ResultsParked:     reg.Counter("gentriusd_fleet_worker_results_parked_total", "shard results parked while orphaned from the coordinator"),
 		ShardsFencedAway:  reg.Counter("gentriusd_fleet_worker_fenced_total", "local shard runs cancelled by a newer epoch"),
 	}
-}
-
-// shardGauge returns one labelled per-shard gauge; the registry registers
-// it on first use. Nil-safe: a discard Metrics (nil reg) returns a nil
-// gauge, which every obs instrument treats as a no-op.
-func (m *Metrics) shardGauge(name, help string) *obs.Gauge {
-	if m == nil || m.reg == nil {
-		return nil
-	}
-	return m.reg.Gauge(name, help)
-}
-
-// ShardEpoch is the shard's current fencing epoch.
-func (m *Metrics) ShardEpoch(job string, shard int) *obs.Gauge {
-	return m.shardGauge(
-		fmt.Sprintf(`gentriusd_fleet_shard_epoch{job=%q,shard="%d"}`, job, shard),
-		"current fencing epoch of one fleet shard")
-}
-
-// ShardState is the shard's lease state (0 pending, 1 leased, 2 done).
-func (m *Metrics) ShardState(job string, shard int) *obs.Gauge {
-	return m.shardGauge(
-		fmt.Sprintf(`gentriusd_fleet_shard_state{job=%q,shard="%d"}`, job, shard),
-		"lease state of one fleet shard (0 pending, 1 leased, 2 done)")
-}
-
-// ShardMass is the shard's Knuth-estimator remaining mass in ppm.
-func (m *Metrics) ShardMass(job string, shard int) *obs.Gauge {
-	return m.shardGauge(
-		fmt.Sprintf(`gentriusd_fleet_shard_remaining_mass_ppm{job=%q,shard="%d"}`, job, shard),
-		"Knuth-estimator remaining mass of one fleet shard, parts per million")
-}
-
-// ShardDispatches counts dispatches per (shard, epoch) — the epoch label
-// makes re-dispatches after an epoch fence directly visible in /metrics
-// (scripts/dist_recovery.sh asserts on it).
-func (m *Metrics) ShardDispatches(job string, shard, epoch int) *obs.Counter {
-	if m == nil || m.reg == nil {
-		return nil
-	}
-	return m.reg.Counter(
-		fmt.Sprintf(`gentriusd_fleet_shard_dispatches_total{job=%q,shard="%d",epoch="%d"}`, job, shard, epoch),
-		"dispatches of one fleet shard, by fencing epoch")
 }

@@ -1,10 +1,9 @@
-// Optional HTTP endpoint: Prometheus metrics, expvar and pprof on one
-// mux, so a long parallel run can be inspected live
-// (-metrics-addr :9090 → /metrics, /debug/vars, /debug/pprof/).
+// Optional HTTP endpoint: Prometheus metrics and pprof on one mux, so a
+// long parallel run can be inspected live
+// (-metrics-addr :9090 → /metrics, /debug/pprof/).
 package obs
 
 import (
-	"expvar"
 	"fmt"
 	"net"
 	"net/http"
@@ -22,11 +21,10 @@ func MetricsHandler(reg *Registry) http.HandlerFunc {
 	}
 }
 
-// RegisterDebug mounts expvar at /debug/vars and the pprof suite under
-// /debug/pprof/ — the debug half of NewMux, for callers assembling their
-// own mux (cmd/gentriusd wraps /metrics in its request middleware).
+// RegisterDebug mounts the pprof suite under /debug/pprof/ — the debug half
+// of NewMux, for callers assembling their own mux (cmd/gentriusd wraps
+// /metrics in its request middleware).
 func RegisterDebug(mux *http.ServeMux) {
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -34,8 +32,8 @@ func RegisterDebug(mux *http.ServeMux) {
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 }
 
-// NewMux returns an http.Handler exposing the registry at /metrics,
-// expvar at /debug/vars and the pprof suite under /debug/pprof/.
+// NewMux returns an http.Handler exposing the registry at /metrics and the
+// pprof suite under /debug/pprof/.
 func NewMux(reg *Registry) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", MetricsHandler(reg))

@@ -1,8 +1,18 @@
 // Package obs is the zero-dependency observability layer for the parallel
 // Gentrius engine: atomic counters, gauges and histograms exposed in
-// Prometheus text format and via expvar, a low-overhead JSONL scheduler
-// event trace, an optional HTTP endpoint (metrics + pprof), and a periodic
-// progress reporter.
+// Prometheus text format, a low-overhead JSONL scheduler event trace, an
+// optional HTTP endpoint (metrics + pprof), and a periodic progress
+// reporter.
+//
+// What a process exports is a finite contract: cumulative aggregates of
+// bounded cardinality, in one format. A label takes values from a set fixed
+// by the code or the configuration (route, status code, retry site, worker
+// index), never from traffic (job, request, shard, epoch): a per-object view
+// lives on the object's own endpoint (GET /jobs/{id}/stats,
+// GET /v1/fleet/status), and rates and quantiles are the reader's to derive
+// from the cumulative buckets. CATALOGUE.md in this directory lists every
+// metric family and trace event with its emitter and its reader; CI checks
+// it against the registry and the event table in both directions.
 //
 // Every instrument is nil-receiver safe: a nil *Counter/*Gauge/*Histogram
 // or a nil *Recorder turns the call into a single predictable branch, so
@@ -16,7 +26,6 @@
 package obs
 
 import (
-	"expvar"
 	"fmt"
 	"io"
 	"math"
@@ -167,6 +176,57 @@ func (h *Histogram) BucketCounts() []int64 {
 	return out
 }
 
+// bucketQuantile estimates the q-quantile from per-bucket counts (last
+// entry +Inf) by linear interpolation inside the holding bucket — the same
+// scheme Prometheus's histogram_quantile uses. Observations in the +Inf
+// bucket clamp to the highest finite bound. Returns 0 on an empty
+// histogram.
+func bucketQuantile(q float64, bounds []float64, counts []int64) float64 {
+	if len(bounds) == 0 || len(counts) != len(bounds)+1 {
+		return 0
+	}
+	var total int64
+	for _, c := range counts {
+		total += c
+	}
+	if total == 0 {
+		return 0
+	}
+	rank := q * float64(total)
+	if rank < 1 {
+		rank = 1
+	}
+	var cum float64
+	for i, c := range counts[:len(bounds)] {
+		prev := cum
+		cum += float64(c)
+		if cum >= rank && c > 0 {
+			lo := 0.0
+			if i > 0 {
+				lo = bounds[i-1]
+			}
+			hi := bounds[i]
+			frac := (rank - prev) / float64(c)
+			if frac < 0 || math.IsNaN(frac) {
+				frac = 0
+			} else if frac > 1 {
+				frac = 1
+			}
+			return lo + (hi-lo)*frac
+		}
+	}
+	return bounds[len(bounds)-1]
+}
+
+// Quantile estimates the q-quantile of a cumulative Histogram's lifetime
+// distribution by bucket interpolation (0 on nil or empty).
+func (h *Histogram) Quantile(q float64) float64 {
+	if h == nil {
+		return 0
+	}
+	return bucketQuantile(q, h.bounds, h.BucketCounts())
+}
+
 // ExpBuckets returns n upper bounds in geometric progression starting at
 // start with the given factor — the usual choice for latency and size
 // distributions.
@@ -194,9 +254,9 @@ func NewRegistry() *Registry {
 
 // register returns the instrument filed under name, making and filing it
 // with mk on first use. Registering a name twice with the same type is how
-// a labelled family looks one of its series up (one per route, shard or
-// retry site, known only at run time), so the registry's map is the only
-// cache such a family needs; one name under two types is a bug and panics.
+// a labelled family looks one of its series up (one per route and status
+// code, first seen at run time), so the registry's map is the only cache
+// such a family needs; one name under two types is a bug and panics.
 func register[T any](r *Registry, name string, mk func() T) T {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -281,8 +341,6 @@ func sortFamilies(names []string) {
 // exposition format, families sorted by name and labelled series sorted
 // within each family (deterministic scrapes). HELP/TYPE headers are
 // emitted once per base name (labelled series of one family share them).
-// Windowed histograms additionally render their per-interval companion
-// gauges (<base>_window_rate/_p50/_p95/_p99) after the main families.
 func (r *Registry) WritePrometheus(w io.Writer) {
 	r.mu.Lock()
 	names := append([]string(nil), r.names...)
@@ -305,33 +363,6 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 		}
 		fmt.Fprintf(w, "# TYPE %s %s\n", base, typ)
 	}
-	writeHist := func(name string, bounds []float64, counts []int64, count int64, sum float64) {
-		base, labels := splitLabels(name)
-		cum := int64(0)
-		for i, b := range bounds {
-			cum += counts[i]
-			fmt.Fprintf(w, "%s_bucket{%sle=%q} %d\n", base, labels, formatBound(b), cum)
-		}
-		cum += counts[len(bounds)]
-		fmt.Fprintf(w, "%s_bucket{%sle=\"+Inf\"} %d\n", base, labels, cum)
-		if labels == "" {
-			fmt.Fprintf(w, "%s_sum %g\n", base, sum)
-			fmt.Fprintf(w, "%s_count %d\n", base, count)
-		} else {
-			l := strings.TrimSuffix(labels, ",")
-			fmt.Fprintf(w, "%s_sum{%s} %g\n", base, l, sum)
-			fmt.Fprintf(w, "%s_count{%s} %d\n", base, l, count)
-		}
-	}
-
-	// Companion series (windowed-histogram rate/quantile gauges) are
-	// deferred past the main loop so each family's series stay contiguous.
-	type companion struct {
-		name string
-		v    float64
-	}
-	var companions []companion
-
 	for _, name := range names {
 		switch m := metric[name].(type) {
 		case *Counter:
@@ -345,37 +376,21 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 			fmt.Fprintf(w, "%s %g\n", name, m.fn())
 		case *Histogram:
 			header(name, m.help, "histogram")
-			writeHist(name, m.bounds, m.BucketCounts(), m.Count(), m.Sum())
-		case *WindowedHistogram:
-			header(name, m.help, "histogram")
-			counts, count, sum := m.lifeBuckets()
-			writeHist(name, m.bounds, counts, count, sum)
 			base, labels := splitLabels(name)
-			series := func(suffix string) string {
-				if labels == "" {
-					return base + suffix
-				}
-				return base + suffix + "{" + strings.TrimSuffix(labels, ",") + "}"
+			counts, cum := m.BucketCounts(), int64(0)
+			for i, b := range m.bounds {
+				cum += counts[i]
+				fmt.Fprintf(w, "%s_bucket{%sle=\"%g\"} %d\n", base, labels, b, cum)
 			}
-			win := m.Window()
-			companions = append(companions,
-				companion{series("_window_rate"), win.Rate},
-				companion{series("_window_p50"), win.P50},
-				companion{series("_window_p95"), win.P95},
-				companion{series("_window_p99"), win.P99})
+			cum += counts[len(m.bounds)]
+			fmt.Fprintf(w, "%s_bucket{%sle=\"+Inf\"} %d\n", base, labels, cum)
+			l := strings.TrimSuffix(labels, ",")
+			if l != "" {
+				l = "{" + l + "}"
+			}
+			fmt.Fprintf(w, "%s_sum%s %g\n", base, l, m.Sum())
+			fmt.Fprintf(w, "%s_count%s %d\n", base, l, m.Count())
 		}
-	}
-
-	compNames := make([]string, 0, len(companions))
-	byName := make(map[string]float64, len(companions))
-	for _, c := range companions {
-		compNames = append(compNames, c.name)
-		byName[c.name] = c.v
-	}
-	sortFamilies(compNames)
-	for _, name := range compNames {
-		header(name, "", "gauge")
-		fmt.Fprintf(w, "%s %g\n", name, byName[name])
 	}
 }
 
@@ -391,11 +406,6 @@ func splitLabels(name string) (base, labels string) {
 		return name[:i], ""
 	}
 	return name[:i], inner + ","
-}
-
-// formatBound renders a bucket bound the way Prometheus clients do.
-func formatBound(b float64) string {
-	return fmt.Sprintf("%g", b)
 }
 
 // Snapshot returns the scalar value of every counter and gauge plus the
@@ -416,24 +426,7 @@ func (r *Registry) Snapshot() map[string]float64 {
 		case *Histogram:
 			out[name+"_count"] = float64(m.Count())
 			out[name+"_sum"] = m.Sum()
-		case *WindowedHistogram:
-			out[name+"_count"] = float64(m.Count())
-			out[name+"_sum"] = m.Sum()
-			win := m.Window()
-			out[name+"_window_rate"] = win.Rate
-			out[name+"_window_p50"] = win.P50
-			out[name+"_window_p95"] = win.P95
-			out[name+"_window_p99"] = win.P99
 		}
 	}
 	return out
-}
-
-// PublishExpvar publishes the registry under the given expvar name as a
-// JSON map (visible at /debug/vars). Publishing the same name twice
-// panics in expvar, so callers should do this once per process.
-func (r *Registry) PublishExpvar(name string) {
-	expvar.Publish(name, expvar.Func(func() any {
-		return r.Snapshot() // encoding/json sorts map keys
-	}))
 }

@@ -177,9 +177,9 @@ func TestRegisterTwice(t *testing.T) {
 	if again := reg.Counter(name, "ignored"); again != c {
 		t.Fatal("second Counter registration returned a new instrument")
 	}
-	h := reg.WindowedHistogram("app_latency", "", []float64{1, 2}, time.Minute)
-	if reg.WindowedHistogram("app_latency", "", []float64{1, 2}, time.Minute) != h {
-		t.Fatal("second WindowedHistogram registration returned a new instrument")
+	h := reg.Histogram("app_latency", "", []float64{1, 2})
+	if reg.Histogram("app_latency", "", []float64{1, 2}) != h {
+		t.Fatal("second Histogram registration returned a new instrument")
 	}
 	var b bytes.Buffer
 	reg.WritePrometheus(&b)
@@ -284,9 +284,6 @@ func TestHTTPEndpoints(t *testing.T) {
 	if out := get("/metrics"); !strings.Contains(out, "probe_total 9") {
 		t.Fatalf("/metrics missing counter:\n%s", out)
 	}
-	if out := get("/debug/vars"); !strings.Contains(out, "cmdline") {
-		t.Fatalf("/debug/vars not expvar output:\n%s", out)
-	}
 	if out := get("/debug/pprof/"); !strings.Contains(out, "goroutine") {
 		t.Fatalf("/debug/pprof/ not pprof index:\n%s", out)
 	}
@@ -339,5 +336,42 @@ func TestEtaSeconds(t *testing.T) {
 	eta2, ok := etaSeconds(p2, 10, 10)
 	if !ok || eta2 != 10 {
 		t.Fatalf("eta2 = %v, %v; want 10 (state limit)", eta2, ok)
+	}
+}
+
+func TestBucketQuantile(t *testing.T) {
+	bounds := []float64{1, 2, 4, 8}
+	counts := []int64{0, 10, 0, 0, 0} // all mass in (1,2]
+	if q := bucketQuantile(0.5, bounds, counts); q < 1 || q > 2 {
+		t.Fatalf("median = %v, want inside (1,2]", q)
+	}
+	// +Inf mass clamps to the top finite bound.
+	counts = []int64{0, 0, 0, 0, 5}
+	if q := bucketQuantile(0.99, bounds, counts); q != 8 {
+		t.Fatalf("quantile with +Inf mass = %v, want 8", q)
+	}
+	if q := bucketQuantile(0.5, bounds, []int64{0, 0, 0, 0, 0}); q != 0 {
+		t.Fatalf("empty histogram quantile = %v, want 0", q)
+	}
+}
+
+func TestHistogramQuantile(t *testing.T) {
+	reg := NewRegistry()
+	h := reg.Histogram("hq", "", []float64{1, 10, 100})
+	for i := 0; i < 90; i++ {
+		h.Observe(5)
+	}
+	for i := 0; i < 10; i++ {
+		h.Observe(50)
+	}
+	if q := h.Quantile(0.5); q < 1 || q > 10 {
+		t.Fatalf("p50 = %v, want inside (1,10]", q)
+	}
+	if q := h.Quantile(0.99); q < 10 || q > 100 {
+		t.Fatalf("p99 = %v, want inside (10,100]", q)
+	}
+	var nilH *Histogram
+	if nilH.Quantile(0.5) != 0 {
+		t.Fatal("nil histogram quantile must be 0")
 	}
 }

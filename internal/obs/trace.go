@@ -24,19 +24,19 @@ func WallClock(start time.Time) Clock {
 
 // Scheduler trace event types. These names are the whole contract between
 // this package, which writes traces, and internal/tracereport, which reads
-// them. Every name here has an emitter: a refused queue offer, for one, is
-// per-frame work counted by gentrius_tasks_rejected_total and is not
-// traced.
+// them. Every name here has an emitter and a reader, both listed in
+// CATALOGUE.md (TestCatalogue compares that table with this block): a
+// refused queue offer, for one, is per-frame work counted by
+// gentrius_tasks_rejected_total and is not traced, and a worker going idle
+// or leaving the pool is what the gap between its task-end and its next
+// steal already says.
 const (
 	EvWorkerStart = "worker-start" // worker starts (the simulator's: on its share, "branches")
-	EvWorkerIdle  = "worker-idle"  // worker enters the stealing pool
-	EvWorkerExit  = "worker-exit"  // worker leaves the pool
 	EvTaskSubmit  = "task-submit"  // a task was enqueued
 	EvSteal       = "steal"        // an idle worker dequeued a task
 	EvFlush       = "flush"        // local counters flushed to the globals
 	EvStop        = "stop"         // a stopping rule fired
 	EvPanic       = "worker-panic" // a worker recovered from a panic mid-task
-	EvRequeue     = "task-requeue" // a panicked task was put back for retry
 
 	// Task-lineage span events: every task (including each worker's
 	// initial-split share) carries a run-unique id, submissions carry the

@@ -798,11 +798,7 @@ func (w *worker) execute(tk *task) (ok bool) {
 		w.wk = w.su.NewWorker(w.opt.Policy, w, w.est, w.treeCh != nil)
 		tk.retries++
 		if !w.dirty && w.opt.MaxTaskRetries >= 0 && tk.retries <= w.opt.MaxTaskRetries {
-			// The requeue hands tk to the queue: a stealer may finish and
-			// recycle it at once, so read it first.
-			taxon, attempt := int64(tk.root().Taxon), int64(tk.retries)
 			q.requeue(tk)
-			rec.Emit(obs.EvRequeue, w.id, obs.F("taxon", taxon), obs.F("attempt", attempt))
 			return
 		}
 		w.fail(&WorkerPanicError{Worker: w.id, Value: r, Stack: stack, Attempts: tk.retries, Dirty: w.dirty})
@@ -882,7 +878,6 @@ func (w *worker) run() {
 	q, rec := w.q, w.rec
 	rec.Emit(obs.EvWorkerStart, w.id)
 	for {
-		rec.Emit(obs.EvWorkerIdle, w.id)
 		tk, ok := q.steal()
 		if !ok {
 			break
@@ -897,5 +892,4 @@ func (w *worker) run() {
 		}
 	}
 	w.retire()
-	rec.Emit(obs.EvWorkerExit, w.id)
 }

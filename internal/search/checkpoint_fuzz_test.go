@@ -1,0 +1,94 @@
+package search
+
+import (
+	"bytes"
+	"encoding/json"
+	"os"
+	"strings"
+	"testing"
+
+	"gentrius/internal/tree"
+)
+
+// FuzzReadCheckpoint: a checkpoint file is bytes from outside the process.
+// Whatever they are, decoding them, validating the result against the input,
+// setting a run up from it and resuming that run for a bounded number of
+// ticks returns errors and never panics; and the committed files of commit
+// a3eaaa2 (a version-1 serial stack, a version-2 frontier), unmutated, resume
+// to the totals of the uninterrupted serial run.
+//
+// The envelope's CRC turns nearly every mutation of a file away at the door,
+// so each file's bare payload — the legacy form, which has no checksum — is a
+// seed too: its mutations reach Validate, Start and the workers.
+func FuzzReadCheckpoint(f *testing.F) {
+	const dir = "../../testdata/ckpt_a3eaaa2/"
+	input, err := os.ReadFile(dir + "input.trees")
+	if err != nil {
+		f.Fatal(err)
+	}
+	cons, err := tree.ReadLines(strings.Split(strings.TrimSpace(string(input)), "\n"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	ref, err := Run(cons, Options{InitialTree: -1, Limits: Limits{MaxTrees: -1, MaxStates: -1, MaxTime: -1}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	var files [][]byte
+	for _, name := range []string{"serial_v1.ckpt", "frontier_v2.ckpt"} {
+		data, err := os.ReadFile(dir + name)
+		if err != nil {
+			f.Fatal(err)
+		}
+		var env envelope
+		if err := json.Unmarshal(data, &env); err != nil {
+			f.Fatal(err)
+		}
+		files = append(files, data)
+		f.Add(data)
+		f.Add([]byte(env.Payload))
+	}
+	f.Add([]byte(legacyBareJSON))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		cp, err := decodeCheckpoint(data)
+		if err != nil {
+			return
+		}
+		if err := cp.Validate(cons); err != nil {
+			return
+		}
+		su, err := Start(cons, -1, OrderMinBranches, cp, 0)
+		if err != nil {
+			return
+		}
+		// One worker and a host that queues every offer, as drain does. A
+		// forged frontier may hold the same task many times over: the budget
+		// ends the resume, it does not judge it.
+		h := &fakeHost{take: 1}
+		w := su.NewWorker(Policy{}.Normalize(1), h, nil, false)
+		budget := 4 * ref.Steps
+		pending := su.Frontier.Tasks
+		for len(pending) > 0 && budget > 0 {
+			if err := w.Begin(pending[0]); err != nil {
+				return
+			}
+			for ph := Explore; ph != Idle && budget > 0; budget-- {
+				ph, _ = w.Tick()
+			}
+			pending = append(pending[1:], h.queue...)
+			h.queue = nil
+		}
+		for _, file := range files {
+			if !bytes.Equal(data, file) {
+				continue
+			}
+			got := su.Counters
+			got.Add(h.total)
+			if got != ref.Counters || budget <= 0 {
+				t.Fatalf("an unmutated checkpoint file resumed to %+v (budget left %d), the serial run counts %+v",
+					got, budget, ref.Counters)
+			}
+		}
+	})
+}

@@ -142,11 +142,13 @@ func TestReadCheckpointDetectsCorruption(t *testing.T) {
 	}
 }
 
+// legacyBareJSON is a pre-envelope checkpoint file: bare Checkpoint JSON.
+const legacyBareJSON = `{"version":1,"fingerprint":"abc","initial_index":0,"heuristic":0,` +
+	`"frames":null,"counters":{},"done":false,"started":true}`
+
 func TestReadCheckpointLegacyBareJSON(t *testing.T) {
-	// Pre-envelope files are bare Checkpoint JSON; they must still load.
-	legacy := `{"version":1,"fingerprint":"abc","initial_index":0,"heuristic":0,` +
-		`"frames":null,"counters":{},"done":false,"started":true}`
-	cp, err := decodeCheckpoint([]byte(legacy))
+	// Pre-envelope files must still load.
+	cp, err := decodeCheckpoint([]byte(legacyBareJSON))
 	if err != nil {
 		t.Fatal(err)
 	}

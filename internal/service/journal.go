@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"gentrius/internal/faultinject"
+	"gentrius/internal/retry"
 )
 
 // journalFile is the job journal's name inside the data directory.
@@ -45,6 +46,7 @@ type journal struct {
 	f     *os.File
 	fault *faultinject.Injector
 	m     *Metrics
+	retry retry.Policy // m's policy for the "journal" site
 }
 
 // openJournal replays an existing journal, truncates a torn final record
@@ -84,7 +86,7 @@ func openJournal(path string, fault *faultinject.Injector, m *Metrics) (*journal
 	if err != nil {
 		return nil, nil, fmt.Errorf("service: journal: %w", err)
 	}
-	return &journal{f: f, fault: fault, m: m}, records, nil
+	return &journal{f: f, fault: fault, m: m, retry: m.RetryPolicy("journal")}, records, nil
 }
 
 // append writes one record with fsync, retrying transient failures with
@@ -107,7 +109,7 @@ func (j *journal) append(rec journalRecord) {
 	if j.f == nil {
 		return
 	}
-	err = j.m.retryIO("journal", func() error {
+	err = j.retry.Do(nil, func() error {
 		if err := j.fault.Err(faultinject.JournalWrite, "write"); err != nil {
 			j.m.JournalRetries.Inc()
 			return err

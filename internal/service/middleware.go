@@ -1,9 +1,9 @@
 // HTTP middleware: the serving-path observability layer every gentriusd
 // route passes through. Each request gets a run-unique request id (inbound
 // X-Request-Id is honored, after sanitizing), per-route/status latency and
-// size metrics with windowed rate/quantile reporting, a structured access
-// log line, and http-begin/http-end trace span events carrying the request
-// id — the HTTP end of the request→job→task correlation chain.
+// size metrics, a structured access log line, and http-begin/http-end trace
+// span events carrying the request id — the HTTP end of the
+// request→job→task correlation chain.
 package service
 
 import (
@@ -34,17 +34,15 @@ var latencyBuckets = obs.ExpBuckets(1e-3, 2, 17)
 // only carries routes that actually served traffic. All methods tolerate a
 // nil registry (every instrument is nil and nil-safe).
 type HTTPMetrics struct {
-	reg    *obs.Registry
-	window time.Duration
+	reg *obs.Registry
 
 	// InFlight counts requests currently inside a handler, across routes.
 	InFlight *obs.Gauge
 }
 
-// NewHTTPMetrics registers the serving families on reg. window sizes the
-// interval behind the _window_rate/_window_p* companions (0: one minute).
-func NewHTTPMetrics(reg *obs.Registry, window time.Duration) *HTTPMetrics {
-	h := &HTTPMetrics{reg: reg, window: window}
+// NewHTTPMetrics registers the serving families on reg.
+func NewHTTPMetrics(reg *obs.Registry) *HTTPMetrics {
+	h := &HTTPMetrics{reg: reg}
 	if reg != nil {
 		h.InFlight = reg.Gauge("gentriusd_http_in_flight",
 			"HTTP requests currently being served")
@@ -56,7 +54,7 @@ func NewHTTPMetrics(reg *obs.Registry, window time.Duration) *HTTPMetrics {
 // latency histogram and byte counters. Only the status code of
 // gentriusd_http_requests_total is left to look up per request.
 type routeMetrics struct {
-	latency             *obs.WindowedHistogram
+	latency             *obs.Histogram
 	reqBytes, respBytes *obs.Counter
 }
 
@@ -66,9 +64,9 @@ func (h *HTTPMetrics) route(route string) routeMetrics {
 		return routeMetrics{}
 	}
 	return routeMetrics{
-		latency: h.reg.WindowedHistogram(
+		latency: h.reg.Histogram(
 			fmt.Sprintf("gentriusd_http_request_seconds{route=%q}", route),
-			"HTTP request latency by route", latencyBuckets, h.window),
+			"HTTP request latency by route", latencyBuckets),
 		reqBytes: h.reg.Counter(
 			fmt.Sprintf("gentriusd_http_request_bytes_total{route=%q}", route),
 			"HTTP request body bytes read by route"),

@@ -119,15 +119,12 @@ type Config struct {
 	// Logger receives structured job-lifecycle logs, every record carrying
 	// the job id (nil: discard).
 	Logger *slog.Logger
-	// HTTPWindow sizes the rotating interval behind the per-route
-	// _window_rate/_window_p* latency companions (0: one minute).
-	HTTPWindow time.Duration
 }
 
 // Metrics is the service-level instrument set. The zero value discards
 // every update (obs instruments are nil-safe).
 type Metrics struct {
-	reg *obs.Registry // for the per-job labelled families; nil disables them
+	reg *obs.Registry // for the per-route HTTP families; nil disables them
 
 	JobsSubmitted *obs.Counter
 	JobsRejected  *obs.Counter
@@ -154,40 +151,30 @@ type Metrics struct {
 	CheckpointWrites  *obs.Counter
 	CheckpointRetries *obs.Counter
 	CheckpointDropped *obs.Counter
+
+	retry map[string]retry.Policy // by site; nil on the zero value
 }
 
-// RetrySite returns the gentriusd_retry_total{site=...} counter for site,
-// registered on first use, so new sites (dist RPCs, heartbeats) appear
-// without touching this package. Nil-safe: with no registry it returns
-// nil, and obs counters discard updates through nil receivers.
-func (m *Metrics) RetrySite(site string) *obs.Counter {
-	if m == nil || m.reg == nil {
-		return nil
-	}
-	return m.reg.Counter(fmt.Sprintf("gentriusd_retry_total{site=%q}", site),
-		"transient failures retried, by site")
-}
-
-// RetryPolicy is the daemon's shared transient-failure discipline —
-// internal/retry defaults (4 attempts, jittered 1ms→100ms capped backoff)
-// with every retried failure counted in gentriusd_retry_total{site}. It is
-// what spool/journal/checkpoint I/O uses, and what internal/dist borrows
-// for coordinator↔worker RPCs.
-func (m *Metrics) RetryPolicy(site string) retry.Policy {
-	c := m.RetrySite(site)
-	return retry.Policy{OnRetry: func(int, error) { c.Inc() }}
-}
-
-// retryIO runs op under RetryPolicy(site) with no context (persistence
-// paths must finish their backoff even mid-shutdown).
-func (m *Metrics) retryIO(site string, op func() error) error {
-	return m.RetryPolicy(site).Do(nil, op)
-}
+// RetryPolicy is the daemon's shared transient-failure discipline for one of
+// the four sites NewMetrics registers — internal/retry defaults (4 attempts,
+// jittered 1ms→100ms capped backoff) with every retried failure counted in
+// gentriusd_retry_total{site}. The counter is resolved once, there: the
+// spool, the journal and the checkpoint writer keep their policy, and
+// internal/dist borrows "shardrpc" for coordinator↔worker RPCs. The zero
+// Metrics hands out the uncounted default.
+func (m *Metrics) RetryPolicy(site string) retry.Policy { return m.retry[site] }
 
 // NewMetrics registers the service instruments on reg under gentriusd_*.
 func NewMetrics(reg *obs.Registry) *Metrics {
+	policies := map[string]retry.Policy{}
+	for _, site := range []string{"spool", "journal", "checkpoint", "shardrpc"} {
+		c := reg.Counter(fmt.Sprintf("gentriusd_retry_total{site=%q}", site),
+			"transient failures retried, by site")
+		policies[site] = retry.Policy{OnRetry: func(int, error) { c.Inc() }}
+	}
 	return &Metrics{
-		reg: reg,
+		reg:   reg,
+		retry: policies,
 
 		JobsSubmitted: reg.Counter("gentriusd_jobs_submitted_total", "jobs accepted"),
 		JobsRejected:  reg.Counter("gentriusd_jobs_rejected_total", "jobs rejected (queue full or invalid)"),
@@ -216,37 +203,6 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		CheckpointRetries: reg.Counter("gentriusd_checkpoint_write_retries_total", "transient checkpoint write failures retried"),
 		CheckpointDropped: reg.Counter("gentriusd_checkpoint_writes_dropped_total", "checkpoint writes abandoned after exhausting retries"),
 	}
-}
-
-// registerJob exports the per-job labelled gauge family, read from the
-// job's work estimator at scrape time. Jobs born from an HTTP submission
-// additionally carry the originating request id as a req label, closing the
-// metrics side of the request→job correlation. Instruments are never
-// unregistered: finished jobs keep exporting their final values until the
-// process restarts, so cardinality grows with the job count — acceptable
-// for the daemon's bounded queue, and it keeps terminal values scrapeable.
-func (m *Metrics) registerJob(id, reqID string, est *obs.Estimator) {
-	if m == nil || m.reg == nil || est == nil {
-		return
-	}
-	labelled := func(name string) string {
-		if reqID != "" {
-			return fmt.Sprintf("%s{job=%q,req=%q}", name, id, reqID)
-		}
-		return fmt.Sprintf("%s{job=%q}", name, id)
-	}
-	m.reg.GaugeFunc(labelled("gentriusd_job_stand_trees"),
-		"stand trees this job has flushed",
-		func() float64 { return float64(est.Trees()) })
-	m.reg.GaugeFunc(labelled("gentriusd_job_intermediate_states"),
-		"intermediate states this job has flushed",
-		func() float64 { return float64(est.States()) })
-	m.reg.GaugeFunc(labelled("gentriusd_job_dead_ends"),
-		"dead ends this job has flushed",
-		func() float64 { return float64(est.DeadEnds()) })
-	m.reg.GaugeFunc(labelled("gentriusd_job_fraction_explored"),
-		"estimated fraction of this job's search space explored",
-		est.Fraction)
 }
 
 // State is a job's lifecycle phase.
@@ -363,8 +319,8 @@ type Job struct {
 
 	// est is the job's own work estimator: the engine merges flushed
 	// counters and leaf mass into it, giving the live per-job counters and
-	// the fraction-complete estimate behind GET /jobs/{id}/stats and the
-	// gentriusd_job_* gauges. Lock-free; read without j.mu.
+	// the fraction-complete estimate behind GET /jobs/{id}/stats. Lock-free;
+	// read without j.mu.
 	est       *obs.Estimator
 	queueWait time.Duration // created→started, set when the job starts
 }
@@ -519,6 +475,7 @@ type RecoveryStats struct {
 type Manager struct {
 	cfg     Config
 	m       *Metrics
+	ckpt    retry.Policy // m's policy for the "checkpoint" site
 	jnl     *journal
 	log     *slog.Logger
 	trace   *obs.Recorder // the shared trace recorder (nil, and discarding, when tracing is off)
@@ -572,6 +529,7 @@ func New(cfg Config) (*Manager, error) {
 	m := &Manager{
 		cfg:     cfg,
 		m:       cfg.Metrics,
+		ckpt:    cfg.Metrics.RetryPolicy("checkpoint"),
 		jnl:     jnl,
 		log:     cfg.Logger,
 		started: time.Now(),
@@ -585,8 +543,7 @@ func New(cfg Config) (*Manager, error) {
 	if cfg.Sink != nil {
 		m.trace = cfg.Sink.Trace
 	}
-	m.mw = NewMiddleware(NewHTTPMetrics(cfg.Metrics.reg, cfg.HTTPWindow),
-		cfg.Logger, m.trace, runID)
+	m.mw = NewMiddleware(NewHTTPMetrics(cfg.Metrics.reg), cfg.Logger, m.trace, runID)
 	m.baseCtx, m.stop = context.WithCancel(context.Background())
 	m.replay(records)
 	for i := 0; i < cfg.Workers; i++ {
@@ -744,8 +701,8 @@ func (m *Manager) recoverJob(id string, num int64, req *JobRequest, reqID string
 				Stop:               parseStop(last.Stop),
 				Threads:            max(req.Threads, 1),
 			}
-			// Seed the estimator so the adopted job's gentriusd_job_*
-			// gauges export its journaled totals (fraction 1 if complete).
+			// Seed the estimator so the adopted job's /stats reports its
+			// journaled totals and leaves (fraction 1 if complete).
 			job.est.AddCounters(out.res.StandTrees, out.res.IntermediateStates, out.res.DeadEnds)
 			if out.res.Complete() {
 				job.est.AddLeafMass(1, out.res.StandTrees+out.res.DeadEnds)
@@ -1142,7 +1099,7 @@ func (m *Manager) clampTime(d time.Duration) time.Duration {
 // retrying transient failures. It reports the checkpoint path on success.
 func (m *Manager) writeCheckpointRetry(id string, cp *gentrius.Checkpoint) (string, bool) {
 	path := filepath.Join(m.cfg.DataDir, id+".ckpt")
-	err := m.m.retryIO("checkpoint", func() error {
+	err := m.ckpt.Do(nil, func() error {
 		if err := m.cfg.Fault.Err(faultinject.CheckpointWrite, "write"); err != nil {
 			m.m.CheckpointRetries.Inc()
 			return err
@@ -1214,7 +1171,6 @@ func (m *Manager) newJob(job *Job) *Job {
 	job.done = make(chan struct{})
 	job.est = &obs.Estimator{}
 	job.ctx, job.cancel = context.WithCancel(m.baseCtx)
-	m.m.registerJob(job.id, job.reqID, job.est)
 	return job
 }
 

@@ -453,15 +453,15 @@ func TestStatsAndHealthEndpoints(t *testing.T) {
 		t.Fatalf("health reports dropped writes on a healthy run: %+v", h)
 	}
 
-	// Per-job gauge families are live on the registry.
-	snap := reg.Snapshot()
-	key := fmt.Sprintf("gentriusd_job_stand_trees{job=%q}", job.ID())
-	if v, ok := snap[key]; !ok || v != float64(st.StandTrees) {
-		t.Fatalf("registry %s = %v (present %v), want %d", key, v, ok, st.StandTrees)
+	// The four per-job numbers are the job's own, not series of the registry.
+	if js := job.Stats(); js.StandTrees != st.StandTrees || js.IntermediateStates != st.Intermediate ||
+		js.DeadEnds != st.DeadEnds || js.FractionExplored != 1 {
+		t.Fatalf("Stats() %+v disagrees with Status() %+v of a finished job", js, st)
 	}
-	key = fmt.Sprintf("gentriusd_job_fraction_explored{job=%q}", job.ID())
-	if v := snap[key]; v != 1 {
-		t.Fatalf("registry %s = %v, want 1", key, v)
+	for name := range reg.Snapshot() {
+		if strings.Contains(name, job.ID()) {
+			t.Fatalf("series %s carries a job id", name)
+		}
 	}
 	if m.m.QueueWait.Count() < 2 {
 		t.Fatalf("queue-wait histogram has %d observations, want >= 2", m.m.QueueWait.Count())

@@ -7,7 +7,6 @@ package service
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
@@ -111,12 +110,14 @@ func TestRequestIDPropagation(t *testing.T) {
 		t.Fatalf("journal lacks req_id=demo:\n%s", journal)
 	}
 
-	// Metrics: per-job families are labeled with the request id.
+	// The request id stays on the job, and out of the metric labels.
+	if got := job.Status().RequestID; got != "demo" {
+		t.Fatalf("job request id = %q, want demo", got)
+	}
 	var prom bytes.Buffer
 	reg.WritePrometheus(&prom)
-	want := fmt.Sprintf(`gentriusd_job_stand_trees{job=%q,req="demo"}`, st.ID)
-	if !strings.Contains(prom.String(), want) {
-		t.Fatalf("metrics lack %s:\n%s", want, prom.String())
+	if strings.Contains(prom.String(), "demo") || strings.Contains(prom.String(), st.ID) {
+		t.Fatalf("metrics carry a request or job id:\n%s", prom.String())
 	}
 
 	// Access log and job lifecycle log both carry req=demo.

@@ -9,6 +9,7 @@ import (
 	"sync"
 
 	"gentrius/internal/faultinject"
+	"gentrius/internal/retry"
 )
 
 // spool is an append-only, file-backed log of stand trees (one canonical
@@ -33,6 +34,7 @@ type spool struct {
 
 	fault *faultinject.Injector // nil: no injected write errors
 	m     *Metrics              // never nil (zero value discards)
+	retry retry.Policy          // m's policy for the "spool" site
 }
 
 func newSpool(path string, fault *faultinject.Injector, m *Metrics) (*spool, error) {
@@ -40,7 +42,7 @@ func newSpool(path string, fault *faultinject.Injector, m *Metrics) (*spool, err
 	if err != nil {
 		return nil, fmt.Errorf("service: spool: %w", err)
 	}
-	s := &spool{f: f, path: path, fault: fault, m: m}
+	s := &spool{f: f, path: path, fault: fault, m: m, retry: m.RetryPolicy("spool")}
 	s.cond = sync.NewCond(&s.mu)
 	return s, nil
 }
@@ -83,7 +85,8 @@ func adoptSpool(path string, closed bool, fault *faultinject.Injector, m *Metric
 			return nil, fmt.Errorf("service: spool truncate: %w", err)
 		}
 	}
-	s := &spool{path: path, size: size, lines: lines, closed: closed, fault: fault, m: m}
+	s := &spool{path: path, size: size, lines: lines, closed: closed, fault: fault, m: m,
+		retry: m.RetryPolicy("spool")}
 	s.cond = sync.NewCond(&s.mu)
 	if closed {
 		f.Close()
@@ -107,7 +110,8 @@ func (s *spool) AppendBlock(block []byte, n int) {
 	if s.closed {
 		return
 	}
-	err := s.m.retryIO("spool", func() error {
+	// No context: a persistence path finishes its backoff even mid-shutdown.
+	err := s.retry.Do(nil, func() error {
 		if err := s.fault.Err(faultinject.SpoolWrite, "write"); err != nil {
 			s.m.SpoolRetries.Inc()
 			return err

@@ -8,13 +8,15 @@
 // taxon's frame without inserting it, and the simulator charges the
 // insertions and removals that saves (Worker.Tick reports them).
 //
-// On the single-core host this reproduction runs on, real goroutine speedups
-// beyond 1x are physically impossible, but the paper's observed phenomena —
-// linear speedups, plateaus from unbalanced workflow trees, super-linear
-// speedups through the stopping rules, adapted speedups — are consequences
-// of the branch-and-bound workload shape interacting with the scheduling
-// policy, which the simulator reproduces exactly. Speedup(N) is measured as
-// makespan(1 worker) / makespan(N workers) in ticks.
+// The host this reproduction runs on has two cores (every end-to-end pair in
+// EXPERIMENTS.md runs at GOMAXPROCS 2), so real goroutine speedups beyond 2x
+// are physically impossible where the paper uses up to 16 threads; but the
+// paper's observed phenomena — linear speedups, plateaus from unbalanced
+// workflow trees, super-linear speedups through the stopping rules, adapted
+// speedups — are consequences of the branch-and-bound workload shape
+// interacting with the scheduling policy, which the simulator reproduces
+// exactly. Speedup(N) is measured as makespan(1 worker) / makespan(N workers)
+// in ticks.
 //
 // The simulator also models global-counter contention for the paper's
 // counter-batching ablation (Sec. III-B): every flush of local counters into

@@ -2,14 +2,12 @@
 // must regenerate byte-identically (the simulator is deterministic), the
 // analyzer's markdown report must match its golden file, and the Chrome
 // trace-event export must be valid, deterministic JSON. Regenerate the
-// testdata with `go test ./internal/obs -run Golden -update`.
+// testdata with `go test ./internal/tracereport -run Golden -update`.
 //
-// These tests, and fleet_test.go and serve_test.go beside them, pin the
-// contract from the writer's side — what a Recorder writes today must
-// still read into the same report — and use internal/tracereport as an
-// oracle, as the tests of parallel, simsched, service and dist do. The
-// goldens are the report package's fixtures and live in its testdata.
-package obs_test
+// What a Recorder writes today must still read into the same report: the
+// trace is regenerated through internal/obs and internal/simsched, and read
+// back by the package under test.
+package tracereport_test
 
 import (
 	"bytes"
@@ -29,7 +27,7 @@ import (
 var update = flag.Bool("update", false, "rewrite the golden testdata files")
 
 const (
-	goldenDir    = "../tracereport/testdata/"
+	goldenDir    = "testdata/"
 	goldenTrace  = goldenDir + "sim_small.trace.jsonl"
 	goldenReport = goldenDir + "sim_small.report.md"
 )

@@ -78,7 +78,7 @@ GENTRIUS_FAULTS="seed=1;treestream.every=1;treestream.delay=1ms" \
 W2=$!; PIDS="$PIDS $W2"
 "$WORK/gentriusd" -addr "127.0.0.1:$P0" -data-dir "$WORK/c0" \
     -fleet "http://127.0.0.1:$P1,http://127.0.0.1:$P2" \
-    -lease-ttl 6s -heartbeat-every 400ms 2>"$WORK/c0.log" &
+    -lease-ttl 6s -heartbeat-every 400ms -trace-out "$WORK/c0.trace.jsonl" 2>"$WORK/c0.log" &
 C0=$!; PIDS="$PIDS $C0"
 wait_for '"ok"' "http://127.0.0.1:$P1/healthz"
 wait_for '"ok"' "http://127.0.0.1:$P2/healthz"
@@ -94,6 +94,13 @@ sleep 1
 kill -9 "$W1"
 wait "$W1" 2>/dev/null || true
 say "worker a SIGKILLed mid-shard"
+
+# The epoch fence must be observable while the job runs: /metrics carries
+# the fleet's aggregates only, one shard's epoch is a row of the status
+# endpoint. The job cannot end before the victim's shards have run again,
+# for seconds, at their bumped epoch.
+wait_for '"epoch": *[2-9]' "$COORD/v1/fleet/status"
+say "epoch fence visible in /v1/fleet/status: a shard is at epoch >= 2"
 
 wait_for '"state": *"done"' "$COORD/jobs/j000001"
 STATUS=$(curl -sf "$COORD/jobs/j000001")
@@ -114,24 +121,18 @@ LINES=$(curl -sf "$COORD/jobs/j000001/trees" | grep -c '"tree"')
 [ "$LINES" -ge "$STAND" ] || fail "spool replays $LINES trees, want >= $STAND"
 say "fleet finished exactly: $GOT trees, $GOTS states (expiries=$EXP redispatches=$RED)"
 
-# The epoch fence must be observable per shard: the re-dispatched shard
-# leaves a dispatch-counter series labelled with its bumped epoch, and the
-# shard's epoch gauge agrees — so an operator can see from /metrics alone
-# which epoch is authoritative and that the zombie's results were fenced.
-EXPO=$(curl -sf "$COORD/metrics")
-echo "$EXPO" | grep -q 'gentriusd_fleet_shard_dispatches_total{job="j000001",shard="[0-9]*",epoch="1"}' \
-    || fail "no epoch=1 series in gentriusd_fleet_shard_dispatches_total"
-FENCE=$(echo "$EXPO" | grep -o 'gentriusd_fleet_shard_dispatches_total{job="j000001",shard="[0-9]*",epoch="[2-9][0-9]*"}' | head -1)
-[ -n "$FENCE" ] || fail "re-dispatch left no epoch>=2 series in gentriusd_fleet_shard_dispatches_total"
-SH=$(echo "$FENCE" | grep -o 'shard="[0-9]*"' | grep -o '[0-9]*')
-EPOCH=$(echo "$EXPO" | grep -o "gentriusd_fleet_shard_epoch{job=\"j000001\",shard=\"$SH\"} [0-9]*" | grep -o '[0-9]*$')
-[ "${EPOCH:-0}" -ge 2 ] || fail "shard $SH epoch gauge reads ${EPOCH:-nothing}, want >= 2 after re-dispatch"
-say "epoch fence visible in metrics: $FENCE (shard $SH epoch gauge $EPOCH)"
-
 # Graceful exits for the survivors.
 kill -TERM "$C0" "$W2"
 for p in "$C0" "$W2"; do
     STATUS=0; wait "$p" || STATUS=$?
     [ "$STATUS" = "0" ] || fail "daemon $p exited $STATUS after SIGTERM"
 done
+
+# Once the job is over its lineage is the coordinator's trace (flushed by the
+# graceful exit): the re-dispatch is a shard-dispatch event at the next epoch.
+grep '"ev":"shard-dispatch"' "$WORK/c0.trace.jsonl" | grep -q '"epoch":1[,}]' \
+    || fail "coordinator trace has no shard-dispatch at epoch 1"
+grep '"ev":"shard-dispatch"' "$WORK/c0.trace.jsonl" | grep -q '"epoch":[2-9]' \
+    || fail "coordinator trace has no shard-dispatch at epoch >= 2 despite the re-dispatch"
+say "epoch fence visible in the coordinator's trace: shard-dispatch at epoch >= 2"
 say "PASS"

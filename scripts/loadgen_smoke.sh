@@ -4,8 +4,9 @@
 # (a) no request returned 5xx or failed at the transport, (b) the per-route
 # middleware metrics exist, (c) the loadgen per-route counts reconcile
 # exactly with the server's own gentriusd_http_requests_total counters
-# (conservation), and (d) the written trace carries the serving spans and
-# analyzes cleanly with cmd/obsreport. Needs a Go toolchain, curl, python3
+# (conservation), (d) every family the live daemon emits is listed in
+# internal/obs/CATALOGUE.md, and (e) the written trace carries the serving
+# spans and analyzes cleanly with cmd/obsreport. Needs a Go toolchain, curl, python3
 # and POSIX sh.
 set -eu
 
@@ -62,8 +63,8 @@ echo "$CT" | grep -q 'text/plain; version=0.0.4' \
     || fail "metrics content type: $CT"
 grep -q 'gentriusd_http_request_seconds' "$WORK/metrics.txt" \
     || fail "no per-route latency family in /metrics"
-grep -q 'gentriusd_http_request_seconds_window_p95{route="submit"}' "$WORK/metrics.txt" \
-    || fail "no windowed p95 for the submit route"
+grep -q 'gentriusd_http_request_seconds_bucket{route="submit",le="+Inf"}' "$WORK/metrics.txt" \
+    || fail "no latency buckets for the submit route"
 grep -q 'gentriusd_http_requests_total{route="submit",code="202"}' "$WORK/metrics.txt" \
     || fail "no submit request counter"
 say "per-route metric families present"
@@ -96,9 +97,11 @@ say "loadgen and middleware counters reconcile"
 # a TYPE-declared family with no samples (or a sample whose family was never
 # declared) means a lazily-registered instrument silently vanished from the
 # scrape. Families must also be contiguous and in the registry's sorted
-# order (main families, then the _window_* companions), which is what the
-# diff-based smoke checks and dashboards key on.
-python3 - "$WORK/metrics.txt" <<'EOF'
+# order, which is what the diff-based smoke checks and dashboards key on.
+# And the contract: a family this daemon emits under load is a row of the
+# catalogue (the other direction, listed but never registered, is
+# TestCatalogue's).
+python3 - "$WORK/metrics.txt" internal/obs/CATALOGUE.md <<'EOF'
 import re, sys
 declared, samples = [], []
 for line in open(sys.argv[1]):
@@ -131,16 +134,16 @@ absent = [f for f in declared if f not in sampled]
 if absent:
     sys.exit("declared families absent from the exposition: " + ", ".join(absent))
 
-is_comp = lambda f: re.search(r"_window_(rate|p50|p95|p99)$", f)
-main = [f for f in seen if not is_comp(f)]
-comp = [f for f in seen if is_comp(f)]
-if main != sorted(main) or comp != sorted(comp):
+if seen != sorted(seen):
     sys.exit("exposition families are not sorted")
-if comp and seen[-len(comp):] != comp:
-    sys.exit("window companion families must follow the main families")
-print(f"exposition hygiene ok: {len(declared)} families, all sampled, sorted")
+
+listed = set(re.findall(r"^\| `([a-z0-9_]+)` \| (?:counter|gauge|histogram) \|", open(sys.argv[2]).read(), re.M))
+stray = [f for f in declared if f not in listed]
+if stray:
+    sys.exit("families emitted and not listed in " + sys.argv[2] + ": " + ", ".join(stray))
+print(f"exposition hygiene ok: {len(declared)} families, all sampled, sorted, catalogued")
 EOF
-say "metrics exposition sorted and complete"
+say "metrics exposition sorted, complete and catalogued"
 
 kill -TERM "$DAEMON_PID"
 STATUS=0
