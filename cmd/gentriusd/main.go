@@ -103,7 +103,6 @@ func main() {
 		leaseTTL   = flag.Duration("lease-ttl", dist.DefaultLeaseTTL, "fleet shard lease TTL; a shard silent for this long is re-dispatched from its last checkpoint")
 		hbEvery    = flag.Duration("heartbeat-every", dist.DefaultHeartbeatEvery, "fleet worker heartbeat/checkpoint cadence (must be well under -lease-ttl)")
 		fleetShard = flag.Int("fleet-shards", 0, "shards per fleet job (0 = 2x the peer count)")
-		straggler  = flag.Duration("straggler-after", 0, "speculatively re-dispatch a fleet shard whose estimator mass is flat for this long (0 = off)")
 		version    = flag.Bool("version", false, "print version and exit")
 	)
 	flag.Parse()
@@ -169,7 +168,7 @@ func main() {
 		Logger:  logger,
 		Fault:   fault,
 		Dial: func(url string) dist.CoordinatorClient {
-			return dist.NewHTTPCoordinatorClient(url, 0)
+			return dist.NewHTTPClient(url, 0)
 		},
 	})
 	var coord *dist.Coordinator
@@ -177,7 +176,7 @@ func main() {
 		var peers []dist.WorkerClient
 		for _, u := range strings.Split(*fleet, ",") {
 			if u = strings.TrimSpace(u); u != "" {
-				peers = append(peers, dist.NewHTTPWorkerClient(u, 0))
+				peers = append(peers, dist.NewHTTPClient(u, 0))
 			}
 		}
 		cu := *coordURL
@@ -190,7 +189,6 @@ func main() {
 			Shards:         *fleetShard,
 			LeaseTTL:       *leaseTTL,
 			HeartbeatEvery: *hbEvery,
-			StragglerAfter: *straggler,
 			Threads:        *maxThreads,
 			Retry:          metrics.RetryPolicy("shardrpc"),
 			Metrics:        distMetrics,

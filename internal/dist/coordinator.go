@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"strings"
 	"sync"
 	"time"
 
@@ -34,10 +35,6 @@ type Config struct {
 	// HeartbeatEvery is the cadence workers are asked to heartbeat (and
 	// checkpoint) at. Must be comfortably under LeaseTTL.
 	HeartbeatEvery time.Duration
-	// StragglerAfter: a leased shard whose remaining estimator mass has
-	// not decreased for this long is speculatively re-dispatched when an
-	// idle live peer exists (0 disables).
-	StragglerAfter time.Duration
 	// Threads is the per-shard worker thread count (0 = 1).
 	Threads int
 
@@ -59,16 +56,14 @@ type Coordinator struct {
 	mu     sync.Mutex
 	jobs   map[string]*fleetJob
 	alive  []bool
+	live   int         // how many of alive
 	lastHB []time.Time // last accepted heartbeat per peer (zero: never)
 }
 
 // NewCoordinator validates and applies defaults.
 func NewCoordinator(cfg Config) *Coordinator {
 	if cfg.Shards <= 0 {
-		cfg.Shards = 2 * len(cfg.Peers)
-		if cfg.Shards < 2 {
-			cfg.Shards = 2
-		}
+		cfg.Shards = max(2*len(cfg.Peers), 2)
 	}
 	if cfg.LeaseTTL <= 0 {
 		cfg.LeaseTTL = DefaultLeaseTTL
@@ -76,39 +71,48 @@ func NewCoordinator(cfg Config) *Coordinator {
 	if cfg.HeartbeatEvery <= 0 {
 		cfg.HeartbeatEvery = DefaultHeartbeatEvery
 	}
-	if cfg.Clock == nil {
-		cfg.Clock = RealClock{}
-	}
-	if cfg.Logger == nil {
-		cfg.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
-	}
-	if cfg.Metrics == nil {
-		cfg.Metrics = &Metrics{} // zero value discards every update
-	}
-	if cfg.Retry.Sleep == nil {
-		clk := cfg.Clock
-		cfg.Retry.Sleep = clk.Sleep
-	}
-	c := &Coordinator{cfg: cfg, jobs: map[string]*fleetJob{},
+	cfg.Clock, cfg.Retry, cfg.Metrics, cfg.Logger = nodeDefaults(cfg.Clock, cfg.Retry, cfg.Metrics, cfg.Logger)
+	c := &Coordinator{cfg: cfg, jobs: map[string]*fleetJob{}, live: len(cfg.Peers),
 		alive: make([]bool, len(cfg.Peers)), lastHB: make([]time.Time, len(cfg.Peers))}
 	for i := range c.alive {
 		c.alive[i] = true
 	}
-	c.cfg.Metrics.WorkersLive.Set(int64(len(cfg.Peers)))
+	c.cfg.Metrics.WorkersLive.Set(int64(c.live))
 	return c
 }
 
-// RunOptions configures one distributed enumeration.
+// nodeDefaults fills in what a coordinator and a worker were not given: the
+// wall clock, backoff that sleeps on the node's clock, instruments and a
+// logger that discard.
+func nodeDefaults(clock Clock, pol retry.Policy, m *Metrics, log *slog.Logger) (Clock, retry.Policy, *Metrics, *slog.Logger) {
+	if clock == nil {
+		clock = RealClock{}
+	}
+	if pol.Sleep == nil {
+		pol.Sleep = clock.Sleep
+	}
+	if m == nil {
+		m = &Metrics{} // zero value discards every update
+	}
+	if log == nil {
+		log = slog.New(slog.NewTextHandler(io.Discard, nil))
+	}
+	return clock, pol, m, log
+}
+
+// RunOptions configures one distributed enumeration. Workers ship the
+// stand's trees when CollectTrees, OnTree or OnTrees asks for them; a job
+// that sets none only counts.
 type RunOptions struct {
-	// CollectTrees ships every stand tree back to the coordinator (and
-	// into Result.Trees / OnTree). Counting-only jobs leave it false.
+	// CollectTrees stores every stand tree in Result.Trees.
 	CollectTrees bool
-	// OnTree receives each merged stand tree exactly once, at shard
-	// completion (not streaming: exactly-once delivery is resolved at the
-	// merge, after fencing).
+	// OnTrees receives each shard's trees exactly once, when the shard is
+	// merged (not streaming: which epoch's trees count is settled at the
+	// merge, after fencing), in the blocks the workers' engines rendered: n
+	// newline-terminated Newicks, valid during the call. Calls are serialized.
+	OnTrees func(block []byte, n int)
+	// OnTree receives the same trees as one string each.
 	OnTree func(newick string)
-	// Heuristic refines the insertion order (zero: the paper's rule).
-	Heuristic search.OrderHeuristic
 	// InitialTree: constraint index, or negative for the heuristic.
 	InitialTree int
 	// Limits are the job-level stopping rules, enforced COARSELY: shards
@@ -132,7 +136,6 @@ type Result struct {
 	// Fleet statistics for this job.
 	LeaseExpiries int64
 	Redispatches  int64
-	Speculative   int64
 	LocalShards   int64
 	Adopted       int64
 }
@@ -153,21 +156,40 @@ type shardState struct {
 
 	// dispatchCkpt is the current epoch's resume point (counters zeroed).
 	dispatchCkpt *search.Checkpoint
-	// latest is the newest CURRENT-epoch checkpoint from a heartbeat,
-	// with latestTrees the since-dispatch trees aligned to its cut.
+	// latest is the newest CURRENT-epoch checkpoint from a heartbeat; log
+	// ends at its cut.
 	latest      *search.Checkpoint
-	latestTrees []string
 	latestMass  float64
 	initialMass float64 // estimator mass at shard creation (fraction base)
-	progressAt  time.Time
 
-	// Per-epoch merge bases: counters and tree-log prefix length already
-	// accounted when each epoch was dispatched. treeLog accumulates the
-	// checkpoint-cut trees of superseded epochs; epoch e's final trees
-	// are treeLog[:baseTreeLen[e]] + result.Trees.
-	baseCounters map[int]search.Counters
-	baseTreeLen  map[int]int
-	treeLog      []string
+	// base is what was already accounted when each epoch was dispatched:
+	// counters, and trees of log. log holds the shard's trees once (nil for
+	// a job that ships none): epoch e's are the first base[e].trees, from
+	// the epochs before, and behind them what e has shipped — up to
+	// base[e+1].trees once it is superseded; its successor writes from there.
+	base map[int]epochBase
+	log  *treeLog
+}
+
+type epochBase struct {
+	counters search.Counters
+	trees    int
+}
+
+// takeTrees puts the trees an epoch shipped into the shard's log, behind the
+// cut they name. It refuses trees that do not end at the counter they arrived
+// with, a cut beyond what the epoch has shipped, and what treeLog.Put refuses.
+func (s *shardState) takeTrees(epoch int, d TreeDelta, counted int64) bool {
+	if s.log == nil {
+		return d.TreesAt == 0 && d.TreesN == 0 && len(d.Trees) == 0
+	}
+	held := s.log.Trees()
+	if next, superseded := s.base[epoch+1]; superseded {
+		held = next.trees
+	}
+	from := s.base[epoch].trees + d.TreesAt
+	return d.TreesAt >= 0 && from <= held && int64(d.TreesAt)+int64(d.TreesN) == counted &&
+		s.log.Put(from, d.Trees, d.TreesN)
 }
 
 type fleetJob struct {
@@ -175,28 +197,54 @@ type fleetJob struct {
 	constraints []*tree.Tree
 	newicks     []string
 	fingerprint string
-	initialIdx  int
-	heuristic   search.OrderHeuristic
 	opt         RunOptions
-	// traceID is the fleet-run trace id; rec and log are the job-scoped
-	// recorder (fixed {trace, job} tags) and slog handle (trace attr) every
-	// coordinator-side emission for this job goes through.
-	traceID string
-	rec     *obs.Recorder
-	log     *slog.Logger
+	// rec and log are the job-scoped recorder (fixed {trace, job} tags) and
+	// slog handle (trace and job attrs) every coordinator-side emission for
+	// this job goes through.
+	rec *obs.Recorder
+	log *slog.Logger
 
-	mu        sync.Mutex
-	shards    []*shardState
-	totals    search.Counters
-	trees     []string
-	delivered int // prefix of trees already handed to OnTree
-	done      int
-	stopping  bool
-	stop      search.StopReason
-	failErr   error
-	wake      chan struct{}
+	mu       sync.Mutex
+	shards   []*shardState
+	totals   search.Counters
+	merged   []string // blocks of shards merged, not yet handed to the caller
+	stopping bool
+	stop     search.StopReason
+	failErr  error
+	wake     chan struct{}
 
 	stats Result
+}
+
+// shipsTrees: the job's caller wants the stand, in one form or another.
+func (o *RunOptions) shipsTrees() bool {
+	return o.CollectTrees || o.OnTree != nil || o.OnTrees != nil
+}
+
+// deliver hands a block of merged trees to the caller in the forms it asked
+// for (collected is Result.Trees). The strings are cut from the block, not
+// copied.
+func (o *RunOptions) deliver(collected *[]string, block string) {
+	if o.OnTrees != nil {
+		o.OnTrees([]byte(block), strings.Count(block, "\n"))
+	}
+	for block != "" && (o.CollectTrees || o.OnTree != nil) {
+		var nw string
+		nw, block, _ = strings.Cut(block, "\n")
+		if o.CollectTrees {
+			*collected = append(*collected, nw)
+		}
+		if o.OnTree != nil {
+			o.OnTree(nw)
+		}
+	}
+}
+
+// checkpoint is the resume point a dispatch carries: a frontier of the job,
+// counters zeroed.
+func (j *fleetJob) checkpoint(fr *search.Frontier) *search.Checkpoint {
+	return search.NewFrontierCheckpoint(j.constraints, j.stats.InitialIndex,
+		search.OrderMinBranches, search.Counters{}, fr)
 }
 
 func (j *fleetJob) wakeUp() {
@@ -230,7 +278,7 @@ func (c *Coordinator) Run(ctx context.Context, jobID string, constraints []*tree
 	// Shared set-up: the deterministic prefix is walked once, counted once,
 	// by the coordinator; the root frontier is one seed task per
 	// initial-split branch (weight 1/B), partitioned into shards below.
-	su, err := search.Start(cons, opt.InitialTree, opt.Heuristic, nil, 0)
+	su, err := search.Start(cons, opt.InitialTree, search.OrderMinBranches, nil, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -239,12 +287,7 @@ func (c *Coordinator) Run(ctx context.Context, jobID string, constraints []*tree
 		// An empty stand, or a prefix that closed the whole space.
 		res := &Result{Counters: su.Counters, InitialIndex: idx}
 		if su.Tree != "" {
-			if opt.CollectTrees {
-				res.Trees = []string{su.Tree}
-			}
-			if opt.OnTree != nil {
-				opt.OnTree(su.Tree)
-			}
+			opt.deliver(&res.Trees, su.Tree+"\n")
 		}
 		return res, nil
 	}
@@ -254,18 +297,16 @@ func (c *Coordinator) Run(ctx context.Context, jobID string, constraints []*tree
 		constraints: cons,
 		newicks:     newicks,
 		fingerprint: search.Fingerprint(cons),
-		initialIdx:  idx,
-		heuristic:   opt.Heuristic,
 		opt:         opt,
 		totals:      su.Counters,
 		wake:        make(chan struct{}, 1),
 		stop:        search.StopExhausted,
 	}
-	job.traceID = fleetTraceID(jobID, job.fingerprint)
-	job.rec = c.cfg.Trace.With([]obs.SField{obs.S("trace", job.traceID), obs.S("job", jobID)})
-	job.log = c.cfg.Logger.With("trace", job.traceID)
+	traceID := fleetTraceID(jobID, job.fingerprint)
+	job.rec = c.cfg.Trace.With([]obs.SField{obs.S("trace", traceID), obs.S("job", jobID)})
+	job.log = c.cfg.Logger.With("trace", traceID, "job", jobID)
 	job.stats.InitialIndex = idx
-	job.stats.TraceID = job.traceID
+	job.stats.TraceID = traceID
 
 	var totalMass float64
 	for i, fr := range search.SplitFrontier(su.Frontier, c.cfg.Shards) {
@@ -274,20 +315,20 @@ func (c *Coordinator) Run(ctx context.Context, jobID string, constraints []*tree
 			status:       shardPending,
 			epoch:        1,
 			peer:         -1,
-			dispatchCkpt: search.NewFrontierCheckpoint(cons, idx, opt.Heuristic, search.Counters{}, fr),
-			baseCounters: map[int]search.Counters{1: {}},
-			baseTreeLen:  map[int]int{1: 0},
+			dispatchCkpt: job.checkpoint(fr),
+			base:         map[int]epochBase{1: {}},
+		}
+		if opt.shipsTrees() {
+			s.log = new(treeLog)
 		}
 		s.latestMass = fr.RemainingMass()
 		s.initialMass = s.latestMass
 		totalMass += s.latestMass
-		s.progressAt = c.cfg.Clock.Now()
 		job.shards = append(job.shards, s)
 	}
 	job.rec.Emit(obs.EvFleetRun, -1,
 		obs.F("shards", int64(len(job.shards))), obs.F("mass_ppm", massPPM(totalMass)))
-	job.log.Info("fleet run started", "job", jobID,
-		"shards", len(job.shards), "peers", len(c.cfg.Peers))
+	job.log.Info("fleet run started", "shards", len(job.shards), "peers", len(c.cfg.Peers))
 
 	c.mu.Lock()
 	if _, dup := c.jobs[jobID]; dup {
@@ -306,13 +347,21 @@ func (c *Coordinator) Run(ctx context.Context, jobID string, constraints []*tree
 }
 
 // controlLoop drives one job: dispatching pending shards, expiring leases,
-// chasing stragglers, delivering merged trees, and deciding completion.
+// delivering merged trees, and deciding completion.
 func (c *Coordinator) controlLoop(ctx context.Context, job *fleetJob) (*Result, error) {
 	clk := c.cfg.Clock
+	var trees []string // Result.Trees, when the caller collects
 	for {
 		now := clk.Now()
+		// A cancelled job stops dispatching; its leased shards are fenced at
+		// their next heartbeat, and what has been merged is still delivered.
+		cancelled := ctx.Err() != nil
 
 		job.mu.Lock()
+		if cancelled {
+			job.stopping = true
+			job.stop = search.StopCancelled
+		}
 		// Lease expiry: a leased shard past its deadline re-enters the
 		// pending pool at the next epoch, resuming from its last durable
 		// checkpoint (resume-not-replay).
@@ -323,8 +372,7 @@ func (c *Coordinator) controlLoop(ctx context.Context, job *fleetJob) (*Result, 
 				job.rec.EmitTagged(obs.EvLeaseExpire, -1,
 					[]obs.SField{obs.S("peer", c.peerName(s.peer))},
 					obs.F("shard", int64(s.idx)), obs.F("epoch", int64(s.epoch)))
-				job.log.Warn("shard lease expired", "job", job.id,
-					"shard", s.idx, "epoch", s.epoch, "peer", c.peerName(s.peer))
+				job.log.Warn("shard lease expired", "shard", s.idx, "epoch", s.epoch, "peer", c.peerName(s.peer))
 				// The peer is NOT marked dead here: a missed heartbeat may
 				// mean only its return path failed (it could be computing,
 				// orphaned, with a result to park). A truly dead peer is
@@ -332,32 +380,6 @@ func (c *Coordinator) controlLoop(ctx context.Context, job *fleetJob) (*Result, 
 				c.advanceEpoch(job, s)
 				job.stats.Redispatches++
 				c.cfg.Metrics.Redispatches.Inc()
-			}
-		}
-
-		// Straggler detection: remaining mass flat for StragglerAfter and
-		// an idle live peer available → speculative re-dispatch. The old
-		// epoch is fenced at its next heartbeat, but a completed result
-		// from it is still mergeable — first completion wins.
-		if c.cfg.StragglerAfter > 0 && !job.stopping {
-			for _, s := range job.shards {
-				if s.status != shardLeased || s.peer < 0 {
-					continue
-				}
-				if now.Sub(s.progressAt) < c.cfg.StragglerAfter {
-					continue
-				}
-				idle := c.idlePeer(job, s.peer)
-				if idle < 0 {
-					continue
-				}
-				c.cfg.Metrics.Speculative.Inc()
-				job.stats.Speculative++
-				job.log.Info("straggler shard re-dispatched speculatively",
-					"job", job.id, "shard", s.idx, "epoch", s.epoch,
-					"from", c.peerName(s.peer), "to", c.peerName(idle))
-				c.advanceEpoch(job, s)
-				c.leaseTo(ctx, job, s, idle, "straggler")
 			}
 		}
 
@@ -380,46 +402,35 @@ func (c *Coordinator) controlLoop(ctx context.Context, job *fleetJob) (*Result, 
 			}
 		}
 
-		// Deliver merged trees (exactly-once: the merge already resolved
-		// epochs) outside the lock.
-		var deliver []string
-		if job.opt.OnTree != nil && job.delivered < len(job.trees) {
-			deliver = job.trees[job.delivered:]
-			job.delivered = len(job.trees)
-		}
+		// Merged shards' trees go to the caller outside the lock (exactly
+		// once: the merge already resolved epochs).
+		merged := job.merged
+		job.merged = nil
 
-		finished := job.done == len(job.shards)
 		failErr := job.failErr
-		// Earliest deadline the loop must wake for.
-		var next time.Time
+		// Earliest lease deadline the loop must wake for.
+		finished, next := true, time.Time{}
 		for _, s := range job.shards {
-			if s.status != shardLeased || s.peer < 0 {
-				continue
-			}
-			if next.IsZero() || s.deadline.Before(next) {
+			finished = finished && s.status == shardDone
+			if s.status == shardLeased && s.peer >= 0 && (next.IsZero() || s.deadline.Before(next)) {
 				next = s.deadline
-			}
-			if c.cfg.StragglerAfter > 0 {
-				if sd := s.progressAt.Add(c.cfg.StragglerAfter); sd.Before(next) {
-					next = sd
-				}
 			}
 		}
 		job.mu.Unlock()
 
-		for _, nw := range deliver {
-			job.opt.OnTree(nw)
+		for _, block := range merged {
+			job.opt.deliver(&trees, block)
 		}
 		if failErr != nil {
 			return nil, failErr
 		}
-		if finished {
+		if finished || cancelled {
 			job.mu.Lock()
 			res := job.stats
 			res.Counters = job.totals
-			res.Trees = job.trees
 			res.Stop = job.stop
 			job.mu.Unlock()
+			res.Trees = trees
 			return &res, nil
 		}
 
@@ -438,38 +449,26 @@ func (c *Coordinator) controlLoop(ctx context.Context, job *fleetJob) (*Result, 
 		case <-job.wake:
 		case <-clk.Until(wake):
 		case <-ctx.Done():
-			job.mu.Lock()
-			job.stopping = true
-			job.stop = search.StopCancelled
-			res := job.stats
-			res.Counters = job.totals
-			res.Trees = job.trees
-			res.Stop = search.StopCancelled
-			job.mu.Unlock()
-			return &res, nil
 		}
 	}
 }
 
 // advanceEpoch moves a shard to its next epoch (caller holds job.mu): the
-// last durable checkpoint's counters and tree cut roll into the new epoch's
-// base, its frontier becomes the new dispatch point, and the shard returns
-// to the pending pool. Without any checkpoint the shard re-dispatches from
-// the previous epoch's starting point — same base, pure re-execution of
-// work nobody accounted.
+// last durable checkpoint's counters and the trees shipped up to its cut roll
+// into the new epoch's base, its frontier becomes the new dispatch point, and
+// the shard returns to the pending pool. Without any checkpoint the shard
+// re-dispatches from the previous epoch's starting point — same base, pure
+// re-execution of work nobody accounted.
 func (c *Coordinator) advanceEpoch(job *fleetJob, s *shardState) {
-	base := s.baseCounters[s.epoch]
+	base := s.base[s.epoch]
 	if s.latest != nil {
-		base.Add(s.latest.Counters)
-		s.treeLog = append(s.treeLog, s.latestTrees...)
-		s.dispatchCkpt = search.NewFrontierCheckpoint(job.constraints, job.initialIdx,
-			job.heuristic, search.Counters{}, s.latest.Frontier)
+		base.counters.Add(s.latest.Counters)
+		base.trees = s.log.Trees()
+		s.dispatchCkpt = job.checkpoint(s.latest.Frontier)
 	}
 	s.epoch++
-	s.baseCounters[s.epoch] = base
-	s.baseTreeLen[s.epoch] = len(s.treeLog)
+	s.base[s.epoch] = base
 	s.latest = nil
-	s.latestTrees = nil
 	s.status = shardPending
 	s.peer = -1
 }
@@ -479,32 +478,35 @@ func (c *Coordinator) advanceEpoch(job *fleetJob, s *shardState) {
 // at RPC completion: a dispatch that never lands expires like any other
 // missed heartbeat, which unifies "worker died before accepting" with
 // "worker died after". cause labels the dispatch in the trace (initial /
-// redispatch / straggler) so offline merges can draw the re-dispatch flow.
+// redispatch) so offline merges can draw the re-dispatch flow.
 func (c *Coordinator) leaseTo(ctx context.Context, job *fleetJob, s *shardState, p int, cause string) {
 	s.status = shardLeased
 	s.peer = p
 	s.deadline = c.cfg.Clock.Now().Add(c.cfg.LeaseTTL)
-	s.progressAt = c.cfg.Clock.Now()
-	req := &DispatchRequest{
-		JobID:           job.id,
-		Shard:           s.idx,
-		Epoch:           s.epoch,
-		TraceID:         job.traceID,
-		Fingerprint:     job.fingerprint,
-		Trees:           job.newicks,
-		Checkpoint:      s.dispatchCkpt,
-		CoordURL:        c.cfg.CoordURL,
-		Threads:         c.cfg.Threads,
-		CollectTrees:    job.opt.CollectTrees,
-		LeaseTTLMillis:  c.cfg.LeaseTTL.Milliseconds(),
-		HeartbeatMillis: c.cfg.HeartbeatEvery.Milliseconds(),
-	}
 	c.cfg.Metrics.ShardsDispatched.Inc()
 	job.rec.EmitTagged(obs.EvShardDispatch, -1,
 		[]obs.SField{obs.S("peer", c.peerName(p)), obs.S("cause", cause)},
 		obs.F("shard", int64(s.idx)), obs.F("epoch", int64(s.epoch)),
 		obs.F("mass_ppm", massPPM(s.latestMass)))
-	go c.dispatch(ctx, job, s, p, req)
+	go c.dispatch(ctx, job, s, p, c.request(job, s))
+}
+
+// request is the dispatch of a shard's current epoch (caller holds job.mu).
+func (c *Coordinator) request(job *fleetJob, s *shardState) *DispatchRequest {
+	return &DispatchRequest{
+		Proto:           Proto,
+		JobID:           job.id,
+		Shard:           s.idx,
+		Epoch:           s.epoch,
+		TraceID:         job.stats.TraceID,
+		Fingerprint:     job.fingerprint,
+		Trees:           job.newicks,
+		Checkpoint:      s.dispatchCkpt,
+		CoordURL:        c.cfg.CoordURL,
+		Threads:         c.cfg.Threads,
+		CollectTrees:    job.opt.shipsTrees(),
+		HeartbeatMillis: c.cfg.HeartbeatEvery.Milliseconds(),
+	}
 }
 
 // dispatch performs the dispatch RPC with retry/backoff+jitter and folds
@@ -519,19 +521,12 @@ func (c *Coordinator) dispatch(ctx context.Context, job *fleetJob, s *shardState
 		job.mu.Unlock()
 		job.wakeUp()
 	}()
-	if err != nil {
-		job.log.Warn("dispatch failed", "job", job.id, "shard", s.idx,
-			"epoch", req.Epoch, "peer", c.peerName(p), "error", err.Error())
+	switch {
+	case err != nil:
+		job.log.Warn("dispatch failed", "shard", s.idx, "epoch", req.Epoch,
+			"peer", c.peerName(p), "error", err.Error())
 		c.markDead(p)
-		// Only undo the lease if it is still ours — a lease expiry may
-		// have advanced the epoch while the RPC was retrying.
-		if s.status == shardLeased && s.epoch == req.Epoch && s.peer == p {
-			s.status = shardPending
-			s.peer = -1
-		}
-		return
-	}
-	if resp.Parked != nil {
+	case resp.Parked != nil:
 		// The worker finished an earlier epoch of this shard while
 		// orphaned; adopt that result instead of the new lease.
 		c.cfg.Metrics.ParkedAdopted.Inc()
@@ -539,20 +534,21 @@ func (c *Coordinator) dispatch(ctx context.Context, job *fleetJob, s *shardState
 		job.rec.EmitTagged(obs.EvShardAdopted, -1,
 			[]obs.SField{obs.S("peer", c.peerName(p))},
 			obs.F("shard", int64(s.idx)), obs.F("epoch", int64(resp.Parked.Epoch)))
-		if !c.mergeResultLocked(job, resp.Parked) && s.status == shardLeased &&
-			s.epoch == req.Epoch && s.peer == p {
-			// Unknown epoch (coordinator restarted?): fall back to
-			// re-dispatching the shard.
-			s.status = shardPending
-			s.peer = -1
+		if c.mergeResultLocked(job, resp.Parked) {
+			return
 		}
+		// Turned away (coordinator restarted?): re-dispatch the shard.
+	default:
+		// Accepted — or not, by a worker already running a newer epoch of
+		// this shard (a stale re-dispatch crossed a fresher one): that lease
+		// is left to expire, the newer run's heartbeats keep it alive.
 		return
 	}
-	if !resp.Accepted {
-		// The worker is already running a newer epoch of this shard (a
-		// stale re-dispatch crossed a fresher one). Leave the lease to
-		// expire naturally; the newer run's heartbeats keep it alive.
-		return
+	// Only undo the lease if it is still ours — a lease expiry may have
+	// advanced the epoch while the RPC was retrying.
+	if s.status == shardLeased && s.epoch == req.Epoch && s.peer == p {
+		s.status = shardPending
+		s.peer = -1
 	}
 }
 
@@ -564,27 +560,22 @@ func (c *Coordinator) runLocally(ctx context.Context, job *fleetJob, s *shardSta
 	s.status = shardLeased
 	s.peer = -1
 	s.deadline = c.cfg.Clock.Now().Add(100 * 365 * 24 * time.Hour)
-	epoch := s.epoch
-	ckpt := s.dispatchCkpt
+	req := c.request(job, s)
 	c.cfg.Metrics.LocalFallbacks.Inc()
 	job.stats.LocalShards++
 	job.rec.EmitTagged(obs.EvFleetLocal, -1, nil,
-		obs.F("shard", int64(s.idx)), obs.F("epoch", int64(epoch)))
-	job.log.Info("no live peers: running shard locally",
-		"job", job.id, "shard", s.idx, "epoch", epoch)
+		obs.F("shard", int64(s.idx)), obs.F("epoch", int64(req.Epoch)))
+	job.log.Info("no live peers: running shard locally", "shard", s.idx, "epoch", req.Epoch)
 	go func() {
-		threads := c.cfg.Threads
-		if threads < 1 {
-			threads = 1
-		}
+		shipped, onTrees := shipLog(req.CollectTrees)
 		res, err := gentrius.EnumerateStandContext(ctx, job.constraints, gentrius.Options{
-			Threads:      threads,
-			MaxTrees:     -1,
-			MaxStates:    -1,
-			MaxTime:      -1,
-			CollectTrees: job.opt.CollectTrees,
-			Checkpoint:   &gentrius.CheckpointPolicy{Resume: ckpt},
-			Fault:        c.cfg.Fault,
+			Threads:    max(req.Threads, 1),
+			MaxTrees:   -1,
+			MaxStates:  -1,
+			MaxTime:    -1,
+			OnTrees:    onTrees,
+			Checkpoint: &gentrius.CheckpointPolicy{Resume: req.Checkpoint},
+			Fault:      c.cfg.Fault,
 		})
 		if err != nil {
 			job.mu.Lock()
@@ -595,20 +586,7 @@ func (c *Coordinator) runLocally(ctx context.Context, job *fleetJob, s *shardSta
 			job.wakeUp()
 			return
 		}
-		c.HandleResult(&ShardResult{
-			JobID:   job.id,
-			Shard:   s.idx,
-			Epoch:   epoch,
-			TraceID: job.traceID,
-			Node:    "local",
-			Stop:    res.Stop.String(),
-			Counters: search.Counters{
-				StandTrees:         res.StandTrees,
-				IntermediateStates: res.IntermediateStates,
-				DeadEnds:           res.DeadEnds,
-			},
-			Trees: res.Trees,
-		})
+		c.HandleResult(newShardResult(req, "local", res, shipped, 0))
 	}()
 }
 
@@ -628,27 +606,27 @@ func (c *Coordinator) HandleHeartbeat(req *HeartbeatRequest) *HeartbeatResponse 
 		return &HeartbeatResponse{Fenced: true}
 	}
 	s := job.shards[req.Shard]
-	if job.stopping || s.status != shardLeased || req.Epoch != s.epoch {
-		c.cfg.Metrics.Fenced.Inc()
-		job.rec.EmitTagged(obs.EvShardFenced, -1,
-			[]obs.SField{obs.S("kind", "heartbeat"), obs.S("node", req.Node)},
-			obs.F("shard", int64(req.Shard)), obs.F("epoch", int64(req.Epoch)))
+	// Durable progress is only accepted from the CURRENT epoch: folding an
+	// older lineage's newer checkpoint into a re-dispatched shard would
+	// double-count the overlap. Nor is it accepted without a frontier — the
+	// next dispatch is built around it — or without its trees.
+	cp := req.Checkpoint
+	stale := req.Proto != Proto || job.stopping || s.status != shardLeased || req.Epoch != s.epoch
+	if stale || cp != nil && (cp.Frontier == nil || !s.takeTrees(req.Epoch, req.TreeDelta, cp.Counters.StandTrees)) {
+		c.fence(job, s, "heartbeat", req.Proto, req.Epoch, req.Node)
 		return &HeartbeatResponse{Fenced: true}
 	}
 	s.deadline = c.cfg.Clock.Now().Add(c.cfg.LeaseTTL)
 	if req.Checkpoint != nil {
-		// Durable progress is only accepted from the CURRENT epoch:
-		// folding an older lineage's newer checkpoint into a re-dispatched
-		// shard would double-count the overlap.
 		s.latest = req.Checkpoint
-		s.latestTrees = req.Trees
-		if req.RemainingMass < s.latestMass {
-			s.latestMass = req.RemainingMass
-			s.progressAt = c.cfg.Clock.Now()
-		}
+		s.latestMass = min(s.latestMass, req.RemainingMass)
 	}
 	c.cfg.Metrics.HeartbeatsRecv.Inc()
-	c.notePeerHeartbeat(s.peer)
+	if s.peer >= 0 { // peer liveness for /healthz and /v1/fleet/status
+		c.mu.Lock()
+		c.lastHB[s.peer] = c.cfg.Clock.Now()
+		c.mu.Unlock()
+	}
 	// The recv side of the heartbeat pair: same seq as the worker's
 	// shard-hb-send event, which is what the offline merge aligns clocks on.
 	job.rec.EmitTagged(obs.EvHeartbeatRecv, -1,
@@ -656,16 +634,6 @@ func (c *Coordinator) HandleHeartbeat(req *HeartbeatRequest) *HeartbeatResponse 
 		obs.F("shard", int64(req.Shard)), obs.F("epoch", int64(req.Epoch)),
 		obs.F("seq", req.Seq), obs.F("mass_ppm", massPPM(req.RemainingMass)))
 	return &HeartbeatResponse{}
-}
-
-// notePeerHeartbeat records peer liveness for /healthz and /v1/fleet/status.
-func (c *Coordinator) notePeerHeartbeat(p int) {
-	if p < 0 || p >= len(c.lastHB) {
-		return
-	}
-	c.mu.Lock()
-	c.lastHB[p] = c.cfg.Clock.Now()
-	c.mu.Unlock()
 }
 
 // HandleResult merges a completed shard epoch. Any KNOWN epoch is
@@ -686,51 +654,42 @@ func (c *Coordinator) HandleResult(req *ShardResult) *ResultResponse {
 }
 
 // mergeResultLocked folds one shard result into the job totals (caller
-// holds job.mu). It reports false when the result was turned away (already
-// merged, unknown epoch, or unknown shard).
+// holds job.mu) and queues the shard's trees for the control loop to deliver.
+// It reports false when the result was turned away (already merged, unknown
+// shard or epoch, another protocol version, trees that do not fit).
 func (c *Coordinator) mergeResultLocked(job *fleetJob, req *ShardResult) bool {
 	if req.Shard < 0 || req.Shard >= len(job.shards) {
 		return false
 	}
 	s := job.shards[req.Shard]
-	if s.status == shardDone {
-		c.cfg.Metrics.Fenced.Inc()
+	base, known := s.base[req.Epoch]
+	if req.Proto != Proto || s.status == shardDone || !known ||
+		!s.takeTrees(req.Epoch, req.TreeDelta, req.Counters.StandTrees) {
+		c.fence(job, s, "result", req.Proto, req.Epoch, req.Node)
 		return false
 	}
-	base, known := s.baseCounters[req.Epoch]
-	if !known {
-		c.cfg.Metrics.Fenced.Inc()
-		job.rec.EmitTagged(obs.EvShardFenced, -1,
-			[]obs.SField{obs.S("kind", "result"), obs.S("node", req.Node)},
-			obs.F("shard", int64(req.Shard)), obs.F("epoch", int64(req.Epoch)))
-		return false
-	}
-	total := base
+	total := base.counters
 	total.Add(req.Counters)
 	job.totals.Add(total)
-	if job.opt.CollectTrees {
-		job.trees = append(job.trees, s.treeLog[:s.baseTreeLen[req.Epoch]]...)
-		job.trees = append(job.trees, req.Trees...)
+	if s.log != nil {
+		// The shard's blocks are the control loop's now, to hand on; nothing
+		// is kept of them here.
+		job.merged = append(job.merged, s.log.Cut(0, s.log.Trees()).Trees...)
+		s.log = nil
 	}
 	s.status = shardDone
 	s.latestMass = 0
-	job.done++
 	c.cfg.Metrics.ShardsCompleted.Inc()
 	job.rec.EmitTagged(obs.EvShardDone, -1,
-		[]obs.SField{obs.S("stop", req.Stop), obs.S("node", req.Node)},
+		[]obs.SField{obs.S("stop", req.Stop.String()), obs.S("node", req.Node)},
 		obs.F("shard", int64(req.Shard)), obs.F("epoch", int64(req.Epoch)),
 		obs.F("trees", total.StandTrees), obs.F("states", total.IntermediateStates))
-	job.log.Info("shard merged", "job", job.id, "shard", req.Shard,
-		"epoch", req.Epoch, "trees", total.StandTrees)
-	if req.Stop != "" && req.Stop != search.StopExhausted.String() &&
-		req.Stop != search.StopCancelled.String() && job.stop == search.StopExhausted {
+	job.log.Info("shard merged", "shard", req.Shard, "epoch", req.Epoch, "trees", total.StandTrees)
+	if req.Stop > search.StopExhausted && req.Stop <= search.StopFailed &&
+		req.Stop != search.StopCancelled && job.stop == search.StopExhausted {
 		// A shard died on its own limit — should not happen (shards run
 		// unlimited) but surface it rather than claim exhaustion.
-		for r := search.StopExhausted; r <= search.StopFailed; r++ {
-			if r.String() == req.Stop {
-				job.stop = r
-			}
-		}
+		job.stop = req.Stop
 	}
 	// Coarse job-level stopping rules, evaluated at merge points.
 	if reason, hit := job.opt.Limits.Exceeded(job.totals, 0); hit && !job.stopping {
@@ -738,15 +697,29 @@ func (c *Coordinator) mergeResultLocked(job *fleetJob, req *ShardResult) bool {
 		job.stop = reason
 		// Un-dispatched work stays pending forever; completed counts
 		// stand. Leased shards get fenced at their next heartbeat. Mark
-		// everything not yet done as done so the loop terminates.
+		// everything as done so the loop terminates.
 		for _, sh := range job.shards {
-			if sh.status != shardDone {
-				sh.status = shardDone
-				job.done++
-			}
+			sh.status = shardDone
 		}
 	}
 	return true
+}
+
+// fence turns a heartbeat or a result away (caller holds job.mu). One of
+// another protocol version is logged with both numbers, and the peer it came
+// from, if it holds the shard's lease, gets no further dispatch.
+func (c *Coordinator) fence(job *fleetJob, s *shardState, kind string, proto, epoch int, node string) {
+	c.cfg.Metrics.Fenced.Inc()
+	job.rec.EmitTagged(obs.EvShardFenced, -1,
+		[]obs.SField{obs.S("kind", kind), obs.S("node", node)},
+		obs.F("shard", int64(s.idx)), obs.F("epoch", int64(epoch)))
+	if proto != Proto {
+		job.log.Warn("fleet message of another protocol version fenced",
+			"shard", s.idx, "kind", kind, "node", node, "got", proto, "want", Proto)
+		if s.status == shardLeased && s.epoch == epoch {
+			c.markDead(s.peer)
+		}
+	}
 }
 
 // peerName labels a peer for logs and traces.
@@ -767,14 +740,9 @@ func (c *Coordinator) markDead(p int) {
 	c.mu.Lock()
 	if c.alive[p] {
 		c.alive[p] = false
-		live := 0
-		for _, a := range c.alive {
-			if a {
-				live++
-			}
-		}
-		c.cfg.Metrics.WorkersLive.Set(int64(live))
-		c.cfg.Logger.Warn("peer marked dead", "peer", c.peerName(p), "live", live)
+		c.live--
+		c.cfg.Metrics.WorkersLive.Set(int64(c.live))
+		c.cfg.Logger.Warn("peer marked dead", "peer", c.peerName(p), "live", c.live)
 	}
 	c.mu.Unlock()
 }
@@ -793,31 +761,9 @@ func (c *Coordinator) pickPeer(job *fleetJob) int {
 	}
 	best := -1
 	for p, a := range c.alive {
-		if !a {
-			continue
-		}
-		if best < 0 || leases[p] < leases[best] {
+		if a && (best < 0 || leases[p] < leases[best]) {
 			best = p
 		}
 	}
 	return best
-}
-
-// idlePeer returns a live peer other than except with no active lease in
-// this job, or -1. Caller holds job.mu.
-func (c *Coordinator) idlePeer(job *fleetJob, except int) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	busy := make([]bool, len(c.cfg.Peers))
-	for _, s := range job.shards {
-		if s.status == shardLeased && s.peer >= 0 {
-			busy[s.peer] = true
-		}
-	}
-	for p, a := range c.alive {
-		if a && !busy[p] && p != except {
-			return p
-		}
-	}
-	return -1
 }

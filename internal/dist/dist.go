@@ -1,6 +1,6 @@
 // Package dist shards one stand enumeration across a fleet of gentriusd
-// nodes — ROADMAP item 1, built on the frontier-snapshot primitive from the
-// checkpoint/resume work: a coordinator splits the job's root frontier into
+// nodes, built on the frontier-snapshot primitive from the checkpoint/resume
+// work: a coordinator splits the job's root frontier into
 // coarse FrontierTask shards (internal/search.SplitFrontier) and dispatches
 // each to a peer worker, which resumes it exactly as it would resume a
 // local checkpoint.
@@ -10,27 +10,28 @@
 //   - Leases & heartbeats. Every dispatched shard carries a lease; the
 //     worker renews it by heartbeating, and each heartbeat piggybacks the
 //     shard's latest frontier checkpoint (counters measured SINCE dispatch)
-//     plus the stand trees found so far, aligned with that checkpoint's
-//     tree counter. A missed lease expires the shard and the coordinator
-//     re-dispatches it — from the last checkpoint, so recovery is
-//     resume-not-replay.
+//     plus the stand trees found since the last heartbeat the coordinator
+//     answered, up to that checkpoint's tree counter. A missed lease
+//     expires the shard and the coordinator re-dispatches it — from the
+//     last checkpoint, so recovery is resume-not-replay.
 //
 //   - Epoch fencing & exactly-once merge. Each (re-)dispatch increments
 //     the shard's epoch. The coordinator records, per epoch, the counters
-//     and tree prefix already accounted before that epoch started; a
-//     checkpoint is accepted only from the CURRENT epoch (mixing lineages
-//     would double-count), while a completed result is accepted from ANY
-//     known epoch — first completion wins, so a speculatively re-dispatched
-//     straggler and its replacement cannot both contribute. Stale peers
-//     learn they are fenced from the heartbeat/result response and cancel.
+//     and the length of the shard's tree log already accounted before that
+//     epoch started; a checkpoint is accepted only from the CURRENT epoch
+//     (mixing lineages would double-count), while a completed result is
+//     accepted from ANY known epoch — first completion wins, so a worker
+//     whose lease expired while it kept computing and its replacement
+//     cannot both contribute. Stale peers learn they are fenced from the
+//     heartbeat/result response and cancel.
+//
+//   - One tree log per shard (treeLog), on the worker and on the
+//     coordinator. A tree crosses the wire once; what arrives is put behind
+//     the cut it names, so a message sent twice or a late result overwrites.
 //
 //   - Retry/backoff with jitter on every RPC (internal/retry, the same
 //     policy the daemon's persistence paths use), with rpcsend/rpcrecv/
 //     heartbeat fault-injection sites for deterministic drills.
-//
-//   - Straggler detection. Heartbeats report the shard's remaining
-//     estimator mass; a shard whose mass stops shrinking while an idle
-//     live worker exists is speculatively re-dispatched.
 //
 //   - Graceful degradation. When the fleet shrinks to zero the coordinator
 //     finishes the remaining shards locally through the same epoch
@@ -69,5 +70,4 @@ func (RealClock) Sleep(d time.Duration)                  { time.Sleep(d) }
 const (
 	DefaultLeaseTTL       = 10 * time.Second
 	DefaultHeartbeatEvery = 2 * time.Second
-	DefaultStragglerAfter = 30 * time.Second
 )

@@ -83,7 +83,7 @@ func randomScenario(rng *rand.Rand, n, m, minCol int, pPresent float64) []*tree.
 // coordinator re-parses its input's serialization; ids are assigned by first
 // appearance in the text, and heuristic tie-breaks depend on them, so a
 // non-fixpoint input would make state counts legitimately differ).
-func canonicalize(t *testing.T, cons []*tree.Tree) []*tree.Tree {
+func canonicalize(t testing.TB, cons []*tree.Tree) []*tree.Tree {
 	t.Helper()
 	join := func(ts []*tree.Tree) string {
 		nw := make([]string, len(ts))
@@ -169,9 +169,18 @@ func (p *scriptedPeer) Dispatch(_ context.Context, req *DispatchRequest) (*Dispa
 	return &DispatchResponse{Accepted: true}, nil
 }
 
+// blockOf is the wire form of a list of trees: one block, each tree
+// newline-terminated.
+func blockOf(trees []string) ([]string, int) {
+	if len(trees) == 0 {
+		return nil, 0
+	}
+	return []string{strings.Join(trees, "\n") + "\n"}, len(trees)
+}
+
 // runShardToEnd plays an honest worker: resume the dispatched checkpoint to
 // exhaustion and return the since-dispatch result.
-func runShardToEnd(t *testing.T, req *DispatchRequest) *ShardResult {
+func runShardToEnd(t testing.TB, req *DispatchRequest) *ShardResult {
 	t.Helper()
 	cons, _, err := gentrius.ReadTrees(strings.NewReader(strings.Join(req.Trees, "\n")), nil)
 	if err != nil {
@@ -185,13 +194,14 @@ func runShardToEnd(t *testing.T, req *DispatchRequest) *ShardResult {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &ShardResult{
-		JobID: req.JobID, Shard: req.Shard, Epoch: req.Epoch,
-		Stop: res.Stop.String(),
+	r := &ShardResult{
+		Proto: Proto, JobID: req.JobID, Shard: req.Shard, Epoch: req.Epoch,
+		Stop: res.Stop,
 		Counters: search.Counters{StandTrees: res.StandTrees,
 			IntermediateStates: res.IntermediateStates, DeadEnds: res.DeadEnds},
-		Trees: res.Trees,
 	}
+	r.Trees, r.TreesN = blockOf(res.Trees)
+	return r
 }
 
 // awaitDispatch advances virtual time in small steps until one of the peers
@@ -309,12 +319,11 @@ func TestFleetProtocolScripted(t *testing.T) {
 	// stand-in): heartbeat the interrupted snapshot, then go silent.
 	cp1 := partial.Checkpoint
 	hb := &HeartbeatRequest{
-		JobID: d0.JobID, Shard: d0.Shard, Epoch: d0.Epoch,
-		Counters:      cp1.Counters,
+		Proto: Proto, JobID: d0.JobID, Shard: d0.Shard, Epoch: d0.Epoch,
 		RemainingMass: cp1.Frontier.RemainingMass(),
 		Checkpoint:    cp1,
-		Trees:         partial.Trees,
 	}
+	hb.Trees, hb.TreesN = blockOf(partial.Trees)
 	if resp := coord.HandleHeartbeat(hb); resp.Fenced {
 		t.Fatal("live heartbeat fenced")
 	}

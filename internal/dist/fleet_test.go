@@ -131,12 +131,16 @@ func TestFleetHeartbeatBlackhole(t *testing.T) {
 	// Worker a's first two heartbeats are black-holed; with a 60ms lease
 	// and a 20ms cadence that guarantees its initial lease expires while
 	// the shard is still running, after which heartbeats flow again and
-	// the re-dispatched epoch completes normally.
+	// the re-dispatched epoch completes normally. "Still running" is real
+	// time against virtual: worker a's engine is braked (two threads, so
+	// that its tree sink passes the treestream stall site: 1 ms every 200
+	// trees), which makes its shard outlast the lease a hundred times over.
 	f := newFleet(t, 2, Config{
 		Shards:         2,
+		Threads:        2,
 		LeaseTTL:       60 * time.Millisecond,
 		HeartbeatEvery: 20 * time.Millisecond,
-	}, []string{"heartbeat.every=1;heartbeat.limit=2", ""})
+	}, []string{"heartbeat.every=1;heartbeat.limit=2;treestream.every=200;treestream.delay=1ms", ""})
 	res := f.run(t, "blackhole", cons)
 	assertMatchesSerial(t, res, ref)
 	if res.LeaseExpiries == 0 {

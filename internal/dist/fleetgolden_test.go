@@ -117,7 +117,7 @@ func genFleetGoldenTraces(t *testing.T) map[string][]byte {
 	// mass) and independent of engine internals, so the bytes stay stable.
 	hbOf := func(d *DispatchRequest, node string, seq int64) *HeartbeatRequest {
 		return &HeartbeatRequest{
-			JobID: d.JobID, Shard: d.Shard, Epoch: d.Epoch,
+			Proto: Proto, JobID: d.JobID, Shard: d.Shard, Epoch: d.Epoch,
 			TraceID: d.TraceID, Node: node, Seq: seq,
 			RemainingMass: d.Checkpoint.Frontier.RemainingMass(),
 			Checkpoint:    d.Checkpoint,

@@ -56,7 +56,7 @@ func TestHTTPWorkerKilled(t *testing.T) {
 	defer coordSrv.Close()
 
 	dial := func(url string) CoordinatorClient {
-		return NewHTTPCoordinatorClient(url, 5*time.Second)
+		return NewHTTPClient(url, 5*time.Second)
 	}
 	// The victim is dead from the moment its first dispatch is accepted,
 	// before the coordinator even reads the answer: nothing it sends after
@@ -80,8 +80,8 @@ func TestHTTPWorkerKilled(t *testing.T) {
 
 	coord := NewCoordinator(Config{
 		Peers: []WorkerClient{
-			NewHTTPWorkerClient(victimSrv.URL, 5*time.Second),
-			NewHTTPWorkerClient(survivorSrv.URL, 5*time.Second),
+			NewHTTPClient(victimSrv.URL, 5*time.Second),
+			NewHTTPClient(survivorSrv.URL, 5*time.Second),
 		},
 		CoordURL:       coordSrv.URL,
 		Shards:         2,

@@ -14,7 +14,6 @@ type Metrics struct {
 	ShardsCompleted  *obs.Counter // shards merged into a job total
 	LeaseExpiries    *obs.Counter // leases that ran out of heartbeats
 	Redispatches     *obs.Counter // re-dispatches after lease expiry
-	Speculative      *obs.Counter // speculative re-dispatches of stragglers
 	Fenced           *obs.Counter // stale heartbeats/results turned away
 	HeartbeatsRecv   *obs.Counter // heartbeats accepted (current epoch)
 	ParkedAdopted    *obs.Counter // parked results adopted at dispatch
@@ -35,7 +34,6 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		ShardsCompleted:  reg.Counter("gentriusd_fleet_shards_completed_total", "shards merged into job totals"),
 		LeaseExpiries:    reg.Counter("gentriusd_fleet_lease_expiries_total", "shard leases expired after missed heartbeats"),
 		Redispatches:     reg.Counter("gentriusd_fleet_redispatches_total", "shards re-dispatched from their last durable checkpoint"),
-		Speculative:      reg.Counter("gentriusd_fleet_speculative_redispatches_total", "straggler shards speculatively re-dispatched"),
 		Fenced:           reg.Counter("gentriusd_fleet_fenced_total", "stale-epoch heartbeats and results turned away"),
 		HeartbeatsRecv:   reg.Counter("gentriusd_fleet_heartbeats_total", "current-epoch heartbeats accepted"),
 		ParkedAdopted:    reg.Counter("gentriusd_fleet_parked_adopted_total", "parked results adopted at re-dispatch"),

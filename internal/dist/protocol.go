@@ -20,8 +20,29 @@ import (
 // edge ids — which tree.ReadLines assigns by first appearance — agree across
 // processes; the checkpoint fingerprint guards against drift.
 
+// Proto is the version of the messages below, carried by every request: a
+// worker refuses a dispatch of another version, a coordinator fences a
+// heartbeat or a result of another version and stops using that peer, so a
+// mixed fleet runs on the peers that agree. Version 1 had no such field and
+// re-sent every tree since dispatch, a string each, on every heartbeat.
+const Proto = 2
+
+// TreeDelta is the stand trees a heartbeat or a result carries, each tree of
+// a shard crossing the wire once: Trees are the engine's blocks (see
+// treeLog), TreesN canonical Newicks in all, each newline-terminated — the
+// ones found since dispatch behind the first TreesAt, which is the cut of
+// the last heartbeat the coordinator answered. The coordinator drops what it
+// holds of the epoch behind TreesAt before it appends, so a message sent
+// again is harmless. Empty when the dispatch had CollectTrees false.
+type TreeDelta struct {
+	TreesAt int      `json:"trees_at,omitempty"`
+	TreesN  int      `json:"trees_n,omitempty"`
+	Trees   []string `json:"trees,omitempty"`
+}
+
 // DispatchRequest leases one shard to a worker.
 type DispatchRequest struct {
+	Proto int    `json:"proto"`
 	JobID string `json:"job_id"`
 	Shard int    `json:"shard"`
 	// TraceID is the coordinator-minted fleet-run trace id, derived
@@ -52,10 +73,9 @@ type DispatchRequest struct {
 	// Threads is the worker-side thread count for the shard (0 = 1).
 	Threads int `json:"threads,omitempty"`
 	// CollectTrees asks the worker to ship the shard's stand trees back
-	// (heartbeats and result); counting-only jobs leave it false.
+	// (heartbeats and result); jobs that only count leave it false.
 	CollectTrees bool `json:"collect_trees,omitempty"`
-	// LeaseTTLMillis and HeartbeatMillis configure the worker's cadence.
-	LeaseTTLMillis  int64 `json:"lease_ttl_ms"`
+	// HeartbeatMillis is the cadence the worker heartbeats at.
 	HeartbeatMillis int64 `json:"heartbeat_ms"`
 }
 
@@ -72,6 +92,7 @@ type DispatchResponse struct {
 
 // HeartbeatRequest renews a shard lease and piggybacks durable progress.
 type HeartbeatRequest struct {
+	Proto int    `json:"proto"`
 	JobID string `json:"job_id"`
 	Shard int    `json:"shard"`
 	Epoch int    `json:"epoch"`
@@ -85,21 +106,16 @@ type HeartbeatRequest struct {
 	// clock offset in the NTP-free fleet-trace alignment (the dispatch →
 	// shard-begin pair provides the lower bound).
 	Seq int64 `json:"seq,omitempty"`
-	// Counters is the work done since dispatch, as of Checkpoint's cut
-	// (zero until the first periodic checkpoint).
-	Counters search.Counters `json:"counters"`
 	// RemainingMass is the Knuth-estimator mass still outstanding in the
-	// shard as of the cut — the coordinator's straggler signal.
+	// shard as of the cut (Coordinator.Status shows it per shard).
 	RemainingMass float64 `json:"remaining_mass"`
 	// Checkpoint is the latest periodic frontier checkpoint (nil before
 	// the first one). Its counters are since-dispatch.
 	Checkpoint *search.Checkpoint `json:"checkpoint,omitempty"`
-	// Trees are the stand trees found since dispatch, truncated to the
-	// checkpoint's cut: len(Trees) == Checkpoint.Counters.StandTrees.
-	// (Valid because the engines drain the tree stream before every
-	// snapshot: delivered == counted at the cut.) Empty when the dispatch
-	// had CollectTrees false.
-	Trees []string `json:"trees,omitempty"`
+	// The trees up to the checkpoint's cut (none without a checkpoint):
+	// TreesAt + TreesN == Checkpoint.Counters.StandTrees. (The engines drain
+	// the tree stream before every snapshot: delivered == counted at the cut.)
+	TreeDelta
 }
 
 // HeartbeatResponse tells the worker whether its epoch is still current.
@@ -111,16 +127,17 @@ type HeartbeatResponse struct {
 
 // ShardResult is the final outcome of one shard epoch.
 type ShardResult struct {
+	Proto int    `json:"proto"`
 	JobID string `json:"job_id"`
 	Shard int    `json:"shard"`
 	Epoch int    `json:"epoch"`
 	// TraceID/Node mirror the heartbeat fields (observability-only).
-	TraceID  string          `json:"trace_id,omitempty"`
-	Node     string          `json:"node,omitempty"`
-	Stop     string          `json:"stop"` // search.StopReason string
-	Counters search.Counters `json:"counters"`
-	// Trees are ALL stand trees found since dispatch (when CollectTrees).
-	Trees []string `json:"trees,omitempty"`
+	TraceID  string            `json:"trace_id,omitempty"`
+	Node     string            `json:"node,omitempty"`
+	Stop     search.StopReason `json:"stop"`
+	Counters search.Counters   `json:"counters"`
+	// The trees no heartbeat delivered: TreesAt + TreesN == Counters.StandTrees.
+	TreeDelta
 }
 
 // ResultResponse acknowledges a shard result.

@@ -1,5 +1,10 @@
 package dist
 
+import (
+	"slices"
+	"strings"
+)
+
 // Live fleet introspection: the coordinator exposes the same picture
 // obsreport -fleet reconstructs post-hoc — per-peer liveness and per-shard
 // lease/epoch/estimator state — as one JSON snapshot (GET /v1/fleet/status
@@ -27,7 +32,7 @@ type ShardStatus struct {
 	LeaseRemainingSeconds float64 `json:"lease_remaining_seconds,omitempty"`
 	// RemainingMassPPM is the Knuth-estimator mass still outstanding, and
 	// EstimatorFraction the same as a fraction of the shard's starting
-	// mass (1 = untouched, 0 = finished) — the straggler signal.
+	// mass (1 = untouched, 0 = finished).
 	RemainingMassPPM  int64   `json:"remaining_mass_ppm"`
 	EstimatorFraction float64 `json:"estimator_fraction"`
 }
@@ -75,7 +80,7 @@ func (c *Coordinator) Status() *FleetStatus {
 	st := &FleetStatus{CoordURL: c.cfg.CoordURL, Peers: peers, Jobs: []JobStatus{}}
 	for _, job := range jobs {
 		job.mu.Lock()
-		js := JobStatus{Job: job.id, TraceID: job.traceID}
+		js := JobStatus{Job: job.id, TraceID: job.stats.TraceID}
 		for _, s := range job.shards {
 			ss := ShardStatus{
 				Shard:            s.idx,
@@ -101,11 +106,7 @@ func (c *Coordinator) Status() *FleetStatus {
 		st.Jobs = append(st.Jobs, js)
 	}
 	// Deterministic order for tests and operators alike.
-	for i := 1; i < len(st.Jobs); i++ {
-		for j := i; j > 0 && st.Jobs[j].Job < st.Jobs[j-1].Job; j-- {
-			st.Jobs[j], st.Jobs[j-1] = st.Jobs[j-1], st.Jobs[j]
-		}
-	}
+	slices.SortFunc(st.Jobs, func(a, b JobStatus) int { return strings.Compare(a.Job, b.Job) })
 	return st
 }
 
@@ -125,25 +126,19 @@ type FleetHealth struct {
 
 // Health summarizes the coordinator for /healthz.
 func (c *Coordinator) Health() *FleetHealth {
-	now := c.cfg.Clock.Now()
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	st := c.Status()
 	fh := &FleetHealth{
 		Role:                    "coordinator",
-		Peers:                   len(c.cfg.Peers),
+		Peers:                   len(st.Peers),
 		PeerHeartbeatAgeSeconds: map[string]float64{},
 	}
-	for p := range c.cfg.Peers {
-		age := -1.0
-		if !c.lastHB[p].IsZero() {
-			age = now.Sub(c.lastHB[p]).Seconds()
-		}
-		fh.PeerHeartbeatAgeSeconds[c.cfg.Peers[p].Name()] = age
+	for _, p := range st.Peers {
+		fh.PeerHeartbeatAgeSeconds[p.Name] = p.LastHeartbeatAgeSeconds
 	}
-	for _, j := range c.jobs {
-		fh.TraceIDs = append(fh.TraceIDs, j.traceID)
+	for _, j := range st.Jobs {
+		fh.TraceIDs = append(fh.TraceIDs, j.TraceID)
 	}
-	sortStrings(fh.TraceIDs)
+	slices.Sort(fh.TraceIDs)
 	return fh
 }
 
@@ -152,12 +147,4 @@ func (c *Coordinator) Health() *FleetHealth {
 // node reports; a coordinator's Health supersedes it.
 func (w *Worker) Health() *FleetHealth {
 	return &FleetHealth{Role: "worker", ActiveShards: w.ActiveShards()}
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }

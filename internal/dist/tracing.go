@@ -66,10 +66,6 @@ func newShardTracer(base *obs.Recorder, node string, req *DispatchRequest) *shar
 	)}
 }
 
-// Recorder returns the shard-scoped recorder for engine threading (nil
-// when the node records no traces).
-func (st *shardTracer) Recorder() *obs.Recorder { return st.rec }
-
 // Begin marks lease acceptance: the shard run is about to resume from its
 // dispatch checkpoint carrying massPPM of estimator mass.
 func (st *shardTracer) Begin(massPPM int64) {

@@ -23,59 +23,34 @@ import (
 // DefaultRPCTimeout bounds a single fleet RPC attempt.
 const DefaultRPCTimeout = 30 * time.Second
 
-// HTTPWorkerClient is the coordinator's HTTP client for one peer worker.
-type HTTPWorkerClient struct {
+// HTTPClient is one node's HTTP line to another's fleet endpoints: the
+// coordinator's WorkerClient for a peer, a worker's CoordinatorClient for the
+// coordinator that dispatched to it (the default WorkerConfig.Dial).
+type HTTPClient struct {
 	base string
 	hc   *http.Client
 }
 
-// NewHTTPWorkerClient targets a worker at base (e.g. "http://host:port").
-func NewHTTPWorkerClient(base string, timeout time.Duration) *HTTPWorkerClient {
+// NewHTTPClient targets the node at base (e.g. "http://host:port").
+func NewHTTPClient(base string, timeout time.Duration) *HTTPClient {
 	if timeout <= 0 {
 		timeout = DefaultRPCTimeout
 	}
-	return &HTTPWorkerClient{base: base, hc: &http.Client{Timeout: timeout}}
+	return &HTTPClient{base: base, hc: &http.Client{Timeout: timeout}}
 }
 
-func (c *HTTPWorkerClient) Name() string { return c.base }
+func (c *HTTPClient) Name() string { return c.base }
 
-func (c *HTTPWorkerClient) Dispatch(ctx context.Context, req *DispatchRequest) (*DispatchResponse, error) {
-	var resp DispatchResponse
-	if err := postJSON(ctx, c.hc, c.base+"/v1/shards", req.TraceID, req, &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
+func (c *HTTPClient) Dispatch(ctx context.Context, req *DispatchRequest) (*DispatchResponse, error) {
+	return post[DispatchResponse](ctx, c, "/v1/shards", req.TraceID, req)
 }
 
-// HTTPCoordinatorClient is a worker's HTTP client for its coordinator.
-type HTTPCoordinatorClient struct {
-	base string
-	hc   *http.Client
+func (c *HTTPClient) Heartbeat(ctx context.Context, req *HeartbeatRequest) (*HeartbeatResponse, error) {
+	return post[HeartbeatResponse](ctx, c, "/v1/shards/heartbeat", req.TraceID, req)
 }
 
-// NewHTTPCoordinatorClient targets a coordinator at base. It is the
-// default WorkerConfig.Dial for HTTP fleets.
-func NewHTTPCoordinatorClient(base string, timeout time.Duration) *HTTPCoordinatorClient {
-	if timeout <= 0 {
-		timeout = DefaultRPCTimeout
-	}
-	return &HTTPCoordinatorClient{base: base, hc: &http.Client{Timeout: timeout}}
-}
-
-func (c *HTTPCoordinatorClient) Heartbeat(ctx context.Context, req *HeartbeatRequest) (*HeartbeatResponse, error) {
-	var resp HeartbeatResponse
-	if err := postJSON(ctx, c.hc, c.base+"/v1/shards/heartbeat", req.TraceID, req, &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
-}
-
-func (c *HTTPCoordinatorClient) Result(ctx context.Context, req *ShardResult) (*ResultResponse, error) {
-	var resp ResultResponse
-	if err := postJSON(ctx, c.hc, c.base+"/v1/shards/result", req.TraceID, req, &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
+func (c *HTTPClient) Result(ctx context.Context, req *ShardResult) (*ResultResponse, error) {
+	return post[ResultResponse](ctx, c, "/v1/shards/result", req.TraceID, req)
 }
 
 // FleetTraceHeader carries the fleet-run trace id on every fleet RPC, so
@@ -84,31 +59,36 @@ func (c *HTTPCoordinatorClient) Result(ctx context.Context, req *ShardResult) (*
 // carries — joining the HTTP serving path to the fleet timeline.
 const FleetTraceHeader = "X-Fleet-Trace"
 
-// postJSON performs one JSON round trip; any non-2xx status is an error.
+// post performs one JSON round trip; any non-2xx status is an error.
 // A non-empty trace id travels as the X-Fleet-Trace header.
-func postJSON(ctx context.Context, hc *http.Client, url, trace string, in, out any) error {
+func post[Resp any](ctx context.Context, c *HTTPClient, path, trace string, in any) (*Resp, error) {
+	url := c.base + path
 	body, err := json.Marshal(in)
 	if err != nil {
-		return fmt.Errorf("dist: encoding %s request: %w", url, err)
+		return nil, fmt.Errorf("dist: encoding %s request: %w", url, err)
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
 	if err != nil {
-		return err
+		return nil, err
 	}
 	req.Header.Set("Content-Type", "application/json")
 	if trace != "" {
 		req.Header.Set(FleetTraceHeader, trace)
 	}
-	resp, err := hc.Do(req)
+	resp, err := c.hc.Do(req)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode < 200 || resp.StatusCode > 299 {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return fmt.Errorf("dist: %s: status %d: %s", url, resp.StatusCode, bytes.TrimSpace(msg))
+		return nil, fmt.Errorf("dist: %s: status %d: %s", url, resp.StatusCode, bytes.TrimSpace(msg))
 	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	out := new(Resp)
+	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // WorkerHandler serves the worker side of the fleet protocol:
@@ -118,9 +98,7 @@ func postJSON(ctx context.Context, hc *http.Client, url, trace string, in, out a
 // gentriusd mounts this on its mux; tests mount it on httptest servers.
 func WorkerHandler(w *Worker) http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/shards", func(rw http.ResponseWriter, r *http.Request) {
-		serveJSON(rw, r, func(req *DispatchRequest) any { return w.HandleDispatch(req) })
-	})
+	mux.Handle("/v1/shards", serveJSON(w.HandleDispatch))
 	return mux
 }
 
@@ -130,12 +108,8 @@ func WorkerHandler(w *Worker) http.Handler {
 //	POST /v1/shards/result    → ResultResponse
 func CoordinatorHandler(c *Coordinator) http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/shards/heartbeat", func(rw http.ResponseWriter, r *http.Request) {
-		serveJSON(rw, r, func(req *HeartbeatRequest) any { return c.HandleHeartbeat(req) })
-	})
-	mux.HandleFunc("/v1/shards/result", func(rw http.ResponseWriter, r *http.Request) {
-		serveJSON(rw, r, func(req *ShardResult) any { return c.HandleResult(req) })
-	})
+	mux.Handle("/v1/shards/heartbeat", serveJSON(c.HandleHeartbeat))
+	mux.Handle("/v1/shards/result", serveJSON(c.HandleResult))
 	return mux
 }
 
@@ -146,21 +120,23 @@ func CoordinatorHandler(c *Coordinator) http.Handler {
 // them; one with more than this is refused like any other malformed request.
 const maxRPCBody = 64 << 20
 
-// serveJSON decodes one JSON request of bounded size, runs the handler, and
-// encodes its response. Fleet RPCs are POST-only.
-func serveJSON[Req any](rw http.ResponseWriter, r *http.Request, handle func(*Req) any) {
-	if r.Method != http.MethodPost {
-		http.Error(rw, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
-	req := new(Req)
-	if err := json.NewDecoder(http.MaxBytesReader(rw, r.Body, maxRPCBody)).Decode(req); err != nil {
-		http.Error(rw, fmt.Sprintf("bad request: %v", err), http.StatusBadRequest)
-		return
-	}
-	rw.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(rw).Encode(handle(req)); err != nil {
-		http.Error(rw, err.Error(), http.StatusInternalServerError)
+// serveJSON serves one fleet RPC: it decodes a JSON request of bounded size,
+// runs the handler, and encodes its response. Fleet RPCs are POST-only.
+func serveJSON[Req, Resp any](handle func(*Req) *Resp) http.HandlerFunc {
+	return func(rw http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodPost {
+			http.Error(rw, "method not allowed", http.StatusMethodNotAllowed)
+			return
+		}
+		req := new(Req)
+		if err := json.NewDecoder(http.MaxBytesReader(rw, r.Body, maxRPCBody)).Decode(req); err != nil {
+			http.Error(rw, fmt.Sprintf("bad request: %v", err), http.StatusBadRequest)
+			return
+		}
+		rw.Header().Set("Content-Type", "application/json")
+		if err := json.NewEncoder(rw).Encode(handle(req)); err != nil {
+			http.Error(rw, err.Error(), http.StatusInternalServerError)
+		}
 	}
 }
 

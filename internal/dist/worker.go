@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
-	"io"
 	"log/slog"
 	"os"
 	"path/filepath"
@@ -32,11 +31,6 @@ type WorkerConfig struct {
 	// Threads is the default per-shard thread count when the dispatch does
 	// not specify one.
 	Threads int
-	// OrphanAfter is how many CONSECUTIVE failed heartbeats (each already
-	// retried with backoff) make the worker consider itself orphaned: it
-	// stops heartbeating, finishes the shard, and parks the result for the
-	// next dispatch to adopt. Default 3.
-	OrphanAfter int
 	// DataDir, when set, persists parked results to disk so they survive a
 	// worker restart.
 	DataDir string
@@ -48,6 +42,12 @@ type WorkerConfig struct {
 	Logger  *slog.Logger
 	Fault   *faultinject.Injector
 }
+
+// orphanAfter is how many CONSECUTIVE failed heartbeats (each already retried
+// with backoff) make a worker consider itself orphaned: it stops
+// heartbeating, finishes the shard, and parks the result for the next
+// dispatch to adopt.
+const orphanAfter = 3
 
 // Worker executes dispatched shards: it resumes each shard's frontier
 // checkpoint through the ordinary enumeration engine, heartbeats durable
@@ -81,22 +81,7 @@ type parkedResult struct {
 
 // NewWorker applies defaults and reloads any parked results from DataDir.
 func NewWorker(cfg WorkerConfig) *Worker {
-	if cfg.Clock == nil {
-		cfg.Clock = RealClock{}
-	}
-	if cfg.Logger == nil {
-		cfg.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
-	}
-	if cfg.OrphanAfter <= 0 {
-		cfg.OrphanAfter = 3
-	}
-	if cfg.Metrics == nil {
-		cfg.Metrics = &Metrics{} // zero value discards every update
-	}
-	if cfg.Retry.Sleep == nil {
-		clk := cfg.Clock
-		cfg.Retry.Sleep = clk.Sleep
-	}
+	cfg.Clock, cfg.Retry, cfg.Metrics, cfg.Logger = nodeDefaults(cfg.Clock, cfg.Retry, cfg.Metrics, cfg.Logger)
 	w := &Worker{cfg: cfg, running: map[shardKey]*shardRun{}, parked: map[shardKey]*parkedResult{}}
 	w.loadParked()
 	return w
@@ -114,12 +99,19 @@ func (w *Worker) ActiveShards() int {
 // the same (job, shard, fingerprint) is returned for adoption instead of a
 // fresh run; a dispatch carrying a newer epoch fences the current run away.
 func (w *Worker) HandleDispatch(req *DispatchRequest) *DispatchResponse {
+	if req.Proto != Proto {
+		w.cfg.Logger.Warn("dispatch of another protocol version refused", "job", req.JobID,
+			"shard", req.Shard, "got", req.Proto, "want", Proto)
+		return &DispatchResponse{}
+	}
 	key := shardKey{req.JobID, req.Shard}
 	w.mu.Lock()
 	if pk := w.parked[key]; pk != nil && pk.Fingerprint == req.Fingerprint {
 		delete(w.parked, key)
 		w.mu.Unlock()
-		w.removeParkFile(key)
+		if w.cfg.DataDir != "" {
+			os.Remove(w.parkPath(key))
+		}
 		w.cfg.Logger.Info("returning parked result for adoption",
 			"job", req.JobID, "shard", req.Shard, "epoch", pk.Result.Epoch)
 		return &DispatchResponse{Parked: pk.Result}
@@ -164,15 +156,14 @@ func (w *Worker) runShard(ctx context.Context, run *shardRun, key shardKey, req 
 		w.mu.Unlock()
 	}()
 
+	log := w.cfg.Logger.With("job", req.JobID, "shard", req.Shard, "epoch", req.Epoch)
 	cons, err := tree.ReadLines(req.Trees)
 	if err != nil {
-		w.cfg.Logger.Error("shard constraints unparseable", "job", req.JobID,
-			"shard", req.Shard, "error", err.Error())
+		log.Error("shard constraints unparseable", "error", err.Error())
 		return
 	}
 	if fp := search.Fingerprint(cons); fp != req.Fingerprint {
-		w.cfg.Logger.Error("shard fingerprint mismatch", "job", req.JobID,
-			"shard", req.Shard, "got", fp, "want", req.Fingerprint)
+		log.Error("shard fingerprint mismatch", "got", fp, "want", req.Fingerprint)
 		return
 	}
 
@@ -185,35 +176,19 @@ func (w *Worker) runShard(ctx context.Context, run *shardRun, key shardKey, req 
 	st := newShardTracer(w.cfg.Trace, w.cfg.Name, req)
 	st.Begin(checkpointMassPPM(req.Checkpoint))
 	var sink *gentrius.ObsSink
-	if st.Recorder() != nil {
-		sink = &gentrius.ObsSink{Trace: st.Recorder()}
+	if st.rec != nil {
+		sink = &gentrius.ObsSink{Trace: st.rec}
 	}
 
-	var treeMu sync.Mutex
-	var trees []string
-	var onTree func(string)
-	if req.CollectTrees {
-		onTree = func(nw string) {
-			treeMu.Lock()
-			trees = append(trees, nw)
-			treeMu.Unlock()
-		}
-	}
-	copyTrees := func(cut int) []string {
-		treeMu.Lock()
-		defer treeMu.Unlock()
-		if cut < 0 || cut > len(trees) {
-			cut = len(trees)
-		}
-		return append([]string(nil), trees[:cut]...)
-	}
+	// The shard's trees, and the cut up to which the coordinator has them:
+	// it moves only when a heartbeat carrying trees was answered, so trees
+	// whose heartbeat — or its answer — was lost ride on the next one.
+	shipped, onTrees := shipLog(req.CollectTrees)
+	acked := 0
 
 	threads := req.Threads
 	if threads < 1 {
-		threads = w.cfg.Threads
-	}
-	if threads < 1 {
-		threads = 1
+		threads = max(w.cfg.Threads, 1)
 	}
 
 	type outcome struct {
@@ -226,11 +201,10 @@ func (w *Worker) runShard(ctx context.Context, run *shardRun, key shardKey, req 
 			Threads: threads,
 			// Shards run unlimited: job-level stopping rules belong to the
 			// coordinator, which enforces them coarsely at merge points.
-			MaxTrees:     -1,
-			MaxStates:    -1,
-			MaxTime:      -1,
-			CollectTrees: req.CollectTrees,
-			OnTree:       onTree,
+			MaxTrees:  -1,
+			MaxStates: -1,
+			MaxTime:   -1,
+			OnTrees:   onTrees,
 			Checkpoint: &gentrius.CheckpointPolicy{
 				Resume:  req.Checkpoint,
 				Trigger: trigger,
@@ -261,21 +235,18 @@ beat:
 		}
 
 		seq++
-		hb := &HeartbeatRequest{JobID: req.JobID, Shard: req.Shard, Epoch: req.Epoch,
+		hb := &HeartbeatRequest{Proto: Proto, JobID: req.JobID, Shard: req.Shard, Epoch: req.Epoch,
 			TraceID: req.TraceID, Node: w.cfg.Name, Seq: seq}
 		// Durable progress rides on every heartbeat: an on-demand snapshot
 		// quiesces the run at this exact cut. If the run ended between the
 		// clock tick and the request, the completion path takes over.
 		if cp, err := trigger.Request(ctx); err == nil {
 			hb.Checkpoint = cp
-			hb.Counters = cp.Counters
 			if cp.Frontier != nil {
 				hb.RemainingMass = cp.Frontier.RemainingMass()
 			}
 			lastMass = hb.RemainingMass
-			if req.CollectTrees {
-				hb.Trees = copyTrees(int(cp.Counters.StandTrees))
-			}
+			hb.TreeDelta = shipped.Cut(acked, int(cp.Counters.StandTrees))
 			st.Checkpoint(cp)
 		} else {
 			hb.RemainingMass = lastMass
@@ -299,14 +270,12 @@ beat:
 			}
 			fails++
 			w.cfg.Metrics.HeartbeatFailures.Inc()
-			w.cfg.Logger.Warn("heartbeat failed", "job", req.JobID, "shard", req.Shard,
-				"epoch", req.Epoch, "consecutive", fails, "error", err.Error())
-			if fails >= w.cfg.OrphanAfter {
+			log.Warn("heartbeat failed", "consecutive", fails, "error", err.Error())
+			if fails >= orphanAfter {
 				// Orphaned: the coordinator is unreachable. Finish the shard
 				// anyway and park the result — re-dispatch will adopt it.
 				orphaned = true
-				w.cfg.Logger.Warn("coordinator unreachable: finishing shard orphaned",
-					"job", req.JobID, "shard", req.Shard, "epoch", req.Epoch)
+				log.Warn("coordinator unreachable: finishing shard orphaned")
 				out = <-resCh
 				break beat
 			}
@@ -320,20 +289,19 @@ beat:
 			out = <-resCh
 			break beat
 		}
+		acked += hb.TreesN
 	}
 
 	if run.fenced.Load() {
 		st.End("fenced", search.Counters{})
-		w.cfg.Logger.Info("shard run fenced away", "job", req.JobID,
-			"shard", req.Shard, "epoch", req.Epoch)
+		log.Info("shard run fenced away")
 		return
 	}
 	if out.err != nil {
 		// The run itself failed. Report nothing: the lease expires and the
 		// coordinator re-dispatches from the last durable checkpoint.
 		st.End("failed", search.Counters{})
-		w.cfg.Logger.Error("shard run failed", "job", req.JobID,
-			"shard", req.Shard, "epoch", req.Epoch, "error", out.err.Error())
+		log.Error("shard run failed", "error", out.err.Error())
 		return
 	}
 	if out.res.Stop == gentrius.StopCancelled {
@@ -342,20 +310,7 @@ beat:
 		return
 	}
 
-	result := &ShardResult{
-		JobID:   req.JobID,
-		Shard:   req.Shard,
-		Epoch:   req.Epoch,
-		TraceID: req.TraceID,
-		Node:    w.cfg.Name,
-		Stop:    out.res.Stop.String(),
-		Counters: search.Counters{
-			StandTrees:         out.res.StandTrees,
-			IntermediateStates: out.res.IntermediateStates,
-			DeadEnds:           out.res.DeadEnds,
-		},
-		Trees: copyTrees(-1),
-	}
+	result := newShardResult(req, w.cfg.Name, out.res, shipped, acked)
 	// The end event precedes result delivery on purpose: a worker-side end
 	// always happens-before the coordinator's shard-done for the same epoch,
 	// which keeps the merged timeline's span nesting honest.
@@ -369,14 +324,32 @@ beat:
 		return coord.Result(context.Background(), result)
 	})
 	if err != nil {
-		w.cfg.Logger.Warn("result delivery failed: parking", "job", req.JobID,
-			"shard", req.Shard, "epoch", req.Epoch, "error", err.Error())
+		log.Warn("result delivery failed: parking", "error", err.Error())
 		w.park(key, req.Fingerprint, result)
 		return
 	}
 	if resp.Fenced {
-		w.cfg.Logger.Info("result fenced by coordinator", "job", req.JobID,
-			"shard", req.Shard, "epoch", req.Epoch)
+		log.Info("result fenced by coordinator")
+	}
+}
+
+// newShardResult is the outcome of the run that dispatch d started, with the
+// trees of its log behind cut `at`.
+func newShardResult(d *DispatchRequest, node string, res *gentrius.Result, trees *treeLog, at int) *ShardResult {
+	return &ShardResult{
+		Proto:   Proto,
+		JobID:   d.JobID,
+		Shard:   d.Shard,
+		Epoch:   d.Epoch,
+		TraceID: d.TraceID,
+		Node:    node,
+		Stop:    res.Stop,
+		Counters: search.Counters{
+			StandTrees:         res.StandTrees,
+			IntermediateStates: res.IntermediateStates,
+			DeadEnds:           res.DeadEnds,
+		},
+		TreeDelta: trees.Cut(at, int(res.StandTrees)),
 	}
 }
 
@@ -413,12 +386,6 @@ func (w *Worker) parkPath(key shardKey) string {
 	return filepath.Join(w.cfg.DataDir, fmt.Sprintf("parked-%016x-%d.json", h.Sum64(), key.shard))
 }
 
-func (w *Worker) removeParkFile(key shardKey) {
-	if w.cfg.DataDir != "" {
-		os.Remove(w.parkPath(key))
-	}
-}
-
 // loadParked restores parked results persisted by a previous process.
 func (w *Worker) loadParked() {
 	if w.cfg.DataDir == "" {
@@ -431,8 +398,8 @@ func (w *Worker) loadParked() {
 			continue
 		}
 		var pk parkedResult
-		if json.Unmarshal(data, &pk) != nil || pk.Result == nil {
-			w.cfg.Logger.Warn("ignoring corrupt parked result", "path", p)
+		if json.Unmarshal(data, &pk) != nil || pk.Result == nil || pk.Result.Proto != Proto {
+			w.cfg.Logger.Warn("ignoring parked result: corrupt, or of another protocol version", "path", p)
 			continue
 		}
 		w.parked[shardKey{pk.Result.JobID, pk.Result.Shard}] = &pk

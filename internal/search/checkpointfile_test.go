@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"gentrius/internal/terrace"
 	"gentrius/internal/tree"
@@ -174,7 +175,7 @@ func TestRestoreTypedErrors(t *testing.T) {
 
 func TestPeriodicCheckpointResumeEquality(t *testing.T) {
 	rng := rand.New(rand.NewSource(7474))
-	cons := randomScenario(rng, 12, 2, 4, 0.55)
+	cons := randomScenario(rng, 18, 3, 6, 0.5) // 805 trees, 28 checks at CheckEvery 64
 
 	ref, err := Run(cons, Options{Limits: Limits{MaxTrees: -1, MaxStates: -1, MaxTime: -1}})
 	if err != nil {
@@ -183,40 +184,47 @@ func TestPeriodicCheckpointResumeEquality(t *testing.T) {
 
 	// Run with frequent periodic checkpoints and cancel partway through;
 	// resuming from the last periodic snapshot must land on the reference
-	// counters exactly.
-	ctx, cancel := context.WithCancel(context.Background())
-	var last *Checkpoint
-	snaps := 0
-	interrupted, err := Run(cons, Options{
-		Limits:     Limits{MaxTrees: -1, MaxStates: -1, MaxTime: -1},
-		CheckEvery: 64,
-		Ctx:        ctx,
-		Checkpoint: CheckpointPolicy{Every: 1, Sink: func(cp *Checkpoint) {
+	// counters exactly — on the check-count cadence and on the wall-clock
+	// one (a nanosecond has always passed: a snapshot at every check).
+	for name, policy := range map[string]CheckpointPolicy{
+		"Every":    {Every: 1},
+		"Interval": {Interval: time.Nanosecond},
+	} {
+		ctx, cancel := context.WithCancel(context.Background())
+		var last *Checkpoint
+		snaps := 0
+		policy.Sink = func(cp *Checkpoint) {
 			last = cp
 			if snaps++; snaps == 3 {
 				cancel()
 			}
-		}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if interrupted.Stop == StopExhausted {
-		t.Skip("scenario too small to interrupt")
-	}
-	if last == nil {
-		t.Fatal("no periodic checkpoint delivered")
-	}
+		}
+		interrupted, err := Run(cons, Options{
+			Limits:     Limits{MaxTrees: -1, MaxStates: -1, MaxTime: -1},
+			CheckEvery: 64,
+			Ctx:        ctx,
+			Checkpoint: policy,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if interrupted.Stop != StopCancelled {
+			t.Fatalf("%s: stop %v, want cancelled: scenario too small to interrupt", name, interrupted.Stop)
+		}
+		if snaps != 3 {
+			t.Fatalf("%s: %d periodic checkpoints delivered before the cancel took, want 3", name, snaps)
+		}
 
-	resumed, err := Run(cons, Options{
-		Limits:     Limits{MaxTrees: -1, MaxStates: -1, MaxTime: -1},
-		Checkpoint: CheckpointPolicy{Resume: last},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resumed.Counters != ref.Counters {
-		t.Fatalf("resumed counters %+v, reference %+v", resumed.Counters, ref.Counters)
+		resumed, err := Run(cons, Options{
+			Limits:     Limits{MaxTrees: -1, MaxStates: -1, MaxTime: -1},
+			Checkpoint: CheckpointPolicy{Resume: last},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resumed.Counters != ref.Counters {
+			t.Fatalf("%s: resumed counters %+v, reference %+v", name, resumed.Counters, ref.Counters)
+		}
 	}
 }
 

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -54,6 +56,22 @@ func TestFleetJobThroughManager(t *testing.T) {
 	}
 	if st.TreesSpooled != ref.StandTrees {
 		t.Fatalf("spooled %d trees, want %d", st.TreesSpooled, ref.StandTrees)
+	}
+	// The spool holds exactly the stand: the merged shards' blocks, each
+	// tree once. (The fleet canonicalizes its input, which this input already
+	// is, so the trees are the local run's byte for byte.)
+	var got []string
+	if err := job.spool.Stream(context.Background(), func(chunk []byte) error {
+		got = append(got, strings.Split(strings.TrimSuffix(string(chunk), "\n"), "\n")...)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	want := append([]string(nil), ref.Trees...)
+	sort.Strings(got)
+	sort.Strings(want)
+	if !slices.Equal(got, want) {
+		t.Fatalf("the spool's %d trees are not the stand's %d", len(got), len(want))
 	}
 }
 

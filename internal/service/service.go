@@ -992,17 +992,23 @@ func (m *Manager) runJob(job *Job) {
 		Obs:         sink,
 		Fault:       m.cfg.Fault,
 		Checkpoint:  policy,
-		OnTrees: func(block []byte, n int) {
-			// The treestream stall site throttles delivery, tree by tree, for
-			// recovery drills (a fast child would finish before the drill
-			// kills it).
-			m.cfg.Fault.StallEach(faultinject.TreeStream, n)
-			job.spool.AppendBlock(block, n)
-			m.m.TreesStreamed.Add(int64(n))
-		},
+		OnTrees:     m.spoolTrees(job),
 	}
 	res, err := gentrius.EnumerateStandContext(job.ctx, job.cons, opt)
 	m.finish(job, res, err)
+}
+
+// spoolTrees is a job's tree sink, local or fleet: a block goes to the spool
+// as it is, with one write.
+func (m *Manager) spoolTrees(job *Job) func(block []byte, n int) {
+	return func(block []byte, n int) {
+		// The treestream stall site throttles delivery, tree by tree, for
+		// recovery drills (a fast child would finish before the drill
+		// kills it).
+		m.cfg.Fault.StallEach(faultinject.TreeStream, n)
+		job.spool.AppendBlock(block, n)
+		m.m.TreesStreamed.Add(int64(n))
+	}
 }
 
 // runFleetJob executes a job across the fleet via the configured
@@ -1023,15 +1029,8 @@ func (m *Manager) runFleetJob(job *Job, req JobRequest) {
 		ctx, cancel = context.WithTimeout(ctx, lim.MaxTime)
 		defer cancel()
 	}
-	var line []byte // the coordinator delivers merged trees one by one, as strings
 	dres, err := m.cfg.Fleet.Run(ctx, job.id, job.cons, dist.RunOptions{
-		CollectTrees: true,
-		OnTree: func(nw string) {
-			m.cfg.Fault.Stall(faultinject.TreeStream)
-			line = append(append(line[:0], nw...), '\n')
-			job.spool.AppendBlock(line, 1)
-			m.m.TreesStreamed.Inc()
-		},
+		OnTrees:     m.spoolTrees(job), // the workers' blocks, shard by shard as they merge
 		InitialTree: gentrius.UseInitialTreeHeuristic,
 		Limits:      lim,
 	})

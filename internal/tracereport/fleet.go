@@ -49,7 +49,7 @@ type EpochLife struct {
 	Shard  int
 	Epoch  int
 	Holder string // worker node when known, else the coordinator's peer name
-	Cause  string // dispatch cause: initial / redispatch / straggler
+	Cause  string // dispatch cause: initial / redispatch
 	// Coordinator-side stamps.
 	DispatchTS int64
 	EndTS      int64

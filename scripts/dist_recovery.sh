@@ -119,7 +119,18 @@ RED=$(metric "$COORD" gentriusd_fleet_redispatches_total)
 [ "${RED:-0}" -ge 1 ] || fail "no re-dispatch despite the SIGKILL (redispatches=$RED)"
 LINES=$(curl -sf "$COORD/jobs/j000001/trees" | grep -c '"tree"')
 [ "$LINES" -ge "$STAND" ] || fail "spool replays $LINES trees, want >= $STAND"
-say "fleet finished exactly: $GOT trees, $GOTS states (expiries=$EXP redispatches=$RED)"
+# Each tree once: the killed worker's shards shipped trees on their
+# heartbeats, their next epochs resumed behind the last cut, and a shard's
+# log reaches the spool when the shard is merged. The spool's line count, what
+# a replay of it yields and the sum of the coordinator's "shard merged" log
+# lines all equal the stand.
+[ "$LINES" = "$STAND" ] || fail "spool replays $LINES trees, want exactly $STAND (a tree crossed the merge twice)"
+SPOOLED=$(echo "$STATUS" | grep -o '"trees_spooled": *[0-9]*' | grep -o '[0-9]*$')
+[ "$SPOOLED" = "$STAND" ] || fail "job status counts $SPOOLED spooled trees, want exactly $STAND"
+MERGED=$(grep 'msg="shard merged"' "$WORK/c0.log" | grep -o 'trees=[0-9]*' | cut -d= -f2 | awk '{s += $1} END {print s + 0}')
+[ "$MERGED" -le "$STAND" ] && [ "$MERGED" -ge $((STAND - 1)) ] \
+    || fail "coordinator log: shards merged $MERGED trees in all, want $STAND (less the prefix's, if any)"
+say "fleet finished exactly: $GOT trees, $GOTS states, $LINES spool lines (expiries=$EXP redispatches=$RED)"
 
 # Graceful exits for the survivors.
 kill -TERM "$C0" "$W2"
