@@ -32,21 +32,32 @@ var (
 // firstFrame steps a fresh engine over ds to the first state with the given
 // number of taxa missing — 1: a final frame, 2: a penultimate one — and
 // returns an engine on that state and the frame of the taxon chosen there, as
-// the one-frame stack Reset takes.
+// the one-frame stack Reset takes. The engine looks ahead of the second-to-last
+// taxon, so the final frame is made by hand: that taxon inserted on its
+// frame's first branch, as the paper's machine does first.
 func firstFrame(b *testing.B, ds *gen.Dataset, missing int) (*search.Engine, []search.FrameSnapshot) {
 	tr, err := terrace.New(ds.Constraints, search.ChooseInitialTree(ds.Constraints))
 	if err != nil {
 		b.Fatal(err)
 	}
 	walk := search.NewEngine(tr)
-	walk.OnTrees = func(block []byte, _ int) []byte { return block } // insert all the way down
-	for walk.RemainingTaxa() != missing {
+	for walk.RemainingTaxa() != 2 {
 		if walk.Step() == search.EvDone {
-			b.Fatalf("no state with %d taxa missing in the stand", missing)
+			b.Fatal("no state with 2 taxa missing in the stand")
 		}
 	}
 	stack := walk.SnapshotFrames(nil)
-	return search.NewEngine(tr), stack[len(stack)-1:]
+	frame := stack[len(stack)-1:]
+	if missing == 1 {
+		y := frame[0]
+		tr.ExtendTaxon(y.Taxon, y.Branches[0])
+		for _, z := range tr.MissingTaxa() {
+			if !tr.Agile().HasTaxon(z) {
+				frame = []search.FrameSnapshot{{Taxon: z, Branches: tr.AllowedBranches(z)}}
+			}
+		}
+	}
+	return search.NewEngine(tr), frame
 }
 
 // extraBenches registers benchmarks that only exist on newer revisions of
@@ -189,25 +200,41 @@ func extraBenches(add func(name string, f func(b *testing.B)),
 	// Penultimate frames (PR 25): one op is one frame of the reference stand
 	// with two taxa missing — its first, re-aimed at and answered branch by
 	// branch, a Step call each, from the counts the Terrace keeps of the last
-	// taxon. Nothing is inserted, and nothing allocated.
-	add("PenultimateFrameCount", func(b *testing.B) {
-		eng, frame := firstFrame(b, ds, 2)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := eng.Reset(frame); err != nil {
-				b.Fatal(err)
+	// taxon — counted only, and (PR 29) rendered into a block nobody reads:
+	// one walk of the frame's state, a base derived from it per branch, the
+	// trees cut from that. Nothing is inserted, and nothing allocated.
+	for _, emit := range []bool{false, true} {
+		name := "PenultimateFrameCount"
+		if emit {
+			name = "PenultimateFrameEmit"
+		}
+		add(name, func(b *testing.B) {
+			eng, frame := firstFrame(b, ds, 2)
+			if emit {
+				eng.OnTrees = func(block []byte, _ int) []byte { return block }
 			}
-			for ev := eng.Step(); ev != search.EvDone; ev = eng.Step() {
-				if ev != search.EvLookAhead {
-					b.Fatalf("a branch of the frame was not looked ahead of: event %d", ev)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := eng.Reset(frame); err != nil {
+					b.Fatal(err)
+				}
+				for ev := eng.Step(); ev != search.EvDone; ev = eng.Step() {
+					if ev != search.EvLookAhead {
+						b.Fatalf("a branch of the frame was not looked ahead of: event %d", ev)
+					}
 				}
 			}
-		}
-		w := eng.Work()
-		b.ReportMetric(float64(len(frame[0].Branches)), "branches/frame")
-		b.ReportMetric(float64(eng.Counters().StandTrees)/float64(b.N), "trees/frame")
-		b.ReportMetric(float64(w.Extends), "extend-calls")
-	})
+			w := eng.Work()
+			trees := float64(eng.Counters().StandTrees) / float64(b.N)
+			b.ReportMetric(float64(len(frame[0].Branches)), "branches/frame")
+			b.ReportMetric(trees, "trees/frame")
+			b.ReportMetric(float64(w.Extends), "extend-calls")
+			if emit {
+				b.ReportMetric(float64(w.Emit.Walked)/float64(b.N)/trees, "walked-B/tree")
+				b.ReportMetric(float64(w.Emit.Copied)/float64(b.N)/trees, "copied-B/tree")
+			}
+		})
+	}
 
 	// The spool (PR 20): the same stand as one serial job of a service.Manager
 	// on a fresh data directory — what SerialEngineEmit does plus one
@@ -316,15 +343,8 @@ func extraBenches(add func(name string, f func(b *testing.B)),
 }
 
 // standPair is a set of stands enumerated back to back by search.Run and by
-// the pool at two threads, the two passes taking turns to go first in one
-// process. Each of its two rows is the floor over the rounds — -benchtime's
-// count, or as many as fit its duration, twenty at least — and its allocations
-// the least of them. The pool's row carries t2/serial, which -compare gates
-// (ratioMetrics): the median over the rounds of pool pass ÷ serial pass, two
-// passes a few milliseconds apart, so that a neighbour's burst moves one
-// round's ratio and not the result (the ratio of the two floors moves with
-// whichever side caught the quietest moment: 0.96 to 1.19 over repeats on a
-// shared two-core host where the median read 0.99 to 1.07).
+// the pool at two threads, the two passes interleaved (pairRows). The pool's
+// row carries t2/serial, which -compare gates (ratioMetrics).
 type standPair struct {
 	name string // rows Serial<name>Stands and Pool<name>Stands
 	idx  []int  // datasets of the paper-shaped simulated corpus
@@ -348,26 +368,92 @@ func (sp standPair) run(benchtime string) (serial, pool BenchResult, err error) 
 	for _, idx := range sp.idx {
 		stands = append(stands, gen.Generate(gen.Default(gen.RegimeSimulated), idx).Constraints)
 	}
+	unlimited := search.Limits{MaxTrees: -1, MaxStates: -1, MaxTime: -1}
+	runSerial := func() (err error) {
+		for _, cons := range stands {
+			if _, e := search.Run(cons, search.Options{InitialTree: -1, Limits: unlimited}); e != nil && err == nil {
+				err = e
+			}
+		}
+		return err
+	}
+	runPool := func() (err error) {
+		for _, cons := range stands {
+			if _, e := parallel.Run(cons, parallel.Options{Threads: 2, InitialTree: -1, Limits: unlimited}); e != nil && err == nil {
+				err = e
+			}
+		}
+		return err
+	}
+	serial.Name, pool.Name = "Serial"+sp.name+"Stands", "Pool"+sp.name+"Stands"
+	ratio, err := pairRows(benchtime, &serial, &pool, runSerial, runPool)
+	pool.Metrics = map[string]float64{"t2/serial": ratio}
+	return serial, pool, err
+}
+
+// copySink keeps emitCopy's memmove from being optimised away.
+var copySink []byte
+
+// emitCopy is ROADMAP item 1's in-run pair (PR 29): the reference stand
+// rendered into blocks nobody reads by search.Run — SerialEngineEmit's pass —
+// beside a memmove of the same volume, block by block into a buffer that stays
+// in cache like the engine's block. The emit row carries emit/copy, which
+// -compare gates (ratioMetrics): what rendering a stand costs over writing
+// each of its bytes once, on any host.
+func emitCopy(ds *gen.Dataset, benchtime string) (emit, cp BenchResult, err error) {
+	var volume int
+	var block []byte
+	if _, err = search.Run(ds.Constraints, search.Options{InitialTree: -1, OnTrees: func(b []byte, _ int) {
+		volume += len(b)
+		if len(b) > len(block) {
+			block = append(block[:0], b...)
+		}
+	}}); err != nil {
+		return emit, cp, err
+	}
+	copySink = make([]byte, len(block))
+	runCopy := func() error {
+		for left := volume; left > 0; left -= len(block) {
+			copy(copySink, block[:min(left, len(block))])
+		}
+		return nil
+	}
+	runEmit := func() error {
+		_, err := search.Run(ds.Constraints, search.Options{InitialTree: -1, OnTrees: func([]byte, int) {}})
+		return err
+	}
+	emit.Name, cp.Name = "EmitRefStand", "CopyRefStand"
+	ratio, err := pairRows(benchtime, &cp, &emit, runCopy, runEmit)
+	emit.Metrics = map[string]float64{"emit/copy": ratio, "stand-MB": float64(volume) / 1e6}
+	return emit, cp, err
+}
+
+// pairRows runs two passes by turns in one process, and folds each into its
+// row: the floor over the rounds — -benchtime's count, or as many as fit its
+// duration, twenty at least — and the least allocations of them. It returns
+// the median over the rounds of b's pass ÷ a's, two passes a few milliseconds
+// apart, which is what every in-run ratio (ratioMetrics) is: a neighbour's
+// burst moves one round's ratio and not the result, where the ratio of the
+// two floors moves with whichever side caught the quietest moment (0.96 to
+// 1.19 over repeats of t2/serial on a shared two-core host where the median
+// read 0.99 to 1.07).
+func pairRows(benchtime string, a, b *BenchResult, passA, passB func() error) (ratio float64, err error) {
 	rounds, budget := 20, time.Second
 	if n, isCount := strings.CutSuffix(benchtime, "x"); isCount {
 		if rounds, err = strconv.Atoi(n); err != nil {
-			return serial, pool, err
+			return 0, err
 		}
 		budget = 0
 	} else if budget, err = time.ParseDuration(benchtime); err != nil {
-		return serial, pool, err
+		return 0, err
 	}
-	serial.Name, pool.Name = "Serial"+sp.name+"Stands", "Pool"+sp.name+"Stands"
-	// pass runs the stands through one of the two, folds the pass into its row
-	// and returns its time.
-	pass := func(row *BenchResult, run func(cons []*tree.Tree) error) float64 {
+	// pass runs one of the two, folds it into its row and returns its time.
+	pass := func(row *BenchResult, run func() error) float64 {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		start := time.Now()
-		for _, cons := range stands {
-			if e := run(cons); e != nil && err == nil {
-				err = e
-			}
+		if e := run(); e != nil && err == nil {
+			err = e
 		}
 		ns := float64(time.Since(start).Nanoseconds())
 		runtime.ReadMemStats(&after)
@@ -381,29 +467,19 @@ func (sp standPair) run(benchtime string) (serial, pool BenchResult, err error) 
 		row.Iterations++
 		return ns
 	}
-	unlimited := search.Limits{MaxTrees: -1, MaxStates: -1, MaxTime: -1}
-	runSerial := func(cons []*tree.Tree) error {
-		_, err := search.Run(cons, search.Options{InitialTree: -1, Limits: unlimited})
-		return err
-	}
-	runPool := func(cons []*tree.Tree) error {
-		_, err := parallel.Run(cons, parallel.Options{Threads: 2, InitialTree: -1, Limits: unlimited})
-		return err
-	}
 	var ratios []float64
 	for start := time.Now(); err == nil && (len(ratios) < rounds || time.Since(start) < budget); {
-		var s, p float64
+		var x, y float64
 		if len(ratios)%2 == 0 {
-			s, p = pass(&serial, runSerial), pass(&pool, runPool)
+			x, y = pass(a, passA), pass(b, passB)
 		} else {
-			p, s = pass(&pool, runPool), pass(&serial, runSerial)
+			y, x = pass(b, passB), pass(a, passA)
 		}
-		ratios = append(ratios, p/s)
+		ratios = append(ratios, y/x)
 	}
 	if err != nil {
-		return serial, pool, err
+		return 0, err
 	}
 	slices.Sort(ratios)
-	pool.Metrics = map[string]float64{"t2/serial": ratios[len(ratios)/2]}
-	return serial, pool, nil
+	return ratios[len(ratios)/2], nil
 }

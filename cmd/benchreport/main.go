@@ -96,7 +96,7 @@ func buildTerracePath(ds *gen.Dataset) (*terrace.Terrace, []int, [][]int32, erro
 	return tr, taxa, branches, nil
 }
 
-// reportWork reports a serial run's exact work counters — the four -compare
+// reportWork reports a serial run's exact work counters — the five -compare
 // gates at 0 % (exactMetrics) — and what the engine did for them.
 func reportWork(b *testing.B, res *search.Result) {
 	b.ReportMetric(float64(res.StandTrees), "stand-trees")
@@ -121,12 +121,12 @@ func reportWork(b *testing.B, res *search.Result) {
 
 // exactMetrics are the work counters that depend on the input alone, not on
 // the host or the clock: -compare fails on any change of one.
-var exactMetrics = []string{"stand-trees", "states", "dead-ends", "steps"}
+var exactMetrics = []string{"stand-trees", "states", "dead-ends", "steps", "extend-calls"}
 
 // ratioMetrics are the timings of two variants interleaved in one process,
 // divided: the host's speed cancels, so -compare fails when one is more than
 // maxRatioUp above the baseline's, on any host.
-var ratioMetrics = []string{"t2/serial"}
+var ratioMetrics = []string{"t2/serial", "emit/copy"}
 
 const maxRatioUp = 0.20
 
@@ -155,7 +155,7 @@ func run(name string, f func(b *testing.B)) BenchResult {
 func main() {
 	outPath := flag.String("out", "", "write the JSON report to this file (default stdout)")
 	note := flag.String("note", "", "free-form note embedded in the report")
-	compare := flag.String("compare", "", "baseline JSON report to diff against (prints a table to stderr; exits non-zero if an exact work counter — stand-trees, states, dead-ends, steps — differs from the baseline's, or an in-run ratio — t2/serial — is more than 20 % above it)")
+	compare := flag.String("compare", "", "baseline JSON report to diff against (prints a table to stderr; exits non-zero if an exact work counter — stand-trees, states, dead-ends, steps, extend-calls — differs from the baseline's, or an in-run ratio — t2/serial, emit/copy — is more than 20 % above it)")
 	maxRegress := flag.Float64("max-regress", 0, "with -compare: exit non-zero if any shared benchmark's ns/op regresses by more than this percentage, or if its allocs/op exceed the baseline's by more than a quarter (a host-independent gate; exact for a baseline of 0 to 3)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the benchmark runs (dataset selection excluded) — the input for PGO via scripts/pgo_profile.sh")
 	benchtime := flag.String("benchtime", "", "per-benchmark time budget, e.g. 1s or 1x (default: testing's 1s)")
@@ -321,6 +321,13 @@ func main() {
 		put(serial)
 		put(pool)
 	}
+	emit, cp, err := emitCopy(midSim, flag.CommandLine.Lookup("test.benchtime").Value.String())
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "benchreport: emit/copy pair: %v\n", err)
+		os.Exit(1)
+	}
+	put(cp)
+	put(emit)
 	stopProfile()
 
 	data, err := json.MarshalIndent(&rep, "", "  ")

@@ -134,8 +134,7 @@ type Result struct {
 	TraceID string
 
 	// Fleet statistics for this job.
-	LeaseExpiries int64
-	Redispatches  int64
+	LeaseExpiries int64 // each re-dispatches its shard from its last durable checkpoint
 	LocalShards   int64
 	Adopted       int64
 }
@@ -378,8 +377,6 @@ func (c *Coordinator) controlLoop(ctx context.Context, job *fleetJob) (*Result, 
 				// orphaned, with a result to park). A truly dead peer is
 				// detected when the next dispatch RPC to it fails.
 				c.advanceEpoch(job, s)
-				job.stats.Redispatches++
-				c.cfg.Metrics.Redispatches.Inc()
 			}
 		}
 

@@ -362,9 +362,8 @@ func TestFleetProtocolScripted(t *testing.T) {
 		t.Fatal(out.err)
 	}
 	assertMatchesSerial(t, out.res, ref)
-	if out.res.LeaseExpiries != 1 || out.res.Redispatches != 1 {
-		t.Fatalf("stats: %d expiries / %d redispatches, want 1/1",
-			out.res.LeaseExpiries, out.res.Redispatches)
+	if out.res.LeaseExpiries != 1 {
+		t.Fatalf("stats: %d lease expiries, want 1", out.res.LeaseExpiries)
 	}
 
 	// Acceptance: expiry and re-dispatch observable in obs counters + trace.
@@ -537,7 +536,7 @@ func TestMetricsBoundedInShards(t *testing.T) {
 	if after := seriesOf(reg); !slices.Equal(after, before) {
 		t.Fatalf("the series set moved with the shards.\nbefore the run: %q\nafter: %q", before, after)
 	}
-	if e, r := metrics.LeaseExpiries.Value(), metrics.Redispatches.Value(); e != 1 || r != 1 {
-		t.Fatalf("%d lease expiries / %d re-dispatches counted, want 1/1", e, r)
+	if e := metrics.LeaseExpiries.Value(); e != 1 {
+		t.Fatalf("%d lease expiries counted, want 1", e)
 	}
 }

@@ -146,9 +146,6 @@ func TestFleetHeartbeatBlackhole(t *testing.T) {
 	if res.LeaseExpiries == 0 {
 		t.Fatal("black-holed heartbeats never expired a lease")
 	}
-	if res.Redispatches == 0 {
-		t.Fatal("no re-dispatch after lease expiry")
-	}
 }
 
 // TestFleetRPCFaults: both workers suffer seeded rpcsend/rpcrecv failures on

@@ -13,7 +13,6 @@ type Metrics struct {
 	ShardsDispatched *obs.Counter // dispatch RPCs accepted (incl. re-dispatches)
 	ShardsCompleted  *obs.Counter // shards merged into a job total
 	LeaseExpiries    *obs.Counter // leases that ran out of heartbeats
-	Redispatches     *obs.Counter // re-dispatches after lease expiry
 	Fenced           *obs.Counter // stale heartbeats/results turned away
 	HeartbeatsRecv   *obs.Counter // heartbeats accepted (current epoch)
 	ParkedAdopted    *obs.Counter // parked results adopted at dispatch
@@ -33,7 +32,6 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		ShardsDispatched: reg.Counter("gentriusd_fleet_shards_dispatched_total", "shard dispatches accepted by peers (including re-dispatches)"),
 		ShardsCompleted:  reg.Counter("gentriusd_fleet_shards_completed_total", "shards merged into job totals"),
 		LeaseExpiries:    reg.Counter("gentriusd_fleet_lease_expiries_total", "shard leases expired after missed heartbeats"),
-		Redispatches:     reg.Counter("gentriusd_fleet_redispatches_total", "shards re-dispatched from their last durable checkpoint"),
 		Fenced:           reg.Counter("gentriusd_fleet_fenced_total", "stale-epoch heartbeats and results turned away"),
 		HeartbeatsRecv:   reg.Counter("gentriusd_fleet_heartbeats_total", "current-epoch heartbeats accepted"),
 		ParkedAdopted:    reg.Counter("gentriusd_fleet_parked_adopted_total", "parked results adopted at re-dispatch"),

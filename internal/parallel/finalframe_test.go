@@ -67,12 +67,11 @@ func leafByLeaf(tr *terrace.Terrace, h search.OrderHeuristic) (c search.Counters
 
 // TestPoolMatchesLeafByLeaf: on stands of both corpus regimes and under all
 // three heuristics the pool at 2 and 4 threads — and at 2 with the depth
-// restriction lifted, so that final frames, and the penultimate frames of a
-// run that only counts, are split and stolen too — finds the oracle's
-// counters, the oracle's stand as a multiset of bytes, and closes the
-// oracle's leaves with mass 1, collecting the trees and counting them alike.
-// The counting pool's engines insert once per state they did not look ahead
-// of. Stands 6 and 7 of the paper-shaped simulated corpus, where every
+// restriction lifted, so that final frames and penultimate frames are split
+// and stolen too — finds the oracle's counters, the oracle's stand as a
+// multiset of bytes, and closes the oracle's leaves with mass 1, collecting
+// the trees and counting them alike. The pool's engines insert once per state
+// they did not look ahead of, collecting or not. Stands 6 and 7 of the paper-shaped simulated corpus, where every
 // penultimate branch falls back to the insertion, and 12 and 16, where none
 // does, ride along.
 func TestPoolMatchesLeafByLeaf(t *testing.T) {
@@ -128,6 +127,7 @@ func TestPoolMatchesLeafByLeaf(t *testing.T) {
 					threads int
 					policy  search.Policy
 				}{{2, search.Policy{}}, {4, search.Policy{}}, {2, search.Policy{MinRemaining: 1}}} {
+					var collecting search.Work
 					for _, collect := range []bool{true, false} {
 						est := &obs.Estimator{}
 						got, err := Run(ds.Constraints, Options{Threads: tc.threads, InitialTree: -1, Heuristic: h,
@@ -147,13 +147,13 @@ func TestPoolMatchesLeafByLeaf(t *testing.T) {
 						stolen += got.TasksStolen
 						w, inPool := got.Work, got.IntermediateStates-got.Prefix.IntermediateStates
 						if collect {
-							if w.LookAheads+w.Fallbacks != 0 || w.Extends < inPool {
-								t.Fatalf("%s %v at %d threads: a collecting pool's work %+v for %d states", ds.Name, h, tc.threads, w, inPool)
-							}
+							collecting = w
 							continue
 						}
-						if w.Extends != inPool-w.LookAheads {
-							t.Fatalf("%s %v at %d threads (%+v): counting work %+v for %d states", ds.Name, h, tc.threads, tc.policy, w, inPool)
+						if w.Extends != inPool-w.LookAheads || collecting.Extends != w.Extends ||
+							collecting.LookAheads != w.LookAheads || collecting.Fallbacks != w.Fallbacks {
+							t.Fatalf("%s %v at %d threads (%+v): counting work %+v, collecting %+v for %d states",
+								ds.Name, h, tc.threads, tc.policy, w, collecting, inPool)
 						}
 						if all, is := fixtures[ds.Name]; is &&
 							(w.LookAheads+w.Fallbacks == 0 || all && w.Fallbacks != 0 || !all && w.LookAheads != 0) {

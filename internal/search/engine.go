@@ -5,9 +5,10 @@
 // A Step call performs one taxon insertion or one taxon removal — or, when a
 // single taxon remains, every insertion and removal of that taxon's frame at
 // once, without performing them: each of the frame's branches is a stand tree
-// (see finalFrame); or, when two remain and nobody wants the trees rendered,
-// one insertion of the second-to-last taxon, the last taxon's frame under it
-// and the removal at once, without performing them either (see lookAhead).
+// (see finalFrame); or, when two remain, one insertion of the second-to-last
+// taxon, the last taxon's frame under it and the removal at once, without
+// performing them either (see lookAhead). The trees are rendered, when someone
+// wants them, from one rendering of the state a penultimate frame hangs off.
 // The same engine drives the serial runner, the goroutine pool and the
 // deterministic virtual-time multicore simulator, which are costed in the
 // paper machine's transitions (Units), not in Step calls.
@@ -64,6 +65,11 @@ type Frame struct {
 	Branches []int32
 	idx      int
 	inserted bool
+	// based is set by the frame's first look-ahead step when the engine
+	// renders and the Newick writer holds the rendering of the frame's state,
+	// from which each branch derives the base its final frame's trees are cut
+	// from.
+	based bool
 	// other is, on a frame whose taxon is the second-to-last one missing, the
 	// last one: found by the frame's first look-ahead step (-1 until then).
 	other int
@@ -170,6 +176,11 @@ type Engine struct {
 	OnLeaf func(mass float64, leaves int64)
 
 	baseDepth int // terrace depth at engine start (task replay offset)
+	// after lists, for the based frame, the last taxon's branches in the
+	// frame's state, ascending, then the ids of the two edges an insertion
+	// of the frame's taxon makes: the last taxon's branches under a branch
+	// whose count is c are after[:c].
+	after []int32
 
 	work Work
 	// The final frame the last Step consumed (see FinalFrame).
@@ -196,7 +207,7 @@ type Work struct {
 	Extends int64
 	// LookAheads counts the branches of penultimate frames (two taxa missing)
 	// answered from the Terrace's counts without an insertion, Fallbacks those
-	// of a run that renders nothing which had to be inserted all the same.
+	// that had to be inserted all the same.
 	LookAheads, Fallbacks int64
 	// Emit is the Newick writer's work.
 	Emit tree.WriterStats
@@ -212,6 +223,7 @@ func (w *Work) Add(o Work) {
 	w.Emit.Copied += o.Emit.Copied
 	w.Emit.Spliced += o.Emit.Spliced
 	w.Emit.Recut += o.Emit.Recut
+	w.Emit.Derived += o.Emit.Derived
 }
 
 // Work returns the engine's work so far.
@@ -225,10 +237,19 @@ func (e *Engine) Work() Work {
 // Step consumed, when it returned EvTreeFound: one stand tree per branch, in
 // the order OnTree received them. The initial tree being the stand's one tree
 // has no branches. After EvLookAhead it returns the last taxon — the one whose
-// frame was counted unseen — and no branches: the step knows how many there
-// are (the counters moved by it), not which. The slice is valid until the
-// next Step and must not be changed.
+// frame was answered uninserted — and, in a run that renders, its branches in
+// the state with the second-to-last inserted, ids as ExtendTaxon gives them,
+// one tree each in OnTree's order; in a run that renders nothing, no branches:
+// the step knows how many there are (the counters moved by it), not which.
+// The slice is valid until the next Step and must not be changed.
 func (e *Engine) FinalFrame() (taxon int, branches []int32) { return e.finalTaxon, e.final }
+
+// LookedAhead returns the branch the last Step answered when it returned
+// EvLookAhead: the second-to-last taxon and the edge it was not inserted on.
+func (e *Engine) LookedAhead() PathStep {
+	f := &e.frames[len(e.frames)-1]
+	return PathStep{Taxon: f.Taxon, Edge: f.Branches[f.idx-1]}
+}
 
 // BlockSize bounds a block of trees handed to OnTrees, unless one tree alone
 // is longer: large enough that a write or a channel send per block is noise
@@ -274,7 +295,7 @@ func (e *Engine) Reset(frames []FrameSnapshot) error {
 	e.frames = e.frames[:0]
 	for _, fs := range frames {
 		f := e.pushSlot()
-		f.Taxon, f.Branches, f.idx, f.inserted, f.weight, f.other = fs.Taxon, fs.Branches, fs.Idx, fs.Inserted, fs.Weight, -1
+		f.Taxon, f.Branches, f.idx, f.inserted, f.weight, f.other, f.based = fs.Taxon, fs.Branches, fs.Idx, fs.Inserted, fs.Weight, -1, false
 	}
 	e.started, e.done = true, len(frames) == 0
 	return nil
@@ -397,7 +418,7 @@ func (e *Engine) step() Event {
 			continue
 		case e.RemainingTaxa() == 1:
 			return e.finalFrame(f)
-		case e.RemainingTaxa() == 2 && !e.rendering() && e.lookAhead(f):
+		case e.RemainingTaxa() == 2 && e.lookAhead(f):
 			return EvLookAhead
 		}
 		edge := f.Branches[f.idx]
@@ -441,23 +462,38 @@ func (e *Engine) finalFrame(f *Frame) Event {
 }
 
 // lookAhead answers the next branch of the uninserted top frame f, whose taxon
-// is the second-to-last one missing, without inserting it: the Terrace knows
-// how many branches the last taxon would have afterwards (CountAfter), nothing
-// but that number is wanted of the state when no tree is rendered, and four
-// insertions in five of a counting run are these. One step books what the
-// paper's machine books in three — the insertion, the final frame of c (or the
-// dead end) and the removal, 2 + 2c transitions — and leaves the stack where
-// that machine leaves it after the removal: the branch behind idx, nothing
-// inserted. One branch a step, so every cut between two steps is a stack an
-// inserting engine passes through too. It reports false, with nothing
-// changed, where the insertion would restructure the last taxon's target:
-// that branch is inserted like any other.
+// y is the second-to-last one missing, without inserting it: the Terrace knows
+// how many branches the last taxon z would have afterwards (CountAfter), and
+// four insertions in five are these. One step books what the paper's machine
+// books in three — the insertion, the final frame of c (or the dead end) and
+// the removal, 2 + 2c transitions — and leaves the stack where that machine
+// leaves it after the removal: the branch behind idx, nothing inserted. One
+// branch a step, so every cut between two steps is a stack an inserting
+// engine passes through too. It reports false, with nothing changed but the
+// writer's base, where the insertion would restructure z's target: that
+// branch is inserted like any other.
+//
+// A run that renders gets the c trees too, in the order the insertion would
+// have found them. CountAfter's rule read as a set: z's branches after y is
+// inserted at e are its branches now, and the two edges the insertion makes
+// iff e is one of them — ids above all others, so last. The trees are cut
+// from a base derived from the frame's rendering (baseFrame), and so are the
+// trees of a branch that falls back to the insertion; where the writer cannot
+// derive the bases, every branch falls back.
 func (e *Engine) lookAhead(f *Frame) bool {
+	rendering := e.rendering()
 	if f.other < 0 {
 		f.other = e.otherPending(f.Taxon)
+		if rendering {
+			e.baseFrame(f)
+		}
 	}
-	n, ok := e.T.CountAfter(f.Taxon, f.Branches[f.idx], f.other)
-	if !ok {
+	edge := f.Branches[f.idx]
+	n, ok := e.T.CountAfter(f.Taxon, edge, f.other)
+	if !ok || rendering && !f.based {
+		if f.based {
+			e.nw.Derive(edge, f.other) // for the final frame the insertion pushes
+		}
 		e.work.Fallbacks++
 		return false
 	}
@@ -475,11 +511,33 @@ func (e *Engine) lookAhead(f *Frame) bool {
 		return true
 	}
 	e.counters.StandTrees += c
+	if rendering {
+		e.final = e.after[:n]
+		e.nw.Derive(edge, f.other)
+		e.cutTrees(e.final)
+	}
 	if e.OnLeaf != nil {
 		// The mass pushFrame and finalFrame would have made of it, bit for bit.
 		e.OnLeaf(float64(c)*(f.weight/float64(c)), c)
 	}
 	return true
+}
+
+// baseFrame renders the state penultimate frame f hangs off as the base the
+// final frames of its branches derive theirs from, and lists the last taxon's
+// branches with the two the insertion makes behind them (after) — unless the
+// writer cannot cut their trees from it: one of the two taxa sorts before
+// every leaf, so the trees are written from another root.
+func (e *Engine) baseFrame(f *Frame) {
+	ag := e.T.Agile()
+	f.based = f.other > ag.LeafSet().Min() && e.nw.SetBase(ag, f.Taxon)
+	if f.based {
+		ne := int32(ag.NumEdges())
+		if cap(e.after) < int(ne)+2 {
+			e.after = make([]int32, 0, ne+2)
+		}
+		e.after = append(e.T.AppendAllowedBranches(e.after[:0], f.other), ne, ne+1)
+	}
 }
 
 // otherPending returns the missing taxon that is not x, two being missing.
@@ -503,7 +561,7 @@ func (e *Engine) pushFrame() bool {
 	n := len(e.frames)
 	f := e.pushSlot()
 	f.buf = e.T.AppendAllowedBranches(f.buf[:0], taxon)
-	f.Taxon, f.Branches, f.idx, f.inserted, f.other = taxon, f.buf, 0, false, -1
+	f.Taxon, f.Branches, f.idx, f.inserted, f.other, f.based = taxon, f.buf, 0, false, -1, false
 	// Per-branch weight from the parent's (1 at the root): fixed before the
 	// steal callback can hand branches away, so stolen subtrees keep it.
 	parentW := 1.0
@@ -599,20 +657,29 @@ func (e *Engine) rendering() bool { return e.OnTrees != nil || e.OnTree != nil }
 
 // renderFinal renders the stand trees of a final frame — the agile tree with
 // taxon x on each of edges — into the block: cut from one rendering of the
-// agile tree where the writer can (tree.NewickWriter.SetBase), and by
-// inserting x, rendering and removing it where it cannot.
+// agile tree where the writer can, the base lookAhead derived under a based
+// frame or one walked here (tree.NewickWriter.SetBase), and by inserting x,
+// rendering and removing it where it cannot.
 func (e *Engine) renderFinal(x int, edges []int32) {
-	spliced := e.nw.SetBase(e.T.Agile(), x)
+	if n := len(e.frames); n > 1 && e.frames[n-2].based || e.nw.SetBase(e.T.Agile(), x) {
+		e.cutTrees(edges)
+		return
+	}
 	for _, ed := range edges {
 		at := e.openTree()
-		if spliced {
-			e.block = e.nw.AppendWith(e.block, ed)
-		} else {
-			e.T.ExtendTaxon(x, ed)
-			e.work.Extends++
-			e.block = e.nw.Append(e.block, e.T.Agile())
-			e.T.RemoveTaxon()
-		}
+		e.T.ExtendTaxon(x, ed)
+		e.work.Extends++
+		e.block = e.nw.Append(e.block, e.T.Agile())
+		e.T.RemoveTaxon()
+		e.closeTree(at)
+	}
+}
+
+// cutTrees renders one stand tree per edge, cut from the writer's base.
+func (e *Engine) cutTrees(edges []int32) {
+	for _, ed := range edges {
+		at := e.openTree()
+		e.block = e.nw.AppendWith(e.block, ed)
 		e.closeTree(at)
 	}
 }

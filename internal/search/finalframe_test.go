@@ -47,12 +47,12 @@ var lookAheadFixtures = map[int]bool{6: false, 7: false, 12: true, 16: true}
 
 // TestFinalFramesMatchLeafByLeaf is the differential test of the step loop:
 // on stands of both corpus regimes, under all three dynamic heuristics and
-// two static orders, the runner — which never inserts a last taxon, nor, when
-// it only counts, a second-to-last one whose count the Terrace can tell —
+// two static orders, the runner — which never inserts a last taxon, nor a
+// second-to-last one whose count the Terrace can tell, rendering or not —
 // reports the counters, the trees byte for byte and in order, the estimator
 // mass and the paper-unit step count of the machine that inserts and removes
 // every one. The counting run's ExtendTaxon calls are its states less the
-// branches it looked ahead of.
+// branches it looked ahead of, and the rendering run's are the same calls.
 func TestFinalFramesMatchLeafByLeaf(t *testing.T) {
 	type order struct {
 		name    string
@@ -125,15 +125,17 @@ func TestFinalFramesMatchLeafByLeaf(t *testing.T) {
 						est.Leaves(), est.Fraction(), want.leaves, want.mass)
 				}
 				// The run that renders nothing: the same numbers — the mass bit
-				// for bit what the rendering run made of it — for fewer insertions.
+				// for bit what the rendering run made of it.
 				if count.Counters != got.Counters || count.Steps != got.Steps ||
 					cest.Leaves() != est.Leaves() || cest.Fraction() != est.Fraction() {
 					t.Fatalf("%s %s: counting %+v in %d steps, mass %.17f of %d leaves; rendering %+v in %d, %.17f of %d", ds.Name, ord.name,
 						count.Counters, count.Steps, cest.Fraction(), cest.Leaves(), got.Counters, got.Steps, est.Fraction(), est.Leaves())
 				}
-				w := count.Work
-				if w.Extends != count.IntermediateStates-w.LookAheads || got.Work.Extends < got.IntermediateStates ||
-					got.Work.LookAheads+got.Work.Fallbacks != 0 {
+				// And the rendering run answered every branch the counting run
+				// did from the counts too: the writer derived every base.
+				w, gw := count.Work, got.Work
+				if w.Extends != count.IntermediateStates-w.LookAheads || gw.Extends != w.Extends ||
+					gw.LookAheads != w.LookAheads || gw.Fallbacks != w.Fallbacks {
 					t.Fatalf("%s %s: counting work %+v, rendering work %+v for %d states", ds.Name, ord.name, w, got.Work, count.IntermediateStates)
 				}
 				if all, is := fixtures[ds.Name]; is &&
@@ -176,11 +178,14 @@ func smallStand(t *testing.T, seed int64) []*tree.Tree {
 // final frame the snapshot is also rewritten into every state the paper's
 // machine passes through inside the frame — the last taxon inserted on one
 // of the branches, which is what a checkpoint file of an older engine holds —
-// and must resume the same way: one removal, then the rest of the frame. An
-// engine that renders nothing is cut the same way: its extra boundaries lie
-// between two look-ahead steps of one penultimate frame, stacks the inserting
-// engine passes through after a removal, and each resumes to the serial totals
-// whether the resumed run looks ahead in its turn or collects the trees.
+// and must resume the same way: one removal, then the rest of the frame; and
+// so before each look-ahead step, into the states inside its branch — the
+// second-to-last taxon inserted, the last on one of the edges the step cut
+// trees for. Both engines, the one that renders nothing and the one that
+// renders, are cut between two look-ahead steps of one penultimate frame,
+// stacks the inserting engine passes through after a removal, and each cut
+// resumes to the serial totals whether the resumed run looks ahead in its
+// turn or collects the trees, to the same bytes.
 func TestCheckpointAtEveryStepBoundary(t *testing.T) {
 	cons := smallStand(t, 2131)
 	unlimited := Limits{MaxTrees: -1, MaxStates: -1, MaxTime: -1}
@@ -259,17 +264,19 @@ func TestCheckpointAtEveryStepBoundary(t *testing.T) {
 
 	eng = NewEngine(tr)
 	delivered, inside := 0, 0
-	mass, boundaries = 0, 0
+	mass, boundaries, between = 0, 0, 0
 	eng.OnTree = func(string) { delivered++ }
 	eng.OnLeaf = func(m float64, _ int64) { mass += m }
-	for {
+	for prev := EvDone; ; {
 		before := eng.Snapshot(cons, ref.InitialIndex)
 		at := delivered
 		ev := eng.Step()
 		if ev == EvDone {
 			break
 		}
-		if _, branches := eng.FinalFrame(); ev == EvTreeFound {
+		last, branches := eng.FinalFrame()
+		switch ev {
+		case EvTreeFound:
 			top := &before.Frames[len(before.Frames)-1]
 			if top.Inserted || len(top.Branches)-top.Idx != len(branches) {
 				t.Fatalf("a final frame of %d was cut from %+v", len(branches), top)
@@ -281,7 +288,34 @@ func TestCheckpointAtEveryStepBoundary(t *testing.T) {
 				resume("inside a final frame", before, at+k)
 				inside++
 			}
+		case EvLookAhead:
+			// The branch inserted, then the last taxon on each of the edges the
+			// step cut its trees for: the states the insertion passes through.
+			top := &before.Frames[len(before.Frames)-1]
+			if step := eng.LookedAhead(); top.Inserted || top.Branches[top.Idx] != step.Edge || delivered-at != len(branches) {
+				t.Fatalf("a look-ahead step at %+v cut %d trees from %+v", step, delivered-at, top)
+			}
+			if prev == EvLookAhead && top.Idx > 0 {
+				between++
+			}
+			if len(branches) == 0 {
+				break // a dead end: nothing inside
+			}
+			top.Idx++
+			top.Inserted = true
+			before.Counters.IntermediateStates++
+			before.Frames = append(before.Frames, FrameSnapshot{Taxon: last, Branches: branches,
+				Weight: top.Weight / float64(len(branches))})
+			z := &before.Frames[len(before.Frames)-1]
+			for k := 1; k <= len(branches); k++ {
+				z.Idx++
+				z.Inserted = true
+				before.Counters.StandTrees++
+				resume("inside a looked-ahead branch", before, at+k)
+				inside++
+			}
 		}
+		prev = ev
 		cp := eng.Snapshot(cons, ref.InitialIndex)
 		fr, err := cp.FrontierView()
 		if err != nil {
@@ -293,9 +327,10 @@ func TestCheckpointAtEveryStepBoundary(t *testing.T) {
 		resume("a step boundary", cp, delivered)
 		boundaries++
 	}
-	if w := eng.Work(); w.Units+1 != ref.Steps || int64(boundaries) >= w.Units || inside != len(ref.Trees) {
-		t.Fatalf("%d boundaries, %d states inside final frames, work %+v; the serial run took %d steps for %d trees",
-			boundaries, inside, w, ref.Steps, len(ref.Trees))
+	if w := eng.Work(); w.Units+1 != ref.Steps || int64(boundaries) >= w.Units || inside != len(ref.Trees) ||
+		between == 0 || w.LookAheads == 0 || w.Fallbacks == 0 || w.Extends != ref.IntermediateStates-w.LookAheads {
+		t.Fatalf("%d boundaries, %d between look-ahead steps of one frame, %d states inside final frames and looked-ahead branches, work %+v; the serial run took %d steps for %d trees",
+			boundaries, between, inside, w, ref.Steps, len(ref.Trees))
 	}
 }
 
@@ -412,33 +447,37 @@ func TestStolenFinalFrame(t *testing.T) {
 	}
 }
 
-// TestStolenPenultimateFrame is TestStolenFinalFrame for a worker that only
-// counts. It never pushes a final frame, so the deepest frames it hands off
-// halves of are penultimate ones; such a task is one uninserted frame with
-// two taxa missing, and whoever begins it answers it branch by branch without
-// inserting anything below the replayed path.
+// TestStolenPenultimateFrame is TestStolenFinalFrame one level up. A worker
+// pushes a final frame only under a branch it could not look ahead of, so the
+// deepest frames it hands off halves of are mostly penultimate ones; such a
+// task is one uninserted frame with two taxa missing, and whoever begins it
+// answers it branch by branch without inserting anything below the replayed
+// path — rendering the trees from one walk of the task's state, if it renders.
 func TestStolenPenultimateFrame(t *testing.T) {
 	su, ref := wholeStand(t, smallStand(t, 2131))
-	h := &finalCounter{fakeHost: &fakeHost{take: 1 << 30}}
-	w := su.NewWorker(Policy{MinRemaining: 1}.Normalize(2), h, nil, false)
-	h.depth = len(w.t.MissingTaxa()) - w.base - 2
-	stolen := 0
-	h.begun = func(task FrontierTask) {
-		if len(task.Path) == h.depth {
-			stolen++
-			if f := task.Frames; len(f) != 1 || f[0].Inserted || f[0].Idx != 0 {
-				t.Fatalf("a stolen penultimate frame is %+v", f)
+	for _, trees := range []bool{false, true} {
+		h := &finalCounter{fakeHost: &fakeHost{take: 1 << 30}}
+		w := su.NewWorker(Policy{MinRemaining: 1}.Normalize(2), h, nil, trees)
+		h.depth = len(w.t.MissingTaxa()) - w.base - 2
+		stolen := 0
+		h.begun = func(task FrontierTask) {
+			if len(task.Path) == h.depth {
+				stolen++
+				if f := task.Frames; len(f) != 1 || f[0].Inserted || f[0].Idx != 0 {
+					t.Fatalf("a stolen penultimate frame is %+v", f)
+				}
 			}
 		}
-	}
-	drain(t, w, h.fakeHost, su.Frontier.Tasks[0])
-	got := su.Counters
-	got.Add(h.total)
-	work := w.Work()
-	if h.final == 0 || stolen != h.final || got != ref.Counters || work.LookAheads == 0 || work.Fallbacks == 0 ||
-		work.Extends != h.total.IntermediateStates-work.LookAheads {
-		t.Fatalf("%d penultimate frames handed off, %d begun; %+v for work %+v, the serial run %+v",
-			h.final, stolen, got, work, ref.Counters)
+		drain(t, w, h.fakeHost, su.Frontier.Tasks[0])
+		got := su.Counters
+		got.Add(h.total)
+		work := w.Work()
+		if h.final == 0 || stolen != h.final || got != ref.Counters || work.LookAheads == 0 || work.Fallbacks == 0 ||
+			work.Extends != h.total.IntermediateStates-work.LookAheads ||
+			trees && !slices.Equal(sortedCopy(h.trees), sortedCopy(ref.Trees)) {
+			t.Fatalf("rendering %v: %d penultimate frames handed off, %d begun; %+v and %d trees for work %+v, the serial run %+v",
+				trees, h.final, stolen, got, len(h.trees), work, ref.Counters)
+		}
 	}
 }
 
@@ -478,5 +517,51 @@ func TestTreeLimitOvershoot(t *testing.T) {
 	}
 	if worst == 0 {
 		t.Fatal("no limit was overshot")
+	}
+}
+
+// TestRenderingLookAheadRefused: where the writer cannot derive a penultimate
+// frame's bases — the last or the second-to-last taxon sorts before every
+// leaf, so the trees are written from another root — a rendering run inserts
+// that frame's branches instead, and still finds the leaf-by-leaf machine's
+// trees in its order; everywhere else it makes the counting run's ExtendTaxon
+// calls. Random stands leave the lowest taxon out of the initial tree often
+// enough to meet both.
+func TestRenderingLookAheadRefused(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	refused, derived := 0, 0
+	for scen := 0; scen < 80; scen++ {
+		cons := randomScenario(rng, 9+rng.Intn(4), 2+rng.Intn(2), 4, 0.5)
+		count, err := Run(cons, Options{InitialTree: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Run(cons, Options{InitialTree: -1, CollectTrees: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := newTerrace(cons, got.InitialIndex)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := refEnumerate(tr, OrderMinBranches)
+		if got.Counters != want.Counters || count.Counters != want.Counters || !slices.Equal(got.Trees, want.trees) {
+			t.Fatalf("scen %d: rendering %+v, counting %+v, leaf by leaf %+v; trees equal %v", scen,
+				got.Counters, count.Counters, want.Counters, slices.Equal(got.Trees, want.trees))
+		}
+		w, gw := count.Work, got.Work
+		switch {
+		case gw.LookAheads+gw.Fallbacks != w.LookAheads+w.Fallbacks || gw.Fallbacks < w.Fallbacks:
+			t.Fatalf("scen %d: rendering work %+v, counting work %+v", scen, gw, w)
+		case gw.Fallbacks == w.Fallbacks && gw.Extends == w.Extends:
+			derived++
+		case gw.Fallbacks > w.Fallbacks && gw.Extends > w.Extends:
+			refused++
+		default:
+			t.Fatalf("scen %d: rendering work %+v, counting work %+v", scen, gw, w)
+		}
+	}
+	if refused < 5 || derived < 5 {
+		t.Fatalf("%d stands with refused bases, %d with every base derived: not enough to mean anything", refused, derived)
 	}
 }

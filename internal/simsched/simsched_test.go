@@ -101,8 +101,8 @@ func TestSimSerialMatchesRunner(t *testing.T) {
 		if sim.Counters != serial.Counters {
 			t.Fatalf("scen %d: sim counters %+v, serial %+v", scen, sim.Counters, serial.Counters)
 		}
-		// A worker that renders nothing looks ahead of the second-to-last taxon
-		// where this one inserted it, and is charged the same ticks for it.
+		// A worker that renders nothing looks ahead of the same branches of the
+		// second-to-last taxon as this one, and is charged the same ticks.
 		count, err := Run(cons, Options{Workers: 1, InitialTree: -1})
 		if err != nil {
 			t.Fatal(err)

@@ -13,8 +13,10 @@ import (
 // must equal the reference renderer's, must reparse to a tree with the same
 // leaf count and must be a fixed point of parse-then-render; and that the tree
 // without any one of its leaves, taken as a base, yields every tree with that
-// leaf back as the two-pass walk renders it (checkSplices) — the labels here
-// are whatever the fuzzer quotes: commas, parentheses, quotes, newlines.
+// leaf back as the two-pass walk renders it (checkSplices), and the tree
+// without two of its leaves yields every tree with both back, on every pair of
+// edges, through a derived base (checkDerived) — the labels here are whatever
+// the fuzzer quotes: commas, parentheses, quotes, newlines.
 func FuzzNewickParse(f *testing.F) {
 	for _, s := range []string{
 		"A;",
@@ -80,6 +82,22 @@ func FuzzNewickParse(f *testing.F) {
 				rest := t1.LeafSet().Clone()
 				rest.Remove(x)
 				checkSplices(t, &w, &oracle, t1.Restrict(rest), x)
+			})
+		}
+		if n := t1.NumLeaves(); n >= 5 && n <= 16 {
+			var w, oracle NewickWriter
+			leaves := t1.LeafSet()
+			leaves.ForEach(func(y int) {
+				z := leaves.NextSetBit(y + 1)
+				if z < 0 {
+					z = leaves.Min()
+				}
+				rest := leaves.Clone()
+				rest.Remove(y)
+				rest.Remove(z)
+				base := t1.Restrict(rest)
+				checkDerived(t, &w, &oracle, base, y, z)
+				checkDerived(t, &w, &oracle, base, z, y)
 			})
 		}
 	})

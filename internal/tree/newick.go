@@ -25,7 +25,7 @@ func Parse(newick string, taxa *Taxa, autoAdd bool) (*Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := t.fit(); err != nil {
+	if err := t.fit(new(validateScratch)); err != nil {
 		return nil, err
 	}
 	return t, nil
@@ -96,8 +96,9 @@ func (r *Reader) Finish() ([]*Tree, *Taxa, error) {
 	if len(r.trees) == 0 {
 		return nil, nil, fmt.Errorf("newick: no trees in input")
 	}
+	var sc validateScratch
 	for i, t := range r.trees {
-		if err := t.fit(); err != nil {
+		if err := t.fit(&sc); err != nil {
 			return nil, nil, fmt.Errorf("tree %d: %w", i+1, err)
 		}
 	}
@@ -401,8 +402,9 @@ func (p *parser) branchLength() error {
 }
 
 // fit completes a parsed tree once its universe is final: leafOf is extended
-// to every taxon, the leaf set is built and the invariants are checked.
-func (t *Tree) fit() error {
+// to every taxon, the leaf set is built and the invariants are checked, in
+// sc's memory.
+func (t *Tree) fit(sc *validateScratch) error {
 	n := t.taxa.Len()
 	t.leafOf = slices.Grow(t.leafOf, n-len(t.leafOf))
 	for len(t.leafOf) < n {
@@ -414,7 +416,7 @@ func (t *Tree) fit() error {
 			t.leaves.Add(int(tx))
 		}
 	}
-	if err := t.Validate(); err != nil {
+	if err := sc.validate(t); err != nil {
 		return fmt.Errorf("newick: parsed tree invalid: %w", err)
 	}
 	return nil

@@ -290,3 +290,129 @@ func TestAppendWithMatchesAppend(t *testing.T) {
 		t.Fatal("SetBase accepted a 2-leaf base")
 	}
 }
+
+// checkDerived compares, for every edge e of base, the base Derive makes of
+// base's rendering with y on e against the walk of the tree that has y attached
+// there — bytes and every node's record — and then, for every edge of that
+// tree, the tree AppendWith cuts from the derived base with the tree that has
+// z attached there too, rendered by the two-pass walk. It reports whether the
+// writer took the pair of leaves at all.
+func checkDerived(t *testing.T, w, oracle *NewickWriter, base *Tree, y, z int) bool {
+	t.Helper()
+	lo := base.LeafSet().Min()
+	if !w.SetBase(base, y) {
+		return false
+	}
+	var got, want []byte
+	for e := int32(0); e < int32(base.NumEdges()); e++ {
+		ok := w.Derive(e, z)
+		if ok != (z > lo) {
+			t.Fatalf("Derive(%d, z=%d) on a base whose lowest leaf is %d = %v", e, z, lo, ok)
+		}
+		if !ok {
+			return false
+		}
+		base.AttachLeaf(y, e)
+		want = oracle.Append(want[:0], base)
+		d := &w.derived
+		if string(d.out) != string(want) {
+			base.DetachLeaf(y)
+			t.Fatalf("%s with %d on edge %d\n got %s\nwant %s", base.Newick(), y, e, d.out, want)
+		}
+		l := base.LeafNode(lo)
+		for v := int32(0); v < int32(base.NumNodes()); v++ {
+			if v != l && d.sc[v] != oracle.sc[v] {
+				base.DetachLeaf(y)
+				t.Fatalf("%s with %d on edge %d: node %d derived %+v, walked %+v", base.Newick(), y, e, v, d.sc[v], oracle.sc[v])
+			}
+		}
+		for f := int32(0); f < int32(base.NumEdges()); f++ {
+			got = w.AppendWith(append(got[:0], '>'), f)
+			base.AttachLeaf(z, f)
+			want = oracle.Append(append(want[:0], '>'), base)
+			base.DetachLeaf(z)
+			if string(got) != string(want) {
+				s := base.Newick()
+				base.DetachLeaf(y)
+				t.Fatalf("%s, %d on edge %d, then %d on edge %d\n got %s\nwant %s", s, y, e, z, f, got, want)
+			}
+		}
+		base.DetachLeaf(y)
+	}
+	return true
+}
+
+// TestDeriveMatchesAppend is the derived-base oracle: for trees of 3 to 30
+// leaves over awkward labels, every ordered pair of absent taxa, the first on
+// every edge and the second on every edge of the result, the base derived
+// without a walk equals the walk's, record by record, and every tree cut from
+// it equals the tree attached and rendered — and the pair rising to the root,
+// the lowest leaf's edge and the refusal of a second leaf that sorts first are
+// all met.
+func TestDeriveMatchesAppend(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	universes := []*Taxa{MustTaxa(awkwardNames(36, "d")), MustTaxa(names(20))}
+	var w, oracle NewickWriter
+	var refused, taken, rose int
+	for it := 0; it < 60; it++ {
+		taxa := universes[it%2]
+		k := min(3+rng.Intn(28), taxa.Len()-2)
+		if it < 4 {
+			k = 3
+		}
+		tr := randomSubsetTree(taxa, k, rng)
+		var absent []int
+		for x := 0; x < taxa.Len(); x++ {
+			if !tr.HasTaxon(x) {
+				absent = append(absent, x)
+			}
+		}
+		for i := 0; i < 6; i++ {
+			y, z := absent[rng.Intn(len(absent))], absent[rng.Intn(len(absent))]
+			if y == z {
+				continue
+			}
+			if checkDerived(t, &w, &oracle, tr, y, z) {
+				taken++
+				if y < tr.LeafSet().NextSetBit(tr.LeafSet().Min()+1) {
+					rose++ // on every edge but the lowest leaf's, up to the root
+				}
+			} else if y > tr.LeafSet().Min() {
+				refused++
+			}
+		}
+	}
+	if s := w.Stats; taken < 100 || refused == 0 || rose == 0 || s.Derived == 0 || s.Spliced == 0 || s.Recut == 0 {
+		t.Fatalf("%d pairs taken (%d rising to the root), %d refused, %+v", taken, rose, refused, s)
+	}
+}
+
+// TestDeriveAllocs: deriving a base and cutting its trees from it allocates
+// nothing once the writer has seen a tree of the size.
+func TestDeriveAllocs(t *testing.T) {
+	taxa := MustTaxa(awkwardNames(131, "a"))
+	tr := randomSubsetTree(taxa, 129, rand.New(rand.NewSource(4)))
+	var absent []int
+	for x := 0; x < taxa.Len(); x++ {
+		if !tr.HasTaxon(x) {
+			absent = append(absent, x)
+		}
+	}
+	var w NewickWriter
+	var buf []byte
+	run := func() {
+		if !w.SetBase(tr, absent[0]) || !w.Derive(0, absent[1]) {
+			t.Fatalf("absent taxa %v: refused", absent)
+		}
+		for e := int32(0); e < int32(tr.NumEdges()); e += 7 {
+			w.Derive(e, absent[1])
+			for f := int32(0); f < int32(tr.NumEdges()+2); f += 5 {
+				buf = w.AppendWith(buf[:0], f)
+			}
+		}
+	}
+	run()
+	if n := testing.AllocsPerRun(20, run); n != 0 {
+		t.Errorf("SetBase, Derive and AppendWith: %v allocs, want 0", n)
+	}
+}

@@ -285,6 +285,18 @@ func (t *Tree) Clone() *Tree {
 // Validate checks structural invariants; it is used by tests and returns a
 // descriptive error on the first violation found.
 func (t *Tree) Validate() error {
+	var sc validateScratch
+	return sc.validate(t)
+}
+
+// validateScratch is the connectivity sweep's memory, which a caller that
+// checks many trees (Reader.Finish) reuses from one tree to the next.
+type validateScratch struct {
+	seen  []bool
+	stack []int32
+}
+
+func (sc *validateScratch) validate(t *Tree) error {
 	nl := 0
 	for vi := range t.nodes {
 		v := &t.nodes[vi]
@@ -329,8 +341,8 @@ func (t *Tree) Validate() error {
 	}
 	// Connectivity.
 	if len(t.nodes) > 0 {
-		seen := make([]bool, len(t.nodes))
-		stack := []int32{0}
+		seen := append(sc.seen[:0], make([]bool, len(t.nodes))...)
+		stack := append(sc.stack[:0], 0)
 		seen[0] = true
 		cnt := 0
 		for len(stack) > 0 {
@@ -346,6 +358,7 @@ func (t *Tree) Validate() error {
 				}
 			}
 		}
+		sc.seen, sc.stack = seen, stack
 		if cnt != len(t.nodes) {
 			return fmt.Errorf("tree not connected: reached %d of %d nodes", cnt, len(t.nodes))
 		}

@@ -77,6 +77,20 @@ func Record(constraints []*tree.Tree, initialIdx int, maxStates int) (*Node, err
 				parent.Children = append(parent.Children,
 					&Node{Taxon: taxon, Edge: e, Complete: true, Newick: found[i]})
 			}
+		case search.EvLookAhead:
+			// One step answered a branch of the second-to-last taxon without
+			// inserting it: the state, and under it a complete child per
+			// branch of the last taxon, or the state is a dead end.
+			taxon, edges := eng.FinalFrame()
+			if states += 1 + len(found); states > maxStates {
+				return nil, tooMany(maxStates)
+			}
+			st := eng.LookedAhead()
+			n := &Node{Taxon: st.Taxon, Edge: st.Edge, DeadEnd: len(edges) == 0}
+			for i, e := range edges {
+				n.Children = append(n.Children, &Node{Taxon: taxon, Edge: e, Complete: true, Newick: found[i]})
+			}
+			parent.Children = append(parent.Children, n)
 		case search.EvInserted, search.EvDeadEnd:
 			if states++; states > maxStates {
 				return nil, tooMany(maxStates)

@@ -2,11 +2,13 @@ package workflow
 
 import (
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
 	"gentrius/internal/bitset"
 	"gentrius/internal/search"
+	"gentrius/internal/terrace"
 	"gentrius/internal/tree"
 )
 
@@ -63,6 +65,48 @@ func TestRecordMatchesSearchCounters(t *testing.T) {
 	}
 }
 
+// insertAll is Record's oracle: the workflow tree of the machine that inserts
+// every taxon, the last two included, and renders each stand tree from the
+// agile tree that holds it — taxa chosen by the paper's min-branches rule.
+func insertAll(tr *terrace.Terrace) *Node {
+	next := func() int {
+		best, bestCount := -1, -1
+		for _, x := range tr.MissingTaxa() {
+			if tr.Agile().HasTaxon(x) {
+				continue
+			}
+			if n := tr.CountAllowedBranches(x); n == 0 {
+				return x
+			} else if best == -1 || n < bestCount {
+				best, bestCount = x, n
+			}
+		}
+		return best
+	}
+	var explore func(n *Node)
+	explore = func(n *Node) {
+		x := next()
+		for _, e := range tr.AllowedBranches(x) {
+			tr.ExtendTaxon(x, e)
+			c := &Node{Taxon: x, Edge: e}
+			switch {
+			case tr.Complete():
+				c.Complete, c.Newick = true, tr.Agile().Newick()
+			case len(tr.AllowedBranches(next())) == 0:
+				c.DeadEnd = true
+			default:
+				explore(c)
+			}
+			n.Children = append(n.Children, c)
+			tr.RemoveTaxon()
+		}
+	}
+	root := &Node{Taxon: -1, Edge: -1}
+	explore(root)
+	fill(root)
+	return root
+}
+
 func TestRecordRandomAgreement(t *testing.T) {
 	rng := rand.New(rand.NewSource(4321))
 	taxaNames := func(n int) []string {
@@ -115,6 +159,53 @@ func TestRecordRandomAgreement(t *testing.T) {
 			t.Fatalf("scen %d: workflow (%d trees, %d dead) vs search (%d, %d)",
 				scen, root.Trees, root.DeadEnds, res.StandTrees, res.DeadEnds)
 		}
+	}
+}
+
+// TestRecordMatchesInsertion: the engine Record drives answers most branches
+// of the second-to-last taxon without inserting it (EvLookAhead), and the
+// workflow tree it records is still the inserting machine's, node for node:
+// the same insertions, edge ids, dead ends, and stand trees in order.
+func TestRecordMatchesInsertion(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	looked := int64(0)
+	for scen := 0; scen < 40; scen++ {
+		taxa := tree.MustTaxa([]string{"a", "b", "c", "d", "e", "f", "g", "h", "i", "j"})
+		truth := tree.New(taxa)
+		perm := rng.Perm(taxa.Len())
+		truth.AddFirstLeaf(perm[0])
+		truth.AddSecondLeaf(perm[1])
+		for _, x := range perm[2:] {
+			truth.AttachLeaf(x, int32(rng.Intn(truth.NumEdges())))
+		}
+		var cons []*tree.Tree
+		for cover := bitset.New(taxa.Len()); len(cons) < 3 || cover.Count() < taxa.Len(); {
+			c := bitset.New(taxa.Len())
+			for _, x := range rng.Perm(taxa.Len())[:5+rng.Intn(4)] {
+				c.Add(x)
+			}
+			cover.UnionWith(c)
+			cons = append(cons, truth.Restrict(c))
+		}
+		res, err := search.Run(cons, search.Options{InitialTree: 0, CollectTrees: true})
+		if err != nil {
+			t.Fatalf("scen %d: %v", scen, err)
+		}
+		got, err := Record(cons, 0, 20000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := terrace.New(cons, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := insertAll(tr); !reflect.DeepEqual(got, want) {
+			t.Fatalf("scen %d: recorded\n%s\ninserting\n%s", scen, got.RenderASCII(taxa), want.RenderASCII(taxa))
+		}
+		looked += res.Work.LookAheads
+	}
+	if looked < 50 {
+		t.Fatalf("%d branches looked ahead of: not enough to mean anything", looked)
 	}
 }
 
