@@ -17,6 +17,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -130,6 +131,11 @@ var ratioMetrics = []string{"t2/serial", "emit/copy"}
 
 const maxRatioUp = 0.20
 
+// bytesRows are the rows whose bytes/op depend on the input alone — one
+// goroutine building or reading a fixed input, or running the serial engine
+// over fixed stands — so -compare -max-regress gates them like allocs/op.
+var bytesRows = []string{"TerraceNew", "StaticIndexNew", "ReadTrees", "SerialSmallStands"}
+
 // run wraps testing.Benchmark, forcing allocation reporting.
 func run(name string, f func(b *testing.B)) BenchResult {
 	r := testing.Benchmark(func(b *testing.B) {
@@ -156,7 +162,7 @@ func main() {
 	outPath := flag.String("out", "", "write the JSON report to this file (default stdout)")
 	note := flag.String("note", "", "free-form note embedded in the report")
 	compare := flag.String("compare", "", "baseline JSON report to diff against (prints a table to stderr; exits non-zero if an exact work counter — stand-trees, states, dead-ends, steps, extend-calls — differs from the baseline's, or an in-run ratio — t2/serial, emit/copy — is more than 20 % above it)")
-	maxRegress := flag.Float64("max-regress", 0, "with -compare: exit non-zero if any shared benchmark's ns/op regresses by more than this percentage, or if its allocs/op exceed the baseline's by more than a quarter (a host-independent gate; exact for a baseline of 0 to 3)")
+	maxRegress := flag.Float64("max-regress", 0, "with -compare: exit non-zero if any shared benchmark's ns/op regresses by more than this percentage, or if its allocs/op — or, on TerraceNew, StaticIndexNew, ReadTrees and SerialSmallStands, its bytes/op — exceed the baseline's by more than a quarter (host-independent gates; exact for a baseline of 0 to 3 allocs)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the benchmark runs (dataset selection excluded) — the input for PGO via scripts/pgo_profile.sh")
 	benchtime := flag.String("benchtime", "", "per-benchmark time budget, e.g. 1s or 1x (default: testing's 1s)")
 	testing.Init()
@@ -346,68 +352,55 @@ func main() {
 	}
 
 	if *compare != "" {
-		worst, allocs, exact, ratios, err := printComparison(*compare, &rep)
+		fails, err := printComparison(*compare, &rep, *maxRegress)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "benchreport: compare: %v\n", err)
 			os.Exit(1)
 		}
-		if len(exact) > 0 {
-			fmt.Fprintf(os.Stderr, "benchreport: FAIL: exact work counters differ from the baseline's: %s\n",
-				strings.Join(exact, ", "))
-			os.Exit(1)
+		for _, f := range fails {
+			fmt.Fprintf(os.Stderr, "benchreport: FAIL: %s\n", f)
 		}
-		if len(ratios) > 0 {
-			fmt.Fprintf(os.Stderr, "benchreport: FAIL: in-run ratios more than %.0f%% above the baseline's: %s\n",
-				maxRatioUp*100, strings.Join(ratios, ", "))
-			os.Exit(1)
-		}
-		if *maxRegress > 0 && worst > *maxRegress {
-			fmt.Fprintf(os.Stderr, "benchreport: FAIL: worst ns/op regression %.1f%% exceeds -max-regress %.1f%%\n",
-				worst, *maxRegress)
-			os.Exit(1)
-		}
-		if *maxRegress > 0 && len(allocs) > 0 {
-			fmt.Fprintf(os.Stderr, "benchreport: FAIL: allocs/op more than a quarter above the baseline: %s\n",
-				strings.Join(allocs, ", "))
+		if len(fails) > 0 {
 			os.Exit(1)
 		}
 	}
 }
 
-// printComparison diffs the current report against a baseline file and
-// returns the worst ns/op regression across shared benchmarks, as a
-// percentage (negative when everything got faster) — the input to the
-// -max-regress CI gate. allocsUp names the benchmarks whose allocs/op grew
-// by more than a quarter of the baseline's: the count is a property of the
+// printComparison diffs the current report against a baseline file, prints
+// the table and returns one message per gate that fails. Exact work counters
+// (exactMetrics) must equal the baseline's and in-run ratios (ratioMetrics)
+// stay within maxRatioUp of it, whatever maxRegress says. With maxRegress
+// above 0 three more gates apply. The worst ns/op regression over shared
+// rows, as a percentage, must not exceed it. Allocs/op must not grow by more
+// than a quarter of the baseline's on any row: the count is a property of the
 // code, not of the host, so this half of the gate can be tight where the
 // ns/op half has to be generous. A baseline of 0 to 3 leaves no slack at all
 // (TreeNewick's 1 is the returned string); the quarter is for
 // ParallelGoroutines, whose count moves by a tenth with the number of tasks
-// stolen. exactOff names every exact work counter (exactMetrics) both reports
-// carry with different values, ratioUp every in-run ratio (ratioMetrics) more
-// than maxRatioUp above the baseline's: those gate with or without
-// -max-regress.
-func printComparison(path string, cur *Report) (worstRegress float64, allocsUp, exactOff, ratioUp []string, err error) {
+// stolen. Bytes/op must not grow by more than a quarter either, on the rows
+// whose bytes are the input's alone (bytesRows).
+func printComparison(path string, cur *Report, maxRegress float64) (fails []string, err error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
-		return 0, nil, nil, nil, err
+		return nil, err
 	}
 	var base Report
 	if err := json.Unmarshal(raw, &base); err != nil {
-		return 0, nil, nil, nil, err
+		return nil, err
 	}
 	byName := map[string]BenchResult{}
 	for _, b := range base.Benchmarks {
 		byName[b.Name] = b
 	}
-	worstRegress = -100
-	fmt.Fprintf(os.Stderr, "\n%-28s %14s %14s %9s %9s\n",
-		"benchmark", "base ns/op", "now ns/op", "speedup", "allocs")
+	worstRegress := -100.0
+	var exactOff, ratioUp, allocsUp, bytesUp []string
+	fmt.Fprintf(os.Stderr, "\n%-28s %14s %14s %9s %9s %21s\n",
+		"benchmark", "base ns/op", "now ns/op", "speedup", "allocs", "bytes")
 	for _, b := range cur.Benchmarks {
 		o, ok := byName[b.Name]
 		if !ok {
-			fmt.Fprintf(os.Stderr, "%-28s %14s %14.1f %9s %6d->%d\n",
-				b.Name, "(new)", b.NsPerOp, "-", 0, b.AllocsPerOp)
+			fmt.Fprintf(os.Stderr, "%-28s %14s %14.1f %9s %6d->%d %10d->%d\n",
+				b.Name, "(new)", b.NsPerOp, "-", 0, b.AllocsPerOp, 0, b.BytesPerOp)
 			continue
 		}
 		speed := o.NsPerOp / b.NsPerOp
@@ -418,6 +411,9 @@ func printComparison(path string, cur *Report) (worstRegress float64, allocsUp, 
 		}
 		if b.AllocsPerOp > o.AllocsPerOp+o.AllocsPerOp/4 {
 			allocsUp = append(allocsUp, fmt.Sprintf("%s %d->%d", b.Name, o.AllocsPerOp, b.AllocsPerOp))
+		}
+		if slices.Contains(bytesRows, b.Name) && b.BytesPerOp > o.BytesPerOp+o.BytesPerOp/4 {
+			bytesUp = append(bytesUp, fmt.Sprintf("%s %d->%d", b.Name, o.BytesPerOp, b.BytesPerOp))
 		}
 		for _, m := range exactMetrics {
 			was, had := o.Metrics[m]
@@ -431,8 +427,27 @@ func printComparison(path string, cur *Report) (worstRegress float64, allocsUp, 
 				ratioUp = append(ratioUp, fmt.Sprintf("%s %s %.3f->%.3f", b.Name, m, was, now))
 			}
 		}
-		fmt.Fprintf(os.Stderr, "%-28s %14.1f %14.1f %8.2fx %6d->%d\n",
-			b.Name, o.NsPerOp, b.NsPerOp, speed, o.AllocsPerOp, b.AllocsPerOp)
+		fmt.Fprintf(os.Stderr, "%-28s %14.1f %14.1f %8.2fx %6d->%d %10d->%d\n",
+			b.Name, o.NsPerOp, b.NsPerOp, speed, o.AllocsPerOp, b.AllocsPerOp, o.BytesPerOp, b.BytesPerOp)
 	}
-	return worstRegress, allocsUp, exactOff, ratioUp, nil
+	if len(exactOff) > 0 {
+		fails = append(fails, "exact work counters differ from the baseline's: "+strings.Join(exactOff, ", "))
+	}
+	if len(ratioUp) > 0 {
+		fails = append(fails, fmt.Sprintf("in-run ratios more than %.0f%% above the baseline's: %s",
+			maxRatioUp*100, strings.Join(ratioUp, ", ")))
+	}
+	if maxRegress <= 0 {
+		return fails, nil
+	}
+	if worstRegress > maxRegress {
+		fails = append(fails, fmt.Sprintf("worst ns/op regression %.1f%% exceeds -max-regress %.1f%%", worstRegress, maxRegress))
+	}
+	if len(allocsUp) > 0 {
+		fails = append(fails, "allocs/op more than a quarter above the baseline: "+strings.Join(allocsUp, ", "))
+	}
+	if len(bytesUp) > 0 {
+		fails = append(fails, "bytes/op more than a quarter above the baseline: "+strings.Join(bytesUp, ", "))
+	}
+	return fails, nil
 }

@@ -3,6 +3,7 @@ package gentrius
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -278,6 +279,44 @@ func TestReadTreesLongLines(t *testing.T) {
 	_, _, err = ReadTrees(strings.NewReader("(A,B);\n"+strings.Repeat("(", 120000)), nil)
 	if err == nil || !strings.Contains(err.Error(), "line 2:") || !strings.Contains(err.Error(), "nested deeper") {
 		t.Fatalf("120000 open groups: got %v, want the nesting cap on line 2", err)
+	}
+}
+
+// TestReadTreesLinePast64KiB: the scanner's line buffer starts small and
+// grows, so a line longer than 64 KiB between two short ones still parses —
+// and a small file no longer costs a 64 KiB buffer it never fills.
+func TestReadTreesLinePast64KiB(t *testing.T) {
+	const leaves = 1 << 13
+	var long strings.Builder // a caterpillar: (t000000,(t000001,(...)))
+	for i := 0; i < leaves-1; i++ {
+		fmt.Fprintf(&long, "(t%06d,", i)
+	}
+	fmt.Fprintf(&long, "t%06d%s;", leaves-1, strings.Repeat(")", leaves-1))
+	if long.Len() <= 64<<10 {
+		t.Fatalf("test line is only %d bytes", long.Len())
+	}
+	in := "(t000000,t000001,t000002);\n" + long.String() + "\n(t000003,t000004,t000005);\n"
+	trees, taxa, err := ReadTrees(strings.NewReader(in), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(trees) != 3 || taxa.Len() != leaves || trees[1].NumLeaves() != leaves || trees[2].NumLeaves() != 3 {
+		t.Fatalf("read %d trees over %d taxa", len(trees), taxa.Len())
+	}
+
+	small := "((A,B),(C,D));\n((A,B),(C,E));\n"
+	bytes := ^uint64(0)
+	for i := 0; i < 5; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, _, err := ReadTrees(strings.NewReader(small), nil); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
+	}
+	if bytes > 32<<10 {
+		t.Fatalf("reading two 5-taxon trees allocates %d bytes", bytes)
 	}
 }
 

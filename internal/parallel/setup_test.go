@@ -162,20 +162,24 @@ func TestPoolAllocationsNearSerial(t *testing.T) {
 
 // TestTerraceBuiltOncePerRun: however many workers a fresh run has, the
 // constraints are turned into a Terrace once. Worker 0 runs on that one; a
-// further worker costs a clone, which allocates under half the bytes
-// terrace.New does, and some 40 KB of its own — and all of them together one
-// clone more, the prototype worker 0 cuts from its own state when it starts
-// them — where a worker that rebuilt its state would allocate more than all
-// of them. Bytes, not allocations: terrace.New carves its storage and its LCA
-// indexes from slabs, so it allocates about nine times per constraint, fewer
-// times than a worker does.
+// further worker costs a clone and under 64 KB of its own (engine, search
+// worker, task), and all of them together one clone more, the prototype
+// worker 0 cuts from its own state when it starts them. A worker that rebuilt
+// its state would allocate what terrace.New does beyond a clone on top: the
+// LCA indexes and the initialiser's scratch, some 160 KB on this stand.
+// Bytes, not allocations: terrace.New carves its storage from slabs and
+// builds each LCA index in two, so it allocates a few times per
+// constraint, fewer times than a worker does.
 func TestTerraceBuiltOncePerRun(t *testing.T) {
 	cons := referenceDataset()
+	var proto *terrace.Terrace
 	_, build := allocated(func() {
-		if _, err := terrace.New(cons, search.ChooseInitialTree(cons)); err != nil {
+		var err error
+		if proto, err = terrace.New(cons, search.ChooseInitialTree(cons)); err != nil {
 			t.Fatal(err)
 		}
 	})
+	_, clone := allocated(func() { proto.Clone() })
 	// A state limit the first batch anybody publishes exceeds: past worker 0's
 	// first poll, where the others are started, and not much further.
 	run := func(threads int) uint64 {
@@ -190,11 +194,13 @@ func TestTerraceBuiltOncePerRun(t *testing.T) {
 	}
 	one, nine := run(1), run(9)
 	perWorker := (nine - one) / 8
-	t.Logf("terrace.New %d bytes; run at 1 thread %d, at 9 threads %d: %d per further worker", build, one, nine, perWorker)
+	t.Logf("terrace.New %d bytes, Clone %d; run at 1 thread %d, at 9 threads %d: %d per further worker",
+		build, clone, one, nine, perWorker)
 	if one > build+build/4 {
 		t.Fatalf("a run at 1 thread allocates %d bytes, terrace.New %d: worker 0 is not running on the Terrace the set-up built", one, build)
 	}
-	if perWorker < build/4 || perWorker > build*3/4 {
-		t.Fatalf("a further worker allocates %d bytes, terrace.New %d: workers are not cloning", perWorker, build)
+	if want := clone + clone/8; perWorker < want || perWorker > want+64<<10 {
+		t.Fatalf("a further worker allocates %d bytes, its clone and an eighth of the prototype's %d: workers are not cloning",
+			perWorker, want)
 	}
 }

@@ -206,12 +206,13 @@ func TestDriversResumeUnstartedSerialCheckpoint(t *testing.T) {
 
 // TestTerraceBuiltOncePerRun: the simulator's workers, like the pool's, are
 // clones of the one Terrace search.Start built, so a further virtual worker
-// allocates under three quarters of the bytes terrace.New does (the clone is
-// under half of them) — it cost a whole terrace.New and more when every worker
-// rebuilt its state from the constraints. Bytes, not allocations: terrace.New
-// carves its storage and its LCA indexes from slabs and allocates fewer times
-// than a worker does. The simulator is single-threaded, so the counts repeat
-// exactly.
+// allocates a clone, an eighth of the prototype cut from the first worker's
+// state, and under 64 KB of its own; it would allocate what terrace.New does
+// beyond a clone on top (the LCA indexes and the initialiser's scratch, some
+// 160 KB on this stand) if it rebuilt its state from the constraints. Bytes,
+// not allocations: terrace.New carves its storage from slabs and builds each
+// LCA index in two, and allocates fewer times than a worker does. The
+// simulator is single-threaded, so the counts repeat exactly.
 func TestTerraceBuiltOncePerRun(t *testing.T) {
 	cons := gen.Generate(gen.Default(gen.RegimeSimulated), 24).Constraints
 	allocated := func(f func()) uint64 {
@@ -222,11 +223,14 @@ func TestTerraceBuiltOncePerRun(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		return after.TotalAlloc - before.TotalAlloc
 	}
+	var proto *terrace.Terrace
 	build := allocated(func() {
-		if _, err := terrace.New(cons, search.ChooseInitialTree(cons)); err != nil {
+		var err error
+		if proto, err = terrace.New(cons, search.ChooseInitialTree(cons)); err != nil {
 			t.Fatal(err)
 		}
 	})
+	clone := allocated(func() { proto.Clone() })
 	// A tick limit of one keeps the enumeration out of the picture.
 	run := func(workers int) uint64 {
 		return allocated(func() {
@@ -238,8 +242,10 @@ func TestTerraceBuiltOncePerRun(t *testing.T) {
 	}
 	one, nine := run(1), run(9)
 	perWorker := (nine - one) / 8
-	t.Logf("terrace.New %d bytes; run with 1 worker %d, with 9 workers %d: %d per further worker", build, one, nine, perWorker)
-	if perWorker > build*3/4 {
-		t.Fatalf("a further worker allocates %d bytes, terrace.New %d: workers are not cloning", perWorker, build)
+	t.Logf("terrace.New %d bytes, Clone %d; run with 1 worker %d, with 9 workers %d: %d per further worker",
+		build, clone, one, nine, perWorker)
+	if want := clone + clone/8; perWorker < want || perWorker > want+64<<10 {
+		t.Fatalf("a further worker allocates %d bytes, its clone and an eighth of the prototype's %d: workers are not cloning",
+			perWorker, want)
 	}
 }

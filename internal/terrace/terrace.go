@@ -200,8 +200,10 @@ type undoFrame struct {
 // ErrIncompatible.
 //
 // The cost is O(sum of the constraint tree sizes + constraints x agile tree
-// size), apart from the LCA index of each constraint tree and the zeroing of
-// the preimage lanes; see initConstraint.
+// size), apart from the zeroing of the preimage lanes and the LCA index of
+// each constraint tree: two allocations, and an int32 table of n entries for
+// each of the ceil(log2 n) levels of a tree of n nodes, the one term above
+// linear; see initConstraint.
 func New(constraints []*tree.Tree, initialIdx int) (*Terrace, error) {
 	tr, err := newShell(constraints, initialIdx)
 	if err != nil {

@@ -1,73 +1,50 @@
 package tree
 
+import "math/bits"
+
 // StaticIndex answers lowest-common-ancestor, distance, median and
 // path-position queries on a tree that will not be modified after the index
 // is built. Gentrius builds one per constraint tree: the constraint-side
 // half of the double-edge mapping resolves pending-taxon targets with
 // median queries against the static constraint tree.
 //
-// LCA queries run in O(1) via an Euler tour and a sparse-table range-minimum
-// structure over tour depths: the LCA of u and v is the unique minimum-depth
-// vertex between their first tour occurrences. Each sparse-table entry packs
-// (depth, node) into one int64 so a range minimum is a single integer min.
+// LCA queries run in O(1) via a sparse-table range minimum over the preorder
+// numbering. With tin[u] < tin[v], every vertex numbered in (tin[u], tin[v]]
+// lies below LCA(u, v), and the LCA's child towards v is one of them, so the
+// least preorder number of a parent over that range is the LCA's. Level 0 of
+// the table holds tin[parent[order[i]]], level k the minimum of 2^k
+// consecutive level-0 entries; every level is n entries wide.
 type StaticIndex struct {
-	t      *Tree
-	root   int32
 	parent []int32
 	pedge  []int32 // edge to parent
 	depth  []int32
-	first  []int32 // first occurrence of each node in the Euler tour
-	sp     [][]int64
-	logs   []int8 // logs[i] = floor(log2 i), for query-width lookup
+	tin    []int32 // preorder number of each node
+	order  []int32 // node of each preorder number
+	sp     []int32 // level k at sp[k*n:], n = len(tin)
 }
 
-// maxLevels bounds the sparse table's height: a tour of 2n-1 < 2^32 visits
-// has at most 32 levels.
-const maxLevels = 32
-
 // NewStaticIndex builds the index, rooting the tree at node 0. It allocates
-// four times whatever the size of the tree: the index with its row headers,
-// one slab for the per-node arrays, one for the sparse table, and logs.
+// twice whatever the size of the tree: the index, and one int32 slab for the
+// per-node arrays and the table.
 func NewStaticIndex(t *Tree) *StaticIndex {
+	ix := &StaticIndex{}
 	n := len(t.nodes)
-	mem := &struct {
-		ix   StaticIndex
-		rows [maxLevels][]int64
-	}{}
-	ix := &mem.ix
-	ix.t = t
 	if n == 0 {
 		return ix
 	}
-	per := make([]int32, 4*n)
-	ix.parent, ix.pedge, ix.depth, ix.first = per[:n], per[n:2*n], per[2*n:3*n], per[3*n:]
-	m := 2*n - 1
-	ix.logs = make([]int8, m+1)
-	for i := 2; i <= m; i++ {
-		ix.logs[i] = ix.logs[i/2] + 1
-	}
-	levels := int(ix.logs[m]) + 1
-	size := 0
-	for k := 0; k < levels; k++ {
-		size += m - 1<<k + 1
-	}
-	table := make([]int64, size)
-	ix.sp = mem.rows[:levels]
-	for k := range ix.sp {
-		w := m - 1<<k + 1
-		ix.sp[k], table = table[:w], table[w:]
-	}
+	levels := bits.Len32(uint32(n - 1)) // a query spans 1 to n-1 entries
+	slab := make([]int32, (5+levels)*n)
+	ix.parent, ix.pedge, ix.depth = slab[:n], slab[n:2*n], slab[2*n:3*n]
+	ix.tin, ix.order, ix.sp = slab[3*n:4*n], slab[4*n:5*n], slab[5*n:]
 
-	// Euler tour (2n-1 visits) from the root, children in adjacency slot
-	// order; each visit is packed (depth<<32 | node). The walk keeps no
+	// Preorder from the root, children in adjacency slot order; the root's
+	// number, depth and level-0 entry are the slab's zeros. The walk keeps no
 	// stack: on the way down it records parent and parent edge, and on the
 	// way back up it resumes after the slot that holds the edge it returns
 	// by. A tree has no other way back into a vertex, so the parent edge is
 	// the only one to skip.
-	tour := ix.sp[0]
-	v, slot, at := ix.root, 0, 0
+	v, slot, at := int32(0), 0, int32(0)
 	ix.parent[v], ix.pedge[v] = NoNode, NoEdge
-	tour[at] = int64(v)
 	for {
 		if nd := &t.nodes[v]; slot < int(nd.deg) {
 			e := nd.adj[slot]
@@ -76,34 +53,28 @@ func NewStaticIndex(t *Tree) *StaticIndex {
 				continue
 			}
 			u := t.Other(e, v)
-			ix.parent[u], ix.pedge[u], ix.depth[u] = v, e, ix.depth[v]+1
 			at++
-			ix.first[u] = int32(at)
-			tour[at] = int64(ix.depth[u])<<32 | int64(u)
+			ix.parent[u], ix.pedge[u], ix.depth[u] = v, e, ix.depth[v]+1
+			ix.tin[u], ix.order[at], ix.sp[at] = at, u, ix.tin[v]
 			v, slot = u, 0
 			continue
 		}
-		if v == ix.root {
+		if v == 0 {
 			break
 		}
 		e, p := ix.pedge[v], ix.parent[v]
-		at++
-		tour[at] = int64(ix.depth[p])<<32 | int64(p)
 		for slot = 0; t.nodes[p].adj[slot] != e; slot++ {
 		}
 		v, slot = p, slot+1
 	}
 
-	// Sparse table of packed (depth, node) range minima over the tour.
+	// Level k's entry i covers level 0's [i, i+2^k); the entries past n-2^k
+	// would run off the end and are never read.
 	for k := 1; k < levels; k++ {
 		half := 1 << (k - 1)
-		prev, row := ix.sp[k-1], ix.sp[k]
-		for i := range row {
-			a, b := prev[i], prev[i+half]
-			if b < a {
-				a = b
-			}
-			row[i] = a
+		prev, row := ix.sp[(k-1)*n:k*n], ix.sp[k*n:(k+1)*n]
+		for i := range n - 1<<k + 1 {
+			row[i] = min(prev[i], prev[i+half])
 		}
 	}
 	return ix
@@ -120,16 +91,16 @@ func (ix *StaticIndex) ParentEdge(v int32) int32 { return ix.pedge[v] }
 
 // LCA returns the lowest common ancestor of u and v.
 func (ix *StaticIndex) LCA(u, v int32) int32 {
-	l, r := ix.first[u], ix.first[v]
+	l, r := ix.tin[u], ix.tin[v]
+	if l == r {
+		return u
+	}
 	if l > r {
 		l, r = r, l
 	}
-	k := ix.logs[r-l+1]
-	a, b := ix.sp[k][l], ix.sp[k][int(r)-(1<<k)+1]
-	if b < a {
-		a = b
-	}
-	return int32(a)
+	k := bits.Len32(uint32(r-l)) - 1
+	row := ix.sp[k*len(ix.tin):]
+	return ix.order[min(row[l+1], row[r+1-1<<k])]
 }
 
 // Dist returns the number of edges on the path from u to v.

@@ -107,13 +107,51 @@ func TestMedianQuartets(t *testing.T) {
 	}
 }
 
-// TestLCAAgainstParentWalk checks every pair's LCA, and the parent, parent
-// edge and depth arrays, against a naive rooting at node 0 — on random trees
-// and on the shapes the tour's corner cases live in: one, two and three
-// leaves, and caterpillars (the deepest trees there are).
+// randomShape builds a tree of n unlabelled nodes, each attached to a random
+// earlier one of degree under three — or, with path set, to the one before
+// it. Unlike a binary tree it can have any number of nodes.
+func randomShape(rng *rand.Rand, n int, path bool) *Tree {
+	tr := New(MustTaxa(nil))
+	tr.allocNode(-1)
+	open := []int32{0}
+	for v := int32(1); v < int32(n); v++ {
+		i := len(open) - 1
+		if !path {
+			i = rng.Intn(len(open))
+		}
+		p := open[i]
+		tr.allocNode(-1)
+		e := tr.allocEdge(p, v)
+		tr.addAdj(p, e)
+		tr.addAdj(v, e)
+		if tr.nodes[p].deg == 3 {
+			open[i] = open[len(open)-1]
+			open = open[:len(open)-1]
+		}
+		if path {
+			open = open[:0]
+		}
+		open = append(open, v)
+	}
+	return tr
+}
+
+// TestLCAAgainstParentWalk checks the index against a naive rooting at node
+// 0 and against the Euler-tour index it replaced (refStaticIndex): every
+// node's parent, parent edge and depth, every pair's LCA and Dist, and
+// Median, MedianPre and OnPath of random triples. The trees are random ones;
+// the shapes of one, two and three leaves; caterpillars; and, random and as
+// paths (the deepest trees there are), every node count 2^k-1, 2^k and
+// 2^k+1 up to 257 — where the table gains a level, and where the entries of
+// its last level reach the end of their row.
 func TestLCAAgainstParentWalk(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	var trees []*Tree
+	for k := 1; k <= 8; k++ {
+		for _, n := range []int{1<<k - 1, 1 << k, 1<<k + 1} {
+			trees = append(trees, randomShape(rng, n, false), randomShape(rng, n, true))
+		}
+	}
 	for _, nw := range []string{"A;", "(A,B);", "(A,B,C);", "((A,B),C);"} {
 		taxa := MustTaxa(nil)
 		tr, err := Parse(nw, taxa, true)
@@ -153,10 +191,10 @@ func TestLCAAgainstParentWalk(t *testing.T) {
 				}
 			}
 		}
-		ix := NewStaticIndex(tr)
+		ix, ref := NewStaticIndex(tr), newRefStaticIndex(tr)
 		for u := int32(0); u < n; u++ {
 			if ix.Parent(u) != parent[u] || ix.ParentEdge(u) != pedge[u] || ix.Depth(u) != depth[u] {
-				t.Fatalf("%s: node %d has parent %d by edge %d at depth %d, want %d, %d, %d", tr.Newick(),
+				t.Fatalf("%d nodes: node %d has parent %d by edge %d at depth %d, want %d, %d, %d", n,
 					u, ix.Parent(u), ix.ParentEdge(u), ix.Depth(u), parent[u], pedge[u], depth[u])
 			}
 			for v := int32(0); v < n; v++ {
@@ -167,17 +205,31 @@ func TestLCAAgainstParentWalk(t *testing.T) {
 					}
 					a = parent[a]
 				}
-				if got := ix.LCA(u, v); got != a {
-					t.Fatalf("%s: LCA(%d,%d) = %d, want %d", tr.Newick(), u, v, got, a)
+				if got, old := ix.LCA(u, v), ref.LCA(u, v); got != a || old != a {
+					t.Fatalf("%d nodes: LCA(%d,%d) = %d, Euler tour %d, want %d", n, u, v, got, old, a)
 				}
+				if got, want := ix.Dist(u, v), ref.Dist(u, v); got != want {
+					t.Fatalf("%d nodes: Dist(%d,%d) = %d, want %d", n, u, v, got, want)
+				}
+			}
+		}
+		for q := 0; q < 200; q++ {
+			u, v, w, x := rng.Int31n(n), rng.Int31n(n), rng.Int31n(n), rng.Int31n(n)
+			want := ref.Median(u, v, w)
+			if got, pre := ix.Median(u, v, w), ix.MedianPre(ix.LCA(u, v), u, v, w); got != want || pre != want {
+				t.Fatalf("%d nodes: Median(%d,%d,%d) = %d, MedianPre %d, want %d", n, u, v, w, got, pre, want)
+			}
+			if got, want := ix.OnPath(x, u, v), ref.Dist(u, x)+ref.Dist(x, v) == ref.Dist(u, v); got != want {
+				t.Fatalf("%d nodes: OnPath(%d,%d,%d) = %v, want %v", n, x, u, v, got, want)
 			}
 		}
 	}
 }
 
+// TestStaticIndexAllocs: the index and one slab, whatever the tree.
 func TestStaticIndexAllocs(t *testing.T) {
 	tr := randomTree(MustTaxa(names(200)), rand.New(rand.NewSource(31)))
-	if n := testing.AllocsPerRun(20, func() { NewStaticIndex(tr) }); n > 4 {
-		t.Fatalf("NewStaticIndex allocates %v times, want at most 4", n)
+	if n := testing.AllocsPerRun(20, func() { NewStaticIndex(tr) }); n > 2 {
+		t.Fatalf("NewStaticIndex allocates %v times, want at most 2", n)
 	}
 }

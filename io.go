@@ -33,11 +33,12 @@ func MustParseTree(newick string, taxa *Taxa) *Tree { return tree.MustParse(newi
 //
 // The input is read once, through tree.Reader: each line is parsed straight
 // into its Tree and dropped, and the trees are sized to the universe after
-// the last line. A line may be up to 64 MiB long.
+// the last line. A line may be up to 64 MiB long; the line buffer starts at
+// the scanner's 4 KiB and grows to the longest line read.
 func ReadTrees(r io.Reader, taxa *Taxa) ([]*Tree, *Taxa, error) {
 	rd := tree.NewReader(taxa, taxa == nil)
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64<<10), 1<<26)
+	sc.Buffer(nil, 1<<26)
 	for sc.Scan() {
 		if err := rd.Line(sc.Bytes()); err != nil {
 			return nil, nil, err
