@@ -128,41 +128,11 @@ func extraBenches(add func(name string, f func(b *testing.B)),
 		}
 	})
 
-	// Tree emission (PR 14, in blocks since PR 20). SerialEngineEmit is
-	// SerialEngine with a no-op OnTrees, so the two rows of one report give
-	// the cost of rendering every stand tree as a ratio, and its allocs/op is
-	// SerialEngine's plus a constant; SerialEngineEmitStrings is the same run
-	// through the per-tree adapter, a no-op OnTree: one string a tree on top.
 	// TreeNewick is one rendering of one 129-taxon stand tree (the first of
 	// empirical dataset 23, the benchmark's stream-file stand) through the
 	// one-shot Tree.Newick. Its allocs/op is the host-independent number
-	// -compare -max-regress gates: the string and nothing else.
-	// Since PR 21 a tree is cut from the rendering of the state it shares
-	// with its final frame's others: the row reports the bytes the two-pass
-	// walk wrote and the bytes copied per tree, and the share of trees the
-	// writer spliced, re-cut or left to the full walk.
-	add("SerialEngineEmit", func(b *testing.B) {
-		var last *search.Result
-		for i := 0; i < b.N; i++ {
-			res, err := search.Run(ds.Constraints, search.Options{
-				InitialTree: -1, OnTrees: func([]byte, int) {}})
-			if err != nil {
-				b.Fatal(err)
-			}
-			last = res
-		}
-		if last != nil {
-			reportWork(b, last)
-		}
-	})
-	add("SerialEngineEmitStrings", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := search.Run(ds.Constraints, search.Options{
-				InitialTree: -1, OnTree: func(string) {}}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	// -compare -max-regress gates: the string and nothing else. The engine's
+	// own emission is the SerialEngineEmit pair (emitStrings).
 
 	// Final frames (PR 21): one op is one final frame of the reference stand —
 	// its first, re-aimed at and consumed over and over on the state it hangs
@@ -426,6 +396,35 @@ func emitCopy(ds *gen.Dataset, benchtime string) (emit, cp BenchResult, err erro
 	ratio, err := pairRows(benchtime, &cp, &emit, runCopy, runEmit)
 	emit.Metrics = map[string]float64{"emit/copy": ratio, "stand-MB": float64(volume) / 1e6}
 	return emit, cp, err
+}
+
+// emitStrings is tree emission as an in-run pair: SerialEngineEmit is
+// SerialEngine with a no-op OnTrees, so its allocs/op is SerialEngine's plus a
+// constant and the two rows of one report give the cost of rendering every
+// stand tree. A tree is cut from the rendering of the state it shares with its
+// final frame's others: the row reports the bytes the two-pass walk wrote and
+// the bytes copied per tree, and the share of trees the writer spliced, re-cut
+// or left to the full walk.
+// SerialEngineEmitStrings is the same run with a no-op OnTree: one string per
+// block on top, cut into the trees. It carries strings/blocks, which -compare
+// gates (ratioMetrics): what asking for strings costs over asking for blocks.
+func emitStrings(ds *gen.Dataset, benchtime string) (emit, strs BenchResult, err error) {
+	var last *search.Result
+	runEmit := func() (err error) {
+		last, err = search.Run(ds.Constraints, search.Options{InitialTree: -1, OnTrees: func([]byte, int) {}})
+		return err
+	}
+	runStrings := func() error {
+		_, err := search.Run(ds.Constraints, search.Options{InitialTree: -1, OnTree: func(string) {}})
+		return err
+	}
+	emit.Name, strs.Name = "SerialEngineEmit", "SerialEngineEmitStrings"
+	ratio, err := pairRows(benchtime, &emit, &strs, runEmit, runStrings)
+	if err == nil {
+		emit.Metrics = workMetrics(last)
+	}
+	strs.Metrics = map[string]float64{"strings/blocks": ratio}
+	return emit, strs, err
 }
 
 // pairRows runs two passes by turns in one process, and folds each into its

@@ -97,27 +97,37 @@ func buildTerracePath(ds *gen.Dataset) (*terrace.Terrace, []int, [][]int32, erro
 	return tr, taxa, branches, nil
 }
 
-// reportWork reports a serial run's exact work counters — the five -compare
-// gates at 0 % (exactMetrics) — and what the engine did for them.
+// reportWork reports a serial run's work metrics (workMetrics).
 func reportWork(b *testing.B, res *search.Result) {
-	b.ReportMetric(float64(res.StandTrees), "stand-trees")
-	b.ReportMetric(float64(res.IntermediateStates), "states")
-	b.ReportMetric(float64(res.DeadEnds), "dead-ends")
-	b.ReportMetric(float64(res.Steps), "steps")
-	b.ReportMetric(float64(res.Work.Extends), "extend-calls")
+	for name, v := range workMetrics(res) {
+		b.ReportMetric(v, name)
+	}
+}
+
+// workMetrics are a serial run's exact work counters — the five -compare
+// gates at 0 % (exactMetrics) — and what the engine did for them.
+func workMetrics(res *search.Result) map[string]float64 {
+	m := map[string]float64{
+		"stand-trees":  float64(res.StandTrees),
+		"states":       float64(res.IntermediateStates),
+		"dead-ends":    float64(res.DeadEnds),
+		"steps":        float64(res.Steps),
+		"extend-calls": float64(res.Work.Extends),
+	}
 	if w := res.Work; w.LookAheads+w.Fallbacks > 0 {
 		// Of the penultimate frames' branches (two taxa missing), the share the
 		// Terrace's counts answered and the share that had to be inserted.
-		b.ReportMetric(100*float64(w.LookAheads)/float64(w.LookAheads+w.Fallbacks), "lookahead-%")
-		b.ReportMetric(100*float64(w.Fallbacks)/float64(w.LookAheads+w.Fallbacks), "lookahead-fallback-%")
+		m["lookahead-%"] = 100 * float64(w.LookAheads) / float64(w.LookAheads+w.Fallbacks)
+		m["lookahead-fallback-%"] = 100 * float64(w.Fallbacks) / float64(w.LookAheads+w.Fallbacks)
 	}
 	if e, trees := res.Work.Emit, float64(res.StandTrees); e.Walked > 0 {
-		b.ReportMetric(float64(e.Walked)/trees, "walked-B/tree")
-		b.ReportMetric(float64(e.Copied)/trees, "copied-B/tree")
-		b.ReportMetric(100*float64(e.Spliced)/trees, "spliced-%")
-		b.ReportMetric(100*float64(e.Recut)/trees, "recut-%")
-		b.ReportMetric(100*(trees-float64(e.Spliced+e.Recut))/trees, "fallback-%")
+		m["walked-B/tree"] = float64(e.Walked) / trees
+		m["copied-B/tree"] = float64(e.Copied) / trees
+		m["spliced-%"] = 100 * float64(e.Spliced) / trees
+		m["recut-%"] = 100 * float64(e.Recut) / trees
+		m["fallback-%"] = 100 * (trees - float64(e.Spliced+e.Recut)) / trees
 	}
+	return m
 }
 
 // exactMetrics are the work counters that depend on the input alone, not on
@@ -127,7 +137,7 @@ var exactMetrics = []string{"stand-trees", "states", "dead-ends", "steps", "exte
 // ratioMetrics are the timings of two variants interleaved in one process,
 // divided: the host's speed cancels, so -compare fails when one is more than
 // maxRatioUp above the baseline's, on any host.
-var ratioMetrics = []string{"t2/serial", "emit/copy"}
+var ratioMetrics = []string{"t2/serial", "emit/copy", "strings/blocks"}
 
 const maxRatioUp = 0.20
 
@@ -161,7 +171,7 @@ func run(name string, f func(b *testing.B)) BenchResult {
 func main() {
 	outPath := flag.String("out", "", "write the JSON report to this file (default stdout)")
 	note := flag.String("note", "", "free-form note embedded in the report")
-	compare := flag.String("compare", "", "baseline JSON report to diff against (prints a table to stderr; exits non-zero if an exact work counter — stand-trees, states, dead-ends, steps, extend-calls — differs from the baseline's, or an in-run ratio — t2/serial, emit/copy — is more than 20 % above it)")
+	compare := flag.String("compare", "", "baseline JSON report to diff against (prints a table to stderr; exits non-zero if an exact work counter — stand-trees, states, dead-ends, steps, extend-calls — differs from the baseline's, or an in-run ratio — t2/serial, emit/copy, strings/blocks — is more than 20 % above it)")
 	maxRegress := flag.Float64("max-regress", 0, "with -compare: exit non-zero if any shared benchmark's ns/op regresses by more than this percentage, or if its allocs/op — or, on TerraceNew, StaticIndexNew, ReadTrees and SerialSmallStands, its bytes/op — exceed the baseline's by more than a quarter (host-independent gates; exact for a baseline of 0 to 3 allocs)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the benchmark runs (dataset selection excluded) — the input for PGO via scripts/pgo_profile.sh")
 	benchtime := flag.String("benchtime", "", "per-benchmark time budget, e.g. 1s or 1x (default: testing's 1s)")
@@ -334,6 +344,13 @@ func main() {
 	}
 	put(cp)
 	put(emit)
+	emit, strs, err := emitStrings(midSim, flag.CommandLine.Lookup("test.benchtime").Value.String())
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "benchreport: strings/blocks pair: %v\n", err)
+		os.Exit(1)
+	}
+	put(emit)
+	put(strs)
 	stopProfile()
 
 	data, err := json.MarshalIndent(&rep, "", "  ")

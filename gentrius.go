@@ -179,11 +179,13 @@ type Options struct {
 	// Result.Trees. Stands can be enormous; prefer OnTree for streaming.
 	CollectTrees bool
 
-	// OnTree, if non-nil, receives every stand tree as a string of its own,
-	// one call per tree, with any number of threads. With Threads == 1 the
-	// callback runs inline in the search loop, as each tree is found; with
-	// Threads > 1 trees stream from the workers, a block at a time (see
-	// OnTrees), through a bounded channel to a single collector goroutine,
+	// OnTree, if non-nil, receives every stand tree as a string, one call per
+	// tree, with any number of threads. The strings arrive a block at a time
+	// (see OnTrees): each block is converted to one string and the trees are
+	// cut from it, so a string the callback retains keeps its whole block (up
+	// to 32 KiB) alive. With Threads == 1 the callback runs inline in the
+	// search loop, in enumeration order; with Threads > 1 blocks stream from
+	// the workers through a bounded channel to a single collector goroutine,
 	// so calls are serialized but arrive in no particular order,
 	// concurrently with the enumeration. A slow callback applies
 	// backpressure to the workers instead of growing a buffer: with
@@ -193,8 +195,7 @@ type Options struct {
 	// OnTrees, if non-nil, receives the stand as bytes, in blocks: n
 	// canonical Newick strings, each newline-terminated, in a slice that is
 	// valid only during the call — ready to be written to a file or a socket
-	// as they are, with no string allocated per tree. Where OnTree's strings
-	// arrive one by one, blocks arrive in bursts of up to 32 KiB: a block is
+	// as they are, with no string allocated. A block of up to 32 KiB is
 	// handed on when it is full, whenever the counters that count its trees
 	// are published or cut (so a checkpoint never counts a tree that has
 	// not been delivered), at the end of the run, and alone for the first

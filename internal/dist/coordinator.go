@@ -101,8 +101,8 @@ func nodeDefaults(clock Clock, pol retry.Policy, m *Metrics, log *slog.Logger) (
 }
 
 // RunOptions configures one distributed enumeration. Workers ship the
-// stand's trees when CollectTrees, OnTree or OnTrees asks for them; a job
-// that sets none only counts.
+// stand's trees when CollectTrees, OnTree or OnTrees asks for them
+// (search.TreeSink); a job that sets none only counts.
 type RunOptions struct {
 	// CollectTrees stores every stand tree in Result.Trees.
 	CollectTrees bool
@@ -111,7 +111,8 @@ type RunOptions struct {
 	// merge, after fencing), in the blocks the workers' engines rendered: n
 	// newline-terminated Newicks, valid during the call. Calls are serialized.
 	OnTrees func(block []byte, n int)
-	// OnTree receives the same trees as one string each.
+	// OnTree receives the same trees as one string each, cut from the
+	// merged blocks without a copy.
 	OnTree func(newick string)
 	// InitialTree: constraint index, or negative for the heuristic.
 	InitialTree int
@@ -203,6 +204,11 @@ type fleetJob struct {
 	rec *obs.Recorder
 	log *slog.Logger
 
+	// sink hands merged blocks to the caller (nil: the job only counts), and
+	// trees are what it collects; both are the control loop's alone.
+	sink  func(block string, n int)
+	trees []string
+
 	mu       sync.Mutex
 	shards   []*shardState
 	totals   search.Counters
@@ -213,30 +219,6 @@ type fleetJob struct {
 	wake     chan struct{}
 
 	stats Result
-}
-
-// shipsTrees: the job's caller wants the stand, in one form or another.
-func (o *RunOptions) shipsTrees() bool {
-	return o.CollectTrees || o.OnTree != nil || o.OnTrees != nil
-}
-
-// deliver hands a block of merged trees to the caller in the forms it asked
-// for (collected is Result.Trees). The strings are cut from the block, not
-// copied.
-func (o *RunOptions) deliver(collected *[]string, block string) {
-	if o.OnTrees != nil {
-		o.OnTrees([]byte(block), strings.Count(block, "\n"))
-	}
-	for block != "" && (o.CollectTrees || o.OnTree != nil) {
-		var nw string
-		nw, block, _ = strings.Cut(block, "\n")
-		if o.CollectTrees {
-			*collected = append(*collected, nw)
-		}
-		if o.OnTree != nil {
-			o.OnTree(nw)
-		}
-	}
 }
 
 // checkpoint is the resume point a dispatch carries: a frontier of the job,
@@ -282,15 +264,6 @@ func (c *Coordinator) Run(ctx context.Context, jobID string, constraints []*tree
 		return nil, err
 	}
 	idx := su.InitialIndex
-	if len(su.Frontier.Tasks) == 0 {
-		// An empty stand, or a prefix that closed the whole space.
-		res := &Result{Counters: su.Counters, InitialIndex: idx}
-		if su.Tree != "" {
-			opt.deliver(&res.Trees, su.Tree+"\n")
-		}
-		return res, nil
-	}
-
 	job := &fleetJob{
 		id:          jobID,
 		constraints: cons,
@@ -300,6 +273,14 @@ func (c *Coordinator) Run(ctx context.Context, jobID string, constraints []*tree
 		totals:      su.Counters,
 		wake:        make(chan struct{}, 1),
 		stop:        search.StopExhausted,
+	}
+	job.sink = search.TreeSink[string](opt.CollectTrees, &job.trees, opt.OnTree, opt.OnTrees)
+	if len(su.Frontier.Tasks) == 0 {
+		// An empty stand, or a prefix that closed the whole space.
+		if job.sink != nil && su.Tree != "" {
+			job.sink(su.Tree+"\n", 1)
+		}
+		return &Result{Counters: su.Counters, InitialIndex: idx, Trees: job.trees}, nil
 	}
 	traceID := fleetTraceID(jobID, job.fingerprint)
 	job.rec = c.cfg.Trace.With([]obs.SField{obs.S("trace", traceID), obs.S("job", jobID)})
@@ -317,7 +298,7 @@ func (c *Coordinator) Run(ctx context.Context, jobID string, constraints []*tree
 			dispatchCkpt: job.checkpoint(fr),
 			base:         map[int]epochBase{1: {}},
 		}
-		if opt.shipsTrees() {
+		if job.sink != nil {
 			s.log = new(treeLog)
 		}
 		s.latestMass = fr.RemainingMass()
@@ -349,7 +330,6 @@ func (c *Coordinator) Run(ctx context.Context, jobID string, constraints []*tree
 // delivering merged trees, and deciding completion.
 func (c *Coordinator) controlLoop(ctx context.Context, job *fleetJob) (*Result, error) {
 	clk := c.cfg.Clock
-	var trees []string // Result.Trees, when the caller collects
 	for {
 		now := clk.Now()
 		// A cancelled job stops dispatching; its leased shards are fenced at
@@ -416,7 +396,7 @@ func (c *Coordinator) controlLoop(ctx context.Context, job *fleetJob) (*Result, 
 		job.mu.Unlock()
 
 		for _, block := range merged {
-			job.opt.deliver(&trees, block)
+			job.sink(block, strings.Count(block, "\n"))
 		}
 		if failErr != nil {
 			return nil, failErr
@@ -427,7 +407,7 @@ func (c *Coordinator) controlLoop(ctx context.Context, job *fleetJob) (*Result, 
 			res.Counters = job.totals
 			res.Stop = job.stop
 			job.mu.Unlock()
-			res.Trees = trees
+			res.Trees = job.trees
 			return &res, nil
 		}
 
@@ -501,7 +481,7 @@ func (c *Coordinator) request(job *fleetJob, s *shardState) *DispatchRequest {
 		Checkpoint:      s.dispatchCkpt,
 		CoordURL:        c.cfg.CoordURL,
 		Threads:         c.cfg.Threads,
-		CollectTrees:    job.opt.shipsTrees(),
+		CollectTrees:    job.sink != nil,
 		HeartbeatMillis: c.cfg.HeartbeatEvery.Milliseconds(),
 	}
 }

@@ -73,7 +73,7 @@ type Options struct {
 	OnTrees func(newicks []byte, n int)
 
 	// OnTree, if non-nil, receives every stand tree of every block as a
-	// string, one call per tree, from the same collector goroutine.
+	// string cut from one string per block, from the same collector goroutine.
 	OnTree func(newick string)
 
 	// Ctx cancels the run: when it is done, the halt flag all workers poll
@@ -530,8 +530,8 @@ func Run(constraints []*tree.Tree, opt Options) (*Result, error) {
 		// Nothing to run: an empty stand, a prefix that closed the whole
 		// space (at most one tree), or a snapshot of a finished run.
 		addHeuristicStats(m, su.PrefixStats)
-		if su.Tree != "" {
-			opt.sink(res)(append([]byte(su.Tree), '\n'), 1)
+		if sink := opt.sink(res); sink != nil && su.Tree != "" {
+			sink(append([]byte(su.Tree), '\n'), 1)
 		}
 		res.Elapsed = time.Since(g.started)
 		return res, nil
@@ -555,7 +555,7 @@ func Run(constraints []*tree.Tree, opt Options) (*Result, error) {
 	// channel; one collector goroutine drains it into the callbacks and/or
 	// the merged result and returns the buffers through the free list.
 	var collectDone chan struct{}
-	if opt.CollectTrees || opt.OnTree != nil || opt.OnTrees != nil {
+	if sink := opt.sink(res); sink != nil {
 		g.treeCh = make(chan treeBlock, treeBlocks)
 		g.free = make(chan []byte, treeBlocks)
 		for i := 0; i < treeBlocks; i++ {
@@ -566,7 +566,7 @@ func Run(constraints []*tree.Tree, opt Options) (*Result, error) {
 			defer close(collectDone)
 			// After a panic in the sink the run is failing: discard the rest
 			// of the stream so that no worker stays blocked at the free list.
-			for sink := opt.sink(res); g.collect(sink); {
+			for g.collect(sink) {
 				sink = func([]byte, int) {}
 			}
 		}()
@@ -638,25 +638,16 @@ func Run(constraints []*tree.Tree, opt Options) (*Result, error) {
 }
 
 // sink is where the collector puts a block: the injected stall of a slow
-// consumer, the caller's callbacks, the merged result.
+// consumer, then the forms the caller asked for (search.TreeSink); nil when
+// nobody wants the trees.
 func (opt *Options) sink(res *Result) func(block []byte, n int) {
-	each := opt.OnTree
-	if opt.CollectTrees {
-		each = func(nw string) {
-			if opt.OnTree != nil {
-				opt.OnTree(nw)
-			}
-			res.Trees = append(res.Trees, nw)
-		}
+	user := search.TreeSink[[]byte](opt.CollectTrees, &res.Trees, opt.OnTree, opt.OnTrees)
+	if user == nil {
+		return nil
 	}
 	return func(block []byte, n int) {
 		opt.Fault.StallEach(faultinject.TreeStream, n)
-		if opt.OnTrees != nil {
-			opt.OnTrees(block, n)
-		}
-		if each != nil {
-			search.EachTree(block, each)
-		}
+		user(block, n)
 	}
 }
 

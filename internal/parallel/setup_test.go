@@ -59,10 +59,10 @@ func referenceDataset() []*tree.Tree {
 // on its clone). With stealing a worker adds at most growthPerWorker more,
 // whatever the number of steals: its one engine and its path scratch grow to
 // the deepest task it meets, and the pool's free list holds a few tasks per
-// worker. The first and the last stand differ in steals more than five-fold —
-// in the runs that had the most, which are the ones the bound is held to: the
-// least a stand's runs steal varies several-fold since a final frame is one
-// step and the runs are that much shorter. Handing the stand to a block sink
+// worker. Each run is held to that bound, and on the last stand the runs go
+// on until one has stolen more tasks than it allocated beyond the shares —
+// a run's steals vary several-fold from run to run (57 to 466 at 4 threads),
+// since a final frame is one step and the runs are that much shorter. Handing the stand to a block sink
 // costs each worker at most blocksPerWorker on top — its block, its Newick
 // writer's scratch, its share of the channel's buffers and of the collector,
 // and what its engine grows by when the sink's pace hands it other shares than
@@ -93,7 +93,6 @@ func TestPoolAllocationsNearSerial(t *testing.T) {
 			}
 		}
 	}
-	var most, fewest int64 // steals at 4 threads in the run that had most: on the first stand, on the last
 	stands := [][]*tree.Tree{
 		gen.Generate(gen.Default(gen.RegimeSimulated), 12).Constraints, // 557 states, 2 835 stand trees
 		referenceDataset(),
@@ -111,21 +110,36 @@ func TestPoolAllocationsNearSerial(t *testing.T) {
 					t.Fatal(err)
 				}
 			})
-			// The most of five runs, not the least: the bound has to hold on the
-			// run with the most steals, whichever that is.
+			// Every run is held to the bound, the one with the most steals
+			// included. On the last stand at 4 threads the runs go on until one
+			// has stolen more tasks than it made allocations beyond the
+			// shares-only run's: had a steal cost even one, it could not have,
+			// so the bound tells O(T) from O(steals) on the run's own steals.
+			bound := shares + uint64(threads)*growthPerWorker
+			proof, told := threads == 4 && i == len(stands)-1, false
 			lo, hi, pool := int64(1<<62), int64(0), uint64(0)
-			for run := 0; run < 5; run++ {
+			for run := 0; run < 5 || proof && !told && run < 40; run++ {
+				var stolen int64
 				n, _ := allocatedOnce(func() {
 					res, err := Run(cons, Options{Threads: threads, InitialTree: -1})
 					if err != nil {
 						t.Fatal(err)
 					}
-					lo, hi = min(lo, res.TasksStolen), max(hi, res.TasksStolen)
+					stolen = res.TasksStolen
 				})
-				pool = max(pool, n)
+				if n > bound {
+					t.Errorf("stand %d: pool at %d threads makes %d allocations with %d steals, %d stealing its shares only",
+						i, threads, n, stolen, shares)
+				}
+				lo, hi, pool = min(lo, stolen), max(hi, stolen), max(pool, n)
+				told = told || stolen > int64(n)-int64(shares)
 			}
-			t.Logf("stand %d: serial run %d mallocs, pool at %d threads %d stealing its shares only, %d with %d to %d steals",
+			t.Logf("stand %d: serial run %d mallocs, pool at %d threads %d stealing its shares only, at most %d with %d to %d steals",
 				i, serial, threads, shares, pool, lo, hi)
+			if proof && !told {
+				t.Errorf("stand %d: no run at %d threads stole more tasks than it allocated beyond its shares: the bound does not tell O(T) from O(steals)",
+					i, threads)
+			}
 			if threads == 4 && i < 2 {
 				blocks := mallocs(func() {
 					if _, err := Run(cons, Options{Threads: threads, InitialTree: -1, OnTrees: func([]byte, int) {},
@@ -143,20 +157,7 @@ func TestPoolAllocationsNearSerial(t *testing.T) {
 				t.Errorf("stand %d: pool at %d threads, no submission, makes %d allocations, serial run %d",
 					i, threads, shares, serial)
 			}
-			if pool > shares+uint64(threads)*growthPerWorker {
-				t.Errorf("stand %d: pool at %d threads makes %d allocations with %d to %d steals, %d stealing its shares only",
-					i, threads, pool, lo, hi, shares)
-			}
-			if threads == 4 && i == 0 {
-				most = hi
-			}
-			if threads == 4 && i == len(stands)-1 {
-				fewest = hi
-			}
 		}
-	}
-	if fewest < 5*most {
-		t.Errorf("%d and %d steals: the stands do not tell O(T) from O(steals)", most, fewest)
 	}
 }
 

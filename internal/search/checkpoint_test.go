@@ -47,6 +47,7 @@ func TestCheckpointResumeMatchesUninterrupted(t *testing.T) {
 				break
 			}
 		}
+		e1.FlushTrees()
 		var buf bytes.Buffer
 		if err := e1.Snapshot(cons, idx).Write(&buf); err != nil {
 			t.Fatal(err)

@@ -15,8 +15,8 @@
 package search
 
 import (
-	"bytes"
 	"fmt"
+	"strings"
 
 	"gentrius/internal/terrace"
 	"gentrius/internal/tree"
@@ -156,15 +156,16 @@ type Engine struct {
 	// OnTrees, if set, receives the stand trees found, in blocks: n canonical
 	// Newick strings, each newline-terminated, valid during the call. A block
 	// is handed on when the next tree would take it past BlockSize, at every
-	// FlushTrees, and alone for the engine's first tree. The callee returns
-	// the buffer the next block is rendered into: the one it was handed, when
-	// it is done with it, or another (nil: the engine allocates one). With
-	// OnTrees and OnTree both nil nothing is rendered or allocated.
+	// FlushTrees, when the search space is exhausted, and alone for the
+	// engine's first tree. The callee returns the buffer the next block is
+	// rendered into: the one it was handed, when it is done with it, or
+	// another (nil: the engine allocates one). With OnTrees and OnTree both
+	// nil nothing is rendered or allocated.
 	OnTrees func(block []byte, n int) []byte
 
 	// OnTree, if set, is called with the canonical Newick string of every
-	// stand tree found, as it is found: the block handed on tree by tree and
-	// read through EachTree, one string allocated per tree.
+	// stand tree found, when its block is handed on (see OnTrees): the block
+	// read through EachTree, one string allocated per block.
 	OnTree func(newick string)
 
 	// OnLeaf, if set, receives the random-descent probability of the leaves
@@ -256,13 +257,45 @@ func (e *Engine) LookedAhead() PathStep {
 // beside rendering it, small enough to sit in a core's cache until then.
 const BlockSize = 32 << 10
 
-// EachTree calls fn with every tree of a block as a string: the per-tree form
-// of the stream, paid for only by consumers that ask for strings.
-func EachTree(block []byte, fn func(newick string)) {
-	for len(block) > 0 {
-		i := bytes.IndexByte(block, '\n')
-		fn(string(block[:i]))
-		block = block[i+1:]
+// EachTree calls fn with every tree of a block as a string: a substring of
+// block, so that the per-tree form of the stream costs one string per block,
+// converted once by whoever holds the block as bytes. A string fn retains
+// keeps its whole block alive.
+func EachTree(block string, fn func(newick string)) {
+	for block != "" {
+		var nw string
+		nw, block, _ = strings.Cut(block, "\n")
+		fn(nw)
+	}
+}
+
+// TreeSink is the one consumer of a run's blocks of stand trees (see
+// Options.OnTrees) that gives the caller each form it asked for: the block to
+// onTrees as it is, then, converted to a string once, every tree cut from it
+// appended to *trees when collect is set and passed to onTree. It is nil when
+// none is asked for: nobody wants the trees, and none need be rendered. B is
+// the form the caller holds blocks in — an engine's bytes, or strings already
+// (the fleet's merged shards), which are cut without a copy.
+func TreeSink[B []byte | string](collect bool, trees *[]string, onTree func(newick string), onTrees func(newicks []byte, n int)) func(block B, n int) {
+	each := onTree
+	if collect {
+		each = func(nw string) {
+			*trees = append(*trees, nw)
+			if onTree != nil {
+				onTree(nw)
+			}
+		}
+	}
+	if each == nil && onTrees == nil {
+		return nil
+	}
+	return func(block B, n int) {
+		if onTrees != nil {
+			onTrees([]byte(block), n)
+		}
+		if each != nil {
+			EachTree(string(block), each)
+		}
 	}
 }
 
@@ -402,6 +435,7 @@ func (e *Engine) step() Event {
 	}
 	for {
 		if len(e.frames) == 0 {
+			e.FlushTrees()
 			e.done = true
 			return EvDone
 		}
@@ -687,7 +721,7 @@ func (e *Engine) cutTrees(edges []int32) {
 // openTree readies the block for one more stand tree and returns where in
 // the block it will start.
 func (e *Engine) openTree() int {
-	if e.block == nil && e.OnTrees != nil {
+	if e.block == nil {
 		e.block = make([]byte, 0, BlockSize)
 	}
 	return len(e.block)
@@ -699,8 +733,7 @@ func (e *Engine) openTree() int {
 func (e *Engine) closeTree(at int) {
 	e.block = append(e.block, '\n')
 	e.pending++
-	full := len(e.block)+(len(e.block)-at) > BlockSize
-	if full || !e.handed || e.OnTree != nil {
+	if full := len(e.block)+(len(e.block)-at) > BlockSize; full || !e.handed {
 		e.FlushTrees()
 	}
 }
@@ -714,7 +747,7 @@ func (e *Engine) FlushTrees() {
 	}
 	e.handed = true
 	if e.OnTree != nil {
-		EachTree(e.block, e.OnTree)
+		EachTree(string(e.block), e.OnTree)
 	}
 	next := e.block
 	if e.OnTrees != nil {

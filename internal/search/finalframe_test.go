@@ -271,6 +271,7 @@ func TestCheckpointAtEveryStepBoundary(t *testing.T) {
 		before := eng.Snapshot(cons, ref.InitialIndex)
 		at := delivered
 		ev := eng.Step()
+		eng.FlushTrees() // the step's trees, before the counters that count them are cut
 		if ev == EvDone {
 			break
 		}
@@ -337,7 +338,7 @@ func TestCheckpointAtEveryStepBoundary(t *testing.T) {
 // TestFinalFrameBlocks: the trees of a final frame leave as any others do.
 // The run's first tree reaches OnTrees alone, before the second is rendered;
 // a block is cut at BlockSize inside a frame; no block spans a FlushTrees;
-// and OnTree gets one string per tree in the same order.
+// and OnTree gets the trees of each block as strings, in the same order.
 func TestFinalFrameBlocks(t *testing.T) {
 	cons := midStand(t, 1717)
 	ref, err := Run(cons, Options{InitialTree: -1, CollectTrees: true})
@@ -399,18 +400,22 @@ func TestFinalFrameBlocks(t *testing.T) {
 		}
 	}
 
-	// One string per tree, in order, each handed on before the next is rendered.
+	// One string per tree, the trees of OnTrees' blocks of the same run, in
+	// order, and the last block handed on when the space is exhausted.
 	eng := newEngine()
 	var got []string
-	eng.OnTree = func(nw string) {
-		got = append(got, nw)
-		if e := eng.Work().Emit; e.Spliced+e.Recut != int64(len(got)) {
-			t.Fatalf("tree %d handed on after %+v were rendered", len(got), e)
+	var blocks []byte
+	eng.OnTree = func(nw string) { got = append(got, nw) }
+	eng.OnTrees = func(block []byte, n int) []byte {
+		if cut := strings.Join(got[len(got)-n:], "\n") + "\n"; string(block) != cut {
+			t.Fatalf("OnTree got %q before the block %q", cut, block)
 		}
+		blocks = append(blocks, block...)
+		return block
 	}
 	for eng.Step() != EvDone {
 	}
-	if !slices.Equal(got, ref.Trees) {
+	if !slices.Equal(got, ref.Trees) || string(blocks) != want {
 		t.Fatalf("OnTree got %d trees, the run %d, or another order", len(got), len(ref.Trees))
 	}
 }

@@ -109,14 +109,16 @@ type Options struct {
 	// CollectTrees stores every stand tree's canonical Newick string in
 	// Result.Trees. Off by default: stands can be enormous.
 	CollectTrees bool
-	// OnTree, if set, receives every stand tree found, as it is found.
+	// OnTree, if set, receives every stand tree found, in enumeration order,
+	// a block at a time (see OnTrees): the strings are cut from one string per
+	// block.
 	OnTree func(newick string)
 	// OnTrees, if set, receives the stand in blocks: n canonical Newick
 	// strings in enumeration order, each newline-terminated, in bytes that
 	// are valid only during the call. A block is handed on at BlockSize, at
 	// every stopping-rule check (so before any snapshot) and at the end of
-	// the run, and the run's first tree alone. With CollectTrees or OnTree
-	// set as well, every block is one tree.
+	// the run, and the run's first tree alone, whichever of the three forms
+	// are asked for (TreeSink).
 	OnTrees func(newicks []byte, n int)
 
 	// CheckEvery is the interval between stopping-rule evaluations, in
@@ -302,22 +304,9 @@ func Run(constraints []*tree.Tree, opt Options) (*Result, error) {
 		estPrev = c
 	}
 
-	if opt.CollectTrees {
-		eng.OnTree = func(nw string) { res.Trees = append(res.Trees, nw) }
-	}
-	if opt.OnTree != nil {
-		user := opt.OnTree
-		prev := eng.OnTree
-		eng.OnTree = func(nw string) {
-			if prev != nil {
-				prev(nw)
-			}
-			user(nw)
-		}
-	}
-	if opt.OnTrees != nil {
+	if sink := TreeSink[[]byte](opt.CollectTrees, &res.Trees, opt.OnTree, opt.OnTrees); sink != nil {
 		eng.OnTrees = func(block []byte, n int) []byte {
-			opt.OnTrees(block, n)
+			sink(block, n)
 			return block
 		}
 	}

@@ -36,7 +36,7 @@ func (h *fakeHost) Publish(c Counters) {
 }
 
 func (h *fakeHost) Trees(block []byte, _ int) []byte {
-	EachTree(block, func(nw string) { h.trees = append(h.trees, nw) })
+	EachTree(string(block), func(nw string) { h.trees = append(h.trees, nw) })
 	return block
 }
 

@@ -231,8 +231,8 @@ type sim struct {
 	stolen   int64
 	flushes  int64
 	tick     int64
-	nextTask int64 // task-id sequence, continued past the initial shares
-	trees    []string
+	nextTask int64                     // task-id sequence, continued past the initial shares
+	sink     func(block []byte, n int) // into Result.Trees; nil when nobody wants them
 	workers  []*vworker
 }
 
@@ -260,22 +260,23 @@ func Run(constraints []*tree.Tree, opt Options) (*Result, error) {
 	opt.Estimator.AddCounters(su.Counters.StandTrees,
 		su.Counters.IntermediateStates, su.Counters.DeadEnds)
 	opt.Estimator.AddLeafMass(su.LeafMass, su.Leaves)
+	sink := search.TreeSink[[]byte](opt.CollectTrees, &res.Trees, nil, nil)
 	tasks := su.Frontier.Tasks
 	if len(tasks) == 0 {
 		// Nothing to run: an empty stand, a prefix that closed the whole
 		// space (at most one tree), or a snapshot of a finished run.
 		res.Heuristic.Add(su.PrefixStats)
-		if su.Tree != "" && opt.CollectTrees {
-			res.Trees = append(res.Trees, su.Tree)
+		if sink != nil && su.Tree != "" {
+			sink(append([]byte(su.Tree), '\n'), 1)
 		}
 		return res, nil
 	}
 
 	s := &sim{opt: opt, limits: opt.Limits.counting(), g: su.Counters,
-		tick: prefixLen, nextTask: int64(opt.Workers)}
+		tick: prefixLen, nextTask: int64(opt.Workers), sink: sink}
 	for w := 0; w < opt.Workers; w++ {
 		vw := &vworker{id: w, s: s}
-		vw.wk = su.NewWorker(opt.Policy, vw, opt.Estimator, opt.CollectTrees)
+		vw.wk = su.NewWorker(opt.Policy, vw, opt.Estimator, s.sink != nil)
 		vw.stats.Busy = prefixLen
 		vw.stats.Replay = prefixLen
 		s.workers = append(s.workers, vw)
@@ -339,7 +340,6 @@ func Run(constraints []*tree.Tree, opt Options) (*Result, error) {
 	res.Ticks = s.tick
 	res.TasksStolen = s.stolen
 	res.Flushes = s.flushes
-	res.Trees = s.trees
 	if s.stop {
 		res.Stop = s.reason
 	}
@@ -520,8 +520,8 @@ func (s *sim) halt(r search.StopReason, w int) {
 		obs.F("states", s.g.IntermediateStates))
 }
 
-// Trees collects a block of stand trees.
-func (w *vworker) Trees(block []byte, _ int) []byte {
-	search.EachTree(block, func(nw string) { w.s.trees = append(w.s.trees, nw) })
+// Trees hands a block of stand trees to the run's sink.
+func (w *vworker) Trees(block []byte, n int) []byte {
+	w.s.sink(block, n)
 	return block
 }

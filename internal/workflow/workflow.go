@@ -58,6 +58,7 @@ func Record(constraints []*tree.Tree, initialIdx int, maxStates int) (*Node, err
 	for {
 		found = found[:0]
 		ev := eng.Step()
+		eng.FlushTrees()
 		if ev == search.EvDone {
 			break
 		}
