@@ -138,9 +138,6 @@ func main() {
 		if *progress > 0 {
 			estimator = &obs.Estimator{}
 			opt.Obs.Estimate = estimator
-			registry.GaugeFunc("gentrius_fraction_explored",
-				"estimated fraction of the search space explored (weighted backtrack estimator)",
-				estimator.Fraction)
 		}
 	}
 	if *traceOut != "" {

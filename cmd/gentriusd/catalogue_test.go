@@ -34,7 +34,8 @@ var (
 
 // readCatalogue returns the rows under "## <section>", name → the other
 // cells. A row must name who emits the signal (second-to-last cell) and who
-// reads it (last cell); every file a reader cell names must exist, and a row
+// reads it (last cell): every file a reader cell names must exist, one of them
+// must be code, a script or a test (README.md alone is no reader), and a row
 // read by README.md must be named in README.md.
 func readCatalogue(t *testing.T, section string) map[string][]string {
 	t.Helper()
@@ -68,7 +69,9 @@ func readCatalogue(t *testing.T, section string) map[string][]string {
 		if emitter == "" || len(files) == 0 {
 			t.Errorf("%s: a row names its emitting layer and a reader that is a file of the repository", name)
 		}
+		inCode := false
 		for _, f := range files {
+			inCode = inCode || !strings.HasSuffix(f[1], ".md")
 			if _, err := os.Stat(filepath.Join(repoRoot, f[1])); err != nil {
 				t.Errorf("%s: reader %s: %v", name, f[1], err)
 			}
@@ -76,6 +79,9 @@ func readCatalogue(t *testing.T, section string) map[string][]string {
 				!bytes.Contains(readme, []byte("`"+name+"{")) {
 				t.Errorf("%s: said to be read from README.md, which does not name it", name)
 			}
+		}
+		if len(files) > 0 && !inCode {
+			t.Errorf("%s: no program, script or test reads it: give it a reader in code or delete it", name)
 		}
 	}
 	if len(rows) == 0 {
@@ -130,9 +136,6 @@ func TestCatalogue(t *testing.T) {
 			if len(cells) != 4 {
 				t.Errorf("%s: %d cells after the name, want type, labels, emitted by, read by", fam, len(cells))
 				continue
-			}
-			if strings.HasPrefix(cells[2], "`cmd/gentrius`") {
-				continue // the CLI's own family: no daemon constructor registers it
 			}
 			if types[fam] == "" {
 				t.Errorf("%s: listed, and no constructor of cmd/gentriusd registers it", fam)

@@ -386,7 +386,6 @@ func enumerateSerial(constraints []*Tree, sopt search.Options, sink *ObsSink) (*
 	// one thread too.
 	var checked search.Counters
 	m := sink.SchedMetrics()
-	m.Workers.Set(1)
 	if sink != nil && sink.Metrics != nil {
 		sopt.OnCheck = func(c search.Counters, _ time.Duration) {
 			m.Trees.Add(c.StandTrees - checked.StandTrees)

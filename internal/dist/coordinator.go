@@ -506,7 +506,6 @@ func (c *Coordinator) dispatch(ctx context.Context, job *fleetJob, s *shardState
 	case resp.Parked != nil:
 		// The worker finished an earlier epoch of this shard while
 		// orphaned; adopt that result instead of the new lease.
-		c.cfg.Metrics.ParkedAdopted.Inc()
 		job.stats.Adopted++
 		job.rec.EmitTagged(obs.EvShardAdopted, -1,
 			[]obs.SField{obs.S("peer", c.peerName(p))},
@@ -538,7 +537,6 @@ func (c *Coordinator) runLocally(ctx context.Context, job *fleetJob, s *shardSta
 	s.peer = -1
 	s.deadline = c.cfg.Clock.Now().Add(100 * 365 * 24 * time.Hour)
 	req := c.request(job, s)
-	c.cfg.Metrics.LocalFallbacks.Inc()
 	job.stats.LocalShards++
 	job.rec.EmitTagged(obs.EvFleetLocal, -1, nil,
 		obs.F("shard", int64(s.idx)), obs.F("epoch", int64(req.Epoch)))
@@ -598,7 +596,6 @@ func (c *Coordinator) HandleHeartbeat(req *HeartbeatRequest) *HeartbeatResponse 
 		s.latest = req.Checkpoint
 		s.latestMass = min(s.latestMass, req.RemainingMass)
 	}
-	c.cfg.Metrics.HeartbeatsRecv.Inc()
 	if s.peer >= 0 { // peer liveness for /healthz and /v1/fleet/status
 		c.mu.Lock()
 		c.lastHB[s.peer] = c.cfg.Clock.Now()
@@ -656,7 +653,6 @@ func (c *Coordinator) mergeResultLocked(job *fleetJob, req *ShardResult) bool {
 	}
 	s.status = shardDone
 	s.latestMass = 0
-	c.cfg.Metrics.ShardsCompleted.Inc()
 	job.rec.EmitTagged(obs.EvShardDone, -1,
 		[]obs.SField{obs.S("stop", req.Stop.String()), obs.S("node", req.Node)},
 		obs.F("shard", int64(req.Shard)), obs.F("epoch", int64(req.Epoch)),

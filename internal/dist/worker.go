@@ -128,7 +128,6 @@ func (w *Worker) HandleDispatch(req *DispatchRequest) *DispatchResponse {
 			// A newer epoch supersedes the run we still have going.
 			run.fenced.Store(true)
 			run.cancel()
-			w.cfg.Metrics.ShardsFencedAway.Inc()
 		}
 	}
 	ctx, cancel := context.WithCancel(context.Background())

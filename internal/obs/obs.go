@@ -78,13 +78,6 @@ func (g *Gauge) Set(n int64) {
 	}
 }
 
-// Add adjusts the gauge by delta. Safe on nil.
-func (g *Gauge) Add(delta int64) {
-	if g != nil {
-		g.v.Add(delta)
-	}
-}
-
 // Value returns the current value (0 on nil).
 func (g *Gauge) Value() int64 {
 	if g == nil {
@@ -300,21 +293,6 @@ func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
 	})
 }
 
-// gaugeFunc is a gauge whose value is computed at render time — the
-// collector pattern for values that live elsewhere (e.g. a per-job
-// estimator) and should not need push-style update plumbing.
-type gaugeFunc struct {
-	name string
-	help string
-	fn   func() float64
-}
-
-// GaugeFunc registers a gauge whose value is fn(), evaluated at every
-// WritePrometheus/Snapshot call. fn must be safe for concurrent use.
-func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
-	register(r, name, func() *gaugeFunc { return &gaugeFunc{name: name, help: help, fn: fn} })
-}
-
 // baseName strips a label suffix ('m{w="3"}' -> 'm') for HELP/TYPE lines.
 func baseName(name string) string {
 	if i := strings.IndexByte(name, '{'); i >= 0 {
@@ -371,9 +349,6 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 		case *Gauge:
 			header(name, m.help, "gauge")
 			fmt.Fprintf(w, "%s %d\n", name, m.Value())
-		case *gaugeFunc:
-			header(name, m.help, "gauge")
-			fmt.Fprintf(w, "%s %g\n", name, m.fn())
 		case *Histogram:
 			header(name, m.help, "histogram")
 			base, labels := splitLabels(name)
@@ -421,8 +396,6 @@ func (r *Registry) Snapshot() map[string]float64 {
 			out[name] = float64(m.Value())
 		case *Gauge:
 			out[name] = float64(m.Value())
-		case *gaugeFunc:
-			out[name] = m.fn()
 		case *Histogram:
 			out[name+"_count"] = float64(m.Count())
 			out[name+"_sum"] = m.Sum()

@@ -1,6 +1,6 @@
 // SchedMetrics bundles the instruments the work-stealing pool exports,
-// named after the paper constructs they measure (task submits/steals,
-// batched counter flushes, stop-rule overshoot). Construct one per run
+// named after the paper constructs they measure (the search counters its
+// batched flushes publish, task steals, the queue). Construct one per run
 // with NewSchedMetrics; a nil *SchedMetrics (or any nil field) disables
 // that instrument.
 package obs
@@ -16,40 +16,11 @@ type SchedMetrics struct {
 	DeadEnds *Counter
 
 	// Task-queue instruments (paper Sec. III-A).
-	TasksSubmitted *Counter
-	TasksRejected  *Counter
-	TasksStolen    *Counter
-	QueueDepth     *Gauge
-	StealWait      *Histogram // seconds an idle worker blocked before a steal
+	TasksStolen *Counter
+	QueueDepth  *Gauge
 
-	// Fault-tolerance instruments: panics recovered at the task-execution
-	// boundary and the panicked tasks put back on the queue for retry.
-	WorkerPanics  *Counter
-	TasksRequeued *Counter
-
-	// Flush-size histograms (paper Sec. III-B counter batching): the
-	// local-counter deltas moved into the shared atomics per flush.
-	FlushTrees    *Histogram
-	FlushStates   *Histogram
-	FlushDeadEnds *Histogram
-
-	// Stop-rule overshoot (counts past the fired limit — the paper notes
-	// the limits "can be slightly exceeded" under batching).
-	OvershootTrees  *Gauge
-	OvershootStates *Gauge
-
-	// Incremental admissible-branch accounting (terrace heuristic layer),
-	// aggregated across the coordinator and every worker terrace: taxa
-	// scanned by the dynamic insertion heuristic, how many of those scans
-	// resolved in O(1) through a single constraint's preimage size, how
-	// many fell back to a full recount after a dirty invalidation, and how
-	// many ±2 incremental count adjustments were applied.
-	HeuristicScanTaxa   *Counter
-	HeuristicO1Counts   *Counter
-	HeuristicRecounts   *Counter
-	HeuristicIncUpdates *Counter
-
-	Workers *Gauge // configured worker count
+	// Panics recovered at the task-execution boundary.
+	WorkerPanics *Counter
 
 	perWorker []WorkerMetrics
 }
@@ -65,36 +36,16 @@ type WorkerMetrics struct {
 // NewSchedMetrics registers the scheduler instrument set on reg with the
 // gentrius_ prefix.
 func NewSchedMetrics(reg *Registry) *SchedMetrics {
-	sizeBuckets := ExpBuckets(1, 2, 16)    // 1 .. 32768
-	waitBuckets := ExpBuckets(1e-6, 4, 12) // 1us .. ~4s
 	return &SchedMetrics{
 		reg:      reg,
 		Trees:    reg.Counter("gentrius_stand_trees_total", "stand trees found"),
 		States:   reg.Counter("gentrius_intermediate_states_total", "intermediate states visited"),
 		DeadEnds: reg.Counter("gentrius_dead_ends_total", "dead ends hit"),
 
-		TasksSubmitted: reg.Counter("gentrius_tasks_submitted_total", "work-stealing tasks enqueued"),
-		TasksRejected:  reg.Counter("gentrius_tasks_rejected_total", "task submissions rejected (queue full or shut down)"),
-		TasksStolen:    reg.Counter("gentrius_tasks_stolen_total", "tasks dequeued by idle workers"),
-		QueueDepth:     reg.Gauge("gentrius_task_queue_depth", "tasks currently queued"),
-		StealWait:      reg.Histogram("gentrius_steal_wait_seconds", "seconds idle workers blocked before a steal", waitBuckets),
+		TasksStolen: reg.Counter("gentrius_tasks_stolen_total", "tasks dequeued by idle workers"),
+		QueueDepth:  reg.Gauge("gentrius_task_queue_depth", "tasks currently queued"),
 
-		WorkerPanics:  reg.Counter("gentrius_worker_panics_recovered_total", "worker panics recovered mid-task"),
-		TasksRequeued: reg.Counter("gentrius_tasks_requeued_total", "panicked tasks requeued for retry"),
-
-		FlushTrees:    reg.Histogram("gentrius_flush_trees", "stand-tree delta per counter flush", sizeBuckets),
-		FlushStates:   reg.Histogram("gentrius_flush_states", "intermediate-state delta per counter flush", sizeBuckets),
-		FlushDeadEnds: reg.Histogram("gentrius_flush_dead_ends", "dead-end delta per counter flush", sizeBuckets),
-
-		OvershootTrees:  reg.Gauge("gentrius_stop_overshoot_trees", "stand trees counted past a fired tree limit"),
-		OvershootStates: reg.Gauge("gentrius_stop_overshoot_states", "states counted past a fired state limit"),
-
-		HeuristicScanTaxa:   reg.Counter("gentrius_heuristic_scan_taxa_total", "pending taxa scanned by the dynamic insertion heuristic"),
-		HeuristicO1Counts:   reg.Counter("gentrius_heuristic_o1_counts_total", "heuristic count queries resolved in O(1) via single-constraint preimage sizes"),
-		HeuristicRecounts:   reg.Counter("gentrius_heuristic_dirty_recounts_total", "heuristic count queries recomputed from scratch after a dirty invalidation"),
-		HeuristicIncUpdates: reg.Counter("gentrius_heuristic_incremental_updates_total", "incremental ±2 admissible-count adjustments applied"),
-
-		Workers: reg.Gauge("gentrius_workers", "configured worker count"),
+		WorkerPanics: reg.Counter("gentrius_worker_panics_recovered_total", "worker panics recovered mid-task"),
 	}
 }
 

@@ -26,8 +26,8 @@ func WallClock(start time.Time) Clock {
 // this package, which writes traces, and internal/tracereport, which reads
 // them. Every name here has an emitter and a reader, both listed in
 // CATALOGUE.md (TestCatalogue compares that table with this block): a
-// refused queue offer, for one, is per-frame work counted by
-// gentrius_tasks_rejected_total and is not traced, and a worker going idle
+// refused queue offer, for one, is per-frame work with no reader and is
+// neither traced nor counted, and a worker going idle
 // or leaving the pool is what the gap between its task-end and its next
 // steal already says.
 const (

@@ -168,6 +168,30 @@ func TestNoRetryModeFailsFast(t *testing.T) {
 	}
 }
 
+// TestFailedRunEmptiesQueueGauge: a run that fails on its first task still
+// has the other shares queued when it returns; the queue-depth gauge, which
+// -progress and a daemon's /metrics read between runs, must say 0 all the same.
+func TestFailedRunEmptiesQueueGauge(t *testing.T) {
+	rng := rand.New(rand.NewSource(8282))
+	cons := randomScenario(rng, 12, 2, 4, 0.5)
+	m := obs.NewSchedMetrics(obs.NewRegistry())
+	_, err := Run(cons, Options{
+		Threads:        4,
+		InitialTree:    -1,
+		Limits:         unlimited(),
+		Fault:          faultinject.New(1).Set(faultinject.TaskExec, faultinject.Rule{Every: 1}),
+		MaxTaskRetries: -1,
+		Obs:            &obs.Sink{Metrics: m},
+	})
+	var wpe *WorkerPanicError
+	if !errors.As(err, &wpe) {
+		t.Fatalf("error %v, want *WorkerPanicError", err)
+	}
+	if got := m.QueueDepth.Value(); got != 0 {
+		t.Fatalf("gentrius_task_queue_depth = %d after the run failed, want 0", got)
+	}
+}
+
 // TestSlowConsumerStall: an injected stall in the tree collector must slow
 // the run down, not break it — counters and the stand stay exact.
 func TestSlowConsumerStall(t *testing.T) {

@@ -62,11 +62,22 @@ func TestCounterConservation(t *testing.T) {
 			if m.TasksStolen.Value() != res.TasksStolen {
 				t.Fatalf("metric stolen %d != result %d", m.TasksStolen.Value(), res.TasksStolen)
 			}
-			// Per-worker labelled counters reproduce the breakdown.
+			// Per-worker labelled counters reproduce the breakdown, and their
+			// steals add up to the pool's.
+			var stolen int64
 			for wid, wc := range res.PerWorker {
-				if got := m.Worker(wid).Trees.Value(); got != wc.StandTrees {
-					t.Fatalf("worker %d metric trees %d != breakdown %d", wid, got, wc.StandTrees)
+				wm := m.Worker(wid)
+				got := search.Counters{StandTrees: wm.Trees.Value(),
+					IntermediateStates: wm.States.Value(), DeadEnds: wm.DeadEnds.Value()}
+				if got != wc {
+					t.Fatalf("scen %d threads %d: worker %d metrics %+v != breakdown %+v",
+						scen, threads, wid, got, wc)
 				}
+				stolen += wm.Stolen.Value()
+			}
+			if stolen != m.TasksStolen.Value() {
+				t.Fatalf("scen %d threads %d: per-worker steals add up to %d, gentrius_tasks_stolen_total %d",
+					scen, threads, stolen, m.TasksStolen.Value())
 			}
 			if res.TasksStolen > 0 {
 				nontrivial++
@@ -140,43 +151,6 @@ func TestQueueStealZeroesHeadSlot(t *testing.T) {
 	}
 	if backing[0] != nil {
 		t.Fatalf("head slot retains task after steal: %+v", backing[0])
-	}
-}
-
-// TestOvershootMetric: when rule 1 fires, the overshoot gauge reports how
-// far past the limit the batched counters ran.
-func TestOvershootMetric(t *testing.T) {
-	rng := rand.New(rand.NewSource(64))
-	for scen := 0; ; scen++ {
-		if scen > 100 {
-			t.Skip("no suitable scenario found")
-		}
-		cons := randomScenario(rng, 14, 2, 4, 0.45)
-		serial, err := search.Run(cons, search.Options{InitialTree: -1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if serial.StandTrees < 500 {
-			continue
-		}
-		m := obs.NewSchedMetrics(obs.NewRegistry())
-		limit := int64(100)
-		res, err := Run(cons, Options{
-			Threads: 4, InitialTree: -1,
-			Limits: search.Limits{MaxTrees: limit},
-			Policy: search.Policy{TreeBatch: 8, StateBatch: 64, DeadEndBatch: 8},
-			Obs:    &obs.Sink{Metrics: m},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Stop != search.StopTreeLimit {
-			t.Fatalf("stop = %v", res.Stop)
-		}
-		if got, want := m.OvershootTrees.Value(), res.StandTrees-limit; got != want {
-			t.Fatalf("overshoot gauge %d, want %d", got, want)
-		}
-		return
 	}
 }
 

@@ -30,7 +30,6 @@ import (
 	"gentrius/internal/faultinject"
 	"gentrius/internal/obs"
 	"gentrius/internal/search"
-	"gentrius/internal/terrace"
 	"gentrius/internal/tree"
 )
 
@@ -92,10 +91,10 @@ type Options struct {
 	// (zero value: the paper's min-branches rule).
 	Heuristic search.OrderHeuristic
 
-	// Obs attaches scheduler observability: metrics (queue depth, task
-	// submits/steals, steal wait, flush sizes, per-worker counters,
-	// stop-rule overshoot) and/or a JSONL event trace. Nil disables both;
-	// the disabled hot path costs one predictable branch per instrument.
+	// Obs attaches scheduler observability: metrics (the search counters,
+	// queue depth, steals, panics recovered, per-worker counters) and/or a
+	// JSONL event trace. Nil disables both; the disabled hot path costs one
+	// predictable branch per instrument.
 	Obs *obs.Sink
 
 	// Fault attaches deterministic fault injection (nil: no faults). The
@@ -277,12 +276,10 @@ func (q *queue) trySubmit(t *task, by int) bool {
 	q.mu.Lock()
 	if q.done || len(q.tasks) >= q.cap {
 		q.mu.Unlock()
-		q.m.TasksRejected.Inc()
 		return false
 	}
 	q.push(t, by)
 	q.mu.Unlock()
-	q.m.TasksSubmitted.Inc()
 	q.cond.Signal()
 	return true
 }
@@ -291,10 +288,6 @@ func (q *queue) trySubmit(t *task, by int) bool {
 // return is false on termination. Ownership of the task transfers to the
 // caller, who recycles it into the pool when done.
 func (q *queue) steal() (*task, bool) {
-	var waitStart time.Time
-	if q.m.StealWait != nil {
-		waitStart = time.Now()
-	}
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.idle++; q.idle == q.workers {
@@ -321,9 +314,6 @@ func (q *queue) steal() (*task, bool) {
 			q.idle--
 			q.stolen++
 			q.m.TasksStolen.Inc()
-			if q.m.StealWait != nil {
-				q.m.StealWait.Observe(time.Since(waitStart).Seconds())
-			}
 			return t, true
 		case q.idle == q.workers:
 			// Everyone is waiting and the queue is empty: no work remains.
@@ -345,7 +335,6 @@ func (q *queue) requeue(t *task) {
 	q.tasks = append(q.tasks, t)
 	q.m.QueueDepth.Set(int64(len(q.tasks)))
 	q.mu.Unlock()
-	q.m.TasksRequeued.Inc()
 	q.cond.Signal()
 }
 
@@ -507,7 +496,6 @@ func Run(constraints []*tree.Tree, opt Options) (*Result, error) {
 	res := &Result{Stop: search.StopExhausted}
 	m := opt.Obs.SchedMetrics()
 	m.EnsureWorkers(opt.Threads)
-	m.Workers.Set(int64(opt.Threads))
 	g := &globals{opt: &opt, m: m, limits: opt.Limits, started: time.Now(),
 		rec: opt.Obs.Recorder(), est: opt.Obs.Estimator()}
 
@@ -529,7 +517,6 @@ func Run(constraints []*tree.Tree, opt Options) (*Result, error) {
 	if len(su.Frontier.Tasks) == 0 {
 		// Nothing to run: an empty stand, a prefix that closed the whole
 		// space (at most one tree), or a snapshot of a finished run.
-		addHeuristicStats(m, su.PrefixStats)
 		if sink := opt.sink(res); sink != nil && su.Tree != "" {
 			sink(append([]byte(su.Tree), '\n'), 1)
 		}
@@ -538,6 +525,9 @@ func Run(constraints []*tree.Tree, opt Options) (*Result, error) {
 	}
 
 	q := newQueue(opt.Policy.QueueCap, 1, m)
+	// The gauge is the live view of this queue: however the run ends, failed
+	// with tasks still queued included, it ends empty.
+	defer m.QueueDepth.Set(0)
 	q.rec = g.rec
 	g.su, g.q = su, q
 	// One way in: shares and resumed frontier alike are queued, and stolen.
@@ -617,22 +607,11 @@ func Run(constraints []*tree.Tree, opt Options) (*Result, error) {
 	res.TasksStolen = q.stolen
 	res.Flushes = g.flushes.Load()
 	res.Stop = search.StopReason(g.reason.Load())
-	switch res.Stop {
-	case search.StopTreeLimit:
-		if opt.Limits.MaxTrees > 0 {
-			m.OvershootTrees.Set(res.Counters.StandTrees - opt.Limits.MaxTrees)
-		}
-	case search.StopStateLimit:
-		if opt.Limits.MaxStates > 0 {
-			m.OvershootStates.Set(res.Counters.IntermediateStates - opt.Limits.MaxStates)
-		}
-	}
 	if ck.OnStop && res.Stop != search.StopExhausted && res.Stop != search.StopFailed {
 		// The pool has drained: the queue's remnant plus what the workers handed
 		// in as they hit the stop are exactly the outstanding work.
 		res.Checkpoint = su.Checkpoint(res.Counters, opt.Threads, q.frontier())
 	}
-	m.QueueDepth.Set(0)
 	res.Elapsed = time.Since(g.started)
 	return res, nil
 }
@@ -649,15 +628,6 @@ func (opt *Options) sink(res *Result) func(block []byte, n int) {
 		opt.Fault.StallEach(faultinject.TreeStream, n)
 		user(block, n)
 	}
-}
-
-// addHeuristicStats folds a terrace's heuristic-layer stats into the
-// metrics: the prefix walk's and each retiring worker's.
-func addHeuristicStats(m *obs.SchedMetrics, hs terrace.HeuristicStats) {
-	m.HeuristicScanTaxa.Add(hs.CountQueries)
-	m.HeuristicO1Counts.Add(hs.O1Counts)
-	m.HeuristicRecounts.Add(hs.Recounts)
-	m.HeuristicIncUpdates.Add(hs.IncUpdates)
 }
 
 // worker is one pool worker: a search.Worker — the per-thread protocol,
@@ -685,7 +655,6 @@ type worker struct {
 // retire accounts what w's search.Worker did, at exit or before a panic's
 // wreckage is discarded.
 func (w *worker) retire() {
-	addHeuristicStats(w.m, w.wk.HeuristicStats())
 	w.work[w.id].Add(w.wk.Work())
 }
 
@@ -711,13 +680,10 @@ func (w *worker) Offer(path []search.PathStep, f *search.Frame, n int) int {
 // Publish adds a counter batch to the global totals and re-evaluates the
 // stopping rules.
 func (w *worker) Publish(c search.Counters) {
-	m, wm := w.m, w.m.Worker(w.id)
+	wm := w.m.Worker(w.id)
 	w.dirty = true
 	w.add(c)
 	w.flushes.Add(1)
-	m.FlushTrees.Observe(float64(c.StandTrees))
-	m.FlushStates.Observe(float64(c.IntermediateStates))
-	m.FlushDeadEnds.Observe(float64(c.DeadEnds))
 	wm.Trees.Add(c.StandTrees)
 	wm.States.Add(c.IntermediateStates)
 	wm.DeadEnds.Add(c.DeadEnds)

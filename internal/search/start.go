@@ -47,10 +47,6 @@ type Setup struct {
 	// share each as the paper does, that the tasks are restored work to queue.
 	Resumed bool
 
-	// PrefixStats is the heuristic-layer accounting of the prefix walk: also in
-	// the first worker's HeuristicStats, so a driver adds it only with no tasks.
-	PrefixStats terrace.HeuristicStats
-
 	constraints []*tree.Tree
 
 	// proto is the Terrace at I_0 that NewTerrace clones: the run's one
@@ -138,7 +134,6 @@ func Start(constraints []*tree.Tree, initialTree int, h OrderHeuristic, resume *
 	pre := PrefixWalkH(t, h)
 	s.Counters = pre.Counters
 	s.Frontier.Prefix = pre.Path
-	s.PrefixStats = t.HeuristicStats()
 	if pre.Terminal {
 		// The prefix closed the whole space: one leaf (a single stand tree
 		// or a dead end) carrying the entire mass.

@@ -387,9 +387,10 @@ func TestSetupTerracesAreNewPlusReplay(t *testing.T) {
 		// The first worker takes the walked Terrace; the next Terrace is cut
 		// from its, wherever in its task it stands.
 		h := &fakeHost{take: 1 << 30}
+		walked := su.proto
 		w := su.NewWorker(pol, h, nil, false)
 		check("the first worker's Terrace", w.t, false)
-		if su.proto != nil || w.HeuristicStats() != su.PrefixStats {
+		if su.proto != nil || w.t != walked {
 			t.Fatalf("stand %d: the first worker did not take the walked Terrace", i)
 		}
 		if err := w.Begin(su.Frontier.Tasks[0]); err != nil {
@@ -403,8 +404,8 @@ func TestSetupTerracesAreNewPlusReplay(t *testing.T) {
 		w2 := su.NewWorker(pol, h, nil, false)
 		check("the second worker's Terrace", w2.t, true)
 		check("the prototype made for it", su.proto, false)
-		if w2.t == su.proto || w2.HeuristicStats() != (terrace.HeuristicStats{}) {
-			t.Fatalf("stand %d: the second worker has the prototype itself, or somebody's statistics", i)
+		if w2.t == su.proto || w2.t == w.t {
+			t.Fatalf("stand %d: the second worker has the prototype or the first worker's Terrace itself", i)
 		}
 		w.Drop()
 		check("the first worker's Terrace after a Drop", w.t, false)

@@ -199,6 +199,3 @@ func (w *Worker) Drop() {
 // Work is what the worker's engine did since the worker was made; path
 // replays and rewinds are not the engine's.
 func (w *Worker) Work() Work { return w.eng.Work() }
-
-// HeuristicStats is the heuristic-layer accounting of the worker's Terrace.
-func (w *Worker) HeuristicStats() terrace.HeuristicStats { return w.t.HeuristicStats() }

@@ -111,11 +111,9 @@ func (j *journal) append(rec journalRecord) {
 	}
 	err = j.retry.Do(nil, func() error {
 		if err := j.fault.Err(faultinject.JournalWrite, "write"); err != nil {
-			j.m.JournalRetries.Inc()
 			return err
 		}
 		if _, err := j.f.Write(data); err != nil {
-			j.m.JournalRetries.Inc()
 			return err
 		}
 		return j.f.Sync()

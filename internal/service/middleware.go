@@ -1,7 +1,7 @@
 // HTTP middleware: the serving-path observability layer every gentriusd
 // route passes through. Each request gets a run-unique request id (inbound
-// X-Request-Id is honored, after sanitizing), per-route/status latency and
-// size metrics, a structured access log line, and http-begin/http-end trace
+// X-Request-Id is honored, after sanitizing), per-route/status count and
+// latency metrics, a structured access log line, and http-begin/http-end trace
 // span events carrying the request id — the HTTP end of the
 // request→job→task correlation chain.
 package service
@@ -29,59 +29,23 @@ const maxRequestIDLen = 64
 // a cached stats read and a long enumeration submit.
 var latencyBuckets = obs.ExpBuckets(1e-3, 2, 17)
 
-// HTTPMetrics is the per-route serving instrument set. A route's labelled
-// series are registered when it first serves a request, so the exposition
-// only carries routes that actually served traffic. All methods tolerate a
-// nil registry (every instrument is nil and nil-safe).
-type HTTPMetrics struct {
-	reg *obs.Registry
-
-	// InFlight counts requests currently inside a handler, across routes.
-	InFlight *obs.Gauge
-}
-
-// NewHTTPMetrics registers the serving families on reg.
-func NewHTTPMetrics(reg *obs.Registry) *HTTPMetrics {
-	h := &HTTPMetrics{reg: reg}
-	if reg != nil {
-		h.InFlight = reg.Gauge("gentriusd_http_in_flight",
-			"HTTP requests currently being served")
+// latency returns route's latency histogram, registered when the route
+// serves its first request, so the exposition only carries routes that
+// actually served traffic; nil without a registry.
+func (mw *Middleware) latency(route string) *obs.Histogram {
+	if mw.reg == nil {
+		return nil
 	}
-	return h
-}
-
-// routeMetrics is what one route knows before a request arrives: its
-// latency histogram and byte counters. Only the status code of
-// gentriusd_http_requests_total is left to look up per request.
-type routeMetrics struct {
-	latency             *obs.Histogram
-	reqBytes, respBytes *obs.Counter
-}
-
-// route returns route's series, registered on first use.
-func (h *HTTPMetrics) route(route string) routeMetrics {
-	if h == nil || h.reg == nil {
-		return routeMetrics{}
-	}
-	return routeMetrics{
-		latency: h.reg.Histogram(
-			fmt.Sprintf("gentriusd_http_request_seconds{route=%q}", route),
-			"HTTP request latency by route", latencyBuckets),
-		reqBytes: h.reg.Counter(
-			fmt.Sprintf("gentriusd_http_request_bytes_total{route=%q}", route),
-			"HTTP request body bytes read by route"),
-		respBytes: h.reg.Counter(
-			fmt.Sprintf("gentriusd_http_response_bytes_total{route=%q}", route),
-			"HTTP response body bytes written by route"),
-	}
+	return mw.reg.Histogram(fmt.Sprintf("gentriusd_http_request_seconds{route=%q}", route),
+		"HTTP request latency by route", latencyBuckets)
 }
 
 // counted returns the route+status counter, registered on first use.
-func (h *HTTPMetrics) counted(route string, code int) *obs.Counter {
-	if h == nil || h.reg == nil {
+func (mw *Middleware) counted(route string, code int) *obs.Counter {
+	if mw.reg == nil {
 		return nil
 	}
-	return h.reg.Counter(
+	return mw.reg.Counter(
 		fmt.Sprintf("gentriusd_http_requests_total{route=%q,code=\"%d\"}", route, code),
 		"HTTP requests by route and status code")
 }
@@ -90,18 +54,19 @@ func (h *HTTPMetrics) counted(route string, code int) *obs.Counter {
 // trace spans. The zero value and a nil receiver disable everything except
 // passing the request through.
 type Middleware struct {
-	metrics *HTTPMetrics
-	log     *slog.Logger
-	trace   *obs.Recorder
-	runID   string
-	serial  atomic.Int64
+	reg    *obs.Registry // the per-route families; nil disables them
+	log    *slog.Logger
+	trace  *obs.Recorder
+	runID  string
+	serial atomic.Int64
 }
 
 // NewMiddleware builds the instrumentation layer. runID prefixes minted
-// request ids so ids stay unique across daemon restarts; trace may be nil
-// (no span events), log may be nil (no access logs).
-func NewMiddleware(metrics *HTTPMetrics, log *slog.Logger, trace *obs.Recorder, runID string) *Middleware {
-	return &Middleware{metrics: metrics, log: log, trace: trace, runID: runID}
+// request ids so ids stay unique across daemon restarts; reg may be nil (no
+// metrics), trace may be nil (no span events), log may be nil (no access
+// logs).
+func NewMiddleware(reg *obs.Registry, log *slog.Logger, trace *obs.Recorder, runID string) *Middleware {
+	return &Middleware{reg: reg, log: log, trace: trace, runID: runID}
 }
 
 // requestInfo travels in the request context: the request's id and serial,
@@ -240,8 +205,8 @@ func (mw *Middleware) Wrap(route string, next http.HandlerFunc) http.Handler {
 	// Looked up once, by the route's first request rather than here: a
 	// route that never serves must not add zero-valued series to /metrics.
 	var (
-		once sync.Once
-		rm   routeMetrics
+		once    sync.Once
+		latency *obs.Histogram
 	)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
@@ -262,7 +227,6 @@ func (mw *Middleware) Wrap(route string, next http.HandlerFunc) http.Handler {
 		sw := &statusWriter{ResponseWriter: w}
 		w.Header().Set("X-Request-Id", id)
 
-		mw.metrics.InFlight.Add(1)
 		beginTags := []obs.SField{obs.S("req", id), obs.S("route", route)}
 		if fleetTrace != "" {
 			beginTags = append(beginTags, obs.S("trace", fleetTrace))
@@ -276,12 +240,9 @@ func (mw *Middleware) Wrap(route string, next http.HandlerFunc) http.Handler {
 		if status == 0 {
 			status = http.StatusOK
 		}
-		mw.metrics.InFlight.Add(-1)
-		once.Do(func() { rm = mw.metrics.route(route) })
-		rm.latency.Observe(elapsed.Seconds())
-		rm.reqBytes.Add(body.n)
-		rm.respBytes.Add(sw.bytes)
-		mw.metrics.counted(route, status).Inc()
+		once.Do(func() { latency = mw.latency(route) })
+		latency.Observe(elapsed.Seconds())
+		mw.counted(route, status).Inc()
 		endTags := []obs.SField{obs.S("req", id)}
 		if fleetTrace != "" {
 			endTags = append(endTags, obs.S("trace", fleetTrace))

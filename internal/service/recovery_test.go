@@ -627,8 +627,8 @@ func TestJournalTornTailTolerated(t *testing.T) {
 }
 
 // TestJournalRetriesInjectedWriteErrors: transient journal-write faults are
-// retried (and counted); a persistent fault drops the record but never
-// fails the job flow.
+// retried (and counted under the journal's retry site); a persistent fault
+// drops the record but never fails the job flow.
 func TestJournalRetriesInjectedWriteErrors(t *testing.T) {
 	reg := obs.NewRegistry()
 	met := NewMetrics(reg)
@@ -640,7 +640,7 @@ func TestJournalRetriesInjectedWriteErrors(t *testing.T) {
 	defer j.close()
 	j.append(journalRecord{Op: "submit", ID: "j000001", Req: &JobRequest{}})
 	snap := reg.Snapshot()
-	if snap["gentriusd_journal_write_retries_total"] != 2 ||
+	if snap[`gentriusd_retry_total{site="journal"}`] != 2 ||
 		snap["gentriusd_journal_records_total"] != 1 ||
 		snap["gentriusd_journal_records_dropped_total"] != 0 {
 		t.Fatalf("after 2 transient faults: %+v", snap)
@@ -651,7 +651,8 @@ func TestJournalRetriesInjectedWriteErrors(t *testing.T) {
 // retried into place; a block that fails every attempt is dropped and every
 // one of its lines counted, while the job's own counters stay authoritative.
 // The first tree is a block of its own; the second write is the rest of the
-// small stand.
+// small stand. A retry is a failure followed by another attempt, so the last
+// failure of a dropped block is not one.
 func TestSpoolRetriesAndDropsUnderInjection(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -660,7 +661,7 @@ func TestSpoolRetriesAndDropsUnderInjection(t *testing.T) {
 		dropped bool
 	}{
 		{"transient", []int64{2, 3, 4}, 3, false},    // 2nd block lands on its 4th attempt
-		{"persistent", []int64{2, 3, 4, 5}, 4, true}, // 2nd block exhausts its budget
+		{"persistent", []int64{2, 3, 4, 5}, 3, true}, // 2nd block exhausts its budget
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			reg := obs.NewRegistry()
@@ -685,9 +686,10 @@ func TestSpoolRetriesAndDropsUnderInjection(t *testing.T) {
 					st.TreesSpooled, st.StandTrees, missing)
 			}
 			snap := reg.Snapshot()
-			if snap["gentriusd_spool_write_retries_total"] != tc.retries ||
+			const retried = `gentriusd_retry_total{site="spool"}`
+			if snap[retried] != tc.retries ||
 				snap["gentriusd_spool_lines_dropped_total"] != float64(missing) {
-				t.Fatalf("retries %v dropped %v, want %v/%v", snap["gentriusd_spool_write_retries_total"],
+				t.Fatalf("retries %v dropped %v, want %v/%v", snap[retried],
 					snap["gentriusd_spool_lines_dropped_total"], tc.retries, missing)
 			}
 			if h := m.Health(); h.SpoolDropped != missing {

@@ -126,14 +126,11 @@ type Config struct {
 type Metrics struct {
 	reg *obs.Registry // for the per-route HTTP families; nil disables them
 
-	JobsSubmitted *obs.Counter
-	JobsRejected  *obs.Counter
 	JobsDone      *obs.Counter
 	JobsCancelled *obs.Counter
 	JobsFailed    *obs.Counter
 	JobsRunning   *obs.Gauge
 	JobsQueued    *obs.Gauge
-	TreesStreamed *obs.Counter
 
 	// Per-job latency distributions: how long jobs waited for a pool
 	// worker, and how long they ran.
@@ -141,15 +138,11 @@ type Metrics struct {
 	ExecTime  *obs.Histogram
 
 	// Fault-tolerance instruments.
-	JobsResumed       *obs.Counter
 	JobsInterrupted   *obs.Counter
-	SpoolRetries      *obs.Counter
 	SpoolDropped      *obs.Counter
 	JournalRecords    *obs.Counter
-	JournalRetries    *obs.Counter
 	JournalDropped    *obs.Counter
 	CheckpointWrites  *obs.Counter
-	CheckpointRetries *obs.Counter
 	CheckpointDropped *obs.Counter
 
 	retry map[string]retry.Policy // by site; nil on the zero value
@@ -176,14 +169,11 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		reg:   reg,
 		retry: policies,
 
-		JobsSubmitted: reg.Counter("gentriusd_jobs_submitted_total", "jobs accepted"),
-		JobsRejected:  reg.Counter("gentriusd_jobs_rejected_total", "jobs rejected (queue full or invalid)"),
 		JobsDone:      reg.Counter("gentriusd_jobs_done_total", "jobs finished (exhausted or stopping rule)"),
 		JobsCancelled: reg.Counter("gentriusd_jobs_cancelled_total", "jobs cancelled (client or shutdown)"),
 		JobsFailed:    reg.Counter("gentriusd_jobs_failed_total", "jobs failed with an error"),
 		JobsRunning:   reg.Gauge("gentriusd_jobs_running", "jobs currently running"),
 		JobsQueued:    reg.Gauge("gentriusd_jobs_queued", "jobs waiting for a worker"),
-		TreesStreamed: reg.Counter("gentriusd_trees_spooled_total", "stand trees written to job spools"),
 
 		QueueWait: reg.Histogram("gentriusd_job_queue_wait_seconds",
 			"seconds jobs waited in the queue before a pool worker picked them up",
@@ -192,15 +182,11 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 			"seconds jobs ran before reaching a terminal state",
 			obs.ExpBuckets(1e-2, 4, 12)),
 
-		JobsResumed:       reg.Counter("gentriusd_jobs_resumed_total", "jobs resumed from a checkpoint after restart"),
 		JobsInterrupted:   reg.Counter("gentriusd_jobs_interrupted_total", "jobs found unresumable after restart"),
-		SpoolRetries:      reg.Counter("gentriusd_spool_write_retries_total", "transient spool write failures retried"),
 		SpoolDropped:      reg.Counter("gentriusd_spool_lines_dropped_total", "spool lines dropped after exhausting retries"),
 		JournalRecords:    reg.Counter("gentriusd_journal_records_total", "journal records written"),
-		JournalRetries:    reg.Counter("gentriusd_journal_write_retries_total", "transient journal write failures retried"),
 		JournalDropped:    reg.Counter("gentriusd_journal_records_dropped_total", "journal records dropped after exhausting retries"),
 		CheckpointWrites:  reg.Counter("gentriusd_checkpoint_writes_total", "job checkpoints persisted"),
-		CheckpointRetries: reg.Counter("gentriusd_checkpoint_write_retries_total", "transient checkpoint write failures retried"),
 		CheckpointDropped: reg.Counter("gentriusd_checkpoint_writes_dropped_total", "checkpoint writes abandoned after exhausting retries"),
 	}
 }
@@ -543,7 +529,7 @@ func New(cfg Config) (*Manager, error) {
 	if cfg.Sink != nil {
 		m.trace = cfg.Sink.Trace
 	}
-	m.mw = NewMiddleware(NewHTTPMetrics(cfg.Metrics.reg), cfg.Logger, m.trace, runID)
+	m.mw = NewMiddleware(cfg.Metrics.reg, cfg.Logger, m.trace, runID)
 	m.baseCtx, m.stop = context.WithCancel(context.Background())
 	m.replay(records)
 	for i := 0; i < cfg.Workers; i++ {
@@ -737,7 +723,6 @@ func (m *Manager) recoverJob(id string, num int64, req *JobRequest, reqID string
 				job.ckptPath = ckptPath
 				m.transition(job, stateNone, StateQueued, outcome{journaled: true})
 				m.recovered.Resumed++
-				m.m.JobsResumed.Inc()
 				return
 			}
 		}
@@ -833,7 +818,6 @@ func (m *Manager) Submit(req JobRequest) (*Job, error) {
 func (m *Manager) SubmitWithRequest(req JobRequest, reqID string, reqSerial int64) (*Job, error) {
 	cons, err := m.checkRequest(req)
 	if err != nil {
-		m.m.JobsRejected.Inc()
 		return nil, err
 	}
 	if req.Threads > m.cfg.MaxThreads {
@@ -843,7 +827,6 @@ func (m *Manager) SubmitWithRequest(req JobRequest, reqID string, reqSerial int6
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
-		m.m.JobsRejected.Inc()
 		return nil, ErrShuttingDown
 	}
 	// QueueCap bounds the jobs Submit put in the queue; recovered ones,
@@ -856,7 +839,6 @@ func (m *Manager) SubmitWithRequest(req JobRequest, reqID string, reqSerial int6
 	}
 	if waiting >= m.cfg.QueueCap {
 		m.mu.Unlock()
-		m.m.JobsRejected.Inc()
 		return nil, ErrQueueFull
 	}
 	m.nextID++
@@ -864,7 +846,6 @@ func (m *Manager) SubmitWithRequest(req JobRequest, reqID string, reqSerial int6
 	sp, err := newSpool(filepath.Join(m.cfg.DataDir, id+".trees"), m.cfg.Fault, m.m)
 	if err != nil {
 		m.mu.Unlock()
-		m.m.JobsRejected.Inc()
 		return nil, err
 	}
 	job := m.newJob(&Job{id: id, num: int64(m.nextID), reqID: reqID, req: req, cons: cons, spool: sp})
@@ -876,7 +857,6 @@ func (m *Manager) SubmitWithRequest(req JobRequest, reqID string, reqSerial int6
 	publish := m.move(job, stateNone, StateQueued, outcome{journaled: true})
 	m.mu.Unlock()
 	publish()
-	m.m.JobsSubmitted.Inc()
 	m.trace.EmitTagged(obs.EvJobSubmit, -1, job.jobTags(),
 		obs.F("jobn", job.num), obs.F("reqn", reqSerial))
 	attrs := []any{"job", id, "constraints", len(cons), "threads", max(req.Threads, 1)}
@@ -1007,7 +987,6 @@ func (m *Manager) spoolTrees(job *Job) func(block []byte, n int) {
 		// kills it).
 		m.cfg.Fault.StallEach(faultinject.TreeStream, n)
 		job.spool.AppendBlock(block, n)
-		m.m.TreesStreamed.Add(int64(n))
 	}
 }
 
@@ -1100,14 +1079,9 @@ func (m *Manager) writeCheckpointRetry(id string, cp *gentrius.Checkpoint) (stri
 	path := filepath.Join(m.cfg.DataDir, id+".ckpt")
 	err := m.ckpt.Do(nil, func() error {
 		if err := m.cfg.Fault.Err(faultinject.CheckpointWrite, "write"); err != nil {
-			m.m.CheckpointRetries.Inc()
 			return err
 		}
-		if err := cp.WriteFile(path); err != nil {
-			m.m.CheckpointRetries.Inc()
-			return err
-		}
-		return nil
+		return cp.WriteFile(path)
 	})
 	if err != nil {
 		m.m.CheckpointDropped.Inc()

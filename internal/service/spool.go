@@ -113,14 +113,10 @@ func (s *spool) AppendBlock(block []byte, n int) {
 	// No context: a persistence path finishes its backoff even mid-shutdown.
 	err := s.retry.Do(nil, func() error {
 		if err := s.fault.Err(faultinject.SpoolWrite, "write"); err != nil {
-			s.m.SpoolRetries.Inc()
 			return err
 		}
-		if _, err := s.f.WriteAt(block, s.size); err != nil {
-			s.m.SpoolRetries.Inc()
-			return err
-		}
-		return nil
+		_, err := s.f.WriteAt(block, s.size)
+		return err
 	})
 	if err != nil {
 		// A write that failed part-way may have left whole lines of the block

@@ -30,7 +30,6 @@ import (
 
 	"gentrius/internal/obs"
 	"gentrius/internal/search"
-	"gentrius/internal/terrace"
 	"gentrius/internal/tree"
 )
 
@@ -160,11 +159,6 @@ type Result struct {
 	// 'W' working, 'R' replaying/rewinding, 'F' stalled on a counter flush,
 	// '.' idle (busy-waiting).
 	Timeline []string
-	// Heuristic aggregates the incremental admissible-branch accounting
-	// work (terrace layer) across the coordinator prefix walk and every
-	// virtual worker — the simulator's view of the counters the parallel
-	// engine exports as gentrius_heuristic_* metrics.
-	Heuristic terrace.HeuristicStats
 	// Checkpoint holds the frontier snapshot when Options.CheckpointOnStop
 	// was set and a stopping rule or cancellation ended the run.
 	Checkpoint *search.Checkpoint
@@ -265,7 +259,6 @@ func Run(constraints []*tree.Tree, opt Options) (*Result, error) {
 	if len(tasks) == 0 {
 		// Nothing to run: an empty stand, a prefix that closed the whole
 		// space (at most one tree), or a snapshot of a finished run.
-		res.Heuristic.Add(su.PrefixStats)
 		if sink != nil && su.Tree != "" {
 			sink(append([]byte(su.Tree), '\n'), 1)
 		}
@@ -348,7 +341,6 @@ func Run(constraints []*tree.Tree, opt Options) (*Result, error) {
 		if opt.TraceEvery > 0 {
 			res.Timeline = append(res.Timeline, string(w.trace))
 		}
-		res.Heuristic.Add(w.wk.HeuristicStats())
 	}
 	if opt.CheckpointOnStop && res.Stop != search.StopExhausted && res.Stop != search.StopFailed {
 		res.Checkpoint = su.Checkpoint(res.Counters, opt.Workers, s.frontier())

@@ -12,15 +12,13 @@ package terrace
 // mutates is copied, capacity included, into one slab per element type. The
 // traversal scratch comes along (stamps and marks must stay consistent with
 // each other); the query buffers, which hold nothing between operations and
-// may alias the original's lanes, start empty, and the copy's HeuristicStats
-// start at zero: they count work done by one Terrace.
+// may alias the original's lanes, start empty.
 //
 // Clone only reads the original, so any number of goroutines may clone one
 // Terrace at once as long as none of them mutates it.
 func (tr *Terrace) Clone() *Terrace {
 	c := *tr
 	c.agile = tr.agile.Clone()
-	c.hstats = HeuristicStats{}
 	c.dfsBuf, c.pendBuf, c.rowsBuf = nil, nil, nil
 
 	states := make([]constraintState, len(tr.constraints))

@@ -33,43 +33,6 @@ package terrace
 // count was frozen at insertion time against exactly the state the removal
 // restores.
 
-// HeuristicStats tallies the work performed by the admissible-branch
-// accounting layer of one Terrace. All counters are monotonic; a Terrace is
-// single-goroutine, so plain int64s suffice.
-type HeuristicStats struct {
-	// CountQueries is the number of PendingCount calls — the taxa scanned
-	// by the dynamic insertion heuristic.
-	CountQueries int64
-	// O1Counts is how many queries resolved in O(1) through a single
-	// constraint's maintained preimage size.
-	O1Counts int64
-	// CacheHits is how many queries were served from the incrementally
-	// maintained per-taxon count.
-	CacheHits int64
-	// Recounts is how many queries had to re-run the full constraint scan
-	// plus preimage DFS after a dirty invalidation.
-	Recounts int64
-	// Invalidations counts pending-taxon cache entries invalidated by state
-	// transitions (target splits and constraint activations).
-	Invalidations int64
-	// IncUpdates counts the ±2 incremental count adjustments applied.
-	IncUpdates int64
-}
-
-// Add accumulates o into s (aggregation across worker terraces).
-func (s *HeuristicStats) Add(o HeuristicStats) {
-	s.CountQueries += o.CountQueries
-	s.O1Counts += o.O1Counts
-	s.CacheHits += o.CacheHits
-	s.Recounts += o.Recounts
-	s.Invalidations += o.Invalidations
-	s.IncUpdates += o.IncUpdates
-}
-
-// HeuristicStats returns the accounting-layer work counters accumulated by
-// this Terrace since construction.
-func (tr *Terrace) HeuristicStats() HeuristicStats { return tr.hstats }
-
 // initIncremental builds the taxon→constraint index and its complement,
 // fills the per-constraint pending-taxon lists newShell carved, and sets up
 // the pending-count cache. Called once, by newShell, after tr.missing is
@@ -130,10 +93,8 @@ func (tr *Terrace) initIncremental() {
 // recount only when the taxon was invalidated by a structural change. The
 // result is always identical to a fresh CountAllowedBranches(x).
 func (tr *Terrace) PendingCount(x int) int {
-	tr.hstats.CountQueries++
 	cons := tr.byTaxon[x]
 	if len(cons) == 1 {
-		tr.hstats.O1Counts++
 		cs := tr.constraints[cons[0]]
 		if cs.sCount < 2 {
 			// The lone constraint is inactive: every agile edge is allowed.
@@ -142,10 +103,8 @@ func (tr *Terrace) PendingCount(x int) int {
 		return int(cs.cnt[cs.target[x]])
 	}
 	if tr.pendOK[x] {
-		tr.hstats.CacheHits++
 		return int(tr.pendCnt[x])
 	}
-	tr.hstats.Recounts++
 	c := tr.CountAllowedBranches(x)
 	tr.pendCnt[x] = int32(c)
 	tr.pendOK[x] = true
@@ -206,10 +165,7 @@ func (tr *Terrace) HasPendingBranch(x int) bool {
 
 // invalidate drops taxon y's cached count (no-op if none is cached).
 func (tr *Terrace) invalidate(y int) {
-	if tr.pendOK[y] {
-		tr.pendOK[y] = false
-		tr.hstats.Invalidations++
-	}
+	tr.pendOK[y] = false
 }
 
 // restructures is the structural half of the accounting rule, stated once:
@@ -294,7 +250,6 @@ func (tr *Terrace) adjustPendingCounts(e int32, delta int32) {
 		k++
 		if tr.edgeAdmissible(e, yi) {
 			tr.pendCnt[yi] += delta
-			tr.hstats.IncUpdates++
 		}
 	}
 	tr.cacheLive = live[:k]

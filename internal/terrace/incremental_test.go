@@ -170,44 +170,6 @@ func randomInsertable(tr *Terrace, rng *rand.Rand) (int, bool) {
 	return cand[rng.Intn(len(cand))], true
 }
 
-// TestHeuristicStats sanity-checks the accounting-layer counters: queries
-// split across the three service classes, and incremental updates occur.
-func TestHeuristicStats(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	_, cons := randomScenario(rng, 14, 4, 4, 0.7)
-	tr, err := New(cons, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for depth := 0; depth < 8; depth++ {
-		var pick int = -1
-		for _, x := range tr.MissingTaxa() {
-			if !tr.agile.HasTaxon(x) && tr.PendingCount(x) > 0 {
-				pick = x
-				break
-			}
-		}
-		if pick < 0 {
-			break
-		}
-		tr.ExtendTaxon(pick, tr.AllowedBranches(pick)[0])
-	}
-	st := tr.HeuristicStats()
-	if st.CountQueries == 0 {
-		t.Fatal("no count queries recorded")
-	}
-	if st.O1Counts+st.CacheHits+st.Recounts != st.CountQueries {
-		t.Fatalf("service classes %d+%d+%d do not sum to queries %d",
-			st.O1Counts, st.CacheHits, st.Recounts, st.CountQueries)
-	}
-	var agg HeuristicStats
-	agg.Add(st)
-	agg.Add(st)
-	if agg.CountQueries != 2*st.CountQueries {
-		t.Fatal("HeuristicStats.Add broken")
-	}
-}
-
 // checkCountAfter holds CountAfter against the insertion it stands for, at
 // the current state: for every ordered pair of pending taxa (x, z) and every
 // admissible edge e of x, ok means the count is what ExtendTaxon(x, e) +

@@ -359,10 +359,6 @@ func TestCloneEqualsOriginal(t *testing.T) {
 		}
 		taxa, edges := greedyPath(tr, 1+rng.Intn(12))
 		deep := tr.Clone()
-		if hs := deep.HeuristicStats(); hs != (HeuristicStats{}) {
-			t.Fatalf("scenario %d: clone starts with heuristic stats %+v", scen, hs)
-		}
-		deep.hstats = tr.hstats
 		if err := diffState(tr, deep); err != nil {
 			t.Fatalf("scenario %d: clone at depth %d: %v", scen, len(taxa), err)
 		}

@@ -153,7 +153,6 @@ type Terrace struct {
 	cacheLive  []int32   // pending taxa with a (possibly stale) cache entry; compacted lazily
 	cacheIdx   []int32   // taxon id -> position in cacheLive (-1 when absent)
 	pendListed []bool    // taxon holds a cache slot (re-listed on LIFO undo while attached)
-	hstats     HeuristicStats
 }
 
 // cUndo records what ExtendTaxon did to one constraint containing the
