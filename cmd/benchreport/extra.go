@@ -250,11 +250,24 @@ func extraBenches(add func(name string, f func(b *testing.B)),
 	// Both are single-goroutine and allocate the same on every host.
 	big := gen.Generate(gen.Default(gen.RegimeSimulated), 8).Constraints
 	bigIdx := search.ChooseInitialTree(big)
+	// TerraceNew releases nothing, so every New after the first allocates all
+	// its storage: the cost of a process's first stand. TerraceRenew releases
+	// each Terrace before the next New, as the drivers do at their exit: the
+	// cost of every later one.
 	add("TerraceNew", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := terrace.New(big, bigIdx); err != nil {
 				b.Fatal(err)
 			}
+		}
+	})
+	add("TerraceRenew", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			tr, err := terrace.New(big, bigIdx)
+			if err != nil {
+				b.Fatal(err)
+			}
+			tr.Release()
 		}
 	})
 	add("TerraceClone", func(b *testing.B) {

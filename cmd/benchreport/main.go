@@ -144,7 +144,7 @@ const maxRatioUp = 0.20
 // bytesRows are the rows whose bytes/op depend on the input alone — one
 // goroutine building or reading a fixed input, or running the serial engine
 // over fixed stands — so -compare -max-regress gates them like allocs/op.
-var bytesRows = []string{"TerraceNew", "StaticIndexNew", "ReadTrees", "SerialSmallStands"}
+var bytesRows = []string{"TerraceNew", "TerraceRenew", "StaticIndexNew", "ReadTrees", "SerialSmallStands"}
 
 // run wraps testing.Benchmark, forcing allocation reporting.
 func run(name string, f func(b *testing.B)) BenchResult {
@@ -172,7 +172,8 @@ func main() {
 	outPath := flag.String("out", "", "write the JSON report to this file (default stdout)")
 	note := flag.String("note", "", "free-form note embedded in the report")
 	compare := flag.String("compare", "", "baseline JSON report to diff against (prints a table to stderr; exits non-zero if an exact work counter — stand-trees, states, dead-ends, steps, extend-calls — differs from the baseline's, or an in-run ratio — t2/serial, emit/copy, strings/blocks — is more than 20 % above it)")
-	maxRegress := flag.Float64("max-regress", 0, "with -compare: exit non-zero if any shared benchmark's ns/op regresses by more than this percentage, or if its allocs/op — or, on TerraceNew, StaticIndexNew, ReadTrees and SerialSmallStands, its bytes/op — exceed the baseline's by more than a quarter (host-independent gates; exact for a baseline of 0 to 3 allocs)")
+	maxRegress := flag.Float64("max-regress", 0, "with -compare: exit non-zero if any shared benchmark's ns/op regresses by more than this percentage, or if its allocs/op — or, on "+
+		strings.Join(bytesRows, ", ")+", its bytes/op — exceed the baseline's by more than a quarter (host-independent gates; exact for a baseline of 0 to 3 allocs)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the benchmark runs (dataset selection excluded) — the input for PGO via scripts/pgo_profile.sh")
 	benchtime := flag.String("benchtime", "", "per-benchmark time budget, e.g. 1s or 1x (default: testing's 1s)")
 	testing.Init()

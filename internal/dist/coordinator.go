@@ -263,6 +263,7 @@ func (c *Coordinator) Run(ctx context.Context, jobID string, constraints []*tree
 	if err != nil {
 		return nil, err
 	}
+	su.Release() // the shards run elsewhere: only the counters and frontier are read
 	idx := su.InitialIndex
 	job := &fleetJob{
 		id:          jobID,

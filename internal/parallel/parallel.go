@@ -520,6 +520,7 @@ func Run(constraints []*tree.Tree, opt Options) (*Result, error) {
 		if sink := opt.sink(res); sink != nil && su.Tree != "" {
 			sink(append([]byte(su.Tree), '\n'), 1)
 		}
+		su.Release()
 		res.Elapsed = time.Since(g.started)
 		return res, nil
 	}
@@ -591,6 +592,8 @@ func Run(constraints []*tree.Tree, opt Options) (*Result, error) {
 		close(g.treeCh)
 		<-collectDone
 	}
+	// The pool has drained: no worker holds a Terrace any more.
+	su.Release()
 
 	if g.failErr != nil {
 		// A task ran out of panic retries, or the tree sink panicked: the pool

@@ -279,6 +279,8 @@ func Run(constraints []*tree.Tree, opt Options) (*Result, error) {
 			}
 		}
 	}
+	// Nothing outlives the run that reads its one Terrace, which has no clones.
+	defer eng.T.Release()
 	est := opt.Estimator
 	var estPrev Counters // counters already merged into the estimator
 	if est != nil {

@@ -3,6 +3,7 @@ package search_test
 import (
 	"context"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -173,12 +174,18 @@ func TestOnTreeAllocations(t *testing.T) {
 	if _, err := search.Run(cons, search.Options{InitialTree: -1, OnTrees: func([]byte, int) { blocks++ }}); err != nil {
 		t.Fatal(err)
 	}
+	// The bound has no slack, and a goroutine an earlier test left exiting
+	// allocates into the count too: the least of three measurements.
 	run := func(opt search.Options) float64 {
-		return testing.AllocsPerRun(20, func() {
-			if _, err := search.Run(cons, opt); err != nil {
-				t.Fatal(err)
-			}
-		})
+		least := math.Inf(1)
+		for i := 0; i < 3; i++ {
+			least = min(least, testing.AllocsPerRun(20, func() {
+				if _, err := search.Run(cons, opt); err != nil {
+					t.Fatal(err)
+				}
+			}))
+		}
+		return least
 	}
 	emit := run(search.Options{InitialTree: -1, OnTrees: func([]byte, int) {}})
 	strs := run(search.Options{InitialTree: -1, OnTree: func(string) {}})

@@ -226,6 +226,20 @@ func (s *Setup) NewTerrace() *terrace.Terrace {
 	return s.proto.Clone()
 }
 
+// Release hands the storage of the Terraces the run built from the
+// constraints to the next terrace.New (terrace.Terrace.Release): the one
+// Start built and a prototype NewTerrace rebuilt. Every other Terrace is a
+// clone sharing their LCA indexes, so call it at the driver's exit, once the
+// workers, and their Terraces with them, are gone.
+func (s *Setup) Release() {
+	if s.first != nil {
+		s.first.t.Release()
+	}
+	if s.proto != nil {
+		s.proto.Release()
+	}
+}
+
 // Checkpoint assembles a version-2 checkpoint of this run from a consistent
 // cut: the flushed global counters and every outstanding task (queued and
 // in flight) of a pool of the given width.

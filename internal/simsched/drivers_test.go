@@ -210,9 +210,11 @@ func TestDriversResumeUnstartedSerialCheckpoint(t *testing.T) {
 // state, and under 64 KB of its own; it would allocate what terrace.New does
 // beyond a clone on top (the LCA indexes and the initialiser's scratch, some
 // 160 KB on this stand) if it rebuilt its state from the constraints. Bytes,
-// not allocations: terrace.New carves its storage from slabs and builds each
-// LCA index in two, and allocates fewer times than a worker does. The
-// simulator is single-threaded, so the counts repeat exactly.
+// not allocations: terrace.New carves its storage from slabs and allocates
+// fewer times than a worker does. The simulator is single-threaded, so the
+// counts repeat exactly. A cold run — the free list emptied by a terrace.New
+// never released — allocates New's bytes once; a second run on the same stand
+// builds in the storage the first released and allocates under a tenth.
 func TestTerraceBuiltOncePerRun(t *testing.T) {
 	cons := gen.Generate(gen.Default(gen.RegimeSimulated), 24).Constraints
 	allocated := func(f func()) uint64 {
@@ -223,13 +225,16 @@ func TestTerraceBuiltOncePerRun(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		return after.TotalAlloc - before.TotalAlloc
 	}
-	var proto *terrace.Terrace
-	build := allocated(func() {
-		var err error
-		if proto, err = terrace.New(cons, search.ChooseInitialTree(cons)); err != nil {
+	newTerrace := func() *terrace.Terrace {
+		tr, err := terrace.New(cons, search.ChooseInitialTree(cons))
+		if err != nil {
 			t.Fatal(err)
 		}
-	})
+		return tr
+	}
+	newTerrace() // empties the free list
+	var proto *terrace.Terrace
+	build := allocated(func() { proto = newTerrace() })
 	clone := allocated(func() { proto.Clone() })
 	// A tick limit of one keeps the enumeration out of the picture.
 	run := func(workers int) uint64 {
@@ -240,10 +245,18 @@ func TestTerraceBuiltOncePerRun(t *testing.T) {
 			}
 		})
 	}
-	one, nine := run(1), run(9)
-	perWorker := (nine - one) / 8
-	t.Logf("terrace.New %d bytes, Clone %d; run with 1 worker %d, with 9 workers %d: %d per further worker",
-		build, clone, one, nine, perWorker)
+	newTerrace()
+	cold, warm := run(1), run(1)
+	nine := run(9)
+	perWorker := (nine - warm) / 8
+	t.Logf("terrace.New %d bytes, Clone %d; run with 1 worker %d cold, %d warm, with 9 workers %d: %d per further worker",
+		build, clone, cold, warm, nine, perWorker)
+	if cold < build || cold > build+build/4 {
+		t.Fatalf("a cold run with 1 worker allocates %d bytes, terrace.New %d: the set-up did not build one Terrace", cold, build)
+	}
+	if warm >= build/10 {
+		t.Fatalf("a warm run with 1 worker allocates %d bytes, over a tenth of terrace.New's %d: the set-up did not build in the last run's storage", warm, build)
+	}
 	if want := clone + clone/8; perWorker < want || perWorker > want+64<<10 {
 		t.Fatalf("a further worker allocates %d bytes, its clone and an eighth of the prototype's %d: workers are not cloning",
 			perWorker, want)

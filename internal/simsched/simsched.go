@@ -243,6 +243,8 @@ func Run(constraints []*tree.Tree, opt Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The virtual workers run on this goroutine: at any return they are done.
+	defer su.Release()
 	prefixLen := int64(len(su.Frontier.Prefix))
 	res := &Result{
 		Stop:         search.StopExhausted,

@@ -18,6 +18,7 @@ package terrace
 // Terrace at once as long as none of them mutates it.
 func (tr *Terrace) Clone() *Terrace {
 	c := *tr
+	c.store = nil // a clone owns no storage: its Release does nothing
 	c.agile = tr.agile.Clone()
 	c.dfsBuf, c.pendBuf, c.rowsBuf = nil, nil, nil
 

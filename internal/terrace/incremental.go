@@ -38,22 +38,23 @@ package terrace
 // the pending-count cache. Called once, by newShell, after tr.missing is
 // computed.
 func (tr *Terrace) initIncremental() {
-	n, nc := tr.taxa.Len(), len(tr.constraints)
+	n, nc, st := tr.taxa.Len(), len(tr.constraints), tr.store
 	// Both indices are filled constraint by constraint into per-taxon pieces
-	// of one slab each, sized by a counting pass.
-	in := make([]int, n) // constraints containing each taxon
+	// of one slab, sized by a counting pass whose counts follow the slab.
+	st.inc = take(st.inc, n*nc+n)
+	slab, in := st.inc[:n*nc:n*nc], st.inc[n*nc:] // in: constraints containing each taxon
+	clear(in)
 	total := 0
 	for _, cs := range tr.constraints {
 		cs.y.ForEach(func(y int) { in[y]++ })
 		total += cs.y.Count()
 	}
-	lists := make([][]int32, 2*n)
-	tr.byTaxon, tr.notByTaxon = lists[:n:n], lists[n:]
-	slab := make([]int32, n*nc)
+	st.lists = take(st.lists, 2*n)
+	tr.byTaxon, tr.notByTaxon = st.lists[:n:n], st.lists[n:]
 	inSlab, outSlab := slab[:total:total], slab[total:]
 	for x := 0; x < n; x++ {
-		tr.byTaxon[x] = carve(&inSlab, 0, in[x])
-		tr.notByTaxon[x] = carve(&outSlab, 0, nc-in[x])
+		tr.byTaxon[x] = carve(&inSlab, 0, int(in[x]))
+		tr.notByTaxon[x] = carve(&outSlab, 0, nc-int(in[x]))
 	}
 	// The complement lists let the inherit paths of ExtendTaxon/RemoveTaxon
 	// walk exactly the constraints that need the +2/-2 patch, with no
@@ -67,8 +68,8 @@ func (tr *Terrace) initIncremental() {
 			}
 		}
 	}
-	flags := make([]bool, 2*n)
-	tr.pendOK, tr.pendListed = flags[:n:n], flags[n:]
+	st.flags = takeZeroed(st.flags, 2*n)
+	tr.pendOK, tr.pendListed = st.flags[:n:n], st.flags[n:]
 	multi := 0
 	for _, x := range tr.missing {
 		if len(tr.byTaxon[x]) > 1 {
@@ -84,7 +85,8 @@ func (tr *Terrace) initIncremental() {
 	// restores exactly the taxa that were taken out), and cacheLive never
 	// holds more than the multi-constraint missing taxa — so neither
 	// allocates after construction.
-	tr.cacheLive = make([]int32, 0, multi)
+	st.live = take(st.live, multi)
+	tr.cacheLive = st.live[:0:multi]
 }
 
 // PendingCount returns len(AllowedBranches(x)) for a pending taxon x using

@@ -32,6 +32,8 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync/atomic"
+	"unsafe"
 
 	"gentrius/internal/bitset"
 	"gentrius/internal/tree"
@@ -153,6 +155,10 @@ type Terrace struct {
 	cacheLive  []int32   // pending taxa with a (possibly stale) cache entry; compacted lazily
 	cacheIdx   []int32   // taxon id -> position in cacheLive (-1 when absent)
 	pendListed []bool    // taxon holds a cache slot (re-listed on LIFO undo while attached)
+
+	// store is the storage New laid the state out in, which Release hands to
+	// the next New; nil on a clone, which owns none of it.
+	store *storage
 }
 
 // cUndo records what ExtendTaxon did to one constraint containing the
@@ -200,17 +206,23 @@ type undoFrame struct {
 //
 // The cost is O(sum of the constraint tree sizes + constraints x agile tree
 // size), apart from the zeroing of the preimage lanes and the LCA index of
-// each constraint tree: two allocations, and an int32 table of n entries for
-// each of the ceil(log2 n) levels of a tree of n nodes, the one term above
-// linear; see initConstraint.
+// each constraint tree: an int32 table of n entries for each of the
+// ceil(log2 n) levels of a tree of n nodes, the one term above linear; see
+// initConstraint.
+//
+// The state is laid out in a few slabs, the indexes all in one. They come
+// from the last released Terrace when they are large enough (see Release),
+// so stands built back to back allocate little beyond the copy of the
+// initial tree.
 func New(constraints []*tree.Tree, initialIdx int) (*Terrace, error) {
 	tr, err := newShell(constraints, initialIdx)
 	if err != nil {
 		return nil, err
 	}
-	sc := newInitScratch(tr.taxa.Len())
+	sc := tr.store.initScratch(tr.taxa.Len())
 	for _, cs := range tr.constraints {
-		if err := tr.initConstraint(cs, sc); err != nil {
+		if err := tr.initConstraint(cs, &sc); err != nil {
+			tr.Release()
 			return nil, err
 		}
 	}
@@ -218,9 +230,91 @@ func New(constraints []*tree.Tree, initialIdx int) (*Terrace, error) {
 	return tr, nil
 }
 
-// newShell validates the input and allocates the whole state in a few
-// slabs, leaving the common edges, mappings and targets of every constraint
-// to be filled in. Every slice that grows with the agile tree gets its final
+// storage is every slab New lays a state out in, kept whole so that Release
+// can hand it to the next New, which takes from each what it needs.
+type storage struct {
+	i32    []int32 // the per-constraint and per-node int32 pieces of newShell
+	ces    []cedge
+	pre    []uint64
+	states []constraintState
+	cons   []*constraintState
+	undo   []undoFrame
+	cu     []cUndo
+	ixs    []tree.StaticIndex
+	ix     []int32 // the LCA indexes' slab
+	rn     []rnode // initScratch's two trees
+	order  []int32 // initScratch's order
+	inc    []int32 // the taxon→constraint lists, then per-taxon counts
+	lists  [][]int32
+	flags  []bool
+	live   []int32    // cacheLive
+	logs   [4][]int32 // the undo logs, empty, as the search grew them
+}
+
+// free holds the storage of the last Terrace released, for the next New.
+var free atomic.Pointer[storage]
+
+// maxFree is the most storage Release keeps: an idle process holds at most
+// this much for its next stand.
+const maxFree = 32 << 20
+
+// take returns s with length n, in its own array when that is large enough;
+// whatever the array held is still there.
+func take[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// takeZeroed is take with the n elements zeroed.
+func takeZeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// bytes is the size of the storage's arrays.
+func (st *storage) bytes() int {
+	return size(st.i32) + size(st.ces) + size(st.pre) + size(st.states) + size(st.cons) +
+		size(st.undo) + size(st.cu) + size(st.ixs) + size(st.ix) + size(st.rn) +
+		size(st.order) + size(st.inc) + size(st.lists) + size(st.flags) + size(st.live) +
+		size(st.logs[0]) + size(st.logs[1]) + size(st.logs[2]) + size(st.logs[3])
+}
+
+// size is the bytes of s's array.
+func size[T any](s []T) int {
+	var v T
+	return cap(s) * int(unsafe.Sizeof(v))
+}
+
+// Release hands the Terrace's storage to the next New and leaves the Terrace
+// empty: any use after Release panics. It is a no-op on a clone and on a
+// Terrace already released. Clones share their original's LCA indexes and
+// taxon→constraint lists, so an original may be released only once no clone
+// of it is in use any more; the drivers call it at their exit, after their
+// workers are gone. Storage above maxFree is left to the collector.
+func (tr *Terrace) Release() {
+	st := tr.store
+	if st == nil {
+		return
+	}
+	st.logs = [4][]int32{tr.moveLog[:0], tr.tgLog[:0], tr.pathLog[:0], tr.projLog[:0]}
+	*tr = Terrace{}
+	if st.bytes() > maxFree {
+		return
+	}
+	// The states point at the stand's trees: the list keeps none of them alive.
+	clear(st.states)
+	free.Store(st)
+}
+
+// newShell validates the input and lays the whole state out in a few slabs,
+// leaving the common edges, mappings and targets of every constraint to be
+// filled in. Every slice that grows with the agile tree gets its final
 // capacity here, so neither the initialiser nor the search reallocates one
 // (the undo logs alone still grow by doubling).
 func newShell(constraints []*tree.Tree, initialIdx int) (*Terrace, error) {
@@ -274,20 +368,31 @@ func newShell(constraints []*tree.Tree, initialIdx int) (*Terrace, error) {
 		n32 += 3*n + 2*maxEdges + pend + rows // target, proj, pendIdx; m, dir; pending; cnt
 		nRows += rows
 	}
-	i32 := make([]int32, n32)
+	st := free.Swap(nil)
+	if st == nil {
+		st = new(storage)
+	}
+	tr.store = st
+	tr.moveLog, tr.tgLog, tr.pathLog, tr.projLog = st.logs[0], st.logs[1], st.logs[2], st.logs[3]
+	st.i32 = take(st.i32, n32)
+	i32 := st.i32
 	for i := range i32 {
 		i32[i] = -1 // NoCE, tree.NoNode and tree.NoEdge alike; the zero-based pieces are cleared below
 	}
-	ces := make([]cedge, nRows)
-	pre := make([]uint64, nRows*preW)
-	states := make([]constraintState, len(constraints))
-	tr.constraints = make([]*constraintState, len(constraints))
+	st.ces = take(st.ces, nRows)
+	st.pre = takeZeroed(st.pre, nRows*preW)
+	ces, pre := st.ces, st.pre
+	st.states = take(st.states, len(constraints))
+	st.cons = take(st.cons, len(constraints))
+	st.ixs = take(st.ixs, len(constraints))
+	st.ix = tree.BuildStaticIndexes(st.ixs, constraints, st.ix)
+	tr.constraints = st.cons
 	for i, c := range constraints {
 		rows, pend := shape(c)
-		cs := &states[i]
+		cs := &st.states[i]
 		*cs = constraintState{
 			t:       c,
-			ix:      tree.NewStaticIndex(c),
+			ix:      &st.ixs[i],
 			y:       c.LeafSet(),
 			s:       bitset.New(n),
 			cedges:  carve(&ces, 0, rows),
@@ -321,12 +426,13 @@ func newShell(constraints []*tree.Tree, initialIdx int) (*Terrace, error) {
 	for _, x := range tr.missing {
 		deg = max(deg, len(tr.byTaxon[x]))
 	}
-	us := make([]cUndo, len(tr.missing)*deg)
-	tr.undo = make([]undoFrame, len(tr.missing))
-	for i := range tr.undo {
-		tr.undo[i].cs = carve(&us, 0, deg)
+	st.cu = take(st.cu, len(tr.missing)*deg)
+	st.undo = take(st.undo, len(tr.missing))
+	us := st.cu
+	for i := range st.undo {
+		st.undo[i] = undoFrame{cs: carve(&us, 0, deg)}
 	}
-	tr.undo = tr.undo[:0]
+	tr.undo = st.undo[:0]
 	return tr, nil
 }
 
@@ -425,8 +531,12 @@ type initScratch struct {
 	order []int32 // breadth-first order of the tree rooted last
 }
 
-func newInitScratch(taxa int) *initScratch {
-	return &initScratch{t: make([]rnode, 2*taxa), a: make([]rnode, 2*taxa), order: make([]int32, 0, 2*taxa)}
+// initScratch takes initConstraint's working storage for a universe of taxa
+// from st. rootAt writes every vertex it reads, so nothing is cleared.
+func (st *storage) initScratch(taxa int) initScratch {
+	st.rn = take(st.rn, 4*taxa)
+	st.order = take(st.order, 2*taxa)
+	return initScratch{t: st.rn[:2*taxa], a: st.rn[2*taxa:], order: st.order[:0]}
 }
 
 // rootAt orients t away from the leaf root, counts the S-leaves below every

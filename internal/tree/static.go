@@ -27,24 +27,65 @@ type StaticIndex struct {
 // twice whatever the size of the tree: the index, and one int32 slab for the
 // per-node arrays and the table.
 func NewStaticIndex(t *Tree) *StaticIndex {
-	ix := &StaticIndex{}
+	ix := make([]StaticIndex, 1)
+	BuildStaticIndexes(ix, []*Tree{t}, nil)
+	return &ix[0]
+}
+
+// BuildStaticIndexes builds an index on each tree of ts into ixs[i], all in
+// one int32 slab: slab itself when its capacity holds them, otherwise one
+// allocated to their size. It returns that slab; the indexes use it, so it
+// must not be written while they are in use. Every entry they read is
+// written, so slab may hold anything.
+func BuildStaticIndexes(ixs []StaticIndex, ts []*Tree, slab []int32) []int32 {
+	need := 0
+	for _, t := range ts {
+		need += indexLen(len(t.nodes))
+	}
+	if cap(slab) < need {
+		slab = make([]int32, need)
+	}
+	slab = slab[:need]
+	rest := slab
+	for i, t := range ts {
+		k := indexLen(len(t.nodes))
+		ixs[i].build(t, rest[:k:k])
+		rest = rest[k:]
+	}
+	return slab
+}
+
+// indexLen is the storage an index on n nodes takes: five per-node arrays
+// and a table level for each bit of the longest query span, 1 to n-1 entries.
+func indexLen(n int) int {
+	if n == 0 {
+		return 0
+	}
+	return (5 + bits.Len32(uint32(n-1))) * n
+}
+
+// build fills ix in slab, indexLen(len(t.nodes)) entries.
+func (ix *StaticIndex) build(t *Tree, slab []int32) {
 	n := len(t.nodes)
 	if n == 0 {
-		return ix
+		*ix = StaticIndex{}
+		return
 	}
-	levels := bits.Len32(uint32(n - 1)) // a query spans 1 to n-1 entries
-	slab := make([]int32, (5+levels)*n)
 	ix.parent, ix.pedge, ix.depth = slab[:n], slab[n:2*n], slab[2*n:3*n]
 	ix.tin, ix.order, ix.sp = slab[3*n:4*n], slab[4*n:5*n], slab[5*n:]
+	levels := len(ix.sp) / n
 
-	// Preorder from the root, children in adjacency slot order; the root's
-	// number, depth and level-0 entry are the slab's zeros. The walk keeps no
-	// stack: on the way down it records parent and parent edge, and on the
+	// Preorder from the root, children in adjacency slot order. The walk keeps
+	// no stack: on the way down it records parent and parent edge, and on the
 	// way back up it resumes after the slot that holds the edge it returns
 	// by. A tree has no other way back into a vertex, so the parent edge is
 	// the only one to skip.
 	v, slot, at := int32(0), 0, int32(0)
-	ix.parent[v], ix.pedge[v] = NoNode, NoEdge
+	ix.parent[v], ix.pedge[v], ix.depth[v] = NoNode, NoEdge, 0
+	ix.tin[v], ix.order[v] = 0, v
+	if levels > 0 { // a lone node has no table
+		ix.sp[v] = 0
+	}
 	for {
 		if nd := &t.nodes[v]; slot < int(nd.deg) {
 			e := nd.adj[slot]
@@ -69,15 +110,16 @@ func NewStaticIndex(t *Tree) *StaticIndex {
 	}
 
 	// Level k's entry i covers level 0's [i, i+2^k); the entries past n-2^k
-	// would run off the end and are never read.
+	// would run off the end and are never read, but zeroed, so an index is
+	// the same bytes whatever its slab held before.
 	for k := 1; k < levels; k++ {
 		half := 1 << (k - 1)
 		prev, row := ix.sp[(k-1)*n:k*n], ix.sp[k*n:(k+1)*n]
 		for i := range n - 1<<k + 1 {
 			row[i] = min(prev[i], prev[i+half])
 		}
+		clear(row[n-1<<k+1:])
 	}
-	return ix
 }
 
 // Depth returns the depth of v below the index root.

@@ -2,6 +2,7 @@ package tree
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -223,6 +224,38 @@ func TestLCAAgainstParentWalk(t *testing.T) {
 				t.Fatalf("%d nodes: OnPath(%d,%d,%d) = %v, want %v", n, x, u, v, got, want)
 			}
 		}
+	}
+}
+
+// TestBuildStaticIndexesReuse: indexes built into a slab that held anything
+// are the indexes NewStaticIndex builds, entry for entry, and a slab that
+// holds them is used without allocating; one that does not is replaced.
+func TestBuildStaticIndexesReuse(t *testing.T) {
+	rng := rand.New(rand.NewSource(32))
+	var ts []*Tree
+	for _, n := range []int{3, 4, 17, 64, 200} {
+		ts = append(ts, randomTree(MustTaxa(names(n)), rng))
+	}
+	want := make([]*StaticIndex, len(ts))
+	for i, tr := range ts {
+		want[i] = NewStaticIndex(tr)
+	}
+	ixs := make([]StaticIndex, len(ts))
+	slab := BuildStaticIndexes(ixs, ts, nil)
+	for i := range slab {
+		slab[i] = int32(rng.Uint32())
+	}
+	if n := testing.AllocsPerRun(5, func() { BuildStaticIndexes(ixs, ts, slab) }); n != 0 {
+		t.Fatalf("building into a slab that holds the indexes allocates %v times", n)
+	}
+	for i := range ts {
+		if !reflect.DeepEqual(&ixs[i], want[i]) {
+			t.Fatalf("index on %d nodes built into a used slab differs from a fresh one", ts[i].NumNodes())
+		}
+	}
+	small := make([]int32, len(slab)-1)
+	if got := BuildStaticIndexes(ixs, ts, small); len(got) != len(slab) || &got[0] == &small[0] {
+		t.Fatalf("a slab one entry short was used (%d entries returned, %d needed)", len(got), len(slab))
 	}
 }
 
