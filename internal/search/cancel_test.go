@@ -238,4 +238,14 @@ func TestCheckpointRejectsStaticOrder(t *testing.T) {
 	if _, err := Run(cons, Options{Checkpoint: CheckpointPolicy{Resume: &Checkpoint{Version: checkpointVersion}}, DisableDynamicOrder: true}); err == nil {
 		t.Fatal("Resume with DisableDynamicOrder should error")
 	}
+	// A refused run ends its trigger too: a request returns at once.
+	trig := NewCheckpointTrigger()
+	if _, err := Run(cons, Options{Checkpoint: CheckpointPolicy{Trigger: trig}, DisableDynamicOrder: true}); err == nil {
+		t.Fatal("a Trigger with DisableDynamicOrder should error")
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if _, err := trig.Request(ctx); err != ErrRunEnded {
+		t.Fatalf("Request on a refused run: %v, want ErrRunEnded", err)
+	}
 }

@@ -231,15 +231,15 @@ func Run(constraints []*tree.Tree, opt Options) (*Result, error) {
 		opt.CheckEvery = 1024
 	}
 	ck := opt.Checkpoint
+	// However the run ends, refused included, unblock any trigger request
+	// that raced the final poll (Finish is nil-safe and idempotent).
+	defer ck.Trigger.Finish()
 	periodic := ck.Every > 0 && ck.Sink != nil
 	interval := ck.Interval > 0 && ck.Sink != nil
 	checkpointing := ck.Resume != nil || ck.OnStop || periodic || interval || ck.Trigger != nil
 	if checkpointing && opt.DisableDynamicOrder {
 		return nil, fmt.Errorf("search: checkpointing requires the dynamic insertion order")
 	}
-	// However the run ends, unblock any trigger request that raced the
-	// final poll (Finish is nil-safe and idempotent).
-	defer ck.Trigger.Finish()
 	res := &Result{Stop: StopExhausted}
 	start := time.Now()
 
