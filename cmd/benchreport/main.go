@@ -142,9 +142,10 @@ var ratioMetrics = []string{"t2/serial", "emit/copy", "strings/blocks"}
 const maxRatioUp = 0.20
 
 // bytesRows are the rows whose bytes/op depend on the input alone — one
-// goroutine building or reading a fixed input, or running the serial engine
-// over fixed stands — so -compare -max-regress gates them like allocs/op.
-var bytesRows = []string{"TerraceNew", "TerraceRenew", "StaticIndexNew", "ReadTrees", "SerialSmallStands"}
+// goroutine building, copying or reading a fixed input, or running the
+// serial engine or the pool over fixed stands — so -compare -max-regress
+// gates them like allocs/op.
+var bytesRows = []string{"TerraceNew", "TerraceRenew", "TerraceReclone", "StaticIndexNew", "ReadTrees", "SerialSmallStands", "PoolSmallStands"}
 
 // run wraps testing.Benchmark, forcing allocation reporting.
 func run(name string, f func(b *testing.B)) BenchResult {

@@ -78,6 +78,12 @@ func (s *Set) Clone() *Set {
 	return &Set{words: w, n: s.n}
 }
 
+// CopyInto makes dst a copy of s, in dst's own words when they can hold s's.
+func (s *Set) CopyInto(dst *Set) {
+	dst.words = append(dst.words[:0], s.words...)
+	dst.n = s.n
+}
+
 // CopyFrom overwrites s with the contents of o (same capacity required).
 func (s *Set) CopyFrom(o *Set) {
 	s.check(o)

@@ -9,12 +9,16 @@ import (
 )
 
 // TestBackToBackRunsShareStorage: goroutines run search.Run and parallel.Run
-// back to back on different stands, so each run's terrace.New takes whatever
-// storage another run, on another stand, released last (run under -race).
-// The pool runs at two threads with panics injected: at a task's start
-// (TaskExec), and inside worker 0's first engine step (EngineStep), which
-// makes Setup.NewTerrace rebuild the prototype from the constraints. Every
-// result's counters equal the serial oracle's.
+// back to back on different stands, so each run's terrace.New and every clone
+// take whatever storage other runs, on other stands, released last (run
+// under -race). The pool runs at two and at four threads with panics
+// injected: at the start of the first and the third task (TaskExec), which a
+// worker other than worker 0 may run, and inside worker 0's first engine
+// step (EngineStep). A panicking worker replaces its Terrace; worker 0's
+// makes Setup.NewTerrace rebuild the prototype from the constraints. The
+// wrecked Terraces are released with the rest, so their storage passes
+// through the free list too. Every result's counters equal the serial
+// oracle's.
 func TestBackToBackRunsShareStorage(t *testing.T) {
 	stands := append(smallStands(), spawningStand())
 	oracle := make([]search.Counters, len(stands))
@@ -42,19 +46,20 @@ func TestBackToBackRunsShareStorage(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				site := faultinject.TaskExec
+				site, nth := faultinject.TaskExec, []int64{1, 3}
 				if r%2 == 1 {
-					site = faultinject.EngineStep
+					site, nth = faultinject.EngineStep, []int64{1}
 				}
-				par, err := Run(cons, Options{Threads: 2, InitialTree: -1, Limits: unlimited(),
-					Fault: faultinject.New(int64(r)).Set(site, faultinject.Rule{Nth: []int64{1}})})
+				threads := 2 + 2*(r/2%2)
+				par, err := Run(cons, Options{Threads: threads, InitialTree: -1, Limits: unlimited(),
+					Fault: faultinject.New(int64(r)).Set(site, faultinject.Rule{Nth: nth})})
 				if err != nil {
 					t.Error(err)
 					return
 				}
 				if ser.Counters != oracle[i] || par.Counters != oracle[i] {
-					t.Errorf("goroutine %d, round %d, stand %d: serial %+v, pool %+v, oracle %+v",
-						g, r, i, ser.Counters, par.Counters, oracle[i])
+					t.Errorf("goroutine %d, round %d, stand %d: serial %+v, pool at %d threads %+v, oracle %+v",
+						g, r, i, ser.Counters, threads, par.Counters, oracle[i])
 					return
 				}
 			}

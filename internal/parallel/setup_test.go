@@ -171,10 +171,11 @@ func TestPoolAllocationsNearSerial(t *testing.T) {
 // Bytes, not allocations: terrace.New carves its storage from slabs, so it
 // allocates a few times per constraint, fewer times than a worker does.
 //
-// A cold run — the free list emptied by a terrace.New never released —
-// allocates New's bytes once; the run releases its Terrace at the end, so a
-// second run on the same stand builds in that storage and allocates less
-// than a tenth of them.
+// A cold run — terrace's free list emptied — allocates New's bytes once, and
+// a cold run at 9 threads nine clones more; every run releases its Terraces
+// at the end, clones included, so a second run on the same stand builds them
+// all in that storage: at 1 thread it allocates less than a tenth of New's
+// bytes, and at 2 threads less than a tenth of a clone's more than at 1.
 func TestTerraceBuiltOncePerRun(t *testing.T) {
 	cons := referenceDataset()
 	newTerrace := func() *terrace.Terrace {
@@ -184,7 +185,7 @@ func TestTerraceBuiltOncePerRun(t *testing.T) {
 		}
 		return tr
 	}
-	newTerrace() // empties the free list
+	emptyTerraceStorage()
 	var proto *terrace.Terrace
 	_, build := allocated(func() { proto = newTerrace() })
 	_, clone := allocated(func() { proto.Clone() })
@@ -199,24 +200,33 @@ func TestTerraceBuiltOncePerRun(t *testing.T) {
 			}
 		}
 	}
-	newTerrace()
+	emptyTerraceStorage()
 	_, cold := allocatedOnce(run(1))
+	emptyTerraceStorage()
+	_, nine := allocatedOnce(run(9))
+	perWorker := (nine - cold) / 8
 	// Every run from here on is warm (allocated keeps the least of five).
 	_, one := allocated(run(1))
-	_, nine := allocated(run(9))
-	perWorker := (nine - one) / 8
-	t.Logf("terrace.New %d bytes, Clone %d; run at 1 thread %d cold, %d warm; at 9 threads %d: %d per further worker",
-		build, clone, cold, one, nine, perWorker)
+	_, two := allocated(run(2))
+	t.Logf("terrace.New %d bytes, Clone %d; run at 1 thread %d cold, %d warm; at 9 threads %d cold: %d per further worker; at 2 threads %d warm",
+		build, clone, cold, one, nine, perWorker, two)
 	if cold < build || cold > build+build/4 {
 		t.Fatalf("a cold run at 1 thread allocates %d bytes, terrace.New %d: worker 0 is not running on the one Terrace the set-up built", cold, build)
-	}
-	// The race detector makes sync.Pool drop recycled tasks at random: a few
-	// KB more, and the run is within a few hundred bytes of the bound.
-	if one >= build/10 && !raceEnabled {
-		t.Fatalf("a warm run at 1 thread allocates %d bytes, over a tenth of terrace.New's %d: the set-up did not build in the last run's storage", one, build)
 	}
 	if want := clone + clone/8; perWorker < want || perWorker > want+64<<10 {
 		t.Fatalf("a further worker allocates %d bytes, its clone and an eighth of the prototype's %d: workers are not cloning",
 			perWorker, want)
+	}
+	// The race detector makes sync.Pool drop recycled tasks at random: a few
+	// KB more, and the run is within a few hundred bytes of the bound.
+	if raceEnabled {
+		return
+	}
+	if one >= build/10 {
+		t.Fatalf("a warm run at 1 thread allocates %d bytes, over a tenth of terrace.New's %d: the set-up did not build in the last run's storage", one, build)
+	}
+	if two >= one+clone/10 {
+		t.Fatalf("a warm run at 2 threads allocates %d bytes, at 1 thread %d: a tenth of a clone's %d more or over, so the clones did not take the last run's storage",
+			two, one, clone)
 	}
 }

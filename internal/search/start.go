@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync"
 
 	"gentrius/internal/terrace"
 	"gentrius/internal/tree"
@@ -55,6 +56,9 @@ type Setup struct {
 	// is asked for. Nil, too, when the constraints are incompatible.
 	proto *terrace.Terrace
 	first *Worker
+
+	mu     sync.Mutex
+	handed []*terrace.Terrace // every Terrace NewTerrace handed out, for Release
 }
 
 // Start performs the run set-up shared by every driver. A fresh run
@@ -210,7 +214,8 @@ func walk(t *terrace.Terrace, path []PathStep, frames []FrameSnapshot) error {
 // While the first worker has the prototype (NewWorker) the call makes the
 // next first — a copy of that worker's Terrace, rewound, so the call belongs
 // between its Ticks, on its goroutine; from the constraints, if a panic in a
-// Tick wrecked it — and after that any number of goroutines may call.
+// Tick wrecked it — and after that any number of goroutines may call. Every
+// Terrace it hands out is the Setup's to release (Release).
 func (s *Setup) NewTerrace() *terrace.Terrace {
 	if s.proto == nil && !s.first.busy {
 		s.proto = s.first.t.Clone()
@@ -223,20 +228,31 @@ func (s *Setup) NewTerrace() *terrace.Terrace {
 			s.proto.ExtendTaxon(st.Taxon, st.Edge)
 		}
 	}
-	return s.proto.Clone()
+	t := s.proto.Clone()
+	s.mu.Lock()
+	s.handed = append(s.handed, t)
+	s.mu.Unlock()
+	return t
 }
 
-// Release hands the storage of the Terraces the run built from the
-// constraints to the next terrace.New (terrace.Terrace.Release): the one
-// Start built and a prototype NewTerrace rebuilt. Every other Terrace is a
-// clone sharing their LCA indexes, so call it at the driver's exit, once the
-// workers, and their Terraces with them, are gone.
+// Release hands the storage of every Terrace of the run to the next
+// terrace.New or Clone (terrace.Terrace.Release): those NewTerrace handed
+// out, the prototype, and the one Start built. The clones share the LCA
+// indexes of the Terraces built from the constraints, so call it at the
+// driver's exit, once the workers, and their Terraces with them, are gone.
+// The one Start built goes last, so the next run's New takes its storage.
 func (s *Setup) Release() {
-	if s.first != nil {
-		s.first.t.Release()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, t := range s.handed {
+		t.Release()
 	}
+	s.handed = nil
 	if s.proto != nil {
 		s.proto.Release()
+	}
+	if s.first != nil {
+		s.first.t.Release()
 	}
 }
 

@@ -212,9 +212,11 @@ func TestDriversResumeUnstartedSerialCheckpoint(t *testing.T) {
 // 160 KB on this stand) if it rebuilt its state from the constraints. Bytes,
 // not allocations: terrace.New carves its storage from slabs and allocates
 // fewer times than a worker does. The simulator is single-threaded, so the
-// counts repeat exactly. A cold run — the free list emptied by a terrace.New
-// never released — allocates New's bytes once; a second run on the same stand
-// builds in the storage the first released and allocates under a tenth.
+// counts repeat exactly. A cold run — terrace's free list emptied —
+// allocates New's bytes once; a second run on the same stand builds in the
+// storage the first released and allocates under a tenth. A warm run with 9
+// workers builds its clones in the storage a cold one released, and allocates
+// under a tenth of a clone more than a warm run with 1.
 func TestTerraceBuiltOncePerRun(t *testing.T) {
 	cons := gen.Generate(gen.Default(gen.RegimeSimulated), 24).Constraints
 	allocated := func(f func()) uint64 {
@@ -232,7 +234,7 @@ func TestTerraceBuiltOncePerRun(t *testing.T) {
 		}
 		return tr
 	}
-	newTerrace() // empties the free list
+	emptyTerraceStorage()
 	var proto *terrace.Terrace
 	build := allocated(func() { proto = newTerrace() })
 	clone := allocated(func() { proto.Clone() })
@@ -245,12 +247,14 @@ func TestTerraceBuiltOncePerRun(t *testing.T) {
 			}
 		})
 	}
-	newTerrace()
+	emptyTerraceStorage()
 	cold, warm := run(1), run(1)
+	emptyTerraceStorage()
 	nine := run(9)
-	perWorker := (nine - warm) / 8
-	t.Logf("terrace.New %d bytes, Clone %d; run with 1 worker %d cold, %d warm, with 9 workers %d: %d per further worker",
-		build, clone, cold, warm, nine, perWorker)
+	nineWarm := run(9)
+	perWorker := (nine - cold) / 8
+	t.Logf("terrace.New %d bytes, Clone %d; run with 1 worker %d cold, %d warm, with 9 workers %d cold, %d warm: %d per further worker",
+		build, clone, cold, warm, nine, nineWarm, perWorker)
 	if cold < build || cold > build+build/4 {
 		t.Fatalf("a cold run with 1 worker allocates %d bytes, terrace.New %d: the set-up did not build one Terrace", cold, build)
 	}
@@ -260,5 +264,9 @@ func TestTerraceBuiltOncePerRun(t *testing.T) {
 	if want := clone + clone/8; perWorker < want || perWorker > want+64<<10 {
 		t.Fatalf("a further worker allocates %d bytes, its clone and an eighth of the prototype's %d: workers are not cloning",
 			perWorker, want)
+	}
+	if nineWarm >= warm+clone/10 {
+		t.Fatalf("a warm run with 9 workers allocates %d bytes, with 1 %d: a tenth of a clone's %d more or over, so the clones did not take the last run's storage",
+			nineWarm, warm, clone)
 	}
 }

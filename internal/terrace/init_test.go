@@ -302,8 +302,9 @@ func TestNewIncompatibleMatchesReference(t *testing.T) {
 // FuzzNewEquiv feeds fuzzer-chosen scenarios through the initialiser
 // differential, intact and with one constraint perturbed by an NNI (which
 // may or may not show on the common taxa: the two must agree either way).
-// The New under test takes the storage of a Terrace released just before,
-// built on a second fuzzer-chosen stand and left prevDepth insertions deep.
+// The New under test takes the storage of a clone released just before, of
+// a Terrace built on a second fuzzer-chosen stand, the reference New the
+// storage of that Terrace; both were left up to 2·prevDepth insertions deep.
 func FuzzNewEquiv(f *testing.F) {
 	f.Add(int64(1), uint8(14), uint8(3), uint8(128), uint8(0), false, int64(2), uint8(40), uint8(0))
 	f.Add(int64(7), uint8(60), uint8(9), uint8(40), uint8(5), true, int64(8), uint8(10), uint8(3))
@@ -316,7 +317,12 @@ func FuzzNewEquiv(f *testing.F) {
 			t.Fatal(err)
 		}
 		greedyPath(prev, int(prevDepth))
+		c := prev.Clone()
+		greedyPath(c, int(prevDepth))
+		// The clone's storage goes on top: the first New below builds in it,
+		// the second in prev's.
 		prev.Release()
+		c.Release()
 
 		n := 8 + int(nRaw)%120
 		m := 2 + int(mRaw)%19
@@ -336,12 +342,15 @@ func FuzzNewEquiv(f *testing.F) {
 	})
 }
 
-// greedyPath inserts up to k taxa at their first admissible branch and
+// greedyPath inserts up to k more taxa at their middle admissible branch and
 // returns the path taken.
 func greedyPath(tr *Terrace, k int) (taxa []int, edges []int32) {
 	for _, x := range tr.MissingTaxa() {
 		if len(taxa) == k {
 			break
+		}
+		if tr.Agile().HasTaxon(x) {
+			continue
 		}
 		br := tr.AllowedBranches(x)
 		if len(br) == 0 {
@@ -559,12 +568,17 @@ func TestNewAndCloneAllocations(t *testing.T) {
 		}
 		newAllocs := testing.AllocsPerRun(5, func() { New(cons, 0) })
 		cloneAllocs := testing.AllocsPerRun(5, func() { proto.Clone() })
-		t.Logf("%d taxa, %d loci: New %v allocs, Clone %v allocs", shape.n, shape.m, newAllocs, cloneAllocs)
+		recloneAllocs := testing.AllocsPerRun(5, func() { proto.Clone().Release() })
+		t.Logf("%d taxa, %d loci: New %v allocs, Clone %v allocs, %v on released storage",
+			shape.n, shape.m, newAllocs, cloneAllocs, recloneAllocs)
 		if limit := float64(40 + 40*shape.m); newAllocs > limit {
 			t.Errorf("%d taxa, %d loci: New makes %v allocations, limit %v", shape.n, shape.m, newAllocs, limit)
 		}
 		if limit := float64(16 + 2*shape.m); cloneAllocs > limit {
 			t.Errorf("%d taxa, %d loci: Clone makes %v allocations, limit %v", shape.n, shape.m, cloneAllocs, limit)
+		}
+		if recloneAllocs > 1 { // the Terrace itself
+			t.Errorf("%d taxa, %d loci: Clone on released storage makes %v allocations, limit 1", shape.n, shape.m, recloneAllocs)
 		}
 	}
 }

@@ -32,7 +32,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync/atomic"
+	"sync"
 	"unsafe"
 
 	"gentrius/internal/bitset"
@@ -156,8 +156,8 @@ type Terrace struct {
 	cacheIdx   []int32   // taxon id -> position in cacheLive (-1 when absent)
 	pendListed []bool    // taxon holds a cache slot (re-listed on LIFO undo while attached)
 
-	// store is the storage New laid the state out in, which Release hands to
-	// the next New; nil on a clone, which owns none of it.
+	// store is the storage New or Clone laid the state out in, which Release
+	// hands to the next one.
 	store *storage
 }
 
@@ -211,9 +211,8 @@ type undoFrame struct {
 // initConstraint.
 //
 // The state is laid out in a few slabs, the indexes all in one. They come
-// from the last released Terrace when they are large enough (see Release),
-// so stands built back to back allocate little beyond the copy of the
-// initial tree.
+// from a released Terrace when they are large enough (see Release), so
+// stands built back to back allocate little.
 func New(constraints []*tree.Tree, initialIdx int) (*Terrace, error) {
 	tr, err := newShell(constraints, initialIdx)
 	if err != nil {
@@ -230,8 +229,11 @@ func New(constraints []*tree.Tree, initialIdx int) (*Terrace, error) {
 	return tr, nil
 }
 
-// storage is every slab New lays a state out in, kept whole so that Release
-// can hand it to the next New, which takes from each what it needs.
+// storage is every slab New or Clone lays a state out in, kept whole so that
+// Release can hand it to the next one, which takes from each what it needs.
+// A clone takes neither the indexes nor the taxon→constraint lists, which it
+// shares with its original, nor the initialiser's scratch: it leaves those
+// slabs as it found them.
 type storage struct {
 	i32    []int32 // the per-constraint and per-node int32 pieces of newShell
 	ces    []cedge
@@ -249,14 +251,55 @@ type storage struct {
 	flags  []bool
 	live   []int32    // cacheLive
 	logs   [4][]int32 // the undo logs, empty, as the search grew them
+	sets   []bitset.Set
+	agile  *tree.Tree
 }
 
-// free holds the storage of the last Terrace released, for the next New.
-var free atomic.Pointer[storage]
+// free is the storage of the released Terraces, the latest last, for the
+// next New or Clone; bytes is what it holds in all.
+var free struct {
+	sync.Mutex
+	list  []*storage
+	bytes int
+}
 
-// maxFree is the most storage Release keeps: an idle process holds at most
-// this much for its next stand.
+// maxFree is the most storage the free list keeps: an idle process holds at
+// most this much for its next stands.
 const maxFree = 32 << 20
+
+// takeStorage returns the storage released last, or a new one.
+func takeStorage() *storage {
+	free.Lock()
+	defer free.Unlock()
+	n := len(free.list) - 1
+	if n < 0 {
+		return new(storage)
+	}
+	st := free.list[n]
+	free.list[n] = nil
+	free.list = free.list[:n]
+	free.bytes -= st.bytes()
+	return st
+}
+
+// putStorage lists st for the next New or Clone, dropping the oldest storage
+// while the list would hold more than maxFree; st alone above it is dropped.
+func putStorage(st *storage) {
+	b := st.bytes()
+	if b > maxFree {
+		return
+	}
+	free.Lock()
+	defer free.Unlock()
+	for free.bytes+b > maxFree {
+		free.bytes -= free.list[0].bytes()
+		n := copy(free.list, free.list[1:])
+		free.list[n] = nil
+		free.list = free.list[:n]
+	}
+	free.list = append(free.list, st)
+	free.bytes += b
+}
 
 // take returns s with length n, in its own array when that is large enough;
 // whatever the array held is still there.
@@ -277,12 +320,16 @@ func takeZeroed[T any](s []T, n int) []T {
 	return s
 }
 
-// bytes is the size of the storage's arrays.
+// bytes is the size of the storage's arrays, the agile tree's aside.
 func (st *storage) bytes() int {
-	return size(st.i32) + size(st.ces) + size(st.pre) + size(st.states) + size(st.cons) +
+	n := size(st.i32) + size(st.ces) + size(st.pre) + size(st.states) + size(st.cons) +
 		size(st.undo) + size(st.cu) + size(st.ixs) + size(st.ix) + size(st.rn) +
 		size(st.order) + size(st.inc) + size(st.lists) + size(st.flags) + size(st.live) +
-		size(st.logs[0]) + size(st.logs[1]) + size(st.logs[2]) + size(st.logs[3])
+		size(st.logs[0]) + size(st.logs[1]) + size(st.logs[2]) + size(st.logs[3]) + size(st.sets)
+	for i := range st.sets {
+		n += size(st.sets[i].Words())
+	}
+	return n
 }
 
 // size is the bytes of s's array.
@@ -291,12 +338,12 @@ func size[T any](s []T) int {
 	return cap(s) * int(unsafe.Sizeof(v))
 }
 
-// Release hands the Terrace's storage to the next New and leaves the Terrace
-// empty: any use after Release panics. It is a no-op on a clone and on a
+// Release hands the Terrace's storage to the next New or Clone and leaves
+// the Terrace empty: any use after Release panics. It is a no-op on a
 // Terrace already released. Clones share their original's LCA indexes and
 // taxon→constraint lists, so an original may be released only once no clone
 // of it is in use any more; the drivers call it at their exit, after their
-// workers are gone. Storage above maxFree is left to the collector.
+// workers are gone.
 func (tr *Terrace) Release() {
 	st := tr.store
 	if st == nil {
@@ -304,12 +351,9 @@ func (tr *Terrace) Release() {
 	}
 	st.logs = [4][]int32{tr.moveLog[:0], tr.tgLog[:0], tr.pathLog[:0], tr.projLog[:0]}
 	*tr = Terrace{}
-	if st.bytes() > maxFree {
-		return
-	}
 	// The states point at the stand's trees: the list keeps none of them alive.
 	clear(st.states)
-	free.Store(st)
+	putStorage(st)
 }
 
 // newShell validates the input and lays the whole state out in a few slabs,
@@ -343,10 +387,13 @@ func newShell(constraints []*tree.Tree, initialIdx int) (*Terrace, error) {
 	if covered.Count() != n {
 		return nil, fmt.Errorf("terrace: %d taxa occur in no constraint tree", n-covered.Count())
 	}
+	st := takeStorage()
+	st.agile = constraints[initialIdx].CopyInto(st.agile)
 	tr := &Terrace{
 		taxa:       taxa,
-		agile:      constraints[initialIdx].Clone(),
+		agile:      st.agile,
 		initialIdx: initialIdx,
+		store:      st,
 	}
 	miss := tr.agile.LeafSet().Clone()
 	miss.ComplementWithin()
@@ -368,11 +415,6 @@ func newShell(constraints []*tree.Tree, initialIdx int) (*Terrace, error) {
 		n32 += 3*n + 2*maxEdges + pend + rows // target, proj, pendIdx; m, dir; pending; cnt
 		nRows += rows
 	}
-	st := free.Swap(nil)
-	if st == nil {
-		st = new(storage)
-	}
-	tr.store = st
 	tr.moveLog, tr.tgLog, tr.pathLog, tr.projLog = st.logs[0], st.logs[1], st.logs[2], st.logs[3]
 	st.i32 = take(st.i32, n32)
 	i32 := st.i32
@@ -385,6 +427,7 @@ func newShell(constraints []*tree.Tree, initialIdx int) (*Terrace, error) {
 	st.states = take(st.states, len(constraints))
 	st.cons = take(st.cons, len(constraints))
 	st.ixs = take(st.ixs, len(constraints))
+	st.sets = take(st.sets, len(constraints))
 	st.ix = tree.BuildStaticIndexes(st.ixs, constraints, st.ix)
 	tr.constraints = st.cons
 	for i, c := range constraints {
@@ -394,7 +437,7 @@ func newShell(constraints []*tree.Tree, initialIdx int) (*Terrace, error) {
 			t:       c,
 			ix:      &st.ixs[i],
 			y:       c.LeafSet(),
-			s:       bitset.New(n),
+			s:       &st.sets[i],
 			cedges:  carve(&ces, 0, rows),
 			cnt:     carve(&i32, 0, rows),
 			m:       carve(&i32, edges, maxEdges),
@@ -406,6 +449,8 @@ func newShell(constraints []*tree.Tree, initialIdx int) (*Terrace, error) {
 			pre:     carve(&pre, rows*preW, rows*preW),
 			preW:    int32(preW),
 		}
+		c.LeafSet().CopyInto(cs.s) // sized to the universe, and emptied: S_i starts empty
+		cs.s.Clear()
 		clear(cs.m)
 		tr.constraints[i] = cs
 	}

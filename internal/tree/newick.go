@@ -200,6 +200,9 @@ func prescan(s []byte) (leaves, topCommas int) {
 func (p *parser) tree(s []byte) (*Tree, error) {
 	leaves, topCommas := prescan(s)
 	known := p.taxa.Len()
+	if known == 0 && p.autoAdd {
+		p.taxa.reserve(leaves) // a fresh universe: its first tree names most of it
+	}
 	t := &Tree{
 		taxa:   p.taxa,
 		nodes:  make([]node, 0, 2*leaves),

@@ -46,6 +46,15 @@ func (t *Taxa) Add(name string) (int, error) {
 	return id, nil
 }
 
+// reserve sizes an empty universe for n names, so that registering them
+// grows neither the names nor the index.
+func (t *Taxa) reserve(n int) {
+	if len(t.names) == 0 {
+		t.names = make([]string, 0, n)
+		t.index = make(map[string]int, n)
+	}
+}
+
 // ID returns the id of name and whether it is registered.
 func (t *Taxa) ID(name string) (int, bool) {
 	id, ok := t.index[name]

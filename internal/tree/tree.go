@@ -271,15 +271,20 @@ func (t *Tree) DetachLeaf(taxon int) (restored int32) {
 }
 
 // Clone returns a deep copy sharing only the Taxa universe.
-func (t *Tree) Clone() *Tree {
-	c := &Tree{
-		taxa:   t.taxa,
-		nodes:  append([]node(nil), t.nodes...),
-		edges:  append([]edge(nil), t.edges...),
-		leafOf: append([]int32(nil), t.leafOf...),
-		leaves: t.leaves.Clone(),
+func (t *Tree) Clone() *Tree { return t.CopyInto(nil) }
+
+// CopyInto makes dst an independent copy of t, in dst's own arrays where they
+// are large enough, and returns it; a nil dst is a new Tree.
+func (t *Tree) CopyInto(dst *Tree) *Tree {
+	if dst == nil {
+		dst = &Tree{leaves: new(bitset.Set)}
 	}
-	return c
+	dst.taxa = t.taxa
+	dst.nodes = append(dst.nodes[:0], t.nodes...)
+	dst.edges = append(dst.edges[:0], t.edges...)
+	dst.leafOf = append(dst.leafOf[:0], t.leafOf...)
+	t.leaves.CopyInto(dst.leaves)
+	return dst
 }
 
 // Validate checks structural invariants; it is used by tests and returns a
