@@ -96,14 +96,15 @@ type FaultInjector = faultinject.Injector
 // (no faults).
 func ParseFaults(spec string) (*FaultInjector, error) { return faultinject.Parse(spec) }
 
-// Checkpoint is a serializable snapshot of an enumeration. Serial runs
-// record the branch-and-bound stack (version 1); parallel runs record the
-// quiesced task frontier — queued plus in-flight task snapshots (version
-// 2). Together with the *same* input (same constraint trees, same order —
-// guarded by a fingerprint) either version resumes the run exactly where
-// it stopped, at ANY thread count: a snapshot taken at four threads can
-// resume at one or eight, with final counters equal to an uninterrupted
-// run's. See Options.Checkpoint and CheckpointPolicy.
+// Checkpoint is a serializable snapshot of an enumeration: the task
+// frontier — queued plus in-flight task snapshots — of a run at a consistent
+// cut (version 2), whatever its thread count. Version 1, a serial
+// branch-and-bound stack, is read but no longer written. Together with the
+// *same* input (same constraint trees, same order — guarded by a
+// fingerprint) either version resumes the run exactly where it stopped, at
+// ANY thread count: a snapshot taken at four threads can resume at one or
+// eight, with final counters equal to an uninterrupted run's. See
+// Options.Checkpoint and CheckpointPolicy.
 type Checkpoint = search.Checkpoint
 
 // CheckpointTrigger requests an on-demand snapshot from a running
@@ -215,9 +216,10 @@ type Options struct {
 	Obs *ObsSink
 
 	// Fault attaches deterministic fault injection for failure testing
-	// (nil: no faults, zero overhead beyond one branch per hook). Parallel
-	// runs honour the taskexec panic site — recovered transparently up to
-	// a retry budget — and the treestream stall site.
+	// (nil: no faults, zero overhead beyond one branch per hook). Every run
+	// honours the treestream stall site, once per tree handed to OnTrees
+	// (else OnTree); parallel runs also the taskexec and enginestep panic
+	// sites — recovered transparently up to a retry budget.
 	Fault *FaultInjector
 }
 
@@ -337,23 +339,28 @@ func EnumerateStandContext(ctx context.Context, constraints []*Tree, opt Options
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	if f := opt.Fault; f != nil {
+		// The treestream site stalls each tree once, on its way to the caller.
+		if onTrees := opt.OnTrees; onTrees != nil {
+			opt.OnTrees = func(block []byte, n int) {
+				f.StallEach(faultinject.TreeStream, n)
+				onTrees(block, n)
+			}
+		} else if onTree := opt.OnTree; onTree != nil {
+			opt.OnTree = func(nw string) {
+				f.Stall(faultinject.TreeStream)
+				onTree(nw)
+			}
+		}
+	}
 	sopt, popt := engineOptions(ctx, opt)
-	// Frontier (version-2) checkpoints describe a task set, not a serial
-	// stack: resuming one at Threads <= 1 routes through the parallel
-	// engine with a single worker, which replays the frontier exactly.
-	resume := popt.Checkpoint.Resume
-	if opt.Threads > 1 || (resume != nil && resume.Frontier != nil) {
+	if opt.Threads > 1 {
 		return enumerateParallel(constraints, popt)
 	}
 	return enumerateSerial(constraints, sopt, opt.Obs)
 }
 
 func enumerateParallel(constraints []*Tree, popt parallel.Options) (*Result, error) {
-	if popt.Threads < 1 {
-		// A frontier checkpoint resumed at Threads <= 0: one worker runs,
-		// and Result.Threads must say so.
-		popt.Threads = 1
-	}
 	pres, err := parallel.Run(constraints, popt)
 	if err != nil {
 		return nil, err

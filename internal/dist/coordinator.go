@@ -259,7 +259,7 @@ func (c *Coordinator) Run(ctx context.Context, jobID string, constraints []*tree
 	// Shared set-up: the deterministic prefix is walked once, counted once,
 	// by the coordinator; the root frontier is one seed task per
 	// initial-split branch (weight 1/B), partitioned into shards below.
-	su, err := search.Start(cons, opt.InitialTree, search.OrderMinBranches, nil, 0)
+	su, err := search.Start(cons, opt.InitialTree, search.OrderMinBranches, nil, nil, 0)
 	if err != nil {
 		return nil, err
 	}

@@ -132,8 +132,8 @@ func TestFleetHeartbeatBlackhole(t *testing.T) {
 	// and a 20ms cadence that guarantees its initial lease expires while
 	// the shard is still running, after which heartbeats flow again and
 	// the re-dispatched epoch completes normally. "Still running" is real
-	// time against virtual: worker a's engine is braked (two threads, so
-	// that its tree sink passes the treestream stall site: 1 ms every 200
+	// time against virtual: worker a's engine is braked (its trees pass the
+	// treestream stall site on their way to the shard's log: 1 ms every 200
 	// trees), which makes its shard outlast the lease a hundred times over.
 	f := newFleet(t, 2, Config{
 		Shards:         2,
@@ -170,7 +170,9 @@ func TestFleetRPCFaults(t *testing.T) {
 // With-derived recorder into the engine, so every task-level event it emits
 // during a real shard run carries the fleet context — {trace, job, node}
 // tags plus {shard, epoch} fields — without the engine knowing the fleet
-// exists. This is the lineage obsreport -fleet joins on.
+// exists. This is the lineage obsreport -fleet joins on. The worker runs
+// two threads: a one-thread shard runs on the serial runner, which emits no
+// task events.
 func TestFleetWorkerEngineEventsCarryShardTags(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
 	cons := canonicalize(t, randomScenario(rng, 9, 3, 4, 0.65))
@@ -180,11 +182,12 @@ func TestFleetWorkerEngineEventsCarryShardTags(t *testing.T) {
 	rec := obs.NewRecorder(&buf, nil)
 	var coord *Coordinator
 	w := NewWorker(WorkerConfig{
-		Name:  "w",
-		Clock: clock,
-		Trace: rec,
-		Retry: retry.Policy{Attempts: 2, Base: time.Millisecond},
-		Dial:  func(string) CoordinatorClient { return &LocalCoordinatorClient{C: coord} },
+		Name:    "w",
+		Threads: 2,
+		Clock:   clock,
+		Trace:   rec,
+		Retry:   retry.Policy{Attempts: 2, Base: time.Millisecond},
+		Dial:    func(string) CoordinatorClient { return &LocalCoordinatorClient{C: coord} },
 	})
 	coord = NewCoordinator(Config{
 		Peers:          []WorkerClient{&LocalWorkerClient{WorkerName: "w", W: w}},

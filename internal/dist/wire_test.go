@@ -98,9 +98,9 @@ func (w *wireTap) Result(ctx context.Context, req *ShardResult) (*ResultResponse
 
 // wireFleet is one coordinator and one real worker behind a wireTap, one
 // collecting shard, on virtual time. Only the worker's engine runs in real
-// time, and it is braked (two threads, so that the pool's tree sink passes the
-// treestream stall site: 1 ms every 200 trees, over half a second for the stand)
-// so that it outlasts a hundred heartbeats taken back to back, on any host.
+// time, and it is braked (its trees pass the treestream stall site: 1 ms every
+// 200 trees, over half a second for the stand) so that it outlasts a hundred
+// heartbeats taken back to back, on any host.
 type wireFleet struct {
 	clock   *simsched.VirtualClock
 	beat    chan time.Time

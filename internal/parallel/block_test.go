@@ -88,7 +88,7 @@ func TestBlockPanicBeforeHandOffRequeues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	su, err := search.Start(cons, -1, 0, nil, 4)
+	su, err := search.Start(cons, -1, 0, nil, nil, 4)
 	if err != nil || len(su.Frontier.Tasks) != 4 {
 		t.Fatalf("set-up: %v, %d tasks", err, len(su.Frontier.Tasks))
 	}

@@ -188,10 +188,9 @@ func TestCheckpointCancelResume(t *testing.T) {
 	}
 }
 
-// TestCheckpointV1SerialResumesParallel: a version-1 serial snapshot is
-// consumed by the parallel engine at many threads through the one-task
-// frontier view — the cross-version compatibility satellite.
-func TestCheckpointV1SerialResumesParallel(t *testing.T) {
+// TestCheckpointSerialResumesParallel: a serial run's snapshot is a frontier
+// like the pool's, consumed by the parallel engine at any thread count.
+func TestCheckpointSerialResumesParallel(t *testing.T) {
 	cons := chainConstraints(3)
 	ref, err := search.Run(cons, search.Options{InitialTree: -1, CollectTrees: true})
 	if err != nil {
@@ -212,8 +211,8 @@ func TestCheckpointV1SerialResumesParallel(t *testing.T) {
 		t.Fatal("serial run produced no checkpoint")
 	}
 	cp := roundTrip(t, res1.Checkpoint)
-	if cp.Version != 1 || cp.Frontier != nil {
-		t.Fatalf("expected a version-1 serial checkpoint, got v%d", cp.Version)
+	if cp.Version != 2 || cp.Frontier == nil || cp.Frontier.Threads != 1 {
+		t.Fatalf("expected a one-thread frontier checkpoint, got v%d", cp.Version)
 	}
 	for _, threads := range []int{1, 4} {
 		res2, err := Run(cons, Options{Threads: threads, Limits: unlimited(), Checkpoint: search.CheckpointPolicy{Resume: cp}, CollectTrees: true})
@@ -537,7 +536,7 @@ func TestCheckpointBackToBackQuiesce(t *testing.T) {
 // process (index out of range in Tree.AttachLeaf).
 func TestCheckpointHostilePrefix(t *testing.T) {
 	cons := chainConstraints(3)
-	good, err := search.Start(cons, -1, 0, nil, 4)
+	good, err := search.Start(cons, -1, 0, nil, nil, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

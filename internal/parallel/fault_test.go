@@ -192,8 +192,9 @@ func TestFailedRunEmptiesQueueGauge(t *testing.T) {
 	}
 }
 
-// TestSlowConsumerStall: an injected stall in the tree collector must slow
-// the run down, not break it — counters and the stand stay exact.
+// TestSlowConsumerStall: a slow tree consumer — the treestream stall site in
+// OnTree — must slow the run down, not break it: counters and the stand stay
+// exact.
 func TestSlowConsumerStall(t *testing.T) {
 	rng := rand.New(rand.NewSource(8383))
 	cons := randomScenario(rng, 12, 2, 4, 0.5)
@@ -212,8 +213,10 @@ func TestSlowConsumerStall(t *testing.T) {
 		InitialTree:  -1,
 		Limits:       unlimited(),
 		CollectTrees: true,
-		OnTree:       func(string) { streamed++ },
-		Fault:        inj,
+		OnTree: func(string) {
+			inj.Stall(faultinject.TreeStream)
+			streamed++
+		},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -99,10 +99,9 @@ type Options struct {
 
 	// Fault attaches deterministic fault injection (nil: no faults). The
 	// pool honours the TaskExec site (panic at the start of the Nth task
-	// execution — exercised by the recovery path), the EngineStep site
+	// execution — exercised by the recovery path) and the EngineStep site
 	// (panic at the Nth engine step — mid-task, so recovery escalates once
-	// the attempt has published progress) and the TreeStream site (stall
-	// in the collector, once per tree, simulating a slow consumer).
+	// the attempt has published progress).
 	Fault *faultinject.Injector
 
 	// MaxTaskRetries bounds how many times a single task may panic and be
@@ -503,7 +502,7 @@ func Run(constraints []*tree.Tree, opt Options) (*Result, error) {
 	// view), and the outstanding work. What it already counted seeds the
 	// globals and stands in as Result.Prefix, preserving the conservation
 	// invariant Counters == Prefix + sum(PerWorker).
-	su, err := search.Start(constraints, opt.InitialTree, opt.Heuristic, ck.Resume, opt.Threads)
+	su, err := search.Start(constraints, opt.InitialTree, opt.Heuristic, nil, ck.Resume, opt.Threads)
 	if err != nil {
 		return nil, err
 	}
@@ -619,18 +618,10 @@ func Run(constraints []*tree.Tree, opt Options) (*Result, error) {
 	return res, nil
 }
 
-// sink is where the collector puts a block: the injected stall of a slow
-// consumer, then the forms the caller asked for (search.TreeSink); nil when
-// nobody wants the trees.
+// sink is where the collector puts a block: the forms the caller asked for
+// (search.TreeSink); nil when nobody wants the trees.
 func (opt *Options) sink(res *Result) func(block []byte, n int) {
-	user := search.TreeSink[[]byte](opt.CollectTrees, &res.Trees, opt.OnTree, opt.OnTrees)
-	if user == nil {
-		return nil
-	}
-	return func(block []byte, n int) {
-		opt.Fault.StallEach(faultinject.TreeStream, n)
-		user(block, n)
-	}
+	return search.TreeSink[[]byte](opt.CollectTrees, &res.Trees, opt.OnTree, opt.OnTrees)
 }
 
 // worker is one pool worker: a search.Worker — the per-thread protocol,

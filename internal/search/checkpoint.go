@@ -4,22 +4,21 @@ import (
 	"fmt"
 	"io"
 
-	"gentrius/internal/terrace"
 	"gentrius/internal/tree"
 )
 
 // Checkpoint is a serializable snapshot of a running enumeration. The
 // paper's third stopping rule defaults to 168 hours; runs of that length
-// need to survive restarts. Two payload versions exist:
-//
-//   - Version 1 (serial): the branch-and-bound stack of a single engine —
-//     each frame's taxon, branch list and position — plus the counters.
-//   - Version 2 (frontier): a quiesced parallel run — the prefix path plus
-//     the task frontier (queued + in-flight task snapshots, see Frontier).
-//     A v2 checkpoint resumes onto any thread count.
+// need to survive restarts. Every run, at any thread count, writes version 2
+// (frontier): the prefix path plus the task frontier (queued and in-flight
+// task snapshots, see Frontier) of a run at a consistent cut. Version 1 is
+// read only, for files written before serial runs wrote frontiers: the
+// branch-and-bound stack of a single engine — each frame's taxon, branch
+// list and position — plus the counters, viewed as a one-task frontier.
 //
 // Together with the original input either version restores the enumeration
-// exactly: the resumed run produces exactly the remaining work.
+// exactly, at any thread count: the resumed run produces exactly the
+// remaining work.
 //
 // The constraint trees themselves are NOT stored: the caller re-supplies
 // the same input (same trees, same order) on restore, and a fingerprint
@@ -50,7 +49,7 @@ type FrameSnapshot struct {
 }
 
 // Frontier is the version-2 payload section: the complete set of
-// outstanding work of a quiesced parallel (or simulated) run. Prefix is the
+// outstanding work of a run at a consistent cut. Prefix is the
 // common root path all tasks hang off (replayed without recounting on
 // resume); Tasks covers both queued tasks (a single uninserted frame) and
 // in-flight engines (a full frame stack). Threads records the snapshotting
@@ -69,8 +68,8 @@ type FrontierTask struct {
 }
 
 // Checkpoint payload versions. checkpointVersion (1) is the serial
-// frame-stack format; checkpointVersionFrontier (2) adds the Frontier
-// section for parallel runs.
+// frame-stack format, read only; checkpointVersionFrontier (2), the
+// Frontier section, is the one written.
 const (
 	checkpointVersion         = 1
 	checkpointVersionFrontier = 2
@@ -96,22 +95,6 @@ func fingerprint(constraints []*tree.Tree) string {
 // these constraint trees (order-sensitive).
 func Fingerprint(constraints []*tree.Tree) string { return fingerprint(constraints) }
 
-// Snapshot captures a serial engine's current state as a version-1
-// checkpoint. A Worker's engine is snapshotted through the frontier path
-// instead (Worker.Snapshot).
-func (e *Engine) Snapshot(constraints []*tree.Tree, initialIndex int) *Checkpoint {
-	return &Checkpoint{
-		Version:      checkpointVersion,
-		Fingerprint:  fingerprint(constraints),
-		InitialIndex: initialIndex,
-		Heuristic:    e.Heuristic,
-		Frames:       e.SnapshotFrames(nil),
-		Counters:     e.counters,
-		Done:         e.done,
-		Started:      e.started,
-	}
-}
-
 // NewFrontierCheckpoint assembles a version-2 checkpoint around a quiesced
 // frontier. Counters must be the flushed global totals at quiesce time
 // (including any prefix-walk counters), so that resume seeds them exactly.
@@ -130,8 +113,7 @@ func NewFrontierCheckpoint(constraints []*tree.Tree, initialIndex int, h OrderHe
 
 // Validate checks a checkpoint against the supplied constraint trees:
 // payload version, version/frontier consistency, input fingerprint and
-// initial-index range. Both the serial and the frontier resume paths call
-// this before touching any frame.
+// initial-index range. Start calls it before touching any frame.
 func (cp *Checkpoint) Validate(constraints []*tree.Tree) error {
 	switch cp.Version {
 	case checkpointVersion:
@@ -161,46 +143,12 @@ func (cp *Checkpoint) unstarted() bool {
 	return cp.Frontier == nil && !cp.Started && !cp.Done && len(cp.Frames) == 0
 }
 
-// Restore rebuilds a serial engine from a version-1 checkpoint and the
-// original input. Version-2 (frontier) checkpoints resume through the
-// parallel engine instead — at any thread count, including one.
-func Restore(cp *Checkpoint, constraints []*tree.Tree) (*Engine, error) {
-	if cp.Version == checkpointVersionFrontier {
-		return nil, fmt.Errorf("search: frontier checkpoint cannot restore a serial engine; resume through the parallel path: %w", ErrVersion)
-	}
-	if err := cp.Validate(constraints); err != nil {
-		return nil, err
-	}
-	// The one-task frontier view carries the stack with its estimator
-	// weights re-derived, exactly as a parallel resume of this snapshot.
-	fr, err := cp.FrontierView()
-	if err != nil {
-		return nil, err
-	}
-	t, err := terrace.New(constraints, cp.InitialIndex)
-	if err != nil {
-		return nil, err
-	}
-	e := NewEngine(t)
-	e.Heuristic = cp.Heuristic
-	e.counters = cp.Counters
-	for _, ft := range fr.Tasks { // none, or the one stack
-		if err := e.Reset(ft.Frames); err != nil {
-			return nil, err
-		}
-		e.replayInserted()
-	}
-	e.done = cp.Done
-	e.started = cp.Started
-	return e, nil
-}
-
 // FrontierView returns the checkpoint's outstanding work as a frontier,
 // regardless of payload version. A version-2 checkpoint returns its stored
 // frontier; a version-1 serial checkpoint is synthesized into a one-task
 // frontier with weights re-derived top-down (valid because serial frames
-// never lose branches to stealing). This is what lets a serial snapshot
-// resume onto any thread count. The returned frontier is validated:
+// never lose branches to stealing), which Start resumes like any other.
+// The returned frontier is validated:
 // frame indices in range, inserted frames with a chosen branch, weights
 // present on every frame that still has branches.
 func (cp *Checkpoint) FrontierView() (*Frontier, error) {

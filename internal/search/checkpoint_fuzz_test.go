@@ -14,8 +14,9 @@ import (
 // Whatever they are, decoding them, validating the result against the input,
 // setting a run up from it and resuming that run for a bounded number of
 // ticks returns errors and never panics; and the committed files of commit
-// a3eaaa2 (a version-1 serial stack, a version-2 frontier), unmutated, resume
-// to the totals of the uninterrupted serial run.
+// a3eaaa2 (a version-1 serial stack, a version-2 frontier) and a frontier the
+// serial runner cuts, unmutated, resume to the totals of the uninterrupted
+// serial run.
 //
 // The envelope's CRC turns nearly every mutation of a file away at the door,
 // so each file's bare payload — the legacy form, which has no checksum — is a
@@ -40,11 +41,24 @@ func FuzzReadCheckpoint(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
+		files = append(files, data)
+	}
+	// And a frontier the serial runner cut at a check half-way.
+	var cuts []*Checkpoint
+	if _, err := Run(cons, Options{InitialTree: -1, CheckEvery: 16, Limits: Limits{MaxTrees: -1, MaxStates: -1, MaxTime: -1},
+		Checkpoint: CheckpointPolicy{Every: 1, Sink: func(cp *Checkpoint) { cuts = append(cuts, cp) }}}); err != nil || len(cuts) == 0 {
+		f.Fatalf("the serial run cut no checkpoint: %v", err)
+	}
+	data, err := cuts[len(cuts)/2].encode()
+	if err != nil {
+		f.Fatal(err)
+	}
+	files = append(files, data)
+	for _, data := range files {
 		var env envelope
 		if err := json.Unmarshal(data, &env); err != nil {
 			f.Fatal(err)
 		}
-		files = append(files, data)
 		f.Add(data)
 		f.Add([]byte(env.Payload))
 	}
@@ -58,7 +72,7 @@ func FuzzReadCheckpoint(f *testing.F) {
 		if err := cp.Validate(cons); err != nil {
 			return
 		}
-		su, err := Start(cons, -1, OrderMinBranches, cp, 0)
+		su, err := Start(cons, -1, OrderMinBranches, nil, cp, 0)
 		if err != nil {
 			return
 		}

@@ -3,72 +3,94 @@ package search
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
-	"gentrius/internal/terrace"
+	"gentrius/internal/tree"
 )
 
-// runToEnd drains an engine, returning counters and collected trees.
-func runToEnd(e *Engine) (Counters, []string) {
-	var trees []string
-	e.OnTree = func(nw string) { trees = append(trees, nw) }
-	for e.Step() != EvDone {
+// cutCheckpoint is the frontier a serial run of cons leaves at its k-th
+// check, one unit apart (at its last, on a shorter run): what is left of the
+// stand there. A run with no check has nothing left: its frontier is empty.
+func cutCheckpoint(t *testing.T, cons []*tree.Tree, k int) *Checkpoint {
+	t.Helper()
+	var cuts []*Checkpoint
+	res, err := Run(cons, Options{InitialTree: -1, CheckEvery: 1,
+		Limits:     Limits{MaxTrees: -1, MaxStates: -1, MaxTime: -1},
+		Checkpoint: CheckpointPolicy{Every: 1, Sink: func(cp *Checkpoint) { cuts = append(cuts, cp) }}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	return e.Counters(), trees
+	if len(cuts) == 0 {
+		return NewFrontierCheckpoint(cons, res.InitialIndex, OrderMinBranches, res.Counters, &Frontier{})
+	}
+	return cuts[min(k, len(cuts))-1]
+}
+
+// v1Snapshot is a raw engine's state in the version-1 form, which serial
+// runs wrote before every checkpoint was a frontier: the input of the tests
+// of reading it.
+func v1Snapshot(e *Engine, cons []*tree.Tree, idx int) *Checkpoint {
+	return &Checkpoint{Version: checkpointVersion, Fingerprint: fingerprint(cons), InitialIndex: idx,
+		Heuristic: e.Heuristic, Frames: e.SnapshotFrames(nil), Counters: e.counters, Done: e.done, Started: e.started}
+}
+
+// engineCheckpoint is a raw engine's state as a frontier of one task, its
+// stack, under an empty prefix.
+func engineCheckpoint(e *Engine, cons []*tree.Tree, idx int) *Checkpoint {
+	return NewFrontierCheckpoint(cons, idx, e.Heuristic, e.counters,
+		&Frontier{Threads: 1, Tasks: []FrontierTask{{Frames: e.SnapshotFrames(nil)}}})
 }
 
 func TestCheckpointResumeMatchesUninterrupted(t *testing.T) {
 	rng := rand.New(rand.NewSource(6060))
+	unlimited := Limits{MaxTrees: -1, MaxStates: -1, MaxTime: -1}
 	for scen := 0; scen < 8; scen++ {
 		cons := randomScenario(rng, 10+rng.Intn(4), 2+rng.Intn(2), 4, 0.55)
-		idx := ChooseInitialTree(cons)
 
 		// Reference: uninterrupted run.
-		tRef, err := terrace.New(cons, idx)
+		ref, err := Run(cons, Options{InitialTree: -1, Limits: unlimited, CollectTrees: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		refEng := NewEngine(tRef)
-		refCounters, refTrees := runToEnd(refEng)
+		if ref.IntermediateStates < 4 {
+			continue
+		}
 
-		// Interrupted run: stop after a random number of steps, snapshot,
-		// serialize, restore, finish.
-		t1, err := terrace.New(cons, idx)
+		// Interrupted run: stopped by a state limit at a random check,
+		// snapshot on stop, serialize, resume, finish.
+		first, err := Run(cons, Options{InitialTree: -1, CheckEvery: 1, CollectTrees: true,
+			Limits:     Limits{MaxTrees: -1, MaxStates: 1 + rng.Int63n(ref.IntermediateStates/2), MaxTime: -1},
+			Checkpoint: CheckpointPolicy{OnStop: true}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		e1 := NewEngine(t1)
-		var treesA []string
-		e1.OnTree = func(nw string) { treesA = append(treesA, nw) }
-		stopAfter := 1 + rng.Intn(60)
-		for i := 0; i < stopAfter; i++ {
-			if e1.Step() == EvDone {
-				break
-			}
+		if first.Checkpoint == nil {
+			t.Fatalf("scen %d: the run was not cut (%v)", scen, first.Stop)
 		}
-		e1.FlushTrees()
 		var buf bytes.Buffer
-		if err := e1.Snapshot(cons, idx).Write(&buf); err != nil {
+		if err := first.Checkpoint.Write(&buf); err != nil {
 			t.Fatal(err)
 		}
 		cp, err := ReadCheckpoint(&buf)
 		if err != nil {
 			t.Fatal(err)
 		}
-		e2, err := Restore(cp, cons)
+		if cp.Version != checkpointVersionFrontier {
+			t.Fatalf("scen %d: a serial run wrote version %d", scen, cp.Version)
+		}
+		second, err := Run(cons, Options{Limits: unlimited, CollectTrees: true, Checkpoint: CheckpointPolicy{Resume: cp}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		c2, treesB := runToEnd(e2)
 
-		if c2 != refCounters {
-			t.Fatalf("scen %d: resumed counters %+v, reference %+v", scen, c2, refCounters)
+		if second.Counters != ref.Counters {
+			t.Fatalf("scen %d: resumed counters %+v, reference %+v", scen, second.Counters, ref.Counters)
 		}
-		all := append(append([]string(nil), treesA...), treesB...)
-		if !equalStringSets(all, refTrees) {
+		if all := append(first.Trees, second.Trees...); !slices.Equal(all, ref.Trees) {
 			t.Fatalf("scen %d: pre+post checkpoint trees differ from reference (%d+%d vs %d)",
-				scen, len(treesA), len(treesB), len(refTrees))
+				scen, len(first.Trees), len(second.Trees), len(ref.Trees))
 		}
 	}
 }
@@ -77,21 +99,12 @@ func TestCheckpointRejectsWrongInput(t *testing.T) {
 	rng := rand.New(rand.NewSource(6161))
 	cons := randomScenario(rng, 10, 2, 4, 0.55)
 	other := randomScenario(rng, 10, 2, 4, 0.55)
-	idx := ChooseInitialTree(cons)
-	tr, err := terrace.New(cons, idx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := NewEngine(tr)
-	for i := 0; i < 5; i++ {
-		e.Step()
-	}
-	cp := e.Snapshot(cons, idx)
-	if _, err := Restore(cp, other); err == nil {
+	cp := cutCheckpoint(t, cons, 5)
+	if _, err := Run(other, Options{Checkpoint: CheckpointPolicy{Resume: cp}}); err == nil {
 		t.Fatal("expected fingerprint mismatch")
 	}
 	cp.Version = 99
-	if _, err := Restore(cp, cons); err == nil {
+	if _, err := Run(cons, Options{Checkpoint: CheckpointPolicy{Resume: cp}}); err == nil {
 		t.Fatal("expected version error")
 	}
 }
@@ -99,18 +112,10 @@ func TestCheckpointRejectsWrongInput(t *testing.T) {
 func TestCheckpointCorruptFrames(t *testing.T) {
 	rng := rand.New(rand.NewSource(6262))
 	cons := randomScenario(rng, 10, 2, 4, 0.55)
-	idx := ChooseInitialTree(cons)
-	tr, _ := terrace.New(cons, idx)
-	e := NewEngine(tr)
-	for e.Work().Units < 10 { // ten transitions of the paper's machine in
-		e.Step()
-	}
-	cp := e.Snapshot(cons, idx)
-	if len(cp.Frames) == 0 {
-		t.Skip("no frames to corrupt")
-	}
-	cp.Frames[0].Idx = len(cp.Frames[0].Branches) + 5
-	if _, err := Restore(cp, cons); err == nil {
+	cp := cutCheckpoint(t, cons, 5)
+	f := &cp.Frontier.Tasks[0].Frames[0]
+	f.Idx = len(f.Branches) + 5
+	if _, err := Run(cons, Options{Checkpoint: CheckpointPolicy{Resume: cp}}); err == nil {
 		t.Fatal("expected corrupt-frame error")
 	}
 }

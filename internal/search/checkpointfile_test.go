@@ -10,23 +10,13 @@ import (
 	"testing"
 	"time"
 
-	"gentrius/internal/terrace"
 	"gentrius/internal/tree"
 )
 
 func sampleCheckpoint(t *testing.T, rng *rand.Rand) (*Checkpoint, []*tree.Tree) {
 	t.Helper()
 	cons := randomScenario(rng, 10, 2, 4, 0.55)
-	idx := ChooseInitialTree(cons)
-	tr, err := terrace.New(cons, idx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := NewEngine(tr)
-	for i := 0; i < 25; i++ {
-		e.Step()
-	}
-	return e.Snapshot(cons, idx), cons
+	return cutCheckpoint(t, cons, 10), cons
 }
 
 func TestWriteFileAtomicRotation(t *testing.T) {
@@ -65,7 +55,7 @@ func TestWriteFileAtomicRotation(t *testing.T) {
 	if bak.Counters.StandTrees != cp.Counters.StandTrees {
 		t.Fatalf("backup has StandTrees %d, want %d", bak.Counters.StandTrees, cp.Counters.StandTrees)
 	}
-	if _, err := Restore(got, cons); err != nil {
+	if _, err := Start(cons, -1, OrderMinBranches, nil, got, 1); err != nil {
 		t.Fatalf("restore from file round trip: %v", err)
 	}
 }
@@ -163,12 +153,12 @@ func TestRestoreTypedErrors(t *testing.T) {
 	cp, cons := sampleCheckpoint(t, rng)
 	other := randomScenario(rng, 10, 2, 4, 0.55)
 
-	if _, err := Restore(cp, other); !errors.Is(err, ErrFingerprint) {
+	if _, err := Start(other, -1, OrderMinBranches, nil, cp, 1); !errors.Is(err, ErrFingerprint) {
 		t.Fatalf("wrong input: got %v, want ErrFingerprint", err)
 	}
 	bad := *cp
 	bad.Version = 99
-	if _, err := Restore(&bad, cons); !errors.Is(err, ErrVersion) {
+	if _, err := Start(cons, -1, OrderMinBranches, nil, &bad, 1); !errors.Is(err, ErrVersion) {
 		t.Fatalf("wrong version: got %v, want ErrVersion", err)
 	}
 }

@@ -141,8 +141,8 @@ type Engine struct {
 	// Heuristic refines the dynamic selection (see OrderHeuristic); the
 	// zero value is the paper's min-branches rule.
 	Heuristic OrderHeuristic
-	// Order is the static insertion order used when DynamicOrder is false;
-	// it must be a permutation of T.MissingTaxa().
+	// Order is the static insertion order used when DynamicOrder is false,
+	// indexed by the Terrace's depth: a permutation of T.MissingTaxa().
 	Order []int
 
 	degree []int16 // per-taxon constraint count (OrderMinBranchesTieDegree)
@@ -176,7 +176,6 @@ type Engine struct {
 	// NewEngine, the task's Mass after a Reset).
 	OnLeaf func(mass float64, leaves int64)
 
-	baseDepth int // terrace depth at engine start (task replay offset)
 	// after lists, for the based frame, the last taxon's branches in the
 	// frame's state, ascending, then the ids of the two edges an insertion
 	// of the frame's taxon makes: the last taxon's branches under a branch
@@ -302,7 +301,7 @@ func TreeSink[B []byte | string](collect bool, trees *[]string, onTree func(newi
 // NewEngine returns an engine exploring the full search space below the
 // terrace's current state, selecting taxa with the dynamic heuristic.
 func NewEngine(t *terrace.Terrace) *Engine {
-	return &Engine{T: t, DynamicOrder: true, baseDepth: t.Depth()}
+	return &Engine{T: t, DynamicOrder: true}
 }
 
 // Reset re-aims the engine at a frame stack (a FrontierTask's Frames) — how a
@@ -338,7 +337,6 @@ func (e *Engine) Reset(frames []FrameSnapshot) error {
 // must be at the stack's base state, without recounting them (the insertions
 // were tallied before the snapshot).
 func (e *Engine) replayInserted() {
-	e.baseDepth = e.T.Depth()
 	for i := range e.frames {
 		if f := &e.frames[i]; f.inserted {
 			e.T.ExtendTaxon(f.Taxon, f.Branches[f.idx-1])
@@ -381,9 +379,6 @@ func (e *Engine) Counters() Counters { return e.counters }
 
 // Done reports whether the engine's search space is exhausted.
 func (e *Engine) Done() bool { return e.done }
-
-// Depth returns the engine's current depth below its base state.
-func (e *Engine) Depth() int { return e.T.Depth() - e.baseDepth }
 
 // RemainingTaxa returns how many taxa are still missing from the agile tree.
 func (e *Engine) RemainingTaxa() int {
@@ -628,7 +623,7 @@ func (e *Engine) pushFrame() bool {
 // keep the first taxon found in MissingTaxa order).
 func (e *Engine) nextTaxon() int {
 	if !e.DynamicOrder {
-		return e.Order[e.Depth()]
+		return e.Order[e.T.Depth()]
 	}
 	best, bestCount := -1, -1
 	missing := e.T.MissingTaxa()

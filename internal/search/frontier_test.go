@@ -14,30 +14,12 @@ import (
 	"gentrius/internal/tree"
 )
 
-// frontierSample interrupts a serial engine and wraps its stack into a
-// version-2 frontier checkpoint (one task), mirroring what a quiesced
-// one-worker pool would produce.
+// frontierSample is the frontier a serial run leaves when a state limit cuts
+// it: one task, the run's stack below the initial split.
 func frontierSample(t *testing.T, rng *rand.Rand) (*Checkpoint, []*tree.Tree) {
 	t.Helper()
 	cons := randomScenario(rng, 11, 2, 4, 0.55)
-	idx := ChooseInitialTree(cons)
-	tr, err := terrace.New(cons, idx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := NewEngine(tr)
-	for e.Work().Units < 30 { // thirty transitions of the paper's machine in
-		if e.Step() == EvDone {
-			t.Skip("scenario exhausted before the snapshot point")
-		}
-	}
-	v1 := e.Snapshot(cons, idx)
-	fr, err := v1.FrontierView()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cp := NewFrontierCheckpoint(cons, idx, v1.Heuristic, v1.Counters, fr)
-	return cp, cons
+	return cutCheckpoint(t, cons, 15), cons
 }
 
 func TestFrontierViewV1Derivation(t *testing.T) {
@@ -54,10 +36,7 @@ func TestFrontierViewV1Derivation(t *testing.T) {
 			t.Skip("scenario exhausted before the snapshot point")
 		}
 	}
-	cp := e.Snapshot(cons, idx)
-	if cp.Version != checkpointVersion || cp.Frontier != nil {
-		t.Fatalf("serial snapshot should be v1 without a frontier: %+v", cp)
-	}
+	cp := v1Snapshot(e, cons, idx)
 	fr, err := cp.FrontierView()
 	if err != nil {
 		t.Fatal(err)
@@ -118,9 +97,15 @@ func TestFrontierCheckpointRoundTrip(t *testing.T) {
 	if len(fr.Tasks) != len(cp.Frontier.Tasks) {
 		t.Fatalf("task count %d, want %d", len(fr.Tasks), len(cp.Frontier.Tasks))
 	}
-	// A frontier checkpoint refuses the serial Restore path with ErrVersion.
-	if _, err := Restore(got, cons); !errors.Is(err, ErrVersion) {
-		t.Fatalf("Restore on a v2 checkpoint: err = %v, want ErrVersion", err)
+	// The file resumes a serial run to the uninterrupted counters.
+	unlimited := Limits{MaxTrees: -1, MaxStates: -1, MaxTime: -1}
+	ref, err := Run(cons, Options{InitialTree: -1, Limits: unlimited})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(cons, Options{Limits: unlimited, Checkpoint: CheckpointPolicy{Resume: got}})
+	if err != nil || res.Counters != ref.Counters {
+		t.Fatalf("the serial run resumed from the file: %v, %+v; uninterrupted %+v", err, res, ref.Counters)
 	}
 }
 

@@ -24,11 +24,12 @@ type PrefixResult struct {
 }
 
 // PrefixWalkH advances the terrace through all forced insertions (taxa with
-// exactly one admissible branch under the dynamic heuristic h) and stops at
-// the initial split. The insertions remain applied.
-func PrefixWalkH(t *terrace.Terrace, h OrderHeuristic) PrefixResult {
+// exactly one admissible branch, picked by the dynamic heuristic h or, when
+// order is not nil, in that static order) and stops at the initial split.
+// The insertions remain applied.
+func PrefixWalkH(t *terrace.Terrace, h OrderHeuristic, order []int) PrefixResult {
 	var res PrefixResult
-	e := &Engine{T: t, DynamicOrder: true, Heuristic: h}
+	e := &Engine{T: t, DynamicOrder: order == nil, Heuristic: h, Order: order}
 	for {
 		if t.Complete() {
 			res.Counters.StandTrees++

@@ -2,13 +2,13 @@ package search
 
 import (
 	"context"
-	"errors"
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"time"
 
 	"gentrius/internal/obs"
-	"gentrius/internal/terrace"
 	"gentrius/internal/tree"
 )
 
@@ -132,9 +132,9 @@ type Options struct {
 	OnCheck func(c Counters, elapsed time.Duration)
 
 	// Estimator, if set, accumulates the weighted backtrack fraction-
-	// complete measure: every closed leaf's random-descent probability is
-	// added as the engine backtracks, and the live counters are merged at
-	// every stopping-rule check. A resumed run seeds the estimator with the
+	// complete measure: the random-descent probability of the leaves closed
+	// since the last stopping-rule check is merged at every check, with the
+	// live counters. A resumed run seeds the estimator with the
 	// mass already consumed before the checkpoint, so its fraction matches
 	// an uninterrupted run's.
 	Estimator *obs.Estimator
@@ -147,9 +147,10 @@ type Options struct {
 	Ctx context.Context
 
 	// Checkpoint configures snapshots and resuming (see CheckpointPolicy).
-	// A serial run snapshots inline at its stopping-rule checks and resumes
-	// version-1 checkpoints only. Checkpointing requires the dynamic
-	// insertion order (the default): checkpoints record no static Order.
+	// A serial run snapshots inline at its stopping-rule checks, a frontier
+	// like any run's, and resumes any checkpoint. Checkpointing requires the
+	// dynamic insertion order (the default): checkpoints record no static
+	// Order.
 	Checkpoint CheckpointPolicy
 }
 
@@ -157,13 +158,14 @@ type Options struct {
 // enumeration at any thread count. Zero-valued fields disable their
 // mechanism; any combination may be active at once.
 //
-// Serial runs snapshot inline at stopping-rule checks. Parallel runs take a
-// round: every worker is interrupted at an engine step as a stop would, hands
-// in what is left of its task and waits; the queue and the hand-ins are cut
-// into a task-frontier snapshot; the hand-ins are queued and stolen again —
-// the enumeration is never restarted. A frontier snapshot resumes at ANY
-// thread count, with final counters exactly equal to an uninterrupted
-// run's.
+// Every snapshot is a task frontier (version 2). Serial runs cut one inline
+// at stopping-rule checks: what is left of the one worker's task and the
+// tasks not begun. Parallel runs take a round: every worker is interrupted
+// at an engine step as a stop would, hands in what is left of its task and
+// waits; the queue and the hand-ins are cut into a task-frontier snapshot;
+// the hand-ins are queued and stolen again — the enumeration is never
+// restarted. A frontier snapshot resumes at ANY thread count, with final
+// counters exactly equal to an uninterrupted run's.
 type CheckpointPolicy struct {
 	// Every snapshots to Sink every this many stopping-rule checks of a
 	// serial run — the survival mechanism for hard crashes, where OnStop
@@ -186,9 +188,8 @@ type CheckpointPolicy struct {
 	// The initial tree and insertion heuristic come from the checkpoint;
 	// the resumed run's counters continue from it, so its final counters
 	// equal an uninterrupted run's exactly. Any thread count may consume
-	// any snapshot: serial (version-1) snapshots resume parallel, and
-	// frontier (version-2) snapshots resume at one thread through the
-	// parallel engine with one worker.
+	// any snapshot, a version-1 file of an older release's serial run
+	// included.
 	Resume *Checkpoint
 
 	// Sink receives each periodic snapshot (typically persisted with
@@ -222,9 +223,33 @@ type Result struct {
 	Checkpoint *Checkpoint
 }
 
-// Run enumerates the stand of the given constraint trees serially.
-// Incompatible constraint sets yield an empty stand (zero trees, reason
-// StopExhausted), not an error.
+// serial is the host of Run's one Worker. It takes no offer, sums the
+// batches and hands each block of trees to the run's sink.
+type serial struct {
+	total Counters
+	sink  func(block []byte, n int)
+}
+
+func (*serial) Offer([]PathStep, *Frame, int) int { return 0 }
+
+func (h *serial) Publish(c Counters) { h.total.Add(c) }
+
+func (h *serial) Trees(block []byte, n int) []byte {
+	h.sink(block, n)
+	return block
+}
+
+// serialPolicy offers nothing (Submit is 0 below MinRemaining remaining taxa)
+// and fills no batch: frames keep all their branches, and the run flushes
+// its worker at each check.
+var serialPolicy = Policy{TreeBatch: math.MaxInt64, StateBatch: math.MaxInt64,
+	DeadEndBatch: math.MaxInt64, MinRemaining: math.MaxInt}
+
+// Run enumerates the stand of the given constraint trees serially: the
+// scheme's set-up (Start), then one Worker that takes the frontier's tasks
+// in order — a fresh run has one, the whole initial split. Incompatible
+// constraint sets yield an empty stand (zero trees, reason StopExhausted),
+// not an error.
 func Run(constraints []*tree.Tree, opt Options) (*Result, error) {
 	opt.Limits = opt.Limits.Normalize()
 	if opt.CheckEvery <= 0 {
@@ -236,132 +261,122 @@ func Run(constraints []*tree.Tree, opt Options) (*Result, error) {
 	defer ck.Trigger.Finish()
 	periodic := ck.Every > 0 && ck.Sink != nil
 	interval := ck.Interval > 0 && ck.Sink != nil
-	checkpointing := ck.Resume != nil || ck.OnStop || periodic || interval || ck.Trigger != nil
-	if checkpointing && opt.DisableDynamicOrder {
-		return nil, fmt.Errorf("search: checkpointing requires the dynamic insertion order")
-	}
-	res := &Result{Stop: StopExhausted}
-	start := time.Now()
-
-	var eng *Engine
-	if ck.Resume != nil {
-		e, err := Restore(ck.Resume, constraints)
-		if err != nil {
-			return nil, err
+	var order func(missing []int) []int
+	if opt.DisableDynamicOrder {
+		if ck.Resume != nil || ck.OnStop || periodic || interval || ck.Trigger != nil {
+			return nil, fmt.Errorf("search: checkpointing requires the dynamic insertion order")
 		}
-		eng = e
-		res.InitialIndex = ck.Resume.InitialIndex
-	} else {
-		idx, err := resolveInitial(constraints, opt.InitialTree)
-		if err != nil {
-			return nil, err
-		}
-		res.InitialIndex = idx
-
-		t, err := terrace.New(constraints, idx)
-		if err != nil {
-			if errors.Is(err, terrace.ErrIncompatible) {
-				res.Elapsed = time.Since(start)
-				return res, nil
-			}
-			return nil, err
-		}
-		eng = NewEngine(t)
-		eng.Heuristic = opt.Heuristic
-		if opt.DisableDynamicOrder {
-			eng.DynamicOrder = false
-			eng.Order = append([]int(nil), t.MissingTaxa()...)
+		order = func(missing []int) []int {
+			o := slices.Clone(missing)
 			if opt.ShuffleSeed != 0 {
-				rng := rand.New(rand.NewSource(opt.ShuffleSeed))
-				rng.Shuffle(len(eng.Order), func(i, j int) {
-					eng.Order[i], eng.Order[j] = eng.Order[j], eng.Order[i]
-				})
+				rand.New(rand.NewSource(opt.ShuffleSeed)).Shuffle(len(o), func(i, j int) { o[i], o[j] = o[j], o[i] })
 			}
+			return o
 		}
 	}
-	// Nothing outlives the run that reads its one Terrace, which has no clones.
-	defer eng.T.Release()
+	start := time.Now()
+	su, err := Start(constraints, opt.InitialTree, opt.Heuristic, order, ck.Resume, 1)
+	if err != nil {
+		return nil, err
+	}
+	defer su.Release()
+	res := &Result{Stop: StopExhausted, InitialIndex: su.InitialIndex}
+	h := &serial{total: su.Counters, sink: TreeSink[[]byte](opt.CollectTrees, &res.Trees, opt.OnTree, opt.OnTrees)}
+	if h.sink != nil && su.Tree != "" {
+		h.sink(append([]byte(su.Tree), '\n'), 1)
+	}
 	est := opt.Estimator
-	var estPrev Counters // counters already merged into the estimator
-	if est != nil {
-		eng.OnLeaf = est.AddLeafMass
-		if ck.Resume != nil && ck.Resume.Started {
-			// Seed with the interrupted run's consumed mass and counters
-			// (Restore validated the view, so it cannot fail here); a
-			// snapshot from before the first step has consumed nothing.
-			fr, _ := ck.Resume.FrontierView()
-			cpc := ck.Resume.Counters
-			est.AddLeafMass(1-fr.RemainingMass(), cpc.StandTrees+cpc.DeadEnds)
-			est.AddCounters(cpc.StandTrees, cpc.IntermediateStates, cpc.DeadEnds)
-			estPrev = cpc
-		}
+	est.AddCounters(su.Counters.StandTrees, su.Counters.IntermediateStates, su.Counters.DeadEnds)
+	est.AddLeafMass(su.LeafMass, su.Leaves)
+	// A fresh run's prefix is its first insertions: they count toward the
+	// first check, and the paper's machine removes them again at the end.
+	var prefix int64
+	if !su.Resumed {
+		prefix = int64(len(su.Frontier.Prefix))
 	}
-	flushEst := func(c Counters) {
-		if est == nil {
-			return
-		}
-		est.AddCounters(c.StandTrees-estPrev.StandTrees,
-			c.IntermediateStates-estPrev.IntermediateStates,
-			c.DeadEnds-estPrev.DeadEnds)
-		estPrev = c
+	tasks := su.Frontier.Tasks
+	var w *Worker
+	if len(tasks) > 0 {
+		w = su.NewWorker(serialPolicy, h, est, h.sink != nil)
 	}
 
-	if sink := TreeSink[[]byte](opt.CollectTrees, &res.Trees, opt.OnTree, opt.OnTrees); sink != nil {
-		eng.OnTrees = func(block []byte, n int) []byte {
-			sink(block, n)
-			return block
+	units, next := prefix, int64(opt.CheckEvery)
+	checks, lastCkpt := 0, start
+	// snapshot is the frontier of a run at a check: what is left of the
+	// worker's task, then the tasks not begun.
+	snapshot := func(rest []FrontierTask) *Checkpoint {
+		var left []FrontierTask
+		if ft := w.Snapshot(); len(ft.Frames) > 0 {
+			left = append(left, ft)
 		}
+		for i := range rest {
+			left = append(left, rest[i].Clone())
+		}
+		return su.Checkpoint(h.total, 1, left)
 	}
-
-	checks := 0
-	lastCkpt := start
-	for {
-		for next := eng.work.Units + int64(opt.CheckEvery); eng.work.Units < next; {
-			if eng.Step() == EvDone {
-				eng.FlushTrees()
-				res.Counters = eng.Counters()
-				res.Work = eng.Work()
-				res.Steps = res.Work.Units + 1 // the step that found nothing left
-				res.Elapsed = time.Since(start)
-				flushEst(res.Counters)
-				return res, nil
-			}
-		}
-		res.Work = eng.Work()
-		res.Steps = res.Work.Units
+	// check is the stopping-rule check, every CheckEvery units and between
+	// two tasks: it reports whether the run stops there.
+	check := func(rest []FrontierTask) bool {
 		// The counters are about to be read, by the caller's OnCheck, by a
-		// snapshot or by a stopping rule: their trees go first.
-		eng.FlushTrees()
-		res.Counters = eng.Counters()
-		flushEst(res.Counters)
+		// snapshot or by a stopping rule: the worker's batch, trees first, goes
+		// to the totals.
+		w.Flush()
+		next = units + int64(opt.CheckEvery)
 		if opt.OnCheck != nil {
-			opt.OnCheck(res.Counters, time.Since(start))
+			opt.OnCheck(h.total, time.Since(start))
 		}
 		if periodic {
 			if checks++; checks%ck.Every == 0 {
-				ck.Sink(eng.Snapshot(constraints, res.InitialIndex))
+				ck.Sink(snapshot(rest))
 			}
 		}
 		if interval && time.Since(lastCkpt) >= ck.Interval {
-			ck.Sink(eng.Snapshot(constraints, res.InitialIndex))
+			ck.Sink(snapshot(rest))
 			lastCkpt = time.Now()
 		}
 		select {
 		case reply := <-ck.Trigger.Requests():
-			reply <- eng.Snapshot(constraints, res.InitialIndex)
+			reply <- snapshot(rest)
 		default:
 		}
-		if reason, hit := opt.Limits.Exceeded(res.Counters, time.Since(start)); hit {
+		if reason, hit := opt.Limits.Exceeded(h.total, time.Since(start)); hit {
 			res.Stop = reason
 		} else if opt.Ctx != nil && opt.Ctx.Err() != nil {
 			res.Stop = StopCancelled
 		}
-		if res.Stop != StopExhausted {
-			if ck.OnStop {
-				res.Checkpoint = eng.Snapshot(constraints, res.InitialIndex)
+		if res.Stop != StopExhausted && ck.OnStop {
+			res.Checkpoint = snapshot(rest)
+		}
+		return res.Stop != StopExhausted
+	}
+
+run:
+	for i := range tasks {
+		if i > 0 && check(tasks[i:]) {
+			break
+		}
+		if err := w.Begin(tasks[i]); err != nil {
+			return nil, err
+		}
+		for ph, cost := Replay, int64(0); ph != Idle; {
+			if ph, cost = w.Tick(); ph == Explore {
+				if units += cost; units >= next && check(tasks[i+1:]) {
+					break run
+				}
 			}
-			res.Elapsed = time.Since(start)
-			return res, nil
 		}
 	}
+	res.Counters = h.total
+	if w != nil {
+		res.Work = w.Work()
+	}
+	res.Work.Units += prefix
+	res.Work.Extends += prefix
+	res.Steps = res.Work.Units
+	if res.Stop == StopExhausted {
+		res.Work.Units += prefix
+		res.Steps = res.Work.Units + 1 // the step that found nothing left
+	}
+	res.Elapsed = time.Since(start)
+	return res, nil
 }

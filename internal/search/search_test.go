@@ -8,6 +8,7 @@ import (
 
 	"gentrius/internal/bitset"
 	"gentrius/internal/brute"
+	"gentrius/internal/gen"
 	"gentrius/internal/terrace"
 	"gentrius/internal/tree"
 )
@@ -286,10 +287,23 @@ func TestEngineEventStream(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
 	var all Work
 	lookedDead, lookedTrees := int64(0), int64(0)
+	// Random stands under the anti-heuristic, then three of the simulated
+	// corpus that end inside the prefix under the paper's: all their
+	// transitions are the prefix's.
+	inputs, heuristic := [][]*tree.Tree{}, []OrderHeuristic{}
 	for scen := 0; scen < 30; scen++ {
-		cons := randomScenario(rng, 10, 3, 4, 0.5)
+		inputs, heuristic = append(inputs, randomScenario(rng, 10, 3, 4, 0.5)), append(heuristic, OrderMaxBranches)
+	}
+	for _, idx := range []int{8, 20, 33} {
+		cons := gen.Generate(gen.Default(gen.RegimeSimulated), idx).Constraints
+		if su, err := Start(cons, -1, OrderMinBranches, nil, nil, 1); err != nil || len(su.Frontier.Tasks) > 0 {
+			t.Fatalf("corpus stand %d does not end inside the prefix (%v)", idx, err)
+		}
+		inputs, heuristic = append(inputs, cons), append(heuristic, OrderMinBranches)
+	}
+	for scen, cons := range inputs {
 		for _, static := range []bool{false, true} {
-			res, err := Run(cons, Options{InitialTree: -1, Heuristic: OrderMaxBranches, DisableDynamicOrder: static, CollectTrees: true})
+			res, err := Run(cons, Options{InitialTree: -1, Heuristic: heuristic[scen], DisableDynamicOrder: static, CollectTrees: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -299,7 +313,7 @@ func TestEngineEventStream(t *testing.T) {
 				t.Fatal(err)
 			}
 			eng := NewEngine(tr)
-			eng.Heuristic = OrderMaxBranches
+			eng.Heuristic = heuristic[scen]
 			if static {
 				eng.DynamicOrder, eng.Order = false, tr.MissingTaxa()
 			}
@@ -431,12 +445,12 @@ func TestPathReplayAcrossTerraces(t *testing.T) {
 	for i := 0; i < 25 && !eng.Done(); i++ {
 		eng.Step()
 	}
-	if eng.Depth() == 0 {
+	if eng.T.Depth() == 0 {
 		t.Skip("engine back at root after 25 steps")
 	}
 	path := eng.Path(nil)
-	if len(path) != eng.Depth() {
-		t.Fatalf("path length %d != depth %d", len(path), eng.Depth())
+	if len(path) != eng.T.Depth() {
+		t.Fatalf("path length %d != depth %d", len(path), eng.T.Depth())
 	}
 	t2, err := terrace.New(cons, idx)
 	if err != nil {
@@ -458,7 +472,7 @@ func TestPrefixWalkForcedChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := PrefixWalkH(tr, OrderMinBranches)
+	res := PrefixWalkH(tr, OrderMinBranches, nil)
 	if !res.Terminal || res.Counters.StandTrees != 1 {
 		t.Fatalf("prefix = %+v, want terminal with 1 tree", res)
 	}
@@ -469,7 +483,7 @@ func TestPrefixWalkForcedChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2 := PrefixWalkH(tr2, OrderMinBranches)
+	res2 := PrefixWalkH(tr2, OrderMinBranches, nil)
 	if res2.Terminal {
 		t.Fatal("unexpected terminal prefix")
 	}

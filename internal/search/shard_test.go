@@ -176,7 +176,7 @@ func TestSplitFrontierSeededStand(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pre := PrefixWalkH(tr, OrderMinBranches)
+		pre := PrefixWalkH(tr, OrderMinBranches, nil)
 		if pre.Terminal {
 			continue
 		}

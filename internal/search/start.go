@@ -10,10 +10,11 @@ import (
 	"gentrius/internal/tree"
 )
 
-// Setup is the state every parallel driver of the scheme starts from — the
-// goroutine pool, the virtual-time simulator and the fleet coordinator: the
-// initial tree, the deterministic prefix to the initial split I_0, what has
-// been counted so far, and the outstanding work as a task frontier.
+// Setup is the state every driver of the scheme starts from — the serial
+// runner, the goroutine pool, the virtual-time simulator and the fleet
+// coordinator: the initial tree, the deterministic prefix to the initial
+// split I_0, what has been counted so far, and the outstanding work as a
+// task frontier.
 type Setup struct {
 	// InitialIndex and Heuristic are the effective initial agile tree and
 	// insertion-order heuristic (a resumed run takes both from the
@@ -45,10 +46,12 @@ type Setup struct {
 	Frontier *Frontier
 
 	// Resumed tells the simulator, which starts a fresh run's workers on a
-	// share each as the paper does, that the tasks are restored work to queue.
+	// share each as the paper does, that the tasks are restored work to queue,
+	// and the serial runner that the prefix is not this run's work.
 	Resumed bool
 
 	constraints []*tree.Tree
+	order       []int // the static insertion order, by Terrace depth (nil: dynamic)
 
 	// proto is the Terrace at I_0 that NewTerrace clones: the run's one
 	// Terrace built from the constraints, which Start walked there, until the
@@ -65,15 +68,18 @@ type Setup struct {
 // (resume == nil) resolves initialTree (a constraint index, or negative for
 // the paper's heuristic), builds the Terrace, walks the forced insertions
 // and cuts the initial split into at most n tasks (n <= 0: one task per
-// branch). A resumed run validates the checkpoint against the constraints —
-// its prefix path step by step as it is walked — and views it as a frontier —
-// a version-1 serial snapshot becomes one task — so any snapshot resumes onto
-// any driver and width; initialTree, h and n are then ignored. Its tasks are
+// branch). The insertion order is h's dynamic one when order is nil, else
+// the one order makes of the Terrace's missing taxa, for the prefix walk and
+// every worker's engine alike (a resumed run is dynamic). A resumed run
+// validates the checkpoint against the constraints — its prefix path step by
+// step as it is walked — and views it as a frontier — a version-1 serial
+// snapshot becomes one task — so any snapshot resumes onto any driver and
+// width; initialTree, h and n are then ignored. Its tasks are
 // validated the same way, since workers replay those blindly. A serial
 // snapshot taken before the first step has no frontier form: it resumes as a
 // fresh run on the checkpoint's initial tree and heuristic. Either way
 // terrace.New runs once and the prefix is walked once, here, on that Terrace.
-func Start(constraints []*tree.Tree, initialTree int, h OrderHeuristic, resume *Checkpoint, n int) (*Setup, error) {
+func Start(constraints []*tree.Tree, initialTree int, h OrderHeuristic, order func(missing []int) []int, resume *Checkpoint, n int) (*Setup, error) {
 	if resume != nil {
 		if err := resume.Validate(constraints); err != nil {
 			return nil, err
@@ -135,7 +141,10 @@ func Start(constraints []*tree.Tree, initialTree int, h OrderHeuristic, resume *
 		return nil, err
 	}
 	t := s.proto
-	pre := PrefixWalkH(t, h)
+	if order != nil {
+		s.order = order(t.MissingTaxa())
+	}
+	pre := PrefixWalkH(t, h, s.order)
 	s.Counters = pre.Counters
 	s.Frontier.Prefix = pre.Path
 	if pre.Terminal {

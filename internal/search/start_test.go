@@ -43,7 +43,7 @@ func TestStart(t *testing.T) {
 		{"prefix ends in a dead end", deadEnd, 0, Counters{DeadEnds: 1}, 1, false},
 	}
 	for _, tc := range terminal {
-		su, err := Start(tc.cons, tc.initial, OrderMinBranches, nil, 4)
+		su, err := Start(tc.cons, tc.initial, OrderMinBranches, nil, nil, 4)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -58,7 +58,7 @@ func TestStart(t *testing.T) {
 		}
 	}
 
-	if _, err := Start(full, 1, OrderMinBranches, nil, 1); err == nil {
+	if _, err := Start(full, 1, OrderMinBranches, nil, nil, 1); err == nil {
 		t.Fatal("initial index 1 of 1 constraint accepted")
 	}
 
@@ -68,7 +68,7 @@ func TestStart(t *testing.T) {
 	cons := chainConstraints(t, 4, 4)
 	var branches int
 	for _, n := range []int{0, 1, 3, 1000} {
-		su, err := Start(cons, -1, OrderMinBranches, nil, n)
+		su, err := Start(cons, -1, OrderMinBranches, nil, nil, n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,10 +102,16 @@ func TestStart(t *testing.T) {
 	// tasks; both carry the checkpoint's counters and consumed mass, and a
 	// checkpoint of other input is refused.
 	v2, cons2 := frontierSample(t, rand.New(rand.NewSource(4242)))
+	// The same stack as a version-1 file holds it: the prefix as frames of
+	// one branch each, under the task's frames.
 	v1 := *v2
-	v1.Version, v1.Frontier, v1.Frames = checkpointVersion, nil, v2.Frontier.Tasks[0].Frames
+	v1.Version, v1.Frontier, v1.Frames = checkpointVersion, nil, nil
+	for _, st := range v2.Frontier.Prefix {
+		v1.Frames = append(v1.Frames, FrameSnapshot{Taxon: st.Taxon, Branches: []int32{st.Edge}, Idx: 1, Inserted: true})
+	}
+	v1.Frames = append(v1.Frames, v2.Frontier.Tasks[0].Frames...)
 	for _, cp := range []*Checkpoint{&v1, v2} {
-		su, err := Start(cons2, 99, OrderMaxBranches, cp, 4) // index, heuristic, n: ignored
+		su, err := Start(cons2, 99, OrderMaxBranches, nil, cp, 4) // index, heuristic, n: ignored
 		if err != nil {
 			t.Fatalf("v%d: %v", cp.Version, err)
 		}
@@ -116,7 +122,7 @@ func TestStart(t *testing.T) {
 			t.Fatalf("v%d: %d tasks, consumed %v + remaining %v", cp.Version,
 				len(su.Frontier.Tasks), su.LeafMass, su.Frontier.RemainingMass())
 		}
-		if _, err := Start(cons, -1, OrderMinBranches, cp, 4); !errors.Is(err, ErrFingerprint) {
+		if _, err := Start(cons, -1, OrderMinBranches, nil, cp, 4); !errors.Is(err, ErrFingerprint) {
 			t.Fatalf("v%d on other input: %v, want ErrFingerprint", cp.Version, err)
 		}
 	}
@@ -127,12 +133,12 @@ func TestStart(t *testing.T) {
 // before any worker replays it.
 func TestStartRefusesBadPrefix(t *testing.T) {
 	cons := chainConstraints(t, 4, 4)
-	su, err := Start(cons, -1, OrderMinBranches, nil, 2)
+	su, err := Start(cons, -1, OrderMinBranches, nil, nil, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	good := su.Checkpoint(su.Counters, 2, su.Frontier.Tasks)
-	if _, err := Start(cons, -1, OrderMinBranches, good, 2); err != nil {
+	if _, err := Start(cons, -1, OrderMinBranches, nil, good, 2); err != nil {
 		t.Fatalf("the untampered checkpoint: %v", err)
 	}
 	x := su.proto.MissingTaxa()[0]
@@ -148,13 +154,14 @@ func TestStartRefusesBadPrefix(t *testing.T) {
 	} {
 		bad := *good
 		bad.Frontier = &Frontier{Prefix: prefix, Threads: 2, Tasks: good.Frontier.Tasks}
-		_, err := Start(cons, -1, OrderMinBranches, &bad, 2)
+		_, err := Start(cons, -1, OrderMinBranches, nil, &bad, 2)
 		if err == nil || !strings.HasPrefix(err.Error(), "search: checkpoint prefix step") {
 			t.Errorf("%s: Start returned %v, want a prefix error", name, err)
 		}
-		// The serial path refuses a frontier checkpoint outright.
-		if _, err := Run(cons, Options{Checkpoint: CheckpointPolicy{Resume: &bad}}); !errors.Is(err, ErrVersion) {
-			t.Errorf("%s: serial Run returned %v, want ErrVersion", name, err)
+		// The serial path is set up by Start too.
+		if _, err := Run(cons, Options{Checkpoint: CheckpointPolicy{Resume: &bad}}); err == nil ||
+			!strings.HasPrefix(err.Error(), "search: checkpoint prefix step") {
+			t.Errorf("%s: serial Run returned %v, want a prefix error", name, err)
 		}
 	}
 }
@@ -233,7 +240,7 @@ func TestStartRefusesBadTasks(t *testing.T) {
 	counters := su.Counters
 	counters.Add(h.total)
 	good := su.Checkpoint(counters, 1, tasks)
-	if _, err := Start(cons, -1, OrderMinBranches, good, 2); err != nil {
+	if _, err := Start(cons, -1, OrderMinBranches, nil, good, 2); err != nil {
 		t.Fatalf("the untampered checkpoint: %v", err)
 	}
 	stack, queued := 0, len(tasks)-1
@@ -280,7 +287,7 @@ func TestStartRefusesBadTasks(t *testing.T) {
 			bad.Frontier.Tasks = append(bad.Frontier.Tasks, tasks[i].Clone())
 		}
 		tamper(bad.Frontier.Tasks)
-		_, err := Start(cons, -1, OrderMinBranches, &bad, 2)
+		_, err := Start(cons, -1, OrderMinBranches, nil, &bad, 2)
 		if err == nil || !strings.HasPrefix(err.Error(), "search: checkpoint task ") {
 			t.Errorf("%s: Start returned %v, want a task error", name, err)
 		}
@@ -299,12 +306,12 @@ func TestStartUnstartedSerialCheckpoint(t *testing.T) {
 	}
 	e := NewEngine(tr)
 	e.Heuristic = OrderMinBranchesTieDegree
-	cp := e.Snapshot(cons, 1)
-	su, err := Start(cons, -1, OrderMinBranches, cp, 3)
+	cp := v1Snapshot(e, cons, 1)
+	su, err := Start(cons, -1, OrderMinBranches, nil, cp, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := Start(cons, 1, OrderMinBranchesTieDegree, nil, 3)
+	fresh, err := Start(cons, 1, OrderMinBranchesTieDegree, nil, nil, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +357,7 @@ func TestSetupTerracesAreNewPlusReplay(t *testing.T) {
 	ran, rebuilt := 0, 0
 	for i, cons := range stands {
 		start := func(resume *Checkpoint) *Setup {
-			su, err := Start(cons, -1, OrderMinBranches, resume, 3)
+			su, err := Start(cons, -1, OrderMinBranches, nil, resume, 3)
 			if err != nil {
 				t.Fatalf("stand %d: %v", i, err)
 			}

@@ -18,7 +18,8 @@ const (
 
 // Host is the driver's side of the per-thread protocol: the three places a
 // Worker touches state it shares with other workers, none of them on the
-// per-step path. The goroutine pool and the simulator each implement it.
+// per-step path. The serial runner, the goroutine pool and the simulator
+// each implement it.
 type Host interface {
 	// Offer is called when the worker pushed frame f at the end of path (from
 	// I_0) and the policy lets it hand off the last n of f's branches as a
@@ -72,6 +73,9 @@ func (s *Setup) NewWorker(p Policy, h Host, est *obs.Estimator, trees bool) *Wor
 		s.first, s.proto = w, nil
 	}
 	w.eng.Heuristic = s.Heuristic
+	if s.order != nil {
+		w.eng.DynamicOrder, w.eng.Order = false, s.order
+	}
 	w.eng.OnFramePushed = w.offer
 	if trees {
 		w.eng.OnTrees = h.Trees

@@ -78,7 +78,7 @@ func drain(t *testing.T, w *Worker, h *fakeHost, first FrontierTask) {
 // I_0, and the serial run's counters and stand to compare with.
 func wholeStand(t *testing.T, cons []*tree.Tree) (*Setup, *Result) {
 	t.Helper()
-	su, err := Start(cons, -1, OrderMinBranches, nil, 1)
+	su, err := Start(cons, -1, OrderMinBranches, nil, nil, 1)
 	if err != nil || len(su.Frontier.Tasks) != 1 {
 		t.Fatalf("set-up: %v, %d tasks", err, len(su.Frontier.Tasks))
 	}

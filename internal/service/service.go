@@ -70,15 +70,15 @@ type Config struct {
 	MaxTime time.Duration
 	// Checkpoint enables checkpoint-on-stop for jobs at any thread count:
 	// a cancelled job (including jobs interrupted by Shutdown) writes a
-	// resumable snapshot next to its spool. Parallel jobs snapshot their
-	// quiesced task frontier; the snapshot resumes at any thread count.
+	// resumable snapshot, its task frontier, next to its spool; the snapshot
+	// resumes at any thread count.
 	Checkpoint bool
 	// CheckpointEvery additionally checkpoints running serial jobs every N
-	// stopping-rule checks (0 disables). This is what makes a job
-	// killed -9 resumable: on restart the journal replay requeues it from
-	// the latest periodic snapshot. Parallel jobs have no per-check
-	// cadence; set CheckpointInterval for them (a CheckpointEvery > 0 with
-	// no interval maps to one second there).
+	// stopping-rule checks (0 disables), a task frontier like any job's.
+	// This is what makes a job killed -9 resumable: on restart the journal
+	// replay requeues it from the latest periodic snapshot. Parallel jobs
+	// have no per-check cadence; set CheckpointInterval for them (a
+	// CheckpointEvery > 0 with no interval maps to one second there).
 	CheckpointEvery int
 	// CheckpointInterval checkpoints running jobs on a wall-clock cadence
 	// (0 disables) — the knob that works at every thread count. Each
@@ -714,10 +714,9 @@ func (m *Manager) recoverJob(id string, num int64, req *JobRequest, reqID string
 			m.recovered.Requeued++
 			return
 		case last.State == StateRunning:
-			// Any thread count resumes: serial jobs from their frame-stack
-			// snapshot, parallel jobs from their quiesced task frontier (and
-			// either kind of snapshot resumes at whatever thread count the
-			// recovered request asks for).
+			// Any thread count resumes from the job's task frontier, at
+			// whatever thread count the recovered request asks for (a
+			// frame-stack snapshot of an older release's serial job too).
 			if cp, err := gentrius.ReadCheckpointFile(ckptPath); err == nil {
 				job.resume = cp
 				job.ckptPath = ckptPath
@@ -972,22 +971,10 @@ func (m *Manager) runJob(job *Job) {
 		Obs:         sink,
 		Fault:       m.cfg.Fault,
 		Checkpoint:  policy,
-		OnTrees:     m.spoolTrees(job),
+		OnTrees:     job.spool.AppendBlock, // a block goes to the spool as it is, with one write
 	}
 	res, err := gentrius.EnumerateStandContext(job.ctx, job.cons, opt)
 	m.finish(job, res, err)
-}
-
-// spoolTrees is a job's tree sink, local or fleet: a block goes to the spool
-// as it is, with one write.
-func (m *Manager) spoolTrees(job *Job) func(block []byte, n int) {
-	return func(block []byte, n int) {
-		// The treestream stall site throttles delivery, tree by tree, for
-		// recovery drills (a fast child would finish before the drill
-		// kills it).
-		m.cfg.Fault.StallEach(faultinject.TreeStream, n)
-		job.spool.AppendBlock(block, n)
-	}
 }
 
 // runFleetJob executes a job across the fleet via the configured
@@ -1009,7 +996,7 @@ func (m *Manager) runFleetJob(job *Job, req JobRequest) {
 		defer cancel()
 	}
 	dres, err := m.cfg.Fleet.Run(ctx, job.id, job.cons, dist.RunOptions{
-		OnTrees:     m.spoolTrees(job), // the workers' blocks, shard by shard as they merge
+		OnTrees:     job.spool.AppendBlock, // the workers' blocks, shard by shard as they merge
 		InitialTree: gentrius.UseInitialTreeHeuristic,
 		Limits:      lim,
 	})
@@ -1277,9 +1264,10 @@ func (m *Manager) move(job *Job, from, to State, out outcome) (publish func()) {
 }
 
 // Shutdown stops accepting jobs, cancels every queued and running job and
-// waits (bounded by ctx) for the pool to drain. In-flight serial jobs
-// checkpoint before exiting when Config.Checkpoint is set, so a restarted
-// daemon — or the gentrius CLI with -resume — can pick the work back up.
+// waits (bounded by ctx) for the pool to drain. In-flight jobs, at any
+// thread count, checkpoint before exiting when Config.Checkpoint is set, so
+// a restarted daemon — or the gentrius CLI with -resume — can pick the work
+// back up.
 func (m *Manager) Shutdown(ctx context.Context) error {
 	m.mu.Lock()
 	if m.closed {

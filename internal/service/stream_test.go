@@ -158,3 +158,29 @@ func TestStreamFollowsRunningJob(t *testing.T) {
 		t.Fatalf("%d trees streamed, job %+v, want %d", lines, st, stand)
 	}
 }
+
+// TestTreeStreamStallsOncePerTree: the treestream stall site throttles a job's
+// delivery tree by tree, once per tree, at any thread count.
+func TestTreeStreamStallsOncePerTree(t *testing.T) {
+	const stand = 1683 // two interleaved caterpillars of five
+	cat := func(prefix string) string {
+		s := "(A,B)"
+		for i := 0; i < 5; i++ {
+			s = "(" + s + "," + fmt.Sprintf("%s%d", prefix, i) + ")"
+		}
+		return "((" + s + ",C),D);"
+	}
+	for _, threads := range []int{1, 4} {
+		inj := faultinject.New(1).Set(faultinject.TreeStream, faultinject.Rule{Every: 1})
+		m := newTestManager(t, Config{Workers: 1, MaxThreads: 4, Fault: inj})
+		job, err := m.Submit(JobRequest{Trees: []string{cat("x"), cat("y")}, Threads: threads,
+			MaxTrees: -1, MaxStates: -1, MaxTimeSeconds: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitDone(t, job)
+		if st := job.Status(); st.StandTrees != stand || st.TreesSpooled != stand || inj.Count(faultinject.TreeStream) != stand {
+			t.Fatalf("%d threads: job %+v, the stall site passed %d times, want %d", threads, st, inj.Count(faultinject.TreeStream), stand)
+		}
+	}
+}

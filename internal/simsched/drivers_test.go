@@ -177,12 +177,9 @@ func TestDriversRefuseHostileTask(t *testing.T) {
 // read as a finished run with an empty stand).
 func TestDriversResumeUnstartedSerialCheckpoint(t *testing.T) {
 	cons, _ := interrupted(t, 1515)
-	idx := search.ChooseInitialTree(cons)
-	tr, err := terrace.New(cons, idx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cp := search.NewEngine(tr).Snapshot(cons, idx)
+	// What a serial engine snapshotted before its first step wrote: nothing
+	// counted, no frame, not started.
+	cp := &search.Checkpoint{Version: 1, Fingerprint: search.Fingerprint(cons), InitialIndex: search.ChooseInitialTree(cons)}
 	ref, err := search.Run(cons, search.Options{InitialTree: -1, Limits: search.Limits{MaxTrees: -1, MaxStates: -1, MaxTime: -1}})
 	if err != nil {
 		t.Fatal(err)

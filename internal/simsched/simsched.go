@@ -239,7 +239,7 @@ func Run(constraints []*tree.Tree, opt Options) (*Result, error) {
 	}
 	opt.Policy = opt.Policy.Normalize(opt.Workers)
 
-	su, err := search.Start(constraints, opt.InitialTree, opt.Heuristic, opt.Resume, opt.Workers)
+	su, err := search.Start(constraints, opt.InitialTree, opt.Heuristic, nil, opt.Resume, opt.Workers)
 	if err != nil {
 		return nil, err
 	}

@@ -104,7 +104,7 @@ func Record(constraints []*tree.Tree, initialIdx int, maxStates int) (*Node, err
 				stack = append(stack, n)
 			}
 		case search.EvRemoved:
-			if len(stack) > 1 && eng.Depth() < len(stack)-1 {
+			if len(stack) > 1 && t.Depth() < len(stack)-1 {
 				stack = stack[:len(stack)-1]
 			}
 		}

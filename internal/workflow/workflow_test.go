@@ -187,10 +187,6 @@ func TestRecordMatchesInsertion(t *testing.T) {
 			cover.UnionWith(c)
 			cons = append(cons, truth.Restrict(c))
 		}
-		res, err := search.Run(cons, search.Options{InitialTree: 0, CollectTrees: true})
-		if err != nil {
-			t.Fatalf("scen %d: %v", scen, err)
-		}
 		got, err := Record(cons, 0, 20000)
 		if err != nil {
 			t.Fatal(err)
@@ -199,10 +195,14 @@ func TestRecordMatchesInsertion(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// The engine Record drives, from the initial tree, run to its end.
+		eng := search.NewEngine(tr.Clone())
+		for eng.Step() != search.EvDone {
+		}
+		looked += eng.Work().LookAheads
 		if want := insertAll(tr); !reflect.DeepEqual(got, want) {
 			t.Fatalf("scen %d: recorded\n%s\ninserting\n%s", scen, got.RenderASCII(taxa), want.RenderASCII(taxa))
 		}
-		looked += res.Work.LookAheads
 	}
 	if looked < 50 {
 		t.Fatalf("%d branches looked ahead of: not enough to mean anything", looked)

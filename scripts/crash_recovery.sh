@@ -5,7 +5,8 @@
 # finite job, SIGKILL the daemon once a checkpoint exists, restart it on the
 # same data directory, and require the job to resume from the checkpoint and
 # finish with the exact full stand. A third incarnation must adopt the
-# finished job from the journal without re-running it.
+# finished job from the journal without re-running it. Its checkpoint, like
+# every run's, is a version-2 task frontier.
 #
 # A second drill repeats the SIGKILL on a parallel (threads=4) job whose
 # frontier is snapshotted on a wall-clock cadence (-checkpoint-interval):
@@ -70,6 +71,9 @@ done
 kill -9 "$DAEMON_PID"
 wait "$DAEMON_PID" 2>/dev/null || true
 say "daemon SIGKILLed with $JOB mid-run (checkpoint + spool present)"
+# A serial job's checkpoints are task frontiers like a pooled job's.
+grep -q '"payload":{"version":2,' "$WORK/data/$JOB.ckpt" || fail "the serial job's checkpoint is not a version-2 frontier: $(head -c 200 "$WORK/data/$JOB.ckpt")"
+say "the serial job's checkpoint is a version-2 frontier"
 
 "$WORK/gentriusd" -addr "$ADDR" -jobs 1 -data-dir "$WORK/data" \
     2>"$WORK/daemon2.log" &
