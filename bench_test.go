@@ -19,19 +19,18 @@ import (
 	"gentrius/internal/gen"
 	"gentrius/internal/parallel"
 	"gentrius/internal/search"
-	"gentrius/internal/simsched"
 	"gentrius/internal/stats"
 )
 
 // findDataset scans the simulated corpus for the first dataset satisfying
 // pred (given its one-worker simulation under lim).
-func findDataset(b *testing.B, regime gen.Regime, lim simsched.Limits,
-	pred func(*gen.Dataset, *simsched.Result) bool) *gen.Dataset {
+func findDataset(b *testing.B, regime gen.Regime, lim parallel.SimLimits,
+	pred func(*gen.Dataset, *parallel.SimResult) bool) *gen.Dataset {
 	b.Helper()
 	cfg := gen.Default(regime)
 	for idx := 0; idx < 400; idx++ {
 		ds := gen.Generate(cfg, idx)
-		res, err := simsched.Run(ds.Constraints, simsched.Options{
+		res, err := parallel.Simulate(ds.Constraints, parallel.SimOptions{
 			Workers: 1, InitialTree: -1, Limits: lim,
 		})
 		if err != nil {
@@ -45,12 +44,12 @@ func findDataset(b *testing.B, regime gen.Regime, lim simsched.Limits,
 	return nil
 }
 
-var benchLimits = simsched.Limits{MaxTrees: 2_000_000, MaxStates: 2_000_000, MaxTicks: 12_000_000}
+var benchLimits = parallel.SimLimits{MaxTrees: 2_000_000, MaxStates: 2_000_000, MaxTicks: 12_000_000}
 
 // completedAbove returns a predicate for fully-enumerated datasets with at
 // least minTicks of serial work.
-func completedAbove(minTicks int64) func(*gen.Dataset, *simsched.Result) bool {
-	return func(_ *gen.Dataset, r *simsched.Result) bool {
+func completedAbove(minTicks int64) func(*gen.Dataset, *parallel.SimResult) bool {
+	return func(_ *gen.Dataset, r *parallel.SimResult) bool {
 		return r.Stop == search.StopExhausted && r.Ticks >= minTicks
 	}
 }
@@ -109,13 +108,13 @@ func BenchmarkParallelGoroutines(b *testing.B) {
 }
 
 // sweepSpeedup simulates the dataset at 1 and w workers, returning speedup.
-func sweepSpeedup(b *testing.B, ds *gen.Dataset, w int, lim simsched.Limits) float64 {
+func sweepSpeedup(b *testing.B, ds *gen.Dataset, w int, lim parallel.SimLimits) float64 {
 	b.Helper()
-	s1, err := simsched.Run(ds.Constraints, simsched.Options{Workers: 1, InitialTree: -1, Limits: lim})
+	s1, err := parallel.Simulate(ds.Constraints, parallel.SimOptions{Workers: 1, InitialTree: -1, Limits: lim})
 	if err != nil {
 		b.Fatal(err)
 	}
-	sw, err := simsched.Run(ds.Constraints, simsched.Options{Workers: w, InitialTree: -1, Limits: lim})
+	sw, err := parallel.Simulate(ds.Constraints, parallel.SimOptions{Workers: w, InitialTree: -1, Limits: lim})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -157,8 +156,8 @@ func BenchmarkFig7Empirical(b *testing.B) {
 // "short analysis" reduced limits — the regime where distorted (plateaued
 // or super-linear) speedups appear.
 func BenchmarkFig8StoppingRules(b *testing.B) {
-	lim := simsched.Limits{MaxTrees: 50_000, MaxStates: 50_000, MaxTicks: 1 << 40}
-	ds := findDataset(b, gen.RegimeSimulated, lim, func(_ *gen.Dataset, r *simsched.Result) bool {
+	lim := parallel.SimLimits{MaxTrees: 50_000, MaxStates: 50_000, MaxTicks: 1 << 40}
+	ds := findDataset(b, gen.RegimeSimulated, lim, func(_ *gen.Dataset, r *parallel.SimResult) bool {
 		return (r.Stop == search.StopTreeLimit || r.Stop == search.StopStateLimit) &&
 			r.Ticks > 25_000
 	})
@@ -174,17 +173,17 @@ func BenchmarkFig8StoppingRules(b *testing.B) {
 // by trees-per-tick.
 func BenchmarkTable1AdaptedSpeedup(b *testing.B) {
 	budget := int64(1_000_000)
-	lim := simsched.Limits{MaxTrees: 1 << 40, MaxStates: 1 << 40, MaxTicks: budget}
-	ds := findDataset(b, gen.RegimeSimulated, lim, func(_ *gen.Dataset, r *simsched.Result) bool {
+	lim := parallel.SimLimits{MaxTrees: 1 << 40, MaxStates: 1 << 40, MaxTicks: budget}
+	ds := findDataset(b, gen.RegimeSimulated, lim, func(_ *gen.Dataset, r *parallel.SimResult) bool {
 		return r.Stop == search.StopTimeLimit && r.StandTrees > 0
 	})
 	var asp float64
 	for i := 0; i < b.N; i++ {
-		s1, err := simsched.Run(ds.Constraints, simsched.Options{Workers: 1, InitialTree: -1, Limits: lim})
+		s1, err := parallel.Simulate(ds.Constraints, parallel.SimOptions{Workers: 1, InitialTree: -1, Limits: lim})
 		if err != nil {
 			b.Fatal(err)
 		}
-		s16, err := simsched.Run(ds.Constraints, simsched.Options{Workers: 16, InitialTree: -1, Limits: lim})
+		s16, err := parallel.Simulate(ds.Constraints, parallel.SimOptions{Workers: 16, InitialTree: -1, Limits: lim})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -244,13 +243,13 @@ func BenchmarkCounterBatchingAblation(b *testing.B) {
 	ds, _ := midDatasets(b)
 	var improvement float64
 	for i := 0; i < b.N; i++ {
-		batched, err := simsched.Run(ds.Constraints, simsched.Options{
+		batched, err := parallel.Simulate(ds.Constraints, parallel.SimOptions{
 			Workers: 16, InitialTree: -1, Limits: benchLimits, FlushCost: 1,
 		})
 		if err != nil {
 			b.Fatal(err)
 		}
-		unbatched, err := simsched.Run(ds.Constraints, simsched.Options{
+		unbatched, err := parallel.Simulate(ds.Constraints, parallel.SimOptions{
 			Workers: 16, InitialTree: -1, Limits: benchLimits, FlushCost: 1,
 			Policy: search.Policy{TreeBatch: 1, StateBatch: 1, DeadEndBatch: 1},
 		})
@@ -266,11 +265,11 @@ func BenchmarkCounterBatchingAblation(b *testing.B) {
 // BenchmarkPlateau regenerates the Figure 5a phenomenon: a dataset whose
 // unbalanced workflow tree caps the 16-worker speedup far below 16.
 func BenchmarkPlateau(b *testing.B) {
-	ds := findDataset(b, gen.RegimeSimulated, benchLimits, func(d *gen.Dataset, r *simsched.Result) bool {
+	ds := findDataset(b, gen.RegimeSimulated, benchLimits, func(d *gen.Dataset, r *parallel.SimResult) bool {
 		if r.Stop != search.StopExhausted || r.Ticks < 4_000 {
 			return false
 		}
-		r16, err := simsched.Run(d.Constraints, simsched.Options{Workers: 16, InitialTree: -1, Limits: benchLimits})
+		r16, err := parallel.Simulate(d.Constraints, parallel.SimOptions{Workers: 16, InitialTree: -1, Limits: benchLimits})
 		if err != nil {
 			return false
 		}
@@ -287,12 +286,12 @@ func BenchmarkPlateau(b *testing.B) {
 // under a reduced state limit the serial run stops with (almost) no trees,
 // while two workers find the tree-rich branch — a super-linear raw ratio.
 func BenchmarkSuperLinear(b *testing.B) {
-	lim := simsched.Limits{MaxTrees: 2_000_000, MaxStates: 200_000, MaxTicks: 1 << 40}
-	ds := findDataset(b, gen.RegimeSimulated, lim, func(d *gen.Dataset, r *simsched.Result) bool {
+	lim := parallel.SimLimits{MaxTrees: 2_000_000, MaxStates: 200_000, MaxTicks: 1 << 40}
+	ds := findDataset(b, gen.RegimeSimulated, lim, func(d *gen.Dataset, r *parallel.SimResult) bool {
 		if r.Stop != search.StopStateLimit || r.StandTrees > r.IntermediateStates/100 {
 			return false
 		}
-		p, err := simsched.Run(d.Constraints, simsched.Options{Workers: 2, InitialTree: -1, Limits: lim})
+		p, err := parallel.Simulate(d.Constraints, parallel.SimOptions{Workers: 2, InitialTree: -1, Limits: lim})
 		if err != nil {
 			return false
 		}
@@ -300,11 +299,11 @@ func BenchmarkSuperLinear(b *testing.B) {
 	})
 	var ratio, trees2 float64
 	for i := 0; i < b.N; i++ {
-		s1, err := simsched.Run(ds.Constraints, simsched.Options{Workers: 1, InitialTree: -1, Limits: lim})
+		s1, err := parallel.Simulate(ds.Constraints, parallel.SimOptions{Workers: 1, InitialTree: -1, Limits: lim})
 		if err != nil {
 			b.Fatal(err)
 		}
-		s2, err := simsched.Run(ds.Constraints, simsched.Options{Workers: 2, InitialTree: -1, Limits: lim})
+		s2, err := parallel.Simulate(ds.Constraints, parallel.SimOptions{Workers: 2, InitialTree: -1, Limits: lim})
 		if err != nil {
 			b.Fatal(err)
 		}

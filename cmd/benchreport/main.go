@@ -25,7 +25,6 @@ import (
 	"gentrius/internal/gen"
 	"gentrius/internal/parallel"
 	"gentrius/internal/search"
-	"gentrius/internal/simsched"
 	"gentrius/internal/terrace"
 )
 
@@ -48,16 +47,16 @@ type Report struct {
 	Benchmarks []BenchResult `json:"benchmarks"`
 }
 
-var benchLimits = simsched.Limits{MaxTrees: 2_000_000, MaxStates: 2_000_000, MaxTicks: 12_000_000}
+var benchLimits = parallel.SimLimits{MaxTrees: 2_000_000, MaxStates: 2_000_000, MaxTicks: 12_000_000}
 
 // findDataset scans the simulated corpus for the first dataset satisfying
 // pred, exactly like bench_test.go's helper of the same name.
-func findDataset(regime gen.Regime, lim simsched.Limits,
-	pred func(*gen.Dataset, *simsched.Result) bool) (*gen.Dataset, error) {
+func findDataset(regime gen.Regime, lim parallel.SimLimits,
+	pred func(*gen.Dataset, *parallel.SimResult) bool) (*gen.Dataset, error) {
 	cfg := gen.Default(regime)
 	for idx := 0; idx < 400; idx++ {
 		ds := gen.Generate(cfg, idx)
-		res, err := simsched.Run(ds.Constraints, simsched.Options{
+		res, err := parallel.Simulate(ds.Constraints, parallel.SimOptions{
 			Workers: 1, InitialTree: -1, Limits: lim,
 		})
 		if err != nil {
@@ -196,7 +195,7 @@ func main() {
 
 	fmt.Fprintf(os.Stderr, "benchreport: selecting datasets...\n")
 	midSim, err := findDataset(gen.RegimeSimulated, benchLimits,
-		func(_ *gen.Dataset, r *simsched.Result) bool {
+		func(_ *gen.Dataset, r *parallel.SimResult) bool {
 			return r.Stop == search.StopExhausted && r.Ticks >= 100_000
 		})
 	if err != nil {

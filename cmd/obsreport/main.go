@@ -12,7 +12,7 @@
 //
 // Usage:
 //
-//	gentrius -trace run.jsonl ...            # or simsched/gentriusd traces
+//	gentrius -trace run.jsonl ...            # or virtual-time/gentriusd traces
 //	obsreport -trace run.jsonl -perfetto run.trace.json
 //	obsreport -fleet coord.jsonl,w1.jsonl,w2.jsonl -perfetto fleet.trace.json
 package main

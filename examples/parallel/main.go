@@ -11,7 +11,7 @@ import (
 
 	"gentrius"
 	"gentrius/internal/gen"
-	"gentrius/internal/simsched"
+	"gentrius/internal/parallel"
 )
 
 func main() {
@@ -21,9 +21,9 @@ func main() {
 	var ds *gen.Dataset
 	for idx := 0; ; idx++ {
 		cand := gen.Generate(cfg, idx)
-		probe, err := simsched.Run(cand.Constraints, simsched.Options{
+		probe, err := parallel.Simulate(cand.Constraints, parallel.SimOptions{
 			Workers: 1, InitialTree: -1,
-			Limits: simsched.Limits{MaxTrees: 300_000, MaxStates: 300_000, MaxTicks: 3_000_000},
+			Limits: parallel.SimLimits{MaxTrees: 300_000, MaxStates: 300_000, MaxTicks: 3_000_000},
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -59,13 +59,13 @@ func main() {
 	// 2. Virtual-time speedup sweep (this host has one core; real speedups
 	// require real cores, so scaling is measured on the simulator).
 	fmt.Println("\nvirtual-time speedups (work-stealing simulator):")
-	base, err := simsched.Run(ds.Constraints, simsched.Options{Workers: 1, InitialTree: -1})
+	base, err := parallel.Simulate(ds.Constraints, parallel.SimOptions{Workers: 1, InitialTree: -1})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("  %2d worker : %9d ticks  (speedup 1.00, serial baseline)\n", 1, base.Ticks)
 	for _, w := range []int{2, 4, 8, 12, 16} {
-		res, err := simsched.Run(ds.Constraints, simsched.Options{Workers: w, InitialTree: -1})
+		res, err := parallel.Simulate(ds.Constraints, parallel.SimOptions{Workers: w, InitialTree: -1})
 		if err != nil {
 			log.Fatal(err)
 		}

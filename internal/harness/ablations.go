@@ -5,8 +5,8 @@ import (
 	"strings"
 
 	"gentrius/internal/gen"
+	"gentrius/internal/parallel"
 	"gentrius/internal/search"
-	"gentrius/internal/simsched"
 	"gentrius/internal/stats"
 )
 
@@ -18,7 +18,7 @@ import (
 // datasets and reports the resulting speedups.
 func DesignAblations(spec CorpusSpec, scan, nDatasets int, minSerialTicks int64) (string, error) {
 	cfg := spec.config()
-	lim := simsched.Limits{MaxTrees: 2_000_000, MaxStates: 2_000_000, MaxTicks: 12_000_000}
+	lim := parallel.SimLimits{MaxTrees: 2_000_000, MaxStates: 2_000_000, MaxTicks: 12_000_000}
 	type pick struct {
 		ds     *gen.Dataset
 		serial int64
@@ -26,7 +26,7 @@ func DesignAblations(spec CorpusSpec, scan, nDatasets int, minSerialTicks int64)
 	var picks []pick
 	for idx := 0; idx < scan && len(picks) < nDatasets; idx++ {
 		ds := gen.Generate(cfg, idx)
-		serial, err := simsched.Run(ds.Constraints, simsched.Options{Workers: 1, InitialTree: -1, Limits: lim})
+		serial, err := parallel.Simulate(ds.Constraints, parallel.SimOptions{Workers: 1, InitialTree: -1, Limits: lim})
 		if err != nil {
 			return "", err
 		}
@@ -41,11 +41,11 @@ func DesignAblations(spec CorpusSpec, scan, nDatasets int, minSerialTicks int64)
 	var b strings.Builder
 	b.WriteString("Design-choice ablations at 16 workers (speedup vs 1 worker)\n\n")
 
-	speedupWith := func(p pick, o simsched.Options) (float64, error) {
+	speedupWith := func(p pick, o parallel.SimOptions) (float64, error) {
 		o.Workers = 16
 		o.InitialTree = -1
 		o.Limits = lim
-		res, err := simsched.Run(p.ds.Constraints, o)
+		res, err := parallel.Simulate(p.ds.Constraints, o)
 		if err != nil {
 			return 0, err
 		}
@@ -66,7 +66,7 @@ func DesignAblations(spec CorpusSpec, scan, nDatasets int, minSerialTicks int64)
 	for _, p := range picks {
 		row := []string{p.ds.Name}
 		for _, c := range caps {
-			sp, err := speedupWith(p, simsched.Options{Policy: search.Policy{QueueCap: c}})
+			sp, err := speedupWith(p, parallel.SimOptions{Policy: search.Policy{QueueCap: c}})
 			if err != nil {
 				return "", err
 			}
@@ -92,7 +92,7 @@ func DesignAblations(spec CorpusSpec, scan, nDatasets int, minSerialTicks int64)
 	for _, p := range picks {
 		row := []string{p.ds.Name}
 		for _, m := range mins {
-			sp, err := speedupWith(p, simsched.Options{Policy: search.Policy{MinRemaining: m}})
+			sp, err := speedupWith(p, parallel.SimOptions{Policy: search.Policy{MinRemaining: m}})
 			if err != nil {
 				return "", err
 			}
@@ -105,13 +105,13 @@ func DesignAblations(spec CorpusSpec, scan, nDatasets int, minSerialTicks int64)
 	b.WriteByte('\n')
 
 	// 3. Split granularity (paper: divide in half).
-	pols := []simsched.SplitPolicy{simsched.SplitOne, simsched.SplitHalf, simsched.SplitAllButOne}
+	pols := []search.SplitPolicy{search.SplitOne, search.SplitHalf, search.SplitAllButOne}
 	header = []string{"Dataset", "one", "half*", "all-but-one"}
 	rows = rows[:0]
 	for _, p := range picks {
 		row := []string{p.ds.Name}
 		for _, pol := range pols {
-			sp, err := speedupWith(p, simsched.Options{SplitPolicy: pol})
+			sp, err := speedupWith(p, parallel.SimOptions{Policy: search.Policy{Split: pol}})
 			if err != nil {
 				return "", err
 			}
@@ -130,7 +130,7 @@ func DesignAblations(spec CorpusSpec, scan, nDatasets int, minSerialTicks int64)
 // datasets.
 func OrderHeuristics(spec CorpusSpec, scan, nDatasets int, minSerialTicks int64) (string, error) {
 	cfg := spec.config()
-	lim := simsched.Limits{MaxTrees: 2_000_000, MaxStates: 2_000_000, MaxTicks: 12_000_000}
+	lim := parallel.SimLimits{MaxTrees: 2_000_000, MaxStates: 2_000_000, MaxTicks: 12_000_000}
 	heuristics := []search.OrderHeuristic{
 		search.OrderMinBranches,
 		search.OrderMinBranchesTieDegree,
@@ -143,7 +143,7 @@ func OrderHeuristics(spec CorpusSpec, scan, nDatasets int, minSerialTicks int64)
 	var rows [][]string
 	for idx := 0; idx < scan && len(rows) < nDatasets; idx++ {
 		ds := gen.Generate(cfg, idx)
-		base, err := simsched.Run(ds.Constraints, simsched.Options{Workers: 1, InitialTree: -1, Limits: lim})
+		base, err := parallel.Simulate(ds.Constraints, parallel.SimOptions{Workers: 1, InitialTree: -1, Limits: lim})
 		if err != nil {
 			return "", err
 		}
@@ -153,13 +153,13 @@ func OrderHeuristics(spec CorpusSpec, scan, nDatasets int, minSerialTicks int64)
 		row := []string{ds.Name}
 		trees := base.StandTrees
 		for _, h := range heuristics {
-			s1, err := simsched.Run(ds.Constraints, simsched.Options{
+			s1, err := parallel.Simulate(ds.Constraints, parallel.SimOptions{
 				Workers: 1, InitialTree: -1, Limits: lim, Heuristic: h,
 			})
 			if err != nil {
 				return "", err
 			}
-			s16, err := simsched.Run(ds.Constraints, simsched.Options{
+			s16, err := parallel.Simulate(ds.Constraints, parallel.SimOptions{
 				Workers: 16, InitialTree: -1, Limits: lim, Heuristic: h,
 			})
 			if err != nil {

@@ -6,8 +6,8 @@ import (
 	"strings"
 
 	"gentrius/internal/gen"
+	"gentrius/internal/parallel"
 	"gentrius/internal/search"
-	"gentrius/internal/simsched"
 	"gentrius/internal/stats"
 )
 
@@ -43,7 +43,7 @@ func Table1AdaptedSpeedups(spec StudySpec, count int) (string, error) {
 	// that budget as rule 3 on every run.
 	cfg := spec.Corpus.config()
 	budget := int64(1_000_000) // 10 scaled seconds of rule-3 budget
-	lim := simsched.Limits{MaxTrees: 1 << 40, MaxStates: 1 << 40, MaxTicks: budget}
+	lim := parallel.SimLimits{MaxTrees: 1 << 40, MaxStates: 1 << 40, MaxTicks: budget}
 	type row struct {
 		name string
 		asp  map[int]float64
@@ -51,7 +51,7 @@ func Table1AdaptedSpeedups(spec StudySpec, count int) (string, error) {
 	var rows []row
 	for idx := 0; idx < spec.Corpus.Count && len(rows) < count; idx++ {
 		ds := gen.Generate(cfg, idx)
-		serial, err := simsched.Run(ds.Constraints, simsched.Options{
+		serial, err := parallel.Simulate(ds.Constraints, parallel.SimOptions{
 			Workers: 1, InitialTree: -1, Limits: lim,
 		})
 		if err != nil {
@@ -62,7 +62,7 @@ func Table1AdaptedSpeedups(spec StudySpec, count int) (string, error) {
 		}
 		r := row{name: ds.Name, asp: map[int]float64{}}
 		for _, w := range spec.Workers {
-			res, err := simsched.Run(ds.Constraints, simsched.Options{
+			res, err := parallel.Simulate(ds.Constraints, parallel.SimOptions{
 				Workers: w, InitialTree: -1, Limits: lim,
 			})
 			if err != nil {
@@ -103,7 +103,7 @@ func Table2ManyThreads(spec StudySpec) (string, error) {
 	for _, r := range top {
 		row := []string{r.DS.Name, fmt.Sprintf("%.1f", r.SerialSeconds())}
 		for _, w := range workers {
-			res, err := simsched.Run(r.DS.Constraints, simsched.Options{
+			res, err := parallel.Simulate(r.DS.Constraints, parallel.SimOptions{
 				Workers: w, InitialTree: -1, Limits: spec.Limits,
 			})
 			if err != nil {
@@ -127,7 +127,7 @@ func Fig8StoppingRules(spec StudySpec, count int) (string, error) {
 	}
 	cfg := spec.Corpus.config()
 	// "Short analysis": reduced thresholds (paper: 10^7) scaled down.
-	lim := simsched.Limits{MaxTrees: 50_000, MaxStates: 50_000, MaxTicks: 1 << 40}
+	lim := parallel.SimLimits{MaxTrees: 50_000, MaxStates: 50_000, MaxTicks: 1 << 40}
 	dists := make([]stats.Distribution, len(spec.Workers))
 	for i, w := range spec.Workers {
 		dists[i].Label = fmt.Sprintf("%2d thr", w)
@@ -136,7 +136,7 @@ func Fig8StoppingRules(spec StudySpec, count int) (string, error) {
 	superLinear := 0
 	for idx := 0; idx < spec.Corpus.Count && used < count; idx++ {
 		ds := gen.Generate(cfg, idx)
-		serial, err := simsched.Run(ds.Constraints, simsched.Options{
+		serial, err := parallel.Simulate(ds.Constraints, parallel.SimOptions{
 			Workers: 1, InitialTree: -1, Limits: lim,
 		})
 		if err != nil {
@@ -150,7 +150,7 @@ func Fig8StoppingRules(spec StudySpec, count int) (string, error) {
 		}
 		used++
 		for i, w := range spec.Workers {
-			res, err := simsched.Run(ds.Constraints, simsched.Options{
+			res, err := parallel.Simulate(ds.Constraints, parallel.SimOptions{
 				Workers: w, InitialTree: -1, Limits: lim,
 			})
 			if err != nil {
@@ -260,10 +260,10 @@ func BatchingAblation(spec CorpusSpec, scan int, flushCost int64) (string, error
 		"atomics cost ~1-3% of a transition, yielding its 2-5% improvement.\n")
 	var cells [][]string
 	found := 0
-	lim := simsched.Limits{MaxTrees: 400_000, MaxStates: 400_000, MaxTicks: 4_000_000}
+	lim := parallel.SimLimits{MaxTrees: 400_000, MaxStates: 400_000, MaxTicks: 4_000_000}
 	for idx := 0; idx < scan && found < 4; idx++ {
 		ds := gen.Generate(cfg, idx)
-		serial, err := simsched.Run(ds.Constraints, simsched.Options{Workers: 1, InitialTree: -1, Limits: lim})
+		serial, err := parallel.Simulate(ds.Constraints, parallel.SimOptions{Workers: 1, InitialTree: -1, Limits: lim})
 		if err != nil {
 			return "", err
 		}
@@ -271,13 +271,13 @@ func BatchingAblation(spec CorpusSpec, scan int, flushCost int64) (string, error
 			continue
 		}
 		found++
-		batched, err := simsched.Run(ds.Constraints, simsched.Options{
+		batched, err := parallel.Simulate(ds.Constraints, parallel.SimOptions{
 			Workers: 16, InitialTree: -1, Limits: lim, FlushCost: flushCost,
 		})
 		if err != nil {
 			return "", err
 		}
-		unbatched, err := simsched.Run(ds.Constraints, simsched.Options{
+		unbatched, err := parallel.Simulate(ds.Constraints, parallel.SimOptions{
 			Workers: 16, InitialTree: -1, Limits: lim, FlushCost: flushCost,
 			Policy: search.Policy{TreeBatch: 1, StateBatch: 1, DeadEndBatch: 1},
 		})
@@ -317,7 +317,7 @@ func VerifyParity(spec CorpusSpec, count int, workers int) (string, error) {
 			continue
 		}
 		checked++
-		sim, err := simsched.Run(ds.Constraints, simsched.Options{
+		sim, err := parallel.Simulate(ds.Constraints, parallel.SimOptions{
 			Workers: workers, InitialTree: -1, CollectTrees: true,
 		})
 		if err != nil {

@@ -8,7 +8,6 @@ import (
 	"gentrius/internal/gen"
 	"gentrius/internal/parallel"
 	"gentrius/internal/search"
-	"gentrius/internal/simsched"
 	"gentrius/internal/stats"
 )
 
@@ -30,7 +29,7 @@ func runGoroutine(ds *gen.Dataset, workers int, lim search.Limits) (*parallel.Re
 // their whole sweep.
 func PlateauScan(spec CorpusSpec, scan int, maxSpeedup float64) (string, error) {
 	cfg := spec.config()
-	lim := simsched.Limits{MaxTrees: 2_000_000, MaxStates: 2_000_000, MaxTicks: 12_000_000}
+	lim := parallel.SimLimits{MaxTrees: 2_000_000, MaxStates: 2_000_000, MaxTicks: 12_000_000}
 	type cand struct {
 		idx   int
 		ticks int64
@@ -39,14 +38,14 @@ func PlateauScan(spec CorpusSpec, scan int, maxSpeedup float64) (string, error) 
 	var cands []cand
 	for idx := 0; idx < scan; idx++ {
 		ds := gen.Generate(cfg, idx)
-		serial, err := simsched.Run(ds.Constraints, simsched.Options{Workers: 1, InitialTree: -1, Limits: lim})
+		serial, err := parallel.Simulate(ds.Constraints, parallel.SimOptions{Workers: 1, InitialTree: -1, Limits: lim})
 		if err != nil {
 			return "", err
 		}
 		if serial.Stop != search.StopExhausted || serial.Ticks < 20_000 {
 			continue
 		}
-		r16, err := simsched.Run(ds.Constraints, simsched.Options{Workers: 16, InitialTree: -1, Limits: lim})
+		r16, err := parallel.Simulate(ds.Constraints, parallel.SimOptions{Workers: 16, InitialTree: -1, Limits: lim})
 		if err != nil {
 			return "", err
 		}
@@ -78,7 +77,7 @@ func PlateauScan(spec CorpusSpec, scan int, maxSpeedup float64) (string, error) 
 		ds := gen.Generate(cfg, c.idx)
 		row := []string{ds.Name, fmt.Sprintf("%.2f", float64(c.ticks)/TicksPerSecond)}
 		for _, w := range ThreadCounts {
-			res, err := simsched.Run(ds.Constraints, simsched.Options{Workers: w, InitialTree: -1, Limits: lim})
+			res, err := parallel.Simulate(ds.Constraints, parallel.SimOptions{Workers: w, InitialTree: -1, Limits: lim})
 			if err != nil {
 				return "", err
 			}
@@ -95,7 +94,7 @@ func PlateauScan(spec CorpusSpec, scan int, maxSpeedup float64) (string, error) 
 	// paper's Figure 3 picture: most workers idle ('.') while one or two
 	// drag through the unbalanced region ('W').
 	first := gen.Generate(cfg, firstIdx)
-	tl, err := simsched.Run(first.Constraints, simsched.Options{
+	tl, err := parallel.Simulate(first.Constraints, parallel.SimOptions{
 		Workers: 8, InitialTree: -1, Limits: lim,
 		TraceEvery: maxI64(1, firstTicks/64/8),
 	})
@@ -120,7 +119,7 @@ func maxI64(a, b int64) int64 {
 // tree limit quickly — a super-linear raw speedup.
 func SuperLinearScan(spec CorpusSpec, scan int, stateLimit, treeLimit int64) (string, error) {
 	cfg := spec.config()
-	serialLim := simsched.Limits{MaxTrees: treeLimit, MaxStates: stateLimit, MaxTicks: 1 << 40}
+	serialLim := parallel.SimLimits{MaxTrees: treeLimit, MaxStates: stateLimit, MaxTicks: 1 << 40}
 	var b strings.Builder
 	fmt.Fprintf(&b, "Figure 5b phenomenon: stopping-rule super-linear speedups\n")
 	fmt.Fprintf(&b, "(state limit %d, tree limit %d)\n", stateLimit, treeLimit)
@@ -128,14 +127,14 @@ func SuperLinearScan(spec CorpusSpec, scan int, stateLimit, treeLimit int64) (st
 	bestRatio, bestIdx := 0.0, -1
 	for idx := 0; idx < scan && found < 5; idx++ {
 		ds := gen.Generate(cfg, idx)
-		serial, err := simsched.Run(ds.Constraints, simsched.Options{Workers: 1, InitialTree: -1, Limits: serialLim})
+		serial, err := parallel.Simulate(ds.Constraints, parallel.SimOptions{Workers: 1, InitialTree: -1, Limits: serialLim})
 		if err != nil {
 			return "", err
 		}
 		if serial.Stop == search.StopExhausted {
 			continue // only rule-bound datasets can distort
 		}
-		par, err := simsched.Run(ds.Constraints, simsched.Options{Workers: 2, InitialTree: -1, Limits: serialLim})
+		par, err := parallel.Simulate(ds.Constraints, parallel.SimOptions{Workers: 2, InitialTree: -1, Limits: serialLim})
 		if err != nil {
 			return "", err
 		}

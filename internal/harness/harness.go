@@ -17,8 +17,8 @@ import (
 	"sort"
 
 	"gentrius/internal/gen"
+	"gentrius/internal/parallel"
 	"gentrius/internal/search"
-	"gentrius/internal/simsched"
 	"gentrius/internal/stats"
 )
 
@@ -62,8 +62,8 @@ func (cs CorpusSpec) Datasets() []*gen.Dataset {
 // one-worker run as the serial baseline.
 type Run struct {
 	DS      *gen.Dataset
-	Serial  *simsched.Result
-	By      map[int]*simsched.Result
+	Serial  *parallel.SimResult
+	By      map[int]*parallel.SimResult
 	Workers []int
 	// Snapshots holds the scheduler-metric snapshot of each swept run,
 	// keyed by worker count — the observability row attached to every
@@ -79,7 +79,7 @@ type RunSnapshot struct {
 	Efficiency  float64 // busy fraction of the pool over the makespan
 }
 
-func snapshotOf(r *simsched.Result) RunSnapshot {
+func snapshotOf(r *parallel.SimResult) RunSnapshot {
 	return RunSnapshot{
 		TasksStolen: r.TasksStolen,
 		Flushes:     r.Flushes,
@@ -104,10 +104,10 @@ func (r *Run) AdaptedSpeedup(w int) float64 {
 }
 
 // Sweep runs the simulator at 1 worker plus each listed worker count.
-func Sweep(ds *gen.Dataset, workers []int, lim simsched.Limits) (*Run, error) {
-	r := &Run{DS: ds, By: map[int]*simsched.Result{}, Workers: workers,
+func Sweep(ds *gen.Dataset, workers []int, lim parallel.SimLimits) (*Run, error) {
+	r := &Run{DS: ds, By: map[int]*parallel.SimResult{}, Workers: workers,
 		Snapshots: map[int]RunSnapshot{}}
-	serial, err := simsched.Run(ds.Constraints, simsched.Options{
+	serial, err := parallel.Simulate(ds.Constraints, parallel.SimOptions{
 		Workers: 1, InitialTree: -1, Limits: lim,
 	})
 	if err != nil {
@@ -120,7 +120,7 @@ func Sweep(ds *gen.Dataset, workers []int, lim simsched.Limits) (*Run, error) {
 		if w == 1 {
 			continue
 		}
-		res, err := simsched.Run(ds.Constraints, simsched.Options{
+		res, err := parallel.Simulate(ds.Constraints, parallel.SimOptions{
 			Workers: w, InitialTree: -1, Limits: lim,
 		})
 		if err != nil {
@@ -138,7 +138,7 @@ type StudySpec struct {
 	// Limits applied to every run. The paper sets rules 1 and 2 to 10^9 and
 	// a 5 h time budget for its main study; scaled defaults are used when
 	// zero (no dataset that completes should hit them).
-	Limits simsched.Limits
+	Limits parallel.SimLimits
 	// MinSerialSeconds drops "small" datasets (paper: 1 s).
 	MinSerialSeconds float64
 	// Workers to sweep (default ThreadCounts).
@@ -182,7 +182,7 @@ func RunStudy(spec StudySpec) (*Study, error) {
 	maxW := spec.Workers[len(spec.Workers)-1]
 	for _, ds := range spec.Corpus.Datasets() {
 		st.Generated++
-		probe, err := simsched.Run(ds.Constraints, simsched.Options{
+		probe, err := parallel.Simulate(ds.Constraints, parallel.SimOptions{
 			Workers: maxW, InitialTree: -1, Limits: spec.Limits,
 		})
 		if err != nil {

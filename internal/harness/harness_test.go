@@ -5,7 +5,7 @@ import (
 	"testing"
 
 	"gentrius/internal/gen"
-	"gentrius/internal/simsched"
+	"gentrius/internal/parallel"
 )
 
 func smallSpec(regime gen.Regime, count int) CorpusSpec {
@@ -32,7 +32,7 @@ func TestSweepAndSpeedups(t *testing.T) {
 	spec := smallSpec(gen.RegimeSimulated, 30)
 	var run *Run
 	for _, ds := range spec.Datasets() {
-		r, err := Sweep(ds, []int{2, 4}, simsched.Limits{
+		r, err := Sweep(ds, []int{2, 4}, parallel.SimLimits{
 			MaxTrees: 100_000, MaxStates: 100_000, MaxTicks: 1_000_000,
 		})
 		if err != nil {
@@ -132,7 +132,7 @@ func TestFigureAndTablePipelinesSmoke(t *testing.T) {
 		Corpus:           smallSpec(gen.RegimeSimulated, 30),
 		MinSerialSeconds: 0,
 		Workers:          []int{2, 4},
-		Limits:           simsched.Limits{MaxTrees: 100_000, MaxStates: 100_000, MaxTicks: 1_000_000},
+		Limits:           parallel.SimLimits{MaxTrees: 100_000, MaxStates: 100_000, MaxTicks: 1_000_000},
 	}
 	out, st, err := SpeedupFigure("smoke", spec)
 	if err != nil {

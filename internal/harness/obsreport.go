@@ -9,7 +9,7 @@ import (
 	"io"
 
 	"gentrius/internal/obs"
-	"gentrius/internal/simsched"
+	"gentrius/internal/parallel"
 	"gentrius/internal/stats"
 )
 
@@ -55,19 +55,19 @@ func ObsReport(spec StudySpec, k int) (string, error) {
 // worker count, and returns that run's result. Repeated calls on the same
 // corpus produce byte-identical traces (virtual-time stamps, single-
 // threaded scheduler).
-func TraceRepresentative(cs CorpusSpec, workers int, lim simsched.Limits, w io.Writer) (*simsched.Result, error) {
+func TraceRepresentative(cs CorpusSpec, workers int, lim parallel.SimLimits, w io.Writer) (*parallel.SimResult, error) {
 	for _, ds := range cs.Datasets() {
 		// Buffer each candidate run so the written trace covers exactly
 		// the selected one.
 		var buf bytes.Buffer
 		rec := obs.NewRecorder(&buf, nil)
-		res, err := simsched.Run(ds.Constraints, simsched.Options{
+		res, err := parallel.Simulate(ds.Constraints, parallel.SimOptions{
 			Workers: workers, InitialTree: -1, Limits: lim, Trace: rec,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", ds.Name, err)
 		}
-		if res.TasksStolen == 0 {
+		if !handsOff(buf.Bytes()) {
 			continue
 		}
 		if err := rec.Flush(); err != nil {
@@ -79,4 +79,11 @@ func TraceRepresentative(cs CorpusSpec, workers int, lim simsched.Limits, w io.W
 		return res, nil
 	}
 	return nil, fmt.Errorf("no dataset in the corpus exercised work stealing at %d workers", workers)
+}
+
+// handsOff reports whether a trace has a worker's task submission in it, not
+// only the run's own (worker -1): a task one worker stole from another.
+func handsOff(trace []byte) bool {
+	submit := []byte(`"ev":"` + obs.EvTaskSubmit + `"`)
+	return bytes.Count(trace, submit) > bytes.Count(trace, append(submit, `,"w":-1`...))
 }

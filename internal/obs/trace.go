@@ -31,7 +31,7 @@ func WallClock(start time.Time) Clock {
 // or leaving the pool is what the gap between its task-end and its next
 // steal already says.
 const (
-	EvWorkerStart = "worker-start" // worker starts (the simulator's: on its share, "branches")
+	EvWorkerStart = "worker-start" // a worker starts
 	EvTaskSubmit  = "task-submit"  // a task was enqueued
 	EvSteal       = "steal"        // an idle worker dequeued a task
 	EvFlush       = "flush"        // local counters flushed to the globals

@@ -19,44 +19,43 @@ import (
 // rest, so a round costs one path replay per interrupted worker and leaves
 // the schedule alone. A round that finds the pool done returns nil and
 // leaves a stop's hand-ins for the checkpoint-on-stop.
-func (g *globals) round() *search.Checkpoint {
-	q := g.q
-	q.mu.Lock()
-	defer q.mu.Unlock()
+func (p *pool) round() *search.Checkpoint {
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	// Every worker idle with tasks queued is a pool that has not resumed from
 	// the previous round yet: let one steal, so the run moves between cuts.
-	for q.idle == q.workers && len(q.tasks) > 0 && !q.done {
-		q.ctl.Wait()
+	for p.idle == p.workers && len(p.tasks) > 0 && !p.done {
+		p.ctl.Wait()
 	}
-	q.pausing = true
-	g.halt.Store(true)
-	for q.idle < q.workers && !q.done {
-		q.ctl.Wait()
+	p.pausing = true
+	p.halt.Store(true)
+	for p.idle < p.workers && !p.done {
+		p.ctl.Wait()
 	}
-	if !q.done {
+	if !p.done {
 		// Nothing moves while the pool is held, so the lock is not needed to
 		// wait for the collector — and a stop must not wait for a slow sink.
-		q.mu.Unlock()
-		g.drainTrees()
-		q.mu.Lock()
+		p.mu.Unlock()
+		p.drainTrees()
+		p.mu.Lock()
 	}
 	var cp *search.Checkpoint
-	if !q.done {
-		cp = g.su.Checkpoint(g.snapshot(), g.opt.Threads, q.frontier())
-		queued := q.tasks
-		q.tasks = nil
-		for _, ft := range q.handed {
-			g.enqueue(ft)
+	if !p.done {
+		cp = p.su.Checkpoint(p.totals(), p.opt.Threads, p.cut())
+		queued := p.tasks
+		p.tasks = nil
+		for _, ft := range p.handed {
+			p.enqueue(ft)
 		}
-		q.tasks, q.handed = append(q.tasks, queued...), nil
+		p.tasks, p.handed = append(p.tasks, queued...), nil
 	}
-	q.pausing = false
+	p.pausing = false
 	// In this order: a raise between a load and a store would be lost.
-	g.halt.Store(false)
-	if g.reason.Load() != 0 {
-		g.halt.Store(true)
+	p.halt.Store(false)
+	if p.reason.Load() != 0 {
+		p.halt.Store(true)
 	}
-	q.cond.Broadcast()
+	p.cond.Broadcast()
 	return cp
 }
 
@@ -64,8 +63,8 @@ func (g *globals) round() *search.Checkpoint {
 // been through the collector's callbacks, so a checkpoint's counters never
 // run ahead of its tree spool. Only called while the workers are held (every
 // block handed on, sent frozen).
-func (g *globals) drainTrees() {
-	for g.treesDone.Load() < g.treesSent.Load() {
+func (p *pool) drainTrees() {
+	for p.treesDone.Load() < p.treesSent.Load() {
 		time.Sleep(100 * time.Microsecond)
 	}
 }
@@ -76,20 +75,20 @@ func (g *globals) drainTrees() {
 // so a round waiting in drainTrees is released either way, and its buffer
 // goes back to the free list, which has room: a block travels against a
 // buffer taken from it.
-func (g *globals) collect(sink func(block []byte, n int)) (panicked bool) {
+func (p *pool) collect(sink func(block []byte, n int)) (panicked bool) {
 	var tb treeBlock
 	done := func() {
-		g.treesDone.Add(int64(tb.n))
-		g.free <- tb.b
+		p.treesDone.Add(int64(tb.n))
+		p.free <- tb.b
 	}
 	defer func() {
 		if r := recover(); r != nil {
 			panicked = true
 			done()
-			g.fail(&OnTreePanicError{Value: r, Stack: debug.Stack()})
+			p.fail(&OnTreePanicError{Value: r, Stack: debug.Stack()})
 		}
 	}()
-	for tb = range g.treeCh {
+	for tb = range p.treeCh {
 		sink(tb.b, tb.n)
 		done()
 	}

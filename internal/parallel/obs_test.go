@@ -139,15 +139,14 @@ func TestObsDoesNotChangeResults(t *testing.T) {
 // backing array's vacated slot must not retain the task (its buffers return
 // to the pool once the stealing worker finishes).
 func TestQueueStealZeroesHeadSlot(t *testing.T) {
-	q := newQueue(4, 2, (*obs.Sink)(nil).SchedMetrics())
-	tk := &task{FrontierTask: search.NewSeedTask([]search.PathStep{{Taxon: 1, Edge: 2}}, 3, []int32{4, 5}, 0.5)}
-	if !q.trySubmit(tk, 0) {
+	p := testPool(4, 2)
+	if !offer(p) {
 		t.Fatal("submit rejected")
 	}
-	backing := q.tasks[:1] // aliases the head slot
-	got, ok := q.steal()
-	if !ok || got.root().Taxon != 3 {
-		t.Fatalf("steal = %+v, %v", got, ok)
+	backing := p.tasks[:1] // aliases the head slot
+	got := p.steal(0)
+	if got == nil || got.root().Taxon != 3 {
+		t.Fatalf("steal = %+v", got)
 	}
 	if backing[0] != nil {
 		t.Fatalf("head slot retains task after steal: %+v", backing[0])

@@ -224,34 +224,47 @@ func TestPartitionBranches(t *testing.T) {
 	}
 }
 
+// testPool is a pool with no run behind it: the scheduler's queue of the
+// given capacity and the termination barrier of the given width.
+func testPool(cap, workers int) *pool {
+	p := &pool{sched: sched{policy: search.Policy{QueueCap: cap}, m: (*obs.Sink)(nil).SchedMetrics()}, workers: workers}
+	p.cond.L, p.ctl.L = &p.mu, &p.mu
+	return p
+}
+
+// offer has a worker offer the last branch of a frame of taxon 3.
+func offer(p *pool) bool {
+	w := &worker{s: &p.sched, cur: &task{}}
+	return w.Offer(nil, &search.Frame{Taxon: 3, Branches: []int32{4, 5}}, 1) == 1
+}
+
 func TestQueueSubmitAndCap(t *testing.T) {
-	q := newQueue(2, 3, (*obs.Sink)(nil).SchedMetrics())
-	if !q.trySubmit(&task{id: 1}, 0) || !q.trySubmit(&task{id: 2}, 0) {
+	p := testPool(2, 3)
+	if !offer(p) || !offer(p) {
 		t.Fatal("submissions under capacity rejected")
 	}
-	if q.trySubmit(&task{id: 3}, 0) {
+	if offer(p) {
 		t.Fatal("submission above capacity accepted")
 	}
-	tk, ok := q.steal()
-	if !ok || tk.id != 1 {
-		t.Fatalf("steal = %+v, %v (want FIFO task 1)", tk, ok)
+	tk := p.steal(0)
+	if tk == nil || tk.id != 1 {
+		t.Fatalf("steal = %+v (want FIFO task 1)", tk)
 	}
-	if !q.trySubmit(&task{id: 3}, 0) {
+	if !offer(p) {
 		t.Fatal("submission after drain rejected")
 	}
-	q.shutdown()
-	if q.trySubmit(&task{id: 4}, 0) {
-		t.Fatal("submission after shutdown accepted")
+	p.raise(search.StopCancelled)
+	if offer(p) {
+		t.Fatal("submission after the stop accepted")
 	}
 }
 
 func TestQueueTerminationWhenAllIdle(t *testing.T) {
-	q := newQueue(4, 2, (*obs.Sink)(nil).SchedMetrics())
+	p := testPool(4, 2)
 	done := make(chan bool, 2)
 	for i := 0; i < 2; i++ {
 		go func() {
-			_, ok := q.steal()
-			done <- ok
+			done <- p.steal(i) != nil
 		}()
 	}
 	for i := 0; i < 2; i++ {

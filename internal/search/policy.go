@@ -1,10 +1,9 @@
 package search
 
 // Policy is the paper's parallel scheme (Sec. III) as constants and pure
-// decisions. Every driver of the scheme — the goroutine pool, the
-// virtual-time simulator — normalizes one Policy and asks it when to hand
-// work off and when to publish counters, so the figures the simulator
-// reproduces are claims about the rules the real pool runs.
+// decisions. Every driver of the scheme — the serial runner, and the one
+// scheduler of package parallel on either of its clocks — normalizes one
+// Policy and asks it when to hand work off and when to publish counters.
 type Policy struct {
 	// Batch sizes for flushes of a worker's local counters into the global
 	// totals (Sec. III-B); zero selects the paper's 2^10 / 2^13 / 2^10.
@@ -18,6 +17,31 @@ type Policy struct {
 	// MinRemaining is the depth restriction: a worker with fewer remaining
 	// taxa than this does not submit tasks (zero: the paper's 3).
 	MinRemaining int
+
+	// Split is how many of a frame's branches a submission hands off (zero:
+	// the paper's half).
+	Split SplitPolicy
+}
+
+// SplitPolicy is the task-granularity design choice (DESIGN.md ablations).
+type SplitPolicy int8
+
+// Split policies.
+const (
+	SplitHalf      SplitPolicy = iota // the paper's choice: floor(n/2)
+	SplitOne                          // submit a single branch per task
+	SplitAllButOne                    // submit everything except one branch
+)
+
+func (p SplitPolicy) String() string {
+	switch p {
+	case SplitOne:
+		return "one"
+	case SplitAllButOne:
+		return "all-but-one"
+	default:
+		return "half"
+	}
 }
 
 // Normalize fills in the paper's defaults for a pool of the given width.
@@ -45,14 +69,22 @@ func (p Policy) Normalize(threads int) Policy {
 }
 
 // Submit decides how many of a freshly pushed frame's nBranches admissible
-// branches the worker offers as a task: half of them, rounded down, unless
-// fewer than MinRemaining taxa remain to insert. Zero means keep them all.
+// branches the worker offers as a task: none when fewer than MinRemaining
+// taxa remain to insert or half of them, rounded down, is none; else half,
+// one or all but one of them, as Split says. Zero means keep them all.
 // (Whether the queue has room is the driver's side of the decision.)
 func (p Policy) Submit(remainingTaxa, nBranches int) int {
-	if remainingTaxa < p.MinRemaining {
+	n := nBranches / 2
+	if remainingTaxa < p.MinRemaining || n == 0 {
 		return 0
 	}
-	return nBranches / 2
+	switch p.Split {
+	case SplitOne:
+		return 1
+	case SplitAllButOne:
+		return nBranches - 1
+	}
+	return n
 }
 
 // FlushDue reports whether a worker's unflushed counters filled any batch.

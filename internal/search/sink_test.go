@@ -12,7 +12,6 @@ import (
 	"gentrius/internal/gen"
 	"gentrius/internal/parallel"
 	"gentrius/internal/search"
-	"gentrius/internal/simsched"
 	"gentrius/internal/terrace"
 	"gentrius/internal/tree"
 )
@@ -98,9 +97,9 @@ func TestTreeSinkForms(t *testing.T) {
 			return fleetRun(t, cons, dist.RunOptions{InitialTree: -1,
 				CollectTrees: collect, OnTree: onTree, OnTrees: onTrees}).Trees
 		}},
-		{"simsched.Run", false, func(collect bool, onTree func(string), onTrees func([]byte, int)) []string {
-			res, err := simsched.Run(cons, simsched.Options{Workers: 2, InitialTree: -1,
-				Limits: simsched.Limits{MaxTrees: -1, MaxStates: -1}, CollectTrees: collect})
+		{"parallel.Simulate", false, func(collect bool, onTree func(string), onTrees func([]byte, int)) []string {
+			res, err := parallel.Simulate(cons, parallel.SimOptions{Workers: 2, InitialTree: -1,
+				Limits: parallel.SimLimits{MaxTrees: -1, MaxStates: -1}, CollectTrees: collect})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -110,7 +109,7 @@ func TestTreeSinkForms(t *testing.T) {
 	for _, e := range entries {
 		for combo := range 8 {
 			collect, wantStrings, wantBlocks := combo&1 != 0, combo&2 != 0, combo&4 != 0
-			if e.name == "simsched.Run" && (wantStrings || wantBlocks) {
+			if e.name == "parallel.Simulate" && (wantStrings || wantBlocks) {
 				continue
 			}
 			t.Run(fmt.Sprintf("%s/collect=%v,OnTree=%v,OnTrees=%v", e.name, collect, wantStrings, wantBlocks), func(t *testing.T) {

@@ -11,7 +11,7 @@ import (
 )
 
 // Setup is the state every driver of the scheme starts from — the serial
-// runner, the goroutine pool, the virtual-time simulator and the fleet
+// runner, the scheduler of package parallel on either clock, and the fleet
 // coordinator: the initial tree, the deterministic prefix to the initial
 // split I_0, what has been counted so far, and the outstanding work as a
 // task frontier.
@@ -45,9 +45,8 @@ type Setup struct {
 	// order; a resumed run's are the checkpoint's non-empty tasks.
 	Frontier *Frontier
 
-	// Resumed tells the simulator, which starts a fresh run's workers on a
-	// share each as the paper does, that the tasks are restored work to queue,
-	// and the serial runner that the prefix is not this run's work.
+	// Resumed tells the serial runner that the prefix is not this run's
+	// work. (Every other driver queues the tasks the same way either way.)
 	Resumed bool
 
 	constraints []*tree.Tree

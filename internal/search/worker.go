@@ -18,8 +18,8 @@ const (
 
 // Host is the driver's side of the per-thread protocol: the three places a
 // Worker touches state it shares with other workers, none of them on the
-// per-step path. The serial runner, the goroutine pool and the simulator
-// each implement it.
+// per-step path. The serial runner implements it, and so does the scheduler
+// of package parallel, once for both of its hosts (each adds its own Trees).
 type Host interface {
 	// Offer is called when the worker pushed frame f at the end of path (from
 	// I_0) and the policy lets it hand off the last n of f's branches as a

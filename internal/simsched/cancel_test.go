@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"gentrius/internal/parallel"
 	"gentrius/internal/search"
 	"gentrius/internal/tree"
 )
@@ -43,11 +44,11 @@ func TestSimCancelled(t *testing.T) {
 	cons := cancelConstraints(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	var first *Result
+	var first *parallel.SimResult
 	for i := 0; i < 2; i++ {
-		res, err := Run(cons, Options{
+		res, err := parallel.Simulate(cons, parallel.SimOptions{
 			Workers: 4,
-			Limits:  Limits{MaxTrees: -1, MaxStates: -1, MaxTicks: -1},
+			Limits:  parallel.SimLimits{MaxTrees: -1, MaxStates: -1, MaxTicks: -1},
 			Ctx:     ctx,
 		})
 		if err != nil {
@@ -72,14 +73,14 @@ func TestSimCancelled(t *testing.T) {
 // perturb the simulation — same makespan and counters as no context at all.
 func TestSimUncancelledCtxIsDeterministic(t *testing.T) {
 	cons := cancelConstraints(t)
-	lim := Limits{MaxTrees: 500, MaxStates: -1, MaxTicks: -1}
-	bare, err := Run(cons, Options{Workers: 3, Limits: lim})
+	lim := parallel.SimLimits{MaxTrees: 500, MaxStates: -1, MaxTicks: -1}
+	bare, err := parallel.Simulate(cons, parallel.SimOptions{Workers: 3, Limits: lim})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	withCtx, err := Run(cons, Options{Workers: 3, Limits: lim, Ctx: ctx})
+	withCtx, err := parallel.Simulate(cons, parallel.SimOptions{Workers: 3, Limits: lim, Ctx: ctx})
 	if err != nil {
 		t.Fatal(err)
 	}

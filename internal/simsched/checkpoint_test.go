@@ -7,6 +7,7 @@ import (
 	"sort"
 	"testing"
 
+	"gentrius/internal/parallel"
 	"gentrius/internal/search"
 )
 
@@ -16,16 +17,16 @@ import (
 func TestSimCheckpointResumeExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	cons := bigScenario(t, rng, 13, 200)
-	ref, err := Run(cons, Options{Workers: 4, InitialTree: -1, CollectTrees: true})
+	ref, err := parallel.Simulate(cons, parallel.SimOptions{Workers: 4, InitialTree: -1, CollectTrees: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, snapW := range []int{1, 4} {
 		for _, resW := range []int{1, 3, 8} {
 			t.Run(fmt.Sprintf("snap=%d/resume=%d", snapW, resW), func(t *testing.T) {
-				res1, err := Run(cons, Options{
+				res1, err := parallel.Simulate(cons, parallel.SimOptions{
 					Workers: snapW, InitialTree: -1,
-					Limits: Limits{MaxTrees: ref.StandTrees / 2, MaxStates: -1},
+					Limits: parallel.SimLimits{MaxTrees: ref.StandTrees / 2, MaxStates: -1},
 					// Flush every transition so the limit hits mid-run.
 					Policy:           search.Policy{TreeBatch: 1, StateBatch: 1, DeadEndBatch: 1},
 					CheckpointOnStop: true,
@@ -41,9 +42,9 @@ func TestSimCheckpointResumeExact(t *testing.T) {
 					t.Fatalf("checkpoint counters %+v != run counters %+v",
 						res1.Checkpoint.Counters, res1.Counters)
 				}
-				res2, err := Run(cons, Options{
+				res2, err := parallel.Simulate(cons, parallel.SimOptions{
 					Workers:      resW,
-					Limits:       Limits{MaxTrees: -1, MaxStates: -1},
+					Limits:       parallel.SimLimits{MaxTrees: -1, MaxStates: -1},
 					Resume:       res1.Checkpoint,
 					CollectTrees: true,
 				})
@@ -74,9 +75,9 @@ func TestSimCheckpointDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	cons := bigScenario(t, rng, 12, 100)
 	snap := func() *search.Checkpoint {
-		res, err := Run(cons, Options{
+		res, err := parallel.Simulate(cons, parallel.SimOptions{
 			Workers: 4, InitialTree: -1,
-			Limits:           Limits{MaxTrees: 40, MaxStates: -1},
+			Limits:           parallel.SimLimits{MaxTrees: 40, MaxStates: -1},
 			Policy:           search.Policy{TreeBatch: 1, StateBatch: 1, DeadEndBatch: 1},
 			CheckpointOnStop: true,
 		})
@@ -92,10 +93,10 @@ func TestSimCheckpointDeterministic(t *testing.T) {
 	if !reflect.DeepEqual(cp1, cp2) {
 		t.Fatal("identical simulated runs produced different checkpoints")
 	}
-	run := func() *Result {
-		res, err := Run(cons, Options{
+	run := func() *parallel.SimResult {
+		res, err := parallel.Simulate(cons, parallel.SimOptions{
 			Workers: 3,
-			Limits:  Limits{MaxTrees: -1, MaxStates: -1},
+			Limits:  parallel.SimLimits{MaxTrees: -1, MaxStates: -1},
 			Resume:  cp1,
 		})
 		if err != nil {
@@ -117,13 +118,13 @@ func TestSimCheckpointDeterministic(t *testing.T) {
 func TestSimCheckpointEnvelopeRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	cons := bigScenario(t, rng, 12, 100)
-	ref, err := Run(cons, Options{Workers: 2, InitialTree: -1})
+	ref, err := parallel.Simulate(cons, parallel.SimOptions{Workers: 2, InitialTree: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res1, err := Run(cons, Options{
+	res1, err := parallel.Simulate(cons, parallel.SimOptions{
 		Workers: 2, InitialTree: -1,
-		Limits:           Limits{MaxTrees: ref.StandTrees / 2, MaxStates: -1},
+		Limits:           parallel.SimLimits{MaxTrees: ref.StandTrees / 2, MaxStates: -1},
 		Policy:           search.Policy{TreeBatch: 1, StateBatch: 1, DeadEndBatch: 1},
 		CheckpointOnStop: true,
 	})
@@ -142,7 +143,7 @@ func TestSimCheckpointEnvelopeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, err := Run(cons, Options{Workers: 5, Limits: Limits{MaxTrees: -1, MaxStates: -1}, Resume: cp})
+	res2, err := parallel.Simulate(cons, parallel.SimOptions{Workers: 5, Limits: parallel.SimLimits{MaxTrees: -1, MaxStates: -1}, Resume: cp})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,3 +1,7 @@
+// Package simsched holds VirtualClock, the manually advanced clock the
+// fleet's and the retry loop's protocol tests run on. Its tests also pin
+// parallel.Simulate, the virtual-time host of the pool's scheduler that the
+// paper's figures are computed from.
 package simsched
 
 import (

@@ -19,9 +19,9 @@ import (
 	"gentrius/internal/tree"
 )
 
-// submitted returns the tasks a traced run's workers handed off, in order:
-// taxon, branch share and path length of each. (The pool also traces, as
-// worker -1, the restored tasks it queues itself; the simulator does not.)
+// submitted returns the tasks a traced run queued, in order: submitter,
+// taxon, branch share and path length of each (worker -1: the run's own
+// shares or resumed tasks).
 func submitted(t *testing.T, trace *bytes.Buffer) []string {
 	t.Helper()
 	events, err := tracereport.ReadTrace(trace)
@@ -30,26 +30,27 @@ func submitted(t *testing.T, trace *bytes.Buffer) []string {
 	}
 	var out []string
 	for _, e := range events {
-		if e.Ev == obs.EvTaskSubmit && e.Worker >= 0 {
-			out = append(out, fmt.Sprint(e.Get("taxon"), e.Get("branches"), e.Get("path")))
+		if e.Ev == obs.EvTaskSubmit {
+			out = append(out, fmt.Sprint(e.Worker, e.Get("taxon"), e.Get("branches"), e.Get("path")))
 		}
 	}
 	return out
 }
 
-// TestDriversAgree: the goroutine pool and the simulator drive one
-// search.Worker each, so at one worker — where the pool is deterministic too
-// — they do exactly the same work, publish it in the same number of batches
-// and hand off exactly the same tasks in the same order, fresh and when both
-// resume the same mid-run frontier checkpoint. The speedup figures are
-// simulator outputs; this is what makes them claims about the real engine.
+// TestDriversAgree: the goroutine pool and the simulator are two hosts of one
+// scheduler, so at one worker — where the pool is deterministic too — they
+// do exactly the same work, publish it in the same number of batches, queue
+// exactly the same tasks in the same order and steal every one of them,
+// fresh and when both resume the same mid-run frontier checkpoint. The
+// speedup figures are simulator outputs; this is what makes them claims
+// about the real engine.
 func TestDriversAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(1313))
-	noLimits := Limits{MaxTrees: -1, MaxStates: -1}
+	noLimits := parallel.SimLimits{MaxTrees: -1, MaxStates: -1}
 	compared, resumed, stolen := 0, 0, int64(0)
 	for scen := 0; compared < 6 && scen < 300; scen++ {
 		cons := randomScenario(rng, 14, 3, 4, 0.5)
-		ref, err := Run(cons, Options{Workers: 1, InitialTree: -1, Limits: noLimits})
+		ref, err := parallel.Simulate(cons, parallel.SimOptions{Workers: 1, InitialTree: -1, Limits: noLimits})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -58,8 +59,8 @@ func TestDriversAgree(t *testing.T) {
 		}
 		compared++
 		// The same run cut half-way: a frontier with queued and in-flight work.
-		half, err := Run(cons, Options{Workers: 1, InitialTree: -1, CheckpointOnStop: true,
-			Limits: Limits{MaxTrees: -1, MaxStates: ref.IntermediateStates / 2},
+		half, err := parallel.Simulate(cons, parallel.SimOptions{Workers: 1, InitialTree: -1, CheckpointOnStop: true,
+			Limits: parallel.SimLimits{MaxTrees: -1, MaxStates: ref.IntermediateStates / 2},
 			Policy: search.Policy{TreeBatch: 1, StateBatch: 1, DeadEndBatch: 1}})
 		if err != nil {
 			t.Fatal(err)
@@ -74,7 +75,7 @@ func TestDriversAgree(t *testing.T) {
 			}
 			var simTrace, poolTrace bytes.Buffer
 			simRec, poolRec := obs.NewRecorder(&simTrace, nil), obs.NewRecorder(&poolTrace, nil)
-			sim, err := Run(cons, Options{Workers: 1, InitialTree: -1, Limits: noLimits, Resume: cp, Trace: simRec})
+			sim, err := parallel.Simulate(cons, parallel.SimOptions{Workers: 1, InitialTree: -1, Limits: noLimits, Resume: cp, Trace: simRec})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -88,13 +89,7 @@ func TestDriversAgree(t *testing.T) {
 				t.Fatalf("scenario %d %s: simulator %+v, pool %+v, uninterrupted %+v",
 					scen, what, sim.Counters, pool.Counters, ref.Counters)
 			}
-			// The pool queues a fresh run's one share and steals it, as both
-			// drivers do a resumed frontier; the simulator starts on it at I_0.
-			shares := int64(0)
-			if cp == nil {
-				shares = 1
-			}
-			if sim.TasksStolen+shares != pool.TasksStolen {
+			if sim.TasksStolen != pool.TasksStolen {
 				t.Fatalf("scenario %d %s: simulator stole %d tasks, pool %d",
 					scen, what, sim.TasksStolen, pool.TasksStolen)
 			}
@@ -105,13 +100,8 @@ func TestDriversAgree(t *testing.T) {
 			if err := errors.Join(simRec.Flush(), poolRec.Flush()); err != nil {
 				t.Fatal(err)
 			}
-			// Every task but that share is stolen: the hand-offs and, resumed, the
-			// checkpoint's.
-			handed := sim.TasksStolen
-			if cp != nil {
-				handed -= int64(len(cp.Frontier.Tasks))
-			}
-			if s, p := submitted(t, &simTrace), submitted(t, &poolTrace); !slices.Equal(s, p) || int64(len(s)) != handed {
+			// Every task queued, the run's own and the hand-offs, is stolen.
+			if s, p := submitted(t, &simTrace), submitted(t, &poolTrace); !slices.Equal(s, p) || int64(len(s)) != sim.TasksStolen {
 				t.Fatalf("scenario %d %s: %d steals; simulator submitted %v, pool %v", scen, what, sim.TasksStolen, s, p)
 			}
 			stolen += sim.TasksStolen
@@ -129,15 +119,15 @@ func interrupted(t *testing.T, seed int64) ([]*tree.Tree, *search.Checkpoint) {
 	rng := rand.New(rand.NewSource(seed))
 	for scen := 0; scen < 300; scen++ {
 		cons := randomScenario(rng, 14, 3, 4, 0.5)
-		ref, err := Run(cons, Options{Workers: 2, InitialTree: -1, Limits: Limits{MaxTrees: -1, MaxStates: -1}})
+		ref, err := parallel.Simulate(cons, parallel.SimOptions{Workers: 2, InitialTree: -1, Limits: parallel.SimLimits{MaxTrees: -1, MaxStates: -1}})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if ref.IntermediateStates < 100 {
 			continue
 		}
-		half, err := Run(cons, Options{Workers: 2, InitialTree: -1, CheckpointOnStop: true,
-			Limits: Limits{MaxTrees: -1, MaxStates: ref.IntermediateStates / 2},
+		half, err := parallel.Simulate(cons, parallel.SimOptions{Workers: 2, InitialTree: -1, CheckpointOnStop: true,
+			Limits: parallel.SimLimits{MaxTrees: -1, MaxStates: ref.IntermediateStates / 2},
 			Policy: search.Policy{TreeBatch: 1, StateBatch: 1, DeadEndBatch: 1}})
 		if err != nil {
 			t.Fatal(err)
@@ -163,7 +153,7 @@ func TestDriversRefuseHostileTask(t *testing.T) {
 			break
 		}
 	}
-	_, simErr := Run(cons, Options{Workers: 2, InitialTree: -1, Resume: cp})
+	_, simErr := parallel.Simulate(cons, parallel.SimOptions{Workers: 2, InitialTree: -1, Resume: cp})
 	_, poolErr := parallel.Run(cons, parallel.Options{Threads: 2, InitialTree: -1,
 		Checkpoint: search.CheckpointPolicy{Resume: cp}})
 	if simErr == nil || poolErr == nil || simErr.Error() != poolErr.Error() ||
@@ -185,7 +175,7 @@ func TestDriversResumeUnstartedSerialCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, n := range []int{1, 3} {
-		sim, err := Run(cons, Options{Workers: n, Limits: Limits{MaxTrees: -1, MaxStates: -1}, Resume: cp})
+		sim, err := parallel.Simulate(cons, parallel.SimOptions{Workers: n, Limits: parallel.SimLimits{MaxTrees: -1, MaxStates: -1}, Resume: cp})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -238,8 +228,8 @@ func TestTerraceBuiltOncePerRun(t *testing.T) {
 	// A tick limit of one keeps the enumeration out of the picture.
 	run := func(workers int) uint64 {
 		return allocated(func() {
-			if _, err := Run(cons, Options{Workers: workers, InitialTree: -1,
-				Limits: Limits{MaxTrees: -1, MaxStates: -1, MaxTicks: 1}}); err != nil {
+			if _, err := parallel.Simulate(cons, parallel.SimOptions{Workers: workers, InitialTree: -1,
+				Limits: parallel.SimLimits{MaxTrees: -1, MaxStates: -1, MaxTicks: 1}}); err != nil {
 				t.Fatal(err)
 			}
 		})

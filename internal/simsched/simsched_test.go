@@ -10,6 +10,7 @@ import (
 
 	"gentrius/internal/bitset"
 	"gentrius/internal/obs"
+	"gentrius/internal/parallel"
 	"gentrius/internal/search"
 	"gentrius/internal/tree"
 )
@@ -94,7 +95,7 @@ func TestSimSerialMatchesRunner(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sim, err := Run(cons, Options{Workers: 1, InitialTree: -1, CollectTrees: true})
+		sim, err := parallel.Simulate(cons, parallel.SimOptions{Workers: 1, InitialTree: -1, CollectTrees: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,7 +104,7 @@ func TestSimSerialMatchesRunner(t *testing.T) {
 		}
 		// A worker that renders nothing looks ahead of the same branches of the
 		// second-to-last taxon as this one, and is charged the same ticks.
-		count, err := Run(cons, Options{Workers: 1, InitialTree: -1})
+		count, err := parallel.Simulate(cons, parallel.SimOptions{Workers: 1, InitialTree: -1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,12 +128,12 @@ func TestSimSerialMatchesRunner(t *testing.T) {
 func TestSimMultiWorkerCounts(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	cons := bigScenario(t, rng, 13, 100)
-	ref, err := Run(cons, Options{Workers: 1, InitialTree: -1})
+	ref, err := parallel.Simulate(cons, parallel.SimOptions{Workers: 1, InitialTree: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range []int{2, 3, 4, 8, 16} {
-		sim, err := Run(cons, Options{Workers: w, InitialTree: -1})
+		sim, err := parallel.Simulate(cons, parallel.SimOptions{Workers: w, InitialTree: -1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,11 +149,11 @@ func TestSimMultiWorkerCounts(t *testing.T) {
 func TestSimSpeedup(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	cons := bigScenario(t, rng, 16, 2000)
-	t1, err := Run(cons, Options{Workers: 1, InitialTree: -1})
+	t1, err := parallel.Simulate(cons, parallel.SimOptions{Workers: 1, InitialTree: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t4, err := Run(cons, Options{Workers: 4, InitialTree: -1})
+	t4, err := parallel.Simulate(cons, parallel.SimOptions{Workers: 4, InitialTree: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,11 +170,11 @@ func TestSimSpeedup(t *testing.T) {
 func TestSimDeterminism(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	cons := bigScenario(t, rng, 12, 50)
-	a, err := Run(cons, Options{Workers: 5, InitialTree: -1})
+	a, err := parallel.Simulate(cons, parallel.SimOptions{Workers: 5, InitialTree: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(cons, Options{Workers: 5, InitialTree: -1})
+	b, err := parallel.Simulate(cons, parallel.SimOptions{Workers: 5, InitialTree: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +186,7 @@ func TestSimDeterminism(t *testing.T) {
 func TestSimTickLimit(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	cons := bigScenario(t, rng, 14, 500)
-	sim, err := Run(cons, Options{Workers: 2, InitialTree: -1, Limits: Limits{MaxTicks: 50}})
+	sim, err := parallel.Simulate(cons, parallel.SimOptions{Workers: 2, InitialTree: -1, Limits: parallel.SimLimits{MaxTicks: 50}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,9 +201,9 @@ func TestSimTickLimit(t *testing.T) {
 func TestSimTreeLimit(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	cons := bigScenario(t, rng, 14, 500)
-	sim, err := Run(cons, Options{
+	sim, err := parallel.Simulate(cons, parallel.SimOptions{
 		Workers: 2, InitialTree: -1,
-		Limits: Limits{MaxTrees: 100},
+		Limits: parallel.SimLimits{MaxTrees: 100},
 		Policy: search.Policy{TreeBatch: 16, StateBatch: 64, DeadEndBatch: 16},
 	})
 	if err != nil {
@@ -219,11 +220,11 @@ func TestSimTreeLimit(t *testing.T) {
 func TestSimFlushCostAblation(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	cons := bigScenario(t, rng, 14, 1000)
-	batched, err := Run(cons, Options{Workers: 4, InitialTree: -1, FlushCost: 50})
+	batched, err := parallel.Simulate(cons, parallel.SimOptions{Workers: 4, InitialTree: -1, FlushCost: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
-	unbatched, err := Run(cons, Options{
+	unbatched, err := parallel.Simulate(cons, parallel.SimOptions{
 		Workers: 4, InitialTree: -1, FlushCost: 50,
 		Policy: search.Policy{TreeBatch: 1, StateBatch: 1, DeadEndBatch: 1},
 	})
@@ -242,7 +243,7 @@ func TestSimFlushCostAblation(t *testing.T) {
 func TestSimEmptyAndSingletonStands(t *testing.T) {
 	taxa := tree.MustTaxa([]string{"A", "B", "C", "D", "E"})
 	full := tree.MustParse("((A,B),(C,(D,E)));", taxa)
-	one, err := Run([]*tree.Tree{full}, Options{Workers: 4, InitialTree: 0, CollectTrees: true})
+	one, err := parallel.Simulate([]*tree.Tree{full}, parallel.SimOptions{Workers: 4, InitialTree: 0, CollectTrees: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +252,7 @@ func TestSimEmptyAndSingletonStands(t *testing.T) {
 	}
 	c1 := tree.MustParse("((A,B),(C,D));", taxa)
 	c2 := tree.MustParse("((A,C),(B,(D,E)));", taxa)
-	zero, err := Run([]*tree.Tree{c1, c2}, Options{Workers: 4, InitialTree: -1})
+	zero, err := parallel.Simulate([]*tree.Tree{c1, c2}, parallel.SimOptions{Workers: 4, InitialTree: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +264,7 @@ func TestSimEmptyAndSingletonStands(t *testing.T) {
 func TestTimelineTrace(t *testing.T) {
 	rng := rand.New(rand.NewSource(52))
 	cons := bigScenario(t, rng, 13, 100)
-	res, err := Run(cons, Options{Workers: 3, InitialTree: -1, TraceEvery: 10})
+	res, err := parallel.Simulate(cons, parallel.SimOptions{Workers: 3, InitialTree: -1, TraceEvery: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +276,7 @@ func TestTimelineTrace(t *testing.T) {
 		t.Fatalf("timeline rendering wrong:\n%s", rendered)
 	}
 	// Without tracing, no timeline.
-	res2, err := Run(cons, Options{Workers: 2, InitialTree: -1})
+	res2, err := parallel.Simulate(cons, parallel.SimOptions{Workers: 2, InitialTree: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,11 +288,11 @@ func TestTimelineTrace(t *testing.T) {
 func TestHeuristicOptionPreservesCounts(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	cons := bigScenario(t, rng, 12, 50)
-	base, err := Run(cons, Options{Workers: 4, InitialTree: -1})
+	base, err := parallel.Simulate(cons, parallel.SimOptions{Workers: 4, InitialTree: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	alt, err := Run(cons, Options{Workers: 4, InitialTree: -1, Heuristic: search.OrderMinBranchesTieDegree})
+	alt, err := parallel.Simulate(cons, parallel.SimOptions{Workers: 4, InitialTree: -1, Heuristic: search.OrderMinBranchesTieDegree})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,12 +304,12 @@ func TestHeuristicOptionPreservesCounts(t *testing.T) {
 func TestSplitPolicies(t *testing.T) {
 	rng := rand.New(rand.NewSource(54))
 	cons := bigScenario(t, rng, 13, 200)
-	ref, err := Run(cons, Options{Workers: 1, InitialTree: -1})
+	ref, err := parallel.Simulate(cons, parallel.SimOptions{Workers: 1, InitialTree: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range []SplitPolicy{SplitHalf, SplitOne, SplitAllButOne} {
-		res, err := Run(cons, Options{Workers: 4, InitialTree: -1, SplitPolicy: p})
+	for _, p := range []search.SplitPolicy{search.SplitHalf, search.SplitOne, search.SplitAllButOne} {
+		res, err := parallel.Simulate(cons, parallel.SimOptions{Workers: 4, InitialTree: -1, Policy: search.Policy{Split: p}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -316,7 +317,7 @@ func TestSplitPolicies(t *testing.T) {
 			t.Fatalf("policy %v changed counters", p)
 		}
 	}
-	if SplitHalf.String() != "half" || SplitOne.String() != "one" || SplitAllButOne.String() != "all-but-one" {
+	if search.SplitHalf.String() != "half" || search.SplitOne.String() != "one" || search.SplitAllButOne.String() != "all-but-one" {
 		t.Fatal("policy names wrong")
 	}
 }
@@ -327,10 +328,10 @@ func TestSplitPolicies(t *testing.T) {
 func TestTraceByteIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	cons := bigScenario(t, rng, 13, 100)
-	runOnce := func() (string, *Result) {
+	runOnce := func() (string, *parallel.SimResult) {
 		var b bytes.Buffer
 		rec := obs.NewRecorder(&b, nil)
-		res, err := Run(cons, Options{Workers: 6, InitialTree: -1, Trace: rec})
+		res, err := parallel.Simulate(cons, parallel.SimOptions{Workers: 6, InitialTree: -1, Trace: rec})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -394,12 +395,12 @@ func TestTraceByteIdentical(t *testing.T) {
 func TestTraceOffIsUntouched(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	cons := bigScenario(t, rng, 12, 50)
-	a, err := Run(cons, Options{Workers: 4, InitialTree: -1})
+	a, err := parallel.Simulate(cons, parallel.SimOptions{Workers: 4, InitialTree: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	b, err := Run(cons, Options{Workers: 4, InitialTree: -1, Trace: obs.NewRecorder(&buf, nil)})
+	b, err := parallel.Simulate(cons, parallel.SimOptions{Workers: 4, InitialTree: -1, Trace: obs.NewRecorder(&buf, nil)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,8 +19,8 @@ import (
 
 	"gentrius/internal/gen"
 	"gentrius/internal/obs"
+	"gentrius/internal/parallel"
 	"gentrius/internal/search"
-	"gentrius/internal/simsched"
 	"gentrius/internal/tracereport"
 )
 
@@ -38,12 +38,12 @@ func genGoldenTrace(t *testing.T) []byte {
 	t.Helper()
 	cfg := gen.Default(gen.RegimeSimulated)
 	cfg.MinTaxa, cfg.MaxTaxa = 16, 30
-	lim := simsched.Limits{MaxTrees: 50_000, MaxStates: 50_000, MaxTicks: 500_000}
+	lim := parallel.SimLimits{MaxTrees: 50_000, MaxStates: 50_000, MaxTicks: 500_000}
 	for idx := 0; idx < 200; idx++ {
 		ds := gen.Generate(cfg, idx)
 		var buf bytes.Buffer
 		rec := obs.NewRecorder(&buf, nil)
-		res, err := simsched.Run(ds.Constraints, simsched.Options{
+		res, err := parallel.Simulate(ds.Constraints, parallel.SimOptions{
 			Workers: 4, InitialTree: -1, Limits: lim, Trace: rec,
 		})
 		if err != nil {
@@ -52,7 +52,9 @@ func genGoldenTrace(t *testing.T) []byte {
 		if err := rec.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		if res.Stop != search.StopExhausted || res.TasksStolen == 0 ||
+		submit := []byte(`"ev":"` + obs.EvTaskSubmit + `"`)
+		handedOff := bytes.Count(buf.Bytes(), submit) > bytes.Count(buf.Bytes(), append(submit, `,"w":-1`...))
+		if res.Stop != search.StopExhausted || !handedOff ||
 			buf.Len() < 2_000 || buf.Len() > 64_000 {
 			continue
 		}
