@@ -3,7 +3,10 @@ package main
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"runtime"
 	"slices"
@@ -397,8 +400,10 @@ var copySink []byte
 // beside a memmove of the same volume, block by block into a buffer that stays
 // in cache like the engine's block. The emit row carries emit/copy, which
 // -compare gates (ratioMetrics): what rendering a stand costs over writing
-// each of its bytes once, on any host.
-func emitCopy(ds *gen.Dataset, benchtime string) (emit, cp BenchResult, err error) {
+// each of its bytes once, on any host. The memmove is paired a second time
+// with the same stand served as a finished job's NDJSON tree stream
+// (serveStand): the stream row carries stream/copy, gated the same way.
+func emitCopy(ds *gen.Dataset, benchtime string) (emit, stream, cp BenchResult, err error) {
 	var volume int
 	var block []byte
 	if _, err = search.Run(ds.Constraints, search.Options{InitialTree: -1, OnTrees: func(b []byte, _ int) {
@@ -407,7 +412,7 @@ func emitCopy(ds *gen.Dataset, benchtime string) (emit, cp BenchResult, err erro
 			block = append(block[:0], b...)
 		}
 	}}); err != nil {
-		return emit, cp, err
+		return emit, stream, cp, err
 	}
 	copySink = make([]byte, len(block))
 	runCopy := func() error {
@@ -420,10 +425,70 @@ func emitCopy(ds *gen.Dataset, benchtime string) (emit, cp BenchResult, err erro
 		_, err := search.Run(ds.Constraints, search.Options{InitialTree: -1, OnTrees: func([]byte, int) {}})
 		return err
 	}
-	emit.Name, cp.Name = "EmitRefStand", "CopyRefStand"
+	emit.Name, stream.Name, cp.Name = "EmitRefStand", "StreamRefStand", "CopyRefStand"
 	ratio, err := pairRows(benchtime, &cp, &emit, runCopy, runEmit)
 	emit.Metrics = map[string]float64{"emit/copy": ratio, "stand-MB": float64(volume) / 1e6}
-	return emit, cp, err
+	if err != nil {
+		return emit, stream, cp, err
+	}
+	runStream, stop, err := serveStand(ds)
+	if err != nil {
+		return emit, stream, cp, err
+	}
+	defer stop()
+	ratio, err = pairRows(benchtime, &cp, &stream, runCopy, runStream)
+	stream.Metrics = map[string]float64{"stream/copy": ratio}
+	return emit, stream, cp, err
+}
+
+// serveStand is the tree stream's pass: a service.Manager on a fresh
+// data directory runs ds as one job to its end, and each pass serves that
+// job's GET /jobs/{id}/trees through RegisterRoutes into an
+// httptest.ResponseRecorder, with no network — the spool's reads, the NDJSON
+// records and the recorder's writes of every tree. stop shuts it down.
+func serveStand(ds *gen.Dataset) (pass func() error, stop func(), err error) {
+	dir, err := os.MkdirTemp("", "benchreport-stream")
+	if err != nil {
+		return nil, nil, err
+	}
+	mgr, err := service.New(service.Config{Workers: 1, DataDir: dir})
+	if err != nil {
+		os.RemoveAll(dir)
+		return nil, nil, err
+	}
+	stop = func() {
+		mgr.Shutdown(context.Background()) //nolint:errcheck // nothing runs by then
+		os.RemoveAll(dir)
+	}
+	req := service.JobRequest{MaxTrees: -1, MaxStates: -1, MaxTimeSeconds: -1}
+	for _, c := range ds.Constraints {
+		req.Trees = append(req.Trees, c.Newick())
+	}
+	job, err := mgr.Submit(req)
+	if err != nil {
+		stop()
+		return nil, nil, err
+	}
+	<-job.Done()
+	st := job.Status()
+	if st.State != service.StateDone || st.TreesSpooled != st.StandTrees {
+		stop()
+		return nil, nil, fmt.Errorf("stream job %+v", st)
+	}
+	mux := http.NewServeMux()
+	mgr.RegisterRoutes(mux)
+	var body bytes.Buffer
+	pass = func() error {
+		body.Reset()
+		rec := httptest.NewRecorder()
+		rec.Body = &body
+		mux.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/jobs/"+job.ID()+"/trees", nil))
+		if n := bytes.Count(body.Bytes(), []byte("\n")); rec.Code != http.StatusOK || int64(n) != st.StandTrees {
+			return fmt.Errorf("the stream answered %d with %d of %d trees", rec.Code, n, st.StandTrees)
+		}
+		return nil
+	}
+	return pass, stop, nil
 }
 
 // emitStrings is tree emission as an in-run pair: SerialEngineEmit is

@@ -6,9 +6,11 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math/bits"
 	"net/http"
 	"time"
 
@@ -214,29 +216,60 @@ type treeLine struct {
 
 // appendTreeRecords appends one NDJSON record per line of lines (whole
 // lines, each newline-terminated) to dst: the bytes json.Encoder would write
-// for treeLine{line}. A line of printable ASCII without the five characters
-// the encoder escapes is copied between the record's fixed ends; any other —
-// a quoted label can hold anything — goes through encoding/json.
+// for treeLine{line}. It reads every byte it sends: escapeIndex finds the
+// first byte the encoder would escape, eight bytes a step; every whole line
+// before it is copied between the record's fixed ends, the line that holds
+// it — a quoted label can hold anything — goes through encoding/json, and
+// the scan resumes after that line. On serve-jobs' stands this takes 0.6 to
+// 0.7 ns a byte, about ten times a memmove of the same bytes; testing each
+// byte in turn took 1.9 to 3.0 (BenchmarkTreeRecords, two-core Xeon).
 func appendTreeRecords(dst, lines []byte) []byte {
 	for len(lines) > 0 {
-		i := bytes.IndexByte(lines, '\n')
-		line := lines[:i]
-		lines = lines[i+1:]
-		plain := true
-		for _, c := range line {
-			if c < 0x20 || c >= 0x80 || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-				plain = false
-				break
+		e := escapeIndex(lines)
+		for len(lines) > 0 {
+			i := bytes.IndexByte(lines, '\n')
+			line := lines[:i]
+			lines = lines[i+1:]
+			if i < e {
+				dst = append(append(append(dst, `{"tree":"`...), line...), "\"}\n"...)
+				e -= i + 1
+				continue
 			}
+			rec, _ := json.Marshal(treeLine{Tree: string(line)}) // a struct of one string cannot fail
+			dst = append(append(dst, rec...), '\n')
+			break
 		}
-		if plain {
-			dst = append(append(append(dst, `{"tree":"`...), line...), "\"}\n"...)
-			continue
-		}
-		rec, _ := json.Marshal(treeLine{Tree: string(line)}) // a struct of one string cannot fail
-		dst = append(append(dst, rec...), '\n')
 	}
 	return dst
+}
+
+// escapeIndex returns the offset of the first byte of b that json.Encoder
+// escapes in a string — below 0x20 but '\n', 0x80 and above, or one of "\<>&
+// — or len(b) if there is none.
+func escapeIndex(b []byte) int {
+	i := 0
+	for ; len(b)-i >= 8; i += 8 {
+		if m := escapeMask(binary.LittleEndian.Uint64(b[i:])); m != 0 {
+			return i + bits.TrailingZeros64(m)/8
+		}
+	}
+	var tail [8]byte // padded with zero bytes, which are escaped: the first stops the scan at len(b)
+	copy(tail[:], b[i:])
+	return i + bits.TrailingZeros64(escapeMask(binary.LittleEndian.Uint64(tail[:])))/8
+}
+
+// escapeMask sets the high bit of every byte of w that json.Encoder escapes.
+// Each byte is tested on its low seven bits, where adding at most 0x7f cannot
+// carry into the next byte, so every byte's bit is exact.
+func escapeMask(w uint64) uint64 {
+	const ones, high = 0x0101010101010101, 0x8080808080808080
+	x := w &^ high
+	notCtrl := x + ones*(0x80-0x20)                         // high bit: x >= 0x20
+	notNL := (x ^ ones*'\n') + ones*0x7f                    // high bit: x != '\n'
+	notQuoteAmp := ((x | ones*0x04) ^ ones*'&') + ones*0x7f // '"' is '&' without 0x04
+	notAngle := ((x | ones*0x02) ^ ones*'>') + ones*0x7f    // '<' is '>' without 0x02
+	notBackslash := (x ^ ones*'\\') + ones*0x7f
+	return (w | notNL&^notCtrl | ^(notQuoteAmp & notAngle & notBackslash)) & high
 }
 
 // handleTrees streams the job's stand trees as NDJSON ({"tree":"..."} per
