@@ -342,26 +342,6 @@ func OnesCountAnd(rows [][]uint64, nw int) int {
 	return c
 }
 
-// AnyAnd reports whether the AND of the first nw words of every row has any
-// bit set, stopping at the first non-zero word.
-func AnyAnd(rows [][]uint64, nw int) bool {
-	if len(rows) == 0 {
-		return false
-	}
-	r0 := rows[0]
-	rest := rows[1:]
-	for i := 0; i < nw; i++ {
-		w := r0[i]
-		for _, r := range rest {
-			w &= r[i]
-		}
-		if w != 0 {
-			return true
-		}
-	}
-	return false
-}
-
 func (s *Set) check(o *Set) {
 	if len(s.words) != len(o.words) {
 		panic(fmt.Sprintf("bitset: capacity mismatch (%d vs %d words)", len(s.words), len(o.words)))

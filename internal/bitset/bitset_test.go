@@ -261,9 +261,6 @@ func TestWordPrimitives(t *testing.T) {
 		if c := OnesCountAnd(rows, nw); c != wantCount {
 			t.Fatalf("OnesCountAnd = %d want %d", c, wantCount)
 		}
-		if a := AnyAnd(rows, nw); a != (wantCount > 0) {
-			t.Fatalf("AnyAnd = %v want %v", a, wantCount > 0)
-		}
 		// Single-row enumeration and in-place AND.
 		single := AppendSetBits32(nil, rows[0])
 		var wantSingle []int32

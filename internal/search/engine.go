@@ -145,8 +145,6 @@ type Engine struct {
 	// indexed by the Terrace's depth: a permutation of T.MissingTaxa().
 	Order []int
 
-	degree []int16 // per-taxon constraint count (OrderMinBranchesTieDegree)
-
 	// OnFramePushed, if set, is called after each new frame with two or more
 	// branches is pushed (excluding task-seeded root frames). The callee may
 	// steal a suffix of f.Branches by returning n > 0: the last n branches
@@ -311,11 +309,11 @@ func NewEngine(t *terrace.Terrace) *Engine {
 // deeper stack. Frames keep their stored estimator weights, which cannot be
 // re-derived once stealing has shrunk the branch lists. The branch arrays
 // are aliased read-only, so the task stays re-executable verbatim, and
-// nothing of the previous stack stays referenced; the slots' branch buffers,
-// the degree table and the Newick scratch are kept, so a reused engine
-// allocates nothing per task. A corrupt stack is refused and changes
-// nothing. The Terrace is not touched: the caller brings it to the stack's
-// base state and calls replayInserted before the next Step.
+// nothing of the previous stack stays referenced; the slots' branch buffers
+// and the Newick scratch are kept, so a reused engine allocates nothing per
+// task. A corrupt stack is refused and changes nothing. The Terrace is not
+// touched: the caller brings it to the stack's base state and calls
+// replayInserted before the next Step.
 func (e *Engine) Reset(frames []FrameSnapshot) error {
 	if err := validateTaskFrames(frames, false); err != nil {
 		return fmt.Errorf("search: %w", err)
@@ -615,20 +613,20 @@ func (e *Engine) pushFrame() bool {
 	return true
 }
 
-// nextTaxon applies the dynamic taxon insertion heuristic (fewest admissible
-// branches, ties by taxon id) or the fixed order. Counts come from the
-// terrace's incremental accounting (PendingCount) rather than a fresh scan
-// per taxon; selection is bit-identical to the historical full-recount loop
-// for all three heuristics (a zero count still wins immediately, and ties
-// keep the first taxon found in MissingTaxa order).
+// nextTaxon applies the dynamic taxon insertion heuristic or the fixed order.
+// The dynamic rule is the reference one on cached counts: in MissingTaxa
+// order, the first pending taxon with no admissible branch wins at once,
+// else the first with the fewest (the most under OrderMaxBranches; under
+// OrderMinBranchesTieDegree a tie goes to the higher Terrace.Degree). Only
+// the source of the counts differs from the reference (refNextTaxon in the
+// tests): PendingCount, not a fresh CountAllowedBranches per taxon.
 func (e *Engine) nextTaxon() int {
 	if !e.DynamicOrder {
 		return e.Order[e.T.Depth()]
 	}
 	best, bestCount := -1, -1
-	missing := e.T.MissingTaxa()
 	ag := e.T.Agile()
-	for i, x := range missing {
+	for _, x := range e.T.MissingTaxa() {
 		if ag.HasTaxon(x) {
 			continue
 		}
@@ -646,39 +644,12 @@ func (e *Engine) nextTaxon() int {
 		case c < bestCount:
 			best, bestCount = x, c
 		case c == bestCount && e.Heuristic == OrderMinBranchesTieDegree:
-			if e.constraintDegree(x) > e.constraintDegree(best) {
+			if e.T.Degree(x) > e.T.Degree(best) {
 				best, bestCount = x, c
 			}
 		}
-		if bestCount == 1 && e.Heuristic == OrderMinBranches {
-			// A count of 1 is minimal short of a forced dead end, and plain
-			// min-branches keeps the first minimum: only a zero later in the
-			// scan could change the selection. Probe the unscanned suffix
-			// with an early-exiting emptiness check instead of full counts.
-			for _, y := range missing[i+1:] {
-				if e.T.Agile().HasTaxon(y) {
-					continue
-				}
-				if !e.T.HasPendingBranch(y) {
-					return y
-				}
-			}
-			return best
-		}
 	}
 	return best
-}
-
-// constraintDegree returns how many constraint trees contain taxon x,
-// computed lazily once per engine.
-func (e *Engine) constraintDegree(x int) int16 {
-	if e.degree == nil {
-		e.degree = make([]int16, e.T.Taxa().Len())
-		for i := 0; i < e.T.NumConstraints(); i++ {
-			e.T.Constraint(i).LeafSet().ForEach(func(t int) { e.degree[t]++ })
-		}
-	}
-	return e.degree[x]
 }
 
 // rendering reports whether anyone wants the trees.

@@ -8,8 +8,8 @@ import (
 	"gentrius/internal/terrace"
 )
 
-// refConstraintDegree mirrors Engine.constraintDegree for the reference
-// enumerator.
+// refConstraintDegree recounts Terrace.Degree from the constraints' leaf sets
+// for the reference enumerator.
 func refConstraintDegree(tr *terrace.Terrace) []int {
 	deg := make([]int, tr.Taxa().Len())
 	for i := 0; i < tr.NumConstraints(); i++ {
@@ -107,20 +107,49 @@ func refEnumerate(tr *terrace.Terrace, h OrderHeuristic) *leafByLeaf {
 	return o
 }
 
+// zeroAfterOne reports whether the scan of the current state meets a pending
+// taxon with no admissible branch after one with exactly one: the one state
+// where the min-branches scan must go on past a minimum it cannot beat.
+func zeroAfterOne(tr *terrace.Terrace) bool {
+	one := false
+	for _, x := range tr.MissingTaxa() {
+		if tr.Agile().HasTaxon(x) {
+			continue
+		}
+		switch tr.CountAllowedBranches(x) {
+		case 0:
+			return one
+		case 1:
+			one = true
+		}
+	}
+	return false
+}
+
 // TestIncrementalSelectionEquivalence verifies that the engine built on the
 // incremental admissible-branch accounting produces exactly the counters and
-// stand of the full-recount reference, for all three order heuristics.
+// stand of the full-recount reference, for all three order heuristics. The
+// trials must reach a state where a dead-end taxon follows a count-1 minimum
+// in the scan (zeroAfterOne), which the corpus stands never do.
 func TestIncrementalSelectionEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(8311))
 	heuristics := []OrderHeuristic{OrderMinBranches, OrderMinBranchesTieDegree, OrderMaxBranches}
-	for trial := 0; trial < 12; trial++ {
+	zeroAfterOnes := 0
+	for trial := 0; trial < 100; trial++ {
 		cons := randomScenario(rng, 8+rng.Intn(5), 2+rng.Intn(3), 4, 0.5+0.3*rng.Float64())
 		for _, h := range heuristics {
 			refT, err := terrace.New(cons, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref := refEnumerate(refT, h)
+			deg := refConstraintDegree(refT)
+			ref := &leafByLeaf{tr: refT, next: func() int {
+				if h == OrderMinBranches && zeroAfterOne(refT) {
+					zeroAfterOnes++
+				}
+				return refNextTaxon(refT, h, deg)
+			}}
+			ref.run()
 			refC, refTrees := ref.Counters, ref.trees
 
 			engT, err := terrace.New(cons, 0)
@@ -150,6 +179,10 @@ func TestIncrementalSelectionEquivalence(t *testing.T) {
 			}
 		}
 	}
+	if zeroAfterOnes == 0 {
+		t.Fatal("no state had a dead-end taxon after a count-1 minimum; choose other scenarios")
+	}
+	t.Logf("%d states with a dead-end taxon after a count-1 minimum", zeroAfterOnes)
 }
 
 // TestStepSteadyStateAllocs pins the allocation-free step loop: once the

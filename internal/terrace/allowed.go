@@ -48,13 +48,3 @@ func (tr *Terrace) CountAllowedBranches(x int) int {
 	}
 	return bitset.OnesCountAnd(rows, tr.laneWords())
 }
-
-// HasAllowedBranch reports whether at least one admissible branch exists,
-// stopping at the first non-zero word of the lane intersection.
-func (tr *Terrace) HasAllowedBranch(x int) bool {
-	rows := tr.allowedRows(x)
-	if len(rows) == 0 {
-		return tr.agile.NumEdges() > 0
-	}
-	return bitset.AnyAnd(rows, tr.laneWords())
-}

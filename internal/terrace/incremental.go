@@ -145,26 +145,6 @@ func (tr *Terrace) relistCached(x int) {
 	tr.cacheLive = append(tr.cacheLive, int32(x))
 }
 
-// HasPendingBranch reports whether pending taxon x has at least one
-// admissible branch, without materialising the set. Single-constraint taxa
-// and cached taxa answer in O(1); otherwise the lane intersection is probed
-// word by word with an early exit (and NOT cached — an emptiness probe does
-// not produce a full count).
-func (tr *Terrace) HasPendingBranch(x int) bool {
-	cons := tr.byTaxon[x]
-	if len(cons) == 1 {
-		cs := tr.constraints[cons[0]]
-		if cs.sCount < 2 {
-			return tr.agile.NumEdges() > 0
-		}
-		return cs.cnt[cs.target[x]] > 0
-	}
-	if tr.pendOK[x] {
-		return tr.pendCnt[x] > 0
-	}
-	return tr.HasAllowedBranch(x)
-}
-
 // invalidate drops taxon y's cached count (no-op if none is cached).
 func (tr *Terrace) invalidate(y int) {
 	tr.pendOK[y] = false

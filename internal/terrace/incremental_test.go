@@ -150,7 +150,7 @@ func TestIncrementalCountsUndoExact(t *testing.T) {
 
 func anyInsertable(tr *Terrace) bool {
 	for _, x := range tr.MissingTaxa() {
-		if !tr.agile.HasTaxon(x) && tr.HasAllowedBranch(x) {
+		if !tr.agile.HasTaxon(x) && tr.CountAllowedBranches(x) > 0 {
 			return true
 		}
 	}
@@ -160,7 +160,7 @@ func anyInsertable(tr *Terrace) bool {
 func randomInsertable(tr *Terrace, rng *rand.Rand) (int, bool) {
 	var cand []int
 	for _, x := range tr.MissingTaxa() {
-		if !tr.agile.HasTaxon(x) && tr.HasAllowedBranch(x) {
+		if !tr.agile.HasTaxon(x) && tr.CountAllowedBranches(x) > 0 {
 			cand = append(cand, x)
 		}
 	}

@@ -522,6 +522,9 @@ func (tr *Terrace) NumConstraints() int { return len(tr.constraints) }
 // Constraint returns constraint tree i.
 func (tr *Terrace) Constraint(i int) *tree.Tree { return tr.constraints[i].t }
 
+// Degree returns how many constraint trees contain taxon x.
+func (tr *Terrace) Degree(x int) int { return len(tr.byTaxon[x]) }
+
 // InitialIndex returns the index of the constraint used as initial tree.
 func (tr *Terrace) InitialIndex() int { return tr.initialIdx }
 
