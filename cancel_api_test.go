@@ -3,6 +3,7 @@ package gentrius
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"sort"
@@ -172,12 +173,12 @@ func TestCheckpointParallelAllowed(t *testing.T) {
 }
 
 // TestParentCommitCheckpointsResume: checkpoint files written by commit
-// a3eaaa2 (before the scheduling set-up moved into internal/search) — a
-// version-1 serial stack and a version-2 four-thread frontier, both cut by a
-// tree limit — still load and resume to the uninterrupted totals, at any
-// thread count. Threads: 0 is the regression case for Result.Threads: a
-// frontier checkpoint resumed with Threads <= 0 ran one worker but reported
-// zero.
+// a3eaaa2 (before the scheduling set-up moved into internal/search), both
+// cut by a tree limit. Its version-2 four-thread frontier still loads and
+// resumes to the uninterrupted totals, at any thread count; its version-1
+// serial stack, a form this release no longer reads, fails with ErrVersion.
+// Threads: 0 is the regression case for Result.Threads: a frontier
+// checkpoint resumed with Threads <= 0 ran one worker but reported zero.
 func TestParentCommitCheckpointsResume(t *testing.T) {
 	in, err := os.Open("testdata/ckpt_a3eaaa2/input.trees")
 	if err != nil {
@@ -192,27 +193,28 @@ func TestParentCommitCheckpointsResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"serial_v1.ckpt", "frontier_v2.ckpt"} {
-		for _, threads := range []int{0, 1, 3} {
-			cp, err := ReadCheckpointFile("testdata/ckpt_a3eaaa2/" + name)
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			opt := unlimitedOptions(threads)
-			opt.Checkpoint = &CheckpointPolicy{Resume: cp}
-			res, err := EnumerateStand(cons, opt)
-			if err != nil {
-				t.Fatalf("%s at %d threads: %v", name, threads, err)
-			}
-			if !res.Complete() || res.StandTrees != ref.StandTrees ||
-				res.IntermediateStates != ref.IntermediateStates || res.DeadEnds != ref.DeadEnds {
-				t.Fatalf("%s at %d threads: %d/%d/%d (%v), uninterrupted %d/%d/%d", name, threads,
-					res.StandTrees, res.IntermediateStates, res.DeadEnds, res.Stop,
-					ref.StandTrees, ref.IntermediateStates, ref.DeadEnds)
-			}
-			if want := max(threads, 1); res.Threads != want {
-				t.Fatalf("%s at Threads=%d: Result.Threads = %d, want %d", name, threads, res.Threads, want)
-			}
+	if _, err := ReadCheckpointFile("testdata/ckpt_a3eaaa2/serial_v1.ckpt"); !errors.Is(err, ErrVersion) {
+		t.Fatalf("serial_v1.ckpt: %v, want ErrVersion", err)
+	}
+	for _, threads := range []int{0, 1, 3} {
+		cp, err := ReadCheckpointFile("testdata/ckpt_a3eaaa2/frontier_v2.ckpt")
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt := unlimitedOptions(threads)
+		opt.Checkpoint = &CheckpointPolicy{Resume: cp}
+		res, err := EnumerateStand(cons, opt)
+		if err != nil {
+			t.Fatalf("%d threads: %v", threads, err)
+		}
+		if !res.Complete() || res.StandTrees != ref.StandTrees ||
+			res.IntermediateStates != ref.IntermediateStates || res.DeadEnds != ref.DeadEnds {
+			t.Fatalf("%d threads: %d/%d/%d (%v), uninterrupted %d/%d/%d", threads,
+				res.StandTrees, res.IntermediateStates, res.DeadEnds, res.Stop,
+				ref.StandTrees, ref.IntermediateStates, ref.DeadEnds)
+		}
+		if want := max(threads, 1); res.Threads != want {
+			t.Fatalf("Threads=%d: Result.Threads = %d, want %d", threads, res.Threads, want)
 		}
 	}
 }

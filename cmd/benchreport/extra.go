@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"runtime"
 	"slices"
 	"strconv"
@@ -392,18 +393,16 @@ func (sp standPair) run(benchtime string) (serial, pool BenchResult, err error) 
 	return serial, pool, err
 }
 
-// copySink keeps emitCopy's memmove from being optimised away.
+// copySink keeps refStand's memmove from being optimised away.
 var copySink []byte
 
-// emitCopy is ROADMAP item 1's in-run pair (PR 29): the reference stand
-// rendered into blocks nobody reads by search.Run — SerialEngineEmit's pass —
-// beside a memmove of the same volume, block by block into a buffer that stays
-// in cache like the engine's block. The emit row carries emit/copy, which
-// -compare gates (ratioMetrics): what rendering a stand costs over writing
-// each of its bytes once, on any host. The memmove is paired a second time
-// with the same stand served as a finished job's NDJSON tree stream
-// (serveStand): the stream row carries stream/copy, gated the same way.
-func emitCopy(ds *gen.Dataset, benchtime string) (emit, stream, cp BenchResult, err error) {
+// refStand is the reference stand's in-run pairs: EmitRefStand renders it
+// into blocks nobody reads (SerialEngineEmit's pass), StreamRefStand serves it
+// as a finished job's tree stream, SpoolRefStand reads that job's spool
+// (serveStand). -compare gates (ratioMetrics) emit/stream and stream/spool,
+// whose sides share the host's compute and memory; emit/copy, over an
+// in-cache memmove of the same volume (CopyRefStand), is reported, not gated.
+func refStand(ds *gen.Dataset, benchtime string) (rows []BenchResult, err error) {
 	var volume int
 	var block []byte
 	if _, err = search.Run(ds.Constraints, search.Options{InitialTree: -1, OnTrees: func(b []byte, _ int) {
@@ -412,7 +411,7 @@ func emitCopy(ds *gen.Dataset, benchtime string) (emit, stream, cp BenchResult, 
 			block = append(block[:0], b...)
 		}
 	}}); err != nil {
-		return emit, stream, cp, err
+		return nil, err
 	}
 	copySink = make([]byte, len(block))
 	runCopy := func() error {
@@ -425,36 +424,42 @@ func emitCopy(ds *gen.Dataset, benchtime string) (emit, stream, cp BenchResult, 
 		_, err := search.Run(ds.Constraints, search.Options{InitialTree: -1, OnTrees: func([]byte, int) {}})
 		return err
 	}
-	emit.Name, stream.Name, cp.Name = "EmitRefStand", "StreamRefStand", "CopyRefStand"
-	ratio, err := pairRows(benchtime, &cp, &emit, runCopy, runEmit)
-	emit.Metrics = map[string]float64{"emit/copy": ratio, "stand-MB": float64(volume) / 1e6}
+	runStream, runSpool, stop, err := serveStand(ds)
 	if err != nil {
-		return emit, stream, cp, err
-	}
-	runStream, stop, err := serveStand(ds)
-	if err != nil {
-		return emit, stream, cp, err
+		return nil, err
 	}
 	defer stop()
-	ratio, err = pairRows(benchtime, &cp, &stream, runCopy, runStream)
-	stream.Metrics = map[string]float64{"stream/copy": ratio}
-	return emit, stream, cp, err
+	emit, stream := BenchResult{Name: "EmitRefStand"}, BenchResult{Name: "StreamRefStand"}
+	cp, spool := BenchResult{Name: "CopyRefStand"}, BenchResult{Name: "SpoolRefStand"}
+	emitCopy, err := pairRows(benchtime, &cp, &emit, runCopy, runEmit)
+	if err != nil {
+		return nil, err
+	}
+	emitStream, err := pairRows(benchtime, &stream, &emit, runStream, runEmit)
+	if err != nil {
+		return nil, err
+	}
+	streamSpool, err := pairRows(benchtime, &spool, &stream, runSpool, runStream)
+	emit.Metrics = map[string]float64{"emit/copy": emitCopy, "emit/stream": emitStream, "stand-MB": float64(volume) / 1e6}
+	stream.Metrics = map[string]float64{"stream/spool": streamSpool}
+	return []BenchResult{cp, spool, emit, stream}, err
 }
 
 // serveStand is the tree stream's pass: a service.Manager on a fresh
 // data directory runs ds as one job to its end, and each pass serves that
 // job's GET /jobs/{id}/trees through RegisterRoutes into an
 // httptest.ResponseRecorder, with no network — the spool's reads, the NDJSON
-// records and the recorder's writes of every tree. stop shuts it down.
-func serveStand(ds *gen.Dataset) (pass func() error, stop func(), err error) {
+// records and the recorder's writes of every tree. read reads the job's
+// spool file in the stream's 64 KiB chunks. stop shuts it down.
+func serveStand(ds *gen.Dataset) (pass, read func() error, stop func(), err error) {
 	dir, err := os.MkdirTemp("", "benchreport-stream")
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	mgr, err := service.New(service.Config{Workers: 1, DataDir: dir})
 	if err != nil {
 		os.RemoveAll(dir)
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	stop = func() {
 		mgr.Shutdown(context.Background()) //nolint:errcheck // nothing runs by then
@@ -467,13 +472,13 @@ func serveStand(ds *gen.Dataset) (pass func() error, stop func(), err error) {
 	job, err := mgr.Submit(req)
 	if err != nil {
 		stop()
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	<-job.Done()
 	st := job.Status()
 	if st.State != service.StateDone || st.TreesSpooled != st.StandTrees {
 		stop()
-		return nil, nil, fmt.Errorf("stream job %+v", st)
+		return nil, nil, nil, fmt.Errorf("stream job %+v", st)
 	}
 	mux := http.NewServeMux()
 	mgr.RegisterRoutes(mux)
@@ -488,7 +493,22 @@ func serveStand(ds *gen.Dataset) (pass func() error, stop func(), err error) {
 		}
 		return nil
 	}
-	return pass, stop, nil
+	chunk := make([]byte, 64<<10)
+	read = func() error {
+		f, err := os.Open(filepath.Join(dir, job.ID()+".trees"))
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		for err == nil {
+			_, err = f.Read(chunk)
+		}
+		if err == io.EOF {
+			return nil
+		}
+		return err
+	}
+	return pass, read, stop, nil
 }
 
 // emitStrings is tree emission as an in-run pair: SerialEngineEmit is

@@ -136,7 +136,7 @@ var exactMetrics = []string{"stand-trees", "states", "dead-ends", "steps", "exte
 // ratioMetrics are the timings of two variants interleaved in one process,
 // divided: the host's speed cancels, so -compare fails when one is more than
 // maxRatioUp above the baseline's, on any host.
-var ratioMetrics = []string{"t2/serial", "emit/copy", "stream/copy", "strings/blocks"}
+var ratioMetrics = []string{"t2/serial", "emit/stream", "stream/spool", "strings/blocks"}
 
 const maxRatioUp = 0.20
 
@@ -171,7 +171,7 @@ func run(name string, f func(b *testing.B)) BenchResult {
 func main() {
 	outPath := flag.String("out", "", "write the JSON report to this file (default stdout)")
 	note := flag.String("note", "", "free-form note embedded in the report")
-	compare := flag.String("compare", "", "baseline JSON report to diff against (prints a table to stderr; exits non-zero if an exact work counter — stand-trees, states, dead-ends, steps, extend-calls — differs from the baseline's, or an in-run ratio — t2/serial, emit/copy, stream/copy, strings/blocks — is more than 20 % above it)")
+	compare := flag.String("compare", "", "baseline JSON report to diff against (prints a table to stderr; exits non-zero if an exact work counter — stand-trees, states, dead-ends, steps, extend-calls — differs from the baseline's, or an in-run ratio — t2/serial, emit/stream, stream/spool, strings/blocks — is more than 20 % above it)")
 	maxRegress := flag.Float64("max-regress", 0, "with -compare: exit non-zero if any shared benchmark's ns/op regresses by more than this percentage, or if its allocs/op — or, on "+
 		strings.Join(bytesRows, ", ")+", its bytes/op — exceed the baseline's by more than a quarter (host-independent gates; exact for a baseline of 0 to 3 allocs)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the benchmark runs (dataset selection excluded) — the input for PGO via scripts/pgo_profile.sh")
@@ -338,14 +338,14 @@ func main() {
 		put(serial)
 		put(pool)
 	}
-	emit, stream, cp, err := emitCopy(midSim, flag.CommandLine.Lookup("test.benchtime").Value.String())
+	rows, err := refStand(midSim, flag.CommandLine.Lookup("test.benchtime").Value.String())
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchreport: emit/copy and stream/copy pairs: %v\n", err)
+		fmt.Fprintf(os.Stderr, "benchreport: reference-stand pairs: %v\n", err)
 		os.Exit(1)
 	}
-	put(cp)
-	put(emit)
-	put(stream)
+	for _, r := range rows {
+		put(r)
+	}
 	emit, strs, err := emitStrings(midSim, flag.CommandLine.Lookup("test.benchtime").Value.String())
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchreport: strings/blocks pair: %v\n", err)

@@ -24,11 +24,11 @@
 // any -threads count: a parallel run quiesces its workers at task
 // boundaries and snapshots the task frontier, and the snapshot resumes on
 // any thread count (snapshot at -threads 4, resume at -threads 8). Adding
-// -checkpoint-every N (serial cadence) or -checkpoint-interval D
-// (wall-clock cadence, any thread count) persists the snapshot
-// periodically (atomically, with a .bak rotation), so even a hard crash is
-// resumable. A failed -resume explains itself: corrupt files, version
-// mismatches and wrong inputs each get a distinct hint.
+// -checkpoint-interval D persists the snapshot on that wall-clock cadence
+// (atomically, with a .bak rotation), so even a hard crash is resumable. A
+// failed -resume explains itself: corrupt files, version mismatches (an
+// older release's version-1 checkpoint among them) and wrong inputs each get
+// a distinct hint.
 package main
 
 import (
@@ -67,8 +67,7 @@ func main() {
 		progress    = flag.Duration("progress", 0, "print live counters and throughput to stderr on this interval (e.g. 5s; 0 = off)")
 		jsonOut     = flag.Bool("json", false, "emit the full result (counters, stop reason, tasks stolen, per-worker breakdown) as JSON on stdout")
 		ckptPath    = flag.String("checkpoint", "", "write a resumable checkpoint to this file when the run is interrupted (Ctrl-C) or stopped by a rule; works at any -threads count")
-		ckptEvery   = flag.Int("checkpoint-every", 0, "with -checkpoint: also write the checkpoint every N stopping-rule checks (serial cadence), so a crash (not just Ctrl-C) is resumable (0 = only on stop)")
-		ckptIvl     = flag.Duration("checkpoint-interval", 0, "with -checkpoint: also write the checkpoint on this wall-clock cadence (works at any -threads count; parallel runs briefly quiesce per snapshot)")
+		ckptIvl     = flag.Duration("checkpoint-interval", 0, "with -checkpoint: also write the checkpoint on this wall-clock cadence, so a crash (not just Ctrl-C) is resumable (works at any -threads count; parallel runs briefly quiesce per snapshot)")
 		resumePath  = flag.String("resume", "", "resume a run from a checkpoint written by -checkpoint (requires the same input; any -threads count)")
 	)
 	flag.Parse()
@@ -90,16 +89,15 @@ func main() {
 		CollectTrees: *summary,
 		Fault:        fault,
 	}
-	if (*ckptEvery > 0 || *ckptIvl > 0) && *ckptPath == "" {
-		fatal(fmt.Errorf("-checkpoint-every/-checkpoint-interval require -checkpoint FILE"))
+	if *ckptIvl > 0 && *ckptPath == "" {
+		fatal(fmt.Errorf("-checkpoint-interval requires -checkpoint FILE"))
 	}
 	if *ckptPath != "" || *resumePath != "" {
 		policy := &gentrius.CheckpointPolicy{
 			OnStop:   *ckptPath != "",
-			Every:    *ckptEvery,
 			Interval: *ckptIvl,
 		}
-		if *ckptEvery > 0 || *ckptIvl > 0 {
+		if *ckptIvl > 0 {
 			policy.Sink = func(cp *gentrius.Checkpoint) {
 				// Atomic write with .bak rotation: a crash mid-write leaves
 				// the previous snapshot readable.
@@ -343,7 +341,7 @@ func checkpointHint(err error) error {
 	case errors.Is(err, gentrius.ErrChecksum):
 		hint = "the checkpoint file is corrupt (checksum mismatch); the .bak rotation next to it was already tried — re-run from scratch"
 	case errors.Is(err, gentrius.ErrVersion):
-		hint = "the checkpoint was written by an incompatible gentrius version; re-run from scratch with this binary"
+		hint = "the checkpoint was written by an incompatible gentrius version (a version-1 serial frame stack is an older release's); finish the run with that release, or re-run from scratch with this binary"
 	case errors.Is(err, gentrius.ErrFingerprint):
 		hint = "the checkpoint belongs to a different input: pass the same constraint files in the same order as the run that wrote it"
 	default:

@@ -130,3 +130,20 @@ func TestOutWriteErrorFailsTheRun(t *testing.T) {
 		t.Fatalf("stderr does not name -out: %q", stderr.String())
 	}
 }
+
+// TestResumeVersion1PrintsHint: -resume of a version-1 checkpoint (an older
+// release's serial frame stack, which this one does not read) exits non-zero
+// with the version hint, not a bare decoding error.
+func TestResumeVersion1PrintsHint(t *testing.T) {
+	const dir = "../../testdata/ckpt_a3eaaa2/"
+	var stderr bytes.Buffer
+	cmd := gentriusCmd("-trees", dir+"input.trees", "-resume", dir+"serial_v1.ckpt", "-q")
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	if _, ok := err.(*exec.ExitError); !ok {
+		t.Fatalf("resuming a version-1 checkpoint: err = %v, want a non-zero exit (stderr %q)", err, stderr.String())
+	}
+	if !bytes.Contains(stderr.Bytes(), []byte("hint: the checkpoint was written by an incompatible gentrius version")) {
+		t.Fatalf("stderr carries no version hint: %q", stderr.String())
+	}
+}

@@ -37,9 +37,8 @@
 // process exits 0 once the pool drains or the grace period ends.
 //
 // Crash recovery: job submissions and state transitions are journaled to
-// <data-dir>/journal.ndjson, -checkpoint-every makes running serial jobs
-// checkpoint periodically, and -checkpoint-interval does the same on a
-// wall-clock cadence at any thread count. Restarting the daemon with the
+// <data-dir>/journal.ndjson, and -checkpoint-interval makes running jobs
+// checkpoint on a wall-clock cadence at any thread count. Restarting the daemon with the
 // same -data-dir after a crash (even SIGKILL) re-adopts finished jobs,
 // resumes interrupted jobs — serial or parallel — from their latest
 // checkpoint, and requeues jobs that never started. GENTRIUS_FAULTS (see
@@ -88,8 +87,7 @@ func main() {
 		maxThreads = flag.Int("max-threads", 1, "cap on a job's requested thread count")
 		maxTime    = flag.Duration("max-job-time", 0, "cap on a job's wall-time limit (0 = engine default of 168h)")
 		noCkpt     = flag.Bool("no-checkpoint", false, "disable checkpoint-on-stop")
-		ckptEvery  = flag.Int("checkpoint-every", 0, "checkpoint running serial jobs every N stopping-rule checks (0 = only on stop)")
-		ckptIvl    = flag.Duration("checkpoint-interval", 0, "checkpoint running jobs on this wall-clock cadence, at any thread count (0 = off); -checkpoint-every or this is required for crash resumption")
+		ckptIvl    = flag.Duration("checkpoint-interval", 0, "checkpoint running jobs on this wall-clock cadence, at any thread count (0 = only on stop); required for crash resumption")
 		maxBody    = flag.Int64("max-body", 8<<20, "POST /jobs body size limit in bytes (0 = unlimited)")
 		maxTaxa    = flag.Int("max-taxa", 0, "reject jobs whose taxon universe is larger (0 = unlimited)")
 		maxCons    = flag.Int("max-constraints", 0, "reject jobs with more constraint trees (0 = unlimited)")
@@ -207,7 +205,6 @@ func main() {
 		MaxThreads:         *maxThreads,
 		MaxTime:            *maxTime,
 		Checkpoint:         !*noCkpt,
-		CheckpointEvery:    *ckptEvery,
 		CheckpointInterval: *ckptIvl,
 		MaxConstraintTrees: *maxCons,
 		MaxTaxa:            *maxTaxa,

@@ -98,11 +98,12 @@ func ParseFaults(spec string) (*FaultInjector, error) { return faultinject.Parse
 
 // Checkpoint is a serializable snapshot of an enumeration: the task
 // frontier — queued plus in-flight task snapshots — of a run at a consistent
-// cut (version 2), whatever its thread count. Version 1, a serial
-// branch-and-bound stack, is read but no longer written. Together with the
-// *same* input (same constraint trees, same order — guarded by a
-// fingerprint) either version resumes the run exactly where it stopped, at
-// ANY thread count: a snapshot taken at four threads can resume at one or
+// cut (payload version 2, the one form written and read), whatever its
+// thread count. A version-1 file (an older release's serial
+// branch-and-bound stack) fails to load with ErrVersion: finish its run
+// with that release, or rerun. Together with the *same* input (same
+// constraint trees, same order — guarded by a fingerprint) a checkpoint
+// resumes the run exactly where it stopped, at ANY thread count: a snapshot taken at four threads can resume at one or
 // eight, with final counters equal to an uninterrupted run's. See
 // Options.Checkpoint and CheckpointPolicy.
 type Checkpoint = search.Checkpoint
@@ -124,8 +125,7 @@ func NewCheckpointTrigger() *CheckpointTrigger { return search.NewCheckpointTrig
 var ErrRunEnded = search.ErrRunEnded
 
 // ReadCheckpoint parses a checkpoint previously written with
-// Checkpoint.Write (both the checksummed envelope and the legacy bare-JSON
-// format are accepted).
+// Checkpoint.Write (the checksummed envelope).
 func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
 	return search.ReadCheckpoint(r)
 }
@@ -224,8 +224,7 @@ type Options struct {
 }
 
 // CheckpointPolicy is the unified checkpoint/resume configuration for an
-// enumeration at any thread count: periodic snapshots (Every, Interval) to
-// a Sink, a final snapshot OnStop, on-demand snapshots through a Trigger,
+// enumeration at any thread count: periodic snapshots (Interval) to a Sink, a final snapshot OnStop, on-demand snapshots through a Trigger,
 // and Resume. Zero-valued fields disable their mechanism; any combination
 // may be active at once. Both engines consume it as is.
 type CheckpointPolicy = search.CheckpointPolicy

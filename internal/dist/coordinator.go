@@ -258,7 +258,7 @@ func (c *Coordinator) Run(ctx context.Context, jobID string, constraints []*tree
 
 	// Shared set-up: the deterministic prefix is walked once, counted once,
 	// by the coordinator; the root frontier is one seed task per
-	// initial-split branch (weight 1/B), partitioned into shards below.
+	// initial-split branch (weight 1/B), dealt into shards below.
 	su, err := search.Start(cons, opt.InitialTree, search.OrderMinBranches, nil, nil, 0)
 	if err != nil {
 		return nil, err
@@ -289,8 +289,15 @@ func (c *Coordinator) Run(ctx context.Context, jobID string, constraints []*tree
 	job.stats.InitialIndex = idx
 	job.stats.TraceID = traceID
 
+	// Shard i of k holds root tasks i, i+k, …: each weighs 1/B, so the deal
+	// splits the estimator mass as evenly as whole tasks can.
+	k := min(c.cfg.Shards, len(su.Frontier.Tasks))
 	var totalMass float64
-	for i, fr := range search.SplitFrontier(su.Frontier, c.cfg.Shards) {
+	for i := range k {
+		fr := &search.Frontier{Prefix: su.Frontier.Prefix}
+		for t := i; t < len(su.Frontier.Tasks); t += k {
+			fr.Tasks = append(fr.Tasks, su.Frontier.Tasks[t])
+		}
 		s := &shardState{
 			idx:          i,
 			status:       shardPending,

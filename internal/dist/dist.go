@@ -1,9 +1,9 @@
 // Package dist shards one stand enumeration across a fleet of gentriusd
 // nodes, built on the frontier-snapshot primitive from the checkpoint/resume
-// work: a coordinator splits the job's root frontier into
-// coarse FrontierTask shards (internal/search.SplitFrontier) and dispatches
-// each to a peer worker, which resumes it exactly as it would resume a
-// local checkpoint.
+// work: a coordinator deals the job's root frontier's tasks in order into
+// coarse shards (shard s of k holds tasks s, s+k, …) and dispatches each to
+// a peer worker, which resumes it exactly as it would resume a local
+// checkpoint.
 //
 // Robustness is the first-class design axis. The failure model:
 //
@@ -40,14 +40,14 @@
 //     adopts.
 //
 // Time is abstracted behind Clock so the whole protocol runs deterministically
-// under internal/simsched.VirtualClock before any real network exists.
+// under the tests' VirtualClock before any real network exists.
 package dist
 
 import "time"
 
 // Clock abstracts time for the lease/heartbeat protocol.
-// simsched.VirtualClock implements it for deterministic tests; RealClock is
-// the wall-clock implementation.
+// The tests' VirtualClock implements it deterministically; RealClock is the
+// wall-clock implementation.
 type Clock interface {
 	Now() time.Time
 	After(d time.Duration) <-chan time.Time

@@ -16,7 +16,6 @@ import (
 	"gentrius/internal/obs"
 	"gentrius/internal/retry"
 	"gentrius/internal/search"
-	"gentrius/internal/simsched"
 	"gentrius/internal/tree"
 )
 
@@ -207,7 +206,7 @@ func runShardToEnd(t testing.TB, req *DispatchRequest) *ShardResult {
 // awaitDispatch advances virtual time in small steps until one of the peers
 // receives a dispatch (the coordinator's expiry/re-dispatch machinery runs
 // off the same virtual clock).
-func awaitDispatch(t *testing.T, clock *simsched.VirtualClock, step time.Duration, peers ...*scriptedPeer) *DispatchRequest {
+func awaitDispatch(t *testing.T, clock *VirtualClock, step time.Duration, peers ...*scriptedPeer) *DispatchRequest {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
@@ -238,7 +237,7 @@ func TestFleetProtocolScripted(t *testing.T) {
 		t.Fatalf("scenario too small to interrupt meaningfully: %d states", ref.IntermediateStates)
 	}
 
-	clock := simsched.NewVirtualClock(time.Unix(0, 0))
+	clock := NewVirtualClock(time.Unix(0, 0))
 	peerA, peerB := newScriptedPeer("a"), newScriptedPeer("b")
 	reg := obs.NewRegistry()
 	metrics := NewMetrics(reg)
@@ -483,7 +482,7 @@ func seriesOf(reg *obs.Registry) []string {
 // job runs, and the aggregates count the expiry.
 func TestMetricsBoundedInShards(t *testing.T) {
 	cons := canonicalize(t, randomScenario(rand.New(rand.NewSource(101)), 15, 3, 6, 0.6))
-	clock := simsched.NewVirtualClock(time.Unix(0, 0))
+	clock := NewVirtualClock(time.Unix(0, 0))
 	peerA, peerB := newScriptedPeer("a"), newScriptedPeer("b")
 	reg := obs.NewRegistry()
 	metrics := NewMetrics(reg)

@@ -13,7 +13,6 @@ import (
 	"gentrius/internal/obs"
 	"gentrius/internal/retry"
 	"gentrius/internal/search"
-	"gentrius/internal/simsched"
 )
 
 // waitFor polls cond under real time.
@@ -33,7 +32,7 @@ func TestFleetCancelled(t *testing.T) {
 	cons := canonicalize(t, randomScenario(rand.New(rand.NewSource(101)), 15, 3, 6, 0.6))
 	ref := serialRef(t, cons)
 	peerA, peerB := newScriptedPeer("a"), newScriptedPeer("b")
-	clock := simsched.NewVirtualClock(time.Unix(0, 0))
+	clock := NewVirtualClock(time.Unix(0, 0))
 	coord := NewCoordinator(Config{Peers: []WorkerClient{peerA, peerB}, Shards: 2,
 		Clock: clock, Retry: retry.Policy{Attempts: 1}})
 
@@ -127,7 +126,7 @@ func TestParkedSurvivesRestart(t *testing.T) {
 	cons := canonicalize(t, randomScenario(rand.New(rand.NewSource(99)), 9, 3, 4, 0.65))
 	ref := serialRef(t, cons)
 	dir := t.TempDir()
-	clock := simsched.NewVirtualClock(time.Unix(0, 0))
+	clock := NewVirtualClock(time.Unix(0, 0))
 	metrics := NewMetrics(obs.NewRegistry())
 	peer := &swapPeer{}
 	peer.w.Store(NewWorker(WorkerConfig{Name: "w", DataDir: dir, Clock: clock, Metrics: metrics,
@@ -195,7 +194,7 @@ func TestProtoMismatch(t *testing.T) {
 	cons := canonicalize(t, randomScenario(rand.New(rand.NewSource(101)), 15, 3, 6, 0.6))
 	ref := serialRef(t, cons)
 	peerA, peerB := newScriptedPeer("a"), newScriptedPeer("b")
-	clock := simsched.NewVirtualClock(time.Unix(0, 0))
+	clock := NewVirtualClock(time.Unix(0, 0))
 	metrics := NewMetrics(obs.NewRegistry())
 	coord := NewCoordinator(Config{Peers: []WorkerClient{peerA, peerB}, Shards: 2, LeaseTTL: 100 * time.Millisecond,
 		Clock: clock, Retry: retry.Policy{Attempts: 1}, Metrics: metrics})

@@ -11,7 +11,6 @@ import (
 	"gentrius"
 	"gentrius/internal/obs"
 	"gentrius/internal/retry"
-	"gentrius/internal/simsched"
 	"gentrius/internal/tracereport"
 	"gentrius/internal/tree"
 )
@@ -21,7 +20,7 @@ import (
 // faultinject spec for worker i, so e.g. one worker's heartbeats can be
 // black-holed while the other runs clean.
 type fleet struct {
-	clock   *simsched.VirtualClock
+	clock   *VirtualClock
 	coord   *Coordinator
 	workers []*Worker
 	stopAdv chan struct{}
@@ -30,7 +29,7 @@ type fleet struct {
 func newFleet(t *testing.T, nWorkers int, cfg Config, faults []string) *fleet {
 	t.Helper()
 	f := &fleet{
-		clock:   simsched.NewVirtualClock(time.Unix(0, 0)),
+		clock:   NewVirtualClock(time.Unix(0, 0)),
 		stopAdv: make(chan struct{}),
 	}
 	var peers []WorkerClient
@@ -177,7 +176,7 @@ func TestFleetWorkerEngineEventsCarryShardTags(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
 	cons := canonicalize(t, randomScenario(rng, 9, 3, 4, 0.65))
 
-	clock := simsched.NewVirtualClock(time.Unix(0, 0))
+	clock := NewVirtualClock(time.Unix(0, 0))
 	var buf bytes.Buffer
 	rec := obs.NewRecorder(&buf, nil)
 	var coord *Coordinator
@@ -271,7 +270,7 @@ func TestFleetParkedAdoption(t *testing.T) {
 	cons := canonicalize(t, randomScenario(rng, 9, 3, 4, 0.65))
 	ref := serialRef(t, cons)
 
-	clock := simsched.NewVirtualClock(time.Unix(0, 0))
+	clock := NewVirtualClock(time.Unix(0, 0))
 	var coord *Coordinator
 	w := NewWorker(WorkerConfig{
 		Name:  "orphan",

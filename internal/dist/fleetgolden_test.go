@@ -28,7 +28,6 @@ import (
 	"gentrius/internal/obs"
 	"gentrius/internal/retry"
 	"gentrius/internal/search"
-	"gentrius/internal/simsched"
 	"gentrius/internal/tracereport"
 )
 
@@ -66,7 +65,7 @@ func genFleetGoldenTraces(t *testing.T) map[string][]byte {
 	ref := serialRef(t, cons)
 
 	t0 := time.Unix(0, 0)
-	clock := simsched.NewVirtualClock(t0)
+	clock := NewVirtualClock(t0)
 	// Virtual-millisecond recorder clocks. The workers' clocks are skewed
 	// ahead of the coordinator's by fixed offsets the merge must recover.
 	coordMillis := func() int64 { return clock.Now().Sub(t0).Milliseconds() }

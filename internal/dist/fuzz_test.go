@@ -14,14 +14,13 @@ import (
 
 	"gentrius"
 	"gentrius/internal/retry"
-	"gentrius/internal/simsched"
 	"gentrius/internal/tree"
 )
 
 // fuzzFleet is a coordinator with one scripted job: two collecting shards,
 // leased at epoch 1 to two hand-played peers, nothing merged yet.
 type fuzzFleet struct {
-	clock  *simsched.VirtualClock
+	clock  *VirtualClock
 	coord  *Coordinator
 	job    *fleetJob
 	d      [2]*DispatchRequest // by shard
@@ -34,7 +33,7 @@ type fuzzFleet struct {
 
 func newFuzzFleet(t testing.TB, cons []*tree.Tree) *fuzzFleet {
 	t.Helper()
-	f := &fuzzFleet{clock: simsched.NewVirtualClock(time.Unix(0, 0)), done: make(chan struct{})}
+	f := &fuzzFleet{clock: NewVirtualClock(time.Unix(0, 0)), done: make(chan struct{})}
 	peerA, peerB := newScriptedPeer("a"), newScriptedPeer("b")
 	f.coord = NewCoordinator(Config{Peers: []WorkerClient{peerA, peerB}, Shards: 2,
 		LeaseTTL: 100 * time.Millisecond, Clock: f.clock, Retry: retry.Policy{Attempts: 1}})

@@ -12,7 +12,6 @@ import (
 	"gentrius/internal/obs"
 	"gentrius/internal/retry"
 	"gentrius/internal/search"
-	"gentrius/internal/simsched"
 	"gentrius/internal/tree"
 )
 
@@ -21,7 +20,7 @@ import (
 // out the one channel the test sends on, and a send lands only when the
 // worker is back in its select, the previous heartbeat answered.
 type beatClock struct {
-	*simsched.VirtualClock
+	*VirtualClock
 	beat chan time.Time
 }
 
@@ -102,7 +101,7 @@ func (w *wireTap) Result(ctx context.Context, req *ShardResult) (*ResultResponse
 // 200 trees, over half a second for the stand) so that it outlasts a hundred
 // heartbeats taken back to back, on any host.
 type wireFleet struct {
-	clock   *simsched.VirtualClock
+	clock   *VirtualClock
 	beat    chan time.Time
 	tap     *wireTap
 	coord   *Coordinator
@@ -115,7 +114,7 @@ type wireFleet struct {
 func startWireFleet(t *testing.T, cons []*tree.Tree, tap *wireTap, peer func(WorkerClient) WorkerClient) *wireFleet {
 	t.Helper()
 	f := &wireFleet{
-		clock:   simsched.NewVirtualClock(time.Unix(0, 0)),
+		clock:   NewVirtualClock(time.Unix(0, 0)),
 		beat:    make(chan time.Time),
 		tap:     tap,
 		metrics: NewMetrics(obs.NewRegistry()),

@@ -382,11 +382,10 @@ func TestCheckpointEstimatorSeeding(t *testing.T) {
 		t.Fatalf("no checkpoint (stop %v)", res1.Stop)
 	}
 	cp := roundTrip(t, res1.Checkpoint)
-	fr, err := cp.FrontierView()
-	if err != nil {
+	if err := cp.Validate(cons); err != nil {
 		t.Fatal(err)
 	}
-	rem := fr.RemainingMass()
+	rem := cp.Frontier.RemainingMass()
 	if rem <= 0 || rem >= 1+1e-9 {
 		t.Fatalf("remaining mass %v out of (0,1]", rem)
 	}

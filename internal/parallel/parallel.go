@@ -119,9 +119,7 @@ type Options struct {
 	// handed in plus the queue's remnant into Result.Checkpoint. Interval and
 	// Trigger each take a round (see round): the pool is stopped the same
 	// way, cut, and resumed in place from its own hand-ins; Sink runs on
-	// Run's goroutine, the workers already stealing again. The pool has no
-	// per-check cadence to count: Every > 0 with no Interval means a
-	// one-second Interval.
+	// Run's goroutine, the workers already stealing again.
 	Checkpoint search.CheckpointPolicy
 }
 
@@ -237,16 +235,13 @@ func Run(constraints []*tree.Tree, opt Options) (*Result, error) {
 		opt.MaxTaskRetries = -1 // first panic is fatal
 	}
 	ck := opt.Checkpoint
-	if ck.Interval == 0 && ck.Every > 0 {
-		ck.Interval = time.Second
-	}
 
 	started := time.Now()
 	res := &Result{Stop: search.StopExhausted}
 	m := opt.Obs.SchedMetrics()
 	m.EnsureWorkers(opt.Threads)
-	// Shared set-up: initial tree, prefix walk (or the checkpoint's frontier
-	// view), and the outstanding work. What it already counted seeds the
+	// Shared set-up: initial tree, prefix walk (or the checkpoint's
+	// frontier), and the outstanding work. What it already counted seeds the
 	// totals and stands in as Result.Prefix, preserving the conservation
 	// invariant Counters == Prefix + sum(PerWorker).
 	su, err := search.Start(constraints, opt.InitialTree, opt.Heuristic, nil, ck.Resume, opt.Threads)

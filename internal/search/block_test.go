@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+	"time"
 )
 
 // checkBlock fails unless block is n whole lines, n at least one.
@@ -47,7 +48,7 @@ func TestBlockEveryCheckpointIsExact(t *testing.T) {
 			out.Write(block)
 			trees += int64(n)
 		},
-		Checkpoint: CheckpointPolicy{Every: 1, Sink: func(cp *Checkpoint) {
+		Checkpoint: CheckpointPolicy{Interval: time.Nanosecond, Sink: func(cp *Checkpoint) {
 			if cp.Counters.StandTrees != trees {
 				t.Fatalf("a checkpoint counts %d stand trees, %d were delivered", cp.Counters.StandTrees, trees)
 			}

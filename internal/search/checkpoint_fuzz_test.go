@@ -3,9 +3,12 @@ package search
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"hash/crc32"
 	"os"
 	"strings"
 	"testing"
+	"time"
 
 	"gentrius/internal/tree"
 )
@@ -13,14 +16,16 @@ import (
 // FuzzReadCheckpoint: a checkpoint file is bytes from outside the process.
 // Whatever they are, decoding them, validating the result against the input,
 // setting a run up from it and resuming that run for a bounded number of
-// ticks returns errors and never panics; and the committed files of commit
-// a3eaaa2 (a version-1 serial stack, a version-2 frontier) and a frontier the
-// serial runner cuts, unmutated, resume to the totals of the uninterrupted
-// serial run.
+// ticks returns errors and never panics; and the committed frontier of commit
+// a3eaaa2 and a frontier the serial runner cuts, unmutated, resume to the
+// totals of the uninterrupted serial run. The committed version-1 serial
+// stack, its bare payload and a bare pre-envelope file are seeds that are
+// turned away with ErrVersion.
 //
 // The envelope's CRC turns nearly every mutation of a file away at the door,
-// so each file's bare payload — the legacy form, which has no checksum — is a
-// seed too: its mutations reach Validate, Start and the workers.
+// so each file's bare payload is a seed too, and bytes that are no envelope
+// are sealed in one as its payload: their mutations reach the version check,
+// Validate, Start and the workers.
 func FuzzReadCheckpoint(f *testing.F) {
 	const dir = "../../testdata/ckpt_a3eaaa2/"
 	input, err := os.ReadFile(dir + "input.trees")
@@ -35,18 +40,25 @@ func FuzzReadCheckpoint(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	var files [][]byte
-	for _, name := range []string{"serial_v1.ckpt", "frontier_v2.ckpt"} {
-		data, err := os.ReadFile(dir + name)
-		if err != nil {
-			f.Fatal(err)
-		}
-		files = append(files, data)
+	v1, err := os.ReadFile(dir + "serial_v1.ckpt")
+	if err != nil {
+		f.Fatal(err)
 	}
+	var v1env envelope
+	if err := json.Unmarshal(v1, &v1env); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(v1)
+	f.Add([]byte(v1env.Payload))
+	v2, err := os.ReadFile(dir + "frontier_v2.ckpt")
+	if err != nil {
+		f.Fatal(err)
+	}
+	files := [][]byte{v2}
 	// And a frontier the serial runner cut at a check half-way.
 	var cuts []*Checkpoint
 	if _, err := Run(cons, Options{InitialTree: -1, CheckEvery: 16, Limits: Limits{MaxTrees: -1, MaxStates: -1, MaxTime: -1},
-		Checkpoint: CheckpointPolicy{Every: 1, Sink: func(cp *Checkpoint) { cuts = append(cuts, cp) }}}); err != nil || len(cuts) == 0 {
+		Checkpoint: CheckpointPolicy{Interval: time.Nanosecond, Sink: func(cp *Checkpoint) { cuts = append(cuts, cp) }}}); err != nil || len(cuts) == 0 {
 		f.Fatalf("the serial run cut no checkpoint: %v", err)
 	}
 	data, err := cuts[len(cuts)/2].encode()
@@ -67,7 +79,10 @@ func FuzzReadCheckpoint(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cp, err := decodeCheckpoint(data)
 		if err != nil {
-			return
+			sealed := fmt.Appendf(nil, `{"format":%d,"crc32":%d,"payload":%s}`, envelopeFormat, crc32.ChecksumIEEE(data), data)
+			if cp, err = decodeCheckpoint(sealed); err != nil {
+				return
+			}
 		}
 		if err := cp.Validate(cons); err != nil {
 			return

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"gentrius/internal/tree"
 )
@@ -18,7 +19,7 @@ func cutCheckpoint(t *testing.T, cons []*tree.Tree, k int) *Checkpoint {
 	var cuts []*Checkpoint
 	res, err := Run(cons, Options{InitialTree: -1, CheckEvery: 1,
 		Limits:     Limits{MaxTrees: -1, MaxStates: -1, MaxTime: -1},
-		Checkpoint: CheckpointPolicy{Every: 1, Sink: func(cp *Checkpoint) { cuts = append(cuts, cp) }}})
+		Checkpoint: CheckpointPolicy{Interval: time.Nanosecond, Sink: func(cp *Checkpoint) { cuts = append(cuts, cp) }}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,14 +27,6 @@ func cutCheckpoint(t *testing.T, cons []*tree.Tree, k int) *Checkpoint {
 		return NewFrontierCheckpoint(cons, res.InitialIndex, OrderMinBranches, res.Counters, &Frontier{})
 	}
 	return cuts[min(k, len(cuts))-1]
-}
-
-// v1Snapshot is a raw engine's state in the version-1 form, which serial
-// runs wrote before every checkpoint was a frontier: the input of the tests
-// of reading it.
-func v1Snapshot(e *Engine, cons []*tree.Tree, idx int) *Checkpoint {
-	return &Checkpoint{Version: checkpointVersion, Fingerprint: fingerprint(cons), InitialIndex: idx,
-		Heuristic: e.Heuristic, Frames: e.SnapshotFrames(nil), Counters: e.counters, Done: e.done, Started: e.started}
 }
 
 // engineCheckpoint is a raw engine's state as a frontier of one task, its
@@ -77,7 +70,7 @@ func TestCheckpointResumeMatchesUninterrupted(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if cp.Version != checkpointVersionFrontier {
+		if cp.Version != checkpointVersion {
 			t.Fatalf("scen %d: a serial run wrote version %d", scen, cp.Version)
 		}
 		second, err := Run(cons, Options{Limits: unlimited, CollectTrees: true, Checkpoint: CheckpointPolicy{Resume: cp}})
@@ -124,9 +117,9 @@ func TestCheckpointJSONRoundTrip(t *testing.T) {
 	cp := &Checkpoint{
 		Version:     checkpointVersion,
 		Fingerprint: "abc",
-		Frames:      []FrameSnapshot{{Taxon: 3, Branches: []int32{1, 2}, Idx: 1, Inserted: true}},
-		Counters:    Counters{StandTrees: 7},
-		Started:     true,
+		Frontier: &Frontier{Tasks: []FrontierTask{{
+			Frames: []FrameSnapshot{{Taxon: 3, Branches: []int32{1, 2}, Idx: 1, Inserted: true, Weight: 0.5}}}}},
+		Counters: Counters{StandTrees: 7},
 	}
 	var buf bytes.Buffer
 	if err := cp.Write(&buf); err != nil {
@@ -139,7 +132,7 @@ func TestCheckpointJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Counters.StandTrees != 7 || len(back.Frames) != 1 || !back.Frames[0].Inserted {
+	if back.Counters.StandTrees != 7 || len(back.Frontier.Tasks) != 1 || !back.Frontier.Tasks[0].Frames[0].Inserted {
 		t.Fatalf("round trip lost data: %+v", back)
 	}
 	if _, err := ReadCheckpoint(strings.NewReader("{broken")); err == nil {

@@ -23,10 +23,9 @@ var (
 	ErrFingerprint = errors.New("checkpoint input fingerprint mismatch")
 )
 
-// envelopeFormat frames checkpoint files from this PR on: a small JSON
-// wrapper holding a CRC32 (IEEE) over the exact payload bytes, so a torn
-// write is detected on load instead of resuming from silently-bad state.
-// Bare pre-envelope checkpoint files are still readable.
+// envelopeFormat frames every checkpoint file: a small JSON wrapper holding
+// a CRC32 (IEEE) over the exact payload bytes, so a torn write is detected
+// on load instead of resuming from silently-bad state.
 const envelopeFormat = 2
 
 type envelope struct {
@@ -53,33 +52,29 @@ func (cp *Checkpoint) encode() ([]byte, error) {
 	return append(data, '\n'), nil
 }
 
-// decodeCheckpoint parses either an enveloped or a legacy bare-JSON
-// checkpoint, verifying the CRC when the envelope is present.
+// decodeCheckpoint parses an envelope of format envelopeFormat around a
+// payload of version checkpointVersion, verifying the CRC. Anything else —
+// a bare pre-envelope file, another format, another payload version —
+// fails with ErrVersion.
 func decodeCheckpoint(data []byte) (*Checkpoint, error) {
 	var env envelope
 	if err := json.Unmarshal(data, &env); err != nil {
 		return nil, fmt.Errorf("search: reading checkpoint: %w", err)
 	}
-	raw := []byte(env.Payload)
-	switch {
-	case env.Format == 0 && env.Payload == nil:
-		// Legacy bare checkpoint (no envelope fields at all).
-		raw = data
-	case env.Format == envelopeFormat:
-		if crc32.ChecksumIEEE(raw) != env.CRC32 {
-			return nil, fmt.Errorf("search: %w (stored %08x)", ErrChecksum, env.CRC32)
-		}
-	default:
+	if env.Format != envelopeFormat {
 		return nil, fmt.Errorf("search: envelope format %d: %w", env.Format, ErrVersion)
 	}
+	if crc32.ChecksumIEEE(env.Payload) != env.CRC32 {
+		return nil, fmt.Errorf("search: %w (stored %08x)", ErrChecksum, env.CRC32)
+	}
 	var cp Checkpoint
-	if err := json.Unmarshal(raw, &cp); err != nil {
+	if err := json.Unmarshal(env.Payload, &cp); err != nil {
 		return nil, fmt.Errorf("search: reading checkpoint payload: %w", err)
 	}
-	// Payload-version range check lives here (not only in Validate) so an
-	// unsupported or future payload version makes ReadCheckpointFile fall
-	// back to the .bak rotation, exactly like a torn envelope would.
-	if cp.Version < checkpointVersion || cp.Version > checkpointVersionFrontier {
+	// The payload-version check lives here (not only in Validate) so an
+	// unsupported payload version makes ReadCheckpointFile fall back to the
+	// .bak rotation, exactly like a torn envelope would.
+	if cp.Version != checkpointVersion {
 		return nil, fmt.Errorf("search: checkpoint payload version %d: %w", cp.Version, ErrVersion)
 	}
 	return &cp, nil

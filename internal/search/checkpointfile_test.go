@@ -138,13 +138,9 @@ const legacyBareJSON = `{"version":1,"fingerprint":"abc","initial_index":0,"heur
 	`"frames":null,"counters":{},"done":false,"started":true}`
 
 func TestReadCheckpointLegacyBareJSON(t *testing.T) {
-	// Pre-envelope files must still load.
-	cp, err := decodeCheckpoint([]byte(legacyBareJSON))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cp.Fingerprint != "abc" || !cp.Started {
-		t.Fatalf("legacy decode: %+v", cp)
+	// Pre-envelope files are an older release's: this one reads none.
+	if _, err := decodeCheckpoint([]byte(legacyBareJSON)); !errors.Is(err, ErrVersion) {
+		t.Fatalf("legacy bare JSON: got %v, want ErrVersion", err)
 	}
 }
 
@@ -174,47 +170,41 @@ func TestPeriodicCheckpointResumeEquality(t *testing.T) {
 
 	// Run with frequent periodic checkpoints and cancel partway through;
 	// resuming from the last periodic snapshot must land on the reference
-	// counters exactly — on the check-count cadence and on the wall-clock
-	// one (a nanosecond has always passed: a snapshot at every check).
-	for name, policy := range map[string]CheckpointPolicy{
-		"Every":    {Every: 1},
-		"Interval": {Interval: time.Nanosecond},
-	} {
-		ctx, cancel := context.WithCancel(context.Background())
-		var last *Checkpoint
-		snaps := 0
-		policy.Sink = func(cp *Checkpoint) {
+	// counters exactly (a nanosecond has always passed: a snapshot at every
+	// check).
+	ctx, cancel := context.WithCancel(context.Background())
+	var last *Checkpoint
+	snaps := 0
+	interrupted, err := Run(cons, Options{
+		Limits:     Limits{MaxTrees: -1, MaxStates: -1, MaxTime: -1},
+		CheckEvery: 64,
+		Ctx:        ctx,
+		Checkpoint: CheckpointPolicy{Interval: time.Nanosecond, Sink: func(cp *Checkpoint) {
 			last = cp
 			if snaps++; snaps == 3 {
 				cancel()
 			}
-		}
-		interrupted, err := Run(cons, Options{
-			Limits:     Limits{MaxTrees: -1, MaxStates: -1, MaxTime: -1},
-			CheckEvery: 64,
-			Ctx:        ctx,
-			Checkpoint: policy,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if interrupted.Stop != StopCancelled {
-			t.Fatalf("%s: stop %v, want cancelled: scenario too small to interrupt", name, interrupted.Stop)
-		}
-		if snaps != 3 {
-			t.Fatalf("%s: %d periodic checkpoints delivered before the cancel took, want 3", name, snaps)
-		}
+		}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if interrupted.Stop != StopCancelled {
+		t.Fatalf("stop %v, want cancelled: scenario too small to interrupt", interrupted.Stop)
+	}
+	if snaps != 3 {
+		t.Fatalf("%d periodic checkpoints delivered before the cancel took, want 3", snaps)
+	}
 
-		resumed, err := Run(cons, Options{
-			Limits:     Limits{MaxTrees: -1, MaxStates: -1, MaxTime: -1},
-			Checkpoint: CheckpointPolicy{Resume: last},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resumed.Counters != ref.Counters {
-			t.Fatalf("%s: resumed counters %+v, reference %+v", name, resumed.Counters, ref.Counters)
-		}
+	resumed, err := Run(cons, Options{
+		Limits:     Limits{MaxTrees: -1, MaxStates: -1, MaxTime: -1},
+		Checkpoint: CheckpointPolicy{Resume: last},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resumed.Counters != ref.Counters {
+		t.Fatalf("resumed counters %+v, reference %+v", resumed.Counters, ref.Counters)
 	}
 }
 
@@ -223,7 +213,7 @@ func TestPeriodicCheckpointRejectsStaticOrder(t *testing.T) {
 	cons := randomScenario(rng, 10, 2, 4, 0.55)
 	_, err := Run(cons, Options{
 		DisableDynamicOrder: true,
-		Checkpoint:          CheckpointPolicy{Every: 1, Sink: func(*Checkpoint) {}},
+		Checkpoint:          CheckpointPolicy{Interval: time.Nanosecond, Sink: func(*Checkpoint) {}},
 	})
 	if err == nil {
 		t.Fatal("static order with periodic checkpoints should be rejected")

@@ -239,10 +239,10 @@ func TestCheckpointAtEveryStepBoundary(t *testing.T) {
 			break
 		}
 		cp := engineCheckpoint(eng, cons, ref.InitialIndex)
-		fr, err := cp.FrontierView()
-		if err != nil {
+		if err := cp.Validate(cons); err != nil {
 			t.Fatal(err)
 		}
+		fr := cp.Frontier
 		if math.Abs(mass+fr.RemainingMass()-1) > 1e-12 {
 			t.Fatalf("counting boundary %d: closed mass %.15f and remaining mass %.15f do not make 1", boundaries, mass, fr.RemainingMass())
 		}
@@ -320,10 +320,10 @@ func TestCheckpointAtEveryStepBoundary(t *testing.T) {
 		}
 		prev = ev
 		cp := engineCheckpoint(eng, cons, ref.InitialIndex)
-		fr, err := cp.FrontierView()
-		if err != nil {
+		if err := cp.Validate(cons); err != nil {
 			t.Fatal(err)
 		}
+		fr := cp.Frontier
 		if math.Abs(mass+fr.RemainingMass()-1) > 1e-12 {
 			t.Fatalf("boundary %d: closed mass %.15f and remaining mass %.15f do not make 1", boundaries, mass, fr.RemainingMass())
 		}

@@ -10,7 +10,6 @@ import (
 	"strings"
 	"testing"
 
-	"gentrius/internal/terrace"
 	"gentrius/internal/tree"
 )
 
@@ -20,56 +19,6 @@ func frontierSample(t *testing.T, rng *rand.Rand) (*Checkpoint, []*tree.Tree) {
 	t.Helper()
 	cons := randomScenario(rng, 11, 2, 4, 0.55)
 	return cutCheckpoint(t, cons, 15), cons
-}
-
-func TestFrontierViewV1Derivation(t *testing.T) {
-	rng := rand.New(rand.NewSource(9090))
-	cons := randomScenario(rng, 11, 2, 4, 0.55)
-	idx := ChooseInitialTree(cons)
-	tr, err := terrace.New(cons, idx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := NewEngine(tr)
-	for i := 0; i < 25; i++ {
-		if e.Step() == EvDone {
-			t.Skip("scenario exhausted before the snapshot point")
-		}
-	}
-	cp := v1Snapshot(e, cons, idx)
-	fr, err := cp.FrontierView()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fr.Tasks) != 1 {
-		t.Fatalf("v1 view should synthesize one task, got %d", len(fr.Tasks))
-	}
-	// Weights are re-derived top-down: w_i = w_{i-1} / len(branches_i).
-	parentW := 1.0
-	for i, f := range fr.Tasks[0].Frames {
-		want := 0.0
-		if len(f.Branches) > 0 {
-			want = parentW / float64(len(f.Branches))
-		}
-		if math.Abs(f.Weight-want) > 1e-12 {
-			t.Fatalf("frame %d weight %v, want %v", i, f.Weight, want)
-		}
-		parentW = want
-	}
-	if rem := fr.RemainingMass(); rem <= 0 || rem > 1+1e-9 {
-		t.Fatalf("remaining mass %v out of (0,1]", rem)
-	}
-
-	// A done checkpoint views as an empty frontier.
-	done := *cp
-	done.Done = true
-	dfr, err := done.FrontierView()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(dfr.Tasks) != 0 {
-		t.Fatalf("done checkpoint should view as empty frontier, got %d tasks", len(dfr.Tasks))
-	}
 }
 
 func TestFrontierCheckpointRoundTrip(t *testing.T) {
@@ -84,18 +33,14 @@ func TestFrontierCheckpointRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Version != checkpointVersionFrontier || got.Frontier == nil {
+	if got.Version != checkpointVersion || got.Frontier == nil {
 		t.Fatalf("round trip lost the frontier: v%d frontier=%v", got.Version, got.Frontier != nil)
 	}
 	if err := got.Validate(cons); err != nil {
 		t.Fatal(err)
 	}
-	fr, err := got.FrontierView()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fr.Tasks) != len(cp.Frontier.Tasks) {
-		t.Fatalf("task count %d, want %d", len(fr.Tasks), len(cp.Frontier.Tasks))
+	if len(got.Frontier.Tasks) != len(cp.Frontier.Tasks) {
+		t.Fatalf("task count %d, want %d", len(got.Frontier.Tasks), len(cp.Frontier.Tasks))
 	}
 	// The file resumes a serial run to the uninterrupted counters.
 	unlimited := Limits{MaxTrees: -1, MaxStates: -1, MaxTime: -1}
@@ -181,8 +126,8 @@ func TestUnsupportedPayloadVersionFallsBackToBak(t *testing.T) {
 	if err != nil {
 		t.Fatalf("fallback to .bak failed: %v", err)
 	}
-	if got.Version != checkpointVersionFrontier {
-		t.Fatalf("backup version %d, want %d", got.Version, checkpointVersionFrontier)
+	if got.Version != checkpointVersion {
+		t.Fatalf("backup version %d, want %d", got.Version, checkpointVersion)
 	}
 }
 
@@ -191,21 +136,21 @@ func TestValidateVersionFrontierConsistency(t *testing.T) {
 	rng := rand.New(rand.NewSource(9494))
 	cp, cons := frontierSample(t, rng)
 
-	v2NoFrontier := *cp
-	v2NoFrontier.Frontier = nil
-	if err := v2NoFrontier.Validate(cons); !errors.Is(err, ErrVersion) {
-		t.Fatalf("v2 without frontier: err = %v, want ErrVersion", err)
+	noFrontier := *cp
+	noFrontier.Frontier = nil
+	if err := noFrontier.Validate(cons); !errors.Is(err, ErrVersion) {
+		t.Fatalf("no frontier: err = %v, want ErrVersion", err)
 	}
-	v1WithFrontier := *cp
-	v1WithFrontier.Version = checkpointVersion
-	if err := v1WithFrontier.Validate(cons); !errors.Is(err, ErrVersion) {
-		t.Fatalf("v1 with frontier: err = %v, want ErrVersion", err)
+	v1 := *cp
+	v1.Version = 1
+	if err := v1.Validate(cons); !errors.Is(err, ErrVersion) {
+		t.Fatalf("version 1: err = %v, want ErrVersion", err)
 	}
 	if err := cp.Validate(cons); err != nil {
 		t.Fatalf("valid checkpoint rejected: %v", err)
 	}
 
-	// Structurally corrupt frontier frames are rejected by FrontierView.
+	// Structurally corrupt frontier frames are rejected by Validate.
 	bad := *cp
 	raw, _ := json.Marshal(cp.Frontier)
 	var frCopy Frontier
@@ -214,10 +159,10 @@ func TestValidateVersionFrontierConsistency(t *testing.T) {
 	}
 	bad.Frontier = &frCopy
 	bad.Frontier.Tasks[0].Frames[0].Idx = len(bad.Frontier.Tasks[0].Frames[0].Branches) + 3
-	if _, err := bad.FrontierView(); err == nil {
+	if err := bad.Validate(cons); err == nil {
 		t.Fatal("corrupt frontier frame accepted")
 	}
-	// Missing weights (required on stored v2 frames) are rejected too.
+	// Missing weights (required on stored frames) are rejected too.
 	var frCopy2 Frontier
 	if err := json.Unmarshal(raw, &frCopy2); err != nil {
 		t.Fatal(err)
@@ -225,8 +170,37 @@ func TestValidateVersionFrontierConsistency(t *testing.T) {
 	bad.Frontier = &frCopy2
 	bad.Frontier.Tasks[0].Frames[0].Weight = 0
 	if len(bad.Frontier.Tasks[0].Frames[0].Branches) > 0 {
-		if _, err := bad.FrontierView(); err == nil {
-			t.Fatal("weightless v2 frame accepted")
+		if err := bad.Validate(cons); err == nil {
+			t.Fatal("weightless frame accepted")
+		}
+	}
+}
+
+// TestFrontierTaskMassMatchesRemainingMass: a frontier's mass is the sum of
+// its tasks' masses, the mass of each task as a frontier of its own. The
+// coordinator relies on it when it deals root tasks into shards and sums the
+// shards' masses; a fresh run's root frontier holds the whole mass, 1.
+func TestFrontierTaskMassMatchesRemainingMass(t *testing.T) {
+	rng := rand.New(rand.NewSource(31337))
+	cons := randomScenario(rng, 13, 3, 5, 0.55)
+	su, err := Start(cons, -1, OrderMinBranches, nil, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(su.Frontier.Tasks) < 2 {
+		t.Fatalf("the root frontier holds %d tasks, want a split", len(su.Frontier.Tasks))
+	}
+	if m := su.Frontier.RemainingMass(); math.Abs(m-1) > 1e-12 {
+		t.Fatalf("root frontier mass %v, want 1", m)
+	}
+	cut := cutCheckpoint(t, cons, 15).Frontier
+	for name, fr := range map[string]*Frontier{"root": su.Frontier, "cut": cut} {
+		sum := 0.0
+		for i := range fr.Tasks {
+			sum += (&Frontier{Prefix: fr.Prefix, Tasks: fr.Tasks[i : i+1]}).RemainingMass()
+		}
+		if math.Abs(sum-fr.RemainingMass()) > 1e-12 {
+			t.Fatalf("%s: Σ task mass %v != RemainingMass %v", name, sum, fr.RemainingMass())
 		}
 	}
 }

@@ -61,8 +61,8 @@ func reread(t *testing.T, cp *search.Checkpoint) *search.Checkpoint {
 }
 
 // TestSerialResumesFrontierCheckpoint: the serial runner resumes the frontier
-// of a four-thread pool cut by a tree limit, and the shards SplitFrontier
-// cuts it into (one of several tasks), to the uninterrupted run's counters
+// of a four-thread pool cut by a tree limit, and two shards of it (two
+// slices of its tasks, each of several), to the uninterrupted run's counters
 // and stand, each tree once; and the checkpoint its own stop leaves resumes
 // the same way.
 func TestSerialResumesFrontierCheckpoint(t *testing.T) {
@@ -96,18 +96,15 @@ func TestSerialResumesFrontierCheckpoint(t *testing.T) {
 	sameStand("the pool's frontier", c, trees)
 
 	// The shards of a fleet job start from no counters: the cut holds them.
-	shards := search.SplitFrontier(cut.Checkpoint.Frontier, 2)
+	fr := cut.Checkpoint.Frontier
+	half := len(fr.Tasks) / 2
 	c, trees = cut.Counters, nil
-	several := false
-	for _, sh := range shards {
-		several = several || len(sh.Tasks) > 1
+	for _, tasks := range [][]search.FrontierTask{fr.Tasks[:half], fr.Tasks[half:]} {
+		sh := &search.Frontier{Prefix: fr.Prefix, Tasks: tasks}
 		cp := search.NewFrontierCheckpoint(cons, cut.InitialIndex, search.OrderMinBranches, search.Counters{}, sh)
 		sc, st := resumeSerially(t, cons, cp)
 		c.Add(sc)
 		trees = append(trees, st...)
-	}
-	if !several {
-		t.Fatalf("no shard of %d holds several tasks", len(shards))
 	}
 	sameStand("its shards", c, trees)
 }

@@ -158,8 +158,8 @@ type Options struct {
 // enumeration at any thread count. Zero-valued fields disable their
 // mechanism; any combination may be active at once.
 //
-// Every snapshot is a task frontier (version 2). Serial runs cut one inline
-// at stopping-rule checks: what is left of the one worker's task and the
+// Every snapshot is a task frontier. Serial runs cut one inline at
+// stopping-rule checks: what is left of the one worker's task and the
 // tasks not begun. Parallel runs take a round: every worker is interrupted
 // at an engine step as a stop would, hands in what is left of its task and
 // waits; the queue and the hand-ins are cut into a task-frontier snapshot;
@@ -167,15 +167,10 @@ type Options struct {
 // restarted. A frontier snapshot resumes at ANY thread count, with final
 // counters exactly equal to an uninterrupted run's.
 type CheckpointPolicy struct {
-	// Every snapshots to Sink every this many stopping-rule checks of a
-	// serial run — the survival mechanism for hard crashes, where OnStop
-	// never gets to run. Parallel runs have no per-check cadence; Every > 0
-	// with Interval == 0 means a one-second Interval there.
-	Every int
-
-	// Interval snapshots to Sink on a wall-clock cadence — the knob that
-	// works at every thread count. Serial runs evaluate it at stopping-rule
-	// checks; parallel runs on a ticker in the run's control loop.
+	// Interval snapshots to Sink on a wall-clock cadence — the survival
+	// mechanism for hard crashes, where OnStop never gets to run. Serial runs
+	// evaluate it at stopping-rule checks (a nanosecond: a snapshot at every
+	// check); parallel runs on a ticker in the run's control loop.
 	Interval time.Duration
 
 	// OnStop captures the final state into Result.Checkpoint when the run
@@ -188,8 +183,7 @@ type CheckpointPolicy struct {
 	// The initial tree and insertion heuristic come from the checkpoint;
 	// the resumed run's counters continue from it, so its final counters
 	// equal an uninterrupted run's exactly. Any thread count may consume
-	// any snapshot, a version-1 file of an older release's serial run
-	// included.
+	// any snapshot.
 	Resume *Checkpoint
 
 	// Sink receives each periodic snapshot (typically persisted with
@@ -259,11 +253,10 @@ func Run(constraints []*tree.Tree, opt Options) (*Result, error) {
 	// However the run ends, refused included, unblock any trigger request
 	// that raced the final poll (Finish is nil-safe and idempotent).
 	defer ck.Trigger.Finish()
-	periodic := ck.Every > 0 && ck.Sink != nil
 	interval := ck.Interval > 0 && ck.Sink != nil
 	var order func(missing []int) []int
 	if opt.DisableDynamicOrder {
-		if ck.Resume != nil || ck.OnStop || periodic || interval || ck.Trigger != nil {
+		if ck.Resume != nil || ck.OnStop || interval || ck.Trigger != nil {
 			return nil, fmt.Errorf("search: checkpointing requires the dynamic insertion order")
 		}
 		order = func(missing []int) []int {
@@ -301,7 +294,7 @@ func Run(constraints []*tree.Tree, opt Options) (*Result, error) {
 	}
 
 	units, next := prefix, int64(opt.CheckEvery)
-	checks, lastCkpt := 0, start
+	lastCkpt := start
 	// snapshot is the frontier of a run at a check: what is left of the
 	// worker's task, then the tasks not begun.
 	snapshot := func(rest []FrontierTask) *Checkpoint {
@@ -324,11 +317,6 @@ func Run(constraints []*tree.Tree, opt Options) (*Result, error) {
 		next = units + int64(opt.CheckEvery)
 		if opt.OnCheck != nil {
 			opt.OnCheck(h.total, time.Since(start))
-		}
-		if periodic {
-			if checks++; checks%ck.Every == 0 {
-				ck.Sink(snapshot(rest))
-			}
 		}
 		if interval && time.Since(lastCkpt) >= ck.Interval {
 			ck.Sink(snapshot(rest))

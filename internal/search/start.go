@@ -70,28 +70,17 @@ type Setup struct {
 // branch). The insertion order is h's dynamic one when order is nil, else
 // the one order makes of the Terrace's missing taxa, for the prefix walk and
 // every worker's engine alike (a resumed run is dynamic). A resumed run
-// validates the checkpoint against the constraints — its prefix path step by
-// step as it is walked — and views it as a frontier — a version-1 serial
-// snapshot becomes one task — so any snapshot resumes onto any driver and
-// width; initialTree, h and n are then ignored. Its tasks are
-// validated the same way, since workers replay those blindly. A serial
-// snapshot taken before the first step has no frontier form: it resumes as a
-// fresh run on the checkpoint's initial tree and heuristic. Either way
-// terrace.New runs once and the prefix is walked once, here, on that Terrace.
+// validates the checkpoint against the constraints (Validate), and its
+// prefix path and tasks step by step as they are walked, since workers
+// replay those blindly; any snapshot resumes onto any driver and width, and
+// initialTree, h and n are then ignored. Either way terrace.New runs once
+// and the prefix is walked once, here, on that Terrace.
 func Start(constraints []*tree.Tree, initialTree int, h OrderHeuristic, order func(missing []int) []int, resume *Checkpoint, n int) (*Setup, error) {
 	if resume != nil {
 		if err := resume.Validate(constraints); err != nil {
 			return nil, err
 		}
-		if resume.unstarted() {
-			initialTree, h, resume = resume.InitialIndex, resume.Heuristic, nil
-		}
-	}
-	if resume != nil {
-		fr, err := resume.FrontierView()
-		if err != nil {
-			return nil, err
-		}
+		fr := resume.Frontier
 		// The checkpoint's counters already include the prefix contribution,
 		// and its stored prefix path is replayed without recounting.
 		s := &Setup{
@@ -109,6 +98,7 @@ func Start(constraints []*tree.Tree, initialTree int, h OrderHeuristic, order fu
 				s.Frontier.Tasks = append(s.Frontier.Tasks, ft)
 			}
 		}
+		var err error
 		if s.proto, err = terrace.New(constraints, s.InitialIndex); err != nil {
 			return nil, fmt.Errorf("search: resuming: %w", err)
 		}
@@ -184,7 +174,7 @@ func resolveInitial(constraints []*tree.Tree, idx int) (int, error) {
 // insertion a run could not have made: a taxon that is not still pending or
 // an edge that is not among its admissible branches there. (ExtendTaxon
 // trusts its caller and would index out of range or corrupt the mappings
-// instead.) The frames' index ranges were validated with the frontier view.
+// instead.) The frames' index ranges were validated with the checkpoint.
 func walk(t *terrace.Terrace, path []PathStep, frames []FrameSnapshot) error {
 	check := func(taxon int, edges ...int32) error {
 		if taxon < 0 || taxon >= t.Taxa().Len() || t.Agile().HasTaxon(taxon) {
@@ -264,7 +254,7 @@ func (s *Setup) Release() {
 	}
 }
 
-// Checkpoint assembles a version-2 checkpoint of this run from a consistent
+// Checkpoint assembles a checkpoint of this run from a consistent
 // cut: the flushed global counters and every outstanding task (queued and
 // in flight) of a pool of the given width.
 func (s *Setup) Checkpoint(c Counters, threads int, tasks []FrontierTask) *Checkpoint {

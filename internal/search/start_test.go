@@ -98,33 +98,22 @@ func TestStart(t *testing.T) {
 		}
 	}
 
-	// Resume: a v1 serial snapshot becomes one task, a v2 frontier keeps its
-	// tasks; both carry the checkpoint's counters and consumed mass, and a
-	// checkpoint of other input is refused.
-	v2, cons2 := frontierSample(t, rand.New(rand.NewSource(4242)))
-	// The same stack as a version-1 file holds it: the prefix as frames of
-	// one branch each, under the task's frames.
-	v1 := *v2
-	v1.Version, v1.Frontier, v1.Frames = checkpointVersion, nil, nil
-	for _, st := range v2.Frontier.Prefix {
-		v1.Frames = append(v1.Frames, FrameSnapshot{Taxon: st.Taxon, Branches: []int32{st.Edge}, Idx: 1, Inserted: true})
+	// Resume: a frontier keeps its tasks, carries the checkpoint's counters
+	// and consumed mass, and a checkpoint of other input is refused.
+	cp, cons2 := frontierSample(t, rand.New(rand.NewSource(4242)))
+	su, err := Start(cons2, 99, OrderMaxBranches, nil, cp, 4) // index, heuristic, n: ignored
+	if err != nil {
+		t.Fatal(err)
 	}
-	v1.Frames = append(v1.Frames, v2.Frontier.Tasks[0].Frames...)
-	for _, cp := range []*Checkpoint{&v1, v2} {
-		su, err := Start(cons2, 99, OrderMaxBranches, nil, cp, 4) // index, heuristic, n: ignored
-		if err != nil {
-			t.Fatalf("v%d: %v", cp.Version, err)
-		}
-		if !su.Resumed || su.InitialIndex != cp.InitialIndex || su.Heuristic != cp.Heuristic || su.Counters != cp.Counters {
-			t.Fatalf("v%d: setup %+v does not continue the checkpoint", cp.Version, su)
-		}
-		if len(su.Frontier.Tasks) != 1 || math.Abs(su.LeafMass+su.Frontier.RemainingMass()-1) > 1e-12 {
-			t.Fatalf("v%d: %d tasks, consumed %v + remaining %v", cp.Version,
-				len(su.Frontier.Tasks), su.LeafMass, su.Frontier.RemainingMass())
-		}
-		if _, err := Start(cons, -1, OrderMinBranches, nil, cp, 4); !errors.Is(err, ErrFingerprint) {
-			t.Fatalf("v%d on other input: %v, want ErrFingerprint", cp.Version, err)
-		}
+	if !su.Resumed || su.InitialIndex != cp.InitialIndex || su.Heuristic != cp.Heuristic || su.Counters != cp.Counters {
+		t.Fatalf("setup %+v does not continue the checkpoint", su)
+	}
+	if len(su.Frontier.Tasks) != 1 || math.Abs(su.LeafMass+su.Frontier.RemainingMass()-1) > 1e-12 {
+		t.Fatalf("%d tasks, consumed %v + remaining %v",
+			len(su.Frontier.Tasks), su.LeafMass, su.Frontier.RemainingMass())
+	}
+	if _, err := Start(cons, -1, OrderMinBranches, nil, cp, 4); !errors.Is(err, ErrFingerprint) {
+		t.Fatalf("other input: %v, want ErrFingerprint", err)
 	}
 }
 
@@ -291,33 +280,6 @@ func TestStartRefusesBadTasks(t *testing.T) {
 		if err == nil || !strings.HasPrefix(err.Error(), "search: checkpoint task ") {
 			t.Errorf("%s: Start returned %v, want a task error", name, err)
 		}
-	}
-}
-
-// TestStartUnstartedSerialCheckpoint: a version-1 snapshot taken before the
-// engine's first step has no frames and nothing counted. It is not a
-// finished run: Start sets up the whole run, on the checkpoint's initial
-// tree and heuristic.
-func TestStartUnstartedSerialCheckpoint(t *testing.T) {
-	cons := chainConstraints(t, 4, 4)
-	tr, err := terrace.New(cons, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := NewEngine(tr)
-	e.Heuristic = OrderMinBranchesTieDegree
-	cp := v1Snapshot(e, cons, 1)
-	su, err := Start(cons, -1, OrderMinBranches, nil, cp, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh, err := Start(cons, 1, OrderMinBranchesTieDegree, nil, nil, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if su.Resumed || su.InitialIndex != 1 || su.Heuristic != OrderMinBranchesTieDegree ||
-		len(su.Frontier.Tasks) != len(fresh.Frontier.Tasks) || len(su.Frontier.Tasks) == 0 || su.Counters != fresh.Counters {
-		t.Fatalf("set-up from an unstarted snapshot %+v, fresh %+v", su, fresh)
 	}
 }
 

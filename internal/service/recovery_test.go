@@ -52,11 +52,11 @@ func runCrashChild(dir string) {
 	if err == nil {
 		var m *Manager
 		m, err = New(Config{
-			Workers:         1,
-			DataDir:         dir,
-			Checkpoint:      true,
-			CheckpointEvery: 1,
-			Fault:           fault,
+			Workers:            1,
+			DataDir:            dir,
+			Checkpoint:         true,
+			CheckpointInterval: time.Nanosecond,
+			Fault:              fault,
 		})
 		if err == nil {
 			var job *Job
@@ -347,6 +347,64 @@ func TestRestartResumesSerialJobFromCheckpoint(t *testing.T) {
 	}
 }
 
+// TestRestartInterruptsVersion1Checkpoint: a running job whose checkpoint
+// is a version-1 serial frame stack (an older release's, which this one
+// does not read) is recovered as interrupted, with no panic, while a running
+// job on the same input whose checkpoint is a frontier still resumes, to the
+// totals of an uninterrupted run.
+func TestRestartInterruptsVersion1Checkpoint(t *testing.T) {
+	const ckpts = "../../testdata/ckpt_a3eaaa2/"
+	input, err := os.ReadFile(ckpts + "input.trees")
+	if err != nil {
+		t.Fatal(err)
+	}
+	trees := strings.Split(strings.TrimSpace(string(input)), "\n")
+	cons, _, err := gentrius.ReadTrees(strings.NewReader(string(input)), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := gentrius.EnumerateStand(cons, gentrius.Options{
+		Threads: 1, InitialTree: gentrius.UseInitialTreeHeuristic,
+		MaxTrees: -1, MaxStates: -1, MaxTime: -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	var records []journalRecord
+	for _, job := range []struct{ id, file string }{{"j000001", "serial_v1.ckpt"}, {"j000002", "frontier_v2.ckpt"}} {
+		data, err := os.ReadFile(ckpts + job.file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, job.id+".ckpt"), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		records = append(records,
+			journalRecord{Op: "submit", ID: job.id, Req: &JobRequest{
+				Trees: trees, MaxTrees: -1, MaxStates: -1, MaxTimeSeconds: -1,
+			}},
+			journalRecord{Op: "state", ID: job.id, State: StateRunning})
+	}
+	writeJournal(t, dir, records...)
+
+	m := newTestManager(t, Config{Workers: 1, DataDir: dir, Checkpoint: true})
+	if rec := m.Recovery(); rec.Interrupted != 1 || rec.Resumed != 1 {
+		t.Fatalf("recovery %+v, want 1 interrupted and 1 resumed", rec)
+	}
+	v1, _ := m.Get("j000001")
+	if st := v1.Status(); st.State != StateInterrupted || !strings.Contains(st.Error, "no usable checkpoint") {
+		t.Fatalf("job with a version-1 checkpoint %+v, want interrupted with a no-checkpoint explanation", st)
+	}
+	v2, _ := m.Get("j000002")
+	waitDone(t, v2)
+	if st := v2.Status(); st.State != StateDone || !st.Complete || !st.Resumed ||
+		st.StandTrees != ref.StandTrees || st.Intermediate != ref.IntermediateStates {
+		t.Fatalf("job with a frontier checkpoint %+v, want done+complete at %d/%d",
+			st, ref.StandTrees, ref.IntermediateStates)
+	}
+}
+
 // TestRestartRequeuesQueuedJob: a job that never started reruns from
 // scratch after a restart.
 func TestRestartRequeuesQueuedJob(t *testing.T) {
@@ -564,7 +622,7 @@ func TestFinishedJobRemovesCheckpointRotation(t *testing.T) {
 	met := NewMetrics(reg)
 	dir := t.TempDir()
 	m := newTestManager(t, Config{
-		Workers: 1, DataDir: dir, Checkpoint: true, CheckpointEvery: 1, Metrics: met,
+		Workers: 1, DataDir: dir, Checkpoint: true, CheckpointInterval: time.Nanosecond, Metrics: met,
 	})
 	job, err := m.Submit(JobRequest{
 		Trees: []string{cat("x"), cat("y")}, MaxTrees: -1, MaxStates: -1, MaxTimeSeconds: -1,

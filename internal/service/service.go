@@ -14,9 +14,9 @@
 // stream, and before a complete job's obsolete checkpoint is deleted. Status,
 // stats and /healthz may report a state for the length of one fsync before
 // its record is durable: a crash in that window replays the record before
-// it. Jobs checkpoint periodically when Config.CheckpointEvery or
-// Config.CheckpointInterval is set (parallel jobs snapshot their quiesced
-// task frontier), and New replays the journal on startup — finished jobs are
+// it. Jobs checkpoint periodically when Config.CheckpointInterval is set
+// (a job's snapshot is its task frontier, quiesced at any thread count), and
+// New replays the journal on startup — finished jobs are
 // re-adopted with their spools, running jobs resume from their latest
 // checkpoint at any thread count, queued jobs requeue, and everything else
 // is marked interrupted. A SIGKILL therefore loses at most the work since
@@ -73,16 +73,10 @@ type Config struct {
 	// resumable snapshot, its task frontier, next to its spool; the snapshot
 	// resumes at any thread count.
 	Checkpoint bool
-	// CheckpointEvery additionally checkpoints running serial jobs every N
-	// stopping-rule checks (0 disables), a task frontier like any job's.
-	// This is what makes a job killed -9 resumable: on restart the journal
-	// replay requeues it from the latest periodic snapshot. Parallel jobs
-	// have no per-check cadence; set CheckpointInterval for them (a
-	// CheckpointEvery > 0 with no interval maps to one second there).
-	CheckpointEvery int
 	// CheckpointInterval checkpoints running jobs on a wall-clock cadence
-	// (0 disables) — the knob that works at every thread count. Each
-	// parallel snapshot briefly quiesces the job's worker pool.
+	// (0 disables), at any thread count: what makes a job killed -9
+	// resumable from its latest snapshot. Each parallel snapshot briefly
+	// quiesces the job's worker pool.
 	CheckpointInterval time.Duration
 	// MaxConstraintTrees rejects submissions with more constraint trees
 	// with a structured *LimitError (0 = unlimited).
@@ -715,8 +709,9 @@ func (m *Manager) recoverJob(id string, num int64, req *JobRequest, reqID string
 			return
 		case last.State == StateRunning:
 			// Any thread count resumes from the job's task frontier, at
-			// whatever thread count the recovered request asks for (a
-			// frame-stack snapshot of an older release's serial job too).
+			// whatever thread count the recovered request asks for. A file
+			// this release cannot read (ErrVersion: an older release's
+			// serial frame stack) leaves the job interrupted.
 			if cp, err := gentrius.ReadCheckpointFile(ckptPath); err == nil {
 				job.resume = cp
 				job.ckptPath = ckptPath
@@ -944,12 +939,11 @@ func (m *Manager) runJob(job *Job) {
 	// are quiesced task frontiers, resumable at any thread count.
 	policy := &gentrius.CheckpointPolicy{
 		OnStop:   m.cfg.Checkpoint,
-		Every:    m.cfg.CheckpointEvery,
 		Interval: m.cfg.CheckpointInterval,
 		Resume:   resume,
 		Trigger:  gentrius.NewCheckpointTrigger(),
 	}
-	if policy.Every > 0 || policy.Interval > 0 {
+	if policy.Interval > 0 {
 		policy.Sink = func(cp *gentrius.Checkpoint) {
 			if path, ok := m.writeCheckpointRetry(job.id, cp); ok {
 				job.mu.Lock()

@@ -5,7 +5,7 @@
 // testdata with `go test ./internal/tracereport -run Golden -update`.
 //
 // What a Recorder writes today must still read into the same report: the
-// trace is regenerated through internal/obs and internal/simsched, and read
+// trace is regenerated through internal/obs and parallel.Simulate, and read
 // back by the package under test.
 package tracereport_test
 

@@ -18,14 +18,14 @@ func TestNothingARunExecutesImportsTheReader(t *testing.T) {
 	// One line per package: its import path, then everything it links.
 	out, err := exec.Command(goBin, "list", "-f", `{{.ImportPath}} {{join .Deps " "}}`,
 		"gentrius", "gentrius/internal/obs", "gentrius/internal/search",
-		"gentrius/internal/parallel", "gentrius/internal/simsched",
-		"gentrius/internal/dist", "gentrius/internal/service").CombinedOutput()
+		"gentrius/internal/parallel", "gentrius/internal/dist",
+		"gentrius/internal/service").CombinedOutput()
 	if err != nil {
 		t.Fatalf("go list: %v\n%s", err, out)
 	}
 	lines := strings.Split(strings.TrimSpace(string(out)), "\n")
-	if len(lines) != 7 {
-		t.Fatalf("go list printed %d packages, want 7:\n%s", len(lines), out)
+	if len(lines) != 6 {
+		t.Fatalf("go list printed %d packages, want 6:\n%s", len(lines), out)
 	}
 	for _, line := range lines {
 		deps := strings.Fields(line)

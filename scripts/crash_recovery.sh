@@ -42,13 +42,14 @@ go build -o "$WORK/gentriusd" ./cmd/gentriusd
 
 # Two interleaved caterpillars with an 8989-tree stand: finite, but at 1ms
 # per streamed tree the first incarnation needs ~9s — plenty to kill it
-# after the first periodic checkpoint (every stopping-rule check).
+# after the first periodic checkpoint (every 50ms, at the next
+# stopping-rule check).
 T1='(((((((((A,B),x0),x1),x2),x3),x4),x5),C),D);'
 T2=$(echo "$T1" | tr x y)
 STAND=8989
 
 GENTRIUS_FAULTS="seed=1;treestream.every=1;treestream.delay=1ms" \
-    "$WORK/gentriusd" -addr "$ADDR" -jobs 1 -checkpoint-every 1 \
+    "$WORK/gentriusd" -addr "$ADDR" -jobs 1 -checkpoint-interval 50ms \
     -data-dir "$WORK/data" 2>"$WORK/daemon1.log" &
 DAEMON_PID=$!
 wait_for '"ok"' "$BASE/healthz"
