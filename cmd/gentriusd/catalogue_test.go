@@ -92,7 +92,8 @@ func readCatalogue(t *testing.T, section string) map[string][]string {
 
 // TestCatalogue compares internal/obs/CATALOGUE.md with what the daemon can
 // emit, in both directions: the metric families its constructors register
-// (type and label names included) and the Ev* constants of internal/obs.
+// (type and label names included) and the Ev* constants of internal/obs,
+// each read by the code and scripts its row names.
 func TestCatalogue(t *testing.T) {
 	t.Run("metrics", func(t *testing.T) {
 		reg := obs.NewRegistry()
@@ -185,10 +186,23 @@ func TestCatalogue(t *testing.T) {
 		if len(consts) == 0 {
 			t.Fatal("no Ev* constants found in internal/obs/trace.go")
 		}
+		// A reader in code or a script names the event: its Ev* constant or
+		// its quoted name.
 		listed := readCatalogue(t, "Trace events")
-		for ev := range listed {
-			if consts[ev] == "" {
+		for ev, cells := range listed {
+			id := consts[ev]
+			if id == "" {
 				t.Errorf("%s: listed, and internal/obs/trace.go has no such event", ev)
+				continue
+			}
+			for _, f := range repoPath.FindAllStringSubmatch(cells[len(cells)-1], -1) {
+				src, err := os.ReadFile(filepath.Join(repoRoot, f[1]))
+				if strings.HasSuffix(f[1], ".md") || err != nil {
+					continue // prose, or a missing file readCatalogue reported
+				}
+				if !bytes.Contains(src, []byte("obs."+id)) && !bytes.Contains(src, []byte(`"`+ev+`"`)) {
+					t.Errorf("%s: read by %s, which names neither obs.%s nor %q", ev, f[1], id, ev)
+				}
 			}
 		}
 		for ev, id := range consts {

@@ -230,8 +230,8 @@ func main() {
 	mux.Handle("/v1/shards", mgr.Middleware().Wrap("shards", dist.WorkerHandler(worker).ServeHTTP))
 	if coord != nil {
 		mux.Handle("/v1/shards/", mgr.Middleware().Wrap("shards_coord", dist.CoordinatorHandler(coord).ServeHTTP))
-		// Live fleet topology: the same picture obsreport -fleet
-		// reconstructs post-hoc, as one JSON snapshot.
+		// Live fleet topology: the same picture obsreport reconstructs
+		// post-hoc from the nodes' traces, as one JSON snapshot.
 		mux.Handle("GET /v1/fleet/status", mgr.Middleware().Wrap("fleet_status", func(w http.ResponseWriter, _ *http.Request) {
 			w.Header().Set("Content-Type", "application/json")
 			enc := json.NewEncoder(w)

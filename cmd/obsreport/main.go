@@ -1,20 +1,19 @@
-// Command obsreport analyzes a JSONL scheduler trace offline. It emits a
-// markdown report (per-worker utilization, steal-latency distribution, load
-// imbalance, counter-conservation audit) and optionally a Chrome
-// trace-event JSON file that opens directly in Perfetto
-// (https://ui.perfetto.dev) or chrome://tracing.
-//
-// With -fleet it instead merges N per-node traces (one coordinator plus
-// workers, comma-separated) into a single fleet timeline: clocks aligned
-// NTP-free from dispatch/heartbeat RPC pairs, every shard's lease lineage
-// reconstructed across nodes, stragglers ranked, and re-dispatch handoffs
-// drawn as flow arrows in the Perfetto export.
+// Command obsreport analyzes JSONL traces offline. Given one run's trace it
+// emits a markdown report (per-worker utilization, steal-latency
+// distribution, load imbalance, counter-conservation audit); given a fleet's
+// per-node traces (one coordinator plus workers, comma-separated) it merges
+// them into one timeline — clocks aligned NTP-free from dispatch/heartbeat
+// RPC pairs, every shard's lease lineage reconstructed across nodes,
+// stragglers ranked — and reports on that. Either way it can also write
+// Chrome trace-event JSON that opens directly in Perfetto
+// (https://ui.perfetto.dev) or chrome://tracing: a process per node, with
+// re-dispatch handoffs drawn as flow arrows.
 //
 // Usage:
 //
 //	gentrius -trace run.jsonl ...            # or virtual-time/gentriusd traces
 //	obsreport -trace run.jsonl -perfetto run.trace.json
-//	obsreport -fleet coord.jsonl,w1.jsonl,w2.jsonl -perfetto fleet.trace.json
+//	obsreport -units ms -trace coord.jsonl,w1.jsonl,w2.jsonl -perfetto fleet.trace.json
 package main
 
 import (
@@ -30,20 +29,13 @@ import (
 )
 
 func main() {
-	tracePath := flag.String("trace", "", "JSONL scheduler trace to analyze ('-' for stdin)")
-	fleet := flag.String("fleet", "", "comma-separated per-node JSONL traces ([name=]path) to merge into one fleet timeline (coordinator auto-detected)")
+	traces := flag.String("trace", "", "JSONL trace to analyze ('-' for stdin), or comma-separated per-node traces ([name=]path) to merge into one fleet timeline (coordinator auto-detected)")
 	outPath := flag.String("out", "", "write the markdown report here (default stdout)")
 	perfetto := flag.String("perfetto", "", "also write Chrome trace-event JSON here (open in Perfetto)")
 	units := flag.String("units", "ticks", "timestamp units in the trace: ticks (simulator), ms (fleet clocks) or ns (wall clock)")
 	flag.Parse()
 
-	var err error
-	if *fleet != "" {
-		err = runFleet(*fleet, *outPath, *perfetto, *units)
-	} else {
-		err = run(*tracePath, *outPath, *perfetto, *units)
-	}
-	if err != nil {
+	if err := run(*traces, *outPath, *perfetto, *units); err != nil {
 		fmt.Fprintln(os.Stderr, "obsreport:", err)
 		os.Exit(1)
 	}
@@ -62,154 +54,91 @@ func unitsPerMicrosecond(units string) (float64, error) {
 	}
 }
 
-func openOut(outPath string) (io.Writer, func() error, error) {
-	if outPath == "" {
-		return os.Stdout, func() error { return nil }, nil
-	}
-	f, err := os.Create(outPath)
-	if err != nil {
-		return nil, nil, err
-	}
-	return f, f.Close, nil
-}
-
-func run(tracePath, outPath, perfetto, units string) error {
-	if tracePath == "" {
-		return fmt.Errorf("one of -trace or -fleet is required")
-	}
-	unitsPerMicro, err := unitsPerMicrosecond(units)
-	if err != nil {
-		return err
-	}
-
-	var in io.Reader
-	if tracePath == "-" {
-		in = os.Stdin
-	} else {
-		f, err := os.Open(tracePath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		in = f
-	}
-	events, err := tracereport.ReadTrace(in)
-	if err != nil {
-		return err
-	}
-
-	out, closeOut, err := openOut(outPath)
-	if err != nil {
-		return err
-	}
-	if err := tracereport.Analyze(events, units).WriteMarkdown(out); err != nil {
-		closeOut()
-		return err
-	}
-	if err := closeOut(); err != nil {
-		return err
-	}
-
-	if perfetto != "" {
-		f, err := os.Create(perfetto)
-		if err != nil {
-			return err
-		}
-		if err := tracereport.WriteChromeTrace(f, events, unitsPerMicro); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// runFleet merges per-node traces into one timeline. An entry may pin its
-// node's display name explicitly (name=path); otherwise the name comes from
-// the trace's own "node" tags when present, with the file basename (minus
-// .jsonl) as the fallback label.
-func runFleet(fleetArg, outPath, perfetto, units string) error {
+// run merges the listed traces and writes the report of the merge: the run
+// report of the raw events when the merge has no coordinator (one run's
+// trace), else the fleet report.
+func run(traces, outPath, perfetto, units string) error {
 	unitsPerMicro, err := unitsPerMicrosecond(units)
 	if err != nil {
 		return err
 	}
 	var nodes []tracereport.NodeTrace
-	for _, p := range strings.Split(fleetArg, ",") {
-		p = strings.TrimSpace(p)
-		if p == "" {
+	for _, p := range strings.Split(traces, ",") {
+		if p = strings.TrimSpace(p); p == "" {
 			continue
 		}
-		pinned := ""
-		if eq := strings.IndexByte(p, '='); eq >= 0 {
-			pinned, p = p[:eq], p[eq+1:]
+		name, path, pinned := strings.Cut(p, "=")
+		if !pinned {
+			name, path = "", p
 		}
-		f, err := os.Open(p)
+		events, err := readTrace(path)
 		if err != nil {
-			return err
+			return fmt.Errorf("%s: %w", path, err)
 		}
-		events, err := tracereport.ReadTrace(f)
-		f.Close()
-		if err != nil {
-			return fmt.Errorf("%s: %w", p, err)
-		}
-		name := pinned
 		if name == "" {
-			// A worker's own span events carry its node tag; coordinator
-			// events tag OTHER nodes (the shard holder), so never trust those.
-			fallback := strings.TrimSuffix(filepath.Base(p), ".jsonl")
-			name = fallback
-			for _, e := range events {
-				if e.Ev == obs.EvShardDispatch || e.Ev == obs.EvFleetRun {
-					break // coordinator trace: keep the file-derived label
-				}
-				switch e.Ev {
-				case obs.EvShardBegin, obs.EvShardEnd, obs.EvShardHeartbeat, obs.EvShardCheckpoint:
-					if n := e.GetStr("node"); n != "" {
-						name = n
-					}
-				}
-				if name != fallback {
-					break
-				}
-			}
+			name = nodeName(path, events)
 		}
 		nodes = append(nodes, tracereport.NodeTrace{Name: name, Events: events})
 	}
 	if len(nodes) == 0 {
-		return fmt.Errorf("-fleet lists no trace files")
+		return fmt.Errorf("-trace names no trace file")
 	}
-
 	rep, err := tracereport.MergeFleet(nodes, units)
 	if err != nil {
 		return err
 	}
+	if err := writeTo(outPath, func(w io.Writer) error {
+		if rep.Nodes[0].Role == "run" {
+			return tracereport.Analyze(nodes[0].Events, units).WriteMarkdown(w)
+		}
+		return rep.WriteMarkdown(w)
+	}); err != nil || perfetto == "" {
+		return err
+	}
+	return writeTo(perfetto, func(w io.Writer) error { return rep.WriteChromeTrace(w, unitsPerMicro) })
+}
 
-	out, closeOut, err := openOut(outPath)
+func readTrace(path string) ([]tracereport.TraceEvent, error) {
+	if path == "-" {
+		return tracereport.ReadTrace(os.Stdin)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return tracereport.ReadTrace(f)
+}
+
+// nodeName labels a trace not pinned as name=path: a worker by the node tag
+// its own shard events carry, anything else by the file's base name without
+// .jsonl. Coordinator events tag the shard's holder, so they name no one.
+func nodeName(path string, events []tracereport.TraceEvent) string {
+	for _, e := range events {
+		switch e.Ev {
+		case obs.EvShardDispatch, obs.EvFleetRun:
+			return strings.TrimSuffix(filepath.Base(path), ".jsonl")
+		case obs.EvShardBegin, obs.EvShardEnd, obs.EvShardHeartbeat, obs.EvShardCheckpoint:
+			if n := e.GetStr("node"); n != "" {
+				return n
+			}
+		}
+	}
+	return strings.TrimSuffix(filepath.Base(path), ".jsonl")
+}
+
+// writeTo writes to the named file, or to stdout when path is "".
+func writeTo(path string, write func(io.Writer) error) error {
+	if path == "" {
+		return write(os.Stdout)
+	}
+	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := rep.WriteMarkdown(out); err != nil {
-		closeOut()
+	if err := write(f); err != nil {
+		f.Close()
 		return err
 	}
-	if err := closeOut(); err != nil {
-		return err
-	}
-
-	if perfetto != "" {
-		f, err := os.Create(perfetto)
-		if err != nil {
-			return err
-		}
-		if err := rep.WriteFleetChromeTrace(f, unitsPerMicro); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-	}
-	return nil
+	return f.Close()
 }

@@ -169,7 +169,7 @@ func TestFleetRPCFaults(t *testing.T) {
 // With-derived recorder into the engine, so every task-level event it emits
 // during a real shard run carries the fleet context — {trace, job, node}
 // tags plus {shard, epoch} fields — without the engine knowing the fleet
-// exists. This is the lineage obsreport -fleet joins on. The worker runs
+// exists. This is the lineage the fleet merge joins on. The worker runs
 // two threads: a one-thread shard runs on the serial runner, which emits no
 // task events.
 func TestFleetWorkerEngineEventsCarryShardTags(t *testing.T) {

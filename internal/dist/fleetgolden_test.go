@@ -325,7 +325,7 @@ func TestFleetGoldenMerge(t *testing.T) {
 	// The Perfetto export must contain the epoch 1 → epoch 2 re-dispatch
 	// flow arrow (the "s"/"f" pair) and one process per node.
 	var buf strings.Builder
-	if err := rep.WriteFleetChromeTrace(&buf, 1); err != nil {
+	if err := rep.WriteChromeTrace(&buf, 1); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{`"redispatch"`, `"ph":"s"`, `"ph":"f"`,

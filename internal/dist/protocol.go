@@ -48,7 +48,8 @@ type DispatchRequest struct {
 	// TraceID is the coordinator-minted fleet-run trace id, derived
 	// deterministically from (job id, fingerprint). Workers stamp it on
 	// every local trace event and echo it on heartbeats and results, so N
-	// per-node JSONL traces are joinable offline (obsreport -fleet). It
+	// per-node JSONL traces are joinable offline (obsreport -trace, one
+	// path per node). It
 	// also travels as the X-Fleet-Trace HTTP header so the serving
 	// middleware can correlate fleet RPCs with access logs.
 	TraceID string `json:"trace_id,omitempty"`

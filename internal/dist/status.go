@@ -6,9 +6,9 @@ import (
 )
 
 // Live fleet introspection: the coordinator exposes the same picture
-// obsreport -fleet reconstructs post-hoc — per-peer liveness and per-shard
-// lease/epoch/estimator state — as one JSON snapshot (GET /v1/fleet/status
-// in gentriusd) and a compact summary for /healthz.
+// obsreport reconstructs post-hoc from the nodes' traces — per-peer
+// liveness and per-shard lease/epoch/estimator state — as one JSON snapshot
+// (GET /v1/fleet/status in gentriusd) and a compact summary for /healthz.
 
 // PeerStatus is one worker endpoint as the coordinator sees it.
 type PeerStatus struct {

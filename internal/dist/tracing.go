@@ -14,7 +14,7 @@ import (
 // task-begin/task-end spans on the worker hot path — carries the
 // {trace, job, node} tags and {shard, epoch} fields that make N per-node
 // JSONL traces joinable into one fleet timeline (tracereport.MergeFleet,
-// cmd/obsreport -fleet).
+// cmd/obsreport -trace coord.jsonl,w1.jsonl,...).
 
 // fleetTraceID derives the fleet-run trace id from the job id and the
 // canonical input fingerprint. Deterministic on purpose: re-running the

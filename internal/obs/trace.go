@@ -76,7 +76,9 @@ const (
 	// run ("fleet-run", tag "trace") and stamps it on every RPC; both sides
 	// emit the events below with {trace, job, node} tags and {shard, epoch}
 	// fields, so N per-node JSONL traces are joinable into one fleet
-	// timeline (see tracereport.MergeFleet / cmd/obsreport -fleet). The
+	// timeline (tracereport.MergeFleet; cmd/obsreport -trace given one path
+	// per node, which places each event on the node whose trace held it: a
+	// coordinator event's node tag names the shard's holder). The
 	// heartbeat send/recv pairs double as the NTP-free clock-alignment
 	// signal: each dispatch→shard-begin pair lower-bounds a worker's clock
 	// offset, each hb-send→hb-recv pair upper-bounds it.

@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
+	"runtime/debug"
 	"slices"
 	"strings"
 	"testing"
@@ -174,10 +176,16 @@ func TestOnTreeAllocations(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The bound has no slack, and a goroutine an earlier test left exiting
-	// allocates into the count too: the least of three measurements.
+	// allocates into the count too: the least of three measurements. A
+	// collection cycle adds allocations of the runtime's own, and a run that
+	// hands on strings allocates 2 MB, so how many cycles 20 runs see moved
+	// with the live heap earlier tests left behind: the collector is off
+	// while the runs are counted and runs once before each measurement.
 	run := func(opt search.Options) float64 {
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
 		least := math.Inf(1)
 		for i := 0; i < 3; i++ {
+			runtime.GC()
 			least = min(least, testing.AllocsPerRun(20, func() {
 				if _, err := search.Run(cons, opt); err != nil {
 					t.Fatal(err)

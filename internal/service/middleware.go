@@ -219,7 +219,7 @@ func (mw *Middleware) Wrap(route string, next http.HandlerFunc) http.Handler {
 		r = r.WithContext(contextWithInfo(r.Context(), ri))
 		// A fleet RPC announces its run's trace id; adopting it onto the
 		// serving spans (and access log) joins this node's HTTP timeline to
-		// the merged fleet timeline obsreport -fleet reconstructs.
+		// the merged fleet timeline obsreport reconstructs.
 		fleetTrace := sanitizeRequestID(r.Header.Get(dist.FleetTraceHeader))
 
 		body := &countingBody{rc: r.Body}

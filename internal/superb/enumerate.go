@@ -17,33 +17,11 @@ var ErrTooMany = fmt.Errorf("superb: stand larger than the enumeration cap")
 // (which is at least the stand size); ErrTooMany is returned when the cap is
 // hit — enumeration is inherently exponential, so callers must bound it.
 func Enumerate(constraints []*tree.Tree, max int) ([]string, error) {
-	if len(constraints) == 0 {
-		return nil, fmt.Errorf("superb: no constraint trees")
+	root, set, rooted, err := rootAll(constraints)
+	if err != nil {
+		return nil, err
 	}
 	taxa := constraints[0].Taxa()
-	covered := bitset.New(taxa.Len())
-	for _, c := range constraints {
-		covered.UnionWith(c.LeafSet())
-	}
-	if covered.Count() != taxa.Len() {
-		return nil, fmt.Errorf("superb: %d taxa occur in no constraint", taxa.Len()-covered.Count())
-	}
-	root := ComprehensiveTaxon(constraints)
-	if root < 0 {
-		return nil, fmt.Errorf("superb: no comprehensive taxon (SUPERB requires one; use Gentrius)")
-	}
-	rooted := make([]*rnode, 0, len(constraints))
-	for _, c := range constraints {
-		r, err := rootAt(c, root)
-		if err != nil {
-			return nil, err
-		}
-		if r != nil && r.leaves.Count() >= 3 {
-			rooted = append(rooted, r)
-		}
-	}
-	set := covered.Clone()
-	set.Remove(root)
 	budget := max
 	frags, err := enumerateRooted(taxa, set, rooted, &budget)
 	if err != nil {
@@ -66,7 +44,8 @@ func Enumerate(constraints []*tree.Tree, max int) ([]string, error) {
 }
 
 // enumerateRooted lists the rooted binary trees on set displaying all
-// constraints, as Newick fragments (no trailing semicolon).
+// constraints, as Newick fragments (no trailing semicolon): the cross
+// product of the two sides' fragments over every root split.
 func enumerateRooted(taxa *tree.Taxa, set *bitset.Set, constraints []*rnode, budget *int) ([]string, error) {
 	switch set.Count() {
 	case 0:
@@ -77,87 +56,29 @@ func enumerateRooted(taxa *tree.Taxa, set *bitset.Set, constraints []*rnode, bud
 		els := set.Elements()
 		return []string{"(" + quote(taxa.Name(els[0])) + "," + quote(taxa.Name(els[1])) + ")"}, nil
 	}
-	var active []*rnode
-	for _, c := range constraints {
-		r := restrict(c, set)
-		if r != nil && r.taxon < 0 && r.leaves.IntersectionCount(set) >= 3 {
-			active = append(active, r)
-		}
-	}
-	members := set.Elements()
-	idx := make(map[int]int, len(members))
-	for i, x := range members {
-		idx[x] = i
-	}
-	uf := newUnionFind(len(members))
-	for _, c := range active {
-		for _, k := range c.kids {
-			first := -1
-			k.leaves.ForEach(func(x int) {
-				if !set.Has(x) {
-					return
-				}
-				if first < 0 {
-					first = idx[x]
-					return
-				}
-				uf.union(first, idx[x])
-			})
-		}
-	}
-	compOf := make(map[int]int)
-	var comps []*bitset.Set
-	for i, x := range members {
-		r := uf.find(i)
-		ci, ok := compOf[r]
-		if !ok {
-			ci = len(comps)
-			compOf[r] = ci
-			comps = append(comps, bitset.New(set.Len()))
-		}
-		comps[ci].Add(x)
-	}
-	k := len(comps)
-	if k == 1 {
-		return nil, nil // no valid root split below this set
-	}
-	if k > MaxComponents {
-		return nil, fmt.Errorf("superb: %d root components exceed limit %d", k, MaxComponents)
-	}
 	var out []string
-	for mask := 0; mask < 1<<(k-1); mask++ {
-		if mask == 1<<(k-1)-1 {
-			continue
-		}
-		left := comps[0].Clone()
-		right := bitset.New(set.Len())
-		for i := 1; i < k; i++ {
-			if mask&(1<<(i-1)) != 0 {
-				left.UnionWith(comps[i])
-			} else {
-				right.UnionWith(comps[i])
-			}
-		}
+	err := rootSplits(set, constraints, func(left, right *bitset.Set, active []*rnode) error {
 		ls, err := enumerateRooted(taxa, left, active, budget)
-		if err != nil {
-			return nil, err
-		}
-		if len(ls) == 0 {
-			continue
+		if err != nil || len(ls) == 0 {
+			return err
 		}
 		rs, err := enumerateRooted(taxa, right, active, budget)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		for _, l := range ls {
 			for _, r := range rs {
 				if *budget <= 0 {
-					return nil, ErrTooMany
+					return ErrTooMany
 				}
 				*budget--
 				out = append(out, "("+l+","+r+")")
 			}
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -57,35 +57,44 @@ func ComprehensiveTaxon(constraints []*tree.Tree) int {
 // universe taxon to occur in some constraint and a comprehensive taxon to
 // exist.
 func Count(constraints []*tree.Tree) (*big.Int, error) {
+	_, set, rooted, err := rootAll(constraints)
+	if err != nil {
+		return nil, err
+	}
+	return countRooted(set, rooted)
+}
+
+// rootAll checks the input of Count and Enumerate and roots every
+// constraint at a comprehensive taxon. It returns that taxon, the rest of
+// the universe, and the rooted constraints of at least three leaves.
+func rootAll(constraints []*tree.Tree) (int, *bitset.Set, []*rnode, error) {
 	if len(constraints) == 0 {
-		return nil, fmt.Errorf("superb: no constraint trees")
+		return 0, nil, nil, fmt.Errorf("superb: no constraint trees")
 	}
 	taxa := constraints[0].Taxa()
-	covered := bitset.New(taxa.Len())
+	set := bitset.New(taxa.Len())
 	for _, c := range constraints {
-		covered.UnionWith(c.LeafSet())
+		set.UnionWith(c.LeafSet())
 	}
-	if covered.Count() != taxa.Len() {
-		return nil, fmt.Errorf("superb: %d taxa occur in no constraint", taxa.Len()-covered.Count())
+	if set.Count() != taxa.Len() {
+		return 0, nil, nil, fmt.Errorf("superb: %d taxa occur in no constraint", taxa.Len()-set.Count())
 	}
 	root := ComprehensiveTaxon(constraints)
 	if root < 0 {
-		return nil, fmt.Errorf("superb: no comprehensive taxon (SUPERB requires one; use Gentrius)")
+		return 0, nil, nil, fmt.Errorf("superb: no comprehensive taxon (SUPERB requires one; use Gentrius)")
 	}
 	rooted := make([]*rnode, 0, len(constraints))
 	for _, c := range constraints {
 		r, err := rootAt(c, root)
 		if err != nil {
-			return nil, err
+			return 0, nil, nil, err
 		}
 		if r != nil && r.leaves.Count() >= 3 {
 			rooted = append(rooted, r)
 		}
 	}
-	set := covered // all taxa
-	set = set.Clone()
 	set.Remove(root)
-	return countRooted(set, rooted)
+	return root, set, rooted, nil
 }
 
 // rootAt converts an unrooted constraint to a rooted tree on its leaf set
@@ -148,20 +157,43 @@ func restrict(n *rnode, s *bitset.Set) *rnode {
 	lv := bitset.New(s.Len())
 	for _, k := range kept {
 		lv.UnionWith(k.leaves)
-		// Leaves of kept children may exceed s when nodes were reused;
-		// intersect below.
 	}
-	lv.IntersectWith(s)
+	lv.IntersectWith(s) // kept children reused whole may hold leaves outside s
 	return &rnode{taxon: -1, kids: kept, leaves: lv}
 }
 
-// countRooted counts rooted binary trees on set displaying all constraints.
+// countRooted counts rooted binary trees on set displaying all constraints:
+// the sum over root splits of the product of the two sides' counts.
 func countRooted(set *bitset.Set, constraints []*rnode) (*big.Int, error) {
-	n := set.Count()
-	if n <= 2 {
+	if set.Count() <= 2 {
 		return big.NewInt(1), nil
 	}
-	// Restrict constraints to the current set; drop vacuous ones.
+	total := new(big.Int)
+	err := rootSplits(set, constraints, func(left, right *bitset.Set, active []*rnode) error {
+		cl, err := countRooted(left, active)
+		if err != nil || cl.Sign() == 0 {
+			return err
+		}
+		cr, err := countRooted(right, active)
+		if err != nil {
+			return err
+		}
+		total.Add(total, new(big.Int).Mul(cl, cr))
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return total, nil
+}
+
+// rootSplits is the one step of the recursion that Count and Enumerate
+// share. It restricts the constraints to set (dropping vacuous ones), merges
+// each root child's leaves into one block, and calls visit once per
+// bipartition of the resulting components into two non-empty sides, with
+// the restricted constraints for the recursion below. A single component
+// admits no root split: visit is never called.
+func rootSplits(set *bitset.Set, constraints []*rnode, visit func(left, right *bitset.Set, active []*rnode) error) error {
 	var active []*rnode
 	for _, c := range constraints {
 		r := restrict(c, set)
@@ -191,7 +223,6 @@ func countRooted(set *bitset.Set, constraints []*rnode) (*big.Int, error) {
 			})
 		}
 	}
-	// Components.
 	compOf := make(map[int]int)
 	var comps []*bitset.Set
 	for i, x := range members {
@@ -205,18 +236,12 @@ func countRooted(set *bitset.Set, constraints []*rnode) (*big.Int, error) {
 		comps[ci].Add(x)
 	}
 	k := len(comps)
-	if k == 1 {
-		return big.NewInt(0), nil
-	}
 	if k > MaxComponents {
-		return nil, fmt.Errorf("superb: %d root components exceed limit %d", k, MaxComponents)
+		return fmt.Errorf("superb: %d root components exceed limit %d", k, MaxComponents)
 	}
-	total := new(big.Int)
-	// Bipartitions: component 0 always goes left; subsets of the rest join it.
-	for mask := 0; mask < 1<<(k-1); mask++ {
-		if mask == 1<<(k-1)-1 {
-			continue // right side would be empty
-		}
+	// Bipartitions: component 0 always goes left; proper subsets of the rest
+	// join it (none when k == 1).
+	for mask := 0; mask < 1<<(k-1)-1; mask++ {
 		left := comps[0].Clone()
 		right := bitset.New(set.Len())
 		for i := 1; i < k; i++ {
@@ -226,20 +251,11 @@ func countRooted(set *bitset.Set, constraints []*rnode) (*big.Int, error) {
 				right.UnionWith(comps[i])
 			}
 		}
-		cl, err := countRooted(left, active)
-		if err != nil {
-			return nil, err
+		if err := visit(left, right, active); err != nil {
+			return err
 		}
-		if cl.Sign() == 0 {
-			continue
-		}
-		cr, err := countRooted(right, active)
-		if err != nil {
-			return nil, err
-		}
-		total.Add(total, new(big.Int).Mul(cl, cr))
 	}
-	return total, nil
+	return nil
 }
 
 type unionFind struct {

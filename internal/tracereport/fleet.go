@@ -1,8 +1,9 @@
 // Fleet trace merging: joins N per-node JSONL traces (one coordinator, any
-// number of workers) into a single timeline. Nodes share no clock, so the
-// merge first estimates each worker's clock offset NTP-free from the RPC
-// pairs the fleet protocol already emits — every dispatch→shard-begin pair
-// lower-bounds the offset (the begin happened after the dispatch), every
+// number of workers) into a single timeline; one run's trace is a fleet of
+// one, merged as it is. Nodes share no clock, so the merge first estimates
+// each worker's clock offset NTP-free from the RPC pairs the fleet
+// protocol already emits — every dispatch→shard-begin pair lower-bounds
+// the offset (the begin happened after the dispatch), every
 // shard-hb-send→shard-hb-recv pair upper-bounds it (the recv happened
 // after the send) — then reconstructs every shard's lease lineage
 // (dispatch → heartbeats → epoch fence → re-dispatch → merge), audits it
@@ -13,15 +14,16 @@ package tracereport
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 
 	"gentrius/internal/obs"
 )
 
-// NodeTrace is one node's parsed trace, labelled for the merge. Name is a
-// fallback only: events carrying a "node" tag (all worker-side fleet
-// events do) identify their node themselves.
+// NodeTrace is one node's parsed trace, labelled for the merge. Its events
+// belong to the node Name: the "node" tag of a coordinator event names the
+// shard's holder, not the trace the event was read from.
 type NodeTrace struct {
 	Name   string
 	Events []TraceEvent
@@ -30,7 +32,7 @@ type NodeTrace struct {
 // FleetNode summarizes one node after the merge.
 type FleetNode struct {
 	Name   string
-	Role   string // "coordinator" or "worker"
+	Role   string // "coordinator", "worker", or "run" (a lone trace without fleet events)
 	Events int
 	// Offset is the estimated clock offset ADDED to this node's local
 	// timestamps to map them onto the coordinator's clock; bounded below
@@ -114,12 +116,14 @@ type FleetReport struct {
 	// lifecycle reconstructed completely.
 	Orphans []string
 	// Merged is every node's events mapped onto the coordinator clock and
-	// sorted; worker events keep (or gain) their "node" tag.
+	// sorted; src[i] is the index in Nodes of the trace Merged[i] was read
+	// from.
 	Merged          []TraceEvent
+	src             []int
 	FirstTS, LastTS int64
 	Redispatches    int
 	EpochsTotal     int
-	CoordinatorName string
+	CoordinatorName string // "" for a run
 }
 
 type epochKey struct {
@@ -145,7 +149,9 @@ func fleetEvent(ev string) bool {
 }
 
 // MergeFleet joins per-node traces into one FleetReport. Exactly one node
-// must contain coordinator-side events (shard-dispatch / fleet-run).
+// must contain coordinator-side events (shard-dispatch / fleet-run), unless
+// the one trace given holds no fleet events at all: that run merges as a
+// node of role "run", on its own clock, with no shard lineage.
 func MergeFleet(nodes []NodeTrace, units string) (*FleetReport, error) {
 	if units == "" {
 		units = "units"
@@ -162,11 +168,13 @@ func MergeFleet(nodes []NodeTrace, units string) (*FleetReport, error) {
 			}
 		}
 	}
-	if coord < 0 {
+	rep := &FleetReport{Units: units}
+	var cev []TraceEvent
+	if coord >= 0 {
+		rep.CoordinatorName, cev = nodes[coord].Name, nodes[coord].Events
+	} else if len(nodes) != 1 || slices.ContainsFunc(nodes[0].Events, func(e TraceEvent) bool { return fleetEvent(e.Ev) }) {
 		return nil, fmt.Errorf("tracereport: fleet merge: no node contains coordinator events (shard-dispatch)")
 	}
-
-	rep := &FleetReport{Units: units, CoordinatorName: nodes[coord].Name}
 
 	// Coordinator-side index: dispatch stamps, accepted-heartbeat stamps
 	// (by seq, for clock pairing), expiries, and merges.
@@ -175,7 +183,6 @@ func MergeFleet(nodes []NodeTrace, units string) (*FleetReport, error) {
 	expire := map[epochKey]int64{}
 	doneTS := map[epochKey]int64{}
 	traceIDs := map[string]bool{}
-	cev := nodes[coord].Events
 	for i := range cev {
 		e := &cev[i]
 		if id := e.GetStr("trace"); id != "" {
@@ -200,10 +207,13 @@ func MergeFleet(nodes []NodeTrace, units string) (*FleetReport, error) {
 		}
 	}
 
-	// Per-node clock alignment. The coordinator aligns to itself.
+	// Per-node clock alignment. The coordinator, or a run, aligns to itself.
 	offsets := make([]int64, len(nodes))
 	for i, n := range nodes {
 		fn := FleetNode{Name: n.Name, Role: "worker", Events: len(n.Events)}
+		if coord < 0 {
+			fn.Role = "run"
+		}
 		if i == coord {
 			fn.Role = "coordinator"
 			rep.Nodes = append(rep.Nodes, fn)
@@ -255,52 +265,26 @@ func MergeFleet(nodes []NodeTrace, units string) (*FleetReport, error) {
 	}
 	sort.Strings(rep.TraceIDs)
 
-	// Merge: every event onto the coordinator clock, node tags everywhere.
+	// Merge: every event onto the coordinator clock, with the node it came
+	// from; ties keep node order, then each trace's own order.
 	type mergeEntry struct {
 		ev   TraceEvent
 		node int
-		idx  int
 	}
 	var entries []mergeEntry
 	for i, n := range nodes {
-		for j := range n.Events {
-			e := n.Events[j] // copy
+		for _, e := range n.Events {
 			e.TS += offsets[i]
-			if e.GetStr("node") == "" {
-				str := make(map[string]string, len(e.Str)+1)
-				for k, v := range e.Str {
-					str[k] = v
-				}
-				str["node"] = n.Name
-				e.Str = str
-			}
-			entries = append(entries, mergeEntry{ev: e, node: i, idx: j})
+			entries = append(entries, mergeEntry{ev: e, node: i})
 		}
 	}
-	sort.SliceStable(entries, func(a, b int) bool {
-		if entries[a].ev.TS != entries[b].ev.TS {
-			return entries[a].ev.TS < entries[b].ev.TS
-		}
-		if entries[a].node != entries[b].node {
-			return entries[a].node < entries[b].node
-		}
-		return entries[a].idx < entries[b].idx
-	})
-	rep.Merged = make([]TraceEvent, len(entries))
+	sort.SliceStable(entries, func(a, b int) bool { return entries[a].ev.TS < entries[b].ev.TS })
+	rep.Merged, rep.src = make([]TraceEvent, len(entries)), make([]int, len(entries))
 	for i := range entries {
-		rep.Merged[i] = entries[i].ev
+		rep.Merged[i], rep.src[i] = entries[i].ev, entries[i].node
 	}
-	if len(rep.Merged) > 0 {
-		rep.FirstTS = rep.Merged[0].TS
-		rep.LastTS = rep.Merged[len(rep.Merged)-1].TS
-		for _, e := range rep.Merged {
-			if e.TS < rep.FirstTS {
-				rep.FirstTS = e.TS
-			}
-			if e.TS > rep.LastTS {
-				rep.LastTS = e.TS
-			}
-		}
+	if n := len(rep.Merged); n > 0 {
+		rep.FirstTS, rep.LastTS = rep.Merged[0].TS, rep.Merged[n-1].TS
 	}
 
 	// Shard lifecycle reconstruction, from the merged (aligned) stream.
@@ -337,15 +321,16 @@ func MergeFleet(nodes []NodeTrace, units string) (*FleetReport, error) {
 			l.MassStartPPM = e.Get("mass_ppm")
 			l.MassLastPPM = l.MassStartPPM
 		case obs.EvShardBegin:
+			node := nodes[rep.src[i]].Name
 			if dispatch[k] == nil {
 				rep.Orphans = append(rep.Orphans, fmt.Sprintf(
 					"shard-begin on %s for %s/shard %d epoch %d matches no dispatch",
-					e.GetStr("node"), k.job, k.shard, k.epoch))
+					node, k.job, k.shard, k.epoch))
 				continue
 			}
 			l := lifeAt(k)
 			l.BeginTS, l.HasBegin = e.TS, true
-			l.Holder = e.GetStr("node")
+			l.Holder = node
 		case obs.EvShardHeartbeat:
 			lifeAt(k).HBSends++
 		case obs.EvHeartbeatRecv:
@@ -550,101 +535,4 @@ func (r *FleetReport) WriteMarkdown(w io.Writer) error {
 	}
 	_, err := io.WriteString(w, b.String())
 	return err
-}
-
-// WriteFleetChromeTrace renders the merged fleet as Chrome Trace Event
-// Format JSON: one process per node, the coordinator's shard lineage as
-// async spans, worker-side execution as async spans plus the engine's
-// task slices, and re-dispatch handoffs as flow arrows connecting epoch e
-// to epoch e+1.
-func (r *FleetReport) WriteFleetChromeTrace(w io.Writer, unitsPerMicro float64) error {
-	if unitsPerMicro <= 0 {
-		unitsPerMicro = 1
-	}
-	us := func(ts int64) float64 { return float64(ts) / unitsPerMicro }
-
-	pidOf := map[string]int{}
-	var out []chromeEvent
-	for i, n := range r.Nodes {
-		pid := i + 1
-		pidOf[n.Name] = pid
-		out = append(out, chromeEvent{Name: "process_name", Ph: "M", PID: pid,
-			Args: map[string]string{"name": fmt.Sprintf("%s (%s)", n.Name, n.Role)}})
-	}
-	coordPID := pidOf[r.CoordinatorName]
-
-	// Shard lineage: coordinator-side async span per epoch, worker-side
-	// async span per begun epoch, flow arrow from each epoch's end to its
-	// successor's dispatch.
-	asyncID := int64(0)
-	flowID := int64(1 << 20)
-	for _, sh := range r.Shards {
-		for i := range sh.Epochs {
-			l := &sh.Epochs[i]
-			name := fmt.Sprintf("%s s%d e%d", l.Job, l.Shard, l.Epoch)
-			asyncID++
-			out = append(out, chromeEvent{Name: name, Cat: "shard", Ph: "b",
-				TS: us(l.DispatchTS), PID: coordPID, TID: poolTID, ID: asyncID,
-				Args: map[string]string{"holder": l.Holder, "cause": l.Cause,
-					"outcome": l.Outcome}})
-			out = append(out, chromeEvent{Name: name, Cat: "shard", Ph: "e",
-				TS: us(l.EndTS), PID: coordPID, TID: poolTID, ID: asyncID})
-			if l.HasBegin {
-				if pid, ok := pidOf[l.Holder]; ok {
-					end := l.EndTS
-					if end < l.BeginTS {
-						end = l.BeginTS
-					}
-					asyncID++
-					out = append(out, chromeEvent{Name: name, Cat: "shard-exec", Ph: "b",
-						TS: us(l.BeginTS), PID: pid, TID: poolTID, ID: asyncID,
-						Args: map[string]string{"outcome": l.WorkerOutcome}})
-					out = append(out, chromeEvent{Name: name, Cat: "shard-exec", Ph: "e",
-						TS: us(end), PID: pid, TID: poolTID, ID: asyncID})
-				}
-			}
-			if i+1 < len(sh.Epochs) {
-				next := &sh.Epochs[i+1]
-				flowID++
-				out = append(out, chromeEvent{Name: "redispatch", Cat: "redispatch",
-					Ph: "s", TS: us(l.EndTS), PID: coordPID, TID: poolTID, ID: flowID})
-				out = append(out, chromeEvent{Name: "redispatch", Cat: "redispatch",
-					Ph: "f", BP: "e", TS: us(next.DispatchTS), PID: coordPID,
-					TID: poolTID, ID: flowID})
-			}
-		}
-	}
-
-	// The merged event stream: engine task slices per (node, worker)
-	// track, everything else as instant markers on its node.
-	open := map[[2]int]int{}
-	for i := range r.Merged {
-		e := &r.Merged[i]
-		pid, ok := pidOf[e.GetStr("node")]
-		if !ok {
-			pid = coordPID
-		}
-		tid := e.Worker
-		scope := "t"
-		if tid < 0 {
-			tid = poolTID
-			scope = "p"
-		}
-		switch e.Ev {
-		case obs.EvTaskStart:
-			out = append(out, chromeEvent{Name: fmt.Sprintf("task %d", e.Get("task")),
-				Cat: "task", Ph: "B", TS: us(e.TS), PID: pid, TID: tid})
-			open[[2]int{pid, tid}]++
-		case obs.EvTaskEnd:
-			k := [2]int{pid, tid}
-			if open[k] > 0 {
-				out = append(out, chromeEvent{Ph: "E", TS: us(e.TS), PID: pid, TID: tid})
-				open[k]--
-			}
-		default:
-			out = append(out, chromeEvent{Name: e.Ev, Cat: "fleet", Ph: "i",
-				Scope: scope, TS: us(e.TS), PID: pid, TID: tid})
-		}
-	}
-	return writeChromeJSON(w, out, open, us(r.LastTS))
 }

@@ -1,7 +1,7 @@
 // Package tracereport is the read side of the trace contract: it parses
 // the JSONL event traces an obs.Recorder wrote, analyses one run's trace
-// (Analyze) or merges a fleet's per-node traces (MergeFleet), and renders
-// Markdown reports and Chrome/Perfetto trace-event JSON. internal/obs
+// (Analyze), merges per-node traces (MergeFleet; one run is a fleet of
+// one), and renders Markdown reports and Chrome/Perfetto trace-event JSON. internal/obs
 // writes, this package reads, and the obs.Ev* names are the whole contract
 // between them: nothing a run executes imports this package (cmd/obsreport
 // and tests do), so it can afford encoding/json where the writer
