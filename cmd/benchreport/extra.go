@@ -34,20 +34,24 @@ var (
 )
 
 // firstFrame steps a fresh engine over ds to the first state with the given
-// number of taxa missing — 1: a final frame, 2: a penultimate one — and
-// returns an engine on that state and the frame of the taxon chosen there, as
-// the one-frame stack Reset takes. The engine looks ahead of the second-to-last
-// taxon, so the final frame is made by hand: that taxon inserted on its
-// frame's first branch, as the paper's machine does first.
+// number of taxa missing — 1: a final frame, 2: a penultimate one, 3: an
+// antepenultimate one — and returns an engine on that state and the frame of
+// the taxon chosen there, as the one-frame stack Reset takes. The walk renders
+// (into a block nobody reads), so that it makes every insertion it steps
+// through: a counting engine would book the third-to-last taxon's. It looks
+// ahead of the second-to-last taxon, so the final frame is made by hand: that
+// taxon inserted on its frame's first branch, as the paper's machine does
+// first.
 func firstFrame(b *testing.B, ds *gen.Dataset, missing int) (*search.Engine, []search.FrameSnapshot) {
 	tr, err := terrace.New(ds.Constraints, search.ChooseInitialTree(ds.Constraints))
 	if err != nil {
 		b.Fatal(err)
 	}
 	walk := search.NewEngine(tr)
-	for walk.RemainingTaxa() != 2 {
+	walk.OnTrees = func(block []byte, _ int) []byte { return block }
+	for walk.RemainingTaxa() != max(missing, 2) {
 		if walk.Step() == search.EvDone {
-			b.Fatal("no state with 2 taxa missing in the stand")
+			b.Fatalf("no state with %d taxa missing in the stand", max(missing, 2))
 		}
 	}
 	stack := walk.SnapshotFrames(nil)
@@ -165,6 +169,7 @@ func extraBenches(add func(name string, f func(b *testing.B)),
 			trees := float64(len(frame[0].Branches))
 			b.ReportMetric(trees, "trees/frame")
 			b.ReportMetric(float64(w.Extends), "extend-calls")
+			b.ReportMetric(float64(w.Booked)/float64(b.N), "booked")
 			if emit {
 				b.ReportMetric(float64(w.Emit.Walked+w.Emit.Copied)/float64(b.N)/trees, "B/tree")
 			}
@@ -203,12 +208,39 @@ func extraBenches(add func(name string, f func(b *testing.B)),
 			b.ReportMetric(float64(len(frame[0].Branches)), "branches/frame")
 			b.ReportMetric(trees, "trees/frame")
 			b.ReportMetric(float64(w.Extends), "extend-calls")
+			b.ReportMetric(float64(w.Booked)/float64(b.N), "booked")
 			if emit {
 				b.ReportMetric(float64(w.Emit.Walked)/float64(b.N)/trees, "walked-B/tree")
 				b.ReportMetric(float64(w.Emit.Copied)/float64(b.N)/trees, "copied-B/tree")
 			}
 		})
 	}
+
+	// Antepenultimate frames: one op is the reference stand's first frame
+	// with three taxa missing, re-aimed at and stepped to its end, counted
+	// only. Each branch's insertion is booked on the stack, not made; the
+	// penultimate frame under it is listed from the Terrace's counts and
+	// answered branch by branch like PenultimateFrameCount's; the removal
+	// touches nothing. No ExtendTaxon call, and nothing allocated.
+	add("AntepenultimateFrameCount", func(b *testing.B) {
+		eng, frame := firstFrame(b, ds, 3)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := eng.Reset(frame); err != nil {
+				b.Fatal(err)
+			}
+			for eng.Step() != search.EvDone {
+			}
+		}
+		w, branches := eng.Work(), len(frame[0].Branches)
+		if w.Extends != 0 || w.Booked != int64(b.N*branches) {
+			b.Fatalf("%d ExtendTaxon calls and %d insertions booked for %d frames of %d branches", w.Extends, w.Booked, b.N, branches)
+		}
+		b.ReportMetric(float64(branches), "branches/frame")
+		b.ReportMetric(float64(eng.Counters().StandTrees)/float64(b.N), "trees/frame")
+		b.ReportMetric(float64(w.Extends), "extend-calls")
+		b.ReportMetric(float64(w.Booked)/float64(b.N), "booked")
+	})
 
 	// The spool (PR 20): the same stand as one serial job of a service.Manager
 	// on a fresh data directory — what SerialEngineEmit does plus one

@@ -71,7 +71,8 @@ func leafByLeaf(tr *terrace.Terrace, h search.OrderHeuristic) (c search.Counters
 // and stolen too — finds the oracle's counters, the oracle's stand as a
 // multiset of bytes, and closes the oracle's leaves with mass 1, collecting
 // the trees and counting them alike. The pool's engines insert once per state
-// they did not look ahead of, collecting or not. Stands 6 and 7 of the paper-shaped simulated corpus, where every
+// they did not look ahead of, collecting or not: by ExtendTaxon, or, counting,
+// by booking the insertion. Stands 6 and 7 of the paper-shaped simulated corpus, where every
 // penultimate branch falls back to the insertion, and 12 and 16, where none
 // does, ride along.
 func TestPoolMatchesLeafByLeaf(t *testing.T) {
@@ -150,7 +151,7 @@ func TestPoolMatchesLeafByLeaf(t *testing.T) {
 							collecting = w
 							continue
 						}
-						if w.Extends != inPool-w.LookAheads || collecting.Extends != w.Extends ||
+						if w.Extends+w.Booked != inPool-w.LookAheads || collecting.Extends != w.Extends+w.Booked || collecting.Booked != 0 ||
 							collecting.LookAheads != w.LookAheads || collecting.Fallbacks != w.Fallbacks {
 							t.Fatalf("%s %v at %d threads (%+v): counting work %+v, collecting %+v for %d states",
 								ds.Name, h, tc.threads, tc.policy, w, collecting, inPool)
@@ -165,7 +166,7 @@ func TestPoolMatchesLeafByLeaf(t *testing.T) {
 			}
 		}
 	}
-	if compared < 120 || stolen == 0 || counting.LookAheads < 1000 || counting.Fallbacks < 1000 {
+	if compared < 120 || stolen == 0 || counting.LookAheads < 1000 || counting.Fallbacks < 1000 || counting.Booked < 1000 {
 		t.Fatalf("%d runs compared, %d tasks stolen, counting pools did %+v: not enough to mean anything", compared, stolen, counting)
 	}
 }

@@ -7,8 +7,12 @@
 // once, without performing them: each of the frame's branches is a stand tree
 // (see finalFrame); or, when two remain, one insertion of the second-to-last
 // taxon, the last taxon's frame under it and the removal at once, without
-// performing them either (see lookAhead). The trees are rendered, when someone
-// wants them, from one rendering of the state a penultimate frame hangs off.
+// performing them either (see lookAhead). When three remain, an engine that
+// renders nothing books the insertion of the third-to-last taxon on its stack
+// instead of performing it, where the Terrace's counts tell every number of
+// the frame below (see book): the step is the insertion all the same. The
+// trees are rendered, when someone wants them, from one rendering of the
+// state a penultimate frame hangs off.
 // The same engine drives the serial runner, the goroutine pool and the
 // deterministic virtual-time multicore simulator, which are costed in the
 // paper machine's transitions (Units), not in Step calls.
@@ -35,8 +39,8 @@ const (
 	EvDone                   // the search space is exhausted
 )
 
-// Step is one element of a branch-and-bound path: taxon inserted at an agile
-// tree edge. Edge ids are Terrace-instance independent (see terrace docs),
+// PathStep is one element of a branch-and-bound path: taxon inserted at an
+// agile tree edge. Edge ids are Terrace-instance independent (see terrace docs),
 // so paths replay across workers — and, serialized inside a checkpoint
 // frontier, across processes and thread counts.
 type PathStep struct {
@@ -65,6 +69,14 @@ type Frame struct {
 	Branches []int32
 	idx      int
 	inserted bool
+	// booked marks an inserted frame whose insertion the Terrace has not
+	// seen: a counting engine booked it (see book), and its removal touches
+	// nothing but the frame.
+	booked bool
+	// bookable caches, on a frame whose taxon is the third-to-last one
+	// missing, whether its insertions may be booked: 0 until the frame's
+	// first insertion asks, then 1 or -1.
+	bookable int8
 	// based is set by the frame's first look-ahead step when the engine
 	// renders and the Newick writer holds the rendering of the frame's state,
 	// from which each branch derives the base its final frame's trees are cut
@@ -174,6 +186,14 @@ type Engine struct {
 	// NewEngine, the task's Mass after a Reset).
 	OnLeaf func(mass float64, leaves int64)
 
+	// pair is, while a frame's bookable answer is 1, the frame's two other
+	// pending taxa, ascending.
+	pair [2]int
+	// gain is, while an insertion is booked, what it adds to the count of the
+	// last taxon of the penultimate frame above it: 2 iff the booked edge is
+	// admissible for that taxon, else 0.
+	gain int
+
 	// after lists, for the based frame, the last taxon's branches in the
 	// frame's state, ascending, then the ids of the two edges an insertion
 	// of the frame's taxon makes: the last taxon's branches under a branch
@@ -201,8 +221,14 @@ type Work struct {
 	// a final frame of m branches. It is the unit of Result.Steps, of the
 	// stopping-rule cadence and of the simulator's clock.
 	Units int64
-	// Extends counts the ExtendTaxon calls made.
+	// Extends counts the ExtendTaxon calls made. Insertions of the
+	// third-to-last taxon a counting engine booked are not among them
+	// (Booked): an insertion the paper's machine makes is one of the two, or
+	// a look-ahead step's.
 	Extends int64
+	// Booked counts the insertions booked on the stack without an ExtendTaxon
+	// call (see Engine.book).
+	Booked int64
 	// LookAheads counts the branches of penultimate frames (two taxa missing)
 	// answered from the Terrace's counts without an insertion, Fallbacks those
 	// that had to be inserted all the same.
@@ -215,6 +241,7 @@ type Work struct {
 func (w *Work) Add(o Work) {
 	w.Units += o.Units
 	w.Extends += o.Extends
+	w.Booked += o.Booked
 	w.LookAheads += o.LookAheads
 	w.Fallbacks += o.Fallbacks
 	w.Emit.Walked += o.Emit.Walked
@@ -325,7 +352,7 @@ func (e *Engine) Reset(frames []FrameSnapshot) error {
 	e.frames = e.frames[:0]
 	for _, fs := range frames {
 		f := e.pushSlot()
-		f.Taxon, f.Branches, f.idx, f.inserted, f.weight, f.other, f.based = fs.Taxon, fs.Branches, fs.Idx, fs.Inserted, fs.Weight, -1, false
+		f.Taxon, f.Branches, f.idx, f.inserted, f.weight, f.other, f.based, f.booked, f.bookable = fs.Taxon, fs.Branches, fs.Idx, fs.Inserted, fs.Weight, -1, false, false, 0
 	}
 	e.started, e.done = true, len(frames) == 0
 	return nil
@@ -333,7 +360,8 @@ func (e *Engine) Reset(frames []FrameSnapshot) error {
 
 // replayInserted applies the stack's inserted frames to the terrace, which
 // must be at the stack's base state, without recounting them (the insertions
-// were tallied before the snapshot).
+// were tallied before the snapshot). A booked insertion is a frame like any
+// other in a snapshot, so it is replayed for real.
 func (e *Engine) replayInserted() {
 	for i := range e.frames {
 		if f := &e.frames[i]; f.inserted {
@@ -378,13 +406,19 @@ func (e *Engine) Counters() Counters { return e.counters }
 // Done reports whether the engine's search space is exhausted.
 func (e *Engine) Done() bool { return e.done }
 
-// RemainingTaxa returns how many taxa are still missing from the agile tree.
+// RemainingTaxa returns how many taxa are still missing from the agile tree,
+// a booked insertion counted as made.
 func (e *Engine) RemainingTaxa() int {
-	return e.T.Taxa().Len() - e.T.Agile().NumLeaves()
+	n := e.T.Taxa().Len() - e.T.Agile().NumLeaves()
+	if k := len(e.frames); k > 0 && e.frames[k-1].booked || k > 1 && e.frames[k-2].booked {
+		n--
+	}
+	return n
 }
 
 // Path returns the insertion path from the engine's base state to the
-// current state, appended to buf.
+// current state, appended to buf: a booked insertion included, so the path is
+// the one an inserting engine would give.
 func (e *Engine) Path(buf []PathStep) []PathStep {
 	for i := range e.frames {
 		f := &e.frames[i]
@@ -396,7 +430,9 @@ func (e *Engine) Path(buf []PathStep) []PathStep {
 }
 
 // Step performs one state transition, consumes one final frame or looks
-// ahead of one penultimate branch, and returns its kind. After EvDone the
+// ahead of one penultimate branch, and returns its kind. An insertion a
+// counting engine books (see book) is a transition like one it makes: the
+// same event, counters and units, the Terrace untouched. After EvDone the
 // terrace is back at the engine's base state.
 func (e *Engine) Step() Event {
 	if e.done {
@@ -433,27 +469,39 @@ func (e *Engine) step() Event {
 			return EvDone
 		}
 		f := &e.frames[len(e.frames)-1]
-		switch {
-		case f.inserted:
+		if f.inserted {
 			// Back out of the branch tried last, whether another follows or not.
-			e.T.RemoveTaxon()
-			f.inserted = false
+			if !f.booked {
+				e.T.RemoveTaxon()
+			}
+			f.inserted, f.booked = false, false
 			e.work.Units++
 			return EvRemoved
-		case f.idx == len(f.Branches):
+		}
+		if f.idx == len(f.Branches) {
 			e.frames = e.frames[:len(e.frames)-1]
 			continue
-		case e.RemainingTaxa() == 1:
+		}
+		switch e.RemainingTaxa() {
+		case 1:
 			return e.finalFrame(f)
-		case e.RemainingTaxa() == 2 && e.lookAhead(f):
-			return EvLookAhead
+		case 2:
+			if e.lookAhead(f) {
+				return EvLookAhead
+			}
+		case 3:
+			f.booked = e.book(f)
 		}
 		edge := f.Branches[f.idx]
 		f.idx++
-		e.T.ExtendTaxon(f.Taxon, edge)
+		if f.booked {
+			e.work.Booked++
+		} else {
+			e.T.ExtendTaxon(f.Taxon, edge)
+			e.work.Extends++
+		}
 		f.inserted = true
 		e.work.Units++
-		e.work.Extends++
 		e.counters.IntermediateStates++
 		if e.pushFrame() {
 			return EvInserted
@@ -490,15 +538,16 @@ func (e *Engine) finalFrame(f *Frame) Event {
 
 // lookAhead answers the next branch of the uninserted top frame f, whose taxon
 // y is the second-to-last one missing, without inserting it: the Terrace knows
-// how many branches the last taxon z would have afterwards (CountAfter), and
-// four insertions in five are these. One step books what the paper's machine
-// books in three — the insertion, the final frame of c (or the dead end) and
-// the removal, 2 + 2c transitions — and leaves the stack where that machine
-// leaves it after the removal: the branch behind idx, nothing inserted. One
-// branch a step, so every cut between two steps is a stack an inserting
-// engine passes through too. It reports false, with nothing changed but the
-// writer's base, where the insertion would restructure z's target: that
-// branch is inserted like any other.
+// how many branches the last taxon z would have afterwards (CountAfter, or
+// countAfter's reading of it under a booked insertion), and four insertions
+// in five of the paper's machine are these. One step books what the paper's
+// machine books in three — the insertion, the final frame of c (or the dead
+// end) and the removal, 2 + 2c transitions — and leaves the stack where that
+// machine leaves it after the removal: the branch behind idx, nothing
+// inserted. One branch a step, so every cut between two steps is a stack an
+// inserting engine passes through too. It reports false, with nothing
+// changed but the writer's base, where the insertion would restructure z's
+// target: that branch is inserted like any other.
 //
 // A run that renders gets the c trees too, in the order the insertion would
 // have found them. CountAfter's rule read as a set: z's branches after y is
@@ -516,7 +565,7 @@ func (e *Engine) lookAhead(f *Frame) bool {
 		}
 	}
 	edge := f.Branches[f.idx]
-	n, ok := e.T.CountAfter(f.Taxon, edge, f.other)
+	n, ok := e.countAfter(f, edge)
 	if !ok || rendering && !f.based {
 		if f.based {
 			e.nw.Derive(edge, f.other) // for the final frame the insertion pushes
@@ -548,6 +597,95 @@ func (e *Engine) lookAhead(f *Frame) bool {
 		e.OnLeaf(float64(c)*(f.weight/float64(c)), c)
 	}
 	return true
+}
+
+// countAfter is CountAfter for the next branch of penultimate frame f, the
+// top one, read one level deeper when f hangs off a booked insertion of x at
+// b: the last taxon z has its count now plus gain (what x at b adds), and the
+// branch's insertion adds 2 more iff the branch is admissible for z — for the
+// two edges x's insertion would make, iff b is. The booking's predicate
+// (Terrace.CountsAfter) makes every such answer ok.
+func (e *Engine) countAfter(f *Frame, edge int32) (int, bool) {
+	if k := len(e.frames); k < 2 || !e.frames[k-2].booked {
+		return e.T.CountAfter(f.Taxon, edge, f.other)
+	}
+	n := e.T.PendingCount(f.other) + e.gain
+	if edge >= int32(e.T.Agile().NumEdges()) {
+		return n + e.gain, true
+	}
+	return n + e.gainAt(edge, f.other), true
+}
+
+// gainAt is what an insertion at agile edge ed adds to pending taxon y's
+// count: the two edges it makes iff ed is admissible for y.
+func (e *Engine) gainAt(ed int32, y int) int {
+	if e.T.EdgeAdmissible(ed, y) {
+		return 2
+	}
+	return 0
+}
+
+// book reports whether the next insertion of the uninserted top frame f,
+// whose taxon x is the third-to-last one missing, is booked rather than made
+// — marked on the stack, the Terrace untouched. It is where the engine renders
+// nothing and the Terrace's counts tell the frame the insertion pushes and
+// every look-ahead answer beneath it, whichever branch x takes
+// (Terrace.CountsAfter, asked once per frame): pushFrame then lists the frame
+// from counts (pushBooked), lookAhead answers its branches one level deeper
+// (countAfter), and the removal touches no Terrace. Every step, event,
+// counter, unit, leaf mass and offer is the inserting engine's, and so is
+// every stack a cut sees: the frame is inserted, its path step is x at its
+// branch, and a resume replays that insertion for real. The booking stays one
+// branch a step, like the look-ahead, so that limits and cuts fall where
+// they fall for the inserting engine. Elsewhere x is inserted.
+func (e *Engine) book(f *Frame) bool {
+	if f.bookable == 0 {
+		f.bookable = -1
+		if !e.rendering() {
+			ag, k := e.T.Agile(), 0
+			for _, y := range e.T.MissingTaxa() {
+				if y != f.Taxon && !ag.HasTaxon(y) {
+					e.pair[k], k = y, k+1
+					if k == 2 {
+						break
+					}
+				}
+			}
+			if e.T.CountsAfter(f.Taxon, e.pair[0], e.pair[1]) {
+				f.bookable = 1
+			}
+		}
+	}
+	return f.bookable > 0
+}
+
+// pushBooked lists f, the frame the booked insertion of p's taxon x at its
+// last branch b pushes, from counts. The two pending taxa have their counts
+// now plus what b adds to each (gainAt); nextTaxon's rule (prefer), or the
+// static order, picks one on those; its branches are its branches now and, iff b is
+// admissible for it, the two edges the insertion makes — NumEdges and
+// NumEdges+1, ids above every other, so last, as ExtendTaxon would list them.
+func (e *Engine) pushBooked(f, p *Frame) {
+	b := p.Branches[p.idx-1]
+	y, z := e.pair[0], e.pair[1]
+	gy, gz := e.gainAt(b, y), e.gainAt(b, z)
+	var swap bool
+	if e.DynamicOrder {
+		// Neither count is 0, so nextTaxon's dead-end rule has nothing to
+		// pick: a taxon without branches would have been chosen before x.
+		swap = e.prefer(z, e.T.PendingCount(z)+gz, y, e.T.PendingCount(y)+gy)
+	} else {
+		swap = e.Order[e.T.Depth()+1] == z
+	}
+	if swap {
+		y, z, gy, gz = z, y, gz, gy
+	}
+	f.Taxon, f.other, e.gain = y, z, gz
+	f.buf = e.T.AppendAllowedBranches(f.buf[:0], y)
+	if gy > 0 {
+		ne := int32(e.T.Agile().NumEdges())
+		f.buf = append(f.buf, ne, ne+1)
+	}
 }
 
 // baseFrame renders the state penultimate frame f hangs off as the base the
@@ -584,11 +722,15 @@ func (e *Engine) otherPending(x int) int {
 // has at least one branch; a branchless frame is a dead end and is tallied
 // here.
 func (e *Engine) pushFrame() bool {
-	taxon := e.nextTaxon()
 	n := len(e.frames)
 	f := e.pushSlot()
-	f.buf = e.T.AppendAllowedBranches(f.buf[:0], taxon)
-	f.Taxon, f.Branches, f.idx, f.inserted, f.other, f.based = taxon, f.buf, 0, false, -1, false
+	if n > 0 && e.frames[n-1].booked {
+		e.pushBooked(f, &e.frames[n-1])
+	} else {
+		f.Taxon, f.other = e.nextTaxon(), -1
+		f.buf = e.T.AppendAllowedBranches(f.buf[:0], f.Taxon)
+	}
+	f.Branches, f.idx, f.inserted, f.based, f.booked, f.bookable = f.buf, 0, false, false, false, 0
 	// Per-branch weight from the parent's (1 at the root): fixed before the
 	// steal callback can hand branches away, so stolen subtrees keep it.
 	parentW := 1.0
@@ -634,22 +776,24 @@ func (e *Engine) nextTaxon() int {
 		if c == 0 {
 			return x // forced dead end: select immediately
 		}
-		switch {
-		case best == -1:
+		if best == -1 || e.prefer(x, c, best, bestCount) {
 			best, bestCount = x, c
-		case e.Heuristic == OrderMaxBranches:
-			if c > bestCount {
-				best, bestCount = x, c
-			}
-		case c < bestCount:
-			best, bestCount = x, c
-		case c == bestCount && e.Heuristic == OrderMinBranchesTieDegree:
-			if e.T.Degree(x) > e.T.Degree(best) {
-				best, bestCount = x, c
-			}
 		}
 	}
 	return best
+}
+
+// prefer reports whether pending taxon x, with c > 0 admissible branches and
+// after best in MissingTaxa order, displaces best, with bestCount > 0, under
+// the heuristic.
+func (e *Engine) prefer(x, c, best, bestCount int) bool {
+	switch {
+	case e.Heuristic == OrderMaxBranches:
+		return c > bestCount
+	case c != bestCount:
+		return c < bestCount
+	}
+	return e.Heuristic == OrderMinBranchesTieDegree && e.T.Degree(x) > e.T.Degree(best)
 }
 
 // rendering reports whether anyone wants the trees.

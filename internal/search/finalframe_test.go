@@ -51,8 +51,9 @@ var lookAheadFixtures = map[int]bool{6: false, 7: false, 12: true, 16: true}
 // second-to-last one whose count the Terrace can tell, rendering or not —
 // reports the counters, the trees byte for byte and in order, the estimator
 // mass and the paper-unit step count of the machine that inserts and removes
-// every one. The counting run's ExtendTaxon calls are its states less the
-// branches it looked ahead of, and the rendering run's are the same calls.
+// every one. The counting run's ExtendTaxon calls and booked insertions are
+// its states less the branches it looked ahead of, and the rendering run,
+// which books nothing, makes an ExtendTaxon call for each of them.
 func TestFinalFramesMatchLeafByLeaf(t *testing.T) {
 	type order struct {
 		name    string
@@ -134,7 +135,7 @@ func TestFinalFramesMatchLeafByLeaf(t *testing.T) {
 				// And the rendering run answered every branch the counting run
 				// did from the counts too: the writer derived every base.
 				w, gw := count.Work, got.Work
-				if w.Extends != count.IntermediateStates-w.LookAheads || gw.Extends != w.Extends ||
+				if w.Extends+w.Booked != count.IntermediateStates-w.LookAheads || gw.Extends != w.Extends+w.Booked || gw.Booked != 0 ||
 					gw.LookAheads != w.LookAheads || gw.Fallbacks != w.Fallbacks {
 					t.Fatalf("%s %s: counting work %+v, rendering work %+v for %d states", ds.Name, ord.name, w, got.Work, count.IntermediateStates)
 				}
@@ -148,7 +149,7 @@ func TestFinalFramesMatchLeafByLeaf(t *testing.T) {
 			}
 		}
 	}
-	if compared < 40 || trees < 10_000 || counting.LookAheads < 1000 || counting.Fallbacks < 1000 {
+	if compared < 40 || trees < 10_000 || counting.LookAheads < 1000 || counting.Fallbacks < 1000 || counting.Booked < 1000 {
 		t.Fatalf("%d runs and %d trees compared, counting runs did %+v: not enough to mean anything", compared, trees, counting)
 	}
 }
@@ -185,7 +186,10 @@ func smallStand(t *testing.T, seed int64) []*tree.Tree {
 // renders, are cut between two look-ahead steps of one penultimate frame,
 // stacks the inserting engine passes through after a removal, and each cut
 // resumes to the serial totals whether the resumed run looks ahead in its
-// turn or collects the trees, to the same bytes.
+// turn or collects the trees, to the same bytes. The counting engine is also
+// cut inside booked insertions — the third-to-last taxon on the stack and not
+// in the Terrace — and each such cut resumes, replaying the insertion for
+// real, to the serial totals.
 func TestCheckpointAtEveryStepBoundary(t *testing.T) {
 	cons := smallStand(t, 2131)
 	unlimited := Limits{MaxTrees: -1, MaxStates: -1, MaxTime: -1}
@@ -231,7 +235,7 @@ func TestCheckpointAtEveryStepBoundary(t *testing.T) {
 	// The counting engine first: the cuts only it has, between two look-ahead
 	// steps of one frame (the step before took nothing off the stack but idx).
 	eng := NewEngine(tr)
-	mass, boundaries, between := 0.0, 0, 0
+	mass, boundaries, between, booked := 0.0, 0, 0, 0
 	eng.OnLeaf = func(m float64, _ int64) { mass += m }
 	for prev := EvDone; ; {
 		ev := eng.Step()
@@ -253,14 +257,17 @@ func TestCheckpointAtEveryStepBoundary(t *testing.T) {
 			}
 			between++
 		}
+		if slices.ContainsFunc(eng.frames, func(f Frame) bool { return f.booked }) {
+			booked++
+		}
 		resume("a counting step boundary", cp, int(eng.Counters().StandTrees))
 		boundaries++
 		prev = ev
 	}
-	if w := eng.Work(); eng.Counters() != ref.Counters || w.Units+1 != ref.Steps || between == 0 ||
-		w.LookAheads == 0 || w.Fallbacks == 0 || w.Extends != ref.IntermediateStates-w.LookAheads {
-		t.Fatalf("%d counting boundaries, %d between look-ahead steps of one frame, work %+v, %+v; the serial run %+v in %d steps",
-			boundaries, between, w, eng.Counters(), ref.Counters, ref.Steps)
+	if w := eng.Work(); eng.Counters() != ref.Counters || w.Units+1 != ref.Steps || between == 0 || booked == 0 ||
+		w.LookAheads == 0 || w.Fallbacks == 0 || w.Booked == 0 || w.Extends+w.Booked != ref.IntermediateStates-w.LookAheads {
+		t.Fatalf("%d counting boundaries, %d between look-ahead steps of one frame, %d inside booked insertions, work %+v, %+v; the serial run %+v in %d steps",
+			boundaries, between, booked, w, eng.Counters(), ref.Counters, ref.Steps)
 	}
 
 	eng = NewEngine(tr)
@@ -331,7 +338,7 @@ func TestCheckpointAtEveryStepBoundary(t *testing.T) {
 		boundaries++
 	}
 	if w := eng.Work(); w.Units+1 != ref.Steps || int64(boundaries) >= w.Units || inside != len(ref.Trees) ||
-		between == 0 || w.LookAheads == 0 || w.Fallbacks == 0 || w.Extends != ref.IntermediateStates-w.LookAheads {
+		between == 0 || w.LookAheads == 0 || w.Fallbacks == 0 || w.Booked != 0 || w.Extends != ref.IntermediateStates-w.LookAheads {
 		t.Fatalf("%d boundaries, %d between look-ahead steps of one frame, %d states inside final frames and looked-ahead branches, work %+v; the serial run took %d steps for %d trees",
 			boundaries, between, inside, w, ref.Steps, len(ref.Trees))
 	}
@@ -460,6 +467,8 @@ func TestStolenFinalFrame(t *testing.T) {
 // task is one uninserted frame with two taxa missing, and whoever begins it
 // answers it branch by branch without inserting anything below the replayed
 // path — rendering the trees from one walk of the task's state, if it renders.
+// A counting worker offers penultimate frames it pushed under booked
+// insertions too: their paths hold the booked step, which the thief replays.
 func TestStolenPenultimateFrame(t *testing.T) {
 	su, ref := wholeStand(t, smallStand(t, 2131))
 	for _, trees := range []bool{false, true} {
@@ -480,7 +489,7 @@ func TestStolenPenultimateFrame(t *testing.T) {
 		got.Add(h.total)
 		work := w.Work()
 		if h.final == 0 || stolen != h.final || got != ref.Counters || work.LookAheads == 0 || work.Fallbacks == 0 ||
-			work.Extends != h.total.IntermediateStates-work.LookAheads ||
+			work.Extends+work.Booked != h.total.IntermediateStates-work.LookAheads || trees != (work.Booked == 0) ||
 			trees && !slices.Equal(sortedCopy(h.trees), sortedCopy(ref.Trees)) {
 			t.Fatalf("rendering %v: %d penultimate frames handed off, %d begun; %+v and %d trees for work %+v, the serial run %+v",
 				trees, h.final, stolen, got, len(h.trees), work, ref.Counters)
@@ -531,14 +540,15 @@ func TestTreeLimitOvershoot(t *testing.T) {
 // frame's bases — the last or the second-to-last taxon sorts before every
 // leaf, so the trees are written from another root — a rendering run inserts
 // that frame's branches instead, and still finds the leaf-by-leaf machine's
-// trees in its order; everywhere else it makes the counting run's ExtendTaxon
-// calls, but for a final frame the forced insertions reached with no
+// trees in its order; everywhere else it makes an ExtendTaxon call for each
+// of the counting run's and each insertion that run booked, but for a final
+// frame the forced insertions reached with no
 // penultimate frame above it, which the writer could not cut either: each of
 // its trees is inserted. Random stands leave the lowest taxon out of the
 // initial tree often enough to meet both.
 func TestRenderingLookAheadRefused(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
-	refused, derived := 0, 0
+	refused, derived, booked := 0, 0, int64(0)
 	for scen := 0; scen < 80; scen++ {
 		cons := randomScenario(rng, 9+rng.Intn(4), 2+rng.Intn(2), 4, 0.5)
 		count, err := Run(cons, Options{InitialTree: -1})
@@ -559,19 +569,21 @@ func TestRenderingLookAheadRefused(t *testing.T) {
 				got.Counters, count.Counters, want.Counters, slices.Equal(got.Trees, want.trees))
 		}
 		w, gw := count.Work, got.Work
+		inserted := w.Extends + w.Booked
+		booked += w.Booked
 		switch {
-		case gw.LookAheads+gw.Fallbacks != w.LookAheads+w.Fallbacks || gw.Fallbacks < w.Fallbacks:
+		case gw.LookAheads+gw.Fallbacks != w.LookAheads+w.Fallbacks || gw.Fallbacks < w.Fallbacks || gw.Booked != 0:
 			t.Fatalf("scen %d: rendering work %+v, counting work %+v", scen, gw, w)
-		case gw.Fallbacks == w.Fallbacks && gw.Extends == w.Extends:
+		case gw.Fallbacks == w.Fallbacks && gw.Extends == inserted:
 			derived++
-		case gw.Fallbacks > w.Fallbacks && gw.Extends > w.Extends,
-			gw.LookAheads+gw.Fallbacks == 0 && gw.Extends == w.Extends+got.StandTrees:
+		case gw.Fallbacks > w.Fallbacks && gw.Extends > inserted,
+			gw.LookAheads+gw.Fallbacks == 0 && gw.Extends == inserted+got.StandTrees:
 			refused++
 		default:
 			t.Fatalf("scen %d: rendering work %+v, counting work %+v", scen, gw, w)
 		}
 	}
-	if refused < 5 || derived < 5 {
-		t.Fatalf("%d stands with refused bases, %d with every base derived: not enough to mean anything", refused, derived)
+	if refused < 5 || derived < 5 || booked == 0 {
+		t.Fatalf("%d stands with refused bases, %d with every base derived, %d insertions booked: not enough to mean anything", refused, derived, booked)
 	}
 }

@@ -279,20 +279,23 @@ func TestCountersAdditivity(t *testing.T) {
 }
 
 func TestEngineEventStream(t *testing.T) {
-	// Every insertion performed is removed again, and every state is either
-	// inserted or looked ahead of; the stand trees are the branches of the
+	// Every insertion performed or booked is removed again, and every state is
+	// either inserted (by ExtendTaxon or booked) or looked ahead of; the stand trees are the branches of the
 	// final frames, one EvTreeFound each, and what the look-ahead steps
 	// counted; the paper's machine is charged two transitions per tree and
 	// per state; the engine ends at its base depth.
 	rng := rand.New(rand.NewSource(55))
 	var all Work
 	lookedDead, lookedTrees := int64(0), int64(0)
-	// Random stands under the anti-heuristic, then three of the simulated
-	// corpus that end inside the prefix under the paper's: all their
-	// transitions are the prefix's.
+	// Random stands under the anti-heuristic and under the paper's, then
+	// three of the simulated corpus that end inside the prefix under the
+	// paper's: all their transitions are the prefix's.
 	inputs, heuristic := [][]*tree.Tree{}, []OrderHeuristic{}
 	for scen := 0; scen < 30; scen++ {
 		inputs, heuristic = append(inputs, randomScenario(rng, 10, 3, 4, 0.5)), append(heuristic, OrderMaxBranches)
+	}
+	for scen := 0; scen < 30; scen++ {
+		inputs, heuristic = append(inputs, randomScenario(rng, 12, 3, 4, 0.5)), append(heuristic, OrderMinBranches)
 	}
 	for _, idx := range []int{8, 20, 33} {
 		cons := gen.Generate(gen.Default(gen.RegimeSimulated), idx).Constraints
@@ -360,7 +363,7 @@ func TestEngineEventStream(t *testing.T) {
 					scen, trees, frames, dead, res.StandTrees, res.DeadEnds)
 			}
 			w := eng.Work()
-			if w.Units != 2*trees+2*res.IntermediateStates || w.Units+1 != res.Steps || w.Extends != ins || w.LookAheads != looked {
+			if w.Units != 2*trees+2*res.IntermediateStates || w.Units+1 != res.Steps || w.Extends+w.Booked != ins || w.LookAheads != looked {
 				t.Fatalf("scen %d: work %+v for %d trees and %d states; the run took %d steps", scen, w, trees, res.IntermediateStates, res.Steps)
 			}
 			if tr.Depth() != 0 {
@@ -369,7 +372,7 @@ func TestEngineEventStream(t *testing.T) {
 			all.Add(w)
 		}
 	}
-	if all.LookAheads < 1000 || all.Fallbacks < 1000 || all.Extends < 1000 || lookedDead < 100 || lookedTrees < 1000 {
+	if all.LookAheads < 1000 || all.Fallbacks < 1000 || all.Extends < 1000 || all.Booked < 1000 || lookedDead < 100 || lookedTrees < 1000 {
 		t.Fatalf("work %+v, look-ahead steps counted %d trees and %d dead ends: not enough to mean anything", all, lookedTrees, lookedDead)
 	}
 }
@@ -442,6 +445,9 @@ func TestPathReplayAcrossTerraces(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := NewEngine(t1)
+	// A rendering engine makes every insertion it steps through; a counting
+	// one may hold a booked one, in its path but not in its Terrace.
+	eng.OnTrees = func(block []byte, _ int) []byte { return block }
 	for i := 0; i < 25 && !eng.Done(); i++ {
 		eng.Step()
 	}

@@ -185,16 +185,43 @@ func (tr *Terrace) CountAfter(x int, e int32, z int) (count int, ok bool) {
 		}
 	}
 	count = tr.PendingCount(z)
-	if tr.edgeAdmissible(e, z) {
+	if tr.EdgeAdmissible(e, z) {
 		count += 2
 	}
 	return count, true
 }
 
-// edgeAdmissible reports whether agile edge e is admissible for pending
+// CountsAfter reports whether CountAfter's rule, read one level deeper, holds
+// for the three pending taxa x, y and z: inserting x anywhere patches y's and
+// z's counts rather than invalidating them, and inserting y (or z) after it
+// patches the other's, so every count and admissible set of the two levels
+// below follows from this state's. Three things must hold: no constraint
+// holding x restructures y or z; no constraint holding y and z restructures
+// one for the other, which the rule states symmetrically (both have the
+// same target, or the constraint is one taxon short of active); and no
+// constraint holds all three with none of its taxa inserted — x would make
+// it one short, and y or z would activate it. The state is not changed.
+func (tr *Terrace) CountsAfter(x, y, z int) bool {
+	for _, ci := range tr.byTaxon[x] {
+		cs := tr.constraints[ci]
+		hy, hz := cs.pendIdx[y] >= 0, cs.pendIdx[z] >= 0
+		if hy && cs.restructures(cs.target[x], int32(y)) || hz && cs.restructures(cs.target[x], int32(z)) ||
+			hy && hz && cs.sCount == 0 {
+			return false
+		}
+	}
+	for _, ci := range tr.byTaxon[y] {
+		if cs := tr.constraints[ci]; cs.pendIdx[z] >= 0 && cs.restructures(cs.target[y], int32(z)) {
+			return false
+		}
+	}
+	return true
+}
+
+// EdgeAdmissible reports whether agile edge e is admissible for pending
 // taxon y in the current state: every active constraint containing y must
 // map e to y's target common edge.
-func (tr *Terrace) edgeAdmissible(e int32, y int) bool {
+func (tr *Terrace) EdgeAdmissible(e int32, y int) bool {
 	for _, ci := range tr.byTaxon[y] {
 		cs := tr.constraints[ci]
 		if cs.sCount < 2 {
@@ -230,7 +257,7 @@ func (tr *Terrace) adjustPendingCounts(e int32, delta int32) {
 		live[k] = y
 		tr.cacheIdx[yi] = k
 		k++
-		if tr.edgeAdmissible(e, yi) {
+		if tr.EdgeAdmissible(e, yi) {
 			tr.pendCnt[yi] += delta
 		}
 	}
