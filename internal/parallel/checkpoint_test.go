@@ -237,9 +237,11 @@ func TestCheckpointSerialResumesParallel(t *testing.T) {
 
 // TestCheckpointPeriodicQuiesce: periodic snapshots stop the pool and resume
 // it in place without disturbing the live run (it still finishes with exact
-// totals), and each captured snapshot is itself a valid resume point.
+// totals), and each captured snapshot is itself a valid resume point. The
+// stand is large enough (tens of thousands of trees) that the run outlasts
+// several intervals; a smaller one finishes inside the first.
 func TestCheckpointPeriodicQuiesce(t *testing.T) {
-	cons := chainConstraints(4)
+	cons := chainConstraints(7)
 	ref, err := Run(cons, Options{Threads: 4, InitialTree: -1, Limits: unlimited()})
 	if err != nil {
 		t.Fatal(err)
