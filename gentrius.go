@@ -31,6 +31,7 @@ package gentrius
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"time"
@@ -66,10 +67,12 @@ const (
 	// engines poll the context at their periodic stopping-rule check, so
 	// cancellation takes effect within one check interval.
 	StopCancelled = search.StopCancelled
-	// StopFailed reports that the run died before draining — e.g. a worker
-	// panic exhausted its retry budget (the error is a
-	// *parallel.WorkerPanicError in that case) or a parallel run's OnTree or
-	// OnTrees panicked (*parallel.OnTreePanicError).
+	// StopFailed reports that a task panicked — in the engine, at an
+	// injected fault site, or in OnTree or OnTrees — at any thread count: the
+	// run stops, and the entrypoint returns no Result, no checkpoint and an
+	// error that carries the panic value and its stack. The only retry is a
+	// resume from a snapshot taken before (CheckpointPolicy.Interval or
+	// Trigger).
 	StopFailed = search.StopFailed
 )
 
@@ -216,10 +219,10 @@ type Options struct {
 	Obs *ObsSink
 
 	// Fault attaches deterministic fault injection for failure testing
-	// (nil: no faults, zero overhead beyond one branch per hook). Every run
-	// honours the treestream stall site, once per tree handed to OnTrees
-	// (else OnTree); parallel runs also the taskexec and enginestep panic
-	// sites — recovered transparently up to a retry budget.
+	// (nil: no faults, zero overhead beyond one branch per hook). Every run,
+	// at any thread count, honours the treestream stall site, once per tree
+	// handed to OnTrees (else OnTree), and the taskexec and enginestep panic
+	// sites, which fail the run (StopFailed).
 	Fault *FaultInjector
 }
 
@@ -298,6 +301,7 @@ func engineOptions(ctx context.Context, opt Options) (search.Options, parallel.O
 		OnTree:       opt.OnTree,
 		OnTrees:      opt.OnTrees,
 		Estimator:    opt.Obs.Estimator(),
+		Fault:        opt.Fault,
 	}
 	popt := parallel.Options{
 		Ctx:          ctx,
@@ -353,10 +357,18 @@ func EnumerateStandContext(ctx context.Context, constraints []*Tree, opt Options
 		}
 	}
 	sopt, popt := engineOptions(ctx, opt)
+	var res *Result
+	var err error
 	if opt.Threads > 1 {
-		return enumerateParallel(constraints, popt)
+		res, err = enumerateParallel(constraints, popt)
+	} else {
+		res, err = enumerateSerial(constraints, sopt, opt.Obs)
 	}
-	return enumerateSerial(constraints, sopt, opt.Obs)
+	// Both hosts fail a panicking run with the one error: count it here, once.
+	if pe := (*search.PanicError)(nil); errors.As(err, &pe) {
+		opt.Obs.SchedMetrics().WorkerPanics.Inc()
+	}
+	return res, err
 }
 
 func enumerateParallel(constraints []*Tree, popt parallel.Options) (*Result, error) {

@@ -7,9 +7,9 @@
 //
 // Three fault shapes cover the failure model of the enumeration stack:
 //
-//   - MaybePanic: throw a *Panic at a hook point (worker-crash simulation;
-//     internal/parallel recovers these while the attempt has published no
-//     externally visible progress, and fails the run otherwise);
+//   - MaybePanic: throw a Panic at a hook point (worker-crash simulation;
+//     every host of the search fails the run with it, as with any panic in
+//     a task: the only retry is a resume);
 //   - Err: return a typed *Error from an I/O site (torn spool and checkpoint
 //     writes; internal/service retries these with capped backoff);
 //   - Stall: sleep the rule's Delay (slow-consumer backpressure).
@@ -38,15 +38,13 @@ type Site uint8
 
 // Hook sites.
 const (
-	// TaskExec fires when a parallel worker begins executing a task (its
-	// initial-split share or a stolen task), before the first engine step —
-	// the boundary at which a panic is recoverable with exact counters.
+	// TaskExec fires when a search.Worker begins a task (a serial run's
+	// whole split, a pool's share, stolen task or resumed one), before its
+	// path replay — on every host, so the Nth task panics at any thread
+	// count, and the run fails.
 	TaskExec Site = iota
-	// EngineStep fires at the start of the Nth engine step inside a
-	// parallel worker's task execution — past the recoverable boundary
-	// once the attempt has flushed counters, streamed a tree, or submitted
-	// a sub-task, so internal/parallel escalates such a panic to a fatal
-	// WorkerPanicError instead of retrying.
+	// EngineStep fires before each engine step of a search.Worker's task,
+	// on every host: the Nth step panics mid-task, and the run fails.
 	EngineStep
 	// CheckpointWrite fires when a checkpoint is about to be persisted.
 	CheckpointWrite

@@ -19,7 +19,8 @@ type SchedMetrics struct {
 	TasksStolen *Counter
 	QueueDepth  *Gauge
 
-	// Panics recovered at the task-execution boundary.
+	// Runs failed by a panic in a task, at any thread count (counted where
+	// both hosts' errors pass: gentrius.EnumerateStandContext).
 	WorkerPanics *Counter
 
 	perWorker []WorkerMetrics
@@ -45,7 +46,7 @@ func NewSchedMetrics(reg *Registry) *SchedMetrics {
 		TasksStolen: reg.Counter("gentrius_tasks_stolen_total", "tasks dequeued by idle workers"),
 		QueueDepth:  reg.Gauge("gentrius_task_queue_depth", "tasks currently queued"),
 
-		WorkerPanics: reg.Counter("gentrius_worker_panics_recovered_total", "worker panics recovered mid-task"),
+		WorkerPanics: reg.Counter("gentrius_worker_panics_recovered_total", "runs failed by a panic in a task"),
 	}
 }
 

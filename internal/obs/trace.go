@@ -36,7 +36,7 @@ const (
 	EvSteal       = "steal"        // an idle worker dequeued a task
 	EvFlush       = "flush"        // local counters flushed to the globals
 	EvStop        = "stop"         // a stopping rule fired
-	EvPanic       = "worker-panic" // a worker recovered from a panic mid-task
+	EvPanic       = "worker-panic" // a task panicked: the run fails
 
 	// Task-lineage span events: every task (including each worker's
 	// initial-split share) carries a run-unique id, submissions carry the

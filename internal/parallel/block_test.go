@@ -75,14 +75,14 @@ func TestBlockPathMatchesStringPath(t *testing.T) {
 	}
 }
 
-// TestBlockPanicBeforeHandOffRequeues: the trees a worker has rendered but
-// not handed on are private to it, so a panic among them is no more than a
-// panic before them: the task is requeued, the block goes with the discarded
-// search.Worker, and the stand comes out whole and once. A panic after the
-// attempt's first hand-off is what it always was: fatal, and Dirty. One
-// worker with stealing off runs the four tasks of a four-way split one after
-// another, so the injected step is the same on every run.
-func TestBlockPanicBeforeHandOffRequeues(t *testing.T) {
+// TestBlockPanicFailsRun: the trees a worker has rendered but not handed on
+// go down with its run when a task panics: the run fails, and what the sink
+// saw is whole blocks, a prefix of the stand in the order the uninterrupted
+// run hands it on — no tree twice, none cut. One worker (the serial host, and
+// the pool at one thread with stealing off) runs the four tasks of a
+// four-way split one after another, so the injected step is the same step on
+// every run: a quarter, half way and three steps before the end.
+func TestBlockPanicFailsRun(t *testing.T) {
 	cons := chainConstraints(5)
 	ref, err := search.Run(cons, search.Options{InitialTree: -1, Limits: unlimited(), CollectTrees: true})
 	if err != nil {
@@ -92,40 +92,37 @@ func TestBlockPanicBeforeHandOffRequeues(t *testing.T) {
 	if err != nil || len(su.Frontier.Tasks) != 4 {
 		t.Fatalf("set-up: %v, %d tasks", err, len(su.Frontier.Tasks))
 	}
-	run := func(tasks []search.FrontierTask, nth int64) (*Result, []string, *faultinject.Injector, error) {
+	cp := roundTrip(t, su.Checkpoint(su.Counters, 4, su.Frontier.Tasks))
+	run := func(serial bool, nth int64) ([]string, *faultinject.Injector, error) {
 		var got []string
 		inj := faultinject.New(1).Set(faultinject.EngineStep, faultinject.Rule{Nth: []int64{nth}})
-		res, err := Run(cons, Options{Threads: 1, Limits: unlimited(), Fault: inj,
-			Policy:     search.Policy{MinRemaining: 1 << 30},
-			OnTrees:    func(block []byte, n int) { got = blockLines(t, got, block, n) },
-			Checkpoint: search.CheckpointPolicy{Resume: roundTrip(t, su.Checkpoint(su.Counters, 4, tasks))}})
-		return res, got, inj, err
+		onTrees := func(block []byte, n int) { got = blockLines(t, got, block, n) }
+		ck := search.CheckpointPolicy{Resume: cp}
+		if serial {
+			_, err := search.Run(cons, search.Options{Limits: unlimited(), Fault: inj, OnTrees: onTrees, Checkpoint: ck})
+			return got, inj, err
+		}
+		_, err := Run(cons, Options{Threads: 1, Limits: unlimited(), Fault: inj,
+			Policy: search.Policy{MinRemaining: 1 << 30}, OnTrees: onTrees, Checkpoint: ck})
+		return got, inj, err
 	}
-	// Dry runs: the steps of the first task alone, and of all four.
-	_, _, first, err := run(su.Frontier.Tasks[:1], -1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, _, all, err := run(su.Frontier.Tasks, -1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stepsFirst, stepsAll := first.Count(faultinject.EngineStep), all.Count(faultinject.EngineStep)
-
-	// Near the end of the last task: its trees are all in the worker's block.
-	res, got, inj, err := run(su.Frontier.Tasks, stepsAll-3)
-	if err != nil {
-		t.Fatalf("a panic before the attempt handed anything on: %v", err)
-	}
-	if inj.Fired(faultinject.EngineStep) != 1 || res.Counters != ref.Counters {
-		t.Fatalf("%d panics, counters %+v, want %+v", inj.Fired(faultinject.EngineStep), res.Counters, ref.Counters)
-	}
-	sameStand(t, "after the requeue", got, ref.Trees)
-
-	// Near the end of the first task: the run's first tree left long ago.
-	_, _, _, err = run(su.Frontier.Tasks, stepsFirst-3)
-	var wpe *WorkerPanicError
-	if !errors.As(err, &wpe) || !wpe.Dirty || wpe.Attempts != 1 {
-		t.Fatalf("a panic after the attempt's first hand-off: %v", err)
+	for _, serial := range []bool{true, false} {
+		clean, all, err := run(serial, -1) // a rule that never fires still counts the steps
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameStand(t, "uninterrupted", clean, ref.Trees)
+		steps := all.Count(faultinject.EngineStep)
+		for _, nth := range []int64{steps / 4, steps / 2, steps - 3} {
+			got, inj, err := run(serial, nth)
+			var pe *search.PanicError
+			if !errors.As(err, &pe) || inj.Fired(faultinject.EngineStep) != 1 {
+				t.Fatalf("serial %v, step %d of %d: %v", serial, nth, steps, err)
+			}
+			if len(got) >= len(clean) || !slices.Equal(got, clean[:len(got)]) {
+				t.Fatalf("serial %v, step %d of %d: the sink saw %d trees, not a prefix of the %d the run hands on",
+					serial, nth, steps, len(got), len(clean))
+			}
+		}
 	}
 }

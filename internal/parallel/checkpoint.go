@@ -70,11 +70,11 @@ func (p *pool) drainTrees() {
 }
 
 // collect feeds the tree stream to sink until the stream is closed (false)
-// or sink panics (true): the run then fails with an OnTreePanicError and the
-// caller goes on draining. Every block taken off the stream is counted done,
-// so a round waiting in drainTrees is released either way, and its buffer
-// goes back to the free list, which has room: a block travels against a
-// buffer taken from it.
+// or sink panics (true): the run then fails with a *search.PanicError, as
+// it does when a task panics, and the caller goes on draining. Every block
+// taken off the stream is counted done, so a round waiting in drainTrees is
+// released either way, and its buffer goes back to the free list, which has
+// room: a block travels against a buffer taken from it.
 func (p *pool) collect(sink func(block []byte, n int)) (panicked bool) {
 	var tb treeBlock
 	done := func() {
@@ -85,7 +85,7 @@ func (p *pool) collect(sink func(block []byte, n int)) (panicked bool) {
 		if r := recover(); r != nil {
 			panicked = true
 			done()
-			p.fail(&OnTreePanicError{Value: r, Stack: debug.Stack()})
+			p.fail(&search.PanicError{Value: r, Stack: debug.Stack()})
 		}
 	}()
 	for tb = range p.treeCh {

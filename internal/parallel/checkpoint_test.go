@@ -3,6 +3,7 @@ package parallel
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -325,40 +326,65 @@ func TestCheckpointTriggerMidRun(t *testing.T) {
 	}
 }
 
-// TestCheckpointResumeWithFaults: a resumed run still recovers injected
-// task panics to exact totals, and a faulting run's on-stop checkpoint is a
-// valid resume point — the crash-drill combination.
-func TestCheckpointResumeWithFaults(t *testing.T) {
-	cons := chainConstraints(4)
-	ref, err := Run(cons, Options{Threads: 4, InitialTree: -1, Limits: unlimited()})
+// TestOnlyRetryIsAResume: a run whose task panics fails, and the snapshots
+// it took before are how it goes on. Periodic snapshots go to a Sink — at
+// every stopping-rule check on the serial host, every millisecond on the pool
+// at four threads — until an engine-step panic late in the run fails it with
+// a *search.PanicError and no result; the last snapshot, resumed with no
+// fault, ends with the uninterrupted run's counters.
+func TestOnlyRetryIsAResume(t *testing.T) {
+	cons := chainConstraints(7)
+	count := faultinject.New(1).Set(faultinject.EngineStep, faultinject.Rule{Nth: []int64{-1}})
+	ref, err := search.Run(cons, search.Options{InitialTree: -1, Limits: unlimited(), Fault: count})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res1, err := Run(cons, Options{
-		Threads: 4, InitialTree: -1,
-		Limits:         search.Limits{MaxStates: ref.IntermediateStates / 2, MaxTrees: -1, MaxTime: -1},
-		Policy:         search.Policy{TreeBatch: 16, StateBatch: 64, DeadEndBatch: 16},
-		Checkpoint:     search.CheckpointPolicy{OnStop: true},
-		Fault:          faultinject.New(7).Set(faultinject.TaskExec, faultinject.Rule{Every: 20}),
-		MaxTaskRetries: 1000,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res1.Checkpoint == nil {
-		t.Fatalf("no checkpoint (stop %v)", res1.Stop)
-	}
-	res2, err := Run(cons, Options{
-		Threads: 4, Limits: unlimited(),
-		Checkpoint:     search.CheckpointPolicy{Resume: roundTrip(t, res1.Checkpoint)},
-		Fault:          faultinject.New(8).Set(faultinject.TaskExec, faultinject.Rule{Every: 20}),
-		MaxTaskRetries: 1000,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.Counters != ref.Counters {
-		t.Fatalf("faulty resume totals %+v != %+v", res2.Counters, ref.Counters)
+	nth := count.Count(faultinject.EngineStep) * 9 / 10
+	for _, threads := range []int{1, 4} {
+		var last *search.Checkpoint
+		snaps := 0
+		ck := search.CheckpointPolicy{Interval: time.Millisecond, Sink: func(cp *search.Checkpoint) {
+			last = cp
+			snaps++
+		}}
+		inj := faultinject.New(2).Set(faultinject.EngineStep, faultinject.Rule{Nth: []int64{nth}})
+		var failed bool
+		if threads == 1 {
+			ck.Interval = time.Nanosecond
+			res, err := search.Run(cons, search.Options{InitialTree: -1, Limits: unlimited(), Checkpoint: ck, Fault: inj})
+			var pe *search.PanicError
+			failed = res == nil && errors.As(err, &pe)
+		} else {
+			res, err := Run(cons, Options{Threads: threads, InitialTree: -1, Limits: unlimited(), Checkpoint: ck, Fault: inj})
+			var pe *search.PanicError
+			failed = res == nil && errors.As(err, &pe)
+		}
+		if !failed || inj.Fired(faultinject.EngineStep) != 1 {
+			t.Fatalf("T=%d: the run with a panic at step %d did not fail with a *search.PanicError and no result", threads, nth)
+		}
+		if last == nil || last.Counters.StandTrees >= ref.StandTrees {
+			t.Fatalf("T=%d: %d snapshots before the panic at step %d, the last %+v", threads, snaps, nth, last)
+		}
+		cp := roundTrip(t, last)
+		var got search.Counters
+		if threads == 1 {
+			res, err := search.Run(cons, search.Options{Limits: unlimited(), Checkpoint: search.CheckpointPolicy{Resume: cp}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = res.Counters
+		} else {
+			res, err := Run(cons, Options{Threads: threads, Limits: unlimited(), Checkpoint: search.CheckpointPolicy{Resume: cp}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = res.Counters
+		}
+		if got != ref.Counters {
+			t.Fatalf("T=%d: resumed from snapshot %d of %d: %+v, uninterrupted %+v", threads, snaps, snaps, got, ref.Counters)
+		}
+		t.Logf("T=%d: %d snapshots before the panic, the last at %d of %d trees", threads, snaps,
+			last.Counters.StandTrees, ref.StandTrees)
 	}
 }
 

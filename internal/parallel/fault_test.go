@@ -11,160 +11,88 @@ import (
 	"gentrius/internal/faultinject"
 	"gentrius/internal/obs"
 	"gentrius/internal/search"
+	"gentrius/internal/tree"
 )
 
-// TestPanicRecoveryExactCounters is the ISSUE's acceptance criterion: with
-// a worker panic injected every 50 task executions, a parallel run must
-// finish with stand-tree/intermediate/dead-end counters identical to a
-// fault-free run — and the recovery must also preserve the stand itself
-// and counter conservation.
-func TestPanicRecoveryExactCounters(t *testing.T) {
+// failedRun runs cons with inj on the serial host (threads 0: search.Run) or
+// the pool, and returns the error of the run, which must have failed with a
+// *search.PanicError and no result.
+func failedRun(t *testing.T, cons []*tree.Tree, threads int, inj *faultinject.Injector) *search.PanicError {
+	t.Helper()
+	var result bool // the run returned a result
+	var err error
+	if threads == 0 {
+		var res *search.Result
+		res, err = search.Run(cons, search.Options{InitialTree: -1, Limits: unlimited(), Fault: inj})
+		result = res != nil
+	} else {
+		var res *Result
+		res, err = Run(cons, Options{Threads: threads, InitialTree: -1, Limits: unlimited(), Fault: inj})
+		result = res != nil
+	}
+	var pe *search.PanicError
+	if result || !errors.As(err, &pe) {
+		t.Fatalf("T=%d: run returned a result: %v, error %v; want none and a *search.PanicError", threads, result, err)
+	}
+	if len(pe.Stack) == 0 || !strings.Contains(string(pe.Stack), "goroutine") {
+		t.Fatalf("T=%d: stack missing: %q", threads, pe.Stack)
+	}
+	return pe
+}
+
+// TestTaskPanicFailsRunAtEveryWidth: a panic at the start of a task — the
+// taskexec site, fired by the search.Worker that both hosts tick — fails the
+// run the first time, on the serial host and on the pool at one, four and
+// eight threads alike: no result, the one error type, the injected value
+// and the stack of the Begin it came from. Nothing retries the task, so the
+// site fires once.
+func TestTaskPanicFailsRunAtEveryWidth(t *testing.T) {
 	rng := rand.New(rand.NewSource(8080))
 	for scen := 0; scen < 6; scen++ {
 		cons := randomScenario(rng, 11+rng.Intn(4), 2+rng.Intn(2), 4, 0.5)
-		ref, err := Run(cons, Options{Threads: 8, InitialTree: -1, Limits: unlimited(), CollectTrees: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		for _, tc := range []struct {
-			name    string
-			every   int64
-			retries int
-		}{
-			{"every-50", 50, 0},  // the acceptance-criterion cadence
-			{"every-3", 3, 1000}, // dense faults: most tasks panic at least once
-		} {
-			reg := obs.NewRegistry()
-			m := obs.NewSchedMetrics(reg)
-			m.EnsureWorkers(8)
-			inj := faultinject.New(42).Set(faultinject.TaskExec, faultinject.Rule{Every: tc.every})
-			par, err := Run(cons, Options{
-				Threads:        8,
-				InitialTree:    -1,
-				Limits:         unlimited(),
-				CollectTrees:   true,
-				Fault:          inj,
-				MaxTaskRetries: tc.retries,
-				Obs:            &obs.Sink{Metrics: m},
-			})
-			if err != nil {
-				t.Fatalf("scen %d %s: %v", scen, tc.name, err)
+		for _, threads := range []int{0, 1, 4, 8} {
+			inj := faultinject.New(42).Set(faultinject.TaskExec, faultinject.Rule{Every: 1})
+			pe := failedRun(t, cons, threads, inj)
+			if want := (faultinject.Panic{Site: faultinject.TaskExec, N: 1}); pe.Value != want {
+				t.Fatalf("scen %d T=%d: panic value %v, want %v", scen, threads, pe.Value, want)
 			}
-			if par.Counters != ref.Counters {
-				t.Fatalf("scen %d %s: counters %+v, fault-free %+v (panics %d)",
-					scen, tc.name, par.Counters, ref.Counters, inj.Fired(faultinject.TaskExec))
+			if !strings.Contains(string(pe.Stack), "search.(*Worker).Begin") {
+				t.Fatalf("scen %d T=%d: the stack is not Begin's:\n%s", scen, threads, pe.Stack)
 			}
-			ps, rs := sortedCopy(par.Trees), sortedCopy(ref.Trees)
-			if len(ps) != len(rs) {
-				t.Fatalf("scen %d %s: %d trees vs %d", scen, tc.name, len(ps), len(rs))
-			}
-			for i := range ps {
-				if ps[i] != rs[i] {
-					t.Fatalf("scen %d %s: stands differ", scen, tc.name)
-				}
-			}
-			// Counter conservation: Prefix + per-worker totals == Counters.
-			sum := par.Prefix
-			for _, c := range par.PerWorker {
-				sum.Add(c)
-			}
-			if sum != par.Counters {
-				t.Fatalf("scen %d %s: conservation broken: %+v != %+v", scen, tc.name, sum, par.Counters)
-			}
-			if fired := inj.Fired(faultinject.TaskExec); fired > 0 {
-				snap := reg.Snapshot()
-				if got := int64(snap["gentrius_worker_panics_recovered_total"]); got != fired {
-					t.Fatalf("scen %d %s: panic metric %d, injector fired %d", scen, tc.name, got, fired)
-				}
+			if fired := inj.Fired(faultinject.TaskExec); fired != 1 {
+				t.Fatalf("scen %d T=%d: the site fired %d times, want 1", scen, threads, fired)
 			}
 		}
 	}
 }
 
-// TestPanicBudgetExhaustedFailsRun: a task that panics on every execution
-// must fail the run with a structured *WorkerPanicError carrying the stack,
-// after budget+1 attempts.
-func TestPanicBudgetExhaustedFailsRun(t *testing.T) {
-	rng := rand.New(rand.NewSource(8181))
-	cons := randomScenario(rng, 12, 2, 4, 0.5)
-	inj := faultinject.New(1).Set(faultinject.TaskExec, faultinject.Rule{Every: 1}) // every execution
-	_, err := Run(cons, Options{
-		Threads:        4,
-		InitialTree:    -1,
-		Limits:         unlimited(),
-		Fault:          inj,
-		MaxTaskRetries: 2,
-	})
-	if err == nil {
-		t.Fatal("run with unrecoverable task should fail")
-	}
-	var wpe *WorkerPanicError
-	if !errors.As(err, &wpe) {
-		t.Fatalf("error %T (%v), want *WorkerPanicError", err, err)
-	}
-	if wpe.Attempts != 3 { // budget 2 → 3 executions of the doomed task
-		t.Fatalf("attempts %d, want 3", wpe.Attempts)
-	}
-	if len(wpe.Stack) == 0 || !strings.Contains(string(wpe.Stack), "goroutine") {
-		t.Fatalf("stack missing: %q", wpe.Stack)
-	}
-	if _, ok := wpe.Value.(faultinject.Panic); !ok {
-		t.Fatalf("panic value %T, want faultinject.Panic", wpe.Value)
-	}
-}
-
-// TestMidEnginePanicFailsRun: a panic landing after the attempt has
-// published progress (counter flushes with batch size 1, streamed trees,
-// submitted sub-tasks) must not be requeued — retrying would re-count the
-// flushed portion and duplicate trees — so the run fails with a
-// *WorkerPanicError marked Dirty despite a generous retry budget.
+// TestMidEnginePanicFailsRun: a panic at the Nth engine step — past counter
+// flushes, handed-on trees and submitted sub-tasks — fails the run with the
+// same error at one thread as at four: the Nth step is the Nth wherever it
+// runs, and the value says which.
 func TestMidEnginePanicFailsRun(t *testing.T) {
 	rng := rand.New(rand.NewSource(8484))
 	cons := randomScenario(rng, 12, 2, 4, 0.5)
-	inj := faultinject.New(9).Set(faultinject.EngineStep, faultinject.Rule{Every: 60})
-	_, err := Run(cons, Options{
-		Threads:     1, // single worker: deterministic step sequence
-		InitialTree: -1,
-		Limits:      unlimited(),
-		// Flush every step, so by occurrence 60 the attempt is dirty.
-		Policy:         search.Policy{TreeBatch: 1, StateBatch: 1, DeadEndBatch: 1},
-		Fault:          inj,
-		MaxTaskRetries: 1 << 20,
-	})
-	var wpe *WorkerPanicError
-	if !errors.As(err, &wpe) {
-		t.Fatalf("error %T (%v), want *WorkerPanicError", err, err)
+	ref, err := search.Run(cons, search.Options{InitialTree: -1, Limits: unlimited()})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !wpe.Dirty {
-		t.Fatal("mid-engine panic after flushed progress must escalate as dirty")
+	const nth = 60
+	if ref.Work.Units < 4*nth {
+		t.Fatalf("stand too small: %d units", ref.Work.Units)
 	}
-	if wpe.Attempts != 1 {
-		t.Fatalf("attempts %d, want 1 (dirty panics must not retry)", wpe.Attempts)
-	}
-	if _, ok := wpe.Value.(faultinject.Panic); !ok {
-		t.Fatalf("panic value %T, want faultinject.Panic", wpe.Value)
-	}
-}
-
-// TestNoRetryModeFailsFast: MaxTaskRetries < 0 turns the first panic fatal.
-func TestNoRetryModeFailsFast(t *testing.T) {
-	rng := rand.New(rand.NewSource(8282))
-	cons := randomScenario(rng, 12, 2, 4, 0.5)
-	inj := faultinject.New(1).Set(faultinject.TaskExec, faultinject.Rule{Nth: []int64{2}})
-	_, err := Run(cons, Options{
-		Threads:        4,
-		InitialTree:    -1,
-		Limits:         unlimited(),
-		Fault:          inj,
-		MaxTaskRetries: -1,
-	})
-	var wpe *WorkerPanicError
-	if !errors.As(err, &wpe) {
-		t.Fatalf("error %v, want *WorkerPanicError", err)
-	}
-	if wpe.Attempts != 1 {
-		t.Fatalf("attempts %d, want 1", wpe.Attempts)
+	for _, threads := range []int{0, 1, 4} {
+		inj := faultinject.New(9).Set(faultinject.EngineStep, faultinject.Rule{Nth: []int64{nth}})
+		pe := failedRun(t, cons, threads, inj)
+		if want := (faultinject.Panic{Site: faultinject.EngineStep, N: nth}); pe.Value != want {
+			t.Fatalf("T=%d: panic value %v, want %v", threads, pe.Value, want)
+		}
+		if !strings.Contains(string(pe.Stack), "search.(*Worker).Tick") {
+			t.Fatalf("T=%d: the stack is not Tick's:\n%s", threads, pe.Stack)
+		}
+		if n := inj.Count(faultinject.EngineStep); threads <= 1 && n != nth {
+			t.Fatalf("T=%d: %d engine steps after the panic, want none", threads, n-nth)
+		}
 	}
 }
 
@@ -176,16 +104,15 @@ func TestFailedRunEmptiesQueueGauge(t *testing.T) {
 	cons := randomScenario(rng, 12, 2, 4, 0.5)
 	m := obs.NewSchedMetrics(obs.NewRegistry())
 	_, err := Run(cons, Options{
-		Threads:        4,
-		InitialTree:    -1,
-		Limits:         unlimited(),
-		Fault:          faultinject.New(1).Set(faultinject.TaskExec, faultinject.Rule{Every: 1}),
-		MaxTaskRetries: -1,
-		Obs:            &obs.Sink{Metrics: m},
+		Threads:     4,
+		InitialTree: -1,
+		Limits:      unlimited(),
+		Fault:       faultinject.New(1).Set(faultinject.TaskExec, faultinject.Rule{Every: 1}),
+		Obs:         &obs.Sink{Metrics: m},
 	})
-	var wpe *WorkerPanicError
-	if !errors.As(err, &wpe) {
-		t.Fatalf("error %v, want *WorkerPanicError", err)
+	var pe *search.PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("error %v, want *search.PanicError", err)
 	}
 	if got := m.QueueDepth.Value(); got != 0 {
 		t.Fatalf("gentrius_task_queue_depth = %d after the run failed, want 0", got)
@@ -232,32 +159,33 @@ func TestSlowConsumerStall(t *testing.T) {
 	}
 }
 
-// TestPanicDuringCancellation: panics racing a context cancel must not
-// deadlock the pool or break counter conservation.
+// TestPanicDuringCancellation: a panic racing a context cancel must not
+// deadlock the pool. Whichever stop lands first, the run ends: failed, with
+// no result, or cancelled, with counter conservation intact.
 func TestPanicDuringCancellation(t *testing.T) {
 	cons := hugeConstraints(t)
-	inj := faultinject.New(3).Set(faultinject.TaskExec, faultinject.Rule{Every: 4})
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	time.AfterFunc(100*time.Millisecond, cancel)
-	par, err := Run(cons, Options{
-		Threads:        6,
-		Limits:         unlimited(),
-		Ctx:            ctx,
-		Fault:          inj,
-		MaxTaskRetries: 1 << 20,
-	})
-	if err != nil {
-		t.Fatal(err)
+	failed, cancelled := 0, 0
+	for _, delay := range []time.Duration{0, time.Millisecond, 5 * time.Millisecond} {
+		for _, nth := range []int64{1, 500, 5000, 50000} {
+			inj := faultinject.New(3).Set(faultinject.EngineStep, faultinject.Rule{Nth: []int64{nth}})
+			ctx, cancel := context.WithCancel(context.Background())
+			time.AfterFunc(delay, cancel)
+			par, err := Run(cons, Options{Threads: 6, Limits: unlimited(), Ctx: ctx, Fault: inj})
+			cancel()
+			var pe *search.PanicError
+			switch {
+			case errors.As(err, &pe) && par == nil:
+				failed++
+			case err == nil && par.Stop == search.StopCancelled:
+				cancelled++
+				assertConservation(t, par)
+			default:
+				t.Fatalf("delay %v, step %d: run returned %+v, %v", delay, nth, par, err)
+			}
+		}
 	}
-	if par.Stop != search.StopCancelled {
-		t.Fatalf("stop %v, want cancelled", par.Stop)
-	}
-	sum := par.Prefix
-	for _, c := range par.PerWorker {
-		sum.Add(c)
-	}
-	if sum != par.Counters {
-		t.Fatalf("conservation broken under cancel+panic: %+v != %+v", sum, par.Counters)
+	t.Logf("%d runs failed, %d were cancelled", failed, cancelled)
+	if failed == 0 {
+		t.Fatal("no panic landed")
 	}
 }

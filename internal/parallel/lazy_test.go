@@ -3,6 +3,7 @@ package parallel
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -312,29 +313,31 @@ func TestSpawnAgainstStopsAndRounds(t *testing.T) {
 	}
 }
 
-// TestLazyPanicBeforeSpawnRequeues: a panic at the start of the run's first
-// task execution — worker 0's, nobody else started — requeues the task, and
-// worker 0, on a search.Worker cut from the one the panic cost it, steals it
-// back: the serial counters, one recovered panic, one steal more than there
-// are tasks, and still no second worker.
-func TestLazyPanicBeforeSpawnRequeues(t *testing.T) {
+// TestLazyPanicBeforeSpawnFailsRun: a panic at the start of the run's first
+// task execution, or at its first engine step — worker 0's, nobody else
+// started — fails the run: no result, the injected value, one panic traced,
+// and still no second worker.
+func TestLazyPanicBeforeSpawnFailsRun(t *testing.T) {
 	for i, cons := range smallStands() {
-		ref, err := search.Run(cons, search.Options{InitialTree: -1, Limits: unlimited()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		clean, _ := tracedRun(t, cons, Options{Threads: 4, InitialTree: -1, Limits: unlimited()})
 		for _, site := range []faultinject.Site{faultinject.TaskExec, faultinject.EngineStep} {
+			var buf bytes.Buffer
+			rec := obs.NewRecorder(&buf, obs.WallClock(time.Now()))
 			inj := faultinject.New(5).Set(site, faultinject.Rule{Nth: []int64{1}})
-			res, events := tracedRun(t, cons, Options{Threads: 4, InitialTree: -1, Limits: unlimited(), Fault: inj})
-			if res.Counters != ref.Counters {
-				t.Fatalf("stand %d, %v: %+v, serial %+v", i, site, res.Counters, ref.Counters)
+			res, err := Run(cons, Options{Threads: 4, InitialTree: -1, Limits: unlimited(), Fault: inj,
+				Obs: &obs.Sink{Trace: rec}})
+			var pe *search.PanicError
+			if res != nil || !errors.As(err, &pe) || pe.Value != (faultinject.Panic{Site: site, N: 1}) {
+				t.Fatalf("stand %d, %v: Run returned %+v, %v", i, site, res, err)
 			}
-			assertConservation(t, res)
-			rep := tracereport.Analyze(events, "ns")
-			if inj.Fired(site) != 1 || rep.Panics != 1 || res.TasksStolen != clean.TasksStolen+1 {
-				t.Fatalf("stand %d, %v: %d fired, %d panics traced, %d steals against %d without the fault",
-					i, site, inj.Fired(site), rep.Panics, res.TasksStolen, clean.TasksStolen)
+			if err := rec.Close(); err != nil {
+				t.Fatal(err)
+			}
+			events, err := tracereport.ReadTrace(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep := tracereport.Analyze(events, "ns"); inj.Fired(site) != 1 || rep.Panics != 1 {
+				t.Fatalf("stand %d, %v: %d fired, %d panics traced", i, site, inj.Fired(site), rep.Panics)
 			}
 			if at := spawnedAt(events); at >= 0 {
 				t.Fatalf("stand %d, %v: worker %d was started", i, site, events[at].Worker)

@@ -11,19 +11,18 @@
 // explore, offer a share of a fresh frame, batch the counters, rewind). The
 // scheduler the paper builds around it — queue, offers, totals and stopping
 // rules, stop, cut, start rule — is written once here (sched) and run by two
-// hosts: Run, a goroutine per Worker, with checkpoint rounds, panic recovery
-// and the tree stream; and Simulate, the same scheduler on a deterministic
-// virtual clock, which is what the paper's figures are computed from. The
-// global stand-tree / intermediate-state / dead-end counters are shared
-// atomics, updated once per published batch; each batch re-evaluates the
-// stopping rules and, when one fires, raises the halt flag that all workers
-// poll — so, like the paper's implementation, the limits can be overshot
-// slightly.
+// hosts: Run, a goroutine per Worker, with checkpoint rounds, the tree stream
+// and the failure rule (a panic fails the run); and Simulate, the same
+// scheduler on a deterministic virtual clock, which is what the paper's
+// figures are computed from. The global stand-tree / intermediate-state /
+// dead-end counters are shared atomics, updated once per published batch;
+// each batch re-evaluates the stopping rules and, when one fires, raises the
+// halt flag that all workers poll — so, like the paper's implementation, the
+// limits can be overshot slightly.
 package parallel
 
 import (
 	"context"
-	"fmt"
 	"runtime"
 	"runtime/debug"
 	"sync/atomic"
@@ -34,10 +33,6 @@ import (
 	"gentrius/internal/search"
 	"gentrius/internal/tree"
 )
-
-// DefaultMaxTaskRetries bounds how often one task may panic and be retried
-// before the run fails with a WorkerPanicError.
-const DefaultMaxTaskRetries = 3
 
 // treeBlocks is how many blocks of stand trees may be on their way from the
 // workers to the collector goroutine: the capacity of the channel they
@@ -94,23 +89,15 @@ type Options struct {
 	Heuristic search.OrderHeuristic
 
 	// Obs attaches scheduler observability: metrics (the search counters,
-	// queue depth, steals, panics recovered, per-worker counters) and/or a
-	// JSONL event trace. Nil disables both; the disabled hot path costs one
-	// predictable branch per instrument.
+	// queue depth, steals, per-worker counters) and/or a JSONL event trace.
+	// Nil disables both; the disabled hot path costs one predictable branch
+	// per instrument.
 	Obs *obs.Sink
 
-	// Fault attaches deterministic fault injection (nil: no faults). The
-	// pool honours the TaskExec site (panic at the start of the Nth task
-	// execution — exercised by the recovery path) and the EngineStep site
-	// (panic at the Nth engine step — mid-task, so recovery escalates once
-	// the attempt has published progress).
+	// Fault attaches deterministic fault injection to every worker (nil: no
+	// faults; see search.Worker.Fault): a panic at its TaskExec or EngineStep
+	// site fails the run, as any panic in a task does.
 	Fault *faultinject.Injector
-
-	// MaxTaskRetries bounds how many times a single task may panic and be
-	// requeued before the run fails with a *WorkerPanicError. Zero selects
-	// DefaultMaxTaskRetries; negative disables recovery (first panic is
-	// fatal).
-	MaxTaskRetries int
 
 	// Checkpoint configures snapshots and resuming (see
 	// search.CheckpointPolicy). Resume queues the checkpoint's frontier the
@@ -121,44 +108,6 @@ type Options struct {
 	// way, cut, and resumed in place from its own hand-ins; Sink runs on
 	// Run's goroutine, the workers already stealing again.
 	Checkpoint search.CheckpointPolicy
-}
-
-// WorkerPanicError is the fatal outcome when a task's panic cannot be
-// recovered: its retry budget is exhausted, or the panicking attempt had
-// already published externally visible progress (a counter flush, a
-// block of trees handed on, a submitted sub-task), so re-executing it would
-// double-count. The run stops (reason StopFailed) and Run returns this
-// error carrying the last panic value and its stack.
-type WorkerPanicError struct {
-	Worker   int    // worker that observed the final panic
-	Value    any    // the panic value (a faultinject.Panic for injected faults)
-	Stack    []byte // stack captured at the final recover
-	Attempts int    // executions of the task, all panicked
-	// Dirty marks a panic escalated because the attempt had already
-	// published progress, making a verbatim retry unsound.
-	Dirty bool
-}
-
-// OnTreePanicError is the fatal outcome of a panic in the caller's OnTree or
-// OnTrees: what is left of the block it was handed is lost, so the run stops
-// (reason StopFailed, no checkpoint) and Run returns this error with the
-// panic value and its stack.
-type OnTreePanicError struct {
-	Value any
-	Stack []byte
-}
-
-func (e *OnTreePanicError) Error() string {
-	return fmt.Sprintf("parallel: OnTree panicked: %v", e.Value)
-}
-
-func (e *WorkerPanicError) Error() string {
-	if e.Dirty {
-		return fmt.Sprintf("parallel: task panicked on worker %d after publishing progress (attempt %d, not retryable): %v",
-			e.Worker, e.Attempts, e.Value)
-	}
-	return fmt.Sprintf("parallel: task panicked in %d attempt(s), last on worker %d: %v",
-		e.Attempts, e.Worker, e.Value)
 }
 
 // Result of a parallel run.
@@ -229,11 +178,6 @@ func Run(constraints []*tree.Tree, opt Options) (*Result, error) {
 	}
 	opt.Limits = opt.Limits.Normalize()
 	opt.Policy = opt.Policy.Normalize(opt.Threads)
-	if opt.MaxTaskRetries == 0 {
-		opt.MaxTaskRetries = DefaultMaxTaskRetries
-	} else if opt.MaxTaskRetries < 0 {
-		opt.MaxTaskRetries = -1 // first panic is fatal
-	}
 	ck := opt.Checkpoint
 
 	started := time.Now()
@@ -322,9 +266,9 @@ func Run(constraints []*tree.Tree, opt Options) (*Result, error) {
 	su.Release()
 
 	if p.failErr != nil {
-		// A task ran out of panic retries, or the tree sink panicked: the pool
-		// has drained, but the enumeration is incomplete in an unquantifiable
-		// way — return the structured error, not misleading partial counters.
+		// A task or the tree sink panicked: the pool has drained, but the
+		// enumeration is incomplete in an unquantifiable way — return the
+		// error, not misleading partial counters.
 		return nil, p.failErr
 	}
 
@@ -379,21 +323,8 @@ func (p *pool) steal(w int) *task {
 	}
 }
 
-// requeue puts a panicked task back, bypassing the capacity bound (the
-// task is in-flight work that must not be dropped; the queue only ever
-// exceeds cap transiently, by at most one task per recovering worker) and
-// waking one stealer so recovery never deadlocks a fully-idle pool. After
-// termination nobody retries it, but a checkpoint-on-stop finds it here.
-func (p *pool) requeue(t *task) {
-	p.mu.Lock()
-	p.tasks = append(p.tasks, t)
-	p.m.QueueDepth.Set(int64(len(p.tasks)))
-	p.mu.Unlock()
-	p.cond.Signal()
-}
-
 // poolWorker is one goroutine of the pool: the scheduler's worker plus the
-// tree stream, panic recovery and the halt poll.
+// tree stream, the failure rule and the halt poll.
 type poolWorker struct {
 	*pool
 	worker
@@ -401,8 +332,7 @@ type poolWorker struct {
 	rest  int   // worker 0: the workers it has not started yet
 }
 
-// retire accounts what w's search.Worker did, at exit or before a panic's
-// wreckage is discarded.
+// retire accounts what w's search.Worker did, at exit.
 func (w *poolWorker) retire() {
 	w.work[w.id].Add(w.wk.Work())
 }
@@ -418,16 +348,12 @@ type treeBlock struct {
 // allocated yet (nil: the engine allocates), and a block is sent only against
 // one of them, so at most treeBlocks blocks are on their way, the send never
 // blocks, a run owns at most that many buffers and one per worker however
-// many trees it finds, and a slow sink holds the workers here. The block is
-// externally visible the moment it is sent, so the attempt is marked before
-// the send: a panic anywhere after must not requeue-and-duplicate it. The
-// sent counter lets a checkpoint wait for the collector to catch up
-// (drainTrees). The run's first block — one tree — also yields the
+// many trees it finds, and a slow sink holds the workers here. The sent
+// counter lets a checkpoint wait for the collector to catch up (drainTrees). The run's first block — one tree — also yields the
 // processor: the collector the send woke is queued behind this worker and,
 // every processor busy, would not run until the free list ran out.
 func (w *poolWorker) Trees(block []byte, n int) []byte {
 	next := <-w.free
-	w.dirty = true
 	first := w.treesSent.Add(int64(n)) == int64(n)
 	w.treeCh <- treeBlock{block, n}
 	if first {
@@ -436,44 +362,23 @@ func (w *poolWorker) Trees(block []byte, n int) []byte {
 	return next
 }
 
-// execute runs one task to its end, or to the halt flag, under a recover()
-// barrier. Execution never mutates the task, so a panic before the attempt
-// publishes any progress (see dirty) requeues it verbatim for any worker: the
-// unflushed batch goes with the discarded search.Worker (it reached neither
-// the totals nor the per-worker share, so conservation stays exact). A
-// panic after visible progress — or once the task's retries exceed the
-// budget — fails the run with a *WorkerPanicError.
+// execute runs one task to its end, or to the halt flag. A panic in it —
+// the engine's, or at a fault site of the search.Worker — fails the run
+// with a *search.PanicError, as it fails a serial one: the stop goes out,
+// the worker leaves the pool, and its wrecked Terrace is released with the
+// run's others.
 func (w *poolWorker) execute(tk *task) {
 	defer func() {
-		r := recover()
-		if r == nil {
-			return
+		if r := recover(); r != nil {
+			w.emit(obs.EvPanic, w.id, obs.F("task", tk.id), obs.F("taxon", int64(tk.root().Taxon)))
+			w.emit(obs.EvTaskEnd, w.id, obs.F("task", tk.id), obs.F("panic", 1))
+			w.fail(&search.PanicError{Value: r, Stack: debug.Stack()})
 		}
-		stack := debug.Stack()
-		w.m.WorkerPanics.Inc()
-		w.emit(obs.EvPanic, w.id, obs.F("task", tk.id), obs.F("taxon", int64(tk.root().Taxon)),
-			obs.F("attempt", int64(tk.retries+1)))
-		w.emit(obs.EvTaskEnd, w.id, obs.F("task", tk.id), obs.F("panic", 1))
-		w.retire()
-		// The unwound stack can have left Terrace and engine mid-mutation: a new
-		// search.Worker is the one repair that needs no trust in the wreckage.
-		w.wk = w.su.NewWorker(w.opt.Policy, w, w.est, w.treeCh != nil)
-		w.cur = nil
-		tk.retries++
-		if !w.dirty && w.opt.MaxTaskRetries >= 0 && tk.retries <= w.opt.MaxTaskRetries {
-			w.requeue(tk)
-			return
-		}
-		w.fail(&WorkerPanicError{Worker: w.id, Value: r, Stack: stack, Attempts: tk.retries, Dirty: w.dirty})
 	}()
 	if !w.begin(tk) {
 		return
 	}
-	w.opt.Fault.MaybePanic(faultinject.TaskExec)
 	for ph, cost := search.Replay, int64(0); ; {
-		if ph == search.Explore {
-			w.opt.Fault.MaybePanic(faultinject.EngineStep)
-		}
 		if ph, cost = w.wk.Tick(); ph == search.Idle {
 			break
 		}
@@ -499,6 +404,7 @@ func (w *poolWorker) execute(tk *task) {
 // (search.Setup.NewTerrace), which only worker 0 may read.
 func (p *pool) launch(w *poolWorker) {
 	w.wk = p.su.NewWorker(p.opt.Policy, w, p.est, p.treeCh != nil)
+	w.wk.Fault = p.opt.Fault
 	p.live.Add(1)
 	go func() {
 		w.run()

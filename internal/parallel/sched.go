@@ -21,8 +21,7 @@ import (
 // The work itself is a search.FrontierTask — the path from I_0 plus a frame
 // stack: one uninserted frame for a submitted or initial task, a deeper
 // stack for a resumed in-flight one — self-contained and never mutated by
-// execution, so a task that panicked on one worker can be re-executed on
-// any other; retries counts those recovery attempts.
+// execution.
 //
 // id and parent carry the task lineage for span tracing: id is run-unique
 // (what a run starts with counts from 1, submissions continue the sequence)
@@ -30,9 +29,8 @@ import (
 // none), so steal chains are reconstructible from the trace alone.
 type task struct {
 	search.FrontierTask
-	retries int
-	id      int64
-	parent  int64
+	id     int64
+	parent int64
 	// branches is the recycled storage behind a submitted task's single
 	// frame. (A resumed task's frames alias the checkpoint's branch arrays
 	// instead, which are never written.)
@@ -54,7 +52,6 @@ var taskPool = sync.Pool{New: func() any { return new(task) }}
 func recycleTask(tk *task) {
 	tk.Path = tk.Path[:0]
 	tk.Frames = tk.Frames[:0]
-	tk.retries = 0
 	tk.id, tk.parent = 0, 0
 	taskPool.Put(tk)
 }
@@ -273,13 +270,6 @@ type worker struct {
 	id  int
 	wk  *search.Worker
 	cur *task // the task being executed (nil: none): its id is the parent of its submissions
-	// dirty marks the current task attempt as having published externally
-	// visible progress — a counter flush, a block of trees handed on, or a
-	// submitted sub-task. A panic after that point must not requeue the task:
-	// the retry would re-count the flushed portion, re-emit the trees, and
-	// re-explore halves another worker already owns. Trees still in the
-	// worker's own block are not progress: they go with the search.Worker.
-	dirty bool
 }
 
 // Offer queues the last n branches of f, hanging off path, as a task in
@@ -300,7 +290,6 @@ func (w *worker) Offer(path []search.PathStep, f *search.Frame, n int) int {
 	s.push(tk, w.id)
 	s.mu.Unlock()
 	s.cond.Signal()
-	w.dirty = true
 	return n
 }
 
@@ -308,7 +297,6 @@ func (w *worker) Offer(path []search.PathStep, f *search.Frame, n int) int {
 // rules.
 func (w *worker) Publish(c search.Counters) {
 	s := w.s
-	w.dirty = true
 	s.add(c)
 	s.flushes.Add(1)
 	wm := s.m.Worker(w.id)
@@ -326,7 +314,7 @@ func (w *worker) Publish(c search.Counters) {
 // begin makes tk the idle worker's task. A task the worker refuses fails the
 // run, and begin reports false.
 func (w *worker) begin(tk *task) bool {
-	w.cur, w.dirty = tk, false
+	w.cur = tk
 	w.s.emit(obs.EvTaskStart, w.id, obs.F("task", tk.id), obs.F("parent", tk.parent),
 		obs.F("taxon", int64(tk.root().Taxon)), obs.F("branches", int64(len(tk.root().Branches))),
 		obs.F("path", int64(len(tk.Path))))

@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime/debug"
 	"slices"
 	"time"
 
+	"gentrius/internal/faultinject"
 	"gentrius/internal/obs"
 	"gentrius/internal/tree"
 )
@@ -22,8 +24,22 @@ const (
 	StopStateLimit                   // rule 2: more than MaxStates intermediate states
 	StopTimeLimit                    // rule 3: wall-clock budget exceeded
 	StopCancelled                    // the caller's context was cancelled
-	StopFailed                       // the run died (e.g. a worker panic exhausted its retry budget)
+	StopFailed                       // a task panicked: the run returns a *PanicError and no result
 )
+
+// PanicError is how every host of the scheme fails a run whose task
+// panicked — in the engine, at a fault site, or in the tree sink the task
+// hands its blocks to: the run stops (StopFailed), returns no Result and no
+// checkpoint, and the only retry is a resume from a snapshot taken before.
+// The engine is deterministic, so running the task again would panic again.
+type PanicError struct {
+	Value any    // the panic value (a faultinject.Panic for an injected fault)
+	Stack []byte // the panicking goroutine's stack, captured at the recover
+}
+
+func (e *PanicError) Error() string {
+	return fmt.Sprintf("search: task panicked: %v", e.Value)
+}
 
 func (s StopReason) String() string {
 	switch s {
@@ -152,6 +168,10 @@ type Options struct {
 	// dynamic insertion order (the default): checkpoints record no static
 	// Order.
 	Checkpoint CheckpointPolicy
+
+	// Fault attaches deterministic fault injection to the run's Worker (nil:
+	// none; see Worker.Fault).
+	Fault *faultinject.Injector
 }
 
 // CheckpointPolicy is the unified checkpoint/resume configuration for an
@@ -243,8 +263,9 @@ var serialPolicy = Policy{TreeBatch: math.MaxInt64, StateBatch: math.MaxInt64,
 // scheme's set-up (Start), then one Worker that takes the frontier's tasks
 // in order — a fresh run has one, the whole initial split. Incompatible
 // constraint sets yield an empty stand (zero trees, reason StopExhausted),
-// not an error.
-func Run(constraints []*tree.Tree, opt Options) (*Result, error) {
+// not an error. A panic in a task, the tree sink's included, fails the run
+// with a *PanicError, as it fails a pool's.
+func Run(constraints []*tree.Tree, opt Options) (res *Result, err error) {
 	opt.Limits = opt.Limits.Normalize()
 	if opt.CheckEvery <= 0 {
 		opt.CheckEvery = 1024
@@ -273,7 +294,7 @@ func Run(constraints []*tree.Tree, opt Options) (*Result, error) {
 		return nil, err
 	}
 	defer su.Release()
-	res := &Result{Stop: StopExhausted, InitialIndex: su.InitialIndex}
+	res = &Result{Stop: StopExhausted, InitialIndex: su.InitialIndex}
 	h := &serial{total: su.Counters, sink: TreeSink[[]byte](opt.CollectTrees, &res.Trees, opt.OnTree, opt.OnTrees)}
 	if h.sink != nil && su.Tree != "" {
 		h.sink(append([]byte(su.Tree), '\n'), 1)
@@ -291,6 +312,7 @@ func Run(constraints []*tree.Tree, opt Options) (*Result, error) {
 	var w *Worker
 	if len(tasks) > 0 {
 		w = su.NewWorker(serialPolicy, h, est, h.sink != nil)
+		w.Fault = opt.Fault
 	}
 
 	units, next := prefix, int64(opt.CheckEvery)
@@ -338,6 +360,13 @@ func Run(constraints []*tree.Tree, opt Options) (*Result, error) {
 		return res.Stop != StopExhausted
 	}
 
+	// The task boundary: a panic from here on fails the run, before the
+	// deferred Release hands the wrecked Terrace back with the rest.
+	defer func() {
+		if r := recover(); r != nil {
+			res, err = nil, &PanicError{Value: r, Stack: debug.Stack()}
+		}
+	}()
 run:
 	for i := range tasks {
 		if i > 0 && check(tasks[i:]) {

@@ -206,24 +206,17 @@ func walk(t *terrace.Terrace, path []PathStep, frames []FrameSnapshot) error {
 }
 
 // NewTerrace returns a private Terrace positioned at I_0 — each worker's own
-// copy of the search state (paper Sec. III-A), and what a worker replaces
-// its old one with after a recovered panic left that mid-mutation: a clone
-// of the prototype, state for state terrace.New and a replay of the prefix.
-// While the first worker has the prototype (NewWorker) the call makes the
-// next first — a copy of that worker's Terrace, rewound, so the call belongs
-// between its Ticks, on its goroutine; from the constraints, if a panic in a
-// Tick wrecked it — and after that any number of goroutines may call. Every
+// copy of the search state (paper Sec. III-A): a clone of the prototype,
+// state for state terrace.New and a replay of the prefix. While the first
+// worker has the prototype (NewWorker) the call makes the next first — a copy
+// of that worker's Terrace, rewound, so the call belongs between its Ticks,
+// on its goroutine — and after that any number of goroutines may call. Every
 // Terrace it hands out is the Setup's to release (Release).
 func (s *Setup) NewTerrace() *terrace.Terrace {
-	if s.proto == nil && !s.first.busy {
+	if s.proto == nil {
 		s.proto = s.first.t.Clone()
 		for s.proto.Depth() > s.first.base {
 			s.proto.RemoveTaxon()
-		}
-	} else if s.proto == nil {
-		s.proto, _ = terrace.New(s.constraints, s.InitialIndex) // as Start did: no error
-		for _, st := range s.Frontier.Prefix {
-			s.proto.ExtendTaxon(st.Taxon, st.Edge)
 		}
 	}
 	t := s.proto.Clone()

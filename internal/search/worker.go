@@ -1,6 +1,7 @@
 package search
 
 import (
+	"gentrius/internal/faultinject"
 	"gentrius/internal/obs"
 	"gentrius/internal/terrace"
 )
@@ -38,9 +39,15 @@ type Host interface {
 // task. A task is begun, then ticked through replaying its path, exploring
 // its frames — offering half of each fresh frame, batching the counters —
 // and rewinding to I_0. The driver owns the queue, the clock and the stop
-// flag. A Worker whose Tick panicked is discarded whole, Terrace and the
-// trees it had not handed on included.
+// flag. A Worker whose Begin or Tick panicked is never ticked again: the
+// run fails (PanicError), and the wrecked Terrace is released with the
+// run's others.
 type Worker struct {
+	// Fault, if non-nil, is the run's fault injection, fired here so that it
+	// means the same on every host: the TaskExec site at each Begin, the
+	// EngineStep site before each explore Tick.
+	Fault *faultinject.Injector
+
 	t      *terrace.Terrace
 	eng    *Engine // its counters and tree block are the unflushed batch, emptied by Flush
 	policy Policy
@@ -49,9 +56,8 @@ type Worker struct {
 
 	task  FrontierTask // the driver's storage, only read
 	phase Phase
-	pos   int  // Replay: path steps applied so far
-	base  int  // the Terrace's depth at I_0
-	busy  bool // in a Tick or Drop — for good after a panic there, the Terrace mid-mutation
+	pos   int // Replay: path steps applied so far
+	base  int // the Terrace's depth at I_0
 
 	mass   float64 // estimator mass and leaves closed since the last flush
 	leaves int64
@@ -108,6 +114,7 @@ func (w *Worker) Begin(t FrontierTask) error {
 		return err
 	}
 	w.task, w.phase, w.pos = t, Replay, 0
+	w.Fault.MaybePanic(faultinject.TaskExec)
 	return nil
 }
 
@@ -122,7 +129,6 @@ func (w *Worker) Begin(t FrontierTask) error {
 // sit on unpublished counts.
 func (w *Worker) Tick() (Phase, int64) {
 	var cost int64
-	w.busy = true
 	switch w.phase {
 	case Replay:
 		if w.pos < len(w.task.Path) {
@@ -135,6 +141,9 @@ func (w *Worker) Tick() (Phase, int64) {
 			w.phase = Explore
 		}
 	case Explore:
+		if w.Fault != nil {
+			w.Fault.MaybePanic(faultinject.EngineStep)
+		}
 		before := w.eng.work.Units
 		if w.eng.Step() != EvDone {
 			if w.policy.FlushDue(w.eng.counters) {
@@ -153,7 +162,6 @@ func (w *Worker) Tick() (Phase, int64) {
 			w.task, w.phase = FrontierTask{}, Idle
 		}
 	}
-	w.busy = false
 	return w.phase, cost
 }
 
@@ -193,11 +201,10 @@ func (w *Worker) Snapshot() FrontierTask {
 // I_0 and the worker is idle, ready to Begin any task — the one a Snapshot
 // taken just before describes included.
 func (w *Worker) Drop() {
-	w.busy = true
 	for w.t.Depth() > w.base {
 		w.t.RemoveTaxon()
 	}
-	w.task, w.phase, w.busy = FrontierTask{}, Idle, false
+	w.task, w.phase = FrontierTask{}, Idle
 }
 
 // Work is what the worker's engine did since the worker was made; path

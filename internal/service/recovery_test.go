@@ -819,3 +819,70 @@ func TestHTTPRequestLimits(t *testing.T) {
 		}
 	})
 }
+
+// TestPanickingJobFailsOnce: a serial job whose engine panics at its Nth step
+// fails, and the daemon goes on: a job submitted after it completes. The
+// failed job's error carries the panic value, and the failure is counted once
+// — as a failed job and as a panicking run. A restart on the same data
+// directory adopts the job as failed and does not run it again: the fault
+// site sees no further step and the spool no further line.
+func TestPanickingJobFailsOnce(t *testing.T) {
+	dir := t.TempDir()
+	reg := obs.NewRegistry()
+	inj := faultinject.New(1).Set(faultinject.EngineStep, faultinject.Rule{Nth: []int64{5000}})
+	cfg := Config{Workers: 1, DataDir: dir, Checkpoint: true, CheckpointInterval: time.Millisecond,
+		Metrics: NewMetrics(reg), Sink: &gentrius.ObsSink{Metrics: obs.NewSchedMetrics(reg)}, Fault: inj}
+	m1 := newTestManager(t, cfg)
+	bad, err := m1.Submit(hugeRequest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, bad)
+	st := bad.Status()
+	if st.State != StateFailed || !strings.Contains(st.Error, "injected panic at enginestep occurrence 5000") {
+		t.Fatalf("panicking job %+v, want failed with the panic value", st)
+	}
+	good, err := m1.Submit(smallRequest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, good)
+	if st := good.Status(); st.State != StateDone || !st.Complete {
+		t.Fatalf("the job after the panic: %+v", st)
+	}
+	snap := reg.Snapshot()
+	if snap["gentriusd_jobs_failed_total"] != 1 || snap["gentrius_worker_panics_recovered_total"] != 1 {
+		t.Fatalf("%v jobs failed, %v runs panicked, want 1 and 1", snap["gentriusd_jobs_failed_total"],
+			snap["gentrius_worker_panics_recovered_total"])
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := m1.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	lines := func() int {
+		b, err := os.ReadFile(filepath.Join(dir, bad.ID()+".trees"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return bytes.Count(b, []byte("\n"))
+	}
+	steps, spooled := inj.Count(faultinject.EngineStep), lines()
+
+	cfg.Metrics, cfg.Sink = nil, nil
+	m2 := newTestManager(t, cfg)
+	if rec := m2.Recovery(); rec.Adopted != 2 || rec.Resumed+rec.Requeued+rec.Interrupted != 0 {
+		t.Fatalf("recovery %+v, want 2 adopted", rec)
+	}
+	again, ok := m2.Get(bad.ID())
+	if !ok {
+		t.Fatal("the failed job vanished from the table")
+	}
+	if st := again.Status(); st.State != StateFailed || !strings.Contains(st.Error, "enginestep") {
+		t.Fatalf("adopted job %+v, want failed with the panic value", st)
+	}
+	time.Sleep(50 * time.Millisecond) // a job that ran would step and spool by now
+	if n, l := inj.Count(faultinject.EngineStep), lines(); n != steps || l != spooled {
+		t.Fatalf("after the restart: %d engine steps, %d spool lines; before it %d and %d", n, l, steps, spooled)
+	}
+}
