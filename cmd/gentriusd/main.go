@@ -159,7 +159,6 @@ func main() {
 	worker := dist.NewWorker(dist.WorkerConfig{
 		Name:    ln.Addr().String(),
 		Threads: *maxThreads,
-		DataDir: *dataDir,
 		Retry:   metrics.RetryPolicy("shardrpc"),
 		Metrics: distMetrics,
 		Trace:   trace,

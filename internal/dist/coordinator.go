@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"time"
@@ -116,10 +117,11 @@ type RunOptions struct {
 	OnTree func(newick string)
 	// InitialTree: constraint index, or negative for the heuristic.
 	InitialTree int
-	// Limits are the job-level stopping rules, enforced COARSELY: shards
-	// run unlimited and the coordinator checks merged totals at shard
-	// completion, so a limit overshoots by up to the in-flight shards'
-	// work. Zero values mean unlimited here (the caller owns defaults).
+	// Limits are the job-level stopping rules. Shards run unlimited: the
+	// coordinator checks merged totals at shard completion, so a tree or
+	// state limit overshoots by up to the in-flight shards' work, and stops
+	// the job at MaxTime on its Clock, counted from the start of Run. Zero
+	// values mean unlimited here (the caller owns defaults).
 	Limits search.Limits
 }
 
@@ -137,7 +139,6 @@ type Result struct {
 	// Fleet statistics for this job.
 	LeaseExpiries int64 // each re-dispatches its shard from its last durable checkpoint
 	LocalShards   int64
-	Adopted       int64
 }
 
 // Shard lifecycle.
@@ -198,6 +199,7 @@ type fleetJob struct {
 	newicks     []string
 	fingerprint string
 	opt         RunOptions
+	start       time.Time // on the coordinator's Clock, for Limits.MaxTime
 	// rec and log are the job-scoped recorder (fixed {trace, job} tags) and
 	// slog handle (trace and job attrs) every coordinator-side emission for
 	// this job goes through.
@@ -228,6 +230,20 @@ func (j *fleetJob) checkpoint(fr *search.Frontier) *search.Checkpoint {
 		search.OrderMinBranches, search.Counters{}, fr)
 }
 
+// deliver hands blocks to the job's sink. A sink that panics fails the job
+// with a *search.PanicError, as it fails search.Run and the pool.
+func (j *fleetJob) deliver(blocks ...string) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = &search.PanicError{Value: r, Stack: debug.Stack()}
+		}
+	}()
+	for _, b := range blocks {
+		j.sink(b, strings.Count(b, "\n"))
+	}
+	return nil
+}
+
 func (j *fleetJob) wakeUp() {
 	select {
 	case j.wake <- struct{}{}:
@@ -238,6 +254,7 @@ func (j *fleetJob) wakeUp() {
 // Run executes one distributed enumeration and blocks until it completes,
 // fails, or ctx ends (StopCancelled). jobID must be unique per coordinator.
 func (c *Coordinator) Run(ctx context.Context, jobID string, constraints []*tree.Tree, opt RunOptions) (*Result, error) {
+	start := c.cfg.Clock.Now()
 	if len(constraints) == 0 {
 		return nil, fmt.Errorf("dist: no constraint trees")
 	}
@@ -271,6 +288,7 @@ func (c *Coordinator) Run(ctx context.Context, jobID string, constraints []*tree
 		newicks:     newicks,
 		fingerprint: search.Fingerprint(cons),
 		opt:         opt,
+		start:       start,
 		totals:      su.Counters,
 		wake:        make(chan struct{}, 1),
 		stop:        search.StopExhausted,
@@ -279,7 +297,9 @@ func (c *Coordinator) Run(ctx context.Context, jobID string, constraints []*tree
 	if len(su.Frontier.Tasks) == 0 {
 		// An empty stand, or a prefix that closed the whole space.
 		if job.sink != nil && su.Tree != "" {
-			job.sink(su.Tree+"\n", 1)
+			if err := job.deliver(su.Tree + "\n"); err != nil {
+				return nil, err
+			}
 		}
 		return &Result{Counters: su.Counters, InitialIndex: idx, Trees: job.trees}, nil
 	}
@@ -331,6 +351,8 @@ func (c *Coordinator) Run(ctx context.Context, jobID string, constraints []*tree
 		c.mu.Unlock()
 	}()
 
+	ctx, cancel := context.WithCancel(ctx) // however Run ends, local runs and dispatch retries stop
+	defer cancel()
 	return c.controlLoop(ctx, job)
 }
 
@@ -349,6 +371,7 @@ func (c *Coordinator) controlLoop(ctx context.Context, job *fleetJob) (*Result, 
 			job.stopping = true
 			job.stop = search.StopCancelled
 		}
+		c.limitLocked(job, now)
 		// Lease expiry: a leased shard past its deadline re-enters the
 		// pending pool at the next epoch, resuming from its last durable
 		// checkpoint (resume-not-replay).
@@ -361,9 +384,8 @@ func (c *Coordinator) controlLoop(ctx context.Context, job *fleetJob) (*Result, 
 					obs.F("shard", int64(s.idx)), obs.F("epoch", int64(s.epoch)))
 				job.log.Warn("shard lease expired", "shard", s.idx, "epoch", s.epoch, "peer", c.peerName(s.peer))
 				// The peer is NOT marked dead here: a missed heartbeat may
-				// mean only its return path failed (it could be computing,
-				// orphaned, with a result to park). A truly dead peer is
-				// detected when the next dispatch RPC to it fails.
+				// mean only that its return path failed. A truly dead peer
+				// is detected when the next dispatch RPC to it fails.
 				c.advanceEpoch(job, s)
 			}
 		}
@@ -393,8 +415,11 @@ func (c *Coordinator) controlLoop(ctx context.Context, job *fleetJob) (*Result, 
 		job.merged = nil
 
 		failErr := job.failErr
-		// Earliest lease deadline the loop must wake for.
+		// Earliest lease deadline, or the time limit, the loop must wake for.
 		finished, next := true, time.Time{}
+		if limit := job.opt.Limits.MaxTime; limit > 0 {
+			next = job.start.Add(limit)
+		}
 		for _, s := range job.shards {
 			finished = finished && s.status == shardDone
 			if s.status == shardLeased && s.peer >= 0 && (next.IsZero() || s.deadline.Before(next)) {
@@ -403,8 +428,8 @@ func (c *Coordinator) controlLoop(ctx context.Context, job *fleetJob) (*Result, 
 		}
 		job.mu.Unlock()
 
-		for _, block := range merged {
-			job.sink(block, strings.Count(block, "\n"))
+		if err := job.deliver(merged...); err != nil {
+			return nil, err
 		}
 		if failErr != nil {
 			return nil, failErr
@@ -497,43 +522,27 @@ func (c *Coordinator) request(job *fleetJob, s *shardState) *DispatchRequest {
 // dispatch performs the dispatch RPC with retry/backoff+jitter and folds
 // the outcome back into the shard table.
 func (c *Coordinator) dispatch(ctx context.Context, job *fleetJob, s *shardState, p int, req *DispatchRequest) {
-	resp, err := rpc(ctx, c.cfg.Retry, c.cfg.Fault, "dispatch", func() (*DispatchResponse, error) {
+	_, err := rpc(ctx, c.cfg.Retry, c.cfg.Fault, "dispatch", func() (*DispatchResponse, error) {
 		return c.cfg.Peers[p].Dispatch(ctx, req)
 	})
-
-	job.mu.Lock()
-	defer func() {
-		job.mu.Unlock()
-		job.wakeUp()
-	}()
-	switch {
-	case err != nil:
-		job.log.Warn("dispatch failed", "shard", s.idx, "epoch", req.Epoch,
-			"peer", c.peerName(p), "error", err.Error())
-		c.markDead(p)
-	case resp.Parked != nil:
-		// The worker finished an earlier epoch of this shard while
-		// orphaned; adopt that result instead of the new lease.
-		job.stats.Adopted++
-		job.rec.EmitTagged(obs.EvShardAdopted, -1,
-			[]obs.SField{obs.S("peer", c.peerName(p))},
-			obs.F("shard", int64(s.idx)), obs.F("epoch", int64(resp.Parked.Epoch)))
-		if c.mergeResultLocked(job, resp.Parked) {
-			return
-		}
-		// Turned away (coordinator restarted?): re-dispatch the shard.
-	default:
-		// Accepted — or not, by a worker already running a newer epoch of
-		// this shard (a stale re-dispatch crossed a fresher one): that lease
-		// is left to expire, the newer run's heartbeats keep it alive.
+	if err == nil || ctx.Err() != nil {
+		// Accepted — or not, by a worker running a newer epoch of this shard
+		// (a stale re-dispatch crossed a fresher one, whose heartbeats keep
+		// the lease) — or cut short by the job's end, which says nothing of the peer.
 		return
 	}
+	job.mu.Lock()
+	job.log.Warn("dispatch failed", "shard", s.idx, "epoch", req.Epoch,
+		"peer", c.peerName(p), "error", err.Error())
+	c.markDead(p)
 	// Only undo the lease if it is still ours — a lease expiry may have
 	// advanced the epoch while the RPC was retrying.
 	if s.status == shardLeased && s.epoch == req.Epoch && s.peer == p {
 		s.status = shardPending
 		s.peer = -1
 	}
+	job.mu.Unlock()
+	job.wakeUp()
 }
 
 // runLocally executes the shard in-process — the fleet-at-zero degradation
@@ -561,12 +570,7 @@ func (c *Coordinator) runLocally(ctx context.Context, job *fleetJob, s *shardSta
 			Fault:      c.cfg.Fault,
 		})
 		if err != nil {
-			job.mu.Lock()
-			if job.failErr == nil {
-				job.failErr = fmt.Errorf("dist: local shard %d: %w", s.idx, err)
-			}
-			job.mu.Unlock()
-			job.wakeUp()
+			c.HandleResult(failedResult(req, "local", err))
 			return
 		}
 		c.HandleResult(newShardResult(req, "local", res, shipped, 0))
@@ -636,9 +640,10 @@ func (c *Coordinator) HandleResult(req *ShardResult) *ResultResponse {
 }
 
 // mergeResultLocked folds one shard result into the job totals (caller
-// holds job.mu) and queues the shard's trees for the control loop to deliver.
-// It reports false when the result was turned away (already merged, unknown
-// shard or epoch, another protocol version, trees that do not fit).
+// holds job.mu) and queues the shard's trees for the control loop to deliver;
+// a failed one stops the job with its error instead. It reports false when
+// the result was turned away (already merged, unknown shard or epoch, another
+// protocol version, trees that do not fit).
 func (c *Coordinator) mergeResultLocked(job *fleetJob, req *ShardResult) bool {
 	if req.Shard < 0 || req.Shard >= len(job.shards) {
 		return false
@@ -646,9 +651,16 @@ func (c *Coordinator) mergeResultLocked(job *fleetJob, req *ShardResult) bool {
 	s := job.shards[req.Shard]
 	base, known := s.base[req.Epoch]
 	if req.Proto != Proto || s.status == shardDone || !known ||
-		!s.takeTrees(req.Epoch, req.TreeDelta, req.Counters.StandTrees) {
+		req.Err == "" && !s.takeTrees(req.Epoch, req.TreeDelta, req.Counters.StandTrees) {
 		c.fence(job, s, "result", req.Proto, req.Epoch, req.Node)
 		return false
+	}
+	if req.Err != "" {
+		if job.failErr == nil {
+			job.failErr = fmt.Errorf("dist: shard %d failed on %s: %s", req.Shard, req.Node, req.Err)
+		}
+		job.stopping = true
+		return true
 	}
 	total := base.counters
 	total.Add(req.Counters)
@@ -672,18 +684,26 @@ func (c *Coordinator) mergeResultLocked(job *fleetJob, req *ShardResult) bool {
 		// unlimited) but surface it rather than claim exhaustion.
 		job.stop = req.Stop
 	}
-	// Coarse job-level stopping rules, evaluated at merge points.
-	if reason, hit := job.opt.Limits.Exceeded(job.totals, 0); hit && !job.stopping {
-		job.stopping = true
-		job.stop = reason
-		// Un-dispatched work stays pending forever; completed counts
-		// stand. Leased shards get fenced at their next heartbeat. Mark
-		// everything as done so the loop terminates.
-		for _, sh := range job.shards {
-			sh.status = shardDone
-		}
-	}
+	c.limitLocked(job, c.cfg.Clock.Now())
 	return true
+}
+
+// limitLocked stops the job at its first limit passed (caller holds job.mu):
+// the merged totals against the tree and state limits, the time since the
+// start of Run against the time limit.
+func (c *Coordinator) limitLocked(job *fleetJob, now time.Time) {
+	reason, hit := job.opt.Limits.Exceeded(job.totals, now.Sub(job.start))
+	if !hit || job.stopping {
+		return
+	}
+	job.stopping = true
+	job.stop = reason
+	// Un-dispatched work stays pending forever; completed counts stand.
+	// Leased shards get fenced at their next heartbeat. Mark everything as
+	// done so the loop terminates.
+	for _, sh := range job.shards {
+		sh.status = shardDone
+	}
 }
 
 // fence turns a heartbeat or a result away (caller holds job.mu). One of

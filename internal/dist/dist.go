@@ -25,6 +25,12 @@
 //     cannot both contribute. Stale peers learn they are fenced from the
 //     heartbeat/result response and cancel.
 //
+//   - One retry: the resume. A shard whose worker is lost — dead, orphaned
+//     (it cancels its run after orphanAfter failed heartbeats) or unable to
+//     deliver its result — resumes from its last accepted checkpoint when
+//     its lease expires. A shard whose run fails reports the failure in its
+//     result, and the job fails once with it.
+//
 //   - One tree log per shard (treeLog), on the worker and on the
 //     coordinator. A tree crosses the wire once; what arrives is put behind
 //     the cut it names, so a message sent twice or a late result overwrites.
@@ -35,9 +41,7 @@
 //
 //   - Graceful degradation. When the fleet shrinks to zero the coordinator
 //     finishes the remaining shards locally through the same epoch
-//     accounting. A worker that loses its coordinator finishes its leased
-//     shard and parks the result, which the next dispatch for that shard
-//     adopts.
+//     accounting.
 //
 // Time is abstracted behind Clock so the whole protocol runs deterministically
 // under the tests' VirtualClock before any real network exists.

@@ -1,15 +1,18 @@
 package dist
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"math/rand"
-	"os"
-	"path/filepath"
-	"sync/atomic"
+	"runtime"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"gentrius"
 	"gentrius/internal/obs"
 	"gentrius/internal/retry"
 	"gentrius/internal/search"
@@ -77,107 +80,226 @@ func TestFleetCancelled(t *testing.T) {
 	}
 }
 
-// TestWorkerOrphaned: three heartbeats in a row fail while the shard runs. The
-// worker stops heartbeating, finishes the shard and parks the result without
-// trying to deliver it; the dispatch that follows the lease expiry adopts it.
+// recordingPeer passes dispatches on to its worker and keeps each.
+type recordingPeer struct {
+	WorkerClient
+	mu   sync.Mutex
+	seen []*DispatchRequest
+}
+
+func (p *recordingPeer) Dispatch(ctx context.Context, req *DispatchRequest) (*DispatchResponse, error) {
+	p.mu.Lock()
+	p.seen = append(p.seen, req)
+	p.mu.Unlock()
+	return p.WorkerClient.Dispatch(ctx, req)
+}
+
+func (p *recordingPeer) dispatches() []*DispatchRequest {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return append([]*DispatchRequest(nil), p.seen...)
+}
+
+// TestWorkerOrphaned: two heartbeats with trees get through, then three in a
+// row fail while the shard runs. The worker cancels its run and sends no
+// result; once the lease expires the shard is dispatched again, from the
+// checkpoint of the last heartbeat the coordinator took, and the merged
+// stand is the serial one.
 func TestWorkerOrphaned(t *testing.T) {
 	cons, ref, _ := wireScenario(t)
-	tap := &wireTap{failBeats: true}
-	f := startWireFleet(t, cons, tap, nil)
+	tap := &wireTap{}
+	peer := &recordingPeer{}
+	f := startWireFleet(t, cons, tap, func(w WorkerClient) WorkerClient { peer.WorkerClient = w; return peer })
+	f.beats(t, 2)
+	tap.mu.Lock()
+	tap.failBeats = true
+	accepted := tap.accepted
+	tap.mu.Unlock()
 	for i := 0; i < orphanAfter; i++ {
 		f.beat <- f.clock.Now()
 		<-tap.seen
 	}
-	waitFor(t, "the orphaned worker to park its result", func() bool { return f.metrics.ResultsParked.Value() == 1 })
-	if tap.results != 0 || f.metrics.HeartbeatFailures.Value() != orphanAfter {
-		t.Fatalf("%d results sent and %d heartbeats failed, want 0 and %d: the result was not parked by an orphan",
-			tap.results, f.metrics.HeartbeatFailures.Value(), orphanAfter)
+	waitFor(t, "the orphaned worker to stop its run", func() bool { return f.worker.ActiveShards() == 0 })
+	tap.mu.Lock()
+	results := tap.results
+	tap.failBeats = false
+	tap.mu.Unlock()
+	if results != 0 || f.metrics.HeartbeatFailures.Value() != orphanAfter {
+		t.Fatalf("%d results sent and %d heartbeats failed, want 0 and %d",
+			results, f.metrics.HeartbeatFailures.Value(), orphanAfter)
 	}
-	var res *Result
-	waitFor(t, "the parked result's adoption", func() bool {
+
+	waitFor(t, "the re-dispatch after the lease expiry", func() bool {
 		f.clock.Advance(10 * time.Second)
-		select {
-		case res = <-f.done:
-		default:
-		}
-		return res != nil
+		return len(peer.dispatches()) == 2
 	})
+	d2 := peer.dispatches()[1]
+	want, _ := json.Marshal(accepted.Frontier)
+	got, _ := json.Marshal(d2.Checkpoint.Frontier)
+	if d2.Epoch != 2 || d2.Checkpoint.Counters != (search.Counters{}) || !bytes.Equal(got, want) {
+		t.Fatalf("re-dispatch at epoch %d with counters %+v, want epoch 2 from the last accepted frontier, counters zeroed",
+			d2.Epoch, d2.Checkpoint.Counters)
+	}
+	res := f.wait(t)
 	assertMatchesSerial(t, res, ref)
-	if res.Adopted != 1 || res.LeaseExpiries != 1 {
-		t.Fatalf("%d adopted after %d lease expiries, want 1 and 1", res.Adopted, res.LeaseExpiries)
+	if res.LeaseExpiries != 1 || tap.results != 1 {
+		t.Fatalf("%d lease expiries and %d results, want 1 and epoch 2's 1", res.LeaseExpiries, tap.results)
 	}
 }
 
-// swapPeer is a peer whose process can be replaced.
-type swapPeer struct{ w atomic.Pointer[Worker] }
-
-func (p *swapPeer) Name() string { return "w" }
-
-func (p *swapPeer) Dispatch(_ context.Context, req *DispatchRequest) (*DispatchResponse, error) {
-	return p.w.Load().HandleDispatch(req), nil
+// TestFleetShardFails: one of two workers panics at its first engine step.
+// It reports the failure and the job fails once with the panic value: no
+// lease expires and no shard is dispatched again.
+func TestFleetShardFails(t *testing.T) {
+	cons := canonicalize(t, randomScenario(rand.New(rand.NewSource(81)), 12, 3, 5, 0.6))
+	metrics := NewMetrics(obs.NewRegistry())
+	f := newFleet(t, 2, Config{Shards: 2, LeaseTTL: 2 * time.Second, HeartbeatEvery: 20 * time.Millisecond,
+		Metrics: metrics}, []string{"enginestep.every=1", ""})
+	defer func() {
+		for _, w := range f.workers {
+			w.Shutdown()
+		}
+	}()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go func() { // a deadline in virtual time: a shard retried for ever fails the test
+		select {
+		case <-f.clock.Until(time.Unix(0, 0).Add(20 * time.Second)):
+			cancel()
+		case <-ctx.Done():
+		}
+	}()
+	_, err := f.coord.Run(ctx, "fails", cons, RunOptions{CollectTrees: true, InitialTree: -1})
+	if err == nil || !strings.Contains(err.Error(), "injected panic at enginestep") ||
+		!strings.Contains(err.Error(), "failed on a:") {
+		t.Fatalf("run returned %v; want the panic of worker a's shard", err)
+	}
+	if d := metrics.ShardsDispatched.Value(); d != 2 {
+		t.Fatalf("%d dispatches, want one per shard", d)
+	}
+	if e := metrics.LeaseExpiries.Value(); e != 0 {
+		t.Fatalf("%d lease expiries, want none", e)
+	}
 }
 
-// TestParkedSurvivesRestart: a worker that cannot reach its coordinator
-// parks both shards' results in its data directory and goes away; a new worker
-// on the same directory reloads them — skipping a corrupt file and one of
-// another protocol version — and the dispatches after the lease expiry adopt
-// them, removing the files.
-func TestParkedSurvivesRestart(t *testing.T) {
-	cons := canonicalize(t, randomScenario(rand.New(rand.NewSource(99)), 9, 3, 4, 0.65))
-	ref := serialRef(t, cons)
-	dir := t.TempDir()
+// TestFleetTimeLimit: the peers never finish, so only the coordinator's
+// clock can end the job, at MaxTime after the start of Run.
+func TestFleetTimeLimit(t *testing.T) {
+	cons := canonicalize(t, randomScenario(rand.New(rand.NewSource(101)), 15, 3, 6, 0.6))
+	peerA, peerB := newScriptedPeer("a"), newScriptedPeer("b")
 	clock := NewVirtualClock(time.Unix(0, 0))
-	metrics := NewMetrics(obs.NewRegistry())
-	peer := &swapPeer{}
-	peer.w.Store(NewWorker(WorkerConfig{Name: "w", DataDir: dir, Clock: clock, Metrics: metrics,
-		Retry: retry.Policy{Attempts: 1},
-		Dial:  func(string) CoordinatorClient { return failingCoordClient{} }}))
-	coord := NewCoordinator(Config{Peers: []WorkerClient{peer}, Shards: 2, LeaseTTL: 200 * time.Millisecond,
-		HeartbeatEvery: 50 * time.Millisecond, Clock: clock, Retry: retry.Policy{Attempts: 1}})
+	coord := NewCoordinator(Config{Peers: []WorkerClient{peerA, peerB}, Shards: 2, LeaseTTL: 2 * time.Second,
+		Clock: clock, Retry: retry.Policy{Attempts: 1}})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	done := make(chan *Result, 1)
 	go func() {
-		res, err := coord.Run(context.Background(), "restart", cons, RunOptions{CollectTrees: true, InitialTree: -1})
+		res, err := coord.Run(ctx, "timelimit", cons, RunOptions{InitialTree: -1,
+			Limits: search.Limits{MaxTime: 5 * time.Second}})
 		if err != nil {
 			t.Error(err)
 		}
 		done <- res
 	}()
-	waitFor(t, "both results to be parked, in memory and on disk", func() bool {
-		parked, _ := filepath.Glob(filepath.Join(dir, "parked-*.json"))
-		return metrics.ResultsParked.Value() == 2 && len(parked) == 2
-	})
-
-	// The restart, with two files the new process must not load.
-	peer.w.Load().Shutdown()
-	corrupt := filepath.Join(dir, "parked-corrupt.json")
-	old, _ := json.Marshal(parkedResult{Fingerprint: "x", Result: &ShardResult{Proto: Proto - 1, JobID: "other"}})
-	for path, data := range map[string][]byte{corrupt: []byte(`{"result":`), filepath.Join(dir, "parked-old.json"): old} {
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	w2 := NewWorker(WorkerConfig{Name: "w", DataDir: dir, Clock: clock, Retry: retry.Policy{Attempts: 1},
-		Dial: func(string) CoordinatorClient { return &LocalCoordinatorClient{C: coord} }})
-	if len(w2.parked) != 2 {
-		t.Fatalf("the restarted worker holds %d parked results, want the 2 of this protocol that parse", len(w2.parked))
-	}
-	peer.w.Store(w2)
-
 	var res *Result
-	waitFor(t, "the adoption of the reloaded results", func() bool {
-		clock.Advance(50 * time.Millisecond)
+	waitFor(t, "the time limit", func() bool {
+		if clock.Now().After(time.Unix(0, 0).Add(time.Minute)) {
+			cancel() // a deadline in virtual time: the limit was not enforced
+		}
+		clock.Advance(100 * time.Millisecond)
 		select {
 		case res = <-done:
 		default:
 		}
 		return res != nil
 	})
-	assertMatchesSerial(t, res, ref)
-	if res.Adopted != 2 {
-		t.Fatalf("%d results adopted, want 2", res.Adopted)
+	if res.Stop != search.StopTimeLimit {
+		t.Fatalf("run stopped %v at %v, want time-limit at 5s", res.Stop, clock.Now().Sub(time.Unix(0, 0)))
 	}
-	if left, _ := filepath.Glob(filepath.Join(dir, "parked-*.json")); len(left) != 2 {
-		t.Fatalf("files left behind: %v, want the corrupt and the old one only", left)
+}
+
+// localRuns counts the goroutines running a shard in the coordinator's
+// process.
+func localRuns() int {
+	buf := make([]byte, 1<<20)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			return strings.Count(string(buf[:n]), "dist.(*Coordinator).runLocally.func")
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+}
+
+// TestFleetTimeLimitStopsLocalRuns: with no peers the shards run in the
+// coordinator's process, braked to outlast the test; when the time limit ends
+// the job, its local runs end too instead of enumerating on unseen.
+func TestFleetTimeLimitStopsLocalRuns(t *testing.T) {
+	cons := canonicalize(t, randomScenario(rand.New(rand.NewSource(308)), 18, 4, 6, 0.45))
+	fault, err := gentrius.ParseFaults("treestream.every=1;treestream.delay=1ms")
+	if err != nil {
+		t.Fatal(err)
+	}
+	clock := NewVirtualClock(time.Unix(0, 0))
+	coord := NewCoordinator(Config{Shards: 2, Clock: clock, Fault: fault})
+	before := localRuns()
+	done := make(chan *Result, 1)
+	go func() {
+		res, err := coord.Run(context.Background(), "local-timelimit", cons, RunOptions{CollectTrees: true,
+			InitialTree: -1, Limits: search.Limits{MaxTime: 5 * time.Second}})
+		if err != nil {
+			t.Error(err)
+		}
+		done <- res
+	}()
+	waitFor(t, "the local runs to start", func() bool { return localRuns() == before+2 })
+	clock.Advance(5*time.Second + time.Millisecond)
+	res := <-done
+	if res == nil || res.Stop != search.StopTimeLimit || res.LocalShards != 2 {
+		t.Fatalf("run returned %+v, want time-limit with 2 local shards", res)
+	}
+	for deadline := time.Now().Add(10 * time.Second); localRuns() > before; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d local runs still enumerating 10 s after the job ended", localRuns()-before)
+		}
+	}
+}
+
+// TestFleetSinkPanics: an OnTree that panics on its first tree fails the job
+// with the panic value, as it fails a local run, and leaves the coordinator
+// serving: the job id can be run again.
+func TestFleetSinkPanics(t *testing.T) {
+	cons := canonicalize(t, randomScenario(rand.New(rand.NewSource(101)), 15, 3, 6, 0.6))
+	peerA, peerB := newScriptedPeer("a"), newScriptedPeer("b")
+	clock := NewVirtualClock(time.Unix(0, 0))
+	coord := NewCoordinator(Config{Peers: []WorkerClient{peerA, peerB}, Shards: 2,
+		Clock: clock, Retry: retry.Policy{Attempts: 1}})
+	run := func(onTree func(string)) (*Result, error) {
+		type out struct {
+			res *Result
+			err error
+		}
+		done := make(chan out, 1)
+		go func() {
+			res, err := coord.Run(context.Background(), "sink", cons, RunOptions{InitialTree: -1, OnTree: onTree})
+			done <- out{res, err}
+		}()
+		for range 2 {
+			coord.HandleResult(runShardToEnd(t, awaitDispatch(t, clock, time.Millisecond, peerA, peerB)))
+		}
+		o := <-done
+		return o.res, o.err
+	}
+
+	_, err := run(func(string) { panic("sink") })
+	var pe *search.PanicError
+	if !errors.As(err, &pe) || pe.Value != "sink" {
+		t.Fatalf("run with a panicking sink returned %v, want a *search.PanicError of the panic", err)
+	}
+	trees := 0
+	res, err := run(func(string) { trees++ })
+	if err != nil || res.Stop != search.StopExhausted || int64(trees) != res.Counters.StandTrees {
+		t.Fatalf("second run of the job id: %v, %+v, %d trees", err, res, trees)
 	}
 }
 
@@ -187,7 +309,7 @@ func TestParkedSurvivesRestart(t *testing.T) {
 // that agrees.
 func TestProtoMismatch(t *testing.T) {
 	w := NewWorker(WorkerConfig{Name: "w"})
-	if resp := w.HandleDispatch(&DispatchRequest{Proto: Proto + 1, JobID: "j"}); resp.Accepted || resp.Parked != nil || w.ActiveShards() != 0 {
+	if resp := w.HandleDispatch(&DispatchRequest{Proto: Proto + 1, JobID: "j"}); resp.Accepted || w.ActiveShards() != 0 {
 		t.Fatalf("dispatch of protocol %d answered %+v by a worker of protocol %d", Proto+1, resp, Proto)
 	}
 

@@ -3,7 +3,6 @@ package dist
 import (
 	"bytes"
 	"context"
-	"errors"
 	"math/rand"
 	"testing"
 	"time"
@@ -148,8 +147,8 @@ func TestFleetHeartbeatBlackhole(t *testing.T) {
 }
 
 // TestFleetRPCFaults: both workers suffer seeded rpcsend/rpcrecv failures on
-// heartbeats and results; retries (and, where retries exhaust, parking and
-// lease recovery) must still converge on the exact serial totals.
+// heartbeats and results; retries (and, where retries exhaust, lease
+// recovery) must still converge on the exact serial totals.
 func TestFleetRPCFaults(t *testing.T) {
 	rng := rand.New(rand.NewSource(83))
 	cons := canonicalize(t, randomScenario(rng, 12, 3, 5, 0.6))
@@ -247,71 +246,5 @@ func TestFleetWorkerEngineEventsCarryShardTags(t *testing.T) {
 	}
 	if len(seenShards) != 2 {
 		t.Fatalf("task events cover shards %v, want both shards", seenShards)
-	}
-}
-
-// failingCoordClient simulates a worker that cannot reach its coordinator at
-// all: every heartbeat and result RPC errors.
-type failingCoordClient struct{}
-
-func (failingCoordClient) Heartbeat(context.Context, *HeartbeatRequest) (*HeartbeatResponse, error) {
-	return nil, errors.New("coordinator unreachable")
-}
-func (failingCoordClient) Result(context.Context, *ShardResult) (*ResultResponse, error) {
-	return nil, errors.New("coordinator unreachable")
-}
-
-// TestFleetParkedAdoption: the single worker can receive dispatches but can
-// never reach the coordinator. It finishes its shards orphaned and parks the
-// results; the post-expiry re-dispatch adopts them, and the job completes
-// with exact totals having never received a live heartbeat.
-func TestFleetParkedAdoption(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	cons := canonicalize(t, randomScenario(rng, 9, 3, 4, 0.65))
-	ref := serialRef(t, cons)
-
-	clock := NewVirtualClock(time.Unix(0, 0))
-	var coord *Coordinator
-	w := NewWorker(WorkerConfig{
-		Name:  "orphan",
-		Clock: clock,
-		Retry: retry.Policy{Attempts: 1},
-		Dial:  func(string) CoordinatorClient { return failingCoordClient{} },
-	})
-	coord = NewCoordinator(Config{
-		Peers:          []WorkerClient{&LocalWorkerClient{WorkerName: "orphan", W: w}},
-		Shards:         2,
-		LeaseTTL:       200 * time.Millisecond,
-		HeartbeatEvery: 50 * time.Millisecond,
-		Clock:          clock,
-		Retry:          retry.Policy{Attempts: 1},
-	})
-
-	stop := make(chan struct{})
-	defer close(stop)
-	go func() {
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				clock.Advance(2 * time.Millisecond)
-				time.Sleep(200 * time.Microsecond)
-			}
-		}
-	}()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
-	defer cancel()
-	res, err := coord.Run(ctx, "adopt", cons, RunOptions{CollectTrees: true, InitialTree: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertMatchesSerial(t, res, ref)
-	if res.Adopted == 0 {
-		t.Fatal("no parked result was adopted")
-	}
-	if res.LeaseExpiries == 0 {
-		t.Fatal("leases never expired despite zero heartbeats")
 	}
 }

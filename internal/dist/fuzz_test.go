@@ -26,6 +26,7 @@ type fuzzFleet struct {
 	d      [2]*DispatchRequest // by shard
 	cancel context.CancelFunc
 	done   chan struct{}
+	err    error // Run's, once done is closed
 
 	mu        sync.Mutex
 	delivered int // trees handed to OnTrees
@@ -41,7 +42,7 @@ func newFuzzFleet(t testing.TB, cons []*tree.Tree) *fuzzFleet {
 	f.cancel = cancel
 	go func() {
 		defer close(f.done)
-		_, err := f.coord.Run(ctx, "fuzz", cons, RunOptions{InitialTree: -1, OnTrees: func(block []byte, n int) {
+		_, f.err = f.coord.Run(ctx, "fuzz", cons, RunOptions{InitialTree: -1, OnTrees: func(block []byte, n int) {
 			if bytes.Count(block, []byte("\n")) != n || (n > 0 && block[len(block)-1] != '\n') {
 				t.Errorf("delivered a block of %d bytes that is not %d whole lines", len(block), n)
 			}
@@ -49,9 +50,6 @@ func newFuzzFleet(t testing.TB, cons []*tree.Tree) *fuzzFleet {
 			f.delivered += n
 			f.mu.Unlock()
 		}})
-		if err != nil {
-			t.Error(err)
-		}
 	}()
 	for _, p := range []*scriptedPeer{peerA, peerB} {
 		select {
@@ -67,9 +65,11 @@ func newFuzzFleet(t testing.TB, cons []*tree.Tree) *fuzzFleet {
 	return f
 }
 
-func (f *fuzzFleet) close() {
+// close cancels the job and returns Run's error.
+func (f *fuzzFleet) close() error {
 	f.cancel()
 	<-f.done
+	return f.err
 }
 
 // partialOf is what a worker holding dispatch d reports after ten more
@@ -116,7 +116,9 @@ func logText(l *treeLog) string { return strings.Join(l.Cut(0, l.Trees()).Trees,
 // was of a known epoch and put its trees inside what that epoch had shipped
 // — so one whose TreesAt is beyond it is refused — and one that is refused
 // leaves the shard's log as it was; every log stays well-formed, through a
-// lease expiry too; whatever reaches the caller is whole lines.
+// lease expiry too; whatever reaches the caller is whole lines. A failed
+// result that is taken fails the job, and moves no shard's log; the job fails
+// no other way, unless a dispatch started a run on the worker.
 func FuzzFleetMessages(f *testing.F) {
 	cons := canonicalize(f, randomScenario(rand.New(rand.NewSource(101)), 15, 3, 6, 0.6))
 
@@ -143,10 +145,17 @@ func FuzzFleetMessages(f *testing.F) {
 			add(1, &late)
 		}
 	}
-	seedFleet.close()
-	f.Add(uint8(0), []byte(`{"proto":2,"job_id":"fuzz","shard":0,"epoch":1,"checkpoint":{}}`))
-	f.Add(uint8(1), []byte(`{"proto":2,"job_id":"fuzz","shard":1,"epoch":1,"trees_at":-1,"trees_n":1,"trees":["x;\n"]}`))
-	f.Add(uint8(1), []byte(`{"proto":2,"job_id":"fuzz","shard":0,"epoch":1}`))
+	if err := seedFleet.close(); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(uint8(0), []byte(`{"proto":3,"job_id":"fuzz","shard":0,"epoch":1,"checkpoint":{}}`))
+	f.Add(uint8(1), []byte(`{"proto":3,"job_id":"fuzz","shard":1,"epoch":1,"trees_at":-1,"trees_n":1,"trees":["x;\n"]}`))
+	f.Add(uint8(1), []byte(`{"proto":3,"job_id":"fuzz","shard":0,"epoch":1}`))
+	// Failed results: of an unknown epoch (refused), of an older protocol
+	// (refused), of a live shard's epoch (fails the job; counters ignored).
+	f.Add(uint8(1), []byte(`{"proto":3,"job_id":"fuzz","shard":0,"epoch":2,"node":"a","err":"boom"}`))
+	f.Add(uint8(1), []byte(`{"proto":2,"job_id":"fuzz","shard":0,"epoch":1,"node":"a","err":"boom"}`))
+	f.Add(uint8(1), []byte(`{"proto":3,"job_id":"fuzz","shard":0,"epoch":1,"node":"a","err":"boom","counters":{"stand_trees":3}}`))
 
 	f.Fuzz(func(t *testing.T, kind uint8, body []byte) {
 		fl := newFuzzFleet(t, cons)
@@ -166,7 +175,8 @@ func FuzzFleetMessages(f *testing.F) {
 		var at TreeDelta
 		var shard, epoch int
 		var counted int64
-		var decoded bool
+		var decoded, failed bool
+		var failure string
 		switch kind % 3 {
 		case 0:
 			var hb HeartbeatRequest
@@ -177,17 +187,19 @@ func FuzzFleetMessages(f *testing.F) {
 			var r ShardResult
 			if decoded = json.NewDecoder(bytes.NewReader(body)).Decode(&r) == nil && r.JobID == "fuzz"; decoded {
 				at, shard, epoch, counted = r.TreeDelta, r.Shard, r.Epoch, r.Counters.StandTrees
+				failed, failure = r.Err != "", r.Err
 			}
 		}
 		decoded = decoded && shard >= 0 && shard < len(fl.job.shards)
 		var base, held int
 		var known bool
-		var before string
+		var before []string // every shard's log
 		if decoded {
 			fl.job.mu.Lock()
-			s := fl.job.shards[shard]
-			base, held, known = region(s, epoch)
-			before = logText(s.log)
+			base, held, known = region(fl.job.shards[shard], epoch)
+			for _, s := range fl.job.shards {
+				before = append(before, logText(s.log))
+			}
 			fl.job.mu.Unlock()
 		}
 
@@ -199,22 +211,29 @@ func FuzzFleetMessages(f *testing.F) {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
 
+		var failedTaken bool
 		if decoded && rec.Code == http.StatusOK {
 			taken := !strings.Contains(rec.Body.String(), `"fenced":true`)
+			failedTaken = taken && failed
 			want := base + at.TreesAt + at.TreesN
 			fl.job.mu.Lock()
 			s := fl.job.shards[shard]
 			switch {
-			case taken && (!known || at.TreesAt < 0 || base+at.TreesAt > held || int64(at.TreesAt+at.TreesN) != counted):
+			case taken && (!known || !failed && (at.TreesAt < 0 || base+at.TreesAt > held || int64(at.TreesAt+at.TreesN) != counted)):
 				t.Errorf("taken: epoch %d (known: %v) of shard %d put %d trees at %d+%d, the epoch held up to %d, the counter says %d",
 					epoch, known, shard, at.TreesN, base, at.TreesAt, held, counted)
 			case taken && kind%3 == 0 && s.log.Trees() != want:
 				t.Errorf("taken heartbeat left %d trees in the log, want %d+%d+%d", s.log.Trees(), base, at.TreesAt, at.TreesN)
-			case !taken && s.log != nil && logText(s.log) != before:
+			case !taken && s.log != nil && logText(s.log) != before[shard]:
 				t.Errorf("a refused message changed the log of shard %d", shard)
 			}
+			for i, sh := range fl.job.shards {
+				if failedTaken && logText(sh.log) != before[i] {
+					t.Errorf("a failed result changed the log of shard %d", i)
+				}
+			}
 			fl.job.mu.Unlock()
-			if taken && kind%3 == 1 {
+			if taken && !failed && kind%3 == 1 {
 				// The merged shard reaches the caller, whole.
 				got := func() int {
 					fl.mu.Lock()
@@ -248,5 +267,12 @@ func FuzzFleetMessages(f *testing.F) {
 			}
 		}
 		fl.job.mu.Unlock()
+		err := fl.close()
+		switch {
+		case failedTaken && (err == nil || !strings.Contains(err.Error(), failure)):
+			t.Errorf("a taken failed result (%q) left the job to end with %v", failure, err)
+		case !failedTaken && kind%3 != 2 && err != nil:
+			t.Errorf("the job failed: %v", err)
+		}
 	})
 }

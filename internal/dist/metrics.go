@@ -17,7 +17,6 @@ type Metrics struct {
 	// Worker side.
 	ShardsAccepted    *obs.Counter // dispatches this node accepted
 	HeartbeatFailures *obs.Counter // heartbeats that exhausted retries
-	ResultsParked     *obs.Counter // results parked while orphaned
 }
 
 // NewMetrics registers the fleet instruments on reg.
@@ -30,6 +29,5 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 
 		ShardsAccepted:    reg.Counter("gentriusd_fleet_worker_shards_accepted_total", "shard dispatches this node accepted"),
 		HeartbeatFailures: reg.Counter("gentriusd_fleet_worker_heartbeat_failures_total", "heartbeats that exhausted their retries"),
-		ResultsParked:     reg.Counter("gentriusd_fleet_worker_results_parked_total", "shard results parked while orphaned from the coordinator"),
 	}
 }

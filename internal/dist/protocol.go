@@ -11,9 +11,9 @@ import (
 
 // The fleet wire protocol. Three RPCs exist:
 //
-//	coordinator → worker:  Dispatch   (lease a shard, or adopt a parked result)
+//	coordinator → worker:  Dispatch   (lease a shard)
 //	worker → coordinator:  Heartbeat  (renew lease, piggyback durable progress)
-//	worker → coordinator:  Result     (final shard counters + trees)
+//	worker → coordinator:  Result     (final shard counters + trees, or the run's failure)
 //
 // All payloads are JSON. Constraint trees travel as canonical Newick
 // strings and are re-parsed on both sides from the SAME text, so taxon and
@@ -24,8 +24,10 @@ import (
 // worker refuses a dispatch of another version, a coordinator fences a
 // heartbeat or a result of another version and stops using that peer, so a
 // mixed fleet runs on the peers that agree. Version 1 had no such field and
-// re-sent every tree since dispatch, a string each, on every heartbeat.
-const Proto = 2
+// re-sent every tree since dispatch, a string each, on every heartbeat;
+// version 2 could answer a dispatch with a result finished earlier, and a
+// failed run reported nothing.
+const Proto = 3
 
 // TreeDelta is the stand trees a heartbeat or a result carries, each tree of
 // a shard crossing the wire once: Trees are the engine's blocks (see
@@ -57,9 +59,8 @@ type DispatchRequest struct {
 	// re-dispatch, and the worker echoes it on every heartbeat and on the
 	// final result so the coordinator can tell lineages apart.
 	Epoch int `json:"epoch"`
-	// Fingerprint is the canonical input fingerprint
-	// (search.Fingerprint); a worker holding a parked result for this
-	// (job, shard) returns it only when the fingerprint matches.
+	// Fingerprint is the canonical input fingerprint (search.Fingerprint)
+	// of Trees; a worker that parses a different one fails the shard.
 	Fingerprint string `json:"fingerprint"`
 	// Trees are the canonical constraint Newicks (one per constraint, in
 	// order). The worker re-parses them verbatim.
@@ -80,15 +81,9 @@ type DispatchRequest struct {
 	HeartbeatMillis int64 `json:"heartbeat_ms"`
 }
 
-// DispatchResponse acknowledges a lease — or adopts a parked result from a
-// worker that finished the shard while orphaned from its coordinator.
+// DispatchResponse acknowledges a lease.
 type DispatchResponse struct {
 	Accepted bool `json:"accepted"`
-	// Parked, if non-nil, is the completed result of an earlier epoch of
-	// this shard, finished while the worker could not reach the
-	// coordinator. The dispatch it answers was NOT accepted; the
-	// coordinator merges the parked result under its recorded epoch.
-	Parked *ShardResult `json:"parked,omitempty"`
 }
 
 // HeartbeatRequest renews a shard lease and piggybacks durable progress.
@@ -139,6 +134,11 @@ type ShardResult struct {
 	Counters search.Counters   `json:"counters"`
 	// The trees no heartbeat delivered: TreesAt + TreesN == Counters.StandTrees.
 	TreeDelta
+	// Err, when set, is why the epoch's run failed (the engine failed or
+	// panicked, or the dispatched constraints did not parse or match their
+	// fingerprint); the result then has no counters and no trees, and the
+	// coordinator fails the job with it.
+	Err string `json:"err,omitempty"`
 }
 
 // ResultResponse acknowledges a shard result.

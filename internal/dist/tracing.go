@@ -92,7 +92,7 @@ func (st *shardTracer) HeartbeatSend(seq, massPPM int64) {
 }
 
 // End marks the epoch's terminal state on this worker. outcome is one of
-// done / parked / fenced / failed / cancelled; counters are the final
+// done / orphaned / fenced / failed / cancelled; counters are the final
 // since-dispatch totals when the run produced any.
 func (st *shardTracer) End(outcome string, counters search.Counters) {
 	st.rec.EmitTagged(obs.EvShardEnd, -1,

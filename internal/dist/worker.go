@@ -2,12 +2,8 @@ package dist
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"log/slog"
-	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -31,9 +27,6 @@ type WorkerConfig struct {
 	// Threads is the default per-shard thread count when the dispatch does
 	// not specify one.
 	Threads int
-	// DataDir, when set, persists parked results to disk so they survive a
-	// worker restart.
-	DataDir string
 
 	Clock   Clock
 	Retry   retry.Policy
@@ -44,9 +37,9 @@ type WorkerConfig struct {
 }
 
 // orphanAfter is how many CONSECUTIVE failed heartbeats (each already retried
-// with backoff) make a worker consider itself orphaned: it stops
-// heartbeating, finishes the shard, and parks the result for the next
-// dispatch to adopt.
+// with backoff) make a worker consider itself orphaned: it cancels the run and
+// sends nothing. The lease expires, and the shard resumes from the last
+// checkpoint the coordinator accepted, as any lost shard does.
 const orphanAfter = 3
 
 // Worker executes dispatched shards: it resumes each shard's frontier
@@ -57,7 +50,6 @@ type Worker struct {
 
 	mu      sync.Mutex
 	running map[shardKey]*shardRun
-	parked  map[shardKey]*parkedResult
 }
 
 type shardKey struct {
@@ -72,19 +64,10 @@ type shardRun struct {
 	fenced atomic.Bool
 }
 
-// parkedResult is a completed shard result held for adoption, tagged with
-// the input fingerprint it answers.
-type parkedResult struct {
-	Fingerprint string       `json:"fingerprint"`
-	Result      *ShardResult `json:"result"`
-}
-
-// NewWorker applies defaults and reloads any parked results from DataDir.
+// NewWorker applies defaults.
 func NewWorker(cfg WorkerConfig) *Worker {
 	cfg.Clock, cfg.Retry, cfg.Metrics, cfg.Logger = nodeDefaults(cfg.Clock, cfg.Retry, cfg.Metrics, cfg.Logger)
-	w := &Worker{cfg: cfg, running: map[shardKey]*shardRun{}, parked: map[shardKey]*parkedResult{}}
-	w.loadParked()
-	return w
+	return &Worker{cfg: cfg, running: map[shardKey]*shardRun{}}
 }
 
 // ActiveShards reports how many shard runs are in flight (for drain logic
@@ -95,9 +78,8 @@ func (w *Worker) ActiveShards() int {
 	return len(w.running)
 }
 
-// HandleDispatch accepts (or refuses) a shard lease. A parked result for
-// the same (job, shard, fingerprint) is returned for adoption instead of a
-// fresh run; a dispatch carrying a newer epoch fences the current run away.
+// HandleDispatch accepts (or refuses) a shard lease; a dispatch carrying a
+// newer epoch fences the current run away.
 func (w *Worker) HandleDispatch(req *DispatchRequest) *DispatchResponse {
 	if req.Proto != Proto {
 		w.cfg.Logger.Warn("dispatch of another protocol version refused", "job", req.JobID,
@@ -106,16 +88,6 @@ func (w *Worker) HandleDispatch(req *DispatchRequest) *DispatchResponse {
 	}
 	key := shardKey{req.JobID, req.Shard}
 	w.mu.Lock()
-	if pk := w.parked[key]; pk != nil && pk.Fingerprint == req.Fingerprint {
-		delete(w.parked, key)
-		w.mu.Unlock()
-		if w.cfg.DataDir != "" {
-			os.Remove(w.parkPath(key))
-		}
-		w.cfg.Logger.Info("returning parked result for adoption",
-			"job", req.JobID, "shard", req.Shard, "epoch", pk.Result.Epoch)
-		return &DispatchResponse{Parked: pk.Result}
-	}
 	if run := w.running[key]; run != nil {
 		switch {
 		case run.epoch == req.Epoch:
@@ -144,7 +116,8 @@ func (w *Worker) HandleDispatch(req *DispatchRequest) *DispatchResponse {
 // runShard executes one shard epoch end to end: resume the frontier
 // checkpoint, heartbeat on the configured cadence (each heartbeat takes an
 // on-demand snapshot through a CheckpointTrigger so progress is durable at
-// exactly the heartbeat cut), and deliver — or park — the final result.
+// exactly the heartbeat cut), and deliver the final result — or the run's
+// failure, which fails the job.
 func (w *Worker) runShard(ctx context.Context, run *shardRun, key shardKey, req *DispatchRequest) {
 	defer close(run.done)
 	defer func() {
@@ -156,17 +129,19 @@ func (w *Worker) runShard(ctx context.Context, run *shardRun, key shardKey, req 
 	}()
 
 	log := w.cfg.Logger.With("job", req.JobID, "shard", req.Shard, "epoch", req.Epoch)
+	coord := w.cfg.Dial(req.CoordURL)
 	cons, err := tree.ReadLines(req.Trees)
 	if err != nil {
-		log.Error("shard constraints unparseable", "error", err.Error())
-		return
+		err = fmt.Errorf("constraints unparseable: %w", err)
+	} else if fp := search.Fingerprint(cons); fp != req.Fingerprint {
+		err = fmt.Errorf("fingerprint %s, dispatch says %s", fp, req.Fingerprint)
 	}
-	if fp := search.Fingerprint(cons); fp != req.Fingerprint {
-		log.Error("shard fingerprint mismatch", "got", fp, "want", req.Fingerprint)
+	if err != nil {
+		log.Error("shard input refused", "error", err.Error())
+		w.deliver(coord, failedResult(req, w.cfg.Name, err), log)
 		return
 	}
 
-	coord := w.cfg.Dial(req.CoordURL)
 	trigger := gentrius.NewCheckpointTrigger()
 
 	// Every event this shard emits — lifecycle markers here, task-lineage
@@ -220,7 +195,6 @@ func (w *Worker) runShard(ctx context.Context, run *shardRun, key shardKey, req 
 	}
 
 	var out outcome
-	orphaned := false
 	fails := 0
 	var seq int64
 	lastMass := -1.0
@@ -271,12 +245,13 @@ beat:
 			w.cfg.Metrics.HeartbeatFailures.Inc()
 			log.Warn("heartbeat failed", "consecutive", fails, "error", err.Error())
 			if fails >= orphanAfter {
-				// Orphaned: the coordinator is unreachable. Finish the shard
-				// anyway and park the result — re-dispatch will adopt it.
-				orphaned = true
-				log.Warn("coordinator unreachable: finishing shard orphaned")
-				out = <-resCh
-				break beat
+				// Orphaned: the coordinator is unreachable. Stop; the lease
+				// expires and the shard resumes from its last accepted cut.
+				log.Warn("coordinator unreachable: shard run cancelled")
+				run.cancel()
+				<-resCh
+				st.End("orphaned", search.Counters{})
+				return
 			}
 			continue
 		}
@@ -297,10 +272,11 @@ beat:
 		return
 	}
 	if out.err != nil {
-		// The run itself failed. Report nothing: the lease expires and the
-		// coordinator re-dispatches from the last durable checkpoint.
+		// The run itself failed: the job fails with it, once. A resume from
+		// the last checkpoint would meet the same failure again.
 		st.End("failed", search.Counters{})
 		log.Error("shard run failed", "error", out.err.Error())
+		w.deliver(coord, failedResult(req, w.cfg.Name, out.err), log)
 		return
 	}
 	if out.res.Stop == gentrius.StopCancelled {
@@ -313,21 +289,21 @@ beat:
 	// The end event precedes result delivery on purpose: a worker-side end
 	// always happens-before the coordinator's shard-done for the same epoch,
 	// which keeps the merged timeline's span nesting honest.
-	if orphaned {
-		st.End("parked", result.Counters)
-		w.park(key, req.Fingerprint, result)
-		return
-	}
 	st.End("done", result.Counters)
+	w.deliver(coord, result, log)
+}
+
+// deliver sends a shard's result under the retry policy. One that cannot be
+// delivered is dropped: the lease expires and the shard resumes from its
+// last accepted checkpoint.
+func (w *Worker) deliver(coord CoordinatorClient, res *ShardResult, log *slog.Logger) {
 	resp, err := rpc(nil, w.cfg.Retry, w.cfg.Fault, "result", func() (*ResultResponse, error) {
-		return coord.Result(context.Background(), result)
+		return coord.Result(context.Background(), res)
 	})
-	if err != nil {
-		log.Warn("result delivery failed: parking", "error", err.Error())
-		w.park(key, req.Fingerprint, result)
-		return
-	}
-	if resp.Fenced {
+	switch {
+	case err != nil:
+		log.Warn("result delivery failed: dropped", "error", err.Error())
+	case resp.Fenced:
 		log.Info("result fenced by coordinator")
 	}
 }
@@ -352,59 +328,11 @@ func newShardResult(d *DispatchRequest, node string, res *gentrius.Result, trees
 	}
 }
 
-// park stores a finished result for adoption by a future dispatch, in
-// memory and (when DataDir is set) on disk.
-func (w *Worker) park(key shardKey, fingerprint string, res *ShardResult) {
-	pk := &parkedResult{Fingerprint: fingerprint, Result: res}
-	w.mu.Lock()
-	w.parked[key] = pk
-	w.mu.Unlock()
-	w.cfg.Metrics.ResultsParked.Inc()
-	w.cfg.Trace.EmitTagged(obs.EvShardParked, -1,
-		[]obs.SField{obs.S("job", res.JobID)},
-		obs.F("shard", int64(res.Shard)), obs.F("epoch", int64(res.Epoch)))
-	w.cfg.Logger.Info("shard result parked", "job", res.JobID,
-		"shard", res.Shard, "epoch", res.Epoch, "trees", res.Counters.StandTrees)
-	if w.cfg.DataDir == "" {
-		return
-	}
-	data, err := json.Marshal(pk)
-	if err == nil {
-		err = os.WriteFile(w.parkPath(key), data, 0o644)
-	}
-	if err != nil {
-		w.cfg.Logger.Warn("parked result not persisted", "error", err.Error())
-	}
-}
-
-// parkPath names the on-disk parked file for a shard. The job id is hashed
-// so arbitrary ids cannot escape the directory.
-func (w *Worker) parkPath(key shardKey) string {
-	h := fnv.New64a()
-	h.Write([]byte(key.job))
-	return filepath.Join(w.cfg.DataDir, fmt.Sprintf("parked-%016x-%d.json", h.Sum64(), key.shard))
-}
-
-// loadParked restores parked results persisted by a previous process.
-func (w *Worker) loadParked() {
-	if w.cfg.DataDir == "" {
-		return
-	}
-	paths, _ := filepath.Glob(filepath.Join(w.cfg.DataDir, "parked-*.json"))
-	for _, p := range paths {
-		data, err := os.ReadFile(p)
-		if err != nil {
-			continue
-		}
-		var pk parkedResult
-		if json.Unmarshal(data, &pk) != nil || pk.Result == nil || pk.Result.Proto != Proto {
-			w.cfg.Logger.Warn("ignoring parked result: corrupt, or of another protocol version", "path", p)
-			continue
-		}
-		w.parked[shardKey{pk.Result.JobID, pk.Result.Shard}] = &pk
-		w.cfg.Logger.Info("reloaded parked result", "job", pk.Result.JobID,
-			"shard", pk.Result.Shard, "epoch", pk.Result.Epoch)
-	}
+// failedResult reports that the run dispatch d started failed with err: no
+// counters, no trees.
+func failedResult(d *DispatchRequest, node string, err error) *ShardResult {
+	return &ShardResult{Proto: Proto, JobID: d.JobID, Shard: d.Shard, Epoch: d.Epoch,
+		TraceID: d.TraceID, Node: node, Stop: search.StopFailed, Err: err.Error()}
 }
 
 // Shutdown cancels every running shard (used by daemon drain; runs notice

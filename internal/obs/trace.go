@@ -62,14 +62,11 @@ const (
 	// Fleet events (emitted by internal/dist, worker -1). Shard events
 	// carry the job id as a "job" tag plus "shard"/"epoch" numeric fields,
 	// so one trace reconstructs every shard's lease lineage: dispatch →
-	// (expire → re-dispatch)* → done, with fencing and parked-result
-	// adoption visible in between.
+	// (expire → re-dispatch)* → done, with fencing visible in between.
 	EvShardDispatch = "shard-dispatch" // shard leased to a peer (tags: peer, cause)
 	EvShardDone     = "shard-done"     // shard result merged into the job total
 	EvLeaseExpire   = "lease-expire"   // lease ran out of heartbeats
 	EvShardFenced   = "shard-fenced"   // stale-epoch heartbeat/result turned away
-	EvShardParked   = "shard-parked"   // orphaned worker parked a finished result
-	EvShardAdopted  = "shard-adopted"  // parked result adopted at re-dispatch
 	EvFleetLocal    = "fleet-local"    // coordinator fell back to local execution
 
 	// Fleet-trace span events. The coordinator mints one trace id per fleet

@@ -973,40 +973,28 @@ func (m *Manager) runJob(job *Job) {
 
 // runFleetJob executes a job across the fleet via the configured
 // coordinator. Limits follow the engine conventions (zero = paper
-// defaults, negative = unlimited) but are enforced coarsely at shard
-// merges; MaxTime is enforced here through the job context, since the
-// coordinator has no clock on the job as a whole.
+// defaults, negative = unlimited); the coordinator enforces the tree and
+// state limits coarsely at shard merges and MaxTime on its clock.
 func (m *Manager) runFleetJob(job *Job, req JobRequest) {
 	start := time.Now()
-	lim := search.Limits{
-		MaxTrees:  req.MaxTrees,
-		MaxStates: req.MaxStates,
-		MaxTime:   m.clampTime(time.Duration(req.MaxTimeSeconds * float64(time.Second))),
-	}.Normalize()
-	ctx := job.ctx
-	if lim.MaxTime > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, lim.MaxTime)
-		defer cancel()
-	}
-	dres, err := m.cfg.Fleet.Run(ctx, job.id, job.cons, dist.RunOptions{
+	dres, err := m.cfg.Fleet.Run(job.ctx, job.id, job.cons, dist.RunOptions{
 		OnTrees:     job.spool.AppendBlock, // the workers' blocks, shard by shard as they merge
 		InitialTree: gentrius.UseInitialTreeHeuristic,
-		Limits:      lim,
+		Limits: search.Limits{
+			MaxTrees:  req.MaxTrees,
+			MaxStates: req.MaxStates,
+			MaxTime:   m.clampTime(time.Duration(req.MaxTimeSeconds * float64(time.Second))),
+		}.Normalize(),
 	})
 	if err != nil {
 		m.finish(job, nil, err)
 		return
 	}
-	stop := dres.Stop
-	if stop == gentrius.StopCancelled && ctx.Err() != nil && job.ctx.Err() == nil {
-		stop = gentrius.StopTimeLimit // the MaxTime deadline fired, not a client cancel
-	}
 	m.finish(job, &gentrius.Result{
 		StandTrees:         dres.Counters.StandTrees,
 		IntermediateStates: dres.Counters.IntermediateStates,
 		DeadEnds:           dres.Counters.DeadEnds,
-		Stop:               stop,
+		Stop:               dres.Stop,
 		Elapsed:            time.Since(start),
 		InitialIndex:       dres.InitialIndex,
 	}, nil)

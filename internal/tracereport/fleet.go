@@ -141,8 +141,7 @@ func eventEpochKey(e *TraceEvent) epochKey {
 func fleetEvent(ev string) bool {
 	switch ev {
 	case obs.EvFleetRun, obs.EvShardDispatch, obs.EvShardDone, obs.EvLeaseExpire, obs.EvShardFenced,
-		obs.EvShardParked, obs.EvShardAdopted, obs.EvFleetLocal,
-		obs.EvShardBegin, obs.EvShardEnd, obs.EvShardHeartbeat, obs.EvHeartbeatRecv, obs.EvShardCheckpoint:
+		obs.EvFleetLocal, obs.EvShardBegin, obs.EvShardEnd, obs.EvShardHeartbeat, obs.EvHeartbeatRecv, obs.EvShardCheckpoint:
 		return true
 	}
 	return false
