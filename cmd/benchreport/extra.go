@@ -38,7 +38,7 @@ var (
 // antepenultimate one — and returns an engine on that state and the frame of
 // the taxon chosen there, as the one-frame stack Reset takes. The walk renders
 // (into a block nobody reads), so that it makes every insertion it steps
-// through: a counting engine would book the third-to-last taxon's. It looks
+// through: a counting engine would book them on the Terrace's overlay. It looks
 // ahead of the second-to-last taxon, so the final frame is made by hand: that
 // taxon inserted on its frame's first branch, as the paper's machine does
 // first.
@@ -218,9 +218,9 @@ func extraBenches(add func(name string, f func(b *testing.B)),
 
 	// Antepenultimate frames: one op is the reference stand's first frame
 	// with three taxa missing, re-aimed at and stepped to its end, counted
-	// only. Each branch's insertion is booked on the stack, not made; the
-	// penultimate frame under it is listed from the Terrace's counts and
-	// answered branch by branch like PenultimateFrameCount's; the removal
+	// only. Each branch's insertion is booked on the Terrace's overlay, not
+	// made; the penultimate frame under it is listed from the overlay's counts
+	// and answered branch by branch like PenultimateFrameCount's; the removal
 	// touches nothing. No ExtendTaxon call, and nothing allocated.
 	add("AntepenultimateFrameCount", func(b *testing.B) {
 		eng, frame := firstFrame(b, ds, 3)

@@ -20,9 +20,11 @@ var hotSymbols = []string{
 	"gentrius/internal/terrace.(*Terrace).AppendAllowedBranches",
 	"gentrius/internal/search.(*Engine).Step",
 	// A counting run answers most of its penultimate branches from the
-	// Terrace's counts instead of inserting them.
+	// Terrace's counts instead of inserting them, and books the insertions
+	// that restructure nothing on the Terrace's overlay.
 	"gentrius/internal/search.(*Engine).lookAhead",
-	"gentrius/internal/terrace.(*Terrace).CountAfter",
+	"gentrius/internal/terrace.(*Overlay).Restructures",
+	"gentrius/internal/terrace.(*Overlay).Book",
 	// Stand trees are cut from the rendering of their final frame's shared
 	// state into a block, and leave through FlushTrees.
 	"gentrius/internal/search.(*Engine).renderFinal",

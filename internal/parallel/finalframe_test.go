@@ -151,7 +151,7 @@ func TestPoolMatchesLeafByLeaf(t *testing.T) {
 							collecting = w
 							continue
 						}
-						if w.Extends+w.Booked != inPool-w.LookAheads || collecting.Extends != w.Extends+w.Booked || collecting.Booked != 0 ||
+						if w.Extends+w.Booked-w.Materialized != inPool-w.LookAheads || collecting.Extends != w.Extends+w.Booked-w.Materialized || collecting.Booked != 0 ||
 							collecting.LookAheads != w.LookAheads || collecting.Fallbacks != w.Fallbacks {
 							t.Fatalf("%s %v at %d threads (%+v): counting work %+v, collecting %+v for %d states",
 								ds.Name, h, tc.threads, tc.policy, w, collecting, inPool)

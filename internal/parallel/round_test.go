@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"gentrius/internal/faultinject"
 	"gentrius/internal/obs"
 	"gentrius/internal/search"
 	"gentrius/internal/tracereport"
@@ -33,7 +34,11 @@ func sameStand(t *testing.T, what string, got, want []string) {
 // rounds move. The stand leaves in blocks, and no block spans a cut: the
 // trees a checkpoint counts are the ones delivered before some block
 // boundary, and those followed by what the resumed run delivers are the
-// serial stand, every tree once.
+// serial stand, every tree once. The stand's first tree is stalled in the
+// sink (the treestream delay fault, as the public API applies it), so that
+// however late the requests start, the workers are still blocked on the
+// stream with work left when the interval's first round is taken: at least
+// one round lands at every width.
 func TestRoundsAreResumes(t *testing.T) {
 	n := 6
 	if raceEnabled {
@@ -46,6 +51,10 @@ func TestRoundsAreResumes(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, threads := range []int{1, 3, 4} {
+		stall, err := faultinject.Parse("treestream.nth=1;treestream.delay=50ms")
+		if err != nil {
+			t.Fatal(err)
+		}
 		trig := search.NewCheckpointTrigger()
 		var mu sync.Mutex
 		var cps []*search.Checkpoint
@@ -76,6 +85,7 @@ func TestRoundsAreResumes(t *testing.T) {
 		live, err := Run(cons, Options{
 			Threads: threads, InitialTree: -1, Limits: unlimited(),
 			OnTrees: func(block []byte, n int) {
+				stall.StallEach(faultinject.TreeStream, n)
 				delivered = blockLines(t, delivered, block, n)
 				ends[int64(len(delivered))] = true
 			},

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"testing"
+	"unsafe"
 
 	"gentrius/internal/gen"
 )
@@ -95,4 +96,13 @@ func TestBookedRunsStopWhereInsertingRunsDo(t *testing.T) {
 		t.Fatalf("%d of %d runs compared, stopped %v, %d insertions booked: not enough to mean anything", compared, runs, stops, booked)
 	}
 	t.Logf("%d of %d runs compared, stopped %v, %d insertions booked", compared, runs, stops, booked)
+}
+
+// TestFrameSize: a frame is a stack slot the step loop reuses, one per taxon
+// missing; the overlay keeps what a booked insertion needs beside the stack,
+// so a frame stays at 88 bytes.
+func TestFrameSize(t *testing.T) {
+	if n := unsafe.Sizeof(Frame{}); n > 88 {
+		t.Fatalf("a Frame is %d bytes, more than 88", n)
+	}
 }

@@ -7,12 +7,17 @@
 // once, without performing them: each of the frame's branches is a stand tree
 // (see finalFrame); or, when two remain, one insertion of the second-to-last
 // taxon, the last taxon's frame under it and the removal at once, without
-// performing them either (see lookAhead). When three remain, an engine that
-// renders nothing books the insertion of the third-to-last taxon on its stack
-// instead of performing it, where the Terrace's counts tell every number of
-// the frame below (see book): the step is the insertion all the same. The
-// trees are rendered, when someone wants them, from one rendering of the
-// state a penultimate frame hangs off.
+// performing them either (see lookAhead). The trees are rendered, when
+// someone wants them, from one rendering of the state a penultimate frame
+// hangs off.
+//
+// An engine that renders nothing books an insertion, rather than making it,
+// wherever it restructures nothing (terrace.Overlay): the counts and branch
+// lists of the state it leads to follow from the Terrace's by the additive
+// rule, and its removal touches nothing. Where an insertion would
+// restructure, the bookings beneath it are made for real first. Either way
+// the step is the insertion: the stack, its path and every event, counter
+// and unit are the inserting engine's.
 // The same engine drives the serial runner, the goroutine pool and the
 // deterministic virtual-time multicore simulator, which are costed in the
 // paper machine's transitions (Units), not in Step calls.
@@ -69,19 +74,16 @@ type Frame struct {
 	Branches []int32
 	idx      int
 	inserted bool
-	// booked marks an inserted frame whose insertion the Terrace has not
-	// seen: a counting engine booked it (see book), and its removal touches
-	// nothing but the frame.
-	booked bool
-	// bookable caches, on a frame whose taxon is the third-to-last one
-	// missing, whether its insertions may be booked: 0 until the frame's
-	// first insertion asks, then 1 or -1.
-	bookable int8
 	// based is set by the frame's first look-ahead step when the engine
 	// renders and the Newick writer holds the rendering of the frame's state,
 	// from which each branch derives the base its final frame's trees are cut
 	// from.
 	based bool
+	// restructures caches whether inserting the frame's taxon restructures
+	// another pending taxon's admissible set (Overlay.Restructures), the same
+	// for every branch since the state below the frame is: 0 until the
+	// frame's first insertion or look-ahead step asks, then 1 or -1.
+	restructures int8
 	// other is, on a frame whose taxon is the second-to-last one missing, the
 	// last one: found by the frame's first look-ahead step (-1 until then).
 	other int
@@ -186,19 +188,32 @@ type Engine struct {
 	// NewEngine, the task's Mass after a Reset).
 	OnLeaf func(mass float64, leaves int64)
 
-	// pair is, while a frame's bookable answer is 1, the frame's two other
-	// pending taxa, ascending.
-	pair [2]int
-	// gain is, while an insertion is booked, what it adds to the count of the
-	// last taxon of the penultimate frame above it: 2 iff the booked edge is
-	// admissible for that taxon, else 0.
-	gain int
+	// ov holds the insertions booked above T (see insert): the top ov.Len()
+	// inserted frames of the stack. Every count and branch list the engine
+	// reads is the overlay's.
+	ov *terrace.Overlay
+	// remaining is the number of taxa missing from the state the stack
+	// stands for, booked insertions counted as made: derived from T at the
+	// first Step after NewEngine or Reset, then kept by every insertion and
+	// removal.
+	remaining int
 
 	// after lists, for the based frame, the last taxon's branches in the
 	// frame's state, ascending, then the ids of the two edges an insertion
 	// of the frame's taxon makes: the last taxon's branches under a branch
 	// whose count is c are after[:c].
 	after []int32
+	// real counts the changes the engine made to T's real state since it was
+	// made (a Reset counts as one), and lists[i] is, for stack slot i, the
+	// taxon whose real branches its buffer starts with, how many, and at which
+	// count: under bookings the real state stays put, and a frame pushed again
+	// in that slot for that taxon reuses them (see pushFrame).
+	real  int
+	lists []slotList
+
+	// otherCount is the last taxon's count in the state the top penultimate
+	// frame hangs off, found with the frame's other: a branch adds 0 or 2.
+	otherCount int
 
 	work Work
 	// The final frame the last Step consumed (see FinalFrame).
@@ -214,6 +229,12 @@ type Engine struct {
 	handed  bool // a block has been handed on: the first tree has left
 }
 
+// slotList is what a stack slot's branch buffer starts with (Engine.lists).
+type slotList struct {
+	taxon, n int32
+	real     int
+}
+
 // Work is what an engine did since it was made, beside what it found.
 type Work struct {
 	// Units counts transitions of the paper's machine, which inserts and
@@ -221,14 +242,16 @@ type Work struct {
 	// a final frame of m branches. It is the unit of Result.Steps, of the
 	// stopping-rule cadence and of the simulator's clock.
 	Units int64
-	// Extends counts the ExtendTaxon calls made. Insertions of the
-	// third-to-last taxon a counting engine booked are not among them
-	// (Booked): an insertion the paper's machine makes is one of the two, or
-	// a look-ahead step's.
+	// Extends counts the ExtendTaxon calls made, the Materialized ones among
+	// them. An insertion the paper's machine makes is made (an ExtendTaxon
+	// call), booked (Booked) or a look-ahead step's.
 	Extends int64
-	// Booked counts the insertions booked on the stack without an ExtendTaxon
-	// call (see Engine.book).
+	// Booked counts the insertions a counting engine booked on its overlay
+	// instead of making them (see Engine.insert).
 	Booked int64
+	// Materialized counts the booked insertions made for real afterwards,
+	// because an insertion above them would restructure.
+	Materialized int64
 	// LookAheads counts the branches of penultimate frames (two taxa missing)
 	// answered from the Terrace's counts without an insertion, Fallbacks those
 	// that had to be inserted all the same.
@@ -242,6 +265,7 @@ func (w *Work) Add(o Work) {
 	w.Units += o.Units
 	w.Extends += o.Extends
 	w.Booked += o.Booked
+	w.Materialized += o.Materialized
 	w.LookAheads += o.LookAheads
 	w.Fallbacks += o.Fallbacks
 	w.Emit.Walked += o.Emit.Walked
@@ -326,7 +350,7 @@ func TreeSink[B []byte | string](collect bool, trees *[]string, onTree func(newi
 // NewEngine returns an engine exploring the full search space below the
 // terrace's current state, selecting taxa with the dynamic heuristic.
 func NewEngine(t *terrace.Terrace) *Engine {
-	return &Engine{T: t, DynamicOrder: true}
+	return &Engine{T: t, DynamicOrder: true, ov: t.Overlay()}
 }
 
 // Reset re-aims the engine at a frame stack (a FrontierTask's Frames) — how a
@@ -336,11 +360,12 @@ func NewEngine(t *terrace.Terrace) *Engine {
 // deeper stack. Frames keep their stored estimator weights, which cannot be
 // re-derived once stealing has shrunk the branch lists. The branch arrays
 // are aliased read-only, so the task stays re-executable verbatim, and
-// nothing of the previous stack stays referenced; the slots' branch buffers
-// and the Newick scratch are kept, so a reused engine allocates nothing per
-// task. A corrupt stack is refused and changes nothing. The Terrace is not
-// touched: the caller brings it to the stack's base state and calls
-// replayInserted before the next Step.
+// nothing of the previous stack stays referenced; the slots' branch buffers,
+// the overlay and the Newick scratch are kept, so a reused engine allocates
+// nothing per task. A corrupt stack is refused and changes nothing. The
+// Terrace is not touched (the previous stack's bookings are dropped): the
+// caller brings it to the stack's base state and calls replayInserted before
+// the next Step, which counts the taxa missing there.
 func (e *Engine) Reset(frames []FrameSnapshot) error {
 	if err := validateTaskFrames(frames, false); err != nil {
 		return fmt.Errorf("search: %w", err)
@@ -352,16 +377,18 @@ func (e *Engine) Reset(frames []FrameSnapshot) error {
 	e.frames = e.frames[:0]
 	for _, fs := range frames {
 		f := e.pushSlot()
-		f.Taxon, f.Branches, f.idx, f.inserted, f.weight, f.other, f.based, f.booked, f.bookable = fs.Taxon, fs.Branches, fs.Idx, fs.Inserted, fs.Weight, -1, false, false, 0
+		f.Taxon, f.Branches, f.idx, f.inserted, f.weight, f.other, f.based, f.restructures = fs.Taxon, fs.Branches, fs.Idx, fs.Inserted, fs.Weight, -1, false, 0
 	}
-	e.started, e.done = true, len(frames) == 0
+	e.ov.Reset()
+	e.real++ // the caller moves T to the stack's base state
+	e.started, e.done = false, len(frames) == 0
 	return nil
 }
 
 // replayInserted applies the stack's inserted frames to the terrace, which
 // must be at the stack's base state, without recounting them (the insertions
 // were tallied before the snapshot). A booked insertion is a frame like any
-// other in a snapshot, so it is replayed for real.
+// other in a snapshot, so it is made for real.
 func (e *Engine) replayInserted() {
 	for i := range e.frames {
 		if f := &e.frames[i]; f.inserted {
@@ -406,15 +433,10 @@ func (e *Engine) Counters() Counters { return e.counters }
 // Done reports whether the engine's search space is exhausted.
 func (e *Engine) Done() bool { return e.done }
 
-// RemainingTaxa returns how many taxa are still missing from the agile tree,
-// a booked insertion counted as made.
-func (e *Engine) RemainingTaxa() int {
-	n := e.T.Taxa().Len() - e.T.Agile().NumLeaves()
-	if k := len(e.frames); k > 0 && e.frames[k-1].booked || k > 1 && e.frames[k-2].booked {
-		n--
-	}
-	return n
-}
+// RemainingTaxa returns how many taxa are still missing from the state the
+// stack stands for, booked insertions counted as made (0 before the first
+// Step).
+func (e *Engine) RemainingTaxa() int { return e.remaining }
 
 // Path returns the insertion path from the engine's base state to the
 // current state, appended to buf: a booked insertion included, so the path is
@@ -431,7 +453,7 @@ func (e *Engine) Path(buf []PathStep) []PathStep {
 
 // Step performs one state transition, consumes one final frame or looks
 // ahead of one penultimate branch, and returns its kind. An insertion a
-// counting engine books (see book) is a transition like one it makes: the
+// counting engine books (see insert) is a transition like one it makes: the
 // same event, counters and units, the Terrace untouched. After EvDone the
 // terrace is back at the engine's base state.
 func (e *Engine) Step() Event {
@@ -444,23 +466,32 @@ func (e *Engine) Step() Event {
 func (e *Engine) step() Event {
 	if !e.started {
 		e.started = true
-		if e.RemainingTaxa() == 0 {
-			// The input trees admit exactly the (already complete) tree.
-			e.counters.StandTrees++
-			e.work.Units++
-			e.final = nil
-			if e.rendering() {
-				at := e.openTree()
-				e.block = e.nw.Append(e.block, e.T.Agile())
-				e.closeTree(at)
+		e.remaining = e.T.Taxa().Len() - e.T.Agile().NumLeaves()
+		if e.lists == nil {
+			e.lists = make([]slotList, len(e.T.MissingTaxa())) // a slot per taxon the stack can hold
+			for i := range e.lists {
+				e.lists[i].taxon = -1
 			}
-			if e.OnLeaf != nil {
-				e.OnLeaf(1, 1) // a one-leaf decision tree: the whole space
-			}
-			e.done = true
-			return EvTreeFound
 		}
-		e.pushFrame()
+		if len(e.frames) == 0 { // a fresh engine, not a Reset stack
+			if e.remaining == 0 {
+				// The input trees admit exactly the (already complete) tree.
+				e.counters.StandTrees++
+				e.work.Units++
+				e.final = nil
+				if e.rendering() {
+					at := e.openTree()
+					e.block = e.nw.Append(e.block, e.T.Agile())
+					e.closeTree(at)
+				}
+				if e.OnLeaf != nil {
+					e.OnLeaf(1, 1) // a one-leaf decision tree: the whole space
+				}
+				e.done = true
+				return EvTreeFound
+			}
+			e.pushFrame()
+		}
 	}
 	for {
 		if len(e.frames) == 0 {
@@ -470,11 +501,16 @@ func (e *Engine) step() Event {
 		}
 		f := &e.frames[len(e.frames)-1]
 		if f.inserted {
-			// Back out of the branch tried last, whether another follows or not.
-			if !f.booked {
+			// Back out of the branch tried last, whether another follows or not:
+			// the top inserted frame is booked while any is.
+			if e.ov.Len() > 0 {
+				e.ov.Pop()
+			} else {
 				e.T.RemoveTaxon()
+				e.real++
 			}
-			f.inserted, f.booked = false, false
+			f.inserted = false
+			e.remaining++
 			e.work.Units++
 			return EvRemoved
 		}
@@ -482,25 +518,18 @@ func (e *Engine) step() Event {
 			e.frames = e.frames[:len(e.frames)-1]
 			continue
 		}
-		switch e.RemainingTaxa() {
+		switch e.remaining {
 		case 1:
 			return e.finalFrame(f)
 		case 2:
 			if e.lookAhead(f) {
 				return EvLookAhead
 			}
-		case 3:
-			f.booked = e.book(f)
 		}
-		edge := f.Branches[f.idx]
+		e.insert(f, f.Branches[f.idx])
 		f.idx++
-		if f.booked {
-			e.work.Booked++
-		} else {
-			e.T.ExtendTaxon(f.Taxon, edge)
-			e.work.Extends++
-		}
 		f.inserted = true
+		e.remaining--
 		e.work.Units++
 		e.counters.IntermediateStates++
 		if e.pushFrame() {
@@ -536,21 +565,58 @@ func (e *Engine) finalFrame(f *Frame) Event {
 	return EvTreeFound
 }
 
+// insert makes or books the insertion of the top frame f's taxon x at edge,
+// an id of the state the stack stands for. An engine that renders nothing
+// books it on the overlay wherever it restructures nothing (restructures):
+// pushFrame then lists the frame it leads to from the overlay's counts, and
+// the removal touches no Terrace. Elsewhere x is inserted for real, after the
+// bookings beneath it are. Every step, event, counter, unit, leaf mass and
+// offer is the inserting engine's, and so is every stack a cut sees: the
+// frame is inserted, its path step is x at edge, and a resume replays that
+// insertion for real. Booking stays one insertion a step, so that limits and
+// cuts fall where they fall for the inserting engine.
+func (e *Engine) insert(f *Frame, edge int32) {
+	if !e.rendering() && !e.restructures(f) {
+		e.ov.Book(f.Taxon, edge)
+		e.work.Booked++
+		return
+	}
+	n := int64(e.ov.Materialize())
+	e.work.Materialized += n
+	e.T.ExtendTaxon(f.Taxon, edge)
+	e.work.Extends += n + 1
+	e.real++
+}
+
+// restructures reports whether inserting the uninserted top frame f's taxon
+// restructures another pending taxon (Overlay.Restructures), asked once per
+// frame.
+func (e *Engine) restructures(f *Frame) bool {
+	if f.restructures == 0 {
+		f.restructures = -1
+		if e.ov.Restructures(f.Taxon) {
+			f.restructures = 1
+		}
+	}
+	return f.restructures > 0
+}
+
 // lookAhead answers the next branch of the uninserted top frame f, whose taxon
-// y is the second-to-last one missing, without inserting it: the Terrace knows
-// how many branches the last taxon z would have afterwards (CountAfter, or
-// countAfter's reading of it under a booked insertion), and four insertions
-// in five of the paper's machine are these. One step books what the paper's
-// machine books in three — the insertion, the final frame of c (or the dead
-// end) and the removal, 2 + 2c transitions — and leaves the stack where that
-// machine leaves it after the removal: the branch behind idx, nothing
-// inserted. One branch a step, so every cut between two steps is a stack an
-// inserting engine passes through too. It reports false, with nothing
-// changed but the writer's base, where the insertion would restructure z's
-// target: that branch is inserted like any other.
+// y is the second-to-last one missing, without inserting it: where inserting
+// y restructures nothing, the overlay knows how many branches the last taxon
+// z would have afterwards — its count now, plus the two edges the insertion
+// makes iff the branch is admissible for z — and four insertions in five of
+// the paper's machine are these. One step books what the paper's machine
+// books in three — the insertion, the final frame of c (or the dead end) and
+// the removal, 2 + 2c transitions — and leaves the stack where that machine
+// leaves it after the removal: the branch behind idx, nothing inserted. One
+// branch a step, so every cut between two steps is a stack an inserting
+// engine passes through too. It reports false, with nothing changed but the
+// writer's base, where the insertion would restructure z's target: that
+// branch is inserted like any other.
 //
 // A run that renders gets the c trees too, in the order the insertion would
-// have found them. CountAfter's rule read as a set: z's branches after y is
+// have found them. The additive rule read as a set: z's branches after y is
 // inserted at e are its branches now, and the two edges the insertion makes
 // iff e is one of them — ids above all others, so last. The trees are cut
 // from a base derived from the frame's rendering (baseFrame), and so are the
@@ -560,18 +626,22 @@ func (e *Engine) lookAhead(f *Frame) bool {
 	rendering := e.rendering()
 	if f.other < 0 {
 		f.other = e.otherPending(f.Taxon)
+		e.otherCount = e.ov.PendingCount(f.other)
 		if rendering {
 			e.baseFrame(f)
 		}
 	}
 	edge := f.Branches[f.idx]
-	n, ok := e.countAfter(f, edge)
-	if !ok || rendering && !f.based {
+	if e.restructures(f) || rendering && !f.based {
 		if f.based {
 			e.nw.Derive(edge, f.other) // for the final frame the insertion pushes
 		}
 		e.work.Fallbacks++
 		return false
+	}
+	n := e.otherCount
+	if e.ov.EdgeAdmissible(edge, f.other) {
+		n += 2
 	}
 	c := int64(n)
 	f.idx++
@@ -599,95 +669,6 @@ func (e *Engine) lookAhead(f *Frame) bool {
 	return true
 }
 
-// countAfter is CountAfter for the next branch of penultimate frame f, the
-// top one, read one level deeper when f hangs off a booked insertion of x at
-// b: the last taxon z has its count now plus gain (what x at b adds), and the
-// branch's insertion adds 2 more iff the branch is admissible for z — for the
-// two edges x's insertion would make, iff b is. The booking's predicate
-// (Terrace.CountsAfter) makes every such answer ok.
-func (e *Engine) countAfter(f *Frame, edge int32) (int, bool) {
-	if k := len(e.frames); k < 2 || !e.frames[k-2].booked {
-		return e.T.CountAfter(f.Taxon, edge, f.other)
-	}
-	n := e.T.PendingCount(f.other) + e.gain
-	if edge >= int32(e.T.Agile().NumEdges()) {
-		return n + e.gain, true
-	}
-	return n + e.gainAt(edge, f.other), true
-}
-
-// gainAt is what an insertion at agile edge ed adds to pending taxon y's
-// count: the two edges it makes iff ed is admissible for y.
-func (e *Engine) gainAt(ed int32, y int) int {
-	if e.T.EdgeAdmissible(ed, y) {
-		return 2
-	}
-	return 0
-}
-
-// book reports whether the next insertion of the uninserted top frame f,
-// whose taxon x is the third-to-last one missing, is booked rather than made
-// — marked on the stack, the Terrace untouched. It is where the engine renders
-// nothing and the Terrace's counts tell the frame the insertion pushes and
-// every look-ahead answer beneath it, whichever branch x takes
-// (Terrace.CountsAfter, asked once per frame): pushFrame then lists the frame
-// from counts (pushBooked), lookAhead answers its branches one level deeper
-// (countAfter), and the removal touches no Terrace. Every step, event,
-// counter, unit, leaf mass and offer is the inserting engine's, and so is
-// every stack a cut sees: the frame is inserted, its path step is x at its
-// branch, and a resume replays that insertion for real. The booking stays one
-// branch a step, like the look-ahead, so that limits and cuts fall where
-// they fall for the inserting engine. Elsewhere x is inserted.
-func (e *Engine) book(f *Frame) bool {
-	if f.bookable == 0 {
-		f.bookable = -1
-		if !e.rendering() {
-			ag, k := e.T.Agile(), 0
-			for _, y := range e.T.MissingTaxa() {
-				if y != f.Taxon && !ag.HasTaxon(y) {
-					e.pair[k], k = y, k+1
-					if k == 2 {
-						break
-					}
-				}
-			}
-			if e.T.CountsAfter(f.Taxon, e.pair[0], e.pair[1]) {
-				f.bookable = 1
-			}
-		}
-	}
-	return f.bookable > 0
-}
-
-// pushBooked lists f, the frame the booked insertion of p's taxon x at its
-// last branch b pushes, from counts. The two pending taxa have their counts
-// now plus what b adds to each (gainAt); nextTaxon's rule (prefer), or the
-// static order, picks one on those; its branches are its branches now and, iff b is
-// admissible for it, the two edges the insertion makes — NumEdges and
-// NumEdges+1, ids above every other, so last, as ExtendTaxon would list them.
-func (e *Engine) pushBooked(f, p *Frame) {
-	b := p.Branches[p.idx-1]
-	y, z := e.pair[0], e.pair[1]
-	gy, gz := e.gainAt(b, y), e.gainAt(b, z)
-	var swap bool
-	if e.DynamicOrder {
-		// Neither count is 0, so nextTaxon's dead-end rule has nothing to
-		// pick: a taxon without branches would have been chosen before x.
-		swap = e.prefer(z, e.T.PendingCount(z)+gz, y, e.T.PendingCount(y)+gy)
-	} else {
-		swap = e.Order[e.T.Depth()+1] == z
-	}
-	if swap {
-		y, z, gy, gz = z, y, gz, gy
-	}
-	f.Taxon, f.other, e.gain = y, z, gz
-	f.buf = e.T.AppendAllowedBranches(f.buf[:0], y)
-	if gy > 0 {
-		ne := int32(e.T.Agile().NumEdges())
-		f.buf = append(f.buf, ne, ne+1)
-	}
-}
-
 // baseFrame renders the state penultimate frame f hangs off as the base the
 // final frames of its branches derive theirs from, and lists the last taxon's
 // branches with the two the insertion makes behind them (after) — unless the
@@ -707,9 +688,8 @@ func (e *Engine) baseFrame(f *Frame) {
 
 // otherPending returns the missing taxon that is not x, two being missing.
 func (e *Engine) otherPending(x int) int {
-	ag := e.T.Agile()
-	for _, y := range e.T.MissingTaxa() {
-		if y != x && !ag.HasTaxon(y) {
+	for y := e.ov.NextPending(0); y >= 0; y = e.ov.NextPending(y + 1) {
+		if y != x {
 			return y
 		}
 	}
@@ -717,20 +697,23 @@ func (e *Engine) otherPending(x int) int {
 }
 
 // pushFrame selects the next taxon (dynamic heuristic or static order),
-// computes its admissible branches and pushes the frame, reusing the stack
-// slot's branch buffer when one is available. It reports whether the frame
-// has at least one branch; a branchless frame is a dead end and is tallied
-// here.
+// lists its admissible branches and pushes the frame, reusing the stack
+// slot's branch buffer when one is available: the overlay's booked branches
+// behind the real ones, which are still in the buffer when the slot's last
+// frame had the same taxon and the real state has not changed since. It
+// reports whether the frame has at least one branch; a branchless frame is a
+// dead end and is tallied here.
 func (e *Engine) pushFrame() bool {
 	n := len(e.frames)
 	f := e.pushSlot()
-	if n > 0 && e.frames[n-1].booked {
-		e.pushBooked(f, &e.frames[n-1])
-	} else {
-		f.Taxon, f.other = e.nextTaxon(), -1
+	f.Taxon, f.other = e.nextTaxon(), -1
+	l := &e.lists[n]
+	if int(l.taxon) != f.Taxon || l.real != e.real {
 		f.buf = e.T.AppendAllowedBranches(f.buf[:0], f.Taxon)
+		*l = slotList{taxon: int32(f.Taxon), n: int32(len(f.buf)), real: e.real}
 	}
-	f.Branches, f.idx, f.inserted, f.based, f.booked, f.bookable = f.buf, 0, false, false, false, 0
+	f.buf = e.ov.AppendBookedBranches(f.buf[:l.n], f.Taxon)
+	f.Branches, f.idx, f.inserted, f.based, f.restructures = f.buf, 0, false, false, 0
 	// Per-branch weight from the parent's (1 at the root): fixed before the
 	// steal callback can hand branches away, so stolen subtrees keep it.
 	parentW := 1.0
@@ -761,18 +744,15 @@ func (e *Engine) pushFrame() bool {
 // else the first with the fewest (the most under OrderMaxBranches; under
 // OrderMinBranchesTieDegree a tie goes to the higher Terrace.Degree). Only
 // the source of the counts differs from the reference (refNextTaxon in the
-// tests): PendingCount, not a fresh CountAllowedBranches per taxon.
+// tests): the overlay's PendingCount, not a fresh CountAllowedBranches per
+// taxon.
 func (e *Engine) nextTaxon() int {
 	if !e.DynamicOrder {
-		return e.Order[e.T.Depth()]
+		return e.Order[e.T.Depth()+e.ov.Len()]
 	}
 	best, bestCount := -1, -1
-	ag := e.T.Agile()
-	for _, x := range e.T.MissingTaxa() {
-		if ag.HasTaxon(x) {
-			continue
-		}
-		c := e.T.PendingCount(x)
+	for x := e.ov.NextPending(0); x >= 0; x = e.ov.NextPending(x + 1) {
+		c := e.ov.PendingCount(x)
 		if c == 0 {
 			return x // forced dead end: select immediately
 		}

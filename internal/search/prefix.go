@@ -29,7 +29,8 @@ type PrefixResult struct {
 // The insertions remain applied.
 func PrefixWalkH(t *terrace.Terrace, h OrderHeuristic, order []int) PrefixResult {
 	var res PrefixResult
-	e := &Engine{T: t, DynamicOrder: order == nil, Heuristic: h, Order: order}
+	e := NewEngine(t)
+	e.DynamicOrder, e.Heuristic, e.Order = order == nil, h, order
 	for {
 		if t.Complete() {
 			res.Counters.StandTrees++

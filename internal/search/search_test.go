@@ -363,7 +363,7 @@ func TestEngineEventStream(t *testing.T) {
 					scen, trees, frames, dead, res.StandTrees, res.DeadEnds)
 			}
 			w := eng.Work()
-			if w.Units != 2*trees+2*res.IntermediateStates || w.Units+1 != res.Steps || w.Extends+w.Booked != ins || w.LookAheads != looked {
+			if w.Units != 2*trees+2*res.IntermediateStates || w.Units+1 != res.Steps || w.Extends+w.Booked-w.Materialized != ins || w.LookAheads != looked {
 				t.Fatalf("scen %d: work %+v for %d trees and %d states; the run took %d steps", scen, w, trees, res.IntermediateStates, res.Steps)
 			}
 			if tr.Depth() != 0 {

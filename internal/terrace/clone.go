@@ -13,7 +13,8 @@ package terrace
 // Release): one slab per element type. The traversal scratch comes along
 // (stamps and marks must stay consistent with each other); the query
 // buffers, which hold nothing between operations and may alias the
-// original's lanes, start empty.
+// original's lanes, start empty, and so does the overlay: the original's
+// bookings are not its state.
 //
 // Clone only reads the original, so any number of goroutines may clone one
 // Terrace at once as long as none of them mutates it.
@@ -24,6 +25,7 @@ func (tr *Terrace) Clone() *Terrace {
 	st.agile = tr.agile.CopyInto(st.agile)
 	c.agile = st.agile
 	c.dfsBuf, c.pendBuf, c.rowsBuf = nil, nil, nil
+	c.ov = Overlay{}
 
 	nc := len(tr.constraints)
 	st.states = take(st.states, nc)

@@ -152,70 +152,24 @@ func (tr *Terrace) invalidate(y int) {
 
 // restructures is the structural half of the accounting rule, stated once:
 // whether attaching a taxon of this constraint whose target common edge is
-// che changes pending taxon y's admissible set other than through the two
-// newborn edges — the constraint crosses the activation threshold, or the
-// common edge being split is y's target. RemoveTaxon asks the same question
-// of the restored state, where the answer is the same.
-func (cs *constraintState) restructures(che int32, y int32) bool {
-	return cs.sCount == 1 || cs.sCount >= 2 && cs.target[y] == che
+// che, the constraint holding s of the agile tree's taxa, changes pending
+// taxon y's admissible set other than through the two newborn edges — the
+// constraint crosses the activation threshold, or the common edge being split
+// is y's target. RemoveTaxon asks the same question of the restored state,
+// where the answer is the same; an Overlay asks it of the state its bookings
+// would make.
+func (cs *constraintState) restructures(s int, che int32, y int32) bool {
+	return s == 1 || s >= 2 && cs.target[y] == che
 }
 
 // invalidateRestructured drops the cached counts of the constraint's pending
 // taxa that a transition on common edge che restructures.
 func (tr *Terrace) invalidateRestructured(cs *constraintState, che int32) {
 	for _, y := range cs.pending {
-		if cs.restructures(che, y) {
+		if cs.restructures(cs.sCount, che, y) {
 			tr.invalidate(int(y))
 		}
 	}
-}
-
-// CountAfter returns how many admissible branches pending taxon z would have
-// after pending taxon x was inserted at e, one of x's admissible edges,
-// without inserting it: PendingCount(z), plus the two newborn edges iff e is
-// admissible for z too. ok is false exactly where ExtendTaxon(x, e) would
-// invalidate z's count instead of patching it — a constraint holding both
-// restructures z — and the caller has to insert x to learn the count. The
-// state is not changed; like PendingCount the query may fill z's cache entry.
-func (tr *Terrace) CountAfter(x int, e int32, z int) (count int, ok bool) {
-	for _, ci := range tr.byTaxon[x] {
-		cs := tr.constraints[ci]
-		if cs.pendIdx[z] >= 0 && cs.restructures(cs.target[x], int32(z)) {
-			return 0, false
-		}
-	}
-	count = tr.PendingCount(z)
-	if tr.EdgeAdmissible(e, z) {
-		count += 2
-	}
-	return count, true
-}
-
-// CountsAfter reports whether CountAfter's rule, read one level deeper, holds
-// for the three pending taxa x, y and z: inserting x anywhere patches y's and
-// z's counts rather than invalidating them, and inserting y (or z) after it
-// patches the other's, so every count and admissible set of the two levels
-// below follows from this state's. Three things must hold: no constraint
-// holding x restructures y or z; no constraint holding y and z restructures
-// one for the other, which the rule states symmetrically (both have the
-// same target, or the constraint is one taxon short of active); and no
-// constraint holds all three with none of its taxa inserted — x would make
-// it one short, and y or z would activate it. The state is not changed.
-func (tr *Terrace) CountsAfter(x, y, z int) bool {
-	for _, ci := range tr.byTaxon[x] {
-		cs := tr.constraints[ci]
-		hy, hz := cs.pendIdx[y] >= 0, cs.pendIdx[z] >= 0
-		if hy && cs.restructures(cs.target[x], int32(y)) || hz && cs.restructures(cs.target[x], int32(z)) ||
-			hy && hz && cs.sCount == 0 {
-			return false
-		}
-	}
-	for _, ci := range tr.byTaxon[y] {
-		if cs := tr.constraints[ci]; cs.pendIdx[z] >= 0 && cs.restructures(cs.target[y], int32(z)) {
-			return false
-		}
-	}
-	return true
 }
 
 // EdgeAdmissible reports whether agile edge e is admissible for pending

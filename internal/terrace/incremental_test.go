@@ -172,186 +172,178 @@ func randomInsertable(tr *Terrace, rng *rand.Rand) (int, bool) {
 	return cand[rng.Intn(len(cand))], true
 }
 
-// checkCountAfter holds CountAfter against the insertion it stands for, at
-// the current state: for every ordered pair of pending taxa (x, z) and every
-// admissible edge e of x, ok means the count is what ExtendTaxon(x, e) +
-// CountAllowedBranches(z) finds, and !ok means that insertion invalidates z's
-// cached count rather than patching it. The queries come first and must leave
-// Signature and the invariants alone. It returns how many answered either way.
-func checkCountAfter(t *testing.T, tr *Terrace, ctx string) (answered, refused int) {
+// checkOverlay holds an Overlay on tr's current state against the
+// insertions it books. A random walk of steps bookings and pops books taxa
+// Restructures allows, half the time on an edge a booking made. After each booking the overlay's answers are
+// taken down: every pending taxon's count, its branch list in order, whether
+// it restructures, and the admissibility of every edge of the overlaid
+// state. Then the bookings are made for real (Materialize), at the ids the
+// overlay gave them, and the Terrace must give every answer again, its fresh
+// counts too; and Restructures must be true exactly where inserting the taxon
+// for real drops some other pending taxon's count rather than patching it.
+// Then the insertions are removed and booked again, and the walk goes on. The
+// Terrace ends where it began. It returns how many bookings were checked and
+// how many taxa Restructures refused on the way.
+func checkOverlay(t *testing.T, tr *Terrace, rng *rand.Rand, steps int, ctx string) (booked, refused int) {
 	t.Helper()
-	type query struct {
-		x, z  int
-		e     int32
-		count int
-		ok    bool
-	}
-	var pending []int
-	for _, x := range tr.MissingTaxa() {
-		if !tr.agile.HasTaxon(x) {
-			pending = append(pending, x)
-		}
-	}
 	sig := tr.Signature()
-	var qs []query
-	for _, x := range pending {
-		for _, e := range tr.AllowedBranches(x) {
-			for _, z := range pending {
-				if z != x {
-					c, ok := tr.CountAfter(x, e, z)
-					qs = append(qs, query{x, z, e, c, ok})
+	ov := tr.Overlay()
+	for step := 0; step < steps; step++ {
+		if ov.Len() > 0 && rng.Intn(3) == 0 {
+			ov.Pop()
+			continue
+		}
+		// Half the time a taxon that has edges a booking made, on the newest
+		// of them, so that bookings nest.
+		var bookable, nesting []int
+		for y := ov.NextPending(0); y >= 0; y = ov.NextPending(y + 1) {
+			switch {
+			case ov.PendingCount(y) == 0:
+			case ov.Restructures(y):
+				refused++
+			default:
+				bookable = append(bookable, y)
+				if ov.gain[y] > 0 {
+					nesting = append(nesting, y)
 				}
 			}
 		}
+		if len(bookable) == 0 {
+			break
+		}
+		nest := len(nesting) > 0 && rng.Intn(2) == 0
+		if nest {
+			bookable = nesting
+		}
+		x := bookable[rng.Intn(len(bookable))]
+		br := overlaidBranches(ov, x)
+		e := br[rng.Intn(len(br))]
+		if nest {
+			e = br[len(br)-1]
+		}
+		ov.Book(x, e)
+		booked++
+		checkBookings(t, tr, ov, ctx)
+	}
+	for ov.Len() > 0 {
+		ov.Pop()
 	}
 	if tr.Signature() != sig {
-		t.Fatalf("%s: CountAfter changed the state", ctx)
+		t.Fatalf("%s: the overlay walk changed the state", ctx)
+	}
+	return booked, refused
+}
+
+// checkBookings is checkOverlay's comparison of ov's bookings with the
+// insertions they stand for.
+func checkBookings(t *testing.T, tr *Terrace, ov *Overlay, ctx string) {
+	t.Helper()
+	type answer struct {
+		count        int
+		list         []int32
+		restructures bool
+		admissible   []bool // by edge of the overlaid state
+	}
+	edges := int32(tr.agile.NumEdges() + 2*ov.Len())
+	want := map[int]answer{}
+	for y := ov.NextPending(0); y >= 0; y = ov.NextPending(y + 1) {
+		a := answer{count: ov.PendingCount(y), list: overlaidBranches(ov, y), restructures: ov.Restructures(y)}
+		for e := int32(0); e < edges; e++ {
+			a.admissible = append(a.admissible, ov.EdgeAdmissible(e, y))
+		}
+		want[y] = a
+	}
+	bookings := slices.Clone(ov.bookings)
+	depth, base := tr.Depth(), int32(tr.agile.NumEdges())
+	if n := ov.Materialize(); n != len(bookings) || ov.Len() != 0 {
+		t.Fatalf("%s: Materialize made %d of %d bookings and kept %d", ctx, n, len(bookings), ov.Len())
+	}
+	for k, b := range bookings {
+		u := tr.undo[depth+k]
+		id := base + 2*int32(k)
+		if u.taxon != b.taxon || u.edge != b.edge || min(u.half, u.pendant) != id || max(u.half, u.pendant) != id+1 {
+			t.Fatalf("%s: booking %d (%d at %d) made %d at %d with edges %d and %d, not %d and %d",
+				ctx, k, b.taxon, b.edge, u.taxon, u.edge, u.half, u.pendant, id, id+1)
+		}
 	}
 	if err := tr.CheckInvariants(); err != nil {
-		t.Fatalf("%s: after CountAfter: %v", ctx, err)
+		t.Fatalf("%s: after Materialize: %v", ctx, err)
 	}
-	for _, q := range qs {
-		// Give z a cache entry for the insertion to patch or drop. A taxon of
-		// one constraint keeps none (its count is the constraint's own), so
-		// its validity flag, which nothing else reads, is borrowed.
-		single := len(tr.byTaxon[q.z]) == 1
-		if single {
-			tr.pendOK[q.z] = true
-		} else {
-			tr.PendingCount(q.z)
+	for y, a := range want {
+		if got := tr.AllowedBranches(y); !slices.Equal(got, a.list) {
+			t.Fatalf("%s: under %v, %d's branches are %v, the overlay listed %v", ctx, bookings, y, got, a.list)
 		}
-		tr.ExtendTaxon(q.x, q.e)
-		invalidated := !tr.pendOK[q.z]
-		want := tr.CountAllowedBranches(q.z)
+		if tr.PendingCount(y) != a.count || tr.CountAllowedBranches(y) != a.count {
+			t.Fatalf("%s: under %v, %d's count is %d, the overlay's %d", ctx, bookings, y, tr.CountAllowedBranches(y), a.count)
+		}
+		for e, adm := range a.admissible {
+			if tr.EdgeAdmissible(int32(e), y) != adm {
+				t.Fatalf("%s: under %v, edge %d admissible for %d: %v, the overlay's %v", ctx, bookings, e, y, !adm, adm)
+			}
+		}
+		if len(a.list) > 0 {
+			if got := invalidates(tr, y, a.list[0]); got != a.restructures {
+				t.Fatalf("%s: under %v, inserting %d invalidates a count: %v, Restructures says %v", ctx, bookings, y, got, a.restructures)
+			}
+		}
+	}
+	for range bookings {
 		tr.RemoveTaxon()
-		if single {
-			tr.pendOK[q.z] = false
-		}
-		switch {
-		case q.ok == invalidated:
-			t.Fatalf("%s: CountAfter(%d, %d, %d) ok=%v, the insertion invalidates: %v", ctx, q.x, q.e, q.z, q.ok, invalidated)
-		case q.ok && q.count != want:
-			t.Fatalf("%s: CountAfter(%d, %d, %d) = %d, inserting finds %d", ctx, q.x, q.e, q.z, q.count, want)
-		case q.ok:
-			answered++
-		default:
-			refused++
+	}
+	// The insertions leave their mappings behind the live edges, right for
+	// these bookings; a search reuses the ids for other insertions. Overwrite
+	// them, so that no answer of the overlay can come from them.
+	for _, cs := range tr.constraints {
+		for e := tr.agile.NumEdges(); e < len(cs.m); e++ {
+			cs.m[e] = NoCE
 		}
 	}
-	return answered, refused
+	for _, b := range bookings {
+		ov.Book(b.taxon, b.edge)
+	}
 }
 
-// checkCountsAfter holds CountsAfter against the insertions it stands for, at
-// the current state. For every pending taxon x and pair of other pending taxa
-// (y, z) — every pair where five or fewer are pending, else each taxon with
-// the next one — that CountsAfter allows, x is inserted for real at each of
-// its admissible edges b, and the rule read one level deeper must predict,
-// from this state's counts and sets: the count of y and of z (their counts
-// now, plus 2 each iff b is admissible for it); the branch list of each in
-// order (its branches now, then NumEdges and NumEdges+1 iff b is admissible
-// for it); and every CountAfter answer beneath, for y at each of its branches
-// with z last and the other way round (ok, and z's count after x, plus 2 iff
-// the branch is admissible for z now — for the two new ids, iff b is). The
-// queries must leave Signature alone. It returns how many triples were
-// allowed and refused.
-func checkCountsAfter(t *testing.T, tr *Terrace, ctx string) (allowed, refused int) {
-	t.Helper()
-	var pending []int
-	for _, x := range tr.MissingTaxa() {
-		if !tr.agile.HasTaxon(x) {
-			pending = append(pending, x)
-		}
-	}
-	var pairs [][2]int
-	for i, y := range pending {
-		for j := i + 1; j < len(pending); j++ {
-			if len(pending) <= 5 || j == i+1 {
-				pairs = append(pairs, [2]int{y, pending[j]})
-			}
-		}
-	}
-	sig := tr.Signature()
-	type triple struct{ x, y, z int }
-	var ok []triple
-	for _, x := range pending {
-		for _, p := range pairs {
-			if p[0] == x || p[1] == x {
-				continue
-			}
-			if tr.CountsAfter(x, p[0], p[1]) != tr.CountsAfter(x, p[1], p[0]) {
-				t.Fatalf("%s: CountsAfter(%d, %d, %d) is not symmetric in the pair", ctx, x, p[0], p[1])
-			}
-			if tr.CountsAfter(x, p[0], p[1]) {
-				ok = append(ok, triple{x, p[0], p[1]})
-			} else {
-				refused++
-			}
-		}
-	}
-	if tr.Signature() != sig {
-		t.Fatalf("%s: CountsAfter changed the state", ctx)
-	}
-	// What the rule reads, all of this state's.
-	set, count := map[int]map[int32]bool{}, map[int]int{}
-	list := map[int][]int32{}
-	for _, y := range pending {
-		list[y] = tr.AllowedBranches(y)
-		count[y] = tr.CountAllowedBranches(y)
-		set[y] = map[int32]bool{}
-		for _, e := range list[y] {
-			set[y][e] = true
-		}
-	}
-	gain := func(e int32, y int) int {
-		if set[y][e] {
-			return 2
-		}
-		return 0
-	}
-	ne := int32(tr.agile.NumEdges())
-	for _, q := range ok {
-		for _, b := range list[q.x] {
-			tr.ExtendTaxon(q.x, b)
-			for _, yz := range [][2]int{{q.y, q.z}, {q.z, q.y}} {
-				y, z := yz[0], yz[1]
-				want := append([]int32(nil), list[y]...)
-				if gain(b, y) > 0 {
-					want = append(want, ne, ne+1)
-				}
-				if got := tr.AllowedBranches(y); !slices.Equal(got, want) {
-					t.Fatalf("%s: %d at %d: %d's branches %v, the rule lists %v", ctx, q.x, b, y, got, want)
-				}
-				if c := count[y] + gain(b, y); tr.PendingCount(y) != c || tr.CountAllowedBranches(y) != c {
-					t.Fatalf("%s: %d at %d: %d's count %d, the rule's %d", ctx, q.x, b, y, tr.CountAllowedBranches(y), c)
-				}
-				zAfter := count[z] + gain(b, z)
-				for _, e := range want {
-					c := zAfter + gain(e, z)
-					if e >= ne {
-						c = zAfter + gain(b, z)
-					}
-					if n, answered := tr.CountAfter(y, e, z); !answered || n != c {
-						t.Fatalf("%s: %d at %d: CountAfter(%d, %d, %d) = %d, %v; the rule's %d", ctx, q.x, b, y, e, z, n, answered, c)
-					}
-				}
-			}
-			tr.RemoveTaxon()
-		}
-		allowed++
-	}
-	return allowed, refused
+// overlaidBranches is y's branch list in ov's overlaid state.
+func overlaidBranches(ov *Overlay, y int) []int32 {
+	return ov.AppendBookedBranches(ov.tr.AppendAllowedBranches(nil, y), y)
 }
 
-// TestCountsAfterSharedTaxon is the clause of CountsAfter no walk over the
-// corpus reaches: a constraint holding x, y and z, none of whose taxa is in
-// the agile tree — it takes a fourth missing taxon, as a constraint has four
-// at least, so an engine, which asks with three missing, never meets it.
-// Here no other constraint holds two of the three, so the first two clauses
-// pass: inserting x leaves that constraint one taxon short of active, and
-// CountAfter answers y's count and z's. But y's insertion then activates it,
-// so CountAfter refuses z beneath every branch of y, and the rule's
-// prediction would not be the Terrace's: CountsAfter refuses the triple.
-func TestCountsAfterSharedTaxon(t *testing.T) {
+// invalidates reports whether inserting pending taxon x at e drops the cached
+// count of some other pending taxon instead of patching it. Every other
+// pending taxon is given a cache entry first; a taxon of one constraint keeps
+// none (its count is the constraint's own), so its validity flag, which
+// nothing else reads, is borrowed.
+func invalidates(tr *Terrace, x int, e int32) bool {
+	var others []int
+	for _, z := range tr.MissingTaxa() {
+		if z == x || tr.agile.HasTaxon(z) {
+			continue
+		}
+		others = append(others, z)
+		if len(tr.byTaxon[z]) == 1 {
+			tr.pendOK[z] = true
+		} else {
+			tr.PendingCount(z)
+		}
+	}
+	tr.ExtendTaxon(x, e)
+	dropped := slices.ContainsFunc(others, func(z int) bool { return !tr.pendOK[z] })
+	tr.RemoveTaxon()
+	for _, z := range others {
+		if len(tr.byTaxon[z]) == 1 {
+			tr.pendOK[z] = false
+		}
+	}
+	return dropped
+}
+
+// TestOverlaySharedTaxon is the case of the overlay's rule no walk over the
+// corpus need reach: a constraint holding x, y and z, none of whose taxa is
+// in the agile tree. Booking x restructures nothing (it leaves the constraint
+// one taxon short of active), but booking y after it would activate it, so
+// Restructures must read the constraint's sCount with x's increment and
+// refuse y, as inserting x for real and asking the Terrace does.
+func TestOverlaySharedTaxon(t *testing.T) {
 	taxa := tree.MustTaxa([]string{"A", "B", "C", "D", "X", "Y", "Z", "W"})
 	cons := []*tree.Tree{
 		tree.MustParse("((A,B),(C,D));", taxa),
@@ -365,37 +357,37 @@ func TestCountsAfterSharedTaxon(t *testing.T) {
 		t.Fatal(err)
 	}
 	const x, y, z = 4, 5, 6 // X, Y and Z
-	if tr.CountsAfter(x, y, z) {
-		t.Fatal("CountsAfter allowed a triple whose shared constraint has no taxon inserted")
-	}
-	for _, b := range tr.AllowedBranches(x) {
-		for _, w := range []int{y, z} {
-			if _, ok := tr.CountAfter(x, b, w); !ok {
-				t.Fatalf("inserting X at %d restructures taxon %d: another clause refuses the triple", b, w)
-			}
+	ov := tr.Overlay()
+	for _, w := range []int{x, y, z} {
+		if ov.Restructures(w) {
+			t.Fatalf("taxon %d restructures the initial state", w)
 		}
+	}
+	for _, b := range overlaidBranches(ov, x) {
+		ov.Book(x, b)
+		if !ov.Restructures(y) || !ov.Restructures(z) {
+			t.Fatalf("with X booked at %d, Y or Z does not restructure", b)
+		}
+		ov.Pop()
 		tr.ExtendTaxon(x, b)
-		for _, e := range tr.AllowedBranches(y) {
-			if _, ok := tr.CountAfter(y, e, z); ok {
-				t.Fatalf("after X at %d, Y at %d does not restructure Z", b, e)
-			}
+		if !ov.Restructures(y) || !invalidates(tr, y, tr.AllowedBranches(y)[0]) {
+			t.Fatalf("with X at %d, Y does not restructure", b)
 		}
 		tr.RemoveTaxon()
 	}
-	// The rule holds on what CountsAfter allows here, at every state a walk
+	// The rule holds on what the overlay books here, at every state a walk
 	// passes through.
 	rng := rand.New(rand.NewSource(3))
 	for step := 0; step < 20 && walkStep(tr, rng); step++ {
-		checkCountsAfter(t, tr, "shared-taxon stand")
+		checkOverlay(t, tr, rng, 20, "shared-taxon stand")
 	}
 }
 
-// TestCountAfterMatchesInsertion walks stands of both corpus regimes and, at
-// every state of the walk, checks every CountAfter query there is to ask, and
-// CountsAfter's on the triples checkCountsAfter picks.
-func TestCountAfterMatchesInsertion(t *testing.T) {
-	answered, refused := 0, 0
-	allowed, denied := 0, 0
+// TestOverlayMatchesInsertion walks stands of both corpus regimes and, at
+// every state of the walk, holds an overlay walk from it against the
+// insertions it books (checkOverlay).
+func TestOverlayMatchesInsertion(t *testing.T) {
+	booked, refused := 0, 0
 	for _, regime := range []gen.Regime{gen.RegimeSimulated, gen.RegimeEmpirical} {
 		cfg := gen.Default(regime)
 		cfg.MinTaxa, cfg.MaxTaxa = 12, 28
@@ -407,19 +399,16 @@ func TestCountAfterMatchesInsertion(t *testing.T) {
 			}
 			rng := rand.New(rand.NewSource(int64(idx)))
 			for step := 0; step < 40; step++ {
-				a, r := checkCountAfter(t, tr, ds.Name)
-				answered, refused = answered+a, refused+r
-				a, r = checkCountsAfter(t, tr, ds.Name)
-				allowed, denied = allowed+a, denied+r
+				b, r := checkOverlay(t, tr, rng, 12, ds.Name)
+				booked, refused = booked+b, refused+r
 				if !walkStep(tr, rng) {
 					break
 				}
 			}
 		}
 	}
-	if answered < 1000 || refused < 100 || allowed < 1000 || denied < 100 {
-		t.Fatalf("CountAfter: %d queries answered and %d refused; CountsAfter: %d triples allowed and %d refused: all must occur, often",
-			answered, refused, allowed, denied)
+	if booked < 1000 || refused < 100 {
+		t.Fatalf("%d bookings checked and %d insertions refused: both must occur, often", booked, refused)
 	}
-	t.Logf("CountAfter: %d answered, %d refused; CountsAfter: %d allowed, %d refused", answered, refused, allowed, denied)
+	t.Logf("%d bookings checked, %d insertions refused", booked, refused)
 }

@@ -471,7 +471,7 @@ func (tr *Terrace) splitCommonEdge(u *cUndo, ci int32, cs *constraintState, x in
 func (cs *constraintState) pendingOn(tr *Terrace, che int32, x int) []int32 {
 	buf := tr.pendBuf[:0]
 	for _, y := range cs.pending {
-		if cs.restructures(che, y) {
+		if cs.restructures(cs.sCount, che, y) {
 			buf = append(buf, y)
 		}
 	}

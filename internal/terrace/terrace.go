@@ -156,6 +156,10 @@ type Terrace struct {
 	cacheIdx   []int32   // taxon id -> position in cacheLive (-1 when absent)
 	pendListed []bool    // taxon holds a cache slot (re-listed on LIFO undo while attached)
 
+	// ov is the overlay of bookings above the state (see Overlay), laid out
+	// in store the first time it is asked for.
+	ov Overlay
+
 	// store is the storage New or Clone laid the state out in, which Release
 	// hands to the next one.
 	store *storage
@@ -253,6 +257,12 @@ type storage struct {
 	logs   [4][]int32 // the undo logs, empty, as the search grew them
 	sets   []bitset.Set
 	agile  *tree.Tree
+
+	// The overlay's, once asked for: its bookings, its per-constraint and
+	// per-taxon counts, and its set of booked taxa.
+	bookings []booking
+	ovI32    []int32
+	ovWords  []uint64
 }
 
 // free is the storage of the released Terraces, the latest last, for the
@@ -325,7 +335,8 @@ func (st *storage) bytes() int {
 	n := size(st.i32) + size(st.ces) + size(st.pre) + size(st.states) + size(st.cons) +
 		size(st.undo) + size(st.cu) + size(st.ixs) + size(st.ix) + size(st.rn) +
 		size(st.order) + size(st.inc) + size(st.lists) + size(st.flags) + size(st.live) +
-		size(st.logs[0]) + size(st.logs[1]) + size(st.logs[2]) + size(st.logs[3]) + size(st.sets)
+		size(st.logs[0]) + size(st.logs[1]) + size(st.logs[2]) + size(st.logs[3]) + size(st.sets) +
+		size(st.bookings) + size(st.ovI32) + size(st.ovWords)
 	for i := range st.sets {
 		n += size(st.sets[i].Words())
 	}

@@ -133,10 +133,10 @@ func TestAppendAllowedSteadyStateAllocs(t *testing.T) {
 }
 
 // FuzzAllowedEquiv feeds fuzzer-chosen scenario and walk seeds through the
-// kernel-vs-scalar differential and the CountAfter-vs-insertion and
-// CountsAfter-vs-insertion ones: any ordering or membership divergence, any
-// count or branch list an insertion does not confirm, any invariant
-// violation, and any panic is a finding.
+// kernel-vs-scalar differential and, at every state of the walk, an overlay
+// walk held against the insertions it books (checkOverlay): any ordering or
+// membership divergence, any count, branch list, id or refusal an insertion
+// does not confirm, any invariant violation, and any panic is a finding.
 func FuzzAllowedEquiv(f *testing.F) {
 	f.Add(int64(1), int64(2), uint8(14), uint8(3), uint8(40))
 	f.Add(int64(7), int64(99), uint8(9), uint8(5), uint8(60))
@@ -156,8 +156,7 @@ func FuzzAllowedEquiv(f *testing.F) {
 				break
 			}
 			compareKernelScalar(t, tr, "fuzz walk")
-			checkCountAfter(t, tr, "fuzz walk")
-			checkCountsAfter(t, tr, "fuzz walk")
+			checkOverlay(t, tr, walk, 12, "fuzz walk")
 		}
 		if err := tr.CheckInvariants(); err != nil {
 			t.Fatal(err)
