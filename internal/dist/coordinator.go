@@ -6,11 +6,11 @@ import (
 	"io"
 	"log/slog"
 	"runtime/debug"
+	"slices"
 	"strings"
 	"sync"
 	"time"
 
-	"gentrius"
 	"gentrius/internal/faultinject"
 	"gentrius/internal/obs"
 	"gentrius/internal/retry"
@@ -20,9 +20,9 @@ import (
 
 // Config sizes a Coordinator.
 type Config struct {
-	// Peers are the worker endpoints shards are dispatched to. An empty
-	// fleet is legal: every shard runs locally (the degenerate case the
-	// graceful-degradation path also lands in when all peers die).
+	// Peers are the worker endpoints shards are dispatched to. While none of
+	// them is alive — an empty fleet, or every peer dead — shards go to the
+	// coordinator's own in-process worker, "local", under the same leases.
 	Peers []WorkerClient
 	// CoordURL is this coordinator's advertised URL, handed to workers so
 	// they know where to heartbeat. In-memory transports ignore it.
@@ -53,11 +53,16 @@ type Config struct {
 // HandleHeartbeat/HandleResult.
 type Coordinator struct {
 	cfg Config
+	// peers are cfg.Peers and, last, at index local, the coordinator's own
+	// worker: a peer like the others, picked only while no other is alive.
+	peers  []WorkerClient
+	local  int
+	worker *Worker
 
 	mu     sync.Mutex
 	jobs   map[string]*fleetJob
-	alive  []bool
-	live   int         // how many of alive
+	alive  []bool      // per peer; the local one never dies
+	live   int         // how many of cfg.Peers are alive
 	lastHB []time.Time // last accepted heartbeat per peer (zero: never)
 }
 
@@ -73,8 +78,12 @@ func NewCoordinator(cfg Config) *Coordinator {
 		cfg.HeartbeatEvery = DefaultHeartbeatEvery
 	}
 	cfg.Clock, cfg.Retry, cfg.Metrics, cfg.Logger = nodeDefaults(cfg.Clock, cfg.Retry, cfg.Metrics, cfg.Logger)
-	c := &Coordinator{cfg: cfg, jobs: map[string]*fleetJob{}, live: len(cfg.Peers),
-		alive: make([]bool, len(cfg.Peers)), lastHB: make([]time.Time, len(cfg.Peers))}
+	c := &Coordinator{cfg: cfg, jobs: map[string]*fleetJob{}, live: len(cfg.Peers), local: len(cfg.Peers)}
+	c.worker = NewWorker(WorkerConfig{Name: "local", Threads: cfg.Threads,
+		Dial:  func(string) CoordinatorClient { return &LocalCoordinatorClient{C: c} },
+		Clock: cfg.Clock, Retry: cfg.Retry, Metrics: cfg.Metrics, Trace: cfg.Trace, Logger: cfg.Logger, Fault: cfg.Fault})
+	c.peers = append(slices.Clip(cfg.Peers), &LocalWorkerClient{WorkerName: "local", W: c.worker})
+	c.alive, c.lastHB = make([]bool, len(c.peers)), make([]time.Time, len(c.peers))
 	for i := range c.alive {
 		c.alive[i] = true
 	}
@@ -138,12 +147,12 @@ type Result struct {
 
 	// Fleet statistics for this job.
 	LeaseExpiries int64 // each re-dispatches its shard from its last durable checkpoint
-	LocalShards   int64
+	LocalShards   int64 // epochs leased to the coordinator's own worker
 }
 
 // Shard lifecycle.
 const (
-	shardPending = iota // waiting for a peer (or local slot)
+	shardPending = iota // waiting for a peer
 	shardLeased         // dispatched, lease ticking
 	shardDone           // result merged
 )
@@ -152,7 +161,7 @@ type shardState struct {
 	idx      int
 	status   int
 	epoch    int
-	peer     int // peer index; -1 = local fallback
+	peer     int // index in Coordinator.peers, while leased
 	deadline time.Time
 
 	// dispatchCkpt is the current epoch's resume point (counters zeroed).
@@ -322,7 +331,6 @@ func (c *Coordinator) Run(ctx context.Context, jobID string, constraints []*tree
 			idx:          i,
 			status:       shardPending,
 			epoch:        1,
-			peer:         -1,
 			dispatchCkpt: job.checkpoint(fr),
 			base:         map[int]epochBase{1: {}},
 		}
@@ -351,32 +359,33 @@ func (c *Coordinator) Run(ctx context.Context, jobID string, constraints []*tree
 		c.mu.Unlock()
 	}()
 
-	ctx, cancel := context.WithCancel(ctx) // however Run ends, local runs and dispatch retries stop
+	// However Run ends, dispatch retries stop, and so do the job's runs on
+	// the coordinator's own worker.
+	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
+	defer c.worker.stopJob(jobID)
 	return c.controlLoop(ctx, job)
 }
 
 // controlLoop drives one job: dispatching pending shards, expiring leases,
-// delivering merged trees, and deciding completion.
+// delivering merged trees, and ending the job once it is stopping — every
+// shard merged, a limit passed, the job cancelled or a shard failed.
 func (c *Coordinator) controlLoop(ctx context.Context, job *fleetJob) (*Result, error) {
 	clk := c.cfg.Clock
 	for {
 		now := clk.Now()
+		job.mu.Lock()
 		// A cancelled job stops dispatching; its leased shards are fenced at
 		// their next heartbeat, and what has been merged is still delivered.
-		cancelled := ctx.Err() != nil
-
-		job.mu.Lock()
-		if cancelled {
-			job.stopping = true
-			job.stop = search.StopCancelled
+		if ctx.Err() != nil && !job.stopping {
+			job.stopping, job.stop = true, search.StopCancelled
 		}
 		c.limitLocked(job, now)
 		// Lease expiry: a leased shard past its deadline re-enters the
 		// pending pool at the next epoch, resuming from its last durable
 		// checkpoint (resume-not-replay).
 		for _, s := range job.shards {
-			if s.status == shardLeased && s.peer >= 0 && now.After(s.deadline) {
+			if s.status == shardLeased && now.After(s.deadline) {
 				c.cfg.Metrics.LeaseExpiries.Inc()
 				job.stats.LeaseExpiries++
 				job.rec.EmitTagged(obs.EvLeaseExpire, -1,
@@ -390,8 +399,6 @@ func (c *Coordinator) controlLoop(ctx context.Context, job *fleetJob) (*Result, 
 			}
 		}
 
-		// Dispatch pending shards; with the fleet at zero, degrade to
-		// local execution through the same epoch accounting.
 		if !job.stopping {
 			for _, s := range job.shards {
 				if s.status != shardPending {
@@ -401,31 +408,28 @@ func (c *Coordinator) controlLoop(ctx context.Context, job *fleetJob) (*Result, 
 				if s.epoch > 1 {
 					cause = "redispatch"
 				}
-				if p := c.pickPeer(job); p >= 0 {
-					c.leaseTo(ctx, job, s, p, cause)
-				} else {
-					c.runLocally(ctx, job, s)
-				}
+				c.leaseTo(ctx, job, s, c.pickPeer(job), cause)
 			}
 		}
 
-		// Merged shards' trees go to the caller outside the lock (exactly
-		// once: the merge already resolved epochs).
-		merged := job.merged
-		job.merged = nil
-
-		failErr := job.failErr
 		// Earliest lease deadline, or the time limit, the loop must wake for.
-		finished, next := true, time.Time{}
+		var next time.Time
 		if limit := job.opt.Limits.MaxTime; limit > 0 {
 			next = job.start.Add(limit)
 		}
 		for _, s := range job.shards {
-			finished = finished && s.status == shardDone
-			if s.status == shardLeased && s.peer >= 0 && (next.IsZero() || s.deadline.Before(next)) {
+			if s.status == shardLeased && (next.IsZero() || s.deadline.Before(next)) {
 				next = s.deadline
 			}
 		}
+		// Merged shards' trees go to the caller outside the lock (exactly
+		// once: the merge already resolved epochs), and the result is what
+		// they make up.
+		merged := job.merged
+		job.merged = nil
+		stopping, failErr := job.stopping, job.failErr
+		res := job.stats
+		res.Counters, res.Stop = job.totals, job.stop
 		job.mu.Unlock()
 
 		if err := job.deliver(merged...); err != nil {
@@ -434,12 +438,7 @@ func (c *Coordinator) controlLoop(ctx context.Context, job *fleetJob) (*Result, 
 		if failErr != nil {
 			return nil, failErr
 		}
-		if finished || cancelled {
-			job.mu.Lock()
-			res := job.stats
-			res.Counters = job.totals
-			res.Stop = job.stop
-			job.mu.Unlock()
+		if stopping {
 			res.Trees = job.trees
 			return &res, nil
 		}
@@ -480,7 +479,6 @@ func (c *Coordinator) advanceEpoch(job *fleetJob, s *shardState) {
 	s.base[s.epoch] = base
 	s.latest = nil
 	s.status = shardPending
-	s.peer = -1
 }
 
 // leaseTo marks the shard leased to peer p and fires the dispatch RPC in
@@ -493,6 +491,9 @@ func (c *Coordinator) leaseTo(ctx context.Context, job *fleetJob, s *shardState,
 	s.status = shardLeased
 	s.peer = p
 	s.deadline = c.cfg.Clock.Now().Add(c.cfg.LeaseTTL)
+	if p == c.local {
+		job.stats.LocalShards++
+	}
 	c.cfg.Metrics.ShardsDispatched.Inc()
 	job.rec.EmitTagged(obs.EvShardDispatch, -1,
 		[]obs.SField{obs.S("peer", c.peerName(p)), obs.S("cause", cause)},
@@ -523,7 +524,7 @@ func (c *Coordinator) request(job *fleetJob, s *shardState) *DispatchRequest {
 // the outcome back into the shard table.
 func (c *Coordinator) dispatch(ctx context.Context, job *fleetJob, s *shardState, p int, req *DispatchRequest) {
 	_, err := rpc(ctx, c.cfg.Retry, c.cfg.Fault, "dispatch", func() (*DispatchResponse, error) {
-		return c.cfg.Peers[p].Dispatch(ctx, req)
+		return c.peers[p].Dispatch(ctx, req)
 	})
 	if err == nil || ctx.Err() != nil {
 		// Accepted — or not, by a worker running a newer epoch of this shard
@@ -539,42 +540,9 @@ func (c *Coordinator) dispatch(ctx context.Context, job *fleetJob, s *shardState
 	// advanced the epoch while the RPC was retrying.
 	if s.status == shardLeased && s.epoch == req.Epoch && s.peer == p {
 		s.status = shardPending
-		s.peer = -1
 	}
 	job.mu.Unlock()
 	job.wakeUp()
-}
-
-// runLocally executes the shard in-process — the fleet-at-zero degradation
-// path. Caller holds job.mu. The shard is marked leased to the virtual
-// local peer (-1) with no expiring deadline: local runs cannot vanish, and
-// they honour ctx directly.
-func (c *Coordinator) runLocally(ctx context.Context, job *fleetJob, s *shardState) {
-	s.status = shardLeased
-	s.peer = -1
-	s.deadline = c.cfg.Clock.Now().Add(100 * 365 * 24 * time.Hour)
-	req := c.request(job, s)
-	job.stats.LocalShards++
-	job.rec.EmitTagged(obs.EvFleetLocal, -1, nil,
-		obs.F("shard", int64(s.idx)), obs.F("epoch", int64(req.Epoch)))
-	job.log.Info("no live peers: running shard locally", "shard", s.idx, "epoch", req.Epoch)
-	go func() {
-		shipped, onTrees := shipLog(req.CollectTrees)
-		res, err := gentrius.EnumerateStandContext(ctx, job.constraints, gentrius.Options{
-			Threads:    max(req.Threads, 1),
-			MaxTrees:   -1,
-			MaxStates:  -1,
-			MaxTime:    -1,
-			OnTrees:    onTrees,
-			Checkpoint: &gentrius.CheckpointPolicy{Resume: req.Checkpoint},
-			Fault:      c.cfg.Fault,
-		})
-		if err != nil {
-			c.HandleResult(failedResult(req, "local", err))
-			return
-		}
-		c.HandleResult(newShardResult(req, "local", res, shipped, 0))
-	}()
 }
 
 // HandleHeartbeat renews a shard lease and stores the piggybacked durable
@@ -608,11 +576,9 @@ func (c *Coordinator) HandleHeartbeat(req *HeartbeatRequest) *HeartbeatResponse 
 		s.latest = req.Checkpoint
 		s.latestMass = min(s.latestMass, req.RemainingMass)
 	}
-	if s.peer >= 0 { // peer liveness for /healthz and /v1/fleet/status
-		c.mu.Lock()
-		c.lastHB[s.peer] = c.cfg.Clock.Now()
-		c.mu.Unlock()
-	}
+	c.mu.Lock() // peer liveness for /healthz and /v1/fleet/status
+	c.lastHB[s.peer] = c.cfg.Clock.Now()
+	c.mu.Unlock()
 	// The recv side of the heartbeat pair: same seq as the worker's
 	// shard-hb-send event, which is what the offline merge aligns clocks on.
 	job.rec.EmitTagged(obs.EvHeartbeatRecv, -1,
@@ -650,7 +616,7 @@ func (c *Coordinator) mergeResultLocked(job *fleetJob, req *ShardResult) bool {
 	}
 	s := job.shards[req.Shard]
 	base, known := s.base[req.Epoch]
-	if req.Proto != Proto || s.status == shardDone || !known ||
+	if req.Proto != Proto || job.stopping || s.status == shardDone || !known ||
 		req.Err == "" && !s.takeTrees(req.Epoch, req.TreeDelta, req.Counters.StandTrees) {
 		c.fence(job, s, "result", req.Proto, req.Epoch, req.Node)
 		return false
@@ -685,6 +651,9 @@ func (c *Coordinator) mergeResultLocked(job *fleetJob, req *ShardResult) bool {
 		job.stop = req.Stop
 	}
 	c.limitLocked(job, c.cfg.Clock.Now())
+	if !slices.ContainsFunc(job.shards, func(sh *shardState) bool { return sh.status != shardDone }) {
+		job.stopping = true // the last merge ends the job
+	}
 	return true
 }
 
@@ -696,14 +665,10 @@ func (c *Coordinator) limitLocked(job *fleetJob, now time.Time) {
 	if !hit || job.stopping {
 		return
 	}
+	// Completed counts stand; leased shards are fenced at their next
+	// heartbeat or result.
 	job.stopping = true
 	job.stop = reason
-	// Un-dispatched work stays pending forever; completed counts stand.
-	// Leased shards get fenced at their next heartbeat. Mark everything as
-	// done so the loop terminates.
-	for _, sh := range job.shards {
-		sh.status = shardDone
-	}
 }
 
 // fence turns a heartbeat or a result away (caller holds job.mu). One of
@@ -724,18 +689,13 @@ func (c *Coordinator) fence(job *fleetJob, s *shardState, kind string, proto, ep
 }
 
 // peerName labels a peer for logs and traces.
-func (c *Coordinator) peerName(p int) string {
-	if p < 0 || p >= len(c.cfg.Peers) {
-		return "local"
-	}
-	return c.cfg.Peers[p].Name()
-}
+func (c *Coordinator) peerName(p int) string { return c.peers[p].Name() }
 
 // markDead records a peer as unreachable. Dead peers stay dead for the
 // coordinator's lifetime (the drill model is crash, not partition); the
-// fleet gauge tracks the survivors.
+// fleet gauge tracks the survivors. The local worker never dies.
 func (c *Coordinator) markDead(p int) {
-	if p < 0 || p >= len(c.alive) {
+	if p == c.local {
 		return
 	}
 	c.mu.Lock()
@@ -748,21 +708,21 @@ func (c *Coordinator) markDead(p int) {
 	c.mu.Unlock()
 }
 
-// pickPeer chooses the live peer with the fewest active leases across all
-// jobs of this coordinator (approximated per-job: caller holds job.mu).
-// Returns -1 with the fleet at zero.
+// pickPeer chooses the live configured peer with the fewest active leases
+// (counted in this job: caller holds job.mu), and the local worker when no
+// configured peer is alive.
 func (c *Coordinator) pickPeer(job *fleetJob) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	leases := make([]int, len(c.cfg.Peers))
+	leases := make([]int, len(c.peers))
 	for _, s := range job.shards {
-		if s.status == shardLeased && s.peer >= 0 {
+		if s.status == shardLeased {
 			leases[s.peer]++
 		}
 	}
-	best := -1
-	for p, a := range c.alive {
-		if a && (best < 0 || leases[p] < leases[best]) {
+	best := c.local
+	for p, a := range c.alive[:c.local] {
+		if a && (best == c.local || leases[p] < leases[best]) {
 			best = p
 		}
 	}

@@ -39,9 +39,10 @@
 //     policy the daemon's persistence paths use), with rpcsend/rpcrecv/
 //     heartbeat fault-injection sites for deterministic drills.
 //
-//   - Graceful degradation. When the fleet shrinks to zero the coordinator
-//     finishes the remaining shards locally through the same epoch
-//     accounting.
+//   - One kind of worker. The coordinator holds an in-process Worker,
+//     "local", as its last peer, picked only while no configured peer is
+//     alive: a fleet at zero peers is a fleet of one, whose shards take the
+//     same leases, heartbeats, fencing and merge as any.
 //
 // Time is abstracted behind Clock so the whole protocol runs deterministically
 // under the tests' VirtualClock before any real network exists.

@@ -225,7 +225,7 @@ func localRuns() int {
 	for {
 		n := runtime.Stack(buf, true)
 		if n < len(buf) {
-			return strings.Count(string(buf[:n]), "dist.(*Coordinator).runLocally.func")
+			return strings.Count(string(buf[:n]), "dist.(*Worker).runShard.func")
 		}
 		buf = make([]byte, 2*len(buf))
 	}

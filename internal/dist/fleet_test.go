@@ -248,3 +248,101 @@ func TestFleetWorkerEngineEventsCarryShardTags(t *testing.T) {
 		t.Fatalf("task events cover shards %v, want both shards", seenShards)
 	}
 }
+
+// TestFleetAtZeroIsAFleetOfOne: a coordinator without peers runs every shard
+// on its own worker, "local", through the path every shard takes. The local
+// shards' checkpoint-carrying heartbeats are accepted (their progress shows
+// in Status, under peer local, while the peer list stays empty), the
+// coordinator's trace pairs each dispatch with its shard-begin and leaves no
+// orphan, and the stand equals the serial one, each tree once. The shards
+// are braked as in TestFleetHeartbeatBlackhole so that they outlast many
+// heartbeats.
+func TestFleetAtZeroIsAFleetOfOne(t *testing.T) {
+	cons := canonicalize(t, randomScenario(rand.New(rand.NewSource(308)), 18, 4, 6, 0.45))
+	ref := serialRef(t, cons)
+	brake, err := gentrius.ParseFaults("treestream.every=200;treestream.delay=1ms")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	rec := obs.NewRecorder(&buf, nil)
+	metrics := NewMetrics(obs.NewRegistry())
+	f := newFleet(t, 0, Config{
+		Shards:         2,
+		Threads:        2,
+		LeaseTTL:       time.Second,
+		HeartbeatEvery: 20 * time.Millisecond,
+		Metrics:        metrics,
+		Trace:          rec,
+		Fault:          brake,
+	}, nil)
+	type runOut struct {
+		res *Result
+		err error
+	}
+	done := make(chan runOut, 1)
+	go func() {
+		res, err := f.coord.Run(context.Background(), "zero", cons, RunOptions{CollectTrees: true, InitialTree: -1})
+		done <- runOut{res, err}
+	}()
+
+	waitFor(t, "a local shard's accepted progress in Status", func() bool {
+		st := f.coord.Status()
+		if len(st.Peers) != 0 {
+			t.Fatalf("Status lists peers %+v, want none", st.Peers)
+		}
+		for _, j := range st.Jobs {
+			for _, s := range j.Shards {
+				if s.State == "leased" && s.Peer == "local" && s.EstimatorFraction < 1 {
+					return true
+				}
+			}
+		}
+		return false
+	})
+	out := <-done
+	if out.err != nil {
+		t.Fatal(out.err)
+	}
+	res := out.res
+	assertMatchesSerial(t, res, ref)
+	if res.LocalShards != 2+res.LeaseExpiries {
+		t.Fatalf("%d local shards with %d lease expiries, want every epoch local", res.LocalShards, res.LeaseExpiries)
+	}
+	if v := metrics.Fenced.Value(); v != 0 {
+		t.Fatalf("%d heartbeats or results fenced, want none", v)
+	}
+
+	if err := rec.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	evs, err := tracereport.ReadTrace(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := tracereport.MergeFleet([]tracereport.NodeTrace{{Name: "coord", Events: evs}}, "ms")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Orphans) != 0 {
+		t.Fatalf("orphans in the merged trace: %v", rep.Orphans)
+	}
+	if len(rep.Shards) != 2 {
+		t.Fatalf("merged trace has %d shards, want 2", len(rep.Shards))
+	}
+	for _, sh := range rep.Shards {
+		for _, e := range sh.Epochs {
+			if !e.HasBegin || e.BeginTS < e.DispatchTS {
+				t.Fatalf("shard %d epoch %d: dispatch at %d not paired with a later shard-begin (%v at %d)",
+					e.Shard, e.Epoch, e.DispatchTS, e.HasBegin, e.BeginTS)
+			}
+			if e.HBSends == 0 || e.HBRecvs != e.HBSends || e.Checkpoints == 0 {
+				t.Fatalf("shard %d epoch %d: %d of %d heartbeats accepted, %d checkpoints", e.Shard, e.Epoch,
+					e.HBRecvs, e.HBSends, e.Checkpoints)
+			}
+		}
+		if last := sh.Epochs[len(sh.Epochs)-1]; last.Outcome != "merged" || last.WorkerOutcome != "done" {
+			t.Fatalf("shard %d ends %s/%s, want merged/done", sh.Shard, last.Outcome, last.WorkerOutcome)
+		}
+	}
+}

@@ -59,14 +59,14 @@ func (c *Coordinator) Status() *FleetStatus {
 	now := c.cfg.Clock.Now()
 
 	c.mu.Lock()
-	peers := make([]PeerStatus, len(c.cfg.Peers))
-	for p := range c.cfg.Peers {
+	peers := make([]PeerStatus, len(c.peers))
+	for p := range c.peers {
 		age := -1.0
 		if !c.lastHB[p].IsZero() {
 			age = now.Sub(c.lastHB[p]).Seconds()
 		}
 		peers[p] = PeerStatus{
-			Name:                    c.cfg.Peers[p].Name(),
+			Name:                    c.peerName(p),
 			Alive:                   c.alive[p],
 			LastHeartbeatAgeSeconds: age,
 		}
@@ -77,7 +77,8 @@ func (c *Coordinator) Status() *FleetStatus {
 	}
 	c.mu.Unlock()
 
-	st := &FleetStatus{CoordURL: c.cfg.CoordURL, Peers: peers, Jobs: []JobStatus{}}
+	// The local worker's leases are listed on its shards, not as a peer.
+	st := &FleetStatus{CoordURL: c.cfg.CoordURL, Peers: peers[:c.local], Jobs: []JobStatus{}}
 	for _, job := range jobs {
 		job.mu.Lock()
 		js := JobStatus{Job: job.id, TraceID: job.stats.TraceID}
@@ -96,9 +97,7 @@ func (c *Coordinator) Status() *FleetStatus {
 				if d := s.deadline.Sub(now); d > 0 {
 					ss.LeaseRemainingSeconds = d.Seconds()
 				}
-				if s.peer >= 0 {
-					peers[s.peer].ActiveLeases++
-				}
+				peers[s.peer].ActiveLeases++
 			}
 			js.Shards = append(js.Shards, ss)
 		}

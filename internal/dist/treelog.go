@@ -20,17 +20,6 @@ type treeLog struct {
 	marks  []int // marks[i]: the trees of blocks[:i+1]
 }
 
-// shipLog returns the log a shard run ships its trees from and the engine
-// callback that feeds it; both nil, so that nothing is rendered, for a job
-// that wants none.
-func shipLog(ship bool) (*treeLog, func(block []byte, n int)) {
-	if !ship {
-		return nil, nil
-	}
-	l := new(treeLog)
-	return l, l.Append
-}
-
 // Append adds a block of n trees: the one copy a shard's trees get between
 // the engine and the job.
 func (l *treeLog) Append(block []byte, n int) {

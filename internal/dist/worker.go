@@ -157,7 +157,12 @@ func (w *Worker) runShard(ctx context.Context, run *shardRun, key shardKey, req 
 	// The shard's trees, and the cut up to which the coordinator has them:
 	// it moves only when a heartbeat carrying trees was answered, so trees
 	// whose heartbeat — or its answer — was lost ride on the next one.
-	shipped, onTrees := shipLog(req.CollectTrees)
+	var shipped *treeLog
+	var onTrees func(block []byte, n int) // nil: nothing is rendered
+	if req.CollectTrees {
+		shipped = new(treeLog)
+		onTrees = shipped.Append
+	}
 	acked := 0
 
 	threads := req.Threads
@@ -336,16 +341,30 @@ func failedResult(d *DispatchRequest, node string, err error) *ShardResult {
 }
 
 // Shutdown cancels every running shard (used by daemon drain; runs notice
-// via their contexts and exit without reporting).
+// via their contexts and exit without reporting) and waits for them to end.
 func (w *Worker) Shutdown() {
-	w.mu.Lock()
-	runs := make([]*shardRun, 0, len(w.running))
-	for _, r := range w.running {
-		r.cancel()
-		runs = append(runs, r)
-	}
-	w.mu.Unlock()
-	for _, r := range runs {
+	for _, r := range w.cancel(func(shardKey) bool { return true }) {
 		<-r.done
 	}
+}
+
+// stopJob cancels the job's runs as Shutdown does, without waiting for them.
+func (w *Worker) stopJob(job string) {
+	w.cancel(func(k shardKey) bool { return k.job == job })
+}
+
+// cancel cancels the runs whose keys match and forgets them, so that a
+// dispatch of the same shard starts a new run, and returns them.
+func (w *Worker) cancel(match func(shardKey) bool) []*shardRun {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	var runs []*shardRun
+	for k, r := range w.running {
+		if match(k) {
+			r.cancel()
+			delete(w.running, k)
+			runs = append(runs, r)
+		}
+	}
+	return runs
 }

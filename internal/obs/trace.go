@@ -67,7 +67,6 @@ const (
 	EvShardDone     = "shard-done"     // shard result merged into the job total
 	EvLeaseExpire   = "lease-expire"   // lease ran out of heartbeats
 	EvShardFenced   = "shard-fenced"   // stale-epoch heartbeat/result turned away
-	EvFleetLocal    = "fleet-local"    // coordinator fell back to local execution
 
 	// Fleet-trace span events. The coordinator mints one trace id per fleet
 	// run ("fleet-run", tag "trace") and stamps it on every RPC; both sides

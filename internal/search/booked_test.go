@@ -3,10 +3,12 @@ package search
 import (
 	"crypto/sha256"
 	"fmt"
+	"slices"
 	"testing"
 	"unsafe"
 
 	"gentrius/internal/gen"
+	"gentrius/internal/terrace"
 )
 
 // bookedRunsDigest is the SHA-256 of the lines TestBookedRunsStopWhereInsertingRunsDo
@@ -105,4 +107,69 @@ func TestFrameSize(t *testing.T) {
 	if n := unsafe.Sizeof(Frame{}); n > 88 {
 		t.Fatalf("a Frame is %d bytes, more than 88", n)
 	}
+}
+
+// TestPushedBranchesAreFresh: a counting engine reuses a stack slot's real
+// branches while the Terrace's real state has not changed since they were
+// listed (Engine.lists, against the count of changes Engine.real). On corpus
+// stands under the three dynamic heuristics, every frame a counting run pushes
+// must list what a fresh listing of its state gives: the Terrace's branches,
+// then the overlay's. Each run is cut, and its stack resumed on an engine of
+// a fresh Terrace, as a stolen task is: the resumed stack's insertions are
+// made for real, so backing out of them removes taxa for real between
+// bookings. A real insertion, removal or Reset the count missed shows as a
+// stale list.
+func TestPushedBranchesAreFresh(t *testing.T) {
+	pushed := 0
+	// steps runs eng for up to n steps, checking every frame it pushes.
+	steps := func(name string, eng *Engine, n int) {
+		for step := 0; step < n; step++ {
+			ev := eng.Step()
+			if ev == EvDone {
+				return
+			}
+			if ev != EvInserted && ev != EvDeadEnd {
+				continue
+			}
+			f := &eng.frames[len(eng.frames)-1]
+			want := eng.ov.AppendBookedBranches(eng.T.AppendAllowedBranches(nil, f.Taxon), f.Taxon)
+			if !slices.Equal(f.Branches, want) {
+				t.Fatalf("%s, step %d: taxon %d pushed with branches %v, its state lists %v",
+					name, step, f.Taxon, f.Branches, want)
+			}
+			pushed++
+		}
+	}
+	for _, regime := range []gen.Regime{gen.RegimeSimulated, gen.RegimeEmpirical} {
+		for idx := 0; idx < 60; idx++ {
+			ds := gen.Generate(gen.Default(regime), idx)
+			initial := ChooseInitialTree(ds.Constraints)
+			for _, h := range []OrderHeuristic{OrderMinBranches, OrderMinBranchesTieDegree, OrderMaxBranches} {
+				name := fmt.Sprintf("%s %v", ds.Name, h)
+				var engs [2]*Engine
+				for i := range engs {
+					tr, err := terrace.New(ds.Constraints, initial)
+					if err != nil {
+						t.Fatalf("%s: %v", ds.Name, err)
+					}
+					engs[i] = NewEngine(tr)
+					engs[i].Heuristic = h
+				}
+				steps(name, engs[0], 50+idx*37%1000)
+				if !engs[0].Done() {
+					if err := engs[1].Reset(engs[0].SnapshotFrames(nil)); err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					engs[1].replayInserted()
+					steps(name+" resumed", engs[1], 20_000)
+				}
+				engs[0].T.Release()
+				engs[1].T.Release()
+			}
+		}
+	}
+	if pushed < 10_000 {
+		t.Fatalf("%d frames pushed: too few to tell", pushed)
+	}
+	t.Logf("%d pushed frames checked", pushed)
 }

@@ -174,7 +174,9 @@ func randomInsertable(tr *Terrace, rng *rand.Rand) (int, bool) {
 
 // checkOverlay holds an Overlay on tr's current state against the
 // insertions it books. A random walk of steps bookings and pops books taxa
-// Restructures allows, half the time on an edge a booking made. After each booking the overlay's answers are
+// Restructures allows, three times in four, where one may, on the edge of
+// the deepest booking any taxon may take, so that bookings nest on bookings.
+// After each booking the overlay's answers are
 // taken down: every pending taxon's count, its branch list in order, whether
 // it restructures, and the admissibility of every edge of the overlaid
 // state. Then the bookings are made for real (Materialize), at the ids the
@@ -182,9 +184,8 @@ func randomInsertable(tr *Terrace, rng *rand.Rand) (int, bool) {
 // counts too; and Restructures must be true exactly where inserting the taxon
 // for real drops some other pending taxon's count rather than patching it.
 // Then the insertions are removed and booked again, and the walk goes on. The
-// Terrace ends where it began. It returns how many bookings were checked and
-// how many taxa Restructures refused on the way.
-func checkOverlay(t *testing.T, tr *Terrace, rng *rand.Rand, steps int, ctx string) (booked, refused int) {
+// Terrace ends where it began. It returns what it checked.
+func checkOverlay(t *testing.T, tr *Terrace, rng *rand.Rand, steps int, ctx string) (st overlayStats) {
 	t.Helper()
 	sig := tr.Signature()
 	ov := tr.Overlay()
@@ -193,14 +194,12 @@ func checkOverlay(t *testing.T, tr *Terrace, rng *rand.Rand, steps int, ctx stri
 			ov.Pop()
 			continue
 		}
-		// Half the time a taxon that has edges a booking made, on the newest
-		// of them, so that bookings nest.
 		var bookable, nesting []int
 		for y := ov.NextPending(0); y >= 0; y = ov.NextPending(y + 1) {
 			switch {
 			case ov.PendingCount(y) == 0:
 			case ov.Restructures(y):
-				refused++
+				st.refused++
 			default:
 				bookable = append(bookable, y)
 				if ov.gain[y] > 0 {
@@ -211,18 +210,21 @@ func checkOverlay(t *testing.T, tr *Terrace, rng *rand.Rand, steps int, ctx stri
 		if len(bookable) == 0 {
 			break
 		}
-		nest := len(nesting) > 0 && rng.Intn(2) == 0
-		if nest {
-			bookable = nesting
-		}
 		x := bookable[rng.Intn(len(bookable))]
 		br := overlaidBranches(ov, x)
 		e := br[rng.Intn(len(br))]
-		if nest {
-			e = br[len(br)-1]
+		if len(nesting) > 0 && rng.Intn(4) != 0 {
+			deepest := -1
+			for _, y := range nesting {
+				for _, b := range overlaidBranches(ov, y) {
+					if d := edgeDepth(ov, b); d > deepest {
+						x, e, deepest = y, b, d
+					}
+				}
+			}
 		}
+		st.booked[min(edgeDepth(ov, e), len(st.booked)-1)]++
 		ov.Book(x, e)
-		booked++
 		checkBookings(t, tr, ov, ctx)
 	}
 	for ov.Len() > 0 {
@@ -231,7 +233,33 @@ func checkOverlay(t *testing.T, tr *Terrace, rng *rand.Rand, steps int, ctx stri
 	if tr.Signature() != sig {
 		t.Fatalf("%s: the overlay walk changed the state", ctx)
 	}
-	return booked, refused
+	return st
+}
+
+// overlayStats is what checkOverlay checked: bookings by how deep they
+// nested (booked[d]: made on an edge d bookings above the real edge it
+// descends from; the last entry counts that deep or deeper), and taxa that
+// Restructures refused.
+type overlayStats struct {
+	booked  [4]int
+	refused int
+}
+
+func (s *overlayStats) add(o overlayStats) {
+	for d, n := range o.booked {
+		s.booked[d] += n
+	}
+	s.refused += o.refused
+}
+
+// edgeDepth is how many bookings lie between edge e of ov's overlaid state
+// and the real edge it descends from.
+func edgeDepth(ov *Overlay, e int32) int {
+	ne, d := int32(ov.tr.agile.NumEdges()), 0
+	for ; e >= ne; e = ov.bookings[(e-ne)/2].edge {
+		d++
+	}
+	return d
 }
 
 // checkBookings is checkOverlay's comparison of ov's bookings with the
@@ -383,11 +411,39 @@ func TestOverlaySharedTaxon(t *testing.T) {
 	}
 }
 
+// TestOverlayNestsDeep: on a stand whose pending taxa P, Q, R and S each
+// join one constraint alone, at the edge above (A,B), nothing restructures, a
+// booking of one makes edges every other may take, and checkOverlay's walks
+// nest bookings two and three deep: where a booking's root is the root of the
+// booking whose edge it took, not that edge. T joins at the edge above (G,H),
+// apart from the others.
+func TestOverlayNestsDeep(t *testing.T) {
+	taxa := tree.MustTaxa([]string{"A", "B", "C", "D", "E", "F", "G", "H", "P", "Q", "R", "S", "T"})
+	cons := []*tree.Tree{tree.MustParse("(((A,B),(C,D)),((E,F),(G,H)));", taxa)}
+	for _, x := range []string{"P", "Q", "R", "S"} {
+		cons = append(cons, tree.MustParse("((((A,B),"+x+"),(C,D)),((E,F),(G,H)));", taxa))
+	}
+	cons = append(cons, tree.MustParse("(((A,B),(C,D)),((E,F),((G,H),T)));", taxa))
+	tr, err := New(cons, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st overlayStats
+	for seed := int64(0); seed < 20; seed++ {
+		st.add(checkOverlay(t, tr, rand.New(rand.NewSource(seed)), 12, "nesting stand"))
+	}
+	if st.refused != 0 || st.booked[2] == 0 || st.booked[3] == 0 {
+		t.Fatalf("bookings by nesting depth 0, 1, 2, 3+: %v, %d refused; want some two and three deep, none refused",
+			st.booked, st.refused)
+	}
+	t.Logf("bookings by nesting depth 0, 1, 2, 3+: %v", st.booked)
+}
+
 // TestOverlayMatchesInsertion walks stands of both corpus regimes and, at
 // every state of the walk, holds an overlay walk from it against the
 // insertions it books (checkOverlay).
 func TestOverlayMatchesInsertion(t *testing.T) {
-	booked, refused := 0, 0
+	var st overlayStats
 	for _, regime := range []gen.Regime{gen.RegimeSimulated, gen.RegimeEmpirical} {
 		cfg := gen.Default(regime)
 		cfg.MinTaxa, cfg.MaxTaxa = 12, 28
@@ -399,16 +455,16 @@ func TestOverlayMatchesInsertion(t *testing.T) {
 			}
 			rng := rand.New(rand.NewSource(int64(idx)))
 			for step := 0; step < 40; step++ {
-				b, r := checkOverlay(t, tr, rng, 12, ds.Name)
-				booked, refused = booked+b, refused+r
+				st.add(checkOverlay(t, tr, rng, 12, ds.Name))
 				if !walkStep(tr, rng) {
 					break
 				}
 			}
 		}
 	}
-	if booked < 1000 || refused < 100 {
-		t.Fatalf("%d bookings checked and %d insertions refused: both must occur, often", booked, refused)
+	booked := st.booked[0] + st.booked[1] + st.booked[2] + st.booked[3]
+	if booked < 1000 || st.refused < 100 {
+		t.Fatalf("%d bookings checked and %d insertions refused: both must occur, often", booked, st.refused)
 	}
-	t.Logf("%d bookings checked, %d insertions refused", booked, refused)
+	t.Logf("%d bookings checked (by nesting depth 0, 1, 2, 3+: %v), %d insertions refused", booked, st.booked, st.refused)
 }

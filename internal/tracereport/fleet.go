@@ -141,7 +141,7 @@ func eventEpochKey(e *TraceEvent) epochKey {
 func fleetEvent(ev string) bool {
 	switch ev {
 	case obs.EvFleetRun, obs.EvShardDispatch, obs.EvShardDone, obs.EvLeaseExpire, obs.EvShardFenced,
-		obs.EvFleetLocal, obs.EvShardBegin, obs.EvShardEnd, obs.EvShardHeartbeat, obs.EvHeartbeatRecv, obs.EvShardCheckpoint:
+		obs.EvShardBegin, obs.EvShardEnd, obs.EvShardHeartbeat, obs.EvHeartbeatRecv, obs.EvShardCheckpoint:
 		return true
 	}
 	return false
@@ -188,7 +188,7 @@ func MergeFleet(nodes []NodeTrace, units string) (*FleetReport, error) {
 			traceIDs[id] = true
 		}
 		switch e.Ev {
-		case obs.EvShardDispatch, obs.EvFleetLocal:
+		case obs.EvShardDispatch:
 			k := eventEpochKey(e)
 			if dispatch[k] == nil {
 				dispatch[k] = e
@@ -306,17 +306,10 @@ func MergeFleet(nodes []NodeTrace, units string) (*FleetReport, error) {
 		}
 		k := eventEpochKey(e)
 		switch e.Ev {
-		case obs.EvShardDispatch, obs.EvFleetLocal:
+		case obs.EvShardDispatch:
 			l := lifeAt(k)
 			l.DispatchTS = e.TS
-			l.Holder = e.GetStr("peer")
-			if l.Holder == "" {
-				l.Holder = "local"
-			}
-			l.Cause = e.GetStr("cause")
-			if l.Cause == "" {
-				l.Cause = "initial"
-			}
+			l.Holder, l.Cause = e.GetStr("peer"), e.GetStr("cause")
 			l.MassStartPPM = e.Get("mass_ppm")
 			l.MassLastPPM = l.MassStartPPM
 		case obs.EvShardBegin:

@@ -6,11 +6,14 @@
 # detect the loss by lease expiry, re-dispatch the shard from its last
 # durable checkpoint, and finish with counters EXACTLY equal to the
 # uninterrupted single-node run — the same 8989/5417/0 discipline as
-# scripts/crash_recovery.sh, but across processes.
+# scripts/crash_recovery.sh, but across processes. Then the fleet at zero:
+# the job runs again and the surviving worker is SIGKILLed too, so the
+# coordinator's own worker ("local") must finish it, just as exactly.
 #
-# The workers run with a deterministic per-tree stall (GENTRIUS_FAULTS) so
-# their shards are slow enough to kill mid-flight; the coordinator runs
-# clean, so the merge accounting is what's under test, not luck.
+# Every daemon runs with a deterministic per-tree stall (GENTRIUS_FAULTS) so
+# shards are slow enough to kill mid-flight, and to watch on the
+# coordinator's own worker; the coordinator enumerates nothing else, so the
+# merge accounting is what's under test, not luck.
 # Needs only a Go toolchain, curl and POSIX sh.
 set -eu
 
@@ -76,7 +79,8 @@ W1=$!; PIDS="$PIDS $W1"
 GENTRIUS_FAULTS="seed=1;treestream.every=1;treestream.delay=1ms" \
     "$WORK/gentriusd" -addr "127.0.0.1:$P2" -data-dir "$WORK/w2" 2>"$WORK/w2.log" &
 W2=$!; PIDS="$PIDS $W2"
-"$WORK/gentriusd" -addr "127.0.0.1:$P0" -data-dir "$WORK/c0" \
+GENTRIUS_FAULTS="seed=1;treestream.every=1;treestream.delay=1ms" \
+    "$WORK/gentriusd" -addr "127.0.0.1:$P0" -data-dir "$WORK/c0" \
     -fleet "http://127.0.0.1:$P1,http://127.0.0.1:$P2" \
     -lease-ttl 6s -heartbeat-every 400ms -trace-out "$WORK/c0.trace.jsonl" 2>"$WORK/c0.log" &
 C0=$!; PIDS="$PIDS $C0"
@@ -85,7 +89,7 @@ wait_for '"ok"' "http://127.0.0.1:$P2/healthz"
 wait_for '"ok"' "$COORD/healthz"
 
 curl -sf "$COORD/jobs" -d "{\"trees\": [\"$T1\", \"$T2\"]}" >/dev/null || fail "fleet submit"
-say "fleet job submitted (coordinator + 2 throttled workers)"
+say "fleet job submitted (throttled coordinator + 2 throttled workers)"
 
 # SIGKILL worker a once it holds at least one shard and has had time to get
 # genuinely mid-run (the stall makes every shard take seconds).
@@ -130,12 +134,41 @@ MERGED=$(grep 'msg="shard merged"' "$WORK/c0.log" | grep -o 'trees=[0-9]*' | cut
     || fail "coordinator log: shards merged $MERGED trees in all, want $STAND (less the prefix's, if any)"
 say "fleet finished exactly: $GOT trees, $GOTS states, $LINES spool lines (expiries=$EXP)"
 
-# Graceful exits for the survivors.
-kill -TERM "$C0" "$W2"
-for p in "$C0" "$W2"; do
-    STATUS=0; wait "$p" || STATUS=$?
-    [ "$STATUS" = "0" ] || fail "daemon $p exited $STATUS after SIGTERM"
+# The fleet at zero: submit the job again and SIGKILL worker b, the last
+# peer, once it holds a shard of it. With no peer alive the coordinator
+# leases the shards to its own worker, under the same leases and merge, and
+# the job finishes on it exactly as before.
+ACC=$(metric "http://127.0.0.1:$P2" gentriusd_fleet_worker_shards_accepted_total)
+curl -sf "$COORD/jobs" -d "{\"trees\": [\"$T1\", \"$T2\"]}" >/dev/null || fail "second fleet submit"
+i=0
+while N=$(metric "http://127.0.0.1:$P2" gentriusd_fleet_worker_shards_accepted_total) && [ "${N:-0}" -le "${ACC:-0}" ]; do
+    i=$((i + 1))
+    [ "$i" -lt 600 ] || fail "worker b accepted no shard of the second job"
+    sleep 0.1
 done
+sleep 1
+kill -9 "$W2"
+wait "$W2" 2>/dev/null || true
+say "worker b SIGKILLed mid-shard: no peer is alive"
+
+wait_for '"peer": *"local"' "$COORD/v1/fleet/status"
+say "a shard of the second job is leased to peer local in /v1/fleet/status"
+wait_for '"state": *"done"' "$COORD/jobs/j000002"
+STATUS=$(curl -sf "$COORD/jobs/j000002")
+GOT=$(echo "$STATUS" | grep -o '"stand_trees": *[0-9]*' | grep -o '[0-9]*$')
+GOTS=$(echo "$STATUS" | grep -o '"intermediate_states": *[0-9]*' | grep -o '[0-9]*$')
+GOTD=$(echo "$STATUS" | grep -o '"dead_ends": *[0-9]*' | grep -o '[0-9]*$' || true)
+[ "$GOT" = "$STAND" ] || fail "fleet at zero found $GOT stand trees, want exactly $STAND"
+[ "$GOTS" = "$STATES" ] || fail "fleet at zero counted $GOTS states, want exactly $STATES"
+[ -z "$GOTD" ] || [ "$GOTD" = "0" ] || fail "fleet at zero counted $GOTD dead ends, want 0"
+LINES=$(curl -sf "$COORD/jobs/j000002/trees" | grep -c '"tree"')
+[ "$LINES" = "$STAND" ] || fail "fleet at zero: spool replays $LINES trees, want exactly $STAND"
+say "fleet at zero finished exactly on the coordinator's own worker: $GOT trees, $GOTS states, $LINES spool lines"
+
+# A graceful exit for the coordinator.
+kill -TERM "$C0"
+STATUS=0; wait "$C0" || STATUS=$?
+[ "$STATUS" = "0" ] || fail "coordinator exited $STATUS after SIGTERM"
 
 # Once the job is over its lineage is the coordinator's trace (flushed by the
 # graceful exit): the re-dispatch is a shard-dispatch event at the next epoch.
@@ -144,4 +177,7 @@ grep '"ev":"shard-dispatch"' "$WORK/c0.trace.jsonl" | grep -q '"epoch":1[,}]' \
 grep '"ev":"shard-dispatch"' "$WORK/c0.trace.jsonl" | grep -q '"epoch":[2-9]' \
     || fail "coordinator trace has no shard-dispatch at epoch >= 2 despite the re-dispatch"
 say "epoch fence visible in the coordinator's trace: shard-dispatch at epoch >= 2"
+grep '"ev":"shard-done"' "$WORK/c0.trace.jsonl" | grep '"job":"j000002"' | grep -q '"node":"local"' \
+    || fail "coordinator trace merges no shard of the second job from node local"
+say "the second job's shards merged from node local in the coordinator's trace"
 say "PASS"
