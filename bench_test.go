@@ -101,7 +101,7 @@ func BenchmarkParallelGoroutines(b *testing.B) {
 	ds, _ := midDatasets(b)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := parallel.Run(ds.Constraints, parallel.Options{Threads: 4, InitialTree: -1}); err != nil {
+		if _, err := parallel.Run(ds.Constraints, search.Options{Threads: 4, InitialTree: -1}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -413,7 +413,7 @@ func (sp standPair) run(benchtime string) (serial, pool BenchResult, err error) 
 	}
 	runPool := func() (err error) {
 		for _, cons := range stands {
-			if _, e := parallel.Run(cons, parallel.Options{Threads: 2, InitialTree: -1, Limits: unlimited}); e != nil && err == nil {
+			if _, e := parallel.Run(cons, search.Options{Threads: 2, InitialTree: -1, Limits: unlimited}); e != nil && err == nil {
 				err = e
 			}
 		}

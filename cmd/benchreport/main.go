@@ -258,7 +258,7 @@ func main() {
 	// BenchmarkParallelGoroutines: the real work-stealing pool end to end.
 	add("ParallelGoroutines", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := parallel.Run(midSim.Constraints, parallel.Options{Threads: 4, InitialTree: -1}); err != nil {
+			if _, err := parallel.Run(midSim.Constraints, search.Options{Threads: 4, InitialTree: -1}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -213,8 +213,11 @@ type Options struct {
 	// count. Nil disables checkpointing.
 	Checkpoint *CheckpointPolicy
 
-	// Obs attaches the observability layer (scheduler metrics and/or a
-	// JSONL event trace; see internal/obs). Nil disables it entirely; the
+	// Obs attaches the observability layer (see internal/obs). At any
+	// thread count the search counters go to its Metrics and the
+	// fraction-complete measure to its Estimate; a serial run emits no trace
+	// events, a parallel one also exports its queue and per-worker metrics
+	// and traces its scheduler to Trace. Nil disables it entirely; the
 	// disabled hot path costs one branch per instrument.
 	Obs *ObsSink
 
@@ -227,9 +230,10 @@ type Options struct {
 }
 
 // CheckpointPolicy is the unified checkpoint/resume configuration for an
-// enumeration at any thread count: periodic snapshots (Interval) to a Sink, a final snapshot OnStop, on-demand snapshots through a Trigger,
-// and Resume. Zero-valued fields disable their mechanism; any combination
-// may be active at once. Both engines consume it as is.
+// enumeration at any thread count: periodic snapshots (Interval) to a Sink,
+// a final snapshot OnStop, on-demand snapshots through a Trigger, and
+// Resume. Zero-valued fields disable their mechanism; any combination may be
+// active at once. Both engines consume it as is.
 type CheckpointPolicy = search.CheckpointPolicy
 
 // ObsSink bundles an optional metric set and trace recorder for a run —
@@ -282,31 +286,18 @@ type WorkerCounters struct {
 // Complete reports whether the whole stand was enumerated.
 func (r *Result) Complete() bool { return r.Stop == StopExhausted }
 
-// engineOptions translates the public Options into both internal engines'
-// option structs — the single place where the public and internal
-// configuration vocabularies meet. Each entrypoint consumes the one its
-// thread count selects.
-func engineOptions(ctx context.Context, opt Options) (search.Options, parallel.Options) {
-	limits := search.Limits{
-		MaxTrees:  opt.MaxTrees,
-		MaxStates: opt.MaxStates,
-		MaxTime:   opt.MaxTime,
-	}
-	sopt := search.Options{
-		Ctx:          ctx,
-		Limits:       limits,
-		InitialTree:  opt.InitialTree,
-		Heuristic:    opt.Heuristic,
-		CollectTrees: opt.CollectTrees,
-		OnTree:       opt.OnTree,
-		OnTrees:      opt.OnTrees,
-		Estimator:    opt.Obs.Estimator(),
-		Fault:        opt.Fault,
-	}
-	popt := parallel.Options{
-		Ctx:          ctx,
-		Threads:      opt.Threads,
-		Limits:       limits,
+// engineOptions translates the public Options into the engines' one options
+// type — the single place where the public and internal configuration
+// vocabularies meet. The thread count selects the engine that consumes it.
+func engineOptions(ctx context.Context, opt Options) search.Options {
+	eo := search.Options{
+		Ctx:     ctx,
+		Threads: opt.Threads,
+		Limits: search.Limits{
+			MaxTrees:  opt.MaxTrees,
+			MaxStates: opt.MaxStates,
+			MaxTime:   opt.MaxTime,
+		},
 		InitialTree:  opt.InitialTree,
 		Heuristic:    opt.Heuristic,
 		CollectTrees: opt.CollectTrees,
@@ -316,10 +307,9 @@ func engineOptions(ctx context.Context, opt Options) (search.Options, parallel.O
 		Fault:        opt.Fault,
 	}
 	if opt.Checkpoint != nil {
-		sopt.Checkpoint = *opt.Checkpoint
-		popt.Checkpoint = *opt.Checkpoint
+		eo.Checkpoint = *opt.Checkpoint
 	}
-	return sopt, popt
+	return eo
 }
 
 // EnumerateStand counts (and optionally collects) all trees compatible with
@@ -356,14 +346,7 @@ func EnumerateStandContext(ctx context.Context, constraints []*Tree, opt Options
 			}
 		}
 	}
-	sopt, popt := engineOptions(ctx, opt)
-	var res *Result
-	var err error
-	if opt.Threads > 1 {
-		res, err = enumerateParallel(constraints, popt)
-	} else {
-		res, err = enumerateSerial(constraints, sopt, opt.Obs)
-	}
+	res, err := enumerate(constraints, engineOptions(ctx, opt))
 	// Both hosts fail a panicking run with the one error: count it here, once.
 	if pe := (*search.PanicError)(nil); errors.As(err, &pe) {
 		opt.Obs.SchedMetrics().WorkerPanics.Inc()
@@ -371,8 +354,27 @@ func EnumerateStandContext(ctx context.Context, constraints []*Tree, opt Options
 	return res, err
 }
 
-func enumerateParallel(constraints []*Tree, popt parallel.Options) (*Result, error) {
-	pres, err := parallel.Run(constraints, popt)
+// enumerate runs the engine the thread count selects: search.Run at one
+// thread, the pool above.
+func enumerate(constraints []*Tree, eo search.Options) (*Result, error) {
+	if eo.Threads <= 1 {
+		sres, err := search.Run(constraints, eo)
+		if err != nil {
+			return nil, err
+		}
+		return &Result{
+			StandTrees:         sres.StandTrees,
+			IntermediateStates: sres.IntermediateStates,
+			DeadEnds:           sres.DeadEnds,
+			Stop:               sres.Stop,
+			Elapsed:            sres.Elapsed,
+			Trees:              sres.Trees,
+			InitialIndex:       sres.InitialIndex,
+			Threads:            1,
+			Checkpoint:         sres.Checkpoint,
+		}, nil
+	}
+	pres, err := parallel.Run(constraints, eo)
 	if err != nil {
 		return nil, err
 	}
@@ -383,7 +385,7 @@ func enumerateParallel(constraints []*Tree, popt parallel.Options) (*Result, err
 		Stop:               pres.Stop,
 		Elapsed:            pres.Elapsed,
 		InitialIndex:       pres.InitialIndex,
-		Threads:            popt.Threads,
+		Threads:            eo.Threads,
 		TasksStolen:        pres.TasksStolen,
 		Trees:              pres.Trees,
 		Checkpoint:         pres.Checkpoint,
@@ -396,41 +398,6 @@ func enumerateParallel(constraints []*Tree, popt parallel.Options) (*Result, err
 		})
 	}
 	return res, nil
-}
-
-func enumerateSerial(constraints []*Tree, sopt search.Options, sink *ObsSink) (*Result, error) {
-	// Serial runs feed the live-progress counters through the periodic
-	// stopping-rule check, so -progress and /metrics stay meaningful at
-	// one thread too.
-	var checked search.Counters
-	m := sink.SchedMetrics()
-	if sink != nil && sink.Metrics != nil {
-		sopt.OnCheck = func(c search.Counters, _ time.Duration) {
-			m.Trees.Add(c.StandTrees - checked.StandTrees)
-			m.States.Add(c.IntermediateStates - checked.IntermediateStates)
-			m.DeadEnds.Add(c.DeadEnds - checked.DeadEnds)
-			checked = c
-		}
-	}
-	sres, err := search.Run(constraints, sopt)
-	if err != nil {
-		return nil, err
-	}
-	// Fold in the tail since the last check.
-	m.Trees.Add(sres.StandTrees - checked.StandTrees)
-	m.States.Add(sres.IntermediateStates - checked.IntermediateStates)
-	m.DeadEnds.Add(sres.DeadEnds - checked.DeadEnds)
-	return &Result{
-		StandTrees:         sres.StandTrees,
-		IntermediateStates: sres.IntermediateStates,
-		DeadEnds:           sres.DeadEnds,
-		Stop:               sres.Stop,
-		Elapsed:            sres.Elapsed,
-		Trees:              sres.Trees,
-		InitialIndex:       sres.InitialIndex,
-		Threads:            1,
-		Checkpoint:         sres.Checkpoint,
-	}, nil
 }
 
 // EnumerateFromSpeciesTree is Gentrius' second input mode: a complete

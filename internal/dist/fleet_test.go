@@ -340,9 +340,15 @@ func TestFleetAtZeroIsAFleetOfOne(t *testing.T) {
 				t.Fatalf("shard %d epoch %d: %d of %d heartbeats accepted, %d checkpoints", e.Shard, e.Epoch,
 					e.HBRecvs, e.HBSends, e.Checkpoints)
 			}
+			if e.Holder != "local" {
+				t.Fatalf("shard %d epoch %d held by %q, want the coordinator's own worker, local", e.Shard, e.Epoch, e.Holder)
+			}
 		}
 		if last := sh.Epochs[len(sh.Epochs)-1]; last.Outcome != "merged" || last.WorkerOutcome != "done" {
 			t.Fatalf("shard %d ends %s/%s, want merged/done", sh.Shard, last.Outcome, last.WorkerOutcome)
 		}
+	}
+	if len(rep.Stragglers) != 1 || rep.Stragglers[0].Node != "local" {
+		t.Fatalf("straggler rows %+v, want one, local", rep.Stragglers)
 	}
 }

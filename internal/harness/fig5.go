@@ -13,7 +13,7 @@ import (
 
 // runGoroutine runs the real goroutine-based parallel engine on a dataset.
 func runGoroutine(ds *gen.Dataset, workers int, lim search.Limits) (*parallel.Result, error) {
-	return parallel.Run(ds.Constraints, parallel.Options{
+	return parallel.Run(ds.Constraints, search.Options{
 		Threads:      workers,
 		InitialTree:  -1,
 		Limits:       lim,

@@ -155,7 +155,13 @@ func TestCheckpointStopResumeMatrix(t *testing.T) {
 }
 
 // TestCheckpointCancelResume covers the other stop path: a cancelled run
-// with CheckpointOnStop resumes to exact totals.
+// with CheckpointOnStop resumes to exact totals. The 20th tree the sink takes
+// cancels the run, and the sink then holds the stream for 50 ms: the workers
+// publish, and hand on a block, at every tree, so the four blocks the stream
+// holds stop them a few trees on, with the stand far from over, until the
+// goroutine context.AfterFunc starts has raised the stop. (Without the hold,
+// a busy host could run the stand out before that goroutine got a
+// processor.)
 func TestCheckpointCancelResume(t *testing.T) {
 	cons := chainConstraints(4)
 	ref, err := Run(cons, Options{Threads: 4, InitialTree: -1, Limits: unlimited()})
@@ -167,10 +173,12 @@ func TestCheckpointCancelResume(t *testing.T) {
 	n := 0
 	res1, err := Run(cons, Options{
 		Threads: 4, InitialTree: -1, Limits: unlimited(), Ctx: ctx,
+		Policy:     search.Policy{TreeBatch: 1},
 		Checkpoint: search.CheckpointPolicy{OnStop: true},
 		OnTree: func(string) {
 			if n++; n == 20 {
 				cancel()
+				time.Sleep(50 * time.Millisecond)
 			}
 		},
 	})

@@ -1,0 +1,119 @@
+package parallel
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"testing"
+	"time"
+
+	"gentrius/internal/gen"
+	"gentrius/internal/obs"
+	"gentrius/internal/search"
+)
+
+// TestOneOptionsEveryWidth: search.Options is the one options type of both
+// drivers, so one value runs through search.Run and through the pool at
+// T = 1, 2 and 4, under the dynamic insertion order and under a shuffled
+// static one, to the same counters and the same stand. The value's metrics
+// are fed by every run alike: after the serial run they read its Result,
+// the prefix's counters included, and after the pool's three they read four
+// times it.
+func TestOneOptionsEveryWidth(t *testing.T) {
+	const budget = 20_000
+	stride := 1
+	if raceEnabled || testing.Short() {
+		stride = 4
+	}
+	orders := []struct {
+		name   string
+		static bool
+		seed   int64
+	}{{"dynamic", false, 0}, {"shuffled static", true, 7}}
+	stands, prefixed := 0, 0
+	for _, regime := range []gen.Regime{gen.RegimeSimulated, gen.RegimeEmpirical} {
+		for idx := 0; idx < 24; idx += stride {
+			ds := gen.Generate(gen.Default(regime), idx)
+			var stand []string
+			for _, ord := range orders {
+				m := obs.NewSchedMetrics(obs.NewRegistry())
+				opt := search.Options{InitialTree: -1, CollectTrees: true, CheckEvery: 64,
+					DisableDynamicOrder: ord.static, ShuffleSeed: ord.seed,
+					Limits: search.Limits{MaxTrees: 2 * budget, MaxStates: 2 * budget, MaxTime: -1},
+					Obs:    &obs.Sink{Metrics: m, Estimate: &obs.Estimator{}}}
+				ref, err := search.Run(ds.Constraints, opt)
+				if err != nil {
+					t.Fatalf("%s %s: %v", ds.Name, ord.name, err)
+				}
+				if ref.Stop != search.StopExhausted || ref.StandTrees > budget || ref.IntermediateStates > budget {
+					continue // too large to run five times over, or never to hit a limit
+				}
+				what := fmt.Sprintf("%s, %s order", ds.Name, ord.name)
+				if stand == nil {
+					stand = ref.Trees
+					stands++
+				}
+				sameStand(t, what+", serial", ref.Trees, stand)
+				want := func(k int64) search.Counters {
+					return search.Counters{StandTrees: k * ref.StandTrees,
+						IntermediateStates: k * ref.IntermediateStates, DeadEnds: k * ref.DeadEnds}
+				}
+				metrics := func() search.Counters {
+					return search.Counters{StandTrees: m.Trees.Value(),
+						IntermediateStates: m.States.Value(), DeadEnds: m.DeadEnds.Value()}
+				}
+				if got := metrics(); got != want(1) {
+					t.Fatalf("%s: serial run's metrics %+v, its Result %+v", what, got, ref.Counters)
+				}
+				for _, threads := range []int{1, 2, 4} {
+					opt.Threads = threads
+					res, err := Run(ds.Constraints, opt)
+					if err != nil {
+						t.Fatalf("%s, T=%d: %v", what, threads, err)
+					}
+					if res.Stop != search.StopExhausted || res.Counters != ref.Counters {
+						t.Fatalf("%s, T=%d: %v %+v, serial %+v", what, threads, res.Stop, res.Counters, ref.Counters)
+					}
+					sameStand(t, fmt.Sprintf("%s, T=%d", what, threads), res.Trees, stand)
+					if threads == 1 && res.Prefix != (search.Counters{}) {
+						prefixed++
+					}
+				}
+				if got := metrics(); got != want(4) {
+					t.Fatalf("%s: metrics %+v after four runs of %+v", what, got, ref.Counters)
+				}
+			}
+		}
+	}
+	if stands < 4 || prefixed == 0 {
+		t.Fatalf("only %d stands small enough, %d runs with a prefix", stands, prefixed)
+	}
+	t.Logf("%d stands at both orders, %d runs with a prefix", stands, prefixed)
+}
+
+// TestDriversRefuseTheOthersFields: each driver refuses only what is the
+// other's by definition — search.Run a width above one and a Policy, the
+// pool OnCheck — and a refused run still releases its trigger's requesters.
+func TestDriversRefuseTheOthersFields(t *testing.T) {
+	cons := chainConstraints(3)
+	serial := func(opt search.Options) error { _, err := search.Run(cons, opt); return err }
+	pool := func(opt search.Options) error { _, err := Run(cons, opt); return err }
+	for _, c := range []struct {
+		what string
+		run  func(search.Options) error
+		opt  search.Options
+	}{
+		{"search.Run at two threads", serial, search.Options{Threads: 2}},
+		{"search.Run with a Policy", serial, search.Options{Policy: search.Policy{QueueCap: 2}}},
+		{"parallel.Run with OnCheck", pool, search.Options{Threads: 2, OnCheck: func(search.Counters, time.Duration) {}}},
+	} {
+		trig := search.NewCheckpointTrigger()
+		c.opt.Checkpoint.Trigger = trig
+		if err := c.run(c.opt); err == nil {
+			t.Fatalf("%s: not refused", c.what)
+		}
+		if _, err := trig.Request(context.Background()); !errors.Is(err, search.ErrRunEnded) {
+			t.Fatalf("%s: a request after the refusal got %v, want ErrRunEnded", c.what, err)
+		}
+	}
+}

@@ -23,12 +23,12 @@ package parallel
 
 import (
 	"context"
+	"errors"
 	"runtime"
 	"runtime/debug"
 	"sync/atomic"
 	"time"
 
-	"gentrius/internal/faultinject"
 	"gentrius/internal/obs"
 	"gentrius/internal/search"
 	"gentrius/internal/tree"
@@ -46,69 +46,10 @@ import (
 // checkpoint round or a stopped run waits for the sink to take.
 const treeBlocks = 4
 
-// Options configures a parallel run.
-type Options struct {
-	Threads int
-	Limits  search.Limits
-
-	// InitialTree: constraint index, or negative for the paper's heuristic.
-	InitialTree int
-
-	// CollectTrees gathers every stand tree's canonical Newick (merged
-	// across workers, unordered).
-	CollectTrees bool
-
-	// OnTrees, if non-nil, receives the stand in blocks: n canonical Newick
-	// strings, each newline-terminated, in bytes valid only during the call.
-	// A worker renders into a block of its own and hands it on at
-	// search.BlockSize and whenever it publishes its counters; blocks stream
-	// through a bounded channel to one collector goroutine, so calls are
-	// serialized but arrive in no particular order, concurrently with the
-	// enumeration; a slow callback applies backpressure to the workers
-	// rather than growing a buffer.
-	OnTrees func(newicks []byte, n int)
-
-	// OnTree, if non-nil, receives every stand tree of every block as a
-	// string cut from one string per block, from the same collector goroutine.
-	OnTree func(newick string)
-
-	// Ctx cancels the run: when it is done, the halt flag all workers poll
-	// is raised with reason StopCancelled and blocked stealers are woken,
-	// so the pool drains within about one step per worker. The run returns
-	// normally (counter conservation still holds); the context's error is
-	// not propagated.
-	Ctx context.Context
-
-	// Policy overrides the scheme's constants — counter batch sizes, queue
-	// capacity, submission depth restriction; zero fields select the
-	// paper's values (see search.Policy).
-	Policy search.Policy
-
-	// Heuristic refines the dynamic taxon selection used by every worker
-	// (zero value: the paper's min-branches rule).
-	Heuristic search.OrderHeuristic
-
-	// Obs attaches scheduler observability: metrics (the search counters,
-	// queue depth, steals, per-worker counters) and/or a JSONL event trace.
-	// Nil disables both; the disabled hot path costs one predictable branch
-	// per instrument.
-	Obs *obs.Sink
-
-	// Fault attaches deterministic fault injection to every worker (nil: no
-	// faults; see search.Worker.Fault): a panic at its TaskExec or EngineStep
-	// site fails the run, as any panic in a task does.
-	Fault *faultinject.Injector
-
-	// Checkpoint configures snapshots and resuming (see
-	// search.CheckpointPolicy). Resume queues the checkpoint's frontier the
-	// way a fresh run's shares are queued — any thread count resumes any
-	// checkpoint. OnStop collects what the workers interrupted by the stop
-	// handed in plus the queue's remnant into Result.Checkpoint. Interval and
-	// Trigger each take a round (see round): the pool is stopped the same
-	// way, cut, and resumed in place from its own hand-ins; Sink runs on
-	// Run's goroutine, the workers already stealing again.
-	Checkpoint search.CheckpointPolicy
-}
+// Options is the one options type of both drivers, search.Options: a pool
+// of Threads takes every field in the sense it has there, and refuses only
+// OnCheck, the serial run's hook.
+type Options = search.Options
 
 // Result of a parallel run.
 type Result struct {
@@ -173,32 +114,28 @@ func Run(constraints []*tree.Tree, opt Options) (*Result, error) {
 	// loop's exit: a Request landing after the loop's last poll would block for
 	// ever (Finish is nil-safe and idempotent).
 	defer opt.Checkpoint.Trigger.Finish()
-	if opt.Threads <= 0 {
-		opt.Threads = 1
+	if opt.OnCheck != nil {
+		return nil, errors.New("parallel: OnCheck is the serial run's hook; a pool publishes to Obs")
 	}
-	opt.Limits = opt.Limits.Normalize()
-	opt.Policy = opt.Policy.Normalize(opt.Threads)
-	ck := opt.Checkpoint
-
 	started := time.Now()
-	res := &Result{Stop: search.StopExhausted}
-	m := opt.Obs.SchedMetrics()
-	m.EnsureWorkers(opt.Threads)
 	// Shared set-up: initial tree, prefix walk (or the checkpoint's
 	// frontier), and the outstanding work. What it already counted seeds the
 	// totals and stands in as Result.Prefix, preserving the conservation
 	// invariant Counters == Prefix + sum(PerWorker).
-	su, err := search.Start(constraints, opt.InitialTree, opt.Heuristic, nil, ck.Resume, opt.Threads)
+	su, err := opt.Start(constraints)
 	if err != nil {
 		return nil, err
 	}
-	res.InitialIndex = su.InitialIndex
-	res.PrefixLen = len(su.Frontier.Prefix)
-	res.Counters = su.Counters
-	res.Prefix = su.Counters
+	opt.Policy = opt.Policy.Normalize(opt.Threads)
+	ck := opt.Checkpoint
+	res := &Result{Stop: search.StopExhausted, InitialIndex: su.InitialIndex,
+		PrefixLen: len(su.Frontier.Prefix), Counters: su.Counters, Prefix: su.Counters}
+	m := opt.Obs.SchedMetrics()
+	m.EnsureWorkers(opt.Threads)
 	p := &pool{sched: sched{su: su, policy: opt.Policy, limits: opt.Limits, started: started,
 		m: m, rec: opt.Obs.Recorder(), est: opt.Obs.Estimator()}, opt: &opt, workers: 1}
-	if !p.start(opt.Threads, opt.sink(res)) {
+	sink := search.TreeSink[[]byte](opt.CollectTrees, &res.Trees, opt.OnTree, opt.OnTrees)
+	if !p.start(opt.Threads, sink) {
 		su.Release()
 		res.Elapsed = time.Since(started)
 		return res, nil
@@ -217,7 +154,7 @@ func Run(constraints []*tree.Tree, opt Options) (*Result, error) {
 	// channel; one collector goroutine drains it into the callbacks and/or
 	// the merged result and returns the buffers through the free list.
 	var collectDone chan struct{}
-	if sink := opt.sink(res); sink != nil {
+	if sink != nil {
 		p.treeCh = make(chan treeBlock, treeBlocks)
 		p.free = make(chan []byte, treeBlocks)
 		for i := 0; i < treeBlocks; i++ {
@@ -287,12 +224,6 @@ func Run(constraints []*tree.Tree, opt Options) (*Result, error) {
 	return res, nil
 }
 
-// sink is where the collector puts a block: the forms the caller asked for
-// (search.TreeSink); nil when nobody wants the trees.
-func (opt *Options) sink(res *Result) func(block []byte, n int) {
-	return search.TreeSink[[]byte](opt.CollectTrees, &res.Trees, opt.OnTree, opt.OnTrees)
-}
-
 // steal blocks until a task is available for worker w or the pool
 // terminates (nil). Ownership of the task transfers to the caller.
 func (p *pool) steal(w int) *task {
@@ -329,6 +260,7 @@ type poolWorker struct {
 	*pool
 	worker
 	units int64 // ticked so far, in the paper machine's transitions
+	next  int64 // the units at which the worker next polls: the first multiple of CheckEvery above units
 	rest  int   // worker 0: the workers it has not started yet
 }
 
@@ -382,14 +314,16 @@ func (w *poolWorker) execute(tk *task) {
 		if ph, cost = w.wk.Tick(); ph == search.Idle {
 			break
 		}
-		// Every 1024 transitions of the paper's machine, as the serial runner.
-		if was := w.units; (was+cost)>>10 != was>>10 {
+		// Every CheckEvery transitions of the paper's machine, as the serial
+		// runner.
+		if w.units += cost; w.units >= w.next {
+			every := int64(w.opt.CheckEvery)
+			w.next = (w.units/every + 1) * every
 			w.checkLimits()
 			if w.rest > 0 {
 				w.spawn()
 			}
 		}
-		w.units += cost
 		// Polled after engine steps only: a stolen task gets past its path replay
 		// and a step further, so back-to-back rounds cannot replay it for ever.
 		if cost > 0 && ph == search.Explore && w.halt.Load() {
@@ -405,6 +339,7 @@ func (w *poolWorker) execute(tk *task) {
 func (p *pool) launch(w *poolWorker) {
 	w.wk = p.su.NewWorker(p.opt.Policy, w, p.est, p.treeCh != nil)
 	w.wk.Fault = p.opt.Fault
+	w.next = int64(p.opt.CheckEvery)
 	p.live.Add(1)
 	go func() {
 		w.run()

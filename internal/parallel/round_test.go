@@ -34,11 +34,12 @@ func sameStand(t *testing.T, what string, got, want []string) {
 // rounds move. The stand leaves in blocks, and no block spans a cut: the
 // trees a checkpoint counts are the ones delivered before some block
 // boundary, and those followed by what the resumed run delivers are the
-// serial stand, every tree once. The stand's first tree is stalled in the
-// sink (the treestream delay fault, as the public API applies it), so that
-// however late the requests start, the workers are still blocked on the
-// stream with work left when the interval's first round is taken: at least
-// one round lands at every width.
+// serial stand, every tree once. Every block is stalled in the sink (the
+// treestream delay fault) and the workers publish, and so hand on a block,
+// every 2^(n+2) trees: with the stand in dozens of blocks, the four the
+// stream holds bound how far the workers run ahead of the sink, so they
+// are blocked on it with work left for most of the run, and however late
+// the control loop gets a processor, a round lands at every width.
 func TestRoundsAreResumes(t *testing.T) {
 	n := 6
 	if raceEnabled {
@@ -51,7 +52,7 @@ func TestRoundsAreResumes(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, threads := range []int{1, 3, 4} {
-		stall, err := faultinject.Parse("treestream.nth=1;treestream.delay=50ms")
+		stall, err := faultinject.Parse("treestream.every=1;treestream.delay=2ms")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,8 +85,9 @@ func TestRoundsAreResumes(t *testing.T) {
 		ends := map[int64]bool{0: true} // trees delivered at each block's end
 		live, err := Run(cons, Options{
 			Threads: threads, InitialTree: -1, Limits: unlimited(),
+			Policy: search.Policy{TreeBatch: 1 << (n + 2)},
 			OnTrees: func(block []byte, n int) {
-				stall.StallEach(faultinject.TreeStream, n)
+				stall.Stall(faultinject.TreeStream)
 				delivered = blockLines(t, delivered, block, n)
 				ends[int64(len(delivered))] = true
 			},
@@ -128,7 +130,7 @@ func TestRoundsAreResumes(t *testing.T) {
 		if live.TasksStolen < rounds {
 			t.Fatalf("T=%d: %d rounds left work to do but only %d steals", threads, rounds, live.TasksStolen)
 		}
-		t.Logf("T=%d: %d checkpoints, %d with work left, %d steals", threads, len(cps), rounds, live.TasksStolen)
+		t.Logf("T=%d: %d blocks, %d checkpoints, %d with work left, %d steals", threads, len(ends), len(cps), rounds, live.TasksStolen)
 	}
 }
 

@@ -22,8 +22,8 @@ func TestEstimatorMassTelescopesToOne(t *testing.T) {
 		cons := randomScenario(rng, 9+rng.Intn(5), 2+rng.Intn(3), 4, 0.5)
 		est := &obs.Estimator{}
 		res, err := Run(cons, Options{
-			Limits:    Limits{MaxTrees: -1, MaxStates: -1, MaxTime: -1},
-			Estimator: est,
+			Limits: Limits{MaxTrees: -1, MaxStates: -1, MaxTime: -1},
+			Obs:    &obs.Sink{Estimate: est},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -69,7 +69,7 @@ func TestEstimatorConvergence(t *testing.T) {
 		estFrac, trueFrac := -1.0, 0.0
 		_, err = Run(cons, Options{
 			Limits:     unlimited,
-			Estimator:  est,
+			Obs:        &obs.Sink{Estimate: est},
 			CheckEvery: 64,
 			OnCheck: func(c Counters, _ time.Duration) {
 				if estFrac < 0 && c.IntermediateStates >= total/2 {
@@ -123,7 +123,7 @@ func TestEstimatorResumeSeedsConsumedMass(t *testing.T) {
 		est := &obs.Estimator{}
 		res, err := Run(cons, Options{
 			Limits:     Limits{MaxTrees: -1, MaxStates: -1, MaxTime: -1},
-			Estimator:  est,
+			Obs:        &obs.Sink{Estimate: est},
 			Checkpoint: CheckpointPolicy{Resume: first.Checkpoint},
 		})
 		if err != nil {

@@ -88,7 +88,7 @@ func TestFinalFramesMatchLeafByLeaf(t *testing.T) {
 					DisableDynamicOrder: ord.static, ShuffleSeed: ord.shuffle,
 					Limits: Limits{MaxTrees: -1, MaxStates: 100_000, MaxTime: -1}}
 				est, cest := &obs.Estimator{}, &obs.Estimator{}
-				opt.Estimator = cest
+				opt.Obs = &obs.Sink{Estimate: cest}
 				count, err := Run(ds.Constraints, opt)
 				if err != nil {
 					t.Fatal(err)
@@ -96,7 +96,7 @@ func TestFinalFramesMatchLeafByLeaf(t *testing.T) {
 				if count.Stop != StopExhausted {
 					continue // this order makes the stand too expensive for the oracle
 				}
-				opt.CollectTrees, opt.Estimator = true, est
+				opt.CollectTrees, opt.Obs = true, &obs.Sink{Estimate: est}
 				got, err := Run(ds.Constraints, opt)
 				if err != nil {
 					t.Fatal(err)
@@ -219,7 +219,7 @@ func TestCheckpointAtEveryStepBoundary(t *testing.T) {
 			t.Fatal(err)
 		}
 		est := &obs.Estimator{}
-		res, err = Run(cons, Options{Limits: unlimited, Estimator: est, Checkpoint: CheckpointPolicy{Resume: back}})
+		res, err = Run(cons, Options{Limits: unlimited, Obs: &obs.Sink{Estimate: est}, Checkpoint: CheckpointPolicy{Resume: back}})
 		if err != nil {
 			t.Fatalf("%s: %v", what, err)
 		}

@@ -71,7 +71,7 @@ func TestSerialResumesFrontierCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cut, err := parallel.Run(cons, parallel.Options{Threads: 4, InitialTree: -1, CollectTrees: true,
+	cut, err := parallel.Run(cons, search.Options{Threads: 4, InitialTree: -1, CollectTrees: true,
 		Limits:     search.Limits{MaxTrees: ref.StandTrees / 3, MaxStates: -1, MaxTime: -1},
 		Checkpoint: search.CheckpointPolicy{OnStop: true}})
 	if err != nil {

@@ -103,74 +103,90 @@ func (l Limits) Exceeded(c Counters, elapsed time.Duration) (StopReason, bool) {
 	return StopExhausted, false
 }
 
-// Options configures a run.
+// Options configures a run of either driver of the scheme: Run, its one
+// worker, and parallel.Run, a pool of Threads. Every field means the same to
+// both; the driver refuses only what is the other's by definition — Run a
+// width above one and a Policy, the pool OnCheck.
 type Options struct {
+	// Threads is the pool's width (<= 0: one).
+	Threads int
+
 	Limits Limits
 
 	// InitialTree selects the initial agile tree: a constraint index, or a
 	// negative value to apply the paper's selection heuristic.
 	InitialTree int
 
-	// Heuristic refines the dynamic taxon selection (zero value: the
-	// paper's min-branches rule); see OrderHeuristic.
+	// Heuristic refines the dynamic taxon selection of every worker (zero
+	// value: the paper's min-branches rule); see OrderHeuristic.
 	Heuristic OrderHeuristic
 
 	// DisableDynamicOrder replaces the fewest-branches taxon selection with
-	// a fixed insertion order: ShuffleSeed shuffles the missing-taxon list
-	// (the paper's second ablation); with ShuffleSeed == 0 the order is
-	// ascending taxon id.
+	// a fixed insertion order, for the prefix walk and every worker alike:
+	// ShuffleSeed shuffles the missing-taxon list (the paper's second
+	// ablation); with ShuffleSeed == 0 the order is ascending taxon id.
+	// Checkpointing requires the dynamic order: checkpoints record no static
+	// one.
 	DisableDynamicOrder bool
 	ShuffleSeed         int64
 
 	// CollectTrees stores every stand tree's canonical Newick string in
-	// Result.Trees. Off by default: stands can be enormous.
+	// Result.Trees (merged across a pool's workers in no particular order).
+	// Off by default: stands can be enormous.
 	CollectTrees bool
-	// OnTree, if set, receives every stand tree found, in enumeration order,
-	// a block at a time (see OnTrees): the strings are cut from one string per
-	// block.
+	// OnTree, if set, receives every stand tree found, a block at a time (see
+	// OnTrees): the strings are cut from one string per block.
 	OnTree func(newick string)
 	// OnTrees, if set, receives the stand in blocks: n canonical Newick
-	// strings in enumeration order, each newline-terminated, in bytes that
-	// are valid only during the call. A block is handed on at BlockSize, at
-	// every stopping-rule check (so before any snapshot) and at the end of
-	// the run, and the run's first tree alone, whichever of the three forms
-	// are asked for (TreeSink).
+	// strings, each newline-terminated, in bytes valid only during the call,
+	// handed on at BlockSize, whenever a worker publishes its counters (so
+	// before any snapshot), at the end of its task, and the run's first tree
+	// alone (TreeSink serves all three forms). Run calls it inline, in
+	// enumeration order; a pool's blocks stream through a bounded channel to
+	// one collector goroutine: serialized calls in no particular order, and a
+	// slow callback holds the workers back.
 	OnTrees func(newicks []byte, n int)
 
 	// CheckEvery is the interval between stopping-rule evaluations, in
 	// transitions of the paper's machine (Work.Units; default 1024; time is
 	// only sampled at these checks). A final frame is not divided, so a
-	// check can come up to one frame late.
+	// check can come up to one frame late. A pool's workers each poll at
+	// this interval, and worker 0 starts the others at its first poll.
 	CheckEvery int
 
 	// OnCheck, if set, receives the live counters at every stopping-rule
-	// check (every CheckEvery steps) — the serial engine's progress hook.
+	// check of Run (every CheckEvery steps). The pool has no such check: it
+	// refuses OnCheck.
 	OnCheck func(c Counters, elapsed time.Duration)
 
-	// Estimator, if set, accumulates the weighted backtrack fraction-
-	// complete measure: the random-descent probability of the leaves closed
-	// since the last stopping-rule check is merged at every check, with the
-	// live counters. A resumed run seeds the estimator with the
-	// mass already consumed before the checkpoint, so its fraction matches
-	// an uninterrupted run's.
-	Estimator *obs.Estimator
-
-	// Ctx cancels the run. It is polled only at the periodic stopping-rule
-	// check (the hot loop stays branch-cheap), so cancellation latency is
-	// bounded by one CheckEvery interval and one final frame. A cancelled run
-	// returns normally with Stop == StopCancelled; the context's error is not
-	// propagated.
+	// Ctx cancels the run, which then returns normally with Stop ==
+	// StopCancelled; the context's error is not propagated. Run polls it at
+	// its stopping-rule checks (the hot loop stays branch-cheap), so its
+	// latency is one CheckEvery interval and one final frame; a pool raises
+	// its stop the moment the context is done and drains within about one
+	// step per worker.
 	Ctx context.Context
 
 	// Checkpoint configures snapshots and resuming (see CheckpointPolicy).
-	// A serial run snapshots inline at its stopping-rule checks, a frontier
-	// like any run's, and resumes any checkpoint. Checkpointing requires the
-	// dynamic insertion order (the default): checkpoints record no static
-	// Order.
 	Checkpoint CheckpointPolicy
 
-	// Fault attaches deterministic fault injection to the run's Worker (nil:
-	// none; see Worker.Fault).
+	// Policy overrides the scheme's constants — counter batch sizes, queue
+	// capacity, submission depth restriction, split; zero fields select the
+	// paper's values. Run refuses any: its one worker offers nothing and
+	// publishes at every check.
+	Policy Policy
+
+	// Obs attaches observability at any width: every published batch of
+	// counters, the prefix's included, goes to its Metrics, and the closed
+	// leaves to its Estimate (a resumed run's seeded with the mass consumed
+	// before the checkpoint). A pool also feeds the queue and per-worker
+	// metrics and traces its scheduler's events; Run emits no events. Nil
+	// disables all of it at one predictable branch per instrument.
+	Obs *obs.Sink
+
+	// Fault attaches deterministic fault injection to every Worker of the
+	// run (nil: none; see Worker.Fault): a panic at its TaskExec or
+	// EngineStep site fails the run, as any panic in a task does.
 	Fault *faultinject.Injector
 }
 
@@ -207,8 +223,9 @@ type CheckpointPolicy struct {
 	Resume *Checkpoint
 
 	// Sink receives each periodic snapshot (typically persisted with
-	// Checkpoint.WriteFile). The callback owns persistence and any retry
-	// policy; the engines do no checkpoint file I/O themselves.
+	// Checkpoint.WriteFile) on the goroutine that called Run, a pool's
+	// workers already stealing again. The callback owns persistence and any
+	// retry policy; the engines do no checkpoint file I/O themselves.
 	Sink func(cp *Checkpoint)
 
 	// Trigger, if non-nil, lets another goroutine request on-demand
@@ -238,15 +255,22 @@ type Result struct {
 }
 
 // serial is the host of Run's one Worker. It takes no offer, sums the
-// batches and hands each block of trees to the run's sink.
+// batches — into the totals and the run's metrics, as a pool's scheduler
+// does — and hands each block of trees to the run's sink.
 type serial struct {
 	total Counters
+	m     *obs.SchedMetrics
 	sink  func(block []byte, n int)
 }
 
 func (*serial) Offer([]PathStep, *Frame, int) int { return 0 }
 
-func (h *serial) Publish(c Counters) { h.total.Add(c) }
+func (h *serial) Publish(c Counters) {
+	h.total.Add(c)
+	h.m.Trees.Add(c.StandTrees)
+	h.m.States.Add(c.IntermediateStates)
+	h.m.DeadEnds.Add(c.DeadEnds)
+}
 
 func (h *serial) Trees(block []byte, n int) []byte {
 	h.sink(block, n)
@@ -259,25 +283,21 @@ func (h *serial) Trees(block []byte, n int) []byte {
 var serialPolicy = Policy{TreeBatch: math.MaxInt64, StateBatch: math.MaxInt64,
 	DeadEndBatch: math.MaxInt64, MinRemaining: math.MaxInt}
 
-// Run enumerates the stand of the given constraint trees serially: the
-// scheme's set-up (Start), then one Worker that takes the frontier's tasks
-// in order — a fresh run has one, the whole initial split. Incompatible
-// constraint sets yield an empty stand (zero trees, reason StopExhausted),
-// not an error. A panic in a task, the tree sink's included, fails the run
-// with a *PanicError, as it fails a pool's.
-func Run(constraints []*tree.Tree, opt Options) (res *Result, err error) {
+// Start is the set-up of a run under opt (the package's Start), for either
+// driver: it fills in the defaults — one thread, the paper's limits, a check
+// every 1024 transitions — and builds the fixed insertion order
+// DisableDynamicOrder asks for, refused beside any checkpointing, before it
+// cuts the initial split into Threads shares.
+func (opt *Options) Start(constraints []*tree.Tree) (*Setup, error) {
+	opt.Threads = max(opt.Threads, 1)
 	opt.Limits = opt.Limits.Normalize()
 	if opt.CheckEvery <= 0 {
 		opt.CheckEvery = 1024
 	}
 	ck := opt.Checkpoint
-	// However the run ends, refused included, unblock any trigger request
-	// that raced the final poll (Finish is nil-safe and idempotent).
-	defer ck.Trigger.Finish()
-	interval := ck.Interval > 0 && ck.Sink != nil
 	var order func(missing []int) []int
 	if opt.DisableDynamicOrder {
-		if ck.Resume != nil || ck.OnStop || interval || ck.Trigger != nil {
+		if ck.Resume != nil || ck.OnStop || ck.Interval > 0 && ck.Sink != nil || ck.Trigger != nil {
 			return nil, fmt.Errorf("search: checkpointing requires the dynamic insertion order")
 		}
 		order = func(missing []int) []int {
@@ -288,18 +308,40 @@ func Run(constraints []*tree.Tree, opt Options) (res *Result, err error) {
 			return o
 		}
 	}
+	return Start(constraints, opt.InitialTree, opt.Heuristic, order, ck.Resume, opt.Threads)
+}
+
+// Run enumerates the stand of the given constraint trees serially: the
+// scheme's set-up (Start), then one Worker that takes the frontier's tasks
+// in order — a fresh run has one, the whole initial split. It refuses a
+// width above one and a Policy, which are a pool's. Incompatible constraint
+// sets yield an empty stand (zero trees, reason StopExhausted), not an
+// error. A panic in a task, the tree sink's included, fails the run with a
+// *PanicError, as it fails a pool's.
+func Run(constraints []*tree.Tree, opt Options) (res *Result, err error) {
+	ck := opt.Checkpoint
+	// However the run ends, refused included, unblock any trigger request
+	// that raced the final poll (Finish is nil-safe and idempotent).
+	defer ck.Trigger.Finish()
+	switch {
+	case opt.Threads > 1:
+		return nil, fmt.Errorf("search: Run has one worker, not %d (parallel.Run)", opt.Threads)
+	case opt.Policy != Policy{}:
+		return nil, fmt.Errorf("search: Run's one worker takes no Policy")
+	}
 	start := time.Now()
-	su, err := Start(constraints, opt.InitialTree, opt.Heuristic, order, ck.Resume, 1)
+	su, err := opt.Start(constraints)
 	if err != nil {
 		return nil, err
 	}
 	defer su.Release()
 	res = &Result{Stop: StopExhausted, InitialIndex: su.InitialIndex}
-	h := &serial{total: su.Counters, sink: TreeSink[[]byte](opt.CollectTrees, &res.Trees, opt.OnTree, opt.OnTrees)}
+	h := &serial{m: opt.Obs.SchedMetrics(), sink: TreeSink[[]byte](opt.CollectTrees, &res.Trees, opt.OnTree, opt.OnTrees)}
+	h.Publish(su.Counters)
 	if h.sink != nil && su.Tree != "" {
 		h.sink(append([]byte(su.Tree), '\n'), 1)
 	}
-	est := opt.Estimator
+	est := opt.Obs.Estimator()
 	est.AddCounters(su.Counters.StandTrees, su.Counters.IntermediateStates, su.Counters.DeadEnds)
 	est.AddLeafMass(su.LeafMass, su.Leaves)
 	// A fresh run's prefix is its first insertions: they count toward the
@@ -315,6 +357,7 @@ func Run(constraints []*tree.Tree, opt Options) (res *Result, err error) {
 		w.Fault = opt.Fault
 	}
 
+	interval := ck.Interval > 0 && ck.Sink != nil
 	units, next := prefix, int64(opt.CheckEvery)
 	lastCkpt := start
 	// snapshot is the frontier of a run at a check: what is left of the

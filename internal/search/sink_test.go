@@ -88,7 +88,7 @@ func TestTreeSinkForms(t *testing.T) {
 			return res.Trees
 		}},
 		{"parallel.Run", false, func(collect bool, onTree func(string), onTrees func([]byte, int)) []string {
-			res, err := parallel.Run(cons, parallel.Options{Threads: 2, InitialTree: -1, Limits: unlimited,
+			res, err := parallel.Run(cons, search.Options{Threads: 2, InitialTree: -1, Limits: unlimited,
 				CollectTrees: collect, OnTree: onTree, OnTrees: onTrees})
 			if err != nil {
 				t.Fatal(err)
@@ -226,7 +226,7 @@ func TestOnTreeStringsOutliveBlocks(t *testing.T) {
 			}
 		},
 		"parallel.Run": func(onTree func(string), onTrees func([]byte, int)) {
-			if _, err := parallel.Run(cons, parallel.Options{Threads: 2, InitialTree: -1, OnTree: onTree, OnTrees: onTrees}); err != nil {
+			if _, err := parallel.Run(cons, search.Options{Threads: 2, InitialTree: -1, OnTree: onTree, OnTrees: onTrees}); err != nil {
 				t.Fatal(err)
 			}
 		},

@@ -289,6 +289,11 @@ type Job struct {
 	created  time.Time
 	started  time.Time
 	finished time.Time
+	// ckptMu serializes the job's checkpoint writes — periodic, on-demand and
+	// on-stop — and finish holds it until the job has left the running state,
+	// so a checkpoint is written and recorded only while the job runs
+	// (saveCheckpoint).
+	ckptMu   sync.Mutex
 	ckptPath string
 	resume   *gentrius.Checkpoint // restart recovery: resume from here
 	resumed  bool                 // job was recovered from the journal
@@ -945,11 +950,9 @@ func (m *Manager) runJob(job *Job) {
 	}
 	if policy.Interval > 0 {
 		policy.Sink = func(cp *gentrius.Checkpoint) {
-			if path, ok := m.writeCheckpointRetry(job.id, cp); ok {
-				job.mu.Lock()
-				job.ckptPath = path
-				job.mu.Unlock()
-			}
+			job.ckptMu.Lock()
+			defer job.ckptMu.Unlock()
+			m.saveCheckpoint(job, cp) //nolint:errcheck // the next interval's snapshot supersedes it
 		}
 	}
 	job.mu.Lock()
@@ -1020,14 +1023,33 @@ func (m *Manager) RequestCheckpoint(ctx context.Context, id string) (string, err
 	if err != nil {
 		return "", err
 	}
-	path, ok := m.writeCheckpointRetry(id, cp)
+	j.ckptMu.Lock()
+	defer j.ckptMu.Unlock()
+	path, err := m.saveCheckpoint(j, cp)
+	if err != nil {
+		return "", err
+	}
+	m.log.Info("on-demand checkpoint written", "job", id, "path", path)
+	return path, nil
+}
+
+// saveCheckpoint persists cp as the job's checkpoint and records its path,
+// if the job is still running (else ErrNotRunning: the run has ended, and
+// finish has kept or deleted what it left). The caller holds job.ckptMu.
+func (m *Manager) saveCheckpoint(job *Job, cp *gentrius.Checkpoint) (string, error) {
+	job.mu.Lock()
+	running := job.state == StateRunning
+	job.mu.Unlock()
+	if !running {
+		return "", ErrNotRunning
+	}
+	path, ok := m.writeCheckpointRetry(job.id, cp)
 	if !ok {
 		return "", fmt.Errorf("service: checkpoint write failed after retries")
 	}
-	j.mu.Lock()
-	j.ckptPath = path
-	j.mu.Unlock()
-	m.log.Info("on-demand checkpoint written", "job", id, "path", path)
+	job.mu.Lock()
+	job.ckptPath = path
+	job.mu.Unlock()
 	return path, nil
 }
 
@@ -1072,12 +1094,13 @@ func (m *Manager) finish(job *Job, res *gentrius.Result, err error) {
 	case res == nil || res.Stop == gentrius.StopCancelled:
 		to = StateCancelled
 	}
-	job.mu.Lock()
+	// No checkpoint write of the job lands between this one and the move.
+	job.ckptMu.Lock()
+	defer job.ckptMu.Unlock()
 	if res != nil && res.Checkpoint != nil {
-		if path, ok := m.writeCheckpointRetry(job.id, res.Checkpoint); ok {
-			job.ckptPath = path
-		}
+		m.saveCheckpoint(job, res.Checkpoint) //nolint:errcheck // a dropped write is counted and logged
 	}
+	job.mu.Lock()
 	out := outcome{res: res, err: err}
 	if res != nil && res.Complete() && job.ckptPath != "" {
 		// The stand is fully enumerated; the periodic checkpoint (and its

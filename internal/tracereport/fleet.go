@@ -22,8 +22,9 @@ import (
 )
 
 // NodeTrace is one node's parsed trace, labelled for the merge. Its events
-// belong to the node Name: the "node" tag of a coordinator event names the
-// shard's holder, not the trace the event was read from.
+// belong to the node Name: the "node" tag of a coordinator event, or of a
+// shard-begin, names the shard's holder, not the trace the event was read
+// from.
 type NodeTrace struct {
 	Name   string
 	Events []TraceEvent
@@ -313,7 +314,12 @@ func MergeFleet(nodes []NodeTrace, units string) (*FleetReport, error) {
 			l.MassStartPPM = e.Get("mass_ppm")
 			l.MassLastPPM = l.MassStartPPM
 		case obs.EvShardBegin:
-			node := nodes[rep.src[i]].Name
+			// The holder is the worker that stamped the event, whichever trace
+			// holds it: the coordinator's own worker writes to the coordinator's.
+			node := e.GetStr("node")
+			if node == "" {
+				node = nodes[rep.src[i]].Name
+			}
 			if dispatch[k] == nil {
 				rep.Orphans = append(rep.Orphans, fmt.Sprintf(
 					"shard-begin on %s for %s/shard %d epoch %d matches no dispatch",
