@@ -25,6 +25,9 @@ var hotSymbols = []string{
 	"gentrius/internal/search.(*Engine).lookAhead",
 	"gentrius/internal/terrace.(*Overlay).Restructures",
 	"gentrius/internal/terrace.(*Overlay).Book",
+	// Where no check or flush falls inside, it takes the booked subtree of a
+	// third-to-last taxon in one step.
+	"gentrius/internal/search.(*Engine).whole",
 	// Stand trees are cut from the rendering of their final frame's shared
 	// state into a block, and leave through FlushTrees.
 	"gentrius/internal/search.(*Engine).renderFinal",

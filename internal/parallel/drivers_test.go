@@ -40,13 +40,17 @@ func submitted(t *testing.T, trace *bytes.Buffer) []string {
 // scheduler, so at one worker — where the pool is deterministic too — they
 // do exactly the same work, publish it in the same number of batches, queue
 // exactly the same tasks in the same order and steal every one of them,
-// fresh and when both resume the same mid-run frontier checkpoint. The
+// fresh and when both resume the same mid-run frontier checkpoint. They do
+// under the paper's batches and under a tree batch of 16, whose flushes fall
+// inside subtrees the engines would otherwise take in one step — each host
+// granting its own budget (the pool's poll, the simulator's none). The
 // speedup figures are simulator outputs; this is what makes them claims
 // about the real engine.
 func TestDriversAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(1313))
 	noLimits := SimLimits{MaxTrees: -1, MaxStates: -1}
 	compared, resumed, stolen := 0, 0, int64(0)
+	var whole [2]int64
 	for scen := 0; compared < 6 && scen < 300; scen++ {
 		cons := randomScenario(rng, 14, 3, 4, 0.5)
 		ref, err := Simulate(cons, SimOptions{Workers: 1, InitialTree: -1, Limits: noLimits})
@@ -64,21 +68,22 @@ func TestDriversAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, cp := range []*search.Checkpoint{nil, half.Checkpoint} {
-			what := "fresh"
+		for run := range 4 {
+			cp, pol := []*search.Checkpoint{nil, half.Checkpoint}[run/2], []search.Policy{{}, {TreeBatch: 16}}[run%2]
+			what := fmt.Sprintf("fresh, policy %+v", pol)
 			if cp != nil {
-				what = "resumed"
+				what = fmt.Sprintf("resumed, policy %+v", pol)
 				resumed++
 			} else if half.Checkpoint == nil {
 				t.Fatalf("scenario %d: state limit %d did not interrupt the run", scen, ref.IntermediateStates/2)
 			}
 			var simTrace, poolTrace bytes.Buffer
 			simRec, poolRec := obs.NewRecorder(&simTrace, nil), obs.NewRecorder(&poolTrace, nil)
-			sim, err := Simulate(cons, SimOptions{Workers: 1, InitialTree: -1, Limits: noLimits, Resume: cp, Trace: simRec})
+			sim, err := Simulate(cons, SimOptions{Workers: 1, InitialTree: -1, Limits: noLimits, Resume: cp, Trace: simRec, Policy: pol})
 			if err != nil {
 				t.Fatal(err)
 			}
-			pool, err := Run(cons, Options{Threads: 1, InitialTree: -1,
+			pool, err := Run(cons, Options{Threads: 1, InitialTree: -1, Policy: pol,
 				Limits:     search.Limits{MaxTrees: -1, MaxStates: -1, MaxTime: -1},
 				Checkpoint: search.CheckpointPolicy{Resume: cp}, Obs: &obs.Sink{Trace: poolRec}})
 			if err != nil {
@@ -104,11 +109,14 @@ func TestDriversAgree(t *testing.T) {
 				t.Fatalf("scenario %d %s: %d steals; simulator submitted %v, pool %v", scen, what, sim.TasksStolen, s, p)
 			}
 			stolen += sim.TasksStolen
+			whole[run%2] += pool.Work.Whole
 		}
 	}
-	if compared < 6 || resumed < 6 || stolen == 0 {
-		t.Fatalf("compared %d stands (%d resumed, %d steals): not enough to mean anything", compared, resumed, stolen)
+	if compared < 6 || resumed < 12 || stolen == 0 || whole[1] == 0 || whole[1] >= whole[0] {
+		t.Fatalf("compared %d stands (%d resumed, %d steals, %v subtrees taken whole by the pool): not enough to mean anything",
+			compared, resumed, stolen, whole)
 	}
+	t.Logf("subtrees taken whole by the pool: %d under the paper's batches, %d under a tree batch of 16", whole[0], whole[1])
 }
 
 // interrupted returns a stand and a frontier checkpoint of its simulated

@@ -311,7 +311,7 @@ func (w *poolWorker) execute(tk *task) {
 		return
 	}
 	for ph, cost := search.Replay, int64(0); ; {
-		if ph, cost = w.wk.Tick(); ph == search.Idle {
+		if ph, cost = w.wk.Tick(w.next - w.units); ph == search.Idle {
 			break
 		}
 		// Every CheckEvery transitions of the paper's machine, as the serial

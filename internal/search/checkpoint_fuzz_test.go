@@ -103,7 +103,7 @@ func FuzzReadCheckpoint(f *testing.F) {
 				return
 			}
 			for ph := Explore; ph != Idle && budget > 0; budget-- {
-				ph, _ = w.Tick()
+				ph, _ = w.Tick(0)
 			}
 			pending = append(pending[1:], h.queue...)
 			h.queue = nil

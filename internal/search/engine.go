@@ -17,7 +17,11 @@
 // rule, and its removal touches nothing. Where an insertion would
 // restructure, the bookings beneath it are made for real first. Either way
 // the step is the insertion: the stack, its path and every event, counter
-// and unit are the inserting engine's.
+// and unit are the inserting engine's. Where the third-to-last taxon books
+// and its host grants the budget — no check, poll or flush of the host falls
+// inside — one step takes the booking, the frame below it and the removal
+// at once, without performing them either (see whole): a step is what the
+// host can see.
 // The same engine drives the serial runner, the goroutine pool and the
 // deterministic virtual-time multicore simulator, which are costed in the
 // paper machine's transitions (Units), not in Step calls.
@@ -215,6 +219,17 @@ type Engine struct {
 	// frame hangs off, found with the frame's other: a branch adds 0 or 2.
 	otherCount int
 
+	// budget is how many units the host lets the next Step take, and flush
+	// the policy by which the host's worker publishes the engine's counters
+	// (Policy.FlushDue): a step takes a booked subtree whole (see whole) only
+	// where it ends within both. A Worker sets them; a bare NewEngine has
+	// neither and takes one branch a step.
+	budget int64
+	flush  *Policy
+	// third is what whole knows of the third-to-last frame it last took a
+	// subtree of (see third).
+	third third
+
 	work Work
 	// The final frame the last Step consumed (see FinalFrame).
 	finalTaxon int
@@ -227,6 +242,34 @@ type Engine struct {
 	block   []byte
 	pending int  // trees in block
 	handed  bool // a block has been handed on: the first tree has left
+}
+
+// third is what is the same under every branch of a third-to-last frame —
+// the frame of a taxon x with two others, y and z, missing — while the frames
+// below it and the real state stay put: found at the first branch whole
+// considers, and kept for the frame's others.
+type third struct {
+	// at is the frame's stack slot plus one (0: none), real the engine's count
+	// of real changes when it was found.
+	at, real int
+	// taxa are y and z, ascending, and count their counts with x not
+	// inserted: x inserted at a branch adds 2 to a count iff the branch is
+	// admissible for the taxon. both is how many edges are admissible for
+	// both taxa.
+	taxa  [2]int
+	count [2]int
+	both  int
+	// restructures is whether inserting each restructures the other with x
+	// booked, as Frame.restructures (0: not asked yet): the same at every
+	// branch of x, as the rule reads no edge.
+	restructures [2]int8
+	// others lists, for each of the two taxa, whether each of its branches
+	// (in pushFrame's order) is admissible for the other, once leaf mass asks
+	// (listed): beneath x at any branch those branches come first, then the
+	// two edges x's insertion makes if its branch is admissible for the taxon.
+	others [2][]bool
+	listed [2]bool
+	ids    []int32 // scratch: a branch list
 }
 
 // slotList is what a stack slot's branch buffer starts with (Engine.lists).
@@ -256,6 +299,10 @@ type Work struct {
 	// answered from the Terrace's counts without an insertion, Fallbacks those
 	// that had to be inserted all the same.
 	LookAheads, Fallbacks int64
+	// Whole counts the booked subtrees of third-to-last taxa taken in one
+	// step (see Engine.whole); their bookings and look-aheads are counted in
+	// Booked and LookAheads too.
+	Whole int64
 	// Emit is the Newick writer's work.
 	Emit tree.WriterStats
 }
@@ -268,6 +315,7 @@ func (w *Work) Add(o Work) {
 	w.Materialized += o.Materialized
 	w.LookAheads += o.LookAheads
 	w.Fallbacks += o.Fallbacks
+	w.Whole += o.Whole
 	w.Emit.Walked += o.Emit.Walked
 	w.Emit.Copied += o.Emit.Copied
 	w.Emit.Spliced += o.Emit.Spliced
@@ -381,6 +429,7 @@ func (e *Engine) Reset(frames []FrameSnapshot) error {
 	}
 	e.ov.Reset()
 	e.real++ // the caller moves T to the stack's base state
+	e.third.at = 0
 	e.started, e.done = false, len(frames) == 0
 	return nil
 }
@@ -454,7 +503,9 @@ func (e *Engine) Path(buf []PathStep) []PathStep {
 // Step performs one state transition, consumes one final frame or looks
 // ahead of one penultimate branch, and returns its kind. An insertion a
 // counting engine books (see insert) is a transition like one it makes: the
-// same event, counters and units, the Terrace untouched. After EvDone the
+// same event, counters and units, the Terrace untouched; where its host's
+// budget allows, one step takes the booked insertion's whole subtree and
+// returns EvRemoved, the last transition of it (see whole). After EvDone the
 // terrace is back at the engine's base state.
 func (e *Engine) Step() Event {
 	if e.done {
@@ -525,6 +576,10 @@ func (e *Engine) step() Event {
 			if e.lookAhead(f) {
 				return EvLookAhead
 			}
+		case 3:
+			if e.budget > 1 && !e.rendering() && !e.restructures(f) && e.whole(f) {
+				return EvRemoved
+			}
 		}
 		e.insert(f, f.Branches[f.idx])
 		f.idx++
@@ -573,7 +628,8 @@ func (e *Engine) finalFrame(f *Frame) Event {
 // bookings beneath it are. Every step, event, counter, unit, leaf mass and
 // offer is the inserting engine's, and so is every stack a cut sees: the
 // frame is inserted, its path step is x at edge, and a resume replays that
-// insertion for real. Booking stays one insertion a step, so that limits and
+// insertion for real. A booking is one insertion a step — unless the host's
+// budget lets one step take its whole subtree (whole) — so that limits and
 // cuts fall where they fall for the inserting engine.
 func (e *Engine) insert(f *Frame, edge int32) {
 	if !e.rendering() && !e.restructures(f) {
@@ -586,6 +642,159 @@ func (e *Engine) insert(f *Frame, edge int32) {
 	e.T.ExtendTaxon(f.Taxon, edge)
 	e.work.Extends += n + 1
 	e.real++
+}
+
+// whole takes, in one step, the subtree of the next branch b of the
+// uninserted top frame x, whose taxon is the third-to-last one missing and
+// books: the booking of x at b, the frame of the next taxon y under it — each
+// branch answered as lookAhead answers one, the last taxon z's count after y
+// — or its dead end, and the removal of x. It does so only where the steps
+// the inserting engine takes for them cost no more units than the host's
+// budget and leave counters that would not yet make the host's worker
+// publish: then no check, poll or flush falls between them, and the host sees
+// the stack and the counters it would see after the removal. The worker's
+// policy offers nothing below x (it grants no budget otherwise). Nothing is
+// booked or pushed: the subtree's counts follow from y's and z's with x not
+// inserted (third), by the additive rule. Counters, units, bookings,
+// look-aheads and leaf mass — once per branch of y, in branch order — are
+// the inserting engine's. It reports false, having changed nothing, where y
+// restructures z (its branches fall back) or the subtree does not fit.
+func (e *Engine) whole(x *Frame) bool {
+	t := e.thirdOf(x)
+	b := x.Branches[x.idx]
+	var gain [2]bool
+	var count [2]int64
+	for k, z := range t.taxa {
+		gain[k] = e.ov.EdgeAdmissible(b, z)
+		count[k] = int64(t.count[k])
+		if gain[k] {
+			count[k] += 2
+		}
+	}
+	// y is the taxon pushFrame would pick below x at b (nextTaxon), z the
+	// other.
+	i := 0
+	switch {
+	case !e.DynamicOrder:
+		if e.Order[e.T.Depth()+e.ov.Len()+1] == t.taxa[1] {
+			i = 1
+		}
+	case count[0] != 0 && (count[1] == 0 || e.prefer(t.taxa[1], int(count[1]), t.taxa[0], int(count[0]))):
+		i = 1
+	}
+	cy, cz := count[i], count[1-i]
+	units, c := int64(2), e.counters // the booking and the removal
+	c.IntermediateStates++
+	if cy == 0 {
+		c.DeadEnds++
+	} else {
+		if e.thirdRestructures(x, i) {
+			return false
+		}
+		both := int64(t.both)
+		if gain[0] && gain[1] {
+			both += 2
+		}
+		trees := cy*cz + 2*both
+		c.IntermediateStates += cy
+		c.StandTrees += trees
+		if cz == 0 {
+			c.DeadEnds += cy
+		}
+		units += 2*cy + 2*trees
+	}
+	if units > e.budget || e.flush.FlushDue(c) {
+		return false
+	}
+	x.idx++
+	e.counters = c
+	e.work.Units += units
+	e.work.Booked++
+	e.work.LookAheads += cy
+	e.work.Whole++
+	if e.OnLeaf == nil {
+		return true
+	}
+	if cy == 0 {
+		e.OnLeaf(x.weight, 1) // the booked state is the leaf (pushFrame)
+		return true
+	}
+	// The masses pushFrame and lookAhead would have made, bit for bit.
+	w := x.weight / float64(cy)
+	leaf := func(admissible bool) {
+		if n := cz + 2*btoi(admissible); n == 0 {
+			e.OnLeaf(w, 1)
+		} else {
+			e.OnLeaf(float64(n)*(w/float64(n)), n)
+		}
+	}
+	for _, a := range e.thirdOthers(i) {
+		leaf(a)
+	}
+	if gain[i] {
+		leaf(gain[1-i])
+		leaf(gain[1-i])
+	}
+	return true
+}
+
+// thirdOf returns what is the same under every branch of the third-to-last
+// top frame x (see third), found now unless it was for x and the real state
+// has not changed since; the rest is found when first asked.
+func (e *Engine) thirdOf(x *Frame) *third {
+	t := &e.third
+	if t.at == len(e.frames) && t.real == e.real {
+		return t
+	}
+	t.at, t.real = len(e.frames), e.real
+	t.restructures, t.listed = [2]int8{}, [2]bool{}
+	y := -1
+	for k := range t.taxa {
+		if y = e.ov.NextPending(y + 1); y == x.Taxon {
+			y = e.ov.NextPending(y + 1)
+		}
+		t.taxa[k], t.count[k] = y, e.ov.PendingCount(y)
+	}
+	t.both = e.ov.CountBoth(t.taxa[0], t.taxa[1])
+	return t
+}
+
+// thirdRestructures reports whether taxon t.taxa[k] restructures the other
+// with the third-to-last top frame x's taxon booked: asked once per frame,
+// by booking x at its next branch and popping it again.
+func (e *Engine) thirdRestructures(x *Frame, k int) bool {
+	t := &e.third
+	if t.restructures[k] == 0 {
+		e.ov.Book(x.Taxon, x.Branches[x.idx])
+		t.restructures[k] = -1
+		if e.ov.Restructures(t.taxa[k]) {
+			t.restructures[k] = 1
+		}
+		e.ov.Pop()
+	}
+	return t.restructures[k] > 0
+}
+
+// thirdOthers returns t.others[k], listed now if it is not yet.
+func (e *Engine) thirdOthers(k int) []bool {
+	t := &e.third
+	if !t.listed[k] {
+		t.listed[k] = true
+		y, z := t.taxa[k], t.taxa[1-k]
+		t.ids = e.ov.AppendBookedBranches(e.T.AppendAllowedBranches(t.ids[:0], y), y)
+		t.others[k] = t.others[k][:0]
+		for _, id := range t.ids {
+			t.others[k] = append(t.others[k], e.ov.EdgeAdmissible(id, z))
+		}
+	}
+	return t.others[k]
+}
+
+func btoi(b bool) int64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // restructures reports whether inserting the uninserted top frame f's taxon
@@ -705,6 +914,9 @@ func (e *Engine) otherPending(x int) int {
 // dead end and is tallied here.
 func (e *Engine) pushFrame() bool {
 	n := len(e.frames)
+	if e.third.at == n+1 {
+		e.third.at = 0 // a new frame in the slot of the one third holds
+	}
 	f := e.pushSlot()
 	f.Taxon, f.other = e.nextTaxon(), -1
 	l := &e.lists[n]

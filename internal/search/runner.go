@@ -419,7 +419,7 @@ run:
 			return nil, err
 		}
 		for ph, cost := Replay, int64(0); ph != Idle; {
-			if ph, cost = w.Tick(); ph == Explore {
+			if ph, cost = w.Tick(next - units); ph == Explore {
 				if units += cost; units >= next && check(tasks[i+1:]) {
 					break run
 				}

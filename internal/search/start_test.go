@@ -222,7 +222,7 @@ func TestStartRefusesBadTasks(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 30 || len(h.queue) == 0; i++ {
-		w.Tick()
+		w.Tick(0)
 	}
 	w.Flush()
 	tasks := append([]FrontierTask{w.Snapshot()}, h.queue...)
@@ -347,7 +347,7 @@ func TestSetupTerracesAreNewPlusReplay(t *testing.T) {
 			t.Fatal(err)
 		}
 		for n := 0; n < 40; n++ {
-			if ph, _ := w.Tick(); ph == Idle {
+			if ph, _ := w.Tick(0); ph == Idle {
 				break
 			}
 		}

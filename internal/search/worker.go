@@ -83,6 +83,11 @@ func (s *Setup) NewWorker(p Policy, h Host, est *obs.Estimator, trees bool) *Wor
 		w.eng.DynamicOrder, w.eng.Order = false, s.order
 	}
 	w.eng.OnFramePushed = w.offer
+	if p.MinRemaining >= 3 {
+		// The policy offers nothing below a third-to-last taxon: its booked
+		// subtrees may be taken whole, within the budget of each Tick.
+		w.eng.flush = &w.policy
+	}
 	if trees {
 		w.eng.OnTrees = h.Trees
 	}
@@ -121,13 +126,17 @@ func (w *Worker) Begin(t FrontierTask) error {
 // Tick advances the task by one replayed path step, one engine step or one
 // rewound step — the body of the pool's loop — and reports the phase and
 // what the paper's machine would have paid for it in transitions (the
-// simulator's clock ticks): one, or 2m for an engine step that consumed a
-// final frame of m (Work.Units). When the phase has nothing left it enters
-// the next instead, at no cost, and reports that one and 0; Idle means the
-// task is finished. The counter batch is flushed when the policy says it is
-// full and when the frames are exhausted: a worker about to wait must not
-// sit on unpublished counts.
-func (w *Worker) Tick() (Phase, int64) {
+// simulator's clock ticks): one, 2m for an engine step that consumed a final
+// frame of m, or what a booked subtree taken whole costs (Work.Units). When
+// the phase has nothing left it enters the next instead, at no cost, and
+// reports that one and 0; Idle means the task is finished. budget is the
+// host's: how many units it lets one engine step take before the next point
+// at which it looks — a check, a poll — and a step takes a subtree whole only
+// within it, and only where the worker's counter batch would not fill inside
+// it (budget <= 1: one branch a step). The counter batch is flushed when the
+// policy says it is full and when the frames are exhausted: a worker about
+// to wait must not sit on unpublished counts.
+func (w *Worker) Tick(budget int64) (Phase, int64) {
 	var cost int64
 	switch w.phase {
 	case Replay:
@@ -143,6 +152,9 @@ func (w *Worker) Tick() (Phase, int64) {
 	case Explore:
 		if w.Fault != nil {
 			w.Fault.MaybePanic(faultinject.EngineStep)
+		}
+		if w.eng.flush != nil {
+			w.eng.budget = budget
 		}
 		before := w.eng.work.Units
 		if w.eng.Step() != EvDone {

@@ -55,7 +55,7 @@ func drain(t *testing.T, w *Worker, h *fakeHost, first FrontierTask) {
 		}
 		var phases []string
 		for {
-			ph, cost := w.Tick()
+			ph, cost := w.Tick(0)
 			if cost == 0 {
 				phases = append(phases, fmt.Sprint(ph))
 			}
@@ -191,7 +191,7 @@ func TestWorkerSnapshotResumes(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < cut; i++ {
-			w1.Tick()
+			w1.Tick(0)
 		}
 		w1.Flush()
 		left := w1.Snapshot()
@@ -222,7 +222,7 @@ func TestWorkerSnapshotResumes(t *testing.T) {
 		t.Fatal(err)
 	}
 	for len(h.queue) == 0 {
-		w.Tick()
+		w.Tick(0)
 	}
 	deep := h.queue[0]
 	if want := w.eng.Path(nil); len(want) == 0 || !slices.Equal(deep.Path, want) {
@@ -232,7 +232,7 @@ func TestWorkerSnapshotResumes(t *testing.T) {
 	if err := w3.Begin(deep); err != nil {
 		t.Fatal(err)
 	}
-	if ph, cost := w3.Tick(); ph != Replay || cost != 1 {
+	if ph, cost := w3.Tick(0); ph != Replay || cost != 1 {
 		t.Fatalf("first tick of a task with a path: %v, %v", ph, cost)
 	}
 	snap := w3.Snapshot()
@@ -261,7 +261,7 @@ func TestWorkerDropResumesInPlace(t *testing.T) {
 		t.Fatal(err)
 	}
 	for len(h.queue) == 0 || len(h.queue[len(h.queue)-1].Path) < 2 {
-		if ph, _ := w.Tick(); ph == Idle {
+		if ph, _ := w.Tick(0); ph == Idle {
 			t.Fatal("no hand-off with a path of two steps")
 		}
 	}
@@ -276,7 +276,7 @@ func TestWorkerDropResumesInPlace(t *testing.T) {
 	if err := w.Begin(deep); err != nil {
 		t.Fatal(err)
 	}
-	if ph, cost := w.Tick(); ph != Replay || cost != 1 {
+	if ph, cost := w.Tick(0); ph != Replay || cost != 1 {
 		t.Fatalf("first tick of a task with a path: %v, %v", ph, cost)
 	}
 	whole := w.Snapshot()
@@ -311,7 +311,7 @@ func TestWorkerDropResumesInPlace(t *testing.T) {
 		}
 		ph := Replay
 		for i := 0; i < 50 && ph != Idle; i++ {
-			ph, _ = wc.Tick()
+			ph, _ = wc.Tick(0)
 		}
 		wc.Flush()
 		tk = wc.Snapshot()
@@ -330,7 +330,7 @@ func TestWorkerDropResumesInPlace(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < 50; i++ {
-			wc.Tick()
+			wc.Tick(0)
 		}
 		wc.Flush()
 		wc.Drop()
@@ -353,13 +353,13 @@ func TestWorkerReusesItsEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 25; i++ {
-		w.Tick()
+		w.Tick(0)
 	}
 	deep := w.Snapshot()
 	if len(deep.Frames) < 3 {
 		t.Fatalf("stack of %d frames is not deep", len(deep.Frames))
 	}
-	for ph := Explore; ph != Idle; ph, _ = w.Tick() {
+	for ph := Explore; ph != Idle; ph, _ = w.Tick(0) {
 	}
 
 	// The same worker: the deep stack, then the whole stand again.
@@ -386,7 +386,7 @@ func TestWorkerReusesItsEngine(t *testing.T) {
 		}
 	}
 	*h = fakeHost{}
-	for ph := Replay; ph != Idle; ph, _ = w.Tick() {
+	for ph := Replay; ph != Idle; ph, _ = w.Tick(0) {
 	}
 	if h.total != href.total || !slices.Equal(sortedCopy(h.trees), sortedCopy(href.trees)) {
 		t.Fatalf("after a deep task the worker counted %+v, a fresh one %+v", h.total, href.total)
@@ -398,7 +398,7 @@ func TestWorkerReusesItsEngine(t *testing.T) {
 		if err := wc.Begin(su.Frontier.Tasks[0]); err != nil {
 			t.Fatal(err)
 		}
-		for ph := Replay; ph != Idle; ph, _ = wc.Tick() {
+		for ph := Replay; ph != Idle; ph, _ = wc.Tick(0) {
 		}
 	}
 	run()
@@ -423,7 +423,7 @@ func TestWorkerBeginRefusesCorruptStack(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "corrupt frame") {
 			t.Fatalf("%s: Begin returned %v", name, err)
 		}
-		if ph, cost := w.Tick(); ph != Idle || cost != 0 || w.t.Depth() != w.base {
+		if ph, cost := w.Tick(0); ph != Idle || cost != 0 || w.t.Depth() != w.base {
 			t.Fatalf("%s: worker at phase %v, depth %d after a refused task", name, ph, w.t.Depth())
 		}
 	}

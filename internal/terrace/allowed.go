@@ -48,3 +48,14 @@ func (tr *Terrace) CountAllowedBranches(x int) int {
 	}
 	return bitset.OnesCountAnd(rows, tr.laneWords())
 }
+
+// CountAllowedBoth returns how many agile edges are admissible for inserting
+// taxon x and for inserting taxon y: a popcount over the preimage lanes of
+// both, ANDed together.
+func (tr *Terrace) CountAllowedBoth(x, y int) int {
+	tr.rowsBuf = tr.appendRows(tr.appendRows(tr.rowsBuf[:0], x), y)
+	if len(tr.rowsBuf) == 0 {
+		return tr.agile.NumEdges()
+	}
+	return bitset.OnesCountAnd(tr.rowsBuf, tr.laneWords())
+}

@@ -274,12 +274,27 @@ func checkBookings(t *testing.T, tr *Terrace, ov *Overlay, ctx string) {
 	}
 	edges := int32(tr.agile.NumEdges() + 2*ov.Len())
 	want := map[int]answer{}
+	var pending []int
 	for y := ov.NextPending(0); y >= 0; y = ov.NextPending(y + 1) {
 		a := answer{count: ov.PendingCount(y), list: overlaidBranches(ov, y), restructures: ov.Restructures(y)}
 		for e := int32(0); e < edges; e++ {
 			a.admissible = append(a.admissible, ov.EdgeAdmissible(e, y))
 		}
 		want[y] = a
+		pending = append(pending, y)
+	}
+	// The edges admissible for two pending taxa, for each taxon and the next.
+	both := make([]int, len(pending))
+	for i := 1; i < len(pending); i++ {
+		y, z := pending[i-1], pending[i]
+		for e := range want[y].admissible {
+			if want[y].admissible[e] && want[z].admissible[e] {
+				both[i]++
+			}
+		}
+		if got := ov.CountBoth(y, z); got != both[i] {
+			t.Fatalf("%s: %d edges admissible for %d and %d, CountBoth says %d", ctx, both[i], y, z, got)
+		}
 	}
 	bookings := slices.Clone(ov.bookings)
 	depth, base := tr.Depth(), int32(tr.agile.NumEdges())
@@ -296,6 +311,11 @@ func checkBookings(t *testing.T, tr *Terrace, ov *Overlay, ctx string) {
 	}
 	if err := tr.CheckInvariants(); err != nil {
 		t.Fatalf("%s: after Materialize: %v", ctx, err)
+	}
+	for i := 1; i < len(pending); i++ {
+		if got := tr.CountAllowedBoth(pending[i-1], pending[i]); got != both[i] {
+			t.Fatalf("%s: under %v, %d edges admissible for %d and %d, the overlay said %d", ctx, bookings, got, pending[i-1], pending[i], both[i])
+		}
 	}
 	for y, a := range want {
 		if got := tr.AllowedBranches(y); !slices.Equal(got, a.list) {

@@ -530,27 +530,29 @@ func TestCloneConcurrently(t *testing.T) {
 
 // TestNewScalesLinearly pins the initialiser's growth: ten times the taxa
 // must cost well under the hundredfold of a quadratic one. Minimum over a
-// few runs, so a noisy host only makes the ratio smaller or equal.
+// few runs of each size, taken by turns, so that a slow stretch of a noisy
+// host hits both sizes and only makes the ratio smaller or equal.
 func TestNewScalesLinearly(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test")
 	}
-	floor := func(n int) time.Duration {
-		rng := rand.New(rand.NewSource(int64(n)))
-		_, cons := randomScenario(rng, n, 10, 5, 0.6)
-		best := time.Duration(1 << 62)
-		for i := 0; i < 7; i++ {
+	sizes := []int{200, 2000}
+	cons := make([][]*tree.Tree, len(sizes))
+	best := make([]time.Duration, len(sizes))
+	for k, n := range sizes {
+		_, cons[k] = randomScenario(rand.New(rand.NewSource(int64(n))), n, 10, 5, 0.6)
+		best[k] = time.Duration(1 << 62)
+	}
+	for i := 0; i < 7; i++ {
+		for k := range sizes {
 			start := time.Now()
-			if _, err := New(cons, 0); err != nil {
+			if _, err := New(cons[k], 0); err != nil {
 				t.Fatal(err)
 			}
-			if d := time.Since(start); d < best {
-				best = d
-			}
+			best[k] = min(best[k], time.Since(start))
 		}
-		return best
 	}
-	small, large := floor(200), floor(2000)
+	small, large := best[0], best[1]
 	if ratio := float64(large) / float64(small); ratio >= 25 {
 		t.Fatalf("New: 2000 taxa cost %v, 200 taxa %v: %.1fx for 10x the taxa", large, small, ratio)
 	}

@@ -186,6 +186,19 @@ func (o *Overlay) root(e int32) int32 {
 // the overlaid state.
 func (o *Overlay) PendingCount(y int) int { return o.tr.PendingCount(y) + int(o.gain[y]) }
 
+// CountBoth returns how many edges of the overlaid state are admissible for
+// pending taxon y and for pending taxon z: the Terrace's, and the two ids of
+// each booking whose root edge is admissible for both.
+func (o *Overlay) CountBoth(y, z int) int {
+	n := o.tr.CountAllowedBoth(y, z)
+	for k := range o.bookings {
+		if o.gains(k, y) && o.gains(k, z) {
+			n += 2
+		}
+	}
+	return n
+}
+
 // EdgeAdmissible reports whether edge e of the overlaid state is admissible
 // for pending taxon y: whether its root edge is.
 func (o *Overlay) EdgeAdmissible(e int32, y int) bool {

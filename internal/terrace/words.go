@@ -125,10 +125,15 @@ func (tr *Terrace) syncRows(cs *constraintState, upto int32) {
 // admissible. The returned slices alias constraint state and are valid until
 // the next Terrace operation.
 func (tr *Terrace) allowedRows(x int) [][]uint64 {
+	tr.rowsBuf = tr.appendRows(tr.rowsBuf[:0], x)
+	return tr.rowsBuf
+}
+
+// appendRows appends x's preimage lanes (see allowedRows) to rows.
+func (tr *Terrace) appendRows(rows [][]uint64, x int) [][]uint64 {
 	if tr.agile.HasTaxon(x) {
 		panic("terrace: taxon already inserted")
 	}
-	rows := tr.rowsBuf[:0]
 	depth := int32(len(tr.undo))
 	for _, ci := range tr.byTaxon[x] {
 		cs := tr.constraints[ci]
@@ -138,7 +143,6 @@ func (tr *Terrace) allowedRows(x int) [][]uint64 {
 		tr.syncRows(cs, depth)
 		rows = append(rows, cs.preRow(cs.target[x]))
 	}
-	tr.rowsBuf = rows
 	return rows
 }
 
