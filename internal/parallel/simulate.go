@@ -26,7 +26,6 @@ package parallel
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"gentrius/internal/obs"
 	"gentrius/internal/search"
@@ -162,12 +161,6 @@ type sim struct {
 	tick      int64
 	flushCost int64
 	sink      func(block []byte, n int) // into SimResult.Trees; nil when nobody wants them
-
-	// What stops the run between two ticks, for the budget: the other
-	// workers, the tick bound (0: none) and the cancellation poll.
-	workers  int
-	maxTicks int64
-	polled   bool
 }
 
 // simWorker is one virtual worker: the scheduler's worker plus the clock's
@@ -207,8 +200,7 @@ func Simulate(constraints []*tree.Tree, opt SimOptions) (*SimResult, error) {
 		Counters:     su.Counters,
 		Ticks:        prefixLen, // every worker replays the prefix concurrently
 	}
-	v := &sim{tick: prefixLen, flushCost: opt.FlushCost, sink: search.TreeSink[[]byte](opt.CollectTrees, &res.Trees, nil, nil),
-		workers: opt.Workers, maxTicks: max(opt.Limits.MaxTicks, 0), polled: opt.Ctx != nil}
+	v := &sim{tick: prefixLen, flushCost: opt.FlushCost, sink: search.TreeSink[[]byte](opt.CollectTrees, &res.Trees, nil, nil)}
 	// The scheduler tests the tree and state rules; the tick bound is the clock's.
 	lim := search.Limits{MaxTrees: opt.Limits.MaxTrees, MaxStates: opt.Limits.MaxStates, MaxTime: -1}
 	v.sched = sched{su: su, policy: opt.Policy, limits: lim.Normalize(),
@@ -243,10 +235,10 @@ func Simulate(constraints []*tree.Tree, opt SimOptions) (*SimResult, error) {
 		if allIdle && len(v.tasks) == 0 {
 			break
 		}
-		if v.maxTicks > 0 && v.tick >= v.maxTicks {
+		if opt.Limits.MaxTicks > 0 && v.tick >= opt.Limits.MaxTicks {
 			v.raise(search.StopTimeLimit)
 		}
-		if v.polled && v.tick&1023 == 0 && opt.Ctx.Err() != nil {
+		if opt.Ctx != nil && v.tick&1023 == 0 && opt.Ctx.Err() != nil {
 			v.raise(search.StopCancelled)
 		}
 	}
@@ -288,9 +280,10 @@ func (w *simWorker) mode() byte {
 // advance spends one virtual tick of w: on a flush stall, on one unit of its
 // task — turning from one phase into the next is free — or, idle, on the
 // dequeue of the next task. The engine takes a final frame of m branches in
-// one step where the paper's machine takes 2m transitions, and a booked
-// subtree in one where it takes all of the subtree's: the other ticks are
-// owed to the clock.
+// one step where the paper's machine takes 2m transitions: the other 2m-1
+// are owed to the clock. The clock grants the engine no budget (Tick(0)): a
+// worker's flush, the tick bound or a poll may stop the run at any tick, so
+// the engine takes one branch a step.
 func (w *simWorker) advance() {
 	for {
 		switch {
@@ -300,7 +293,7 @@ func (w *simWorker) advance() {
 			w.stall--
 		case w.cur != nil:
 			var cost int64
-			if w.phase, cost = w.wk.Tick(w.budget()); cost == 0 {
+			if w.phase, cost = w.wk.Tick(0); cost == 0 {
 				if w.phase == search.Idle {
 					w.end()
 				}
@@ -326,24 +319,6 @@ func (w *simWorker) advance() {
 		w.stats.Busy++
 		return
 	}
-}
-
-// budget is how many ticks w's next step may take before the run could stop
-// between them (search.Worker.Tick): at one worker, the ticks to the tick
-// bound and to the next cancellation poll, whichever comes first; at more,
-// none, since another worker's flush may raise the halt at any tick.
-func (w *simWorker) budget() int64 {
-	if w.workers > 1 {
-		return 0
-	}
-	b := int64(math.MaxInt64)
-	if w.maxTicks > 0 {
-		b = w.maxTicks - w.tick
-	}
-	if w.polled {
-		b = min(b, (w.tick/1024+1)*1024-w.tick)
-	}
-	return b
 }
 
 // Publish publishes the batch through the scheduler and charges its

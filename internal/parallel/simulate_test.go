@@ -3,7 +3,6 @@ package parallel
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"math/rand"
 	"sort"
 	"strings"
@@ -350,46 +349,5 @@ func TestTraceOffIsUntouched(t *testing.T) {
 	}
 	if a.Ticks != b.Ticks || a.Counters != b.Counters || a.TasksStolen != b.TasksStolen {
 		t.Fatalf("tracing changed the simulation: %+v vs %+v", a, b)
-	}
-}
-
-// TestSimTickBoundStopsWhereOneBranchStepsDo: at one worker the simulator
-// grants its engine the ticks to the tick bound as a budget, so a booked
-// subtree is taken in one step only where the bound does not fall inside
-// it. With batches of one every step flushes, so no subtree fits and the
-// engine takes one branch a step; with no flush cost the clock is the same.
-// At every tick bound the run must stop with the same counters, ticks and
-// frontier either way.
-func TestSimTickBoundStopsWhereOneBranchStepsDo(t *testing.T) {
-	rng := rand.New(rand.NewSource(54))
-	stops := 0
-	for scen := 0; scen < 4; scen++ {
-		cons := randomScenario(rng, 16, 3, 4, 0.5)
-		full, err := Simulate(cons, SimOptions{Workers: 1, InitialTree: -1, Limits: SimLimits{MaxTrees: -1, MaxStates: -1}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for bound := int64(1); bound < full.Ticks; bound += 1 + full.Ticks/200 {
-			var got [2]string
-			for k, pol := range []search.Policy{{}, {TreeBatch: 1, StateBatch: 1, DeadEndBatch: 1}} {
-				res, err := Simulate(cons, SimOptions{Workers: 1, InitialTree: -1, Policy: pol, CheckpointOnStop: true,
-					Limits: SimLimits{MaxTrees: -1, MaxStates: -1, MaxTicks: bound}})
-				if err != nil {
-					t.Fatal(err)
-				}
-				cp, err := json.Marshal(res.Checkpoint)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got[k] = fmt.Sprintf("%+v in %d ticks, %v: %s", res.Counters, res.Ticks, res.Stop, cp)
-			}
-			if got[0] != got[1] {
-				t.Fatalf("scenario %d, tick bound %d: the paper's batches stop at\n%s\nbatches of one at\n%s", scen, bound, got[0], got[1])
-			}
-			stops++
-		}
-	}
-	if stops < 400 {
-		t.Fatalf("%d stops compared: too few to tell", stops)
 	}
 }

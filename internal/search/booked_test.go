@@ -8,6 +8,7 @@ import (
 	"unsafe"
 
 	"gentrius/internal/gen"
+	"gentrius/internal/obs"
 	"gentrius/internal/terrace"
 )
 
@@ -35,9 +36,11 @@ const wholeRunsDigest = "012ccffcc95d2498a272a4e8270308aaeb7647777748482a784061b
 // fits between two checks, and the two are compared wherever the rendering
 // run looked ahead of the same branches (its writer derived every base, so
 // both make the same steps); at CheckEvery 64 and 1024 the counting run takes
-// subtrees whole, and every run is compared. And the counting runs'
-// counters, Steps and stop reasons are, all of them, the inserting engine's
-// (bookedRunsDigest, wholeRunsDigest).
+// subtrees whole, and every run is compared. Compared runs also close the
+// same leaves with the same estimator mass, bit for bit: a subtree taken
+// whole hands on its leaves one by one, as its branches would. And the
+// counting runs' counters, Steps and stop reasons are, all of them, the
+// inserting engine's (bookedRunsDigest, wholeRunsDigest).
 func TestBookedRunsStopWhereInsertingRunsDo(t *testing.T) {
 	type order struct {
 		name    string
@@ -72,8 +75,9 @@ func TestBookedRunsStopWhereInsertingRunsDo(t *testing.T) {
 					if (idx+k)%2 == 1 {
 						lim = Limits{MaxTrees: 10_000, MaxStates: 1 + int64(idx*53%1000), MaxTime: -1}
 					}
+					cest, est := &obs.Estimator{}, &obs.Estimator{}
 					opt := Options{InitialTree: -1, Heuristic: ord.h, DisableDynamicOrder: ord.static,
-						ShuffleSeed: ord.shuffle, CheckEvery: every, Limits: lim}
+						ShuffleSeed: ord.shuffle, CheckEvery: every, Limits: lim, Obs: &obs.Sink{Estimate: cest}}
 					count, err := Run(ds.Constraints, opt)
 					if err != nil {
 						t.Fatalf("%s: %v", ds.Name, err)
@@ -88,7 +92,7 @@ func TestBookedRunsStopWhereInsertingRunsDo(t *testing.T) {
 					runs++
 					booked += count.Work.Booked
 					whole += count.Work.Whole
-					opt.OnTrees = func([]byte, int) {}
+					opt.OnTrees, opt.Obs = func([]byte, int) {}, &obs.Sink{Estimate: est}
 					got, err := Run(ds.Constraints, opt)
 					if err != nil {
 						t.Fatalf("%s: %v", ds.Name, err)
@@ -103,6 +107,10 @@ func TestBookedRunsStopWhereInsertingRunsDo(t *testing.T) {
 					if count.Counters != got.Counters || count.Steps != got.Steps || count.Stop != got.Stop {
 						t.Fatalf("%s %s every %d under %+v: counting %+v in %d steps, stopped for %v; rendering %+v in %d, for %v",
 							ds.Name, ord.name, every, lim, count.Counters, count.Steps, count.Stop, got.Counters, got.Steps, got.Stop)
+					}
+					if cest.Leaves() != est.Leaves() || cest.Fraction() != est.Fraction() {
+						t.Fatalf("%s %s every %d under %+v: counting closed %d leaves of mass %.17f, rendering %d of %.17f",
+							ds.Name, ord.name, every, lim, cest.Leaves(), cest.Fraction(), est.Leaves(), est.Fraction())
 					}
 					compared++
 					stops[count.Stop]++

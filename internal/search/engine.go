@@ -222,8 +222,9 @@ type Engine struct {
 	// budget is how many units the host lets the next Step take, and flush
 	// the policy by which the host's worker publishes the engine's counters
 	// (Policy.FlushDue): a step takes a booked subtree whole (see whole) only
-	// where it ends within both. A Worker sets them; a bare NewEngine has
-	// neither and takes one branch a step.
+	// where budget exceeds one unit and the subtree ends within both. A
+	// Worker sets them; a bare NewEngine has neither and takes one branch a
+	// step.
 	budget int64
 	flush  *Policy
 	// third is what whole knows of the third-to-last frame it last took a
@@ -263,13 +264,6 @@ type third struct {
 	// booked, as Frame.restructures (0: not asked yet): the same at every
 	// branch of x, as the rule reads no edge.
 	restructures [2]int8
-	// others lists, for each of the two taxa, whether each of its branches
-	// (in pushFrame's order) is admissible for the other, once leaf mass asks
-	// (listed): beneath x at any branch those branches come first, then the
-	// two edges x's insertion makes if its branch is admissible for the taxon.
-	others [2][]bool
-	listed [2]bool
-	ids    []int32 // scratch: a branch list
 }
 
 // slotList is what a stack slot's branch buffer starts with (Engine.lists).
@@ -653,9 +647,10 @@ func (e *Engine) insert(f *Frame, edge int32) {
 // budget and leave counters that would not yet make the host's worker
 // publish: then no check, poll or flush falls between them, and the host sees
 // the stack and the counters it would see after the removal. The worker's
-// policy offers nothing below x (it grants no budget otherwise). Nothing is
-// booked or pushed: the subtree's counts follow from y's and z's with x not
-// inserted (third), by the additive rule. Counters, units, bookings,
+// policy offers nothing below x (it grants no budget otherwise). The
+// subtree is counted without a booking or a frame: its counts follow from
+// y's and z's with x not inserted (third), by the additive rule; only leaf
+// mass books x and lists y's branches. Counters, units, bookings,
 // look-aheads and leaf mass — once per branch of y, in branch order — are
 // the inserting engine's. It reports false, having changed nothing, where y
 // restructures z (its branches fall back) or the subtree does not fit.
@@ -719,22 +714,22 @@ func (e *Engine) whole(x *Frame) bool {
 		e.OnLeaf(x.weight, 1) // the booked state is the leaf (pushFrame)
 		return true
 	}
-	// The masses pushFrame and lookAhead would have made, bit for bit.
-	w := x.weight / float64(cy)
-	leaf := func(admissible bool) {
-		if n := cz + 2*btoi(admissible); n == 0 {
+	// The masses pushFrame and lookAhead would have made, bit for bit: y's
+	// branches listed as pushFrame lists them, with x booked at b, each
+	// answered as lookAhead answers it.
+	y, z, w := t.taxa[i], t.taxa[1-i], x.weight/float64(cy)
+	e.ov.Book(x.Taxon, b)
+	n := len(e.frames)
+	ids := e.slotBranches(e.pushSlot(), n, y) // x may move with the stack
+	e.frames = e.frames[:n]
+	for _, id := range ids {
+		if c := cz + 2*btoi(e.ov.EdgeAdmissible(id, z)); c == 0 {
 			e.OnLeaf(w, 1)
 		} else {
-			e.OnLeaf(float64(n)*(w/float64(n)), n)
+			e.OnLeaf(float64(c)*(w/float64(c)), c)
 		}
 	}
-	for _, a := range e.thirdOthers(i) {
-		leaf(a)
-	}
-	if gain[i] {
-		leaf(gain[1-i])
-		leaf(gain[1-i])
-	}
+	e.ov.Pop()
 	return true
 }
 
@@ -747,7 +742,7 @@ func (e *Engine) thirdOf(x *Frame) *third {
 		return t
 	}
 	t.at, t.real = len(e.frames), e.real
-	t.restructures, t.listed = [2]int8{}, [2]bool{}
+	t.restructures = [2]int8{}
 	y := -1
 	for k := range t.taxa {
 		if y = e.ov.NextPending(y + 1); y == x.Taxon {
@@ -773,21 +768,6 @@ func (e *Engine) thirdRestructures(x *Frame, k int) bool {
 		e.ov.Pop()
 	}
 	return t.restructures[k] > 0
-}
-
-// thirdOthers returns t.others[k], listed now if it is not yet.
-func (e *Engine) thirdOthers(k int) []bool {
-	t := &e.third
-	if !t.listed[k] {
-		t.listed[k] = true
-		y, z := t.taxa[k], t.taxa[1-k]
-		t.ids = e.ov.AppendBookedBranches(e.T.AppendAllowedBranches(t.ids[:0], y), y)
-		t.others[k] = t.others[k][:0]
-		for _, id := range t.ids {
-			t.others[k] = append(t.others[k], e.ov.EdgeAdmissible(id, z))
-		}
-	}
-	return t.others[k]
 }
 
 func btoi(b bool) int64 {
@@ -919,13 +899,7 @@ func (e *Engine) pushFrame() bool {
 	}
 	f := e.pushSlot()
 	f.Taxon, f.other = e.nextTaxon(), -1
-	l := &e.lists[n]
-	if int(l.taxon) != f.Taxon || l.real != e.real {
-		f.buf = e.T.AppendAllowedBranches(f.buf[:0], f.Taxon)
-		*l = slotList{taxon: int32(f.Taxon), n: int32(len(f.buf)), real: e.real}
-	}
-	f.buf = e.ov.AppendBookedBranches(f.buf[:l.n], f.Taxon)
-	f.Branches, f.idx, f.inserted, f.based, f.restructures = f.buf, 0, false, false, 0
+	f.Branches, f.idx, f.inserted, f.based, f.restructures = e.slotBranches(f, n, f.Taxon), 0, false, false, 0
 	// Per-branch weight from the parent's (1 at the root): fixed before the
 	// steal callback can hand branches away, so stolen subtrees keep it.
 	parentW := 1.0
@@ -948,6 +922,20 @@ func (e *Engine) pushFrame() bool {
 		return false
 	}
 	return true
+}
+
+// slotBranches lists taxon x's branches into f's buffer, f being stack slot
+// n's frame: the real ones, reused from the buffer where the slot's last list
+// was x's and the real state has not changed since, then the overlay's booked
+// ones.
+func (e *Engine) slotBranches(f *Frame, n, x int) []int32 {
+	l := &e.lists[n]
+	if int(l.taxon) != x || l.real != e.real {
+		f.buf = e.T.AppendAllowedBranches(f.buf[:0], x)
+		*l = slotList{taxon: int32(x), n: int32(len(f.buf)), real: e.real}
+	}
+	f.buf = e.ov.AppendBookedBranches(f.buf[:l.n], x)
+	return f.buf
 }
 
 // nextTaxon applies the dynamic taxon insertion heuristic or the fixed order.

@@ -82,12 +82,7 @@ func (s *Setup) NewWorker(p Policy, h Host, est *obs.Estimator, trees bool) *Wor
 	if s.order != nil {
 		w.eng.DynamicOrder, w.eng.Order = false, s.order
 	}
-	w.eng.OnFramePushed = w.offer
-	if p.MinRemaining >= 3 {
-		// The policy offers nothing below a third-to-last taxon: its booked
-		// subtrees may be taken whole, within the budget of each Tick.
-		w.eng.flush = &w.policy
-	}
+	w.eng.OnFramePushed, w.eng.flush = w.offer, &w.policy
 	if trees {
 		w.eng.OnTrees = h.Trees
 	}
@@ -132,8 +127,9 @@ func (w *Worker) Begin(t FrontierTask) error {
 // reports that one and 0; Idle means the task is finished. budget is the
 // host's: how many units it lets one engine step take before the next point
 // at which it looks — a check, a poll — and a step takes a subtree whole only
-// within it, and only where the worker's counter batch would not fill inside
-// it (budget <= 1: one branch a step). The counter batch is flushed when the
+// within it, only where the worker's counter batch would not fill inside it,
+// and only where the policy offers nothing below a third-to-last taxon
+// (MinRemaining >= 3); budget <= 1 means one branch a step. The counter batch is flushed when the
 // policy says it is full and when the frames are exhausted: a worker about
 // to wait must not sit on unpublished counts.
 func (w *Worker) Tick(budget int64) (Phase, int64) {
@@ -153,7 +149,10 @@ func (w *Worker) Tick(budget int64) (Phase, int64) {
 		if w.Fault != nil {
 			w.Fault.MaybePanic(faultinject.EngineStep)
 		}
-		if w.eng.flush != nil {
+		w.eng.budget = 0
+		if w.policy.MinRemaining >= 3 {
+			// The policy offers nothing below a third-to-last taxon: its
+			// booked subtrees may be taken whole within the budget.
 			w.eng.budget = budget
 		}
 		before := w.eng.work.Units
