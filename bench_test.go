@@ -24,15 +24,13 @@ import (
 
 // findDataset scans the simulated corpus for the first dataset satisfying
 // pred (given its one-worker simulation under lim).
-func findDataset(b *testing.B, regime gen.Regime, lim parallel.SimLimits,
+func findDataset(b *testing.B, regime gen.Regime, lim search.Limits, vt parallel.VirtualTime,
 	pred func(*gen.Dataset, *parallel.SimResult) bool) *gen.Dataset {
 	b.Helper()
 	cfg := gen.Default(regime)
 	for idx := 0; idx < 400; idx++ {
 		ds := gen.Generate(cfg, idx)
-		res, err := parallel.Simulate(ds.Constraints, parallel.SimOptions{
-			Workers: 1, InitialTree: -1, Limits: lim,
-		})
+		res, err := parallel.Simulate(ds.Constraints, search.Options{Threads: 1, InitialTree: -1, Limits: lim}, vt)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -44,7 +42,10 @@ func findDataset(b *testing.B, regime gen.Regime, lim parallel.SimLimits,
 	return nil
 }
 
-var benchLimits = parallel.SimLimits{MaxTrees: 2_000_000, MaxStates: 2_000_000, MaxTicks: 12_000_000}
+var (
+	benchLimits = search.Limits{MaxTrees: 2_000_000, MaxStates: 2_000_000}
+	benchClock  = parallel.VirtualTime{MaxTicks: 12_000_000}
+)
 
 // completedAbove returns a predicate for fully-enumerated datasets with at
 // least minTicks of serial work.
@@ -61,15 +62,15 @@ var (
 
 func midDatasets(b *testing.B) (*gen.Dataset, *gen.Dataset) {
 	onceMid.Do(func() {
-		midSim = findDataset(b, gen.RegimeSimulated, benchLimits, completedAbove(100_000))
-		midEmp = findDataset(b, gen.RegimeEmpirical, benchLimits, completedAbove(100_000))
+		midSim = findDataset(b, gen.RegimeSimulated, benchLimits, benchClock, completedAbove(100_000))
+		midEmp = findDataset(b, gen.RegimeEmpirical, benchLimits, benchClock, completedAbove(100_000))
 	})
 	return midSim, midEmp
 }
 
 func bigDataset(b *testing.B) *gen.Dataset {
 	onceBig.Do(func() {
-		bigSim = findDataset(b, gen.RegimeSimulated, benchLimits, completedAbove(1_000_000))
+		bigSim = findDataset(b, gen.RegimeSimulated, benchLimits, benchClock, completedAbove(1_000_000))
 	})
 	return bigSim
 }
@@ -108,13 +109,13 @@ func BenchmarkParallelGoroutines(b *testing.B) {
 }
 
 // sweepSpeedup simulates the dataset at 1 and w workers, returning speedup.
-func sweepSpeedup(b *testing.B, ds *gen.Dataset, w int, lim parallel.SimLimits) float64 {
+func sweepSpeedup(b *testing.B, ds *gen.Dataset, w int, lim search.Limits, vt parallel.VirtualTime) float64 {
 	b.Helper()
-	s1, err := parallel.Simulate(ds.Constraints, parallel.SimOptions{Workers: 1, InitialTree: -1, Limits: lim})
+	s1, err := parallel.Simulate(ds.Constraints, search.Options{Threads: 1, InitialTree: -1, Limits: lim}, vt)
 	if err != nil {
 		b.Fatal(err)
 	}
-	sw, err := parallel.Simulate(ds.Constraints, parallel.SimOptions{Workers: w, InitialTree: -1, Limits: lim})
+	sw, err := parallel.Simulate(ds.Constraints, search.Options{Threads: w, InitialTree: -1, Limits: lim}, vt)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -129,7 +130,7 @@ func BenchmarkFig6Simulated(b *testing.B) {
 	var sp = map[int]float64{}
 	for i := 0; i < b.N; i++ {
 		for _, w := range []int{2, 4, 8, 12, 16} {
-			sp[w] = sweepSpeedup(b, ds, w, benchLimits)
+			sp[w] = sweepSpeedup(b, ds, w, benchLimits, benchClock)
 		}
 	}
 	for _, w := range []int{2, 4, 8, 12, 16} {
@@ -143,7 +144,7 @@ func BenchmarkFig7Empirical(b *testing.B) {
 	var sp = map[int]float64{}
 	for i := 0; i < b.N; i++ {
 		for _, w := range []int{2, 4, 8, 12, 16} {
-			sp[w] = sweepSpeedup(b, ds, w, benchLimits)
+			sp[w] = sweepSpeedup(b, ds, w, benchLimits, benchClock)
 		}
 	}
 	for _, w := range []int{2, 4, 8, 12, 16} {
@@ -156,14 +157,14 @@ func BenchmarkFig7Empirical(b *testing.B) {
 // "short analysis" reduced limits — the regime where distorted (plateaued
 // or super-linear) speedups appear.
 func BenchmarkFig8StoppingRules(b *testing.B) {
-	lim := parallel.SimLimits{MaxTrees: 50_000, MaxStates: 50_000, MaxTicks: 1 << 40}
-	ds := findDataset(b, gen.RegimeSimulated, lim, func(_ *gen.Dataset, r *parallel.SimResult) bool {
+	lim, vt := search.Limits{MaxTrees: 50_000, MaxStates: 50_000}, parallel.VirtualTime{MaxTicks: 1 << 40}
+	ds := findDataset(b, gen.RegimeSimulated, lim, vt, func(_ *gen.Dataset, r *parallel.SimResult) bool {
 		return (r.Stop == search.StopTreeLimit || r.Stop == search.StopStateLimit) &&
 			r.Ticks > 25_000
 	})
 	var sp16 float64
 	for i := 0; i < b.N; i++ {
-		sp16 = sweepSpeedup(b, ds, 16, lim)
+		sp16 = sweepSpeedup(b, ds, 16, lim, vt)
 	}
 	b.ReportMetric(sp16, "speedup16")
 }
@@ -173,17 +174,17 @@ func BenchmarkFig8StoppingRules(b *testing.B) {
 // by trees-per-tick.
 func BenchmarkTable1AdaptedSpeedup(b *testing.B) {
 	budget := int64(1_000_000)
-	lim := parallel.SimLimits{MaxTrees: 1 << 40, MaxStates: 1 << 40, MaxTicks: budget}
-	ds := findDataset(b, gen.RegimeSimulated, lim, func(_ *gen.Dataset, r *parallel.SimResult) bool {
+	lim, vt := search.Limits{MaxTrees: 1 << 40, MaxStates: 1 << 40}, parallel.VirtualTime{MaxTicks: budget}
+	ds := findDataset(b, gen.RegimeSimulated, lim, vt, func(_ *gen.Dataset, r *parallel.SimResult) bool {
 		return r.Stop == search.StopTimeLimit && r.StandTrees > 0
 	})
 	var asp float64
 	for i := 0; i < b.N; i++ {
-		s1, err := parallel.Simulate(ds.Constraints, parallel.SimOptions{Workers: 1, InitialTree: -1, Limits: lim})
+		s1, err := parallel.Simulate(ds.Constraints, search.Options{Threads: 1, InitialTree: -1, Limits: lim}, vt)
 		if err != nil {
 			b.Fatal(err)
 		}
-		s16, err := parallel.Simulate(ds.Constraints, parallel.SimOptions{Workers: 16, InitialTree: -1, Limits: lim})
+		s16, err := parallel.Simulate(ds.Constraints, search.Options{Threads: 16, InitialTree: -1, Limits: lim}, vt)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -199,7 +200,7 @@ func BenchmarkTable2ManyThreads(b *testing.B) {
 	sp := map[int]float64{}
 	for i := 0; i < b.N; i++ {
 		for _, w := range []int{16, 32, 48} {
-			sp[w] = sweepSpeedup(b, ds, w, benchLimits)
+			sp[w] = sweepSpeedup(b, ds, w, benchLimits, benchClock)
 		}
 	}
 	for _, w := range []int{16, 32, 48} {
@@ -243,16 +244,16 @@ func BenchmarkCounterBatchingAblation(b *testing.B) {
 	ds, _ := midDatasets(b)
 	var improvement float64
 	for i := 0; i < b.N; i++ {
-		batched, err := parallel.Simulate(ds.Constraints, parallel.SimOptions{
-			Workers: 16, InitialTree: -1, Limits: benchLimits, FlushCost: 1,
-		})
+		batched, err := parallel.Simulate(ds.Constraints, search.Options{
+			Threads: 16, InitialTree: -1, Limits: benchLimits,
+		}, parallel.VirtualTime{MaxTicks: benchClock.MaxTicks, FlushCost: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
-		unbatched, err := parallel.Simulate(ds.Constraints, parallel.SimOptions{
-			Workers: 16, InitialTree: -1, Limits: benchLimits, FlushCost: 1,
+		unbatched, err := parallel.Simulate(ds.Constraints, search.Options{
+			Threads: 16, InitialTree: -1, Limits: benchLimits,
 			Policy: search.Policy{TreeBatch: 1, StateBatch: 1, DeadEndBatch: 1},
-		})
+		}, parallel.VirtualTime{MaxTicks: benchClock.MaxTicks, FlushCost: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -265,11 +266,13 @@ func BenchmarkCounterBatchingAblation(b *testing.B) {
 // BenchmarkPlateau regenerates the Figure 5a phenomenon: a dataset whose
 // unbalanced workflow tree caps the 16-worker speedup far below 16.
 func BenchmarkPlateau(b *testing.B) {
-	ds := findDataset(b, gen.RegimeSimulated, benchLimits, func(d *gen.Dataset, r *parallel.SimResult) bool {
+	ds := findDataset(b, gen.RegimeSimulated, benchLimits, benchClock, func(d *gen.Dataset, r *parallel.SimResult) bool {
 		if r.Stop != search.StopExhausted || r.Ticks < 4_000 {
 			return false
 		}
-		r16, err := parallel.Simulate(d.Constraints, parallel.SimOptions{Workers: 16, InitialTree: -1, Limits: benchLimits})
+		r16, err := parallel.Simulate(d.Constraints, search.Options{
+			Threads: 16, InitialTree: -1, Limits: benchLimits,
+		}, benchClock)
 		if err != nil {
 			return false
 		}
@@ -277,7 +280,7 @@ func BenchmarkPlateau(b *testing.B) {
 	})
 	var sp float64
 	for i := 0; i < b.N; i++ {
-		sp = sweepSpeedup(b, ds, 16, benchLimits)
+		sp = sweepSpeedup(b, ds, 16, benchLimits, benchClock)
 	}
 	b.ReportMetric(sp, "plateau-speedup16")
 }
@@ -286,12 +289,12 @@ func BenchmarkPlateau(b *testing.B) {
 // under a reduced state limit the serial run stops with (almost) no trees,
 // while two workers find the tree-rich branch — a super-linear raw ratio.
 func BenchmarkSuperLinear(b *testing.B) {
-	lim := parallel.SimLimits{MaxTrees: 2_000_000, MaxStates: 200_000, MaxTicks: 1 << 40}
-	ds := findDataset(b, gen.RegimeSimulated, lim, func(d *gen.Dataset, r *parallel.SimResult) bool {
+	lim, vt := search.Limits{MaxTrees: 2_000_000, MaxStates: 200_000}, parallel.VirtualTime{MaxTicks: 1 << 40}
+	ds := findDataset(b, gen.RegimeSimulated, lim, vt, func(d *gen.Dataset, r *parallel.SimResult) bool {
 		if r.Stop != search.StopStateLimit || r.StandTrees > r.IntermediateStates/100 {
 			return false
 		}
-		p, err := parallel.Simulate(d.Constraints, parallel.SimOptions{Workers: 2, InitialTree: -1, Limits: lim})
+		p, err := parallel.Simulate(d.Constraints, search.Options{Threads: 2, InitialTree: -1, Limits: lim}, vt)
 		if err != nil {
 			return false
 		}
@@ -299,11 +302,11 @@ func BenchmarkSuperLinear(b *testing.B) {
 	})
 	var ratio, trees2 float64
 	for i := 0; i < b.N; i++ {
-		s1, err := parallel.Simulate(ds.Constraints, parallel.SimOptions{Workers: 1, InitialTree: -1, Limits: lim})
+		s1, err := parallel.Simulate(ds.Constraints, search.Options{Threads: 1, InitialTree: -1, Limits: lim}, vt)
 		if err != nil {
 			b.Fatal(err)
 		}
-		s2, err := parallel.Simulate(ds.Constraints, parallel.SimOptions{Workers: 2, InitialTree: -1, Limits: lim})
+		s2, err := parallel.Simulate(ds.Constraints, search.Options{Threads: 2, InitialTree: -1, Limits: lim}, vt)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -47,18 +47,19 @@ type Report struct {
 	Benchmarks []BenchResult `json:"benchmarks"`
 }
 
-var benchLimits = parallel.SimLimits{MaxTrees: 2_000_000, MaxStates: 2_000_000, MaxTicks: 12_000_000}
+var (
+	benchLimits = search.Limits{MaxTrees: 2_000_000, MaxStates: 2_000_000}
+	benchClock  = parallel.VirtualTime{MaxTicks: 12_000_000}
+)
 
 // findDataset scans the simulated corpus for the first dataset satisfying
 // pred, exactly like bench_test.go's helper of the same name.
-func findDataset(regime gen.Regime, lim parallel.SimLimits,
+func findDataset(regime gen.Regime, lim search.Limits, vt parallel.VirtualTime,
 	pred func(*gen.Dataset, *parallel.SimResult) bool) (*gen.Dataset, error) {
 	cfg := gen.Default(regime)
 	for idx := 0; idx < 400; idx++ {
 		ds := gen.Generate(cfg, idx)
-		res, err := parallel.Simulate(ds.Constraints, parallel.SimOptions{
-			Workers: 1, InitialTree: -1, Limits: lim,
-		})
+		res, err := parallel.Simulate(ds.Constraints, search.Options{Threads: 1, InitialTree: -1, Limits: lim}, vt)
 		if err != nil {
 			return nil, err
 		}
@@ -197,7 +198,7 @@ func main() {
 	}
 
 	fmt.Fprintf(os.Stderr, "benchreport: selecting datasets...\n")
-	midSim, err := findDataset(gen.RegimeSimulated, benchLimits,
+	midSim, err := findDataset(gen.RegimeSimulated, benchLimits, benchClock,
 		func(_ *gen.Dataset, r *parallel.SimResult) bool {
 			return r.Stop == search.StopExhausted && r.Ticks >= 100_000
 		})

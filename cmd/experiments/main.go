@@ -145,7 +145,7 @@ func main() {
 			defer f.Close()
 			st := study(gen.RegimeSimulated)
 			st.Normalize()
-			res, err := harness.TraceRepresentative(st.Corpus, 8, st.Limits, f)
+			res, err := harness.TraceRepresentative(st.Corpus, 8, st.Limits, st.Clock, f)
 			if err != nil {
 				return "", err
 			}

@@ -12,6 +12,7 @@ import (
 	"gentrius"
 	"gentrius/internal/gen"
 	"gentrius/internal/parallel"
+	"gentrius/internal/search"
 )
 
 func main() {
@@ -21,10 +22,9 @@ func main() {
 	var ds *gen.Dataset
 	for idx := 0; ; idx++ {
 		cand := gen.Generate(cfg, idx)
-		probe, err := parallel.Simulate(cand.Constraints, parallel.SimOptions{
-			Workers: 1, InitialTree: -1,
-			Limits: parallel.SimLimits{MaxTrees: 300_000, MaxStates: 300_000, MaxTicks: 3_000_000},
-		})
+		probe, err := parallel.Simulate(cand.Constraints, search.Options{
+			Threads: 1, InitialTree: -1, Limits: search.Limits{MaxTrees: 300_000, MaxStates: 300_000},
+		}, parallel.VirtualTime{MaxTicks: 3_000_000})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -59,13 +59,13 @@ func main() {
 	// 2. Virtual-time speedup sweep (this host has one core; real speedups
 	// require real cores, so scaling is measured on the simulator).
 	fmt.Println("\nvirtual-time speedups (work-stealing simulator):")
-	base, err := parallel.Simulate(ds.Constraints, parallel.SimOptions{Workers: 1, InitialTree: -1})
+	base, err := parallel.Simulate(ds.Constraints, search.Options{Threads: 1, InitialTree: -1}, parallel.VirtualTime{})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("  %2d worker : %9d ticks  (speedup 1.00, serial baseline)\n", 1, base.Ticks)
 	for _, w := range []int{2, 4, 8, 12, 16} {
-		res, err := parallel.Simulate(ds.Constraints, parallel.SimOptions{Workers: w, InitialTree: -1})
+		res, err := parallel.Simulate(ds.Constraints, search.Options{Threads: w, InitialTree: -1}, parallel.VirtualTime{})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -354,48 +354,31 @@ func EnumerateStandContext(ctx context.Context, constraints []*Tree, opt Options
 	return res, err
 }
 
-// enumerate runs the engine the thread count selects: search.Run at one
-// thread, the pool above.
+// enumerate runs the engine the thread count selects — search.Run at one
+// thread, the pool above — and converts its one result type.
 func enumerate(constraints []*Tree, eo search.Options) (*Result, error) {
+	run := parallel.Run
 	if eo.Threads <= 1 {
-		sres, err := search.Run(constraints, eo)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{
-			StandTrees:         sres.StandTrees,
-			IntermediateStates: sres.IntermediateStates,
-			DeadEnds:           sres.DeadEnds,
-			Stop:               sres.Stop,
-			Elapsed:            sres.Elapsed,
-			Trees:              sres.Trees,
-			InitialIndex:       sres.InitialIndex,
-			Threads:            1,
-			Checkpoint:         sres.Checkpoint,
-		}, nil
+		run = search.Run
 	}
-	pres, err := parallel.Run(constraints, eo)
+	r, err := run(constraints, eo)
 	if err != nil {
 		return nil, err
 	}
 	res := &Result{
-		StandTrees:         pres.StandTrees,
-		IntermediateStates: pres.IntermediateStates,
-		DeadEnds:           pres.DeadEnds,
-		Stop:               pres.Stop,
-		Elapsed:            pres.Elapsed,
-		InitialIndex:       pres.InitialIndex,
-		Threads:            eo.Threads,
-		TasksStolen:        pres.TasksStolen,
-		Trees:              pres.Trees,
-		Checkpoint:         pres.Checkpoint,
+		StandTrees:         r.StandTrees,
+		IntermediateStates: r.IntermediateStates,
+		DeadEnds:           r.DeadEnds,
+		Stop:               r.Stop,
+		Elapsed:            r.Elapsed,
+		Trees:              r.Trees,
+		InitialIndex:       r.InitialIndex,
+		Threads:            max(eo.Threads, 1),
+		TasksStolen:        r.TasksStolen,
+		Checkpoint:         r.Checkpoint,
 	}
-	for _, wc := range pres.PerWorker {
-		res.PerWorker = append(res.PerWorker, WorkerCounters{
-			StandTrees:         wc.StandTrees,
-			IntermediateStates: wc.IntermediateStates,
-			DeadEnds:           wc.DeadEnds,
-		})
+	for _, wc := range r.PerWorker {
+		res.PerWorker = append(res.PerWorker, WorkerCounters(wc))
 	}
 	return res, nil
 }

@@ -18,7 +18,7 @@ import (
 // datasets and reports the resulting speedups.
 func DesignAblations(spec CorpusSpec, scan, nDatasets int, minSerialTicks int64) (string, error) {
 	cfg := spec.config()
-	lim := parallel.SimLimits{MaxTrees: 2_000_000, MaxStates: 2_000_000, MaxTicks: 12_000_000}
+	lim, vt := search.Limits{MaxTrees: 2_000_000, MaxStates: 2_000_000}, parallel.VirtualTime{MaxTicks: 12_000_000}
 	type pick struct {
 		ds     *gen.Dataset
 		serial int64
@@ -26,7 +26,7 @@ func DesignAblations(spec CorpusSpec, scan, nDatasets int, minSerialTicks int64)
 	var picks []pick
 	for idx := 0; idx < scan && len(picks) < nDatasets; idx++ {
 		ds := gen.Generate(cfg, idx)
-		serial, err := parallel.Simulate(ds.Constraints, parallel.SimOptions{Workers: 1, InitialTree: -1, Limits: lim})
+		serial, err := simulate(ds, 1, lim, vt)
 		if err != nil {
 			return "", err
 		}
@@ -41,11 +41,10 @@ func DesignAblations(spec CorpusSpec, scan, nDatasets int, minSerialTicks int64)
 	var b strings.Builder
 	b.WriteString("Design-choice ablations at 16 workers (speedup vs 1 worker)\n\n")
 
-	speedupWith := func(p pick, o parallel.SimOptions) (float64, error) {
-		o.Workers = 16
-		o.InitialTree = -1
-		o.Limits = lim
-		res, err := parallel.Simulate(p.ds.Constraints, o)
+	speedupWith := func(p pick, pol search.Policy) (float64, error) {
+		res, err := parallel.Simulate(p.ds.Constraints, search.Options{
+			Threads: 16, InitialTree: -1, Limits: lim, Policy: pol,
+		}, vt)
 		if err != nil {
 			return 0, err
 		}
@@ -66,7 +65,7 @@ func DesignAblations(spec CorpusSpec, scan, nDatasets int, minSerialTicks int64)
 	for _, p := range picks {
 		row := []string{p.ds.Name}
 		for _, c := range caps {
-			sp, err := speedupWith(p, parallel.SimOptions{Policy: search.Policy{QueueCap: c}})
+			sp, err := speedupWith(p, search.Policy{QueueCap: c})
 			if err != nil {
 				return "", err
 			}
@@ -92,7 +91,7 @@ func DesignAblations(spec CorpusSpec, scan, nDatasets int, minSerialTicks int64)
 	for _, p := range picks {
 		row := []string{p.ds.Name}
 		for _, m := range mins {
-			sp, err := speedupWith(p, parallel.SimOptions{Policy: search.Policy{MinRemaining: m}})
+			sp, err := speedupWith(p, search.Policy{MinRemaining: m})
 			if err != nil {
 				return "", err
 			}
@@ -111,7 +110,7 @@ func DesignAblations(spec CorpusSpec, scan, nDatasets int, minSerialTicks int64)
 	for _, p := range picks {
 		row := []string{p.ds.Name}
 		for _, pol := range pols {
-			sp, err := speedupWith(p, parallel.SimOptions{Policy: search.Policy{Split: pol}})
+			sp, err := speedupWith(p, search.Policy{Split: pol})
 			if err != nil {
 				return "", err
 			}
@@ -130,7 +129,7 @@ func DesignAblations(spec CorpusSpec, scan, nDatasets int, minSerialTicks int64)
 // datasets.
 func OrderHeuristics(spec CorpusSpec, scan, nDatasets int, minSerialTicks int64) (string, error) {
 	cfg := spec.config()
-	lim := parallel.SimLimits{MaxTrees: 2_000_000, MaxStates: 2_000_000, MaxTicks: 12_000_000}
+	lim, vt := search.Limits{MaxTrees: 2_000_000, MaxStates: 2_000_000}, parallel.VirtualTime{MaxTicks: 12_000_000}
 	heuristics := []search.OrderHeuristic{
 		search.OrderMinBranches,
 		search.OrderMinBranchesTieDegree,
@@ -143,7 +142,7 @@ func OrderHeuristics(spec CorpusSpec, scan, nDatasets int, minSerialTicks int64)
 	var rows [][]string
 	for idx := 0; idx < scan && len(rows) < nDatasets; idx++ {
 		ds := gen.Generate(cfg, idx)
-		base, err := parallel.Simulate(ds.Constraints, parallel.SimOptions{Workers: 1, InitialTree: -1, Limits: lim})
+		base, err := simulate(ds, 1, lim, vt)
 		if err != nil {
 			return "", err
 		}
@@ -153,15 +152,15 @@ func OrderHeuristics(spec CorpusSpec, scan, nDatasets int, minSerialTicks int64)
 		row := []string{ds.Name}
 		trees := base.StandTrees
 		for _, h := range heuristics {
-			s1, err := parallel.Simulate(ds.Constraints, parallel.SimOptions{
-				Workers: 1, InitialTree: -1, Limits: lim, Heuristic: h,
-			})
+			s1, err := parallel.Simulate(ds.Constraints, search.Options{
+				Threads: 1, InitialTree: -1, Limits: lim, Heuristic: h,
+			}, vt)
 			if err != nil {
 				return "", err
 			}
-			s16, err := parallel.Simulate(ds.Constraints, parallel.SimOptions{
-				Workers: 16, InitialTree: -1, Limits: lim, Heuristic: h,
-			})
+			s16, err := parallel.Simulate(ds.Constraints, search.Options{
+				Threads: 16, InitialTree: -1, Limits: lim, Heuristic: h,
+			}, vt)
 			if err != nil {
 				return "", err
 			}

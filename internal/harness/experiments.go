@@ -43,7 +43,7 @@ func Table1AdaptedSpeedups(spec StudySpec, count int) (string, error) {
 	// that budget as rule 3 on every run.
 	cfg := spec.Corpus.config()
 	budget := int64(1_000_000) // 10 scaled seconds of rule-3 budget
-	lim := parallel.SimLimits{MaxTrees: 1 << 40, MaxStates: 1 << 40, MaxTicks: budget}
+	lim, vt := search.Limits{MaxTrees: 1 << 40, MaxStates: 1 << 40}, parallel.VirtualTime{MaxTicks: budget}
 	type row struct {
 		name string
 		asp  map[int]float64
@@ -51,9 +51,7 @@ func Table1AdaptedSpeedups(spec StudySpec, count int) (string, error) {
 	var rows []row
 	for idx := 0; idx < spec.Corpus.Count && len(rows) < count; idx++ {
 		ds := gen.Generate(cfg, idx)
-		serial, err := parallel.Simulate(ds.Constraints, parallel.SimOptions{
-			Workers: 1, InitialTree: -1, Limits: lim,
-		})
+		serial, err := simulate(ds, 1, lim, vt)
 		if err != nil {
 			return "", err
 		}
@@ -62,9 +60,7 @@ func Table1AdaptedSpeedups(spec StudySpec, count int) (string, error) {
 		}
 		r := row{name: ds.Name, asp: map[int]float64{}}
 		for _, w := range spec.Workers {
-			res, err := parallel.Simulate(ds.Constraints, parallel.SimOptions{
-				Workers: w, InitialTree: -1, Limits: lim,
-			})
+			res, err := simulate(ds, w, lim, vt)
 			if err != nil {
 				return "", err
 			}
@@ -103,9 +99,7 @@ func Table2ManyThreads(spec StudySpec) (string, error) {
 	for _, r := range top {
 		row := []string{r.DS.Name, fmt.Sprintf("%.1f", r.SerialSeconds())}
 		for _, w := range workers {
-			res, err := parallel.Simulate(r.DS.Constraints, parallel.SimOptions{
-				Workers: w, InitialTree: -1, Limits: spec.Limits,
-			})
+			res, err := simulate(r.DS, w, spec.Limits, spec.Clock)
 			if err != nil {
 				return "", err
 			}
@@ -127,7 +121,7 @@ func Fig8StoppingRules(spec StudySpec, count int) (string, error) {
 	}
 	cfg := spec.Corpus.config()
 	// "Short analysis": reduced thresholds (paper: 10^7) scaled down.
-	lim := parallel.SimLimits{MaxTrees: 50_000, MaxStates: 50_000, MaxTicks: 1 << 40}
+	lim, vt := search.Limits{MaxTrees: 50_000, MaxStates: 50_000}, parallel.VirtualTime{MaxTicks: 1 << 40}
 	dists := make([]stats.Distribution, len(spec.Workers))
 	for i, w := range spec.Workers {
 		dists[i].Label = fmt.Sprintf("%2d thr", w)
@@ -136,9 +130,7 @@ func Fig8StoppingRules(spec StudySpec, count int) (string, error) {
 	superLinear := 0
 	for idx := 0; idx < spec.Corpus.Count && used < count; idx++ {
 		ds := gen.Generate(cfg, idx)
-		serial, err := parallel.Simulate(ds.Constraints, parallel.SimOptions{
-			Workers: 1, InitialTree: -1, Limits: lim,
-		})
+		serial, err := simulate(ds, 1, lim, vt)
 		if err != nil {
 			return "", err
 		}
@@ -150,9 +142,7 @@ func Fig8StoppingRules(spec StudySpec, count int) (string, error) {
 		}
 		used++
 		for i, w := range spec.Workers {
-			res, err := parallel.Simulate(ds.Constraints, parallel.SimOptions{
-				Workers: w, InitialTree: -1, Limits: lim,
-			})
+			res, err := simulate(ds, w, lim, vt)
 			if err != nil {
 				return "", err
 			}
@@ -260,10 +250,11 @@ func BatchingAblation(spec CorpusSpec, scan int, flushCost int64) (string, error
 		"atomics cost ~1-3% of a transition, yielding its 2-5% improvement.\n")
 	var cells [][]string
 	found := 0
-	lim := parallel.SimLimits{MaxTrees: 400_000, MaxStates: 400_000, MaxTicks: 4_000_000}
+	lim, vt := search.Limits{MaxTrees: 400_000, MaxStates: 400_000}, parallel.VirtualTime{MaxTicks: 4_000_000}
+	contended := parallel.VirtualTime{MaxTicks: vt.MaxTicks, FlushCost: flushCost}
 	for idx := 0; idx < scan && found < 4; idx++ {
 		ds := gen.Generate(cfg, idx)
-		serial, err := parallel.Simulate(ds.Constraints, parallel.SimOptions{Workers: 1, InitialTree: -1, Limits: lim})
+		serial, err := simulate(ds, 1, lim, vt)
 		if err != nil {
 			return "", err
 		}
@@ -271,16 +262,14 @@ func BatchingAblation(spec CorpusSpec, scan int, flushCost int64) (string, error
 			continue
 		}
 		found++
-		batched, err := parallel.Simulate(ds.Constraints, parallel.SimOptions{
-			Workers: 16, InitialTree: -1, Limits: lim, FlushCost: flushCost,
-		})
+		batched, err := simulate(ds, 16, lim, contended)
 		if err != nil {
 			return "", err
 		}
-		unbatched, err := parallel.Simulate(ds.Constraints, parallel.SimOptions{
-			Workers: 16, InitialTree: -1, Limits: lim, FlushCost: flushCost,
+		unbatched, err := parallel.Simulate(ds.Constraints, search.Options{
+			Threads: 16, InitialTree: -1, Limits: lim,
 			Policy: search.Policy{TreeBatch: 1, StateBatch: 1, DeadEndBatch: 1},
-		})
+		}, contended)
 		if err != nil {
 			return "", err
 		}
@@ -317,9 +306,9 @@ func VerifyParity(spec CorpusSpec, count int, workers int) (string, error) {
 			continue
 		}
 		checked++
-		sim, err := parallel.Simulate(ds.Constraints, parallel.SimOptions{
-			Workers: workers, InitialTree: -1, CollectTrees: true,
-		})
+		sim, err := parallel.Simulate(ds.Constraints, search.Options{
+			Threads: workers, InitialTree: -1, CollectTrees: true,
+		}, parallel.VirtualTime{})
 		if err != nil {
 			return "", err
 		}

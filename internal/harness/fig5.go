@@ -29,7 +29,7 @@ func runGoroutine(ds *gen.Dataset, workers int, lim search.Limits) (*parallel.Re
 // their whole sweep.
 func PlateauScan(spec CorpusSpec, scan int, maxSpeedup float64) (string, error) {
 	cfg := spec.config()
-	lim := parallel.SimLimits{MaxTrees: 2_000_000, MaxStates: 2_000_000, MaxTicks: 12_000_000}
+	lim, vt := search.Limits{MaxTrees: 2_000_000, MaxStates: 2_000_000}, parallel.VirtualTime{MaxTicks: 12_000_000}
 	type cand struct {
 		idx   int
 		ticks int64
@@ -38,14 +38,14 @@ func PlateauScan(spec CorpusSpec, scan int, maxSpeedup float64) (string, error) 
 	var cands []cand
 	for idx := 0; idx < scan; idx++ {
 		ds := gen.Generate(cfg, idx)
-		serial, err := parallel.Simulate(ds.Constraints, parallel.SimOptions{Workers: 1, InitialTree: -1, Limits: lim})
+		serial, err := simulate(ds, 1, lim, vt)
 		if err != nil {
 			return "", err
 		}
 		if serial.Stop != search.StopExhausted || serial.Ticks < 20_000 {
 			continue
 		}
-		r16, err := parallel.Simulate(ds.Constraints, parallel.SimOptions{Workers: 16, InitialTree: -1, Limits: lim})
+		r16, err := simulate(ds, 16, lim, vt)
 		if err != nil {
 			return "", err
 		}
@@ -77,7 +77,7 @@ func PlateauScan(spec CorpusSpec, scan int, maxSpeedup float64) (string, error) 
 		ds := gen.Generate(cfg, c.idx)
 		row := []string{ds.Name, fmt.Sprintf("%.2f", float64(c.ticks)/TicksPerSecond)}
 		for _, w := range ThreadCounts {
-			res, err := parallel.Simulate(ds.Constraints, parallel.SimOptions{Workers: w, InitialTree: -1, Limits: lim})
+			res, err := simulate(ds, w, lim, vt)
 			if err != nil {
 				return "", err
 			}
@@ -94,10 +94,8 @@ func PlateauScan(spec CorpusSpec, scan int, maxSpeedup float64) (string, error) 
 	// paper's Figure 3 picture: most workers idle ('.') while one or two
 	// drag through the unbalanced region ('W').
 	first := gen.Generate(cfg, firstIdx)
-	tl, err := parallel.Simulate(first.Constraints, parallel.SimOptions{
-		Workers: 8, InitialTree: -1, Limits: lim,
-		TraceEvery: maxI64(1, firstTicks/64/8),
-	})
+	vt.TraceEvery = maxI64(1, firstTicks/64/8)
+	tl, err := simulate(first, 8, lim, vt)
 	if err == nil && len(tl.Timeline) > 0 {
 		fmt.Fprintf(&b, "\nworker timeline for %s at 8 workers (W=working, R=replay, .=idle):\n%s",
 			first.Name, tl.RenderTimeline())
@@ -119,7 +117,7 @@ func maxI64(a, b int64) int64 {
 // tree limit quickly — a super-linear raw speedup.
 func SuperLinearScan(spec CorpusSpec, scan int, stateLimit, treeLimit int64) (string, error) {
 	cfg := spec.config()
-	serialLim := parallel.SimLimits{MaxTrees: treeLimit, MaxStates: stateLimit, MaxTicks: 1 << 40}
+	serialLim, vt := search.Limits{MaxTrees: treeLimit, MaxStates: stateLimit}, parallel.VirtualTime{MaxTicks: 1 << 40}
 	var b strings.Builder
 	fmt.Fprintf(&b, "Figure 5b phenomenon: stopping-rule super-linear speedups\n")
 	fmt.Fprintf(&b, "(state limit %d, tree limit %d)\n", stateLimit, treeLimit)
@@ -127,14 +125,14 @@ func SuperLinearScan(spec CorpusSpec, scan int, stateLimit, treeLimit int64) (st
 	bestRatio, bestIdx := 0.0, -1
 	for idx := 0; idx < scan && found < 5; idx++ {
 		ds := gen.Generate(cfg, idx)
-		serial, err := parallel.Simulate(ds.Constraints, parallel.SimOptions{Workers: 1, InitialTree: -1, Limits: serialLim})
+		serial, err := simulate(ds, 1, serialLim, vt)
 		if err != nil {
 			return "", err
 		}
 		if serial.Stop == search.StopExhausted {
 			continue // only rule-bound datasets can distort
 		}
-		par, err := parallel.Simulate(ds.Constraints, parallel.SimOptions{Workers: 2, InitialTree: -1, Limits: serialLim})
+		par, err := simulate(ds, 2, serialLim, vt)
 		if err != nil {
 			return "", err
 		}

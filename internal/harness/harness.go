@@ -103,13 +103,18 @@ func (r *Run) AdaptedSpeedup(w int) float64 {
 		float64(r.Serial.Ticks), float64(r.By[w].Ticks))
 }
 
-// Sweep runs the simulator at 1 worker plus each listed worker count.
-func Sweep(ds *gen.Dataset, workers []int, lim parallel.SimLimits) (*Run, error) {
+// simulate runs ds on the virtual-time host with the given number of workers
+// from the paper's initial tree, under lim's tree and state rules and vt.
+func simulate(ds *gen.Dataset, workers int, lim search.Limits, vt parallel.VirtualTime) (*parallel.SimResult, error) {
+	return parallel.Simulate(ds.Constraints, search.Options{Threads: workers, InitialTree: -1, Limits: lim}, vt)
+}
+
+// Sweep runs the simulator at 1 worker plus each listed worker count, under
+// the tree and state rules of lim and vt's tick bound.
+func Sweep(ds *gen.Dataset, workers []int, lim search.Limits, vt parallel.VirtualTime) (*Run, error) {
 	r := &Run{DS: ds, By: map[int]*parallel.SimResult{}, Workers: workers,
 		Snapshots: map[int]RunSnapshot{}}
-	serial, err := parallel.Simulate(ds.Constraints, parallel.SimOptions{
-		Workers: 1, InitialTree: -1, Limits: lim,
-	})
+	serial, err := simulate(ds, 1, lim, vt)
 	if err != nil {
 		return nil, fmt.Errorf("%s serial: %w", ds.Name, err)
 	}
@@ -120,9 +125,7 @@ func Sweep(ds *gen.Dataset, workers []int, lim parallel.SimLimits) (*Run, error)
 		if w == 1 {
 			continue
 		}
-		res, err := parallel.Simulate(ds.Constraints, parallel.SimOptions{
-			Workers: w, InitialTree: -1, Limits: lim,
-		})
+		res, err := simulate(ds, w, lim, vt)
 		if err != nil {
 			return nil, fmt.Errorf("%s workers=%d: %w", ds.Name, w, err)
 		}
@@ -135,10 +138,12 @@ func Sweep(ds *gen.Dataset, workers []int, lim parallel.SimLimits) (*Run, error)
 // StudySpec configures a speedup study (Figures 6 and 7).
 type StudySpec struct {
 	Corpus CorpusSpec
-	// Limits applied to every run. The paper sets rules 1 and 2 to 10^9 and
-	// a 5 h time budget for its main study; scaled defaults are used when
-	// zero (no dataset that completes should hit them).
-	Limits parallel.SimLimits
+	// Limits and Clock.MaxTicks bound every run: rules 1 and 2, and rule 3
+	// on the virtual clock. The paper sets rules 1 and 2 to 10^9 and a 5 h
+	// time budget for its main study; scaled defaults are used when zero (no
+	// dataset that completes should hit them).
+	Limits search.Limits
+	Clock  parallel.VirtualTime
 	// MinSerialSeconds drops "small" datasets (paper: 1 s).
 	MinSerialSeconds float64
 	// Workers to sweep (default ThreadCounts).
@@ -154,7 +159,7 @@ type Study struct {
 }
 
 // Normalize fills the spec's defaults. RunStudy applies it automatically;
-// callers that reuse spec.Limits for their own follow-up runs (as Table II
+// callers that reuse spec.Limits and spec.Clock for their own follow-up runs (as Table II
 // does for the 32- and 48-worker sweeps) must call it first so every run is
 // bounded identically.
 func (spec *StudySpec) Normalize() {
@@ -167,8 +172,8 @@ func (spec *StudySpec) Normalize() {
 	if spec.Limits.MaxStates == 0 {
 		spec.Limits.MaxStates = 2_000_000
 	}
-	if spec.Limits.MaxTicks == 0 {
-		spec.Limits.MaxTicks = 12_000_000 // 120 scaled s: above the 50 s panel
+	if spec.Clock.MaxTicks == 0 {
+		spec.Clock.MaxTicks = 12_000_000 // 120 scaled s: above the 50 s panel
 	}
 }
 
@@ -182,9 +187,7 @@ func RunStudy(spec StudySpec) (*Study, error) {
 	maxW := spec.Workers[len(spec.Workers)-1]
 	for _, ds := range spec.Corpus.Datasets() {
 		st.Generated++
-		probe, err := parallel.Simulate(ds.Constraints, parallel.SimOptions{
-			Workers: maxW, InitialTree: -1, Limits: spec.Limits,
-		})
+		probe, err := simulate(ds, maxW, spec.Limits, spec.Clock)
 		if err != nil {
 			return nil, fmt.Errorf("%s probe: %w", ds.Name, err)
 		}
@@ -192,7 +195,7 @@ func RunStudy(spec StudySpec) (*Study, error) {
 			continue // a stopping rule fired: excluded, as in the paper
 		}
 		st.Complete++
-		run, err := Sweep(ds, spec.Workers, spec.Limits)
+		run, err := Sweep(ds, spec.Workers, spec.Limits, spec.Clock)
 		if err != nil {
 			return nil, err
 		}

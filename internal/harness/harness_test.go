@@ -6,6 +6,7 @@ import (
 
 	"gentrius/internal/gen"
 	"gentrius/internal/parallel"
+	"gentrius/internal/search"
 )
 
 func smallSpec(regime gen.Regime, count int) CorpusSpec {
@@ -32,9 +33,8 @@ func TestSweepAndSpeedups(t *testing.T) {
 	spec := smallSpec(gen.RegimeSimulated, 30)
 	var run *Run
 	for _, ds := range spec.Datasets() {
-		r, err := Sweep(ds, []int{2, 4}, parallel.SimLimits{
-			MaxTrees: 100_000, MaxStates: 100_000, MaxTicks: 1_000_000,
-		})
+		r, err := Sweep(ds, []int{2, 4}, search.Limits{MaxTrees: 100_000, MaxStates: 100_000},
+			parallel.VirtualTime{MaxTicks: 1_000_000})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,7 +132,8 @@ func TestFigureAndTablePipelinesSmoke(t *testing.T) {
 		Corpus:           smallSpec(gen.RegimeSimulated, 30),
 		MinSerialSeconds: 0,
 		Workers:          []int{2, 4},
-		Limits:           parallel.SimLimits{MaxTrees: 100_000, MaxStates: 100_000, MaxTicks: 1_000_000},
+		Limits:           search.Limits{MaxTrees: 100_000, MaxStates: 100_000},
+		Clock:            parallel.VirtualTime{MaxTicks: 1_000_000},
 	}
 	out, st, err := SpeedupFigure("smoke", spec)
 	if err != nil {

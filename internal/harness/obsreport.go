@@ -10,6 +10,7 @@ import (
 
 	"gentrius/internal/obs"
 	"gentrius/internal/parallel"
+	"gentrius/internal/search"
 	"gentrius/internal/stats"
 )
 
@@ -55,15 +56,15 @@ func ObsReport(spec StudySpec, k int) (string, error) {
 // worker count, and returns that run's result. Repeated calls on the same
 // corpus produce byte-identical traces (virtual-time stamps, single-
 // threaded scheduler).
-func TraceRepresentative(cs CorpusSpec, workers int, lim parallel.SimLimits, w io.Writer) (*parallel.SimResult, error) {
+func TraceRepresentative(cs CorpusSpec, workers int, lim search.Limits, vt parallel.VirtualTime, w io.Writer) (*parallel.SimResult, error) {
 	for _, ds := range cs.Datasets() {
 		// Buffer each candidate run so the written trace covers exactly
 		// the selected one.
 		var buf bytes.Buffer
 		rec := obs.NewRecorder(&buf, nil)
-		res, err := parallel.Simulate(ds.Constraints, parallel.SimOptions{
-			Workers: workers, InitialTree: -1, Limits: lim, Trace: rec,
-		})
+		res, err := parallel.Simulate(ds.Constraints, search.Options{
+			Threads: workers, InitialTree: -1, Limits: lim, Obs: &obs.Sink{Trace: rec},
+		}, vt)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", ds.Name, err)
 		}

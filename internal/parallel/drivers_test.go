@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"slices"
 	"strings"
@@ -48,12 +49,12 @@ func submitted(t *testing.T, trace *bytes.Buffer) []string {
 // about the real engine.
 func TestDriversAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(1313))
-	noLimits := SimLimits{MaxTrees: -1, MaxStates: -1}
+	noLimits := search.Limits{MaxTrees: -1, MaxStates: -1}
 	compared, resumed, stolen := 0, 0, int64(0)
 	var whole [2]int64
 	for scen := 0; compared < 6 && scen < 300; scen++ {
 		cons := randomScenario(rng, 14, 3, 4, 0.5)
-		ref, err := Simulate(cons, SimOptions{Workers: 1, InitialTree: -1, Limits: noLimits})
+		ref, err := Simulate(cons, search.Options{Threads: 1, InitialTree: -1, Limits: noLimits}, VirtualTime{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,9 +63,12 @@ func TestDriversAgree(t *testing.T) {
 		}
 		compared++
 		// The same run cut half-way: a frontier with queued and in-flight work.
-		half, err := Simulate(cons, SimOptions{Workers: 1, InitialTree: -1, CheckpointOnStop: true,
-			Limits: SimLimits{MaxTrees: -1, MaxStates: ref.IntermediateStates / 2},
-			Policy: search.Policy{TreeBatch: 1, StateBatch: 1, DeadEndBatch: 1}})
+		half, err := Simulate(cons, search.Options{
+			Threads: 1, InitialTree: -1,
+			Limits:     search.Limits{MaxTrees: -1, MaxStates: ref.IntermediateStates / 2},
+			Policy:     search.Policy{TreeBatch: 1, StateBatch: 1, DeadEndBatch: 1},
+			Checkpoint: search.CheckpointPolicy{OnStop: true},
+		}, VirtualTime{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,27 +83,27 @@ func TestDriversAgree(t *testing.T) {
 			}
 			var simTrace, poolTrace bytes.Buffer
 			simRec, poolRec := obs.NewRecorder(&simTrace, nil), obs.NewRecorder(&poolTrace, nil)
-			sim, err := Simulate(cons, SimOptions{Workers: 1, InitialTree: -1, Limits: noLimits, Resume: cp, Trace: simRec, Policy: pol})
-			if err != nil {
-				t.Fatal(err)
-			}
-			pool, err := Run(cons, Options{Threads: 1, InitialTree: -1, Policy: pol,
+			opt := Options{Threads: 1, InitialTree: -1, Policy: pol,
 				Limits:     search.Limits{MaxTrees: -1, MaxStates: -1, MaxTime: -1},
-				Checkpoint: search.CheckpointPolicy{Resume: cp}, Obs: &obs.Sink{Trace: poolRec}})
+				Checkpoint: search.CheckpointPolicy{Resume: cp}, Obs: &obs.Sink{Trace: simRec}}
+			sim, err := Simulate(cons, opt, VirtualTime{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if sim.Counters != ref.Counters || pool.Counters != ref.Counters {
-				t.Fatalf("scenario %d %s: simulator %+v, pool %+v, uninterrupted %+v",
-					scen, what, sim.Counters, pool.Counters, ref.Counters)
+			opt.Obs = &obs.Sink{Trace: poolRec}
+			pool, err := Run(cons, opt)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if sim.TasksStolen != pool.TasksStolen {
-				t.Fatalf("scenario %d %s: simulator stole %d tasks, pool %d",
-					scen, what, sim.TasksStolen, pool.TasksStolen)
+			if pool.Counters != ref.Counters {
+				t.Fatalf("scenario %d %s: pool %+v, uninterrupted %+v", scen, what, pool.Counters, ref.Counters)
 			}
-			if sim.Flushes != pool.Flushes {
-				t.Fatalf("scenario %d %s: simulator flushed %d times, pool %d",
-					scen, what, sim.Flushes, pool.Flushes)
+			// One Result from both hosts but for the wall clock and the subtrees
+			// the pool's budget let its engine take whole.
+			got := sim.Result
+			got.Elapsed, got.Work.Whole = pool.Elapsed, pool.Work.Whole
+			if !reflect.DeepEqual(&got, pool) {
+				t.Fatalf("scenario %d %s:\nsimulator %+v\npool      %+v", scen, what, sim.Result, *pool)
 			}
 			if err := errors.Join(simRec.Flush(), poolRec.Flush()); err != nil {
 				t.Fatal(err)
@@ -126,16 +130,21 @@ func interrupted(t *testing.T, seed int64) ([]*tree.Tree, *search.Checkpoint) {
 	rng := rand.New(rand.NewSource(seed))
 	for scen := 0; scen < 300; scen++ {
 		cons := randomScenario(rng, 14, 3, 4, 0.5)
-		ref, err := Simulate(cons, SimOptions{Workers: 2, InitialTree: -1, Limits: SimLimits{MaxTrees: -1, MaxStates: -1}})
+		ref, err := Simulate(cons, search.Options{
+			Threads: 2, InitialTree: -1, Limits: search.Limits{MaxTrees: -1, MaxStates: -1},
+		}, VirtualTime{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if ref.IntermediateStates < 100 {
 			continue
 		}
-		half, err := Simulate(cons, SimOptions{Workers: 2, InitialTree: -1, CheckpointOnStop: true,
-			Limits: SimLimits{MaxTrees: -1, MaxStates: ref.IntermediateStates / 2},
-			Policy: search.Policy{TreeBatch: 1, StateBatch: 1, DeadEndBatch: 1}})
+		half, err := Simulate(cons, search.Options{
+			Threads: 2, InitialTree: -1,
+			Limits:     search.Limits{MaxTrees: -1, MaxStates: ref.IntermediateStates / 2},
+			Policy:     search.Policy{TreeBatch: 1, StateBatch: 1, DeadEndBatch: 1},
+			Checkpoint: search.CheckpointPolicy{OnStop: true},
+		}, VirtualTime{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -160,7 +169,9 @@ func TestDriversRefuseHostileTask(t *testing.T) {
 			break
 		}
 	}
-	_, simErr := Simulate(cons, SimOptions{Workers: 2, InitialTree: -1, Resume: cp})
+	_, simErr := Simulate(cons, search.Options{
+		Threads: 2, InitialTree: -1, Checkpoint: search.CheckpointPolicy{Resume: cp},
+	}, VirtualTime{})
 	_, poolErr := Run(cons, Options{Threads: 2, InitialTree: -1,
 		Checkpoint: search.CheckpointPolicy{Resume: cp}})
 	if simErr == nil || poolErr == nil || simErr.Error() != poolErr.Error() ||
@@ -206,8 +217,9 @@ func TestSimTerraceBuiltOncePerRun(t *testing.T) {
 	// A tick limit of one keeps the enumeration out of the picture.
 	run := func(workers int) uint64 {
 		return allocated(func() {
-			if _, err := Simulate(cons, SimOptions{Workers: workers, InitialTree: -1,
-				Limits: SimLimits{MaxTrees: -1, MaxStates: -1, MaxTicks: 1}}); err != nil {
+			if _, err := Simulate(cons, search.Options{
+				Threads: workers, InitialTree: -1, Limits: search.Limits{MaxTrees: -1, MaxStates: -1},
+			}, VirtualTime{MaxTicks: 1}); err != nil {
 				t.Fatal(err)
 			}
 		})

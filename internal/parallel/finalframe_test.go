@@ -70,11 +70,11 @@ func leafByLeaf(tr *terrace.Terrace, h search.OrderHeuristic) (c search.Counters
 // restriction lifted, so that final frames and penultimate frames are split
 // and stolen too — finds the oracle's counters, the oracle's stand as a
 // multiset of bytes, and closes the oracle's leaves with mass 1, collecting
-// the trees and counting them alike. The pool's engines insert once per state
-// they did not look ahead of, collecting or not: by ExtendTaxon, or, counting,
-// by booking the insertion. Stands 6 and 7 of the paper-shaped simulated corpus, where every
-// penultimate branch falls back to the insertion, and 12 and 16, where none
-// does, ride along.
+// the trees and counting them alike. The pool's Work — its engines and the
+// prefix walk — inserts once per state it did not look ahead of, collecting
+// or not: by ExtendTaxon, or, counting, by booking the insertion. Stands 6
+// and 7 of the paper-shaped simulated corpus, where every penultimate branch
+// falls back to the insertion, and 12 and 16, where none does, ride along.
 func TestPoolMatchesLeafByLeaf(t *testing.T) {
 	heuristics := []search.OrderHeuristic{search.OrderMinBranches, search.OrderMinBranchesTieDegree, search.OrderMaxBranches}
 	unlimited := search.Limits{MaxTrees: -1, MaxStates: -1, MaxTime: -1}
@@ -146,15 +146,15 @@ func TestPoolMatchesLeafByLeaf(t *testing.T) {
 						}
 						compared++
 						stolen += got.TasksStolen
-						w, inPool := got.Work, got.IntermediateStates-got.Prefix.IntermediateStates
+						w, states := got.Work, got.IntermediateStates
 						if collect {
 							collecting = w
 							continue
 						}
-						if w.Extends+w.Booked-w.Materialized != inPool-w.LookAheads || collecting.Extends != w.Extends+w.Booked-w.Materialized || collecting.Booked != 0 ||
+						if w.Extends+w.Booked-w.Materialized != states-w.LookAheads || collecting.Extends != w.Extends+w.Booked-w.Materialized || collecting.Booked != 0 ||
 							collecting.LookAheads != w.LookAheads || collecting.Fallbacks != w.Fallbacks {
 							t.Fatalf("%s %v at %d threads (%+v): counting work %+v, collecting %+v for %d states",
-								ds.Name, h, tc.threads, tc.policy, w, collecting, inPool)
+								ds.Name, h, tc.threads, tc.policy, w, collecting, states)
 						}
 						if all, is := fixtures[ds.Name]; is &&
 							(w.LookAheads+w.Fallbacks == 0 || all && w.Fallbacks != 0 || !all && w.LookAheads != 0) {

@@ -31,7 +31,9 @@ func TestHostsCheckpointOnStopByteIdentical(t *testing.T) {
 	compared := 0
 	for scen := 0; compared < 12 && scen < 300; scen++ {
 		cons := randomScenario(rng, 14, 3, 4, 0.5)
-		ref, err := Simulate(cons, SimOptions{Workers: 1, InitialTree: -1, Limits: SimLimits{MaxTrees: -1, MaxStates: -1}})
+		ref, err := Simulate(cons, search.Options{
+			Threads: 1, InitialTree: -1, Limits: search.Limits{MaxTrees: -1, MaxStates: -1},
+		}, VirtualTime{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -47,8 +49,11 @@ func TestHostsCheckpointOnStopByteIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sim, err := Simulate(cons, SimOptions{Workers: 1, InitialTree: -1, Policy: batch1,
-				Limits: SimLimits{MaxTrees: -1, MaxStates: limit}, Resume: resume, CheckpointOnStop: true})
+			sim, err := Simulate(cons, search.Options{
+				Threads: 1, InitialTree: -1, Policy: batch1,
+				Limits:     search.Limits{MaxTrees: -1, MaxStates: limit},
+				Checkpoint: search.CheckpointPolicy{Resume: resume, OnStop: true},
+			}, VirtualTime{})
 			if err != nil {
 				t.Fatal(err)
 			}

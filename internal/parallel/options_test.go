@@ -7,18 +7,20 @@ import (
 	"testing"
 	"time"
 
+	"gentrius/internal/faultinject"
 	"gentrius/internal/gen"
 	"gentrius/internal/obs"
 	"gentrius/internal/search"
 )
 
-// TestOneOptionsEveryWidth: search.Options is the one options type of both
-// drivers, so one value runs through search.Run and through the pool at
-// T = 1, 2 and 4, under the dynamic insertion order and under a shuffled
-// static one, to the same counters and the same stand. The value's metrics
-// are fed by every run alike: after the serial run they read its Result,
-// the prefix's counters included, and after the pool's three they read four
-// times it.
+// TestOneOptionsEveryWidth: search.Options is the one options type of every
+// in-process driver, so one value runs through search.Run, and through the
+// pool and the simulator at T = 1, 2 and 4, under the dynamic insertion
+// order and under a shuffled static one, to one search.Result: the same
+// stand, counters, stop, initial tree, prefix, and length in the paper
+// machine's transitions. The value's metrics are fed by every run alike:
+// after the serial run they read its Result, the prefix's counters
+// included, and after the other six they read seven times it.
 func TestOneOptionsEveryWidth(t *testing.T) {
 	const budget = 20_000
 	stride := 1
@@ -46,7 +48,7 @@ func TestOneOptionsEveryWidth(t *testing.T) {
 					t.Fatalf("%s %s: %v", ds.Name, ord.name, err)
 				}
 				if ref.Stop != search.StopExhausted || ref.StandTrees > budget || ref.IntermediateStates > budget {
-					continue // too large to run five times over, or never to hit a limit
+					continue // too large to run seven times over, or never to hit a limit
 				}
 				what := fmt.Sprintf("%s, %s order", ds.Name, ord.name)
 				if stand == nil {
@@ -65,22 +67,35 @@ func TestOneOptionsEveryWidth(t *testing.T) {
 				if got := metrics(); got != want(1) {
 					t.Fatalf("%s: serial run's metrics %+v, its Result %+v", what, got, ref.Counters)
 				}
+				if ref.PrefixLen > 0 {
+					prefixed++
+				}
 				for _, threads := range []int{1, 2, 4} {
 					opt.Threads = threads
-					res, err := Run(ds.Constraints, opt)
+					pool, err := Run(ds.Constraints, opt)
 					if err != nil {
-						t.Fatalf("%s, T=%d: %v", what, threads, err)
+						t.Fatalf("%s, pool at T=%d: %v", what, threads, err)
 					}
-					if res.Stop != search.StopExhausted || res.Counters != ref.Counters {
-						t.Fatalf("%s, T=%d: %v %+v, serial %+v", what, threads, res.Stop, res.Counters, ref.Counters)
+					sim, err := Simulate(ds.Constraints, opt, VirtualTime{})
+					if err != nil {
+						t.Fatalf("%s, simulator at T=%d: %v", what, threads, err)
 					}
-					sameStand(t, fmt.Sprintf("%s, T=%d", what, threads), res.Trees, stand)
-					if threads == 1 && res.Prefix != (search.Counters{}) {
-						prefixed++
+					for _, got := range []struct {
+						driver string
+						res    *search.Result
+					}{{"pool", pool}, {"simulator", &sim.Result}} {
+						r, what := got.res, fmt.Sprintf("%s, %s at T=%d", what, got.driver, threads)
+						if r.Stop != ref.Stop || r.Counters != ref.Counters || r.InitialIndex != ref.InitialIndex ||
+							r.PrefixLen != ref.PrefixLen || r.Prefix != ref.Prefix || r.Steps != ref.Steps || r.Work.Units != ref.Work.Units {
+							t.Fatalf("%s: %v %+v, initial tree %d, prefix %d %+v, %d steps, %d units; serial %v %+v, %d, %d %+v, %d, %d",
+								what, r.Stop, r.Counters, r.InitialIndex, r.PrefixLen, r.Prefix, r.Steps, r.Work.Units,
+								ref.Stop, ref.Counters, ref.InitialIndex, ref.PrefixLen, ref.Prefix, ref.Steps, ref.Work.Units)
+						}
+						sameStand(t, what, r.Trees, stand)
 					}
 				}
-				if got := metrics(); got != want(4) {
-					t.Fatalf("%s: metrics %+v after four runs of %+v", what, got, ref.Counters)
+				if got := metrics(); got != want(7) {
+					t.Fatalf("%s: metrics %+v after seven runs of %+v", what, got, ref.Counters)
 				}
 			}
 		}
@@ -91,13 +106,15 @@ func TestOneOptionsEveryWidth(t *testing.T) {
 	t.Logf("%d stands at both orders, %d runs with a prefix", stands, prefixed)
 }
 
-// TestDriversRefuseTheOthersFields: each driver refuses only what is the
-// other's by definition — search.Run a width above one and a Policy, the
-// pool OnCheck — and a refused run still releases its trigger's requesters.
+// TestDriversRefuseTheOthersFields: each driver refuses only what it cannot
+// have — search.Run a width above one and a Policy, the simulator a wall
+// clock's time rule and checkpoints, another goroutine's trigger and a
+// recover's fault injection — each field on its own, and a refused run
+// still releases its trigger's requesters.
 func TestDriversRefuseTheOthersFields(t *testing.T) {
 	cons := chainConstraints(3)
 	serial := func(opt search.Options) error { _, err := search.Run(cons, opt); return err }
-	pool := func(opt search.Options) error { _, err := Run(cons, opt); return err }
+	sim := func(opt search.Options) error { _, err := Simulate(cons, opt, VirtualTime{}); return err }
 	for _, c := range []struct {
 		what string
 		run  func(search.Options) error
@@ -105,12 +122,20 @@ func TestDriversRefuseTheOthersFields(t *testing.T) {
 	}{
 		{"search.Run at two threads", serial, search.Options{Threads: 2}},
 		{"search.Run with a Policy", serial, search.Options{Policy: search.Policy{QueueCap: 2}}},
-		{"parallel.Run with OnCheck", pool, search.Options{Threads: 2, OnCheck: func(search.Counters, time.Duration) {}}},
+		{"Simulate with a checkpoint Interval and Sink", sim, search.Options{
+			Checkpoint: search.CheckpointPolicy{Interval: time.Second, Sink: func(*search.Checkpoint) {}}}},
+		{"Simulate with a checkpoint Trigger", sim, search.Options{
+			Checkpoint: search.CheckpointPolicy{Trigger: search.NewCheckpointTrigger()}}},
+		{"Simulate with a positive MaxTime", sim, search.Options{Limits: search.Limits{MaxTime: time.Hour}}},
+		{"Simulate with Fault", sim, search.Options{Fault: faultinject.New(1)}},
 	} {
+		if err := c.run(c.opt); err == nil {
+			t.Fatalf("%s: not refused", c.what)
+		}
 		trig := search.NewCheckpointTrigger()
 		c.opt.Checkpoint.Trigger = trig
 		if err := c.run(c.opt); err == nil {
-			t.Fatalf("%s: not refused", c.what)
+			t.Fatalf("%s, with a trigger: not refused", c.what)
 		}
 		if _, err := trig.Request(context.Background()); !errors.Is(err, search.ErrRunEnded) {
 			t.Fatalf("%s: a request after the refusal got %v, want ErrRunEnded", c.what, err)

@@ -14,16 +14,17 @@
 // hosts: Run, a goroutine per Worker, with checkpoint rounds, the tree stream
 // and the failure rule (a panic fails the run); and Simulate, the same
 // scheduler on a deterministic virtual clock, which is what the paper's
-// figures are computed from. The global stand-tree / intermediate-state /
-// dead-end counters are shared atomics, updated once per published batch;
-// each batch re-evaluates the stopping rules and, when one fires, raises the
-// halt flag that all workers poll — so, like the paper's implementation, the
-// limits can be overshot slightly.
+// figures are computed from. Both take search.Options, as the serial runner
+// does — the simulator beside its clock's VirtualTime — and return its
+// search.Result, the simulator's with its ticks beside it. The global
+// stand-tree / intermediate-state / dead-end counters are shared atomics,
+// updated once per published batch; each batch re-evaluates the stopping
+// rules and, when one fires, raises the halt flag that all workers poll —
+// so, like the paper's implementation, the limits can be overshot slightly.
 package parallel
 
 import (
 	"context"
-	"errors"
 	"runtime"
 	"runtime/debug"
 	"sync/atomic"
@@ -46,35 +47,14 @@ import (
 // checkpoint round or a stopped run waits for the sink to take.
 const treeBlocks = 4
 
-// Options is the one options type of both drivers, search.Options: a pool
-// of Threads takes every field in the sense it has there, and refuses only
-// OnCheck, the serial run's hook.
+// Options is the one options type of every in-process driver,
+// search.Options: a pool of Threads takes every field in the sense it has
+// for search.Run.
 type Options = search.Options
 
-// Result of a parallel run.
-type Result struct {
-	search.Counters
-	Stop         search.StopReason
-	Elapsed      time.Duration
-	Trees        []string
-	InitialIndex int
-	PrefixLen    int
-	TasksStolen  int64
-	PerWorker    []search.Counters
-	// Prefix is the coordinator's deterministic-prefix contribution — on a
-	// resumed run, the checkpoint's counters — so Counters == Prefix +
-	// sum(PerWorker) exactly (counter conservation).
-	Prefix search.Counters
-	// Flushes counts non-empty batched counter flushes across all workers.
-	Flushes int64
-	// Work is what the workers' engines did, summed: the prefix walk and the
-	// path replays of stolen tasks are not in it.
-	Work search.Work
-	// Checkpoint holds the frontier snapshot when Options.Checkpoint.OnStop
-	// was set and a stopping rule or cancellation ended the run (nil when
-	// the stand was exhausted: there is nothing left to resume).
-	Checkpoint *search.Checkpoint
-}
+// Result is the one result type of every in-process driver, search.Result.
+// A pool fills every field of it.
+type Result = search.Result
 
 // pool is the goroutine host of one run's scheduler: the workers'
 // goroutines, their termination barrier, checkpoint rounds and the tree
@@ -114,9 +94,6 @@ func Run(constraints []*tree.Tree, opt Options) (*Result, error) {
 	// loop's exit: a Request landing after the loop's last poll would block for
 	// ever (Finish is nil-safe and idempotent).
 	defer opt.Checkpoint.Trigger.Finish()
-	if opt.OnCheck != nil {
-		return nil, errors.New("parallel: OnCheck is the serial run's hook; a pool publishes to Obs")
-	}
 	started := time.Now()
 	// Shared set-up: initial tree, prefix walk (or the checkpoint's
 	// frontier), and the outstanding work. What it already counted seeds the
@@ -128,8 +105,7 @@ func Run(constraints []*tree.Tree, opt Options) (*Result, error) {
 	}
 	opt.Policy = opt.Policy.Normalize(opt.Threads)
 	ck := opt.Checkpoint
-	res := &Result{Stop: search.StopExhausted, InitialIndex: su.InitialIndex,
-		PrefixLen: len(su.Frontier.Prefix), Counters: su.Counters, Prefix: su.Counters}
+	res := su.Result()
 	m := opt.Obs.SchedMetrics()
 	m.EnsureWorkers(opt.Threads)
 	p := &pool{sched: sched{su: su, policy: opt.Policy, limits: opt.Limits, started: started,
@@ -137,6 +113,7 @@ func Run(constraints []*tree.Tree, opt Options) (*Result, error) {
 	sink := search.TreeSink[[]byte](opt.CollectTrees, &res.Trees, opt.OnTree, opt.OnTrees)
 	if !p.start(opt.Threads, sink) {
 		su.Release()
+		res.SetWork(su, search.Work{})
 		res.Elapsed = time.Since(started)
 		return res, nil
 	}
@@ -209,14 +186,16 @@ func Run(constraints []*tree.Tree, opt Options) (*Result, error) {
 		return nil, p.failErr
 	}
 
+	var work search.Work
 	for i, c := range p.perWorker {
 		res.Counters.Add(c)
-		res.Work.Add(p.work[i])
+		work.Add(p.work[i])
 	}
 	res.PerWorker = p.perWorker
 	res.TasksStolen = p.stolen
 	res.Flushes = p.flushes.Load()
 	res.Stop = search.StopReason(p.reason.Load())
+	res.SetWork(su, work)
 	if ck.OnStop {
 		res.Checkpoint = p.checkpointOnStop(opt.Threads)
 	}

@@ -24,7 +24,7 @@
 package parallel
 
 import (
-	"context"
+	"errors"
 	"fmt"
 
 	"gentrius/internal/obs"
@@ -32,101 +32,43 @@ import (
 	"gentrius/internal/tree"
 )
 
-// SimLimits are the stopping rules in virtual units: rule 3's wall-clock
-// bound becomes a tick bound. Zero MaxTrees/MaxStates select the paper
-// defaults; zero MaxTicks means unlimited; negative values mean unlimited.
-type SimLimits struct {
-	MaxTrees  int64
-	MaxStates int64
-	MaxTicks  int64
-}
-
-// SimOptions configures a simulated run.
-type SimOptions struct {
-	Workers int
-	Limits  SimLimits
-
-	// InitialTree: constraint index, or negative for the paper's heuristic.
-	InitialTree int
-
-	// Policy overrides the scheme's constants — counter batch sizes (a
-	// batch of 1 models unbatched updates), queue capacity, submission
-	// depth restriction, split granularity; zero fields select the paper's
-	// values. It is the same search.Policy Run takes.
-	Policy search.Policy
+// VirtualTime is what Simulate takes beside search.Options: the settings of
+// its clock.
+type VirtualTime struct {
+	// MaxTicks is rule 3 on the virtual clock: the run stops with
+	// StopTimeLimit at this many ticks (<= 0: no bound).
+	MaxTicks int64
 
 	// FlushCost is the virtual-time price of one global-counter flush
 	// (atomic contention). Zero means free.
 	FlushCost int64
 
-	// Heuristic refines the dynamic taxon selection used by every worker
-	// (zero value: the paper's min-branches rule).
-	Heuristic search.OrderHeuristic
-
-	CollectTrees bool
-
 	// TraceEvery > 0 samples each worker's mode every TraceEvery ticks into
 	// SimResult.Timeline — a textual Gantt chart of the pool (the paper's
 	// Figure 3 load-imbalance picture). Zero disables tracing.
 	TraceEvery int64
-
-	// Trace, if non-nil, receives the scheduler's events — the ones Run
-	// traces — stamped with virtual time. The host is single-threaded and
-	// advances workers in id order, so repeated runs on the same input
-	// produce byte-identical traces.
-	Trace *obs.Recorder
-
-	// Estimator, if non-nil, accumulates the weighted backtrack
-	// fraction-complete measure, merged on counter flushes. Deterministic
-	// scheduling makes the fraction-over-ticks curve reproducible, which is
-	// what the convergence tests assert.
-	Estimator *obs.Estimator
-
-	// Ctx cancels the simulation. It is polled every 1024 virtual ticks
-	// (mirroring the real engines' periodic stopping-rule checks), after
-	// which the run stops with reason StopCancelled. Uncancelled runs stay
-	// deterministic: the poll reads no clocks and emits no events.
-	Ctx context.Context
-
-	// Resume seeds the simulation from a checkpoint's task frontier instead
-	// of the initial split — the snapshot form Run produces and consumes.
-	// Any Workers count may consume any snapshot. InitialTree and Heuristic
-	// are taken from the checkpoint.
-	Resume *search.Checkpoint
-
-	// CheckpointOnStop captures the outstanding task frontier into
-	// SimResult.Checkpoint when the run stops on a limit or cancellation
-	// (nil when the stand was exhausted or the run failed).
-	CheckpointOnStop bool
 }
 
-// SimWorkerStats describes one virtual worker's activity.
-type SimWorkerStats struct {
-	search.Counters
+// WorkerClock is one virtual worker's time; its counters are the Result's
+// PerWorker entry.
+type WorkerClock struct {
 	Busy   int64 // ticks spent on insertions/removals/replay/flush stalls
 	Idle   int64 // ticks spent busy-waiting for tasks
 	Replay int64 // subset of Busy spent replaying paths and rewinding
 	Tasks  int64 // tasks executed
 }
 
-// SimResult of a simulated run.
+// SimResult of a simulated run: the Result every driver returns, and what
+// only the virtual clock has.
 type SimResult struct {
-	search.Counters
-	Stop         search.StopReason
-	Ticks        int64 // makespan in virtual time
-	PrefixLen    int
-	TasksStolen  int64
-	Flushes      int64
-	Trees        []string
-	PerWorker    []SimWorkerStats
-	InitialIndex int
-	// Timeline holds one row per worker when SimOptions.TraceEvery was set:
+	search.Result
+	Ticks int64 // makespan in virtual time
+	// Timeline holds one row per worker when VirtualTime.TraceEvery was set:
 	// 'W' working, 'R' replaying/rewinding, 'F' stalled on a counter flush,
 	// '.' idle (busy-waiting).
 	Timeline []string
-	// Checkpoint holds the frontier snapshot when SimOptions.CheckpointOnStop
-	// was set and a stopping rule or cancellation ended the run.
-	Checkpoint *search.Checkpoint
+	// Clocks is each worker's virtual time, one entry per worker.
+	Clocks []WorkerClock
 }
 
 // RenderTimeline formats the timeline rows for display.
@@ -145,14 +87,14 @@ func (r *SimResult) RenderTimeline() string {
 
 // Efficiency returns the fraction of wall ticks the workers spent busy.
 func (r *SimResult) Efficiency() float64 {
-	if r.Ticks == 0 || len(r.PerWorker) == 0 {
+	if r.Ticks == 0 || len(r.Clocks) == 0 {
 		return 1
 	}
 	busy := int64(0)
-	for _, w := range r.PerWorker {
+	for _, w := range r.Clocks {
 		busy += w.Busy
 	}
-	return float64(busy) / float64(r.Ticks*int64(len(r.PerWorker)))
+	return float64(busy) / float64(r.Ticks*int64(len(r.Clocks)))
 }
 
 // sim is the virtual host of one run's scheduler.
@@ -160,7 +102,7 @@ type sim struct {
 	sched
 	tick      int64
 	flushCost int64
-	sink      func(block []byte, n int) // into SimResult.Trees; nil when nobody wants them
+	sink      func(block []byte, n int) // the run's tree sink; nil when nobody wants the trees
 }
 
 // simWorker is one virtual worker: the scheduler's worker plus the clock's
@@ -169,50 +111,61 @@ type simWorker struct {
 	*sim
 	worker
 	phase search.Phase // wk's, after this worker's last tick
-	stats SimWorkerStats
+	stats WorkerClock
 	owed  int64 // ticks the last engine step still costs (a final frame)
 	stall int64 // remaining flush-stall ticks
 	trace []byte
 }
 
-// Simulate runs the scheduler on virtual time and returns its metrics.
-// Workers <= 1 simulates the serial execution through the same machinery
-// (one worker, no stealing partners). The run starts as Run's does — its
-// tasks queued, stolen by the workers — except that the virtual host's spawn
-// point is before the first tick: a clone costs no virtual time, and the
-// paper starts every thread at I_0.
-func Simulate(constraints []*tree.Tree, opt SimOptions) (*SimResult, error) {
-	if opt.Workers <= 0 {
-		opt.Workers = 1
+// Simulate runs the scheduler on virtual time and returns its metrics. It
+// takes opt in the sense search.Run and Run give it — Threads workers (one
+// simulates the serial execution through the same machinery), the tree and
+// state rules, the initial tree and insertion order, the tree sink, Ctx
+// (polled every CheckEvery ticks, which reads no clock: an uncancelled run
+// stays deterministic), resuming and the checkpoint on stop, Policy, and
+// Obs, whose trace is stamped with virtual time — and refuses what needs a
+// wall clock, another goroutine or a recover: a positive MaxTime (vt's tick
+// bound is rule 3 here), periodic or triggered checkpoints, and Fault. The
+// run starts as Run's does — its tasks queued, stolen by the workers —
+// except that the virtual host's spawn point is before the first tick: a
+// clone costs no virtual time, and the paper starts every thread at I_0.
+func Simulate(constraints []*tree.Tree, opt search.Options, vt VirtualTime) (*SimResult, error) {
+	// However the run ends, refused included, unblock any trigger requester.
+	defer opt.Checkpoint.Trigger.Finish()
+	switch ck := opt.Checkpoint; {
+	case opt.Limits.MaxTime > 0:
+		return nil, errors.New("parallel: Simulate has no wall clock: its time rule is VirtualTime.MaxTicks, not MaxTime")
+	case ck.Interval > 0 || ck.Sink != nil || ck.Trigger != nil:
+		return nil, errors.New("parallel: Simulate takes no periodic or triggered checkpoints")
+	case opt.Fault != nil:
+		return nil, errors.New("parallel: Simulate takes no fault injection")
 	}
-	opt.Policy = opt.Policy.Normalize(opt.Workers)
-	su, err := search.Start(constraints, opt.InitialTree, opt.Heuristic, nil, opt.Resume, opt.Workers)
+	// The scheduler tests the tree and state rules; the tick bound is the clock's.
+	opt.Limits.MaxTime = -1
+	su, err := opt.Start(constraints)
 	if err != nil {
 		return nil, err
 	}
 	// The virtual workers run on this goroutine: at any return they are done.
 	defer su.Release()
+	opt.Policy = opt.Policy.Normalize(opt.Threads)
 	prefixLen := int64(len(su.Frontier.Prefix))
-	res := &SimResult{
-		Stop:         search.StopExhausted,
-		InitialIndex: su.InitialIndex,
-		PrefixLen:    int(prefixLen),
-		Counters:     su.Counters,
-		Ticks:        prefixLen, // every worker replays the prefix concurrently
-	}
-	v := &sim{tick: prefixLen, flushCost: opt.FlushCost, sink: search.TreeSink[[]byte](opt.CollectTrees, &res.Trees, nil, nil)}
-	// The scheduler tests the tree and state rules; the tick bound is the clock's.
-	lim := search.Limits{MaxTrees: opt.Limits.MaxTrees, MaxStates: opt.Limits.MaxStates, MaxTime: -1}
-	v.sched = sched{su: su, policy: opt.Policy, limits: lim.Normalize(),
-		m: (*obs.Sink)(nil).SchedMetrics(), rec: opt.Trace, est: opt.Estimator,
-		clock: func() int64 { return v.tick }}
-	if !v.start(opt.Workers, v.sink) {
+	res := &SimResult{Result: *su.Result(), Ticks: prefixLen} // every worker replays the prefix concurrently
+	v := &sim{tick: prefixLen, flushCost: vt.FlushCost,
+		sink: search.TreeSink[[]byte](opt.CollectTrees, &res.Trees, opt.OnTree, opt.OnTrees)}
+	m := opt.Obs.SchedMetrics()
+	m.EnsureWorkers(opt.Threads)
+	v.sched = sched{su: su, policy: opt.Policy, limits: opt.Limits, m: m,
+		rec: opt.Obs.Recorder(), est: opt.Obs.Estimator(), clock: func() int64 { return v.tick }}
+	if !v.start(opt.Threads, v.sink) {
+		res.SetWork(su, search.Work{})
 		return res, nil
 	}
-	workers := make([]*simWorker, opt.Workers)
+	defer m.QueueDepth.Set(0)
+	workers := make([]*simWorker, opt.Threads)
 	for id := range workers {
 		w := &simWorker{sim: v, worker: worker{s: &v.sched, id: id}}
-		w.wk = su.NewWorker(opt.Policy, w, opt.Estimator, v.sink != nil)
+		w.wk = su.NewWorker(opt.Policy, w, v.est, v.sink != nil)
 		w.stats.Busy, w.stats.Replay = prefixLen, prefixLen
 		v.emit(obs.EvWorkerStart, id)
 		workers[id] = w
@@ -221,7 +174,7 @@ func Simulate(constraints []*tree.Tree, opt SimOptions) (*SimResult, error) {
 	// One tick advances every worker by one transition.
 	for !v.halt.Load() {
 		allIdle := true
-		trace := opt.TraceEvery > 0 && v.tick%opt.TraceEvery == 0
+		trace := vt.TraceEvery > 0 && v.tick%vt.TraceEvery == 0
 		for _, w := range workers {
 			w.advance()
 			if w.cur != nil {
@@ -235,36 +188,39 @@ func Simulate(constraints []*tree.Tree, opt SimOptions) (*SimResult, error) {
 		if allIdle && len(v.tasks) == 0 {
 			break
 		}
-		if opt.Limits.MaxTicks > 0 && v.tick >= opt.Limits.MaxTicks {
+		if vt.MaxTicks > 0 && v.tick >= vt.MaxTicks {
 			v.raise(search.StopTimeLimit)
 		}
-		if opt.Ctx != nil && v.tick&1023 == 0 && opt.Ctx.Err() != nil {
+		if opt.Ctx != nil && v.tick%int64(opt.CheckEvery) == 0 && opt.Ctx.Err() != nil {
 			v.raise(search.StopCancelled)
 		}
 	}
 	// Stopped, every worker is interrupted at its last tick.
+	var work search.Work
 	for _, w := range workers {
 		if w.cur != nil {
 			w.end()
 		}
+		work.Add(w.wk.Work())
 	}
 	if v.failErr != nil {
 		return nil, v.failErr
 	}
 	res.Counters = v.totals()
+	res.PerWorker = v.perWorker
 	res.Ticks = v.tick
 	res.TasksStolen = v.stolen
 	res.Flushes = v.flushes.Load()
 	res.Stop = search.StopReason(v.reason.Load())
-	for id, w := range workers {
-		w.stats.Counters = v.perWorker[id]
-		res.PerWorker = append(res.PerWorker, w.stats)
-		if opt.TraceEvery > 0 {
+	res.SetWork(su, work)
+	for _, w := range workers {
+		res.Clocks = append(res.Clocks, w.stats)
+		if vt.TraceEvery > 0 {
 			res.Timeline = append(res.Timeline, string(w.trace))
 		}
 	}
-	if opt.CheckpointOnStop {
-		res.Checkpoint = v.checkpointOnStop(opt.Workers)
+	if opt.Checkpoint.OnStop {
+		res.Checkpoint = v.checkpointOnStop(opt.Threads)
 	}
 	return res, nil
 }

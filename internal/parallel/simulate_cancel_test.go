@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"testing"
@@ -37,34 +38,38 @@ func cancelConstraints(t *testing.T) []*tree.Tree {
 }
 
 // TestSimContextStops: a pre-cancelled context stops the simulation at the
-// first poll (within 1024 virtual ticks of the prefix end), with reason
-// StopCancelled — deterministically, since virtual time never reads clocks.
+// first poll (within CheckEvery virtual ticks of the prefix end, 1024 by
+// default), with reason StopCancelled — deterministically, since virtual
+// time never reads clocks.
 func TestSimContextStops(t *testing.T) {
 	cons := cancelConstraints(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	var first *SimResult
-	for i := 0; i < 2; i++ {
-		res, err := Simulate(cons, SimOptions{
-			Workers: 4,
-			Limits:  SimLimits{MaxTrees: -1, MaxStates: -1, MaxTicks: -1},
-			Ctx:     ctx,
-		})
-		if err != nil {
-			t.Fatal(err)
+	for _, every := range []int{0, 16} {
+		opt := search.Options{
+			Threads: 4, Limits: search.Limits{MaxTrees: -1, MaxStates: -1}, Ctx: ctx, CheckEvery: every,
 		}
-		if res.Stop != search.StopCancelled {
-			t.Fatalf("stop = %v, want %v", res.Stop, search.StopCancelled)
+		var first *SimResult
+		for i := 0; i < 2; i++ {
+			res, err := Simulate(cons, opt, VirtualTime{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Stop != search.StopCancelled {
+				t.Fatalf("CheckEvery %d: stop = %v, want %v", every, res.Stop, search.StopCancelled)
+			}
+			if i == 0 {
+				first = res
+			} else if res.Ticks != first.Ticks || res.Counters != first.Counters {
+				t.Fatalf("CheckEvery %d: cancelled simulation not deterministic: %d/%+v vs %d/%+v",
+					every, res.Ticks, res.Counters, first.Ticks, first.Counters)
+			}
 		}
-		if i == 0 {
-			first = res
-		} else if res.Ticks != first.Ticks || res.Counters != first.Counters {
-			t.Fatalf("cancelled simulation not deterministic: %d/%+v vs %d/%+v",
-				res.Ticks, res.Counters, first.Ticks, first.Counters)
+		interval := int64(cmp.Or(every, 1024))
+		if slack := first.Ticks - int64(first.PrefixLen); slack <= 0 || slack > interval {
+			t.Fatalf("CheckEvery %d: cancellation latency %d ticks beyond the prefix, want within one %d-tick poll interval",
+				every, slack, interval)
 		}
-	}
-	if slack := first.Ticks - int64(first.PrefixLen); slack <= 0 || slack > 1024 {
-		t.Fatalf("cancellation latency %d ticks beyond the prefix, want within one 1024-tick poll interval", slack)
 	}
 }
 
@@ -72,14 +77,14 @@ func TestSimContextStops(t *testing.T) {
 // perturb the simulation — same makespan and counters as no context at all.
 func TestSimUncancelledCtxIsDeterministic(t *testing.T) {
 	cons := cancelConstraints(t)
-	lim := SimLimits{MaxTrees: 500, MaxStates: -1, MaxTicks: -1}
-	bare, err := Simulate(cons, SimOptions{Workers: 3, Limits: lim})
+	lim := search.Limits{MaxTrees: 500, MaxStates: -1}
+	bare, err := Simulate(cons, search.Options{Threads: 3, Limits: lim}, VirtualTime{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	withCtx, err := Simulate(cons, SimOptions{Workers: 3, Limits: lim, Ctx: ctx})
+	withCtx, err := Simulate(cons, search.Options{Threads: 3, Limits: lim, Ctx: ctx}, VirtualTime{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,21 +16,20 @@ import (
 func TestSimSnapshotResumeExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	cons := bigScenario(t, rng, 13, 200)
-	ref, err := Simulate(cons, SimOptions{Workers: 4, InitialTree: -1, CollectTrees: true})
+	ref, err := Simulate(cons, search.Options{Threads: 4, InitialTree: -1, CollectTrees: true}, VirtualTime{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, snapW := range []int{1, 4} {
 		for _, resW := range []int{1, 3, 8} {
 			t.Run(fmt.Sprintf("snap=%d/resume=%d", snapW, resW), func(t *testing.T) {
-				res1, err := Simulate(cons, SimOptions{
-					Workers: snapW, InitialTree: -1,
-					Limits: SimLimits{MaxTrees: ref.StandTrees / 2, MaxStates: -1},
+				res1, err := Simulate(cons, search.Options{
+					Threads: snapW, InitialTree: -1,
+					Limits: search.Limits{MaxTrees: ref.StandTrees / 2, MaxStates: -1},
 					// Flush every transition so the limit hits mid-run.
-					Policy:           search.Policy{TreeBatch: 1, StateBatch: 1, DeadEndBatch: 1},
-					CheckpointOnStop: true,
-					CollectTrees:     true,
-				})
+					Policy: search.Policy{TreeBatch: 1, StateBatch: 1, DeadEndBatch: 1}, CollectTrees: true,
+					Checkpoint: search.CheckpointPolicy{OnStop: true},
+				}, VirtualTime{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -41,12 +40,10 @@ func TestSimSnapshotResumeExact(t *testing.T) {
 					t.Fatalf("checkpoint counters %+v != run counters %+v",
 						res1.Checkpoint.Counters, res1.Counters)
 				}
-				res2, err := Simulate(cons, SimOptions{
-					Workers:      resW,
-					Limits:       SimLimits{MaxTrees: -1, MaxStates: -1},
-					Resume:       res1.Checkpoint,
-					CollectTrees: true,
-				})
+				res2, err := Simulate(cons, search.Options{
+					Threads: resW, Limits: search.Limits{MaxTrees: -1, MaxStates: -1}, CollectTrees: true,
+					Checkpoint: search.CheckpointPolicy{Resume: res1.Checkpoint},
+				}, VirtualTime{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -74,12 +71,11 @@ func TestSimSnapshotDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	cons := bigScenario(t, rng, 12, 100)
 	snap := func() *search.Checkpoint {
-		res, err := Simulate(cons, SimOptions{
-			Workers: 4, InitialTree: -1,
-			Limits:           SimLimits{MaxTrees: 40, MaxStates: -1},
-			Policy:           search.Policy{TreeBatch: 1, StateBatch: 1, DeadEndBatch: 1},
-			CheckpointOnStop: true,
-		})
+		res, err := Simulate(cons, search.Options{
+			Threads: 4, InitialTree: -1, Limits: search.Limits{MaxTrees: 40, MaxStates: -1},
+			Policy:     search.Policy{TreeBatch: 1, StateBatch: 1, DeadEndBatch: 1},
+			Checkpoint: search.CheckpointPolicy{OnStop: true},
+		}, VirtualTime{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,11 +89,10 @@ func TestSimSnapshotDeterministic(t *testing.T) {
 		t.Fatal("identical simulated runs produced different checkpoints")
 	}
 	run := func() *SimResult {
-		res, err := Simulate(cons, SimOptions{
-			Workers: 3,
-			Limits:  SimLimits{MaxTrees: -1, MaxStates: -1},
-			Resume:  cp1,
-		})
+		res, err := Simulate(cons, search.Options{
+			Threads: 3, Limits: search.Limits{MaxTrees: -1, MaxStates: -1},
+			Checkpoint: search.CheckpointPolicy{Resume: cp1},
+		}, VirtualTime{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,16 +112,15 @@ func TestSimSnapshotDeterministic(t *testing.T) {
 func TestSimSnapshotEnvelopeReread(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	cons := bigScenario(t, rng, 12, 100)
-	ref, err := Simulate(cons, SimOptions{Workers: 2, InitialTree: -1})
+	ref, err := Simulate(cons, search.Options{Threads: 2, InitialTree: -1}, VirtualTime{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res1, err := Simulate(cons, SimOptions{
-		Workers: 2, InitialTree: -1,
-		Limits:           SimLimits{MaxTrees: ref.StandTrees / 2, MaxStates: -1},
-		Policy:           search.Policy{TreeBatch: 1, StateBatch: 1, DeadEndBatch: 1},
-		CheckpointOnStop: true,
-	})
+	res1, err := Simulate(cons, search.Options{
+		Threads: 2, InitialTree: -1, Limits: search.Limits{MaxTrees: ref.StandTrees / 2, MaxStates: -1},
+		Policy:     search.Policy{TreeBatch: 1, StateBatch: 1, DeadEndBatch: 1},
+		Checkpoint: search.CheckpointPolicy{OnStop: true},
+	}, VirtualTime{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +136,10 @@ func TestSimSnapshotEnvelopeReread(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, err := Simulate(cons, SimOptions{Workers: 5, Limits: SimLimits{MaxTrees: -1, MaxStates: -1}, Resume: cp})
+	res2, err := Simulate(cons, search.Options{
+		Threads: 5, Limits: search.Limits{MaxTrees: -1, MaxStates: -1},
+		Checkpoint: search.CheckpointPolicy{Resume: cp},
+	}, VirtualTime{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,7 +38,7 @@ func TestSimSerialMatchesRunner(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sim, err := Simulate(cons, SimOptions{Workers: 1, InitialTree: -1, CollectTrees: true})
+		sim, err := Simulate(cons, search.Options{Threads: 1, InitialTree: -1, CollectTrees: true}, VirtualTime{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -47,7 +47,7 @@ func TestSimSerialMatchesRunner(t *testing.T) {
 		}
 		// A worker that renders nothing looks ahead of the same branches of the
 		// second-to-last taxon as this one, and is charged the same ticks.
-		count, err := Simulate(cons, SimOptions{Workers: 1, InitialTree: -1})
+		count, err := Simulate(cons, search.Options{Threads: 1, InitialTree: -1}, VirtualTime{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,12 +71,12 @@ func TestSimSerialMatchesRunner(t *testing.T) {
 func TestSimMultiWorkerCounts(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	cons := bigScenario(t, rng, 13, 100)
-	ref, err := Simulate(cons, SimOptions{Workers: 1, InitialTree: -1})
+	ref, err := Simulate(cons, search.Options{Threads: 1, InitialTree: -1}, VirtualTime{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range []int{2, 3, 4, 8, 16} {
-		sim, err := Simulate(cons, SimOptions{Workers: w, InitialTree: -1})
+		sim, err := Simulate(cons, search.Options{Threads: w, InitialTree: -1}, VirtualTime{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,11 +92,11 @@ func TestSimMultiWorkerCounts(t *testing.T) {
 func TestSimSpeedup(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	cons := bigScenario(t, rng, 16, 2000)
-	t1, err := Simulate(cons, SimOptions{Workers: 1, InitialTree: -1})
+	t1, err := Simulate(cons, search.Options{Threads: 1, InitialTree: -1}, VirtualTime{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t4, err := Simulate(cons, SimOptions{Workers: 4, InitialTree: -1})
+	t4, err := Simulate(cons, search.Options{Threads: 4, InitialTree: -1}, VirtualTime{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,11 +113,11 @@ func TestSimSpeedup(t *testing.T) {
 func TestSimDeterminism(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	cons := bigScenario(t, rng, 12, 50)
-	a, err := Simulate(cons, SimOptions{Workers: 5, InitialTree: -1})
+	a, err := Simulate(cons, search.Options{Threads: 5, InitialTree: -1}, VirtualTime{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Simulate(cons, SimOptions{Workers: 5, InitialTree: -1})
+	b, err := Simulate(cons, search.Options{Threads: 5, InitialTree: -1}, VirtualTime{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestSimDeterminism(t *testing.T) {
 func TestSimTickLimit(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	cons := bigScenario(t, rng, 14, 500)
-	sim, err := Simulate(cons, SimOptions{Workers: 2, InitialTree: -1, Limits: SimLimits{MaxTicks: 50}})
+	sim, err := Simulate(cons, search.Options{Threads: 2, InitialTree: -1}, VirtualTime{MaxTicks: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,11 +144,10 @@ func TestSimTickLimit(t *testing.T) {
 func TestSimTreeLimit(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	cons := bigScenario(t, rng, 14, 500)
-	sim, err := Simulate(cons, SimOptions{
-		Workers: 2, InitialTree: -1,
-		Limits: SimLimits{MaxTrees: 100},
+	sim, err := Simulate(cons, search.Options{
+		Threads: 2, InitialTree: -1, Limits: search.Limits{MaxTrees: 100},
 		Policy: search.Policy{TreeBatch: 16, StateBatch: 64, DeadEndBatch: 16},
-	})
+	}, VirtualTime{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,14 +162,13 @@ func TestSimTreeLimit(t *testing.T) {
 func TestSimFlushCostAblation(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	cons := bigScenario(t, rng, 14, 1000)
-	batched, err := Simulate(cons, SimOptions{Workers: 4, InitialTree: -1, FlushCost: 50})
+	batched, err := Simulate(cons, search.Options{Threads: 4, InitialTree: -1}, VirtualTime{FlushCost: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
-	unbatched, err := Simulate(cons, SimOptions{
-		Workers: 4, InitialTree: -1, FlushCost: 50,
-		Policy: search.Policy{TreeBatch: 1, StateBatch: 1, DeadEndBatch: 1},
-	})
+	unbatched, err := Simulate(cons, search.Options{
+		Threads: 4, InitialTree: -1, Policy: search.Policy{TreeBatch: 1, StateBatch: 1, DeadEndBatch: 1},
+	}, VirtualTime{FlushCost: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +184,9 @@ func TestSimFlushCostAblation(t *testing.T) {
 func TestSimEmptyAndSingletonStands(t *testing.T) {
 	taxa := tree.MustTaxa([]string{"A", "B", "C", "D", "E"})
 	full := tree.MustParse("((A,B),(C,(D,E)));", taxa)
-	one, err := Simulate([]*tree.Tree{full}, SimOptions{Workers: 4, InitialTree: 0, CollectTrees: true})
+	one, err := Simulate([]*tree.Tree{full}, search.Options{
+		Threads: 4, InitialTree: 0, CollectTrees: true,
+	}, VirtualTime{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestSimEmptyAndSingletonStands(t *testing.T) {
 	}
 	c1 := tree.MustParse("((A,B),(C,D));", taxa)
 	c2 := tree.MustParse("((A,C),(B,(D,E)));", taxa)
-	zero, err := Simulate([]*tree.Tree{c1, c2}, SimOptions{Workers: 4, InitialTree: -1})
+	zero, err := Simulate([]*tree.Tree{c1, c2}, search.Options{Threads: 4, InitialTree: -1}, VirtualTime{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestSimEmptyAndSingletonStands(t *testing.T) {
 func TestTimelineTrace(t *testing.T) {
 	rng := rand.New(rand.NewSource(52))
 	cons := bigScenario(t, rng, 13, 100)
-	res, err := Simulate(cons, SimOptions{Workers: 3, InitialTree: -1, TraceEvery: 10})
+	res, err := Simulate(cons, search.Options{Threads: 3, InitialTree: -1}, VirtualTime{TraceEvery: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestTimelineTrace(t *testing.T) {
 		t.Fatalf("timeline rendering wrong:\n%s", rendered)
 	}
 	// Without tracing, no timeline.
-	res2, err := Simulate(cons, SimOptions{Workers: 2, InitialTree: -1})
+	res2, err := Simulate(cons, search.Options{Threads: 2, InitialTree: -1}, VirtualTime{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,31 +228,51 @@ func TestTimelineTrace(t *testing.T) {
 	}
 }
 
+// TestHeuristicOptionPreservesCounts: every insertion-order heuristic counts
+// the same stand, and the simulator runs the one it is given: its run is as
+// long, in the paper machine's transitions, as search.Run's under it.
 func TestHeuristicOptionPreservesCounts(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	cons := bigScenario(t, rng, 12, 50)
-	base, err := Simulate(cons, SimOptions{Workers: 4, InitialTree: -1})
-	if err != nil {
-		t.Fatal(err)
+	var base *SimResult
+	moved := false
+	for _, h := range []search.OrderHeuristic{search.OrderMinBranches, search.OrderMinBranchesTieDegree, search.OrderMaxBranches} {
+		opt := search.Options{Threads: 4, InitialTree: -1, Heuristic: h}
+		sim, err := Simulate(cons, opt, VirtualTime{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt.Threads = 1
+		ref, err := search.Run(cons, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sim.Counters != ref.Counters || sim.Steps != ref.Steps {
+			t.Fatalf("%v: simulator %+v in %d steps, search.Run %+v in %d", h, sim.Counters, sim.Steps, ref.Counters, ref.Steps)
+		}
+		if base == nil {
+			base = sim
+		} else if sim.StandTrees != base.StandTrees {
+			t.Fatalf("%v changed the stand size: %d vs %d", h, sim.StandTrees, base.StandTrees)
+		}
+		moved = moved || sim.Steps != base.Steps
 	}
-	alt, err := Simulate(cons, SimOptions{Workers: 4, InitialTree: -1, Heuristic: search.OrderMinBranchesTieDegree})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if alt.StandTrees != base.StandTrees {
-		t.Fatalf("heuristic changed the stand size: %d vs %d", alt.StandTrees, base.StandTrees)
+	if !moved {
+		t.Fatal("every heuristic took the same steps: the runs cannot tell them apart")
 	}
 }
 
 func TestSplitPolicies(t *testing.T) {
 	rng := rand.New(rand.NewSource(54))
 	cons := bigScenario(t, rng, 13, 200)
-	ref, err := Simulate(cons, SimOptions{Workers: 1, InitialTree: -1})
+	ref, err := Simulate(cons, search.Options{Threads: 1, InitialTree: -1}, VirtualTime{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range []search.SplitPolicy{search.SplitHalf, search.SplitOne, search.SplitAllButOne} {
-		res, err := Simulate(cons, SimOptions{Workers: 4, InitialTree: -1, Policy: search.Policy{Split: p}})
+		res, err := Simulate(cons, search.Options{
+			Threads: 4, InitialTree: -1, Policy: search.Policy{Split: p},
+		}, VirtualTime{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -274,7 +294,9 @@ func TestTraceByteIdentical(t *testing.T) {
 	runOnce := func() (string, *SimResult) {
 		var b bytes.Buffer
 		rec := obs.NewRecorder(&b, nil)
-		res, err := Simulate(cons, SimOptions{Workers: 6, InitialTree: -1, Trace: rec})
+		res, err := Simulate(cons, search.Options{
+			Threads: 6, InitialTree: -1, Obs: &obs.Sink{Trace: rec},
+		}, VirtualTime{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -338,12 +360,14 @@ func TestTraceByteIdentical(t *testing.T) {
 func TestTraceOffIsUntouched(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	cons := bigScenario(t, rng, 12, 50)
-	a, err := Simulate(cons, SimOptions{Workers: 4, InitialTree: -1})
+	a, err := Simulate(cons, search.Options{Threads: 4, InitialTree: -1}, VirtualTime{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	b, err := Simulate(cons, SimOptions{Workers: 4, InitialTree: -1, Trace: obs.NewRecorder(&buf, nil)})
+	b, err := Simulate(cons, search.Options{
+		Threads: 4, InitialTree: -1, Obs: &obs.Sink{Trace: obs.NewRecorder(&buf, nil)},
+	}, VirtualTime{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,9 +48,10 @@ func chainConstraints(t *testing.T, nx, ny int) []*tree.Tree {
 	}
 }
 
-// TestRunCancelMidFlight cancels from the OnCheck hook — i.e. exactly at a
-// stopping-rule check — and expects the very same check to observe the
-// cancellation (the acceptance criterion's "within one check interval").
+// TestRunCancelMidFlight cancels from the checkpoint sink, which an Interval
+// of a nanosecond calls at every stopping-rule check — i.e. exactly at a
+// check — and expects the very same check to observe the cancellation (the
+// acceptance criterion's "within one check interval").
 func TestRunCancelMidFlight(t *testing.T) {
 	cons := chainConstraints(t, 12, 12) // effectively unbounded stand
 	ctx, cancel := context.WithCancel(context.Background())
@@ -60,12 +61,12 @@ func TestRunCancelMidFlight(t *testing.T) {
 		InitialTree: -1,
 		Limits:      Limits{MaxTrees: -1, MaxStates: -1, MaxTime: -1},
 		Ctx:         ctx,
-		OnCheck: func(Counters, time.Duration) {
+		Checkpoint: CheckpointPolicy{Interval: time.Nanosecond, Sink: func(*Checkpoint) {
 			checks++
 			if checks == 2 {
 				cancel()
 			}
-		},
+		}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -130,8 +131,9 @@ func TestCancelCheckpointResumeEqualsUninterrupted(t *testing.T) {
 		Limits:       Limits{MaxTrees: -1, MaxStates: -1, MaxTime: -1},
 		CollectTrees: true,
 		Ctx:          ctx,
-		Checkpoint:   CheckpointPolicy{OnStop: true},
-		OnCheck:      func(Counters, time.Duration) { cancel() },
+		// The first check's snapshot cancels the run at that check.
+		Checkpoint: CheckpointPolicy{OnStop: true, Interval: time.Nanosecond,
+			Sink: func(*Checkpoint) { cancel() }},
 	})
 	if err != nil {
 		t.Fatal(err)

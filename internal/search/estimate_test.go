@@ -65,18 +65,19 @@ func TestEstimatorConvergence(t *testing.T) {
 			continue // too small for a meaningful mid-run measurement
 		}
 
+		// A snapshot at every stopping-rule check reads the counters there.
 		est := &obs.Estimator{}
 		estFrac, trueFrac := -1.0, 0.0
 		_, err = Run(cons, Options{
 			Limits:     unlimited,
 			Obs:        &obs.Sink{Estimate: est},
 			CheckEvery: 64,
-			OnCheck: func(c Counters, _ time.Duration) {
-				if estFrac < 0 && c.IntermediateStates >= total/2 {
+			Checkpoint: CheckpointPolicy{Interval: time.Nanosecond, Sink: func(cp *Checkpoint) {
+				if c := cp.Counters; estFrac < 0 && c.IntermediateStates >= total/2 {
 					estFrac = est.Fraction()
 					trueFrac = float64(c.IntermediateStates) / float64(total)
 				}
-			},
+			}},
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -103,10 +103,12 @@ func (l Limits) Exceeded(c Counters, elapsed time.Duration) (StopReason, bool) {
 	return StopExhausted, false
 }
 
-// Options configures a run of either driver of the scheme: Run, its one
-// worker, and parallel.Run, a pool of Threads. Every field means the same to
-// both; the driver refuses only what is the other's by definition — Run a
-// width above one and a Policy, the pool OnCheck.
+// Options configures a run of any in-process driver of the scheme: Run, its
+// one worker; parallel.Run, a pool of Threads; and parallel.Simulate, the
+// pool's scheduler on a virtual clock. Every field means the same to all
+// three; a driver refuses only what it cannot have — Run a width above one
+// and a Policy, the simulator what needs a wall clock, another goroutine or
+// a recover (see parallel.Simulate).
 type Options struct {
 	// Threads is the pool's width (<= 0: one).
 	Threads int
@@ -151,13 +153,9 @@ type Options struct {
 	// transitions of the paper's machine (Work.Units; default 1024; time is
 	// only sampled at these checks). A final frame is not divided, so a
 	// check can come up to one frame late. A pool's workers each poll at
-	// this interval, and worker 0 starts the others at its first poll.
+	// this interval, and worker 0 starts the others at its first poll; the
+	// simulator polls Ctx every CheckEvery ticks.
 	CheckEvery int
-
-	// OnCheck, if set, receives the live counters at every stopping-rule
-	// check of Run (every CheckEvery steps). The pool has no such check: it
-	// refuses OnCheck.
-	OnCheck func(c Counters, elapsed time.Duration)
 
 	// Ctx cancels the run, which then returns normally with Stop ==
 	// StopCancelled; the context's error is not propagated. Run polls it at
@@ -233,25 +231,66 @@ type CheckpointPolicy struct {
 	Trigger *CheckpointTrigger
 }
 
-// Result is the outcome of a run.
+// Result is the outcome of a run of any in-process driver: Run,
+// parallel.Run, and parallel.Simulate, whose SimResult embeds it. A field a
+// driver has nothing for stays zero: Run has no queue (TasksStolen), no
+// per-worker shares (PerWorker is nil) and batches nothing (Flushes); the
+// simulator reads no wall clock (Elapsed).
 type Result struct {
 	Counters
 	Stop         StopReason
 	Elapsed      time.Duration
 	Trees        []string
 	InitialIndex int
+	// PrefixLen is the length of the deterministic prefix to the initial
+	// split: the run's own walk, or the resumed checkpoint's.
+	PrefixLen int
+	// Prefix is what the set-up counted — the prefix walk on a fresh run, the
+	// checkpoint's counters on a resumed one — so that Counters == Prefix +
+	// sum(PerWorker) exactly (counter conservation) at any width of a pool.
+	Prefix Counters
+	// PerWorker is each worker's published share, one entry per configured
+	// worker, started or not.
+	PerWorker []Counters
+	// TasksStolen counts the tasks the workers dequeued, the run's own
+	// shares included.
+	TasksStolen int64
+	// Flushes counts the counter batches the workers published.
+	Flushes int64
 	// Steps is the run's length in transitions of the paper's machine
 	// (insertions + removals, Work.Units), which inserts and removes the last
 	// taxon too: a final frame of m branches counts 2m, though the engine
 	// takes it in one step.
 	Steps int64
-	// Work is what the engine did for them (ExtendTaxon calls, bytes
-	// rendered); Work.Units is Steps without the step that found nothing left.
+	// Work is what the engines did for them (ExtendTaxon calls, bytes
+	// rendered), a fresh run's prefix walk included and the path replays of
+	// tasks not; Work.Units is Steps without the step that found nothing
+	// left. Every driver fills both through SetWork.
 	Work Work
-	// Checkpoint holds the engine snapshot when Options.Checkpoint.OnStop
+	// Checkpoint holds the frontier snapshot when Options.Checkpoint.OnStop
 	// was set and a stopping rule or cancellation ended the run (nil when
 	// the stand was exhausted: there is nothing left to resume).
 	Checkpoint *Checkpoint
+}
+
+// SetWork fills Work and Steps from w, what the run's engines did, once
+// Stop is final. A fresh run's prefix is its first insertions: they count
+// once toward Work, and on exhaustion once more toward Work.Units, when the
+// paper's machine removes them again, and Steps adds the step that found
+// nothing left. A resumed run's prefix is the checkpoint's work.
+func (r *Result) SetWork(su *Setup, w Work) {
+	var prefix int64
+	if !su.Resumed {
+		prefix = int64(r.PrefixLen)
+	}
+	w.Units += prefix
+	w.Extends += prefix
+	r.Steps = w.Units
+	if r.Stop == StopExhausted {
+		w.Units += prefix
+		r.Steps = w.Units + 1
+	}
+	r.Work = w
 }
 
 // serial is the host of Run's one Worker. It takes no offer, sums the
@@ -335,7 +374,7 @@ func Run(constraints []*tree.Tree, opt Options) (res *Result, err error) {
 		return nil, err
 	}
 	defer su.Release()
-	res = &Result{Stop: StopExhausted, InitialIndex: su.InitialIndex}
+	res = su.Result()
 	h := &serial{m: opt.Obs.SchedMetrics(), sink: TreeSink[[]byte](opt.CollectTrees, &res.Trees, opt.OnTree, opt.OnTrees)}
 	h.Publish(su.Counters)
 	if h.sink != nil && su.Tree != "" {
@@ -345,10 +384,10 @@ func Run(constraints []*tree.Tree, opt Options) (res *Result, err error) {
 	est.AddCounters(su.Counters.StandTrees, su.Counters.IntermediateStates, su.Counters.DeadEnds)
 	est.AddLeafMass(su.LeafMass, su.Leaves)
 	// A fresh run's prefix is its first insertions: they count toward the
-	// first check, and the paper's machine removes them again at the end.
+	// first check (SetWork).
 	var prefix int64
 	if !su.Resumed {
-		prefix = int64(len(su.Frontier.Prefix))
+		prefix = int64(res.PrefixLen)
 	}
 	tasks := su.Frontier.Tasks
 	var w *Worker
@@ -375,14 +414,10 @@ func Run(constraints []*tree.Tree, opt Options) (res *Result, err error) {
 	// check is the stopping-rule check, every CheckEvery units and between
 	// two tasks: it reports whether the run stops there.
 	check := func(rest []FrontierTask) bool {
-		// The counters are about to be read, by the caller's OnCheck, by a
-		// snapshot or by a stopping rule: the worker's batch, trees first, goes
-		// to the totals.
+		// The counters are about to be read, by a snapshot or by a stopping
+		// rule: the worker's batch, trees first, goes to the totals.
 		w.Flush()
 		next = units + int64(opt.CheckEvery)
-		if opt.OnCheck != nil {
-			opt.OnCheck(h.total, time.Since(start))
-		}
 		if interval && time.Since(lastCkpt) >= ck.Interval {
 			ck.Sink(snapshot(rest))
 			lastCkpt = time.Now()
@@ -427,16 +462,11 @@ run:
 		}
 	}
 	res.Counters = h.total
+	var work Work
 	if w != nil {
-		res.Work = w.Work()
+		work = w.Work()
 	}
-	res.Work.Units += prefix
-	res.Work.Extends += prefix
-	res.Steps = res.Work.Units
-	if res.Stop == StopExhausted {
-		res.Work.Units += prefix
-		res.Steps = res.Work.Units + 1 // the step that found nothing left
-	}
+	res.SetWork(su, work)
 	res.Elapsed = time.Since(start)
 	return res, nil
 }

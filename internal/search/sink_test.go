@@ -100,8 +100,10 @@ func TestTreeSinkForms(t *testing.T) {
 				CollectTrees: collect, OnTree: onTree, OnTrees: onTrees}).Trees
 		}},
 		{"parallel.Simulate", false, func(collect bool, onTree func(string), onTrees func([]byte, int)) []string {
-			res, err := parallel.Simulate(cons, parallel.SimOptions{Workers: 2, InitialTree: -1,
-				Limits: parallel.SimLimits{MaxTrees: -1, MaxStates: -1}, CollectTrees: collect})
+			res, err := parallel.Simulate(cons, search.Options{
+				Threads: 2, InitialTree: -1, Limits: search.Limits{MaxTrees: -1, MaxStates: -1},
+				CollectTrees: collect,
+			}, parallel.VirtualTime{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -45,8 +45,8 @@ type Setup struct {
 	// order; a resumed run's are the checkpoint's non-empty tasks.
 	Frontier *Frontier
 
-	// Resumed tells the serial runner that the prefix is not this run's
-	// work. (Every other driver queues the tasks the same way either way.)
+	// Resumed tells Result.SetWork that the prefix is not this run's work.
+	// (The drivers queue the tasks the same way either way.)
 	Resumed bool
 
 	constraints []*tree.Tree
@@ -245,6 +245,14 @@ func (s *Setup) Release() {
 	if s.first != nil {
 		s.first.t.Release()
 	}
+}
+
+// Result is what a run on this set-up reports before its workers add to
+// it: nothing has stopped it, and what Start counted is its Prefix and the
+// start of its Counters.
+func (s *Setup) Result() *Result {
+	return &Result{Stop: StopExhausted, InitialIndex: s.InitialIndex,
+		PrefixLen: len(s.Frontier.Prefix), Counters: s.Counters, Prefix: s.Counters}
 }
 
 // Checkpoint assembles a checkpoint of this run from a consistent

@@ -38,14 +38,14 @@ func genGoldenTrace(t *testing.T) []byte {
 	t.Helper()
 	cfg := gen.Default(gen.RegimeSimulated)
 	cfg.MinTaxa, cfg.MaxTaxa = 16, 30
-	lim := parallel.SimLimits{MaxTrees: 50_000, MaxStates: 50_000, MaxTicks: 500_000}
+	lim, vt := search.Limits{MaxTrees: 50_000, MaxStates: 50_000}, parallel.VirtualTime{MaxTicks: 500_000}
 	for idx := 0; idx < 200; idx++ {
 		ds := gen.Generate(cfg, idx)
 		var buf bytes.Buffer
 		rec := obs.NewRecorder(&buf, nil)
-		res, err := parallel.Simulate(ds.Constraints, parallel.SimOptions{
-			Workers: 4, InitialTree: -1, Limits: lim, Trace: rec,
-		})
+		res, err := parallel.Simulate(ds.Constraints, search.Options{
+			Threads: 4, InitialTree: -1, Limits: lim, Obs: &obs.Sink{Trace: rec},
+		}, vt)
 		if err != nil {
 			t.Fatalf("%s: %v", ds.Name, err)
 		}
