@@ -350,6 +350,38 @@ func extraBenches(add func(name string, f func(b *testing.B)),
 		b.ReportMetric(float64(len(big)), "trees")
 		b.ReportMetric(float64(text.Len()), "bytes")
 	})
+	// A small stand's set-up (PR 56): search.Start — terrace.New and the
+	// prefix walk to the initial split — and Release, as a serial run makes
+	// them, over the sixteen stands of the benchmark's count-many workload
+	// read back from their Newick text, as its runs read them. forced counts
+	// the prefixes' insertions, an exact gate.
+	var small [][]*tree.Tree
+	for _, idx := range standPairs[0].idx {
+		var text bytes.Buffer
+		if err := gentrius.WriteTrees(&text, gen.Generate(gen.Default(gen.RegimeSimulated), idx).Constraints); err != nil {
+			panic(err)
+		}
+		cons, _, err := gentrius.ReadTrees(&text, nil)
+		if err != nil {
+			panic(err)
+		}
+		small = append(small, cons)
+	}
+	add("StartSmallStands", func(b *testing.B) {
+		forced := 0
+		for i := 0; i < b.N; i++ {
+			forced = 0
+			for _, cons := range small {
+				su, err := (&search.Options{InitialTree: -1}).Start(cons)
+				if err != nil {
+					b.Fatal(err)
+				}
+				forced += len(su.Frontier.Prefix)
+				su.Release()
+			}
+		}
+		b.ReportMetric(float64(forced), "forced")
+	})
 	add("StaticIndexNew", func(b *testing.B) {
 		widest := slices.MaxFunc(big, func(x, y *tree.Tree) int { return x.NumLeaves() - y.NumLeaves() })
 		for i := 0; i < b.N; i++ {

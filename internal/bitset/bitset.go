@@ -24,7 +24,20 @@ func New(n int) *Set {
 	if n < 0 {
 		panic("bitset: negative universe size")
 	}
-	return &Set{words: make([]uint64, (n+63)/64), n: n}
+	return &Set{words: make([]uint64, WordsFor(n)), n: n}
+}
+
+// WordsFor returns how many words a set over n elements holds.
+func WordsFor(n int) int { return (n + 63) / 64 }
+
+// Over returns an empty set over a universe of n elements in words, which
+// must be WordsFor(n) long; they are cleared.
+func Over(n int, words []uint64) Set {
+	if len(words) != WordsFor(n) {
+		panic("bitset: words do not fit the universe")
+	}
+	clear(words)
+	return Set{words: words, n: n}
 }
 
 // Len returns the universe size the set was created with.

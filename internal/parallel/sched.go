@@ -227,9 +227,14 @@ func (s *sched) totals() search.Counters {
 	}
 }
 
-// checkLimits evaluates the stopping rules against the totals.
+// checkLimits evaluates the stopping rules against the totals. It reads the
+// clock only under a time limit, which the virtual-time host never has.
 func (s *sched) checkLimits() {
-	if r, hit := s.limits.Exceeded(s.totals(), time.Since(s.started)); hit {
+	var elapsed time.Duration
+	if s.limits.MaxTime > 0 {
+		elapsed = time.Since(s.started)
+	}
+	if r, hit := s.limits.Exceeded(s.totals(), elapsed); hit {
 		s.raise(r)
 	}
 }

@@ -26,11 +26,15 @@ type PrefixResult struct {
 // PrefixWalkH advances the terrace through all forced insertions (taxa with
 // exactly one admissible branch, picked by the dynamic heuristic h or, when
 // order is not nil, in that static order) and stops at the initial split.
-// The insertions remain applied.
+// The insertions remain applied. Which case a taxon is in, its count tells,
+// the one the heuristic has just read: a forced branch is listed into one
+// buffer, reused to the end of the walk, and only the split's branches,
+// which the tasks keep, are listed into a slice of their own, of that size.
 func PrefixWalkH(t *terrace.Terrace, h OrderHeuristic, order []int) PrefixResult {
 	var res PrefixResult
 	e := NewEngine(t)
 	e.DynamicOrder, e.Heuristic, e.Order = order == nil, h, order
+	var forced [1]int32
 	for {
 		if t.Complete() {
 			res.Counters.StandTrees++
@@ -38,21 +42,21 @@ func PrefixWalkH(t *terrace.Terrace, h OrderHeuristic, order []int) PrefixResult
 			return res
 		}
 		x := e.nextTaxon()
-		branches := t.AllowedBranches(x)
-		switch len(branches) {
+		switch c := t.PendingCount(x); c {
 		case 0:
 			res.Counters.DeadEnds++
 			res.Terminal = true
 			return res
 		case 1:
-			t.ExtendTaxon(x, branches[0])
-			res.Path = append(res.Path, PathStep{Taxon: x, Edge: branches[0]})
+			edge := t.AppendAllowedBranches(forced[:0], x)[0]
+			t.ExtendTaxon(x, edge)
+			res.Path = append(res.Path, PathStep{Taxon: x, Edge: edge})
 			if !t.Complete() {
 				res.Counters.IntermediateStates++
 			}
 		default:
 			res.SplitTaxon = x
-			res.SplitBranches = branches
+			res.SplitBranches = t.AppendAllowedBranches(make([]int32, 0, c), x)
 			return res
 		}
 	}

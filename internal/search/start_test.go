@@ -368,3 +368,45 @@ func TestSetupTerracesAreNewPlusReplay(t *testing.T) {
 		t.Fatalf("%d stands had anything to run", ran)
 	}
 }
+
+// TestPrefixWalkAllocations: the walk to the initial split allocates what it
+// keeps and nothing else, however many forced insertions it makes, under the
+// dynamic order and a static one: its Path, grown by append, and the split's
+// branches, in one slice. On the benchmark's count-many stands.
+func TestPrefixWalkAllocations(t *testing.T) {
+	longest := 0
+	for _, idx := range []int{0, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16} {
+		cons := gen.Generate(gen.Default(gen.RegimeSimulated), idx).Constraints
+		tr, err := terrace.New(cons, ChooseInitialTree(cons))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, order := range [][]int{nil, slices.Clone(tr.MissingTaxa())} {
+			walk := func() PrefixResult {
+				pre := PrefixWalkH(tr, OrderMinBranches, order)
+				for tr.Depth() > 0 {
+					tr.RemoveTaxon()
+				}
+				return pre
+			}
+			forced := len(walk().Path)
+			longest = max(longest, forced)
+			var path []PathStep
+			growths := 0
+			for range forced {
+				if len(path) == cap(path) {
+					growths++
+				}
+				path = append(path, PathStep{})
+			}
+			if allocs := testing.AllocsPerRun(5, func() { walk() }); allocs > float64(growths+1) {
+				t.Errorf("dataset %d (static order %v): %v allocations for %d forced insertions, %d of them the Path's",
+					idx, order != nil, allocs, forced, growths)
+			}
+		}
+		tr.Release()
+	}
+	if longest < 16 {
+		t.Fatalf("the longest prefix is %d insertions: too short to show a per-insertion allocation", longest)
+	}
+}

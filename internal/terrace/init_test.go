@@ -309,6 +309,11 @@ func FuzzNewEquiv(f *testing.F) {
 	f.Add(int64(1), uint8(14), uint8(3), uint8(128), uint8(0), false, int64(2), uint8(40), uint8(0))
 	f.Add(int64(7), uint8(60), uint8(9), uint8(40), uint8(5), true, int64(8), uint8(10), uint8(3))
 	f.Add(int64(1234), uint8(200), uint8(18), uint8(230), uint8(2), true, int64(5), uint8(220), uint8(9))
+	// Sparse scenarios whose News orient the agile tree for five distinct s0
+	// and hold constraints that are inactive at the initial tree: seven of
+	// 19 in the first, one of 12 in the second.
+	f.Add(int64(3), uint8(30), uint8(17), uint8(0), uint8(0), false, int64(4), uint8(60), uint8(6))
+	f.Add(int64(2), uint8(90), uint8(10), uint8(0), uint8(0), false, int64(9), uint8(100), uint8(2))
 	f.Fuzz(func(t *testing.T, seed int64, nRaw, mRaw, coverRaw, idxRaw uint8, perturb bool, prevSeed int64, prevRaw, prevDepth uint8) {
 		prng := rand.New(rand.NewSource(prevSeed))
 		pn := 8 + int(prevRaw)%120

@@ -24,7 +24,7 @@ func newReference(constraints []*tree.Tree, initialIdx int) (*Terrace, error) {
 			return nil, err
 		}
 	}
-	tr.initRooted()
+	tr.agile.Orient(0, tr.rootedV, tr.rootedE, make([]int32, tr.agile.NumNodes()))
 	return tr, nil
 }
 

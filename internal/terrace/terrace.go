@@ -29,8 +29,10 @@
 package terrace
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"unsafe"
@@ -223,14 +225,38 @@ func New(constraints []*tree.Tree, initialIdx int) (*Terrace, error) {
 		return nil, err
 	}
 	sc := tr.store.initScratch(tr.taxa.Len())
-	for _, cs := range tr.constraints {
-		if err := tr.initConstraint(cs, &sc); err != nil {
-			tr.Release()
-			return nil, err
+	if err := tr.initConstraints(&sc); err != nil {
+		tr.Release()
+		return nil, err
+	}
+	tr.agile.Orient(0, tr.rootedV, tr.rootedE, sc.order) // the search's rooted orientation
+	return tr, nil
+}
+
+// initConstraints runs initConstraint on every active constraint, grouped by
+// the lowest taxon each shares with the agile tree, so that the agile tree is
+// rooted at that taxon's leaf once per group rather than once per constraint.
+func (tr *Terrace) initConstraints(sc *initScratch) error {
+	st, nc := tr.store, len(tr.constraints)
+	s0 := func(ci int32) int32 { return tr.constraints[ci].t.NodeTaxon(st.roots[ci]) }
+	active := st.roots[nc:nc]
+	for ci, cs := range tr.constraints {
+		if cs.sCount >= 2 {
+			active = append(active, int32(ci))
 		}
 	}
-	tr.initRooted()
-	return tr, nil
+	slices.SortStableFunc(active, func(i, j int32) int { return cmp.Compare(s0(i), s0(j)) })
+	a, at := tr.agile, int32(-1)
+	for _, ci := range active {
+		if x := s0(ci); x != at {
+			at = x
+			a.Orient(a.LeafNode(int(x)), sc.par, sc.pe, sc.order)
+		}
+		if err := tr.initConstraint(tr.constraints[ci], sc); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // storage is every slab New or Clone lays a state out in, kept whole so that
@@ -248,8 +274,9 @@ type storage struct {
 	cu     []cUndo
 	ixs    []tree.StaticIndex
 	ix     []int32 // the LCA indexes' slab
+	roots  []int32 // each index's root, then the active constraints by s0
 	rn     []rnode // initScratch's two trees
-	order  []int32 // initScratch's order
+	order  []int32 // initScratch's orientation of the agile tree
 	inc    []int32 // the taxon→constraint lists, then per-taxon counts
 	lists  [][]int32
 	flags  []bool
@@ -333,7 +360,7 @@ func takeZeroed[T any](s []T, n int) []T {
 // bytes is the size of the storage's arrays, the agile tree's aside.
 func (st *storage) bytes() int {
 	n := size(st.i32) + size(st.ces) + size(st.pre) + size(st.states) + size(st.cons) +
-		size(st.undo) + size(st.cu) + size(st.ixs) + size(st.ix) + size(st.rn) +
+		size(st.undo) + size(st.cu) + size(st.ixs) + size(st.ix) + size(st.roots) + size(st.rn) +
 		size(st.order) + size(st.inc) + size(st.lists) + size(st.flags) + size(st.live) +
 		size(st.logs[0]) + size(st.logs[1]) + size(st.logs[2]) + size(st.logs[3]) + size(st.sets) +
 		size(st.bookings) + size(st.ovI32) + size(st.ovWords)
@@ -429,8 +456,12 @@ func newShell(constraints []*tree.Tree, initialIdx int) (*Terrace, error) {
 	tr.moveLog, tr.tgLog, tr.pathLog, tr.projLog = st.logs[0], st.logs[1], st.logs[2], st.logs[3]
 	st.i32 = take(st.i32, n32)
 	i32 := st.i32
-	for i := range i32 {
-		i32[i] = -1 // NoCE, tree.NoNode and tree.NoEdge alike; the zero-based pieces are cleared below
+	// NoCE, tree.NoNode and tree.NoEdge alike; the zero-based pieces are
+	// cleared below. The slab is filled in doubling copies, which run as
+	// block moves rather than an element at a time.
+	i32[0] = -1
+	for k := 1; k < len(i32); k *= 2 {
+		copy(i32[k:], i32[:k])
 	}
 	st.ces = take(st.ces, nRows)
 	st.pre = takeZeroed(st.pre, nRows*preW)
@@ -439,7 +470,7 @@ func newShell(constraints []*tree.Tree, initialIdx int) (*Terrace, error) {
 	st.cons = take(st.cons, len(constraints))
 	st.ixs = take(st.ixs, len(constraints))
 	st.sets = take(st.sets, len(constraints))
-	st.ix = tree.BuildStaticIndexes(st.ixs, constraints, st.ix)
+	st.roots = take(st.roots, 2*len(constraints))
 	tr.constraints = st.cons
 	for i, c := range constraints {
 		rows, pend := shape(c)
@@ -460,11 +491,19 @@ func newShell(constraints []*tree.Tree, initialIdx int) (*Terrace, error) {
 			pre:     carve(&pre, rows*preW, rows*preW),
 			preW:    int32(preW),
 		}
-		c.LeafSet().CopyInto(cs.s) // sized to the universe, and emptied: S_i starts empty
-		cs.s.Clear()
+		// S_i, and the root of the constraint's index: the leaf of s0, the
+		// lowest taxon of S_i, where initConstraint roots both trees.
+		c.LeafSet().CopyInto(cs.s)
+		cs.s.IntersectWith(tr.agile.LeafSet())
+		cs.sCount = cs.s.Count()
+		st.roots[i] = 0
+		if cs.sCount >= 2 {
+			st.roots[i] = c.LeafNode(cs.s.Min())
+		}
 		clear(cs.m)
 		tr.constraints[i] = cs
 	}
+	st.ix = tree.BuildStaticIndexes(st.ixs, constraints, st.roots, st.ix)
 	tr.mark = carve(&i32, maxNodes, maxNodes)
 	clear(tr.mark)
 	tr.parentV = carve(&i32, maxNodes, maxNodes)
@@ -498,27 +537,6 @@ func carve[T any](slab *[]T, n, c int) []T {
 	p := (*slab)[:n:c]
 	*slab = (*slab)[c:]
 	return p
-}
-
-// initRooted orients the initial agile tree away from node 0 (the root).
-func (tr *Terrace) initRooted() {
-	tr.rootedV[0], tr.rootedE[0] = tree.NoNode, tree.NoEdge
-	stack := append(tr.dfsBuf[:0], 0)
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		adj, deg := tr.agile.Adjacency(v)
-		for i := 0; i < deg; i++ {
-			ed := adj[i]
-			if ed == tr.rootedE[v] {
-				continue
-			}
-			w := tr.agile.Other(ed, v)
-			tr.rootedV[w], tr.rootedE[w] = v, ed
-			stack = append(stack, w)
-		}
-	}
-	tr.dfsBuf = stack[:0]
 }
 
 // Agile returns the current agile tree. Callers must not modify it.
@@ -586,56 +604,45 @@ func (nd *rnode) significant() bool {
 // initScratch is initConstraint's working storage, shared by all
 // constraints of one New.
 type initScratch struct {
-	t, a  []rnode // the constraint tree and the agile tree, rooted at the lowest S-taxon
-	order []int32 // breadth-first order of the tree rooted last
+	t, a []rnode // the constraint tree and the agile tree, rooted at the leaf of s0
+
+	// The agile tree rooted at the leaf of s0: parent vertex and parent edge
+	// per node, and the nodes in preorder.
+	par, pe, order []int32
 }
 
 // initScratch takes initConstraint's working storage for a universe of taxa
-// from st. rootAt writes every vertex it reads, so nothing is cleared.
+// from st. layOut and tree.Orient write every vertex they read, so nothing is
+// cleared.
 func (st *storage) initScratch(taxa int) initScratch {
 	st.rn = take(st.rn, 4*taxa)
-	st.order = take(st.order, 2*taxa)
-	return initScratch{t: st.rn[:2*taxa], a: st.rn[2*taxa:], order: st.order[:0]}
+	st.order = take(st.order, 6*taxa)
+	return initScratch{t: st.rn[:2*taxa], a: st.rn[2*taxa:],
+		par: st.order[:2*taxa], pe: st.order[2*taxa : 4*taxa], order: st.order[4*taxa:]}
 }
 
-// rootAt orients t away from the leaf root, counts the S-leaves below every
-// vertex and the kept children of every vertex, and leaves the vertices in
-// sc.order, parents before children.
-func (sc *initScratch) rootAt(t *tree.Tree, root int32, s *bitset.Set, nodes []rnode) {
-	nodes[root] = rnode{par: tree.NoNode, pe: tree.NoEdge, sub: 1, x: -1}
-	order := append(sc.order[:0], root)
-	for i := 0; i < len(order); i++ {
-		v := order[i]
-		adj, deg := t.Adjacency(v)
-		for k := 0; k < deg; k++ {
-			if e := adj[k]; e != nodes[v].pe {
-				u := t.Other(e, v)
-				nodes[u] = rnode{par: v, pe: e, x: -1}
-				order = append(order, u)
-			}
-		}
+// layOut lays nodes out as t oriented by par and pe, each S-leaf counted
+// once. The other counts — the S-leaves below an interior vertex, its kept
+// children — are its children's, which initConstraint adds up bottom-up.
+func layOut(t *tree.Tree, par, pe []int32, s *bitset.Set, nodes []rnode) {
+	for v := range nodes {
+		nodes[v] = rnode{par: par[v], pe: pe[v], x: -1}
 	}
-	for i := len(order) - 1; i > 0; i-- {
-		v := order[i]
-		nd := &nodes[v]
-		if tx := t.NodeTaxon(v); tx >= 0 && s.Has(int(tx)) {
-			nd.sub = 1
-		}
-		if nd.sub > 0 {
-			nodes[nd.par].sub += nd.sub
-			nodes[nd.par].kids++
-		}
+	for y := s.NextSetBit(0); y >= 0; y = s.NextSetBit(y + 1) {
+		nodes[t.LeafNode(y)].sub = 1
 	}
-	sc.order = order
 }
 
-// initConstraint fills in one constraint's half of the initial state: S_i,
+// initConstraint fills in one active constraint's half of the initial state:
 // the common edges with both anchor pairs, the agile-side mapping with its
 // anchor-path directions, counts and lanes, and the target and projection
 // of every pending taxon — in time linear in the two trees.
 //
-// Both trees are rooted at the leaf of the lowest S-taxon. A common edge is
-// a chain of the Steiner tree of S, named by its lower end. Constraint-side
+// Both trees are rooted at the leaf of s0, the lowest taxon of S. Neither is
+// walked here: the constraint tree's orientation is its index's, which
+// newShell rooted there, and the agile tree's is sc's, which initConstraints
+// lays out once for all the constraints that share s0. A common edge is a
+// chain of the Steiner tree of S, named by its lower end. Constraint-side
 // chains are numbered in the order a walk over the significant vertices by
 // ascending id, each one's edges in adjacency order, first meets them, and
 // ta is the end they are met from: ExtendTaxon allocates later ids on top of
@@ -650,19 +657,14 @@ func (sc *initScratch) rootAt(t *tree.Tree, root int32, s *bitset.Set, nodes []r
 // cluster of T_i|S, and two binary trees on the same leaves with the same
 // clusters are equal; if one fails, the trees differ.
 func (tr *Terrace) initConstraint(cs *constraintState, sc *initScratch) error {
-	cs.s.CopyFrom(tr.agile.LeafSet())
-	cs.s.IntersectWith(cs.y)
-	cs.sCount = cs.s.Count()
-	if cs.sCount < 2 {
-		return nil
-	}
-	s0 := cs.s.Min()
-
 	// Constraint side.
 	t, tn := cs.t, sc.t[:cs.t.NumNodes()]
-	tRoot := t.LeafNode(s0)
-	sc.rootAt(t, tRoot, cs.s, tn)
-	order := sc.order
+	par, pe, order := cs.ix.Oriented()
+	tRoot := order[0]
+	layOut(t, par, pe, cs.s, tn)
+	// Bottom-up, a vertex's children are done when it is reached: its counts
+	// are final, and a kept one hands them on. A vertex with one kept child
+	// is inside a chain, which ends where the child's does.
 	for i := len(order) - 1; i > 0; i-- {
 		nd := &tn[order[i]]
 		if nd.sub == 0 {
@@ -671,9 +673,10 @@ func (tr *Terrace) initConstraint(cs *constraintState, sc *initScratch) error {
 		if nd.kids != 1 {
 			nd.anchor = order[i]
 		}
-		if p := &tn[nd.par]; p.kids == 1 {
-			p.anchor = nd.anchor
-		}
+		p := &tn[nd.par]
+		p.sub += nd.sub
+		p.kids++
+		p.anchor = nd.anchor
 	}
 	for vi := range tn {
 		nd := &tn[vi]
@@ -728,9 +731,9 @@ func (tr *Terrace) initConstraint(cs *constraintState, sc *initScratch) error {
 	}
 
 	// Agile side.
-	a, an := tr.agile, sc.a[:tr.agile.NumNodes()]
-	sc.rootAt(a, a.LeafNode(s0), cs.s, an)
-	order = sc.order
+	a, n := tr.agile, tr.agile.NumNodes()
+	an, order := sc.a[:n], sc.order[:n]
+	layOut(a, sc.par[:n], sc.pe[:n], cs.s, an)
 	for i := len(order) - 1; i > 0; i-- {
 		v := order[i]
 		nd := &an[v]
@@ -745,7 +748,9 @@ func (tr *Terrace) initConstraint(cs *constraintState, sc *initScratch) error {
 				return fmt.Errorf("terrace: agile tree and constraint tree differ on their common taxa: %w", ErrIncompatible)
 			}
 		}
-		if p := &an[nd.par]; p.kids == 2 && p.x != tree.NoNode {
+		p := &an[nd.par]
+		p.sub += nd.sub
+		if p.kids++; p.kids == 2 {
 			p.x = cs.ix.Median(tRoot, p.x, nd.x)
 		} else {
 			p.x = nd.x

@@ -8,7 +8,8 @@ import (
 
 // FuzzNewickParse checks that Parse never panics or hangs, that it accepts
 // and rejects exactly what the reference parser does and builds the same
-// tree (node ids, edge ids, adjacency order, leafOf, leaf set, taxon ids),
+// tree (node ids, edge ids, adjacency order, leafOf, leaf set, taxon ids), a
+// valid one (Parse does not run Validate: the tree is valid by construction),
 // and that any accepted input round-trips: the canonical Newick() rendering
 // must equal the reference renderer's, must reparse to a tree with the same
 // leaf count and must be a fixed point of parse-then-render; and that the tree
@@ -61,6 +62,9 @@ func FuzzNewickParse(f *testing.F) {
 		}
 		if err := sameStructure(t1, want); err != nil {
 			t.Fatalf("%q: %v", in, err)
+		}
+		if err := t1.Validate(); err != nil {
+			t.Fatalf("%q: the parser built an invalid tree: %v", in, err)
 		}
 		out := t1.Newick()
 		if ref := referenceNewick(t1); out != ref {

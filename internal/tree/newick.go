@@ -3,7 +3,6 @@ package tree
 import (
 	"bytes"
 	"fmt"
-	"slices"
 	"strings"
 
 	"gentrius/internal/bitset"
@@ -21,13 +20,12 @@ import (
 // a bare pair for two-taxon trees, or a single label.
 func Parse(newick string, taxa *Taxa, autoAdd bool) (*Tree, error) {
 	p := parser{taxa: taxa, autoAdd: autoAdd}
-	t, err := p.tree([]byte(newick))
-	if err != nil {
+	t := new(Tree)
+	if err := p.tree([]byte(newick), t); err != nil {
 		return nil, err
 	}
-	if err := t.fit(new(validateScratch)); err != nil {
-		return nil, err
-	}
+	n := taxa.Len()
+	t.fit(make([]int32, n), bitset.New(n))
 	return t, nil
 }
 
@@ -43,13 +41,19 @@ func MustParse(newick string, taxa *Taxa) *Tree {
 // Reader builds a collection of trees over one taxon universe in a single
 // pass over their text — the one way constraint trees enter the program.
 // Labels are registered as they are met, so taxon ids follow first
-// appearance; a tree's structures can only be sized to the universe once the
-// last tree has been read, which is what Finish does.
+// appearance. A tree's nodes and edges take one allocation, sized by a
+// prescan of its text; what is sized to the universe — each tree's leaf
+// index and leaf set — can only be laid out once the last tree has been
+// read, which is what Finish does, in one slab each for all the trees.
 type Reader struct {
 	p     parser
-	trees []*Tree
+	trees []Tree // parsed, and not yet fitted to the universe
 	line  int
 }
+
+// readerTrees is the room a Reader makes for trees at its first: that of a
+// typical input's loci.
+const readerTrees = 16
 
 // NewReader returns a reader over taxa; nil stands for a fresh universe.
 // With autoAdd unknown labels are registered, otherwise they are an error.
@@ -62,11 +66,14 @@ func NewReader(taxa *Taxa, autoAdd bool) *Reader {
 
 // Add parses one Newick tree. The text is not retained.
 func (r *Reader) Add(newick []byte) error {
-	t, err := r.p.tree(newick)
-	if err != nil {
+	if r.trees == nil {
+		r.trees = make([]Tree, 0, readerTrees)
+	}
+	r.trees = append(r.trees, Tree{})
+	if err := r.p.tree(newick, &r.trees[len(r.trees)-1]); err != nil {
+		r.trees = r.trees[:len(r.trees)-1]
 		return err
 	}
-	r.trees = append(r.trees, t)
 	return nil
 }
 
@@ -93,16 +100,20 @@ func (r *Reader) Line(text []byte) error {
 // Finish fits every tree read to the finished universe and returns them
 // with it.
 func (r *Reader) Finish() ([]*Tree, *Taxa, error) {
-	if len(r.trees) == 0 {
+	k := len(r.trees)
+	if k == 0 {
 		return nil, nil, fmt.Errorf("newick: no trees in input")
 	}
-	var sc validateScratch
-	for i, t := range r.trees {
-		if err := t.fit(&sc); err != nil {
-			return nil, nil, fmt.Errorf("tree %d: %w", i+1, err)
-		}
+	n := r.p.taxa.Len()
+	nw := bitset.WordsFor(n)
+	leafOf, words := make([]int32, k*n), make([]uint64, k*nw)
+	sets, out := make([]bitset.Set, k), make([]*Tree, k)
+	for i := range r.trees {
+		sets[i] = bitset.Over(n, words[i*nw:(i+1)*nw:(i+1)*nw])
+		out[i] = &r.trees[i]
+		out[i].fit(leafOf[i*n:(i+1)*n:(i+1)*n], &sets[i])
 	}
-	return r.trees, r.p.taxa, nil
+	return out, r.p.taxa, nil
 }
 
 // ReadLines reads one tree per element over a fresh universe, as
@@ -140,6 +151,10 @@ type parser struct {
 	depth   int
 	t       *Tree
 	quoted  []byte // the unescaped text of the last quoted label
+
+	// named holds a bit per taxon id, set once the tree being parsed has
+	// named it: a taxon named twice in one tree is an error.
+	named []uint64
 }
 
 func (p *parser) errf(format string, args ...interface{}) error {
@@ -195,23 +210,22 @@ func prescan(s []byte) (leaves, topCommas int) {
 	return min(commas, groups+1) + 1, topCommas
 }
 
-// tree parses one tree. Its leafOf covers the taxa registered so far and its
-// leaf set is missing: fit completes it once the universe is final.
-func (p *parser) tree(s []byte) (*Tree, error) {
+// tree parses one tree into t: its nodes and edges, in one allocation sized
+// by prescan. Its leaf index and leaf set are missing: fit completes it once
+// the universe is final.
+func (p *parser) tree(s []byte, t *Tree) error {
 	leaves, topCommas := prescan(s)
 	known := p.taxa.Len()
 	if known == 0 && p.autoAdd {
 		p.taxa.reserve(leaves) // a fresh universe: its first tree names most of it
 	}
-	t := &Tree{
-		taxa:   p.taxa,
-		nodes:  make([]node, 0, 2*leaves),
-		edges:  make([]edge, 0, 2*leaves),
-		leafOf: make([]int32, known, known+leaves),
+	// A binary tree of l >= 2 leaves has 2l-2 nodes and 2l-3 edges.
+	t.taxa = p.taxa
+	t.nodes, t.edges = newArrays(max(2*leaves-2, 1), max(2*leaves-3, 0))
+	if w := (known + leaves + 63) >> 6; len(p.named) < w {
+		p.named = append(p.named, make([]uint64, w-len(p.named))...)
 	}
-	for i := range t.leafOf {
-		t.leafOf[i] = NoNode
-	}
+	clear(p.named)
 	p.s, p.i, p.depth, p.t = s, 0, 0, t
 
 	p.skipSpace()
@@ -227,18 +241,18 @@ func (p *parser) tree(s []byte) (*Tree, error) {
 		err = p.group(NoNode, 2)
 	}
 	if err != nil {
-		return nil, err
+		return err
 	}
 	p.skipSpace()
 	if p.i >= len(s) || s[p.i] != ';' {
-		return nil, p.errf("expected ';'")
+		return p.errf("expected ';'")
 	}
 	p.i++
 	p.skipSpace()
 	if p.i != len(s) {
-		return nil, p.errf("trailing characters after ';'")
+		return p.errf("trailing characters after ';'")
 	}
-	return t, nil
+	return nil
 }
 
 func (p *parser) skipSpace() {
@@ -336,16 +350,15 @@ func (p *parser) leaf() (int32, error) {
 			return NoNode, err
 		}
 	}
-	t := p.t
-	for len(t.leafOf) <= id {
-		t.leafOf = append(t.leafOf, NoNode)
+	for len(p.named) <= id>>6 { // only where prescan's count is short: the input is malformed
+		p.named = append(p.named, 0)
 	}
-	if t.leafOf[id] != NoNode {
+	bit := uint64(1) << (id & 63)
+	if p.named[id>>6]&bit != 0 {
 		return NoNode, fmt.Errorf("newick: taxon %q appears twice", name)
 	}
-	v := t.allocNode(int32(id))
-	t.leafOf[id] = v
-	return v, nil
+	p.named[id>>6] |= bit
+	return p.t.allocNode(int32(id)), nil
 }
 
 // label reads an optional (possibly quoted) label. The result aliases the
@@ -404,25 +417,24 @@ func (p *parser) branchLength() error {
 	return nil
 }
 
-// fit completes a parsed tree once its universe is final: leafOf is extended
-// to every taxon, the leaf set is built and the invariants are checked, in
-// sc's memory.
-func (t *Tree) fit(sc *validateScratch) error {
-	n := t.taxa.Len()
-	t.leafOf = slices.Grow(t.leafOf, n-len(t.leafOf))
-	for len(t.leafOf) < n {
-		t.leafOf = append(t.leafOf, NoNode)
+// fit completes a parsed tree once its universe is final, in the storage it
+// is handed: leafOf, an entry per taxon of the universe, becomes its leaf
+// index and leaves, an empty set over the universe, its leaf set. The tree
+// needs no Validate: the parser joins every group to its parent as it
+// closes and checks each group's count of subtrees, so what it accepts is a
+// binary tree, connected, with one node per taxon it names (FuzzNewickParse
+// holds every tree it accepts to Validate).
+func (t *Tree) fit(leafOf []int32, leaves *bitset.Set) {
+	for i := range leafOf {
+		leafOf[i] = NoNode
 	}
-	t.leaves = bitset.New(n)
-	for i := range t.nodes {
-		if tx := t.nodes[i].taxon; tx >= 0 {
-			t.leaves.Add(int(tx))
+	for v := range t.nodes {
+		if tx := t.nodes[v].taxon; tx >= 0 {
+			leafOf[tx] = int32(v)
+			leaves.Add(int(tx))
 		}
 	}
-	if err := sc.validate(t); err != nil {
-		return fmt.Errorf("newick: parsed tree invalid: %w", err)
-	}
-	return nil
+	t.leafOf, t.leaves = leafOf, leaves
 }
 
 // Newick renders the tree in Newick format, rooted for display at the

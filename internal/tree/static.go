@@ -28,16 +28,17 @@ type StaticIndex struct {
 // per-node arrays and the table.
 func NewStaticIndex(t *Tree) *StaticIndex {
 	ix := make([]StaticIndex, 1)
-	BuildStaticIndexes(ix, []*Tree{t}, nil)
+	BuildStaticIndexes(ix, []*Tree{t}, nil, nil)
 	return &ix[0]
 }
 
-// BuildStaticIndexes builds an index on each tree of ts into ixs[i], all in
-// one int32 slab: slab itself when its capacity holds them, otherwise one
-// allocated to their size. It returns that slab; the indexes use it, so it
-// must not be written while they are in use. Every entry they read is
-// written, so slab may hold anything.
-func BuildStaticIndexes(ixs []StaticIndex, ts []*Tree, slab []int32) []int32 {
+// BuildStaticIndexes builds an index on each tree of ts into ixs[i], rooted
+// at node roots[i] (at node 0 when roots is nil), all in one int32 slab: slab
+// itself when its capacity holds them, otherwise one allocated to their size.
+// It returns that slab; the indexes use it, so it must not be written while
+// they are in use. Every entry they read is written, so slab may hold
+// anything.
+func BuildStaticIndexes(ixs []StaticIndex, ts []*Tree, roots, slab []int32) []int32 {
 	need := 0
 	for _, t := range ts {
 		need += indexLen(len(t.nodes))
@@ -49,7 +50,11 @@ func BuildStaticIndexes(ixs []StaticIndex, ts []*Tree, slab []int32) []int32 {
 	rest := slab
 	for i, t := range ts {
 		k := indexLen(len(t.nodes))
-		ixs[i].build(t, rest[:k:k])
+		root := int32(0)
+		if roots != nil {
+			root = roots[i]
+		}
+		ixs[i].build(t, root, rest[:k:k])
 		rest = rest[k:]
 	}
 	return slab
@@ -64,8 +69,8 @@ func indexLen(n int) int {
 	return (5 + bits.Len32(uint32(n-1))) * n
 }
 
-// build fills ix in slab, indexLen(len(t.nodes)) entries.
-func (ix *StaticIndex) build(t *Tree, slab []int32) {
+// build fills ix in slab, indexLen(len(t.nodes)) entries, rooted at root.
+func (ix *StaticIndex) build(t *Tree, root int32, slab []int32) {
 	n := len(t.nodes)
 	if n == 0 {
 		*ix = StaticIndex{}
@@ -75,38 +80,15 @@ func (ix *StaticIndex) build(t *Tree, slab []int32) {
 	ix.tin, ix.order, ix.sp = slab[3*n:4*n], slab[4*n:5*n], slab[5*n:]
 	levels := len(ix.sp) / n
 
-	// Preorder from the root, children in adjacency slot order. The walk keeps
-	// no stack: on the way down it records parent and parent edge, and on the
-	// way back up it resumes after the slot that holds the edge it returns
-	// by. A tree has no other way back into a vertex, so the parent edge is
-	// the only one to skip.
-	v, slot, at := int32(0), 0, int32(0)
-	ix.parent[v], ix.pedge[v], ix.depth[v] = NoNode, NoEdge, 0
-	ix.tin[v], ix.order[v] = 0, v
+	t.Orient(root, ix.parent, ix.pedge, ix.order)
+	ix.depth[root], ix.tin[root] = 0, 0
 	if levels > 0 { // a lone node has no table
-		ix.sp[v] = 0
+		ix.sp[0] = 0
 	}
-	for {
-		if nd := &t.nodes[v]; slot < int(nd.deg) {
-			e := nd.adj[slot]
-			if e == ix.pedge[v] {
-				slot++
-				continue
-			}
-			u := t.Other(e, v)
-			at++
-			ix.parent[u], ix.pedge[u], ix.depth[u] = v, e, ix.depth[v]+1
-			ix.tin[u], ix.order[at], ix.sp[at] = at, u, ix.tin[v]
-			v, slot = u, 0
-			continue
-		}
-		if v == 0 {
-			break
-		}
-		e, p := ix.pedge[v], ix.parent[v]
-		for slot = 0; t.nodes[p].adj[slot] != e; slot++ {
-		}
-		v, slot = p, slot+1
+	for i := 1; i < n; i++ {
+		u := ix.order[i]
+		p := ix.parent[u]
+		ix.depth[u], ix.tin[u], ix.sp[i] = ix.depth[p]+1, int32(i), ix.tin[p]
 	}
 
 	// Level k's entry i covers level 0's [i, i+2^k); the entries past n-2^k
@@ -120,6 +102,41 @@ func (ix *StaticIndex) build(t *Tree, slab []int32) {
 		}
 		clear(row[n-1<<k+1:])
 	}
+}
+
+// Orient lays t out rooted at node root: the parent vertex and the edge to it
+// of every node (NoNode and NoEdge at the root), and the nodes in preorder,
+// children in adjacency slot order. Each slice holds at least a node each;
+// the preorder is order's first NumNodes entries.
+func (t *Tree) Orient(root int32, parent, pedge, order []int32) {
+	// A depth-first walk whose stack of discovered, unvisited nodes grows
+	// down from the end of order: with the visited ones filling it from the
+	// front, the two never hold more than every node once. Children go on
+	// the stack last slot first, so that the first comes off first.
+	parent[root], pedge[root] = NoNode, NoEdge
+	top := len(order) - 1
+	order[top] = root
+	for at := 0; top < len(order); at++ {
+		v := order[top]
+		top++
+		order[at] = v
+		nd := &t.nodes[v]
+		for slot := nd.deg - 1; slot >= 0; slot-- {
+			if e := nd.adj[slot]; e != pedge[v] {
+				u := t.Other(e, v)
+				parent[u], pedge[u] = v, e
+				top--
+				order[top] = u
+			}
+		}
+	}
+}
+
+// Oriented returns the orientation the index was built on: parent vertex and
+// parent edge per node, and the nodes in preorder, the root first. Callers
+// must not modify them.
+func (ix *StaticIndex) Oriented() (parent, pedge, order []int32) {
+	return ix.parent, ix.pedge, ix.order
 }
 
 // Depth returns the depth of v below the index root.

@@ -241,11 +241,11 @@ func TestBuildStaticIndexesReuse(t *testing.T) {
 		want[i] = NewStaticIndex(tr)
 	}
 	ixs := make([]StaticIndex, len(ts))
-	slab := BuildStaticIndexes(ixs, ts, nil)
+	slab := BuildStaticIndexes(ixs, ts, nil, nil)
 	for i := range slab {
 		slab[i] = int32(rng.Uint32())
 	}
-	if n := testing.AllocsPerRun(5, func() { BuildStaticIndexes(ixs, ts, slab) }); n != 0 {
+	if n := testing.AllocsPerRun(5, func() { BuildStaticIndexes(ixs, ts, nil, slab) }); n != 0 {
 		t.Fatalf("building into a slab that holds the indexes allocates %v times", n)
 	}
 	for i := range ts {
@@ -254,7 +254,7 @@ func TestBuildStaticIndexesReuse(t *testing.T) {
 		}
 	}
 	small := make([]int32, len(slab)-1)
-	if got := BuildStaticIndexes(ixs, ts, small); len(got) != len(slab) || &got[0] == &small[0] {
+	if got := BuildStaticIndexes(ixs, ts, nil, small); len(got) != len(slab) || &got[0] == &small[0] {
 		t.Fatalf("a slab one entry short was used (%d entries returned, %d needed)", len(got), len(slab))
 	}
 }

@@ -14,6 +14,7 @@ package tree
 
 import (
 	"fmt"
+	"unsafe"
 
 	"gentrius/internal/bitset"
 )
@@ -103,6 +104,25 @@ func (t *Tree) Other(e, v int32) int32 {
 	}
 	return t.edges[e].a
 }
+
+// newArrays returns empty node and edge slices with room for n nodes and m
+// edges, in one allocation. Neither type holds a pointer, so both can live in
+// an int32 array.
+func newArrays(n, m int) ([]node, []edge) {
+	const nodeSize, edgeSize = unsafe.Sizeof(node{}), unsafe.Sizeof(edge{})
+	slab := make([]int32, (uintptr(n)*nodeSize+uintptr(m)*edgeSize)/4)
+	p := unsafe.Pointer(unsafe.SliceData(slab))
+	nodes := unsafe.Slice((*node)(p), n)[:0]
+	if m == 0 {
+		return nodes, nil
+	}
+	return nodes, unsafe.Slice((*edge)(unsafe.Add(p, uintptr(n)*nodeSize)), m)[:0]
+}
+
+// node and edge are whole int32 words, aligned no more strictly than an
+// int32 is: an array length other than 0 here fails to compile.
+var _ [0]struct{} = [unsafe.Sizeof(node{})%4 + unsafe.Sizeof(edge{})%4 +
+	unsafe.Alignof(node{})/8 + unsafe.Alignof(edge{})/8]struct{}{}
 
 func (t *Tree) allocNode(taxon int32) int32 {
 	id := int32(len(t.nodes))
@@ -290,18 +310,6 @@ func (t *Tree) CopyInto(dst *Tree) *Tree {
 // Validate checks structural invariants; it is used by tests and returns a
 // descriptive error on the first violation found.
 func (t *Tree) Validate() error {
-	var sc validateScratch
-	return sc.validate(t)
-}
-
-// validateScratch is the connectivity sweep's memory, which a caller that
-// checks many trees (Reader.Finish) reuses from one tree to the next.
-type validateScratch struct {
-	seen  []bool
-	stack []int32
-}
-
-func (sc *validateScratch) validate(t *Tree) error {
 	nl := 0
 	for vi := range t.nodes {
 		v := &t.nodes[vi]
@@ -346,8 +354,8 @@ func (sc *validateScratch) validate(t *Tree) error {
 	}
 	// Connectivity.
 	if len(t.nodes) > 0 {
-		seen := append(sc.seen[:0], make([]bool, len(t.nodes))...)
-		stack := append(sc.stack[:0], 0)
+		seen := make([]bool, len(t.nodes))
+		stack := []int32{0}
 		seen[0] = true
 		cnt := 0
 		for len(stack) > 0 {
@@ -363,7 +371,6 @@ func (sc *validateScratch) validate(t *Tree) error {
 				}
 			}
 		}
-		sc.seen, sc.stack = seen, stack
 		if cnt != len(t.nodes) {
 			return fmt.Errorf("tree not connected: reached %d of %d nodes", cnt, len(t.nodes))
 		}
