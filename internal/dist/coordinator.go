@@ -2,6 +2,7 @@ package dist
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -110,42 +111,22 @@ func nodeDefaults(clock Clock, pol retry.Policy, m *Metrics, log *slog.Logger) (
 	return clock, pol, m, log
 }
 
-// RunOptions configures one distributed enumeration. Workers ship the
-// stand's trees when CollectTrees, OnTree or OnTrees asks for them
-// (search.TreeSink); a job that sets none only counts.
-type RunOptions struct {
-	// CollectTrees stores every stand tree in Result.Trees.
-	CollectTrees bool
-	// OnTrees receives each shard's trees exactly once, when the shard is
-	// merged (not streaming: which epoch's trees count is settled at the
-	// merge, after fencing), in the blocks the workers' engines rendered: n
-	// newline-terminated Newicks, valid during the call. Calls are serialized.
-	OnTrees func(block []byte, n int)
-	// OnTree receives the same trees as one string each, cut from the
-	// merged blocks without a copy.
-	OnTree func(newick string)
-	// InitialTree: constraint index, or negative for the heuristic.
-	InitialTree int
-	// Limits are the job-level stopping rules. Shards run unlimited: the
-	// coordinator checks merged totals at shard completion, so a tree or
-	// state limit overshoots by up to the in-flight shards' work, and stops
-	// the job at MaxTime on its Clock, counted from the start of Run. Zero
-	// values mean unlimited here (the caller owns defaults).
-	Limits search.Limits
-}
+// RunOptions is search.Options, the one options type of every driver, the
+// fleet's Run included. The name stays only because the benchmark, whose
+// sources do not change with the library, still spells it.
+type RunOptions = search.Options
 
-// Result is a distributed enumeration's merged outcome.
+// Result is a fleet run's merged outcome: the search.Result every driver
+// returns, and the fleet's own statistics. Counters is Prefix, which the
+// coordinator counted, plus the merged shards; Elapsed is read on the
+// coordinator's Clock from the start of Run. The engines that did the work
+// ran in the workers, so Steps, Work, PerWorker, TasksStolen and Flushes stay
+// zero, and Checkpoint is nil.
 type Result struct {
-	Counters search.Counters
-	Trees    []string
-	Stop     search.StopReason
-	// InitialIndex is the constraint index used as the initial agile tree.
-	InitialIndex int
+	search.Result
 	// TraceID is the fleet-run trace id every node stamped on this job's
 	// trace events (deterministic: fleetTraceID of job id + fingerprint).
-	TraceID string
-
-	// Fleet statistics for this job.
+	TraceID       string
 	LeaseExpiries int64 // each re-dispatches its shard from its last durable checkpoint
 	LocalShards   int64 // epochs leased to the coordinator's own worker
 }
@@ -207,8 +188,8 @@ type fleetJob struct {
 	constraints []*tree.Tree
 	newicks     []string
 	fingerprint string
-	opt         RunOptions
-	start       time.Time // on the coordinator's Clock, for Limits.MaxTime
+	limits      search.Limits // normalized
+	start       time.Time     // on the coordinator's Clock, for Limits.MaxTime and Elapsed
 	// rec and log are the job-scoped recorder (fixed {trace, job} tags) and
 	// slog handle (trace and job attrs) every coordinator-side emission for
 	// this job goes through.
@@ -261,11 +242,35 @@ func (j *fleetJob) wakeUp() {
 }
 
 // Run executes one distributed enumeration and blocks until it completes,
-// fails, or ctx ends (StopCancelled). jobID must be unique per coordinator.
-func (c *Coordinator) Run(ctx context.Context, jobID string, constraints []*tree.Tree, opt RunOptions) (*Result, error) {
+// fails, or ctx, the run's one cancel, ends (StopCancelled). jobID must be
+// unique per coordinator.
+//
+// Run honours CollectTrees, OnTree, OnTrees, InitialTree and Limits as
+// search.Run does, and refuses every other field of opt. The sink gets each
+// shard's trees once, when the shard merges (not streaming: which epoch's
+// trees count is settled at the merge, after fencing), in the blocks the
+// workers' engines rendered, by serialized calls. Shards run unlimited and the
+// merged totals are checked at each merge, so a tree or state limit
+// overshoots by up to the in-flight shards' work.
+func (c *Coordinator) Run(ctx context.Context, jobID string, constraints []*tree.Tree, opt search.Options) (*Result, error) {
 	start := c.cfg.Clock.Now()
-	if len(constraints) == 0 {
-		return nil, fmt.Errorf("dist: no constraint trees")
+	// However the run ends, refused included, unblock any trigger requester.
+	defer opt.Checkpoint.Trigger.Finish()
+	switch ck := opt.Checkpoint; {
+	case len(constraints) == 0:
+		return nil, errors.New("dist: no constraint trees")
+	case opt.Threads > 1:
+		return nil, fmt.Errorf("dist: a shard runs at its peer's Config.Threads, not %d", opt.Threads)
+	case opt.Heuristic != search.OrderMinBranches || opt.DisableDynamicOrder || opt.ShuffleSeed != 0:
+		return nil, errors.New("dist: the dispatched checkpoints record the min-branches order")
+	case opt.CheckEvery != 0:
+		return nil, errors.New("dist: a fleet checks its limits at each merge, not every CheckEvery")
+	case opt.Ctx != nil:
+		return nil, errors.New("dist: Run's ctx is the run's cancel, not Options.Ctx")
+	case ck.Interval != 0 || ck.OnStop || ck.Resume != nil || ck.Sink != nil || ck.Trigger != nil:
+		return nil, errors.New("dist: a fleet run takes no checkpoint settings: the coordinator owns its frontiers")
+	case opt.Policy != search.Policy{} || opt.Obs != nil || opt.Fault != nil:
+		return nil, errors.New("dist: a fleet's trace, metrics and fault sites are its Config's")
 	}
 
 	// Canonicalize: serialize the input and re-parse the canonical text,
@@ -290,17 +295,17 @@ func (c *Coordinator) Run(ctx context.Context, jobID string, constraints []*tree
 		return nil, err
 	}
 	su.Release() // the shards run elsewhere: only the counters and frontier are read
-	idx := su.InitialIndex
 	job := &fleetJob{
 		id:          jobID,
 		constraints: cons,
 		newicks:     newicks,
 		fingerprint: search.Fingerprint(cons),
-		opt:         opt,
+		limits:      opt.Limits.Normalize(),
 		start:       start,
 		totals:      su.Counters,
 		wake:        make(chan struct{}, 1),
 		stop:        search.StopExhausted,
+		stats:       Result{Result: *su.Result()},
 	}
 	job.sink = search.TreeSink[string](opt.CollectTrees, &job.trees, opt.OnTree, opt.OnTrees)
 	if len(su.Frontier.Tasks) == 0 {
@@ -310,12 +315,13 @@ func (c *Coordinator) Run(ctx context.Context, jobID string, constraints []*tree
 				return nil, err
 			}
 		}
-		return &Result{Counters: su.Counters, InitialIndex: idx, Trees: job.trees}, nil
+		res := job.stats
+		res.Trees, res.Elapsed = job.trees, c.cfg.Clock.Now().Sub(start)
+		return &res, nil
 	}
 	traceID := fleetTraceID(jobID, job.fingerprint)
 	job.rec = c.cfg.Trace.With([]obs.SField{obs.S("trace", traceID), obs.S("job", jobID)})
 	job.log = c.cfg.Logger.With("trace", traceID, "job", jobID)
-	job.stats.InitialIndex = idx
 	job.stats.TraceID = traceID
 
 	// Shard i of k holds root tasks i, i+k, …: each weighs 1/B, so the deal
@@ -414,7 +420,7 @@ func (c *Coordinator) controlLoop(ctx context.Context, job *fleetJob) (*Result, 
 
 		// Earliest lease deadline, or the time limit, the loop must wake for.
 		var next time.Time
-		if limit := job.opt.Limits.MaxTime; limit > 0 {
+		if limit := job.limits.MaxTime; limit > 0 {
 			next = job.start.Add(limit)
 		}
 		for _, s := range job.shards {
@@ -439,7 +445,7 @@ func (c *Coordinator) controlLoop(ctx context.Context, job *fleetJob) (*Result, 
 			return nil, failErr
 		}
 		if stopping {
-			res.Trees = job.trees
+			res.Trees, res.Elapsed = job.trees, clk.Now().Sub(job.start)
 			return &res, nil
 		}
 
@@ -661,7 +667,7 @@ func (c *Coordinator) mergeResultLocked(job *fleetJob, req *ShardResult) bool {
 // the merged totals against the tree and state limits, the time since the
 // start of Run against the time limit.
 func (c *Coordinator) limitLocked(job *fleetJob, now time.Time) {
-	reason, hit := job.opt.Limits.Exceeded(job.totals, now.Sub(job.start))
+	reason, hit := job.limits.Exceeded(job.totals, now.Sub(job.start))
 	if !hit || job.stopping {
 		return
 	}

@@ -262,7 +262,7 @@ func TestFleetProtocolScripted(t *testing.T) {
 	done := make(chan runOut, 1)
 	go func() {
 		res, err := coord.Run(context.Background(), "scripted", cons,
-			RunOptions{CollectTrees: true, InitialTree: -1})
+			search.Options{CollectTrees: true, InitialTree: -1})
 		done <- runOut{res, err}
 	}()
 
@@ -399,7 +399,7 @@ func TestFleetLocalFallback(t *testing.T) {
 		Threads: 2,
 	})
 	res, err := coord.Run(context.Background(), "fallback", cons,
-		RunOptions{CollectTrees: true, InitialTree: -1})
+		search.Options{CollectTrees: true, InitialTree: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -434,7 +434,7 @@ func TestFleetDispatchRetry(t *testing.T) {
 	done := make(chan *Result, 1)
 	go func() {
 		res, err := coord.Run(context.Background(), "retry", cons,
-			RunOptions{CollectTrees: true, InitialTree: -1})
+			search.Options{CollectTrees: true, InitialTree: -1})
 		if err != nil {
 			t.Error(err)
 		}
@@ -501,7 +501,7 @@ func TestMetricsBoundedInShards(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		var err error
-		res, err = coord.Run(context.Background(), "bounded", cons, RunOptions{CollectTrees: true, InitialTree: -1})
+		res, err = coord.Run(context.Background(), "bounded", cons, search.Options{CollectTrees: true, InitialTree: -1})
 		done <- err
 	}()
 	silent := awaitDispatch(t, clock, time.Millisecond, peerA, peerB)

@@ -44,7 +44,7 @@ func TestFleetCancelled(t *testing.T) {
 	var delivered int
 	done := make(chan *Result, 1)
 	go func() {
-		res, err := coord.Run(ctx, "cancelled", cons, RunOptions{CollectTrees: true, InitialTree: -1,
+		res, err := coord.Run(ctx, "cancelled", cons, search.Options{CollectTrees: true, InitialTree: -1,
 			OnTrees: func(_ []byte, n int) { delivered += n }})
 		if err != nil {
 			t.Error(err)
@@ -169,7 +169,7 @@ func TestFleetShardFails(t *testing.T) {
 		case <-ctx.Done():
 		}
 	}()
-	_, err := f.coord.Run(ctx, "fails", cons, RunOptions{CollectTrees: true, InitialTree: -1})
+	_, err := f.coord.Run(ctx, "fails", cons, search.Options{CollectTrees: true, InitialTree: -1})
 	if err == nil || !strings.Contains(err.Error(), "injected panic at enginestep") ||
 		!strings.Contains(err.Error(), "failed on a:") {
 		t.Fatalf("run returned %v; want the panic of worker a's shard", err)
@@ -194,7 +194,7 @@ func TestFleetTimeLimit(t *testing.T) {
 	defer cancel()
 	done := make(chan *Result, 1)
 	go func() {
-		res, err := coord.Run(ctx, "timelimit", cons, RunOptions{InitialTree: -1,
+		res, err := coord.Run(ctx, "timelimit", cons, search.Options{InitialTree: -1,
 			Limits: search.Limits{MaxTime: 5 * time.Second}})
 		if err != nil {
 			t.Error(err)
@@ -245,7 +245,7 @@ func TestFleetTimeLimitStopsLocalRuns(t *testing.T) {
 	before := localRuns()
 	done := make(chan *Result, 1)
 	go func() {
-		res, err := coord.Run(context.Background(), "local-timelimit", cons, RunOptions{CollectTrees: true,
+		res, err := coord.Run(context.Background(), "local-timelimit", cons, search.Options{CollectTrees: true,
 			InitialTree: -1, Limits: search.Limits{MaxTime: 5 * time.Second}})
 		if err != nil {
 			t.Error(err)
@@ -281,7 +281,7 @@ func TestFleetSinkPanics(t *testing.T) {
 		}
 		done := make(chan out, 1)
 		go func() {
-			res, err := coord.Run(context.Background(), "sink", cons, RunOptions{InitialTree: -1, OnTree: onTree})
+			res, err := coord.Run(context.Background(), "sink", cons, search.Options{InitialTree: -1, OnTree: onTree})
 			done <- out{res, err}
 		}()
 		for range 2 {
@@ -322,7 +322,7 @@ func TestProtoMismatch(t *testing.T) {
 		Clock: clock, Retry: retry.Policy{Attempts: 1}, Metrics: metrics})
 	done := make(chan *Result, 1)
 	go func() {
-		res, err := coord.Run(context.Background(), "proto", cons, RunOptions{CollectTrees: true, InitialTree: -1})
+		res, err := coord.Run(context.Background(), "proto", cons, search.Options{CollectTrees: true, InitialTree: -1})
 		if err != nil {
 			t.Error(err)
 		}

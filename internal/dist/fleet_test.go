@@ -10,6 +10,7 @@ import (
 	"gentrius"
 	"gentrius/internal/obs"
 	"gentrius/internal/retry"
+	"gentrius/internal/search"
 	"gentrius/internal/tracereport"
 	"gentrius/internal/tree"
 )
@@ -81,7 +82,7 @@ func (f *fleet) run(t *testing.T, jobID string, cons []*tree.Tree) *Result {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
-	res, err := f.coord.Run(ctx, jobID, cons, RunOptions{CollectTrees: true, InitialTree: -1})
+	res, err := f.coord.Run(ctx, jobID, cons, search.Options{CollectTrees: true, InitialTree: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +213,7 @@ func TestFleetWorkerEngineEventsCarryShardTags(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
-	res, err := coord.Run(ctx, "tags", cons, RunOptions{InitialTree: -1})
+	res, err := coord.Run(ctx, "tags", cons, search.Options{InitialTree: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +283,7 @@ func TestFleetAtZeroIsAFleetOfOne(t *testing.T) {
 	}
 	done := make(chan runOut, 1)
 	go func() {
-		res, err := f.coord.Run(context.Background(), "zero", cons, RunOptions{CollectTrees: true, InitialTree: -1})
+		res, err := f.coord.Run(context.Background(), "zero", cons, search.Options{CollectTrees: true, InitialTree: -1})
 		done <- runOut{res, err}
 	}()
 

@@ -92,7 +92,7 @@ func genFleetGoldenTraces(t *testing.T) map[string][]byte {
 	done := make(chan runOut, 1)
 	go func() {
 		res, err := coord.Run(context.Background(), "fleet-golden", cons,
-			RunOptions{CollectTrees: true, InitialTree: -1})
+			search.Options{CollectTrees: true, InitialTree: -1})
 		done <- runOut{res, err}
 	}()
 

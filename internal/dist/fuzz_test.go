@@ -14,6 +14,7 @@ import (
 
 	"gentrius"
 	"gentrius/internal/retry"
+	"gentrius/internal/search"
 	"gentrius/internal/tree"
 )
 
@@ -42,7 +43,7 @@ func newFuzzFleet(t testing.TB, cons []*tree.Tree) *fuzzFleet {
 	f.cancel = cancel
 	go func() {
 		defer close(f.done)
-		_, f.err = f.coord.Run(ctx, "fuzz", cons, RunOptions{InitialTree: -1, OnTrees: func(block []byte, n int) {
+		_, f.err = f.coord.Run(ctx, "fuzz", cons, search.Options{InitialTree: -1, OnTrees: func(block []byte, n int) {
 			if bytes.Count(block, []byte("\n")) != n || (n > 0 && block[len(block)-1] != '\n') {
 				t.Errorf("delivered a block of %d bytes that is not %d whole lines", len(block), n)
 			}

@@ -102,7 +102,7 @@ func TestHTTPWorkerKilled(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	res, err := coord.Run(ctx, "httpkill", cons, RunOptions{InitialTree: -1})
+	res, err := coord.Run(ctx, "httpkill", cons, search.Options{InitialTree: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

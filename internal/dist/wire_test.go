@@ -159,7 +159,7 @@ func startWireFleet(t *testing.T, cons []*tree.Tree, tap *wireTap, peer func(Wor
 	})
 	tap.to = &LocalCoordinatorClient{C: f.coord}
 	go func() {
-		res, err := f.coord.Run(context.Background(), "wire", cons, RunOptions{CollectTrees: true, InitialTree: -1})
+		res, err := f.coord.Run(context.Background(), "wire", cons, search.Options{CollectTrees: true, InitialTree: -1})
 		if err != nil {
 			t.Error(err)
 		}

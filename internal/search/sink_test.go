@@ -46,7 +46,7 @@ func sinkStand(t testing.TB) []*tree.Tree {
 
 // fleetRun enumerates the stand as a job of a coordinator with two in-process
 // workers.
-func fleetRun(t *testing.T, cons []*tree.Tree, opt dist.RunOptions) *dist.Result {
+func fleetRun(t *testing.T, cons []*tree.Tree, opt search.Options) *dist.Result {
 	t.Helper()
 	var coord *dist.Coordinator
 	var peers []dist.WorkerClient
@@ -96,7 +96,7 @@ func TestTreeSinkForms(t *testing.T) {
 			return res.Trees
 		}},
 		{"dist", false, func(collect bool, onTree func(string), onTrees func([]byte, int)) []string {
-			return fleetRun(t, cons, dist.RunOptions{InitialTree: -1,
+			return fleetRun(t, cons, search.Options{InitialTree: -1, Limits: unlimited,
 				CollectTrees: collect, OnTree: onTree, OnTrees: onTrees}).Trees
 		}},
 		{"parallel.Simulate", false, func(collect bool, onTree func(string), onTrees func([]byte, int)) []string {

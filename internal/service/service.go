@@ -925,17 +925,31 @@ func (m *Manager) runJob(job *Job) {
 	job.resume = nil
 	job.mu.Unlock()
 
+	maxTime := m.clampTime(time.Duration(req.MaxTimeSeconds * float64(time.Second)))
+	if m.cfg.Fleet != nil && resume == nil {
+		// The coordinator checks the tree and state limits at shard merges
+		// and MaxTime on its clock.
+		fres, err := m.cfg.Fleet.Run(job.ctx, job.id, job.cons, search.Options{
+			OnTrees:     job.spool.AppendBlock, // the workers' blocks, shard by shard as they merge
+			InitialTree: gentrius.UseInitialTreeHeuristic,
+			Limits:      search.Limits{MaxTrees: req.MaxTrees, MaxStates: req.MaxStates, MaxTime: maxTime},
+		})
+		var res *gentrius.Result
+		if err == nil {
+			r := &fres.Result
+			res = &gentrius.Result{StandTrees: r.StandTrees, IntermediateStates: r.IntermediateStates,
+				DeadEnds: r.DeadEnds, Stop: r.Stop, Elapsed: r.Elapsed, InitialIndex: r.InitialIndex}
+		}
+		m.finish(job, res, err)
+		return
+	}
+
 	// The job's sink shares the daemon-wide engine metrics and trace but
 	// owns its estimator, so /jobs/{id}/stats sees only this job's mass.
 	sink := &gentrius.ObsSink{Estimate: job.est}
 	if s := m.cfg.Sink; s != nil {
 		sink.Metrics = s.Metrics
 		sink.Trace = s.Trace
-	}
-
-	if m.cfg.Fleet != nil && resume == nil {
-		m.runFleetJob(job, req)
-		return
 	}
 
 	// Every job gets an on-demand checkpoint trigger (POST
@@ -963,7 +977,7 @@ func (m *Manager) runJob(job *Job) {
 		Threads:     req.Threads,
 		MaxTrees:    req.MaxTrees,
 		MaxStates:   req.MaxStates,
-		MaxTime:     m.clampTime(time.Duration(req.MaxTimeSeconds * float64(time.Second))),
+		MaxTime:     maxTime,
 		InitialTree: gentrius.UseInitialTreeHeuristic,
 		Obs:         sink,
 		Fault:       m.cfg.Fault,
@@ -972,35 +986,6 @@ func (m *Manager) runJob(job *Job) {
 	}
 	res, err := gentrius.EnumerateStandContext(job.ctx, job.cons, opt)
 	m.finish(job, res, err)
-}
-
-// runFleetJob executes a job across the fleet via the configured
-// coordinator. Limits follow the engine conventions (zero = paper
-// defaults, negative = unlimited); the coordinator enforces the tree and
-// state limits coarsely at shard merges and MaxTime on its clock.
-func (m *Manager) runFleetJob(job *Job, req JobRequest) {
-	start := time.Now()
-	dres, err := m.cfg.Fleet.Run(job.ctx, job.id, job.cons, dist.RunOptions{
-		OnTrees:     job.spool.AppendBlock, // the workers' blocks, shard by shard as they merge
-		InitialTree: gentrius.UseInitialTreeHeuristic,
-		Limits: search.Limits{
-			MaxTrees:  req.MaxTrees,
-			MaxStates: req.MaxStates,
-			MaxTime:   m.clampTime(time.Duration(req.MaxTimeSeconds * float64(time.Second))),
-		}.Normalize(),
-	})
-	if err != nil {
-		m.finish(job, nil, err)
-		return
-	}
-	m.finish(job, &gentrius.Result{
-		StandTrees:         dres.Counters.StandTrees,
-		IntermediateStates: dres.Counters.IntermediateStates,
-		DeadEnds:           dres.Counters.DeadEnds,
-		Stop:               dres.Stop,
-		Elapsed:            time.Since(start),
-		InitialIndex:       dres.InitialIndex,
-	}, nil)
 }
 
 // RequestCheckpoint asks a running job for an on-demand snapshot, persists
