@@ -354,7 +354,8 @@ func extraBenches(add func(name string, f func(b *testing.B)),
 	// prefix walk to the initial split — and Release, as a serial run makes
 	// them, over the sixteen stands of the benchmark's count-many workload
 	// read back from their Newick text, as its runs read them. forced counts
-	// the prefixes' insertions, an exact gate.
+	// the prefixes' insertions and prefix-queries their count queries
+	// (Setup.PrefixQueries), both exact gates.
 	var small [][]*tree.Tree
 	for _, idx := range standPairs[0].idx {
 		var text bytes.Buffer
@@ -368,19 +369,21 @@ func extraBenches(add func(name string, f func(b *testing.B)),
 		small = append(small, cons)
 	}
 	add("StartSmallStands", func(b *testing.B) {
-		forced := 0
+		forced, queries := 0, int64(0)
 		for i := 0; i < b.N; i++ {
-			forced = 0
+			forced, queries = 0, 0
 			for _, cons := range small {
 				su, err := (&search.Options{InitialTree: -1}).Start(cons)
 				if err != nil {
 					b.Fatal(err)
 				}
 				forced += len(su.Frontier.Prefix)
+				queries += su.PrefixQueries
 				su.Release()
 			}
 		}
 		b.ReportMetric(float64(forced), "forced")
+		b.ReportMetric(float64(queries), "prefix-queries")
 	})
 	add("StaticIndexNew", func(b *testing.B) {
 		widest := slices.MaxFunc(big, func(x, y *tree.Tree) int { return x.NumLeaves() - y.NumLeaves() })

@@ -294,7 +294,6 @@ func (c *Coordinator) Run(ctx context.Context, jobID string, constraints []*tree
 	if err != nil {
 		return nil, err
 	}
-	su.Release() // the shards run elsewhere: only the counters and frontier are read
 	job := &fleetJob{
 		id:          jobID,
 		constraints: cons,
@@ -308,10 +307,15 @@ func (c *Coordinator) Run(ctx context.Context, jobID string, constraints []*tree
 		stats:       Result{Result: *su.Result()},
 	}
 	job.sink = search.TreeSink[string](opt.CollectTrees, &job.trees, opt.OnTree, opt.OnTrees)
+	var lone string // the stand's one tree, when the prefix found it and a sink takes it
+	if len(su.Frontier.Tasks) == 0 && job.sink != nil {
+		lone = su.Tree()
+	}
+	su.Release() // the shards run elsewhere: only the counters and frontier are read
 	if len(su.Frontier.Tasks) == 0 {
 		// An empty stand, or a prefix that closed the whole space.
-		if job.sink != nil && su.Tree != "" {
-			if err := job.deliver(su.Tree + "\n"); err != nil {
+		if lone != "" {
+			if err := job.deliver(lone + "\n"); err != nil {
 				return nil, err
 			}
 		}

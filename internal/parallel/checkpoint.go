@@ -48,6 +48,7 @@ func (p *pool) round() *search.Checkpoint {
 			p.enqueue(ft)
 		}
 		p.tasks, p.handed = append(p.tasks, queued...), nil
+		p.queued()
 	}
 	p.pausing = false
 	// In this order: a raise between a load and a store would be lost.

@@ -238,17 +238,21 @@ func offer(p *pool) bool {
 	return w.Offer(nil, &search.Frame{Taxon: 3, Branches: []int32{4, 5}}, 1) == 1
 }
 
+// TestQueueSubmitAndCap: the queue takes offers up to its capacity, in FIFO
+// order, and none after the stop; Full, which a worker reads before it
+// builds an offer's path, says when it is at capacity.
 func TestQueueSubmitAndCap(t *testing.T) {
 	p := testPool(2, 3)
-	if !offer(p) || !offer(p) {
-		t.Fatal("submissions under capacity rejected")
+	full := (&worker{s: &p.sched}).Full
+	if !offer(p) || full() || !offer(p) {
+		t.Fatal("submissions under capacity rejected, or the queue full below it")
 	}
-	if offer(p) {
-		t.Fatal("submission above capacity accepted")
+	if !full() || offer(p) {
+		t.Fatal("submission above capacity accepted, or the queue not full at it")
 	}
 	tk := p.steal(0)
-	if tk == nil || tk.id != 1 {
-		t.Fatalf("steal = %+v (want FIFO task 1)", tk)
+	if tk == nil || tk.id != 1 || full() {
+		t.Fatalf("steal = %+v (want FIFO task 1), full after it %v", tk, full())
 	}
 	if !offer(p) {
 		t.Fatal("submission after drain rejected")

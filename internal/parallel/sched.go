@@ -75,6 +75,9 @@ type sched struct {
 	// longer; an offer and the stop signal them. The virtual host never waits.
 	cond, ctl sync.Cond
 	tasks     []*task
+	// full says whether tasks holds QueueCap tasks, stored wherever tasks
+	// changes (queued), for an offer to read before it builds a path.
+	full atomic.Bool
 	// handed is what interrupted workers left of their tasks: part of every
 	// cut, after the queue.
 	handed   []search.FrontierTask
@@ -107,8 +110,10 @@ func (s *sched) start(workers int, sink func(block []byte, n int)) bool {
 	s.est.AddCounters(su.Counters.StandTrees, su.Counters.IntermediateStates, su.Counters.DeadEnds)
 	s.est.AddLeafMass(su.LeafMass, su.Leaves)
 	if len(su.Frontier.Tasks) == 0 {
-		if sink != nil && su.Tree != "" {
-			sink(append([]byte(su.Tree), '\n'), 1)
+		if sink != nil {
+			if nw := su.Tree(); nw != "" {
+				sink(append([]byte(nw), '\n'), 1)
+			}
 		}
 		return false
 	}
@@ -135,7 +140,7 @@ func (s *sched) push(t *task, by int) {
 	s.nextTask++
 	t.id = s.nextTask
 	s.tasks = append(s.tasks, t)
-	s.m.QueueDepth.Set(int64(len(s.tasks)))
+	s.queued()
 	if s.rec != nil {
 		s.emit(obs.EvTaskSubmit, by, obs.F("task", t.id), obs.F("parent", t.parent),
 			obs.F("taxon", int64(t.root().Taxon)), obs.F("branches", int64(len(t.root().Branches))),
@@ -154,6 +159,13 @@ func (s *sched) enqueue(ft search.FrontierTask) {
 	s.push(tk, -1)
 }
 
+// queued publishes the queue's length after a change to it: to the metrics,
+// and to full. Under mu, or before the workers start.
+func (s *sched) queued() {
+	s.m.QueueDepth.Set(int64(len(s.tasks)))
+	s.full.Store(len(s.tasks) >= s.policy.QueueCap)
+}
+
 // pop dequeues the head task for worker w — a steal — or returns nil when the
 // queue is empty. Under mu.
 func (s *sched) pop(w int) *task {
@@ -167,7 +179,7 @@ func (s *sched) pop(w int) *task {
 	n := copy(s.tasks, s.tasks[1:])
 	s.tasks[n] = nil
 	s.tasks = s.tasks[:n]
-	s.m.QueueDepth.Set(int64(n))
+	s.queued()
 	s.stolen++
 	s.m.TasksStolen.Inc()
 	s.m.Worker(w).Stolen.Inc()
@@ -297,6 +309,11 @@ func (w *worker) Offer(path []search.PathStep, f *search.Frame, n int) int {
 	s.cond.Signal()
 	return n
 }
+
+// Full reports whether the queue holds QueueCap tasks: one atomic load, so
+// that a worker builds no path for an offer Offer would refuse. Offer itself
+// decides under mu.
+func (w *worker) Full() bool { return w.s.full.Load() }
 
 // Publish adds a counter batch to the totals and re-evaluates the stopping
 // rules.

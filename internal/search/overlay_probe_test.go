@@ -159,6 +159,7 @@ func stepCalls(t *testing.T, cons []*tree.Tree) (steps int64, work search.Work) 
 type probeHost struct{}
 
 func (probeHost) Offer([]search.PathStep, *search.Frame, int) int { return 0 }
+func (probeHost) Full() bool                                      { return false }
 func (probeHost) Publish(search.Counters)                         {}
 func (probeHost) Trees(block []byte, n int) []byte                { return block }
 

@@ -303,6 +303,7 @@ type serial struct {
 }
 
 func (*serial) Offer([]PathStep, *Frame, int) int { return 0 }
+func (*serial) Full() bool                        { return true }
 
 func (h *serial) Publish(c Counters) {
 	h.total.Add(c)
@@ -377,8 +378,10 @@ func Run(constraints []*tree.Tree, opt Options) (res *Result, err error) {
 	res = su.Result()
 	h := &serial{m: opt.Obs.SchedMetrics(), sink: TreeSink[[]byte](opt.CollectTrees, &res.Trees, opt.OnTree, opt.OnTrees)}
 	h.Publish(su.Counters)
-	if h.sink != nil && su.Tree != "" {
-		h.sink(append([]byte(su.Tree), '\n'), 1)
+	if h.sink != nil {
+		if nw := su.Tree(); nw != "" {
+			h.sink(append([]byte(nw), '\n'), 1)
+		}
 	}
 	est := opt.Obs.Estimator()
 	est.AddCounters(su.Counters.StandTrees, su.Counters.IntermediateStates, su.Counters.DeadEnds)

@@ -27,6 +27,9 @@ type Host interface {
 	// task. It returns how many, counted from the end of f.Branches, the
 	// host queued (0: no room), copying what it keeps of path and f.
 	Offer(path []PathStep, f *Frame, n int) int
+	// Full reports whether Offer would find no room: read before the path
+	// of an offer is built, so that a refused offer builds none.
+	Full() bool
 	// Publish receives a batch of the worker's counters, never empty.
 	Publish(c Counters)
 	// Trees receives a block of n stand trees (see Engine.OnTrees) and returns
@@ -93,10 +96,11 @@ func (s *Setup) NewWorker(p Policy, h Host, est *obs.Estimator, trees bool) *Wor
 }
 
 // offer is the hand-off rule: what the policy shares of a fresh frame is
-// offered to the host with the path it hangs off.
+// offered to the host with the path it hangs off, unless the host has no
+// room for it.
 func (w *Worker) offer(f *Frame) int {
 	n := w.policy.Submit(w.eng.RemainingTaxa(), len(f.Branches))
-	if n == 0 {
+	if n == 0 || w.host.Full() {
 		return 0
 	}
 	w.path = w.eng.Path(append(w.path[:0], w.task.Path...))

@@ -30,6 +30,8 @@ func (h *fakeHost) Offer(path []PathStep, f *Frame, n int) int {
 	return n
 }
 
+func (h *fakeHost) Full() bool { return false }
+
 func (h *fakeHost) Publish(c Counters) {
 	h.total.Add(c)
 	h.log = append(h.log, "publish")
@@ -430,5 +432,50 @@ func TestWorkerBeginRefusesCorruptStack(t *testing.T) {
 	drain(t, w, h, good)
 	if h.total == (Counters{}) {
 		t.Fatal("the worker did not run the next task")
+	}
+}
+
+// fullHost is a fakeHost whose queue is always full: Offer must never be
+// reached.
+type fullHost struct {
+	*fakeHost
+	offers int
+}
+
+func (h *fullHost) Full() bool { return true }
+
+func (h *fullHost) Offer(path []PathStep, f *Frame, n int) int {
+	h.offers++
+	return 0
+}
+
+// TestWorkerFullQueueBuildsNoPath: a worker whose host has no room offers
+// nothing and builds no path for it, on a stand whose frames the policy
+// would share, and still counts the serial run's stand.
+func TestWorkerFullQueueBuildsNoPath(t *testing.T) {
+	cons := chainConstraints(t, 4, 4)
+	su, ref := wholeStand(t, cons)
+	open := &fakeHost{take: 1 << 30}
+	drain(t, su.NewWorker(Policy{}.Normalize(2), open, nil, false), open, su.Frontier.Tasks[0])
+	if len(open.log) == 0 || !slices.Contains(open.log, "offer") {
+		t.Fatal("the policy shares no frame of this stand: the test shows nothing")
+	}
+	h := &fullHost{fakeHost: &fakeHost{}}
+	w := su.NewWorker(Policy{}.Normalize(2), h, nil, false)
+	if err := w.Begin(su.Frontier.Tasks[0]); err != nil {
+		t.Fatal(err)
+	}
+	for {
+		if ph, _ := w.Tick(0); ph == Idle {
+			break
+		}
+	}
+	if h.offers != 0 || cap(w.path) != 0 {
+		t.Fatalf("a full queue was offered %d times, and a path of %d steps built", h.offers, cap(w.path))
+	}
+	got := su.Counters
+	got.Add(h.total)
+	if got != ref.Counters {
+		t.Fatalf("counted %+v, serial run %+v", got, ref.Counters)
 	}
 }

@@ -1,5 +1,7 @@
 package terrace
 
+import "math/bits"
+
 // Incremental admissible-branch accounting.
 //
 // The dynamic taxon-insertion heuristic asks, at every state transition, for
@@ -46,8 +48,12 @@ func (tr *Terrace) initIncremental() {
 	clear(in)
 	total := 0
 	for _, cs := range tr.constraints {
-		cs.y.ForEach(func(y int) { in[y]++ })
-		total += cs.y.Count()
+		for wi, w := range cs.y.Words() {
+			for ; w != 0; w &= w - 1 {
+				in[wi<<6+bits.TrailingZeros64(w)]++
+				total++
+			}
+		}
 	}
 	st.lists = take(st.lists, 2*n)
 	tr.byTaxon, tr.notByTaxon = st.lists[:n:n], st.lists[n:]
@@ -60,10 +66,16 @@ func (tr *Terrace) initIncremental() {
 	// walk exactly the constraints that need the +2/-2 patch, with no
 	// per-constraint membership test.
 	for ci, cs := range tr.constraints {
-		for x := 0; x < n; x++ {
-			if cs.y.Has(x) {
+		for wi, w := range cs.y.Words() {
+			for m := w; m != 0; m &= m - 1 {
+				x := wi<<6 + bits.TrailingZeros64(m)
 				tr.byTaxon[x] = append(tr.byTaxon[x], int32(ci))
-			} else {
+			}
+			for m := ^w; m != 0; m &= m - 1 {
+				x := wi<<6 + bits.TrailingZeros64(m)
+				if x >= n {
+					break
+				}
 				tr.notByTaxon[x] = append(tr.notByTaxon[x], int32(ci))
 			}
 		}

@@ -306,15 +306,21 @@ func TestNewIncompatibleMatchesReference(t *testing.T) {
 // a Terrace built on a second fuzzer-chosen stand, the reference New the
 // storage of that Terrace; both were left up to 2·prevDepth insertions deep.
 func FuzzNewEquiv(f *testing.F) {
-	f.Add(int64(1), uint8(14), uint8(3), uint8(128), uint8(0), false, int64(2), uint8(40), uint8(0))
-	f.Add(int64(7), uint8(60), uint8(9), uint8(40), uint8(5), true, int64(8), uint8(10), uint8(3))
-	f.Add(int64(1234), uint8(200), uint8(18), uint8(230), uint8(2), true, int64(5), uint8(220), uint8(9))
+	f.Add(int64(1), uint8(14), uint8(3), uint8(128), uint8(0), false, int64(2), uint8(40), uint8(0), uint8(0))
+	f.Add(int64(7), uint8(60), uint8(9), uint8(40), uint8(5), true, int64(8), uint8(10), uint8(3), uint8(0))
+	f.Add(int64(1234), uint8(200), uint8(18), uint8(230), uint8(2), true, int64(5), uint8(220), uint8(9), uint8(0))
 	// Sparse scenarios whose News orient the agile tree for five distinct s0
 	// and hold constraints that are inactive at the initial tree: seven of
 	// 19 in the first, one of 12 in the second.
-	f.Add(int64(3), uint8(30), uint8(17), uint8(0), uint8(0), false, int64(4), uint8(60), uint8(6))
-	f.Add(int64(2), uint8(90), uint8(10), uint8(0), uint8(0), false, int64(9), uint8(100), uint8(2))
-	f.Fuzz(func(t *testing.T, seed int64, nRaw, mRaw, coverRaw, idxRaw uint8, perturb bool, prevSeed int64, prevRaw, prevDepth uint8) {
+	f.Add(int64(3), uint8(30), uint8(17), uint8(0), uint8(0), false, int64(4), uint8(60), uint8(6), uint8(0))
+	f.Add(int64(2), uint8(90), uint8(10), uint8(0), uint8(0), false, int64(9), uint8(100), uint8(2), uint8(0))
+	// The count-many stands as read (stand k+1 is benchStands[k]), at their
+	// first and a later initial tree, and with one constraint perturbed by a
+	// nearest-neighbour interchange, which makes most of them incompatible.
+	for k := range 16 {
+		f.Add(int64(k), uint8(0), uint8(0), uint8(0), uint8(3*k), k%3 == 0, int64(1), uint8(0), uint8(0), uint8(k+1))
+	}
+	f.Fuzz(func(t *testing.T, seed int64, nRaw, mRaw, coverRaw, idxRaw uint8, perturb bool, prevSeed int64, prevRaw, prevDepth, stand uint8) {
 		prng := rand.New(rand.NewSource(prevSeed))
 		pn := 8 + int(prevRaw)%120
 		prev, err := New(coveredScenario(prng, pn, 2+pn%7, 0.6), 0)
@@ -329,11 +335,17 @@ func FuzzNewEquiv(f *testing.F) {
 		prev.Release()
 		c.Release()
 
-		n := 8 + int(nRaw)%120
-		m := 2 + int(mRaw)%19
-		cover := 0.3 + 0.6*float64(coverRaw)/255
 		rng := rand.New(rand.NewSource(seed))
-		cons := coveredScenario(rng, n, m, cover)
+		var cons []*tree.Tree
+		if stand == 0 {
+			n := 8 + int(nRaw)%120
+			m := 2 + int(mRaw)%19
+			cover := 0.3 + 0.6*float64(coverRaw)/255
+			cons = coveredScenario(rng, n, m, cover)
+		} else {
+			cons = readStand(t, benchStands[int(stand-1)%16])
+		}
+		m := len(cons)
 		idx := int(idxRaw) % m
 		if perturb {
 			j := rng.Intn(m)

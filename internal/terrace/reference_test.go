@@ -24,7 +24,7 @@ func newReference(constraints []*tree.Tree, initialIdx int) (*Terrace, error) {
 			return nil, err
 		}
 	}
-	tr.agile.Orient(0, tr.rootedV, tr.rootedE, make([]int32, tr.agile.NumNodes()))
+	tr.agile.Orient(0, tr.rootedV, tr.rootedE, make([]int32, tr.agile.NumNodes()), nil, nil)
 	return tr, nil
 }
 

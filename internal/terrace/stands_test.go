@@ -2,6 +2,7 @@ package terrace
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
 	"gentrius/internal/gen"
@@ -22,21 +23,14 @@ var benchStands = []int{0, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 1
 func TestNewOnBenchStandsMatchesReference(t *testing.T) {
 	news, grouped := 0, 0
 	for _, idx := range benchStands {
-		ds := gen.Generate(gen.Default(gen.RegimeSimulated), idx)
-		lines := make([]string, len(ds.Constraints))
-		for i, c := range ds.Constraints {
-			lines[i] = c.Newick()
-		}
-		cons, err := tree.ReadLines(lines)
-		if err != nil {
-			t.Fatal(err)
-		}
+		cons := readStand(t, idx)
+		name := gen.Generate(gen.Default(gen.RegimeSimulated), idx).Name
 		for k := range cons {
 			if testing.Short() && k > 0 {
 				break
 			}
-			if !checkAgainstReference(t, cons, k, fmt.Sprintf("%s initial %d", ds.Name, k)) {
-				t.Fatalf("%s initial %d: a stand of the corpus reported incompatible", ds.Name, k)
+			if !checkAgainstReference(t, cons, k, fmt.Sprintf("%s initial %d", name, k)) {
+				t.Fatalf("%s initial %d: a stand of the corpus reported incompatible", name, k)
 			}
 			tr, err := New(cons, k)
 			if err != nil {
@@ -56,4 +50,27 @@ func TestNewOnBenchStandsMatchesReference(t *testing.T) {
 	if grouped < news/2 {
 		t.Fatalf("only %d of %d News orient the agile tree more than once", grouped, news)
 	}
+}
+
+// standTexts caches each bench stand's Newick text, one tree a line, as the
+// benchmark's runs read it.
+var standTexts sync.Map
+
+// readStand reads simulated dataset idx back from its Newick text.
+func readStand(t *testing.T, idx int) []*tree.Tree {
+	t.Helper()
+	lines, ok := standTexts.Load(idx)
+	if !ok {
+		ds := gen.Generate(gen.Default(gen.RegimeSimulated), idx)
+		l := make([]string, len(ds.Constraints))
+		for i, c := range ds.Constraints {
+			l[i] = c.Newick()
+		}
+		lines, _ = standTexts.LoadOrStore(idx, l)
+	}
+	cons, err := tree.ReadLines(lines.([]string))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cons
 }

@@ -229,7 +229,7 @@ func New(constraints []*tree.Tree, initialIdx int) (*Terrace, error) {
 		tr.Release()
 		return nil, err
 	}
-	tr.agile.Orient(0, tr.rootedV, tr.rootedE, sc.order) // the search's rooted orientation
+	tr.agile.Orient(0, tr.rootedV, tr.rootedE, sc.order, nil, nil) // the search's rooted orientation
 	return tr, nil
 }
 
@@ -250,7 +250,8 @@ func (tr *Terrace) initConstraints(sc *initScratch) error {
 	for _, ci := range active {
 		if x := s0(ci); x != at {
 			at = x
-			a.Orient(a.LeafNode(int(x)), sc.par, sc.pe, sc.order)
+			a.Orient(a.LeafNode(int(x)), sc.par, sc.pe, sc.order, sc.tin, sc.ppos)
+			sc.byPosition(a)
 		}
 		if err := tr.initConstraint(tr.constraints[ci], sc); err != nil {
 			return err
@@ -578,106 +579,134 @@ func (tr *Terrace) LastInserted() int {
 
 // rnode is one vertex of a tree rooted at a leaf of S, as initConstraint
 // sees it. The vertices with sub > 0 form the Steiner tree of S; its
-// significant vertices — the root, the S-leaves and the vertices with two
-// kept children — cut it into chains, and every chain is one common edge.
+// significant vertices — the S-leaves, the root among them, and the vertices
+// with two kept children — cut it into chains, and every chain is one common
+// edge.
 type rnode struct {
-	par, pe int32 // parent vertex and the edge to it (tree.NoNode, tree.NoEdge at the root)
-	sub     int32 // S-leaves at or below the vertex; 0 means pruned
-	kids    int32 // children with sub > 0
+	sub  int32 // S-leaves at or below the vertex; 0 means pruned
+	kids int32 // children with sub > 0 (0 at the root, which is significant)
 
 	// anchor is, for a kept vertex, the significant vertex at the lower end
-	// of the chain holding pe, and for a pruned one the kept vertex its
-	// hanging subtree is attached to. Constraint side only.
+	// of the chain holding its parent edge, and for a pruned one on the
+	// constraint side the kept vertex its hanging subtree is attached to,
+	// tree.NoNode until it is asked for.
 	anchor int32
 
 	// x is, for a kept vertex other than the root, the common edge id of the
-	// chain holding pe (constraint side) or the constraint-tree vertex
-	// matching that chain's lower end (agile side).
+	// chain holding its parent edge (constraint side), or the
+	// constraint-tree vertex matching that chain's lower end (agile side),
+	// which, once the chains are laid, an agile vertex inside a chain trades
+	// for the chain's upper end.
 	x int32
 }
 
-// significant reports whether a chain ends at the vertex.
-func (nd *rnode) significant() bool {
-	return nd.sub > 0 && (nd.kids != 1 || nd.par == tree.NoNode)
+// upper returns the far end of the constraint-side chain whose lower end is
+// significant vertex x.
+func (cs *constraintState) upper(tn []rnode, x int32) int32 {
+	ce := &cs.cedges[tn[x].x]
+	if ce.ta == x {
+		return ce.tb
+	}
+	return ce.ta
 }
+
+// significant reports whether a chain ends at the vertex.
+func (nd *rnode) significant() bool { return nd.sub > 0 && nd.kids != 1 }
 
 // initScratch is initConstraint's working storage, shared by all
 // constraints of one New.
 type initScratch struct {
-	t, a []rnode // the constraint tree and the agile tree, rooted at the leaf of s0
+	t []rnode // the constraint tree rooted at the leaf of s0, by node
+	a []rnode // the agile tree rooted there, by preorder position
 
-	// The agile tree rooted at the leaf of s0: parent vertex and parent edge
-	// per node, and the nodes in preorder.
-	par, pe, order []int32
+	// The agile tree rooted at the leaf of s0, as tree.Orient lays it out:
+	// parent vertex, parent edge and preorder position (tin) per node, the
+	// nodes in preorder, and by position the parent's position (ppos); and,
+	// by position too, the taxon (-1 for an interior node) and the parent
+	// edge (byPosition).
+	par, pe, order        []int32
+	tin, ppos, tax, pedge []int32
 }
 
 // initScratch takes initConstraint's working storage for a universe of taxa
-// from st. layOut and tree.Orient write every vertex they read, so nothing is
-// cleared.
+// from st. Every entry is written before it is read, so nothing is cleared.
 func (st *storage) initScratch(taxa int) initScratch {
 	st.rn = take(st.rn, 4*taxa)
-	st.order = take(st.order, 6*taxa)
-	return initScratch{t: st.rn[:2*taxa], a: st.rn[2*taxa:],
-		par: st.order[:2*taxa], pe: st.order[2*taxa : 4*taxa], order: st.order[4*taxa:]}
+	st.order = take(st.order, 14*taxa)
+	o, n := st.order, 2*taxa
+	return initScratch{t: st.rn[:n], a: st.rn[n:],
+		par: o[:n], pe: o[n : 2*n], order: o[2*n : 3*n],
+		tin: o[3*n : 4*n], ppos: o[4*n : 5*n], tax: o[5*n : 6*n], pedge: o[6*n : 7*n]}
 }
 
-// layOut lays nodes out as t oriented by par and pe, each S-leaf counted
-// once. The other counts — the S-leaves below an interior vertex, its kept
-// children — are its children's, which initConstraint adds up bottom-up.
-func layOut(t *tree.Tree, par, pe []int32, s *bitset.Set, nodes []rnode) {
-	for v := range nodes {
-		nodes[v] = rnode{par: par[v], pe: pe[v], x: -1}
-	}
-	for y := s.NextSetBit(0); y >= 0; y = s.NextSetBit(y + 1) {
-		nodes[t.LeafNode(y)].sub = 1
+// byPosition completes the orientation of a that Orient laid out in sc
+// with each preorder position's taxon and parent edge, for initConstraint's
+// sweeps of the agile tree, which read it front to back and back to front.
+func (sc *initScratch) byPosition(a *tree.Tree) {
+	for i, v := range sc.order[:a.NumNodes()] {
+		sc.tax[i], sc.pedge[i] = a.NodeTaxon(v), sc.pe[v]
 	}
 }
 
 // initConstraint fills in one active constraint's half of the initial state:
 // the common edges with both anchor pairs, the agile-side mapping with its
 // anchor-path directions, counts and lanes, and the target and projection
-// of every pending taxon — in time linear in the two trees.
+// of every pending taxon — in time linear in the two trees, in two sweeps of
+// each and a climb from each pending taxon.
 //
 // Both trees are rooted at the leaf of s0, the lowest taxon of S. Neither is
 // walked here: the constraint tree's orientation is its index's, which
 // newShell rooted there, and the agile tree's is sc's, which initConstraints
-// lays out once for all the constraints that share s0. A common edge is a
-// chain of the Steiner tree of S, named by its lower end. Constraint-side
-// chains are numbered in the order a walk over the significant vertices by
-// ascending id, each one's edges in adjacency order, first meets them, and
-// ta is the end they are met from: ExtendTaxon allocates later ids on top of
-// these, so the numbering is part of what Signature pins.
+// lays out once for all the constraints that share s0. Each tree is first
+// swept bottom-up, every kept vertex handing its counts to its parent. A
+// common edge is a chain of the Steiner tree of S, named by its lower end.
+// Constraint-side chains are numbered in the order a walk over the
+// significant vertices by ascending id, each one's edges in adjacency order,
+// first meets them, and ta is the end they are met from: ExtendTaxon
+// allocates later ids on top of these, so the numbering is part of what
+// Signature pins.
 //
 // An agile chain below significant vertex b matches the constraint chain
-// below the vertex whose cluster (S-leaves below it) equals b's. That vertex
-// can only be the lowest common ancestor of b's cluster, found bottom-up as
-// the median of the root and the two children's images, and it has the same
-// cluster exactly when it has the same number of S-leaves below it. If every
-// branching vertex of the agile side passes, every cluster of A|S is a
-// cluster of T_i|S, and two binary trees on the same leaves with the same
-// clusters are equal; if one fails, the trees differ.
+// below b's image, the vertex whose cluster (S-leaves below it) equals b's:
+// an S-leaf's image is the leaf of its taxon, and a branching vertex's the
+// upper end of the constraint chains below its two children's images, which
+// must be one vertex with as many S-leaves below it as b. That vertex is an
+// ancestor of both images, so its cluster holds both children's clusters,
+// and with as many S-leaves it is their union. If every branching vertex of
+// the agile side passes, every cluster of A|S is a cluster of T_i|S, and two
+// binary trees on the same leaves with the same clusters are equal; if one
+// fails, the trees differ. The agile tree's second sweep, top-down, then maps
+// every edge: a kept one to its chain, a pruned one where the edge above it
+// maps.
 func (tr *Terrace) initConstraint(cs *constraintState, sc *initScratch) error {
-	// Constraint side.
+	// Constraint side, by node.
 	t, tn := cs.t, sc.t[:cs.t.NumNodes()]
 	par, pe, order := cs.ix.Oriented()
-	tRoot := order[0]
-	layOut(t, par, pe, cs.s, tn)
 	// Bottom-up, a vertex's children are done when it is reached: its counts
 	// are final, and a kept one hands them on. A vertex with one kept child
 	// is inside a chain, which ends where the child's does.
+	clear(tn)
 	for i := len(order) - 1; i > 0; i-- {
-		nd := &tn[order[i]]
+		v := order[i]
+		nd := &tn[v]
+		if x := t.NodeTaxon(v); x >= 0 && cs.s.Has(int(x)) {
+			nd.sub = 1
+		}
 		if nd.sub == 0 {
+			nd.anchor = tree.NoNode
 			continue
 		}
 		if nd.kids != 1 {
-			nd.anchor = order[i]
+			nd.anchor = v
 		}
-		p := &tn[nd.par]
+		nd.x = NoCE
+		p := &tn[par[v]]
 		p.sub += nd.sub
 		p.kids++
 		p.anchor = nd.anchor
 	}
+	root := order[0]
+	tn[root] = rnode{sub: int32(cs.sCount), anchor: root, x: NoCE}
 	for vi := range tn {
 		nd := &tn[vi]
 		if !nd.significant() {
@@ -687,7 +716,7 @@ func (tr *Terrace) initConstraint(cs *constraintState, sc *initScratch) error {
 		adj, deg := t.Adjacency(v)
 		for k := 0; k < deg; k++ {
 			low := v // lower end of the chain through this edge
-			if e := adj[k]; e != nd.pe {
+			if e := adj[k]; e != pe[v] {
 				w := t.Other(e, v)
 				if tn[w].sub == 0 {
 					continue
@@ -701,7 +730,7 @@ func (tr *Terrace) initConstraint(cs *constraintState, sc *initScratch) error {
 			u := low
 			for {
 				tn[u].x = id
-				if u = tn[u].par; tn[u].significant() {
+				if u = par[u]; tn[u].significant() {
 					break
 				}
 			}
@@ -714,86 +743,88 @@ func (tr *Terrace) initConstraint(cs *constraintState, sc *initScratch) error {
 		}
 	}
 	// A pending taxon hangs off an interior vertex of exactly one chain: that
-	// chain is its target and that vertex its projection.
-	for _, v := range order[1:] {
-		if nd := &tn[v]; nd.sub == 0 {
-			if p := &tn[nd.par]; p.sub > 0 {
-				nd.anchor = nd.par
+	// chain is its target and that vertex its projection. It is found by
+	// climbing from the taxon's leaf, and every pruned vertex climbed notes
+	// it for the next taxon of the same hanging subtree.
+	for _, y := range cs.pending {
+		leaf, at := t.LeafNode(int(y)), tree.NoNode
+		for w := leaf; at == tree.NoNode; w = par[w] {
+			if p := &tn[par[w]]; p.sub > 0 {
+				at = par[w]
 			} else {
-				nd.anchor = p.anchor
+				at = p.anchor
 			}
 		}
-	}
-	for _, y := range cs.pending {
-		at := tn[t.LeafNode(int(y))].anchor
+		for w := leaf; tn[w].anchor == tree.NoNode; w = par[w] {
+			tn[w].anchor = at
+		}
 		cs.target[y] = tn[at].x
 		cs.proj[y] = at
 	}
 
-	// Agile side.
-	a, n := tr.agile, tr.agile.NumNodes()
-	an, order := sc.a[:n], sc.order[:n]
-	layOut(a, sc.par[:n], sc.pe[:n], cs.s, an)
-	for i := len(order) - 1; i > 0; i-- {
-		v := order[i]
-		nd := &an[v]
-		if nd.sub == 0 {
+	// Agile side, by preorder position: anchors are positions, images and
+	// common-edge anchors nodes.
+	n := tr.agile.NumNodes()
+	an, ppos, tax, pedge, aorder := sc.a[:n], sc.ppos[:n], sc.tax[:n], sc.pedge[:n], sc.order[:n]
+	clear(an)
+	for i := n - 1; i > 0; i-- {
+		nd := &an[i]
+		switch x := tax[i]; {
+		case x >= 0:
+			if !cs.s.Has(int(x)) {
+				continue
+			}
+			nd.sub, nd.anchor, nd.x = 1, int32(i), t.LeafNode(int(x))
+		case nd.sub == 0:
 			continue
-		}
-		switch nd.kids {
-		case 0:
-			nd.x = t.LeafNode(int(a.NodeTaxon(v)))
-		case 2:
+		case nd.kids == 2:
 			if tn[nd.x].sub != nd.sub {
 				return fmt.Errorf("terrace: agile tree and constraint tree differ on their common taxa: %w", ErrIncompatible)
 			}
+			nd.anchor = int32(i)
 		}
-		p := &an[nd.par]
+		p := &an[ppos[i]]
 		p.sub += nd.sub
-		if p.kids++; p.kids == 2 {
-			p.x = cs.ix.Median(tRoot, p.x, nd.x)
-		} else {
-			p.x = nd.x
+		if p.kids++; p.kids == 1 {
+			p.anchor, p.x = nd.anchor, nd.x
+		} else if p.x = cs.upper(tn, p.x); p.x != cs.upper(tn, nd.x) {
+			return fmt.Errorf("terrace: agile tree and constraint tree differ on their common taxa: %w", ErrIncompatible)
 		}
 	}
-	for _, b := range order[1:] {
-		nd := &an[b]
-		if nd.sub == 0 || nd.kids == 1 {
-			continue
-		}
-		id := tn[nd.x].x
-		ce := &cs.cedges[id]
-		// aa must be the end matching ta (splitCommonEdge relies on it), and
-		// dir points to the ab-ward end of every path edge.
-		up := ce.ta == nd.x
-		v := b
-		for {
-			e := an[v].pe
-			cs.m[e] = id
+	an[0] = rnode{sub: int32(cs.sCount), x: root}
+	for i := int32(1); i < int32(n); i++ {
+		nd, e, p := &an[i], pedge[i], ppos[i]
+		var id int32
+		if nd.sub == 0 {
+			id = cs.m[pedge[p]] // the root is kept, so p is not it
+		} else {
+			// aa must be the end matching ta (splitCommonEdge relies on it),
+			// and dir points to the ab-ward end of every path edge.
+			low := nd.anchor
+			id = tn[an[low].x].x
+			ce := &cs.cedges[id]
+			up := ce.ta == an[low].x
 			if up {
-				cs.dir[e] = an[v].par
+				cs.dir[e] = aorder[p]
 			} else {
-				cs.dir[e] = v
+				cs.dir[e] = aorder[i]
 			}
-			if v = an[v].par; an[v].significant() {
-				break
+			top := p // the chain's upper end
+			if !an[p].significant() {
+				top = an[p].x
+			}
+			switch {
+			case i != low:
+				nd.x = top
+			case up:
+				ce.aa, ce.ab = aorder[i], aorder[top]
+			default:
+				ce.aa, ce.ab = aorder[top], aorder[i]
 			}
 		}
-		if up {
-			ce.aa, ce.ab = b, v
-		} else {
-			ce.aa, ce.ab = v, b
-		}
-	}
-	// A pruned vertex's edge maps where the edge above it does.
-	for _, v := range order[1:] {
-		if nd := &an[v]; nd.sub == 0 {
-			cs.m[nd.pe] = cs.m[an[nd.par].pe]
-		}
-	}
-	for e, id := range cs.m {
+		cs.m[e] = id
 		cs.cnt[id]++
-		cs.preSet(id, int32(e))
+		cs.preSet(id, e)
 	}
 	return nil
 }

@@ -43,6 +43,18 @@ func FuzzNewickParse(f *testing.F) {
 		"((a),b);",
 		"(a,b,c,d);",
 		strings.Repeat("(a,", 30) + "b" + strings.Repeat(")", 30) + ";",
+		// What the two byte counts that size a tree could miscount, and the
+		// outermost group taken for a vertex until it closes on two.
+		"(('x,y','(z)'),('p''q',r),s);",
+		"(('a(',b),('c)',d));",
+		"((''''',a),'(,)',(b,'c''''d'));",
+		"((A:1e-5,B:2.5E+3)x:1e2,(C:.5,D:-1)'y z':3e0);",
+		" ( ( A , B ) i1 : 1 ,\tC ,\r\nD ) ; ",
+		"((A,B),C);",
+		"(A,(B,C));",
+		"(((A,B),C),(D,E),F);",
+		"((a,b)),c);",
+		"((a,b),c,d,e);",
 		strings.Repeat("(", 120000) + "a;", // rejected by the nesting cap
 	} {
 		f.Add(s)

@@ -25,7 +25,9 @@ func Parse(newick string, taxa *Taxa, autoAdd bool) (*Tree, error) {
 		return nil, err
 	}
 	n := taxa.Len()
-	t.fit(make([]int32, n), bitset.New(n))
+	leafOf := make([]int32, n)
+	fillNoNode(leafOf)
+	t.fit(leafOf, bitset.New(n))
 	return t, nil
 }
 
@@ -41,8 +43,8 @@ func MustParse(newick string, taxa *Taxa) *Tree {
 // Reader builds a collection of trees over one taxon universe in a single
 // pass over their text — the one way constraint trees enter the program.
 // Labels are registered as they are met, so taxon ids follow first
-// appearance. A tree's nodes and edges take one allocation, sized by a
-// prescan of its text; what is sized to the universe — each tree's leaf
+// appearance. A tree's nodes and edges take one allocation, sized by two
+// byte counts of its text; what is sized to the universe — each tree's leaf
 // index and leaf set — can only be laid out once the last tree has been
 // read, which is what Finish does, in one slab each for all the trees.
 type Reader struct {
@@ -107,6 +109,7 @@ func (r *Reader) Finish() ([]*Tree, *Taxa, error) {
 	n := r.p.taxa.Len()
 	nw := bitset.WordsFor(n)
 	leafOf, words := make([]int32, k*n), make([]uint64, k*nw)
+	fillNoNode(leafOf)
 	sets, out := make([]bitset.Set, k), make([]*Tree, k)
 	for i := range r.trees {
 		sets[i] = bitset.Over(n, words[i*nw:(i+1)*nw:(i+1)*nw])
@@ -129,27 +132,25 @@ func ReadLines(lines []string) ([]*Tree, error) {
 	return trees, err
 }
 
-// maxNesting bounds parenthesis nesting depth. The parser recurses once per
-// nesting level, so without a cap a long run of '(' characters overflows the
-// goroutine stack; real trees nest at most once per taxon, far below this.
-// The renderer does not recurse.
+// maxNesting bounds parenthesis nesting depth: real trees nest at most once
+// per taxon, far below this.
 const maxNesting = 100000
 
-// parser builds trees straight from their text: nodes and edges are
-// allocated in the Tree as the recursive descent meets them, in an order
-// that is part of the program's contract. A group's node is allocated at its
-// '(' and a leaf's at its label, so node ids run in preorder; the edge from
-// a vertex to a child is allocated when the child's subtree is complete, so
-// edge ids run in postorder and an internal vertex lists its two child edges
-// before the edge to its parent. Path tasks, checkpoints and golden traces
-// name branches by these ids.
+// parser builds trees straight from their text, in one loop over it: nodes
+// and edges are written by index into arrays sized before the first byte is
+// read, in an order that is part of the program's contract. A group's node is
+// allocated at its '(' and a leaf's at its label, so node ids run in
+// preorder; the edge from a vertex to a child is allocated when the child's
+// subtree is complete, so edge ids run in postorder and an internal vertex
+// lists its two child edges before the edge to its parent. The outermost
+// group is parsed as a vertex of up to three subtrees; one that closes on two
+// is a suppressed root, which suppressRoot takes out. Path tasks, checkpoints
+// and golden traces name branches by these ids.
 type parser struct {
 	taxa    *Taxa
 	autoAdd bool
 	s       []byte
 	i       int
-	depth   int
-	t       *Tree
 	quoted  []byte // the unescaped text of the last quoted label
 
 	// named holds a bit per taxon id, set once the tree being parsed has
@@ -161,87 +162,48 @@ func (p *parser) errf(format string, args ...interface{}) error {
 	return fmt.Errorf("newick: at offset %d: %s", p.i, fmt.Sprintf(format, args...))
 }
 
-// prescan reads what has to be known before the first allocation: an upper
-// bound on the number of leaves (one more than the commas, and no more than
-// two more than the groups, of a binary tree) and the number of commas
-// between the children of the outermost group, which says whether that
-// group is a vertex or a suppressed root. It follows label's quoting rule: a
-// quote opens a label only where a label may start. Wherever the parser
-// reaches the end of the outermost group without an error the two have read
-// the same tokens, so the counts are exact for every input it accepts.
-func prescan(s []byte) (leaves, topCommas int) {
-	commas, groups, depth := 0, 0, 0
-	closed := false // the outermost group has ended
-	start := true   // a label may start here
-	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case ' ', '\t', '\n', '\r':
-		case '(':
-			groups++
-			depth++
-			start = true
-		case ')':
-			depth--
-			closed = closed || depth == 0
-			start = true
-		case ',':
-			commas++
-			if depth == 1 && !closed {
-				topCommas++
-			}
-			start = true
-		case '\'':
-			if start {
-				for i++; i < len(s); i++ {
-					if s[i] != '\'' {
-						continue
-					}
-					if i+1 == len(s) || s[i+1] != '\'' {
-						break
-					}
-					i++ // escaped quote
-				}
-			}
-			start = false
-		default:
-			start = false
-		}
-	}
-	return min(commas, groups+1) + 1, topCommas
-}
+var (
+	comma, paren = []byte{','}, []byte{'('}
+	noAdj        = [3]int32{NoEdge, NoEdge, NoEdge}
 
-// tree parses one tree into t: its nodes and edges, in one allocation sized
-// by prescan. Its leaf index and leaf set are missing: fit completes it once
-// the universe is final.
+	// space marks the bytes skipped between tokens, delim those that end an
+	// unquoted label.
+	space = [256]bool{' ': true, '\t': true, '\n': true, '\r': true}
+	delim = [256]bool{' ': true, '\t': true, '\n': true, '\r': true,
+		'(': true, ')': true, ',': true, ':': true, ';': true}
+)
+
+// tree parses one tree into t. Its nodes and edges take one allocation,
+// sized by two counts of the text that bound what any parse of it allocates:
+// a subtree starts at the first byte, after each '(' and after each ',', and
+// allocates one node, and an edge joins each node but the first to the group
+// around it. A binary tree of l >= 3 leaves written as a vertex has l-1
+// commas and l-2 groups, so the bound is its 2l-2 nodes; written as a
+// suppressed root, one more, which is the outermost group's node. Commas and
+// parentheses in quoted labels only loosen it. The tree's leaf index and leaf
+// set are missing: fit completes it once the universe is final.
 func (p *parser) tree(s []byte, t *Tree) error {
-	leaves, topCommas := prescan(s)
+	commas := bytes.Count(s, comma)
+	n := 1 + commas + bytes.Count(s, paren)
 	known := p.taxa.Len()
 	if known == 0 && p.autoAdd {
-		p.taxa.reserve(leaves) // a fresh universe: its first tree names most of it
+		p.taxa.reserve(commas + 1) // a fresh universe: its first tree names most of it
 	}
-	// A binary tree of l >= 2 leaves has 2l-2 nodes and 2l-3 edges.
 	t.taxa = p.taxa
-	t.nodes, t.edges = newArrays(max(2*leaves-2, 1), max(2*leaves-3, 0))
-	if w := (known + leaves + 63) >> 6; len(p.named) < w {
+	t.nodes, t.edges = newArrays(n, n-1)
+	if w := (known + commas + 64) >> 6; len(p.named) < w {
 		p.named = append(p.named, make([]uint64, w-len(p.named))...)
 	}
 	clear(p.named)
-	p.s, p.i, p.depth, p.t = s, 0, 0, t
+	p.s, p.i = s, 0
 
-	p.skipSpace()
-	var err error
-	switch {
-	case p.i >= len(s):
-		err = p.errf("unexpected end of input")
-	case s[p.i] != '(':
-		_, err = p.leaf()
-	case topCommas >= 2:
-		err = p.group(t.allocNode(-1), 3)
-	default:
-		err = p.group(NoNode, 2)
-	}
+	nn, ne, err := p.body(t.nodes, t.edges)
+	t.nodes, t.edges = t.nodes[:nn], t.edges[:ne]
 	if err != nil {
 		return err
+	}
+	if nn > 1 && t.nodes[0].deg == 2 {
+		t.suppressRoot()
 	}
 	p.skipSpace()
 	if p.i >= len(s) || s[p.i] != ';' {
@@ -255,116 +217,171 @@ func (p *parser) tree(s []byte, t *Tree) error {
 	return nil
 }
 
-func (p *parser) skipSpace() {
-	for p.i < len(p.s) {
-		switch p.s[p.i] {
-		case ' ', '\t', '\n', '\r':
-			p.i++
-		default:
-			return
-		}
-	}
-}
-
-// subtree parses a leaf or a binary group and returns its root node, which
-// still lacks the edge to its parent.
-func (p *parser) subtree() (int32, error) {
-	p.skipSpace()
-	if p.i >= len(p.s) {
-		return NoNode, p.errf("unexpected end of input")
-	}
-	if p.s[p.i] != '(' {
-		return p.leaf()
-	}
-	v := p.t.allocNode(-1)
-	return v, p.group(v, 2)
-}
-
-// group parses the group opening at p.i, which must hold exactly want
-// subtrees, and joins each to v as it completes. With v == NoNode the group
-// is a suppressed root: its two subtrees are joined to each other.
-func (p *parser) group(v int32, want int) error {
-	p.depth++
-	if p.depth > maxNesting {
-		return p.errf("groups nested deeper than %d", maxNesting)
-	}
-	p.i++
-	for k := 1; ; k++ {
-		c, err := p.subtree()
-		if err != nil {
-			return err
-		}
-		if v == NoNode {
-			v = c
-		} else {
-			e := p.t.allocEdge(v, c)
-			p.t.addAdj(v, e)
-			p.t.addAdj(c, e)
-		}
+// body parses the tree's one subtree, up to the ';', into nodes and edges,
+// and returns how many of each it wrote. A group holds exactly two subtrees,
+// the outermost one, node 0, two or three. The groups open form a chain from
+// the innermost, cur, outwards, kept in the nodes themselves: while a group
+// other than the outermost is open its vertex's third adjacency slot, which
+// the edge to its parent fills when it closes, holds the next group out.
+func (p *parser) body(nodes []node, edges []edge) (nn, ne int32, err error) {
+	s, cur, depth := p.s, NoNode, 0
+	for {
+		// A subtree starts here: a group's node is written as it opens, a
+		// leaf's once its label is read, and then every group it completes
+		// closes in turn.
 		p.skipSpace()
-		if p.i >= len(p.s) {
-			return p.errf("unterminated '('")
+		if p.i >= len(s) {
+			return nn, ne, p.errf("unexpected end of input")
 		}
-		if p.s[p.i] == ')' {
-			if k != want {
-				return p.errf("group of %d subtrees, want %d (binary trees required)", k, want)
+		if s[p.i] == '(' {
+			if depth == maxNesting {
+				return nn, ne, p.errf("groups nested deeper than %d", maxNesting)
 			}
-			break
+			depth++
+			nodes[nn] = node{adj: [3]int32{NoEdge, NoEdge, cur}, taxon: -1}
+			cur = nn
+			nn++
+			p.i++
+			continue
 		}
-		if p.s[p.i] != ',' {
-			return p.errf("expected ',' or ')', found %q", p.s[p.i])
+		id, err := p.leaf()
+		if err != nil {
+			return nn, ne, err
 		}
-		if k == want {
-			return p.errf("group of more than %d subtrees (binary trees required)", want)
+		nodes[nn] = node{adj: noAdj, taxon: id}
+		c := nn
+		nn++
+		for cur != NoNode {
+			v, vn, cn := cur, &nodes[cur], &nodes[c]
+			vn.adj[vn.deg], cn.adj[cn.deg] = ne, ne
+			vn.deg++
+			cn.deg++
+			edges[ne] = edge{a: v, b: c}
+			ne++
+			want := int8(2)
+			if v == 0 {
+				want = 3
+			}
+			if p.i >= len(s) {
+				return nn, ne, p.errf("unterminated '('")
+			}
+			if s[p.i] == ',' {
+				if vn.deg == want {
+					return nn, ne, p.errf("group of more than %d subtrees (binary trees required)", want)
+				}
+				p.i++
+				break
+			}
+			if s[p.i] != ')' {
+				return nn, ne, p.errf("expected ',' or ')', found %q", s[p.i])
+			}
+			if vn.deg < 2 {
+				return nn, ne, p.errf("group of %d subtrees, want 2 (binary trees required)", vn.deg)
+			}
+			p.i++
+			depth--
+			c, cur = v, NoNode
+			if v != 0 {
+				cur, vn.adj[2] = vn.adj[2], NoEdge
+			}
+			// Optional internal label and branch length, both discarded.
+			if !p.bare() {
+				p.skipSpace()
+				if _, err := p.label(); err != nil {
+					return nn, ne, err
+				}
+				if err := p.branchLength(); err != nil {
+					return nn, ne, err
+				}
+			}
 		}
-		p.i++
+		if cur == NoNode {
+			return nn, ne, nil
+		}
 	}
-	p.i++
-	p.depth--
-	// Optional internal label and branch length, both discarded.
-	if _, err := p.label(); err != nil {
-		return err
-	}
-	return p.branchLength()
 }
 
-// leaf parses a taxon label with its optional branch length and allocates
-// the leaf, registering a label not seen before.
+// suppressRoot takes node 0, a vertex of degree two, out of a parsed tree:
+// its two edges become one, the edge the parser would have allocated between
+// the two subtrees of a suppressed root, in the same adjacency slots — the
+// last edge, running from the first subtree's root to the second's. Every
+// later node id, and every id of an edge written between the two, moves
+// down by one.
+func (t *Tree) suppressRoot() {
+	e1, e2 := t.nodes[0].adj[0], t.nodes[0].adj[1]
+	c1, c2 := t.Other(e1, 0), t.Other(e2, 0)
+	t.replaceAdj(c1, e1, e2)
+	t.edges[e2] = edge{a: c1, b: c2}
+	t.edges = t.edges[:copy(t.edges[e1:], t.edges[e1+1:])+int(e1)]
+	t.nodes = t.nodes[:copy(t.nodes, t.nodes[1:])]
+	for v := range t.nodes {
+		nd := &t.nodes[v]
+		for i := range nd.deg {
+			if nd.adj[i] > e1 {
+				nd.adj[i]--
+			}
+		}
+	}
+	for e := range t.edges {
+		t.edges[e].a--
+		t.edges[e].b--
+	}
+}
+
+// bare reports whether the subtree that ends at p.i ends at once, with
+// neither space, label nor branch length before the ',', ')' or ';' there.
+func (p *parser) bare() bool {
+	if p.i >= len(p.s) {
+		return false
+	}
+	c := p.s[p.i]
+	return c == ',' || c == ')' || c == ';'
+}
+
+func (p *parser) skipSpace() {
+	s, i := p.s, p.i
+	for i < len(s) && space[s[i]] {
+		i++
+	}
+	p.i = i
+}
+
+// leaf parses a taxon label with its optional branch length and returns the
+// taxon's id, registering a label not seen before.
 func (p *parser) leaf() (int32, error) {
 	name, err := p.label()
 	if err != nil {
-		return NoNode, err
+		return 0, err
 	}
 	if len(name) == 0 {
-		return NoNode, p.errf("expected a taxon label")
+		return 0, p.errf("expected a taxon label")
 	}
-	if err := p.branchLength(); err != nil {
-		return NoNode, err
+	if !p.bare() {
+		if err := p.branchLength(); err != nil {
+			return 0, err
+		}
 	}
-	id, ok := p.taxa.index[string(name)]
-	if !ok {
+	id, slot := p.taxa.lookup(name)
+	if id < 0 {
 		if !p.autoAdd {
-			return NoNode, p.errf("unknown taxon %q", name)
+			return 0, p.errf("unknown taxon %q", name)
 		}
-		if id, err = p.taxa.Add(string(name)); err != nil {
-			return NoNode, err
-		}
+		id = p.taxa.insert(name, slot)
 	}
-	for len(p.named) <= id>>6 { // only where prescan's count is short: the input is malformed
+	for len(p.named) <= id>>6 { // only where the comma count is short: the input is malformed
 		p.named = append(p.named, 0)
 	}
 	bit := uint64(1) << (id & 63)
 	if p.named[id>>6]&bit != 0 {
-		return NoNode, fmt.Errorf("newick: taxon %q appears twice", name)
+		return 0, fmt.Errorf("newick: taxon %q appears twice", name)
 	}
 	p.named[id>>6] |= bit
-	return p.t.allocNode(int32(id)), nil
+	return int32(id), nil
 }
 
-// label reads an optional (possibly quoted) label. The result aliases the
-// input or the parser's scratch and is good until the next call.
+// label reads an optional (possibly quoted) label at p.i. The result aliases
+// the input or the parser's scratch and is good until the next call.
 func (p *parser) label() ([]byte, error) {
-	p.skipSpace()
 	if p.i < len(p.s) && p.s[p.i] == '\'' {
 		p.i++
 		p.quoted = p.quoted[:0]
@@ -386,17 +403,15 @@ func (p *parser) label() ([]byte, error) {
 			p.i++
 		}
 	}
-	start := p.i
-	for p.i < len(p.s) {
-		switch p.s[p.i] {
-		case '(', ')', ',', ':', ';', ' ', '\t', '\n', '\r':
-			return p.s[start:p.i], nil
-		}
-		p.i++
+	s, start, i := p.s, p.i, p.i
+	for i < len(s) && !delim[s[i]] {
+		i++
 	}
-	return p.s[start:p.i], nil
+	p.i = i
+	return s[start:i], nil
 }
 
+// branchLength reads an optional branch length, and the space around it.
 func (p *parser) branchLength() error {
 	p.skipSpace()
 	if p.i < len(p.s) && p.s[p.i] == ':' {
@@ -413,21 +428,31 @@ func (p *parser) branchLength() error {
 		if p.i == start {
 			return p.errf("expected branch length after ':'")
 		}
+		p.skipSpace()
 	}
 	return nil
 }
 
-// fit completes a parsed tree once its universe is final, in the storage it
-// is handed: leafOf, an entry per taxon of the universe, becomes its leaf
-// index and leaves, an empty set over the universe, its leaf set. The tree
-// needs no Validate: the parser joins every group to its parent as it
-// closes and checks each group's count of subtrees, so what it accepts is a
-// binary tree, connected, with one node per taxon it names (FuzzNewickParse
-// holds every tree it accepts to Validate).
-func (t *Tree) fit(leafOf []int32, leaves *bitset.Set) {
-	for i := range leafOf {
-		leafOf[i] = NoNode
+// fillNoNode sets every entry of s to NoNode, in doubling copies, which run
+// as block moves rather than an element at a time.
+func fillNoNode(s []int32) {
+	if len(s) == 0 {
+		return
 	}
+	s[0] = NoNode
+	for k := 1; k < len(s); k *= 2 {
+		copy(s[k:], s[:k])
+	}
+}
+
+// fit completes a parsed tree once its universe is final, in the storage it
+// is handed: leafOf, an entry per taxon of the universe, all NoNode, becomes
+// its leaf index and leaves, an empty set over the universe, its leaf set.
+// The tree needs no Validate: the parser joins every group to its parent as
+// it closes and checks each group's count of subtrees, so what it accepts is
+// a binary tree, connected, with one node per taxon it names
+// (FuzzNewickParse holds every tree it accepts to Validate).
+func (t *Tree) fit(leafOf []int32, leaves *bitset.Set) {
 	for v := range t.nodes {
 		if tx := t.nodes[v].taxon; tx >= 0 {
 			leafOf[tx] = int32(v)

@@ -23,7 +23,7 @@ func TestParseBasicForms(t *testing.T) {
 		{"( A , B ) ;", 2},
 	}
 	for _, c := range cases {
-		taxa := &Taxa{index: map[string]int{}}
+		taxa := new(Taxa)
 		tr, err := Parse(c.in, taxa, true)
 		if err != nil {
 			t.Fatalf("%q: %v", c.in, err)
@@ -52,7 +52,7 @@ func TestParseErrors(t *testing.T) {
 		"(,B);",          // empty label
 	}
 	for _, c := range cases {
-		taxa := &Taxa{index: map[string]int{}}
+		taxa := new(Taxa)
 		if _, err := Parse(c, taxa, true); err == nil {
 			t.Fatalf("%q: expected error", c)
 		}

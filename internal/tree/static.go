@@ -80,15 +80,16 @@ func (ix *StaticIndex) build(t *Tree, root int32, slab []int32) {
 	ix.tin, ix.order, ix.sp = slab[3*n:4*n], slab[4*n:5*n], slab[5*n:]
 	levels := len(ix.sp) / n
 
-	t.Orient(root, ix.parent, ix.pedge, ix.order)
-	ix.depth[root], ix.tin[root] = 0, 0
-	if levels > 0 { // a lone node has no table
-		ix.sp[0] = 0
+	// Level 0 is each position's parent's position, as Orient lays it out;
+	// its entry 0, the root's, is never read. A lone node has no table.
+	var low []int32
+	if levels > 0 {
+		low = ix.sp[:n]
 	}
-	for i := 1; i < n; i++ {
-		u := ix.order[i]
-		p := ix.parent[u]
-		ix.depth[u], ix.tin[u], ix.sp[i] = ix.depth[p]+1, int32(i), ix.tin[p]
+	t.Orient(root, ix.parent, ix.pedge, ix.order, ix.tin, low)
+	ix.depth[root] = 0
+	for _, u := range ix.order[1:n] {
+		ix.depth[u] = ix.depth[ix.parent[u]] + 1
 	}
 
 	// Level k's entry i covers level 0's [i, i+2^k); the entries past n-2^k
@@ -106,9 +107,11 @@ func (ix *StaticIndex) build(t *Tree, root int32, slab []int32) {
 
 // Orient lays t out rooted at node root: the parent vertex and the edge to it
 // of every node (NoNode and NoEdge at the root), and the nodes in preorder,
-// children in adjacency slot order. Each slice holds at least a node each;
-// the preorder is order's first NumNodes entries.
-func (t *Tree) Orient(root int32, parent, pedge, order []int32) {
+// children in adjacency slot order; where pos is not nil, each node's
+// position in the preorder too, and where up is not nil as well, each
+// position's parent's position (-1 for the root's). Each slice holds at
+// least a node each; the preorder is order's first NumNodes entries.
+func (t *Tree) Orient(root int32, parent, pedge, order, pos, up []int32) {
 	// A depth-first walk whose stack of discovered, unvisited nodes grows
 	// down from the end of order: with the visited ones filling it from the
 	// front, the two never hold more than every node once. Children go on
@@ -120,9 +123,18 @@ func (t *Tree) Orient(root int32, parent, pedge, order []int32) {
 		v := order[top]
 		top++
 		order[at] = v
-		nd := &t.nodes[v]
+		if pos != nil {
+			pos[v] = int32(at)
+			if up != nil {
+				up[at] = -1
+				if p := parent[v]; p != NoNode {
+					up[at] = pos[p]
+				}
+			}
+		}
+		nd, pe := &t.nodes[v], pedge[v]
 		for slot := nd.deg - 1; slot >= 0; slot-- {
-			if e := nd.adj[slot]; e != pedge[v] {
+			if e := nd.adj[slot]; e != pe {
 				u := t.Other(e, v)
 				parent[u], pedge[u] = v, e
 				top--

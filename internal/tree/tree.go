@@ -105,18 +105,18 @@ func (t *Tree) Other(e, v int32) int32 {
 	return t.edges[e].a
 }
 
-// newArrays returns empty node and edge slices with room for n nodes and m
-// edges, in one allocation. Neither type holds a pointer, so both can live in
-// an int32 array.
+// newArrays returns node and edge slices of n nodes and m edges, zeroed, in
+// one allocation. Neither type holds a pointer, so both can live in an int32
+// array.
 func newArrays(n, m int) ([]node, []edge) {
 	const nodeSize, edgeSize = unsafe.Sizeof(node{}), unsafe.Sizeof(edge{})
 	slab := make([]int32, (uintptr(n)*nodeSize+uintptr(m)*edgeSize)/4)
 	p := unsafe.Pointer(unsafe.SliceData(slab))
-	nodes := unsafe.Slice((*node)(p), n)[:0]
+	nodes := unsafe.Slice((*node)(p), n)
 	if m == 0 {
 		return nodes, nil
 	}
-	return nodes, unsafe.Slice((*edge)(unsafe.Add(p, uintptr(n)*nodeSize)), m)[:0]
+	return nodes, unsafe.Slice((*edge)(unsafe.Add(p, uintptr(n)*nodeSize)), m)
 }
 
 // node and edge are whole int32 words, aligned no more strictly than an
