@@ -232,6 +232,8 @@ type Engine struct {
 	third third
 
 	work Work
+	// queries counts the count queries nextTaxon made.
+	queries int64
 	// The final frame the last Step consumed (see FinalFrame).
 	finalTaxon int
 	final      []int32
@@ -898,7 +900,8 @@ func (e *Engine) pushFrame() bool {
 		e.third.at = 0 // a new frame in the slot of the one third holds
 	}
 	f := e.pushSlot()
-	f.Taxon, f.other = e.nextTaxon(), -1
+	f.Taxon, _ = e.nextTaxon()
+	f.other = -1
 	f.Branches, f.idx, f.inserted, f.based, f.restructures = e.slotBranches(f, n, f.Taxon), 0, false, false, 0
 	// Per-branch weight from the parent's (1 at the root): fixed before the
 	// steal callback can hand branches away, so stolen subtrees keep it.
@@ -938,29 +941,35 @@ func (e *Engine) slotBranches(f *Frame, n, x int) []int32 {
 	return f.buf
 }
 
-// nextTaxon applies the dynamic taxon insertion heuristic or the fixed order.
-// The dynamic rule is the reference one on cached counts: in MissingTaxa
-// order, the first pending taxon with no admissible branch wins at once,
-// else the first with the fewest (the most under OrderMaxBranches; under
-// OrderMinBranchesTieDegree a tie goes to the higher Terrace.Degree). Only
-// the source of the counts differs from the reference (refNextTaxon in the
-// tests): the overlay's PendingCount, not a fresh CountAllowedBranches per
-// taxon.
-func (e *Engine) nextTaxon() int {
+// nextTaxon applies the dynamic taxon insertion heuristic or the fixed order
+// and returns the taxon with its count. The dynamic rule is the reference one
+// on cached counts: in MissingTaxa order, the first pending taxon with no
+// admissible branch wins at once, else the first with the fewest (the most
+// under OrderMaxBranches; under OrderMinBranchesTieDegree a tie goes to the
+// higher Terrace.Degree). Only the source of the counts differs from the
+// reference (refNextTaxon in the tests): the overlay's PendingCount, not a
+// fresh CountAllowedBranches per taxon. Every count it reads is counted in
+// queries.
+func (e *Engine) nextTaxon() (x, c int) {
 	if !e.DynamicOrder {
-		return e.Order[e.T.Depth()+e.ov.Len()]
+		x = e.Order[e.T.Depth()+e.ov.Len()]
+		e.queries++
+		return x, e.ov.PendingCount(x)
 	}
-	best, bestCount := -1, -1
+	best, bestCount, n := -1, -1, int64(0)
 	for x := e.ov.NextPending(0); x >= 0; x = e.ov.NextPending(x + 1) {
 		c := e.ov.PendingCount(x)
+		n++
 		if c == 0 {
-			return x // forced dead end: select immediately
+			e.queries += n
+			return x, 0 // forced dead end: select immediately
 		}
 		if best == -1 || e.prefer(x, c, best, bestCount) {
 			best, bestCount = x, c
 		}
 	}
-	return best
+	e.queries += n
+	return best, bestCount
 }
 
 // prefer reports whether pending taxon x, with c > 0 admissible branches and
