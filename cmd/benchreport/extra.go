@@ -36,25 +36,16 @@ var (
 // firstFrame steps a fresh engine over ds to the first state with the given
 // number of taxa missing — 1: a final frame, 2: a penultimate one, 3: an
 // antepenultimate one — and returns an engine on that state and the frame of
-// the taxon chosen there, as the one-frame stack Reset takes. The walk renders
-// (into a block nobody reads), so that it makes every insertion it steps
-// through: a counting engine would book them on the Terrace's overlay. It looks
-// ahead of the second-to-last taxon, so the final frame is made by hand: that
-// taxon inserted on its frame's first branch, as the paper's machine does
-// first.
+// the taxon chosen there, as the one-frame stack Reset takes. The engine books
+// insertions on the Terrace's overlay, so the state is made on a Terrace of
+// its own, by inserting the walk's path. The walk looks ahead of the
+// second-to-last taxon, so the final frame is made by hand: that taxon
+// inserted on its frame's first branch, as the paper's machine does first.
 func firstFrame(b *testing.B, ds *gen.Dataset, missing int) (*search.Engine, []search.FrameSnapshot) {
-	tr, err := terrace.New(ds.Constraints, search.ChooseInitialTree(ds.Constraints))
+	tr, stack, err := walkTo(ds, max(missing, 2))
 	if err != nil {
 		b.Fatal(err)
 	}
-	walk := search.NewEngine(tr)
-	walk.OnTrees = func(block []byte, _ int) []byte { return block }
-	for walk.RemainingTaxa() != max(missing, 2) {
-		if walk.Step() == search.EvDone {
-			b.Fatalf("no state with %d taxa missing in the stand", max(missing, 2))
-		}
-	}
-	stack := walk.SnapshotFrames(nil)
 	frame := stack[len(stack)-1:]
 	if missing == 1 {
 		y := frame[0]
@@ -66,6 +57,32 @@ func firstFrame(b *testing.B, ds *gen.Dataset, missing int) (*search.Engine, []s
 		}
 	}
 	return search.NewEngine(tr), frame
+}
+
+// walkTo steps a counting engine over ds to the first state with the given
+// number of taxa missing, and returns a Terrace of that state — the walk's
+// path inserted for real, as the engine books what it can — and the walk's
+// stack.
+func walkTo(ds *gen.Dataset, missing int) (*terrace.Terrace, []search.FrameSnapshot, error) {
+	initial := search.ChooseInitialTree(ds.Constraints)
+	walked, err := terrace.New(ds.Constraints, initial)
+	if err != nil {
+		return nil, nil, err
+	}
+	walk := search.NewEngine(walked)
+	for walk.RemainingTaxa() != missing {
+		if walk.Step() == search.EvDone {
+			return nil, nil, fmt.Errorf("no state with %d taxa missing in the stand", missing)
+		}
+	}
+	tr, err := terrace.New(ds.Constraints, initial)
+	if err != nil {
+		return nil, nil, err
+	}
+	for _, st := range walk.Path(nil) {
+		tr.ExtendTaxon(st.Taxon, st.Edge)
+	}
+	return tr, walk.SnapshotFrames(nil), nil
 }
 
 // extraBenches registers benchmarks that only exist on newer revisions of
@@ -180,8 +197,9 @@ func extraBenches(add func(name string, f func(b *testing.B)),
 	// with two taxa missing — its first, re-aimed at and answered branch by
 	// branch, a Step call each, from the counts the Terrace keeps of the last
 	// taxon — counted only, and (PR 29) rendered into a block nobody reads:
-	// one walk of the frame's state, a base derived from it per branch, the
-	// trees cut from that. Nothing is inserted, and nothing allocated.
+	// one walk of the frame's state at the Reset, a base derived from it per
+	// branch, the trees cut from that. Nothing is inserted, and nothing
+	// allocated.
 	for _, emit := range []bool{false, true} {
 		name := "PenultimateFrameCount"
 		if emit {
@@ -605,6 +623,57 @@ func emitStrings(ds *gen.Dataset, benchtime string) (emit, strs BenchResult, err
 	}
 	strs.Metrics = map[string]float64{"strings/blocks": ratio}
 	return emit, strs, err
+}
+
+// deriveCut is the Newick writer's two operations on one base as an in-run
+// pair, on the reference stand's first state with two taxa missing:
+// WriterCut cuts the tree with one of them on each edge from the state's
+// base (NewickWriter.AppendWith), WriterDerive derives the base with the other
+// one there and pops it (Derive, Pop), as many times. WriterDerive carries
+// derive/cut, what one derivation costs in cuts: reported, not gated.
+func deriveCut(ds *gen.Dataset, benchtime string) (cut, derive BenchResult, err error) {
+	tr, _, err := walkTo(ds, 2)
+	if err != nil {
+		return cut, derive, err
+	}
+	ag := tr.Agile()
+	var nw tree.NewickWriter
+	if !nw.SetBase(ag) {
+		return cut, derive, fmt.Errorf("the writer took no base of the state")
+	}
+	var x []int
+	for _, y := range tr.MissingTaxa() {
+		if !ag.HasTaxon(y) && y > nw.Lowest() {
+			x = append(x, y)
+		}
+	}
+	if len(x) != 2 {
+		return cut, derive, fmt.Errorf("the writer takes %d of the two taxa missing", len(x))
+	}
+	const sweeps = 20
+	edges := int32(ag.NumEdges())
+	var buf []byte
+	runCut := func() error {
+		for range sweeps {
+			for e := range edges {
+				buf = nw.AppendWith(buf[:0], x[0], e)
+			}
+		}
+		return nil
+	}
+	runDerive := func() error {
+		for range sweeps {
+			for e := range edges {
+				nw.Derive(x[1], e)
+				nw.Pop()
+			}
+		}
+		return nil
+	}
+	cut.Name, derive.Name = "WriterCut", "WriterDerive"
+	ratio, err := pairRows(benchtime, &cut, &derive, runCut, runDerive)
+	derive.Metrics = map[string]float64{"derive/cut": ratio}
+	return cut, derive, err
 }
 
 // pairRows runs two passes by turns in one process, and folds each into its

@@ -104,8 +104,9 @@ func reportWork(b *testing.B, res *search.Result) {
 	}
 }
 
-// workMetrics are a serial run's exact work counters — the eight -compare
-// gates at 0 % (exactMetrics) — and what the engine did for them.
+// workMetrics are a serial run's exact work counters — the -compare gates at
+// 0 % (exactMetrics), a rendering run's with the Newick writer's walks and
+// derived bases — and what the engine did for them.
 func workMetrics(res *search.Result) map[string]float64 {
 	m := map[string]float64{
 		"stand-trees":  float64(res.StandTrees),
@@ -124,6 +125,9 @@ func workMetrics(res *search.Result) map[string]float64 {
 		m["lookahead-fallback-%"] = 100 * float64(w.Fallbacks) / float64(w.LookAheads+w.Fallbacks)
 	}
 	if e, trees := res.Work.Emit, float64(res.StandTrees); e.Walked > 0 {
+		// The writer's walks of a state and the bases it derived instead.
+		m["walks"] = float64(e.Walks)
+		m["derived"] = float64(e.Derived)
 		m["walked-B/tree"] = float64(e.Walked) / trees
 		m["copied-B/tree"] = float64(e.Copied) / trees
 		m["spliced-%"] = 100 * float64(e.Spliced) / trees
@@ -135,7 +139,7 @@ func workMetrics(res *search.Result) map[string]float64 {
 
 // exactMetrics are the work counters that depend on the input alone, not on
 // the host or the clock: -compare fails on any change of one.
-var exactMetrics = []string{"stand-trees", "states", "dead-ends", "steps", "extend-calls", "booked", "materialized", "whole", "forced", "prefix-queries"}
+var exactMetrics = []string{"stand-trees", "states", "dead-ends", "steps", "extend-calls", "booked", "materialized", "whole", "walks", "derived", "forced", "prefix-queries"}
 
 // ratioMetrics are the timings of two variants interleaved in one process,
 // divided: the host's speed cancels, so -compare fails when one is more than
@@ -175,7 +179,7 @@ func run(name string, f func(b *testing.B)) BenchResult {
 func main() {
 	outPath := flag.String("out", "", "write the JSON report to this file (default stdout)")
 	note := flag.String("note", "", "free-form note embedded in the report")
-	compare := flag.String("compare", "", "baseline JSON report to diff against (prints a table to stderr; exits non-zero if an exact work counter — stand-trees, states, dead-ends, steps, extend-calls, booked, materialized, whole, forced, prefix-queries — differs from the baseline's, or an in-run ratio — t2/serial, emit/stream, stream/spool, strings/blocks — is more than 20 % above it)")
+	compare := flag.String("compare", "", "baseline JSON report to diff against (prints a table to stderr; exits non-zero if an exact work counter — stand-trees, states, dead-ends, steps, extend-calls, booked, materialized, whole, walks, derived, forced, prefix-queries — differs from the baseline's, or an in-run ratio — t2/serial, emit/stream, stream/spool, strings/blocks — is more than 20 % above it)")
 	maxRegress := flag.Float64("max-regress", 0, "with -compare: exit non-zero if any shared benchmark's ns/op regresses by more than this percentage, or if its allocs/op — or, on "+
 		strings.Join(bytesRows, ", ")+", its bytes/op — exceed the baseline's by more than a quarter (host-independent gates; exact for a baseline of 0 to 3 allocs)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the benchmark runs (dataset selection excluded) — the input for PGO via scripts/pgo_profile.sh")
@@ -357,6 +361,13 @@ func main() {
 	}
 	put(emit)
 	put(strs)
+	cut, derive, err := deriveCut(midSim, flag.CommandLine.Lookup("test.benchtime").Value.String())
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "benchreport: derive/cut pair: %v\n", err)
+		os.Exit(1)
+	}
+	put(cut)
+	put(derive)
 	stopProfile()
 
 	data, err := json.MarshalIndent(&rep, "", "  ")

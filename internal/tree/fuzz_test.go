@@ -16,8 +16,10 @@ import (
 // without any one of its leaves, taken as a base, yields every tree with that
 // leaf back as the two-pass walk renders it (checkSplices), and the tree
 // without two of its leaves yields every tree with both back, on every pair of
-// edges, through a derived base (checkDerived) — the labels here are whatever
-// the fuzzer quotes: commas, parentheses, quotes, newlines.
+// edges, through a derived base, and the tree without three of them through a
+// base derived from a derived one, each base equal to the walk of its tree
+// (checkDerived) — the labels here are whatever the fuzzer quotes: commas,
+// parentheses, quotes, newlines.
 func FuzzNewickParse(f *testing.F) {
 	for _, s := range []string{
 		"A;",
@@ -56,6 +58,9 @@ func FuzzNewickParse(f *testing.F) {
 		"((a,b)),c);",
 		"((a,b),c,d,e);",
 		strings.Repeat("(", 120000) + "a;", // rejected by the nesting cap
+		// A leaf's record once kept a child field from an earlier tree, so a
+		// derived base and the walk of its tree differed in it.
+		"((((A,B),C),D),(E,(F,G)));",
 	} {
 		f.Add(s)
 	}
@@ -103,17 +108,26 @@ func FuzzNewickParse(f *testing.F) {
 		if n := t1.NumLeaves(); n >= 5 && n <= 16 {
 			var w, oracle NewickWriter
 			leaves := t1.LeafSet()
-			leaves.ForEach(func(y int) {
-				z := leaves.NextSetBit(y + 1)
-				if z < 0 {
-					z = leaves.Min()
+			next := func(y int) int {
+				if z := leaves.NextSetBit(y + 1); z >= 0 {
+					return z
 				}
+				return leaves.Min()
+			}
+			leaves.ForEach(func(y int) {
+				z, u := next(y), next(next(y))
 				rest := leaves.Clone()
 				rest.Remove(y)
 				rest.Remove(z)
 				base := t1.Restrict(rest)
 				checkDerived(t, &w, &oracle, base, y, z)
 				checkDerived(t, &w, &oracle, base, z, y)
+				if n >= 6 && n <= 12 {
+					rest.Remove(u)
+					base := t1.Restrict(rest)
+					checkDerived(t, &w, &oracle, base, y, z, u)
+					checkDerived(t, &w, &oracle, base, u, y, z)
+				}
 			})
 		}
 	})

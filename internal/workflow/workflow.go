@@ -50,6 +50,7 @@ func Record(constraints []*tree.Tree, initialIdx int, maxStates int) (*Node, err
 		return nil, err
 	}
 	eng := search.NewEngine(t)
+	missing := len(t.MissingTaxa())
 	var found []string // the stand trees of the last step, in order
 	eng.OnTree = func(nw string) { found = append(found, nw) }
 	root := &Node{Taxon: -1, Edge: -1}
@@ -104,7 +105,9 @@ func Record(constraints []*tree.Tree, initialIdx int, maxStates int) (*Node, err
 				stack = append(stack, n)
 			}
 		case search.EvRemoved:
-			if len(stack) > 1 && t.Depth() < len(stack)-1 {
+			// The engine's own stack, not the Terrace's depth: a removal of
+			// a booked insertion leaves the Terrace as it was.
+			if len(stack) > 1 && missing-eng.RemainingTaxa() < len(stack)-1 {
 				stack = stack[:len(stack)-1]
 			}
 		}
