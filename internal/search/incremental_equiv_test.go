@@ -61,6 +61,7 @@ type leafByLeaf struct {
 	mass   float64  // random-descent probability of the leaves closed
 	leaves int64
 	steps  int64 // insertions + removals
+	limit  int64 // the run stops at this many trees, where positive
 }
 
 // run enumerates everything below the terrace's current state.
@@ -84,6 +85,9 @@ func (o *leafByLeaf) explore(weight float64) {
 	}
 	w := weight / float64(len(br))
 	for _, e := range br {
+		if o.limit > 0 && o.StandTrees >= o.limit {
+			return // the Terrace is left where the run stopped
+		}
 		o.tr.ExtendTaxon(x, e)
 		if o.tr.Complete() {
 			o.StandTrees++
