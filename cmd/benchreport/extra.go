@@ -643,12 +643,12 @@ func deriveCut(ds *gen.Dataset, benchtime string) (cut, derive BenchResult, err 
 	}
 	var x []int
 	for _, y := range tr.MissingTaxa() {
-		if !ag.HasTaxon(y) && y > nw.Lowest() {
+		if !ag.HasTaxon(y) {
 			x = append(x, y)
 		}
 	}
 	if len(x) != 2 {
-		return cut, derive, fmt.Errorf("the writer takes %d of the two taxa missing", len(x))
+		return cut, derive, fmt.Errorf("%d taxa missing, not two", len(x))
 	}
 	const sweeps = 20
 	edges := int32(ag.NumEdges())

@@ -30,7 +30,7 @@ var hotSymbols = []string{
 	"gentrius/internal/search.(*Engine).whole",
 	// Stand trees are cut from the rendering of their final frame's shared
 	// state into a block, and leave through FlushTrees.
-	"gentrius/internal/search.(*Engine).renderFinal",
+	"gentrius/internal/search.(*Engine).finalFrame",
 	"gentrius/internal/tree.(*NewickWriter).AppendWith",
 	"gentrius/internal/search.(*Engine).FlushTrees",
 	// The pool's loop reaches the engine through the shared worker.

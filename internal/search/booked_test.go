@@ -31,17 +31,13 @@ const wholeRunsDigest = "012ccffcc95d2498a272a4e8270308aaeb7647777748482a784061b
 // heuristics and three static orders, with a tree limit and a state limit
 // checked every CheckEvery transitions, a counting run and a rendering run
 // stop where, when and why each other do: the same counters, Steps and stop
-// reason. Wherever the rendering run's writer takes every base
-// (takesEveryBase) it books, looks ahead, takes whole and inserts what the
-// counting run does. After every step (CheckEvery 1) no subtree fits between
-// two checks, and the two are compared wherever the rendering run looked
-// ahead of the same branches (where the writer refuses a base it inserts
-// branches the counting run looks ahead of, and its steps differ); at
-// CheckEvery 64 and 1024 both take subtrees whole, and every run is compared. Compared runs also close the same leaves
-// with the same estimator mass, bit for bit: a subtree taken whole hands on
-// its leaves one by one, as its branches would. And the counting runs'
-// counters, Steps and stop reasons are, all of them, the inserting engine's
-// (bookedRunsDigest, wholeRunsDigest).
+// reason, and the rendering run books, looks ahead, takes whole and inserts
+// what the counting run does. After every step (CheckEvery 1) no subtree fits
+// between two checks; at CheckEvery 64 and 1024 both take subtrees whole.
+// Both runs also close the same leaves with the same estimator mass, bit for
+// bit: a subtree taken whole hands on its leaves one by one, as its branches
+// would. And the counting runs' counters, Steps and stop reasons are, all of
+// them, the inserting engine's (bookedRunsDigest, wholeRunsDigest).
 func TestBookedRunsStopWhereInsertingRunsDo(t *testing.T) {
 	type order struct {
 		name    string
@@ -61,14 +57,13 @@ func TestBookedRunsStopWhereInsertingRunsDo(t *testing.T) {
 		{name: "static shuffled 1", static: true, shuffle: 1},
 	}
 	digest, wholeDigest := sha256.New(), sha256.New()
-	var runs, compared, sameWorks int
+	var runs int
 	stops := map[StopReason]int{}
 	var booked, whole int64
 	for _, every := range []int{1, 64, 1024} {
 		for _, regime := range []gen.Regime{gen.RegimeSimulated, gen.RegimeEmpirical} {
 			for idx := 0; idx < 120; idx++ {
 				ds := gen.Generate(gen.Default(regime), idx)
-				takes := takesEveryBase(ds.Constraints, ChooseInitialTree(ds.Constraints))
 				for k, ord := range orders {
 					// A tree limit and a state limit by turns, each with a cap on
 					// the other quantity, so that every run stops within a few
@@ -103,15 +98,9 @@ func TestBookedRunsStopWhereInsertingRunsDo(t *testing.T) {
 						t.Fatalf("%s %s every 1: the counting run took %d subtrees whole, the rendering run %d",
 							ds.Name, ord.name, count.Work.Whole, got.Work.Whole)
 					}
-					if takes {
-						if !sameWork(got.Work, count.Work) {
-							t.Fatalf("%s %s every %d: the writer took every base, yet rendering work %+v, counting work %+v",
-								ds.Name, ord.name, every, got.Work, count.Work)
-						}
-						sameWorks++
-					}
-					if every == 1 && got.Work.Fallbacks != count.Work.Fallbacks {
-						continue // the writer refused a base: the rendering run inserted where the counting run looked ahead
+					if !sameWork(got.Work, count.Work) {
+						t.Fatalf("%s %s every %d: rendering work %+v, counting work %+v",
+							ds.Name, ord.name, every, got.Work, count.Work)
 					}
 					if count.Counters != got.Counters || count.Steps != got.Steps || count.Stop != got.Stop {
 						t.Fatalf("%s %s every %d under %+v: counting %+v in %d steps, stopped for %v; rendering %+v in %d, for %v",
@@ -121,7 +110,6 @@ func TestBookedRunsStopWhereInsertingRunsDo(t *testing.T) {
 						t.Fatalf("%s %s every %d under %+v: counting closed %d leaves of mass %.17f, rendering %d of %.17f",
 							ds.Name, ord.name, every, lim, cest.Leaves(), cest.Fraction(), est.Leaves(), est.Fraction())
 					}
-					compared++
 					stops[count.Stop]++
 				}
 			}
@@ -133,11 +121,11 @@ func TestBookedRunsStopWhereInsertingRunsDo(t *testing.T) {
 	if sum := fmt.Sprintf("%x", wholeDigest.Sum(nil)); sum != wholeRunsDigest {
 		t.Errorf("the counting runs' counters, Steps and stop reasons at CheckEvery 64 and 1024 hash to %s, the inserting engine's to %s", sum, wholeRunsDigest)
 	}
-	if compared < runs*9/10 || sameWorks < runs/2 || stops[StopTreeLimit] < 300 || stops[StopStateLimit] < 300 || booked < 30_000 || whole < 10_000 {
-		t.Fatalf("%d of %d runs compared (%d of the same work), stopped %v, %d insertions booked, %d subtrees taken whole: not enough to mean anything",
-			compared, runs, sameWorks, stops, booked, whole)
+	if runs != 3*2*120*len(orders) || stops[StopTreeLimit] < 300 || stops[StopStateLimit] < 300 || booked < 30_000 || whole < 10_000 {
+		t.Fatalf("%d runs compared, stopped %v, %d insertions booked, %d subtrees taken whole: not enough to mean anything",
+			runs, stops, booked, whole)
 	}
-	t.Logf("%d of %d runs compared (%d of the same work), stopped %v, %d insertions booked, %d subtrees taken whole", compared, runs, sameWorks, stops, booked, whole)
+	t.Logf("%d runs compared, stopped %v, %d insertions booked, %d subtrees taken whole", runs, stops, booked, whole)
 }
 
 // TestFrameSize: a frame is a stack slot the step loop reuses, one per taxon

@@ -80,11 +80,6 @@ type Frame struct {
 	Branches []int32
 	idx      int
 	inserted bool
-	// based is set by the frame's first look-ahead step when the engine
-	// renders and the Newick writer's top base is the rendering of the
-	// frame's state, from which each branch derives the base its final
-	// frame's trees are cut from.
-	based bool
 	// restructures caches whether inserting the frame's taxon restructures
 	// another pending taxon's admissible set (Overlay.Restructures), the same
 	// for every branch since the state below the frame is: 0 until the
@@ -204,10 +199,11 @@ type Engine struct {
 	// removal.
 	remaining int
 
-	// after lists, for the based frame or the subtree whole renders, the last
-	// taxon's branches in the state above it, ascending, then the ids of the
-	// two edges an insertion there makes: the last taxon's branches under a
-	// branch whose count is c are after[:c] (listAfter).
+	// after lists, for the penultimate frame lookAhead answers or the subtree
+	// whole renders, the last taxon's branches in the state above it,
+	// ascending, then the ids of the two edges an insertion there makes: the
+	// last taxon's branches under a branch whose count is c are after[:c]
+	// (listAfter).
 	after []int32
 	// baseTop is one more than the number of inserted frames of the state
 	// the Newick writer's top base renders, 0 when it holds none (see base).
@@ -427,7 +423,7 @@ func (e *Engine) Reset(frames []FrameSnapshot) error {
 	e.frames = e.frames[:0]
 	for _, fs := range frames {
 		f := e.pushSlot()
-		f.Taxon, f.Branches, f.idx, f.inserted, f.weight, f.other, f.based, f.restructures = fs.Taxon, fs.Branches, fs.Idx, fs.Inserted, fs.Weight, -1, false, 0
+		f.Taxon, f.Branches, f.idx, f.inserted, f.weight, f.other, f.restructures = fs.Taxon, fs.Branches, fs.Idx, fs.Inserted, fs.Weight, -1, 0
 	}
 	e.ov.Reset()
 	e.real++ // the caller moves T to the stack's base state
@@ -527,9 +523,10 @@ func (e *Engine) step() Event {
 				e.lists[i].taxon = -1
 			}
 		}
-		if e.remaining > 0 && e.rendering() && e.nw.SetBase(e.T.Agile()) {
+		if e.remaining > 0 && e.rendering() {
 			// The state the engine starts from, which every state below it
 			// derives its base from (see base).
+			e.nw.SetBase(e.T.Agile())
 			e.baseTop = 1
 			for i := range e.frames {
 				if e.frames[i].inserted {
@@ -612,14 +609,14 @@ func (e *Engine) step() Event {
 
 // finalFrame consumes what is left of the uninserted top frame f when its
 // taxon is the last one missing. Nothing is checked after an insertion, so
-// each of the frame's branches is a stand tree: they are counted, and
-// rendered from the state they share, without inserting the taxon. The
-// paper's machine would have inserted and removed it once per branch, and is
-// charged so. Tested at the step, not where the frame is pushed, so that a
-// fresh frame, a Reset stack, a frame resumed half-way (a checkpoint of an
-// engine that still inserted the last taxon takes one EvRemoved first) and a
-// final frame that was stolen all come through here; the stack is left as
-// it was after the frame's last removal.
+// each of the frame's branches is a stand tree: they are counted, and cut
+// from the Newick writer's base of the state they share (base), without
+// inserting the taxon. The paper's machine would have inserted and removed
+// it once per branch, and is charged so. Tested at the step, not where the
+// frame is pushed, so that a fresh frame, a Reset stack, a frame resumed
+// half-way (a checkpoint of an engine that still inserted the last taxon
+// takes one EvRemoved first) and a final frame that was stolen all come
+// through here; the stack is left as it was after the frame's last removal.
 func (e *Engine) finalFrame(f *Frame) Event {
 	rest := f.Branches[f.idx:]
 	m := int64(len(rest))
@@ -628,7 +625,8 @@ func (e *Engine) finalFrame(f *Frame) Event {
 	e.work.Units += 2 * m
 	e.finalTaxon, e.final = f.Taxon, rest
 	if e.rendering() {
-		e.renderFinal(f.Taxon, rest)
+		e.base()
+		e.cutTrees(f.Taxon, rest)
 	}
 	if e.OnLeaf != nil {
 		e.OnLeaf(float64(m)*f.weight, m)
@@ -637,21 +635,19 @@ func (e *Engine) finalFrame(f *Frame) Event {
 }
 
 // insert makes or books the insertion of the top frame f's taxon x at edge,
-// an id of the state the stack stands for. It books it on the overlay
-// wherever it restructures nothing (restructures): pushFrame then lists the
-// frame it leads to from the overlay's counts, and the removal touches no
-// Terrace. Elsewhere x is inserted for real, after the bookings beneath it
-// are. An engine that renders makes it for real too where x sorts before
-// every leaf of the Terrace's tree: the Newick writer's bases, which follow
-// the bookings (see base), are written from the lowest leaf, and a real state
-// is one it can walk. Every step, event, counter, unit, leaf mass and offer
-// is the inserting engine's, and so is every stack a cut sees: the frame is
-// inserted, its path step is x at edge, and a resume replays that insertion
-// for real. A booking is one insertion a step — unless the host's budget lets
-// one step take its whole subtree (whole) — so that limits and cuts fall
-// where they fall for the inserting engine.
+// an id of the state the stack stands for, rendering or not. It books it on
+// the overlay wherever it restructures nothing (restructures): pushFrame then
+// lists the frame it leads to from the overlay's counts, and the removal
+// touches no Terrace. Elsewhere x is inserted for real, after the bookings
+// beneath it are. The Newick writer's bases follow either alike (see base).
+// Every step, event, counter, unit, leaf mass and offer is the inserting
+// engine's, and so is every stack a cut sees: the frame is inserted, its path
+// step is x at edge, and a resume replays that insertion for real. A booking
+// is one insertion a step — unless the host's budget lets one step take its
+// whole subtree (whole) — so that limits and cuts fall where they fall for
+// the inserting engine.
 func (e *Engine) insert(f *Frame, edge int32) {
-	if !e.restructures(f) && (!e.rendering() || f.Taxon > e.T.Agile().LeafSet().Min()) {
+	if !e.restructures(f) {
 		e.ov.Book(f.Taxon, edge)
 		e.work.Booked++
 		return
@@ -687,9 +683,8 @@ func (e *Engine) materialize() {
 // look-aheads, leaf mass and trees — once per branch of y, in branch order —
 // are the inserting engine's: z's trees under each branch of y are cut from
 // a base the Newick writer derives with x and y there, from the rendering of
-// the frame's state (base). It reports false, having changed nothing but the
-// writer's bases, where y restructures z (its branches fall back), the
-// subtree does not fit, or the writer cannot take the three taxa.
+// the frame's state (base). It reports false, having changed nothing, where y
+// restructures z (its branches fall back) or the subtree does not fit.
 func (e *Engine) whole(x *Frame) bool {
 	t := e.thirdOf(x)
 	b := x.Branches[x.idx]
@@ -738,8 +733,8 @@ func (e *Engine) whole(x *Frame) bool {
 		return false
 	}
 	rendering := e.rendering()
-	if rendering && (!e.base() || min(x.Taxon, t.taxa[0], t.taxa[1]) < e.nw.Lowest()) {
-		return false
+	if rendering {
+		e.base()
 	}
 	x.idx++
 	e.counters = c
@@ -868,22 +863,19 @@ func (e *Engine) restructures(f *Frame) bool {
 // inserted at e are its branches now, and the two edges the insertion makes
 // iff e is one of them — ids above all others, so last (listAfter). The trees
 // are cut from a base derived with y at e from the rendering of the frame's
-// state (base); where the writer cannot take both taxa, every branch falls
-// back to the insertion.
+// state (base).
 func (e *Engine) lookAhead(f *Frame) bool {
 	rendering := e.rendering()
 	if f.other < 0 {
 		f.other = e.otherPending(f.Taxon)
 		e.otherCount = e.ov.PendingCount(f.other)
 		if rendering {
-			f.based = e.base() && min(f.Taxon, f.other) > e.nw.Lowest()
-			if f.based {
-				e.listAfter(f.other)
-			}
+			e.base()
+			e.listAfter(f.other)
 		}
 	}
 	edge := f.Branches[f.idx]
-	if e.restructures(f) || rendering && !f.based {
+	if e.restructures(f) {
 		e.work.Fallbacks++
 		return false
 	}
@@ -931,55 +923,33 @@ func (e *Engine) listAfter(z int) {
 }
 
 // base makes the Newick writer's top base the rendering of the state the
-// stack stands for, its top frame uninserted, and reports whether it could:
-// from the base it holds, by deriving the insertions made or booked since
-// (tree.NewickWriter.Derive), else by walking the Terrace's real state
-// (SetBase) and deriving the bookings above it — or, where the writer is
-// full, by making the bookings real and walking that. A base is kept for each
-// inserted frame from there on and dropped at the frame's removal, and
-// materializing bookings leaves theirs as they are, since the Terrace makes
-// them at the ids they were booked with: a task walks its tree once, and
-// again only above an insertion of a taxon that sorts before every leaf, as
-// the trees are written from another root then, or where its stack outgrows
-// the writer's budget (tree.NewickWriter.Full).
-func (e *Engine) base() bool {
+// stack stands for, its top frame uninserted: from the base it holds, by
+// deriving the insertions made or booked since (tree.NewickWriter.Derive),
+// else by walking the Terrace's real state (SetBase) and deriving the bookings
+// above it — or, where the writer is full, by making the bookings real and
+// walking that. A base is kept for each inserted frame from there on and
+// dropped at the frame's removal, and materializing bookings leaves theirs as
+// they are, since the Terrace makes them at the ids they were booked with: a
+// task walks its tree once, and again only where its stack outgrows the
+// writer's budget (tree.NewickWriter.Full).
+func (e *Engine) base() {
 	d := len(e.frames) - 1
-	if e.baseTop > 0 {
-		for e.baseTop <= d && e.derive(e.baseTop-1) {
-		}
-		if e.baseTop == d+1 {
-			return true
-		}
-	}
-	if e.baseTop == 0 || !e.nw.Full() {
-		if !e.nw.SetBase(e.T.Agile()) {
-			e.baseTop = 0
-			return false
-		}
+	if e.baseTop == 0 {
+		e.nw.SetBase(e.T.Agile())
 		e.baseTop = d - e.ov.Len() + 1
-		for e.baseTop <= d && e.derive(e.baseTop-1) {
-		}
-		if e.baseTop == d+1 {
-			return true
-		}
 	}
-	// The writer is full: walk the state the stack stands for, its bookings
-	// made real.
-	e.materialize()
-	e.nw.SetBase(e.T.Agile())
-	e.baseTop = d + 1
-	return true
-}
-
-// derive pushes the base of stack slot i's insertion, derived from the
-// writer's top base, the state below it, unless the writer is full.
-func (e *Engine) derive(i int) bool {
-	f := &e.frames[i]
-	if e.nw.Full() || !e.nw.Derive(f.Taxon, f.Branches[f.idx-1]) {
-		return false
+	for e.baseTop <= d && !e.nw.Full() {
+		f := &e.frames[e.baseTop-1]
+		e.nw.Derive(f.Taxon, f.Branches[f.idx-1])
+		e.baseTop++
 	}
-	e.baseTop++
-	return true
+	if e.baseTop <= d {
+		// The writer is full: walk the state the stack stands for, its
+		// bookings made real.
+		e.materialize()
+		e.nw.SetBase(e.T.Agile())
+		e.baseTop = d + 1
+	}
 }
 
 // dropBase pops the writer's top base, its frame's insertion removed.
@@ -1015,7 +985,7 @@ func (e *Engine) pushFrame() bool {
 	f := e.pushSlot()
 	f.Taxon, _ = e.nextTaxon()
 	f.other = -1
-	f.Branches, f.idx, f.inserted, f.based, f.restructures = e.slotBranches(f, n, f.Taxon), 0, false, false, 0
+	f.Branches, f.idx, f.inserted, f.restructures = e.slotBranches(f, n, f.Taxon), 0, false, 0
 	// Per-branch weight from the parent's (1 at the root): fixed before the
 	// steal callback can hand branches away, so stolen subtrees keep it.
 	parentW := 1.0
@@ -1100,27 +1070,6 @@ func (e *Engine) prefer(x, c, best, bestCount int) bool {
 
 // rendering reports whether anyone wants the trees.
 func (e *Engine) rendering() bool { return e.OnTrees != nil || e.OnTree != nil }
-
-// renderFinal renders the stand trees of a final frame — the state the stack
-// stands for with taxon x on each of edges — into the block: cut from the
-// writer's base of that state (base) where the writer can, and where it
-// cannot, by making the bookings real and inserting x, rendering and
-// removing it.
-func (e *Engine) renderFinal(x int, edges []int32) {
-	if e.base() && x > e.nw.Lowest() {
-		e.cutTrees(x, edges)
-		return
-	}
-	e.materialize()
-	for _, ed := range edges {
-		at := e.openTree()
-		e.T.ExtendTaxon(x, ed)
-		e.work.Extends++
-		e.block = e.nw.Append(e.block, e.T.Agile())
-		e.T.RemoveTaxon()
-		e.closeTree(at)
-	}
-}
 
 // cutTrees renders one stand tree per edge, taxon x there, cut from the
 // writer's top base.

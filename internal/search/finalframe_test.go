@@ -52,10 +52,9 @@ var lookAheadFixtures = map[int]bool{6: false, 7: false, 12: true, 16: true}
 // reports the counters, the trees byte for byte and in order, the estimator
 // mass and the paper-unit step count of the machine that inserts and removes
 // every one. The counting run's ExtendTaxon calls and booked insertions are
-// its states less the branches it looked ahead of; the rendering run's are
-// as many, it looks ahead of and falls back from the same branches, and
-// wherever the Newick writer takes every base (takesEveryBase) it books,
-// looks ahead, takes whole and inserts exactly what the counting run does.
+// its states less the branches it looked ahead of; the rendering run books,
+// looks ahead, falls back, takes whole and inserts exactly what the counting
+// run does, on every stand.
 func TestFinalFramesMatchLeafByLeaf(t *testing.T) {
 	type order struct {
 		name    string
@@ -129,19 +128,16 @@ func TestFinalFramesMatchLeafByLeaf(t *testing.T) {
 				}
 				// The run that renders nothing: the same numbers — the mass bit
 				// for bit what the rendering run made of it.
-				if count.Counters != got.Counters || count.Steps != got.Steps ||
+				if count.Counters != got.Counters || count.Steps != got.Steps || count.Stop != got.Stop ||
 					cest.Leaves() != est.Leaves() || cest.Fraction() != est.Fraction() {
-					t.Fatalf("%s %s: counting %+v in %d steps, mass %.17f of %d leaves; rendering %+v in %d, %.17f of %d", ds.Name, ord.name,
-						count.Counters, count.Steps, cest.Fraction(), cest.Leaves(), got.Counters, got.Steps, est.Fraction(), est.Leaves())
+					t.Fatalf("%s %s: counting %+v in %d steps (%v), mass %.17f of %d leaves; rendering %+v in %d (%v), %.17f of %d", ds.Name, ord.name,
+						count.Counters, count.Steps, count.Stop, cest.Fraction(), cest.Leaves(), got.Counters, got.Steps, got.Stop, est.Fraction(), est.Leaves())
 				}
-				// And the rendering run answered every branch the counting run
-				// did from the counts too, and inserted, by ExtendTaxon or by
-				// booking, as many states; where the writer takes every base it
-				// booked, looked ahead and took whole what the counting run did.
+				// And the rendering run did the counting run's work: the same
+				// insertions made and booked, the same branches looked ahead of
+				// and fallen back from, the same subtrees taken whole.
 				w, gw := count.Work, got.Work
-				if inserted(w) != count.IntermediateStates-w.LookAheads || inserted(gw) != inserted(w) ||
-					gw.LookAheads != w.LookAheads || gw.Fallbacks != w.Fallbacks ||
-					takesEveryBase(ds.Constraints, got.InitialIndex) && !sameWork(gw, w) {
+				if inserted(w) != count.IntermediateStates-w.LookAheads || !sameWork(gw, w) {
 					t.Fatalf("%s %s: counting work %+v, rendering work %+v for %d states", ds.Name, ord.name, w, got.Work, count.IntermediateStates)
 				}
 				if all, is := fixtures[ds.Name]; is &&
@@ -157,19 +153,6 @@ func TestFinalFramesMatchLeafByLeaf(t *testing.T) {
 	if compared < 40 || trees < 10_000 || counting.LookAheads < 1000 || counting.Fallbacks < 1000 || counting.Booked < 1000 {
 		t.Fatalf("%d runs and %d trees compared, counting runs did %+v: not enough to mean anything", compared, trees, counting)
 	}
-}
-
-// takesEveryBase reports whether a run from constraint tree initial never
-// inserts a taxon that sorts before every leaf of its tree — the one
-// insertion the Newick writer cannot derive a base of, as the trees are
-// written from another root above it: whether the initial tree holds the
-// lowest taxon of the stand.
-func takesEveryBase(cons []*tree.Tree, initial int) bool {
-	lowest := cons[0].LeafSet().Min()
-	for _, c := range cons[1:] {
-		lowest = min(lowest, c.LeafSet().Min())
-	}
-	return cons[initial].LeafSet().Min() == lowest
 }
 
 // inserted counts the insertions a run made, by ExtendTaxon or by booking.
@@ -567,22 +550,16 @@ func TestTreeLimitOvershoot(t *testing.T) {
 	}
 }
 
-// TestRenderingLookAheadRefused: where the Newick writer cannot derive a base
-// — the initial tree lacks the lowest taxon, and the trees are written from
-// another root above the insertion that brings it — a rendering run makes
-// that insertion for real and walks the state below it again. Where the
-// last or the second-to-last taxon is that taxon it inserts the penultimate
-// frame's branches instead of looking ahead of them, and a final frame
-// reached with no penultimate frame above it inserts each of its trees; it
-// still finds the leaf-by-leaf machine's trees in its order. Everywhere else
-// it looks ahead of and inserts as many as the counting run, and where the
-// initial tree holds the lowest taxon it books, looks ahead, takes whole and
-// inserts what the counting run does.
-// Random stands leave the lowest taxon out of the initial tree often enough
-// to meet both.
-func TestRenderingLookAheadRefused(t *testing.T) {
+// TestRenderingAcrossTheLowestTaxon: on random stands whose initial tree
+// lacks the lowest taxon — its insertion roots the trees' rendering anew — a
+// rendering run does the counting run's work (Work equal field by field but
+// Emit), walks its tree once at most (not at all where the prefix walk
+// decides the stand) and finds the leaf-by-leaf machine's trees, byte
+// for byte and in order; and the stands whose initial tree holds it, which
+// random stands meet too, alike.
+func TestRenderingAcrossTheLowestTaxon(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
-	refused, derived, booked := 0, 0, int64(0)
+	across, holding, booked := 0, 0, int64(0)
 	for scen := 0; scen < 80; scen++ {
 		cons := randomScenario(rng, 9+rng.Intn(4), 2+rng.Intn(2), 4, 0.5)
 		count, err := Run(cons, Options{InitialTree: -1})
@@ -602,26 +579,18 @@ func TestRenderingLookAheadRefused(t *testing.T) {
 			t.Fatalf("scen %d: rendering %+v, counting %+v, leaf by leaf %+v; trees equal %v", scen,
 				got.Counters, count.Counters, want.Counters, slices.Equal(got.Trees, want.trees))
 		}
-		w, gw := count.Work, got.Work
-		booked += gw.Booked
-		takes := takesEveryBase(cons, got.InitialIndex)
-		switch {
-		case gw.LookAheads+gw.Fallbacks != w.LookAheads+w.Fallbacks || gw.Fallbacks < w.Fallbacks:
-			t.Fatalf("scen %d: rendering work %+v, counting work %+v", scen, gw, w)
-		case gw.Fallbacks == w.Fallbacks && inserted(gw) == inserted(w):
-			if takes && (!sameWork(gw, w) || gw.Emit.Walks > 1) {
-				t.Fatalf("scen %d: the writer took every base, yet rendering work %+v, counting work %+v", scen, gw, w)
-			}
-			derived++
-		case !takes && gw.Fallbacks > w.Fallbacks && inserted(gw) > inserted(w),
-			!takes && gw.LookAheads+gw.Fallbacks == 0 && inserted(gw) == inserted(w)+got.StandTrees:
-			refused++
-		default:
-			t.Fatalf("scen %d: rendering work %+v, counting work %+v", scen, gw, w)
+		if !sameWork(got.Work, count.Work) || got.Work.Emit.Walks > 1 {
+			t.Fatalf("scen %d: rendering work %+v, counting work %+v", scen, got.Work, count.Work)
+		}
+		booked += got.Work.Booked
+		if tr.Agile().HasTaxon(0) {
+			holding++
+		} else {
+			across++
 		}
 	}
-	if refused < 5 || derived < 5 || booked == 0 {
-		t.Fatalf("%d stands with refused bases, %d with every base derived, %d insertions booked: not enough to mean anything", refused, derived, booked)
+	if across < 5 || holding < 5 || booked == 0 {
+		t.Fatalf("%d stands across the lowest taxon, %d holding it, %d insertions booked: not enough to mean anything", across, holding, booked)
 	}
 }
 

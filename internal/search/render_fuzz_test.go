@@ -11,10 +11,9 @@ import (
 // builds one, under one of the three dynamic heuristics and a CheckEvery from
 // one step to a thousand, a run that collects the trees finds the leaf-by-leaf
 // machine's, byte for byte and in order, with its counters, or the first of
-// them where a tree limit stops it; it stops where, when and why the
-// counting run does wherever it looked ahead of and took whole what that run
-// did; and wherever its Newick writer took every base (takesEveryBase) it
-// books, looks ahead, takes whole and inserts what that run does.
+// them where a tree limit stops it; and it stops where, when and why the
+// counting run does, having booked, looked ahead, taken whole and inserted
+// what that run did.
 func FuzzRenderingLeafByLeaf(f *testing.F) {
 	for _, s := range []struct {
 		seed                     int64
@@ -43,20 +42,12 @@ func FuzzRenderingLeafByLeaf(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Where the writer refused a base, the rendering run may insert
-		// branches the counting run looks ahead of, or step through a subtree
-		// the counting run takes whole: a check can then fall between its
-		// steps and not the counting run's. Where it did neither, its steps
-		// are the counting run's.
-		takes := takesEveryBase(cons, got.InitialIndex)
-		sameSteps := got.Work.Fallbacks == count.Work.Fallbacks && got.Work.Whole == count.Work.Whole
-		same := got.Counters == count.Counters && got.Steps == count.Steps && got.Stop == count.Stop
-		if (takes || sameSteps) && !same || got.Stop == StopExhausted && !same {
-			t.Fatalf("writer took every base %v: rendering %+v in %d steps, stopped for %v; counting %+v in %d, for %v",
-				takes, got.Counters, got.Steps, got.Stop, count.Counters, count.Steps, count.Stop)
+		if got.Counters != count.Counters || got.Steps != count.Steps || got.Stop != count.Stop {
+			t.Fatalf("rendering %+v in %d steps, stopped for %v; counting %+v in %d, for %v",
+				got.Counters, got.Steps, got.Stop, count.Counters, count.Steps, count.Stop)
 		}
-		if takes && !sameWork(got.Work, count.Work) {
-			t.Fatalf("the writer took every base, yet rendering work %+v, counting work %+v", got.Work, count.Work)
+		if !sameWork(got.Work, count.Work) {
+			t.Fatalf("rendering work %+v, counting work %+v", got.Work, count.Work)
 		}
 		tr, err := newTerrace(cons, got.InitialIndex)
 		if err != nil {

@@ -18,8 +18,9 @@ import (
 // without two of its leaves yields every tree with both back, on every pair of
 // edges, through a derived base, and the tree without three of them through a
 // base derived from a derived one, each base equal to the walk of its tree
-// (checkDerived) — the labels here are whatever the fuzzer quotes: commas,
-// parentheses, quotes, newlines.
+// (checkDerived), the lowest leaf among those removed too, which roots the
+// rendering anew as it comes back — the labels here are whatever the fuzzer
+// quotes: commas, parentheses, quotes, newlines.
 func FuzzNewickParse(f *testing.F) {
 	for _, s := range []string{
 		"A;",
@@ -61,6 +62,9 @@ func FuzzNewickParse(f *testing.F) {
 		// A leaf's record once kept a child field from an earlier tree, so a
 		// derived base and the walk of its tree differed in it.
 		"((((A,B),C),D),(E,(F,G)));",
+		// The lowest leaf deep in a caterpillar: removed with its neighbours
+		// and put back, it roots the rendering anew along a long path.
+		"(((((((a,b),c),d),e),f),g),h);",
 	} {
 		f.Add(s)
 	}
@@ -99,14 +103,16 @@ func FuzzNewickParse(f *testing.F) {
 		}
 		if n := t1.NumLeaves(); n >= 3 && n <= 24 {
 			var w, oracle NewickWriter
+			var re reroots
 			t1.LeafSet().ForEach(func(x int) {
 				rest := t1.LeafSet().Clone()
 				rest.Remove(x)
-				checkSplices(t, &w, &oracle, t1.Restrict(rest), x)
+				checkSplices(t, &w, &oracle, t1.Restrict(rest), x, &re)
 			})
 		}
 		if n := t1.NumLeaves(); n >= 5 && n <= 16 {
 			var w, oracle NewickWriter
+			var re reroots
 			leaves := t1.LeafSet()
 			next := func(y int) int {
 				if z := leaves.NextSetBit(y + 1); z >= 0 {
@@ -120,13 +126,13 @@ func FuzzNewickParse(f *testing.F) {
 				rest.Remove(y)
 				rest.Remove(z)
 				base := t1.Restrict(rest)
-				checkDerived(t, &w, &oracle, base, y, z)
-				checkDerived(t, &w, &oracle, base, z, y)
+				checkDerived(t, &w, &oracle, base, &re, y, z)
+				checkDerived(t, &w, &oracle, base, &re, z, y)
 				if n >= 6 && n <= 12 {
 					rest.Remove(u)
 					base := t1.Restrict(rest)
-					checkDerived(t, &w, &oracle, base, y, z, u)
-					checkDerived(t, &w, &oracle, base, u, y, z)
+					checkDerived(t, &w, &oracle, base, &re, y, z, u)
+					checkDerived(t, &w, &oracle, base, &re, u, y, z)
 				}
 			})
 		}

@@ -21,23 +21,23 @@ import "sync"
 // (see there). The writer keeps a stack of such bases: Derive pushes the top
 // one with one leaf more, without a walk, and Pop drops it again, so that a
 // search that inserts and removes leaves in stack order walks its tree once
-// and derives every further base it cuts trees from.
+// and derives every further base it cuts trees from — whichever leaf it adds:
+// one that sorts before every leaf roots the tree anew (see Derive).
 type NewickWriter struct {
 	sc     []nwNode // per tree node, indexed by node id: the walk's records
 	order  []int32  // nodes breadth-first from the root; cap >= len(sc), so it never regrows
-	stack  []int32  // emit pass: node ids and tok* punctuation still to write; splice: the siblings a new pair rose past, each with its offset
+	stack  []int32  // emit pass: node ids and tok* punctuation still to write; splice: the siblings a new pair rose past, or the path turned over, each with its offset
 	taxa   *Taxa    // universe the label cache belongs to
 	labels []string // taxon id -> label as written (quoted if needed), "" = not yet looked at
 	buf    []byte   // String's output buffer
 
 	// The bases AppendWith cuts from: bases[0] is SetBase's walk, each one
-	// above it Derive's of the one below. rec, low and first describe the top
-	// one, and undo holds what each derivation overwrote in rec, so that Pop
+	// above it Derive's of the one below. rec and ends describe the top one,
+	// and undo holds what each derivation overwrote in rec, so that Pop
 	// restores the base below in the time Derive took.
 	bases []nwBase
 	rec   []nwNode // per node: its record, s relative to its parent's (the root's is 0)
-	low   []int32  // per edge: its end away from the root
-	first []int32  // per edge: its first end, as the Tree keeps it (AttachLeaf splits the edge there)
+	ends  []edge   // per edge: its two ends, as the Tree keeps them (AttachLeaf splits the edge at the second)
 	undo  []nwSaved
 	// arena holds the derived bases' bytes, each base's behind the one below
 	// it (room), up to budget bytes (Full).
@@ -51,18 +51,18 @@ type NewickWriter struct {
 // nwBase is a rendering AppendWith cuts trees from: the bytes, the root the
 // walk chose, the lowest leaf's taxon, and the tree's sizes — the ids
 // AttachLeaf gives next. A derived base notes where its bytes end in the
-// arena, where its records start in the undo log, the edge it split, with
-// that edge's lower end before, and the grow bytes it added under node
-// under, the highest one whose record it rewrote (NoNode: none, where it
-// rewrote the root's), which it lifted through under's ancestors (lift).
+// arena, where its records start in the undo log, the edge it split, and the
+// grow bytes it added under node under, the highest one whose record it
+// rewrote (NoNode: none, where it rewrote the root's), which it lifted
+// through under's ancestors (lift).
 type nwBase struct {
-	out             []byte
-	root, lo        int32
-	nodes, edges    int32
-	end             int32
-	undo            int32
-	split, splitLow int32
-	under, grow     int32
+	out          []byte
+	root, lo     int32
+	nodes, edges int32
+	end          int32
+	undo         int32
+	split        int32
+	under, grow  int32
 }
 
 // nwSaved is a record as it was before a derivation overwrote it.
@@ -242,11 +242,11 @@ func (w *NewickWriter) SetBase(t *Tree) bool {
 	// Room for the tree with every taxon of its universe: derived bases add
 	// two nodes and two edges a leaf.
 	most := 2 * t.taxa.Len()
-	if len(w.low) < most {
-		nodes, ends := make([]nwNode, 2*most), make([]int32, 2*most)
+	if len(w.ends) < most {
+		nodes := make([]nwNode, 2*most)
 		w.sc, w.rec = nodes[:most], nodes[most:]
 		w.order, w.stack = make([]int32, 0, most), make([]int32, 0, 2*most)
-		w.low, w.first = ends[:most], ends[most:]
+		w.ends = make([]edge, most)
 		w.bases, w.undo = make([]nwBase, 0, t.taxa.Len()-t.NumLeaves()+1), make([]nwSaved, 0, 2*most)
 	}
 	b := w.push()
@@ -262,12 +262,7 @@ func (w *NewickWriter) SetBase(t *Tree) bool {
 		u := order[i]
 		sc[u].s -= sc[sc[u].up].s
 	}
-	for e, ed := range t.edges {
-		w.first[e], w.low[e] = ed.a, ed.a
-		if sc[ed.b].up == ed.a {
-			w.low[e] = ed.b
-		}
-	}
+	copy(w.ends, t.edges)
 	lo := t.leaves.Min()
 	l := t.leafOf[lo]
 	*b = nwBase{out: b.out, root: t.Other(t.nodes[l].adj[0], l), lo: int32(lo),
@@ -332,35 +327,38 @@ func (w *NewickWriter) at(v int32) int32 {
 // Bases returns the number of bases held.
 func (w *NewickWriter) Bases() int { return len(w.bases) }
 
-// Lowest returns the lowest taxon of the top base's tree: AppendWith takes
-// the taxa above it.
-func (w *NewickWriter) Lowest() int { return int(w.bases[len(w.bases)-1].lo) }
+// lower returns edge e's end away from the root of the top base: the end
+// whose parent the other is.
+func (w *NewickWriter) lower(e int32) int32 {
+	ed := w.ends[e]
+	if w.rec[ed.b].up == ed.a {
+		return ed.b
+	}
+	return ed.a
+}
 
 // Derive pushes the base of the top base's tree with taxon x added as a leaf
 // on its edge e, ids as AttachLeaf gives them, so that AppendWith cuts from
-// that. The tree is not walked: the rendering is cut from the one below as
-// AppendWith cuts a tree, and the records follow it in place. Offsets are
-// kept from each node's parent, so only the records on the path the new pair
-// rose along change — the pair, the nodes it rose past and their siblings —
-// each saved for Pop first — and the ancestors above, whose lengths and
-// second children's offsets grow by the bytes added, which Pop shrinks again
-// (lift). The cost is the bytes spliced and that path, not the tree. It
-// reports false, and changes nothing, when no base is held or x sorts before
-// every leaf, so that the tree would be written from another root.
-func (w *NewickWriter) Derive(x int, e int32) bool {
+// that; a base must be held. The tree is not walked: the rendering is cut
+// from the one below as AppendWith cuts a tree, and the records follow it in
+// place. Offsets are kept from each node's parent, so only the records on the
+// path the new pair rose along change — the pair, the nodes it rose past and
+// their siblings — each saved for Pop first — and the ancestors above, whose
+// lengths and second children's offsets grow by the bytes added, which Pop
+// shrinks again (lift). Where x sorts before every leaf the pair is the new
+// root (reroot). Either way the cost is the bytes spliced and one path, not
+// the tree.
+func (w *NewickWriter) Derive(x int, e int32) {
 	n := len(w.bases)
-	if n == 0 || int32(x) < w.bases[n-1].lo {
-		return false
-	}
-	y, v, sc := int32(x), w.low[e], w.rec
+	y, v, sc := int32(x), w.lower(e), w.rec
 	ylen := int32(len(w.label(y)))
 	out, top := w.splice(w.room(len(w.bases[n-1].out)+int(ylen)+3), v, y) // "(", ",", ")" and the label
 	d := w.push()
 	p := &w.bases[n-1]
 	*d = nwBase{out: out, root: p.root, lo: p.lo, nodes: p.nodes + 2, edges: p.edges + 2,
-		end: p.end + int32(len(out)), undo: int32(len(w.undo)), split: e, splitLow: v, under: NoNode}
+		end: p.end + int32(len(out)), undo: int32(len(w.undo)), split: e, under: NoNode}
 
-	sv := sc[v]
+	sv, l := sc[v], sc[p.root].up        // l: the lowest leaf, the root's parent
 	nd, lf := p.nodes, p.nodes+1         // the ids AttachLeaf gives the pair's node and the leaf
 	pre := int32(len(w.label(p.lo))) + 2 // "(lo," opens the root's subtree
 	pair := nwNode{up: sv.up, a: v, b: lf, min: sv.min, n: sv.n + ylen + 3}
@@ -388,6 +386,8 @@ func (w *NewickWriter) Derive(x int, e int32) bool {
 	}
 	sc[nd], sc[lf] = pair, leaf
 	switch cut := w.stack; {
+	case y < p.lo:
+		w.reroot(d, p, v, l, y)
 	case v == p.root:
 	case len(cut) == 0:
 		// The pair takes v's place.
@@ -422,17 +422,44 @@ func (w *NewickWriter) Derive(x int, e int32) bool {
 		}
 	}
 	// AttachLeaf keeps e's first end on e and hangs its second off the new
-	// edge p.edges, the leaf's pendant is p.edges+1.
-	if w.first[e] == sv.up {
-		w.low[e], w.low[p.edges] = nd, v
-	} else {
-		w.low[p.edges] = nd
-	}
-	w.low[p.edges+1] = lf
-	w.first[p.edges], w.first[p.edges+1] = nd, nd
+	// edge p.edges; the leaf's pendant is p.edges+1.
+	w.ends[p.edges], w.ends[p.edges+1] = edge{nd, w.ends[e].b}, edge{nd, lf}
+	w.ends[e].b = nd
 	w.Stats.Derived++
 	w.Stats.Copied += int64(len(d.out))
-	return true
+}
+
+// reroot finishes the records of derived base d, the top base p's tree with
+// taxon y, which sorts before every leaf, on the edge above v, from those
+// Derive wrote for the pair and the leaf: y's leaf is the lowest now and the
+// pair the root, written "(y,(((lo,o_m),o_m-1),…,o_1),below);", where u_1 …
+// u_m is the path from v's parent up to p's root and o_k the sibling off it
+// at u_k, which splice left in w.stack. The path hangs the other way: each
+// u_k has the path above it, turned over, first and o_k second, and the old
+// lowest leaf l hangs off u_m, or off the pair where v is p's root. Only the
+// path's records, its siblings', the old lowest leaf's and those Derive wrote
+// change, each saved first; no ancestor is left to lift.
+func (w *NewickWriter) reroot(d, p *nwBase, v, l, y int32) {
+	sc, nd, lf := w.rec, p.nodes, p.nodes+1
+	w.save(l)
+	sc[l] = nwNode{min: p.lo, a: NoNode, b: NoNode, n: int32(len(w.label(p.lo)))}
+	a := l // what the node written next has first: the path above it
+	for cut, i := w.stack, len(w.stack)-2; i >= 0; i -= 2 {
+		o := cut[i]
+		u := sc[o].up
+		w.save(u)
+		w.save(o)
+		sc[a].up, sc[a].s = u, 1
+		sc[o].s = sc[a].n + 2
+		sc[u] = nwNode{min: p.lo, a: a, b: o, n: sc[o].s + sc[o].n + 1}
+		a = u
+	}
+	pre := sc[lf].n + 2 // "(y,"
+	sc[a].up, sc[a].s = nd, pre
+	sc[v].s = pre + sc[a].n + 1
+	sc[nd] = nwNode{up: lf, min: p.lo, a: a, b: v, n: int32(len(d.out)) - 1}
+	sc[lf].up = NoNode
+	d.root, d.lo = nd, y
 }
 
 // save notes node u's record for Pop.
@@ -475,24 +502,26 @@ func (w *NewickWriter) Pop() {
 			w.rec[w.undo[i].id] = w.undo[i].rec
 		}
 		w.undo = w.undo[:b.undo]
-		w.low[b.split] = b.splitLow
+		w.ends[b.split].b = w.ends[b.edges-2].b
 	}
 	w.bases = w.bases[:n]
 }
 
 // AppendWith appends the canonical Newick string of the top base's tree with
-// taxon x, which must sort after its lowest leaf (Lowest), added as a leaf on
-// edge e. Below the edge hangs a subtree the base renders as one range; with
-// x it becomes the pair (below,x), in place, when x sorts after the subtree's
-// first leaf, and nothing else moves. Otherwise the pair is (x,below) and now
-// sorts by x: it rises past every sibling it precedes, up to the first
-// ancestor whose other child still sorts before x, and the base is re-cut
-// along that path. The edge of the lowest leaf is the same one level up: the
-// rest of the tree becomes one pair, beside x.
+// taxon x added as a leaf on edge e. Below the edge hangs a subtree the base
+// renders as one range; with x it becomes the pair (below,x), in place, when
+// x sorts after the subtree's first leaf, and nothing else moves. Otherwise
+// the pair is (x,below) and now sorts by x: it rises past every sibling it
+// precedes, up to the first ancestor whose other child still sorts before x,
+// and the base is re-cut along that path. The edge of the lowest leaf is the
+// same one level up: the rest of the tree becomes one pair, beside x. Where x
+// sorts before every leaf, the tree is written from x's pair: the path from
+// the edge up to the root turns over, one range of the base for each sibling
+// off it (see reroot).
 func (w *NewickWriter) AppendWith(dst []byte, x int, e int32) []byte {
-	b, at, v := &w.bases[len(w.bases)-1], len(dst), w.low[e]
+	b, at, v := &w.bases[len(w.bases)-1], len(dst), w.lower(e)
 	dst, _ = w.splice(dst, v, int32(x))
-	if int32(x) < w.rec[v].min && v != b.root {
+	if int32(x) < b.lo || int32(x) < w.rec[v].min && v != b.root {
 		w.Stats.Recut++
 	} else {
 		w.Stats.Spliced++
@@ -505,13 +534,44 @@ func (w *NewickWriter) AppendWith(dst []byte, x int, e int32) []byte {
 // AppendWith) and returns the highest node whose subtree it wrote other than
 // as one range of the base, and the siblings the new pair rose past in
 // w.stack, lowest first, each followed by where its subtree starts; for v the
-// root, the root and nothing.
+// root, the root and nothing; for x before every leaf, the root and the
+// siblings off the path from v up to the root.
 func (w *NewickWriter) splice(dst []byte, v, x int32) ([]byte, int32) {
 	b := &w.bases[len(w.bases)-1]
 	sc, base, xl := w.rec, b.out, w.label(x)
 	at := w.at(v)
 	first := x < sc[v].min
 	below := base[at : at+sc[v].n]
+	if x < b.lo {
+		// "(x,(((lo,o_m),o_m-1),…,o_1),below);"
+		cut := w.stack[:0]
+		for c, s := v, at; c != b.root; c = sc[c].up {
+			u := &sc[sc[c].up]
+			o := u.a
+			if o == c {
+				o = u.b
+			}
+			s -= sc[c].s
+			cut = append(cut, o, s+sc[o].s)
+		}
+		dst = append(append(append(dst, '('), xl...), ',')
+		for range len(cut) / 2 {
+			dst = append(dst, '(')
+		}
+		dst = append(dst, w.label(b.lo)...)
+		for i := len(cut) - 2; i >= 0; i -= 2 {
+			o, s := cut[i], cut[i+1]
+			dst = append(append(append(dst, ','), base[s:s+sc[o].n]...), ')')
+		}
+		if v == b.root {
+			// "(lo,A,B)" is "(A,B)" there.
+			dst = append(append(dst, ',', '('), below[sc[sc[v].a].s:]...)
+		} else {
+			dst = append(append(dst, ','), below...)
+		}
+		w.stack = cut
+		return append(dst, ')', ';'), b.root
+	}
 	if v == b.root {
 		// "(lo,A,B);" becomes "(lo,(A,B),x);" or "(lo,x,(A,B));".
 		ab := sc[sc[v].a].s

@@ -224,22 +224,44 @@ func BenchmarkNewickWriter(b *testing.B) {
 	})
 }
 
+// reroots counts the cuts and derivations of a taxon that sorts before every
+// leaf of its base, by the edge it went on: the lowest leaf's, another edge of
+// the root, or a deeper one.
+type reroots [3]int
+
+// note counts x on edge e of w's top base, if x sorts before every leaf.
+func (r *reroots) note(w *NewickWriter, x int, e int32) {
+	b := &w.bases[len(w.bases)-1]
+	if int32(x) > b.lo {
+		return
+	}
+	n := 0
+	for v := w.lower(e); v != b.root && n < 2; v = w.rec[v].up {
+		n++
+	}
+	r[n]++
+}
+
+// each reports whether every kind of edge was met.
+func (r *reroots) each() bool { return r[0] > 0 && r[1] > 0 && r[2] > 0 }
+
 // checkSplices compares, for every edge of base, the tree AppendWith cuts from
 // base's rendering with the tree that has x attached there, rendered by the
 // two-pass walk. It reports whether the writer took the base at all, and how
-// many of the edges were the lowest leaf's.
-func checkSplices(t *testing.T, w, oracle *NewickWriter, base *Tree, x int) (ok bool, lowest int) {
+// many of the edges were the lowest leaf's; re notes the cuts of an x that
+// sorts before every leaf.
+func checkSplices(t *testing.T, w, oracle *NewickWriter, base *Tree, x int, re *reroots) (ok bool, lowest int) {
 	t.Helper()
 	lo := base.LeafSet().Min()
-	ok = w.SetBase(base) && x > w.Lowest()
-	if ok != (base.NumLeaves() >= 3 && x > lo) {
-		t.Fatalf("SetBase(%d leaves) then x=%d, lowest %d: took %v", base.NumLeaves(), x, lo, ok)
+	if ok = w.SetBase(base); ok != (base.NumLeaves() >= 3) {
+		t.Fatalf("SetBase(%d leaves): took %v", base.NumLeaves(), ok)
 	}
 	if !ok {
 		return false, 0
 	}
 	var got, want []byte
 	for e := int32(0); e < int32(base.NumEdges()); e++ {
+		re.note(w, x, e)
 		got = w.AppendWith(append(got[:0], '>'), x, e)
 		if a, b := base.EdgeEndpoints(e); base.NodeTaxon(a) == int32(lo) || base.NodeTaxon(b) == int32(lo) {
 			lowest++
@@ -256,14 +278,17 @@ func checkSplices(t *testing.T, w, oracle *NewickWriter, base *Tree, x int) (ok 
 
 // TestAppendWithMatchesAppend is the splice oracle: for trees of 3 to 40
 // leaves over awkward labels, every absent taxon on every edge, the tree cut
-// from the base equals the tree attached and rendered — and all three shapes
+// from the base equals the tree attached and rendered — and all four shapes
 // (new leaf second in its pair, pair risen along the path, lowest leaf's
-// edge), the 3-leaf base and the refusals are met.
+// edge, and a taxon that sorts before every leaf, which roots the tree anew,
+// on the lowest leaf's edge, another edge of the root and a deeper one) and
+// the 3-leaf base are met.
 func TestAppendWithMatchesAppend(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	universes := []*Taxa{MustTaxa(awkwardNames(48, "s")), MustTaxa(names(24))}
 	var w, oracle NewickWriter
-	var refused, lowest, three int
+	var re reroots
+	var lowest, three int
 	for it := 0; it < 300; it++ {
 		taxa := universes[it%2]
 		k := min(3+rng.Intn(38), taxa.Len()-1)
@@ -275,26 +300,25 @@ func TestAppendWithMatchesAppend(t *testing.T) {
 			if tr.HasTaxon(x) {
 				continue
 			}
-			ok, low := checkSplices(t, &w, &oracle, tr, x)
-			if lowest += low; !ok {
-				refused++
-			} else if k == 3 {
+			_, low := checkSplices(t, &w, &oracle, tr, x, &re)
+			if lowest += low; k == 3 {
 				three++
 			}
 		}
 	}
-	if s := w.Stats; s.Spliced == 0 || s.Recut == 0 || refused == 0 || lowest == 0 || three == 0 {
-		t.Fatalf("shapes not all met: %+v, %d refused, %d on the lowest leaf's edge, %d on a 3-leaf base", s, refused, lowest, three)
+	if s := w.Stats; s.Spliced == 0 || s.Recut == 0 || !re.each() || lowest == 0 || three == 0 {
+		t.Fatalf("shapes not all met: %+v, re-roots %v, %d on the lowest leaf's edge, %d on a 3-leaf base", s, re, lowest, three)
 	}
-	if ok, _ := checkSplices(t, &w, &oracle, MustParse("(A,B);", MustTaxa([]string{"A", "B", "C"})), 2); ok || w.Bases() != 0 {
+	if ok, _ := checkSplices(t, &w, &oracle, MustParse("(A,B);", MustTaxa([]string{"A", "B", "C"})), 2, &re); ok || w.Bases() != 0 {
 		t.Fatal("SetBase accepted a 2-leaf base")
 	}
 }
 
 // checkBase compares the writer's top base with the walk of tr, the
-// tree it stands for: the bytes, the record of every node but the lowest leaf
-// (the root's parent, which the records do not describe) and both ends the
-// writer keeps of every edge.
+// tree it stands for: the bytes, the record of every node — of the lowest
+// leaf, the root's parent, which the records do not describe, only that it
+// has none — and both ends the writer keeps of every edge, and the lower one
+// it finds.
 func checkBase(w, oracle *NewickWriter, tr *Tree) error {
 	if !oracle.SetBase(tr) {
 		return fmt.Errorf("%s: the walk took no base", tr.Newick())
@@ -308,26 +332,26 @@ func checkBase(w, oracle *NewickWriter, tr *Tree) error {
 	}
 	l := tr.LeafNode(int(b.lo))
 	for v := int32(0); v < b.nodes; v++ {
-		if v != l && w.rec[v] != oracle.rec[v] {
+		if v != l && w.rec[v] != oracle.rec[v] || v == l && w.rec[v].up != NoNode {
 			return fmt.Errorf("%s: node %d derived %+v, walked %+v", o.out, v, w.rec[v], oracle.rec[v])
 		}
 	}
 	for e := int32(0); e < b.edges; e++ {
-		if w.low[e] != oracle.low[e] || w.first[e] != oracle.first[e] {
-			return fmt.Errorf("%s: edge %d derived ends %d/%d, walked %d/%d", o.out, e, w.low[e], w.first[e], oracle.low[e], oracle.first[e])
+		if w.ends[e] != oracle.ends[e] || w.lower(e) != oracle.lower(e) {
+			return fmt.Errorf("%s: edge %d derived ends %v, lower %d, walked %v, %d", o.out, e, w.ends[e], w.lower(e), oracle.ends[e], oracle.lower(e))
 		}
 	}
 	return nil
 }
 
 // checkDerived walks base and checks the chain of derivations add names on
-// it (checkChain). It reports whether the writer took every taxon of add.
-func checkDerived(t *testing.T, w, oracle *NewickWriter, base *Tree, add ...int) bool {
+// it (checkChain).
+func checkDerived(t *testing.T, w, oracle *NewickWriter, base *Tree, re *reroots, add ...int) {
 	t.Helper()
 	if !w.SetBase(base) {
-		return false
+		t.Fatalf("%s: no base", base.Newick())
 	}
-	return checkChain(t, w, oracle, base, add, 1)
+	checkChain(t, w, oracle, base, add, 1, re)
 }
 
 // checkChain takes the writer's top base, the rendering of tr, and: with one
@@ -335,19 +359,16 @@ func checkDerived(t *testing.T, w, oracle *NewickWriter, base *Tree, add ...int)
 // the tree that has it attached there, rendered by the two-pass walk; with
 // more, derives the base with add[0] on each edge — every stride-th past the
 // first derivation — goes on with the rest of add from there, compares it
-// with the walk of its tree, bytes and records, and pops
-// it, after which the base below must be the walk of tr again. It reports whether the writer
-// took every taxon: it refuses one that sorts before every leaf, as the walk
-// would start elsewhere.
-func checkChain(t *testing.T, w, oracle *NewickWriter, tr *Tree, add []int, stride int32) bool {
+// with the walk of its tree, bytes and records, and pops it, after which the
+// base below must be the walk of tr again. re notes the cuts and derivations
+// of a taxon that sorts before every leaf.
+func checkChain(t *testing.T, w, oracle *NewickWriter, tr *Tree, add []int, stride int32, re *reroots) {
 	t.Helper()
-	lo, x := tr.LeafSet().Min(), add[0]
+	x := add[0]
 	if len(add) == 1 {
-		if x < lo {
-			return false
-		}
 		var got, want []byte
 		for e := int32(0); e < int32(tr.NumEdges()); e++ {
+			re.note(w, x, e)
 			got = w.AppendWith(append(got[:0], '>'), x, e)
 			tr.AttachLeaf(x, e)
 			want = oracle.Append(append(want[:0], '>'), tr)
@@ -356,21 +377,15 @@ func checkChain(t *testing.T, w, oracle *NewickWriter, tr *Tree, add []int, stri
 				t.Fatalf("%s, %d on edge %d\n got %s\nwant %s", tr.Newick(), x, e, got, want)
 			}
 		}
-		return true
+		return
 	}
-	took := true
 	for e := int32(0); e < int32(tr.NumEdges()); e += stride {
-		ok := w.Derive(x, e)
-		if ok != (x > lo) {
-			t.Fatalf("Derive(%d, %d) on %s, whose lowest leaf is %d = %v", x, e, tr.Newick(), lo, ok)
-		}
-		if !ok {
-			return false
-		}
+		re.note(w, x, e)
+		w.Derive(x, e)
 		// Cuts from the base, or bases derived from it, come first, and then
 		// it is compared.
 		tr.AttachLeaf(x, e)
-		took = checkChain(t, w, oracle, tr, add[1:], 1+int32(tr.NumEdges())/8) && took
+		checkChain(t, w, oracle, tr, add[1:], 1+int32(tr.NumEdges())/8, re)
 		err := checkBase(w, oracle, tr)
 		tr.DetachLeaf(x)
 		w.Pop()
@@ -381,7 +396,6 @@ func checkChain(t *testing.T, w, oracle *NewickWriter, tr *Tree, add []int, stri
 			t.Fatalf("%s, %d on edge %d: %v", tr.Newick(), x, e, err)
 		}
 	}
-	return took
 }
 
 // TestDeriveMatchesAppend is the derived-base oracle: for trees of 3 to 30
@@ -390,13 +404,15 @@ func checkChain(t *testing.T, w, oracle *NewickWriter, tr *Tree, add []int, stri
 // walk equals the walk's, record by record, every tree cut from it equals the
 // tree attached and rendered, and the base below is the walk's again after a
 // Pop; for triples, a second base derived from a derived one does too — and
-// the pair rising to the root, the lowest leaf's edge and the refusal of a
-// taxon that sorts first are all met.
+// the pair rising to the root, the lowest leaf's edge and a taxon that sorts
+// before every leaf, derived and cut on the lowest leaf's edge, another edge
+// of the root and a deeper one, are all met.
 func TestDeriveMatchesAppend(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	universes := []*Taxa{MustTaxa(awkwardNames(36, "d")), MustTaxa(names(20))}
 	var w, oracle NewickWriter
-	var refused, taken, rose, chains int
+	var re reroots
+	var taken, rose, chains int
 	for it := 0; it < 60; it++ {
 		taxa := universes[it%2]
 		k := min(3+rng.Intn(28), taxa.Len()-3)
@@ -418,48 +434,46 @@ func TestDeriveMatchesAppend(t *testing.T) {
 			if add[0] == add[1] || len(add) == 3 && (add[2] == add[0] || add[2] == add[1]) {
 				continue
 			}
-			if checkDerived(t, &w, &oracle, tr, add...) {
-				taken++
-				if len(add) == 3 {
-					chains++
-				}
-				if add[0] < tr.LeafSet().NextSetBit(tr.LeafSet().Min()+1) {
-					rose++ // on every edge but the lowest leaf's, up to the root
-				}
-			} else if add[0] > tr.LeafSet().Min() {
-				refused++
+			checkDerived(t, &w, &oracle, tr, &re, add...)
+			taken++
+			if len(add) == 3 {
+				chains++
+			}
+			if lo := tr.LeafSet().Min(); add[0] > lo && add[0] < tr.LeafSet().NextSetBit(lo+1) {
+				rose++ // on every edge but the lowest leaf's, up to the root
 			}
 		}
 	}
-	if s := w.Stats; taken < 100 || chains < 20 || refused == 0 || rose == 0 || s.Derived == 0 || s.Spliced == 0 || s.Recut == 0 {
-		t.Fatalf("%d chains taken (%d of three, %d rising to the root), %d refused, %+v", taken, chains, rose, refused, s)
+	if s := w.Stats; taken < 100 || chains < 20 || rose == 0 || !re.each() || s.Derived == 0 || s.Spliced == 0 || s.Recut == 0 {
+		t.Fatalf("%d chains taken (%d of three, %d rising to the root), re-roots %v, %+v", taken, chains, rose, re, s)
 	}
 }
 
 // TestDeriveAllocs: deriving bases from a walked and from a derived one,
 // cutting trees from them and popping them allocates nothing once the writer
-// has seen a tree of the size.
+// has seen a tree of the size — a chain through two re-roots included: the
+// tree lacks the three lowest taxa, and the first two derivations each bring
+// one that sorts before every leaf.
 func TestDeriveAllocs(t *testing.T) {
 	taxa := MustTaxa(awkwardNames(132, "a"))
-	tr := randomSubsetTree(taxa, 129, rand.New(rand.NewSource(4)))
-	var absent []int
-	for x := 0; x < taxa.Len(); x++ {
-		if !tr.HasTaxon(x) {
-			absent = append(absent, x)
-		}
+	all := randomTree(taxa, rand.New(rand.NewSource(4)))
+	rest := all.LeafSet().Clone()
+	for x := 0; x < 3; x++ {
+		rest.Remove(x)
 	}
+	tr := all.Restrict(rest)
 	var w NewickWriter
 	var buf []byte
 	run := func() {
-		if !w.SetBase(tr) || absent[0] < w.Lowest() {
-			t.Fatalf("absent taxa %v: refused", absent)
+		if !w.SetBase(tr) {
+			t.Fatal("no base")
 		}
 		for e := int32(0); e < int32(tr.NumEdges()); e += 7 {
-			w.Derive(absent[0], e)
+			w.Derive(2, e)
 			for f := int32(0); f < int32(tr.NumEdges()+2); f += 11 {
-				w.Derive(absent[1], f)
+				w.Derive(0, f)
 				for g := int32(0); g < int32(tr.NumEdges()+4); g += 5 {
-					buf = w.AppendWith(buf[:0], absent[2], g)
+					buf = w.AppendWith(buf[:0], 1, g)
 				}
 				w.Pop()
 			}
@@ -485,16 +499,14 @@ func TestDeriveFull(t *testing.T) {
 	if !w.SetBase(tr) {
 		t.Fatal("no base")
 	}
-	lo := w.Lowest()
+	lo := tr.LeafSet().Min()
 	var added []int
 	for x := lo + 1; x < taxa.Len() && !w.Full(); x++ {
 		if tr.HasTaxon(x) {
 			continue
 		}
 		e := int32(rng.Intn(tr.NumEdges()))
-		if !w.Derive(x, e) {
-			t.Fatalf("Derive(%d, %d) refused", x, e)
-		}
+		w.Derive(x, e)
 		tr.AttachLeaf(x, e)
 		added = append(added, x)
 		if len(added)%16 == 0 {
