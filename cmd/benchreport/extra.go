@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
 	"runtime"
 	"slices"
 	"strconv"
@@ -487,6 +488,10 @@ var copySink []byte
 // (serveStand). -compare gates (ratioMetrics) emit/stream and stream/spool,
 // whose sides share the host's compute and memory; emit/copy, over an
 // in-cache memmove of the same volume (CopyRefStand), is reported, not gated.
+// The stand's labels are plain, so its stream frames the trees without
+// reading them; StreamEscapedRefStand serves the stand with one label
+// holding '&', whose every tree the stream scans and escapes, and carries
+// escaped/plain against StreamRefStand, reported, not gated.
 func refStand(ds *gen.Dataset, benchtime string) (rows []BenchResult, err error) {
 	var volume int
 	var block []byte
@@ -509,11 +514,27 @@ func refStand(ds *gen.Dataset, benchtime string) (rows []BenchResult, err error)
 		_, err := search.Run(ds.Constraints, search.Options{InitialTree: -1, OnTrees: func([]byte, int) {}})
 		return err
 	}
-	runStream, runSpool, stop, err := serveStand(ds)
+	var trees, escapedTrees []string
+	amp := ds.Constraints[0].Taxa().Name(0)
+	label := regexp.MustCompile(`([(,])` + regexp.QuoteMeta(amp) + `([,);])`)
+	for _, c := range ds.Constraints {
+		nw := c.Newick()
+		esc := label.ReplaceAllString(nw, "${1}"+amp+"&${2}")
+		if c.HasTaxon(0) == (esc == nw) {
+			return nil, fmt.Errorf("relabelling %q in %q", amp, nw)
+		}
+		trees, escapedTrees = append(trees, nw), append(escapedTrees, esc)
+	}
+	runStream, runSpool, stop, err := serveStand(trees)
 	if err != nil {
 		return nil, err
 	}
 	defer stop()
+	runEscaped, _, stopEscaped, err := serveStand(escapedTrees)
+	if err != nil {
+		return nil, err
+	}
+	defer stopEscaped()
 	emit, stream := BenchResult{Name: "EmitRefStand"}, BenchResult{Name: "StreamRefStand"}
 	cp, spool := BenchResult{Name: "CopyRefStand"}, BenchResult{Name: "SpoolRefStand"}
 	emitCopy, err := pairRows(benchtime, &cp, &emit, runCopy, runEmit)
@@ -525,18 +546,24 @@ func refStand(ds *gen.Dataset, benchtime string) (rows []BenchResult, err error)
 		return nil, err
 	}
 	streamSpool, err := pairRows(benchtime, &spool, &stream, runSpool, runStream)
+	if err != nil {
+		return nil, err
+	}
+	escaped := BenchResult{Name: "StreamEscapedRefStand"}
+	escapedPlain, err := pairRows(benchtime, &stream, &escaped, runStream, runEscaped)
 	emit.Metrics = map[string]float64{"emit/copy": emitCopy, "emit/stream": emitStream, "stand-MB": float64(volume) / 1e6}
 	stream.Metrics = map[string]float64{"stream/spool": streamSpool}
-	return []BenchResult{cp, spool, emit, stream}, err
+	escaped.Metrics = map[string]float64{"escaped/plain": escapedPlain}
+	return []BenchResult{cp, spool, emit, stream, escaped}, err
 }
 
-// serveStand is the tree stream's pass: a service.Manager on a fresh
-// data directory runs ds as one job to its end, and each pass serves that
-// job's GET /jobs/{id}/trees through RegisterRoutes into an
+// serveStand is the tree stream's pass: a service.Manager on a fresh data
+// directory runs the constraint trees as one job to its end, and each pass
+// serves that job's GET /jobs/{id}/trees through RegisterRoutes into an
 // httptest.ResponseRecorder, with no network — the spool's reads, the NDJSON
 // records and the recorder's writes of every tree. read reads the job's
 // spool file in the stream's 64 KiB chunks. stop shuts it down.
-func serveStand(ds *gen.Dataset) (pass, read func() error, stop func(), err error) {
+func serveStand(trees []string) (pass, read func() error, stop func(), err error) {
 	dir, err := os.MkdirTemp("", "benchreport-stream")
 	if err != nil {
 		return nil, nil, nil, err
@@ -550,11 +577,7 @@ func serveStand(ds *gen.Dataset) (pass, read func() error, stop func(), err erro
 		mgr.Shutdown(context.Background()) //nolint:errcheck // nothing runs by then
 		os.RemoveAll(dir)
 	}
-	req := service.JobRequest{MaxTrees: -1, MaxStates: -1, MaxTimeSeconds: -1}
-	for _, c := range ds.Constraints {
-		req.Trees = append(req.Trees, c.Newick())
-	}
-	job, err := mgr.Submit(req)
+	job, err := mgr.Submit(service.JobRequest{Trees: trees, MaxTrees: -1, MaxStates: -1, MaxTimeSeconds: -1})
 	if err != nil {
 		stop()
 		return nil, nil, nil, err

@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -78,10 +79,12 @@ func leafByLeaf(tr *terrace.Terrace, h search.OrderHeuristic) (c search.Counters
 // and takes the same Steps to the same stop. Stands 6
 // and 7 of the paper-shaped simulated corpus, where every penultimate branch
 // falls back to the insertion, and 12 and 16, where none does, ride along.
+// Every stand runs from the heuristic's initial tree and from the first
+// constraint that lacks its lowest taxon.
 func TestPoolMatchesLeafByLeaf(t *testing.T) {
 	heuristics := []search.OrderHeuristic{search.OrderMinBranches, search.OrderMinBranchesTieDegree, search.OrderMaxBranches}
 	unlimited := search.Limits{MaxTrees: -1, MaxStates: -1, MaxTime: -1}
-	compared, stolen := 0, int64(0)
+	compared, across, stolen := 0, 0, int64(0)
 	var counting search.Work
 	for _, regime := range []gen.Regime{gen.RegimeSimulated, gen.RegimeEmpirical} {
 		cfg := gen.Default(regime)
@@ -109,72 +112,88 @@ func TestPoolMatchesLeafByLeaf(t *testing.T) {
 			}
 		}
 		for _, ds := range stands {
-			for _, h := range heuristics {
-				if _, is := fixtures[ds.Name]; is && h != search.OrderMinBranches {
-					continue // a fixture is one for min-branches, and large for the oracle
+			// From the heuristic's initial tree, and from the first constraint
+			// that lacks the stand's lowest taxon, where a collecting pool's
+			// Newick writers derive across a taxon below every leaf.
+			initials := []int{-1}
+			for i, c := range ds.Constraints {
+				if !c.HasTaxon(0) {
+					initials = append(initials, i)
+					break
 				}
-				probe, err := search.Run(ds.Constraints, search.Options{InitialTree: -1, Heuristic: h,
-					Limits: search.Limits{MaxTrees: 20_000, MaxStates: 20_000, MaxTime: -1}})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if probe.Stop != search.StopExhausted || probe.StandTrees < 20 {
-					continue
-				}
-				tr, err := terrace.New(ds.Constraints, probe.InitialIndex)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, stand, leaves := leafByLeaf(tr, h)
-				slices.Sort(stand)
-				for _, tc := range []struct {
-					threads int
-					policy  search.Policy
-				}{{2, search.Policy{}}, {4, search.Policy{}}, {2, search.Policy{MinRemaining: 1}}} {
-					var collecting *Result
-					for _, collect := range []bool{true, false} {
-						est := &obs.Estimator{}
-						got, err := Run(ds.Constraints, Options{Threads: tc.threads, InitialTree: -1, Heuristic: h,
-							Limits: unlimited, Policy: tc.policy, CollectTrees: collect, Obs: &obs.Sink{Estimate: est}})
-						if err != nil {
-							t.Fatal(err)
+			}
+			for _, initial := range initials {
+				for _, h := range heuristics {
+					if _, is := fixtures[ds.Name]; is && h != search.OrderMinBranches {
+						continue // a fixture is one for min-branches, and large for the oracle
+					}
+					probe, err := search.Run(ds.Constraints, search.Options{InitialTree: initial, Heuristic: h,
+						Limits: search.Limits{MaxTrees: 20_000, MaxStates: 20_000, MaxTime: -1}})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if probe.Stop != search.StopExhausted || probe.StandTrees < 20 {
+						continue
+					}
+					tr, err := terrace.New(ds.Constraints, probe.InitialIndex)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, stand, leaves := leafByLeaf(tr, h)
+					slices.Sort(stand)
+					for _, tc := range []struct {
+						threads int
+						policy  search.Policy
+					}{{2, search.Policy{}}, {4, search.Policy{}}, {2, search.Policy{MinRemaining: 1}}} {
+						var collecting *Result
+						for _, collect := range []bool{true, false} {
+							est := &obs.Estimator{}
+							got, err := Run(ds.Constraints, Options{Threads: tc.threads, InitialTree: initial, Heuristic: h,
+								Limits: unlimited, Policy: tc.policy, CollectTrees: collect, Obs: &obs.Sink{Estimate: est}})
+							if err != nil {
+								t.Fatal(err)
+							}
+							if got.Counters != want || collect && !slices.Equal(sortedCopy(got.Trees), stand) {
+								t.Fatalf("%s %v at %d threads (%+v, collecting %v): %+v and %d trees, leaf by leaf %+v and %d",
+									ds.Name+fmt.Sprintf(" from tree %d", initial), h, tc.threads, tc.policy, collect, got.Counters, len(got.Trees), want, len(stand))
+							}
+							if est.Leaves() != leaves || math.Abs(est.Fraction()-1) > 1e-9 {
+								t.Fatalf("%s %v at %d threads (collecting %v): %d leaves closed with mass %.12f, leaf by leaf %d",
+									ds.Name+fmt.Sprintf(" from tree %d", initial), h, tc.threads, collect, est.Leaves(), est.Fraction(), leaves)
+							}
+							compared++
+							if initial >= 0 {
+								across++
+							}
+							stolen += got.TasksStolen
+							w, states := got.Work, got.IntermediateStates
+							if collect {
+								collecting = got
+								continue
+							}
+							inserted := func(w search.Work) int64 { return w.Extends + w.Booked - w.Materialized }
+							// The subtrees a worker takes whole depend on when it polls,
+							// so they differ from run to run of the pool; nothing else does.
+							cw := collecting.Work
+							cw.Emit, cw.Whole = w.Emit, w.Whole
+							if inserted(w) != states-w.LookAheads || cw != w || collecting.Steps != got.Steps || collecting.Stop != got.Stop {
+								t.Fatalf("%s %v at %d threads (%+v): counting work %+v in %d steps (%v), collecting %+v in %d (%v) for %d states",
+									ds.Name+fmt.Sprintf(" from tree %d", initial), h, tc.threads, tc.policy, w, got.Steps, got.Stop, collecting.Work, collecting.Steps, collecting.Stop, states)
+							}
+							if all, is := fixtures[ds.Name]; is && initial == -1 && // a fixture is one from the heuristic's tree
+								(w.LookAheads+w.Fallbacks == 0 || all && w.Fallbacks != 0 || !all && w.LookAheads != 0) {
+								t.Fatalf("%s: fixture of all look-ahead %v did %+v", ds.Name, all, w)
+							}
+							counting.Add(w)
 						}
-						if got.Counters != want || collect && !slices.Equal(sortedCopy(got.Trees), stand) {
-							t.Fatalf("%s %v at %d threads (%+v, collecting %v): %+v and %d trees, leaf by leaf %+v and %d",
-								ds.Name, h, tc.threads, tc.policy, collect, got.Counters, len(got.Trees), want, len(stand))
-						}
-						if est.Leaves() != leaves || math.Abs(est.Fraction()-1) > 1e-9 {
-							t.Fatalf("%s %v at %d threads (collecting %v): %d leaves closed with mass %.12f, leaf by leaf %d",
-								ds.Name, h, tc.threads, collect, est.Leaves(), est.Fraction(), leaves)
-						}
-						compared++
-						stolen += got.TasksStolen
-						w, states := got.Work, got.IntermediateStates
-						if collect {
-							collecting = got
-							continue
-						}
-						inserted := func(w search.Work) int64 { return w.Extends + w.Booked - w.Materialized }
-						// The subtrees a worker takes whole depend on when it polls,
-						// so they differ from run to run of the pool; nothing else does.
-						cw := collecting.Work
-						cw.Emit, cw.Whole = w.Emit, w.Whole
-						if inserted(w) != states-w.LookAheads || cw != w || collecting.Steps != got.Steps || collecting.Stop != got.Stop {
-							t.Fatalf("%s %v at %d threads (%+v): counting work %+v in %d steps (%v), collecting %+v in %d (%v) for %d states",
-								ds.Name, h, tc.threads, tc.policy, w, got.Steps, got.Stop, collecting.Work, collecting.Steps, collecting.Stop, states)
-						}
-						if all, is := fixtures[ds.Name]; is &&
-							(w.LookAheads+w.Fallbacks == 0 || all && w.Fallbacks != 0 || !all && w.LookAheads != 0) {
-							t.Fatalf("%s: fixture of all look-ahead %v did %+v", ds.Name, all, w)
-						}
-						counting.Add(w)
 					}
 				}
 			}
 		}
 	}
-	if compared < 120 || stolen == 0 || counting.LookAheads < 1000 || counting.Fallbacks < 1000 || counting.Booked < 1000 {
-		t.Fatalf("%d runs compared, %d tasks stolen, counting pools did %+v: not enough to mean anything", compared, stolen, counting)
+	if compared < 240 || across < 120 || stolen == 0 || counting.LookAheads < 1000 || counting.Fallbacks < 1000 || counting.Booked < 1000 {
+		t.Fatalf("%d runs compared (%d from a tree without the lowest taxon), %d tasks stolen, counting pools did %+v: not enough to mean anything",
+			compared, across, stolen, counting)
 	}
 }
 

@@ -2,6 +2,7 @@ package search
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -54,7 +55,8 @@ var lookAheadFixtures = map[int]bool{6: false, 7: false, 12: true, 16: true}
 // every one. The counting run's ExtendTaxon calls and booked insertions are
 // its states less the branches it looked ahead of; the rendering run books,
 // looks ahead, falls back, takes whole and inserts exactly what the counting
-// run does, on every stand.
+// run does, on every stand, from the heuristic's initial tree and from the
+// first constraint that lacks the stand's lowest taxon (initialTrees).
 func TestFinalFramesMatchLeafByLeaf(t *testing.T) {
 	type order struct {
 		name    string
@@ -69,7 +71,7 @@ func TestFinalFramesMatchLeafByLeaf(t *testing.T) {
 		{name: "static ascending", static: true},
 		{name: "static shuffled", static: true, shuffle: 7},
 	}
-	compared, trees := 0, int64(0)
+	compared, across, trees := 0, 0, int64(0)
 	var counting Work
 	for _, regime := range []gen.Regime{gen.RegimeSimulated, gen.RegimeEmpirical} {
 		stands := corpusStands(t, regime, 5)
@@ -81,78 +83,97 @@ func TestFinalFramesMatchLeafByLeaf(t *testing.T) {
 			}
 		}
 		for _, ds := range stands {
-			for _, ord := range orders {
-				if _, is := fixtures[ds.Name]; is && ord != orders[0] {
-					continue // a fixture is one for min-branches, and large for the oracle
-				}
-				opt := Options{InitialTree: -1, Heuristic: ord.h,
-					DisableDynamicOrder: ord.static, ShuffleSeed: ord.shuffle,
-					Limits: Limits{MaxTrees: -1, MaxStates: 100_000, MaxTime: -1}}
-				est, cest := &obs.Estimator{}, &obs.Estimator{}
-				opt.Obs = &obs.Sink{Estimate: cest}
-				count, err := Run(ds.Constraints, opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if count.Stop != StopExhausted {
-					continue // this order makes the stand too expensive for the oracle
-				}
-				opt.CollectTrees, opt.Obs = true, &obs.Sink{Estimate: est}
-				got, err := Run(ds.Constraints, opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				tr, err := terrace.New(ds.Constraints, got.InitialIndex)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want := refEnumerate(tr, ord.h)
-				if ord.static {
-					seq := append([]int(nil), tr.MissingTaxa()...)
-					if ord.shuffle != 0 {
-						rand.New(rand.NewSource(ord.shuffle)).Shuffle(len(seq), func(i, j int) { seq[i], seq[j] = seq[j], seq[i] })
+			for _, initial := range initialTrees(ds.Constraints) {
+				for _, ord := range orders {
+					if _, is := fixtures[ds.Name]; is && ord != orders[0] {
+						continue // a fixture is one for min-branches, and large for the oracle
 					}
-					want = &leafByLeaf{tr: tr, next: func() int { return seq[tr.Depth()] }}
-					want.run()
+					run := fmt.Sprintf("%s from tree %d", ord.name, initial)
+					opt := Options{InitialTree: initial, Heuristic: ord.h,
+						DisableDynamicOrder: ord.static, ShuffleSeed: ord.shuffle,
+						Limits: Limits{MaxTrees: -1, MaxStates: 100_000, MaxTime: -1}}
+					est, cest := &obs.Estimator{}, &obs.Estimator{}
+					opt.Obs = &obs.Sink{Estimate: cest}
+					count, err := Run(ds.Constraints, opt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if count.Stop != StopExhausted {
+						continue // this order makes the stand too expensive for the oracle
+					}
+					opt.CollectTrees, opt.Obs = true, &obs.Sink{Estimate: est}
+					got, err := Run(ds.Constraints, opt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					tr, err := terrace.New(ds.Constraints, got.InitialIndex)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want := refEnumerate(tr, ord.h)
+					if ord.static {
+						seq := append([]int(nil), tr.MissingTaxa()...)
+						if ord.shuffle != 0 {
+							rand.New(rand.NewSource(ord.shuffle)).Shuffle(len(seq), func(i, j int) { seq[i], seq[j] = seq[j], seq[i] })
+						}
+						want = &leafByLeaf{tr: tr, next: func() int { return seq[tr.Depth()] }}
+						want.run()
+					}
+					if got.Counters != want.Counters || got.Steps != want.steps+1 {
+						t.Fatalf("%s %s: %+v in %d steps, leaf by leaf %+v in %d", ds.Name, run,
+							got.Counters, got.Steps, want.Counters, want.steps+1)
+					}
+					if !slices.Equal(got.Trees, want.trees) {
+						t.Fatalf("%s %s: the %d trees differ from the oracle's, or their order does", ds.Name, run, len(got.Trees))
+					}
+					if est.Leaves() != want.leaves || math.Abs(est.Fraction()-want.mass) > 1e-9 {
+						t.Fatalf("%s %s: estimator %d leaves, mass %.15f; leaf by leaf %d, %.15f", ds.Name, run,
+							est.Leaves(), est.Fraction(), want.leaves, want.mass)
+					}
+					// The run that renders nothing: the same numbers — the mass bit
+					// for bit what the rendering run made of it.
+					if count.Counters != got.Counters || count.Steps != got.Steps || count.Stop != got.Stop ||
+						cest.Leaves() != est.Leaves() || cest.Fraction() != est.Fraction() {
+						t.Fatalf("%s %s: counting %+v in %d steps (%v), mass %.17f of %d leaves; rendering %+v in %d (%v), %.17f of %d", ds.Name, run,
+							count.Counters, count.Steps, count.Stop, cest.Fraction(), cest.Leaves(), got.Counters, got.Steps, got.Stop, est.Fraction(), est.Leaves())
+					}
+					// And the rendering run did the counting run's work: the same
+					// insertions made and booked, the same branches looked ahead of
+					// and fallen back from, the same subtrees taken whole.
+					w, gw := count.Work, got.Work
+					if inserted(w) != count.IntermediateStates-w.LookAheads || !sameWork(gw, w) {
+						t.Fatalf("%s %s: counting work %+v, rendering work %+v for %d states", ds.Name, run, w, got.Work, count.IntermediateStates)
+					}
+					if all, is := fixtures[ds.Name]; is && initial == -1 && // a fixture is one from the heuristic's tree
+						(w.LookAheads+w.Fallbacks == 0 || all && w.Fallbacks != 0 || !all && w.LookAheads != 0) {
+						t.Fatalf("%s: fixture of all look-ahead %v did %+v", ds.Name, all, w)
+					}
+					counting.Add(w)
+					compared++
+					if initial >= 0 {
+						across++
+					}
+					trees += want.StandTrees
 				}
-				if got.Counters != want.Counters || got.Steps != want.steps+1 {
-					t.Fatalf("%s %s: %+v in %d steps, leaf by leaf %+v in %d", ds.Name, ord.name,
-						got.Counters, got.Steps, want.Counters, want.steps+1)
-				}
-				if !slices.Equal(got.Trees, want.trees) {
-					t.Fatalf("%s %s: the %d trees differ from the oracle's, or their order does", ds.Name, ord.name, len(got.Trees))
-				}
-				if est.Leaves() != want.leaves || math.Abs(est.Fraction()-want.mass) > 1e-9 {
-					t.Fatalf("%s %s: estimator %d leaves, mass %.15f; leaf by leaf %d, %.15f", ds.Name, ord.name,
-						est.Leaves(), est.Fraction(), want.leaves, want.mass)
-				}
-				// The run that renders nothing: the same numbers — the mass bit
-				// for bit what the rendering run made of it.
-				if count.Counters != got.Counters || count.Steps != got.Steps || count.Stop != got.Stop ||
-					cest.Leaves() != est.Leaves() || cest.Fraction() != est.Fraction() {
-					t.Fatalf("%s %s: counting %+v in %d steps (%v), mass %.17f of %d leaves; rendering %+v in %d (%v), %.17f of %d", ds.Name, ord.name,
-						count.Counters, count.Steps, count.Stop, cest.Fraction(), cest.Leaves(), got.Counters, got.Steps, got.Stop, est.Fraction(), est.Leaves())
-				}
-				// And the rendering run did the counting run's work: the same
-				// insertions made and booked, the same branches looked ahead of
-				// and fallen back from, the same subtrees taken whole.
-				w, gw := count.Work, got.Work
-				if inserted(w) != count.IntermediateStates-w.LookAheads || !sameWork(gw, w) {
-					t.Fatalf("%s %s: counting work %+v, rendering work %+v for %d states", ds.Name, ord.name, w, got.Work, count.IntermediateStates)
-				}
-				if all, is := fixtures[ds.Name]; is &&
-					(w.LookAheads+w.Fallbacks == 0 || all && w.Fallbacks != 0 || !all && w.LookAheads != 0) {
-					t.Fatalf("%s: fixture of all look-ahead %v did %+v", ds.Name, all, w)
-				}
-				counting.Add(w)
-				compared++
-				trees += want.StandTrees
 			}
 		}
 	}
-	if compared < 40 || trees < 10_000 || counting.LookAheads < 1000 || counting.Fallbacks < 1000 || counting.Booked < 1000 {
-		t.Fatalf("%d runs and %d trees compared, counting runs did %+v: not enough to mean anything", compared, trees, counting)
+	if compared < 80 || across < 40 || trees < 10_000 || counting.LookAheads < 1000 || counting.Fallbacks < 1000 || counting.Booked < 1000 {
+		t.Fatalf("%d runs (%d from a tree without the lowest taxon) and %d trees compared, counting runs did %+v: not enough to mean anything",
+			compared, across, trees, counting)
 	}
+}
+
+// initialTrees is -1, the heuristic's pick, and the first constraint that
+// lacks the stand's lowest taxon where one does: from it a rendering run's
+// Newick writer derives across a taxon that sorts before every leaf.
+func initialTrees(cons []*tree.Tree) []int {
+	for i, c := range cons {
+		if !c.HasTaxon(0) {
+			return []int{-1, i}
+		}
+	}
+	return []int{-1}
 }
 
 // inserted counts the insertions a run made, by ExtendTaxon or by booking.

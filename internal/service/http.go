@@ -12,9 +12,11 @@ import (
 	"fmt"
 	"math/bits"
 	"net/http"
+	"strings"
 	"time"
 
 	"gentrius"
+	"gentrius/internal/tree"
 )
 
 // streamWriteTimeout is the per-write deadline of the NDJSON tree stream.
@@ -216,16 +218,21 @@ type treeLine struct {
 
 // appendTreeRecords appends one NDJSON record per line of lines (whole
 // lines, each newline-terminated) to dst: the bytes json.Encoder would write
-// for treeLine{line}. It reads every byte it sends: escapeIndex finds the
-// first byte the encoder would escape, eight bytes a step; every whole line
-// before it is copied between the record's fixed ends, the line that holds
-// it — a quoted label can hold anything — goes through encoding/json, and
-// the scan resumes after that line. On serve-jobs' stands this takes 0.6 to
-// 0.7 ns a byte, about ten times a memmove of the same bytes; testing each
-// byte in turn took 1.9 to 3.0 (BenchmarkTreeRecords, two-core Xeon).
-func appendTreeRecords(dst, lines []byte) []byte {
+// for treeLine{line}. Plain lines (a plain spool's: see spool.plain) hold no
+// byte the encoder escapes, so each is framed by its newline and copied
+// between the record's fixed ends without its bytes being read. Otherwise
+// escapeIndex finds the first byte the encoder would escape, eight bytes a
+// step; every whole line before it is copied the same way, the line that
+// holds it — a quoted label can hold anything — goes through encoding/json,
+// and the scan resumes after that line. On serve-jobs' stands the framing
+// takes 0.06 to 0.07 ns a byte and the scan 0.5 to 0.6, against 0.05 to 0.06
+// for a memmove of the same bytes (BenchmarkTreeRecords, two-core Xeon).
+func appendTreeRecords(dst, lines []byte, plain bool) []byte {
 	for len(lines) > 0 {
-		e := escapeIndex(lines)
+		e := len(lines)
+		if !plain {
+			e = escapeIndex(lines)
+		}
 		for len(lines) > 0 {
 			i := bytes.IndexByte(lines, '\n')
 			line := lines[:i]
@@ -256,6 +263,21 @@ func escapeIndex(b []byte) int {
 	var tail [8]byte // padded with zero bytes, which are escaped: the first stops the scan at len(b)
 	copy(tail[:], b[i:])
 	return i + bits.TrailingZeros64(escapeMask(binary.LittleEndian.Uint64(tail[:])))/8
+}
+
+// plainLabels reports whether the engine's renderings over taxa hold no byte
+// json.Encoder escapes. The Newick writer emits only labels, quotes around
+// some of them, '(', ')', ',' and ';', so they hold none when no label holds
+// a byte escapeIndex stops at, or a newline, which would split a tree across
+// two spool lines.
+func plainLabels(taxa *tree.Taxa) bool {
+	for id := range taxa.Len() {
+		name := taxa.Name(id)
+		if escapeIndex([]byte(name)) < len(name) || strings.IndexByte(name, '\n') >= 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // escapeMask sets the high bit of every byte of w that json.Encoder escapes.
@@ -294,7 +316,7 @@ func (m *Manager) handleTrees(w http.ResponseWriter, r *http.Request) {
 	err := job.spool.Stream(r.Context(), func(lines []byte) error {
 		// Best-effort: unsupported on recording/test writers.
 		rc.SetWriteDeadline(time.Now().Add(streamWriteTimeout)) //nolint:errcheck
-		recs = appendTreeRecords(recs[:0], lines)
+		recs = appendTreeRecords(recs[:0], lines, job.spool.plain)
 		if _, err := w.Write(recs); err != nil {
 			return err
 		}

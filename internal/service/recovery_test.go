@@ -17,6 +17,7 @@ import (
 	"gentrius"
 	"gentrius/internal/faultinject"
 	"gentrius/internal/obs"
+	"gentrius/internal/retry"
 )
 
 // crashChildEnv holds the data directory when this test binary re-execs
@@ -702,6 +703,86 @@ func TestJournalRetriesInjectedWriteErrors(t *testing.T) {
 		snap["gentriusd_journal_records_total"] != 1 ||
 		snap["gentriusd_journal_records_dropped_total"] != 0 {
 		t.Fatalf("after 2 transient faults: %+v", snap)
+	}
+}
+
+// TestSubmitJournalsOutsideTheLock: a submission whose record fails to be
+// written and waits out its backoff holds no lock a reader of the job table
+// takes: a GET of another job answers while it waits, and the submission
+// then queues its job and returns it.
+func TestSubmitJournalsOutsideTheLock(t *testing.T) {
+	dir := t.TempDir()
+	first := newTestManager(t, Config{DataDir: dir})
+	other, err := first.Submit(smallRequest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, other)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := first.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	// The restart adopts the finished job without a journal write, so the
+	// submission's record is the first one: it fails once, and its retry
+	// waits until release.
+	backoff, release := make(chan struct{}), make(chan struct{})
+	met := &Metrics{retry: map[string]retry.Policy{"journal": {Sleep: func(time.Duration) {
+		close(backoff)
+		<-release
+	}}}}
+	inj := faultinject.New(1).Set(faultinject.JournalWrite, faultinject.Rule{Nth: []int64{1}})
+	m := newTestManager(t, Config{DataDir: dir, Fault: inj, Metrics: met})
+	mux := http.NewServeMux()
+	m.RegisterRoutes(mux)
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+	type submitted struct {
+		job *Job
+		err error
+	}
+	done := make(chan submitted, 1)
+	go func() {
+		job, err := m.Submit(smallRequest())
+		done <- submitted{job, err}
+	}()
+	select {
+	case <-backoff:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the submission's record was not retried")
+	}
+	answered := make(chan int, 1)
+	go func() {
+		resp, err := http.Get(srv.URL + "/jobs/" + other.ID())
+		if err != nil {
+			answered <- 0
+			return
+		}
+		resp.Body.Close()
+		answered <- resp.StatusCode
+	}()
+	select {
+	case code := <-answered:
+		if code != http.StatusOK {
+			t.Errorf("GET of job %s during the submission: %d", other.ID(), code)
+		}
+	case <-time.After(5 * time.Second):
+		t.Error("GET of another job waited for the submission's journal write")
+	}
+	select {
+	case <-done:
+		t.Error("the submission returned before its record was written")
+	default:
+	}
+	close(release)
+	sub := <-done
+	if sub.err != nil {
+		t.Fatal(sub.err)
+	}
+	waitDone(t, sub.job)
+	if st := sub.job.Status(); st.State != StateDone || inj.Fired(faultinject.JournalWrite) != 1 {
+		t.Fatalf("the submitted job ended %s after %d failed writes", st.State, inj.Fired(faultinject.JournalWrite))
 	}
 }
 

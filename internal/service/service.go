@@ -473,11 +473,16 @@ type Manager struct {
 	nextID    int
 	closed    bool          // Shutdown began: submissions get 503 + Retry-After
 	pending   []*Job        // the jobs in state queued, in the order they got there
+	reserved  int           // queue slots held by submissions not yet queued
 	work      *sync.Cond    // on mu: pending grew, or closed was set
 	byState   map[State]int // how many jobs are in each state, for Health
 	recovered RecoveryStats
 
-	wg      sync.WaitGroup
+	// submitMu orders the submissions' journal records and their queueing
+	// alike: recovery requeues jobs in the order of their records.
+	submitMu sync.Mutex
+
+	wg      sync.WaitGroup // the pool workers and the submissions in flight
 	baseCtx context.Context
 	stop    context.CancelFunc
 }
@@ -823,6 +828,9 @@ func (m *Manager) SubmitWithRequest(req JobRequest, reqID string, reqSerial int6
 		req.Threads = m.cfg.MaxThreads
 	}
 
+	// The submission holds its queue slot from here on, so two cannot share
+	// the last one; the spool's creation and the submit record's write and
+	// fsync take no lock a reader of the job table waits for.
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
@@ -830,7 +838,7 @@ func (m *Manager) SubmitWithRequest(req JobRequest, reqID string, reqSerial int6
 	}
 	// QueueCap bounds the jobs Submit put in the queue; recovered ones,
 	// which sit ahead of them, never count against it.
-	waiting := 0
+	waiting := m.reserved
 	for _, j := range m.pending {
 		if !j.resumed {
 			waiting++
@@ -841,21 +849,41 @@ func (m *Manager) SubmitWithRequest(req JobRequest, reqID string, reqSerial int6
 		return nil, ErrQueueFull
 	}
 	m.nextID++
-	id := fmt.Sprintf("j%06d", m.nextID)
+	num := m.nextID
+	m.reserved++
+	m.wg.Add(1) // Shutdown closes the journal only after this submission ends
+	m.mu.Unlock()
+	defer m.wg.Done()
+
+	id := fmt.Sprintf("j%06d", num)
 	sp, err := newSpool(filepath.Join(m.cfg.DataDir, id+".trees"), m.cfg.Fault, m.m)
 	if err != nil {
+		m.mu.Lock()
+		m.reserved--
 		m.mu.Unlock()
 		return nil, err
 	}
-	job := m.newJob(&Job{id: id, num: int64(m.nextID), reqID: reqID, req: req, cons: cons, spool: sp})
+	sp.plain = m.cfg.Fleet == nil && len(cons) > 0 && plainLabels(cons[0].Taxa())
+	job := m.newJob(&Job{id: id, num: int64(num), reqID: reqID, req: req, cons: cons, spool: sp})
 	// The submit record is durable before the job can be seen or run, so no
-	// state record of the job precedes it in the journal; and the capacity
-	// check, the record and the queue are one critical section, so two
-	// submissions cannot share the last slot and none lands behind Shutdown.
+	// state record of the job precedes it in the journal. A submission that
+	// finds Shutdown begun once its record is durable cancels its job through
+	// the journal, as Shutdown cancels a queued one, so none lands behind it.
+	m.submitMu.Lock()
 	m.jnl.append(journalRecord{Op: "submit", ID: id, Req: &req, ReqID: reqID})
-	publish := m.move(job, stateNone, StateQueued, outcome{journaled: true})
+	m.mu.Lock()
+	m.reserved--
+	to, out := StateQueued, outcome{journaled: true}
+	if m.closed {
+		to, out = StateCancelled, outcome{}
+	}
+	publish := m.move(job, stateNone, to, out)
 	m.mu.Unlock()
+	m.submitMu.Unlock()
 	publish()
+	if to == StateCancelled {
+		return nil, ErrShuttingDown
+	}
 	m.trace.EmitTagged(obs.EvJobSubmit, -1, job.jobTags(),
 		obs.F("jobn", job.num), obs.F("reqn", reqSerial))
 	attrs := []any{"job", id, "constraints", len(cons), "threads", max(req.Threads, 1)}

@@ -31,6 +31,14 @@ type spool struct {
 	size   int64 // bytes of complete lines written (file size is always == size)
 	lines  int64
 	closed bool
+	// plain: every line was rendered by this process's engine over a universe
+	// of plain labels (plainLabels), so the tree stream frames the lines
+	// without reading them (appendTreeRecords). Submit marks a fresh spool so
+	// when its job will run on the local engine, before anything can read it.
+	// Bytes from anywhere else are read: a spool adopted at recovery holds
+	// whatever the disk held, and a fleet job's lines are the bodies of its
+	// peers' RPCs.
+	plain bool
 
 	fault *faultinject.Injector // nil: no injected write errors
 	m     *Metrics              // never nil (zero value discards)

@@ -17,9 +17,11 @@ import (
 	"time"
 	"unicode/utf8"
 
+	"gentrius/internal/dist"
 	"gentrius/internal/faultinject"
 	"gentrius/internal/gen"
 	"gentrius/internal/search"
+	"gentrius/internal/tree"
 )
 
 // encoderLines are lines a quoted label can make: every character class
@@ -59,7 +61,7 @@ func encodeLines(t testing.TB, chunk []byte) []byte {
 func TestTreeRecordsMatchJSONEncoder(t *testing.T) {
 	chunk := []byte(strings.Join(encoderLines, "\n") + "\n")
 	want := "kept:" + string(encodeLines(t, chunk))
-	if got := appendTreeRecords([]byte("kept:"), chunk); string(got) != want {
+	if got := appendTreeRecords([]byte("kept:"), chunk, false); string(got) != want {
 		t.Fatalf("records differ from json.Encoder's:\n got %q\nwant %q", got, want)
 	}
 }
@@ -67,7 +69,10 @@ func TestTreeRecordsMatchJSONEncoder(t *testing.T) {
 // TestTreeRecordsEveryByte puts every byte value at every offset 0-31 of
 // plain lines of 0-40 bytes, so that it falls in every lane of a word, in a
 // whole word and in the padded tail: escapeIndex must find it exactly where
-// json.Encoder would escape it, and the records must be the encoder's.
+// json.Encoder would escape it, and the records must be the encoder's, framed
+// without a scan too where the byte is not escaped. And a universe one label
+// of which holds the byte is plain exactly when the encoder leaves the byte
+// alone, it is ASCII and it is not a newline.
 func TestTreeRecordsEveryByte(t *testing.T) {
 	var escaped [256]bool // what json.Encoder does to each byte alone
 	for c := range escaped {
@@ -76,6 +81,13 @@ func TestTreeRecordsEveryByte(t *testing.T) {
 			t.Fatal(err)
 		}
 		escaped[c] = len(rec) != 3 && c != '\n'
+	}
+	for c := range escaped {
+		label := string([]byte{'l', byte(c), 'x'})
+		want := !escaped[c] && c < 0x80 && c != '\n'
+		if got := plainLabels(tree.MustTaxa([]string{"A", label, "B"})); got != want {
+			t.Fatalf("byte %#x: a universe with the label %q is plain %v, want %v", c, label, got, want)
+		}
 	}
 	var recs []byte
 	for n := 0; n <= 40; n++ {
@@ -91,9 +103,15 @@ func TestTreeRecordsEveryByte(t *testing.T) {
 					t.Fatalf("byte %#x at %d of %q: escapeIndex %d, want %d", c, off, line, got, want)
 				}
 				chunk := append(line, '\n')
-				recs = appendTreeRecords(recs[:0], chunk)
-				if want := encodeLines(t, chunk); !bytes.Equal(recs, want) {
-					t.Fatalf("byte %#x at %d of %q: records %q, want %q", c, off, line, recs, want)
+				recs = appendTreeRecords(recs[:0], chunk, false)
+				enc := encodeLines(t, chunk)
+				if !bytes.Equal(recs, enc) {
+					t.Fatalf("byte %#x at %d of %q: records %q, want %q", c, off, line, recs, enc)
+				}
+				if !escaped[c] {
+					if recs = appendTreeRecords(recs[:0], chunk, true); !bytes.Equal(recs, enc) {
+						t.Fatalf("byte %#x at %d of %q: plain records %q, want %q", c, off, line, recs, enc)
+					}
 				}
 			}
 		}
@@ -102,7 +120,9 @@ func TestTreeRecordsEveryByte(t *testing.T) {
 
 // FuzzTreeRecords: for any chunk of newline-terminated lines, the records
 // are json.Encoder's byte for byte, and each decodes back to its line where
-// the line is valid UTF-8 (the encoder writes U+FFFD for an invalid byte).
+// the line is valid UTF-8 (the encoder writes U+FFFD for an invalid byte);
+// where no byte of the lines is one the encoder escapes, so also the records
+// framed without a scan.
 func FuzzTreeRecords(f *testing.F) {
 	for _, line := range encoderLines {
 		f.Add([]byte(line + "\n"))
@@ -112,9 +132,15 @@ func FuzzTreeRecords(f *testing.F) {
 		if len(chunk) == 0 || chunk[len(chunk)-1] != '\n' {
 			chunk = append(chunk, '\n')
 		}
-		got := appendTreeRecords(nil, chunk)
-		if want := encodeLines(t, chunk); !bytes.Equal(got, want) {
+		got := appendTreeRecords(nil, chunk, false)
+		want := encodeLines(t, chunk)
+		if !bytes.Equal(got, want) {
 			t.Fatalf("records differ from json.Encoder's:\n got %q\nwant %q", got, want)
+		}
+		if escapeIndex(chunk) == len(chunk) {
+			if plain := appendTreeRecords(nil, chunk, true); !bytes.Equal(plain, want) {
+				t.Fatalf("plain records differ from json.Encoder's:\n got %q\nwant %q", plain, want)
+			}
 		}
 		lines := bytes.SplitAfter(chunk, []byte("\n"))
 		recs := bytes.SplitAfter(got, []byte("\n"))
@@ -234,6 +260,59 @@ func TestTreeStreamEscapesOverHTTP(t *testing.T) {
 			t.Fatalf("after the restart job %s streams %q, want json.Encoder's records of its spool %q", id, body, want)
 		}
 	}
+}
+
+// TestOnlyLocalRenderingsArePlain: a job's spool is plain (its lines framed
+// without a scan) only where this process's engine renders every line over
+// plain labels: not where a label holds a byte json.Encoder escapes, not for
+// a fleet job, whose lines are its peers' RPC bodies, and not for a spool
+// adopted from disk at a restart.
+func TestOnlyLocalRenderingsArePlain(t *testing.T) {
+	plain := smallRequest()
+	escaping := JobRequest{Trees: []string{"((A,'b&c'),(C,D));", "((A,'b&c'),(C,E));"}}
+	dir := t.TempDir()
+	local := newTestManager(t, Config{DataDir: dir})
+	var ids []string
+	for _, tc := range []struct {
+		req  JobRequest
+		want bool
+	}{{plain, true}, {escaping, false}} {
+		job, err := local.Submit(tc.req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if job.spool.plain != tc.want {
+			t.Fatalf("local job of %q: spool plain %v, want %v", tc.req.Trees, job.spool.plain, tc.want)
+		}
+		waitDone(t, job)
+		ids = append(ids, job.ID())
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := local.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	restarted := newTestManager(t, Config{DataDir: dir})
+	for _, id := range ids {
+		if job, ok := restarted.Get(id); !ok || job.spool.plain {
+			t.Fatalf("job %s adopted at a restart (found %v) has a plain spool", id, ok)
+		}
+	}
+
+	var coord *dist.Coordinator
+	w := dist.NewWorker(dist.WorkerConfig{Name: "w0", Dial: func(string) dist.CoordinatorClient {
+		return &dist.LocalCoordinatorClient{C: coord}
+	}})
+	coord = dist.NewCoordinator(dist.Config{Peers: []dist.WorkerClient{&dist.LocalWorkerClient{WorkerName: "w0", W: w}}})
+	fleet := newTestManager(t, Config{Fleet: coord})
+	job, err := fleet.Submit(plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if job.spool.plain {
+		t.Fatal("a fleet job's spool is plain")
+	}
+	waitDone(t, job)
 }
 
 // TestSpoolBlocks: blocks are appended whole and counted in lines; a
@@ -377,8 +456,8 @@ func TestTreeStreamStallsOncePerTree(t *testing.T) {
 
 // BenchmarkTreeRecords: the records of the benchmark's serve-jobs stands
 // (simulated datasets 6, 12 and 27, 8 127 trees), 64 KiB of whole lines at a
-// time as the spool hands them on, beside a memmove of the same chunks. Both
-// report ns/B.
+// time as the spool hands them on, scanned and framed as a plain spool's,
+// beside a memmove of the same chunks. All three report ns/B.
 func BenchmarkTreeRecords(b *testing.B) {
 	var stand []byte
 	for _, idx := range []int{6, 12, 27} {
@@ -402,7 +481,8 @@ func BenchmarkTreeRecords(b *testing.B) {
 		name string
 		pass func([]byte)
 	}{
-		{"records", func(c []byte) { recs = appendTreeRecords(recs[:0], c) }},
+		{"records", func(c []byte) { recs = appendTreeRecords(recs[:0], c, false) }},
+		{"plain", func(c []byte) { recs = appendTreeRecords(recs[:0], c, true) }},
 		{"memmove", func(c []byte) { recs = append(recs[:0], c...) }},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
