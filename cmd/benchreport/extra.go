@@ -404,6 +404,30 @@ func extraBenches(add func(name string, f func(b *testing.B)),
 		b.ReportMetric(float64(forced), "forced")
 		b.ReportMetric(float64(queries), "prefix-queries")
 	})
+	// The benchmark's count-deep stand as its runs read it (PR 64): from its
+	// Newick text, taxon ids by first appearance, where thousands of
+	// insertions restructure one taxon by a split, which the engine books
+	// (search.Work.Split). Its extend-calls, materialized, fallbacks and
+	// split are exact gates.
+	var deepText bytes.Buffer
+	if err := gentrius.WriteTrees(&deepText, gen.Generate(gen.Default(gen.RegimeSimulated), 104).Constraints); err != nil {
+		panic(err)
+	}
+	deepRead, _, err := gentrius.ReadTrees(&deepText, nil)
+	if err != nil {
+		panic(err)
+	}
+	add("SerialReadDeepStand", func(b *testing.B) {
+		var last *search.Result
+		for i := 0; i < b.N; i++ {
+			res, err := search.Run(deepRead, search.Options{InitialTree: -1, Limits: search.Limits{MaxTrees: -1, MaxStates: -1, MaxTime: -1}})
+			if err != nil {
+				b.Fatal(err)
+			}
+			last = res
+		}
+		reportWork(b, last)
+	})
 	add("StaticIndexNew", func(b *testing.B) {
 		widest := slices.MaxFunc(big, func(x, y *tree.Tree) int { return x.NumLeaves() - y.NumLeaves() })
 		for i := 0; i < b.N; i++ {

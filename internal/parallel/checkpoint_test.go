@@ -339,16 +339,26 @@ func TestCheckpointTriggerMidRun(t *testing.T) {
 // every stopping-rule check on the serial host, every millisecond on the pool
 // at four threads — until an engine-step panic late in the run fails it with
 // a *search.PanicError and no result; the last snapshot, resumed with no
-// fault, ends with the uninterrupted run's counters.
+// fault, ends with the uninterrupted run's counters. Late is nine tenths of
+// the engine steps an uninterrupted run on the same host takes: a host's
+// budget decides how many branches one step takes, so the serial run and
+// the pool step differently. The stand is one the pool takes tens of
+// milliseconds over, so that snapshots fall before the panic on a loaded host.
 func TestOnlyRetryIsAResume(t *testing.T) {
-	cons := chainConstraints(7)
-	count := faultinject.New(1).Set(faultinject.EngineStep, faultinject.Rule{Nth: []int64{-1}})
-	ref, err := search.Run(cons, search.Options{InitialTree: -1, Limits: unlimited(), Fault: count})
-	if err != nil {
-		t.Fatal(err)
-	}
-	nth := count.Count(faultinject.EngineStep) * 9 / 10
+	cons := chainConstraints(8)
+	var ref *search.Result
 	for _, threads := range []int{1, 4} {
+		count := faultinject.New(1).Set(faultinject.EngineStep, faultinject.Rule{Nth: []int64{-1}})
+		var err error
+		if threads == 1 {
+			ref, err = search.Run(cons, search.Options{InitialTree: -1, Limits: unlimited(), Fault: count})
+		} else {
+			_, err = Run(cons, Options{Threads: threads, InitialTree: -1, Limits: unlimited(), Fault: count})
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		nth := count.Count(faultinject.EngineStep) * 9 / 10
 		var last *search.Checkpoint
 		snaps := 0
 		ck := search.CheckpointPolicy{Interval: time.Millisecond, Sink: func(cp *search.Checkpoint) {

@@ -78,7 +78,8 @@ func leafByLeaf(tr *terrace.Terrace, h search.OrderHeuristic) (c search.Counters
 // real afterwards, the same branches looked ahead of and fallen back from —
 // and takes the same Steps to the same stop. Stands 6
 // and 7 of the paper-shaped simulated corpus, where every penultimate branch
-// falls back to the insertion, and 12 and 16, where none does, ride along.
+// books a split, and 12 and 16, where every one is looked ahead of by the
+// additive rule, ride along.
 // Every stand runs from the heuristic's initial tree and from the first
 // constraint that lacks its lowest taxon.
 func TestPoolMatchesLeafByLeaf(t *testing.T) {
@@ -104,7 +105,7 @@ func TestPoolMatchesLeafByLeaf(t *testing.T) {
 				stands = append(stands, ds)
 			}
 		}
-		fixtures := map[string]bool{} // name -> every penultimate branch looks ahead (or none does)
+		fixtures := map[string]bool{} // name -> every penultimate branch looks ahead by the additive rule (or every one books a split)
 		if regime == gen.RegimeSimulated {
 			for idx, all := range map[int]bool{6: false, 7: false, 12: true, 16: true} {
 				ds := gen.Generate(gen.Default(regime), idx)
@@ -181,7 +182,7 @@ func TestPoolMatchesLeafByLeaf(t *testing.T) {
 									ds.Name+fmt.Sprintf(" from tree %d", initial), h, tc.threads, tc.policy, w, got.Steps, got.Stop, collecting.Work, collecting.Steps, collecting.Stop, states)
 							}
 							if all, is := fixtures[ds.Name]; is && initial == -1 && // a fixture is one from the heuristic's tree
-								(w.LookAheads+w.Fallbacks == 0 || all && w.Fallbacks != 0 || !all && w.LookAheads != 0) {
+								(all && (w.LookAheads == 0 || w.Fallbacks+w.Split != 0) || !all && (w.LookAheads+w.Fallbacks != 0 || w.Split == 0)) {
 								t.Fatalf("%s: fixture of all look-ahead %v did %+v", ds.Name, all, w)
 							}
 							counting.Add(w)

@@ -13,10 +13,11 @@
 // engine starts from (see base).
 //
 // An engine books an insertion, rather than making it, wherever it
-// restructures nothing (terrace.Overlay): the counts and branch lists of the
-// state it leads to follow from the Terrace's by the additive rule, and its
-// removal touches nothing. Where an insertion would restructure, the bookings
-// beneath it are made for real first. Either way the step is the insertion:
+// restructures nothing, or restructures one taxon by a split
+// (terrace.Overlay): the counts and branch lists of the state it leads to
+// follow from the Terrace's by the additive rule and the split's patch, and
+// its removal touches nothing. Where an insertion would restructure
+// otherwise, the bookings beneath it are made for real first. Either way the step is the insertion:
 // the stack, its path and every event, counter and unit are the inserting
 // engine's, and the Newick writer of an engine that renders follows the
 // bookings as it follows the insertions. Where the third-to-last taxon books
@@ -80,11 +81,11 @@ type Frame struct {
 	Branches []int32
 	idx      int
 	inserted bool
-	// restructures caches whether inserting the frame's taxon restructures
-	// another pending taxon's admissible set (Overlay.Restructures), the same
-	// for every branch since the state below the frame is: 0 until the
-	// frame's first insertion or look-ahead step asks, then 1 or -1.
-	restructures int8
+	// shape caches what inserting the frame's taxon does to the other
+	// pending taxa's admissible sets (Overlay.Shape), the same for every
+	// branch since the state below the frame is: 0 until the frame's first
+	// insertion or look-ahead step asks.
+	shape terrace.Shape
 	// other is, on a frame whose taxon is the second-to-last one missing, the
 	// last one: found by the frame's first look-ahead step (-1 until then).
 	other int
@@ -289,12 +290,19 @@ type Work struct {
 	// Booked counts the insertions the engine booked on its overlay instead
 	// of making them (see Engine.insert).
 	Booked int64
+	// Split counts the insertions booked with a split patch
+	// (terrace.Overlay.BookSplit), which Booked counts too.
+	Split int64
 	// Materialized counts the booked insertions made for real afterwards,
 	// because an insertion above them would restructure.
 	Materialized int64
 	// LookAheads counts the branches of penultimate frames (two taxa missing)
-	// answered from the Terrace's counts without an insertion, Fallbacks those
-	// that had to be inserted all the same.
+	// answered from the overlay's counts by the additive rule, without an
+	// insertion, and Fallbacks those inserted by an ExtendTaxon call. A
+	// branch under a split is booked: a one-branch-a-step engine steps
+	// through it, and lookAhead answers it in one step only within its
+	// host's budget, tallying it as that booking (Booked, Split), so that the
+	// tally is the same on every host.
 	LookAheads, Fallbacks int64
 	// Whole counts the booked subtrees of third-to-last taxa taken in one
 	// step (see Engine.whole); their bookings and look-aheads are counted in
@@ -309,6 +317,7 @@ func (w *Work) Add(o Work) {
 	w.Units += o.Units
 	w.Extends += o.Extends
 	w.Booked += o.Booked
+	w.Split += o.Split
 	w.Materialized += o.Materialized
 	w.LookAheads += o.LookAheads
 	w.Fallbacks += o.Fallbacks
@@ -423,7 +432,7 @@ func (e *Engine) Reset(frames []FrameSnapshot) error {
 	e.frames = e.frames[:0]
 	for _, fs := range frames {
 		f := e.pushSlot()
-		f.Taxon, f.Branches, f.idx, f.inserted, f.weight, f.other, f.restructures = fs.Taxon, fs.Branches, fs.Idx, fs.Inserted, fs.Weight, -1, 0
+		f.Taxon, f.Branches, f.idx, f.inserted, f.weight, f.other, f.shape = fs.Taxon, fs.Branches, fs.Idx, fs.Inserted, fs.Weight, -1, 0
 	}
 	e.ov.Reset()
 	e.real++ // the caller moves T to the stack's base state
@@ -590,7 +599,7 @@ func (e *Engine) step() Event {
 				return EvLookAhead
 			}
 		case 3:
-			if e.budget > 1 && !e.restructures(f) && e.whole(f) {
+			if e.budget > 1 && e.shape(f) == terrace.Additive && e.whole(f) {
 				return EvRemoved
 			}
 		}
@@ -636,10 +645,13 @@ func (e *Engine) finalFrame(f *Frame) Event {
 
 // insert makes or books the insertion of the top frame f's taxon x at edge,
 // an id of the state the stack stands for, rendering or not. It books it on
-// the overlay wherever it restructures nothing (restructures): pushFrame then
-// lists the frame it leads to from the overlay's counts, and the removal
-// touches no Terrace. Elsewhere x is inserted for real, after the bookings
-// beneath it are. The Newick writer's bases follow either alike (see base).
+// the overlay wherever it restructures nothing, or restructures one taxon by
+// a split (shape): pushFrame then lists the frame it leads to from the
+// overlay's counts, and the removal touches no Terrace. A split is booked
+// after the bookings beneath it are made real where the overlay cannot hold
+// it on them (terrace.Overlay.CanSplit). Elsewhere x is inserted for real,
+// after the bookings beneath it are. The Newick writer's bases follow either
+// alike (see base).
 // Every step, event, counter, unit, leaf mass and offer is the inserting
 // engine's, and so is every stack a cut sees: the frame is inserted, its path
 // step is x at edge, and a resume replays that insertion for real. A booking
@@ -647,15 +659,31 @@ func (e *Engine) finalFrame(f *Frame) Event {
 // whole subtree (whole) — so that limits and cuts fall where they fall for
 // the inserting engine.
 func (e *Engine) insert(f *Frame, edge int32) {
-	if !e.restructures(f) {
+	switch e.shape(f) {
+	case terrace.Additive:
 		e.ov.Book(f.Taxon, edge)
 		e.work.Booked++
+		return
+	case terrace.Split:
+		e.bookSplit(f.Taxon, edge)
+		e.work.Booked++
+		e.work.Split++
 		return
 	}
 	e.materialize()
 	e.T.ExtendTaxon(f.Taxon, edge)
 	e.work.Extends++
 	e.real++
+}
+
+// bookSplit books x's split at edge, the bookings beneath made real first
+// where the overlay cannot hold it on them: they are then for every branch of
+// x's frame, which finds them real.
+func (e *Engine) bookSplit(x int, edge int32) {
+	if !e.ov.CanSplit(x) {
+		e.materialize()
+	}
+	e.ov.BookSplit(x, edge)
 }
 
 // materialize makes the overlay's bookings for real.
@@ -831,17 +859,13 @@ func btoi(b bool) int64 {
 	return 0
 }
 
-// restructures reports whether inserting the uninserted top frame f's taxon
-// restructures another pending taxon (Overlay.Restructures), asked once per
-// frame.
-func (e *Engine) restructures(f *Frame) bool {
-	if f.restructures == 0 {
-		f.restructures = -1
-		if e.ov.Restructures(f.Taxon) {
-			f.restructures = 1
-		}
+// shape returns what inserting the uninserted top frame f's taxon does to
+// the other pending taxa (Overlay.Shape), asked once per frame.
+func (e *Engine) shape(f *Frame) terrace.Shape {
+	if f.shape == 0 {
+		f.shape = e.ov.Shape(f.Taxon)
 	}
-	return f.restructures > 0
+	return f.shape
 }
 
 // lookAhead answers the next branch of the uninserted top frame f, whose taxon
@@ -849,21 +873,27 @@ func (e *Engine) restructures(f *Frame) bool {
 // y restructures nothing, the overlay knows how many branches the last taxon
 // z would have afterwards — its count now, plus the two edges the insertion
 // makes iff the branch is admissible for z — and four insertions in five of
-// the paper's machine are these. One step books what the paper's machine
+// the paper's machine are these. Where it restructures z by a split, the
+// overlay books it (bookSplit), and z's count is read and the booking popped
+// again; that branch is answered so only where the host looks at neither end
+// of it (as whole has it: within the host's budget, no flush due), since
+// the engines the stop points are held to inserted it. One step books what
+// the paper's machine
 // books in three — the insertion, the final frame of c (or the dead end) and
 // the removal, 2 + 2c transitions — and leaves the stack where that machine
 // leaves it after the removal: the branch behind idx, nothing inserted. One
 // branch a step, so every cut between two steps is a stack an inserting
 // engine passes through too. It reports false, with nothing changed but the
-// writer's base, where the insertion would restructure z's target: that
-// branch is inserted like any other.
+// writer's base and the bookings a split made real, where the insertion would
+// restructure otherwise or a split does not fit: that branch is inserted like
+// any other.
 //
 // A run that renders gets the c trees too, in the order the insertion would
 // have found them. The additive rule read as a set: z's branches after y is
 // inserted at e are its branches now, and the two edges the insertion makes
-// iff e is one of them — ids above all others, so last (listAfter). The trees
-// are cut from a base derived with y at e from the rendering of the frame's
-// state (base).
+// iff e is one of them — ids above all others, so last (listAfter); or, under
+// a split, the overlay's list with y booked there. The trees are cut from a
+// base derived with y at e from the rendering of the frame's state (base).
 func (e *Engine) lookAhead(f *Frame) bool {
 	rendering := e.rendering()
 	if f.other < 0 {
@@ -875,19 +905,45 @@ func (e *Engine) lookAhead(f *Frame) bool {
 		}
 	}
 	edge := f.Branches[f.idx]
-	if e.restructures(f) {
+	final := e.after
+	var n int
+	switch e.shape(f) {
+	case terrace.Additive:
+		n = e.otherCount
+		if e.ov.EdgeAdmissible(edge, f.other) {
+			n += 2
+		}
+		e.work.LookAheads++
+	case terrace.Split:
+		e.bookSplit(f.Taxon, edge)
+		n = e.ov.PendingCount(f.other)
+		c := e.counters
+		c.IntermediateStates++
+		if c.StandTrees += int64(n); n == 0 {
+			c.DeadEnds++
+		}
+		fits := e.budget >= 2+2*int64(n) && !e.flush.FlushDue(c)
+		if fits && rendering && n > 0 {
+			// A split frame's z lists anew at every branch, so after, which the
+			// additive rule lists once per frame, is free for it.
+			e.after = e.ov.AppendBookedBranches(e.ov.AppendRealBranches(e.after[:0], f.other), f.other)
+			final = e.after
+		}
+		e.ov.Pop()
+		if !fits {
+			return false
+		}
+		// Tallied as the booking a one-branch-a-step engine makes of it.
+		e.work.Booked++
+		e.work.Split++
+	default:
 		e.work.Fallbacks++
 		return false
-	}
-	n := e.otherCount
-	if e.ov.EdgeAdmissible(edge, f.other) {
-		n += 2
 	}
 	c := int64(n)
 	f.idx++
 	e.counters.IntermediateStates++
 	e.work.Units += 2 + 2*c
-	e.work.LookAheads++
 	e.finalTaxon, e.final = f.other, nil
 	if c == 0 {
 		e.counters.DeadEnds++
@@ -898,7 +954,7 @@ func (e *Engine) lookAhead(f *Frame) bool {
 	}
 	e.counters.StandTrees += c
 	if rendering {
-		e.final = e.after[:n]
+		e.final = final[:n]
 		e.nw.Derive(f.Taxon, edge)
 		e.cutTrees(f.other, e.final)
 		e.nw.Pop()
@@ -919,7 +975,7 @@ func (e *Engine) listAfter(z int) {
 		e.after = make([]int32, 0, 2*e.T.Taxa().Len()) // more than a tree of every taxon has edges
 	}
 	ne := int32(e.T.Agile().NumEdges() + 2*e.ov.Len())
-	e.after = append(e.ov.AppendBookedBranches(e.T.AppendAllowedBranches(e.after[:0], z), z), ne, ne+1)
+	e.after = append(e.ov.AppendBookedBranches(e.ov.AppendRealBranches(e.after[:0], z), z), ne, ne+1)
 }
 
 // base makes the Newick writer's top base the rendering of the state the
@@ -985,7 +1041,7 @@ func (e *Engine) pushFrame() bool {
 	f := e.pushSlot()
 	f.Taxon, _ = e.nextTaxon()
 	f.other = -1
-	f.Branches, f.idx, f.inserted, f.restructures = e.slotBranches(f, n, f.Taxon), 0, false, 0
+	f.Branches, f.idx, f.inserted, f.shape = e.slotBranches(f, n, f.Taxon), 0, false, 0
 	// Per-branch weight from the parent's (1 at the root): fixed before the
 	// steal callback can hand branches away, so stolen subtrees keep it.
 	parentW := 1.0
@@ -1013,12 +1069,16 @@ func (e *Engine) pushFrame() bool {
 // slotBranches lists taxon x's branches into f's buffer, f being stack slot
 // n's frame: the real ones, reused from the buffer where the slot's last list
 // was x's and the real state has not changed since, then the overlay's booked
-// ones.
+// ones. A split patch's list for x is the patch's, not the real state's: it is
+// neither reused nor kept for reuse.
 func (e *Engine) slotBranches(f *Frame, n, x int) []int32 {
 	l := &e.lists[n]
-	if int(l.taxon) != x || l.real != e.real {
-		f.buf = e.T.AppendAllowedBranches(f.buf[:0], x)
+	if patched := e.ov.Patched(x); patched || int(l.taxon) != x || l.real != e.real {
+		f.buf = e.ov.AppendRealBranches(f.buf[:0], x)
 		*l = slotList{taxon: int32(x), n: int32(len(f.buf)), real: e.real}
+		if patched {
+			l.taxon = -1
+		}
 	}
 	f.buf = e.ov.AppendBookedBranches(f.buf[:l.n], x)
 	return f.buf

@@ -41,9 +41,10 @@ func corpusStands(t *testing.T, regime gen.Regime, want int) []gen.Dataset {
 
 // lookAheadFixtures are stands of the paper-shaped simulated corpus
 // (gen.Default, as the benchmark draws them) on which, under min-branches, a
-// counting run answers every penultimate branch by looking ahead, or none:
-// on 6 and 7 the last two taxa share a target in some constraint wherever the
-// second-to-last goes, so every branch falls back to the insertion.
+// counting run answers every penultimate branch by the additive rule, or
+// none: on 6 and 7 the last two taxa share a target in some constraint
+// wherever the second-to-last goes, so every branch it looks ahead of it
+// answers under a split (Overlay.BookSplit).
 var lookAheadFixtures = map[int]bool{6: false, 7: false, 12: true, 16: true}
 
 // TestFinalFramesMatchLeafByLeaf is the differential test of the step loop:
@@ -145,7 +146,7 @@ func TestFinalFramesMatchLeafByLeaf(t *testing.T) {
 						t.Fatalf("%s %s: counting work %+v, rendering work %+v for %d states", ds.Name, run, w, got.Work, count.IntermediateStates)
 					}
 					if all, is := fixtures[ds.Name]; is && initial == -1 && // a fixture is one from the heuristic's tree
-						(w.LookAheads+w.Fallbacks == 0 || all && w.Fallbacks != 0 || !all && w.LookAheads != 0) {
+						(all && (w.LookAheads == 0 || w.Fallbacks+w.Split != 0) || !all && (w.LookAheads+w.Fallbacks != 0 || w.Split == 0)) {
 						t.Fatalf("%s: fixture of all look-ahead %v did %+v", ds.Name, all, w)
 					}
 					counting.Add(w)
@@ -299,7 +300,7 @@ func TestCheckpointAtEveryStepBoundary(t *testing.T) {
 		prev = ev
 	}
 	if w := eng.Work(); eng.Counters() != ref.Counters || w.Units+1 != ref.Steps || between == 0 || booked == 0 ||
-		w.LookAheads == 0 || w.Fallbacks == 0 || w.Booked == 0 || w.Extends+w.Booked-w.Materialized != ref.IntermediateStates-w.LookAheads {
+		w.LookAheads == 0 || w.Split == 0 || w.Booked == 0 || w.Extends+w.Booked-w.Materialized != ref.IntermediateStates-w.LookAheads {
 		t.Fatalf("%d counting boundaries, %d between look-ahead steps of one frame, %d inside booked insertions, work %+v, %+v; the serial run %+v in %d steps",
 			boundaries, between, booked, w, eng.Counters(), ref.Counters, ref.Steps)
 	}
@@ -372,7 +373,7 @@ func TestCheckpointAtEveryStepBoundary(t *testing.T) {
 		boundaries++
 	}
 	if w := eng.Work(); w.Units+1 != ref.Steps || int64(boundaries) >= w.Units || inside != len(ref.Trees) ||
-		between == 0 || w.LookAheads == 0 || w.Fallbacks == 0 || w.Booked == 0 || w.Extends+w.Booked-w.Materialized != ref.IntermediateStates-w.LookAheads {
+		between == 0 || w.LookAheads == 0 || w.Split == 0 || w.Booked == 0 || w.Extends+w.Booked-w.Materialized != ref.IntermediateStates-w.LookAheads {
 		t.Fatalf("%d boundaries, %d between look-ahead steps of one frame, %d states inside final frames and looked-ahead branches, work %+v; the serial run took %d steps for %d trees",
 			boundaries, between, inside, w, ref.Steps, len(ref.Trees))
 	}
@@ -496,7 +497,8 @@ func TestStolenFinalFrame(t *testing.T) {
 }
 
 // TestStolenPenultimateFrame is TestStolenFinalFrame one level up. A worker
-// pushes a final frame only under a branch it could not look ahead of, so the
+// pushes a final frame only under a branch it could not look ahead of — on
+// this stand, one that books a split, its host granting no budget — so the
 // deepest frames it hands off halves of are mostly penultimate ones; such a
 // task is one uninserted frame with two taxa missing, and whoever begins it
 // answers it branch by branch without inserting anything below the replayed
@@ -523,7 +525,7 @@ func TestStolenPenultimateFrame(t *testing.T) {
 		got := su.Counters
 		got.Add(h.total)
 		work := w.Work()
-		if h.final == 0 || stolen != h.final || got != ref.Counters || work.LookAheads == 0 || work.Fallbacks == 0 ||
+		if h.final == 0 || stolen != h.final || got != ref.Counters || work.LookAheads == 0 || work.Split == 0 ||
 			work.Extends+work.Booked-work.Materialized != h.total.IntermediateStates-work.LookAheads || work.Booked == 0 ||
 			trees && !slices.Equal(sortedCopy(h.trees), sortedCopy(ref.Trees)) {
 			t.Fatalf("rendering %v: %d penultimate frames handed off, %d begun; %+v and %d trees for work %+v, the serial run %+v",

@@ -31,8 +31,8 @@ func TestRunPanicFailsRun(t *testing.T) {
 	}{
 		{"taskexec", faultinject.New(1).Set(faultinject.TaskExec, faultinject.Rule{Nth: []int64{1}}), nil,
 			faultinject.Panic{Site: faultinject.TaskExec, N: 1}, "search.(*Worker).Begin"},
-		{"enginestep", faultinject.New(1).Set(faultinject.EngineStep, faultinject.Rule{Nth: []int64{300}}), nil,
-			faultinject.Panic{Site: faultinject.EngineStep, N: 300}, "search.(*Worker).Tick"},
+		{"enginestep", faultinject.New(1).Set(faultinject.EngineStep, faultinject.Rule{Nth: []int64{100}}), nil,
+			faultinject.Panic{Site: faultinject.EngineStep, N: 100}, "search.(*Worker).Tick"},
 		{"sink", nil, sinkBoom, "sink boom", "TestRunPanicFailsRun"},
 	} {
 		trig := NewCheckpointTrigger()

@@ -372,7 +372,7 @@ func TestEngineEventStream(t *testing.T) {
 			all.Add(w)
 		}
 	}
-	if all.LookAheads < 1000 || all.Fallbacks < 1000 || all.Extends < 1000 || all.Booked < 1000 || lookedDead < 100 || lookedTrees < 1000 {
+	if all.LookAheads < 1000 || all.Split < 1000 || all.Extends < 1000 || all.Booked < 1000 || lookedDead < 100 || lookedTrees < 1000 {
 		t.Fatalf("work %+v, look-ahead steps counted %d trees and %d dead ends: not enough to mean anything", all, lookedTrees, lookedDead)
 	}
 }

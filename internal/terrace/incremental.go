@@ -200,6 +200,16 @@ func (tr *Terrace) EdgeAdmissible(e int32, y int) bool {
 	return true
 }
 
+// edgeAdmissibleBeside is EdgeAdmissible with constraint ci left out.
+func (tr *Terrace) edgeAdmissibleBeside(e int32, y int, ci int32) bool {
+	for _, c := range tr.byTaxon[y] {
+		if cs := tr.constraints[c]; c != ci && cs.sCount >= 2 && cs.m[e] != cs.target[y] {
+			return false
+		}
+	}
+	return true
+}
+
 // adjustPendingCounts applies the additive half of the accounting after a
 // state transition at edge e: every still-valid cached count changes by
 // delta (+2 on insert, -2 on remove) iff e is admissible for the taxon.

@@ -175,7 +175,9 @@ func randomInsertable(tr *Terrace, rng *rand.Rand) (int, bool) {
 // checkOverlay holds an Overlay on tr's current state against the
 // insertions it books. A random walk of steps bookings and pops books taxa
 // Restructures allows, three times in four, where one may, on the edge of
-// the deepest booking any taxon may take, so that bookings nest on bookings.
+// the deepest booking any taxon may take, so that bookings nest on bookings;
+// and, half the time where one may, a taxon whose insertion is a split the
+// overlay can hold (BookSplit), on one of its real edges.
 // After each booking the overlay's answers are
 // taken down: every pending taxon's count, its branch list in order, whether
 // it restructures, and the admissibility of every edge of the overlaid
@@ -194,11 +196,13 @@ func checkOverlay(t *testing.T, tr *Terrace, rng *rand.Rand, steps int, ctx stri
 			ov.Pop()
 			continue
 		}
-		var bookable, nesting []int
+		var bookable, nesting, splits []int
 		for y := ov.NextPending(0); y >= 0; y = ov.NextPending(y + 1) {
-			switch {
+			switch shape := ov.Shape(y); {
 			case ov.PendingCount(y) == 0:
-			case ov.Restructures(y):
+			case shape == Split && ov.CanSplit(y):
+				splits = append(splits, y)
+			case shape != Additive:
 				st.refused++
 			default:
 				bookable = append(bookable, y)
@@ -206,6 +210,14 @@ func checkOverlay(t *testing.T, tr *Terrace, rng *rand.Rand, steps int, ctx stri
 					nesting = append(nesting, y)
 				}
 			}
+		}
+		if len(splits) > 0 && (len(bookable) == 0 || rng.Intn(2) == 0) {
+			x := splits[rng.Intn(len(splits))]
+			br := overlaidBranches(ov, x)
+			ov.BookSplit(x, br[rng.Intn(len(br))])
+			st.split++
+			checkBookings(t, tr, ov, ctx)
+			continue
 		}
 		if len(bookable) == 0 {
 			break
@@ -241,8 +253,8 @@ func checkOverlay(t *testing.T, tr *Terrace, rng *rand.Rand, steps int, ctx stri
 // descends from; the last entry counts that deep or deeper), and taxa that
 // Restructures refused.
 type overlayStats struct {
-	booked  [4]int
-	refused int
+	booked         [4]int
+	refused, split int
 }
 
 func (s *overlayStats) add(o overlayStats) {
@@ -250,6 +262,7 @@ func (s *overlayStats) add(o overlayStats) {
 		s.booked[d] += n
 	}
 	s.refused += o.refused
+	s.split += o.split
 }
 
 // edgeDepth is how many bookings lie between edge e of ov's overlaid state
@@ -296,7 +309,7 @@ func checkBookings(t *testing.T, tr *Terrace, ov *Overlay, ctx string) {
 			t.Fatalf("%s: %d edges admissible for %d and %d, CountBoth says %d", ctx, both[i], y, z, got)
 		}
 	}
-	bookings := slices.Clone(ov.bookings)
+	bookings, split := slices.Clone(ov.bookings), ov.patch.k
 	depth, base := tr.Depth(), int32(tr.agile.NumEdges())
 	if n := ov.Materialize(); n != len(bookings) || ov.Len() != 0 {
 		t.Fatalf("%s: Materialize made %d of %d bookings and kept %d", ctx, n, len(bookings), ov.Len())
@@ -346,14 +359,18 @@ func checkBookings(t *testing.T, tr *Terrace, ov *Overlay, ctx string) {
 			cs.m[e] = NoCE
 		}
 	}
-	for _, b := range bookings {
-		ov.Book(b.taxon, b.edge)
+	for k, b := range bookings {
+		if k == split {
+			ov.BookSplit(b.taxon, b.edge)
+		} else {
+			ov.Book(b.taxon, b.edge)
+		}
 	}
 }
 
 // overlaidBranches is y's branch list in ov's overlaid state.
 func overlaidBranches(ov *Overlay, y int) []int32 {
-	return ov.AppendBookedBranches(ov.tr.AppendAllowedBranches(nil, y), y)
+	return ov.AppendBookedBranches(ov.AppendRealBranches(nil, y), y)
 }
 
 // invalidates reports whether inserting pending taxon x at e drops the cached
@@ -486,5 +503,5 @@ func TestOverlayMatchesInsertion(t *testing.T) {
 	if booked < 1000 || st.refused < 100 {
 		t.Fatalf("%d bookings checked and %d insertions refused: both must occur, often", booked, st.refused)
 	}
-	t.Logf("%d bookings checked (by nesting depth 0, 1, 2, 3+: %v), %d insertions refused", booked, st.booked, st.refused)
+	t.Logf("%d bookings checked (by nesting depth 0, 1, 2, 3+: %v), %d of them splits, %d insertions refused", booked, st.booked, st.split, st.refused)
 }

@@ -27,6 +27,7 @@ func (tr *Terrace) ExtendTaxon(x int, e int32) {
 	frame := &tr.undo[n]
 	frame.taxon = x
 	frame.edge = e
+	tr.changes++
 
 	v, half, pendant := tr.agile.AttachLeaf(x, e)
 	frame.half, frame.pendant = half, pendant
@@ -125,6 +126,7 @@ func (tr *Terrace) RemoveTaxon() int {
 		panic("terrace: RemoveTaxon at depth 0")
 	}
 	frame := &tr.undo[len(tr.undo)-1]
+	tr.changes++
 	l := tr.agile.LeafNode(frame.taxon)
 	v := tr.rootedV[l]
 	bNode := tr.agile.Other(frame.half, v)
@@ -372,7 +374,7 @@ func (tr *Terrace) splitCommonEdge(u *cUndo, ci int32, cs *constraintState, x in
 	var q, succEdge, moved2 int32
 	if cs.dir[e] != tree.NoNode {
 		q = v
-		if cs.dir[e] == bNode {
+		if cs.halfFar(e, bNode) {
 			// ab lies beyond b: the far region is entered through the half.
 			cs.dir[e] = v
 			cs.dir[half] = bNode
@@ -435,14 +437,14 @@ func (tr *Terrace) splitCommonEdge(u *cUndo, ci int32, cs *constraintState, x in
 				py = cs.ix.MedianPre(lab, ta, u.oldTB, cs.t.LeafNode(int(y)))
 			}
 			var nt int32
-			switch {
-			case py == p:
+			switch cs.partOf(ta, p, distAP, py) {
+			case partX:
 				// y re-projects onto the x-side part: its projection moves off
 				// the old path, so it is logged and restored to p on undo.
 				nt = c2
 				cs.proj[y] = cs.ix.Median(p, lx, cs.t.LeafNode(int(y)))
 				tr.projLog = append(tr.projLog, y)
-			case cs.ix.Dist(ta, py) < distAP:
+			case partTa:
 				nt = che
 				cs.proj[y] = py // still y's projection after the undo, too
 			default:
@@ -460,6 +462,107 @@ func (tr *Terrace) splitCommonEdge(u *cUndo, ci int32, cs *constraintState, x in
 
 	cs.s.Add(x)
 	cs.sCount++
+}
+
+// The split rule. Inserting x cuts its target common edge ĉ into three
+// parts: ĉ's ta-side part, which keeps the id ĉ, the far part c1 and x's
+// pendant part c2. A pending taxon that targeted ĉ targets one of them
+// afterwards, by the projection half of the rule (partOf), and an edge of ĉ's
+// preimage maps to one of them, by the region half: q is where x's branch
+// meets ĉ's anchor path; the edges beyond q from aa go to c1 (the side half,
+// halfFar, says which of the two halves of an anchor-path edge x goes in at
+// lies beyond), the subtree x's branch hangs in goes to c2, and the rest stays
+// on ĉ. splitCommonEdge applies the rule to the Terrace; an Overlay reads it
+// to book a split (Overlay.BookSplit), regions by the keys of regionKeys.
+const (
+	partTa  int8 = iota // ĉ's ta-side part
+	partFar             // c1
+	partX               // c2, x's pendant part
+)
+
+// partOf is the projection half of the split rule: with ĉ cut at p, x's
+// projection onto it, distAP from its ta anchor, a pending taxon that
+// projects onto ĉ at py targets c2 where py is p, ĉ's ta-side part where py
+// lies nearer ta, and c1 otherwise. It reads no agile edge, so it is the same
+// at every branch of x's frame.
+func (cs *constraintState) partOf(ta, p, distAP, py int32) int8 {
+	switch {
+	case py == p:
+		return partX
+	case cs.ix.Dist(ta, py) < distAP:
+		return partTa
+	}
+	return partFar
+}
+
+// halfFar is the side half of the split rule's region rule, for x inserted on
+// an anchor-path edge e of ĉ whose far end — the end the half edge takes — is
+// bEnd: whether ab lies beyond bEnd, so that c1 is entered through the half
+// and e stays on ĉ. Otherwise e passes to c1 and the half stays on ĉ.
+func (cs *constraintState) halfFar(e, bEnd int32) bool { return cs.dir[e] == bEnd }
+
+// regionPart is the region half of the split rule, read by the keys
+// regionKeys gives ĉ's preimage: x inserted on an edge of key kb meets the
+// anchor path at q — inside that edge where it lies on the path (kb odd), at
+// the vertex its subtree hangs off otherwise (kb even). Another edge lies on
+// ĉ's side of q where its key is below kb, on c1's above it, and in the
+// subtree x's branch hangs in, which goes to c2, where its key is kb.
+func regionPart(kf, kb int32) int8 {
+	switch {
+	case kf < kb:
+		return partTa
+	case kf > kb:
+		return partFar
+	}
+	return partX
+}
+
+// regionKeys numbers common edge che's preimage along its anchor path from
+// aa, into keys by agile edge id: the path's j-th edge 2j+1, every edge of the
+// subtree hanging off its j-th vertex 2j (regionPart reads them). One walk of
+// the preimage, the same for every split of che while the state stays put.
+func (tr *Terrace) regionKeys(cs *constraintState, che int32, keys []int32) {
+	a := tr.agile
+	ce := &cs.cedges[che]
+	parentE, stack := tr.parentE, tr.dfsBuf[:0]
+	for u, j := ce.aa, int32(0); u != ce.ab; j++ {
+		next := tree.NoEdge
+		adj, deg := a.Adjacency(u)
+		for i := 0; i < deg; i++ {
+			ed := adj[i]
+			if cs.m[ed] != che {
+				continue
+			}
+			switch d := cs.dir[ed]; {
+			case d == tree.NoNode:
+				// The subtree hanging off u: every edge of it maps to che.
+				keys[ed] = 2 * j
+				if w := a.Other(ed, u); a.Degree(w) != 1 {
+					parentE[w] = ed
+					stack = append(stack, w)
+				}
+			case d != u:
+				next = ed
+			}
+		}
+		for len(stack) > 0 {
+			v := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			adj, deg := a.Adjacency(v)
+			for i := 0; i < deg; i++ {
+				if ed := adj[i]; ed != parentE[v] {
+					keys[ed] = 2 * j
+					if z := a.Other(ed, v); a.Degree(z) != 1 {
+						parentE[z] = ed
+						stack = append(stack, z)
+					}
+				}
+			}
+		}
+		keys[next] = 2*j + 1
+		u = a.Other(next, u)
+	}
+	tr.dfsBuf = stack[:0]
 }
 
 // pendingOn collects (into a shared scratch buffer) the taxa of the

@@ -159,8 +159,11 @@ type Terrace struct {
 	pendListed []bool    // taxon holds a cache slot (re-listed on LIFO undo while attached)
 
 	// ov is the overlay of bookings above the state (see Overlay), laid out
-	// in store the first time it is asked for.
-	ov Overlay
+	// in store the first time it is asked for; changes counts the
+	// ExtendTaxon and RemoveTaxon calls, which its split plans are found
+	// under.
+	ov      Overlay
+	changes uint64
 
 	// store is the storage New or Clone laid the state out in, which Release
 	// hands to the next one.
@@ -287,7 +290,8 @@ type storage struct {
 	agile  *tree.Tree
 
 	// The overlay's, once asked for: its bookings, its per-constraint and
-	// per-taxon counts, and its set of booked taxa.
+	// per-taxon counts, its split patch's and plan's edge lists, and its set
+	// of booked taxa.
 	bookings []booking
 	ovI32    []int32
 	ovWords  []uint64
