@@ -417,17 +417,13 @@ func extraBenches(add func(name string, f func(b *testing.B)),
 	if err != nil {
 		panic(err)
 	}
-	add("SerialReadDeepStand", func(b *testing.B) {
-		var last *search.Result
-		for i := 0; i < b.N; i++ {
-			res, err := search.Run(deepRead, search.Options{InitialTree: -1, Limits: search.Limits{MaxTrees: -1, MaxStates: -1, MaxTime: -1}})
-			if err != nil {
-				b.Fatal(err)
-			}
-			last = res
-		}
-		reportWork(b, last)
-	})
+	add("SerialReadDeepStand", serialRun(deepRead, -1))
+	// The corpus's heaviest restructuring stand (empirical idx 79, generator
+	// ids), cut at 400 000 trees, about 50 ms a run before its splits were
+	// booked: nearly every insertion above its last taxon restructures one
+	// taxon by a split. Its extend-calls, look-aheads, fallbacks,
+	// materialized and split are exact gates.
+	add("SerialRestructuringStand", serialRun(gen.Generate(gen.Default(gen.RegimeEmpirical), 79).Constraints, 400_000))
 	add("StaticIndexNew", func(b *testing.B) {
 		widest := slices.MaxFunc(big, func(x, y *tree.Tree) int { return x.NumLeaves() - y.NumLeaves() })
 		for i := 0; i < b.N; i++ {
@@ -777,4 +773,20 @@ func pairRows(benchtime string, a, b *BenchResult, passA, passB func() error) (r
 	}
 	slices.Sort(ratios)
 	return ratios[len(ratios)/2], nil
+}
+
+// serialRun runs a stand serially, cut at maxTrees trees (-1: exhausted), and
+// reports the last run's work metrics.
+func serialRun(cons []*tree.Tree, maxTrees int64) func(b *testing.B) {
+	return func(b *testing.B) {
+		var last *search.Result
+		for i := 0; i < b.N; i++ {
+			res, err := search.Run(cons, search.Options{InitialTree: -1, Limits: search.Limits{MaxTrees: maxTrees, MaxStates: -1, MaxTime: -1}})
+			if err != nil {
+				b.Fatal(err)
+			}
+			last = res
+		}
+		reportWork(b, last)
+	}
 }

@@ -119,6 +119,7 @@ func workMetrics(res *search.Result) map[string]float64 {
 		"whole":        float64(res.Work.Whole),
 		"split":        float64(res.Work.Split),
 		"fallbacks":    float64(res.Work.Fallbacks),
+		"look-aheads":  float64(res.Work.LookAheads),
 	}
 	if w := res.Work; w.LookAheads+w.Fallbacks > 0 {
 		// Of the penultimate frames' branches (two taxa missing), the share the
@@ -141,7 +142,7 @@ func workMetrics(res *search.Result) map[string]float64 {
 
 // exactMetrics are the work counters that depend on the input alone, not on
 // the host or the clock: -compare fails on any change of one.
-var exactMetrics = []string{"stand-trees", "states", "dead-ends", "steps", "extend-calls", "booked", "materialized", "whole", "split", "fallbacks", "walks", "derived", "forced", "prefix-queries"}
+var exactMetrics = []string{"stand-trees", "states", "dead-ends", "steps", "extend-calls", "booked", "materialized", "whole", "split", "fallbacks", "look-aheads", "walks", "derived", "forced", "prefix-queries"}
 
 // ratioMetrics are the timings of two variants interleaved in one process,
 // divided: the host's speed cancels, so -compare fails when one is more than
@@ -181,7 +182,7 @@ func run(name string, f func(b *testing.B)) BenchResult {
 func main() {
 	outPath := flag.String("out", "", "write the JSON report to this file (default stdout)")
 	note := flag.String("note", "", "free-form note embedded in the report")
-	compare := flag.String("compare", "", "baseline JSON report to diff against (prints a table to stderr; exits non-zero if an exact work counter — stand-trees, states, dead-ends, steps, extend-calls, booked, materialized, whole, split, fallbacks, walks, derived, forced, prefix-queries — differs from the baseline's, or an in-run ratio — t2/serial, emit/stream, stream/spool, strings/blocks — is more than 20 % above it)")
+	compare := flag.String("compare", "", "baseline JSON report to diff against (prints a table to stderr; exits non-zero if an exact work counter — stand-trees, states, dead-ends, steps, extend-calls, booked, materialized, whole, split, fallbacks, look-aheads, walks, derived, forced, prefix-queries — differs from the baseline's, or an in-run ratio — t2/serial, emit/stream, stream/spool, strings/blocks — is more than 20 % above it)")
 	maxRegress := flag.Float64("max-regress", 0, "with -compare: exit non-zero if any shared benchmark's ns/op regresses by more than this percentage, or if its allocs/op — or, on "+
 		strings.Join(bytesRows, ", ")+", its bytes/op — exceed the baseline's by more than a quarter (host-independent gates; exact for a baseline of 0 to 3 allocs)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the benchmark runs (dataset selection excluded) — the input for PGO via scripts/pgo_profile.sh")
