@@ -404,7 +404,7 @@ func extraBenches(add func(name string, f func(b *testing.B)),
 		b.ReportMetric(float64(forced), "forced")
 		b.ReportMetric(float64(queries), "prefix-queries")
 	})
-	// The benchmark's count-deep stand as its runs read it (PR 64): from its
+	// The benchmark's count-deep stand as its runs read it: from its
 	// Newick text, taxon ids by first appearance, where thousands of
 	// insertions restructure one taxon by a split, which the engine books
 	// (search.Work.Split). Its extend-calls, materialized, fallbacks and
